@@ -70,30 +70,36 @@ impl<T: Scalar> FtGemmContext<T> {
 }
 
 impl<T: Scalar> FtGemmContext<T> {
-    /// Pre-sizes every checksum work vector, checkpoint buffer, and packing
-    /// scratch for an `m x n x k` problem under `cfg`, so a subsequent
-    /// [`ft_gemm_with_ctx`] call of that shape performs **no heap
-    /// allocation**. The facade's `GemmPlan` calls this at plan time; the
-    /// sizes mirror the driver exactly, and re-reserving the same shape is
-    /// free.
-    pub fn reserve(&mut self, cfg: &FtConfig, m: usize, n: usize, k: usize) -> FtResult<()> {
+    /// Pre-sizes the packing scratch and — under `Some(cfg)` — every
+    /// checksum work vector and checkpoint buffer for an `m x n x k` problem,
+    /// so a subsequent [`run_serial`] call of that shape and configuration
+    /// performs **no heap allocation**. The facade's `GemmPlan` calls this
+    /// at plan time; the sizes mirror the driver exactly, and re-reserving
+    /// the same shape is free.
+    pub fn reserve(
+        &mut self,
+        cfg: Option<&FtConfig>,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> FtResult<()> {
         let p = self.core.params;
-        p.validate().map_err(FtError::Core)?;
-        let nc_max = p.nc.min(n);
-        resize(&mut self.ar, k);
-        resize(&mut self.bc, p.kc);
-        resize(&mut self.enc_row, m);
-        resize(&mut self.enc_col, nc_max);
-        resize(&mut self.ref_row, m);
-        resize(&mut self.ref_col, nc_max);
-        if matches!(cfg.recovery, Recovery::RetryPanel { .. }) {
-            resize(&mut self.snap_c, m * nc_max);
-            resize(&mut self.snap_enc_row, m);
-            resize(&mut self.snap_enc_col, nc_max);
+        p.validate()?;
+        if let Some(cfg) = cfg {
+            let nc_max = p.nc.min(n);
+            resize(&mut self.ar, k);
+            resize(&mut self.bc, p.kc);
+            resize(&mut self.enc_row, m);
+            resize(&mut self.enc_col, nc_max);
+            resize(&mut self.ref_row, m);
+            resize(&mut self.ref_col, nc_max);
+            if matches!(cfg.recovery, Recovery::RetryPanel { .. }) {
+                resize(&mut self.snap_c, m * nc_max);
+                resize(&mut self.snap_enc_row, m);
+                resize(&mut self.snap_enc_col, nc_max);
+            }
         }
-        self.core
-            .pack_buffers(p.packed_a_len(), p.packed_b_len())
-            .map_err(FtError::Core)?;
+        self.core.pack_buffers(p.packed_a_len(), p.packed_b_len())?;
         Ok(())
     }
 }
@@ -104,20 +110,31 @@ impl<T: Scalar> Default for FtGemmContext<T> {
     }
 }
 
-/// Fault-tolerant `C = alpha*A*B + beta*C` with a fresh context.
-pub fn ft_gemm<T: Scalar>(
-    cfg: &FtConfig,
+/// The serial execute path: `C = alpha*A*B + beta*C` on a caller-held
+/// context, protected by the fused-ABFT driver under `Some(cfg)` and run by
+/// the plain blocked driver (`ftgemm_core::gemm` on `ctx.core`, reporting
+/// [`FtReport::default`]) under `None`. Every serial caller that carries an
+/// optional configuration — planned one-shots, batch items — goes through
+/// here, so the protected-vs-plain choice is made in one place.
+pub fn run_serial<T: Scalar>(
+    ctx: &mut FtGemmContext<T>,
+    cfg: Option<&FtConfig>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
-    let mut ctx = FtGemmContext::new();
-    ft_gemm_with_ctx(&mut ctx, cfg, alpha, a, b, beta, c)
+    match cfg {
+        Some(cfg) => ft_gemm_with_ctx(ctx, cfg, alpha, a, b, beta, c),
+        None => {
+            ftgemm_core::gemm(&mut ctx.core, alpha, a, b, beta, c)?;
+            Ok(FtReport::default())
+        }
+    }
 }
 
-/// Fault-tolerant GEMM reusing a caller-held context (benchmark path).
+/// Fault-tolerant `C = alpha*A*B + beta*C` on a caller-held context.
 pub fn ft_gemm_with_ctx<T: Scalar>(
     ctx: &mut FtGemmContext<T>,
     cfg: &FtConfig,
@@ -144,7 +161,7 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     // Work vectors: sized and zeroed by `reserve`, the single authoritative
     // size list (shared with plan-time preallocation, so a planned call of
     // this shape re-resizes in place without touching the heap).
-    ctx.reserve(cfg, m, n, k)?;
+    ctx.reserve(Some(cfg), m, n, k)?;
     let retry_panels = match cfg.recovery {
         Recovery::ReportOnly => 0u32,
         Recovery::RetryPanel { max_retries } => max_retries,
@@ -397,7 +414,16 @@ mod tests {
         let b = Matrix::<f64>::random(k, n, 72);
         let mut c = Matrix::<f64>::random(m, n, 73);
         let mut c_ref = c.clone();
-        let report = ft_gemm(cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c.as_mut()).unwrap();
+        let report = ft_gemm_with_ctx(
+            &mut FtGemmContext::new(),
+            cfg,
+            alpha,
+            &a.as_ref(),
+            &b.as_ref(),
+            beta,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         naive_gemm(alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_ref.as_mut());
         (c, c_ref, report)
     }
@@ -575,7 +601,16 @@ mod tests {
         let b = Matrix::<f32>::random(30, 20, 2);
         let mut c = Matrix::<f32>::zeros(40, 20);
         let mut c_ref = c.clone();
-        let report = ft_gemm(&cfg, 1.0f32, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+        let report = ft_gemm_with_ctx(
+            &mut FtGemmContext::new(),
+            &cfg,
+            1.0f32,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         naive_gemm(1.0f32, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
         assert!(c.rel_max_diff(&c_ref) < 1e-4);
         assert_eq!(report.detected, 0);
@@ -587,12 +622,30 @@ mod tests {
         let a = Matrix::<f64>::zeros(0, 3);
         let b = Matrix::<f64>::zeros(3, 4);
         let mut c = Matrix::<f64>::zeros(0, 4);
-        ft_gemm(&cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+        ft_gemm_with_ctx(
+            &mut FtGemmContext::new(),
+            &cfg,
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .unwrap();
 
         let a = Matrix::<f64>::zeros(2, 0);
         let b = Matrix::<f64>::zeros(0, 2);
         let mut c = Matrix::<f64>::filled(2, 2, 4.0);
-        ft_gemm(&cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.25, &mut c.as_mut()).unwrap();
+        ft_gemm_with_ctx(
+            &mut FtGemmContext::new(),
+            &cfg,
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.25,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
     }
 

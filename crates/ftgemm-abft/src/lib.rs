@@ -74,7 +74,7 @@ pub mod policy;
 pub mod tolerance;
 
 pub use corrector::{CorrectionOutcome, Discrepancy};
-pub use ft_gemm::{ft_gemm, ft_gemm_with_ctx, FtGemmContext};
+pub use ft_gemm::{ft_gemm_with_ctx, run_serial, FtGemmContext};
 pub use policy::FtPolicy;
 pub use tolerance::Tolerance;
 

@@ -1,7 +1,7 @@
 //! The library stand-ins: packed/blocked GEMMs pinned to distinct ISA tiers.
 
 use ftgemm_core::{gemm, GemmContext, IsaLevel, MatMut, MatRef, Result, Scalar};
-use ftgemm_parallel::{par_gemm, ParGemmContext};
+use ftgemm_parallel::{par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
 
 /// Which comparator library a stand-in represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,15 +90,15 @@ pub struct ReferenceParGemm<T: Scalar> {
     /// The tier this instance represents.
     pub tier: Tier,
     ctx: ParGemmContext<T>,
+    ws: ParFtWorkspace<T>,
 }
 
 impl<T: Scalar> ReferenceParGemm<T> {
     /// Stand-in for `tier` with `threads` workers.
     pub fn new(tier: Tier, threads: usize) -> Self {
-        ReferenceParGemm {
-            tier,
-            ctx: ParGemmContext::with_threads_and_isa(threads, tier.isa()),
-        }
+        let ctx = ParGemmContext::with_threads_and_isa(threads, tier.isa());
+        let ws = ParFtWorkspace::for_plain(&ctx);
+        ReferenceParGemm { tier, ctx, ws }
     }
 
     /// Report name.
@@ -108,14 +108,14 @@ impl<T: Scalar> ReferenceParGemm<T> {
 
     /// `C = alpha*A*B + beta*C`, parallel.
     pub fn run(
-        &self,
+        &mut self,
         alpha: T,
         a: &MatRef<'_, T>,
         b: &MatRef<'_, T>,
         beta: T,
         c: &mut MatMut<'_, T>,
     ) -> Result<()> {
-        par_gemm(&self.ctx, alpha, a, b, beta, c)
+        par_gemm_with_ws(&self.ctx, &mut self.ws, alpha, a, b, beta, c)
     }
 }
 
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn all_tiers_correct_parallel() {
         for tier in [Tier::Blis, Tier::OpenBlas, Tier::Mkl] {
-            let g = ReferenceParGemm::<f64>::new(tier, 4);
+            let mut g = ReferenceParGemm::<f64>::new(tier, 4);
             let a = Matrix::<f64>::random(96, 60, 4);
             let b = Matrix::<f64>::random(60, 72, 5);
             let mut c = Matrix::<f64>::zeros(96, 72);

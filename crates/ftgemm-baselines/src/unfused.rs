@@ -10,7 +10,7 @@
 
 use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext, FtReport, FtResult};
 use ftgemm_core::{MatMut, MatRef, Scalar};
-use ftgemm_parallel::{par_ft_gemm, ParGemmContext};
+use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 
 /// Serial unfused-ABFT GEMM (traditional scheme).
 pub fn unfused_ft_gemm<T: Scalar>(
@@ -25,9 +25,10 @@ pub fn unfused_ft_gemm<T: Scalar>(
     ft_gemm_with_ctx(ctx, &cfg, alpha, a, b, beta, c)
 }
 
-/// Parallel unfused-ABFT GEMM.
+/// Parallel unfused-ABFT GEMM on a caller-held workspace (grown to fit).
 pub fn unfused_par_ft_gemm<T: Scalar>(
     ctx: &ParGemmContext<T>,
+    ws: &mut ParFtWorkspace<T>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
@@ -35,7 +36,7 @@ pub fn unfused_par_ft_gemm<T: Scalar>(
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
     let cfg = FtConfig::unfused();
-    par_ft_gemm(ctx, &cfg, alpha, a, b, beta, c)
+    run_parallel(ctx, ws, Some(&cfg), alpha, a, b, beta, c)
 }
 
 #[cfg(test)]
@@ -73,7 +74,16 @@ mod tests {
         let b = Matrix::<f64>::random(64, 70, 5);
         let mut c = Matrix::<f64>::zeros(80, 70);
         let mut c_ref = Matrix::<f64>::zeros(80, 70);
-        unfused_par_ft_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+        unfused_par_ft_gemm(
+            &ctx,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
         assert!(c.rel_max_diff(&c_ref) < 1e-10);
     }

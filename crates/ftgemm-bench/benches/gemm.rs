@@ -7,7 +7,7 @@ use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
 use ftgemm_baselines::{ReferenceGemm, Tier};
 use ftgemm_core::{gemm, GemmContext, Matrix};
 use ftgemm_faults::FaultInjector;
-use ftgemm_parallel::{par_ft_gemm, par_gemm, ParGemmContext};
+use ftgemm_parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
 use std::time::Duration;
 
 const N: usize = 512;
@@ -117,17 +117,30 @@ fn bench_parallel(c: &mut Criterion) {
     let mut cm = Matrix::<f64>::zeros(n, n);
     let threads = ftgemm_core::cpu::num_cpus().min(8);
     let ctx = ParGemmContext::<f64>::with_threads(threads);
+    let mut ws = ParFtWorkspace::for_problem(&ctx, n, n, n);
     let fused = FtConfig::default();
 
     g.bench_function(BenchmarkId::new("ori", format!("{n}x{threads}t")), |bch| {
-        bch.iter(|| par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut cm.as_mut()).unwrap());
+        bch.iter(|| {
+            par_gemm_with_ws(
+                &ctx,
+                &mut ws,
+                1.0,
+                &a.as_ref(),
+                &b.as_ref(),
+                1.0,
+                &mut cm.as_mut(),
+            )
+            .unwrap()
+        });
     });
     g.bench_function(
         BenchmarkId::new("ft-fused", format!("{n}x{threads}t")),
         |bch| {
             bch.iter(|| {
-                par_ft_gemm(
+                par_ft_gemm_with_ws(
                     &ctx,
+                    &mut ws,
                     &fused,
                     1.0,
                     &a.as_ref(),

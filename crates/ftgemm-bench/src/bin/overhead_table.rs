@@ -12,7 +12,7 @@
 use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
 use ftgemm_bench::{measure, Args, Table};
 use ftgemm_core::{gemm, GemmContext, Matrix};
-use ftgemm_parallel::{par_ft_gemm, par_gemm, ParGemmContext};
+use ftgemm_parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
 
 fn main() {
     let args = Args::parse();
@@ -46,6 +46,7 @@ fn main() {
         let a = Matrix::<f64>::random(s, s, 1);
         let b = Matrix::<f64>::random(s, s, 2);
         let mut c = Matrix::<f64>::zeros(s, s);
+        let mut par_ws = ParFtWorkspace::for_problem(&par_ctx, s, s, s);
 
         let t_ori = measure(args.warmup, args.reps, || {
             gemm(
@@ -83,8 +84,9 @@ fn main() {
             .unwrap();
         });
         let t_par_ori = measure(args.warmup, args.reps, || {
-            par_gemm(
+            par_gemm_with_ws(
                 &par_ctx,
+                &mut par_ws,
                 1.0,
                 &a.as_ref(),
                 &b.as_ref(),
@@ -94,8 +96,9 @@ fn main() {
             .unwrap();
         });
         let t_par_ft = measure(args.warmup, args.reps, || {
-            par_ft_gemm(
+            par_ft_gemm_with_ws(
                 &par_ctx,
+                &mut par_ws,
                 &fused,
                 1.0,
                 &a.as_ref(),
@@ -106,8 +109,9 @@ fn main() {
             .unwrap();
         });
         let t_par_unf = measure(args.warmup, args.reps, || {
-            par_ft_gemm(
+            par_ft_gemm_with_ws(
                 &par_ctx,
+                &mut par_ws,
                 &unfused,
                 1.0,
                 &a.as_ref(),

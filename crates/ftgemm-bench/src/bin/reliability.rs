@@ -11,7 +11,7 @@ use ftgemm_abft::FtConfig;
 use ftgemm_bench::Args;
 use ftgemm_core::Matrix;
 use ftgemm_faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
-use ftgemm_parallel::{par_ft_gemm, ParGemmContext};
+use ftgemm_parallel::{par_ft_gemm_with_ws, ParFtWorkspace, ParGemmContext};
 use std::time::Duration;
 
 fn main() {
@@ -29,13 +29,15 @@ fn main() {
         Rate::PerSecond(20.0),
     );
     let ctx = ParGemmContext::<f64>::with_threads(args.threads);
+    let mut ws = ParFtWorkspace::for_problem(&ctx, s, s, s);
 
     let a = Matrix::<f64>::random(s, s, 1);
     let b = Matrix::<f64>::random(s, s, 2);
     // Clean reference, computed once.
     let mut c_ref = Matrix::<f64>::zeros(s, s);
-    par_ft_gemm(
+    par_ft_gemm_with_ws(
         &ctx,
+        &mut ws,
         &FtConfig::default(),
         1.0,
         &a.as_ref(),
@@ -56,8 +58,9 @@ fn main() {
         let cfg = FtConfig::with_injector(inj.clone());
         let _ = &cfg;
         let mut c = Matrix::<f64>::zeros(s, s);
-        match par_ft_gemm(
+        match par_ft_gemm_with_ws(
             &ctx,
+            &mut ws,
             &cfg,
             1.0,
             &a.as_ref(),

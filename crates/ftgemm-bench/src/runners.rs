@@ -8,7 +8,7 @@ use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext};
 use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm_core::{gemm, GemmContext, MatMut, MatRef};
 use ftgemm_faults::FaultInjector;
-use ftgemm_parallel::{par_ft_gemm, par_gemm, ParGemmContext};
+use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 
 /// Which implementation a runner wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +50,22 @@ pub enum GemmRunner {
     /// Serial FT-GEMM: FT (fused or unfused per config).
     FtSerial(RunnerKind, Box<FtGemmContext<f64>>, FtConfig),
     /// Parallel library stand-in.
-    RefPar(RunnerKind, ReferenceParGemm<f64>),
-    /// Parallel FT-GEMM: Ori.
-    OriPar(ParGemmContext<f64>),
-    /// Parallel FT-GEMM: FT.
-    FtPar(RunnerKind, ParGemmContext<f64>, FtConfig),
+    RefPar(RunnerKind, Box<ReferenceParGemm<f64>>),
+    /// Parallel FT-GEMM on a held workspace: Ori (`None`) or FT (`Some`).
+    Par(
+        RunnerKind,
+        ParGemmContext<f64>,
+        Box<ParFtWorkspace<f64>>,
+        Option<FtConfig>,
+    ),
+}
+
+impl GemmRunner {
+    fn par(kind: RunnerKind, threads: usize, cfg: Option<FtConfig>) -> Self {
+        let ctx = ParGemmContext::with_threads(threads);
+        let ws = Box::new(ParFtWorkspace::for_plain(&ctx));
+        GemmRunner::Par(kind, ctx, ws, cfg)
+    }
 }
 
 impl GemmRunner {
@@ -64,8 +75,8 @@ impl GemmRunner {
             GemmRunner::RefSerial(k, _)
             | GemmRunner::FtSerial(k, _, _)
             | GemmRunner::RefPar(k, _)
-            | GemmRunner::FtPar(k, _, _) => k.name(),
-            GemmRunner::OriSerial(_) | GemmRunner::OriPar(_) => RunnerKind::Ori.name(),
+            | GemmRunner::Par(k, ..) => k.name(),
+            GemmRunner::OriSerial(_) => RunnerKind::Ori.name(),
         }
     }
 
@@ -85,12 +96,13 @@ impl GemmRunner {
                 }
             }
             GemmRunner::RefPar(_, g) => g.run(1.0, a, b, 1.0, c).expect("gemm failed"),
-            GemmRunner::OriPar(ctx) => par_gemm(ctx, 1.0, a, b, 1.0, c).expect("gemm failed"),
-            GemmRunner::FtPar(_, ctx, cfg) => match par_ft_gemm(ctx, cfg, 1.0, a, b, 1.0, c) {
-                Ok(_) => {}
-                Err(FtError::Unrecoverable { .. }) => {}
-                Err(e) => panic!("parallel ft gemm failed: {e}"),
-            },
+            GemmRunner::Par(_, ctx, ws, cfg) => {
+                match run_parallel(ctx, ws, cfg.as_ref(), 1.0, a, b, 1.0, c) {
+                    Ok(_) => {}
+                    Err(FtError::Unrecoverable { .. }) => {}
+                    Err(e) => panic!("parallel gemm failed: {e}"),
+                }
+            }
         }
     }
 }
@@ -117,19 +129,14 @@ pub fn parallel_suite(threads: usize, injector: Option<FaultInjector>) -> Vec<Ge
         Some(inj) => FtConfig::with_injector(inj),
         None => FtConfig::default(),
     };
+    let ref_par =
+        |kind, tier| GemmRunner::RefPar(kind, Box::new(ReferenceParGemm::new(tier, threads)));
     vec![
-        GemmRunner::RefPar(RunnerKind::Mkl, ReferenceParGemm::new(Tier::Mkl, threads)),
-        GemmRunner::RefPar(
-            RunnerKind::OpenBlas,
-            ReferenceParGemm::new(Tier::OpenBlas, threads),
-        ),
-        GemmRunner::RefPar(RunnerKind::Blis, ReferenceParGemm::new(Tier::Blis, threads)),
-        GemmRunner::OriPar(ParGemmContext::with_threads(threads)),
-        GemmRunner::FtPar(
-            RunnerKind::Ft,
-            ParGemmContext::with_threads(threads),
-            ft_cfg,
-        ),
+        ref_par(RunnerKind::Mkl, Tier::Mkl),
+        ref_par(RunnerKind::OpenBlas, Tier::OpenBlas),
+        ref_par(RunnerKind::Blis, Tier::Blis),
+        GemmRunner::par(RunnerKind::Ori, threads, None),
+        GemmRunner::par(RunnerKind::Ft, threads, Some(ft_cfg)),
     ]
 }
 

@@ -6,7 +6,7 @@
 //! fault-tolerant drivers are exposed.
 
 use crate::dmr::DmrConfig;
-use ftgemm_abft::{ft_gemm, FtConfig, FtReport, FtResult};
+use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext, FtReport, FtResult};
 use ftgemm_core::{gemm_op, GemmContext, MatMut, MatRef, Op, Result, Scalar};
 
 /// Transpose flag, mirroring CBLAS.
@@ -133,7 +133,8 @@ pub fn ft_dgemm(
     let a_view = MatRef::from_slice(a, m, k, lda).map_err(ftgemm_abft::FtError::Core)?;
     let b_view = MatRef::from_slice(b, k, n, ldb).map_err(ftgemm_abft::FtError::Core)?;
     let mut c_view = MatMut::from_slice(c, m, n, ldc).map_err(ftgemm_abft::FtError::Core)?;
-    ft_gemm(cfg, alpha, &a_view, &b_view, beta, &mut c_view)
+    let mut ctx = FtGemmContext::<f64>::new();
+    ft_gemm_with_ctx(&mut ctx, cfg, alpha, &a_view, &b_view, beta, &mut c_view)
 }
 
 /// DMR-protected DGEMV over raw slices (BLAS signature, NoTrans).

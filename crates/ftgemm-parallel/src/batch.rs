@@ -1,13 +1,14 @@
 //! Batched (FT-)GEMM: many small problems through one parallel region.
 //!
-//! [`par_ft_gemm`](crate::par_ft_gemm) parallelizes *inside* one matrix —
-//! the right shape when a single GEMM is large enough to feed every core.
-//! A serving workload is the opposite: thousands of small GEMMs, each far
-//! too small to amortize a parallel region of its own. [`par_batch_ft_gemm`]
-//! flips the partitioning axis: the **batch** is distributed over the pool's
-//! threads, and every item runs the *serial* fused-ABFT driver on its owning
-//! thread, reusing that thread's packed-buffer workspace across items (and
-//! across batches, via [`BatchWorkspace`]).
+//! [`par_ft_gemm_with_ws`](crate::par_ft_gemm_with_ws) parallelizes
+//! *inside* one matrix — the right shape when a single GEMM is large enough
+//! to feed every core. A serving workload is the opposite: thousands of
+//! small GEMMs, each far too small to amortize a parallel region of its
+//! own. [`par_batch_ft_gemm_timed`] flips the partitioning axis: the
+//! **batch** is distributed over the pool's threads, and every item runs
+//! the *serial* execute path on its owning thread, reusing that thread's
+//! packed-buffer workspace across items (and across batches, via
+//! [`BatchWorkspace`]).
 //!
 //! Scheduling is dynamic (an atomic cursor over the item array, OpenMP
 //! `schedule(dynamic)` style) so heterogeneous batches do not leave threads
@@ -15,7 +16,7 @@
 
 use crate::ctx::ParGemmContext;
 use crate::shared::SendPtr;
-use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext, FtReport, FtResult};
+use ftgemm_abft::{run_serial, FtConfig, FtGemmContext, FtReport, FtResult};
 use ftgemm_core::{GemmContext, MatMut, MatRef, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -112,23 +113,14 @@ impl BatchTiming {
 }
 
 /// Executes every item of `items` across the pool, one serial driver per
-/// item, and returns one `FtResult<FtReport>` per item (index-aligned).
+/// item, and returns one `FtResult<FtReport>` per item (index-aligned)
+/// plus a [`BatchTiming`] describing how evenly the batch loaded the pool.
+/// The instrumentation is two `Instant` reads per thread per region —
+/// negligible against any real batch.
 ///
 /// Plain items (`cfg: None`) report `FtReport::default()` on success. A
 /// shape error in one item is recorded in that item's slot and does not
 /// affect the rest of the batch.
-pub fn par_batch_ft_gemm<T: Scalar>(
-    ctx: &ParGemmContext<T>,
-    ws: &BatchWorkspace<T>,
-    items: &mut [BatchItem<'_, T>],
-) -> Vec<FtResult<FtReport>> {
-    par_batch_ft_gemm_timed(ctx, ws, items).0
-}
-
-/// [`par_batch_ft_gemm`] plus per-thread occupancy measurement: returns the
-/// per-item results and a [`BatchTiming`] describing how evenly the batch
-/// loaded the pool. The instrumentation is two `Instant` reads per thread
-/// per region — negligible against any real batch.
 pub fn par_batch_ft_gemm_timed<T: Scalar>(
     ctx: &ParGemmContext<T>,
     ws: &BatchWorkspace<T>,
@@ -178,27 +170,15 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
             // region barrier in `run` orders them against the caller.
             let item = unsafe { &mut *items_ptr.0.add(i) };
             let out = unsafe { &mut *results_ptr.0.add(i) };
-            *out = match item.cfg {
-                Some(cfg) => ft_gemm_with_ctx(
-                    &mut slot,
-                    cfg,
-                    item.alpha,
-                    &item.a,
-                    &item.b,
-                    item.beta,
-                    &mut item.c,
-                ),
-                None => ftgemm_core::gemm(
-                    &mut slot.core,
-                    item.alpha,
-                    &item.a,
-                    &item.b,
-                    item.beta,
-                    &mut item.c,
-                )
-                .map(|()| FtReport::default())
-                .map_err(FtError::Core),
-            };
+            *out = run_serial(
+                &mut slot,
+                item.cfg,
+                item.alpha,
+                &item.a,
+                &item.b,
+                item.beta,
+                &mut item.c,
+            );
         }
         busy_ns[w.tid].store(
             thread_start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -220,7 +200,7 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftgemm_abft::ft_gemm;
+    use ftgemm_abft::ft_gemm_with_ctx;
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::Matrix;
     use ftgemm_faults::{ErrorModel, FaultInjector, Rate};
@@ -259,7 +239,8 @@ mod tests {
             .collect();
         let mut expected: Vec<Matrix<f64>> = problems.iter().map(|(_, _, c)| c.clone()).collect();
         for ((a, b, _), c_exp) in problems.iter().zip(expected.iter_mut()) {
-            ft_gemm(
+            ft_gemm_with_ctx(
+                &mut FtGemmContext::new(),
                 &cfg,
                 1.5,
                 &a.as_ref(),
@@ -281,7 +262,7 @@ mod tests {
                 cfg: Some(&cfg),
             })
             .collect();
-        let results = par_batch_ft_gemm(&ctx, &ws, &mut items);
+        let results = par_batch_ft_gemm_timed(&ctx, &ws, &mut items).0;
         drop(items);
 
         for (i, r) in results.iter().enumerate() {
@@ -323,7 +304,7 @@ mod tests {
                 cfg: None,
             },
         ];
-        let results = par_batch_ft_gemm(&ctx, &ws, &mut items);
+        let results = par_batch_ft_gemm_timed(&ctx, &ws, &mut items).0;
         drop(items);
         assert!(results[0].as_ref().unwrap().verifications > 0);
         assert_eq!(results[1].as_ref().unwrap(), &FtReport::default());
@@ -359,7 +340,7 @@ mod tests {
                 cfg: Some(if i % 2 == 0 { &cfg } else { &clean_cfg }),
             })
             .collect();
-        let results = par_batch_ft_gemm(&ctx, &ws, &mut items);
+        let results = par_batch_ft_gemm_timed(&ctx, &ws, &mut items).0;
         drop(items);
 
         let total = FtReport::merged(results.iter().map(|r| *r.as_ref().unwrap()));
@@ -398,7 +379,7 @@ mod tests {
                 cfg: None,
             },
         ];
-        let results = par_batch_ft_gemm(&ctx, &ws, &mut items);
+        let results = par_batch_ft_gemm_timed(&ctx, &ws, &mut items).0;
         drop(items);
         assert!(results[0].is_err());
         assert!(results[1].is_ok());
@@ -410,7 +391,7 @@ mod tests {
         let ctx = ParGemmContext::<f64>::with_threads(2);
         let ws = BatchWorkspace::new(&ctx);
         let mut items: Vec<BatchItem<'_, f64>> = Vec::new();
-        assert!(par_batch_ft_gemm(&ctx, &ws, &mut items).is_empty());
+        assert!(par_batch_ft_gemm_timed(&ctx, &ws, &mut items).0.is_empty());
         let (_, timing) = par_batch_ft_gemm_timed(&ctx, &ws, &mut items);
         assert_eq!(timing.thread_busy, vec![Duration::ZERO; 2]);
         assert_eq!(timing.occupancy(), 0.0);

@@ -32,11 +32,9 @@ mod par_gemm;
 mod shared;
 mod workspace;
 
-pub use batch::{
-    par_batch_ft_gemm, par_batch_ft_gemm_timed, BatchItem, BatchTiming, BatchWorkspace,
-};
+pub use batch::{par_batch_ft_gemm_timed, BatchItem, BatchTiming, BatchWorkspace};
 pub use ctx::ParGemmContext;
-pub use par_ft_gemm::{par_ft_gemm, par_ft_gemm_with_ws};
-pub use par_gemm::{par_gemm, par_gemm_with_ws};
+pub use par_ft_gemm::{par_ft_gemm_with_ws, run_parallel};
+pub use par_gemm::par_gemm_with_ws;
 pub use shared::SharedVec;
 pub use workspace::ParFtWorkspace;

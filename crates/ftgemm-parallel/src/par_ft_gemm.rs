@@ -29,6 +29,7 @@
 // re-derived every panel, never a synchronization point.
 
 use crate::ctx::ParGemmContext;
+use crate::par_gemm::par_gemm_with_ws;
 use crate::shared::SendPtr;
 use crate::workspace::ParFtWorkspace;
 use ftgemm_abft::corrector::{self, CorrectionOutcome};
@@ -39,20 +40,43 @@ use ftgemm_core::{pack, MatMut, MatRef, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Parallel fault-tolerant `C = alpha*A*B + beta*C` with a fresh workspace.
-pub fn par_ft_gemm<T: Scalar>(
+/// The matrix-parallel execute path: `C = alpha*A*B + beta*C` on `ctx`'s
+/// pool with a caller-owned workspace, protected by
+/// [`par_ft_gemm_with_ws`] under `Some(cfg)` and run by
+/// [`par_gemm_with_ws`] (reporting [`FtReport::default`]) under `None`.
+///
+/// `ws` is grown with [`ParFtWorkspace::ensure`] when the problem does not
+/// fit and reused otherwise, so a caller that keeps one workspace alive —
+/// a `GemmPlan`, a service dispatcher — allocates only when a larger shape
+/// first arrives. Every matrix-parallel caller that carries an optional
+/// configuration goes through here, so the protected-vs-plain choice is
+/// made in one place.
+pub fn run_parallel<T: Scalar>(
     ctx: &ParGemmContext<T>,
-    cfg: &FtConfig,
+    ws: &mut ParFtWorkspace<T>,
+    cfg: Option<&FtConfig>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
-    validate_shapes(a, b, c)?;
-    ctx.params.validate().map_err(FtError::Core)?;
-    let mut ws = ParFtWorkspace::for_problem(ctx, a.nrows(), b.ncols(), a.ncols());
-    par_ft_gemm_with_ws(ctx, &mut ws, cfg, alpha, a, b, beta, c)
+    let (m, n, k) = validate_shapes(a, b, c)?;
+    ctx.params.validate()?;
+    match cfg {
+        Some(cfg) => {
+            ws.ensure(ctx, m, n, k);
+            par_ft_gemm_with_ws(ctx, ws, cfg, alpha, a, b, beta, c)
+        }
+        None => {
+            // The plain driver touches only B~ and the A~ slots.
+            if !ws.fits_plain(ctx) {
+                *ws = ParFtWorkspace::for_plain(ctx);
+            }
+            par_gemm_with_ws(ctx, ws, alpha, a, b, beta, c)?;
+            Ok(FtReport::default())
+        }
+    }
 }
 
 /// Parallel fault-tolerant GEMM reusing a caller-held [`ParFtWorkspace`].
@@ -460,9 +484,10 @@ mod tests {
         let b = Matrix::<f64>::random(k, n, 92);
         let mut c = Matrix::<f64>::random(m, n, 93);
         let mut c_ref = c.clone();
-        let rep = par_ft_gemm(
+        let rep = run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             alpha,
             &a.as_ref(),
             &b.as_ref(),
@@ -499,9 +524,10 @@ mod tests {
         let b = Matrix::<f64>::random(70, 60, 2);
         let mut c = Matrix::<f64>::random(90, 60, 3);
         let mut c_ref = c.clone();
-        let rep = par_ft_gemm(
+        let rep = run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -523,9 +549,10 @@ mod tests {
         let b = Matrix::<f64>::random(96, 112, 5);
         let mut c = Matrix::<f64>::zeros(128, 112);
         let mut c_ref = Matrix::<f64>::zeros(128, 112);
-        let rep = par_ft_gemm(
+        let rep = run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -558,9 +585,10 @@ mod tests {
         let b = Matrix::<f64>::random(90, 100, 7);
         let mut c = Matrix::<f64>::zeros(150, 100);
         let mut c_ref = Matrix::<f64>::zeros(150, 100);
-        let rep = par_ft_gemm(
+        let rep = run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -589,9 +617,10 @@ mod tests {
         let mut c = Matrix::<f64>::zeros(150, 100);
         let mut c_ref = Matrix::<f64>::zeros(150, 100);
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
-        match par_ft_gemm(
+        match run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -620,9 +649,10 @@ mod tests {
         let b = Matrix::<f32>::random(48, 56, 9);
         let mut c = Matrix::<f32>::zeros(64, 56);
         let mut c_ref = Matrix::<f32>::zeros(64, 56);
-        let rep = par_ft_gemm(
+        let rep = run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             1.0f32,
             &a.as_ref(),
             &b.as_ref(),
@@ -660,9 +690,10 @@ mod tests {
                 &mut c.as_mut(),
             )
             .unwrap();
-            par_ft_gemm(
+            run_parallel(
                 &ctx,
-                &cfg,
+                &mut ParFtWorkspace::for_plain(&ctx),
+                Some(&cfg),
                 1.0,
                 &a.as_ref(),
                 &b.as_ref(),
@@ -685,9 +716,10 @@ mod tests {
             let b = Matrix::<f64>::random(s, s, s as u64 + 1);
             let mut c = Matrix::<f64>::zeros(s, s);
             let mut c_ref = Matrix::<f64>::zeros(s, s);
-            par_ft_gemm(
+            run_parallel(
                 &ctx,
-                &cfg,
+                &mut ParFtWorkspace::for_plain(&ctx),
+                Some(&cfg),
                 1.0,
                 &a.as_ref(),
                 &b.as_ref(),
@@ -707,9 +739,10 @@ mod tests {
         let a = Matrix::<f64>::zeros(2, 0);
         let b = Matrix::<f64>::zeros(0, 2);
         let mut c = Matrix::<f64>::filled(2, 2, 8.0);
-        par_ft_gemm(
+        run_parallel(
             &ctx,
-            &cfg,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&cfg),
             1.0,
             &a.as_ref(),
             &b.as_ref(),

@@ -8,28 +8,12 @@ use ftgemm_core::gemm::validate_shapes;
 use ftgemm_core::macro_kernel::macro_kernel;
 use ftgemm_core::{pack, MatMut, MatRef, Result, Scalar};
 
-/// Parallel `C = alpha*A*B + beta*C` with a fresh workspace.
-///
-/// Work is M-partitioned; the packed `B~` is shared and packed
-/// cooperatively along N; each thread packs its own `A~` (paper §2.3).
-pub fn par_gemm<T: Scalar>(
-    ctx: &ParGemmContext<T>,
-    alpha: T,
-    a: &MatRef<'_, T>,
-    b: &MatRef<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-) -> Result<()> {
-    validate_shapes(a, b, c)?;
-    ctx.params.validate()?;
-    let mut ws = ParFtWorkspace::for_plain(ctx);
-    par_gemm_with_ws(ctx, &mut ws, alpha, a, b, beta, c)
-}
-
-/// Parallel plain GEMM reusing a caller-held [`ParFtWorkspace`] (only the
-/// packed `B~` and per-thread `A~` slots are touched); the hot path
-/// performs no heap allocation. Taken `&mut` so concurrent calls cannot
-/// alias one workspace from safe code (see
+/// Parallel plain `C = alpha*A*B + beta*C` on a caller-held
+/// [`ParFtWorkspace`] (only the packed `B~` and per-thread `A~` slots are
+/// touched); the hot path performs no heap allocation. Work is
+/// M-partitioned; the packed `B~` is shared and packed cooperatively along
+/// N; each thread packs its own `A~` (paper §2.3). Taken `&mut` so
+/// concurrent calls cannot alias one workspace from safe code (see
 /// [`par_ft_gemm_with_ws`](crate::par_ft_gemm_with_ws)).
 ///
 /// # Panics
@@ -166,7 +150,16 @@ mod tests {
         let b = Matrix::<f64>::random(k, n, 82);
         let mut c = Matrix::<f64>::random(m, n, 83);
         let mut c_ref = c.clone();
-        par_gemm(&ctx, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c.as_mut()).unwrap();
+        par_gemm_with_ws(
+            &ctx,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            alpha,
+            &a.as_ref(),
+            &b.as_ref(),
+            beta,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         naive_gemm(alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_ref.as_mut());
         let d = c.rel_max_diff(&c_ref);
         assert!(d < 1e-10, "diff {d} (t={threads}, {m}x{n}x{k})");
@@ -199,7 +192,16 @@ mod tests {
         let a = Matrix::<f64>::zeros(4, 0);
         let b = Matrix::<f64>::zeros(0, 4);
         let mut c = Matrix::<f64>::filled(4, 4, 2.0);
-        par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.5, &mut c.as_mut()).unwrap();
+        par_gemm_with_ws(
+            &ctx,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.5,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
     }
 
@@ -210,7 +212,16 @@ mod tests {
         let b = Matrix::<f32>::random(64, 80, 2);
         let mut c = Matrix::<f32>::zeros(96, 80);
         let mut c_ref = c.clone();
-        par_gemm(&ctx, 1.0f32, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+        par_gemm_with_ws(
+            &ctx,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            1.0f32,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         naive_gemm(1.0f32, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
         assert!(c.rel_max_diff(&c_ref) < 1e-4);
     }
@@ -222,7 +233,16 @@ mod tests {
         let b = Matrix::<f64>::random(60, 50, 4);
         let mut c = Matrix::<f64>::zeros(70, 50);
         let mut c_ref = c.clone();
-        par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+        par_gemm_with_ws(
+            &ctx,
+            &mut ParFtWorkspace::for_plain(&ctx),
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .unwrap();
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
         assert!(c.rel_max_diff(&c_ref) < 1e-10);
     }
@@ -235,7 +255,16 @@ mod tests {
             let b = Matrix::<f64>::random(s, s, s as u64 + 9);
             let mut c = Matrix::<f64>::zeros(s, s);
             let mut c_ref = Matrix::<f64>::zeros(s, s);
-            par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+            par_gemm_with_ws(
+                &ctx,
+                &mut ParFtWorkspace::for_plain(&ctx),
+                1.0,
+                &a.as_ref(),
+                &b.as_ref(),
+                0.0,
+                &mut c.as_mut(),
+            )
+            .unwrap();
             naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
             assert!(c.rel_max_diff(&c_ref) < 1e-10, "size {s}");
         }

@@ -1,15 +1,12 @@
 //! Reusable workspace for the matrix-parallel drivers.
 //!
-//! [`par_ft_gemm`](crate::par_ft_gemm) historically allocated its shared
-//! state (the packed `B~`, the checksum vectors, the per-thread reduction
-//! lanes, each thread's private `A~`) on every call. That is fine for one
-//! large GEMM, but a plan-once/execute-many caller — the facade's
-//! `GemmPlan`, or a service replaying one shape under load — pays the
-//! allocator on a hot path for buffers whose sizes never change.
-//!
-//! [`ParFtWorkspace`] hoists all of that state into a value the caller owns:
-//! build it once per problem shape ([`ParFtWorkspace::for_problem`]), then
-//! hand it to [`par_ft_gemm_with_ws`](crate::par_ft_gemm_with_ws) /
+//! The paper's threaded scheme (§2.3) requests the shared packed `B~` and
+//! each thread's private `A~` once and reuses them. [`ParFtWorkspace`] is
+//! that state — plus the checksum vectors and per-thread reduction lanes
+//! of the protected driver — as a value the caller owns: build it once
+//! ([`ParFtWorkspace::for_problem`], or [`ParFtWorkspace::for_plain`] and
+//! let [`run_parallel`](crate::run_parallel) grow it), then hand it to
+//! [`par_ft_gemm_with_ws`](crate::par_ft_gemm_with_ws) /
 //! [`par_gemm_with_ws`](crate::par_gemm_with_ws) any number of times —
 //! those calls perform **zero heap allocation**. The drivers rewrite every
 //! region of the workspace they read (packing covers whole padded slabs,

@@ -57,7 +57,7 @@ impl SenseBarrier {
         } else {
             let mut spins = 0u32;
             while self.epoch.load(Ordering::Acquire) == epoch {
-                spins += 1;
+                spins = spins.saturating_add(1);
                 if spins < 1 << 12 {
                     std::hint::spin_loop();
                 } else {

@@ -25,6 +25,9 @@ unsafe impl Send for JobRef {}
 unsafe impl Sync for JobRef {}
 
 struct Shared {
+    /// Held by the caller of `run` for a whole multi-thread region: the job
+    /// slot and `done_barrier` below serve exactly one region at a time.
+    region: Mutex<()>,
     /// Latest published job and its generation.
     job: Mutex<(u64, Option<JobRef>)>,
     wake: Condvar,
@@ -145,6 +148,7 @@ impl ThreadPool {
             "partition must cover the pool's threads"
         );
         let shared = Arc::new(Shared {
+            region: Mutex::new(()),
             job: Mutex::new((0, None)),
             wake: Condvar::new(),
             region_barrier: SenseBarrier::new(nthreads),
@@ -212,6 +216,10 @@ impl ThreadPool {
     /// thread has finished. Panics in workers propagate as a pool poison
     /// (abort) rather than deadlocks: the closure is required to be
     /// panic-free in practice (compute kernels do not panic).
+    ///
+    /// One region at a time per pool: concurrent callers queue on a region
+    /// lock and run one after another, each as thread 0 of its own region.
+    /// A 1-thread pool runs `f` inline on the caller and takes no lock.
     pub fn run<F>(&self, f: F)
     where
         F: Fn(&WorkerCtx<'_>) + Sync,
@@ -232,6 +240,9 @@ impl ThreadPool {
             f(&ctx);
             return;
         }
+
+        // Taken after the inline return above, so 1-thread pools pay nothing.
+        let _region = self.shared.region.lock();
 
         unsafe fn call_impl<F: Fn(&WorkerCtx<'_>) + Sync>(data: *const (), ctx: &WorkerCtx<'_>) {
             // SAFETY: `data` was created from an `&F` in this function and
@@ -469,6 +480,64 @@ mod tests {
             // node_partition degenerates to partition on one node.
             assert_eq!(ctx.node_partition(9, 1), ctx.partition(9, 1));
         });
+    }
+
+    /// `callers` threads hammer one shared `workers`-thread pool with
+    /// `regions` regions each; every region must run its closure exactly
+    /// once per tid. Runs under a watchdog so that a pool which lets two
+    /// callers into a region at once (overwritten job slot, mis-counted
+    /// `done_barrier`) fails with a message instead of hanging the suite.
+    fn hammer(callers: usize, workers: usize, regions: usize) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(workers);
+            let start = SenseBarrier::new(callers);
+            std::thread::scope(|s| {
+                for caller in 0..callers {
+                    let (pool, start) = (&pool, &start);
+                    s.spawn(move || {
+                        start.wait(); // all callers enter the loop together
+                        for region in 0..regions {
+                            let hits: Vec<AtomicUsize> =
+                                (0..workers).map(|_| AtomicUsize::new(0)).collect();
+                            pool.run(|ctx| {
+                                assert_eq!(ctx.nthreads, workers);
+                                hits[ctx.tid].fetch_add(1, Ordering::Relaxed);
+                            });
+                            for (tid, h) in hits.iter().enumerate() {
+                                assert_eq!(
+                                    h.load(Ordering::Relaxed),
+                                    1,
+                                    "caller {caller} region {region}: tid {tid} ran its closure a wrong number of times"
+                                );
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(pool.stats().regions, (callers * regions) as u64);
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!(
+                "{callers} concurrent callers of ThreadPool::run on one {workers}-thread pool \
+                 deadlocked (regions must be serialised per pool)"
+            ),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("a hammer thread panicked: a region ran with the wrong participants")
+            }
+        }
+    }
+
+    #[test]
+    fn two_callers_share_one_pool() {
+        hammer(2, 3, 3000);
+    }
+
+    #[test]
+    fn four_callers_share_one_pool() {
+        hammer(4, 2, 2000);
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //!
 //! ```text
 //! submit() / submit_async() / submit_streamed()  x N threads
-//!     │  round-robin over queue shards (uncontended submit path;
-//!     │  bounded queue: sync parks, async gets Overloaded back)
+//!     │  three wrappers over one submit path (validate, place, admit,
+//!     │  count, trace, push, roll back); round-robin over queue shards;
+//!     │  bounded queue: sync parks, async gets Overloaded back
 //!     ▼
 //! ShardedQueue ──► per-node dispatcher ──► route by problem size
 //!                                        │
 //!                      small (≤ cutoff)  │  large (> cutoff)
 //!                 ┌─────────────────────┐│┌──────────────────────┐
-//!                 │ coalesce ≤ max_batch│││ par_ft_gemm /        │
-//!                 │ par_batch_ft_gemm   │││ par_gemm             │
-//!                 │ (batch-parallel,    │││ (matrix-parallel)    │
-//!                 │  per-thread reused  ││└──────────────────────┘
+//!                 │ coalesce ≤ max_batch│││ run_parallel         │
+//!                 │ par_batch_ft_gemm_  │││ (matrix-parallel on  │
+//!                 │ timed (batch-       │││  the node's one      │
+//!                 │  parallel, per-     │││  reused workspace)   │
+//!                 │  thread reused      ││└──────────────────────┘
 //!                 │  packed workspaces) ││
 //!                 └─────────────────────┘│   one persistent pool per node
 //!                                        ▼
@@ -30,9 +32,11 @@
 //!
 //! * **Batching.** Small GEMMs cannot amortize a parallel region each; the
 //!   scheduler coalesces up to `max_batch` of them and distributes the
-//!   *batch* across the pool ([`ftgemm_parallel::par_batch_ft_gemm`]), each
-//!   item running the serial fused-ABFT driver with that pool thread's
-//!   reused packed-buffer workspace. Coalesced batches run before the
+//!   *batch* across the pool ([`ftgemm_parallel::par_batch_ft_gemm_timed`]),
+//!   each item running the serial execute path with that pool thread's
+//!   reused packed-buffer workspace. Large GEMMs run
+//!   [`ftgemm_parallel::run_parallel`] on a workspace the node's
+//!   dispatcher keeps across requests. Coalesced batches run before the
 //!   sweep's large requests so a small request never queues behind a long
 //!   matrix-parallel run it arrived with.
 //! * **Learned routing.** The small/large boundary is a [`RoutingPolicy`]:

@@ -21,11 +21,12 @@ use ftgemm_abft::{FtReport, FtResult};
 use ftgemm_core::Scalar;
 use ftgemm_obs::{ObsRoutes, ObsServer, TraceEvent, TracePath};
 use ftgemm_parallel::{
-    par_batch_ft_gemm_timed, par_ft_gemm, par_gemm, BatchItem, BatchWorkspace, ParGemmContext,
+    par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParFtWorkspace,
+    ParGemmContext,
 };
 use ftgemm_pool::{PoolStats, Topology};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -52,7 +53,7 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Where the batched-vs-matrix-parallel boundary comes from: requests
     /// with at most the cutoff's multiply-adds (`2*m*n*k`) take the batched
-    /// path, larger ones run matrix-parallel via `par_ft_gemm`. The default
+    /// path, larger ones run matrix-parallel via `run_parallel`. The default
     /// learns the boundary online from observed region times, seeded at
     /// [`DEFAULT_SMALL_FLOPS_CUTOFF`]; pin it with
     /// [`RoutingPolicy::Fixed`] for deterministic routing.
@@ -250,6 +251,13 @@ impl<T: Scalar> GemmService<T> {
                 .map(|cfg| FaultPolicyMonitor::new(cfg, nnodes)),
             config,
         });
+        // Exactly one dispatcher per node, and node `i`'s pool is entered
+        // only by dispatcher `i` (stolen work runs on the *stealing* node's
+        // pool; submit surfaces and the metrics endpoint never enter a
+        // region). So no two threads ever call `ThreadPool::run` on the
+        // same pool, the pool's one-region-at-a-time lock is never
+        // contended here, and each dispatcher can own its workspaces
+        // outright (`NodeCompute`) without sharing or locking them.
         let dispatchers: Vec<_> = (0..nnodes)
             .filter_map(|node| {
                 let inner = Arc::clone(&inner);
@@ -349,15 +357,22 @@ impl<T: Scalar> GemmService<T> {
         Ok(())
     }
 
-    /// Submits a request; returns a handle redeemable for the result.
-    ///
-    /// Shape errors are rejected here, synchronously; everything else is
-    /// reported through the handle. With a bounded queue
-    /// ([`ServiceConfig::queue_capacity`]), this call parks until space
-    /// opens up — use [`submit_async`](GemmService::submit_async) or
-    /// [`submit_streamed`](GemmService::submit_streamed) for surfaces that
-    /// never block.
-    pub fn submit(&self, req: GemmRequest<T>) -> Result<RequestHandle<T>, ServeError> {
+    /// The one submit path every surface goes through: validate → place →
+    /// deadline admission → envelope → count → trace → push, with the
+    /// counts rolled back when the push is rejected. The surfaces differ
+    /// only in `make_slot` (how the response slot and the caller's return
+    /// value are made), `surface` (which per-surface counter is bumped)
+    /// and `push` (parking [`ShardedQueue::push`] or fail-fast
+    /// [`ShardedQueue::try_push`]). On rejection the `R` made by
+    /// `make_slot` is dropped here, which is what releases an async
+    /// handle's in-flight gauge.
+    fn submit_with<R>(
+        &self,
+        req: GemmRequest<T>,
+        surface: &AtomicU64,
+        push: fn(&ShardedQueue<T>, Envelope<T>) -> Result<(), PushError>,
+        make_slot: impl FnOnce(u64) -> (R, Arc<ResponseSlot<T>>),
+    ) -> Result<R, ServeError> {
         req.validate()?;
         let id = self.inner.queue.next_id();
         let affinity = self.place(&req);
@@ -367,7 +382,7 @@ impl<T: Scalar> GemmService<T> {
         // and its tenant's row record it).
         self.check_deadline(&req, affinity)?;
         let tenant = req.tenant;
-        let (handle, slot) = RequestHandle::pair(id);
+        let (ret, slot) = make_slot(id);
         let submitted = Instant::now();
         let env = Envelope {
             deadline: req.deadline.map(|d| submitted + d),
@@ -384,34 +399,39 @@ impl<T: Scalar> GemmService<T> {
         // `completed > submitted`. A rejected push rolls the count back.
         // Trace events follow the same rule: recorded before the push so a
         // request's `admitted` can never land after its `dispatched`.
-        self.inner.stats.admit(&self.inner.stats.submitted_sync);
-        self.inner.stats.tenant_admit(tenant);
-        self.trace_admitted(affinity, id);
-        self.inner.queue.push(env).map_err(|_| {
-            self.inner
-                .stats
-                .reject(&self.inner.stats.submitted_sync, RejectReason::Closed);
-            self.inner.stats.tenant_unadmit(tenant);
-            self.trace_rejected(affinity, id);
-            ServeError::Closed
-        })?;
-        Ok(handle)
-    }
-
-    /// Records the admission-time trace pair (`admitted`, `queued`) on the
-    /// request's affinity node; no-op on obs-disabled services.
-    fn trace_admitted(&self, affinity: usize, id: u64) {
+        let stats = &self.inner.stats;
+        stats.admit(surface);
+        stats.tenant_admit(tenant);
         if let Some(obs) = &self.inner.obs {
             obs.trace.record(affinity, id, TraceEvent::Admitted);
             obs.trace.record(affinity, id, TraceEvent::Queued);
         }
+        push(&self.inner.queue, env).map_err(|e| {
+            let (reason, err) = match e {
+                PushError::Full => (RejectReason::Overloaded, ServeError::Overloaded),
+                PushError::Closed => (RejectReason::Closed, ServeError::Closed),
+            };
+            stats.reject(surface, reason);
+            stats.tenant_unadmit(tenant);
+            if let Some(obs) = &self.inner.obs {
+                obs.trace.record(affinity, id, TraceEvent::Failed);
+            }
+            err
+        })?;
+        Ok(ret)
     }
 
-    /// Records the `failed` trace terminal for a rejected submit.
-    fn trace_rejected(&self, affinity: usize, id: u64) {
-        if let Some(obs) = &self.inner.obs {
-            obs.trace.record(affinity, id, TraceEvent::Failed);
-        }
+    /// Submits a request; returns a handle redeemable for the result.
+    ///
+    /// Shape errors are rejected here, synchronously; everything else is
+    /// reported through the handle. With a bounded queue
+    /// ([`ServiceConfig::queue_capacity`]), this call parks until space
+    /// opens up — use [`submit_async`](GemmService::submit_async) or
+    /// [`submit_streamed`](GemmService::submit_streamed) for surfaces that
+    /// never block.
+    pub fn submit(&self, req: GemmRequest<T>) -> Result<RequestHandle<T>, ServeError> {
+        let surface = &self.inner.stats.submitted_sync;
+        self.submit_with(req, surface, ShardedQueue::push, RequestHandle::pair)
     }
 
     /// Submits a request and returns a [`Future`](std::future::Future)
@@ -428,43 +448,10 @@ impl<T: Scalar> GemmService<T> {
     /// `examples/async_serving.rs` for a hand-rolled `block_on` driving
     /// hundreds of these concurrently from one thread.
     pub fn submit_async(&self, req: GemmRequest<T>) -> Result<AsyncRequestHandle<T>, ServeError> {
-        req.validate()?;
-        let id = self.inner.queue.next_id();
-        let affinity = self.place(&req);
-        // Deadline admission control before counting/tracing (see `submit`).
-        self.check_deadline(&req, affinity)?;
-        let tenant = req.tenant;
-        let (handle, slot) =
-            AsyncRequestHandle::pair(id, Arc::clone(&self.inner.stats.in_flight_async));
-        let submitted = Instant::now();
-        let env = Envelope {
-            deadline: req.deadline.map(|d| submitted + d),
-            flops: req.flops(),
-            req,
-            slot,
-            id,
-            affinity,
-            submitted,
-        };
-        // Counted at admission (see `submit`); a rejected push rolls the
-        // count back, and the handle drops here too, releasing the
-        // in-flight gauge.
-        self.inner.stats.admit(&self.inner.stats.submitted_async);
-        self.inner.stats.tenant_admit(tenant);
-        self.trace_admitted(affinity, id);
-        self.inner.queue.try_push(env).map_err(|e| {
-            let (reason, err) = match e {
-                PushError::Full => (RejectReason::Overloaded, ServeError::Overloaded),
-                PushError::Closed => (RejectReason::Closed, ServeError::Closed),
-            };
-            self.inner
-                .stats
-                .reject(&self.inner.stats.submitted_async, reason);
-            self.inner.stats.tenant_unadmit(tenant);
-            self.trace_rejected(affinity, id);
-            err
-        })?;
-        Ok(handle)
+        let stats = &self.inner.stats;
+        self.submit_with(req, &stats.submitted_async, ShardedQueue::try_push, |id| {
+            AsyncRequestHandle::pair(id, Arc::clone(&stats.in_flight_async))
+        })
     }
 
     /// Submits a request whose result is delivered into a completion
@@ -482,42 +469,20 @@ impl<T: Scalar> GemmService<T> {
         req: GemmRequest<T>,
         sink: &CompletionSink<T>,
     ) -> Result<u64, ServeError> {
-        req.validate()?;
-        let id = self.inner.queue.next_id();
-        let affinity = self.place(&req);
-        // Deadline admission control before counting/tracing (see `submit`).
-        self.check_deadline(&req, affinity)?;
-        let tenant = req.tenant;
-        let slot = ResponseSlot::forwarding(id, sink.clone());
-        sink.register();
-        let submitted = Instant::now();
-        let env = Envelope {
-            deadline: req.deadline.map(|d| submitted + d),
-            flops: req.flops(),
-            req,
-            slot,
-            id,
-            affinity,
-            submitted,
-        };
-        // Counted at admission (see `submit`); rolled back on rejection.
-        self.inner.stats.admit(&self.inner.stats.submitted_streamed);
-        self.inner.stats.tenant_admit(tenant);
-        self.trace_admitted(affinity, id);
-        self.inner.queue.try_push(env).map_err(|e| {
-            let (reason, err) = match e {
-                PushError::Full => (RejectReason::Overloaded, ServeError::Overloaded),
-                PushError::Closed => (RejectReason::Closed, ServeError::Closed),
-            };
-            self.inner
-                .stats
-                .reject(&self.inner.stats.submitted_streamed, reason);
-            self.inner.stats.tenant_unadmit(tenant);
-            self.trace_rejected(affinity, id);
-            sink.unregister();
-            err
-        })?;
-        Ok(id)
+        // The sink must count the request before it can possibly complete;
+        // a push rejected after that un-counts it.
+        let mut registered = false;
+        let surface = &self.inner.stats.submitted_streamed;
+        self.submit_with(req, surface, ShardedQueue::try_push, |id| {
+            sink.register();
+            registered = true;
+            (id, ResponseSlot::forwarding(id, sink.clone()))
+        })
+        .inspect_err(|_| {
+            if registered {
+                sink.unregister();
+            }
+        })
     }
 
     /// Convenience: submit and block for the result.
@@ -677,15 +642,37 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
     }
 }
 
+/// What one dispatcher computes with: its node's context (pool, kernel,
+/// blocking) and the workspaces both execute paths reuse across every
+/// request the dispatcher ever runs — requested once, as the paper's
+/// threaded scheme (§2.3) requests `B~` and each thread's `A~` once.
+/// Only this node's pool ever touches them, so they stay on the memory
+/// domain that computes with them.
+struct NodeCompute<'a, T: Scalar> {
+    ctx: &'a ParGemmContext<T>,
+    /// Per-pool-thread serial FT contexts for the batched path.
+    batch: BatchWorkspace<T>,
+    /// Shared `B~`, per-thread `A~` and checksum state for the
+    /// matrix-parallel path: made by the node's first large request (a
+    /// node that only ever batches never pays for the packed `B~`), then
+    /// grown only when a larger protected shape first arrives.
+    large: Option<ParFtWorkspace<T>>,
+}
+
+impl<'a, T: Scalar> NodeCompute<'a, T> {
+    fn new(ctx: &'a ParGemmContext<T>) -> Self {
+        NodeCompute {
+            ctx,
+            batch: BatchWorkspace::new(ctx),
+            large: None,
+        }
+    }
+}
+
 /// One node's dispatcher: drains its own shard group onto its own
 /// node-scoped pool, so every node computes concurrently with its peers.
 fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
-    // This node's per-pool-thread serial FT workspaces, reused across
-    // every batch it ever runs (the packed-buffer amortization the batched
-    // path is built around) and — because they are only ever touched by
-    // this node's pool — kept on the memory domain that computes with
-    // them.
-    let workspace = BatchWorkspace::new(&inner.nodes[node].ctx);
+    let mut compute = NodeCompute::new(&inner.nodes[node].ctx);
     let nnodes = inner.nodes.len();
     loop {
         if inner.abort.load(Ordering::Acquire) {
@@ -706,7 +693,7 @@ fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
         // re-locking shards per region.
         let mine = inner.queue.pop_node(node, 4 * inner.config.max_batch);
         if !mine.is_empty() {
-            dispatch(inner, node, &workspace, mine);
+            dispatch(inner, node, &mut compute, mine);
             continue;
         }
 
@@ -726,7 +713,7 @@ fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
                 if let Some(c) = inner.stats.stolen.get(node) {
                     c.fetch_add(stolen.len() as u64, Ordering::Relaxed);
                 }
-                dispatch(inner, node, &workspace, stolen);
+                dispatch(inner, node, &mut compute, stolen);
             }
             continue;
         }
@@ -803,7 +790,7 @@ fn shed_expired<T: Scalar>(inner: &Inner<T>, envelopes: Vec<Envelope<T>>) -> Vec
 fn dispatch<T: Scalar>(
     inner: &Inner<T>,
     node: usize,
-    workspace: &BatchWorkspace<T>,
+    compute: &mut NodeCompute<'_, T>,
     envelopes: Vec<Envelope<T>>,
 ) {
     // Shed already-expired requests before spending any compute on the
@@ -831,7 +818,7 @@ fn dispatch<T: Scalar>(
         let chunk: Vec<Envelope<T>> = small.drain(..take).collect();
         let chunk = shed_expired(inner, chunk);
         if !chunk.is_empty() {
-            run_batch(inner, node, workspace, chunk);
+            run_batch(inner, node, compute, chunk);
         }
     }
 
@@ -849,7 +836,7 @@ fn dispatch<T: Scalar>(
             continue;
         }
         inner.stats.direct_large.fetch_add(1, Ordering::Relaxed);
-        run_large(inner, node, env);
+        run_large(inner, node, compute, env);
     }
 }
 
@@ -868,7 +855,12 @@ fn effective_policy<T: Scalar>(
     }
 }
 
-fn run_large<T: Scalar>(inner: &Inner<T>, node: usize, env: Envelope<T>) {
+fn run_large<T: Scalar>(
+    inner: &Inner<T>,
+    node: usize,
+    compute: &mut NodeCompute<'_, T>,
+    mut env: Envelope<T>,
+) {
     // Counted here — at execution — rather than per popped sweep, so
     // requests a shutdown_now abort fails mid-sweep never inflate the
     // per-node "executed" counters.
@@ -884,70 +876,46 @@ fn run_large<T: Scalar>(inner: &Inner<T>, node: usize, env: Envelope<T>) {
             },
         );
     }
-    let ctx = &inner.nodes[node].ctx;
-    let Envelope {
-        mut req,
-        slot,
-        id,
-        affinity,
-        submitted,
-        deadline,
-        flops,
-    } = env;
-    let tenant = req.tenant;
+    let req = &mut env.req;
     let cfg = effective_policy(inner, node, req.policy).to_config(req.injector.clone());
     let started = Instant::now();
-    let result: FtResult<FtReport> = match &cfg {
-        Some(cfg) => par_ft_gemm(
-            ctx,
-            cfg,
-            req.alpha,
-            &req.a.as_ref(),
-            &req.b.as_ref(),
-            req.beta,
-            &mut req.c.as_mut(),
-        ),
-        None => par_gemm(
-            ctx,
-            req.alpha,
-            &req.a.as_ref(),
-            &req.b.as_ref(),
-            req.beta,
-            &mut req.c.as_mut(),
-        )
-        .map(|()| FtReport::default())
-        .map_err(ftgemm_abft::FtError::Core),
-    };
+    let ctx = compute.ctx;
+    let result = run_parallel(
+        ctx,
+        compute
+            .large
+            .get_or_insert_with(|| ParFtWorkspace::for_plain(ctx)),
+        cfg.as_ref(),
+        req.alpha,
+        &req.a.as_ref(),
+        &req.b.as_ref(),
+        req.beta,
+        &mut req.c.as_mut(),
+    );
     inner.route.observe(
         RoutePath::Parallel,
-        flops,
+        env.flops,
         started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
     );
-    finish(
-        inner,
-        slot,
-        req.c,
-        result,
-        FinishMeta {
-            submitted,
-            batched: false,
-            affinity_node: affinity,
-            executed_node: node,
-            id,
-            tenant,
-            deadline,
-            flops,
-        },
-    );
+    let meta = FinishMeta {
+        submitted: env.submitted,
+        batched: false,
+        affinity_node: env.affinity,
+        executed_node: node,
+        id: env.id,
+        tenant: env.req.tenant,
+        deadline: env.deadline,
+        flops: env.flops,
+    };
+    finish(inner, env.slot, env.req.c, result, meta);
 }
 
 fn run_batch<T: Scalar>(
     inner: &Inner<T>,
     node: usize,
-    workspace: &BatchWorkspace<T>,
+    compute: &NodeCompute<'_, T>,
     mut envs: Vec<Envelope<T>>,
 ) {
-    let ctx = &inner.nodes[node].ctx;
     inner.stats.batches.fetch_add(1, Ordering::Relaxed);
     inner
         .stats
@@ -991,7 +959,7 @@ fn run_batch<T: Scalar>(
             }
         })
         .collect();
-    let (results, timing) = par_batch_ft_gemm_timed(ctx, workspace, &mut items);
+    let (results, timing) = par_batch_ft_gemm_timed(compute.ctx, &compute.batch, &mut items);
     drop(items);
     inner.stats.absorb_batch_timing(node, &timing);
 
@@ -1132,7 +1100,13 @@ mod tests {
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
         let threads = config.threads.max(1);
         Inner {
-            queue: ShardedQueue::new(1, 1, 0, config.max_batch, config.tenants.clone()),
+            queue: ShardedQueue::new(
+                1,
+                1,
+                config.queue_capacity,
+                config.max_batch,
+                config.tenants.clone(),
+            ),
             stats: ServiceStats::new(&[threads]),
             route: RouteState::new(config.routing),
             placer: Placer::new(config.placement),
@@ -1164,7 +1138,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let inner = test_inner(config);
-        let workspace = BatchWorkspace::new(&inner.nodes[0].ctx);
+        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
         let (sink, mut completions) = completion_channel::<f64>();
 
         let mk = |id: u64, dim: usize| {
@@ -1187,7 +1161,7 @@ mod tests {
         // Ids 0..4: large (64^3 > the pinned cutoff); id 4: small (16^3).
         let mut envelopes: Vec<_> = (0..4u64).map(|id| mk(id, 64)).collect();
         envelopes.push(mk(4, 16));
-        dispatch(&inner, 0, &workspace, envelopes);
+        dispatch(&inner, 0, &mut compute, envelopes);
         drop(sink);
 
         let mut order = Vec::new();
@@ -1203,6 +1177,273 @@ mod tests {
         assert_eq!(inner.stats.direct_large.load(Ordering::Relaxed), 4);
         assert_eq!(inner.stats.batched_requests.load(Ordering::Relaxed), 1);
         assert_eq!(inner.stats.dispatched[0].load(Ordering::Relaxed), 5);
+    }
+
+    /// A traced service with **no dispatcher**: whatever a submit pushes
+    /// stays queued, so every outcome below is decided by the submit path
+    /// alone — a bounded queue stays full, nothing completes behind the
+    /// test's back.
+    fn undrained_service(queue_capacity: usize) -> GemmService<f64> {
+        let mut inner = test_inner(ServiceConfig {
+            threads: 1,
+            queue_capacity,
+            ..ServiceConfig::default()
+        });
+        inner.obs = Some(ServiceObs::new(1));
+        GemmService {
+            inner: Arc::new(inner),
+            dispatchers: Vec::new(),
+            obs_server: None,
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Surface {
+        Sync,
+        Async,
+        Streamed,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Outcome {
+        Accepted,
+        Shape,
+        DeadlineInfeasible,
+        Closed,
+        Overloaded,
+    }
+
+    /// Everything one submit changed, as deltas over the service's public
+    /// counters plus the trace events and gauges it left behind.
+    #[derive(Debug, PartialEq)]
+    struct Effect {
+        outcome: Outcome,
+        submitted: u64,
+        on_own_surface: u64,
+        on_other_surfaces: u64,
+        rejected_overloaded: u64,
+        rejected_closed: u64,
+        rejected_deadline: u64,
+        tenant_admitted: u64,
+        tenant_rejected_deadline: u64,
+        trace: Vec<String>,
+        /// The async in-flight gauge or the sink's registration count,
+        /// whichever the surface owns (always 0 for `Sync`).
+        in_flight: u64,
+    }
+
+    /// One submit surface must be indistinguishable from the others in
+    /// what it counts, traces and rolls back: for each outcome a submit can
+    /// have, all three surfaces produce the same [`Effect`] (the
+    /// blocking surface never reports `Overloaded` — it parks — so that
+    /// row covers the two try-push surfaces).
+    #[test]
+    fn submit_surfaces_agree_on_every_outcome() {
+        const TENANT: TenantId = 7;
+        let probe = |surface: Surface, outcome: Outcome| -> Effect {
+            let service = undrained_service(usize::from(outcome == Outcome::Overloaded));
+            let dim = 16usize;
+            let flops = 2 * (dim as u64).pow(3);
+            let mut req = GemmRequest::new(
+                Matrix::<f64>::random(dim, dim, 1),
+                Matrix::<f64>::random(dim, dim, 2),
+            )
+            .with_tenant(TENANT);
+            match outcome {
+                Outcome::Accepted => {}
+                Outcome::Shape => req.b = Matrix::<f64>::zeros(dim + 1, dim).into(),
+                Outcome::DeadlineInfeasible => {
+                    for _ in 0..4 {
+                        service.seed_routing(RoutePath::Batched, flops, flops * 100_000);
+                    }
+                    req = req.with_deadline(std::time::Duration::from_millis(1));
+                }
+                Outcome::Closed => service.inner.queue.close(),
+                Outcome::Overloaded => {
+                    // Fill the one-slot queue; nothing drains it.
+                    let filler = GemmRequest::new(
+                        Matrix::<f64>::random(dim, dim, 3),
+                        Matrix::<f64>::random(dim, dim, 4),
+                    );
+                    service.submit(filler).unwrap();
+                }
+            }
+
+            let before = service.stats();
+            let trace_before = service.render_trace(64).lines().count();
+            let (sink, completions) = completion_channel::<f64>();
+            // Keep an accepted handle alive until the gauges are read.
+            let (result, _held): (Result<(), ServeError>, Option<Box<dyn std::any::Any>>) =
+                match surface {
+                    Surface::Sync => match service.submit(req) {
+                        Ok(h) => (Ok(()), Some(Box::new(h))),
+                        Err(e) => (Err(e), None),
+                    },
+                    Surface::Async => match service.submit_async(req) {
+                        Ok(h) => (Ok(()), Some(Box::new(h))),
+                        Err(e) => (Err(e), None),
+                    },
+                    Surface::Streamed => (service.submit_streamed(req, &sink).map(|_| ()), None),
+                };
+            let after = service.stats();
+
+            let tenant_row = |snap: &StatsSnapshot| {
+                snap.per_tenant
+                    .iter()
+                    .find(|t| t.tenant == TENANT)
+                    .copied()
+                    .unwrap_or_default()
+            };
+            let surfaces = |snap: &StatsSnapshot| {
+                [
+                    snap.submitted_sync,
+                    snap.submitted_async,
+                    snap.submitted_streamed,
+                ]
+            };
+            let own = surface as usize;
+            let (b, a) = (surfaces(&before), surfaces(&after));
+            Effect {
+                outcome: match result {
+                    Ok(()) => Outcome::Accepted,
+                    Err(ServeError::Shape(_)) => Outcome::Shape,
+                    Err(ServeError::DeadlineExceeded(_)) => Outcome::DeadlineInfeasible,
+                    Err(ServeError::Closed) => Outcome::Closed,
+                    Err(ServeError::Overloaded) => Outcome::Overloaded,
+                    Err(other) => panic!("unexpected submit error: {other}"),
+                },
+                submitted: after.submitted - before.submitted,
+                on_own_surface: a[own] - b[own],
+                on_other_surfaces: (0..3).filter(|&i| i != own).map(|i| a[i] - b[i]).sum(),
+                rejected_overloaded: after.rejected_overloaded - before.rejected_overloaded,
+                rejected_closed: after.rejected_closed - before.rejected_closed,
+                rejected_deadline: after.rejected_deadline - before.rejected_deadline,
+                tenant_admitted: tenant_row(&after).admitted - tenant_row(&before).admitted,
+                tenant_rejected_deadline: tenant_row(&after).rejected_deadline
+                    - tenant_row(&before).rejected_deadline,
+                trace: service
+                    .render_trace(64)
+                    .lines()
+                    .skip(trace_before)
+                    .map(|line| line.rsplit(' ').next().unwrap_or_default().to_string())
+                    .collect(),
+                in_flight: match surface {
+                    Surface::Sync => 0,
+                    Surface::Async => after.in_flight_async,
+                    Surface::Streamed => completions.in_flight() as u64,
+                },
+            }
+        };
+
+        let rejected = |outcome, trace: &[&str]| Effect {
+            outcome,
+            submitted: 0,
+            on_own_surface: 0,
+            on_other_surfaces: 0,
+            rejected_overloaded: u64::from(outcome == Outcome::Overloaded),
+            rejected_closed: u64::from(outcome == Outcome::Closed),
+            rejected_deadline: u64::from(outcome == Outcome::DeadlineInfeasible),
+            tenant_admitted: 0,
+            tenant_rejected_deadline: u64::from(outcome == Outcome::DeadlineInfeasible),
+            trace: trace.iter().map(|e| e.to_string()).collect(),
+            in_flight: 0,
+        };
+        // A push the queue turned away was admitted, traced and then
+        // rolled back; a submit turned away earlier left no trace at all.
+        let pushed_then_rejected = ["admitted", "queued", "failed"];
+        let table = [
+            (Outcome::Shape, rejected(Outcome::Shape, &[])),
+            (
+                Outcome::DeadlineInfeasible,
+                rejected(Outcome::DeadlineInfeasible, &[]),
+            ),
+            (
+                Outcome::Closed,
+                rejected(Outcome::Closed, &pushed_then_rejected),
+            ),
+            (
+                Outcome::Overloaded,
+                rejected(Outcome::Overloaded, &pushed_then_rejected),
+            ),
+        ];
+        for surface in [Surface::Sync, Surface::Async, Surface::Streamed] {
+            let accepted = probe(surface, Outcome::Accepted);
+            assert_eq!(
+                accepted,
+                Effect {
+                    outcome: Outcome::Accepted,
+                    submitted: 1,
+                    on_own_surface: 1,
+                    on_other_surfaces: 0,
+                    rejected_overloaded: 0,
+                    rejected_closed: 0,
+                    rejected_deadline: 0,
+                    tenant_admitted: 1,
+                    tenant_rejected_deadline: 0,
+                    trace: vec!["admitted".to_string(), "queued".to_string()],
+                    in_flight: u64::from(surface != Surface::Sync),
+                },
+                "{surface:?}"
+            );
+            for (outcome, expected) in &table {
+                if surface == Surface::Sync && *outcome == Outcome::Overloaded {
+                    continue; // the blocking surface parks instead
+                }
+                assert_eq!(&probe(surface, *outcome), expected, "{surface:?}");
+            }
+        }
+    }
+
+    /// After warm-up, fixed-shape large requests on one node reuse that
+    /// node's workspace: the packed `B~` block is requested once (its
+    /// address never moves) while shapes shrink and policies alternate,
+    /// and moves only when a larger protected shape first arrives.
+    #[test]
+    fn large_requests_reuse_the_node_workspace() {
+        let inner = test_inner(ServiceConfig {
+            threads: 2,
+            routing: RoutingPolicy::Fixed(0), // everything is "large"
+            ..ServiceConfig::default()
+        });
+        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
+        let (sink, mut completions) = completion_channel::<f64>();
+        let mut run = |compute: &mut NodeCompute<'_, f64>, id: u64, dim: usize, policy| {
+            let req = GemmRequest::new(
+                Matrix::<f64>::random(dim, dim, id),
+                Matrix::<f64>::random(dim, dim, id + 100),
+            )
+            .with_policy(policy);
+            sink.register();
+            let env = Envelope {
+                flops: req.flops(),
+                req,
+                slot: ResponseSlot::forwarding(id, sink.clone()),
+                id,
+                affinity: 0,
+                submitted: Instant::now(),
+                deadline: None,
+            };
+            dispatch(&inner, 0, compute, vec![env]);
+            completions.recv().unwrap().result.unwrap();
+            compute.large.as_ref().unwrap().base_addr()
+        };
+        let policies = [
+            crate::FtPolicy::Off,
+            crate::FtPolicy::Detect,
+            crate::FtPolicy::DetectCorrect,
+        ];
+
+        // Warm-up at the largest protected shape the node will see.
+        let warm = run(&mut compute, 0, 96, crate::FtPolicy::DetectCorrect);
+        for (i, dim) in [96usize, 48, 96, 64, 96, 96].into_iter().enumerate() {
+            let addr = run(&mut compute, 1 + i as u64, dim, policies[i % 3]);
+            assert_eq!(addr, warm, "request {i} ({dim}^3) reallocated B~");
+        }
+        // Growth is the one event that may move it.
+        run(&mut compute, 50, 128, crate::FtPolicy::Detect);
+        let large = compute.large.as_ref().unwrap();
+        assert!(large.fits(compute.ctx, 128, 128, 128));
+        assert_eq!(inner.stats.direct_large.load(Ordering::Relaxed), 8);
     }
 
     /// The service shards itself around a forced synthetic topology: one

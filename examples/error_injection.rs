@@ -6,7 +6,7 @@
 //! cargo run --release --example error_injection
 //! ```
 
-use ftgemm::abft::{ft_gemm, FtConfig};
+use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
 use ftgemm::core::{reference::naive_gemm, Matrix};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 
@@ -28,8 +28,17 @@ fn main() {
         let injector = FaultInjector::new(2024, model, Rate::Count(8));
         let cfg = FtConfig::with_injector(injector.clone());
         let mut c = Matrix::<f64>::zeros(n, n);
-        let report = ft_gemm(&cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut())
-            .expect("unrecoverable error pattern");
+        let mut ctx = FtGemmContext::<f64>::new();
+        let report = ft_gemm_with_ctx(
+            &mut ctx,
+            &cfg,
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .expect("unrecoverable error pattern");
 
         let diff = truth.rel_max_diff(&c);
         println!(

@@ -7,7 +7,7 @@
 
 use ftgemm::abft::FtConfig;
 use ftgemm::core::Matrix;
-use ftgemm::parallel::{par_ft_gemm, par_gemm, ParGemmContext};
+use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
 use std::time::Instant;
 
 fn time(mut f: impl FnMut()) -> f64 {
@@ -36,14 +36,26 @@ fn main() {
     while t <= max_threads {
         let ctx = ParGemmContext::<f64>::with_threads(t);
         let cfg = FtConfig::default();
+        // Requested once per thread count and reused by every call below.
+        let mut ws = ParFtWorkspace::for_problem(&ctx, n, n, n);
 
         let mut c = Matrix::<f64>::zeros(n, n);
         let t_ori = time(|| {
-            par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
+            par_gemm_with_ws(
+                &ctx,
+                &mut ws,
+                1.0,
+                &a.as_ref(),
+                &b.as_ref(),
+                1.0,
+                &mut c.as_mut(),
+            )
+            .unwrap();
         });
         let t_ft = time(|| {
-            par_ft_gemm(
+            par_ft_gemm_with_ws(
                 &ctx,
+                &mut ws,
                 &cfg,
                 1.0,
                 &a.as_ref(),

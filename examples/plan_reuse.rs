@@ -1,11 +1,12 @@
-//! Plan-once / execute-many: what holding a `GemmPlan` buys over calling
-//! the one-shot `ft_gemm` (fresh context, fresh checksum workspaces) in a
-//! loop, at a serving-sized problem.
+//! Plan-once / execute-many: what holding a `GemmPlan` buys over building
+//! a fresh `FtGemmContext` (packing scratch, checksum workspaces) for every
+//! call in a loop, at a serving-sized problem.
 //!
 //! ```sh
 //! cargo run --release --example plan_reuse
 //! ```
 
+use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
 use ftgemm::{Exec, FtConfig, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::time::Instant;
 
@@ -17,13 +18,26 @@ fn main() {
     let b = Matrix::<f64>::random(n, n, 2);
     let cfg = FtConfig::default();
 
-    // Baseline: the legacy one-shot path — every call builds a fresh
-    // FtGemmContext (packing scratch + checksum vectors) and drops it.
+    // Baseline: every call builds a fresh FtGemmContext (packing scratch +
+    // checksum vectors) and drops it.
     let mut c1 = Matrix::<f64>::zeros(n, n);
-    ftgemm::ft_gemm(&cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c1.as_mut()).unwrap(); // warm-up
+    let fresh_call = |c: &mut Matrix<f64>| {
+        let mut ctx = FtGemmContext::<f64>::new();
+        ft_gemm_with_ctx(
+            &mut ctx,
+            &cfg,
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            0.0,
+            &mut c.as_mut(),
+        )
+        .unwrap();
+    };
+    fresh_call(&mut c1); // warm-up
     let t0 = Instant::now();
     for _ in 0..ROUNDS {
-        ftgemm::ft_gemm(&cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c1.as_mut()).unwrap();
+        fresh_call(&mut c1);
     }
     let fresh = t0.elapsed();
 
@@ -50,7 +64,7 @@ fn main() {
     let per_fresh = fresh.as_secs_f64() / ROUNDS as f64 * 1e3;
     let per_planned = planned.as_secs_f64() / ROUNDS as f64 * 1e3;
     println!("serial FT-GEMM {n}x{n}x{n}, {ROUNDS} rounds:");
-    println!("  fresh-context ft_gemm : {per_fresh:8.3} ms/call");
+    println!("  fresh FtGemmContext   : {per_fresh:8.3} ms/call");
     println!("  reused GemmPlan       : {per_planned:8.3} ms/call");
     println!("  speedup               : {:8.2}x", per_fresh / per_planned);
 

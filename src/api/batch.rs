@@ -7,23 +7,19 @@ use ftgemm_parallel::{
 };
 
 /// A reusable batched-GEMM executor: many small problems distributed over
-/// one parallel region, each item running the serial fused-ABFT driver on
-/// its owning thread with that thread's persistent packed-buffer workspace.
+/// one parallel region, each item running the serial execute path
+/// ([`run_serial`](ftgemm_abft::run_serial)) on its owning thread with that
+/// thread's persistent packed-buffer workspace.
 ///
 /// This is the plan-style wrapper over
-/// [`par_batch_ft_gemm`](crate::par_batch_ft_gemm()): build once (the
-/// per-thread workspaces are allocated here), then [`run`](GemmBatch::run)
-/// any number of heterogeneous batches. [`GemmService`](crate::GemmService)
-/// keeps the equivalent state alive internally; `GemmBatch` is the same
-/// capability for callers that own their batching loop.
+/// [`par_batch_ft_gemm_timed`]: build once (the per-thread workspaces are
+/// allocated here), then [`run`](GemmBatch::run) any number of
+/// heterogeneous batches. [`GemmService`](crate::GemmService) keeps the
+/// equivalent state alive internally; `GemmBatch` is the same capability
+/// for callers that own their batching loop.
 pub struct GemmBatch<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
-    ws: WorkspaceSlot<'a, T>,
-}
-
-enum WorkspaceSlot<'a, T: Scalar> {
-    Owned(BatchWorkspace<T>),
-    Borrowed(&'a BatchWorkspace<T>),
+    ws: BatchWorkspace<T>,
 }
 
 impl<'a, T: Scalar> GemmBatch<'a, T> {
@@ -31,24 +27,8 @@ impl<'a, T: Scalar> GemmBatch<'a, T> {
     /// workspaces.
     pub fn new(ctx: &'a ParGemmContext<T>) -> Self {
         GemmBatch {
-            ws: WorkspaceSlot::Owned(BatchWorkspace::new(ctx)),
+            ws: BatchWorkspace::new(ctx),
             ctx,
-        }
-    }
-
-    /// Batch executor sharing an existing [`BatchWorkspace`] (the legacy
-    /// `par_batch_ft_gemm` signature delegates through this).
-    pub fn with_workspace(ctx: &'a ParGemmContext<T>, ws: &'a BatchWorkspace<T>) -> Self {
-        GemmBatch {
-            ws: WorkspaceSlot::Borrowed(ws),
-            ctx,
-        }
-    }
-
-    fn workspace(&self) -> &BatchWorkspace<T> {
-        match &self.ws {
-            WorkspaceSlot::Owned(ws) => ws,
-            WorkspaceSlot::Borrowed(ws) => ws,
         }
     }
 
@@ -63,6 +43,6 @@ impl<'a, T: Scalar> GemmBatch<'a, T> {
         &self,
         items: &mut [BatchItem<'_, T>],
     ) -> (Vec<FtResult<FtReport>>, BatchTiming) {
-        par_batch_ft_gemm_timed(self.ctx, self.workspace(), items)
+        par_batch_ft_gemm_timed(self.ctx, &self.ws, items)
     }
 }

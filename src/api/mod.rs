@@ -1,8 +1,8 @@
 //! The unified GEMM operation API: describe once, plan once, execute many.
 //!
-//! The workspace historically grew four unrelated one-shot entry points
-//! (`ft_gemm`, `ft_gemm_with_ctx`, `par_ft_gemm`, `par_batch_ft_gemm`) with
-//! two context types callers had to thread by hand. This module folds them
+//! The driver crates expose context- and workspace-taking entry points
+//! (`ft_gemm_with_ctx`, `par_ft_gemm_with_ws`, `par_batch_ft_gemm_timed`)
+//! with two context types callers thread by hand. This module folds them
 //! behind one typed builder in the spirit of faer-rs's operation builders:
 //!
 //! ```
@@ -38,11 +38,6 @@
 //! * [`GemmBatch`] — the batched driver under the same roof: many small
 //!   problems through one parallel region with reusable per-thread
 //!   workspaces.
-//!
-//! The pre-existing free functions ([`ft_gemm`](crate::ft_gemm()),
-//! [`par_ft_gemm`](crate::par_ft_gemm()),
-//! [`par_batch_ft_gemm`](crate::par_batch_ft_gemm())) still exist as thin
-//! wrappers that build a single-use plan, so no caller breaks.
 
 mod batch;
 mod op;

@@ -125,8 +125,7 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
 
     /// Overrides the full driver configuration (tolerance model, fusion
     /// switches, recovery budget) instead of deriving it from the policy.
-    /// Power-user/ablation hook; the legacy `ft_gemm`-style wrappers use it
-    /// to preserve their exact semantics.
+    /// Power-user/ablation hook.
     #[must_use]
     pub fn ft_config(mut self, cfg: FtConfig) -> Self {
         self.cfg_override = Some(cfg);

@@ -1,9 +1,9 @@
 //! [`Exec`] targets and the reusable [`GemmPlan`].
 
 use crate::api::op::GemmOp;
-use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext, FtReport, FtResult};
+use ftgemm_abft::{run_serial, FtConfig, FtError, FtGemmContext, FtReport, FtResult};
 use ftgemm_core::{CoreError, IsaLevel, MatMut, MatRef, Scalar};
-use ftgemm_parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
+use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 use ftgemm_pool::ThreadPool;
 use ftgemm_serve::DEFAULT_SMALL_FLOPS_CUTOFF;
 use std::sync::{Arc, OnceLock};
@@ -130,17 +130,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
         k: usize,
     ) -> FtResult<Backend<T>> {
         let mut ctx = FtGemmContext::<T>::new();
-        match cfg {
-            Some(cfg) => ctx.reserve(cfg, m, n, k)?,
-            None => {
-                // Unprotected plans only need the packing scratch warm.
-                let p = ctx.core.params;
-                p.validate().map_err(FtError::Core)?;
-                ctx.core
-                    .pack_buffers(p.packed_a_len(), p.packed_b_len())
-                    .map_err(FtError::Core)?;
-            }
-        }
+        ctx.reserve(cfg.as_ref(), m, n, k)?;
         Ok(Backend::Serial(Box::new(ctx)))
     }
 
@@ -213,22 +203,11 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
                 ),
             }));
         }
-        match (&mut self.backend, &self.cfg) {
-            (Backend::Serial(ctx), Some(cfg)) => {
-                ft_gemm_with_ctx(ctx, cfg, self.alpha, a, b, self.beta, c)
-            }
-            (Backend::Serial(ctx), None) => {
-                ftgemm_core::gemm(&mut ctx.core, self.alpha, a, b, self.beta, c)
-                    .map(|()| FtReport::default())
-                    .map_err(FtError::Core)
-            }
-            (Backend::Parallel { ctx, ws }, Some(cfg)) => {
-                par_ft_gemm_with_ws(ctx, ws, cfg, self.alpha, a, b, self.beta, c)
-            }
-            (Backend::Parallel { ctx, ws }, None) => {
-                par_gemm_with_ws(ctx, ws, self.alpha, a, b, self.beta, c)
-                    .map(|()| FtReport::default())
-                    .map_err(FtError::Core)
+        let cfg = self.cfg.as_ref();
+        match &mut self.backend {
+            Backend::Serial(ctx) => run_serial(ctx, cfg, self.alpha, a, b, self.beta, c),
+            Backend::Parallel { ctx, ws } => {
+                run_parallel(ctx, ws, cfg, self.alpha, a, b, self.beta, c)
             }
         }
     }

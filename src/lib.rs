@@ -35,10 +35,12 @@
 //! assert_eq!(report.detected, 0);
 //! ```
 //!
-//! The pre-existing free functions ([`ft_gemm`](fn@ft_gemm),
-//! [`par_ft_gemm`], [`par_batch_ft_gemm`]) remain available as thin
-//! wrappers over the same machinery; [`gemm`](fn@gemm)/[`par_gemm`] are the
-//! unprotected equivalents.
+//! Underneath, a plan runs one of two execute paths:
+//! [`abft::run_serial`] on a held [`abft::FtGemmContext`], or
+//! [`parallel::run_parallel`] on a held [`ParFtWorkspace`] — the same two
+//! functions [`GemmBatch`] items and [`GemmService`] dispatchers call.
+//! [`gemm`](fn@gemm) is the unprotected serial driver on a bare
+//! [`GemmContext`].
 //!
 //! ## Serving many requests
 //!
@@ -81,7 +83,7 @@ pub use ftgemm_abft::{FtConfig, FtPolicy, FtReport, FtResult};
 pub use ftgemm_core::{gemm, GemmContext, MatMut, MatRef, Matrix};
 pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
-pub use ftgemm_parallel::{par_gemm, BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
+pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_pool::{NodeSpec, PoolPartition, Topology};
 pub use ftgemm_serve::{
     AdaptiveConfig, CutoffLearner, GemmRequest, GemmRequestBuilder, GemmResponse, GemmService,
@@ -89,146 +91,9 @@ pub use ftgemm_serve::{
     TenantId, TenantTable,
 };
 
-use ftgemm_core::Scalar;
-
-/// Serial fault-tolerant `C = alpha*A*B + beta*C` with a fresh context.
-///
-/// Legacy one-shot entry point; delegates to a single-use
-/// [`GemmPlan`] (`GemmOp::new(..).ft_config(..).plan(Exec::Serial)`).
-/// Callers repeating one shape should hold the plan instead.
-pub fn ft_gemm<T: Scalar>(
-    cfg: &FtConfig,
-    alpha: T,
-    a: &MatRef<'_, T>,
-    b: &MatRef<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-) -> FtResult<FtReport> {
-    GemmOp::new(a, b)
-        .alpha(alpha)
-        .beta(beta)
-        .ft_config(cfg.clone())
-        .plan(Exec::Serial)?
-        .run(c)
-}
-
-/// Parallel fault-tolerant `C = alpha*A*B + beta*C` on `ctx`'s pool.
-///
-/// Legacy one-shot entry point; delegates to a single-use [`GemmPlan`]
-/// (`GemmOp::new(..).ft_config(..).plan(Exec::Parallel(ctx))`). Callers
-/// repeating one shape should hold the plan instead — it keeps the
-/// reduction workspace alive across calls.
-pub fn par_ft_gemm<T: Scalar>(
-    ctx: &ParGemmContext<T>,
-    cfg: &FtConfig,
-    alpha: T,
-    a: &MatRef<'_, T>,
-    b: &MatRef<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-) -> FtResult<FtReport> {
-    GemmOp::new(a, b)
-        .alpha(alpha)
-        .beta(beta)
-        .ft_config(cfg.clone())
-        .plan(Exec::Parallel(ctx))?
-        .run(c)
-}
-
-/// Batched (FT-)GEMM: every item of `items` across the pool, one serial
-/// driver per item; one result per item, index-aligned.
-///
-/// Legacy entry point; delegates to [`GemmBatch::with_workspace`].
-pub fn par_batch_ft_gemm<T: Scalar>(
-    ctx: &ParGemmContext<T>,
-    ws: &BatchWorkspace<T>,
-    items: &mut [BatchItem<'_, T>],
-) -> Vec<FtResult<FtReport>> {
-    GemmBatch::with_workspace(ctx, ws).run(items)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftgemm_core::reference::naive_gemm;
-
-    #[test]
-    fn legacy_wrappers_match_underlying_drivers() {
-        let a = Matrix::<f64>::random(48, 36, 1);
-        let b = Matrix::<f64>::random(36, 40, 2);
-        let mut c_wrap = Matrix::<f64>::random(48, 40, 3);
-        let mut c_direct = c_wrap.clone();
-        let cfg = FtConfig::default();
-
-        ft_gemm(
-            &cfg,
-            1.5,
-            &a.as_ref(),
-            &b.as_ref(),
-            0.5,
-            &mut c_wrap.as_mut(),
-        )
-        .unwrap();
-        ftgemm_abft::ft_gemm(
-            &cfg,
-            1.5,
-            &a.as_ref(),
-            &b.as_ref(),
-            0.5,
-            &mut c_direct.as_mut(),
-        )
-        .unwrap();
-        assert_eq!(c_wrap.as_slice(), c_direct.as_slice());
-
-        let ctx = ParGemmContext::<f64>::with_threads(3);
-        let mut c_wrap = Matrix::<f64>::random(48, 40, 4);
-        let mut c_direct = c_wrap.clone();
-        par_ft_gemm(
-            &ctx,
-            &cfg,
-            1.0,
-            &a.as_ref(),
-            &b.as_ref(),
-            1.0,
-            &mut c_wrap.as_mut(),
-        )
-        .unwrap();
-        ftgemm_parallel::par_ft_gemm(
-            &ctx,
-            &cfg,
-            1.0,
-            &a.as_ref(),
-            &b.as_ref(),
-            1.0,
-            &mut c_direct.as_mut(),
-        )
-        .unwrap();
-        assert_eq!(c_wrap.as_slice(), c_direct.as_slice());
-    }
-
-    #[test]
-    fn legacy_batch_wrapper_runs() {
-        let ctx = ParGemmContext::<f64>::with_threads(2);
-        let ws = BatchWorkspace::new(&ctx);
-        let cfg = FtConfig::default();
-        let a = Matrix::<f64>::random(20, 16, 1);
-        let b = Matrix::<f64>::random(16, 24, 2);
-        let mut c = Matrix::<f64>::zeros(20, 24);
-        let mut c_ref = Matrix::<f64>::zeros(20, 24);
-        naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
-        let mut items = vec![BatchItem {
-            alpha: 1.0,
-            a: a.as_ref(),
-            b: b.as_ref(),
-            beta: 0.0,
-            c: c.as_mut(),
-            cfg: Some(&cfg),
-        }];
-        let results = par_batch_ft_gemm(&ctx, &ws, &mut items);
-        drop(items);
-        assert!(results[0].is_ok());
-        assert!(c.rel_max_diff(&c_ref) < 1e-10);
-    }
 
     #[test]
     fn shape_mismatch_surfaces_at_plan_time() {

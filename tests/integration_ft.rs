@@ -2,11 +2,11 @@
 //! drivers, thread counts, error models, and seeds, always validating the
 //! corrected output against a clean reference.
 
-use ftgemm::abft::{ft_gemm, ft_gemm_with_ctx, FtConfig, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{BlockingParams, GemmContext, Matrix};
 use ftgemm::faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{par_ft_gemm, ParGemmContext};
+use ftgemm::parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 use std::time::Duration;
 
 fn clean_reference(m: usize, n: usize, k: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
@@ -81,9 +81,10 @@ fn parallel_campaign_many_seeds() {
             );
             let cfg = FtConfig::with_injector(inj);
             let mut c = Matrix::<f64>::zeros(m, n);
-            let rep = par_ft_gemm(
+            let rep = run_parallel(
                 &ctx,
-                &cfg,
+                &mut ParFtWorkspace::for_plain(&ctx),
+                Some(&cfg),
                 1.0,
                 &a.as_ref(),
                 &b.as_ref(),
@@ -121,7 +122,8 @@ fn ft_without_errors_is_bit_identical_to_plain() {
         &mut c_plain.as_mut(),
     )
     .unwrap();
-    ft_gemm(
+    ft_gemm_with_ctx(
+        &mut FtGemmContext::new(),
         &FtConfig::default(),
         1.0,
         &a.as_ref(),
@@ -244,9 +246,10 @@ fn injector_stats_track_cross_driver() {
 
     let par = ParGemmContext::<f64>::with_threads(3);
     let mut c = Matrix::<f64>::zeros(m, n);
-    par_ft_gemm(
+    run_parallel(
         &par,
-        &cfg,
+        &mut ParFtWorkspace::for_plain(&par),
+        Some(&cfg),
         1.0,
         &a.as_ref(),
         &b.as_ref(),
@@ -357,7 +360,16 @@ fn retry_panel_is_inert_on_clean_runs() {
         ..Default::default()
     };
     let mut c = Matrix::<f64>::zeros(m, n);
-    let rep = ft_gemm(&cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
+    let rep = ft_gemm_with_ctx(
+        &mut FtGemmContext::new(),
+        &cfg,
+        1.0,
+        &a.as_ref(),
+        &b.as_ref(),
+        0.0,
+        &mut c.as_mut(),
+    )
+    .unwrap();
     assert_eq!(rep.retried_panels, 0);
     assert!(truth.rel_max_diff(&c) < 1e-10);
 }

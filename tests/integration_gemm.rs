@@ -2,11 +2,12 @@
 //! agrees with the naive oracle over a grid of shapes, scalars, and ISA
 //! tiers, including through the public facade.
 
+use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
 use ftgemm::baselines::{BlockedGemm, NaiveGemm, ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{gemm, GemmContext, IsaLevel, Matrix};
-use ftgemm::parallel::{par_gemm, ParGemmContext};
-use ftgemm::{ft_gemm, par_ft_gemm, FtConfig};
+use ftgemm::parallel::{run_parallel, ParGemmContext};
+use ftgemm::{FtConfig, ParFtWorkspace};
 
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
@@ -65,7 +66,8 @@ fn ft_gemm_grid() {
     for &(m, n, k) in SHAPES {
         let (a, b, (c0, c_exp)) = oracle(m, n, k, 1.0, 1.0);
         let mut c = c0.clone();
-        let rep = ft_gemm(
+        let rep = ft_gemm_with_ctx(
+            &mut FtGemmContext::new(),
             &FtConfig::default(),
             1.0,
             &a.as_ref(),
@@ -86,7 +88,17 @@ fn parallel_gemm_grid() {
         for &(m, n, k) in SHAPES {
             let (a, b, (c0, c_exp)) = oracle(m, n, k, 1.0, 1.0);
             let mut c = c0.clone();
-            par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
+            run_parallel(
+                &ctx,
+                &mut ParFtWorkspace::for_plain(&ctx),
+                None,
+                1.0,
+                &a.as_ref(),
+                &b.as_ref(),
+                1.0,
+                &mut c.as_mut(),
+            )
+            .unwrap();
             assert!(
                 c.rel_max_diff(&c_exp) < 1e-10,
                 "par {m}x{n}x{k} t={threads}"
@@ -101,9 +113,10 @@ fn parallel_ft_gemm_grid() {
     for &(m, n, k) in SHAPES {
         let (a, b, (c0, c_exp)) = oracle(m, n, k, 1.0, 1.0);
         let mut c = c0.clone();
-        let rep = par_ft_gemm(
+        let rep = run_parallel(
             &ctx,
-            &FtConfig::default(),
+            &mut ParFtWorkspace::for_plain(&ctx),
+            Some(&FtConfig::default()),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -136,7 +149,7 @@ fn baselines_grid() {
                 .unwrap();
             assert!(c.rel_max_diff(&c_exp) < 1e-10, "{} {m}x{n}x{k}", g.name());
 
-            let gp = ReferenceParGemm::<f64>::new(tier, 3);
+            let mut gp = ReferenceParGemm::<f64>::new(tier, 3);
             let mut c = c0.clone();
             gp.run(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut())
                 .unwrap();
@@ -195,7 +208,17 @@ fn serial_and_parallel_bitwise_consistent_structure() {
     )
     .unwrap();
     let par = ParGemmContext::<f64>::with_threads(6);
-    par_gemm(&par, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c2.as_mut()).unwrap();
+    run_parallel(
+        &par,
+        &mut ParFtWorkspace::for_plain(&par),
+        None,
+        1.0,
+        &a.as_ref(),
+        &b.as_ref(),
+        0.0,
+        &mut c2.as_mut(),
+    )
+    .unwrap();
     assert!(c1.rel_max_diff(&c2) < 1e-12);
 }
 

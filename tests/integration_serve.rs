@@ -534,3 +534,58 @@ fn shutdown_drains_outstanding_requests() {
         h.wait().unwrap();
     }
 }
+
+/// (i) Two services share nothing — each has its own per-node pools, one
+/// dispatcher per pool — so they run matrix-parallel regions at the same
+/// time without queueing on each other. Both are driven from their own
+/// thread through a start barrier; a bounded wait turns a cross-service
+/// deadlock into a failure instead of a hang.
+#[test]
+fn two_services_sharing_nothing_run_concurrently() {
+    const REQUESTS: u64 = 12;
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let drivers: Vec<_> = (0..2u64)
+        .map(|s| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let service = GemmService::<f64>::new(ServiceConfig {
+                    threads: 2,
+                    // Everything takes the matrix-parallel path.
+                    routing: RoutingPolicy::Fixed(0),
+                    ..ServiceConfig::default()
+                });
+                start.wait();
+                let pending: Vec<_> = (0..REQUESTS)
+                    .map(|i| {
+                        let seed = s * 10_000 + i;
+                        let a = Matrix::<f64>::random(72, 56, seed);
+                        let b = Matrix::<f64>::random(56, 64, seed + 1);
+                        let handle = service
+                            .submit(GemmRequest::new(a.clone(), b.clone()))
+                            .unwrap();
+                        (a, b, handle)
+                    })
+                    .collect();
+                for (a, b, handle) in pending {
+                    let resp = handle
+                        .wait_timeout(std::time::Duration::from_secs(60))
+                        .unwrap_or_else(|_| panic!("service {s} stalled"))
+                        .unwrap();
+                    assert!(!resp.batched);
+                    let mut expected = Matrix::<f64>::zeros(72, 64);
+                    naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut expected.as_mut());
+                    assert!(resp.c.rel_max_diff(&expected) < 1e-10);
+                }
+                let snap = service.shutdown();
+                assert_eq!(snap.direct_large, REQUESTS);
+                assert_eq!(snap.completed, REQUESTS);
+                // One region per large request on this service's own pool:
+                // nothing of the other service's ran here.
+                assert_eq!(snap.pool.regions, REQUESTS);
+            })
+        })
+        .collect();
+    for d in drivers {
+        d.join().unwrap();
+    }
+}

@@ -4,20 +4,35 @@
 //! additionally pinned by workspace-pointer stability (their worker threads
 //! park/unpark through the pool, which the counter would attribute to the
 //! region even though the GEMM hot path itself is allocation-free).
+//!
+//! The counter is per thread: the test harness runs sibling tests on other
+//! threads of this process, and their allocations are not the measured
+//! plan's.
 
 use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. `const`-initialised and without
+    /// a destructor, so touching it from inside the allocator never
+    /// allocates or registers anything itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may allocate after its
+    // thread-locals are gone; those allocations are nobody's measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no allocation of its own.
+// plain thread-local cell with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded contract.
         unsafe { System.alloc(layout) }
     }
@@ -28,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -37,8 +52,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

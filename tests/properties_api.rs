@@ -1,10 +1,14 @@
 //! Property tests for the unified `GemmOp`/`GemmPlan` builder API: for
 //! random shapes, alpha/beta edge cases, and every `Exec` variant, the
-//! builder surface must (a) bit-match the legacy entry points it subsumes
-//! (identical compute order ⇒ identical bits) and (b) agree with the naive
+//! builder surface must (a) bit-match the context- and workspace-taking
+//! drivers it plans onto, called directly on fresh state (identical compute
+//! order ⇒ identical bits) and (b) agree with the naive
 //! reference GEMM up to roundoff.
 
+use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
 use ftgemm::core::reference::naive_gemm;
+use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws};
+use ftgemm::ParFtWorkspace;
 use ftgemm::{Exec, FtConfig, FtPolicy, GemmContext, GemmOp, GemmRequest, Matrix, ParGemmContext};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -57,8 +61,11 @@ proptest! {
         plan.run(&mut c_plan.as_mut()).unwrap();
 
         let mut c_legacy = c0.clone();
-        ftgemm::abft::ft_gemm(&cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut())
-            .unwrap();
+        ft_gemm_with_ctx(
+            &mut FtGemmContext::new(), &cfg,
+            alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut(),
+        )
+        .unwrap();
         prop_assert_eq!(c_plan.as_slice(), c_legacy.as_slice());
 
         let mut c_ref = c0.clone();
@@ -87,8 +94,9 @@ proptest! {
         plan.run(&mut c_plan.as_mut()).unwrap();
 
         let mut c_legacy = c0.clone();
-        ftgemm::parallel::par_ft_gemm(
-            ctx, &cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut(),
+        par_ft_gemm_with_ws(
+            ctx, &mut ParFtWorkspace::for_problem(ctx, m, n, k), &cfg,
+            alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut(),
         )
         .unwrap();
         prop_assert_eq!(c_plan.as_slice(), c_legacy.as_slice());
@@ -162,8 +170,9 @@ proptest! {
             .run(&mut c_par_plan.as_mut())
             .unwrap();
         let mut c_par_legacy = c0.clone();
-        ftgemm::par_gemm(
-            par_ctx(), alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_par_legacy.as_mut(),
+        par_gemm_with_ws(
+            par_ctx(), &mut ParFtWorkspace::for_plain(par_ctx()),
+            alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_par_legacy.as_mut(),
         )
         .unwrap();
         prop_assert_eq!(c_par_plan.as_slice(), c_par_legacy.as_slice());
@@ -186,8 +195,9 @@ proptest! {
             let mut c_plan = Matrix::<f64>::zeros(m, n);
             plan.run_with(&a2.as_ref(), &b2.as_ref(), &mut c_plan.as_mut()).unwrap();
             let mut c_legacy = Matrix::<f64>::zeros(m, n);
-            ftgemm::abft::ft_gemm(
-                &cfg, 1.0, &a2.as_ref(), &b2.as_ref(), 0.0, &mut c_legacy.as_mut(),
+            ft_gemm_with_ctx(
+                &mut FtGemmContext::new(), &cfg,
+                1.0, &a2.as_ref(), &b2.as_ref(), 0.0, &mut c_legacy.as_mut(),
             )
             .unwrap();
             prop_assert_eq!(c_plan.as_slice(), c_legacy.as_slice());

@@ -6,7 +6,7 @@ use ftgemm::abft::FtConfig;
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::Matrix;
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{par_ft_gemm, par_gemm, ParGemmContext};
+use ftgemm::parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 use ftgemm::pool::{ShardedBuffer, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,7 +26,7 @@ proptest! {
         let b = Matrix::<f64>::random(k, n, seed + 1);
         let mut c = Matrix::<f64>::random(m, n, seed + 2);
         let mut c_ref = c.clone();
-        par_gemm(&ctx, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
+        run_parallel(&ctx, &mut ParFtWorkspace::for_plain(&ctx), None, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c_ref.as_mut());
         prop_assert!(c.rel_max_diff(&c_ref) < 1e-10);
     }
@@ -46,7 +46,7 @@ proptest! {
         let inj = FaultInjector::new(seed, ErrorModel::Additive { magnitude: 1e6 }, Rate::Count(errors));
         let cfg = FtConfig::with_injector(inj);
         let mut c = Matrix::<f64>::zeros(m, n);
-        match par_ft_gemm(&ctx, &cfg, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()) {
+        match run_parallel(&ctx, &mut ParFtWorkspace::for_plain(&ctx), Some(&cfg), 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()) {
             Ok(rep) => {
                 prop_assert!(
                     truth.rel_max_diff(&c) < 1e-9,

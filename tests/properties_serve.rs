@@ -1,20 +1,24 @@
 //! Property tests for the serving layer and the batched driver it rides on:
 //! batched execution over an arbitrary batch must equal a per-request serial
-//! `ft_gemm` loop, and the service must agree with the oracle for arbitrary
+//! `ft_gemm_with_ctx` loop, and the service must agree with the oracle for arbitrary
 //! shapes, policies, and batch geometry.
 
-use ftgemm::abft::{ft_gemm, FtConfig};
+use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::Matrix;
-use ftgemm::parallel::{par_batch_ft_gemm, BatchItem, BatchWorkspace, ParGemmContext};
-use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, ServiceConfig};
+use ftgemm::parallel::{
+    par_batch_ft_gemm_timed, par_ft_gemm_with_ws, par_gemm_with_ws, BatchItem, BatchWorkspace,
+    ParFtWorkspace, ParGemmContext,
+};
+use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
+use ftgemm::Topology;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// par_batch_ft_gemm over a randomly sized batch of randomly shaped
-    /// problems equals running ft_gemm serially per item.
+    /// par_batch_ft_gemm_timed over a randomly sized batch of randomly
+    /// shaped problems equals running ft_gemm_with_ctx serially per item.
     #[test]
     fn batch_equals_serial_ft_gemm_loop(
         batch_len in 1usize..12, threads in 1usize..6,
@@ -36,7 +40,7 @@ proptest! {
         }
         let mut expected: Vec<Matrix<f64>> = problems.iter().map(|(_, _, c)| c.clone()).collect();
         for ((a, b, _), c_exp) in problems.iter().zip(expected.iter_mut()) {
-            ft_gemm(&cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_exp.as_mut()).unwrap();
+            ft_gemm_with_ctx(&mut FtGemmContext::new(), &cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_exp.as_mut()).unwrap();
         }
 
         let mut items: Vec<BatchItem<'_, f64>> = problems
@@ -50,7 +54,7 @@ proptest! {
                 cfg: Some(&cfg),
             })
             .collect();
-        let results = par_batch_ft_gemm(&ctx, &ws, &mut items);
+        let results = par_batch_ft_gemm_timed(&ctx, &ws, &mut items).0;
         drop(items);
 
         for (i, r) in results.iter().enumerate() {
@@ -97,4 +101,79 @@ proptest! {
         prop_assert_eq!(snap.completed, n_requests as u64);
         prop_assert_eq!(snap.failed, 0);
     }
+}
+
+/// Large-path reuse: one node serves matrix-parallel requests out of one
+/// workspace it keeps across requests, through shapes that grow and shrink
+/// and policies that alternate — and every result is bit-identical to the
+/// `par_*_with_ws` driver run directly on a *fresh* workspace with the same
+/// thread count (same partitioning, same per-element accumulation order).
+#[test]
+fn large_path_reuse_is_bit_identical_to_fresh_workspaces() {
+    const THREADS: usize = 2;
+    let service = GemmService::<f64>::new(ServiceConfig {
+        threads: THREADS,
+        topology: Some(Topology::single(THREADS)),
+        routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
+        ..ServiceConfig::default()
+    });
+    let ctx = ParGemmContext::<f64>::with_threads(THREADS);
+    let policies = [FtPolicy::Off, FtPolicy::Detect, FtPolicy::DetectCorrect];
+    let dims = [256usize, 128, 384, 256];
+
+    for round in 0..2 {
+        for (i, &dim) in dims.iter().enumerate() {
+            let step = round * dims.len() + i;
+            let policy = policies[step % policies.len()];
+            let seed = 1_000 + step as u64;
+            let a = Matrix::<f64>::random(dim, dim, seed);
+            let b = Matrix::<f64>::random(dim, dim, seed + 1);
+            let c0 = Matrix::<f64>::random(dim, dim, seed + 2);
+
+            let resp = service
+                .run(
+                    GemmRequest::new(a.clone(), b.clone())
+                        .with_alpha(1.5)
+                        .with_c(0.5, c0.clone())
+                        .with_policy(policy),
+                )
+                .unwrap();
+            assert!(!resp.batched, "step {step} left the matrix-parallel path");
+
+            let mut expected = c0;
+            match policy.to_config(None) {
+                Some(cfg) => {
+                    par_ft_gemm_with_ws(
+                        &ctx,
+                        &mut ParFtWorkspace::for_problem(&ctx, dim, dim, dim),
+                        &cfg,
+                        1.5,
+                        &a.as_ref(),
+                        &b.as_ref(),
+                        0.5,
+                        &mut expected.as_mut(),
+                    )
+                    .unwrap();
+                }
+                None => par_gemm_with_ws(
+                    &ctx,
+                    &mut ParFtWorkspace::for_plain(&ctx),
+                    1.5,
+                    &a.as_ref(),
+                    &b.as_ref(),
+                    0.5,
+                    &mut expected.as_mut(),
+                )
+                .unwrap(),
+            }
+            assert_eq!(
+                resp.c.as_slice(),
+                expected.as_slice(),
+                "step {step}: {dim}^3 under {policy:?} differs from a fresh workspace"
+            );
+        }
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.direct_large, 8);
+    assert_eq!(snap.failed, 0);
 }
