@@ -18,8 +18,8 @@
 //!                 ┌─────────────────────┐│┌──────────────────────┐
 //!                 │ coalesce ≤ max_batch│││ run_parallel         │
 //!                 │ par_batch_ft_gemm_  │││ (matrix-parallel on  │
-//!                 │ timed (batch-       │││  the node's one      │
-//!                 │  parallel, per-     │││  reused workspace)   │
+//!                 │ timed (batch-       │││  a workspace built   │
+//!                 │  parallel, per-     │││  per request)        │
 //!                 │  thread reused      ││└──────────────────────┘
 //!                 │  packed workspaces) ││
 //!                 └─────────────────────┘│   one persistent pool per node
@@ -35,8 +35,8 @@
 //!   *batch* across the pool ([`ftgemm_parallel::par_batch_ft_gemm_timed`]),
 //!   each item running the serial execute path with that pool thread's
 //!   reused packed-buffer workspace. Large GEMMs run
-//!   [`ftgemm_parallel::run_parallel`] on a workspace the node's
-//!   dispatcher keeps across requests. Coalesced batches run before the
+//!   [`ftgemm_parallel::run_parallel`] on a workspace built for the
+//!   request. Coalesced batches run before the
 //!   sweep's large requests so a small request never queues behind a long
 //!   matrix-parallel run it arrived with.
 //! * **Learned routing.** The small/large boundary is a [`RoutingPolicy`]:
