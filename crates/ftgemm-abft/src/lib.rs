@@ -36,8 +36,9 @@
 //! The overhead becomes purely computational: ~1-4% (paper Fig. 2a/2b).
 //!
 //! [`FusionConfig`] lets each fusion point be disabled, which re-creates the
-//! "traditional" unfused ABFT baseline for the ablation experiments (T1/A1
-//! in DESIGN.md).
+//! "traditional" unfused ABFT baseline for the ablation experiments (the
+//! `overhead_table` and `ablation_fusion` views of `ftgemm-bench`'s `paper`
+//! binary; see "How this follows the paper" in `docs/ARCHITECTURE.md`).
 //!
 //! ## The ambiguity fail-stop contract
 //!
@@ -109,6 +110,10 @@ pub enum Recovery {
     ReportOnly,
     /// Keep an `O(m * NC)` checkpoint per column block and recompute a
     /// failing panel up to `max_retries` times before giving up.
+    ///
+    /// Serial and batched drivers only. The matrix-parallel driver
+    /// (`ftgemm_parallel::par_ft_gemm_with_ws`) keeps no checkpoint and
+    /// behaves as [`ReportOnly`](Recovery::ReportOnly).
     RetryPanel {
         /// Recompute attempts per panel before reporting failure.
         max_retries: u32,
@@ -154,7 +159,10 @@ pub struct FusionConfig {
     /// Fuse `enc_row` encoding with `A~` packing.
     pub fuse_a_pack: bool,
     /// Accumulate `ref_*` at register level in the micro-kernel (vs a
-    /// separate read-back pass over the updated `C` block).
+    /// separate read-back pass over the updated `C` block). Serial and
+    /// batched drivers only: the matrix-parallel driver always takes them
+    /// at register level, so `FtConfig::unfused()` is packing-unfused only
+    /// there.
     pub fuse_kernel_refs: bool,
 }
 

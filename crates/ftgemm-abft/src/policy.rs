@@ -23,14 +23,18 @@ use ftgemm_faults::FaultInjector;
 /// * [`DetectCorrect`](FtPolicy::DetectCorrect) — [`Detect`](FtPolicy::Detect)
 ///   plus panel checkpointing: patterns correction cannot resolve trigger a
 ///   bounded panel recompute ([`Recovery::RetryPanel`]) before the call is
-///   failed.
+///   failed. The matrix-parallel driver has no checkpoint, so on
+///   `Exec::Parallel` plans and on `GemmService`'s large path this behaves
+///   as [`Detect`](FtPolicy::Detect).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FtPolicy {
     /// No fault tolerance: the plain high-performance driver.
     Off,
     /// Verify + in-place correction; unresolvable patterns fail the call.
     Detect,
-    /// Verify + correction + panel-level recompute of unresolvable patterns.
+    /// Verify + correction + panel-level recompute of unresolvable patterns
+    /// (the recompute on serial and batched execution only; matrix-parallel
+    /// execution fails the call as [`Detect`](FtPolicy::Detect) does).
     #[default]
     DetectCorrect,
 }

@@ -4,9 +4,10 @@
 //!
 //! The paper benchmarks against Intel MKL 2020.2, OpenBLAS 0.3.13 and BLIS
 //! 0.8.0. Those libraries are not linkable here (closed-source / external C
-//! toolchains), so per the substitution policy in `DESIGN.md` each is stood
-//! in by an in-repo packed/blocked GEMM pinned to a distinct optimization
-//! tier, preserving the *relative* structure of the comparison:
+//! toolchains), so each is stood in by an in-repo packed/blocked GEMM pinned
+//! to a distinct optimization tier, preserving the *relative* structure of
+//! the comparison (the paper mapping in `docs/ARCHITECTURE.md`, "How this
+//! follows the paper", points here):
 //!
 //! | paper library | stand-in | tier |
 //! |---|---|---|

@@ -26,7 +26,7 @@ impl Tier {
         want.min(best)
     }
 
-    /// Report name (the `*` marks a stand-in, per DESIGN.md).
+    /// Report name (the `*` marks a stand-in, see the crate docs).
     pub fn name(self) -> &'static str {
         match self {
             Tier::Blis => "BLIS*",

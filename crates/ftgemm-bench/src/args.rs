@@ -19,20 +19,10 @@ pub struct Args {
     pub errors: usize,
     /// Campaign duration in seconds for the reliability experiment.
     pub duration_secs: u64,
-    /// CI smoke mode: tiny sizes, one repetition, no warm-up — just enough
-    /// to prove the binary and its CSV/JSON emitters still work.
+    /// CI smoke mode: two tiny sizes, one repetition, no warm-up, a handful
+    /// of injected errors — just enough to prove the binary and its CSV/JSON
+    /// emitters still work.
     pub smoke: bool,
-    /// Forced synthetic topology for NUMA-sharded serving experiments,
-    /// as `(nodes, cores_per_node)` from `--topology NxM` (e.g. `2x2`).
-    /// `None` uses the detected machine topology.
-    pub topology: Option<(usize, usize)>,
-    /// Run the multi-tenant QoS scenario (`--tenants`): a mixed-priority
-    /// tenant mix with deadlines, reported as the `qos` JSON section.
-    pub tenants: bool,
-    /// Run the loopback wire-transport comparison (`--net`): the same
-    /// request stream through a `NetClient`/`NetServer` pair vs in-process
-    /// submit, reported as the `transport_overhead` JSON section.
-    pub net: bool,
 }
 
 impl Default for Args {
@@ -47,9 +37,6 @@ impl Default for Args {
             errors: 20,
             duration_secs: 10,
             smoke: false,
-            topology: None,
-            tenants: false,
-            net: false,
         }
     }
 }
@@ -74,6 +61,7 @@ impl Args {
                     args.smoke = true;
                     args.reps = 1;
                     args.warmup = 0;
+                    args.errors = 3;
                 }
                 "--reps" => args.reps = next_num(&mut it, "--reps"),
                 "--warmup" => args.warmup = next_num(&mut it, "--warmup"),
@@ -83,14 +71,6 @@ impl Args {
                 "--out" => {
                     args.out_dir = it.next().unwrap_or_else(|| usage("--out needs a value"));
                 }
-                "--tenants" => args.tenants = true,
-                "--net" => args.net = true,
-                "--topology" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--topology needs a value like 2x2"));
-                    args.topology = Some(parse_topology(&v));
-                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other}")),
             }
@@ -98,26 +78,23 @@ impl Args {
         args
     }
 
-    /// Resolves the size list for a serial experiment.
+    /// Resolves the size list for the serial sweep.
     pub fn serial_sizes(&self) -> Vec<usize> {
-        self.sizes.clone().unwrap_or_else(|| {
-            if self.paper_sizes {
-                crate::paper_serial_sizes()
-            } else {
-                crate::scaled_serial_sizes()
-            }
-        })
+        self.sizes_or(crate::paper_serial_sizes, crate::scaled_serial_sizes)
     }
 
-    /// Resolves the size list for a parallel experiment.
+    /// Resolves the size list for the parallel sweep.
     pub fn parallel_sizes(&self) -> Vec<usize> {
-        self.sizes.clone().unwrap_or_else(|| {
-            if self.paper_sizes {
-                crate::paper_parallel_sizes()
-            } else {
-                crate::scaled_parallel_sizes()
-            }
-        })
+        self.sizes_or(crate::paper_parallel_sizes, crate::scaled_parallel_sizes)
+    }
+
+    fn sizes_or(&self, paper: fn() -> Vec<usize>, scaled: fn() -> Vec<usize>) -> Vec<usize> {
+        match &self.sizes {
+            Some(sizes) => sizes.clone(),
+            None if self.smoke => vec![48, 64],
+            None if self.paper_sizes => paper(),
+            None => scaled(),
+        }
     }
 }
 
@@ -125,14 +102,6 @@ fn next_num(it: &mut impl Iterator<Item = String>, flag: &str) -> usize {
     it.next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| usage(&format!("{flag} needs a numeric value")))
-}
-
-/// Parses a forced-topology spec: `NxM` = N nodes of M cores each.
-fn parse_topology(v: &str) -> (usize, usize) {
-    let parse = |s: &str| s.trim().parse::<usize>().ok().filter(|&n| n >= 1);
-    v.split_once(['x', 'X'])
-        .and_then(|(n, m)| Some((parse(n)?, parse(m)?)))
-        .unwrap_or_else(|| usage("--topology expects NxM with N,M >= 1 (e.g. 2x2)"))
 }
 
 fn usage(err: &str) -> ! {
@@ -148,12 +117,9 @@ fn usage(err: &str) -> ! {
            --reps N              timed repetitions per point (default 3; paper 20)\n\
            --warmup N            warm-up runs per point (default 1)\n\
            --threads N           threads for parallel experiments (default: all)\n\
-           --errors N            injected errors for fig2c/fig2d (default 20)\n\
+           --errors N            injected errors per run for the injection figures (default 20)\n\
            --duration SECS       reliability campaign duration (default 10)\n\
-           --smoke               CI smoke mode: tiny sizes, 1 rep, no warm-up\n\
-           --topology NxM        force a synthetic N-node, M-cores-per-node topology\n\
-           --tenants             run the multi-tenant QoS scenario (qos JSON section)\n\
-           --net                 run the loopback wire-transport comparison (transport_overhead JSON section)\n\
+           --smoke               CI smoke mode: two tiny sizes, 1 rep, no warm-up, 3 errors\n\
            --out DIR             CSV output directory (default bench_results)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -168,17 +134,8 @@ mod tests {
         let a = Args::default();
         assert!(!a.paper_sizes);
         assert!(!a.smoke);
-        assert!(!a.tenants);
-        assert!(!a.net);
         assert!(a.reps >= 1);
         assert!(a.threads >= 1);
-    }
-
-    #[test]
-    fn topology_spec_parses() {
-        assert_eq!(parse_topology("2x2"), (2, 2));
-        assert_eq!(parse_topology("4X1"), (4, 1));
-        assert_eq!(parse_topology(" 8 x 3 "), (8, 3));
     }
 
     #[test]

@@ -56,7 +56,6 @@ fn main() {
     let mut unrecoverable = 0u64;
     let report = campaign.run(|inj| {
         let cfg = FtConfig::with_injector(inj.clone());
-        let _ = &cfg;
         let mut c = Matrix::<f64>::zeros(s, s);
         match par_ft_gemm_with_ws(
             &ctx,

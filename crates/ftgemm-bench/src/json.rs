@@ -2,22 +2,17 @@
 //!
 //! The build environment is offline (no serde); this is the small subset a
 //! perf-trajectory tracker needs: objects, arrays, numbers, strings,
-//! rendered pretty enough to diff across PRs. Every experiment binary that
-//! participates in trajectory tracking writes a `BENCH_<name>.json` file
-//! into `bench_results/` next to its CSV.
+//! rendered pretty enough to diff across PRs. `ablation_blocking` writes
+//! `BENCH_ablation_blocking.json` into `bench_results/` next to its CSV.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A JSON value. Build nested structures with [`JsonValue::obj`] /
-/// [`JsonValue::arr`] and the `From` impls for numbers/strings/bools.
+/// [`JsonValue::arr`] and the `From` impls for numbers/strings.
 #[derive(Debug, Clone)]
 pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
     /// A finite number (non-finite values render as `null`).
     Num(f64),
     /// A string.
@@ -33,19 +28,9 @@ impl From<f64> for JsonValue {
         JsonValue::Num(v)
     }
 }
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::Num(v as f64)
-    }
-}
 impl From<usize> for JsonValue {
     fn from(v: usize) -> Self {
         JsonValue::Num(v as f64)
-    }
-}
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
     }
 }
 impl From<&str> for JsonValue {
@@ -56,11 +41,6 @@ impl From<&str> for JsonValue {
 impl From<String> for JsonValue {
     fn from(v: String) -> Self {
         JsonValue::Str(v)
-    }
-}
-impl<V: Into<JsonValue>> From<Vec<V>> for JsonValue {
-    fn from(v: Vec<V>) -> Self {
-        JsonValue::Arr(v.into_iter().map(Into::into).collect())
     }
 }
 
@@ -107,8 +87,6 @@ impl JsonValue {
         let pad = "  ".repeat(depth + 1);
         let close_pad = "  ".repeat(depth);
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Num(v) => {
                 if v.is_finite() {
                     out.push_str(&format_number(*v));

@@ -1,24 +1,19 @@
 //! # ftgemm-bench
 //!
-//! Benchmark harness regenerating every figure and table of the FT-GEMM
-//! paper's evaluation (§3). One binary per experiment — see `DESIGN.md`'s
-//! experiment index:
+//! What the repo benchmark (`benchmark/`, `BENCHMARK.json`) cannot produce:
+//! the paper's size sweeps (§3), its sustained-injection campaign and the
+//! blocking grid. Serving, wire, observability and per-layer numbers come
+//! from `benchmark/` only. The paper mapping is in `docs/ARCHITECTURE.md`.
 //!
 //! | binary | reproduces |
 //! |---|---|
-//! | `fig2a` | Fig. 2(a): serial DGEMM GFLOPS vs size, five curves |
-//! | `fig2b` | Fig. 2(b): parallel DGEMM GFLOPS vs size |
-//! | `fig2c` | Fig. 2(c): serial GFLOPS under error injection |
-//! | `fig2d` | Fig. 2(d): parallel GFLOPS under error injection |
-//! | `overhead_table` | T1/T2: fused vs unfused ABFT overhead percentages |
-//! | `speedup_table` | T3: FT-GEMM speedup over the library stand-ins |
+//! | `paper` | one sweep, seven views: Fig. 2(a)–(d) (`fig2a..d.csv`), T1/T2 fused vs unfused ABFT overhead (`overhead_table.csv`), T3 FT-GEMM speed vs the library stand-ins (`speedup_table.csv`), A1 per-fusion-point overhead (`ablation_fusion.csv`) |
 //! | `reliability` | T4: sustained errors-per-minute campaign with validation |
-//! | `ablation_fusion` | A1: per-fusion-point overhead decomposition |
-//! | `ablation_blocking` | A2: blocking-parameter / ISA-tier sensitivity |
+//! | `ablation_blocking` | A2: blocking-parameter / ISA-tier sensitivity (`BENCH_ablation_blocking.json`) |
 //!
-//! Every binary prints a paper-style table and writes CSV under
-//! `bench_results/`. Default sweeps are scaled down (CI-sized); pass
-//! `--paper-sizes` for the full-size lists from the paper.
+//! Every binary prints paper-style tables; `paper` and `ablation_blocking`
+//! write CSV under `bench_results/`. Default sweeps are scaled down
+//! (CI-sized); pass `--paper-sizes` for the full-size lists from the paper.
 
 #![warn(missing_docs)]
 

@@ -2,12 +2,13 @@
 //!
 //! The paper's five curves are MKL, OpenBLAS, BLIS, "FT-GEMM: Ori" (the
 //! plain high-performance GEMM) and "FT-GEMM: FT" (with fused ABFT). The
-//! harness adds the unfused-ABFT baseline for the overhead table.
+//! `paper` binary adds FT runners under other [`FtConfig`]s (unfused,
+//! partially fused, injected) through [`GemmRunner::ft_serial`] and
+//! [`GemmRunner::par`].
 
 use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext};
 use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm_core::{gemm, GemmContext, MatMut, MatRef};
-use ftgemm_faults::FaultInjector;
 use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 
 /// Which implementation a runner wraps.
@@ -21,22 +22,19 @@ pub enum RunnerKind {
     Mkl,
     /// FT-GEMM without fault tolerance ("Ori").
     Ori,
-    /// FT-GEMM with fused ABFT ("FT").
+    /// FT-GEMM with ABFT ("FT").
     Ft,
-    /// Traditional unfused ABFT (overhead baseline).
-    FtUnfused,
 }
 
 impl RunnerKind {
     /// Display name matching the paper's legend.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             RunnerKind::Blis => "BLIS*",
             RunnerKind::OpenBlas => "OpenBLAS*",
             RunnerKind::Mkl => "MKL*",
             RunnerKind::Ori => "FT-GEMM: Ori",
             RunnerKind::Ft => "FT-GEMM: FT",
-            RunnerKind::FtUnfused => "ABFT unfused",
         }
     }
 }
@@ -48,12 +46,11 @@ pub enum GemmRunner {
     /// Serial FT-GEMM: Ori.
     OriSerial(GemmContext<f64>),
     /// Serial FT-GEMM: FT (fused or unfused per config).
-    FtSerial(RunnerKind, Box<FtGemmContext<f64>>, FtConfig),
+    FtSerial(Box<FtGemmContext<f64>>, FtConfig),
     /// Parallel library stand-in.
     RefPar(RunnerKind, Box<ReferenceParGemm<f64>>),
     /// Parallel FT-GEMM on a held workspace: Ori (`None`) or FT (`Some`).
     Par(
-        RunnerKind,
         ParGemmContext<f64>,
         Box<ParFtWorkspace<f64>>,
         Option<FtConfig>,
@@ -61,22 +58,25 @@ pub enum GemmRunner {
 }
 
 impl GemmRunner {
-    fn par(kind: RunnerKind, threads: usize, cfg: Option<FtConfig>) -> Self {
+    /// Serial FT-GEMM under `cfg`, on its own context.
+    pub fn ft_serial(cfg: FtConfig) -> Self {
+        GemmRunner::FtSerial(Box::new(FtGemmContext::new()), cfg)
+    }
+
+    /// Parallel FT-GEMM on its own pool and workspace: Ori (`None`) or FT
+    /// under `cfg`.
+    pub fn par(threads: usize, cfg: Option<FtConfig>) -> Self {
         let ctx = ParGemmContext::with_threads(threads);
         let ws = Box::new(ParFtWorkspace::for_plain(&ctx));
-        GemmRunner::Par(kind, ctx, ws, cfg)
+        GemmRunner::Par(ctx, ws, cfg)
     }
-}
 
-impl GemmRunner {
     /// Display name for tables.
     pub fn name(&self) -> &'static str {
         match self {
-            GemmRunner::RefSerial(k, _)
-            | GemmRunner::FtSerial(k, _, _)
-            | GemmRunner::RefPar(k, _)
-            | GemmRunner::Par(k, ..) => k.name(),
-            GemmRunner::OriSerial(_) => RunnerKind::Ori.name(),
+            GemmRunner::RefSerial(k, _) | GemmRunner::RefPar(k, _) => k.name(),
+            GemmRunner::OriSerial(_) | GemmRunner::Par(_, _, None) => RunnerKind::Ori.name(),
+            GemmRunner::FtSerial(..) | GemmRunner::Par(_, _, Some(_)) => RunnerKind::Ft.name(),
         }
     }
 
@@ -85,7 +85,7 @@ impl GemmRunner {
         match self {
             GemmRunner::RefSerial(_, g) => g.run(1.0, a, b, 1.0, c).expect("gemm failed"),
             GemmRunner::OriSerial(ctx) => gemm(ctx, 1.0, a, b, 1.0, c).expect("gemm failed"),
-            GemmRunner::FtSerial(_, ctx, cfg) => {
+            GemmRunner::FtSerial(ctx, cfg) => {
                 match ft_gemm_with_ctx(ctx, cfg, 1.0, a, b, 1.0, c) {
                     Ok(_) => {}
                     // Colliding injected-error patterns are *flagged*, never
@@ -96,7 +96,7 @@ impl GemmRunner {
                 }
             }
             GemmRunner::RefPar(_, g) => g.run(1.0, a, b, 1.0, c).expect("gemm failed"),
-            GemmRunner::Par(_, ctx, ws, cfg) => {
+            GemmRunner::Par(ctx, ws, cfg) => {
                 match run_parallel(ctx, ws, cfg.as_ref(), 1.0, a, b, 1.0, c) {
                     Ok(_) => {}
                     Err(FtError::Unrecoverable { .. }) => {}
@@ -107,36 +107,27 @@ impl GemmRunner {
     }
 }
 
-/// The five serial curves of Fig. 2(a)/(c). `injector` attaches error
-/// injection to the FT runner only (the paper injects into its own kernels).
-pub fn serial_suite(injector: Option<FaultInjector>) -> Vec<GemmRunner> {
-    let ft_cfg = match injector {
-        Some(inj) => FtConfig::with_injector(inj),
-        None => FtConfig::default(),
-    };
+/// The five serial curves of Fig. 2(a), clean.
+pub fn serial_suite() -> Vec<GemmRunner> {
     vec![
         GemmRunner::RefSerial(RunnerKind::Mkl, ReferenceGemm::mkl()),
         GemmRunner::RefSerial(RunnerKind::OpenBlas, ReferenceGemm::openblas()),
         GemmRunner::RefSerial(RunnerKind::Blis, ReferenceGemm::blis()),
         GemmRunner::OriSerial(GemmContext::new()),
-        GemmRunner::FtSerial(RunnerKind::Ft, Box::new(FtGemmContext::new()), ft_cfg),
+        GemmRunner::ft_serial(FtConfig::default()),
     ]
 }
 
-/// The five parallel curves of Fig. 2(b)/(d).
-pub fn parallel_suite(threads: usize, injector: Option<FaultInjector>) -> Vec<GemmRunner> {
-    let ft_cfg = match injector {
-        Some(inj) => FtConfig::with_injector(inj),
-        None => FtConfig::default(),
-    };
+/// The five parallel curves of Fig. 2(b), clean.
+pub fn parallel_suite(threads: usize) -> Vec<GemmRunner> {
     let ref_par =
         |kind, tier| GemmRunner::RefPar(kind, Box::new(ReferenceParGemm::new(tier, threads)));
     vec![
         ref_par(RunnerKind::Mkl, Tier::Mkl),
         ref_par(RunnerKind::OpenBlas, Tier::OpenBlas),
         ref_par(RunnerKind::Blis, Tier::Blis),
-        GemmRunner::par(RunnerKind::Ori, threads, None),
-        GemmRunner::par(RunnerKind::Ft, threads, Some(ft_cfg)),
+        GemmRunner::par(threads, None),
+        GemmRunner::par(threads, Some(FtConfig::default())),
     ]
 }
 
@@ -148,7 +139,7 @@ mod tests {
 
     #[test]
     fn serial_suite_all_correct() {
-        let mut suite = serial_suite(None);
+        let mut suite = serial_suite();
         assert_eq!(suite.len(), 5);
         let a = Matrix::<f64>::random(40, 30, 1);
         let b = Matrix::<f64>::random(30, 35, 2);
@@ -163,7 +154,7 @@ mod tests {
 
     #[test]
     fn parallel_suite_all_correct() {
-        let mut suite = parallel_suite(2, None);
+        let mut suite = parallel_suite(2);
         let a = Matrix::<f64>::random(64, 48, 4);
         let b = Matrix::<f64>::random(48, 52, 5);
         for r in &mut suite {
@@ -177,7 +168,7 @@ mod tests {
 
     #[test]
     fn names_match_paper_legend() {
-        let suite = serial_suite(None);
+        let suite = serial_suite();
         let names: Vec<_> = suite.iter().map(|r| r.name()).collect();
         assert_eq!(
             names,

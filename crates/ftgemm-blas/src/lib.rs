@@ -18,7 +18,8 @@
 //! accumulators/temporaries, compared exactly (identical instruction
 //! ordering makes clean duplicates bit-identical), and recomputed on
 //! mismatch. The substitution preserves the detection/correction semantics
-//! and the doubled-arithmetic cost profile; see DESIGN.md.
+//! and the doubled-arithmetic cost profile; see the crate map in
+//! `docs/ARCHITECTURE.md`.
 //!
 //! Fault injection hooks corrupt one copy of a duplicated block, exercising
 //! the detection path deterministically.

@@ -50,7 +50,6 @@ pub mod pack;
 pub mod params;
 pub mod reference;
 pub mod scalar;
-pub mod tune;
 
 pub use aligned::AlignedVec;
 pub use cpu::{CacheInfo, IsaLevel};

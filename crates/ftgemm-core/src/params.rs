@@ -8,7 +8,8 @@
 //! * the `KC x NC` packed block `B~` should fit in **L3**.
 //!
 //! Parameters are derived from a [`CacheInfo`] at runtime and can be
-//! overridden for ablation studies (experiment A2 in DESIGN.md).
+//! overridden for ablation studies (`ftgemm-bench`'s `ablation_blocking`;
+//! see `docs/ARCHITECTURE.md`).
 
 use crate::cpu::CacheInfo;
 use crate::error::{CoreError, Result};

@@ -1,5 +1,5 @@
 //! `NetClient`: a blocking client for the wire protocol, used by the
-//! tests, the example, and the `serve_throughput --net` bench.
+//! tests, the example, and the repo benchmark's `wire_small` workload.
 //!
 //! One TCP connection, synchronous transactions: each call sends a frame
 //! and reads until its response arrives. Stream-delivery completions can

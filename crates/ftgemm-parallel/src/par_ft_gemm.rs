@@ -91,6 +91,15 @@ pub fn run_parallel<T: Scalar>(
 /// impossible for *two* concurrent calls (e.g. on two different pools) to
 /// alias one workspace from safe code.
 ///
+/// # `FtConfig` fields this driver ignores
+/// `cfg.recovery` is never read: there is no checkpoint and no panel
+/// retry, so a pattern the corrector cannot resolve is fail-stop
+/// ([`FtError::Unrecoverable`]) under
+/// [`Recovery::RetryPanel`](ftgemm_abft::Recovery::RetryPanel) too.
+/// `cfg.fusion.fuse_kernel_refs` is never read either: reference sums are
+/// always taken at register level, so [`FtConfig::unfused`] is
+/// packing-unfused only here.
+///
 /// # Panics
 /// If `ws` was built for a smaller problem or a different thread count
 /// (see [`ParFtWorkspace::fits`]).
@@ -198,12 +207,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                 if mlen > 0 {
                     // SAFETY: disjoint row slices.
                     let mut c_slice = unsafe {
-                        MatMut::<T>::from_raw_parts(
-                            c_ptr.0.add(ms + jc * ldc),
-                            mlen,
-                            nc_eff,
-                            ldc,
-                        )
+                        MatMut::<T>::from_raw_parts(c_ptr.0.add(ms + jc * ldc), mlen, nc_eff, ldc)
                     };
                     // SAFETY: disjoint row range of enc_row.
                     let enc_row_slice = unsafe { enc_row.slice_mut(ms..ms + mlen) };
@@ -266,7 +270,12 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                             let bc_lane = &mut bc_shards.lane_mut(tid)[..kc_eff];
                             if cfg.fusion.fuse_b_pack {
                                 pack::pack_b_fused(
-                                    &b_block, p.nr, out, ar_slice, bc_lane, enc_col_chunk,
+                                    &b_block,
+                                    p.nr,
+                                    out,
+                                    ar_slice,
+                                    bc_lane,
+                                    enc_col_chunk,
                                 );
                             } else {
                                 pack::pack_b(&b_block, p.nr, out);
@@ -297,8 +306,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                         let mc_eff = p.mc.min(mlen - ic);
                         let a_block = a.submatrix(ms + ic, pc, mc_eff, kc_eff);
                         // SAFETY: own row range.
-                        let enc_row_slice =
-                            unsafe { enc_row.slice_mut(ms + ic..ms + ic + mc_eff) };
+                        let enc_row_slice = unsafe { enc_row.slice_mut(ms + ic..ms + ic + mc_eff) };
                         if cfg.fusion.fuse_a_pack {
                             pack::pack_a_fused(
                                 &a_block,
@@ -323,8 +331,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                             )
                         };
                         // SAFETY: own row range of ref_row.
-                        let ref_row_slice =
-                            unsafe { ref_row.slice_mut(ms + ic..ms + ic + mc_eff) };
+                        let ref_row_slice = unsafe { ref_row.slice_mut(ms + ic..ms + ic + mc_eff) };
                         macro_kernel(
                             &kernel,
                             kc_eff,
@@ -350,9 +357,8 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                                 ref_col_lane[j_loc] += delta;
                                 // SAFETY: own row element.
                                 unsafe {
-                                    ref_row.slice_mut(
-                                        ms + ic + i_loc..ms + ic + i_loc + 1,
-                                    )[0] += delta;
+                                    ref_row.slice_mut(ms + ic + i_loc..ms + ic + i_loc + 1)[0] +=
+                                        delta;
                                 }
                             }
                         }
@@ -385,16 +391,8 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                     let scale = max_abs(enc_row_all).max(max_abs(enc_col_all)).max(cscale);
                     let th_row = cfg.tolerance.threshold::<T>(k_done, nc_eff, scale);
                     let th_col = cfg.tolerance.threshold::<T>(k_done, m, scale);
-                    let row_diffs =
-                        corrector::find_discrepancies(enc_row_all, ref_row_all, th_row);
-                    let col_diffs =
-                        corrector::find_discrepancies(enc_col_all, ref_col_all, th_col);
-                    if std::env::var("FTGEMM_DEBUG_VERIFY").is_ok() {
-                        eprintln!("verify jc={jc} pc={pc}: rows={} cols={} th_row={th_row:?} th_col={th_col:?} scale={scale:?}",
-                            row_diffs.len(), col_diffs.len());
-                        for d in &row_diffs { eprintln!("  row {} delta {:?}", d.idx, d.delta); }
-                        for d in &col_diffs { eprintln!("  col {} delta {:?}", d.idx, d.delta); }
-                    }
+                    let row_diffs = corrector::find_discrepancies(enc_row_all, ref_row_all, th_row);
+                    let col_diffs = corrector::find_discrepancies(enc_col_all, ref_col_all, th_col);
                     if !row_diffs.is_empty() || !col_diffs.is_empty() {
                         let worst = row_diffs
                             .iter()
@@ -403,16 +401,10 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                         correction_scale.store(worst.to_f64().to_bits(), Ordering::Relaxed);
                         // SAFETY: exclusive access to the whole block here.
                         let mut c_block = unsafe {
-                            MatMut::<T>::from_raw_parts(
-                                c_ptr.0.add(jc * ldc),
-                                m,
-                                nc_eff,
-                                ldc,
-                            )
+                            MatMut::<T>::from_raw_parts(c_ptr.0.add(jc * ldc), m, nc_eff, ldc)
                         };
                         let th = th_row.max(th_col);
-                        match corrector::correct_block(&mut c_block, &row_diffs, &col_diffs, th)
-                        {
+                        match corrector::correct_block(&mut c_block, &row_diffs, &col_diffs, th) {
                             CorrectionOutcome::Clean => {}
                             CorrectionOutcome::Corrected { count } => {
                                 rep.detected += count;
@@ -429,8 +421,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                                     inj.stats().record_unrecoverable();
                                 }
                                 // analyze::allow(lock-order, "verdict guard is a statement temporary, dropped before report is re-locked")
-                                *verdict.lock() =
-                                    Some(FtError::Unrecoverable { jc, pc, detail });
+                                *verdict.lock() = Some(FtError::Unrecoverable { jc, pc, detail });
                                 abort.store(true, Ordering::Release);
                             }
                         }
