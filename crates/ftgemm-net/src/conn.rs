@@ -1,44 +1,49 @@
 //! Per-connection protocol state machine: a reader thread (this module's
-//! entry point), a writer thread, and a completion-pump thread.
+//! entry point) and one outbound thread.
 //!
 //! The reader owns the protocol: it decodes frames, resolves operand
 //! handles against the shared [`OperandStore`], and bridges admissions
-//! into [`GemmService::submit_streamed`]. The pump drains the
-//! connection's [`Completions`] stream and either pushes each finished
-//! request down the writer (stream delivery) or parks it in the held
-//! table for Poll/Wait (hold delivery). The writer serializes all
-//! outbound frames so responses and pushed completions interleave without
-//! tearing.
+//! into [`GemmService::submit_streamed`]. It never writes to the socket —
+//! every response goes into the connection's outbox — so a client that
+//! pipelines requests without reading its responses can fill the socket's
+//! send buffer without stopping the reader from draining the receive side.
+//! That is the deadlock a single thread per connection would have, and why
+//! a connection is two threads and not one.
+//!
+//! The outbound thread is the one socket-write site. It owns the write
+//! half and the connection's [`Completions`] stream, and multiplexes the
+//! two sources: the reader's outbox, and finished requests taken with
+//! [`Completions::poll_next`], which either go straight onto the wire
+//! (stream delivery) or are parked in the held table for Poll/Wait (hold
+//! delivery). Between events it parks; the reader unparks it after every
+//! outbox push, the completion channel's waker unparks it when a request
+//! finishes.
 //!
 //! Every protocol-level failure (malformed frame, oversize frame, unknown
 //! verb/handle/request, unsupported version, in-flight cap) is answered
 //! with a typed [`Frame::Error`] and the connection stays alive; only I/O
 //! failure or an explicit Shutdown ends it. On exit — clean or not — the
-//! connection joins its threads and releases every operand handle it
-//! owns, so a killed client returns the store's resident bytes to
+//! connection joins its outbound thread and releases every operand handle
+//! it owns, so a killed client returns the store's resident bytes to
 //! baseline.
-
-// analyze::policy(publish: server_stop as net_stop)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
-// `server_stop` aliases the server's `stop` publication cell — a Shutdown
-// frame Release-stores it here and the accept loop Acquire-loads it. The
-// `in_flight` gauge is a plain Relaxed counter (the in-flight cap is
-// advisory backpressure, not a synchronization point).
 
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use std::thread;
 
 use ftgemm_abft::FtPolicy;
 use ftgemm_core::Matrix;
+use ftgemm_obs::StopHandle;
 use ftgemm_serve::{
-    completion_channel, Completion, GemmRequest, GemmService, Operand, Priority, ServeError,
+    completion_channel, Completion, Completions, GemmRequest, GemmService, Operand, Priority,
+    ServeError,
 };
 
 use crate::codec::{read_frame, write_frame, ReadEvent, WireError};
@@ -55,31 +60,41 @@ pub(crate) struct ConnContext {
     pub store: Arc<OperandStore>,
     pub max_frame: u32,
     pub max_in_flight: usize,
-    /// Set when a client issues Shutdown; the accept loop checks it.
-    pub server_stop: Arc<AtomicBool>,
-    /// The server's own listen address, used to wake the blocked accept
-    /// loop after Shutdown.
-    pub server_addr: SocketAddr,
+    /// Stops the server's accept loop when a client issues Shutdown.
+    pub stop: StopHandle,
 }
 
-/// State shared between the reader and the completion pump.
+/// State shared between the reader and the outbound thread.
 struct SharedState {
+    /// Frames the reader wants written, in order.
+    outbox: Vec<Frame>,
     /// Hold-delivery requests: id -> parked completion (None until it
     /// finishes). Ids are inserted under the lock *before* submit returns,
-    /// so the pump can never race a completion past its registration.
+    /// so the outbound thread can never race a completion past its
+    /// registration.
     held: HashMap<u64, Option<CompletionFrame>>,
-    /// Bumped per successful submit; the pump's gate out of its park.
-    submitted_gen: u64,
-    /// The reader has exited; the pump drains in-flight work and stops.
+    /// The reader has exited; the outbound thread drains in-flight work
+    /// and stops.
     closing: bool,
 }
 
 struct Shared {
     state: Mutex<SharedState>,
-    /// Wakes the pump (new submit or closing).
-    gate: Condvar,
     /// Wakes a reader blocked in Wait (held completion arrived).
     held_ready: Condvar,
+    /// Unfinished submits, against [`ConnContext::max_in_flight`]. A plain
+    /// Relaxed counter: the cap is advisory backpressure, not a
+    /// synchronization point.
+    in_flight: AtomicUsize,
+}
+
+/// Waker for [`Completions::poll_next`]: unparks the outbound thread.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
 }
 
 fn serve_error_frame(id: u64, e: &ServeError) -> Frame {
@@ -169,85 +184,95 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
     })
 }
 
+/// The outbound thread: the connection's one socket-write site. Each turn
+/// takes at most one finished request and, under one hold of the shared
+/// lock, the reader's whole outbox; writes them; and parks when a turn had
+/// nothing to do. Ends once the reader has closed and nothing is in
+/// flight. A failed write stops the writing but not the draining, so the
+/// connection still leaves with its in-flight work accounted for.
+fn outbound_loop(mut out: TcpStream, mut completions: Completions<f64>, shared: &Shared) {
+    let waker = Waker::from(Arc::new(Unpark(thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    let mut writable = true;
+    let mut closing = false;
+    loop {
+        // `closing` as of the previous turn: if the reader had already
+        // finished before this poll, an empty stream now stays empty.
+        let reader_done = closing;
+        let finished = match completions.poll_next(&mut cx) {
+            Poll::Ready(Some(c)) => Some(completion_to_frame(c)),
+            Poll::Ready(None) if reader_done => break,
+            Poll::Ready(None) | Poll::Pending => None,
+        };
+        let delivered = finished.is_some();
+        // The completion was polled before the outbox is taken, and the
+        // reader queues a SubmitAck under the lock it submits under, so an
+        // ack always precedes its completion on the wire.
+        let (mut frames, streamed) = {
+            let mut st = shared.state.lock();
+            closing = st.closing;
+            let frames = std::mem::take(&mut st.outbox);
+            let streamed = finished.and_then(|frame| match st.held.get_mut(&frame.id) {
+                Some(slot) => {
+                    *slot = Some(frame);
+                    shared.held_ready.notify_all();
+                    None
+                }
+                None => Some(Frame::Completion(frame)),
+            });
+            (frames, streamed)
+        };
+        frames.extend(streamed);
+        let idle = frames.is_empty() && !delivered;
+        for frame in frames {
+            if !writable {
+                break;
+            }
+            match write_frame(&mut out, &frame) {
+                Ok(n) => {
+                    metrics::frames_out_total().inc();
+                    metrics::bytes_out_total().add(n);
+                }
+                Err(_) => writable = false,
+            }
+        }
+        if delivered {
+            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
+        // The turn that first sees `closing` goes round again instead, so
+        // the next poll can tell a drained stream from a momentarily
+        // empty one.
+        if idle && closing == reader_done {
+            thread::park();
+        }
+    }
+}
+
 /// Runs one client connection to completion. Called from the accept
-/// loop's per-connection thread.
+/// loop's per-connection thread, which becomes the connection's reader.
 pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     metrics::connections().add(1.0);
     metrics::connections_total().inc();
 
     let shared = Arc::new(Shared {
         state: Mutex::new(SharedState {
+            outbox: Vec::new(),
             held: HashMap::new(),
-            submitted_gen: 0,
             closing: false,
         }),
-        gate: Condvar::new(),
         held_ready: Condvar::new(),
+        in_flight: AtomicUsize::new(0),
     });
-    let in_flight = Arc::new(AtomicUsize::new(0));
-
-    // Writer thread: sole owner of the outbound half; serializes
-    // responses and pushed completions.
-    let (tx, rx) = mpsc::channel::<Frame>();
-    let writer = {
-        let mut out = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                metrics::connections().add(-1.0);
-                return;
-            }
-        };
-        thread::spawn(move || {
-            while let Ok(frame) = rx.recv() {
-                match write_frame(&mut out, &frame) {
-                    Ok(n) => {
-                        metrics::frames_out_total().inc();
-                        metrics::bytes_out_total().add(n);
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-    };
-
-    // Completion pump: drains this connection's stream. `Completions::
-    // recv` reports end-of-stream whenever the queue is empty and nothing
-    // is in flight (a snapshot, not a close), so the pump parks on the
-    // gate until the reader either submits more work or closes.
-    let (sink, mut completions) = completion_channel::<f64>();
-    let pump = {
+    let (sink, completions) = completion_channel::<f64>();
+    let outbound = stream.try_clone().and_then(|out| {
         let shared = Arc::clone(&shared);
-        let in_flight = Arc::clone(&in_flight);
-        let tx = tx.clone();
-        thread::spawn(move || {
-            let mut seen_gen = 0u64;
-            loop {
-                match completions.recv() {
-                    Some(c) => {
-                        let frame = completion_to_frame(c);
-                        let mut st = shared.state.lock();
-                        if let Some(slot) = st.held.get_mut(&frame.id) {
-                            *slot = Some(frame);
-                            shared.held_ready.notify_all();
-                        } else {
-                            drop(st);
-                            let _ = tx.send(Frame::Completion(frame));
-                        }
-                        in_flight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        let mut st = shared.state.lock();
-                        while st.submitted_gen == seen_gen && !st.closing {
-                            shared.gate.wait(&mut st);
-                        }
-                        if st.closing && st.submitted_gen == seen_gen {
-                            break;
-                        }
-                        seen_gen = st.submitted_gen;
-                    }
-                }
-            }
-        })
+        thread::Builder::new()
+            .name("ftgemm-net-outbound".to_string())
+            .spawn(move || outbound_loop(out, completions, &shared))
+    });
+    let Ok(outbound) = outbound else {
+        metrics::connections().add(-1.0);
+        return;
     };
 
     let mut owned: HashSet<u64> = HashSet::new();
@@ -255,14 +280,16 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     let mut stop_server = false;
     let mut reader = BufReader::new(stream);
 
-    // Block scope so the sender borrows end before teardown drops `tx`.
     {
+        // The reader's only way to answer: queue the frame and wake the
+        // outbound thread. Never a socket write.
         let send = |frame: Frame| {
-            let _ = tx.send(frame);
+            shared.state.lock().outbox.push(frame);
+            outbound.thread().unpark();
         };
         let protocol_error = |id: u64, code: u16, message: String| {
             metrics::protocol_errors_total().inc();
-            let _ = tx.send(Frame::Error { id, code, message });
+            send(Frame::Error { id, code, message });
         };
 
         while let Ok((event, n)) = read_frame(&mut reader, ctx.max_frame) {
@@ -350,7 +377,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                     }
                 }
                 Frame::Submit(s) => {
-                    if in_flight.load(Ordering::Relaxed) >= ctx.max_in_flight {
+                    if shared.in_flight.load(Ordering::Relaxed) >= ctx.max_in_flight {
                         protocol_error(
                             0,
                             error_code::TOO_MANY_IN_FLIGHT,
@@ -370,21 +397,21 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                         }
                     };
                     // Hold the shared lock across submit so a hold-delivery id
-                    // is registered before its completion can be pumped.
+                    // is registered, and the ack queued, before the outbound
+                    // thread can route the completion.
                     let mut st = shared.state.lock();
-                    in_flight.fetch_add(1, Ordering::Relaxed);
+                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
                     match ctx.service.submit_streamed(req, &sink) {
                         Ok(id) => {
                             if hold {
                                 st.held.insert(id, None);
                             }
-                            st.submitted_gen += 1;
-                            shared.gate.notify_all();
+                            st.outbox.push(Frame::SubmitAck { id });
                             drop(st);
-                            send(Frame::SubmitAck { id });
+                            outbound.thread().unpark();
                         }
                         Err(e) => {
-                            in_flight.fetch_sub(1, Ordering::Relaxed);
+                            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
                             drop(st);
                             send(serve_error_frame(0, &e));
                         }
@@ -484,24 +511,17 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
         }
     }
 
-    // Teardown: let the pump drain in-flight work, then stop it; close
-    // the writer; return owned operands to the store.
-    {
-        let mut st = shared.state.lock();
-        st.closing = true;
-        shared.gate.notify_all();
-    }
-    let _ = pump.join();
-    drop(tx);
-    let _ = writer.join();
+    // Teardown: let the outbound thread drain in-flight work and stop;
+    // return owned operands to the store.
+    shared.state.lock().closing = true;
+    outbound.thread().unpark();
+    let _ = outbound.join();
     for handle in owned {
         ctx.store.release(handle);
     }
     metrics::connections().add(-1.0);
 
     if stop_server {
-        ctx.server_stop.store(true, Ordering::Release);
-        // Wake the accept loop blocked in accept().
-        let _ = TcpStream::connect(ctx.server_addr);
+        ctx.stop.stop();
     }
 }

@@ -26,8 +26,8 @@
 //! - [`store`]: [`OperandStore`] — ref-counted server-resident operands
 //!   with byte-budget LRU eviction and a checksum scrubber that
 //!   quarantines operands that rot after upload.
-//! - `conn`: per-connection reader/writer/completion-pump threads
-//!   bridging into `submit_streamed`.
+//! - `conn`: per-connection reader and outbound threads bridging into
+//!   `submit_streamed`.
 //! - [`server`] / [`client`]: the two endpoints.
 //! - `metrics`: the `ftgemm_net_*` metric families (documented there).
 

@@ -1,31 +1,29 @@
 //! `NetServer`: TCP accept loop binding the wire protocol to a
 //! [`GemmService`].
 //!
-//! Same lifecycle idiom as `ftgemm-obs`'s `ObsServer`: the listener binds
-//! eagerly in [`NetServer::start`] (so the caller gets the bound address
-//! and any bind error synchronously), a background thread accepts
-//! connections, and shutdown sets a stop flag then self-connects to wake
-//! the blocked `accept()`. Each accepted connection runs on its own
-//! thread (see the `conn` module); on shutdown the server half-closes every
-//! live connection's socket and joins its thread, which releases that
-//! connection's operand handles.
-
-// analyze::policy(publish: stop as net_stop)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): `stop`
-// is the shutdown publication cell, shared with connection threads as
-// `ConnContext::server_stop`. Release store on shutdown, Acquire loads in
-// the accept loop and connection pumps — a thread that observes the flag
-// also observes everything the stopping thread wrote before raising it.
+//! Binding, the accept thread and stop-and-wake are `ftgemm-obs`'s
+//! [`AcceptLoop`], shared with `ObsServer`: the listener binds eagerly in
+//! [`NetServer::start`] (so the caller gets the bound address and any bind
+//! error synchronously), and a wire `Shutdown` frame stops the loop through
+//! the same [`StopHandle`](ftgemm_obs::StopHandle) the server itself uses.
+//! Each accepted connection runs on its own reader thread plus one
+//! outbound thread (see the `conn` module). The accept loop keeps a table
+//! of live connections and reaps the finished ones — joins the thread,
+//! closes the server's clone of the socket — every time it accepts, so the
+//! table and the process's descriptor count follow the number of *open*
+//! connections, not the number ever accepted. On shutdown the server
+//! half-closes every live connection's socket and joins its thread, which
+//! releases that connection's operand handles.
 
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use std::thread::{self, JoinHandle};
 
+use ftgemm_obs::AcceptLoop;
 use ftgemm_serve::GemmService;
 
 use crate::conn::{handle_conn, ConnContext};
@@ -73,10 +71,8 @@ impl Default for NetServerConfig {
 /// Handle to a running wire frontend. Stops (and joins every connection)
 /// on [`stop`](NetServer::stop) or drop.
 pub struct NetServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    accept: AcceptLoop,
     store: Arc<OperandStore>,
-    accept: Option<JoinHandle<()>>,
     scrub: Option<JoinHandle<()>>,
     conns: ConnTable,
 }
@@ -92,48 +88,35 @@ impl NetServer {
         config: NetServerConfig,
     ) -> io::Result<NetServer> {
         crate::metrics::register_all();
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let store = Arc::new(OperandStore::new(config.operand_budget));
         let conns: ConnTable = Arc::new(Mutex::new(Vec::new()));
 
         let accept = {
-            let stop = Arc::clone(&stop);
             let store = Arc::clone(&store);
             let conns = Arc::clone(&conns);
-            thread::spawn(move || {
-                for incoming in listener.incoming() {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let stream = match incoming {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    // Acks and pushed completions are latency-sensitive;
-                    // don't let Nagle hold them behind unacked segments.
-                    let _ = stream.set_nodelay(true);
-                    let peer = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let ctx = ConnContext {
-                        service: Arc::clone(&service),
-                        store: Arc::clone(&store),
-                        max_frame: config.max_frame,
-                        max_in_flight: config.max_in_flight,
-                        server_stop: Arc::clone(&stop),
-                        server_addr: local,
-                    };
-                    let handle = thread::spawn(move || handle_conn(stream, ctx));
-                    conns.lock().push((peer, handle));
-                }
-            })
+            AcceptLoop::bind(addr, "ftgemm-net-accept", move |stream, stop| {
+                // Acks and pushed completions are latency-sensitive;
+                // don't let Nagle hold them behind unacked segments.
+                let _ = stream.set_nodelay(true);
+                let Ok(peer) = stream.try_clone() else {
+                    return;
+                };
+                let ctx = ConnContext {
+                    service: Arc::clone(&service),
+                    store: Arc::clone(&store),
+                    max_frame: config.max_frame,
+                    max_in_flight: config.max_in_flight,
+                    stop: stop.clone(),
+                };
+                let handle = thread::spawn(move || handle_conn(stream, ctx));
+                let mut table = conns.lock();
+                reap_finished(&mut table);
+                table.push((peer, handle));
+            })?
         };
+        let stop = accept.stop_handle();
 
         let scrub = config.scrub_interval.map(|interval| {
-            let stop = Arc::clone(&stop);
             let store = Arc::clone(&store);
             let batch = config.scrub_batch;
             thread::spawn(move || {
@@ -141,10 +124,7 @@ impl NetServer {
                 // scrub interval.
                 const CHUNK: Duration = Duration::from_millis(10);
                 let mut since_scrub = Duration::ZERO;
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
+                while !stop.is_stopped() {
                     thread::sleep(CHUNK.min(interval));
                     since_scrub += CHUNK.min(interval);
                     if since_scrub >= interval {
@@ -156,10 +136,8 @@ impl NetServer {
         });
 
         Ok(NetServer {
-            addr: local,
-            stop,
+            accept,
             store,
-            accept: Some(accept),
             scrub,
             conns,
         })
@@ -167,7 +145,7 @@ impl NetServer {
 
     /// The bound listen address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The server-resident operand store (shared by all connections).
@@ -183,12 +161,7 @@ impl NetServer {
     }
 
     fn shutdown_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the accept loop if it is parked in accept().
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.accept.shutdown();
         if let Some(h) = self.scrub.take() {
             let _ = h.join();
         }
@@ -203,5 +176,62 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+/// Joins every connection thread that has already returned and drops the
+/// server's clone of its socket; live connections stay in the table.
+fn reap_finished(table: &mut Vec<(TcpStream, JoinHandle<()>)>) {
+    for (_peer, handle) in table.extract_if(.., |(_, handle)| handle.is_finished()) {
+        let _ = handle.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetClient;
+    use ftgemm_serve::{ServiceConfig, Topology};
+    use std::time::Instant;
+
+    /// Connection churn must not grow the server: a finished connection
+    /// leaves the table (its thread joined, the server's clone of its
+    /// socket closed) at the next accept.
+    #[test]
+    fn finished_connections_are_reaped_under_churn() {
+        let service = Arc::new(GemmService::new(ServiceConfig {
+            threads: 1,
+            topology: Some(Topology::single(1)),
+            ..ServiceConfig::default()
+        }));
+        let server = NetServer::start(service, "127.0.0.1:0", NetServerConfig::default())
+            .expect("bind wire frontend");
+        let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                thread::sleep(Duration::from_millis(2));
+            }
+        };
+
+        let mut deepest = 0;
+        for _ in 0..300 {
+            drop(NetClient::connect(server.addr()).expect("connect + hello"));
+            deepest = deepest.max(server.conns.lock().len());
+        }
+        // An entry waits for the accept after its thread returned, and a
+        // thread whose client just left may not have returned yet, so a
+        // few linger — a few, not one per connection ever accepted.
+        assert!(deepest <= 32, "table grew to {deepest} entries");
+
+        // Once every thread has returned, one more accept leaves the table
+        // holding that connection alone.
+        wait_until("connection threads to return", &|| {
+            server.conns.lock().iter().all(|(_, h)| h.is_finished())
+        });
+        let _last = NetClient::connect(server.addr()).expect("connect + hello");
+        wait_until("the last accept to reap", &|| {
+            server.conns.lock().len() == 1
+        });
     }
 }

@@ -14,7 +14,8 @@
 //!   scoped registries (one per service) render into the same scrape.
 //! * **Endpoint** ([`ObsServer`]) — a tiny HTTP/1.0 server thread bound
 //!   to a configured address, answering `GET /metrics`, `/healthz`, and
-//!   `/trace`.
+//!   `/trace`. It sits on [`AcceptLoop`], the bind / accept-thread /
+//!   stop-and-wake skeleton the wire server in `ftgemm-net` shares.
 //!
 //! Request lifecycles are traced into per-node ring buffers
 //! ([`Tracelog`]): `admitted → queued → dispatched(node, path) → computed
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod accept;
 mod expo;
 mod metrics;
 mod percentile;
@@ -36,6 +38,7 @@ mod registry;
 mod server;
 mod trace;
 
+pub use accept::{AcceptLoop, StopHandle};
 pub use expo::{Exposition, MetricKind};
 pub use metrics::{bucket_bounds, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use percentile::{nearest_rank, percentile};

@@ -9,18 +9,12 @@
 //! * `GET /trace`   — recent request-lifecycle trace records.
 //!
 //! Responses always carry `Connection: close` + `Content-Length`, so any
-//! HTTP client (or `curl`) can scrape it. Shutdown sets a stop flag and
-//! pokes the listener with a loopback connection so `accept` returns.
+//! HTTP client (or `curl`) can scrape it. Binding, the accept thread and
+//! shutdown are [`AcceptLoop`]'s.
 
-// analyze::policy(publish: stop as obs_stop)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): `stop`
-// publishes shutdown to the accept thread — Release store, Acquire loads.
-
+use crate::accept::AcceptLoop;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// A route handler: produces the plaintext body for one scrape.
@@ -49,9 +43,7 @@ impl std::fmt::Debug for ObsRoutes {
 /// the acceptor and joins it.
 #[derive(Debug)]
 pub struct ObsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 /// Per-connection read cap: request lines + headers beyond this are
@@ -61,60 +53,23 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 impl ObsServer {
     /// Binds `addr` and starts the acceptor thread.
     pub fn bind(addr: SocketAddr, routes: ObsRoutes) -> std::io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ftgemm-obs-endpoint".to_string())
-            .spawn(move || acceptor_loop(&listener, &stop2, &routes))?;
-        Ok(ObsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        // Sequential handling: scrapes are tiny and rare; a slow or
+        // malicious client is bounded by the read timeout below.
+        let accept = AcceptLoop::bind(addr, "ftgemm-obs-endpoint", move |stream, _| {
+            let _ = handle_connection(stream, &routes);
+        })?;
+        Ok(ObsServer { accept })
     }
 
     /// The actually bound address (port resolved if `0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// Stops the acceptor and joins its thread. Idempotent; also runs on
     /// drop.
     pub fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::Release);
-            // Wake the blocking accept with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ObsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, stop: &AtomicBool, routes: &ObsRoutes) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Sequential handling: scrapes are tiny and rare; a slow or
-        // malicious client is bounded by the read timeout below.
-        let _ = handle_connection(stream, routes);
+        self.accept.shutdown();
     }
 }
 
@@ -206,6 +161,7 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     fn test_server() -> ObsServer {
         ObsServer::bind(

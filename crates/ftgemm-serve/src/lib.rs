@@ -9,8 +9,9 @@
 //! ```text
 //! submit() / submit_async() / submit_streamed()  x N threads
 //!     │  three wrappers over one submit path (validate, place, admit,
-//!     │  count, trace, push, roll back); round-robin over queue shards;
-//!     │  bounded queue: sync parks, async gets Overloaded back
+//!     │  count, trace, push, roll back); the push lands in the affinity
+//!     │  node's scheduler; bounded queue: sync parks, async gets
+//!     │  Overloaded back
 //!     ▼
 //! ShardedQueue ──► per-node dispatcher ──► route by problem size
 //!                                        │
@@ -24,7 +25,8 @@
 //!                 │  packed workspaces) ││
 //!                 └─────────────────────┘│   one persistent pool per node
 //!                                        ▼
-//!                               fulfill: store + condvar + fire waker
+//!                       finish (the one completion site) → fulfill:
+//!                               store + condvar + fire waker
 //!                                 │            │            │
 //!                    RequestHandle::wait   .await on     Completions
 //!                       (blocking)      AsyncRequestHandle  stream
@@ -174,7 +176,6 @@ mod tests {
     fn tiny_service() -> GemmService<f64> {
         GemmService::new(ServiceConfig {
             threads: 2,
-            queue_shards: 2,
             max_batch: 4,
             ..ServiceConfig::default()
         })

@@ -1,14 +1,21 @@
-//! Sharded MPMC submission queue: one shard group per NUMA node, one
-//! dispatcher wakeup per group, optional bounded capacity.
+//! Node-sharded MPMC submission queue: one scheduler per NUMA node, one
+//! dispatcher wakeup per node, optional bounded capacity.
 //!
-//! The queue is organized as `nodes x shards_per_node` independent locks.
-//! A request's placement policy stamps a node affinity at submit time; the
-//! push lands in that node's **shard group**, round-robining over the
-//! group's shards so concurrent submitters to one node still do not
-//! serialize on a single mutex. Each node's dispatcher thread drains its
-//! own group ([`pop_node`](ShardedQueue::pop_node)) and parks on its own
-//! condvar ([`wait_node`](ShardedQueue::wait_node)) — pushes wake only the
-//! affinity node's dispatcher, so idle nodes stay parked.
+//! The queue is one **node group** per memory domain, and a group's data
+//! is behind one lock: a mutex around the group's
+//! [`DrrScheduler`](crate::qos::DrrScheduler). A request's placement policy
+//! stamps a node affinity at submit time; the push takes that group's lock
+//! and lands directly in the scheduler. Each node's dispatcher thread pops
+//! its own group ([`pop_node_into`](ShardedQueue::pop_node_into)) under the same lock
+//! and parks on the group's condvar
+//! ([`wait_node`](ShardedQueue::wait_node)) — pushes wake only the affinity
+//! node's dispatcher, so idle nodes stay parked. One enqueue site
+//! (`insert`), one dequeue site (`pop_node_into`).
+//!
+//! The dispatcher's park has a mutex of its own (`wake_lock`), taken by a
+//! push only on the group's empty→non-empty transition and never together
+//! with the scheduler's, so a woken dispatcher and the submitter's next
+//! push do not meet on one lock.
 //!
 //! **Steal wakeups.** A push that lifts a group's depth *past the steal
 //! threshold* wakes every dispatcher: dry nodes then find the backlogged
@@ -28,32 +35,26 @@
 //! check together may overshoot it by at most the number of in-flight
 //! `push` calls.
 //!
-//! **QoS ordering.** Each group is two-stage: the lock-striped shards above
-//! are only the *inbox* (uncontended submit path); when a dispatcher pops,
-//! the group first drains its inbox into a per-group
-//! [`DrrScheduler`](crate::qos::DrrScheduler) and then pops in
-//! flops-weighted deficit-round-robin order across tenants
-//! (priority-then-EDF within each tenant's lane). FIFO tie-breaks use the
-//! submission id, so staging order across shards cannot reorder
-//! same-deadline requests. Every group also integrates its backlog in
-//! *flops* ([`node_pending_flops`](ShardedQueue::node_pending_flops)) —
-//! the load measure flops-aware placement and deadline admission control
-//! consume.
+//! **QoS ordering.** A group pops in flops-weighted deficit-round-robin
+//! order across tenants (priority-then-EDF within each tenant's lane);
+//! FIFO tie-breaks use the submission id. Every group also integrates its
+//! backlog in *flops*
+//! ([`node_pending_flops`](ShardedQueue::node_pending_flops)) — the load
+//! measure flops-aware placement and deadline admission control consume.
 
 // analyze::policy(publish: closed, depth, pending_flops)
 // Concurrency contract (checked by `cargo run -p ftgemm-analyze`): these
-// cells publish queue state across shards without the shard locks —
+// cells publish queue state to threads that do not hold a group's lock —
 // `closed` gates submission against shutdown, `depth`/`pending_flops`
 // feed placement and steal decisions. Release on write, Acquire on read,
 // so a reader acting on a depth also sees the envelope that produced it.
-// `next_id`/`rr`/`steal_wakeups` are plain Relaxed counters.
+// `next_id`/`steal_wakeups` are plain Relaxed counters.
 
 use crate::handle::ResponseSlot;
 use crate::qos::{DrrScheduler, TenantTable, NO_DEADLINE};
 use crate::request::GemmRequest;
 use ftgemm_core::Scalar;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,22 +89,17 @@ pub(crate) enum PushError {
     Full,
 }
 
-/// One node's independent set of submission shards plus its dispatcher's
-/// parking spot.
+/// One node's scheduler, its load counters and its dispatcher's parking
+/// spot.
 struct NodeGroup<T: Scalar> {
-    /// Inbox stage: lock-striped FIFO shards absorbing concurrent pushes.
-    shards: Vec<Mutex<VecDeque<Envelope<T>>>>,
-    /// Round-robin cursor for shard selection within the group.
-    rr: AtomicUsize,
-    /// Scheduling stage: the inbox drains into this DRR/EDF scheduler at
-    /// pop time, so dispatch order reflects tenant weights and deadlines
-    /// over the whole group backlog.
+    /// Everything queued on this node, in DRR/EDF order: the one lock a
+    /// push and a pop each take.
     sched: Mutex<DrrScheduler<Envelope<T>>>,
-    /// Queued envelopes in this group, inbox + scheduler (read by the
-    /// steal heuristic and the dispatcher wait predicate).
+    /// Queued envelopes in this group (read without the lock by the steal
+    /// heuristic and other nodes' wait predicates).
     depth: AtomicUsize,
-    /// Queued *flops* in this group, inbox + scheduler (read by
-    /// `LeastLoaded` placement and deadline admission control).
+    /// Queued *flops* in this group (read by `LeastLoaded` placement and
+    /// deadline admission control).
     pending_flops: AtomicU64,
     /// Wakeup for this node's dispatcher thread.
     wake_lock: Mutex<()>,
@@ -134,26 +130,19 @@ pub(crate) struct ShardedQueue<T: Scalar> {
 }
 
 impl<T: Scalar> ShardedQueue<T> {
-    /// `nodes` shard groups of `shards_per_node` shards each;
-    /// `capacity == 0` means unbounded. Groups deeper than
-    /// `steal_threshold` become steal-eligible. `tenants` configures the
-    /// DRR weights every group schedules by.
+    /// One group per node; `capacity == 0` means unbounded. Groups deeper
+    /// than `steal_threshold` become steal-eligible. `tenants` configures
+    /// the DRR weights every group schedules by.
     pub(crate) fn new(
         nodes: usize,
-        shards_per_node: usize,
         capacity: usize,
         steal_threshold: usize,
         tenants: TenantTable,
     ) -> Self {
         assert!(nodes >= 1, "queue needs at least one node group");
-        assert!(shards_per_node >= 1, "groups need at least one shard");
         ShardedQueue {
             groups: (0..nodes)
                 .map(|_| NodeGroup {
-                    shards: (0..shards_per_node)
-                        .map(|_| Mutex::new(VecDeque::new()))
-                        .collect(),
-                    rr: AtomicUsize::new(0),
                     sched: Mutex::new(DrrScheduler::new(tenants.clone())),
                     depth: AtomicUsize::new(0),
                     pending_flops: AtomicU64::new(0),
@@ -189,20 +178,24 @@ impl<T: Scalar> ShardedQueue<T> {
         }
     }
 
-    /// Inserts the envelope into its affinity node's group and wakes the
-    /// dispatchers that could serve it. Callers have already passed the
-    /// closed/capacity admission checks.
+    /// The one enqueue site: puts the envelope into its affinity node's
+    /// scheduler and wakes the dispatchers that could serve it. Callers
+    /// have already passed the closed/capacity admission checks.
     fn insert(&self, env: Envelope<T>) {
         let node = env.affinity % self.groups.len();
         let group = &self.groups[node];
-        let shard = group.rr.fetch_add(1, Ordering::Relaxed) % group.shards.len();
+        let deadline_ns = env
+            .deadline
+            .map(|d| d.saturating_duration_since(self.epoch).as_nanos() as u64)
+            .unwrap_or(NO_DEADLINE);
+        let (tenant, class, cost, seq) = (env.req.tenant, env.req.priority, env.flops, env.id);
         let prev_group_depth = {
-            // Increment depths while the shard lock is held: pop paths only
-            // decrement after taking possession of an envelope, so neither
-            // counter can transiently underflow.
-            let mut q = group.shards[shard].lock();
-            group.pending_flops.fetch_add(env.flops, Ordering::Release);
-            q.push_back(env);
+            // Counters rise while the group lock is held and only fall
+            // after a pop has taken an envelope out under the same lock, so
+            // none can transiently underflow.
+            let mut sched = group.sched.lock();
+            sched.push(tenant, class, deadline_ns, cost, seq, env);
+            group.pending_flops.fetch_add(cost, Ordering::Release);
             self.depth.fetch_add(1, Ordering::Release);
             group.depth.fetch_add(1, Ordering::Release)
         };
@@ -218,7 +211,7 @@ impl<T: Scalar> ShardedQueue<T> {
         // wake everyone so dry dispatchers can migrate batches. The same
         // lock discipline applies per dispatcher (a dry dispatcher checks
         // the gate predicate under its own wake_lock before sleeping).
-        if prev_group_depth + 1 == self.steal_threshold + 1 {
+        if prev_group_depth == self.steal_threshold {
             self.steal_wakeups.fetch_add(1, Ordering::Relaxed);
             self.notify_all_groups();
         }
@@ -274,82 +267,53 @@ impl<T: Scalar> ShardedQueue<T> {
         Ok(())
     }
 
-    /// Pops up to `max` envelopes from one node's group in QoS order:
-    /// drains the inbox shards into the group's DRR/EDF scheduler, then
-    /// pops per tenant weight / priority class / deadline.
-    pub(crate) fn pop_node(&self, node: usize, max: usize) -> Vec<Envelope<T>> {
-        let mut out = Vec::new();
-        if max == 0 {
-            return out;
-        }
+    /// The one dequeue site: pops up to `max` envelopes from one node's
+    /// group in QoS order (per tenant weight / priority class / deadline)
+    /// onto the end of `out`, and returns how many. A dispatcher passes the
+    /// same buffer every time, so a sweep allocates nothing.
+    pub(crate) fn pop_node_into(
+        &self,
+        node: usize,
+        max: usize,
+        out: &mut Vec<Envelope<T>>,
+    ) -> usize {
         let group = &self.groups[node];
+        let mut popped = 0;
         {
             let mut sched = group.sched.lock();
-            // Stage 1: move the whole inbox into the scheduler so the pop
-            // below chooses over the full group backlog. Tie-breaking by
-            // submission id means the shard sweep order cannot reorder
-            // same-class same-deadline requests. (Lock order sched → shard;
-            // the push path takes shard locks only, so no cycle.)
-            for shard in &group.shards {
-                let mut q = shard.lock();
-                while let Some(env) = q.pop_front() {
-                    let deadline_ns = env
-                        .deadline
-                        .map(|d| d.saturating_duration_since(self.epoch).as_nanos() as u64)
-                        .unwrap_or(NO_DEADLINE);
-                    let (tenant, class, cost, seq) =
-                        (env.req.tenant, env.req.priority, env.flops, env.id);
-                    sched.push(tenant, class, deadline_ns, cost, seq, env);
-                }
-            }
-            // Stage 2: pop in DRR order. Depth/flops counters cover both
-            // stages, so they only drop here, when an envelope leaves the
-            // group for good.
-            while out.len() < max {
-                match sched.pop() {
-                    Some(s) => {
-                        group.depth.fetch_sub(1, Ordering::Release);
-                        self.depth.fetch_sub(1, Ordering::Release);
-                        group
-                            .pending_flops
-                            .fetch_sub(s.cost_flops, Ordering::Release);
-                        out.push(s.payload);
-                    }
-                    None => break,
-                }
+            while popped < max {
+                let Some(s) = sched.pop() else { break };
+                group.depth.fetch_sub(1, Ordering::Release);
+                self.depth.fetch_sub(1, Ordering::Release);
+                group
+                    .pending_flops
+                    .fetch_sub(s.cost_flops, Ordering::Release);
+                out.push(s.payload);
+                popped += 1;
             }
         }
-        self.after_pop(&out);
-        out
+        // Release producers parked on a full queue. (No dispatcher wakeup
+        // is needed here: a dispatcher never parks on a closed queue —
+        // [`wait_node`](Self::wait_node) returns immediately in drain mode
+        // — and on an open queue only pushes change the wait predicate.)
+        if popped > 0 && self.capacity != usize::MAX {
+            let _g = self.space_lock.lock();
+            self.space.notify_all();
+        }
+        popped
     }
 
     /// Pops up to `max` envelopes sweeping *all* node groups (shutdown
-    /// drain); one [`pop_node`](Self::pop_node) per group keeps the
-    /// locking/accounting logic in a single place.
+    /// drain).
     pub(crate) fn pop_batch(&self, max: usize) -> Vec<Envelope<T>> {
         let mut out = Vec::new();
         for node in 0..self.groups.len() {
             if out.len() >= max {
                 break;
             }
-            out.extend(self.pop_node(node, max - out.len()));
+            self.pop_node_into(node, max - out.len(), &mut out);
         }
         out
-    }
-
-    /// Post-pop bookkeeping: release producers parked on a full queue.
-    /// (No dispatcher wakeup is needed here: a dispatcher never parks on a
-    /// closed queue — [`wait_node`](Self::wait_node) returns immediately in
-    /// drain mode — and on an open queue only pushes change the wait
-    /// predicate.)
-    fn after_pop(&self, popped: &[Envelope<T>]) {
-        if popped.is_empty() {
-            return;
-        }
-        if self.capacity != usize::MAX {
-            let _g = self.space_lock.lock();
-            self.space.notify_all();
-        }
     }
 
     /// Current total queue depth (approximate under concurrency).
@@ -357,14 +321,13 @@ impl<T: Scalar> ShardedQueue<T> {
         self.depth.load(Ordering::Acquire)
     }
 
-    /// Current depth of one node's shard group (approximate under
-    /// concurrency).
+    /// Current depth of one node's group (approximate under concurrency).
     pub(crate) fn node_depth(&self, node: usize) -> usize {
         self.groups[node].depth.load(Ordering::Acquire)
     }
 
-    /// Flops-integrated backlog of one node's group (inbox + scheduler;
-    /// approximate under concurrency). One huge queued GEMM weighs what it
+    /// Flops-integrated backlog of one node's group (approximate under
+    /// concurrency). One huge queued GEMM weighs what it
     /// costs, not "1" — this is the load measure flops-aware placement and
     /// deadline admission control read.
     pub(crate) fn node_pending_flops(&self, node: usize) -> u64 {
@@ -406,6 +369,14 @@ impl<T: Scalar> ShardedQueue<T> {
         self.notify_all_groups();
         let _g = self.space_lock.lock();
         self.space.notify_all();
+    }
+
+    /// [`pop_node_into`](Self::pop_node_into) a fresh vector.
+    #[cfg(test)]
+    pub(crate) fn pop_node(&self, node: usize, max: usize) -> Vec<Envelope<T>> {
+        let mut out = Vec::new();
+        self.pop_node_into(node, max, &mut out);
+        out
     }
 
     #[cfg(test)]
@@ -454,13 +425,13 @@ mod tests {
         env_on(q, 0)
     }
 
-    fn queue(nodes: usize, shards: usize, capacity: usize, gate: usize) -> ShardedQueue<f64> {
-        ShardedQueue::new(nodes, shards, capacity, gate, TenantTable::default())
+    fn queue(nodes: usize, capacity: usize, gate: usize) -> ShardedQueue<f64> {
+        ShardedQueue::new(nodes, capacity, gate, TenantTable::default())
     }
 
     #[test]
     fn push_pop_preserves_count_and_order_ids() {
-        let q = queue(1, 3, 0, 8);
+        let q = queue(1, 0, 8);
         for _ in 0..10 {
             q.push(env(&q)).map_err(|_| ()).unwrap();
         }
@@ -478,7 +449,7 @@ mod tests {
 
     #[test]
     fn affinity_routes_to_node_groups() {
-        let q = queue(3, 2, 0, 8);
+        let q = queue(3, 0, 8);
         for affinity in [0usize, 1, 1, 2, 2, 2] {
             q.push(env_on(&q, affinity)).map_err(|_| ()).unwrap();
         }
@@ -502,7 +473,7 @@ mod tests {
 
     #[test]
     fn out_of_range_affinity_wraps() {
-        let q = queue(2, 1, 0, 8);
+        let q = queue(2, 0, 8);
         q.push(env_on(&q, 5)).map_err(|_| ()).unwrap(); // 5 % 2 == 1
         assert_eq!(q.node_depth(1), 1);
         assert_eq!(q.pop_node(1, 8).len(), 1);
@@ -510,7 +481,7 @@ mod tests {
 
     #[test]
     fn close_rejects_new_work_but_drains_old() {
-        let q = queue(2, 2, 0, 8);
+        let q = queue(2, 0, 8);
         q.push(env_on(&q, 1)).map_err(|_| ()).unwrap();
         q.close();
         assert!(q.is_closed());
@@ -526,7 +497,7 @@ mod tests {
 
     #[test]
     fn wait_node_wakes_on_own_group_push() {
-        let q = Arc::new(queue(2, 2, 0, 8));
+        let q = Arc::new(queue(2, 0, 8));
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.wait_node(1));
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -536,7 +507,7 @@ mod tests {
 
     #[test]
     fn below_threshold_pushes_do_not_wake_other_dispatchers() {
-        let q = Arc::new(queue(2, 1, 0, 4));
+        let q = Arc::new(queue(2, 0, 4));
         let q2 = Arc::clone(&q);
         // Dispatcher 1 parks; its group stays empty.
         let waiter = std::thread::spawn(move || q2.wait_node(1));
@@ -555,7 +526,7 @@ mod tests {
 
     #[test]
     fn steal_wakeups_counted_only_at_threshold_crossings() {
-        let q = queue(2, 1, 0, 3);
+        let q = queue(2, 0, 3);
         for _ in 0..3 {
             q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
         }
@@ -574,7 +545,7 @@ mod tests {
 
     #[test]
     fn wait_wakes_on_close() {
-        let q = Arc::new(queue(1, 1, 0, 8));
+        let q = Arc::new(queue(1, 0, 8));
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.wait_node(0));
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -584,7 +555,7 @@ mod tests {
 
     #[test]
     fn closed_queue_drain_mode_never_parks_dispatchers() {
-        let q = queue(2, 1, 0, 8);
+        let q = queue(2, 0, 8);
         q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
         q.close();
         // Drain mode: every dispatcher sees node 0's remainder immediately
@@ -599,7 +570,7 @@ mod tests {
 
     #[test]
     fn try_push_fails_fast_at_capacity() {
-        let q = queue(2, 1, 2, 8);
+        let q = queue(2, 2, 8);
         q.try_push(env_on(&q, 0)).map_err(|_| ()).unwrap();
         q.try_push(env_on(&q, 1)).map_err(|_| ()).unwrap();
         // Capacity is global across groups.
@@ -611,7 +582,7 @@ mod tests {
 
     #[test]
     fn blocking_push_parks_until_drained() {
-        let q = Arc::new(queue(1, 1, 1, 8));
+        let q = Arc::new(queue(1, 1, 8));
         q.push(env(&q)).map_err(|_| ()).unwrap();
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
@@ -626,16 +597,15 @@ mod tests {
     }
 
     #[test]
-    fn pending_flops_tracks_inbox_and_scheduler() {
-        let q = queue(2, 2, 0, 8);
+    fn pending_flops_tracks_the_group_backlog() {
+        let q = queue(2, 0, 8);
         // 2x2x2 → 16 flops each.
         q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
         q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
         q.push(env_on(&q, 1)).map_err(|_| ()).unwrap();
         assert_eq!(q.node_pending_flops(0), 32);
         assert_eq!(q.node_pending_flops(1), 16);
-        // Partial pop: one envelope leaves, the other is staged in the
-        // scheduler but still counts.
+        // Partial pop: one envelope leaves, the other still counts.
         assert_eq!(q.pop_node(0, 1).len(), 1);
         assert_eq!(q.node_pending_flops(0), 16);
         assert_eq!(q.pop_node(0, usize::MAX).len(), 1);
@@ -651,7 +621,7 @@ mod tests {
             .tenant(1, 3)
             .tenant(2, 1)
             .quantum_flops(16);
-        let q = ShardedQueue::<f64>::new(1, 2, 0, 8, table);
+        let q = ShardedQueue::<f64>::new(1, 0, 8, table);
         let mk = |tenant, priority| {
             envelope_for(
                 &q,
@@ -690,10 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_node_orders_edf_within_class_across_shards() {
-        // Deadline-bearing requests pop earliest-first even though the
-        // inbox spreads them round-robin over two shards.
-        let q = queue(1, 2, 0, 8);
+    fn pop_node_orders_edf_within_class() {
+        // Deadline-bearing requests pop earliest-first, whatever order
+        // they were pushed in.
+        let q = queue(1, 0, 8);
         let mk = |deadline_ms| {
             envelope_for(
                 &q,
@@ -717,7 +687,7 @@ mod tests {
 
     #[test]
     fn close_unparks_blocked_producer() {
-        let q = Arc::new(queue(1, 1, 1, 8));
+        let q = Arc::new(queue(1, 1, 8));
         q.push(env(&q)).map_err(|_| ()).unwrap();
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {

@@ -7,7 +7,7 @@
 
 use ftgemm::core::Matrix;
 use ftgemm::net::codec::{read_frame, write_frame, ReadEvent};
-use ftgemm::net::proto::{error_code, Frame, PROTO_VERSION};
+use ftgemm::net::proto::{error_code, Frame, OperandRef, SubmitFrame, PROTO_VERSION};
 use ftgemm::net::{ClientError, NetClient, NetServer, NetServerConfig, NetSubmit};
 use ftgemm::serve::{
     FtPolicy, GemmRequest, GemmService, Priority, RoutePath, ServiceConfig, Topology,
@@ -391,6 +391,95 @@ fn in_flight_cap_is_a_typed_error() {
     match client.submit(NetSubmit::new(&a, &a)) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::TOO_MANY_IN_FLIGHT),
         other => panic!("expected TOO_MANY_IN_FLIGHT, got {other:?}"),
+    }
+}
+
+/// A client that pipelines its whole workload before reading anything:
+/// 64 inline 96^3 submits (about 9 MB, far past the loopback socket
+/// buffers) written back to back, then 64 acks and 64 completions read.
+/// The server can only take that if its reader never blocks on a socket
+/// write — acks and completions pile up on the outbound side while the
+/// reader keeps draining the submits. A watchdog turns a wedged connection
+/// into a failure instead of a hung suite.
+#[test]
+fn pipelined_writer_that_reads_nothing_until_the_end() {
+    const REQUESTS: usize = 64;
+    const DIM: usize = 96;
+    let svc = service();
+    let server = start(&svc, NetServerConfig::default());
+    let addr = server.addr();
+
+    let b = Matrix::<f64>::random(DIM, DIM, 1000);
+    let inputs: Vec<Matrix<f64>> = (0..REQUESTS)
+        .map(|i| Matrix::<f64>::random(DIM, DIM, i as u64))
+        .collect();
+    let inline = |m: &Matrix<f64>| OperandRef::Inline {
+        rows: DIM as u32,
+        cols: DIM as u32,
+        data: m.as_slice().to_vec(),
+    };
+    let submits: Vec<Frame> = inputs
+        .iter()
+        .map(|a| {
+            Frame::Submit(SubmitFrame {
+                hold: false,
+                policy: 2,
+                priority: 1,
+                tenant: 0,
+                deadline_ns: 0,
+                alpha: 1.0,
+                beta: 0.0,
+                a: inline(a),
+                b: inline(&b),
+                c: None,
+            })
+        })
+        .collect();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let max_frame = ftgemm::net::proto::DEFAULT_MAX_FRAME;
+        let mut raw = TcpStream::connect(addr).unwrap();
+        write_frame(
+            &mut raw,
+            &Frame::Hello {
+                version: PROTO_VERSION,
+                features: 0,
+            },
+        )
+        .unwrap();
+        for frame in &submits {
+            write_frame(&mut raw, frame).unwrap();
+        }
+        // Only now start reading: the hello, then acks (in submit order)
+        // and completions in whatever interleaving the server chose.
+        let mut acked = Vec::new();
+        let mut completed = std::collections::HashMap::new();
+        let mut hello_seen = false;
+        while acked.len() < REQUESTS || completed.len() < REQUESTS {
+            match read_frame(&mut raw, max_frame).unwrap().0 {
+                ReadEvent::Frame(Frame::ServerHello { .. }) => hello_seen = true,
+                ReadEvent::Frame(Frame::SubmitAck { id }) => acked.push(id),
+                ReadEvent::Frame(Frame::Completion(c)) => {
+                    let ok = c.result.expect("request failed");
+                    assert!(completed.insert(c.id, ok.data).is_none(), "duplicate");
+                }
+                other => panic!("unexpected frame: {other:?}"),
+            }
+        }
+        assert!(hello_seen);
+        done_tx.send((acked, completed)).unwrap();
+    });
+    let (acked, completed) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("pipelined connection wedged (or the client thread panicked)");
+    client.join().unwrap();
+
+    for (a, id) in inputs.into_iter().zip(acked) {
+        let expected = svc
+            .run(GemmRequest::new(a, b.clone()).with_policy(FtPolicy::DetectCorrect))
+            .unwrap();
+        assert_eq!(completed[&id], expected.c.as_slice(), "request {id}");
     }
 }
 

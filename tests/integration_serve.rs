@@ -15,7 +15,6 @@ fn service(threads: usize, max_batch: usize) -> GemmService<f64> {
     GemmService::new(ServiceConfig {
         threads,
         max_batch,
-        queue_shards: 3,
         // Pin the routing cutoff so the test's size mix deterministically
         // exercises both paths regardless of the config default.
         routing: RoutingPolicy::Fixed(2 * 96 * 96 * 96),

@@ -75,7 +75,6 @@ proptest! {
         let service = GemmService::<f64>::new(ServiceConfig {
             threads,
             max_batch,
-            queue_shards: 2,
             ..ServiceConfig::default()
         });
         let policy = [FtPolicy::Off, FtPolicy::Detect, FtPolicy::DetectCorrect][policy_pick];
