@@ -4,20 +4,26 @@
 //! The reader owns the protocol: it decodes frames, resolves operand
 //! handles against the shared [`OperandStore`], and bridges admissions
 //! into [`GemmService::submit_streamed`]. It never writes to the socket —
-//! every response goes into the connection's outbox — so a client that
-//! pipelines requests without reading its responses can fill the socket's
-//! send buffer without stopping the reader from draining the receive side.
-//! That is the deadlock a single thread per connection would have, and why
-//! a connection is two threads and not one.
+//! every response goes into the connection's outbox — and it never waits
+//! for the outbound thread, so a client that pipelines requests without
+//! reading its responses can fill the socket's send buffer without
+//! stopping the reader from draining the receive side. That is the
+//! deadlock a single thread per connection would have, and why a
+//! connection is two threads and not one.
 //!
-//! The outbound thread is the one socket-write site. It owns the write
-//! half and the connection's [`Completions`] stream, and multiplexes the
-//! two sources: the reader's outbox, and finished requests taken with
-//! [`Completions::poll_next`], which either go straight onto the wire
-//! (stream delivery) or are parked in the held table for Poll/Wait (hold
-//! delivery). Between events it parks; the reader unparks it after every
-//! outbox push, the completion channel's waker unparks it when a request
-//! finishes.
+//! The outbound thread is the one socket-write site: it owns the write
+//! half, takes the whole outbox each turn, writes it, and parks when a
+//! turn had nothing to do.
+//!
+//! Finished requests are taken off the connection's [`Completions`]
+//! stream by [`ConnState::route_finished`], under the connection lock:
+//! a stream-delivery completion goes to the back of the outbox, a
+//! hold-delivery one into the held table for Poll/Wait. The outbound
+//! thread routes every turn; the reader routes where its answer depends
+//! on what has finished (Poll, Wait, a Submit at the in-flight cap), so
+//! none of those depends on the outbound thread getting out of a blocked
+//! write. The stream's waker unparks both threads; the reader unparks the
+//! outbound thread after every outbox push.
 //!
 //! Every protocol-level failure (malformed frame, oversize frame, unknown
 //! verb/handle/request, unsupported version, in-flight cap) is answered
@@ -30,13 +36,12 @@
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::{self, Thread};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
 use ftgemm_abft::FtPolicy;
 use ftgemm_core::Matrix;
@@ -64,37 +69,60 @@ pub(crate) struct ConnContext {
     pub stop: StopHandle,
 }
 
-/// State shared between the reader and the outbound thread.
-struct SharedState {
-    /// Frames the reader wants written, in order.
+/// State shared between the reader and the outbound thread, under one
+/// lock.
+struct ConnState {
+    /// Frames to write, in order: the reader's answers and stream-delivery
+    /// completions.
     outbox: Vec<Frame>,
     /// Hold-delivery requests: id -> parked completion (None until it
     /// finishes). Ids are inserted under the lock *before* submit returns,
-    /// so the outbound thread can never race a completion past its
-    /// registration.
+    /// so a completion can never be routed past its registration.
     held: HashMap<u64, Option<CompletionFrame>>,
+    /// Finished requests arrive here; see [`ConnState::route_finished`].
+    completions: Completions<f64>,
+    /// Submitted and not yet routed, against [`ConnContext::max_in_flight`].
+    in_flight: usize,
     /// The reader has exited; the outbound thread drains in-flight work
     /// and stops.
     closing: bool,
 }
 
-struct Shared {
-    state: Mutex<SharedState>,
-    /// Wakes a reader blocked in Wait (held completion arrived).
-    held_ready: Condvar,
-    /// Unfinished submits, against [`ConnContext::max_in_flight`]. A plain
-    /// Relaxed counter: the cap is advisory backpressure, not a
-    /// synchronization point.
-    in_flight: AtomicUsize,
+impl ConnState {
+    /// Takes every finished request off the stream and routes it: into its
+    /// held slot, or to the back of the outbox. Leaves the waker registered
+    /// for the next one. True when the stream is drained (nothing queued,
+    /// nothing in flight).
+    fn route_finished(&mut self, cx: &mut Context<'_>) -> bool {
+        loop {
+            match self.completions.poll_next(cx) {
+                Poll::Ready(Some(c)) => {
+                    self.in_flight -= 1;
+                    let frame = completion_to_frame(c);
+                    match self.held.get_mut(&frame.id) {
+                        Some(slot) => *slot = Some(frame),
+                        None => self.outbox.push(Frame::Completion(frame)),
+                    }
+                }
+                Poll::Ready(None) => return true,
+                Poll::Pending => return false,
+            }
+        }
+    }
 }
 
-/// Waker for [`Completions::poll_next`]: unparks the outbound thread.
-struct Unpark(Thread);
+/// Waker for [`Completions::poll_next`]: unparks the outbound thread, which
+/// writes what finished, and the reader, which may be parked in Wait on it.
+struct Unpark([Thread; 2]);
 
 impl Wake for Unpark {
     fn wake(self: Arc<Self>) {
-        self.0.unpark();
+        self.0.iter().for_each(Thread::unpark);
     }
+}
+
+fn unpark_both(reader: Thread, outbound: Thread) -> Waker {
+    Waker::from(Arc::new(Unpark([reader, outbound])))
 }
 
 fn serve_error_frame(id: u64, e: &ServeError) -> Frame {
@@ -185,45 +213,22 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
 }
 
 /// The outbound thread: the connection's one socket-write site. Each turn
-/// takes at most one finished request and, under one hold of the shared
-/// lock, the reader's whole outbox; writes them; and parks when a turn had
-/// nothing to do. Ends once the reader has closed and nothing is in
-/// flight. A failed write stops the writing but not the draining, so the
-/// connection still leaves with its in-flight work accounted for.
-fn outbound_loop(mut out: TcpStream, mut completions: Completions<f64>, shared: &Shared) {
-    let waker = Waker::from(Arc::new(Unpark(thread::current())));
-    let mut cx = Context::from_waker(&waker);
+/// routes what has finished and takes the whole outbox under one hold of
+/// the connection lock, writes it, and parks when there was nothing to
+/// write. Ends once the reader has closed and the stream is drained: no
+/// submit follows `closing`, so that state is final. A failed write stops
+/// the writing but not the draining, so the connection still leaves with
+/// its in-flight work accounted for.
+fn outbound_loop(mut out: TcpStream, state: &Mutex<ConnState>, waker: &Waker) {
+    let mut cx = Context::from_waker(waker);
     let mut writable = true;
-    let mut closing = false;
     loop {
-        // `closing` as of the previous turn: if the reader had already
-        // finished before this poll, an empty stream now stays empty.
-        let reader_done = closing;
-        let finished = match completions.poll_next(&mut cx) {
-            Poll::Ready(Some(c)) => Some(completion_to_frame(c)),
-            Poll::Ready(None) if reader_done => break,
-            Poll::Ready(None) | Poll::Pending => None,
+        let (frames, done) = {
+            let mut st = state.lock();
+            let drained = st.route_finished(&mut cx);
+            (std::mem::take(&mut st.outbox), st.closing && drained)
         };
-        let delivered = finished.is_some();
-        // The completion was polled before the outbox is taken, and the
-        // reader queues a SubmitAck under the lock it submits under, so an
-        // ack always precedes its completion on the wire.
-        let (mut frames, streamed) = {
-            let mut st = shared.state.lock();
-            closing = st.closing;
-            let frames = std::mem::take(&mut st.outbox);
-            let streamed = finished.and_then(|frame| match st.held.get_mut(&frame.id) {
-                Some(slot) => {
-                    *slot = Some(frame);
-                    shared.held_ready.notify_all();
-                    None
-                }
-                None => Some(Frame::Completion(frame)),
-            });
-            (frames, streamed)
-        };
-        frames.extend(streamed);
-        let idle = frames.is_empty() && !delivered;
+        let idle = frames.is_empty();
         for frame in frames {
             if !writable {
                 break;
@@ -236,13 +241,10 @@ fn outbound_loop(mut out: TcpStream, mut completions: Completions<f64>, shared: 
                 Err(_) => writable = false,
             }
         }
-        if delivered {
-            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        if done {
+            break;
         }
-        // The turn that first sees `closing` goes round again instead, so
-        // the next poll can tell a drained stream from a momentarily
-        // empty one.
-        if idle && closing == reader_done {
+        if idle {
             thread::park();
         }
     }
@@ -254,26 +256,29 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     metrics::connections().add(1.0);
     metrics::connections_total().inc();
 
-    let shared = Arc::new(Shared {
-        state: Mutex::new(SharedState {
-            outbox: Vec::new(),
-            held: HashMap::new(),
-            closing: false,
-        }),
-        held_ready: Condvar::new(),
-        in_flight: AtomicUsize::new(0),
-    });
     let (sink, completions) = completion_channel::<f64>();
+    let shared = Arc::new(Mutex::new(ConnState {
+        outbox: Vec::new(),
+        held: HashMap::new(),
+        completions,
+        in_flight: 0,
+        closing: false,
+    }));
     let outbound = stream.try_clone().and_then(|out| {
         let shared = Arc::clone(&shared);
+        let reader = thread::current();
         thread::Builder::new()
             .name("ftgemm-net-outbound".to_string())
-            .spawn(move || outbound_loop(out, completions, &shared))
+            .spawn(move || {
+                outbound_loop(out, &shared, &unpark_both(reader, thread::current()));
+            })
     });
     let Ok(outbound) = outbound else {
         metrics::connections().add(-1.0);
         return;
     };
+    let waker = unpark_both(thread::current(), outbound.thread().clone());
+    let mut cx = Context::from_waker(&waker);
 
     let mut owned: HashSet<u64> = HashSet::new();
     let mut hello_done = false;
@@ -283,13 +288,22 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     {
         // The reader's only way to answer: queue the frame and wake the
         // outbound thread. Never a socket write.
-        let send = |frame: Frame| {
-            shared.state.lock().outbox.push(frame);
+        let reply = |mut st: MutexGuard<'_, ConnState>, frame: Frame| {
+            st.outbox.push(frame);
+            drop(st);
             outbound.thread().unpark();
         };
+        let send = |frame: Frame| reply(shared.lock(), frame);
         let protocol_error = |id: u64, code: u16, message: String| {
             metrics::protocol_errors_total().inc();
             send(Frame::Error { id, code, message });
+        };
+        let not_held = |id: u64| {
+            protocol_error(
+                id,
+                error_code::UNKNOWN_REQUEST,
+                format!("request {id} is not held on this connection"),
+            );
         };
 
         while let Ok((event, n)) = read_frame(&mut reader, ctx.max_frame) {
@@ -377,7 +391,14 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                     }
                 }
                 Frame::Submit(s) => {
-                    if shared.in_flight.load(Ordering::Relaxed) >= ctx.max_in_flight {
+                    let at_cap = {
+                        let mut st = shared.lock();
+                        if st.in_flight >= ctx.max_in_flight {
+                            st.route_finished(&mut cx);
+                        }
+                        st.in_flight >= ctx.max_in_flight
+                    };
+                    if at_cap {
                         protocol_error(
                             0,
                             error_code::TOO_MANY_IN_FLIGHT,
@@ -396,81 +417,58 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                             continue;
                         }
                     };
-                    // Hold the shared lock across submit so a hold-delivery id
-                    // is registered, and the ack queued, before the outbound
-                    // thread can route the completion.
-                    let mut st = shared.state.lock();
-                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                    match ctx.service.submit_streamed(req, &sink) {
+                    // Hold the lock across submit so a hold-delivery id is
+                    // registered, and the ack queued, before anyone can
+                    // route the completion: an ack always precedes its
+                    // completion in the outbox.
+                    let mut st = shared.lock();
+                    let answer = match ctx.service.submit_streamed(req, &sink) {
                         Ok(id) => {
+                            st.in_flight += 1;
                             if hold {
                                 st.held.insert(id, None);
                             }
-                            st.outbox.push(Frame::SubmitAck { id });
-                            drop(st);
-                            outbound.thread().unpark();
+                            Frame::SubmitAck { id }
                         }
-                        Err(e) => {
-                            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                            drop(st);
-                            send(serve_error_frame(0, &e));
-                        }
-                    }
+                        Err(e) => serve_error_frame(0, &e),
+                    };
+                    reply(st, answer);
                 }
                 Frame::Poll { id } => {
-                    let mut st = shared.state.lock();
-                    match st.held.get_mut(&id) {
+                    let mut st = shared.lock();
+                    st.route_finished(&mut cx);
+                    match st.held.get_mut(&id).map(Option::take) {
                         None => {
                             drop(st);
-                            protocol_error(
-                                id,
-                                error_code::UNKNOWN_REQUEST,
-                                format!("request {id} is not held on this connection"),
-                            );
+                            not_held(id);
                         }
-                        Some(slot) => match slot.take() {
-                            Some(c) => {
-                                st.held.remove(&id);
-                                drop(st);
-                                send(Frame::Completion(c));
-                            }
-                            None => {
-                                drop(st);
-                                send(Frame::Pending { id });
-                            }
-                        },
+                        Some(Some(c)) => {
+                            st.held.remove(&id);
+                            reply(st, Frame::Completion(c));
+                        }
+                        Some(None) => reply(st, Frame::Pending { id }),
                     }
                 }
                 Frame::Wait { id } => {
-                    let mut st = shared.state.lock();
-                    if !st.held.contains_key(&id) {
-                        drop(st);
-                        protocol_error(
-                            id,
-                            error_code::UNKNOWN_REQUEST,
-                            format!("request {id} is not held on this connection"),
-                        );
-                        continue;
-                    }
-                    while matches!(st.held.get(&id), Some(None)) {
-                        shared.held_ready.wait(&mut st);
-                    }
-                    match st.held.remove(&id) {
-                        Some(Some(c)) => {
-                            drop(st);
-                            send(Frame::Completion(c));
+                    // The reader routes for itself while it waits, parked
+                    // between completions and never holding the lock, so
+                    // leaving Wait does not depend on the outbound thread.
+                    let mut st = shared.lock();
+                    let held = loop {
+                        st.route_finished(&mut cx);
+                        if !matches!(st.held.get(&id), Some(None)) {
+                            break st.held.remove(&id).flatten();
                         }
-                        // Only this reader thread removes held entries, so
-                        // the slot it just observed cannot vanish — but a
-                        // protocol error beats a poisoned connection if
-                        // that invariant ever breaks.
-                        _ => {
+                        drop(st);
+                        outbound.thread().unpark();
+                        thread::park();
+                        st = shared.lock();
+                    };
+                    match held {
+                        Some(c) => reply(st, Frame::Completion(c)),
+                        None => {
                             drop(st);
-                            protocol_error(
-                                id,
-                                error_code::UNKNOWN_REQUEST,
-                                format!("request {id} was lost while waiting"),
-                            );
+                            not_held(id);
                         }
                     }
                 }
@@ -513,7 +511,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
 
     // Teardown: let the outbound thread drain in-flight work and stop;
     // return owned operands to the store.
-    shared.state.lock().closing = true;
+    shared.lock().closing = true;
     outbound.thread().unpark();
     let _ = outbound.join();
     for handle in owned {

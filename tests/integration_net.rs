@@ -394,47 +394,99 @@ fn in_flight_cap_is_a_typed_error() {
     }
 }
 
-/// A client that pipelines its whole workload before reading anything:
-/// 64 inline 96^3 submits (about 9 MB, far past the loopback socket
-/// buffers) written back to back, then 64 acks and 64 completions read.
-/// The server can only take that if its reader never blocks on a socket
-/// write — acks and completions pile up on the outbound side while the
-/// reader keeps draining the submits. A watchdog turns a wedged connection
-/// into a failure instead of a hung suite.
+/// A `Submit` frame carrying `a * b` inline (DetectCorrect, normal
+/// priority, tenant 0), for tests that drive the codec directly.
+fn inline_submit(a: &Matrix<f64>, b: &Matrix<f64>, hold: bool) -> Frame {
+    let inline = |m: &Matrix<f64>| OperandRef::Inline {
+        rows: m.nrows() as u32,
+        cols: m.ncols() as u32,
+        data: m.as_slice().to_vec(),
+    };
+    Frame::Submit(SubmitFrame {
+        hold,
+        policy: 2,
+        priority: 1,
+        tenant: 0,
+        deadline_ns: 0,
+        alpha: 1.0,
+        beta: 0.0,
+        a: inline(a),
+        b: inline(b),
+        c: None,
+    })
+}
+
+/// The cap counts requests the service has not finished, not completions
+/// the client has not read. A client with a cap of 2 submits 8 rounds of
+/// 2 requests with 2 MB results and reads nothing, so the outbound thread
+/// is soon blocked in a write with finished completions queued behind it;
+/// each round is sent only once the service has finished the round before
+/// (a second connection's identical request, queued behind them, has come
+/// back). Every submit must still be admitted.
 #[test]
-fn pipelined_writer_that_reads_nothing_until_the_end() {
-    const REQUESTS: usize = 64;
-    const DIM: usize = 96;
+fn in_flight_cap_ignores_completions_the_client_has_not_read() {
+    const ROUNDS: usize = 8;
+    const CAP: usize = 2;
+    let svc = service();
+    let server = start(
+        &svc,
+        NetServerConfig {
+            max_in_flight: CAP,
+            ..NetServerConfig::default()
+        },
+    );
+    let mut quiet = NetClient::connect(server.addr()).unwrap();
+    let mut probe = NetClient::connect(server.addr()).unwrap();
+    let a = Matrix::<f64>::random(512, 8, 31);
+    let b = Matrix::<f64>::random(8, 512, 32);
+
+    for round in 1..=ROUNDS {
+        for _ in 0..CAP {
+            quiet.send(&inline_submit(&a, &b, false)).unwrap();
+        }
+        // Submitted so far: this connection's rounds plus one probe per
+        // earlier round.
+        let admitted = (round * CAP + round - 1) as u64;
+        wait_until("the round's submits to be admitted", || {
+            svc.stats().submitted >= admitted
+        });
+        probe.submit(NetSubmit::new(&a, &b)).unwrap();
+        assert!(probe.next_completion().unwrap().result.is_ok());
+    }
+
+    let (mut acks, mut completions) = (0, 0);
+    while acks < ROUNDS * CAP || completions < ROUNDS * CAP {
+        match quiet.read_response().expect("a submit was refused") {
+            Frame::SubmitAck { .. } => acks += 1,
+            Frame::Completion(c) => {
+                assert!(c.result.is_ok());
+                completions += 1;
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+}
+
+/// A client that pipelines its whole workload before reading anything:
+/// `requests` inline `dim`^3 submits written back to back, far past the
+/// loopback socket buffers, and only then the acks and completions read.
+/// With `hold`, every submit is hold-delivery and followed at once by a
+/// `Wait` on its id, so the reader also has to get through `requests`
+/// waits while the outbound thread is blocked writing to a client that is
+/// not reading yet. The server can only take either if its reader never
+/// depends on a socket write — responses pile up on the outbound side
+/// while the reader keeps draining the receive side. A watchdog turns a
+/// wedged connection into a failure instead of a hung suite.
+fn pipeline_without_reading(requests: usize, dim: usize, hold: bool) {
     let svc = service();
     let server = start(&svc, NetServerConfig::default());
     let addr = server.addr();
 
-    let b = Matrix::<f64>::random(DIM, DIM, 1000);
-    let inputs: Vec<Matrix<f64>> = (0..REQUESTS)
-        .map(|i| Matrix::<f64>::random(DIM, DIM, i as u64))
+    let b = Matrix::<f64>::random(dim, dim, 1000);
+    let inputs: Vec<Matrix<f64>> = (0..requests)
+        .map(|i| Matrix::<f64>::random(dim, dim, i as u64))
         .collect();
-    let inline = |m: &Matrix<f64>| OperandRef::Inline {
-        rows: DIM as u32,
-        cols: DIM as u32,
-        data: m.as_slice().to_vec(),
-    };
-    let submits: Vec<Frame> = inputs
-        .iter()
-        .map(|a| {
-            Frame::Submit(SubmitFrame {
-                hold: false,
-                policy: 2,
-                priority: 1,
-                tenant: 0,
-                deadline_ns: 0,
-                alpha: 1.0,
-                beta: 0.0,
-                a: inline(a),
-                b: inline(&b),
-                c: None,
-            })
-        })
-        .collect();
+    let submits: Vec<Frame> = inputs.iter().map(|a| inline_submit(a, &b, hold)).collect();
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let client = std::thread::spawn(move || {
@@ -448,15 +500,21 @@ fn pipelined_writer_that_reads_nothing_until_the_end() {
             },
         )
         .unwrap();
-        for frame in &submits {
+        // This connection is the fresh service's only submitter, so its
+        // request ids are 0, 1, 2, … — which is how a `Wait` can name an
+        // id before the ack carrying it has been read.
+        for (id, frame) in submits.iter().enumerate() {
             write_frame(&mut raw, frame).unwrap();
+            if hold {
+                write_frame(&mut raw, &Frame::Wait { id: id as u64 }).unwrap();
+            }
         }
         // Only now start reading: the hello, then acks (in submit order)
         // and completions in whatever interleaving the server chose.
         let mut acked = Vec::new();
         let mut completed = std::collections::HashMap::new();
         let mut hello_seen = false;
-        while acked.len() < REQUESTS || completed.len() < REQUESTS {
+        while acked.len() < requests || completed.len() < requests {
             match read_frame(&mut raw, max_frame).unwrap().0 {
                 ReadEvent::Frame(Frame::ServerHello { .. }) => hello_seen = true,
                 ReadEvent::Frame(Frame::SubmitAck { id }) => acked.push(id),
@@ -481,6 +539,20 @@ fn pipelined_writer_that_reads_nothing_until_the_end() {
             .unwrap();
         assert_eq!(completed[&id], expected.c.as_slice(), "request {id}");
     }
+}
+
+/// 64 stream-delivery 96^3 submits (about 9 MB) before the first read.
+#[test]
+fn pipelined_writer_that_reads_nothing_until_the_end() {
+    pipeline_without_reading(64, 96, false);
+}
+
+/// 60 hold-delivery 160^3 submits, each followed by its `Wait` (about
+/// 25 MB in, 12 MB out) before the first read: leaving `Wait` must not
+/// depend on the outbound thread, which by then is blocked in a write.
+#[test]
+fn pipelined_holds_and_waits_that_read_nothing_until_the_end() {
+    pipeline_without_reading(60, 160, true);
 }
 
 /// Releasing someone else's (or a made-up) handle is refused.
