@@ -14,21 +14,33 @@ use ftgemm_core::{MatMut, MatRef, Scalar};
 ///
 /// `beta == 0` skips reading `C` (fills zeros) and `beta == 1` skips the
 /// write-back, exactly like the plain scaling pass it replaces.
+///
+/// `base`, when given (length = rows * cols), receives the scaled block
+/// column-packed — the serial driver's rollback point. Each column is copied
+/// right after it was scaled and summed, while it is still in cache, so the
+/// save adds one write stream to this pass and no second read of `C`.
 pub fn scale_encode_c<T: Scalar>(
     c: &mut MatMut<'_, T>,
     beta: T,
     enc_row: &mut [T],
     enc_col: &mut [T],
+    mut base: Option<&mut [T]>,
 ) {
     let m = c.nrows();
     let n = c.ncols();
     assert_eq!(enc_row.len(), m, "scale_encode_c: enc_row length");
     assert_eq!(enc_col.len(), n, "scale_encode_c: enc_col length");
+    if let Some(base) = &base {
+        assert_eq!(base.len(), m * n, "scale_encode_c: base length");
+    }
     enc_row.fill(T::ZERO);
 
     if beta == T::ZERO {
         c.fill(T::ZERO);
         enc_col.fill(T::ZERO);
+        if let Some(base) = base {
+            base.fill(T::ZERO);
+        }
         return;
     }
     for j in 0..n {
@@ -49,20 +61,35 @@ pub fn scale_encode_c<T: Scalar>(
             }
         }
         enc_col[j] = csum;
+        if let Some(base) = base.as_deref_mut() {
+            base[j * m..(j + 1) * m].copy_from_slice(col);
+        }
     }
 }
 
 /// Unfused equivalent of [`scale_encode_c`]: a scaling pass followed by a
 /// second full read of the block for the checksums (the memory traffic the
-/// paper's fusion eliminates).
+/// paper's fusion eliminates), and a third for `base` when one is kept.
 pub fn scale_then_encode_c<T: Scalar>(
     c: &mut MatMut<'_, T>,
     beta: T,
     enc_row: &mut [T],
     enc_col: &mut [T],
+    base: Option<&mut [T]>,
 ) {
     ftgemm_core::gemm::scale_c(c, beta);
     encode_c(&c.as_ref(), enc_row, enc_col);
+    if let Some(base) = base {
+        let (c, m) = (c.as_ref(), c.nrows());
+        assert_eq!(
+            base.len(),
+            m * c.ncols(),
+            "scale_then_encode_c: base length"
+        );
+        for j in 0..c.ncols() {
+            base[j * m..(j + 1) * m].copy_from_slice(c.col(j));
+        }
+    }
 }
 
 /// Standalone checksum read of a block: `enc_row[i] = Σ_j C[i,j]`,
@@ -142,7 +169,7 @@ mod tests {
         let beta = -1.5;
         let mut er = vec![9.0; 7];
         let mut ec = vec![9.0; 5];
-        scale_encode_c(&mut c.as_mut(), beta, &mut er, &mut ec);
+        scale_encode_c(&mut c.as_mut(), beta, &mut er, &mut ec, None);
         for j in 0..5 {
             for i in 0..7 {
                 assert!((c.get(i, j) - beta * orig.get(i, j)).abs() < 1e-15);
@@ -163,7 +190,7 @@ mod tests {
         let mut c = Matrix::<f64>::random(4, 4, 2);
         let mut er = vec![1.0; 4];
         let mut ec = vec![1.0; 4];
-        scale_encode_c(&mut c.as_mut(), 0.0, &mut er, &mut ec);
+        scale_encode_c(&mut c.as_mut(), 0.0, &mut er, &mut ec, None);
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
         assert!(er.iter().chain(ec.iter()).all(|&v| v == 0.0));
     }
@@ -174,7 +201,7 @@ mod tests {
         let orig = c.clone();
         let mut er = vec![0.0; 4];
         let mut ec = vec![0.0; 6];
-        scale_encode_c(&mut c.as_mut(), 1.0, &mut er, &mut ec);
+        scale_encode_c(&mut c.as_mut(), 1.0, &mut er, &mut ec, None);
         assert_eq!(c.as_slice(), orig.as_slice());
         let want: f64 = (0..4).map(|i| orig.get(i, 2)).sum();
         assert!((ec[2] - want).abs() < 1e-12);
@@ -188,14 +215,31 @@ mod tests {
         let mut c1 = base.clone();
         let mut er1 = vec![0.0; 9];
         let mut ec1 = vec![0.0; 11];
-        scale_encode_c(&mut c1.as_mut(), beta, &mut er1, &mut ec1);
+        let mut saved1 = vec![f64::NAN; 99];
+        scale_encode_c(
+            &mut c1.as_mut(),
+            beta,
+            &mut er1,
+            &mut ec1,
+            Some(&mut saved1),
+        );
 
         let mut c2 = base.clone();
         let mut er2 = vec![0.0; 9];
         let mut ec2 = vec![0.0; 11];
-        scale_then_encode_c(&mut c2.as_mut(), beta, &mut er2, &mut ec2);
+        let mut saved2 = vec![f64::NAN; 99];
+        scale_then_encode_c(
+            &mut c2.as_mut(),
+            beta,
+            &mut er2,
+            &mut ec2,
+            Some(&mut saved2),
+        );
 
         assert_eq!(c1.as_slice(), c2.as_slice());
+        // The saved base is the scaled block itself (9x11, contiguous).
+        assert_eq!(saved1, c1.as_slice());
+        assert_eq!(saved2, c2.as_slice());
         for (a, b) in er1.iter().zip(&er2) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -18,7 +18,7 @@
 //! numerically equal magnitude in distinct rows and columns, where every
 //! pairing balances the checksums but only one restores the matrix — are
 //! reported as unrecoverable rather than guessed at; the caller's recovery
-//! policy (e.g. panel recompute under
+//! policy (e.g. column-block rollback under
 //! [`Recovery::RetryPanel`](crate::Recovery::RetryPanel)) takes over. This
 //! fail-stop-on-ambiguity contract is pinned by the
 //! `tests::equal_delta_errors_distinct_positions` test below and written up
@@ -171,7 +171,7 @@ pub fn correct_block<T: Scalar>(
         // (numerically) equal deltas, every assignment zeroes the checksums
         // but only one restores the matrix — guessing would be silent
         // corruption, so ambiguity is reported as unrecoverable and the
-        // caller's recovery policy (panel recompute under
+        // caller's recovery policy (column-block rollback under
         // `Recovery::RetryPanel`) takes over.
         let mut pick: Option<(usize, usize)> = None;
         let mut saw_ambiguous = false;

@@ -14,6 +14,14 @@
 //!             macro kernel — also ref_row/ref_col            [fused]
 //!         verify {enc,ref} x {row,col}; locate & correct     ("p-loop: verify")
 //! ```
+//!
+//! Recovery ([`Recovery::RetryPanel`]) keeps no per-panel checkpoint. The
+//! one recovery point of a column block is its *base state* — the block
+//! holding `beta * C0` and `enc_*` holding its checksums, as the beta pass
+//! leaves them. For `beta == 0` that state is all zeros, so nothing is saved
+//! and nothing is copied; otherwise the beta pass writes the scaled block to
+//! `snap_c` as it goes. A pattern the corrector cannot resolve restores the
+//! base and re-runs the block's panels from `pc = 0` through the same loop.
 
 use crate::checksum;
 use crate::corrector::{self, CorrectionOutcome};
@@ -35,8 +43,9 @@ pub struct FtGemmContext<T: Scalar> {
     enc_col: Vec<T>,
     ref_row: Vec<T>,
     ref_col: Vec<T>,
-    /// Checkpoint storage for [`Recovery::RetryPanel`]: the column block of
-    /// `C` plus the encoded checksums at the start of the current panel.
+    /// Base state of the current column block under
+    /// [`Recovery::RetryPanel`] with `beta != 0`: `beta * C0`, column-packed,
+    /// plus its encoded checksums. No other call sizes or touches these.
     snap_c: Vec<T>,
     snap_enc_row: Vec<T>,
     snap_enc_col: Vec<T>,
@@ -71,37 +80,45 @@ impl<T: Scalar> FtGemmContext<T> {
 
 impl<T: Scalar> FtGemmContext<T> {
     /// Pre-sizes the packing scratch and — under `Some(cfg)` — every
-    /// checksum work vector and checkpoint buffer for an `m x n x k` problem,
-    /// so a subsequent [`run_serial`] call of that shape and configuration
-    /// performs **no heap allocation**. The facade's `GemmPlan` calls this
-    /// at plan time; the sizes mirror the driver exactly, and re-reserving
-    /// the same shape is free.
+    /// checksum work vector for an `m x n x k` problem, so a subsequent
+    /// [`run_serial`] call of that shape, configuration and `beta` performs
+    /// **no heap allocation**. The facade's `GemmPlan` calls this at plan
+    /// time; the sizes mirror the driver exactly, and re-reserving the same
+    /// shape is free. The `m x NC` base snapshot exists only where a
+    /// rollback needs it: [`Recovery::RetryPanel`] **and** `beta != 0`.
     pub fn reserve(
         &mut self,
         cfg: Option<&FtConfig>,
         m: usize,
         n: usize,
         k: usize,
+        beta: T,
     ) -> FtResult<()> {
         let p = self.core.params;
         p.validate()?;
         if let Some(cfg) = cfg {
             let nc_max = p.nc.min(n);
-            resize(&mut self.ar, k);
-            resize(&mut self.bc, p.kc);
-            resize(&mut self.enc_row, m);
-            resize(&mut self.enc_col, nc_max);
-            resize(&mut self.ref_row, m);
-            resize(&mut self.ref_col, nc_max);
-            if matches!(cfg.recovery, Recovery::RetryPanel { .. }) {
-                resize(&mut self.snap_c, m * nc_max);
-                resize(&mut self.snap_enc_row, m);
-                resize(&mut self.snap_enc_col, nc_max);
+            grow(&mut self.ar, k);
+            grow(&mut self.bc, p.kc);
+            grow(&mut self.enc_row, m);
+            grow(&mut self.enc_col, nc_max);
+            grow(&mut self.ref_row, m);
+            grow(&mut self.ref_col, nc_max);
+            if keeps_base(cfg, beta) {
+                grow(&mut self.snap_c, m * nc_max);
+                grow(&mut self.snap_enc_row, m);
+                grow(&mut self.snap_enc_col, nc_max);
             }
         }
         self.core.pack_buffers(p.packed_a_len(), p.packed_b_len())?;
         Ok(())
     }
+}
+
+/// True when a rollback cannot recompute the column block's base state and
+/// must restore a saved one. At `beta == 0` the base is all zeros.
+fn keeps_base<T: Scalar>(cfg: &FtConfig, beta: T) -> bool {
+    matches!(cfg.recovery, Recovery::RetryPanel { .. }) && beta != T::ZERO
 }
 
 impl<T: Scalar> Default for FtGemmContext<T> {
@@ -158,18 +175,20 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     let p = ctx.core.params;
     let kernel = ctx.core.kernel;
 
-    // Work vectors: sized and zeroed by `reserve`, the single authoritative
-    // size list (shared with plan-time preallocation, so a planned call of
-    // this shape re-resizes in place without touching the heap).
-    ctx.reserve(Some(cfg), m, n, k)?;
-    let retry_panels = match cfg.recovery {
+    // Work vectors: sized (grow-only, never re-zeroed) by `reserve`, the
+    // single authoritative size list shared with plan-time preallocation.
+    // Each is overwritten before it is read: `ar` right below, `enc_*` by
+    // the beta pass, `bc`/`ref_*` per panel, `snap_*` with the base state.
+    ctx.reserve(Some(cfg), m, n, k, beta)?;
+    let max_rollbacks = match cfg.recovery {
         Recovery::ReportOnly => 0u32,
         Recovery::RetryPanel { max_retries } => max_retries,
     };
+    let keep_base = keeps_base(cfg, beta);
 
     // A_r = alpha * e^T A — the one O(mk) encode pass (paper §2.3 encodes it
     // before the main loops).
-    pack::col_sums_scaled(a, alpha, &mut ctx.ar);
+    pack::col_sums_scaled(a, alpha, &mut ctx.ar[..k]);
 
     // Injection stream: one site per macro-kernel invocation.
     ctx.call_counter += 1;
@@ -194,55 +213,44 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
         let enc_row = &mut ctx.enc_row[..m];
         let ref_row = &mut ctx.ref_row[..m];
 
-        // beta-scale + initial checksum encode over this column block.
-        {
+        let mut rollbacks = 0u32;
+        'block: loop {
+            // Base state of this column block: beta-scale + initial checksum
+            // encode, saving both where a rollback could not recompute them.
+            // A rollback at beta == 0 re-runs the zero fill; otherwise it
+            // copies the saved base back.
             let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
-            if fusion.fuse_c_scale {
-                checksum::scale_encode_c(&mut c_block, beta, enc_row, enc_col);
-            } else {
-                checksum::scale_then_encode_c(&mut c_block, beta, enc_row, enc_col);
-            }
-        }
-
-        // Correcting an error of magnitude d leaves an O(eps*d) roundoff
-        // residual at the repaired element; later verifications of this
-        // column block must treat that residual as noise, so the threshold
-        // scale grows with the largest correction applied so far.
-        let mut correction_scale = T::ZERO;
-
-        let mut pc = 0;
-        while pc < k {
-            let kc_eff = p.kc.min(k - pc);
-
-            // Checkpoint for panel-level rollback (Recovery::RetryPanel):
-            // the block of C and the encoded checksums as of this panel's
-            // start. O(m * nc) copies — strictly opt-in paranoia.
-            if retry_panels > 0 {
-                let c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                let cb = c_block.as_ref();
+            if rollbacks > 0 && keep_base {
                 for j in 0..nc_eff {
-                    ctx.snap_c[j * m..(j + 1) * m].copy_from_slice(cb.col(j));
+                    c_block
+                        .col_mut(j)
+                        .copy_from_slice(&ctx.snap_c[j * m..(j + 1) * m]);
                 }
-                ctx.snap_enc_row[..m].copy_from_slice(enc_row);
-                ctx.snap_enc_col[..nc_eff].copy_from_slice(&enc_col[..nc_eff]);
+                enc_row.copy_from_slice(&ctx.snap_enc_row[..m]);
+                enc_col.copy_from_slice(&ctx.snap_enc_col[..nc_eff]);
+            } else {
+                let base = keep_base.then(|| &mut ctx.snap_c[..m * nc_eff]);
+                if fusion.fuse_c_scale {
+                    checksum::scale_encode_c(&mut c_block, beta, enc_row, enc_col, base);
+                } else {
+                    checksum::scale_then_encode_c(&mut c_block, beta, enc_row, enc_col, base);
+                }
+                if keep_base {
+                    ctx.snap_enc_row[..m].copy_from_slice(enc_row);
+                    ctx.snap_enc_col[..nc_eff].copy_from_slice(enc_col);
+                }
             }
 
-            let mut attempt = 0u32;
-            'attempts: loop {
-                if attempt > 0 {
-                    // Roll back C and the encoded checksums, then recompute
-                    // the panel from scratch (the inputs A and B are
-                    // untouched by construction).
-                    report.retried_panels += 1;
-                    let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                    for j in 0..nc_eff {
-                        c_block
-                            .col_mut(j)
-                            .copy_from_slice(&ctx.snap_c[j * m..(j + 1) * m]);
-                    }
-                    enc_row.copy_from_slice(&ctx.snap_enc_row[..m]);
-                    enc_col[..nc_eff].copy_from_slice(&ctx.snap_enc_col[..nc_eff]);
-                }
+            // Correcting an error of magnitude d leaves an O(eps*d) roundoff
+            // residual at the repaired element; later verifications of this
+            // column block must treat that residual as noise, so the
+            // threshold scale grows with the largest correction applied so
+            // far (and starts over with the block after a rollback).
+            let mut correction_scale = T::ZERO;
+
+            let mut pc = 0;
+            while pc < k {
+                let kc_eff = p.kc.min(k - pc);
 
                 let bc = &mut ctx.bc[..kc_eff];
                 bc.fill(T::ZERO);
@@ -365,18 +373,23 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
                             if let Some(inj) = cfg.injector.as_ref() {
                                 inj.stats().record_unrecoverable();
                             }
-                            if attempt < retry_panels {
-                                attempt += 1;
-                                continue 'attempts;
+                            if rollbacks < max_rollbacks {
+                                // Back to the base state; every panel up to
+                                // and including this one is recomputed (the
+                                // inputs A and B are untouched by
+                                // construction).
+                                rollbacks += 1;
+                                report.retried_panels += pc / p.kc + 1;
+                                continue 'block;
                             }
                             report.publish_global();
                             return Err(FtError::Unrecoverable { jc, pc, detail });
                         }
                     }
                 }
-                break 'attempts;
+                pc += p.kc;
             }
-            pc += p.kc;
+            break;
         }
         jc += p.nc;
     }
@@ -384,9 +397,12 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     Ok(report)
 }
 
-fn resize<T: Scalar>(v: &mut Vec<T>, len: usize) {
-    v.clear();
-    v.resize(len, T::ZERO);
+/// Grow-only: the driver slices what it needs and overwrites it before
+/// reading, so a reused vector is neither shrunk nor re-zeroed.
+fn grow<T: Scalar>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::ZERO);
+    }
 }
 
 fn max_abs2<T: Scalar>(a: &[T], b: &[T]) -> T {

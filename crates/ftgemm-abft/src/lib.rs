@@ -57,8 +57,15 @@
 //! equal-magnitude case is pinned by
 //! `corrector::tests::equal_delta_errors_distinct_positions`), and the
 //! driver then applies the caller's [`Recovery`] policy — under
-//! [`Recovery::RetryPanel`] (the serving layer's `DetectCorrect`) the
-//! affected panel is rolled back to its checkpoint and recomputed instead.
+//! [`Recovery::RetryPanel`] (the default policy, `DetectCorrect`) the
+//! serial driver rolls the affected **column block** back to its base state
+//! (`beta * C0` and its checksums) and recomputes that block's panels up to
+//! and including the failing one, through the same loop, so a recovered
+//! result is bit-identical to a clean run. The rollback costs nothing until
+//! it happens: at `beta == 0` the base state is all zeros and nothing is
+//! held in memory; at `beta != 0` the beta pass writes the scaled block to
+//! an `m x NC` buffer as it goes, once per column block. The matrix-parallel
+//! driver has no recovery point and stays fail-stop.
 //! Equal magnitudes sharing a single row or column are *not* ambiguous
 //! (the shared-axis sum rule resolves them) and are still corrected. The
 //! paper verifies every `KC`-depth panel, so the exposure window for a
@@ -99,23 +106,29 @@ pub struct FtConfig {
 /// Recovery policy for unrecoverable checksum patterns.
 ///
 /// Row+column checksums cannot locate errors that form a cycle across
-/// shared rows *and* columns within one verification interval. The serial
-/// driver can optionally checkpoint each column block of `C` (plus the
-/// encoded checksums) at panel granularity and recompute the panel from
-/// scratch when that happens.
+/// shared rows *and* columns within one verification interval, nor repair
+/// an element that overflowed. The serial driver can then roll the column
+/// block of `C` back to its base state and recompute it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
-    /// Return [`FtError::Unrecoverable`]; the caller decides (default — no
-    /// checkpoint memory or traffic is spent).
+    /// Return [`FtError::Unrecoverable`]; the caller decides.
     ReportOnly,
-    /// Keep an `O(m * NC)` checkpoint per column block and recompute a
-    /// failing panel up to `max_retries` times before giving up.
+    /// Roll the failing **column block** back to its base state — `beta * C0`
+    /// and its checksums, as the beta pass left them — and recompute its
+    /// panels up to and including the failing one, at most `max_retries`
+    /// times per column block before giving up.
+    ///
+    /// The granularity is the column block, not the panel, so that nothing
+    /// is copied on the path that does not fail: at `beta == 0` the base
+    /// state is zero and is recomputed, so no memory is held; at `beta != 0`
+    /// the beta pass also writes the scaled block to an `m x NC` buffer
+    /// (plus `O(m + NC)` checksums), once per column block.
     ///
     /// Serial and batched drivers only. The matrix-parallel driver
-    /// (`ftgemm_parallel::par_ft_gemm_with_ws`) keeps no checkpoint and
+    /// (`ftgemm_parallel::par_ft_gemm_with_ws`) has no recovery point and
     /// behaves as [`ReportOnly`](Recovery::ReportOnly).
     RetryPanel {
-        /// Recompute attempts per panel before reporting failure.
+        /// Rollbacks per column block before reporting failure.
         max_retries: u32,
     },
 }
@@ -187,7 +200,7 @@ impl FusionConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FtReport {
     /// Verification passes executed (one per depth panel per column block,
-    /// including retried panels).
+    /// including panels recomputed after a rollback).
     pub verifications: usize,
     /// Checksum discrepancies flagged as real errors.
     pub detected: usize,
@@ -195,7 +208,8 @@ pub struct FtReport {
     pub corrected: usize,
     /// Errors injected by the attached injector (0 without one).
     pub injected: usize,
-    /// Panels rolled back and recomputed under [`Recovery::RetryPanel`].
+    /// Panels recomputed under [`Recovery::RetryPanel`]: a rollback in panel
+    /// `p` of its column block adds `p + 1`.
     pub retried_panels: usize,
 }
 

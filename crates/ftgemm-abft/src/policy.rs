@@ -21,25 +21,28 @@ use ftgemm_faults::FaultInjector;
 ///   depth panel; resolvable discrepancy patterns are corrected in place,
 ///   unresolvable ones fail the call ([`Recovery::ReportOnly`]).
 /// * [`DetectCorrect`](FtPolicy::DetectCorrect) — [`Detect`](FtPolicy::Detect)
-///   plus panel checkpointing: patterns correction cannot resolve trigger a
-///   bounded panel recompute ([`Recovery::RetryPanel`]) before the call is
-///   failed. The matrix-parallel driver has no checkpoint, so on
-///   `Exec::Parallel` plans and on `GemmService`'s large path this behaves
-///   as [`Detect`](FtPolicy::Detect).
+///   plus rollback: a pattern correction cannot resolve rolls its column
+///   block back to `beta * C0` and recomputes it, a bounded number of times
+///   ([`Recovery::RetryPanel`]), before the call is failed. On a clean run
+///   this costs nothing at `beta == 0` and one extra write of the scaled
+///   block per column block otherwise. The matrix-parallel driver has no
+///   recovery point, so on `Exec::Parallel` plans and on `GemmService`'s
+///   large path this behaves as [`Detect`](FtPolicy::Detect).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FtPolicy {
     /// No fault tolerance: the plain high-performance driver.
     Off,
     /// Verify + in-place correction; unresolvable patterns fail the call.
     Detect,
-    /// Verify + correction + panel-level recompute of unresolvable patterns
-    /// (the recompute on serial and batched execution only; matrix-parallel
-    /// execution fails the call as [`Detect`](FtPolicy::Detect) does).
+    /// Verify + correction + column-block rollback and recompute of
+    /// unresolvable patterns (the rollback on serial and batched execution
+    /// only; matrix-parallel execution fails the call as
+    /// [`Detect`](FtPolicy::Detect) does).
     #[default]
     DetectCorrect,
 }
 
-/// Recompute attempts per panel under [`FtPolicy::DetectCorrect`].
+/// Rollbacks per column block under [`FtPolicy::DetectCorrect`].
 const DETECT_CORRECT_RETRIES: u32 = 2;
 
 impl FtPolicy {

@@ -25,7 +25,7 @@
 //! [--sizes a,b,c] [--reps N] [--threads N] [--errors N] [--smoke]`
 
 use ftgemm_abft::{FtConfig, FusionConfig};
-use ftgemm_bench::runners::{parallel_suite, serial_suite, GemmRunner, RunnerKind};
+use ftgemm_bench::runners::{ft_config, parallel_suite, serial_suite, GemmRunner, RunnerKind};
 use ftgemm_bench::{measure, Args, Measurement, Table};
 use ftgemm_core::Matrix;
 use ftgemm_faults::FaultInjector;
@@ -175,19 +175,28 @@ fn main() {
     runners.extend(stages.iter().map(|&(label, fusion)| {
         let cfg = FtConfig {
             fusion,
-            ..Default::default()
+            ..ft_config()
         };
         (label, GemmRunner::ft_serial(cfg))
     }));
-    let injected = FtConfig::with_injector(injector.clone());
-    runners.push((INJECTED, GemmRunner::ft_serial(injected)));
+    let injected = |injector: &FaultInjector| FtConfig {
+        injector: Some(injector.clone()),
+        ..ft_config()
+    };
+    runners.push((INJECTED, GemmRunner::ft_serial(injected(&injector))));
     let serial = Sweep::run("serial", &args, args.serial_sizes(), runners, &injector);
 
     let injector = FaultInjector::counted(0xED, args.errors);
     let mut runners = labelled(parallel_suite(threads));
-    runners.push((UNFUSED, GemmRunner::par(threads, Some(FtConfig::unfused()))));
-    let injected = FtConfig::with_injector(injector.clone());
-    runners.push((INJECTED, GemmRunner::par(threads, Some(injected))));
+    let unfused = FtConfig {
+        fusion: FusionConfig::UNFUSED,
+        ..ft_config()
+    };
+    runners.push((UNFUSED, GemmRunner::par(threads, Some(unfused))));
+    runners.push((
+        INJECTED,
+        GemmRunner::par(threads, Some(injected(&injector))),
+    ));
     let parallel = Sweep::run("parallel", &args, args.parallel_sizes(), runners, &injector);
 
     let errors = args.errors;

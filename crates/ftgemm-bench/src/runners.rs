@@ -6,7 +6,7 @@
 //! partially fused, injected) through [`GemmRunner::ft_serial`] and
 //! [`GemmRunner::par`].
 
-use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext};
+use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext, FtPolicy};
 use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm_core::{gemm, GemmContext, MatMut, MatRef};
 use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
@@ -107,6 +107,14 @@ impl GemmRunner {
     }
 }
 
+/// The configuration every "FT" curve starts from: the default policy
+/// (`DetectCorrect`), which is what default users and the repo benchmark
+/// run — not `FtConfig::default()`, whose `ReportOnly` keeps no rollback
+/// state and would leave that cost out of the figures.
+pub fn ft_config() -> FtConfig {
+    FtPolicy::default().into()
+}
+
 /// The five serial curves of Fig. 2(a), clean.
 pub fn serial_suite() -> Vec<GemmRunner> {
     vec![
@@ -114,7 +122,7 @@ pub fn serial_suite() -> Vec<GemmRunner> {
         GemmRunner::RefSerial(RunnerKind::OpenBlas, ReferenceGemm::openblas()),
         GemmRunner::RefSerial(RunnerKind::Blis, ReferenceGemm::blis()),
         GemmRunner::OriSerial(GemmContext::new()),
-        GemmRunner::ft_serial(FtConfig::default()),
+        GemmRunner::ft_serial(ft_config()),
     ]
 }
 
@@ -127,7 +135,7 @@ pub fn parallel_suite(threads: usize) -> Vec<GemmRunner> {
         ref_par(RunnerKind::OpenBlas, Tier::OpenBlas),
         ref_par(RunnerKind::Blis, Tier::Blis),
         GemmRunner::par(threads, None),
-        GemmRunner::par(threads, Some(FtConfig::default())),
+        GemmRunner::par(threads, Some(ft_config())),
     ]
 }
 

@@ -92,8 +92,8 @@ pub fn run_parallel<T: Scalar>(
 /// alias one workspace from safe code.
 ///
 /// # `FtConfig` fields this driver ignores
-/// `cfg.recovery` is never read: there is no checkpoint and no panel
-/// retry, so a pattern the corrector cannot resolve is fail-stop
+/// `cfg.recovery` is never read: there is no recovery point and no
+/// rollback, so a pattern the corrector cannot resolve is fail-stop
 /// ([`FtError::Unrecoverable`]) under
 /// [`Recovery::RetryPanel`](ftgemm_abft::Recovery::RetryPanel) too.
 /// `cfg.fusion.fuse_kernel_refs` is never read either: reference sums are
@@ -217,6 +217,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                             beta,
                             enc_row_slice,
                             &mut lane[..nc_eff],
+                            None,
                         );
                     } else {
                         checksum::scale_then_encode_c(
@@ -224,6 +225,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                             beta,
                             enc_row_slice,
                             &mut lane[..nc_eff],
+                            None,
                         );
                     }
                 }

@@ -67,10 +67,12 @@ impl<T: Scalar> std::fmt::Debug for Backend<T> {
 /// A validated, preallocated GEMM ready to execute many times.
 ///
 /// Built by [`GemmOp::plan`]. The plan owns everything the hot path needs —
-/// blocking parameters, packing scratch, checksum work vectors, checkpoint
-/// buffers, and (for parallel plans) the shared reduction workspace and the
-/// `Arc` of the thread pool — so repeated [`run`](GemmPlan::run) calls
-/// perform **zero heap allocation** (pinned by `tests/plan_alloc.rs`).
+/// blocking parameters, packing scratch, checksum work vectors, the
+/// `m x NC` rollback snapshot a serial `DetectCorrect` plan keeps when
+/// `beta != 0` (none at `beta == 0`), and (for parallel plans) the shared
+/// reduction workspace and the `Arc` of the thread pool — so repeated
+/// [`run`](GemmPlan::run) calls perform **zero heap allocation** (pinned by
+/// `tests/plan_alloc.rs`).
 ///
 /// The plan borrows the op's operands; [`run_with`](GemmPlan::run_with)
 /// substitutes different same-shaped operands without replanning.
@@ -95,7 +97,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
         let cfg = op.resolve_config();
 
         let backend = match exec {
-            Exec::Serial => Self::serial_backend(&cfg, m, n, k)?,
+            Exec::Serial => Self::serial_backend(&cfg, m, n, k, op.beta)?,
             Exec::Parallel(ctx) => Self::parallel_backend(ctx.clone(), &cfg, m, n, k)?,
             Exec::Auto | Exec::AutoAt(_) => {
                 let cutoff = match exec {
@@ -103,7 +105,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
                     _ => DEFAULT_SMALL_FLOPS_CUTOFF,
                 };
                 if op.flops() <= cutoff {
-                    Self::serial_backend(&cfg, m, n, k)?
+                    Self::serial_backend(&cfg, m, n, k, op.beta)?
                 } else {
                     Self::parallel_backend(auto_parallel_ctx::<T>(), &cfg, m, n, k)?
                 }
@@ -128,9 +130,10 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
         m: usize,
         n: usize,
         k: usize,
+        beta: T,
     ) -> FtResult<Backend<T>> {
         let mut ctx = FtGemmContext::<T>::new();
-        ctx.reserve(cfg.as_ref(), m, n, k)?;
+        ctx.reserve(cfg.as_ref(), m, n, k, beta)?;
         Ok(Backend::Serial(Box::new(ctx)))
     }
 

@@ -267,8 +267,8 @@ fn retry_panel_recovers_colliding_patterns() {
     use ftgemm::abft::Recovery;
     // Hunt for a seed whose error pattern is unrecoverable by checksum
     // correction alone (a cycle across shared rows and columns within one
-    // verification interval), then show the checkpoint-retry policy
-    // recomputes the panel and completes correctly. Count-rate schedules
+    // verification interval), then show the rollback policy recomputes
+    // the column block and completes correctly. Count-rate schedules
     // exhaust after the first pass, so the retried panel runs clean.
     let (m, n, k) = (96, 96, 48);
     let (a, b, truth) = clean_reference(m, n, k);
@@ -304,7 +304,7 @@ fn retry_panel_recovers_colliding_patterns() {
         }
     }
     for &seed in &failing_seeds {
-        // Same fault pattern, but with panel checkpoint-retry. Retried
+        // Same fault pattern, but with column-block rollback. Retried
         // panels poll fresh sites (PerSite keeps injecting), so allow
         // several attempts; with probability ~0.8^sites per attempt the
         // panel eventually passes or we accept a final Err as "flagged".
@@ -348,6 +348,95 @@ fn retry_panel_recovers_colliding_patterns() {
         failing_seeds.is_empty() || recovered > 0,
         "retry never succeeded across failing seeds {failing_seeds:?}"
     );
+}
+
+#[test]
+fn rollback_recomputes_the_column_block_bit_identically() {
+    use ftgemm::abft::{FtError, Recovery};
+    // One column block, four KC panels, three injection sites per panel.
+    let p = small_block_ctx().core.params;
+    let (m, n, k) = (p.mc * 3, p.nc, p.kc * 4);
+    let a = Matrix::<f64>::random(m, k, 42);
+    let b = Matrix::<f64>::random(k, n, 43);
+    let c0 = Matrix::<f64>::random(m, n, 44);
+    let run = |cfg: &FtConfig, beta: f64| {
+        let mut c = c0.clone();
+        let res = ft_gemm_with_ctx(
+            &mut small_block_ctx(),
+            cfg,
+            1.0,
+            &a.as_ref(),
+            &b.as_ref(),
+            beta,
+            &mut c.as_mut(),
+        );
+        (c, res)
+    };
+    // `Additive` draws a distinct offset per event, so two finite errors in
+    // one panel are told apart and repaired; an overflowed element is what
+    // subtraction cannot repair (`inf - inf`), whatever else the panel holds.
+    let overflow = |seed, recovery| FtConfig {
+        injector: Some(FaultInjector::new(
+            seed,
+            ErrorModel::Additive {
+                magnitude: f64::INFINITY,
+            },
+            Rate::Count(2),
+        )),
+        recovery,
+        ..Default::default()
+    };
+
+    // Hunt a seed whose two errors land in one panel of index >= 1: fail-stop
+    // there under ReportOnly, and a single rollback completes the call (a
+    // second error in a later panel would need a second one).
+    let (seed, failing_panel) = (0..200u64)
+        .find_map(|seed| {
+            let Err(FtError::Unrecoverable { pc, .. }) =
+                run(&overflow(seed, Recovery::ReportOnly), 0.0).1
+            else {
+                return None;
+            };
+            let once = run(
+                &overflow(seed, Recovery::RetryPanel { max_retries: 1 }),
+                0.0,
+            )
+            .1;
+            (pc >= p.kc && once.is_ok_and(|rep| rep.injected == 2)).then_some((seed, pc / p.kc))
+        })
+        .expect("no seed in 0..200 puts both errors in one later panel");
+
+    let retry = Recovery::RetryPanel { max_retries: 2 };
+    for beta in [0.0, 1.0, -0.5] {
+        let clean_cfg = FtConfig {
+            recovery: retry,
+            ..Default::default()
+        };
+        let (c_clean, clean) = run(&clean_cfg, beta);
+        let clean = clean.unwrap();
+        assert_eq!((clean.verifications, clean.retried_panels), (4, 0));
+
+        let (c, rep) = run(&overflow(seed, retry), beta);
+        let rep = rep.unwrap_or_else(|e| panic!("beta {beta}: {e}"));
+        assert_eq!(
+            c.as_slice(),
+            c_clean.as_slice(),
+            "beta {beta}: recovered C differs from a clean run"
+        );
+        assert_eq!(rep.injected, 2, "beta {beta}");
+        assert_eq!(rep.retried_panels, failing_panel + 1, "beta {beta}");
+        assert_eq!(
+            rep.verifications,
+            clean.verifications + failing_panel + 1,
+            "beta {beta}"
+        );
+        // The same pattern without a rollback budget stops where it failed.
+        let (_, stopped) = run(&overflow(seed, Recovery::ReportOnly), beta);
+        assert!(
+            matches!(stopped, Err(FtError::Unrecoverable { jc: 0, pc, .. }) if pc == failing_panel * p.kc),
+            "beta {beta}: {stopped:?}"
+        );
+    }
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //!
 //! The counter is per thread: the test harness runs sibling tests on other
 //! threads of this process, and their allocations are not the measured
-//! plan's.
+//! plan's. It also sums requested bytes, which pins what a `DetectCorrect`
+//! plan holds for rollback: nothing at `beta == 0`.
 
 use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,23 +17,25 @@ use std::cell::Cell;
 struct CountingAlloc;
 
 thread_local! {
-    /// Allocations made by *this* thread. `const`-initialised and without
-    /// a destructor, so touching it from inside the allocator never
-    /// allocates or registers anything itself.
+    /// Allocations made by *this* thread, and the bytes they asked for.
+    /// `const`-initialised and without a destructor, so touching them from
+    /// inside the allocator never allocates or registers anything itself.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: a thread being torn down may allocate after its
     // thread-locals are gone; those allocations are nobody's measurement.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
 // plain thread-local cell with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded contract.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,32 +60,75 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Bytes requested so far by the calling thread.
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 #[test]
 fn serial_protected_plan_runs_allocation_free() {
     let a = Matrix::<f64>::random(96, 72, 1);
     let b = Matrix::<f64>::random(72, 80, 2);
     let mut c = Matrix::<f64>::zeros(96, 80);
 
-    let mut plan = GemmOp::new(&a, &b)
-        .ft(FtPolicy::DetectCorrect)
-        .plan(Exec::Serial)
-        .unwrap();
+    // beta == 0 holds no rollback state; beta != 0 holds the column block's
+    // base snapshot, which the plan must have reserved up front.
+    for beta in [0.0, 0.5] {
+        let mut plan = GemmOp::new(&a, &b)
+            .beta(beta)
+            .ft(FtPolicy::DetectCorrect)
+            .plan(Exec::Serial)
+            .unwrap();
 
-    // Warm-up run (first call may still touch lazily initialized globals,
-    // e.g. CPU feature detection).
-    plan.run(&mut c.as_mut()).unwrap();
+        // Warm-up run (first call may still touch lazily initialized
+        // globals, e.g. CPU feature detection).
+        plan.run(&mut c.as_mut()).unwrap();
 
-    let before = allocations();
-    for _ in 0..5 {
-        let report = plan.run(&mut c.as_mut()).unwrap();
-        assert_eq!(report.detected, 0);
+        let before = allocations();
+        for _ in 0..5 {
+            let report = plan.run(&mut c.as_mut()).unwrap();
+            assert_eq!(report.detected, 0);
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "serial protected plan.run (beta {beta}) allocated {} times",
+            after - before
+        );
     }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "serial protected plan.run allocated {} times",
-        after - before
+}
+
+#[test]
+fn detect_correct_at_beta_zero_holds_no_more_than_detect() {
+    let (m, n, k) = (96, 80, 72);
+    let a = Matrix::<f64>::random(m, k, 1);
+    let b = Matrix::<f64>::random(k, n, 2);
+    // Bytes requested to build a serial plan and run it once.
+    let plan_bytes = |policy, beta| {
+        let mut c = Matrix::<f64>::zeros(m, n);
+        let before = bytes_allocated();
+        let mut plan = GemmOp::new(&a, &b)
+            .beta(beta)
+            .ft(policy)
+            .plan(Exec::Serial)
+            .unwrap();
+        plan.run(&mut c.as_mut()).unwrap();
+        bytes_allocated() - before
+    };
+    plan_bytes(FtPolicy::Detect, 0.0); // lazily initialized globals
+    let detect = plan_bytes(FtPolicy::Detect, 0.0);
+    let dc_zero = plan_bytes(FtPolicy::DetectCorrect, 0.0);
+    let dc_scaled = plan_bytes(FtPolicy::DetectCorrect, 0.5);
+    assert!(
+        dc_zero <= detect,
+        "DetectCorrect at beta == 0 requested {dc_zero} bytes, Detect {detect}"
+    );
+    // The counter does see the m x NC base snapshot where one is kept.
+    let snapshot = (m * n * std::mem::size_of::<f64>()) as u64;
+    assert!(
+        dc_scaled >= detect + snapshot,
+        "DetectCorrect at beta != 0 requested {dc_scaled} bytes, Detect {detect}"
     );
 }
 

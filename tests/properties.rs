@@ -219,8 +219,8 @@ proptest! {
         let mut c2 = base.clone();
         let (mut er1, mut ec1) = (vec![0.0; m], vec![0.0; n]);
         let (mut er2, mut ec2) = (vec![0.0; m], vec![0.0; n]);
-        checksum::scale_encode_c(&mut c1.as_mut(), beta, &mut er1, &mut ec1);
-        checksum::scale_then_encode_c(&mut c2.as_mut(), beta, &mut er2, &mut ec2);
+        checksum::scale_encode_c(&mut c1.as_mut(), beta, &mut er1, &mut ec1, None);
+        checksum::scale_then_encode_c(&mut c2.as_mut(), beta, &mut er2, &mut ec2, None);
         prop_assert_eq!(c1.as_slice(), c2.as_slice());
         for i in 0..m { prop_assert!((er1[i] - er2[i]).abs() < 1e-10); }
         for j in 0..n { prop_assert!((ec1[j] - ec2[j]).abs() < 1e-10); }

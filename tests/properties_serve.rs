@@ -6,12 +6,13 @@
 use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::Matrix;
+use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 use ftgemm::parallel::{
     par_batch_ft_gemm_timed, par_ft_gemm_with_ws, par_gemm_with_ws, BatchItem, BatchWorkspace,
     ParFtWorkspace, ParGemmContext,
 };
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
-use ftgemm::Topology;
+use ftgemm::{Exec, GemmBatch, GemmOp, Topology};
 use proptest::prelude::*;
 
 proptest! {
@@ -176,4 +177,72 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
     let snap = service.shutdown();
     assert_eq!(snap.direct_large, 8);
     assert_eq!(snap.failed, 0);
+}
+
+/// A rollback is the serial driver's own business, so every serial path
+/// shows the same one: a pattern correction cannot repair, through a serial
+/// plan, a `GemmBatch` item and the service's small path, gives the
+/// bit-identical `C` and the same `FtReport` (fresh contexts everywhere, so
+/// all three open the injector's first stream).
+#[test]
+fn rollback_is_identical_across_serial_paths() {
+    // At least three KC panels under any derived blocking (kc <= 512), and
+    // few enough flops for the service's batched route.
+    let (m, n, k) = (24, 20, 1100);
+    let (alpha, beta) = (1.0, 0.5);
+    let a = Matrix::<f64>::random(m, k, 7);
+    let b = Matrix::<f64>::random(k, n, 8);
+    let c0 = Matrix::<f64>::random(m, n, 9);
+    // An overflowed element: subtraction cannot repair it, rollback can.
+    let overflow = || {
+        let model = ErrorModel::Additive {
+            magnitude: f64::INFINITY,
+        };
+        FaultInjector::new(13, model, Rate::Count(2))
+    };
+
+    let mut c_plan = c0.clone();
+    let planned = GemmOp::new(&a, &b)
+        .beta(beta)
+        .ft(FtPolicy::DetectCorrect)
+        .injector(overflow())
+        .plan(Exec::Serial)
+        .unwrap()
+        .run(&mut c_plan.as_mut())
+        .unwrap();
+    assert!(
+        planned.injected > 0 && planned.retried_panels > 0,
+        "{planned:?}"
+    );
+
+    let ctx = ParGemmContext::<f64>::with_threads(2);
+    let cfg = FtPolicy::DetectCorrect.to_config(Some(overflow()));
+    let mut c_batch = c0.clone();
+    let mut items = [BatchItem {
+        alpha,
+        a: a.as_ref(),
+        b: b.as_ref(),
+        beta,
+        c: c_batch.as_mut(),
+        cfg: cfg.as_ref(),
+    }];
+    let batched = GemmBatch::new(&ctx).run(&mut items).remove(0).unwrap();
+    assert_eq!(batched, planned);
+    assert_eq!(c_batch.as_slice(), c_plan.as_slice());
+
+    let service = GemmService::<f64>::new(ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let resp = service
+        .run(
+            GemmRequest::new(a.clone(), b.clone())
+                .with_c(beta, c0.clone())
+                .with_policy(FtPolicy::DetectCorrect)
+                .with_injector(overflow()),
+        )
+        .unwrap();
+    assert!(resp.batched, "left the small path");
+    assert_eq!(resp.report, planned);
+    assert_eq!(resp.c.as_slice(), c_plan.as_slice());
 }
