@@ -1,7 +1,8 @@
 //! Serial fault-tolerant GEMM: the paper's FT-DGEMM (§2.2), type-generic.
 //!
 //! Loop structure is identical to the plain driver (`ftgemm_core::gemm`)
-//! with the ABFT operations threaded through the existing passes:
+//! with the ABFT operations — the functions of [`crate::panel`], shared with
+//! the matrix-parallel driver — threaded through the existing passes:
 //!
 //! ```text
 //! ar = alpha * e^T A                          (one-time encode of A)
@@ -23,9 +24,7 @@
 //! `snap_c` as it goes. A pattern the corrector cannot resolve restores the
 //! base and re-runs the block's panels from `pc = 0` through the same loop.
 
-use crate::checksum;
-use crate::corrector::{self, CorrectionOutcome};
-use crate::{FtConfig, FtError, FtReport, FtResult};
+use crate::{checksum, panel, FtConfig, FtError, FtReport, FtResult, Recovery};
 use ftgemm_core::gemm::validate_shapes;
 use ftgemm_core::pack;
 use ftgemm_core::{macro_kernel::macro_kernel, GemmContext, MatMut, MatRef, Scalar};
@@ -51,8 +50,6 @@ pub struct FtGemmContext<T: Scalar> {
     snap_enc_col: Vec<T>,
     call_counter: u64,
 }
-
-use crate::Recovery;
 
 impl<T: Scalar> FtGemmContext<T> {
     /// Context with auto-detected kernel and blocking parameters.
@@ -230,22 +227,15 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
                 enc_col.copy_from_slice(&ctx.snap_enc_col[..nc_eff]);
             } else {
                 let base = keep_base.then(|| &mut ctx.snap_c[..m * nc_eff]);
-                if fusion.fuse_c_scale {
-                    checksum::scale_encode_c(&mut c_block, beta, enc_row, enc_col, base);
-                } else {
-                    checksum::scale_then_encode_c(&mut c_block, beta, enc_row, enc_col, base);
-                }
+                panel::encode_base(fusion, &mut c_block, beta, enc_row, enc_col, base);
                 if keep_base {
                     ctx.snap_enc_row[..m].copy_from_slice(enc_row);
                     ctx.snap_enc_col[..nc_eff].copy_from_slice(enc_col);
                 }
             }
 
-            // Correcting an error of magnitude d leaves an O(eps*d) roundoff
-            // residual at the repaired element; later verifications of this
-            // column block must treat that residual as noise, so the
-            // threshold scale grows with the largest correction applied so
-            // far (and starts over with the block after a rollback).
+            // `panel::verify`'s memory of the largest correction applied to
+            // this block; starts over with the block after a rollback.
             let mut correction_scale = T::ZERO;
 
             let mut pc = 0;
@@ -256,20 +246,8 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
                 bc.fill(T::ZERO);
 
                 let b_block = b.submatrix(pc, jc, kc_eff, nc_eff);
-                if fusion.fuse_b_pack {
-                    pack::pack_b_fused(
-                        &b_block,
-                        p.nr,
-                        b_buf,
-                        &ctx.ar[pc..pc + kc_eff],
-                        bc,
-                        enc_col,
-                    );
-                } else {
-                    pack::pack_b(&b_block, p.nr, b_buf);
-                    checksum::encode_bc(&b_block, bc);
-                    checksum::accumulate_enc_col(&b_block, &ctx.ar[pc..pc + kc_eff], enc_col);
-                }
+                let ar = &ctx.ar[pc..pc + kc_eff];
+                panel::pack_b(fusion, &b_block, p.nr, b_buf, ar, bc, enc_col);
 
                 // Reference checksums cover the whole column block per panel.
                 if fusion.fuse_kernel_refs {
@@ -281,24 +259,8 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
                 while ic < m {
                     let mc_eff = p.mc.min(m - ic);
                     let a_block = a.submatrix(ic, pc, mc_eff, kc_eff);
-                    if fusion.fuse_a_pack {
-                        pack::pack_a_fused(
-                            &a_block,
-                            alpha,
-                            p.mr,
-                            a_buf,
-                            bc,
-                            &mut enc_row[ic..ic + mc_eff],
-                        );
-                    } else {
-                        pack::pack_a(&a_block, alpha, p.mr, a_buf);
-                        checksum::accumulate_enc_row(
-                            &a_block,
-                            alpha,
-                            bc,
-                            &mut enc_row[ic..ic + mc_eff],
-                        );
-                    }
+                    let enc_rows = &mut enc_row[ic..ic + mc_eff];
+                    panel::pack_a(fusion, &a_block, alpha, p.mr, a_buf, bc, enc_rows);
 
                     let mut c_block = c.submatrix_mut(ic, jc, mc_eff, nc_eff);
                     let sums = if fusion.fuse_kernel_refs {
@@ -308,84 +270,44 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
                     };
                     macro_kernel(&kernel, kc_eff, a_buf, b_buf, &mut c_block, sums);
 
-                    // Source-level fault injection (paper §3.2): corrupt one
-                    // freshly computed element, exactly as a faulty FMA would —
-                    // the in-register reference checksums see the corrupted
-                    // value, the encoded checksums do not.
-                    if let Some(stream) = stream.as_mut() {
-                        if let Some(event) = stream.poll() {
-                            report.injected += 1;
-                            let lane = event.lane;
-                            let i_loc = (lane % mc_eff as u64) as usize;
-                            let j_loc = ((lane / mc_eff as u64) % nc_eff as u64) as usize;
-                            let old = c_block.get(i_loc, j_loc);
-                            let new = T::from_f64(event.apply_f64(old.to_f64()));
-                            c_block.set(i_loc, j_loc, new);
-                            if fusion.fuse_kernel_refs {
-                                let delta = new - old;
-                                ref_col[j_loc] += delta;
-                                ref_row[ic + i_loc] += delta;
-                            }
-                            // (unfused refs re-read C below and see it anyway)
+                    // An injected error reaches the in-register reference
+                    // sums as the faulty FMA's value would have; unfused refs
+                    // re-read C below and see it anyway.
+                    if let Some(event) = stream.as_mut().and_then(SiteStream::poll) {
+                        report.injected += 1;
+                        let (i, j, delta) = panel::inject(&event, &mut c_block);
+                        if fusion.fuse_kernel_refs {
+                            ref_col[j] += delta;
+                            ref_row[ic + i] += delta;
                         }
                     }
                     ic += p.mc;
                 }
 
+                let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
                 if !fusion.fuse_kernel_refs {
                     // Traditional ABFT: a separate O(m*nc) read-back pass.
-                    let c_block = c.submatrix_mut(0, jc, m, nc_eff);
                     checksum::encode_c(&c_block.as_ref(), ref_row, ref_col);
                 }
-
-                // "p-loop: verify" — compare encoded vs reference checksums and
-                // repair (paper Fig. 1, red operations).
-                report.verifications += 1;
-                let k_done = pc + kc_eff;
-                // Scale from the *encoded* checksums only: they are computed
-                // from clean inputs, so a huge corrupted reference value cannot
-                // inflate the threshold and mask smaller concurrent errors.
-                let scale = max_abs2(enc_row, enc_col).max(correction_scale);
-                let th_row = cfg.tolerance.threshold::<T>(k_done, nc_eff, scale);
-                let th_col = cfg.tolerance.threshold::<T>(k_done, m, scale);
-                let row_diffs = corrector::find_discrepancies(enc_row, ref_row, th_row);
-                let col_diffs = corrector::find_discrepancies(enc_col, ref_col, th_col);
-                if !row_diffs.is_empty() || !col_diffs.is_empty() {
-                    correction_scale = row_diffs
-                        .iter()
-                        .chain(col_diffs.iter())
-                        .fold(correction_scale, |acc, d| acc.max(d.delta.abs()));
-                    let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                    let th = th_row.max(th_col);
-                    match corrector::correct_block(&mut c_block, &row_diffs, &col_diffs, th) {
-                        CorrectionOutcome::Clean => {}
-                        CorrectionOutcome::Corrected { count } => {
-                            report.detected += count;
-                            report.corrected += count;
-                            if let Some(inj) = cfg.injector.as_ref() {
-                                for _ in 0..count {
-                                    inj.stats().record_detected();
-                                    inj.stats().record_corrected();
-                                }
-                            }
-                        }
-                        CorrectionOutcome::Unrecoverable { detail } => {
-                            if let Some(inj) = cfg.injector.as_ref() {
-                                inj.stats().record_unrecoverable();
-                            }
-                            if rollbacks < max_rollbacks {
-                                // Back to the base state; every panel up to
-                                // and including this one is recomputed (the
-                                // inputs A and B are untouched by
-                                // construction).
-                                rollbacks += 1;
-                                report.retried_panels += pc / p.kc + 1;
-                                continue 'block;
-                            }
-                            report.publish_global();
-                            return Err(FtError::Unrecoverable { jc, pc, detail });
-                        }
+                if let Err(detail) = panel::verify(
+                    cfg,
+                    pc + kc_eff,
+                    (enc_row, ref_row),
+                    (enc_col, ref_col),
+                    &mut c_block,
+                    &mut correction_scale,
+                    &mut report,
+                ) {
+                    if rollbacks < max_rollbacks {
+                        // Back to the base state; every panel up to and
+                        // including this one is recomputed (the inputs A and
+                        // B are untouched by construction).
+                        rollbacks += 1;
+                        report.retried_panels += pc / p.kc + 1;
+                        continue 'block;
                     }
+                    report.publish_global();
+                    return Err(FtError::Unrecoverable { jc, pc, detail });
                 }
                 pc += p.kc;
             }
@@ -403,11 +325,6 @@ fn grow<T: Scalar>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
         v.resize(len, T::ZERO);
     }
-}
-
-fn max_abs2<T: Scalar>(a: &[T], b: &[T]) -> T {
-    let fold = |s: &[T]| s.iter().fold(T::ZERO, |acc, &x| acc.max(x.abs()));
-    fold(a).max(fold(b))
 }
 
 #[cfg(test)]

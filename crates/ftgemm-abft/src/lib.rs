@@ -40,6 +40,14 @@
 //! `overhead_table` and `ablation_fusion` views of `ftgemm-bench`'s `paper`
 //! binary; see "How this follows the paper" in `docs/ARCHITECTURE.md`).
 //!
+//! ## One ABFT step
+//!
+//! The operations above — base encode, the two fused packs, the injection
+//! site of §3.2 and the per-panel verify-and-correct — are the functions of
+//! [`panel`], written once and called by both fault-tolerant drivers (the
+//! serial one here, the matrix-parallel one in `ftgemm-parallel`), so a
+//! verdict is the same arithmetic on every execution path.
+//!
 //! ## The ambiguity fail-stop contract
 //!
 //! Row+column checksums carry enough information to locate and repair most
@@ -78,6 +86,7 @@
 pub mod checksum;
 pub mod corrector;
 pub mod ft_gemm;
+pub mod panel;
 pub mod policy;
 pub mod tolerance;
 
@@ -214,8 +223,7 @@ pub struct FtReport {
 }
 
 impl FtReport {
-    /// Accumulates another report's counters into this one (used by the
-    /// parallel driver to merge per-thread reports).
+    /// Accumulates another report's counters into this one.
     pub fn absorb(&mut self, other: FtReport) {
         self.verifications += other.verifications;
         self.detected += other.detected;

@@ -20,9 +20,12 @@
 //! Also provided:
 //! * [`NaiveGemm`] — the triple-loop oracle (sanity floor);
 //! * [`BlockedGemm`] — cache-blocked but unpacked/unvectorized (shows why
-//!   packing matters);
-//! * [`unfused_ft_gemm`] — "traditional" ABFT with separate O(n^2) checksum
-//!   passes (the ~15%-overhead baseline of §2.2).
+//!   packing matters).
+//!
+//! The "traditional" unfused-ABFT baseline of §2.2 is not a separate
+//! implementation: it is the FT driver under `FusionConfig::UNFUSED`
+//! (`ftgemm_abft::FtConfig::unfused()`), which is what `ftgemm-bench`'s
+//! `paper` sweep runs.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -30,9 +33,7 @@
 mod blocked;
 mod naive;
 mod tiers;
-mod unfused;
 
 pub use blocked::BlockedGemm;
 pub use naive::NaiveGemm;
 pub use tiers::{ReferenceGemm, ReferenceParGemm, Tier};
-pub use unfused::{unfused_ft_gemm, unfused_par_ft_gemm};

@@ -434,229 +434,3 @@ mod tests {
         }
     }
 }
-
-/// Transposition operator for a GEMM operand (BLAS `TRANSA`/`TRANSB`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Use the operand as stored.
-    NoTrans,
-    /// Use the transpose of the stored operand.
-    Trans,
-}
-
-/// Serial GEMM with transposition operators:
-/// `C = alpha * op_a(A) * op_b(B) + beta * C`.
-///
-/// `a` is the *stored* matrix: `m x k` under `NoTrans`, `k x m` under
-/// `Trans` (and correspondingly for `b`). Transposed operands are handled
-/// inside the packing routines (contiguous reads, strided writes) — no
-/// operand copies are materialized.
-pub fn gemm_op<T: Scalar>(
-    ctx: &mut GemmContext<T>,
-    op_a: Op,
-    op_b: Op,
-    alpha: T,
-    a: &MatRef<'_, T>,
-    b: &MatRef<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-) -> Result<()> {
-    // Logical dimensions after applying the ops.
-    let (m, ka) = match op_a {
-        Op::NoTrans => (a.nrows(), a.ncols()),
-        Op::Trans => (a.ncols(), a.nrows()),
-    };
-    let (kb, n) = match op_b {
-        Op::NoTrans => (b.nrows(), b.ncols()),
-        Op::Trans => (b.ncols(), b.nrows()),
-    };
-    if ka != kb {
-        return Err(CoreError::ShapeMismatch {
-            context: format!("op(A) is {m}x{ka} but op(B) is {kb}x{n}"),
-        });
-    }
-    if c.nrows() != m || c.ncols() != n {
-        return Err(CoreError::ShapeMismatch {
-            context: format!(
-                "C is {}x{} but op(A)*op(B) is {m}x{n}",
-                c.nrows(),
-                c.ncols()
-            ),
-        });
-    }
-    let k = ka;
-    scale_c(c, beta);
-    if m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
-        return Ok(());
-    }
-
-    let p = ctx.params;
-    p.validate()?;
-    let kernel = ctx.kernel;
-    let (a_buf, b_buf) = ctx.pack_buffers(p.packed_a_len(), p.packed_b_len())?;
-
-    let mut jc = 0;
-    while jc < n {
-        let nc_eff = p.nc.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc_eff = p.kc.min(k - pc);
-            match op_b {
-                Op::NoTrans => {
-                    let blk = b.submatrix(pc, jc, kc_eff, nc_eff);
-                    crate::pack::pack_b(&blk, p.nr, b_buf);
-                }
-                Op::Trans => {
-                    // Stored b is n x k; logical B(pc.., jc..) = b(jc.., pc..)^T.
-                    let blk = b.submatrix(jc, pc, nc_eff, kc_eff);
-                    crate::pack::pack_b_trans(&blk, p.nr, b_buf);
-                }
-            }
-
-            let mut ic = 0;
-            while ic < m {
-                let mc_eff = p.mc.min(m - ic);
-                match op_a {
-                    Op::NoTrans => {
-                        let blk = a.submatrix(ic, pc, mc_eff, kc_eff);
-                        crate::pack::pack_a(&blk, alpha, p.mr, a_buf);
-                    }
-                    Op::Trans => {
-                        // Stored a is k x m; logical A(ic.., pc..) = a(pc.., ic..)^T.
-                        let blk = a.submatrix(pc, ic, kc_eff, mc_eff);
-                        crate::pack::pack_a_trans(&blk, alpha, p.mr, a_buf);
-                    }
-                }
-                let mut c_block = c.submatrix_mut(ic, jc, mc_eff, nc_eff);
-                crate::macro_kernel::macro_kernel(
-                    &kernel,
-                    kc_eff,
-                    a_buf,
-                    b_buf,
-                    &mut c_block,
-                    None,
-                );
-                ic += p.mc;
-            }
-            pc += p.kc;
-        }
-        jc += p.nc;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod op_tests {
-    use super::*;
-    use crate::matrix::Matrix;
-    use crate::reference::naive_gemm;
-
-    fn check_ops(op_a: Op, op_b: Op, m: usize, n: usize, k: usize) {
-        let a_logical = Matrix::<f64>::random(m, k, 61);
-        let b_logical = Matrix::<f64>::random(k, n, 62);
-        let a_stored = match op_a {
-            Op::NoTrans => a_logical.clone(),
-            Op::Trans => a_logical.transpose(),
-        };
-        let b_stored = match op_b {
-            Op::NoTrans => b_logical.clone(),
-            Op::Trans => b_logical.transpose(),
-        };
-        let mut c = Matrix::<f64>::random(m, n, 63);
-        let mut c_ref = c.clone();
-
-        let mut ctx = GemmContext::<f64>::new();
-        gemm_op(
-            &mut ctx,
-            op_a,
-            op_b,
-            1.5,
-            &a_stored.as_ref(),
-            &b_stored.as_ref(),
-            -0.5,
-            &mut c.as_mut(),
-        )
-        .unwrap();
-        naive_gemm(
-            1.5,
-            &a_logical.as_ref(),
-            &b_logical.as_ref(),
-            -0.5,
-            &mut c_ref.as_mut(),
-        );
-        assert!(
-            c.rel_max_diff(&c_ref) < 1e-10,
-            "{op_a:?}/{op_b:?} {m}x{n}x{k}: {}",
-            c.rel_max_diff(&c_ref)
-        );
-    }
-
-    #[test]
-    fn all_op_combinations() {
-        for &(m, n, k) in &[(17usize, 19usize, 23usize), (64, 64, 64), (90, 45, 130)] {
-            check_ops(Op::NoTrans, Op::NoTrans, m, n, k);
-            check_ops(Op::Trans, Op::NoTrans, m, n, k);
-            check_ops(Op::NoTrans, Op::Trans, m, n, k);
-            check_ops(Op::Trans, Op::Trans, m, n, k);
-        }
-    }
-
-    #[test]
-    fn op_shape_validation() {
-        let a = Matrix::<f64>::zeros(4, 3); // stored k x m for Trans: logical 3x4
-        let b = Matrix::<f64>::zeros(4, 5);
-        let mut c = Matrix::<f64>::zeros(3, 5);
-        let mut ctx = GemmContext::<f64>::new();
-        // op(A) = 3x4, op(B) = 4x5 -> ok
-        gemm_op(
-            &mut ctx,
-            Op::Trans,
-            Op::NoTrans,
-            1.0,
-            &a.as_ref(),
-            &b.as_ref(),
-            0.0,
-            &mut c.as_mut(),
-        )
-        .unwrap();
-        // wrong C shape
-        let mut c_bad = Matrix::<f64>::zeros(4, 5);
-        assert!(gemm_op(
-            &mut ctx,
-            Op::Trans,
-            Op::NoTrans,
-            1.0,
-            &a.as_ref(),
-            &b.as_ref(),
-            0.0,
-            &mut c_bad.as_mut()
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn trans_trans_tiny() {
-        // (A^T B^T)^T = B A: check a 2x2 by hand.
-        let a_stored = Matrix::from_col_major(2, 2, &[1.0, 2.0, 3.0, 4.0]).unwrap(); // A^T stored
-        let b_stored = Matrix::from_col_major(2, 2, &[5.0, 6.0, 7.0, 8.0]).unwrap();
-        let mut c = Matrix::<f64>::zeros(2, 2);
-        let mut ctx = GemmContext::<f64>::new();
-        gemm_op(
-            &mut ctx,
-            Op::Trans,
-            Op::Trans,
-            1.0,
-            &a_stored.as_ref(),
-            &b_stored.as_ref(),
-            0.0,
-            &mut c.as_mut(),
-        )
-        .unwrap();
-        // logical A = stored^T = [1 2; 3 4], logical B = [5 6; 7 8]
-        // C = A*B = [19 22; 43 50]
-        assert_eq!(c.get(0, 0), 19.0);
-        assert_eq!(c.get(0, 1), 22.0);
-        assert_eq!(c.get(1, 0), 43.0);
-        assert_eq!(c.get(1, 1), 50.0);
-    }
-}

@@ -54,7 +54,7 @@ pub mod scalar;
 pub use aligned::AlignedVec;
 pub use cpu::{CacheInfo, IsaLevel};
 pub use error::{CoreError, Result};
-pub use gemm::{gemm, gemm_op, gemm_with_params, GemmContext, Op};
+pub use gemm::{gemm, gemm_with_params, GemmContext};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use microkernel::{select_kernel, Kernel};
 pub use params::BlockingParams;

@@ -354,105 +354,3 @@ mod tests {
         pack_b(&b.as_ref(), 4, &mut outb);
     }
 }
-
-/// Packs an `m x k` **logical** block of `A = src^T` (i.e. `src` is a
-/// `k x m` column-major view) into micro-panel layout, scaled by `alpha`.
-///
-/// Reads are contiguous (each logical row of `A` is one column of `src`);
-/// writes stride by `mr` — the standard transposed-packing trade.
-pub fn pack_a_trans<T: Scalar>(src: &MatRef<'_, T>, alpha: T, mr: usize, out: &mut [T]) {
-    let (k, m) = (src.nrows(), src.ncols());
-    let panels = m.div_ceil(mr);
-    assert!(
-        out.len() >= panels * mr * k,
-        "pack_a_trans: out buffer too small"
-    );
-
-    for p in 0..panels {
-        let row0 = p * mr;
-        let rows = mr.min(m - row0);
-        let slab = &mut out[p * mr * k..(p + 1) * mr * k];
-        if rows < mr {
-            slab.fill(T::ZERO);
-        }
-        for i in 0..rows {
-            let col = src.col(row0 + i);
-            for q in 0..k {
-                slab[q * mr + i] = alpha * col[q];
-            }
-        }
-    }
-}
-
-/// Packs a `k x n` **logical** block of `B = src^T` (i.e. `src` is an
-/// `n x k` column-major view) into micro-panel layout.
-pub fn pack_b_trans<T: Scalar>(src: &MatRef<'_, T>, nr: usize, out: &mut [T]) {
-    let (n, k) = (src.nrows(), src.ncols());
-    let panels = n.div_ceil(nr);
-    assert!(
-        out.len() >= panels * nr * k,
-        "pack_b_trans: out buffer too small"
-    );
-
-    for q in 0..panels {
-        let col0 = q * nr;
-        let cols = nr.min(n - col0);
-        let slab = &mut out[q * nr * k..(q + 1) * nr * k];
-        if cols < nr {
-            slab.fill(T::ZERO);
-        }
-        // Logical B[p, col0+j] = src[col0+j, p]: walk src columns (= logical
-        // B rows) contiguously.
-        for p in 0..k {
-            let col = src.col(p);
-            for j in 0..cols {
-                slab[p * nr + j] = col[col0 + j];
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod trans_tests {
-    use super::*;
-    use crate::matrix::Matrix;
-
-    #[test]
-    fn pack_a_trans_matches_pack_a_of_transpose() {
-        let src = Matrix::<f64>::random(9, 13, 31); // k x m storage
-        let logical_a = src.transpose(); // m x k
-        let mr = 4;
-        let (m, k) = (logical_a.nrows(), logical_a.ncols());
-        let mut out1 = vec![0.0; m.div_ceil(mr) * mr * k];
-        let mut out2 = vec![0.0; m.div_ceil(mr) * mr * k];
-        pack_a(&logical_a.as_ref(), 2.0, mr, &mut out1);
-        pack_a_trans(&src.as_ref(), 2.0, mr, &mut out2);
-        assert_eq!(out1, out2);
-    }
-
-    #[test]
-    fn pack_b_trans_matches_pack_b_of_transpose() {
-        let src = Matrix::<f64>::random(11, 7, 32); // n x k storage
-        let logical_b = src.transpose(); // k x n
-        let nr = 4;
-        let (k, n) = (logical_b.nrows(), logical_b.ncols());
-        let mut out1 = vec![0.0; n.div_ceil(nr) * nr * k];
-        let mut out2 = vec![0.0; n.div_ceil(nr) * nr * k];
-        pack_b(&logical_b.as_ref(), nr, &mut out1);
-        pack_b_trans(&src.as_ref(), nr, &mut out2);
-        assert_eq!(out1, out2);
-    }
-
-    #[test]
-    fn pack_trans_from_submatrix() {
-        let big = Matrix::<f64>::from_fn(12, 12, |i, j| (i * 12 + j) as f64);
-        let src = big.as_ref().submatrix(1, 2, 5, 6); // k=5 x m=6 view
-        let logical = src.to_owned().transpose();
-        let mr = 4;
-        let mut out1 = vec![0.0; 2 * mr * 5];
-        let mut out2 = vec![0.0; 2 * mr * 5];
-        pack_a(&logical.as_ref(), 1.0, mr, &mut out1);
-        pack_a_trans(&src, 1.0, mr, &mut out2);
-        assert_eq!(out1, out2);
-    }
-}

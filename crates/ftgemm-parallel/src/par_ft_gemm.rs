@@ -25,20 +25,19 @@
 // Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
 // `abort` publishes an unrecoverable-fault verdict across workers —
 // Release store next to the verdict write, Acquire load after the
-// barrier. `correction_scale` stays Relaxed: it is a monotonic hint
-// re-derived every panel, never a synchronization point.
+// barrier.
 
 use crate::ctx::ParGemmContext;
 use crate::par_gemm::par_gemm_with_ws;
 use crate::shared::SendPtr;
 use crate::workspace::ParFtWorkspace;
-use ftgemm_abft::corrector::{self, CorrectionOutcome};
-use ftgemm_abft::{checksum, FtConfig, FtError, FtReport, FtResult};
+use ftgemm_abft::{panel, FtConfig, FtError, FtReport, FtResult};
 use ftgemm_core::gemm::validate_shapes;
 use ftgemm_core::macro_kernel::macro_kernel;
 use ftgemm_core::{pack, MatMut, MatRef, Scalar};
+use ftgemm_faults::SiteStream;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The matrix-parallel execute path: `C = alpha*A*B + beta*C` on `ctx`'s
 /// pool with a caller-owned workspace, protected by
@@ -153,8 +152,6 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
     let abort = AtomicBool::new(false);
     let verdict: Mutex<Option<FtError>> = Mutex::new(None);
     let report: Mutex<FtReport> = Mutex::new(FtReport::default());
-    // Threshold inflation after corrections (see serial driver): f64 bits.
-    let correction_scale = AtomicU64::new(0f64.to_bits());
 
     let c_ptr = SendPtr(c.as_mut_ptr());
     let ldc = c.ld();
@@ -172,7 +169,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
         // Thread-private packed A~ from the workspace (slot `tid` is only
         // ever locked by this thread inside a region — uncontended).
         let mut atilde = ws.atilde[tid].lock();
-        let mut local_report = FtReport::default();
+        let mut injected = 0;
 
         // Injection stream per thread (sites = this thread's macro calls).
         let my_sites = n.div_ceil(p.nc) * k.div_ceil(p.kc) * mlen.div_ceil(p.mc).max(1);
@@ -202,8 +199,8 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
             // lanes and a reduction.
             {
                 // SAFETY: each thread writes only its own lane pre-barrier.
-                let lane = unsafe { enc_col_shards.lane_mut(tid) };
-                lane[..nc_eff].fill(T::ZERO);
+                let lane = unsafe { &mut enc_col_shards.lane_mut(tid)[..nc_eff] };
+                lane.fill(T::ZERO);
                 if mlen > 0 {
                     // SAFETY: disjoint row slices.
                     let mut c_slice = unsafe {
@@ -211,23 +208,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                     };
                     // SAFETY: disjoint row range of enc_row.
                     let enc_row_slice = unsafe { enc_row.slice_mut(ms..ms + mlen) };
-                    if cfg.fusion.fuse_c_scale {
-                        checksum::scale_encode_c(
-                            &mut c_slice,
-                            beta,
-                            enc_row_slice,
-                            &mut lane[..nc_eff],
-                            None,
-                        );
-                    } else {
-                        checksum::scale_then_encode_c(
-                            &mut c_slice,
-                            beta,
-                            enc_row_slice,
-                            &mut lane[..nc_eff],
-                            None,
-                        );
-                    }
+                    panel::encode_base(cfg.fusion, &mut c_slice, beta, enc_row_slice, lane, None);
                 }
             }
             w.barrier();
@@ -235,9 +216,12 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                 // SAFETY: reduction epoch, lanes quiescent.
                 let out = unsafe { enc_col.slice_mut(0..nc_eff) };
                 enc_col_shards.reduce_into_prefix(out, |x, y| x + y);
-                correction_scale.store(0f64.to_bits(), Ordering::Relaxed);
             }
             w.barrier();
+
+            // `panel::verify`'s memory of the largest correction applied to
+            // this column block; thread 0 verifies, so only its copy is used.
+            let mut correction_scale = T::ZERO;
 
             let mut pc = 0;
             while pc < k {
@@ -266,24 +250,10 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                         // enc_col written at this thread's column chunk only.
                         unsafe {
                             let out = btilde.slice_mut(off..off + len);
-                            let ar_slice = ar_full.slice(pc..pc + kc_eff);
-                            let enc_col_chunk =
-                                enc_col.slice_mut(cols.start..cols.start + cols.len());
-                            let bc_lane = &mut bc_shards.lane_mut(tid)[..kc_eff];
-                            if cfg.fusion.fuse_b_pack {
-                                pack::pack_b_fused(
-                                    &b_block,
-                                    p.nr,
-                                    out,
-                                    ar_slice,
-                                    bc_lane,
-                                    enc_col_chunk,
-                                );
-                            } else {
-                                pack::pack_b(&b_block, p.nr, out);
-                                checksum::encode_bc(&b_block, bc_lane);
-                                checksum::accumulate_enc_col(&b_block, ar_slice, enc_col_chunk);
-                            }
+                            let ar = ar_full.slice(pc..pc + kc_eff);
+                            let enc_cols = enc_col.slice_mut(cols.start..cols.start + cols.len());
+                            let bc = &mut bc_shards.lane_mut(tid)[..kc_eff];
+                            panel::pack_b(cfg.fusion, &b_block, p.nr, out, ar, bc, enc_cols);
                         }
                     }
                 }
@@ -309,19 +279,15 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                         let a_block = a.submatrix(ms + ic, pc, mc_eff, kc_eff);
                         // SAFETY: own row range.
                         let enc_row_slice = unsafe { enc_row.slice_mut(ms + ic..ms + ic + mc_eff) };
-                        if cfg.fusion.fuse_a_pack {
-                            pack::pack_a_fused(
-                                &a_block,
-                                alpha,
-                                p.mr,
-                                atilde.as_mut_slice(),
-                                bc_r,
-                                enc_row_slice,
-                            );
-                        } else {
-                            pack::pack_a(&a_block, alpha, p.mr, atilde.as_mut_slice());
-                            checksum::accumulate_enc_row(&a_block, alpha, bc_r, enc_row_slice);
-                        }
+                        panel::pack_a(
+                            cfg.fusion,
+                            &a_block,
+                            alpha,
+                            p.mr,
+                            atilde.as_mut_slice(),
+                            bc_r,
+                            enc_row_slice,
+                        );
 
                         // SAFETY: disjoint row slice of C.
                         let mut c_block = unsafe {
@@ -340,29 +306,16 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                             atilde.as_slice(),
                             b_packed,
                             &mut c_block,
-                            Some((&mut ref_col_lane[..nc_eff], ref_row_slice)),
+                            Some((&mut ref_col_lane[..nc_eff], &mut *ref_row_slice)),
                         );
 
-                        // Source-level injection: corrupt one element as a
-                        // faulty FMA would (references see it, encodes do
-                        // not).
-                        if let Some(stream) = stream.as_mut() {
-                            if let Some(event) = stream.poll() {
-                                local_report.injected += 1;
-                                let lane = event.lane;
-                                let i_loc = (lane % mc_eff as u64) as usize;
-                                let j_loc = ((lane / mc_eff as u64) % nc_eff as u64) as usize;
-                                let old = c_block.get(i_loc, j_loc);
-                                let new = T::from_f64(event.apply_f64(old.to_f64()));
-                                c_block.set(i_loc, j_loc, new);
-                                let delta = new - old;
-                                ref_col_lane[j_loc] += delta;
-                                // SAFETY: own row element.
-                                unsafe {
-                                    ref_row.slice_mut(ms + ic + i_loc..ms + ic + i_loc + 1)[0] +=
-                                        delta;
-                                }
-                            }
+                        // An injected error reaches the reference sums as the
+                        // faulty FMA's value would have.
+                        if let Some(event) = stream.as_mut().and_then(SiteStream::poll) {
+                            injected += 1;
+                            let (i, j, delta) = panel::inject(&event, &mut c_block);
+                            ref_col_lane[j] += delta;
+                            ref_row_slice[i] += delta;
                         }
                         ic += p.mc;
                     }
@@ -377,56 +330,26 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                     let out = unsafe { ref_col.slice_mut(0..nc_eff) };
                     ref_col_shards.reduce_into_prefix(out, |x, y| x + y);
 
-                    let enc_row_all = unsafe { enc_row.slice(0..m) };
-                    let ref_row_all = unsafe { ref_row.slice(0..m) };
-                    let enc_col_all = unsafe { enc_col.slice(0..nc_eff) };
-                    let ref_col_all = unsafe { ref_col.slice(0..nc_eff) };
+                    let rows = unsafe { (enc_row.slice(0..m), ref_row.slice(0..m)) };
+                    let cols = unsafe { (enc_col.slice(0..nc_eff), ref_col.slice(0..nc_eff)) };
 
-                    let mut rep = report.lock();
-                    rep.verifications += 1;
-                    let k_done = pc + kc_eff;
-                    let cscale =
-                        T::from_f64(f64::from_bits(correction_scale.load(Ordering::Relaxed)));
-                    // Encoded checksums only (clean inputs); corrupted
-                    // references must not inflate the threshold and mask
-                    // smaller concurrent errors.
-                    let scale = max_abs(enc_row_all).max(max_abs(enc_col_all)).max(cscale);
-                    let th_row = cfg.tolerance.threshold::<T>(k_done, nc_eff, scale);
-                    let th_col = cfg.tolerance.threshold::<T>(k_done, m, scale);
-                    let row_diffs = corrector::find_discrepancies(enc_row_all, ref_row_all, th_row);
-                    let col_diffs = corrector::find_discrepancies(enc_col_all, ref_col_all, th_col);
-                    if !row_diffs.is_empty() || !col_diffs.is_empty() {
-                        let worst = row_diffs
-                            .iter()
-                            .chain(col_diffs.iter())
-                            .fold(cscale, |acc, d| acc.max(d.delta.abs()));
-                        correction_scale.store(worst.to_f64().to_bits(), Ordering::Relaxed);
-                        // SAFETY: exclusive access to the whole block here.
-                        let mut c_block = unsafe {
-                            MatMut::<T>::from_raw_parts(c_ptr.0.add(jc * ldc), m, nc_eff, ldc)
-                        };
-                        let th = th_row.max(th_col);
-                        match corrector::correct_block(&mut c_block, &row_diffs, &col_diffs, th) {
-                            CorrectionOutcome::Clean => {}
-                            CorrectionOutcome::Corrected { count } => {
-                                rep.detected += count;
-                                rep.corrected += count;
-                                if let Some(inj) = cfg.injector.as_ref() {
-                                    for _ in 0..count {
-                                        inj.stats().record_detected();
-                                        inj.stats().record_corrected();
-                                    }
-                                }
-                            }
-                            CorrectionOutcome::Unrecoverable { detail } => {
-                                if let Some(inj) = cfg.injector.as_ref() {
-                                    inj.stats().record_unrecoverable();
-                                }
-                                // analyze::allow(lock-order, "verdict guard is a statement temporary, dropped before report is re-locked")
-                                *verdict.lock() = Some(FtError::Unrecoverable { jc, pc, detail });
-                                abort.store(true, Ordering::Release);
-                            }
-                        }
+                    // SAFETY: exclusive access to the whole block here.
+                    let mut c_block = unsafe {
+                        MatMut::<T>::from_raw_parts(c_ptr.0.add(jc * ldc), m, nc_eff, ldc)
+                    };
+                    let verified = panel::verify(
+                        cfg,
+                        pc + kc_eff,
+                        rows,
+                        cols,
+                        &mut c_block,
+                        &mut correction_scale,
+                        &mut report.lock(),
+                    );
+                    if let Err(detail) = verified {
+                        // analyze::allow(lock-order, "verdict guard is a statement temporary, dropped before report is re-locked")
+                        *verdict.lock() = Some(FtError::Unrecoverable { jc, pc, detail });
+                        abort.store(true, Ordering::Release);
                     }
                 }
                 w.barrier();
@@ -438,10 +361,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
             jc += p.nc;
         }
 
-        report.lock().absorb(FtReport {
-            injected: local_report.injected,
-            ..FtReport::default()
-        });
+        report.lock().injected += injected;
     });
 
     let merged = report.into_inner();
@@ -450,10 +370,6 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
         return Err(err);
     }
     Ok(merged)
-}
-
-fn max_abs<T: Scalar>(s: &[T]) -> T {
-    s.iter().fold(T::ZERO, |acc, &x| acc.max(x.abs()))
 }
 
 /// Cheap per-call nonce for injection stream separation (not security RNG).

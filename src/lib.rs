@@ -12,8 +12,7 @@
 //! * [`net`] — TCP wire frontend: versioned binary protocol,
 //!   server-resident operand handles, [`NetServer`]/[`NetClient`]
 //! * [`faults`] — deterministic soft-error injection
-//! * [`baselines`] — comparator GEMMs and unfused ABFT
-//! * [`blas`] — DMR-protected Level-1/2 routines (FT-BLAS)
+//! * [`baselines`] — comparator GEMMs
 //!
 //! ## One-shot and planned calls — the [`api`] module
 //!
@@ -67,7 +66,6 @@
 
 pub use ftgemm_abft as abft;
 pub use ftgemm_baselines as baselines;
-pub use ftgemm_blas as blas;
 pub use ftgemm_core as core;
 pub use ftgemm_faults as faults;
 pub use ftgemm_net as net;

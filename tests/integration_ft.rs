@@ -462,3 +462,50 @@ fn retry_panel_is_inert_on_clean_runs() {
     assert_eq!(rep.retried_panels, 0);
     assert!(truth.rel_max_diff(&c) < 1e-10);
 }
+
+#[test]
+fn serial_and_matrix_parallel_clean_runs_agree_bitwise() {
+    // Both drivers run the same micro-kernel over the same KC panels and
+    // share one ABFT step (`ftgemm::abft::panel`), so a clean run's `C` and
+    // report cannot depend on the driver or the thread count. Nothing else
+    // pins this pair: the facade's bit-identity tests compare each driver
+    // with itself.
+    use ftgemm::abft::FtPolicy;
+    let cfg = FtPolicy::DetectCorrect.to_config(None).unwrap();
+    for (m, n, k) in [(131, 73, 59), (300, 260, 700), (64, 64, 64)] {
+        let a = Matrix::<f64>::random(m, k, 1);
+        let b = Matrix::<f64>::random(k, n, 2);
+        let c0 = Matrix::<f64>::random(m, n, 3);
+        for beta in [0.0, 1.0, -0.5] {
+            let mut serial = c0.clone();
+            let want = ft_gemm_with_ctx(
+                &mut FtGemmContext::new(),
+                &cfg,
+                1.5,
+                &a.as_ref(),
+                &b.as_ref(),
+                beta,
+                &mut serial.as_mut(),
+            )
+            .unwrap();
+            for threads in 1..=3 {
+                let ctx = ParGemmContext::<f64>::with_threads(threads);
+                let mut parallel = c0.clone();
+                let rep = run_parallel(
+                    &ctx,
+                    &mut ParFtWorkspace::for_plain(&ctx),
+                    Some(&cfg),
+                    1.5,
+                    &a.as_ref(),
+                    &b.as_ref(),
+                    beta,
+                    &mut parallel.as_mut(),
+                )
+                .unwrap();
+                let at = format!("{m}x{n}x{k} beta {beta} on {threads} thread(s)");
+                assert_eq!(serial.as_slice(), parallel.as_slice(), "{at}");
+                assert_eq!(want, rep, "{at}");
+            }
+        }
+    }
+}

@@ -1,11 +1,10 @@
 //! Property-based tests (proptest) on the core invariants of the system:
 //! GEMM algebra, checksum identities, packing round-trips, corrector
-//! guarantees, partitioning, and DMR voting.
+//! guarantees, and partitioning.
 
 use ftgemm::abft::checksum;
 use ftgemm::abft::corrector::{correct_block, find_discrepancies, CorrectionOutcome};
 use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
-use ftgemm::blas::level1;
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{gemm, pack, GemmContext, Matrix};
 use ftgemm::pool::partition_aligned;
@@ -190,23 +189,6 @@ proptest! {
             cursor = r.end;
         }
         prop_assert_eq!(cursor, len);
-    }
-
-    /// Level-1 axpy/dot agree with a scalar model.
-    #[test]
-    fn level1_axpy_dot_model(
-        len in 0usize..300, alpha in -3.0f64..3.0, seed in 0u64..1000
-    ) {
-        let x: Vec<f64> = (0..len).map(|i| ((i as u64 ^ seed) % 17) as f64 - 8.0).collect();
-        let y0: Vec<f64> = (0..len).map(|i| (((i as u64 * 31) ^ seed) % 13) as f64 - 6.0).collect();
-        let mut y = y0.clone();
-        level1::axpy(alpha, &x, &mut y);
-        for i in 0..len {
-            prop_assert!((y[i] - (alpha * x[i] + y0[i])).abs() < 1e-12);
-        }
-        let d = level1::dot(&x, &y0);
-        let want: f64 = (0..len).map(|i| x[i] * y0[i]).sum();
-        prop_assert!((d - want).abs() < 1e-9 * want.abs().max(1.0));
     }
 
     /// scale_encode_c is exactly equivalent to scale-then-encode.
