@@ -545,7 +545,7 @@ mod tests {
         let l = lex(r#"fn f() { emit("ftgemm_a_total"); emit("ftgemm_new_total"); }"#);
         let extracted = extract_metric_literals(&l.tokens);
         let mut report = Report::default();
-        check_metrics(&pins, "serve", &extracted, "export.rs", &mut report);
+        check_metrics(&pins, "serve", &extracted, "stats.rs", &mut report);
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert_eq!(rules.len(), 2);
         assert!(rules.contains(&"pin-unpinned")); // ftgemm_new_total

@@ -143,7 +143,12 @@ fn run_pins(root: &Path, report: &mut Report) -> Result<usize, ConfigError> {
 
     const PROTO: &str = "crates/ftgemm-net/src/proto.rs";
     const REQUEST: &str = "crates/ftgemm-serve/src/request.rs";
-    const EXPORT: &str = "crates/ftgemm-serve/src/export.rs";
+    // The two files that register serve families: counted cells in
+    // `stats.rs`, live (read) cells and the obs pair in `service.rs`.
+    const SERVE_METRICS: [&str; 2] = [
+        "crates/ftgemm-serve/src/stats.rs",
+        "crates/ftgemm-serve/src/service.rs",
+    ];
     const NET_METRICS: &str = "crates/ftgemm-net/src/metrics.rs";
     const DOCS: &str = "docs/ARCHITECTURE.md";
 
@@ -168,7 +173,11 @@ fn run_pins(root: &Path, report: &mut Report) -> Result<usize, ConfigError> {
         ));
     }
 
-    let serve_metrics = pins::extract_metric_literals(&read_lexed(EXPORT)?.tokens);
+    let mut serve_metrics = BTreeMap::new();
+    for file in SERVE_METRICS {
+        let tokens = lexer::strip_test_code(&read_lexed(file)?.tokens);
+        serve_metrics.extend(pins::extract_metric_literals(&tokens));
+    }
     let net_metrics = pins::extract_metric_literals(&read_lexed(NET_METRICS)?.tokens);
 
     pins::check_consts(&pins, "verbs", &verbs, PROTO, "verb", report);
@@ -188,7 +197,13 @@ fn run_pins(root: &Path, report: &mut Report) -> Result<usize, ConfigError> {
         "wire code",
         report,
     );
-    pins::check_metrics(&pins, "serve", &serve_metrics, EXPORT, report);
+    pins::check_metrics(
+        &pins,
+        "serve",
+        &serve_metrics,
+        "crates/ftgemm-serve/src/{stats,service}.rs",
+        report,
+    );
     pins::check_metrics(&pins, "net", &net_metrics, NET_METRICS, report);
     pins::check_bands(&verbs, &error_codes, &wire_codes, PROTO, report);
 

@@ -8,7 +8,9 @@
 //!   atomics only; recording a latency sample is three `fetch_add`s with
 //!   no locks or allocation on the hot path.
 //! * **Registry** ([`Registry`]) — names, help text, and label sets,
-//!   rendered as one Prometheus text exposition ([`Exposition`]). The
+//!   rendered as one Prometheus text exposition ([`Exposition`]); a sample
+//!   is a primitive the caller updates or a *read cell*
+//!   ([`Registry::read_with`]) evaluated at render time. The
 //!   process-wide [`Registry::global`] backs the one-line
 //!   [`global_counter!`] / [`global_gauge!`] instrumentation macros;
 //!   scoped registries (one per service) render into the same scrape.

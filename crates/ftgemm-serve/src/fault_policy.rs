@@ -161,28 +161,42 @@ impl FaultPolicyMonitor {
     /// with each request's own policy via [`FtPolicy::at_least`] at
     /// dispatch).
     pub(crate) fn floor(&self, node: usize) -> FtPolicy {
-        self.nodes
-            .get(node)
-            .map(|n| policy_from_level(n.floor.load(Ordering::Relaxed)))
-            .unwrap_or(FtPolicy::Off)
+        policy_from_level(self.level(node))
+    }
+
+    /// `node`'s floor in the numeric encoding of [`policy_from_level`].
+    pub(crate) fn level(&self, node: usize) -> u8 {
+        let n = self.nodes.get(node);
+        n.map_or(0, |n| n.floor.load(Ordering::Relaxed))
+    }
+
+    /// Times `node`'s floor was raised.
+    pub(crate) fn escalations(&self, node: usize) -> u64 {
+        let n = self.nodes.get(node);
+        n.map_or(0, |n| n.escalations.load(Ordering::Relaxed))
+    }
+
+    /// Times `node`'s floor stepped back down.
+    pub(crate) fn deescalations(&self, node: usize) -> u64 {
+        let n = self.nodes.get(node);
+        n.map_or(0, |n| n.deescalations.load(Ordering::Relaxed))
+    }
+
+    /// `node`'s detected-errors-per-flop EWMA.
+    pub(crate) fn error_rate(&self, node: usize) -> f64 {
+        let n = self.nodes.get(node);
+        n.map_or(0.0, |n| n.state.lock().ewma.rate())
     }
 
     /// Copies the monitor's per-node state onto a snapshot (the zeroed
     /// `ft_*` fields [`ServiceStats::snapshot`](crate::stats) constructs).
     pub(crate) fn overlay(&self, snap: &mut StatsSnapshot) {
         for row in snap.per_node.iter_mut() {
-            let Some(n) = self.nodes.get(row.node) else {
-                continue;
-            };
-            row.ft_floor = n.floor.load(Ordering::Relaxed);
-            row.ft_escalations = n.escalations.load(Ordering::Relaxed);
-            row.ft_deescalations = n.deescalations.load(Ordering::Relaxed);
+            row.ft_floor = self.level(row.node);
+            row.ft_escalations = self.escalations(row.node);
+            row.ft_deescalations = self.deescalations(row.node);
         }
-        snap.ft_error_rate_per_node = self
-            .nodes
-            .iter()
-            .map(|n| n.state.lock().ewma.rate())
-            .collect();
+        snap.ft_error_rate_per_node = (0..self.nodes.len()).map(|n| self.error_rate(n)).collect();
     }
 }
 

@@ -17,10 +17,10 @@
 use crate::request::{GemmResponse, ServeError};
 use crate::stream::CompletionSink;
 use ftgemm_core::Scalar;
+use ftgemm_obs::Gauge;
 use parking_lot::{Condvar, Mutex};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
@@ -184,15 +184,15 @@ pub struct AsyncRequestHandle<T: Scalar> {
     id: u64,
     /// Service-level gauge of live async futures; decremented exactly once,
     /// on resolution or drop.
-    in_flight: Arc<AtomicU64>,
+    in_flight: Arc<Gauge>,
     done: bool,
 }
 
 impl<T: Scalar> AsyncRequestHandle<T> {
     /// Creates a connected (future, slot) pair and bumps the in-flight gauge.
-    pub(crate) fn pair(id: u64, in_flight: Arc<AtomicU64>) -> (Self, Arc<ResponseSlot<T>>) {
+    pub(crate) fn pair(id: u64, in_flight: Arc<Gauge>) -> (Self, Arc<ResponseSlot<T>>) {
         let slot = ResponseSlot::new(None);
-        in_flight.fetch_add(1, Ordering::Relaxed);
+        in_flight.add(1.0);
         (
             AsyncRequestHandle {
                 slot: Arc::clone(&slot),
@@ -217,7 +217,7 @@ impl<T: Scalar> AsyncRequestHandle<T> {
     fn release_gauge(&mut self) {
         if !self.done {
             self.done = true;
-            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+            self.in_flight.add(-1.0);
         }
     }
 }
@@ -268,7 +268,7 @@ mod tests {
     use super::*;
     use ftgemm_abft::FtReport;
     use ftgemm_core::Matrix;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::task::Wake;
 
     fn ok_response(v: f64) -> Result<GemmResponse<f64>, ServeError> {
@@ -338,9 +338,9 @@ mod tests {
 
     #[test]
     fn async_poll_before_fulfill_fires_waker() {
-        let gauge = Arc::new(AtomicU64::new(0));
+        let gauge = Arc::new(Gauge::new());
         let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(3, Arc::clone(&gauge));
-        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+        assert_eq!(gauge.get(), 1.0);
 
         let (counter, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
@@ -354,12 +354,12 @@ mod tests {
             Poll::Ready(Ok(resp)) => assert_eq!(resp.c.get(0, 0), 9.0),
             other => panic!("unexpected: {other:?}"),
         }
-        assert_eq!(gauge.load(Ordering::SeqCst), 0, "gauge released on resolve");
+        assert_eq!(gauge.get(), 0.0, "gauge released on resolve");
     }
 
     #[test]
     fn async_fulfill_before_poll_resolves_immediately() {
-        let gauge = Arc::new(AtomicU64::new(0));
+        let gauge = Arc::new(Gauge::new());
         let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(4, Arc::clone(&gauge));
         slot.fulfill(ok_response(2.5));
 
@@ -371,13 +371,13 @@ mod tests {
         }
         // Result was already there: no waker registration, no wake call.
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        assert_eq!(gauge.load(Ordering::SeqCst), 0);
+        assert_eq!(gauge.get(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "polled after it already resolved")]
     fn async_resolves_exactly_once() {
-        let gauge = Arc::new(AtomicU64::new(0));
+        let gauge = Arc::new(Gauge::new());
         let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(5, gauge);
         slot.fulfill(ok_response(1.0));
         let (_c, waker) = counting_waker();
@@ -388,10 +388,10 @@ mod tests {
 
     #[test]
     fn dropped_future_releases_gauge_and_slot() {
-        let gauge = Arc::new(AtomicU64::new(0));
+        let gauge = Arc::new(Gauge::new());
         let (fut, slot) = AsyncRequestHandle::<f64>::pair(6, Arc::clone(&gauge));
         drop(fut);
-        assert_eq!(gauge.load(Ordering::SeqCst), 0, "drop releases the gauge");
+        assert_eq!(gauge.get(), 0.0, "drop releases the gauge");
         // Fulfilling a dropped future's slot must not panic or wake anything.
         slot.fulfill(ok_response(0.0));
         // The scheduler-side Arc is the only one left: no slot leak.
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn repolls_with_same_waker_do_not_reclone() {
-        let gauge = Arc::new(AtomicU64::new(0));
+        let gauge = Arc::new(Gauge::new());
         let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(8, gauge);
         let (counter, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);

@@ -9,9 +9,9 @@
 //! ```text
 //! submit() / submit_async() / submit_streamed()  x N threads
 //!     │  three wrappers over one submit path (validate, place, admit,
-//!     │  count, trace, push, roll back); the push lands in the affinity
-//!     │  node's scheduler; bounded queue: sync parks, async gets
-//!     │  Overloaded back
+//!     │  trace, push); the push counts the request and lands it in the
+//!     │  affinity node's scheduler; bounded queue: sync parks, async
+//!     │  gets Overloaded back
 //!     ▼
 //! ShardedQueue ──► per-node dispatcher ──► route by problem size
 //!                                        │
@@ -78,12 +78,15 @@
 //!   futures, per-thread batch busy time (occupancy imbalance),
 //!   corrected-error counters, and worker-pool activity
 //!   ([`ftgemm_pool::PoolStats`]). Setting
-//!   [`ServiceConfig::obs_addr`] additionally serves every snapshot field
-//!   as Prometheus text exposition at `GET /metrics` (stable names
-//!   documented in [`export`]), records each request's lifecycle
-//!   (`admitted → queued → dispatched → computed → verified/corrected →
-//!   completed|failed`) into bounded per-node trace rings dumped at
-//!   `/trace`, and answers `/healthz` — all from one `std::net` endpoint
+//!   [`ServiceConfig::obs_addr`] additionally serves the same numbers as
+//!   Prometheus text exposition at `GET /metrics` (a render of the
+//!   service's one [`ftgemm_obs::Registry`], whose cells the snapshot
+//!   reads too: family names are pinned in `analyze/pins.toml`
+//!   `[metrics]`, and a family's meaning is its `# HELP` line), records
+//!   each request's lifecycle (`admitted → queued → dispatched → computed
+//!   → verified/corrected → completed|failed`) into bounded per-node
+//!   trace rings dumped at `/trace`, and answers `/healthz` — all from
+//!   one `std::net` endpoint
 //!   thread, with zero recording cost when the address is unset.
 //!
 //! ## Example
@@ -135,7 +138,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod exec;
-pub mod export;
 mod fault_policy;
 mod handle;
 mod placement;

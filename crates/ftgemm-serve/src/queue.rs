@@ -181,7 +181,14 @@ impl<T: Scalar> ShardedQueue<T> {
     /// The one enqueue site: puts the envelope into its affinity node's
     /// scheduler and wakes the dispatchers that could serve it. Callers
     /// have already passed the closed/capacity admission checks.
-    fn insert(&self, env: Envelope<T>) {
+    ///
+    /// `admitted` is the submit path's accounting. It runs here because
+    /// this is where a push has become certain — one turned away never
+    /// gets this far, so no count is ever taken back — and before the
+    /// group lock is taken, so it orders before any pop of the envelope
+    /// (no request can finish before it was counted) without lengthening
+    /// the critical section the dispatcher contends on.
+    fn insert(&self, env: Envelope<T>, admitted: &dyn Fn()) {
         let node = env.affinity % self.groups.len();
         let group = &self.groups[node];
         let deadline_ns = env
@@ -189,6 +196,7 @@ impl<T: Scalar> ShardedQueue<T> {
             .map(|d| d.saturating_duration_since(self.epoch).as_nanos() as u64)
             .unwrap_or(NO_DEADLINE);
         let (tenant, class, cost, seq) = (env.req.tenant, env.req.priority, env.flops, env.id);
+        admitted();
         let prev_group_depth = {
             // Counters rise while the group lock is held and only fall
             // after a pop has taken an envelope out under the same lock, so
@@ -232,13 +240,13 @@ impl<T: Scalar> ShardedQueue<T> {
 
     /// Enqueues an envelope, parking the caller while the queue is at
     /// capacity (synchronous submit surface). Fails only when closed.
-    pub(crate) fn push(&self, env: Envelope<T>) -> Result<(), PushError> {
+    pub(crate) fn push(&self, env: Envelope<T>, admitted: &dyn Fn()) -> Result<(), PushError> {
         loop {
             if self.closed.load(Ordering::Acquire) {
                 return Err(PushError::Closed);
             }
             if self.depth.load(Ordering::Acquire) < self.capacity {
-                self.insert(env);
+                self.insert(env, admitted);
                 return Ok(());
             }
             // Park until a dispatcher drains something. Re-check the
@@ -256,14 +264,14 @@ impl<T: Scalar> ShardedQueue<T> {
 
     /// Non-blocking enqueue for async submitters: a full queue comes back
     /// immediately as [`PushError::Full`] instead of parking the caller.
-    pub(crate) fn try_push(&self, env: Envelope<T>) -> Result<(), PushError> {
+    pub(crate) fn try_push(&self, env: Envelope<T>, admitted: &dyn Fn()) -> Result<(), PushError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(PushError::Closed);
         }
         if self.depth.load(Ordering::Acquire) >= self.capacity {
             return Err(PushError::Full);
         }
-        self.insert(env);
+        self.insert(env, admitted);
         Ok(())
     }
 
@@ -433,7 +441,7 @@ mod tests {
     fn push_pop_preserves_count_and_order_ids() {
         let q = queue(1, 0, 8);
         for _ in 0..10 {
-            q.push(env(&q)).map_err(|_| ()).unwrap();
+            q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
         }
         assert_eq!(q.depth(), 10);
         let batch = q.pop_batch(4);
@@ -451,7 +459,9 @@ mod tests {
     fn affinity_routes_to_node_groups() {
         let q = queue(3, 0, 8);
         for affinity in [0usize, 1, 1, 2, 2, 2] {
-            q.push(env_on(&q, affinity)).map_err(|_| ()).unwrap();
+            q.push(env_on(&q, affinity), &|| ())
+                .map_err(|_| ())
+                .unwrap();
         }
         assert_eq!(q.node_depth(0), 1);
         assert_eq!(q.node_depth(1), 2);
@@ -474,7 +484,7 @@ mod tests {
     #[test]
     fn out_of_range_affinity_wraps() {
         let q = queue(2, 0, 8);
-        q.push(env_on(&q, 5)).map_err(|_| ()).unwrap(); // 5 % 2 == 1
+        q.push(env_on(&q, 5), &|| ()).map_err(|_| ()).unwrap(); // 5 % 2 == 1
         assert_eq!(q.node_depth(1), 1);
         assert_eq!(q.pop_node(1, 8).len(), 1);
     }
@@ -482,11 +492,14 @@ mod tests {
     #[test]
     fn close_rejects_new_work_but_drains_old() {
         let q = queue(2, 0, 8);
-        q.push(env_on(&q, 1)).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 1), &|| ()).map_err(|_| ()).unwrap();
         q.close();
         assert!(q.is_closed());
-        assert!(matches!(q.push(env(&q)), Err(PushError::Closed)));
-        assert!(matches!(q.try_push(env(&q)), Err(PushError::Closed)));
+        assert!(matches!(q.push(env(&q), &|| ()), Err(PushError::Closed)));
+        assert!(matches!(
+            q.try_push(env(&q), &|| ()),
+            Err(PushError::Closed)
+        ));
         // Closed: the remainder is visible to every dispatcher (gate 0).
         assert!(q.wait_node(0), "node 0 must see node 1's remainder");
         assert_eq!(q.steal_gate(), 0);
@@ -501,7 +514,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.wait_node(1));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(env_on(&q, 1)).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 1), &|| ()).map_err(|_| ()).unwrap();
         assert!(waiter.join().unwrap());
     }
 
@@ -514,12 +527,12 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Group 0 stays at the threshold: no cross-wake.
         for _ in 0..4 {
-            q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
+            q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!waiter.is_finished(), "woke without a steal-eligible group");
         // The crossing push wakes it.
-        q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
         assert!(waiter.join().unwrap());
         assert!(q.node_depth(0) > q.steal_gate(), "group 0 steal-eligible");
     }
@@ -528,17 +541,17 @@ mod tests {
     fn steal_wakeups_counted_only_at_threshold_crossings() {
         let q = queue(2, 0, 3);
         for _ in 0..3 {
-            q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
+            q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
         }
         assert_eq!(q.steal_wakeups(), 0, "at the threshold, not past it");
-        q.push(env_on(&q, 0)).map_err(|_| ()).unwrap(); // crosses
+        q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap(); // crosses
         assert_eq!(q.steal_wakeups(), 1);
-        q.push(env_on(&q, 0)).map_err(|_| ()).unwrap(); // already past: no re-fire
+        q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap(); // already past: no re-fire
         assert_eq!(q.steal_wakeups(), 1);
         // Draining and re-crossing fires again.
         assert_eq!(q.pop_node(0, usize::MAX).len(), 5);
         for _ in 0..4 {
-            q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
+            q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
         }
         assert_eq!(q.steal_wakeups(), 2);
     }
@@ -556,7 +569,7 @@ mod tests {
     #[test]
     fn closed_queue_drain_mode_never_parks_dispatchers() {
         let q = queue(2, 0, 8);
-        q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
         q.close();
         // Drain mode: every dispatcher sees node 0's remainder immediately
         // (closed gate is 0; wait_node returns without parking)...
@@ -571,23 +584,26 @@ mod tests {
     #[test]
     fn try_push_fails_fast_at_capacity() {
         let q = queue(2, 2, 8);
-        q.try_push(env_on(&q, 0)).map_err(|_| ()).unwrap();
-        q.try_push(env_on(&q, 1)).map_err(|_| ()).unwrap();
+        q.try_push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
+        q.try_push(env_on(&q, 1), &|| ()).map_err(|_| ()).unwrap();
         // Capacity is global across groups.
-        assert!(matches!(q.try_push(env_on(&q, 1)), Err(PushError::Full)));
+        assert!(matches!(
+            q.try_push(env_on(&q, 1), &|| ()),
+            Err(PushError::Full)
+        ));
         // Draining any group reopens admission.
         assert_eq!(q.pop_node(0, 1).len(), 1);
-        assert!(q.try_push(env_on(&q, 1)).is_ok());
+        assert!(q.try_push(env_on(&q, 1), &|| ()).is_ok());
     }
 
     #[test]
     fn blocking_push_parks_until_drained() {
         let q = Arc::new(queue(1, 1, 8));
-        q.push(env(&q)).map_err(|_| ()).unwrap();
+        q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
             let e = env(&q2);
-            q2.push(e).map_err(|_| ()).unwrap(); // parks: queue is full
+            q2.push(e, &|| ()).map_err(|_| ()).unwrap(); // parks: queue is full
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(q.depth(), 1, "producer still parked");
@@ -600,9 +616,9 @@ mod tests {
     fn pending_flops_tracks_the_group_backlog() {
         let q = queue(2, 0, 8);
         // 2x2x2 → 16 flops each.
-        q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
-        q.push(env_on(&q, 0)).map_err(|_| ()).unwrap();
-        q.push(env_on(&q, 1)).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 0), &|| ()).map_err(|_| ()).unwrap();
+        q.push(env_on(&q, 1), &|| ()).map_err(|_| ()).unwrap();
         assert_eq!(q.node_pending_flops(0), 32);
         assert_eq!(q.node_pending_flops(1), 16);
         // Partial pop: one envelope leaves, the other still counts.
@@ -632,12 +648,20 @@ mod tests {
             )
         };
         // Tenant 1: normal, normal, high (arrives last); tenant 2: 4x normal.
-        q.push(mk(1, Priority::Normal)).map_err(|_| ()).unwrap();
-        q.push(mk(1, Priority::Normal)).map_err(|_| ()).unwrap();
+        q.push(mk(1, Priority::Normal), &|| ())
+            .map_err(|_| ())
+            .unwrap();
+        q.push(mk(1, Priority::Normal), &|| ())
+            .map_err(|_| ())
+            .unwrap();
         for _ in 0..4 {
-            q.push(mk(2, Priority::Normal)).map_err(|_| ()).unwrap();
+            q.push(mk(2, Priority::Normal), &|| ())
+                .map_err(|_| ())
+                .unwrap();
         }
-        q.push(mk(1, Priority::High)).map_err(|_| ()).unwrap();
+        q.push(mk(1, Priority::High), &|| ())
+            .map_err(|_| ())
+            .unwrap();
         let order: Vec<(u32, Priority)> = q
             .pop_node(0, usize::MAX)
             .into_iter()
@@ -674,9 +698,9 @@ mod tests {
         };
         let (far, near, mid) = (mk(500), mk(5), mk(50));
         let (far_id, near_id, mid_id) = (far.id, near.id, mid.id);
-        q.push(far).map_err(|_| ()).unwrap();
-        q.push(near).map_err(|_| ()).unwrap();
-        q.push(mid).map_err(|_| ()).unwrap();
+        q.push(far, &|| ()).map_err(|_| ()).unwrap();
+        q.push(near, &|| ()).map_err(|_| ()).unwrap();
+        q.push(mid, &|| ()).map_err(|_| ()).unwrap();
         let order: Vec<u64> = q
             .pop_node(0, usize::MAX)
             .into_iter()
@@ -688,11 +712,11 @@ mod tests {
     #[test]
     fn close_unparks_blocked_producer() {
         let q = Arc::new(queue(1, 1, 8));
-        q.push(env(&q)).map_err(|_| ()).unwrap();
+        q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
             let e = env(&q2);
-            matches!(q2.push(e), Err(PushError::Closed))
+            matches!(q2.push(e, &|| ()), Err(PushError::Closed))
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();

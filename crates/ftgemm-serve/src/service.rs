@@ -5,9 +5,8 @@
 // Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
 // `abort` publishes service shutdown to the dispatcher and region
 // threads — Release store in abort(), Acquire loads at the dispatch and
-// batch boundaries. The per-node stats are Relaxed counters.
+// batch boundaries.
 
-use crate::export::{render_service_metrics, ServiceObs};
 use crate::fault_policy::{FaultPolicyConfig, FaultPolicyMonitor};
 use crate::handle::{AsyncRequestHandle, RequestHandle, ResponseSlot};
 use crate::placement::{PlacementPolicy, Placer};
@@ -15,18 +14,21 @@ use crate::qos::TenantTable;
 use crate::queue::{Envelope, PushError, ShardedQueue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{RoutePath, RouteState, RoutingPolicy};
-use crate::stats::{RejectReason, ServiceStats, StatsSnapshot};
+use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::CompletionSink;
 use ftgemm_abft::{FtReport, FtResult};
 use ftgemm_core::Scalar;
-use ftgemm_obs::{ObsRoutes, ObsServer, TraceEvent, TracePath};
+use ftgemm_obs::{
+    Counter, Exposition, Histogram, MetricKind, ObsRoutes, ObsServer, Registry, TraceEvent,
+    TracePath, Tracelog,
+};
 use ftgemm_parallel::{
     par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParFtWorkspace,
     ParGemmContext,
 };
 use ftgemm_pool::{PoolStats, Topology};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -121,6 +123,41 @@ impl Default for ServiceConfig {
     }
 }
 
+/// The per-request recording state, created when
+/// [`ServiceConfig::obs_addr`] is set: the request-lifecycle tracelog and
+/// the live turnaround histogram, both registered in the service's
+/// registry. `None` on obs-disabled services, which keeps their hot paths
+/// free of even the relaxed-atomic recording cost.
+struct ServiceObs {
+    trace: Arc<Tracelog>,
+    turnaround: Arc<Histogram>,
+}
+
+impl ServiceObs {
+    /// Trace-ring capacity per node: enough to hold the full lifecycle of
+    /// a few hundred requests without the rings dominating memory.
+    const TRACE_CAPACITY_PER_NODE: usize = 2048;
+
+    fn new(nodes: usize, registry: &Registry) -> Self {
+        let trace = Arc::new(Tracelog::new(nodes, Self::TRACE_CAPACITY_PER_NODE));
+        registry.read_weak(
+            "ftgemm_trace_dropped_total",
+            MetricKind::Counter,
+            "Trace records overwritten because their ring was full.",
+            &[],
+            &trace,
+            |trace| trace.dropped() as f64,
+        );
+        ServiceObs {
+            trace,
+            turnaround: registry.histogram(
+                "ftgemm_request_turnaround_seconds",
+                "Submit-to-completion latency of served requests.",
+            ),
+        }
+    }
+}
+
 /// One node's compute runtime: a node-scoped context whose pool is that
 /// node's pinned worker subset.
 struct NodeRuntime<T: Scalar> {
@@ -146,6 +183,13 @@ struct Inner<T: Scalar> {
     /// Error-aware per-node policy floors, present only when
     /// [`ServiceConfig::fault_policy`] is set.
     monitor: Option<FaultPolicyMonitor>,
+}
+
+impl<T: Scalar> Inner<T> {
+    /// A reading of the fault-policy monitor; all-clear (`0`) without one.
+    fn monitored(&self, read: impl FnOnce(&FaultPolicyMonitor) -> f64) -> f64 {
+        self.monitor.as_ref().map_or(0.0, read)
+    }
 }
 
 /// A batched GEMM server: accepts concurrent [`GemmRequest`]s, coalesces
@@ -189,6 +233,10 @@ pub struct GemmService<T: Scalar> {
     obs_server: Option<ObsServer>,
 }
 
+/// [`ShardedQueue::push`] or [`ShardedQueue::try_push`]; the last argument
+/// is the admission accounting the queue runs once the push is certain.
+type PushFn<T> = fn(&ShardedQueue<T>, Envelope<T>, &dyn Fn()) -> Result<(), PushError>;
+
 impl<T: Scalar> GemmService<T> {
     /// Service with default configuration (all cores, detected topology).
     pub fn with_defaults() -> Self {
@@ -222,6 +270,7 @@ impl<T: Scalar> GemmService<T> {
                 ctx: ParGemmContext::<T>::for_node_threads(node, threads),
             })
             .collect();
+        let stats = ServiceStats::new(&node_threads);
         let inner = Arc::new(Inner {
             // A group deeper than one full batch is steal-eligible (a dry
             // node migrating less than a batch would thrash).
@@ -231,19 +280,22 @@ impl<T: Scalar> GemmService<T> {
                 config.max_batch,
                 config.tenants.clone(),
             ),
-            stats: ServiceStats::new(&node_threads),
+            obs: config
+                .obs_addr
+                .map(|_| ServiceObs::new(nnodes, &stats.registry)),
+            stats,
             route: RouteState::new(config.routing),
             placer: Placer::new(config.placement),
             topology,
             nodes,
             abort: AtomicBool::new(false),
-            obs: config.obs_addr.map(|_| ServiceObs::new(nnodes)),
             monitor: config
                 .fault_policy
                 .clone()
                 .map(|cfg| FaultPolicyMonitor::new(cfg, nnodes)),
             config,
         });
+        register_live(&inner);
         // Exactly one dispatcher per node, and node `i`'s pool is entered
         // only by dispatcher `i` (stolen work runs on the *stealing* node's
         // pool; submit surfaces and the metrics endpoint never enter a
@@ -351,19 +403,20 @@ impl<T: Scalar> GemmService<T> {
     }
 
     /// The one submit path every surface goes through: validate → place →
-    /// deadline admission → envelope → count → trace → push, with the
-    /// counts rolled back when the push is rejected. The surfaces differ
-    /// only in `make_slot` (how the response slot and the caller's return
-    /// value are made), `surface` (which per-surface counter is bumped)
-    /// and `push` (parking [`ShardedQueue::push`] or fail-fast
+    /// deadline admission → envelope → trace → push, which counts the
+    /// admission from inside the enqueue — a push the queue turns away is
+    /// counted only as a rejection. The surfaces differ only in
+    /// `make_slot` (how the response slot and the caller's return value
+    /// are made), `surface` (which per-surface counter is bumped) and
+    /// `push` (parking [`ShardedQueue::push`] or fail-fast
     /// [`ShardedQueue::try_push`]). On rejection the `R` made by
     /// `make_slot` is dropped here, which is what releases an async
     /// handle's in-flight gauge.
     fn submit_with<R>(
         &self,
         req: GemmRequest<T>,
-        surface: &AtomicU64,
-        push: fn(&ShardedQueue<T>, Envelope<T>) -> Result<(), PushError>,
+        surface: &Counter,
+        push: PushFn<T>,
         make_slot: impl FnOnce(u64) -> (R, Arc<ResponseSlot<T>>),
     ) -> Result<R, ServeError> {
         req.validate()?;
@@ -386,30 +439,30 @@ impl<T: Scalar> GemmService<T> {
             affinity,
             submitted,
         };
-        // Count at admission, *before* the push: once the envelope is in
-        // the queue the scheduler may complete it at any moment, and a
-        // snapshot taken in that window must never see
-        // `completed > submitted`. A rejected push rolls the count back.
-        // Trace events follow the same rule: recorded before the push so a
-        // request's `admitted` can never land after its `dispatched`.
+        // Traced before the push: once the envelope is in the queue the
+        // scheduler may complete it at any moment, and a request's
+        // `admitted` must never land after its `dispatched`. The counts
+        // follow the same rule from inside the enqueue, so a snapshot
+        // never sees `completed > submitted`.
         let stats = &self.inner.stats;
-        stats.admit(surface);
-        stats.tenant_admit(tenant);
         if let Some(obs) = &self.inner.obs {
             obs.trace.record(affinity, id, TraceEvent::Admitted);
             obs.trace.record(affinity, id, TraceEvent::Queued);
         }
-        push(&self.inner.queue, env).map_err(|e| {
-            let (reason, err) = match e {
-                PushError::Full => (RejectReason::Overloaded, ServeError::Overloaded),
-                PushError::Closed => (RejectReason::Closed, ServeError::Closed),
-            };
-            stats.reject(surface, reason);
-            stats.tenant_unadmit(tenant);
+        push(&self.inner.queue, env, &|| stats.admit(surface, tenant)).map_err(|e| {
             if let Some(obs) = &self.inner.obs {
                 obs.trace.record(affinity, id, TraceEvent::Failed);
             }
-            err
+            match e {
+                PushError::Full => {
+                    stats.rejected_overloaded.inc();
+                    ServeError::Overloaded
+                }
+                PushError::Closed => {
+                    stats.rejected_closed.inc();
+                    ServeError::Closed
+                }
+            }
         })?;
         Ok(ret)
     }
@@ -594,16 +647,9 @@ fn snapshot_of<T: Scalar>(inner: &Inner<T>) -> StatsSnapshot {
     let depths: Vec<usize> = (0..inner.topology.num_nodes())
         .map(|n| inner.queue.node_depth(n))
         .collect();
-    let pool = inner.nodes.iter().fold(PoolStats::default(), |acc, n| {
-        let s = n.ctx.pool().stats();
-        PoolStats {
-            regions: acc.regions + s.regions,
-            barrier_crossings: acc.barrier_crossings + s.barrier_crossings,
-        }
-    });
     let mut snap = inner.stats.snapshot(
         &depths,
-        pool,
+        pool_stats(inner),
         inner.route.snapshot(),
         inner.queue.steal_wakeups(),
     );
@@ -613,9 +659,169 @@ fn snapshot_of<T: Scalar>(inner: &Inner<T>) -> StatsSnapshot {
     snap
 }
 
-/// One service's complete `/metrics` body.
+/// Worker-pool activity summed across every node's pool.
+fn pool_stats<T: Scalar>(inner: &Inner<T>) -> PoolStats {
+    inner.nodes.iter().fold(PoolStats::default(), |acc, n| {
+        let s = n.ctx.pool().stats();
+        PoolStats {
+            regions: acc.regions + s.regions,
+            barrier_crossings: acc.barrier_crossings + s.barrier_crossings,
+        }
+    })
+}
+
+/// One service's complete `/metrics` body: its own registry, then the
+/// process-wide one.
 fn render_metrics_of<T: Scalar>(inner: &Inner<T>) -> String {
-    render_service_metrics(&snapshot_of(inner), inner.obs.as_ref())
+    let mut expo = Exposition::new();
+    inner.stats.registry.render_into(&mut expo);
+    Registry::global().render_into(&mut expo);
+    expo.finish()
+}
+
+/// Registers the live half of the service's families in its registry:
+/// values whose truth is state the service keeps anyway (queue depths, the
+/// routing learner, the fault-policy monitor, the pools) or a formula over
+/// the counted cells of [`ServiceStats`], read at scrape time. Each cell
+/// holds a `Weak`, since `inner` owns the registry.
+fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
+    use MetricKind::{Counter, Gauge};
+    let registry = &inner.stats.registry;
+    let live = |name, kind, help, read: fn(&Inner<T>) -> f64| {
+        registry.read_weak(name, kind, help, &[], inner, read);
+    };
+    let per_node = |name, kind, help, read: fn(&Inner<T>, usize) -> f64| {
+        for node in 0..inner.nodes.len() {
+            let labels = [("node", &*node.to_string())];
+            registry.read_weak(name, kind, help, &labels, inner, move |i| read(i, node));
+        }
+    };
+    live(
+        "ftgemm_requests_submitted_total",
+        Counter,
+        "Requests accepted across all submit surfaces.",
+        |i| i.stats.submitted() as f64,
+    );
+    live(
+        "ftgemm_queue_depth",
+        Gauge,
+        "Envelopes waiting in the submission queue right now.",
+        |i| i.queue.depth() as f64,
+    );
+    live(
+        "ftgemm_uptime_seconds",
+        Gauge,
+        "Seconds since the service started.",
+        |i| i.stats.uptime().as_secs_f64(),
+    );
+    live(
+        "ftgemm_requests_per_second",
+        Gauge,
+        "Completed requests per second since the first submission.",
+        |i| i.stats.requests_per_sec(i.stats.uptime()),
+    );
+    live(
+        "ftgemm_routing_cutoff_flops",
+        Gauge,
+        "The flops cutoff the scheduler is routing by right now.",
+        |i| i.route.cutoff() as f64,
+    );
+    live(
+        "ftgemm_routing_batched_observations_total",
+        Counter,
+        "Timing observations the routing learner absorbed from the batched path.",
+        |i| i.route.snapshot().batched_observations as f64,
+    );
+    live(
+        "ftgemm_routing_parallel_observations_total",
+        Counter,
+        "Timing observations the routing learner absorbed from the matrix-parallel path.",
+        |i| i.route.snapshot().parallel_observations as f64,
+    );
+    live(
+        "ftgemm_routing_cutoff_updates_total",
+        Counter,
+        "Times the published routing cutoff actually changed.",
+        |i| i.route.snapshot().cutoff_updates as f64,
+    );
+    live(
+        "ftgemm_batch_occupancy_mean",
+        Gauge,
+        "Mean requests coalesced per batched region.",
+        |i| i.stats.mean_batch_occupancy(),
+    );
+    live(
+        "ftgemm_request_turnaround_seconds_mean",
+        Gauge,
+        "Mean submit-to-completion latency.",
+        |i| i.stats.mean_turnaround().as_secs_f64(),
+    );
+    live(
+        "ftgemm_batch_wall_seconds_total",
+        Counter,
+        "Summed wall time of batched parallel regions across every node.",
+        |i| i.stats.batch_wall().as_secs_f64(),
+    );
+    live(
+        "ftgemm_batch_thread_occupancy",
+        Gauge,
+        "Mean fraction of batched-region time each thread spent busy.",
+        |i| i.stats.batch_thread_occupancy(),
+    );
+    live(
+        "ftgemm_steal_wakeups_total",
+        Counter,
+        "Cross-node dispatcher wakeups fired by pushes crossing the steal threshold.",
+        |i| i.queue.steal_wakeups() as f64,
+    );
+    live(
+        "ftgemm_service_pool_regions_total",
+        Counter,
+        "Parallel regions executed across this service's node pools.",
+        |i| pool_stats(i).regions as f64,
+    );
+    live(
+        "ftgemm_service_pool_barrier_crossings_total",
+        Counter,
+        "Barrier crossings across this service's node pools.",
+        |i| pool_stats(i).barrier_crossings as f64,
+    );
+    per_node(
+        "ftgemm_node_queue_depth",
+        Gauge,
+        "Envelopes waiting in each node's shard group right now.",
+        |i, node| i.queue.node_depth(node) as f64,
+    );
+    per_node(
+        "ftgemm_node_batch_busy_seconds_total",
+        Counter,
+        "Summed busy time of each node's threads inside its batched regions.",
+        |i, node| i.stats.node_batch_busy(node).as_secs_f64(),
+    );
+    per_node(
+        "ftgemm_ftpolicy_node_floor",
+        Gauge,
+        "Fault-policy floor the error-aware monitor enforces per node (0=Off, 1=Detect, 2=DetectCorrect).",
+        |i, node| i.monitored(|m| m.level(node) as f64),
+    );
+    per_node(
+        "ftgemm_ftpolicy_escalations_total",
+        Counter,
+        "Times the error-aware monitor raised each node's policy floor.",
+        |i, node| i.monitored(|m| m.escalations(node) as f64),
+    );
+    per_node(
+        "ftgemm_ftpolicy_deescalations_total",
+        Counter,
+        "Times the error-aware monitor stepped each node's policy floor back down.",
+        |i, node| i.monitored(|m| m.deescalations(node) as f64),
+    );
+    per_node(
+        "ftgemm_ftpolicy_error_rate_per_flop",
+        Gauge,
+        "Detected-errors-per-flop EWMA the error-aware monitor tracks per node.",
+        |i, node| i.monitored(|m| m.error_rate(node)),
+    );
 }
 
 impl<T: Scalar> Drop for GemmService<T> {
@@ -640,8 +846,8 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
 /// the dispatcher ever runs. Only this node's pool ever touches it, so it
 /// stays on the memory domain that computes with it.
 ///
-/// The matrix-parallel path has no field here yet: `run_large` still
-/// builds its workspace per request (see the note there).
+/// The matrix-parallel path has no field here: `run_large` builds its
+/// workspace per request until ROADMAP open item 1 lands the per-node one.
 struct NodeCompute<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
     /// Per-pool-thread serial FT contexts for the batched path.
@@ -712,7 +918,7 @@ fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
                 .pop_node_into(victim, inner.config.max_batch, &mut sweep);
             if stolen > 0 {
                 if let Some(c) = inner.stats.stolen.get(node) {
-                    c.fetch_add(stolen as u64, Ordering::Relaxed);
+                    c.add(stolen as u64);
                 }
                 dispatch(inner, node, &compute, &mut sweep);
             }
@@ -797,7 +1003,7 @@ fn dispatch<T: Scalar>(
             finish(inner, env, Ending::Shed);
             continue;
         }
-        inner.stats.direct_large.fetch_add(1, Ordering::Relaxed);
+        inner.stats.direct_large.inc();
         run_large(inner, node, compute, env);
     }
 }
@@ -827,7 +1033,7 @@ fn run_large<T: Scalar>(
     // requests a shutdown_now abort fails mid-sweep never inflate the
     // per-node "executed" counters.
     if let Some(c) = inner.stats.dispatched.get(node) {
-        c.fetch_add(1, Ordering::Relaxed);
+        c.inc();
     }
     if let Some(obs) = &inner.obs {
         obs.trace.record(
@@ -844,7 +1050,7 @@ fn run_large<T: Scalar>(
     // A workspace per request (slim for a plain one, full for a protected
     // one). One kept per node lifts `serve_large` about sevenfold, which
     // the repo benchmark's spread check cannot resolve on a shared host, so
-    // it waits for its own PR (ROADMAP, "Close the kernel gaps" (4));
+    // it waits for its own PR (ROADMAP, open item 1);
     // `run_parallel` takes the workspace by `&mut` and grows it, so that
     // PR is a field on `NodeCompute`.
     let ctx = compute.ctx;
@@ -884,14 +1090,11 @@ fn run_batch<T: Scalar>(
     compute: &NodeCompute<'_, T>,
     mut envs: Vec<Envelope<T>>,
 ) {
-    inner.stats.batches.fetch_add(1, Ordering::Relaxed);
-    inner
-        .stats
-        .batched_requests
-        .fetch_add(envs.len() as u64, Ordering::Relaxed);
+    inner.stats.batches.inc();
+    inner.stats.batched_requests.add(envs.len() as u64);
     // At-execution counting, same as run_large.
     if let Some(c) = inner.stats.dispatched.get(node) {
-        c.fetch_add(envs.len() as u64, Ordering::Relaxed);
+        c.add(envs.len() as u64);
     }
     if let Some(obs) = &inner.obs {
         for env in &envs {
@@ -991,9 +1194,7 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         .saturating_duration_since(submitted)
         .as_nanos()
         .min(u64::MAX as u128) as u64;
-    stats
-        .turnaround_ns
-        .fetch_add(turnaround_ns, Ordering::Relaxed);
+    stats.turnaround_ns.add(turnaround_ns);
     // Counted before the tenant's tallies, so no snapshot shows a tenant
     // ahead of the service totals. Unserved requests are traced on the
     // node they were queued for.
@@ -1006,7 +1207,7 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         Ending::Served { node, .. } => (&stats.failed, TraceEvent::Failed, node),
         Ending::Shed | Ending::Closed => (&stats.failed, TraceEvent::Failed, affinity),
     };
-    counter.fetch_add(1, Ordering::Relaxed);
+    counter.inc();
     let outcome = match ending {
         Ending::Served {
             node,
@@ -1145,9 +1346,9 @@ mod tests {
             order[0], 4,
             "small request waited behind the large loop: {order:?}"
         );
-        assert_eq!(inner.stats.direct_large.load(Ordering::Relaxed), 4);
-        assert_eq!(inner.stats.batched_requests.load(Ordering::Relaxed), 1);
-        assert_eq!(inner.stats.dispatched[0].load(Ordering::Relaxed), 5);
+        assert_eq!(inner.stats.direct_large.get(), 4);
+        assert_eq!(inner.stats.batched_requests.get(), 1);
+        assert_eq!(inner.stats.dispatched[0].get(), 5);
     }
 
     /// A traced service with **no dispatcher**: whatever a submit pushes
@@ -1160,7 +1361,7 @@ mod tests {
             queue_capacity,
             ..ServiceConfig::default()
         });
-        inner.obs = Some(ServiceObs::new(1));
+        inner.obs = Some(ServiceObs::new(1, &inner.stats.registry));
         GemmService {
             inner: Arc::new(inner),
             dispatchers: Vec::new(),
@@ -1204,7 +1405,7 @@ mod tests {
     }
 
     /// One submit surface must be indistinguishable from the others in
-    /// what it counts, traces and rolls back: for each outcome a submit can
+    /// what it counts, traces and releases: for each outcome a submit can
     /// have, all three surfaces produce the same [`Effect`] (the
     /// blocking surface never reports `Overloaded` — it parks — so that
     /// row covers the two try-push surfaces).
@@ -1319,8 +1520,8 @@ mod tests {
             trace: trace.iter().map(|e| e.to_string()).collect(),
             in_flight: 0,
         };
-        // A push the queue turned away was admitted, traced and then
-        // rolled back; a submit turned away earlier left no trace at all.
+        // A push the queue turned away was traced but never counted as
+        // submitted; a submit turned away earlier left no trace at all.
         let pushed_then_rejected = ["admitted", "queued", "failed"];
         let table = [
             (Outcome::Shape, rejected(Outcome::Shape, &[])),
@@ -1365,6 +1566,90 @@ mod tests {
         }
     }
 
+    /// `_total` families only go up. Two threads hammer `submit_async`
+    /// against a one-slot queue — most pushes bounce — while a third
+    /// snapshots: no admission count ever falls between two snapshots (a
+    /// rejected push used to be counted and then taken back, which a
+    /// scraper reads as a counter reset), no snapshot shows more requests
+    /// finished than accepted, and in the end every attempt was counted
+    /// exactly once, as accepted or as rejected.
+    #[test]
+    fn admission_counters_never_decrease() {
+        const ATTEMPTS_PER_THREAD: u64 = 3_000;
+        let service = GemmService::<f64>::new(ServiceConfig {
+            threads: 1,
+            queue_capacity: 1,
+            topology: Some(Topology::single(1)),
+            ..ServiceConfig::default()
+        });
+        let start = std::sync::Barrier::new(3);
+        let hammering = std::sync::atomic::AtomicUsize::new(2);
+        let assert_none_fell = |before: &StatsSnapshot, after: &StatsSnapshot| {
+            let totals = |s: &StatsSnapshot| {
+                [
+                    s.submitted,
+                    s.submitted_sync,
+                    s.submitted_async,
+                    s.submitted_streamed,
+                ]
+            };
+            assert!(
+                totals(before)
+                    .iter()
+                    .zip(totals(after))
+                    .all(|(b, a)| *b <= a),
+                "a submitted count fell: {before:?} -> {after:?}"
+            );
+            for was in &before.per_tenant {
+                let now = after.per_tenant.iter().find(|t| t.tenant == was.tenant);
+                assert!(
+                    now.is_some_and(|now| now.admitted >= was.admitted),
+                    "tenant {}'s admitted fell: {was:?} -> {now:?}",
+                    was.tenant
+                );
+            }
+        };
+        std::thread::scope(|scope| {
+            for tenant in [1, 2] {
+                let (service, start, hammering) = (&service, &start, &hammering);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..ATTEMPTS_PER_THREAD {
+                        let req = GemmRequest::new(Matrix::zeros(4, 4), Matrix::zeros(4, 4));
+                        match service.submit_async(req.with_tenant(tenant)) {
+                            Ok(_) | Err(ServeError::Overloaded) => {}
+                            Err(other) => panic!("unexpected submit error: {other}"),
+                        }
+                    }
+                    hammering.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            let mut last = service.stats();
+            while hammering.load(Ordering::SeqCst) > 0 {
+                let snap = service.stats();
+                assert!(
+                    snap.completed + snap.failed <= snap.submitted,
+                    "finished before accepted: {snap:?}"
+                );
+                assert_none_fell(&last, &snap);
+                last = snap;
+            }
+        });
+        let end = service.shutdown();
+        assert_eq!(
+            end.submitted + end.rejected_overloaded,
+            2 * ATTEMPTS_PER_THREAD
+        );
+        assert_eq!(end.completed + end.failed, end.submitted);
+        let admitted: u64 = end.per_tenant.iter().map(|t| t.admitted).sum();
+        assert_eq!(admitted, end.submitted);
+        assert!(
+            end.rejected_overloaded > 0,
+            "the queue never bounced a push"
+        );
+    }
+
     /// The four ways an admitted request can end.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum End {
@@ -1407,7 +1692,7 @@ mod tests {
                 let id = env.id;
 
                 let before = service.stats();
-                let turnaround_before = service.inner.stats.turnaround_ns.load(Ordering::Relaxed);
+                let turnaround_before = service.inner.stats.turnaround_ns.get();
                 let trace_before = service.render_trace(64).lines().count();
                 let served = |result| Ending::Served {
                     node: 0,
@@ -1465,7 +1750,7 @@ mod tests {
                 assert_eq!(after.completed - before.completed, ok, "{case}");
                 assert_eq!(after.failed - before.failed, 1 - ok, "{case}");
                 assert!(
-                    service.inner.stats.turnaround_ns.load(Ordering::Relaxed) > turnaround_before,
+                    service.inner.stats.turnaround_ns.get() > turnaround_before,
                     "{case}: turnaround not accumulated"
                 );
                 let row = |snap: &StatsSnapshot| {

@@ -1,4 +1,11 @@
 //! Service-level counters and derived metrics.
+//!
+//! Every counted event is a cell in the service's [`Registry`]: the
+//! statement that registers it gives the number its Prometheus family,
+//! kind, help text and storage at once, [`StatsSnapshot`] reads the same
+//! cells, and `/metrics` is a render of that registry. Values that are
+//! live state or a formula over cells are registered by `service.rs` as
+//! read cells over the methods below, so each formula exists once.
 
 // analyze::policy(atomics: relaxed)
 // Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
@@ -7,6 +14,7 @@
 use crate::qos::TenantId;
 use crate::routing::RoutingSnapshot;
 use ftgemm_abft::FtReport;
+use ftgemm_obs::{Counter, Gauge, MetricKind, Registry};
 use ftgemm_parallel::BatchTiming;
 use ftgemm_pool::PoolStats;
 use parking_lot::Mutex;
@@ -18,258 +26,433 @@ use std::time::{Duration, Instant};
 /// Sentinel for "no request has been submitted yet".
 const NO_SUBMIT: u64 = u64::MAX;
 
-/// Why a submit was rejected (surfaced as the `reason` label of
-/// `ftgemm_requests_rejected_total`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RejectReason {
-    /// Bounded queue at capacity (non-blocking surfaces only).
-    Overloaded,
-    /// Service shutting down.
-    Closed,
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Lock-free counters updated by the submit path and the scheduler.
+/// A nanosecond tally whose family reads in seconds.
+fn seconds_counter(
+    registry: &Registry,
+    name: &str,
+    help: &str,
+    labels: &[(&str, &str)],
+) -> Arc<Counter> {
+    let ns = Arc::new(Counter::new());
+    let cell = Arc::clone(&ns);
+    registry.read_with(name, MetricKind::Counter, help, labels, move || {
+        Duration::from_nanos(cell.get()).as_secs_f64()
+    });
+    ns
+}
+
+/// The service's counted events, each a cell of [`registry`](Self::registry)
+/// updated by the submit path and the scheduler.
 #[derive(Debug)]
 pub(crate) struct ServiceStats {
+    /// The service-scoped registry `/metrics` renders.
+    pub registry: Registry,
     started: Instant,
     /// Nanoseconds after `started` of the first admitted submission
     /// ([`NO_SUBMIT`] until then); anchors `requests_per_sec` so idle
     /// warm-up time does not dilute the reported rate.
     first_submit_ns: AtomicU64,
-    pub submitted: AtomicU64,
     /// Requests accepted through the blocking `submit` surface.
-    pub submitted_sync: AtomicU64,
+    pub submitted_sync: Arc<Counter>,
     /// Requests accepted through `submit_async` (waker-based futures).
-    pub submitted_async: AtomicU64,
+    pub submitted_async: Arc<Counter>,
     /// Requests accepted through `submit_streamed` (completion channel).
-    pub submitted_streamed: AtomicU64,
-    /// Live `AsyncRequestHandle` futures (gauge, not a counter); shared
-    /// with every handle via `Arc` so drops decrement it from anywhere.
-    pub in_flight_async: Arc<AtomicU64>,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
+    pub submitted_streamed: Arc<Counter>,
+    /// Live `AsyncRequestHandle` futures; shared with every handle so
+    /// drops decrement it from anywhere.
+    pub in_flight_async: Arc<Gauge>,
+    pub completed: Arc<Counter>,
+    pub failed: Arc<Counter>,
     /// Submits rejected because the bounded queue was full.
-    pub rejected_overloaded: AtomicU64,
+    pub rejected_overloaded: Arc<Counter>,
     /// Submits rejected because the service was shutting down.
-    pub rejected_closed: AtomicU64,
+    pub rejected_closed: Arc<Counter>,
+    /// Submits rejected by deadline admission control (infeasible before
+    /// they reached the queue).
+    rejected_deadline: Arc<Counter>,
+    /// Admitted requests load-shed at dispatch because their deadline
+    /// expired while queued (each one also counts in `failed`, preserving
+    /// `completed + failed <= submitted`).
+    shed_deadline: Arc<Counter>,
     /// Coalesced parallel regions executed on the batched path.
-    pub batches: AtomicU64,
+    pub batches: Arc<Counter>,
     /// Requests that went through the batched path.
-    pub batched_requests: AtomicU64,
+    pub batched_requests: Arc<Counter>,
     /// Requests routed straight to the matrix-parallel driver.
-    pub direct_large: AtomicU64,
-    pub detected: AtomicU64,
-    pub corrected: AtomicU64,
-    pub injected: AtomicU64,
-    pub retried_panels: AtomicU64,
-    /// Summed submit→completion latency, nanoseconds.
-    pub turnaround_ns: AtomicU64,
+    pub direct_large: Arc<Counter>,
+    detected: Arc<Counter>,
+    corrected: Arc<Counter>,
+    injected: Arc<Counter>,
+    retried_panels: Arc<Counter>,
+    /// Summed submit→completion latency, nanoseconds (no family of its
+    /// own: it surfaces as the mean).
+    pub turnaround_ns: Counter,
     /// Summed wall time of batched parallel regions, nanoseconds, per
     /// executing node. Regions on different nodes run concurrently, so
     /// occupancy math must weight each node's wall by that node's thread
     /// count rather than pooling the walls.
-    pub batch_wall_ns: Vec<AtomicU64>,
+    batch_wall_ns: Vec<Arc<Counter>>,
     /// Summed per-pool-thread busy time inside batched regions, indexed by
     /// *global* thread id (node thread ranges concatenated in node order).
     /// The spread across threads is the batch-path occupancy imbalance.
-    pub batch_busy_ns: Vec<AtomicU64>,
+    batch_busy_ns: Vec<Arc<Counter>>,
     /// Threads per node, indexed by node id.
     node_threads: Vec<usize>,
-    /// First global-thread index of each node's range into
-    /// [`batch_busy_ns`](Self::batch_busy_ns).
-    node_offsets: Vec<usize>,
     /// Requests dispatched on each node's worker subset (stolen requests
     /// count on the node that *executed* them).
-    pub dispatched: Vec<AtomicU64>,
+    pub dispatched: Vec<Arc<Counter>>,
     /// Requests a node executed after stealing them off another node's
     /// shard group.
-    pub stolen: Vec<AtomicU64>,
-    /// Submits rejected by deadline admission control (infeasible before
-    /// they reached the queue; never counted in `submitted`).
-    pub rejected_deadline: AtomicU64,
-    /// Admitted requests load-shed at dispatch because their deadline
-    /// expired while queued (each one also counts in `failed`, preserving
-    /// `completed + failed <= submitted`).
-    pub shed_deadline: AtomicU64,
-    /// Per-tenant QoS tallies, keyed by tenant id. A `BTreeMap` so the
-    /// snapshot's per-tenant rows come out in stable id order; the lock is
-    /// uncontended off the hot path (one brief touch per request event).
-    tenants: Mutex<BTreeMap<TenantId, TenantCounters>>,
+    pub stolen: Vec<Arc<Counter>>,
+    /// Per-tenant QoS tallies, keyed by tenant id and registered on the
+    /// tenant's first touch. A `BTreeMap` so the snapshot's per-tenant rows
+    /// come out in stable id order; the lock is uncontended off the hot
+    /// path (one brief touch per request event).
+    tenants: Mutex<BTreeMap<TenantId, TenantCells>>,
 }
 
-/// Mutable per-tenant tallies behind [`ServiceStats::tenants`].
-#[derive(Debug, Default, Clone, Copy)]
-struct TenantCounters {
-    admitted: u64,
-    completed: u64,
-    shed: u64,
-    rejected_deadline: u64,
-    deadline_met: u64,
-    deadline_missed: u64,
-    served_flops: u64,
+/// One tenant's cells behind [`ServiceStats::tenants`].
+#[derive(Debug)]
+struct TenantCells {
+    admitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    shed: Arc<Counter>,
+    rejected_deadline: Arc<Counter>,
+    deadline_met: Arc<Counter>,
+    deadline_missed: Arc<Counter>,
+    served_flops: Arc<Counter>,
+}
+
+impl TenantCells {
+    fn register(registry: &Registry, tenant: TenantId) -> Self {
+        let id = tenant.to_string();
+        let cell = |name, help| registry.counter_with(name, help, &[("tenant", id.as_str())]);
+        TenantCells {
+            admitted: cell(
+                "ftgemm_tenant_admitted_total",
+                "Requests admitted per tenant (past validation and admission control).",
+            ),
+            completed: cell(
+                "ftgemm_tenant_completed_total",
+                "Requests served to completion per tenant.",
+            ),
+            shed: cell(
+                "ftgemm_tenant_shed_total",
+                "Requests load-shed at dispatch per tenant (deadline expired while queued).",
+            ),
+            rejected_deadline: cell(
+                "ftgemm_tenant_rejected_deadline_total",
+                "Submits turned away by deadline admission control per tenant.",
+            ),
+            deadline_met: cell(
+                "ftgemm_tenant_deadline_met_total",
+                "Completed requests that carried a deadline and finished in time, per tenant.",
+            ),
+            deadline_missed: cell(
+                "ftgemm_tenant_deadline_missed_total",
+                "Completed requests that carried a deadline and finished late, per tenant.",
+            ),
+            served_flops: cell(
+                "ftgemm_tenant_served_flops_total",
+                "Planned multiply-adds of completed requests per tenant (the weighted-fair share unit).",
+            ),
+        }
+    }
 }
 
 impl ServiceStats {
     /// `node_threads[i]` is node `i`'s worker-subset size.
     pub(crate) fn new(node_threads: &[usize]) -> Self {
-        let total: usize = node_threads.iter().sum();
-        let node_offsets = node_threads
-            .iter()
-            .scan(0usize, |acc, &n| {
-                let start = *acc;
-                *acc += n;
-                Some(start)
-            })
-            .collect();
+        let registry = Registry::new();
+        let counter = |name, help| registry.counter(name, help);
+        let rejected = |reason| {
+            registry.counter_with(
+                "ftgemm_requests_rejected_total",
+                "Requests rejected at submit, by reason.",
+                &[("reason", reason)],
+            )
+        };
+        let ids = |n: usize| (0..n).map(|i| i.to_string());
+        let per_node = |name, help| {
+            ids(node_threads.len())
+                .map(|node| registry.counter_with(name, help, &[("node", node.as_str())]))
+                .collect()
+        };
+        // `completed` and `failed` come first: a render reads cells in
+        // registration order, so a scrape — like a snapshot — loads them
+        // before the submitted cells and never shows more requests finished
+        // than accepted.
+        let completed = counter(
+            "ftgemm_requests_completed_total",
+            "Requests completed successfully.",
+        );
+        let failed = counter(
+            "ftgemm_requests_failed_total",
+            "Requests completed with an error.",
+        );
+        for (node, &threads) in ids(node_threads.len()).zip(node_threads) {
+            registry
+                .gauge_with(
+                    "ftgemm_node_threads",
+                    "Worker threads pinned to each node.",
+                    &[("node", node.as_str())],
+                )
+                .set(threads as f64);
+        }
         ServiceStats {
             started: Instant::now(),
             first_submit_ns: AtomicU64::new(NO_SUBMIT),
-            submitted: AtomicU64::new(0),
-            submitted_sync: AtomicU64::new(0),
-            submitted_async: AtomicU64::new(0),
-            submitted_streamed: AtomicU64::new(0),
-            in_flight_async: Arc::new(AtomicU64::new(0)),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            rejected_closed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            direct_large: AtomicU64::new(0),
-            detected: AtomicU64::new(0),
-            corrected: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-            retried_panels: AtomicU64::new(0),
-            turnaround_ns: AtomicU64::new(0),
-            batch_wall_ns: node_threads.iter().map(|_| AtomicU64::new(0)).collect(),
-            batch_busy_ns: (0..total).map(|_| AtomicU64::new(0)).collect(),
+            submitted_sync: counter(
+                "ftgemm_requests_submitted_sync_total",
+                "Requests accepted via the blocking submit surface.",
+            ),
+            submitted_async: counter(
+                "ftgemm_requests_submitted_async_total",
+                "Requests accepted via submit_async.",
+            ),
+            submitted_streamed: counter(
+                "ftgemm_requests_submitted_streamed_total",
+                "Requests accepted via submit_streamed.",
+            ),
+            in_flight_async: registry.gauge(
+                "ftgemm_requests_in_flight_async",
+                "Async futures currently alive (neither resolved nor dropped).",
+            ),
+            completed,
+            failed,
+            rejected_overloaded: rejected("overloaded"),
+            rejected_closed: rejected("closed"),
+            rejected_deadline: rejected("deadline"),
+            shed_deadline: counter(
+                "ftgemm_requests_shed_deadline_total",
+                "Admitted requests load-shed at dispatch after their deadline expired in queue.",
+            ),
+            batches: counter(
+                "ftgemm_batches_total",
+                "Coalesced parallel regions executed on the batched path.",
+            ),
+            batched_requests: counter(
+                "ftgemm_batched_requests_total",
+                "Requests served via the batched path.",
+            ),
+            direct_large: counter(
+                "ftgemm_direct_large_total",
+                "Requests served via the matrix-parallel path.",
+            ),
+            detected: counter(
+                "ftgemm_ft_detected_total",
+                "Checksum discrepancies flagged as real errors, service-wide.",
+            ),
+            corrected: counter(
+                "ftgemm_ft_corrected_total",
+                "Elements corrected in place, service-wide.",
+            ),
+            injected: counter(
+                "ftgemm_ft_injected_total",
+                "Errors injected by request-attached injectors, service-wide.",
+            ),
+            retried_panels: counter(
+                "ftgemm_ft_retried_panels_total",
+                "Panels recomputed under DetectCorrect, service-wide.",
+            ),
+            turnaround_ns: Counter::new(),
+            batch_wall_ns: ids(node_threads.len())
+                .map(|node| {
+                    seconds_counter(
+                        &registry,
+                        "ftgemm_node_batch_wall_seconds_total",
+                        "Summed wall time of the batched regions each node executed.",
+                        &[("node", node.as_str())],
+                    )
+                })
+                .collect(),
+            batch_busy_ns: ids(node_threads.iter().sum())
+                .map(|thread| {
+                    seconds_counter(
+                        &registry,
+                        "ftgemm_batch_thread_busy_seconds_total",
+                        "Summed busy time per pool thread inside batched regions (global thread id).",
+                        &[("thread", thread.as_str())],
+                    )
+                })
+                .collect(),
             node_threads: node_threads.to_vec(),
-            node_offsets,
-            dispatched: node_threads.iter().map(|_| AtomicU64::new(0)).collect(),
-            stolen: node_threads.iter().map(|_| AtomicU64::new(0)).collect(),
-            rejected_deadline: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
+            dispatched: per_node(
+                "ftgemm_node_dispatched_total",
+                "Requests executed on each node's worker subset (including stolen ones).",
+            ),
+            stolen: per_node(
+                "ftgemm_node_stolen_total",
+                "Requests each node executed after stealing them off another node's shard group.",
+            ),
             tenants: Mutex::new(BTreeMap::new()),
+            registry,
         }
     }
 
-    /// Counts an admission for `tenant` (paired with
-    /// [`tenant_unadmit`](Self::tenant_unadmit) if the queue push is
-    /// subsequently rejected).
-    pub(crate) fn tenant_admit(&self, tenant: TenantId) {
-        self.tenants.lock().entry(tenant).or_default().admitted += 1;
+    /// Runs `f` on `tenant`'s cells, registering them on its first touch.
+    fn tenant(&self, tenant: TenantId, f: impl FnOnce(&TenantCells)) {
+        let mut tenants = self.tenants.lock();
+        f(tenants
+            .entry(tenant)
+            .or_insert_with(|| TenantCells::register(&self.registry, tenant)));
     }
 
-    /// Rolls back a [`tenant_admit`](Self::tenant_admit) whose queue push
-    /// failed, mirroring [`reject`](Self::reject) on the tenant axis.
-    pub(crate) fn tenant_unadmit(&self, tenant: TenantId) {
-        let mut tenants = self.tenants.lock();
-        let counters = tenants.entry(tenant).or_default();
-        counters.admitted = counters.admitted.saturating_sub(1);
+    /// Counts an admission on `surface` and on `tenant`'s row, and stamps
+    /// the first-submission instant. [`ShardedQueue`](crate::queue) calls
+    /// this from inside its enqueue, so a push the queue turns away is
+    /// never counted and no `_total` is ever rolled back.
+    pub(crate) fn admit(&self, surface: &Counter, tenant: TenantId) {
+        // Stamped once: after that, one relaxed load and no clock read.
+        if self.first_submit_ns.load(Ordering::Relaxed) == NO_SUBMIT {
+            let ns = nanos(self.started.elapsed()).min(NO_SUBMIT - 1);
+            // First writer wins; later submissions leave the anchor alone.
+            let _ = self.first_submit_ns.compare_exchange(
+                NO_SUBMIT,
+                ns,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
+        surface.inc();
+        self.tenant(tenant, |t| t.admitted.inc());
     }
 
     /// Counts a submit that deadline admission control turned away before
-    /// it was admitted. No rollback is involved: the request never touched
-    /// `submitted` or the per-surface counters.
+    /// it was admitted: the request never touched the per-surface counters.
     pub(crate) fn reject_deadline(&self, tenant: TenantId) {
-        self.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-        self.tenants
-            .lock()
-            .entry(tenant)
-            .or_default()
-            .rejected_deadline += 1;
+        self.rejected_deadline.inc();
+        self.tenant(tenant, |t| t.rejected_deadline.inc());
     }
 
     /// Counts an admitted request shed at dispatch because its deadline
     /// expired while queued. The caller also bumps `failed` (a shed request
     /// is a failed request), so `completed + failed <= submitted` holds.
     pub(crate) fn tenant_shed(&self, tenant: TenantId) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-        self.tenants.lock().entry(tenant).or_default().shed += 1;
+        self.shed_deadline.inc();
+        self.tenant(tenant, |t| t.shed.inc());
     }
 
     /// Folds one served request into its tenant's tallies. `deadline_met`
     /// is `None` for requests submitted without a deadline (they count in
     /// neither met nor missed).
     pub(crate) fn tenant_complete(&self, tenant: TenantId, flops: u64, deadline_met: Option<bool>) {
-        let mut tenants = self.tenants.lock();
-        let counters = tenants.entry(tenant).or_default();
-        counters.completed += 1;
-        counters.served_flops += flops;
-        match deadline_met {
-            Some(true) => counters.deadline_met += 1,
-            Some(false) => counters.deadline_missed += 1,
-            None => {}
-        }
-    }
-
-    /// Counts a request at admission, before it can reach the queue:
-    /// bumps the total and the given per-surface counter, and stamps the
-    /// first-submission instant. Must be paired with [`reject`](Self::reject)
-    /// if the subsequent queue push fails, so rejected requests do not
-    /// inflate the totals.
-    pub(crate) fn admit(&self, surface: &AtomicU64) {
-        let ns = self
-            .started
-            .elapsed()
-            .as_nanos()
-            .min((NO_SUBMIT - 1) as u128) as u64;
-        // First writer wins; later submissions leave the anchor alone.
-        let _ = self.first_submit_ns.compare_exchange(
-            NO_SUBMIT,
-            ns,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        surface.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rolls back an [`admit`](Self::admit) whose queue push was rejected,
-    /// and counts the rejection under its reason. Only this request's own
-    /// increments are undone, so the invariant
-    /// `completed + failed <= submitted` holds throughout (the count is,
-    /// at worst, transiently one high while the rejection unwinds).
-    pub(crate) fn reject(&self, surface: &AtomicU64, reason: RejectReason) {
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-        surface.fetch_sub(1, Ordering::Relaxed);
-        match reason {
-            RejectReason::Overloaded => &self.rejected_overloaded,
-            RejectReason::Closed => &self.rejected_closed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.tenant(tenant, |t| {
+            t.completed.inc();
+            t.served_flops.add(flops);
+            match deadline_met {
+                Some(true) => t.deadline_met.inc(),
+                Some(false) => t.deadline_missed.inc(),
+                None => {}
+            }
+        });
     }
 
     /// Folds one request's FT report into the service counters.
     pub(crate) fn absorb_report(&self, report: &FtReport) {
-        self.detected
-            .fetch_add(report.detected as u64, Ordering::Relaxed);
-        self.corrected
-            .fetch_add(report.corrected as u64, Ordering::Relaxed);
-        self.injected
-            .fetch_add(report.injected as u64, Ordering::Relaxed);
-        self.retried_panels
-            .fetch_add(report.retried_panels as u64, Ordering::Relaxed);
+        self.detected.add(report.detected as u64);
+        self.corrected.add(report.corrected as u64);
+        self.injected.add(report.injected as u64);
+        self.retried_panels.add(report.retried_panels as u64);
+    }
+
+    /// `node`'s slice of the global per-thread busy cells.
+    fn node_busy_cells(&self, node: usize) -> &[Arc<Counter>] {
+        let start: usize = self.node_threads.iter().take(node).sum();
+        &self.batch_busy_ns[start..start + self.node_threads[node]]
     }
 
     /// Folds one batched region's occupancy measurements into the
     /// accumulated batch-path load metrics. `node` maps the region's local
     /// thread ids onto the service-global busy-time slots.
     pub(crate) fn absorb_batch_timing(&self, node: usize, timing: &BatchTiming) {
-        self.batch_wall_ns[node].fetch_add(
-            timing.wall.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        let offset = self.node_offsets[node];
-        for (slot, busy) in self.batch_busy_ns[offset..]
+        self.batch_wall_ns[node].add(nanos(timing.wall));
+        for (slot, busy) in self.node_busy_cells(node).iter().zip(&timing.thread_busy) {
+            slot.add(nanos(*busy));
+        }
+    }
+
+    /// Requests accepted across all submit surfaces.
+    pub(crate) fn submitted(&self) -> u64 {
+        self.submitted_sync.get() + self.submitted_async.get() + self.submitted_streamed.get()
+    }
+
+    /// Time since the service started.
+    pub(crate) fn uptime(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Completed requests per second over the window from the first
+    /// submission to `uptime` — a service idle for an hour before its first
+    /// request should not report a diluted rate. `0.0` while that window is
+    /// empty.
+    pub(crate) fn requests_per_sec(&self, uptime: Duration) -> f64 {
+        let serving = match self.first_submit_ns.load(Ordering::Relaxed) {
+            NO_SUBMIT => Duration::ZERO,
+            ns => uptime.saturating_sub(Duration::from_nanos(ns)),
+        };
+        if serving.is_zero() {
+            0.0
+        } else {
+            self.completed.get() as f64 / serving.as_secs_f64().max(1e-9)
+        }
+    }
+
+    /// Mean requests coalesced per batched region.
+    pub(crate) fn mean_batch_occupancy(&self) -> f64 {
+        match self.batches.get() {
+            0 => 0.0,
+            batches => self.batched_requests.get() as f64 / batches as f64,
+        }
+    }
+
+    /// Mean submit→completion latency.
+    pub(crate) fn mean_turnaround(&self) -> Duration {
+        self.turnaround_ns
+            .get()
+            .checked_div(self.completed.get() + self.failed.get())
+            .map_or(Duration::ZERO, Duration::from_nanos)
+    }
+
+    /// Summed wall time of the batched regions `node` executed.
+    fn node_batch_wall(&self, node: usize) -> Duration {
+        Duration::from_nanos(self.batch_wall_ns[node].get())
+    }
+
+    /// Summed busy time of `node`'s threads inside its batched regions.
+    pub(crate) fn node_batch_busy(&self, node: usize) -> Duration {
+        Duration::from_nanos(self.node_busy_cells(node).iter().map(|ns| ns.get()).sum())
+    }
+
+    /// Summed wall time of batched regions across every node.
+    pub(crate) fn batch_wall(&self) -> Duration {
+        (0..self.node_threads.len())
+            .map(|node| self.node_batch_wall(node))
+            .sum()
+    }
+
+    /// Mean fraction of batched-region time each thread spent busy. Each
+    /// node's batched regions run concurrently with its peers' and only
+    /// ever occupy that node's worker subset, so the available thread-time
+    /// is Σ(node wall × node threads) — not pooled wall × total threads,
+    /// which would report a fully busy multi-node service as 1/num_nodes
+    /// occupied.
+    pub(crate) fn batch_thread_occupancy(&self) -> f64 {
+        let busy: u64 = self.batch_busy_ns.iter().map(|ns| ns.get()).sum();
+        let available: f64 = self
+            .node_threads
             .iter()
-            .take(self.node_threads[node])
-            .zip(&timing.thread_busy)
-        {
-            slot.fetch_add(
-                busy.as_nanos().min(u64::MAX as u128) as u64,
-                Ordering::Relaxed,
-            );
+            .enumerate()
+            .map(|(node, &threads)| self.node_batch_wall(node).as_secs_f64() * threads as f64)
+            .sum();
+        if available <= 0.0 {
+            0.0
+        } else {
+            Duration::from_nanos(busy).as_secs_f64() / available
         }
     }
 
@@ -280,126 +463,81 @@ impl ServiceStats {
         routing: RoutingSnapshot,
         steal_wakeups: u64,
     ) -> StatsSnapshot {
-        let queue_depth: usize = node_queue_depths.iter().sum();
+        // Loaded before the submitted cells: a request is counted as
+        // submitted before it can be popped, so reading in this order never
+        // shows `completed + failed > submitted`.
+        let completed = self.completed.get();
+        let failed = self.failed.get();
+        let uptime = self.uptime();
         let per_node: Vec<NodeStats> = (0..self.node_threads.len())
-            .map(|node| {
-                let offset = self.node_offsets[node];
-                let busy_ns: u64 = self.batch_busy_ns[offset..]
-                    .iter()
-                    .take(self.node_threads[node])
-                    .map(|ns| ns.load(Ordering::Relaxed))
-                    .sum();
-                NodeStats {
-                    node,
-                    threads: self.node_threads[node],
-                    queue_depth: node_queue_depths.get(node).copied().unwrap_or(0),
-                    dispatched: self.dispatched[node].load(Ordering::Relaxed),
-                    stolen: self.stolen[node].load(Ordering::Relaxed),
-                    batch_wall: Duration::from_nanos(
-                        self.batch_wall_ns[node].load(Ordering::Relaxed),
-                    ),
-                    batch_busy: Duration::from_nanos(busy_ns),
-                    // The fault-policy monitor lives beside the stats (it
-                    // needs the topology and a lock, not atomics); the
-                    // service overlays its values after this call. Zeroed
-                    // here so monitor-less services report all-clear.
-                    ft_floor: 0,
-                    ft_escalations: 0,
-                    ft_deescalations: 0,
-                }
+            .map(|node| NodeStats {
+                node,
+                threads: self.node_threads[node],
+                queue_depth: node_queue_depths.get(node).copied().unwrap_or(0),
+                dispatched: self.dispatched[node].get(),
+                stolen: self.stolen[node].get(),
+                batch_wall: self.node_batch_wall(node),
+                batch_busy: self.node_batch_busy(node),
+                // The fault-policy monitor lives beside the stats (it
+                // needs the topology and a lock, not atomics); the
+                // service overlays its values after this call. Zeroed
+                // here so monitor-less services report all-clear.
+                ft_floor: 0,
+                ft_escalations: 0,
+                ft_deescalations: 0,
             })
             .collect();
-        let completed = self.completed.load(Ordering::Relaxed);
-        let failed = self.failed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched_requests = self.batched_requests.load(Ordering::Relaxed);
-        let uptime = self.started.elapsed();
-        // Throughput is measured over the window from the first submission
-        // to now — a service idle for an hour before its first request
-        // should not report a diluted rate.
-        let serving = match self.first_submit_ns.load(Ordering::Relaxed) {
-            NO_SUBMIT => Duration::ZERO,
-            ns => uptime.saturating_sub(Duration::from_nanos(ns)),
-        };
-        let batch_wall: Duration = per_node.iter().map(|n| n.batch_wall).sum();
-        let batch_busy_per_thread: Vec<Duration> = self
-            .batch_busy_ns
-            .iter()
-            .map(|ns| Duration::from_nanos(ns.load(Ordering::Relaxed)))
-            .collect();
-        let busy_total: Duration = batch_busy_per_thread.iter().sum();
-        // Each node's batched regions run concurrently with its peers' and
-        // only ever occupy that node's worker subset, so the available
-        // thread-time is Σ(node wall × node threads) — not pooled wall ×
-        // total threads, which would report a fully busy multi-node
-        // service as 1/num_nodes occupied.
-        let occupancy_denom: f64 = per_node
-            .iter()
-            .map(|n| n.batch_wall.as_secs_f64() * n.threads as f64)
-            .sum();
         let per_tenant: Vec<TenantStats> = self
             .tenants
             .lock()
             .iter()
             .map(|(&tenant, c)| TenantStats {
                 tenant,
-                admitted: c.admitted,
-                completed: c.completed,
-                shed: c.shed,
-                rejected_deadline: c.rejected_deadline,
-                deadline_met: c.deadline_met,
-                deadline_missed: c.deadline_missed,
-                served_flops: c.served_flops,
+                admitted: c.admitted.get(),
+                completed: c.completed.get(),
+                shed: c.shed.get(),
+                rejected_deadline: c.rejected_deadline.get(),
+                deadline_met: c.deadline_met.get(),
+                deadline_missed: c.deadline_missed.get(),
+                served_flops: c.served_flops.get(),
             })
             .collect();
         StatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            submitted_sync: self.submitted_sync.load(Ordering::Relaxed),
-            submitted_async: self.submitted_async.load(Ordering::Relaxed),
-            submitted_streamed: self.submitted_streamed.load(Ordering::Relaxed),
-            in_flight_async: self.in_flight_async.load(Ordering::Relaxed),
+            submitted: self.submitted(),
+            submitted_sync: self.submitted_sync.get(),
+            submitted_async: self.submitted_async.get(),
+            submitted_streamed: self.submitted_streamed.get(),
+            in_flight_async: self.in_flight_async.get() as u64,
             completed,
             failed,
-            rejected_overloaded: self.rejected_overloaded.load(Ordering::Relaxed),
-            rejected_closed: self.rejected_closed.load(Ordering::Relaxed),
-            rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
+            rejected_overloaded: self.rejected_overloaded.get(),
+            rejected_closed: self.rejected_closed.get(),
+            rejected_deadline: self.rejected_deadline.get(),
+            shed_deadline: self.shed_deadline.get(),
             per_tenant,
-            batches,
-            batched_requests,
-            direct_large: self.direct_large.load(Ordering::Relaxed),
-            detected: self.detected.load(Ordering::Relaxed),
-            corrected: self.corrected.load(Ordering::Relaxed),
-            injected: self.injected.load(Ordering::Relaxed),
-            retried_panels: self.retried_panels.load(Ordering::Relaxed),
-            queue_depth,
+            batches: self.batches.get(),
+            batched_requests: self.batched_requests.get(),
+            direct_large: self.direct_large.get(),
+            detected: self.detected.get(),
+            corrected: self.corrected.get(),
+            injected: self.injected.get(),
+            retried_panels: self.retried_panels.get(),
+            queue_depth: node_queue_depths.iter().sum(),
             uptime,
-            requests_per_sec: if serving.is_zero() {
-                0.0
-            } else {
-                completed as f64 / serving.as_secs_f64().max(1e-9)
-            },
+            requests_per_sec: self.requests_per_sec(uptime),
             current_cutoff: routing.current_cutoff,
             routing_batched_observations: routing.batched_observations,
             routing_parallel_observations: routing.parallel_observations,
             cutoff_updates: routing.cutoff_updates,
-            mean_batch_occupancy: if batches == 0 {
-                0.0
-            } else {
-                batched_requests as f64 / batches as f64
-            },
-            mean_turnaround: self
-                .turnaround_ns
-                .load(Ordering::Relaxed)
-                .checked_div(completed + failed)
-                .map_or(Duration::ZERO, Duration::from_nanos),
-            batch_wall,
-            batch_busy_per_thread,
-            batch_thread_occupancy: if occupancy_denom <= 0.0 {
-                0.0
-            } else {
-                busy_total.as_secs_f64() / occupancy_denom
-            },
+            mean_batch_occupancy: self.mean_batch_occupancy(),
+            mean_turnaround: self.mean_turnaround(),
+            batch_wall: self.batch_wall(),
+            batch_busy_per_thread: self
+                .batch_busy_ns
+                .iter()
+                .map(|ns| Duration::from_nanos(ns.get()))
+                .collect(),
+            batch_thread_occupancy: self.batch_thread_occupancy(),
             steal_wakeups,
             ft_error_rate_per_node: vec![0.0; self.node_threads.len()],
             per_node,
@@ -586,7 +724,7 @@ pub struct StatsSnapshot {
 #[cfg(test)]
 impl StatsSnapshot {
     /// An all-zero snapshot shaped like a `nodes`-node service with
-    /// `threads_total` worker threads (exposition-renderer tests).
+    /// `threads_total` worker threads (fault-policy overlay tests).
     pub(crate) fn empty_for_test(nodes: usize, threads_total: usize) -> Self {
         let nodes = nodes.max(1);
         let mut node_threads = vec![threads_total / nodes; nodes];
@@ -610,12 +748,12 @@ mod tests {
     fn snapshot_derives_rates() {
         let s = ServiceStats::new(&[2]);
         for _ in 0..10 {
-            s.admit(&s.submitted_sync);
+            s.admit(&s.submitted_sync, 0);
         }
-        s.completed.store(8, Ordering::Relaxed);
-        s.batches.store(2, Ordering::Relaxed);
-        s.batched_requests.store(6, Ordering::Relaxed);
-        s.turnaround_ns.store(8_000_000, Ordering::Relaxed);
+        s.completed.add(8);
+        s.batches.add(2);
+        s.batched_requests.add(6);
+        s.turnaround_ns.add(8_000_000);
         // Snapshots are taken strictly after the first admission, so the
         // serving window is non-empty and the rate is positive.
         std::thread::sleep(Duration::from_millis(2));
@@ -644,8 +782,8 @@ mod tests {
         // against that formula instead of a fixed rate keeps the test
         // immune to descheduling between admit and snapshot.
         std::thread::sleep(Duration::from_millis(30));
-        s.admit(&s.submitted_sync);
-        s.completed.store(1, Ordering::Relaxed);
+        s.admit(&s.submitted_sync, 0);
+        s.completed.add(1);
         std::thread::sleep(Duration::from_millis(2));
         let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
         let construction_anchored = snap.completed as f64 / snap.uptime.as_secs_f64();
@@ -658,25 +796,11 @@ mod tests {
     }
 
     #[test]
-    fn reject_rolls_back_admission() {
-        let s = ServiceStats::new(&[1]);
-        s.admit(&s.submitted_async);
-        s.admit(&s.submitted_async);
-        s.reject(&s.submitted_async, RejectReason::Overloaded);
-        let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
-        assert_eq!(snap.submitted, 1);
-        assert_eq!(snap.submitted_async, 1);
-        assert_eq!(snap.rejected_overloaded, 1);
-        assert_eq!(snap.rejected_closed, 0);
-    }
-
-    #[test]
     fn tenant_counters_tally_and_roll_back() {
         let s = ServiceStats::new(&[1]);
-        s.tenant_admit(7);
-        s.tenant_admit(7);
-        s.tenant_admit(3);
-        s.tenant_unadmit(3); // queue push bounced — row stays but reads zero
+        s.admit(&s.submitted_sync, 7);
+        s.admit(&s.submitted_sync, 7);
+        s.admit(&s.submitted_sync, 3);
         s.tenant_complete(7, 1000, Some(true));
         s.tenant_complete(7, 500, None);
         s.tenant_shed(7);
@@ -694,7 +818,9 @@ mod tests {
         assert_eq!(t7.deadline_met, 1);
         assert_eq!(t7.deadline_missed, 0, "no-deadline completion is neutral");
         assert_eq!(t7.shed, 1);
-        assert_eq!(snap.per_tenant[0].admitted, 0);
+        // Nothing is ever rolled back: a push the queue turns away is not
+        // counted in the first place (`admission_counters_never_decrease`).
+        assert_eq!(snap.per_tenant[0].admitted, 1);
         assert_eq!(snap.per_tenant[2].rejected_deadline, 1);
     }
 
@@ -783,9 +909,9 @@ mod tests {
     #[test]
     fn dispatch_and_steal_counters_surface_per_node() {
         let s = ServiceStats::new(&[1, 1, 1]);
-        s.dispatched[0].store(7, Ordering::Relaxed);
-        s.dispatched[2].store(3, Ordering::Relaxed);
-        s.stolen[2].store(3, Ordering::Relaxed);
+        s.dispatched[0].add(7);
+        s.dispatched[2].add(3);
+        s.stolen[2].add(3);
         let snap = s.snapshot(
             &[0, 0, 0],
             PoolStats::default(),

@@ -54,7 +54,8 @@ fn main() {
     println!("healthz: {}", get(addr, "/healthz").trim());
 
     // The scrape, filtered to the headline families (the full body carries
-    // every StatsSnapshot field — see ftgemm_serve::export for the table).
+    // every StatsSnapshot field; each family explains itself in its # HELP
+    // line, and the names are pinned in analyze/pins.toml [metrics]).
     let metrics = get(addr, "/metrics");
     println!("\n-- selected /metrics families --");
     for line in metrics.lines() {

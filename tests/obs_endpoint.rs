@@ -4,11 +4,14 @@
 //! service is quiesced — every service-scoped counter in the scrape equals
 //! the in-process [`StatsSnapshot`] the service reports.
 
+use ftgemm::obs::Registry;
+use ftgemm::serve::exec::block_on;
 use ftgemm::serve::{
-    FtPolicy, GemmRequest, GemmService, PlacementPolicy, RoutingPolicy, ServiceConfig, Topology,
+    completion_channel, FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, PlacementPolicy,
+    RoutingPolicy, ServiceConfig, Topology,
 };
 use ftgemm::{FaultInjector, Matrix};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -112,7 +115,11 @@ fn scraped_counters_match_in_process_snapshot() {
     let addr = service.obs_addr().expect("endpoint bound");
     assert_ne!(addr.port(), 0, "port 0 should resolve to the bound port");
 
+    // Spread over the three submit surfaces and two tenants, so the
+    // per-surface and per-tenant cells all move.
+    let (sink, mut completions) = completion_channel::<f64>();
     let mut handles = Vec::new();
+    let mut futures = Vec::new();
     for i in 0..24u64 {
         // Every 6th request is above the pinned cutoff (matrix-parallel);
         // every 3rd carries an injector so the ft counters are nonzero.
@@ -123,14 +130,26 @@ fn scraped_counters_match_in_process_snapshot() {
         };
         let a = Matrix::<f64>::random(m, k, 5_000 + i);
         let b = Matrix::<f64>::random(k, n, 6_000 + i);
-        let mut req = GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect);
+        let mut req = GemmRequest::new(a, b)
+            .with_policy(FtPolicy::DetectCorrect)
+            .with_tenant(1 + (i % 2) as u32);
         if i % 3 == 0 {
             req = req.with_injector(FaultInjector::counted(700 + i, 1));
         }
-        handles.push(service.submit(req).unwrap());
+        match i % 4 {
+            1 => futures.push(service.submit_async(req).unwrap()),
+            3 => drop(service.submit_streamed(req, &sink).unwrap()),
+            _ => handles.push(service.submit(req).unwrap()),
+        }
     }
     for h in handles {
         h.wait().unwrap();
+    }
+    for f in futures {
+        block_on(f).unwrap();
+    }
+    while let Some(c) = completions.recv() {
+        c.result.unwrap();
     }
 
     // Quiesced: all requests completed, nothing in flight.
@@ -145,14 +164,45 @@ fn scraped_counters_match_in_process_snapshot() {
     let expect = [
         ("ftgemm_requests_submitted_total", snap.submitted),
         ("ftgemm_requests_submitted_sync_total", snap.submitted_sync),
+        (
+            "ftgemm_requests_submitted_async_total",
+            snap.submitted_async,
+        ),
+        (
+            "ftgemm_requests_submitted_streamed_total",
+            snap.submitted_streamed,
+        ),
+        ("ftgemm_requests_in_flight_async", snap.in_flight_async),
         ("ftgemm_requests_completed_total", snap.completed),
         ("ftgemm_requests_failed_total", snap.failed),
+        (
+            "ftgemm_requests_rejected_total{reason=\"overloaded\"}",
+            snap.rejected_overloaded,
+        ),
+        (
+            "ftgemm_requests_rejected_total{reason=\"closed\"}",
+            snap.rejected_closed,
+        ),
+        (
+            "ftgemm_requests_rejected_total{reason=\"deadline\"}",
+            snap.rejected_deadline,
+        ),
+        ("ftgemm_requests_shed_deadline_total", snap.shed_deadline),
         ("ftgemm_batches_total", snap.batches),
         ("ftgemm_batched_requests_total", snap.batched_requests),
         ("ftgemm_direct_large_total", snap.direct_large),
         ("ftgemm_ft_detected_total", snap.detected),
         ("ftgemm_ft_corrected_total", snap.corrected),
         ("ftgemm_ft_injected_total", snap.injected),
+        ("ftgemm_ft_retried_panels_total", snap.retried_panels),
+        ("ftgemm_queue_depth", snap.queue_depth as u64),
+        ("ftgemm_routing_cutoff_flops", snap.current_cutoff),
+        ("ftgemm_routing_cutoff_updates_total", snap.cutoff_updates),
+        ("ftgemm_service_pool_regions_total", snap.pool.regions),
+        (
+            "ftgemm_service_pool_barrier_crossings_total",
+            snap.pool.barrier_crossings,
+        ),
         ("ftgemm_steal_wakeups_total", snap.steal_wakeups),
         (
             "ftgemm_routing_batched_observations_total",
@@ -173,6 +223,67 @@ fn scraped_counters_match_in_process_snapshot() {
     }
     assert!(snap.injected > 0, "injectors never fired: {snap:?}");
     assert_eq!(samples["ftgemm_ft_corrected_total"], snap.injected as f64);
+    assert_eq!(
+        (
+            snap.submitted_sync,
+            snap.submitted_async,
+            snap.submitted_streamed
+        ),
+        (12, 6, 6)
+    );
+
+    // Every per-node and per-tenant row of the snapshot is a labeled sample
+    // of the scrape with the same value.
+    let mut labeled: Vec<(String, f64)> = Vec::new();
+    for n in &snap.per_node {
+        let mut node = |family: &str, value: f64| {
+            labeled.push((format!("{family}{{node=\"{}\"}}", n.node), value));
+        };
+        node("ftgemm_node_threads", n.threads as f64);
+        node("ftgemm_node_queue_depth", n.queue_depth as f64);
+        node("ftgemm_node_dispatched_total", n.dispatched as f64);
+        node("ftgemm_node_stolen_total", n.stolen as f64);
+        node(
+            "ftgemm_node_batch_wall_seconds_total",
+            n.batch_wall.as_secs_f64(),
+        );
+        node(
+            "ftgemm_node_batch_busy_seconds_total",
+            n.batch_busy.as_secs_f64(),
+        );
+        node("ftgemm_ftpolicy_node_floor", n.ft_floor as f64);
+        node("ftgemm_ftpolicy_escalations_total", n.ft_escalations as f64);
+        node(
+            "ftgemm_ftpolicy_deescalations_total",
+            n.ft_deescalations as f64,
+        );
+        node(
+            "ftgemm_ftpolicy_error_rate_per_flop",
+            snap.ft_error_rate_per_node[n.node],
+        );
+    }
+    assert_eq!(snap.per_tenant.len(), 2, "{:?}", snap.per_tenant);
+    for t in &snap.per_tenant {
+        assert_eq!((t.admitted, t.completed), (12, 12), "{t:?}");
+        let mut tenant = |family: &str, value: u64| {
+            let key = format!("ftgemm_tenant_{family}_total{{tenant=\"{}\"}}", t.tenant);
+            labeled.push((key, value as f64));
+        };
+        tenant("admitted", t.admitted);
+        tenant("completed", t.completed);
+        tenant("shed", t.shed);
+        tenant("rejected_deadline", t.rejected_deadline);
+        tenant("deadline_met", t.deadline_met);
+        tenant("deadline_missed", t.deadline_missed);
+        tenant("served_flops", t.served_flops);
+    }
+    for (thread, busy) in snap.batch_busy_per_thread.iter().enumerate() {
+        let key = format!("ftgemm_batch_thread_busy_seconds_total{{thread=\"{thread}\"}}");
+        labeled.push((key, busy.as_secs_f64()));
+    }
+    for (key, value) in labeled {
+        assert_eq!(samples.get(&key).copied(), Some(value), "{key}");
+    }
 
     // Per-node families carry one labeled sample per topology node, and the
     // dispatched counters sum to the total that executed.
@@ -204,6 +315,95 @@ fn scraped_counters_match_in_process_snapshot() {
     for family in ["ftgemm_requests_submitted_total", "ftgemm_queue_depth"] {
         assert!(rendered.contains(family), "render_metrics missing {family}");
     }
+}
+
+/// The `(family, kind)` set a service scrapes under is a dashboard
+/// contract. Names are also pinned in `analyze/pins.toml`; kinds only here.
+/// Everything the scrape holds beyond the process-wide registry's families
+/// must be exactly this list — with obs, a fault policy and one tenant
+/// touched, so no family is missing for want of a sample.
+#[test]
+fn every_serve_family_keeps_its_name_and_kind() {
+    const GOLDEN: [(&str, &str); 50] = [
+        ("ftgemm_batch_occupancy_mean", "gauge"),
+        ("ftgemm_batch_thread_busy_seconds_total", "counter"),
+        ("ftgemm_batch_thread_occupancy", "gauge"),
+        ("ftgemm_batch_wall_seconds_total", "counter"),
+        ("ftgemm_batched_requests_total", "counter"),
+        ("ftgemm_batches_total", "counter"),
+        ("ftgemm_direct_large_total", "counter"),
+        ("ftgemm_ft_corrected_total", "counter"),
+        ("ftgemm_ft_detected_total", "counter"),
+        ("ftgemm_ft_injected_total", "counter"),
+        ("ftgemm_ft_retried_panels_total", "counter"),
+        ("ftgemm_ftpolicy_deescalations_total", "counter"),
+        ("ftgemm_ftpolicy_error_rate_per_flop", "gauge"),
+        ("ftgemm_ftpolicy_escalations_total", "counter"),
+        ("ftgemm_ftpolicy_node_floor", "gauge"),
+        ("ftgemm_node_batch_busy_seconds_total", "counter"),
+        ("ftgemm_node_batch_wall_seconds_total", "counter"),
+        ("ftgemm_node_dispatched_total", "counter"),
+        ("ftgemm_node_queue_depth", "gauge"),
+        ("ftgemm_node_stolen_total", "counter"),
+        ("ftgemm_node_threads", "gauge"),
+        ("ftgemm_queue_depth", "gauge"),
+        ("ftgemm_request_turnaround_seconds", "histogram"),
+        ("ftgemm_request_turnaround_seconds_mean", "gauge"),
+        ("ftgemm_requests_completed_total", "counter"),
+        ("ftgemm_requests_failed_total", "counter"),
+        ("ftgemm_requests_in_flight_async", "gauge"),
+        ("ftgemm_requests_per_second", "gauge"),
+        ("ftgemm_requests_rejected_total", "counter"),
+        ("ftgemm_requests_shed_deadline_total", "counter"),
+        ("ftgemm_requests_submitted_async_total", "counter"),
+        ("ftgemm_requests_submitted_streamed_total", "counter"),
+        ("ftgemm_requests_submitted_sync_total", "counter"),
+        ("ftgemm_requests_submitted_total", "counter"),
+        ("ftgemm_routing_batched_observations_total", "counter"),
+        ("ftgemm_routing_cutoff_flops", "gauge"),
+        ("ftgemm_routing_cutoff_updates_total", "counter"),
+        ("ftgemm_routing_parallel_observations_total", "counter"),
+        ("ftgemm_service_pool_barrier_crossings_total", "counter"),
+        ("ftgemm_service_pool_regions_total", "counter"),
+        ("ftgemm_steal_wakeups_total", "counter"),
+        ("ftgemm_tenant_admitted_total", "counter"),
+        ("ftgemm_tenant_completed_total", "counter"),
+        ("ftgemm_tenant_deadline_met_total", "counter"),
+        ("ftgemm_tenant_deadline_missed_total", "counter"),
+        ("ftgemm_tenant_rejected_deadline_total", "counter"),
+        ("ftgemm_tenant_served_flops_total", "counter"),
+        ("ftgemm_tenant_shed_total", "counter"),
+        ("ftgemm_trace_dropped_total", "counter"),
+        ("ftgemm_uptime_seconds", "gauge"),
+    ];
+    let service = GemmService::<f64>::new(ServiceConfig {
+        threads: 2,
+        topology: Some(Topology::synthetic(2, 1)),
+        obs_addr: Some("127.0.0.1:0".parse().unwrap()),
+        fault_policy: Some(FaultPolicyConfig::default()),
+        ..ServiceConfig::default()
+    });
+    let req = GemmRequest::new(
+        Matrix::<f64>::random(8, 8, 1),
+        Matrix::<f64>::random(8, 8, 2),
+    );
+    service.run(req.with_tenant(3)).unwrap();
+
+    // Rendered before the global registry is listed: sibling tests register
+    // process-wide families concurrently, and the list must cover every one
+    // this body can hold.
+    let body = service.render_metrics();
+    let global: BTreeSet<String> = Registry::global()
+        .families()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    let scraped: BTreeSet<(&str, &str)> = body
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split_once(' '))
+        .filter(|(family, _)| !global.contains(*family))
+        .collect();
+    assert_eq!(scraped, BTreeSet::from(GOLDEN));
 }
 
 /// `/healthz` answers on the same listener, `/trace` dumps lifecycle
