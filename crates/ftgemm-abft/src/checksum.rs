@@ -45,22 +45,12 @@ pub fn scale_encode_c<T: Scalar>(
     }
     for j in 0..n {
         let col = c.col_mut(j);
-        let mut csum = T::ZERO;
-        if beta == T::ONE {
-            for i in 0..m {
-                let v = col[i];
-                csum += v;
-                enc_row[i] += v;
-            }
-        } else {
-            for i in 0..m {
-                let v = beta * col[i];
-                col[i] = v;
-                csum += v;
-                enc_row[i] += v;
+        if beta != T::ONE {
+            for v in col.iter_mut() {
+                *v = beta * *v;
             }
         }
-        enc_col[j] = csum;
+        enc_col[j] = sum_into_rows(col, enc_row);
         if let Some(base) = base.as_deref_mut() {
             base[j * m..(j + 1) * m].copy_from_slice(col);
         }
@@ -101,15 +91,32 @@ pub fn encode_c<T: Scalar>(c: &MatRef<'_, T>, enc_row: &mut [T], enc_col: &mut [
     assert_eq!(enc_col.len(), n, "encode_c: enc_col length");
     enc_row.fill(T::ZERO);
     for j in 0..n {
-        let col = c.col(j);
-        let mut csum = T::ZERO;
-        for i in 0..m {
-            let v = col[i];
-            csum += v;
-            enc_row[i] += v;
-        }
-        enc_col[j] = csum;
+        enc_col[j] = sum_into_rows(c.col(j), enc_row);
     }
+}
+
+/// One column of a checksum encode: returns `Σ_i col[i]` and adds each
+/// `col[i]` into `enc_row[i]`. The column sum runs over `LANES` independent
+/// partial sums (one serial chain would bound the pass by add latency, not
+/// by memory), so its rounding differs from a left-to-right sum; `enc_row`
+/// sees the same additions in the same order either way.
+fn sum_into_rows<T: Scalar>(col: &[T], enc_row: &mut [T]) -> T {
+    const LANES: usize = 8;
+    let mut acc = [T::ZERO; LANES];
+    let mut cols = col.chunks_exact(LANES);
+    let mut rows = enc_row.chunks_exact_mut(LANES);
+    for (c, r) in (&mut cols).zip(&mut rows) {
+        for l in 0..LANES {
+            acc[l] += c[l];
+            r[l] += c[l];
+        }
+    }
+    let mut tail = T::ZERO;
+    for (&v, r) in cols.remainder().iter().zip(rows.into_remainder()) {
+        tail += v;
+        *r += v;
+    }
+    acc.iter().fold(tail, |s, &v| s + v)
 }
 
 /// Standalone `bc[p] = Σ_j B[p,j]` over a panel (unfused B_c).

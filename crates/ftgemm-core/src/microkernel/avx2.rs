@@ -60,15 +60,6 @@ unsafe fn dgemm_8x6_full(
 ) {
     use std::arch::x86_64::*;
 
-    #[inline(always)]
-    unsafe fn hsum_pd(v: __m256d) -> f64 {
-        let hi = _mm256_extractf128_pd(v, 1);
-        let lo = _mm256_castpd256_pd128(v);
-        let s = _mm_add_pd(lo, hi);
-        let s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-        _mm_cvtsd_f64(s)
-    }
-
     let mut acc_lo = [_mm256_setzero_pd(); F64_NR];
     let mut acc_hi = [_mm256_setzero_pd(); F64_NR];
 
@@ -97,6 +88,7 @@ unsafe fn dgemm_8x6_full(
     } else {
         let mut rsum_lo = _mm256_setzero_pd();
         let mut rsum_hi = _mm256_setzero_pd();
+        let mut w = [_mm256_setzero_pd(); F64_NR];
         for j in 0..F64_NR {
             let cp = c.add(j * ldc);
             let v0 = _mm256_add_pd(_mm256_loadu_pd(cp), acc_lo[j]);
@@ -105,8 +97,22 @@ unsafe fn dgemm_8x6_full(
             _mm256_storeu_pd(cp.add(4), v1);
             rsum_lo = _mm256_add_pd(rsum_lo, v0);
             rsum_hi = _mm256_add_pd(rsum_hi, v1);
-            *col_sums.add(j) += hsum_pd(v0) + hsum_pd(v1);
+            w[j] = _mm256_add_pd(v0, v1);
         }
+        // One shared reduce for the six column sums: `hadd` pairs the
+        // columns, then the 128-bit halves are folded — columns 0..4 as one
+        // vector RMW, 4..6 as a half one.
+        let h01 = _mm256_hadd_pd(w[0], w[1]);
+        let h23 = _mm256_hadd_pd(w[2], w[3]);
+        let h45 = _mm256_hadd_pd(w[4], w[5]);
+        let s0123 = _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(h01, h23),
+            _mm256_permute2f128_pd::<0x31>(h01, h23),
+        );
+        let s45 = _mm_add_pd(_mm256_castpd256_pd128(h45), _mm256_extractf128_pd::<1>(h45));
+        _mm256_storeu_pd(col_sums, _mm256_add_pd(_mm256_loadu_pd(col_sums), s0123));
+        let cs45 = col_sums.add(4);
+        _mm_storeu_pd(cs45, _mm_add_pd(_mm_loadu_pd(cs45), s45));
         let r0 = _mm256_add_pd(_mm256_loadu_pd(row_sums), rsum_lo);
         let r1 = _mm256_add_pd(_mm256_loadu_pd(row_sums.add(4)), rsum_hi);
         _mm256_storeu_pd(row_sums, r0);
@@ -151,16 +157,6 @@ unsafe fn sgemm_16x6_full(
 ) {
     use std::arch::x86_64::*;
 
-    #[inline(always)]
-    unsafe fn hsum_ps(v: __m256) -> f32 {
-        let hi = _mm256_extractf128_ps(v, 1);
-        let lo = _mm256_castps256_ps128(v);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0b01));
-        _mm_cvtss_f32(s)
-    }
-
     let mut acc_lo = [_mm256_setzero_ps(); F32_NR];
     let mut acc_hi = [_mm256_setzero_ps(); F32_NR];
 
@@ -189,6 +185,7 @@ unsafe fn sgemm_16x6_full(
     } else {
         let mut rsum_lo = _mm256_setzero_ps();
         let mut rsum_hi = _mm256_setzero_ps();
+        let mut w = [_mm256_setzero_ps(); F32_NR];
         for j in 0..F32_NR {
             let cp = c.add(j * ldc);
             let v0 = _mm256_add_ps(_mm256_loadu_ps(cp), acc_lo[j]);
@@ -197,8 +194,24 @@ unsafe fn sgemm_16x6_full(
             _mm256_storeu_ps(cp.add(8), v1);
             rsum_lo = _mm256_add_ps(rsum_lo, v0);
             rsum_hi = _mm256_add_ps(rsum_hi, v1);
-            *col_sums.add(j) += hsum_ps(v0) + hsum_ps(v1);
+            w[j] = _mm256_add_ps(v0, v1);
         }
+        // One shared reduce: two `hadd` levels leave each 128-bit half
+        // holding its partial sums of columns 0..4 (`q0123`) and 4..6
+        // (`q45`, twice); folding the halves gives the six sums in lanes
+        // 0..6, added to `col_sums` under a six-lane mask.
+        let h01 = _mm256_hadd_ps(w[0], w[1]);
+        let h23 = _mm256_hadd_ps(w[2], w[3]);
+        let h45 = _mm256_hadd_ps(w[4], w[5]);
+        let q0123 = _mm256_hadd_ps(h01, h23);
+        let q45 = _mm256_hadd_ps(h45, h45);
+        let sums = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(q0123, q45),
+            _mm256_permute2f128_ps::<0x31>(q0123, q45),
+        );
+        let six = _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
+        let cs = _mm256_add_ps(_mm256_maskload_ps(col_sums, six), sums);
+        _mm256_maskstore_ps(col_sums, six, cs);
         let r0 = _mm256_add_ps(_mm256_loadu_ps(row_sums), rsum_lo);
         let r1 = _mm256_add_ps(_mm256_loadu_ps(row_sums.add(8)), rsum_hi);
         _mm256_storeu_ps(row_sums, r0);

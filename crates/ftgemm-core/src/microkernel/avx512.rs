@@ -119,6 +119,7 @@ unsafe fn dgemm_16x8_full(
         // while still in registers (paper §2.2).
         let mut rsum_lo = _mm512_setzero_pd();
         let mut rsum_hi = _mm512_setzero_pd();
+        let mut w = [_mm512_setzero_pd(); F64_NR];
         for j in 0..F64_NR {
             let cp = c.add(j * ldc);
             let v0 = _mm512_add_pd(_mm512_loadu_pd(cp), acc_lo[j]);
@@ -127,8 +128,11 @@ unsafe fn dgemm_16x8_full(
             _mm512_storeu_pd(cp.add(8), v1);
             rsum_lo = _mm512_add_pd(rsum_lo, v0);
             rsum_hi = _mm512_add_pd(rsum_hi, v1);
-            *col_sums.add(j) += _mm512_reduce_add_pd(v0) + _mm512_reduce_add_pd(v1);
+            w[j] = _mm512_add_pd(v0, v1);
         }
+        // All eight column sums from one transposed reduce, one vector RMW.
+        let cs = _mm512_add_pd(_mm512_loadu_pd(col_sums), hsum8_pd(w));
+        _mm512_storeu_pd(col_sums, cs);
         let r0 = _mm512_add_pd(_mm512_loadu_pd(row_sums), rsum_lo);
         let r1 = _mm512_add_pd(_mm512_loadu_pd(row_sums.add(8)), rsum_hi);
         _mm512_storeu_pd(row_sums, r0);
@@ -201,6 +205,7 @@ unsafe fn sgemm_32x8_full(
     } else {
         let mut rsum_lo = _mm512_setzero_ps();
         let mut rsum_hi = _mm512_setzero_ps();
+        let mut w = [_mm512_setzero_ps(); F32_NR];
         for j in 0..F32_NR {
             let cp = c.add(j * ldc);
             let v0 = _mm512_add_ps(_mm512_loadu_ps(cp), acc_lo[j]);
@@ -209,13 +214,86 @@ unsafe fn sgemm_32x8_full(
             _mm512_storeu_ps(cp.add(16), v1);
             rsum_lo = _mm512_add_ps(rsum_lo, v0);
             rsum_hi = _mm512_add_ps(rsum_hi, v1);
-            *col_sums.add(j) += _mm512_reduce_add_ps(v0) + _mm512_reduce_add_ps(v1);
+            w[j] = _mm512_add_ps(v0, v1);
         }
+        let cs = _mm256_add_ps(_mm256_loadu_ps(col_sums), hsum8_ps(w));
+        _mm256_storeu_ps(col_sums, cs);
         let r0 = _mm512_add_ps(_mm512_loadu_ps(row_sums), rsum_lo);
         let r1 = _mm512_add_ps(_mm512_loadu_ps(row_sums.add(16)), rsum_hi);
         _mm512_storeu_ps(row_sums, r0);
         _mm512_storeu_ps(row_sums.add(16), r1);
     }
+}
+
+/// The eight horizontal sums of `w[0..8]` as one vector: lane `j` of the
+/// result is the sum of the eight lanes of `w[j]`.
+///
+/// A three-level transposed reduce — `unpacklo + unpackhi` per pair of
+/// inputs, then `shuffle_f64x2 0x88 + 0xDD` twice — 14 shuffles and 7 adds
+/// for all eight, where one `_mm512_reduce_add_pd` tree per input is 3 of
+/// each. Shared by the fused store above and the `enc_col` reduce of the
+/// fused `B` pack.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+pub(crate) fn hsum8_pd(w: [std::arch::x86_64::__m512d; 8]) -> std::arch::x86_64::__m512d {
+    use std::arch::x86_64::*;
+
+    // s[i]: 128-bit lane L = (w[2i][2L] + w[2i][2L+1], w[2i+1][2L] + w[2i+1][2L+1]).
+    let s: [__m512d; 4] = std::array::from_fn(|i| {
+        _mm512_add_pd(
+            _mm512_unpacklo_pd(w[2 * i], w[2 * i + 1]),
+            _mm512_unpackhi_pd(w[2 * i], w[2 * i + 1]),
+        )
+    });
+    // t[i]: lanes (0+1, 2+3) of s[2i], then of s[2i+1].
+    let t: [__m512d; 2] = std::array::from_fn(|i| {
+        _mm512_add_pd(
+            _mm512_shuffle_f64x2::<0x88>(s[2 * i], s[2 * i + 1]),
+            _mm512_shuffle_f64x2::<0xDD>(s[2 * i], s[2 * i + 1]),
+        )
+    });
+    _mm512_add_pd(
+        _mm512_shuffle_f64x2::<0x88>(t[0], t[1]),
+        _mm512_shuffle_f64x2::<0xDD>(t[0], t[1]),
+    )
+}
+
+/// [`hsum8_pd`] for eight 16-lane `f32` vectors: lane `j` of the result is
+/// the sum of the sixteen lanes of `w[j]` (one level more: `unpack_ps`,
+/// `unpack_pd`, then `shuffle_f32x4 0x88 + 0xDD` twice).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+pub(crate) fn hsum8_ps(w: [std::arch::x86_64::__m512; 8]) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+
+    // s[i]: 128-bit lane = (w[2i][0]+w[2i][2], w[2i+1][0]+w[2i+1][2],
+    //                       w[2i][1]+w[2i][3], w[2i+1][1]+w[2i+1][3]).
+    let s: [__m512; 4] = std::array::from_fn(|i| {
+        _mm512_add_ps(
+            _mm512_unpacklo_ps(w[2 * i], w[2 * i + 1]),
+            _mm512_unpackhi_ps(w[2 * i], w[2 * i + 1]),
+        )
+    });
+    // q[i]: 128-bit lane L = the lane-L partial sums of w[4i..4i+4].
+    let q: [__m512; 2] = std::array::from_fn(|i| {
+        let (lo, hi) = (_mm512_castps_pd(s[2 * i]), _mm512_castps_pd(s[2 * i + 1]));
+        _mm512_add_ps(
+            _mm512_castpd_ps(_mm512_unpacklo_pd(lo, hi)),
+            _mm512_castpd_ps(_mm512_unpackhi_pd(lo, hi)),
+        )
+    });
+    // r: lanes (0+1, 2+3) of q[0], then of q[1]; folding its even and odd
+    // lanes leaves w[0..4] | w[4..8] in the low half.
+    let r = _mm512_add_ps(
+        _mm512_shuffle_f32x4::<0x88>(q[0], q[1]),
+        _mm512_shuffle_f32x4::<0xDD>(q[0], q[1]),
+    );
+    _mm512_castps512_ps256(_mm512_add_ps(
+        _mm512_shuffle_f32x4::<0x88>(r, r),
+        _mm512_shuffle_f32x4::<0xDD>(r, r),
+    ))
 }
 
 // Keep Scalar imported for doc-links when building without x86_64.

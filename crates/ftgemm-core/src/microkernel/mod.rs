@@ -20,6 +20,16 @@
 //! reference checksums C_r_ref and C_c_ref" — the checksum read of `C` costs
 //! no extra memory traffic.
 //!
+//! The SIMD tiers form the column sums of a full tile with **one shared
+//! reduce**: `w[j] = v0 + v1` per column, then a transposed reduce over all
+//! `NR` vectors at once (AVX-512: `unpack` + two `shuffle_f64x2` levels,
+//! [`avx512`]'s `hsum8_pd` / `hsum8_ps`; AVX2: `hadd` + `permute2f128`) and
+//! one vector add into `col_sums` — not `2 * NR` horizontal-add trees and
+//! `NR` scalar read-modify-writes. `C` itself is untouched by this; only the
+//! order in which `col_sums` (the drivers' `ref_col`) is summed differs
+//! from the portable kernel's and from the edge tiles', and the verifier's
+//! tolerance covers it like any other summation order.
+//!
 //! ## Calling contract
 //!
 //! * `a` points to `MR * k` elements, layout `a[p*MR + i]`, zero-padded when
@@ -351,6 +361,55 @@ mod tests {
     fn avx512_f32_all_shapes() {
         if IsaLevel::detect() >= IsaLevel::Avx512 {
             exercise_all_shapes(select_kernel::<f32>(IsaLevel::Avx512));
+        }
+    }
+
+    /// With `C = 0`, `A~ = 1` and `B~[p][j] = j + 1` every element of tile
+    /// column `j` is `k (j + 1)`: both sums are small integers that any
+    /// summation order forms exactly, so a reduce that permutes or drops a
+    /// lane cannot pass (`check_kernel` compares under a tolerance).
+    fn check_sum_lanes<T: Scalar>(kern: Kernel<T>) {
+        let (mr, nr, k) = (kern.mr, kern.nr, 37);
+        let mut a = AlignedVec::<T>::zeroed(mr * k).unwrap();
+        let mut b = AlignedVec::<T>::zeroed(nr * k).unwrap();
+        a.fill(T::ONE);
+        for p in 0..k {
+            for j in 0..nr {
+                b[p * nr + j] = T::from_usize(j + 1);
+            }
+        }
+        let mut c = vec![T::ZERO; mr * nr];
+        let mut col_sums: Vec<T> = (0..nr).map(|j| T::from_usize(3 + j)).collect();
+        let mut row_sums: Vec<T> = (0..mr).map(|i| T::from_usize(5 + 2 * i)).collect();
+        // SAFETY: full-tile panels and a contiguous `mr x nr` window.
+        unsafe {
+            (kern.func)(
+                k,
+                a.as_ptr(),
+                b.as_ptr(),
+                c.as_mut_ptr(),
+                mr,
+                mr,
+                nr,
+                col_sums.as_mut_ptr(),
+                row_sums.as_mut_ptr(),
+            );
+        }
+        for j in 0..nr {
+            let want = T::from_usize(3 + j + mr * k * (j + 1));
+            assert_eq!(col_sums[j], want, "{} col_sums[{j}]", kern.name);
+        }
+        for i in 0..mr {
+            let want = T::from_usize(5 + 2 * i + k * nr * (nr + 1) / 2);
+            assert_eq!(row_sums[i], want, "{} row_sums[{i}]", kern.name);
+        }
+    }
+
+    #[test]
+    fn fused_sums_are_lane_exact_on_every_tier() {
+        for tier in IsaLevel::available() {
+            check_sum_lanes(select_kernel::<f64>(tier));
+            check_sum_lanes(select_kernel::<f32>(tier));
         }
     }
 

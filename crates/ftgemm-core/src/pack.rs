@@ -26,33 +26,66 @@
 //! Each element of `A` loaded for packing is reused twice: stored into `A~`
 //! (scaled by `alpha`) and multiplied into the encoded row checksum of `C`:
 //! `enc_row[i] += a~[i, q] * bc[q]` (paper's C_c update).
+//!
+//! ## Vector bodies
+//!
+//! These passes are O(n^2) work that only amortises against the O(n^3)
+//! kernel when it runs at memory speed, so each has a vector body for the
+//! geometries the AVX-512 micro-kernels dictate (`f64` 16x8, `f32` 32x8; the
+//! private `avx512` submodule), picked per call from `T`, `mr` / `nr` and
+//! the CPU. A full `A` slab is two vectors of rows with its `enc_row`
+//! entries held in registers across the `k` loop; a full `B` slab is
+//! transposed in registers one vector of rows at a time, `bc` updated once
+//! per block and `enc_col` kept in eight independent FMA accumulators;
+//! [`col_sums_scaled`] sums a column over four vector accumulators. Every
+//! other geometry (the AVX2 and portable kernels'), partial slabs and the
+//! `k % lanes` tail rows of a `B` slab take the scalar loops below, which
+//! walk `B` row-wise with one independent `enc_col` chain per column.
+//!
+//! Both paths write the same bytes: `A~`, `B~` and `enc_row` (one
+//! multiply-then-add per element, in `q` order, on either path) are
+//! bit-identical between them. What depends on the path is the order in
+//! which `bc`, `enc_col` and `ar` are summed; the verifier's tolerance
+//! covers that as it covers the kernel's own summation order.
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 use crate::matrix::MatRef;
 use crate::scalar::Scalar;
+
+/// Full-slab vector bodies for one element type and kernel geometry; the
+/// contracts are on the functions in the `avx512` submodule.
+struct Bodies<T> {
+    /// `A` slab height the `a*` bodies pack.
+    mr: usize,
+    /// `B` slab width the `b*` bodies pack.
+    nr: usize,
+    a: ASlab<T>,
+    a_fused: ASlab<T>,
+    b: BSlab<T>,
+    b_fused: BSlab<T>,
+    col_sum: unsafe fn(col: *const T, len: usize) -> T,
+}
+
+/// `(a, lda, k, alpha, out, bc, enc_row)` for one full slab of `A`.
+type ASlab<T> = unsafe fn(*const T, usize, usize, T, *mut T, *const T, *mut T);
+/// `(b, ldb, k, out, ar, bc, enc_col) -> rows packed` for one full slab of `B`.
+type BSlab<T> = unsafe fn(*const T, usize, usize, *mut T, *const T, *mut T, *mut T) -> usize;
+
+/// The vector bodies this CPU has for `T`, if any.
+fn bodies<T: Scalar>() -> Option<Bodies<T>> {
+    #[cfg(target_arch = "x86_64")]
+    return avx512::bodies::<T>();
+    #[cfg(not(target_arch = "x86_64"))]
+    None
+}
 
 /// Packs an `m x k` block of `A` (scaled by `alpha`) into micro-panel layout.
 ///
 /// `out` must hold at least `ceil(m/mr)*mr*k` elements.
 pub fn pack_a<T: Scalar>(a: &MatRef<'_, T>, alpha: T, mr: usize, out: &mut [T]) {
-    let (m, k) = (a.nrows(), a.ncols());
-    let panels = m.div_ceil(mr);
-    assert!(out.len() >= panels * mr * k, "pack_a: out buffer too small");
-
-    for p in 0..panels {
-        let row0 = p * mr;
-        let rows = mr.min(m - row0);
-        let slab = &mut out[p * mr * k..(p + 1) * mr * k];
-        for q in 0..k {
-            let col = &a.col(q)[row0..row0 + rows];
-            let dst = &mut slab[q * mr..q * mr + mr];
-            for i in 0..rows {
-                dst[i] = alpha * col[i];
-            }
-            for d in dst[rows..].iter_mut() {
-                *d = T::ZERO;
-            }
-        }
-    }
+    pack_a_impl::<T, false>(a, alpha, mr, out, &[], &mut []);
 }
 
 /// Fused `A` packing: additionally accumulates the encoded row checksum of
@@ -68,32 +101,75 @@ pub fn pack_a_fused<T: Scalar>(
     bc: &[T],
     enc_row: &mut [T],
 ) {
-    let (m, k) = (a.nrows(), a.ncols());
-    assert_eq!(bc.len(), k, "pack_a_fused: bc length mismatch");
-    assert_eq!(enc_row.len(), m, "pack_a_fused: enc_row length mismatch");
-    let panels = m.div_ceil(mr);
-    assert!(
-        out.len() >= panels * mr * k,
-        "pack_a_fused: out buffer too small"
+    assert_eq!(bc.len(), a.ncols(), "pack_a_fused: bc length mismatch");
+    assert_eq!(
+        enc_row.len(),
+        a.nrows(),
+        "pack_a_fused: enc_row length mismatch"
     );
+    pack_a_impl::<T, true>(a, alpha, mr, out, bc, enc_row);
+}
+
+/// `bc` and `enc_row` are read only when `FUSED`.
+fn pack_a_impl<T: Scalar, const FUSED: bool>(
+    a: &MatRef<'_, T>,
+    alpha: T,
+    mr: usize,
+    out: &mut [T],
+    bc: &[T],
+    enc_row: &mut [T],
+) {
+    let (m, k) = (a.nrows(), a.ncols());
+    let panels = m.div_ceil(mr);
+    assert!(out.len() >= panels * mr * k, "pack_a: out buffer too small");
+    let body = bodies::<T>()
+        .filter(|v| v.mr == mr)
+        .map(|v| if FUSED { v.a_fused } else { v.a });
 
     for p in 0..panels {
         let row0 = p * mr;
         let rows = mr.min(m - row0);
         let slab = &mut out[p * mr * k..(p + 1) * mr * k];
-        let enc = &mut enc_row[row0..row0 + rows];
+        let enc = if FUSED {
+            &mut enc_row[row0..row0 + rows]
+        } else {
+            &mut enc_row[..]
+        };
+        if let (Some(body), true) = (body, rows == mr) {
+            // SAFETY: rows `row0..row0 + mr` of the view's `k` columns are
+            // in bounds, `slab` holds `mr * k`; when `FUSED`, `bc` holds `k`
+            // and `enc` `mr` (asserted by `pack_a_fused`). `bodies` checked
+            // the CPU.
+            unsafe {
+                let src = a.as_ptr().add(row0);
+                body(
+                    src,
+                    a.ld(),
+                    k,
+                    alpha,
+                    slab.as_mut_ptr(),
+                    bc.as_ptr(),
+                    enc.as_mut_ptr(),
+                );
+            }
+            continue;
+        }
         for q in 0..k {
             let col = &a.col(q)[row0..row0 + rows];
             let dst = &mut slab[q * mr..q * mr + mr];
-            let bq = bc[q];
-            for i in 0..rows {
-                let v = alpha * col[i];
-                dst[i] = v;
-                enc[i] = v.mul_add(bq, enc[i]);
+            if FUSED {
+                let bq = bc[q];
+                for i in 0..rows {
+                    let v = alpha * col[i];
+                    dst[i] = v;
+                    enc[i] = v.mul_add(bq, enc[i]);
+                }
+            } else {
+                for i in 0..rows {
+                    dst[i] = alpha * col[i];
+                }
             }
-            for d in dst[rows..].iter_mut() {
-                *d = T::ZERO;
-            }
+            dst[rows..].fill(T::ZERO);
         }
     }
 }
@@ -102,24 +178,7 @@ pub fn pack_a_fused<T: Scalar>(
 ///
 /// `out` must hold at least `k * ceil(n/nr)*nr` elements.
 pub fn pack_b<T: Scalar>(b: &MatRef<'_, T>, nr: usize, out: &mut [T]) {
-    let (k, n) = (b.nrows(), b.ncols());
-    let panels = n.div_ceil(nr);
-    assert!(out.len() >= panels * nr * k, "pack_b: out buffer too small");
-
-    for q in 0..panels {
-        let col0 = q * nr;
-        let cols = nr.min(n - col0);
-        let slab = &mut out[q * nr * k..(q + 1) * nr * k];
-        if cols < nr {
-            slab.fill(T::ZERO);
-        }
-        for j in 0..cols {
-            let col = b.col(col0 + j);
-            for p in 0..k {
-                slab[p * nr + j] = col[p];
-            }
-        }
-    }
+    pack_b_impl::<T, false>(b, nr, out, &[], &mut [], &mut []);
 }
 
 /// Fused `B` packing: the paper's triple reuse of every loaded `B` element.
@@ -141,29 +200,88 @@ pub fn pack_b_fused<T: Scalar>(
     assert_eq!(ar.len(), k, "pack_b_fused: ar length mismatch");
     assert_eq!(bc.len(), k, "pack_b_fused: bc length mismatch");
     assert_eq!(enc_col.len(), n, "pack_b_fused: enc_col length mismatch");
+    pack_b_impl::<T, true>(b, nr, out, ar, bc, enc_col);
+}
+
+/// `ar`, `bc` and `enc_col` are read only when `FUSED`.
+fn pack_b_impl<T: Scalar, const FUSED: bool>(
+    b: &MatRef<'_, T>,
+    nr: usize,
+    out: &mut [T],
+    ar: &[T],
+    bc: &mut [T],
+    enc_col: &mut [T],
+) {
+    // Columns the scalar loop walks side by side: one `enc_col` chain each.
+    const CHUNK: usize = 8;
+
+    let (k, n) = (b.nrows(), b.ncols());
     let panels = n.div_ceil(nr);
-    assert!(
-        out.len() >= panels * nr * k,
-        "pack_b_fused: out buffer too small"
-    );
+    assert!(out.len() >= panels * nr * k, "pack_b: out buffer too small");
+    let body = bodies::<T>()
+        .filter(|v| v.nr == nr)
+        .map(|v| if FUSED { v.b_fused } else { v.b });
 
     for q in 0..panels {
         let col0 = q * nr;
         let cols = nr.min(n - col0);
         let slab = &mut out[q * nr * k..(q + 1) * nr * k];
+        // Rows the vector body packed; the scalar loop takes the rest.
+        let mut p0 = 0;
         if cols < nr {
             slab.fill(T::ZERO);
-        }
-        for j in 0..cols {
-            let col = b.col(col0 + j);
-            let mut enc = T::ZERO;
-            for p in 0..k {
-                let v = col[p];
-                slab[p * nr + j] = v; // reuse 1: pack
-                bc[p] += v; // reuse 2: B_c
-                enc = ar[p].mul_add(v, enc); // reuse 3: C_r encode
+        } else if let Some(body) = body {
+            let enc = if FUSED {
+                &mut enc_col[col0..col0 + nr]
+            } else {
+                &mut enc_col[..]
+            };
+            // SAFETY: columns `col0..col0 + nr` of the view's `k` rows are
+            // in bounds, `slab` holds `nr * k`; when `FUSED`, `ar` and `bc`
+            // hold `k` and `enc` `nr` (asserted by `pack_b_fused`). `bodies`
+            // checked the CPU.
+            p0 = unsafe {
+                let src = b.as_ptr().add(col0 * b.ld());
+                body(
+                    src,
+                    b.ld(),
+                    k,
+                    slab.as_mut_ptr(),
+                    ar.as_ptr(),
+                    bc.as_mut_ptr(),
+                    enc.as_mut_ptr(),
+                )
+            };
+            if p0 == k {
+                continue;
             }
-            enc_col[col0 + j] += enc;
+        }
+        for j0 in (0..cols).step_by(CHUNK) {
+            let w = CHUNK.min(cols - j0);
+            let src: [&[T]; CHUNK] = std::array::from_fn(|j| b.col(col0 + j0 + j.min(w - 1)));
+            let mut enc = [T::ZERO; CHUNK];
+            for p in p0..k {
+                let dst = &mut slab[p * nr + j0..p * nr + j0 + w];
+                if FUSED {
+                    let (arp, mut sum) = (ar[p], T::ZERO);
+                    for j in 0..w {
+                        let v = src[j][p];
+                        dst[j] = v; // reuse 1: pack
+                        sum += v; // reuse 2: B_c
+                        enc[j] = arp.mul_add(v, enc[j]); // reuse 3: C_r encode
+                    }
+                    bc[p] += sum;
+                } else {
+                    for j in 0..w {
+                        dst[j] = src[j][p];
+                    }
+                }
+            }
+            if FUSED {
+                for j in 0..w {
+                    enc_col[col0 + j0 + j] += enc[j];
+                }
+            }
         }
     }
 }
@@ -171,17 +289,29 @@ pub fn pack_b_fused<T: Scalar>(
 /// Column sums of `A` scaled by `alpha`: `ar[q] = alpha * Σ_i A[i, q]`
 /// (the paper's A_r checksum, encoded once per GEMM).
 pub fn col_sums_scaled<T: Scalar>(a: &MatRef<'_, T>, alpha: T, out: &mut [T]) {
-    let (m, k) = (a.nrows(), a.ncols());
-    assert_eq!(out.len(), k, "col_sums_scaled: out length mismatch");
-    for q in 0..k {
+    // Independent partial sums of the scalar loop.
+    const LANES: usize = 8;
+
+    assert_eq!(out.len(), a.ncols(), "col_sums_scaled: out length mismatch");
+    let body = bodies::<T>().map(|v| v.col_sum);
+    for (q, o) in out.iter_mut().enumerate() {
         let col = a.col(q);
-        let mut s = T::ZERO;
-        for i in 0..m {
-            s += col[i];
-        }
-        out[q] = alpha * s;
+        let sum = if let Some(body) = body {
+            // SAFETY: `col` is a live slice; `bodies` checked the CPU.
+            unsafe { body(col.as_ptr(), col.len()) }
+        } else {
+            let mut acc = [T::ZERO; LANES];
+            let mut chunks = col.chunks_exact(LANES);
+            for c in &mut chunks {
+                for l in 0..LANES {
+                    acc[l] += c[l];
+                }
+            }
+            let tail = chunks.remainder().iter().fold(T::ZERO, |s, &v| s + v);
+            acc.iter().fold(tail, |s, &v| s + v)
+        };
+        *o = alpha * sum;
     }
-    let _ = m;
 }
 
 #[cfg(test)]
@@ -330,6 +460,122 @@ mod tests {
             let want: f64 = 2.0 * (0..5).map(|i| a.get(i, q)).sum::<f64>();
             assert!((ar[q] - want).abs() < 1e-12);
         }
+    }
+
+    /// Every pack pass against scalar definitions written here, on the
+    /// geometry of every kernel tier and on shapes that take the vector
+    /// body (full slabs, `k >= lanes`), the ragged edge (partial slabs, tail
+    /// rows) and both in one call. Operands are views with `ld > rows` whose
+    /// first element is not 64-byte aligned.
+    fn check_all_passes<T: Scalar>() {
+        use crate::cpu::IsaLevel;
+        use crate::microkernel::select_kernel;
+
+        let eps = T::EPSILON.to_f64();
+        let alpha = T::from_f64(-1.5);
+        for tier in [IsaLevel::Avx512, IsaLevel::Avx2Fma, IsaLevel::Portable] {
+            // Geometry only: the kernel itself is never called.
+            let kern = select_kernel::<T>(tier);
+            let (mr, nr) = (kern.mr, kern.nr);
+            for k in [0, 1, 7, 8, 9, 64, 67] {
+                for m in [mr - 1, mr, 2 * mr + 3] {
+                    let big = Matrix::<T>::random(m + 5, k, (m * 131 + k) as u64);
+                    let a = big.as_ref().submatrix(3, 0, m, k);
+                    assert!(a.ld() > m && a.as_ptr() as usize % 64 != 0);
+                    let bc: Vec<T> = (0..k).map(|q| T::from_f64(q as f64 * 0.25 - 3.0)).collect();
+                    let enc0: Vec<T> = (0..m).map(|i| T::from_f64(1.0 + i as f64)).collect();
+
+                    let len = m.div_ceil(mr) * mr * k;
+                    let mut want = vec![T::ZERO; len];
+                    let mut want_enc = enc0.clone();
+                    for i in 0..m {
+                        for q in 0..k {
+                            let v = alpha * a.get(i, q);
+                            want[(i / mr) * mr * k + q * mr + i % mr] = v;
+                            want_enc[i] = v * bc[q] + want_enc[i];
+                        }
+                    }
+                    let ctx = format!("{} {} m={m} k={k}", T::NAME, kern.name);
+                    let mut out = vec![T::from_f64(f64::NAN); len];
+                    pack_a(&a, alpha, mr, &mut out);
+                    assert_eq!(out, want, "pack_a {ctx}");
+                    let mut out = vec![T::from_f64(f64::NAN); len];
+                    let mut enc = enc0.clone();
+                    pack_a_fused(&a, alpha, mr, &mut out, &bc, &mut enc);
+                    assert_eq!(out, want, "pack_a_fused {ctx}");
+                    assert_eq!(enc, want_enc, "enc_row {ctx}");
+
+                    let mut ar = vec![T::from_f64(f64::NAN); k];
+                    col_sums_scaled(&a, alpha, &mut ar);
+                    for q in 0..k {
+                        let col = (0..m).map(|i| a.get(i, q).to_f64());
+                        let (sum, abs) = col.fold((0.0, 0.0), |(s, t), v| (s + v, t + v.abs()));
+                        let tol = 2.0 * (m + 1) as f64 * eps * 1.5 * abs;
+                        let got = ar[q].to_f64();
+                        assert!((got - -1.5 * sum).abs() <= tol, "ar[{q}] {ctx}: {got}");
+                    }
+                }
+                for n in [nr - 1, nr, 3 * nr + 5] {
+                    let big = Matrix::<T>::random(k + 5, n, (n * 137 + k) as u64);
+                    let b = big.as_ref().submatrix(3, 0, k, n);
+                    assert!(b.ld() > k && b.as_ptr() as usize % 64 != 0);
+                    let ar: Vec<T> = (0..k).map(|p| T::from_f64(0.5 * p as f64 - 7.0)).collect();
+                    let bc0: Vec<T> = (0..k).map(|p| T::from_f64(0.5 - p as f64)).collect();
+                    let enc0: Vec<T> = (0..n).map(|j| T::from_f64(0.25 + j as f64)).collect();
+
+                    let len = n.div_ceil(nr) * nr * k;
+                    let mut want = vec![T::ZERO; len];
+                    for j in 0..n {
+                        for p in 0..k {
+                            want[(j / nr) * nr * k + p * nr + j % nr] = b.get(p, j);
+                        }
+                    }
+                    let ctx = format!("{} {} n={n} k={k}", T::NAME, kern.name);
+                    let mut out = vec![T::from_f64(f64::NAN); len];
+                    pack_b(&b, nr, &mut out);
+                    assert_eq!(out, want, "pack_b {ctx}");
+                    let mut out = vec![T::from_f64(f64::NAN); len];
+                    let (mut bc, mut enc) = (bc0.clone(), enc0.clone());
+                    pack_b_fused(&b, nr, &mut out, &ar, &mut bc, &mut enc);
+                    assert_eq!(out, want, "pack_b_fused {ctx}");
+                    // Any summation order of `t` terms lands within
+                    // `t * eps * Σ|term|` of the exact sum; twice that
+                    // between two of them.
+                    for p in 0..k {
+                        let (mut sum, mut abs) = (bc0[p].to_f64(), bc0[p].to_f64().abs());
+                        for j in 0..n {
+                            sum += b.get(p, j).to_f64();
+                            abs += b.get(p, j).to_f64().abs();
+                        }
+                        let (got, tol) = (bc[p].to_f64(), 2.0 * (n + 1) as f64 * eps * abs);
+                        assert!((got - sum).abs() <= tol, "bc[{p}] {ctx}: {got} vs {sum}");
+                    }
+                    for j in 0..n {
+                        let (mut sum, mut abs) = (enc0[j].to_f64(), enc0[j].to_f64().abs());
+                        for p in 0..k {
+                            let term = ar[p].to_f64() * b.get(p, j).to_f64();
+                            sum += term;
+                            abs += term.abs();
+                        }
+                        let (got, tol) = (enc[j].to_f64(), 2.0 * (k + 1) as f64 * eps * abs);
+                        assert!(
+                            (got - sum).abs() <= tol,
+                            "enc_col[{j}] {ctx}: {got} vs {sum}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_pass_matches_its_scalar_definition_f64() {
+        check_all_passes::<f64>();
+    }
+
+    #[test]
+    fn every_pass_matches_its_scalar_definition_f32() {
+        check_all_passes::<f32>();
     }
 
     #[test]

@@ -509,3 +509,81 @@ fn serial_and_matrix_parallel_clean_runs_agree_bitwise() {
         }
     }
 }
+
+/// The vector bodies of the packs and of the kernels' fused store sum `bc`,
+/// `enc_col`, `ar` and `ref_col` in a different order than the encoded and
+/// reference checksums used to be summed in. At the depth where roundoff is
+/// largest the default tolerance must still call a clean run clean on every
+/// driver, and still see what an injector plants.
+fn reordered_sums_verify_clean_and_catch_errors<T: ftgemm::core::Scalar>(
+    (m, n, k): (usize, usize, usize),
+) {
+    use ftgemm::abft::FtPolicy;
+    let a = Matrix::<T>::random(m, k, 101);
+    let b = Matrix::<T>::random(k, n, 102);
+    let clean = FtPolicy::DetectCorrect.to_config(None).unwrap();
+
+    let mut c = Matrix::<T>::zeros(m, n);
+    let rep = ft_gemm_with_ctx(
+        &mut FtGemmContext::new(),
+        &clean,
+        T::ONE,
+        &a.as_ref(),
+        &b.as_ref(),
+        T::ZERO,
+        &mut c.as_mut(),
+    )
+    .unwrap();
+    assert!(rep.verifications > 0, "{} serial: {rep:?}", T::NAME);
+    assert_eq!(rep.detected, 0, "{} serial: {rep:?}", T::NAME);
+
+    let ctx = ParGemmContext::<T>::with_threads(2);
+    let mut c_par = Matrix::<T>::zeros(m, n);
+    let rep = run_parallel(
+        &ctx,
+        &mut ParFtWorkspace::for_plain(&ctx),
+        Some(&clean),
+        T::ONE,
+        &a.as_ref(),
+        &b.as_ref(),
+        T::ZERO,
+        &mut c_par.as_mut(),
+    )
+    .unwrap();
+    assert!(rep.verifications > 0, "{} 2 threads: {rep:?}", T::NAME);
+    assert_eq!(rep.detected, 0, "{} 2 threads: {rep:?}", T::NAME);
+    assert_eq!(c.as_slice(), c_par.as_slice(), "{}", T::NAME);
+
+    let inj = FaultInjector::new(7, ErrorModel::Additive { magnitude: 1e6 }, Rate::Count(5));
+    let cfg = FtPolicy::DetectCorrect.to_config(Some(inj)).unwrap();
+    let mut c_inj = Matrix::<T>::zeros(m, n);
+    let rep = ft_gemm_with_ctx(
+        &mut FtGemmContext::new(),
+        &cfg,
+        T::ONE,
+        &a.as_ref(),
+        &b.as_ref(),
+        T::ZERO,
+        &mut c_inj.as_mut(),
+    )
+    .unwrap();
+    assert!(rep.injected > 0, "{}: {rep:?}", T::NAME);
+    assert_eq!(rep.corrected, rep.injected, "{}: {rep:?}", T::NAME);
+    // A corrected element carries the roundoff of the error it held.
+    let diff = c.rel_max_diff(&c_inj);
+    assert!(
+        diff < 1e6 * 8.0 * T::EPSILON.to_f64(),
+        "{}: {diff}",
+        T::NAME
+    );
+}
+
+#[test]
+fn reordered_sums_keep_deep_clean_runs_clean_f64() {
+    reordered_sums_verify_clean_and_catch_errors::<f64>((512, 512, 2048));
+}
+
+#[test]
+fn reordered_sums_keep_deep_clean_runs_clean_f32() {
+    reordered_sums_verify_clean_and_catch_errors::<f32>((256, 256, 4096));
+}
