@@ -12,8 +12,10 @@ use ftgemm_core::{MatMut, MatRef, Scalar};
 /// accumulates the scaled values into `enc_row` (length = block rows) and
 /// `enc_col` (length = block cols). Both output vectors are **overwritten**.
 ///
-/// `beta == 0` skips reading `C` (fills zeros) and `beta == 1` skips the
-/// write-back, exactly like the plain scaling pass it replaces.
+/// `beta == 1` skips the write-back. `beta == 0` does not touch `C` at all:
+/// the block's base state is all zeros whatever it holds, the drivers' first
+/// depth panel *stores* over it (`ftgemm_core::Kernel::store`), and all that
+/// is left of this pass is zeroing `enc_row` / `enc_col` (and `base`).
 ///
 /// `base`, when given (length = rows * cols), receives the scaled block
 /// column-packed — the serial driver's rollback point. Each column is copied
@@ -36,7 +38,6 @@ pub fn scale_encode_c<T: Scalar>(
     enc_row.fill(T::ZERO);
 
     if beta == T::ZERO {
-        c.fill(T::ZERO);
         enc_col.fill(T::ZERO);
         if let Some(base) = base {
             base.fill(T::ZERO);
@@ -59,7 +60,8 @@ pub fn scale_encode_c<T: Scalar>(
 
 /// Unfused equivalent of [`scale_encode_c`]: a scaling pass followed by a
 /// second full read of the block for the checksums (the memory traffic the
-/// paper's fusion eliminates), and a third for `base` when one is kept.
+/// paper's fusion eliminates), and a third for `base` when one is kept. At
+/// `beta == 0` there is no pass over `C` to unfuse and the two are the same.
 pub fn scale_then_encode_c<T: Scalar>(
     c: &mut MatMut<'_, T>,
     beta: T,
@@ -67,6 +69,9 @@ pub fn scale_then_encode_c<T: Scalar>(
     enc_col: &mut [T],
     base: Option<&mut [T]>,
 ) {
+    if beta == T::ZERO {
+        return scale_encode_c(c, beta, enc_row, enc_col, base);
+    }
     ftgemm_core::gemm::scale_c(c, beta);
     encode_c(&c.as_ref(), enc_row, enc_col);
     if let Some(base) = base {
@@ -193,13 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn scale_encode_beta_zero() {
-        let mut c = Matrix::<f64>::random(4, 4, 2);
-        let mut er = vec![1.0; 4];
-        let mut ec = vec![1.0; 4];
-        scale_encode_c(&mut c.as_mut(), 0.0, &mut er, &mut ec, None);
-        assert!(c.as_slice().iter().all(|&v| v == 0.0));
-        assert!(er.iter().chain(ec.iter()).all(|&v| v == 0.0));
+    fn beta_zero_zeroes_the_checksums_and_leaves_c_to_the_first_panel() {
+        for encode in [scale_encode_c::<f64>, scale_then_encode_c::<f64>] {
+            let mut c = Matrix::<f64>::filled(4, 4, f64::NAN);
+            let mut er = vec![1.0; 4];
+            let mut ec = vec![1.0; 4];
+            let mut base = vec![1.0; 16];
+            encode(&mut c.as_mut(), 0.0, &mut er, &mut ec, Some(&mut base));
+            assert!(c.as_slice().iter().all(|v| v.is_nan()), "C was touched");
+            assert!(er.iter().chain(&ec).chain(&base).all(|&v| v == 0.0));
+        }
     }
 
     #[test]

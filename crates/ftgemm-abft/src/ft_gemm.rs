@@ -13,16 +13,19 @@
 //!         for ic (MC row blocks):
 //!             pack A~ — also enc_row update                  [fused]
 //!             macro kernel — also ref_row/ref_col            [fused]
+//!               (beta == 0, pc == 0: stores C, never reads it)
 //!         verify {enc,ref} x {row,col}; locate & correct     ("p-loop: verify")
 //! ```
 //!
 //! Recovery ([`Recovery::RetryPanel`]) keeps no per-panel checkpoint. The
 //! one recovery point of a column block is its *base state* — the block
 //! holding `beta * C0` and `enc_*` holding its checksums, as the beta pass
-//! leaves them. For `beta == 0` that state is all zeros, so nothing is saved
-//! and nothing is copied; otherwise the beta pass writes the scaled block to
-//! `snap_c` as it goes. A pattern the corrector cannot resolve restores the
-//! base and re-runs the block's panels from `pc = 0` through the same loop.
+//! leaves them. For `beta == 0` that state is all zeros and the first panel
+//! *stores* over whatever the block holds, so nothing is saved, copied or
+//! even re-zeroed beyond `enc_*`; otherwise the beta pass writes the scaled
+//! block to `snap_c` as it goes. A pattern the corrector cannot resolve
+//! restores the base (at `beta == 0`: just restarts) and re-runs the block's
+//! panels from `pc = 0` through the same loop.
 
 use crate::{checksum, panel, FtConfig, FtError, FtReport, FtResult, Recovery};
 use ftgemm_core::gemm::validate_shapes;
@@ -214,8 +217,9 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
         'block: loop {
             // Base state of this column block: beta-scale + initial checksum
             // encode, saving both where a rollback could not recompute them.
-            // A rollback at beta == 0 re-runs the zero fill; otherwise it
-            // copies the saved base back.
+            // At beta == 0 only `enc_*` are zeroed — the first panel stores
+            // over the block — so a rollback there is just this restart;
+            // otherwise it copies the saved base back.
             let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
             if rollbacks > 0 && keep_base {
                 for j in 0..nc_eff {
@@ -268,7 +272,8 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
                     } else {
                         None
                     };
-                    macro_kernel(&kernel, kc_eff, a_buf, b_buf, &mut c_block, sums);
+                    let store = beta == T::ZERO && pc == 0;
+                    macro_kernel(&kernel, kc_eff, a_buf, b_buf, &mut c_block, sums, store);
 
                     // An injected error reaches the in-register reference
                     // sums as the faulty FMA's value would have; unfused refs

@@ -174,7 +174,9 @@ impl FtConfig {
 /// Per-fusion-point switches (ablation experiment A1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionConfig {
-    /// Fuse `enc_*` initialization with the `C *= beta` pass.
+    /// Fuse `enc_*` initialization with the `C *= beta` pass. No effect at
+    /// `beta == 0`, where there is no such pass: `C` is written once, by the
+    /// first depth panel's store-mode micro-kernel.
     pub fuse_c_scale: bool,
     /// Fuse `B_c` + `enc_col` encoding with `B~` packing.
     pub fuse_b_pack: bool,

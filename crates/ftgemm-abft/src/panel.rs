@@ -29,7 +29,10 @@ use ftgemm_faults::ErrorEvent;
 
 /// Base state of a (slice of a) column block: scales `c` by `beta` and
 /// overwrites `enc_row` / `enc_col` with the scaled block's checksums. `base`
-/// is the rollback snapshot of [`checksum::scale_encode_c`].
+/// is the rollback snapshot of [`checksum::scale_encode_c`]. At `beta == 0`
+/// `c` is neither read nor written — the checksums of an all-zero base are
+/// zeros and the caller's first depth panel runs the macro-kernel in store
+/// mode — so `fuse_c_scale` has nothing to choose between there.
 pub fn encode_base<T: Scalar>(
     fusion: FusionConfig,
     c: &mut MatMut<'_, T>,

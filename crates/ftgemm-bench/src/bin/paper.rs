@@ -11,7 +11,10 @@
 //! * `fig2c` / `fig2d` — the same with the FT curve under injection.
 //! * `overhead_table` — T1 (§2.2: fused vs unfused ABFT, "from about 15% to
 //!   2.94%") and T2 (§3.1: serial 1.17%–3.58%, parallel 1.79%). A size that
-//!   only one of the two sweeps covers shows `-` for the other.
+//!   only one of the two sweeps covers shows `-` for the other. Every curve
+//!   is the paper's `beta = 1` except the two `beta=0` columns: serial Ori
+//!   and fused FT on the path that writes `C` once (store-mode micro-kernel,
+//!   no beta pass) — what the repo benchmark and the serving default run.
 //! * `speedup_table` — T3: FT-GEMM with FT on against each comparator.
 //! * `ablation_fusion` — A1: serial overhead as the fusion points of §2.2
 //!   are enabled one at a time.
@@ -27,7 +30,7 @@
 use ftgemm_abft::{FtConfig, FusionConfig};
 use ftgemm_bench::runners::{ft_config, parallel_suite, serial_suite, GemmRunner, RunnerKind};
 use ftgemm_bench::{measure, Args, Measurement, Table};
-use ftgemm_core::Matrix;
+use ftgemm_core::{GemmContext, Matrix};
 use ftgemm_faults::FaultInjector;
 use std::collections::HashMap;
 
@@ -36,6 +39,8 @@ const OPENBLAS: &str = RunnerKind::OpenBlas.name();
 const BLIS: &str = RunnerKind::Blis.name();
 const ORI: &str = RunnerKind::Ori.name();
 const FT: &str = RunnerKind::Ft.name();
+const ORI_BETA0: &str = "Ori beta=0";
+const FT_BETA0: &str = "FT beta=0";
 const INJECTED: &str = "FT injected";
 const UNFUSED: &str = "unfused";
 const FULLY_FUSED: &str = "+kernel-refs (full)";
@@ -68,13 +73,14 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// Times every runner at every size: the one place an implementation is
-    /// measured. `injector` is the one attached to the [`INJECTED`] runner.
+    /// Times every runner at every size, each under its `beta`: the one
+    /// place an implementation is measured. `injector` is the one attached to
+    /// the [`INJECTED`] runner.
     fn run(
         mode: &str,
         args: &Args,
         sizes: Vec<usize>,
-        mut runners: Vec<(&'static str, GemmRunner)>,
+        mut runners: Vec<(&'static str, f64, GemmRunner)>,
         injector: &FaultInjector,
     ) -> Sweep {
         let mut cells = HashMap::new();
@@ -83,10 +89,10 @@ impl Sweep {
             let a = Matrix::<f64>::random(s, s, 0xA);
             let b = Matrix::<f64>::random(s, s, 0xB);
             injector.stats().reset();
-            for (label, runner) in &mut runners {
+            for (label, beta, runner) in &mut runners {
                 let mut c = Matrix::<f64>::zeros(s, s);
                 let cell = measure(args.warmup, args.reps, || {
-                    runner.run(&a.as_ref(), &b.as_ref(), &mut c.as_mut());
+                    runner.run(&a.as_ref(), &b.as_ref(), *beta, &mut c.as_mut());
                 });
                 cells.insert((*label, s), cell);
                 eprint!(".");
@@ -109,9 +115,10 @@ impl Sweep {
             .map_or_else(|| "-".to_string(), |m| format!("{:.2}", m.gflops(s, s, s)))
     }
 
-    /// Min-time overhead of a cell over "Ori", in percent.
+    /// Min-time overhead of a cell over "Ori" at the same `beta`, in percent.
     fn ovh(&self, label: &'static str, s: usize) -> Option<f64> {
-        let ori = self.cells.get(&(ORI, s))?;
+        let base = if label == FT_BETA0 { ORI_BETA0 } else { ORI };
+        let ori = self.cells.get(&(base, s))?;
         Some((self.cells.get(&(label, s))?.min / ori.min - 1.0) * 100.0)
     }
 
@@ -166,8 +173,11 @@ fn emit(table: &Table, args: &Args, name: &str) {
 fn main() {
     let args = Args::parse();
     let threads = args.threads;
-    let labelled =
-        |suite: Vec<GemmRunner>| -> Vec<_> { suite.into_iter().map(|r| (r.name(), r)).collect() };
+    // The paper's op is `C = A*B + C`: every runner is timed at `beta = 1`
+    // unless pushed with another.
+    let labelled = |suite: Vec<GemmRunner>| -> Vec<_> {
+        suite.into_iter().map(|r| (r.name(), 1.0, r)).collect()
+    };
     let stages = partial_fusion_stages();
 
     let injector = FaultInjector::counted(0xEC, args.errors);
@@ -177,13 +187,15 @@ fn main() {
             fusion,
             ..ft_config()
         };
-        (label, GemmRunner::ft_serial(cfg))
+        (label, 1.0, GemmRunner::ft_serial(cfg))
     }));
+    runners.push((ORI_BETA0, 0.0, GemmRunner::OriSerial(GemmContext::new())));
+    runners.push((FT_BETA0, 0.0, GemmRunner::ft_serial(ft_config())));
     let injected = |injector: &FaultInjector| FtConfig {
         injector: Some(injector.clone()),
         ..ft_config()
     };
-    runners.push((INJECTED, GemmRunner::ft_serial(injected(&injector))));
+    runners.push((INJECTED, 1.0, GemmRunner::ft_serial(injected(&injector))));
     let serial = Sweep::run("serial", &args, args.serial_sizes(), runners, &injector);
 
     let injector = FaultInjector::counted(0xED, args.errors);
@@ -192,9 +204,10 @@ fn main() {
         fusion: FusionConfig::UNFUSED,
         ..ft_config()
     };
-    runners.push((UNFUSED, GemmRunner::par(threads, Some(unfused))));
+    runners.push((UNFUSED, 1.0, GemmRunner::par(threads, Some(unfused))));
     runners.push((
         INJECTED,
+        1.0,
         GemmRunner::par(threads, Some(injected(&injector))),
     ));
     let parallel = Sweep::run("parallel", &args, args.parallel_sizes(), runners, &injector);
@@ -220,6 +233,8 @@ fn main() {
             "serial Ori GF",
             "serial fused ovh",
             "serial unfused ovh",
+            "serial Ori GF (beta=0)",
+            "serial fused ovh (beta=0)",
             "par Ori GF",
             "par fused ovh",
             "par unfused (packing only)",
@@ -234,6 +249,8 @@ fn main() {
             serial.gf(ORI, s),
             pct(serial.ovh(FT, s)),
             pct(serial.ovh(UNFUSED, s)),
+            serial.gf(ORI_BETA0, s),
+            pct(serial.ovh(FT_BETA0, s)),
             parallel.gf(ORI, s),
             pct(parallel.ovh(FT, s)),
             pct(parallel.ovh(UNFUSED, s)),

@@ -80,13 +80,22 @@ impl GemmRunner {
         }
     }
 
-    /// Executes `C = A*B + C` (alpha = beta = 1, the paper's benchmark op).
-    pub fn run(&mut self, a: &MatRef<'_, f64>, b: &MatRef<'_, f64>, c: &mut MatMut<'_, f64>) {
+    /// Executes `C = A*B + beta*C` (alpha = 1). The paper's benchmark op is
+    /// `beta = 1`; `beta = 0` is the path that writes `C` once, through the
+    /// store-mode micro-kernel, and what the repo benchmark and the serving
+    /// default run.
+    pub fn run(
+        &mut self,
+        a: &MatRef<'_, f64>,
+        b: &MatRef<'_, f64>,
+        beta: f64,
+        c: &mut MatMut<'_, f64>,
+    ) {
         match self {
-            GemmRunner::RefSerial(_, g) => g.run(1.0, a, b, 1.0, c).expect("gemm failed"),
-            GemmRunner::OriSerial(ctx) => gemm(ctx, 1.0, a, b, 1.0, c).expect("gemm failed"),
+            GemmRunner::RefSerial(_, g) => g.run(1.0, a, b, beta, c).expect("gemm failed"),
+            GemmRunner::OriSerial(ctx) => gemm(ctx, 1.0, a, b, beta, c).expect("gemm failed"),
             GemmRunner::FtSerial(ctx, cfg) => {
-                match ft_gemm_with_ctx(ctx, cfg, 1.0, a, b, 1.0, c) {
+                match ft_gemm_with_ctx(ctx, cfg, 1.0, a, b, beta, c) {
                     Ok(_) => {}
                     // Colliding injected-error patterns are *flagged*, never
                     // silent; for throughput sweeps the run still counts
@@ -95,9 +104,9 @@ impl GemmRunner {
                     Err(e) => panic!("ft gemm failed: {e}"),
                 }
             }
-            GemmRunner::RefPar(_, g) => g.run(1.0, a, b, 1.0, c).expect("gemm failed"),
+            GemmRunner::RefPar(_, g) => g.run(1.0, a, b, beta, c).expect("gemm failed"),
             GemmRunner::Par(ctx, ws, cfg) => {
-                match run_parallel(ctx, ws, cfg.as_ref(), 1.0, a, b, 1.0, c) {
+                match run_parallel(ctx, ws, cfg.as_ref(), 1.0, a, b, beta, c) {
                     Ok(_) => {}
                     Err(FtError::Unrecoverable { .. }) => {}
                     Err(e) => panic!("parallel gemm failed: {e}"),
@@ -152,11 +161,13 @@ mod tests {
         let a = Matrix::<f64>::random(40, 30, 1);
         let b = Matrix::<f64>::random(30, 35, 2);
         for r in &mut suite {
-            let mut c = Matrix::<f64>::random(40, 35, 3);
-            let mut c_ref = c.clone();
-            r.run(&a.as_ref(), &b.as_ref(), &mut c.as_mut());
-            naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c_ref.as_mut());
-            assert!(c.rel_max_diff(&c_ref) < 1e-10, "{}", r.name());
+            for beta in [1.0, 0.0] {
+                let mut c = Matrix::<f64>::random(40, 35, 3);
+                let mut c_ref = c.clone();
+                r.run(&a.as_ref(), &b.as_ref(), beta, &mut c.as_mut());
+                naive_gemm(1.0, &a.as_ref(), &b.as_ref(), beta, &mut c_ref.as_mut());
+                assert!(c.rel_max_diff(&c_ref) < 1e-10, "{} beta {beta}", r.name());
+            }
         }
     }
 
@@ -168,7 +179,7 @@ mod tests {
         for r in &mut suite {
             let mut c = Matrix::<f64>::random(64, 52, 6);
             let mut c_ref = c.clone();
-            r.run(&a.as_ref(), &b.as_ref(), &mut c.as_mut());
+            r.run(&a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut());
             naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c_ref.as_mut());
             assert!(c.rel_max_diff(&c_ref) < 1e-10, "{}", r.name());
         }

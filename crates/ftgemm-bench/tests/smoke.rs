@@ -8,8 +8,8 @@ const FIGURE: &str = "size,MKL*,OpenBLAS*,BLIS*,FT-GEMM: Ori,FT-GEMM: FT";
 const INJECTED_FIGURE: &str = "size,MKL*,OpenBLAS*,BLIS*,FT-GEMM: Ori,FT-GEMM: FT,FT corrected";
 
 /// Header rows of the seven parent binaries `paper` replaced, captured from
-/// their CSVs before they were deleted. Only `overhead_table`'s last column
-/// differs: it was `par unfused ovh`.
+/// their CSVs before they were deleted. Only `overhead_table` differs: its
+/// last column was `par unfused ovh`, and the two `beta=0` columns are new.
 const PAPER_CSVS: [(&str, &str); 7] = [
     ("fig2a", FIGURE),
     ("fig2b", FIGURE),
@@ -17,7 +17,7 @@ const PAPER_CSVS: [(&str, &str); 7] = [
     ("fig2d", INJECTED_FIGURE),
     (
         "overhead_table",
-        "size,serial Ori GF,serial fused ovh,serial unfused ovh,par Ori GF,par fused ovh,par unfused (packing only)",
+        "size,serial Ori GF,serial fused ovh,serial unfused ovh,serial Ori GF (beta=0),serial fused ovh (beta=0),par Ori GF,par fused ovh,par unfused (packing only)",
     ),
     ("speedup_table", "mode,vs MKL*,vs OpenBLAS*,vs BLIS*,vs Ori"),
     (

@@ -101,8 +101,15 @@ pub fn validate_shapes<T: Scalar>(
     Ok((m, n, ka))
 }
 
-/// Scales `C *= beta` (handling `beta == 0` as a fill with zeros so that
-/// NaN/Inf in uninitialized output memory cannot leak through).
+/// Scales `C *= beta` (`beta == 0` fills zeros, so NaN/Inf in uninitialized
+/// output memory cannot leak through; `beta == 1` is a no-op).
+///
+/// No driver runs this ahead of a product at `beta == 0`: there the first
+/// depth panel's micro-kernel *stores* its tile
+/// ([`Kernel::store`](crate::microkernel::Kernel::store)) and `C` is written
+/// once, never read. What is left for this pass is `beta` outside `{0, 1}`
+/// and the `k == 0 || alpha == 0` early return, where `beta * C` is the whole
+/// result.
 pub fn scale_c<T: Scalar>(c: &mut MatMut<'_, T>, beta: T) {
     if beta == T::ONE {
         return;
@@ -128,21 +135,25 @@ pub fn gemm<T: Scalar>(
     c: &mut MatMut<'_, T>,
 ) -> Result<()> {
     let (m, n, k) = validate_shapes(a, b, c)?;
-    scale_c(c, beta);
-    if m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
-        return Ok(());
-    }
-
+    // Every `Err` below is returned with `C` as the caller left it.
     let p = ctx.params;
     p.validate()?;
+    if m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
+        scale_c(c, beta);
+        return Ok(());
+    }
     let kernel = ctx.kernel;
 
     // Packing buffers sized for one block each; Scratch reuses allocations
     // across calls.
-    // Split borrows: scratch lives in ctx, taken as raw slices.
-    let (a_buf_owner, b_buf_owner) = (&mut ctx.a_scratch, &mut ctx.b_scratch);
-    let a_buf = a_buf_owner.get(p.packed_a_len())?;
-    let b_buf = b_buf_owner.get(p.packed_b_len())?;
+    let a_buf = ctx.a_scratch.get(p.packed_a_len())?;
+    let b_buf = ctx.b_scratch.get(p.packed_b_len())?;
+
+    // At `beta == 0` the first depth panel stores over `C` instead.
+    let store_first = beta == T::ZERO;
+    if !store_first {
+        scale_c(c, beta);
+    }
 
     let mut jc = 0;
     while jc < n {
@@ -167,6 +178,7 @@ pub fn gemm<T: Scalar>(
                     b_buf,
                     &mut c_block,
                     None,
+                    store_first && pc == 0,
                 );
                 ic += p.mc;
             }

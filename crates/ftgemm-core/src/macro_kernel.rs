@@ -9,7 +9,9 @@ use crate::matrix::MatMut;
 use crate::microkernel::Kernel;
 use crate::scalar::Scalar;
 
-/// Runs `C_block += A~ * B~` over an `mc x nc` block.
+/// Runs `C_block += A~ * B~` over an `mc x nc` block — or, under `store`,
+/// `C_block = A~ * B~` without reading `C` (the first depth panel of a
+/// `beta == 0` product; see [`Kernel::store`]).
 ///
 /// * `a_packed` — packed block of `ceil(mc/mr)` slabs, depth `kc`.
 /// * `b_packed` — packed block of `ceil(nc/nr)` slabs, depth `kc`.
@@ -23,6 +25,7 @@ pub fn macro_kernel<T: Scalar>(
     b_packed: &[T],
     c: &mut MatMut<'_, T>,
     sums: Option<(&mut [T], &mut [T])>,
+    store: bool,
 ) {
     let mc = c.nrows();
     let nc = c.ncols();
@@ -45,6 +48,7 @@ pub fn macro_kernel<T: Scalar>(
         row_ptr = row_sums.as_mut_ptr();
     }
     let ft = !col_ptr.is_null();
+    let func = if store { kernel.store() } else { kernel.func };
 
     let c_ptr = c.as_mut_ptr();
     let mut jr = 0;
@@ -59,7 +63,7 @@ pub fn macro_kernel<T: Scalar>(
             // mc x nc view; packed slabs are sized per the asserts above;
             // sum pointers offset into slices of the asserted lengths.
             unsafe {
-                (kernel.func)(
+                func(
                     kc,
                     a_slab.as_ptr(),
                     b_slab.as_ptr(),
@@ -117,7 +121,7 @@ mod tests {
             } else {
                 None
             };
-            macro_kernel(&kernel, kc, &ap, &bp, &mut cv, sums);
+            macro_kernel(&kernel, kc, &ap, &bp, &mut cv, sums, false);
         }
 
         // Oracle: C = C0 + A*B.
@@ -196,7 +200,7 @@ mod tests {
 
         let mut cs = vec![0.0; nc];
         let mut rs = vec![0.0; mc];
-        macro_kernel(&kernel, kc, &ap, &bp, &mut c1.as_mut(), None);
+        macro_kernel(&kernel, kc, &ap, &bp, &mut c1.as_mut(), None, false);
         macro_kernel(
             &kernel,
             kc,
@@ -204,6 +208,7 @@ mod tests {
             &bp,
             &mut c2.as_mut(),
             Some((cs.as_mut_slice(), rs.as_mut_slice())),
+            false,
         );
         assert_eq!(c1.as_slice(), c2.as_slice(), "FT path altered numerics");
     }

@@ -28,7 +28,7 @@ pub const F32_NR: usize = 6;
 /// # Safety
 /// Caller must uphold the micro-kernel contract **and** guarantee the CPU
 /// supports AVX2 and FMA.
-pub unsafe fn dgemm_8x6(
+pub unsafe fn dgemm_8x6<const STORE: bool>(
     k: usize,
     a: *const f64,
     b: *const f64,
@@ -40,16 +40,16 @@ pub unsafe fn dgemm_8x6(
     row_sums: *mut f64,
 ) {
     if m_eff == F64_MR && n_eff == F64_NR {
-        dgemm_8x6_full(k, a, b, c, ldc, col_sums, row_sums);
+        dgemm_8x6_full::<STORE>(k, a, b, c, ldc, col_sums, row_sums);
     } else {
-        portable::kernel_mn::<f64, F64_MR, F64_NR>(
+        portable::kernel_mn::<f64, F64_MR, F64_NR, STORE>(
             k, a, b, c, ldc, m_eff, n_eff, col_sums, row_sums,
         );
     }
 }
 
 #[target_feature(enable = "avx2,fma")]
-unsafe fn dgemm_8x6_full(
+unsafe fn dgemm_8x6_full<const STORE: bool>(
     k: usize,
     a: *const f64,
     b: *const f64,
@@ -77,13 +77,20 @@ unsafe fn dgemm_8x6_full(
         bp = bp.add(F64_NR);
     }
 
+    if !STORE {
+        // Accumulate mode: the tile of `C` joins the accumulators; store mode
+        // never reads it.
+        for j in 0..F64_NR {
+            let cp = c.add(j * ldc);
+            acc_lo[j] = _mm256_add_pd(_mm256_loadu_pd(cp), acc_lo[j]);
+            acc_hi[j] = _mm256_add_pd(_mm256_loadu_pd(cp.add(4)), acc_hi[j]);
+        }
+    }
     if col_sums.is_null() {
         for j in 0..F64_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm256_add_pd(_mm256_loadu_pd(cp), acc_lo[j]);
-            let v1 = _mm256_add_pd(_mm256_loadu_pd(cp.add(4)), acc_hi[j]);
-            _mm256_storeu_pd(cp, v0);
-            _mm256_storeu_pd(cp.add(4), v1);
+            _mm256_storeu_pd(cp, acc_lo[j]);
+            _mm256_storeu_pd(cp.add(4), acc_hi[j]);
         }
     } else {
         let mut rsum_lo = _mm256_setzero_pd();
@@ -91,8 +98,7 @@ unsafe fn dgemm_8x6_full(
         let mut w = [_mm256_setzero_pd(); F64_NR];
         for j in 0..F64_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm256_add_pd(_mm256_loadu_pd(cp), acc_lo[j]);
-            let v1 = _mm256_add_pd(_mm256_loadu_pd(cp.add(4)), acc_hi[j]);
+            let (v0, v1) = (acc_lo[j], acc_hi[j]);
             _mm256_storeu_pd(cp, v0);
             _mm256_storeu_pd(cp.add(4), v1);
             rsum_lo = _mm256_add_pd(rsum_lo, v0);
@@ -125,7 +131,7 @@ unsafe fn dgemm_8x6_full(
 /// # Safety
 /// Caller must uphold the micro-kernel contract **and** guarantee the CPU
 /// supports AVX2 and FMA.
-pub unsafe fn sgemm_16x6(
+pub unsafe fn sgemm_16x6<const STORE: bool>(
     k: usize,
     a: *const f32,
     b: *const f32,
@@ -137,16 +143,16 @@ pub unsafe fn sgemm_16x6(
     row_sums: *mut f32,
 ) {
     if m_eff == F32_MR && n_eff == F32_NR {
-        sgemm_16x6_full(k, a, b, c, ldc, col_sums, row_sums);
+        sgemm_16x6_full::<STORE>(k, a, b, c, ldc, col_sums, row_sums);
     } else {
-        portable::kernel_mn::<f32, F32_MR, F32_NR>(
+        portable::kernel_mn::<f32, F32_MR, F32_NR, STORE>(
             k, a, b, c, ldc, m_eff, n_eff, col_sums, row_sums,
         );
     }
 }
 
 #[target_feature(enable = "avx2,fma")]
-unsafe fn sgemm_16x6_full(
+unsafe fn sgemm_16x6_full<const STORE: bool>(
     k: usize,
     a: *const f32,
     b: *const f32,
@@ -174,13 +180,20 @@ unsafe fn sgemm_16x6_full(
         bp = bp.add(F32_NR);
     }
 
+    if !STORE {
+        // Accumulate mode: the tile of `C` joins the accumulators; store mode
+        // never reads it.
+        for j in 0..F32_NR {
+            let cp = c.add(j * ldc);
+            acc_lo[j] = _mm256_add_ps(_mm256_loadu_ps(cp), acc_lo[j]);
+            acc_hi[j] = _mm256_add_ps(_mm256_loadu_ps(cp.add(8)), acc_hi[j]);
+        }
+    }
     if col_sums.is_null() {
         for j in 0..F32_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm256_add_ps(_mm256_loadu_ps(cp), acc_lo[j]);
-            let v1 = _mm256_add_ps(_mm256_loadu_ps(cp.add(8)), acc_hi[j]);
-            _mm256_storeu_ps(cp, v0);
-            _mm256_storeu_ps(cp.add(8), v1);
+            _mm256_storeu_ps(cp, acc_lo[j]);
+            _mm256_storeu_ps(cp.add(8), acc_hi[j]);
         }
     } else {
         let mut rsum_lo = _mm256_setzero_ps();
@@ -188,8 +201,7 @@ unsafe fn sgemm_16x6_full(
         let mut w = [_mm256_setzero_ps(); F32_NR];
         for j in 0..F32_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm256_add_ps(_mm256_loadu_ps(cp), acc_lo[j]);
-            let v1 = _mm256_add_ps(_mm256_loadu_ps(cp.add(8)), acc_hi[j]);
+            let (v0, v1) = (acc_lo[j], acc_hi[j]);
             _mm256_storeu_ps(cp, v0);
             _mm256_storeu_ps(cp.add(8), v1);
             rsum_lo = _mm256_add_ps(rsum_lo, v0);

@@ -34,7 +34,7 @@ pub const F32_NR: usize = 8;
 /// # Safety
 /// Caller must uphold the micro-kernel contract **and** guarantee the CPU
 /// supports AVX-512F (use [`crate::cpu::IsaLevel::detect`]).
-pub unsafe fn dgemm_16x8(
+pub unsafe fn dgemm_16x8<const STORE: bool>(
     k: usize,
     a: *const f64,
     b: *const f64,
@@ -46,18 +46,18 @@ pub unsafe fn dgemm_16x8(
     row_sums: *mut f64,
 ) {
     if m_eff == F64_MR && n_eff == F64_NR {
-        dgemm_16x8_full(k, a, b, c, ldc, col_sums, row_sums);
+        dgemm_16x8_full::<STORE>(k, a, b, c, ldc, col_sums, row_sums);
     } else {
         // Edge tiles: panels are zero-padded, the portable path handles any
         // effective extent with identical arithmetic.
-        portable::kernel_mn::<f64, F64_MR, F64_NR>(
+        portable::kernel_mn::<f64, F64_MR, F64_NR, STORE>(
             k, a, b, c, ldc, m_eff, n_eff, col_sums, row_sums,
         );
     }
 }
 
 #[target_feature(enable = "avx512f")]
-unsafe fn dgemm_16x8_full(
+unsafe fn dgemm_16x8_full<const STORE: bool>(
     k: usize,
     a: *const f64,
     b: *const f64,
@@ -106,13 +106,20 @@ unsafe fn dgemm_16x8_full(
         }
     }
 
+    if !STORE {
+        // Accumulate mode: the tile of `C` joins the accumulators; store mode
+        // never reads it.
+        for j in 0..F64_NR {
+            let cp = c.add(j * ldc);
+            acc_lo[j] = _mm512_add_pd(_mm512_loadu_pd(cp), acc_lo[j]);
+            acc_hi[j] = _mm512_add_pd(_mm512_loadu_pd(cp.add(8)), acc_hi[j]);
+        }
+    }
     if col_sums.is_null() {
         for j in 0..F64_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm512_add_pd(_mm512_loadu_pd(cp), acc_lo[j]);
-            let v1 = _mm512_add_pd(_mm512_loadu_pd(cp.add(8)), acc_hi[j]);
-            _mm512_storeu_pd(cp, v0);
-            _mm512_storeu_pd(cp.add(8), v1);
+            _mm512_storeu_pd(cp, acc_lo[j]);
+            _mm512_storeu_pd(cp.add(8), acc_hi[j]);
         }
     } else {
         // Fused-ABFT store: post-update values feed the reference checksums
@@ -122,8 +129,7 @@ unsafe fn dgemm_16x8_full(
         let mut w = [_mm512_setzero_pd(); F64_NR];
         for j in 0..F64_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm512_add_pd(_mm512_loadu_pd(cp), acc_lo[j]);
-            let v1 = _mm512_add_pd(_mm512_loadu_pd(cp.add(8)), acc_hi[j]);
+            let (v0, v1) = (acc_lo[j], acc_hi[j]);
             _mm512_storeu_pd(cp, v0);
             _mm512_storeu_pd(cp.add(8), v1);
             rsum_lo = _mm512_add_pd(rsum_lo, v0);
@@ -145,7 +151,7 @@ unsafe fn dgemm_16x8_full(
 /// # Safety
 /// Caller must uphold the micro-kernel contract **and** guarantee the CPU
 /// supports AVX-512F.
-pub unsafe fn sgemm_32x8(
+pub unsafe fn sgemm_32x8<const STORE: bool>(
     k: usize,
     a: *const f32,
     b: *const f32,
@@ -157,16 +163,16 @@ pub unsafe fn sgemm_32x8(
     row_sums: *mut f32,
 ) {
     if m_eff == F32_MR && n_eff == F32_NR {
-        sgemm_32x8_full(k, a, b, c, ldc, col_sums, row_sums);
+        sgemm_32x8_full::<STORE>(k, a, b, c, ldc, col_sums, row_sums);
     } else {
-        portable::kernel_mn::<f32, F32_MR, F32_NR>(
+        portable::kernel_mn::<f32, F32_MR, F32_NR, STORE>(
             k, a, b, c, ldc, m_eff, n_eff, col_sums, row_sums,
         );
     }
 }
 
 #[target_feature(enable = "avx512f")]
-unsafe fn sgemm_32x8_full(
+unsafe fn sgemm_32x8_full<const STORE: bool>(
     k: usize,
     a: *const f32,
     b: *const f32,
@@ -194,13 +200,20 @@ unsafe fn sgemm_32x8_full(
         bp = bp.add(F32_NR);
     }
 
+    if !STORE {
+        // Accumulate mode: the tile of `C` joins the accumulators; store mode
+        // never reads it.
+        for j in 0..F32_NR {
+            let cp = c.add(j * ldc);
+            acc_lo[j] = _mm512_add_ps(_mm512_loadu_ps(cp), acc_lo[j]);
+            acc_hi[j] = _mm512_add_ps(_mm512_loadu_ps(cp.add(16)), acc_hi[j]);
+        }
+    }
     if col_sums.is_null() {
         for j in 0..F32_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm512_add_ps(_mm512_loadu_ps(cp), acc_lo[j]);
-            let v1 = _mm512_add_ps(_mm512_loadu_ps(cp.add(16)), acc_hi[j]);
-            _mm512_storeu_ps(cp, v0);
-            _mm512_storeu_ps(cp.add(16), v1);
+            _mm512_storeu_ps(cp, acc_lo[j]);
+            _mm512_storeu_ps(cp.add(16), acc_hi[j]);
         }
     } else {
         let mut rsum_lo = _mm512_setzero_ps();
@@ -208,8 +221,7 @@ unsafe fn sgemm_32x8_full(
         let mut w = [_mm512_setzero_ps(); F32_NR];
         for j in 0..F32_NR {
             let cp = c.add(j * ldc);
-            let v0 = _mm512_add_ps(_mm512_loadu_ps(cp), acc_lo[j]);
-            let v1 = _mm512_add_ps(_mm512_loadu_ps(cp.add(16)), acc_hi[j]);
+            let (v0, v1) = (acc_lo[j], acc_hi[j]);
             _mm512_storeu_ps(cp, v0);
             _mm512_storeu_ps(cp.add(16), v1);
             rsum_lo = _mm512_add_ps(rsum_lo, v0);

@@ -5,6 +5,17 @@
 //! `k x NR` slab, and `C_tile` an `MR x NR` window of `C` held in registers
 //! for the whole `k` loop.
 //!
+//! ## Store mode
+//!
+//! Every kernel body is instantiated twice (`const STORE: bool`): the
+//! accumulate entry [`Kernel::func`] above, and the store entry
+//! [`Kernel::store`], which computes `C_tile = A_panel * B_panel` and **never
+//! reads `C`**. The drivers run the first depth panel of a `beta == 0`
+//! product in store mode, so `C` is written once instead of zero-filled,
+//! loaded back and stored. The result equals accumulating onto zeros under
+//! `==` (`0 + x == x`; only the sign of an exact zero can differ), and the
+//! sums hook below is the same in both modes.
+//!
 //! ## The fused-ABFT hook
 //!
 //! Every kernel takes two optional output vectors, `col_sums` (length `NR`)
@@ -39,7 +50,8 @@
 //! * `c` points to element `(0, 0)` of the tile inside a column-major matrix
 //!   with leading dimension `ldc >= m_eff`.
 //! * `m_eff <= MR`, `n_eff <= NR` give the valid tile extent; only that
-//!   region of `C` is read or written.
+//!   region of `C` is read or written — in store mode written only, so it
+//!   may hold anything (NaN, uninitialised-by-the-caller garbage).
 //! * `col_sums`/`row_sums` are either both null or both valid for
 //!   `n_eff`/`m_eff` elements.
 
@@ -90,77 +102,115 @@ impl<T: Scalar> std::fmt::Debug for Kernel<T> {
     }
 }
 
+impl<T: Scalar> Kernel<T> {
+    /// The store-mode entry of this kernel (`C_tile = A~ * B~`, see the
+    /// [module docs](self)): same body, geometry and sums hook as
+    /// [`Self::func`]. Looked up from `(T, isa)` rather than carried as a
+    /// field, so `Kernel` stays the size the contexts embedding it were laid
+    /// out for.
+    pub fn store(&self) -> MicroKernelFn<T> {
+        table::<T>(self.isa).1
+    }
+}
+
 /// Selects the best kernel for element type `T` at the given ISA tier.
 ///
 /// Tiers above what the CPU supports must not be requested unless the caller
 /// guarantees support (the returned kernel executes illegal instructions
 /// otherwise) — use [`select_kernel_auto`] for the safe path.
 pub fn select_kernel<T: Scalar>(level: IsaLevel) -> Kernel<T> {
+    table::<T>(level).0
+}
+
+/// One row of the kernel table: the [`Kernel`] (whose `func` accumulates)
+/// and the store-mode instantiation of the same body.
+type Row<T> = (Kernel<T>, MicroKernelFn<T>);
+
+fn row<T: Scalar>(
+    (mr, nr): (usize, usize),
+    isa: IsaLevel,
+    name: &'static str,
+    func: MicroKernelFn<T>,
+    store: MicroKernelFn<T>,
+) -> Row<T> {
+    let kernel = Kernel {
+        mr,
+        nr,
+        isa,
+        name,
+        func,
+    };
+    (kernel, store)
+}
+
+/// The kernel table behind [`select_kernel`] and [`Kernel::store`].
+fn table<T: Scalar>(level: IsaLevel) -> Row<T> {
+    const PORTABLE: (usize, usize) = (portable::MR, portable::NR);
     let t = TypeId::of::<T>();
     if t == TypeId::of::<f64>() {
-        let k: Kernel<f64> = match level {
-            IsaLevel::Avx512 => Kernel {
-                mr: avx512::F64_MR,
-                nr: avx512::F64_NR,
-                isa: IsaLevel::Avx512,
-                name: "avx512-f64-16x8",
-                func: avx512::dgemm_16x8,
-            },
-            IsaLevel::Avx2Fma => Kernel {
-                mr: avx2::F64_MR,
-                nr: avx2::F64_NR,
-                isa: IsaLevel::Avx2Fma,
-                name: "avx2-f64-8x6",
-                func: avx2::dgemm_8x6,
-            },
-            IsaLevel::Portable => Kernel {
-                mr: portable::MR,
-                nr: portable::NR,
-                isa: IsaLevel::Portable,
-                name: "portable-f64-8x4",
-                func: portable::kernel::<f64>,
-            },
+        let r: Row<f64> = match level {
+            IsaLevel::Avx512 => row(
+                (avx512::F64_MR, avx512::F64_NR),
+                level,
+                "avx512-f64-16x8",
+                avx512::dgemm_16x8::<false>,
+                avx512::dgemm_16x8::<true>,
+            ),
+            IsaLevel::Avx2Fma => row(
+                (avx2::F64_MR, avx2::F64_NR),
+                level,
+                "avx2-f64-8x6",
+                avx2::dgemm_8x6::<false>,
+                avx2::dgemm_8x6::<true>,
+            ),
+            IsaLevel::Portable => row(
+                PORTABLE,
+                level,
+                "portable-f64-8x4",
+                portable::kernel::<f64, false>,
+                portable::kernel::<f64, true>,
+            ),
         };
         // SAFETY: T == f64 was just checked; the function pointer types are
         // identical after monomorphization, so this is a no-op transmute.
-        return unsafe { std::mem::transmute::<Kernel<f64>, Kernel<T>>(k) };
+        return unsafe { std::mem::transmute::<Row<f64>, Row<T>>(r) };
     }
     if t == TypeId::of::<f32>() {
-        let k: Kernel<f32> = match level {
-            IsaLevel::Avx512 => Kernel {
-                mr: avx512::F32_MR,
-                nr: avx512::F32_NR,
-                isa: IsaLevel::Avx512,
-                name: "avx512-f32-32x8",
-                func: avx512::sgemm_32x8,
-            },
-            IsaLevel::Avx2Fma => Kernel {
-                mr: avx2::F32_MR,
-                nr: avx2::F32_NR,
-                isa: IsaLevel::Avx2Fma,
-                name: "avx2-f32-16x6",
-                func: avx2::sgemm_16x6,
-            },
-            IsaLevel::Portable => Kernel {
-                mr: portable::MR,
-                nr: portable::NR,
-                isa: IsaLevel::Portable,
-                name: "portable-f32-8x4",
-                func: portable::kernel::<f32>,
-            },
+        let r: Row<f32> = match level {
+            IsaLevel::Avx512 => row(
+                (avx512::F32_MR, avx512::F32_NR),
+                level,
+                "avx512-f32-32x8",
+                avx512::sgemm_32x8::<false>,
+                avx512::sgemm_32x8::<true>,
+            ),
+            IsaLevel::Avx2Fma => row(
+                (avx2::F32_MR, avx2::F32_NR),
+                level,
+                "avx2-f32-16x6",
+                avx2::sgemm_16x6::<false>,
+                avx2::sgemm_16x6::<true>,
+            ),
+            IsaLevel::Portable => row(
+                PORTABLE,
+                level,
+                "portable-f32-8x4",
+                portable::kernel::<f32, false>,
+                portable::kernel::<f32, true>,
+            ),
         };
         // SAFETY: T == f32 was just checked (see above).
-        return unsafe { std::mem::transmute::<Kernel<f32>, Kernel<T>>(k) };
+        return unsafe { std::mem::transmute::<Row<f32>, Row<T>>(r) };
     }
     // Only f32/f64 implement Scalar today, but stay correct for any future
     // Scalar by falling back to the generic portable kernel.
-    Kernel {
-        mr: portable::MR,
-        nr: portable::NR,
-        isa: IsaLevel::Portable,
-        name: "portable-generic-8x4",
-        func: portable::kernel::<T>,
-    }
+    row(
+        PORTABLE,
+        IsaLevel::Portable,
+        "portable-generic-8x4",
+        portable::kernel::<T, false>,
+        portable::kernel::<T, true>,
+    )
 }
 
 /// Selects the best kernel the executing CPU supports.
@@ -313,6 +363,51 @@ mod tests {
                 "{} FT/non-FT store divergence at {idx}",
                 kern.name
             );
+        }
+
+        // Store mode never reads C: over a NaN-filled window it leaves what
+        // accumulate mode leaves over a zeroed one — tile and both sums —
+        // and NaN everywhere outside `m_eff x n_eff`.
+        let run = |func: MicroKernelFn<T>, fill: T, sums: bool| {
+            let mut c = vec![fill; ldc * nr];
+            let mut col_sums = vec![T::from_f64(1.5); nr];
+            let mut row_sums = vec![T::from_f64(-2.5); mr];
+            let null = std::ptr::null_mut();
+            let (cs, rs) = if sums {
+                (col_sums.as_mut_ptr(), row_sums.as_mut_ptr())
+            } else {
+                (null, null)
+            };
+            // SAFETY: same buffers and extents as the calls above.
+            unsafe {
+                func(
+                    k,
+                    a.as_ptr(),
+                    b.as_ptr(),
+                    c.as_mut_ptr(),
+                    ldc,
+                    m_eff,
+                    n_eff,
+                    cs,
+                    rs,
+                )
+            };
+            (c, col_sums, row_sums)
+        };
+        for sums in [true, false] {
+            let (stored, cs, rs) = run(kern.store(), T::from_f64(f64::NAN), sums);
+            let (summed, cs0, rs0) = run(kern.func, T::ZERO, sums);
+            for j in 0..nr {
+                for i in 0..ldc {
+                    let got = stored[i + j * ldc];
+                    if i < m_eff && j < n_eff {
+                        assert_eq!(got, summed[i + j * ldc], "{} store ({i},{j})", kern.name);
+                    } else {
+                        assert!(got.to_f64().is_nan(), "{} store wrote ({i},{j})", kern.name);
+                    }
+                }
+            }
+            assert_eq!((cs, rs), (cs0, rs0), "{} store-mode sums", kern.name);
         }
     }
 

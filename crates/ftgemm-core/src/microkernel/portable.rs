@@ -11,13 +11,14 @@ pub const MR: usize = 8;
 /// Micro-tile columns for the portable tier.
 pub const NR: usize = 4;
 
-/// Portable `MR x NR` micro-kernel. See the [module contract](super).
+/// Portable `MR x NR` micro-kernel. See the [module contract](super);
+/// `STORE` selects store mode.
 ///
 /// # Safety
 /// Callers must uphold the pointer/layout contract documented in
 /// [`super`] (packed panels of `MR*k` / `NR*k` elements, valid `C` window,
 /// sums either both null or valid).
-pub unsafe fn kernel<T: Scalar>(
+pub unsafe fn kernel<T: Scalar, const STORE: bool>(
     k: usize,
     a: *const T,
     b: *const T,
@@ -31,7 +32,7 @@ pub unsafe fn kernel<T: Scalar>(
     debug_assert!(m_eff <= MR && n_eff <= NR);
     // SAFETY: delegated; the generic body upholds the same contract.
     unsafe {
-        kernel_mn::<T, MR, NR>(k, a, b, c, ldc, m_eff, n_eff, col_sums, row_sums);
+        kernel_mn::<T, MR, NR, STORE>(k, a, b, c, ldc, m_eff, n_eff, col_sums, row_sums);
     }
 }
 
@@ -39,13 +40,14 @@ pub unsafe fn kernel<T: Scalar>(
 ///
 /// Used by [`kernel`] with the portable geometry and by the SIMD tiers as
 /// their edge-tile fallback (instantiated with *their* `MR x NR` so packing
-/// layouts line up).
+/// layouts line up). Under `STORE` the tile is written, not accumulated into:
+/// `C` is never read.
 ///
 /// # Safety
 /// Same contract as [`kernel`], with `MRK`/`NRK` taking the role of the
 /// panel geometry.
 #[inline]
-pub unsafe fn kernel_mn<T: Scalar, const MRK: usize, const NRK: usize>(
+pub unsafe fn kernel_mn<T: Scalar, const MRK: usize, const NRK: usize, const STORE: bool>(
     k: usize,
     a: *const T,
     b: *const T,
@@ -80,14 +82,27 @@ pub unsafe fn kernel_mn<T: Scalar, const MRK: usize, const NRK: usize>(
         }
     }
 
-    if col_sums.is_null() {
-        // Plain store: C_tile += acc over the valid window.
+    if !STORE {
+        // Accumulate mode: the valid window of `C` joins the accumulators;
+        // store mode never reads it.
         for j in 0..n_eff {
             // SAFETY: column j of the tile spans m_eff valid elements.
             unsafe {
                 let cp = c.add(j * ldc);
                 for i in 0..m_eff {
-                    *cp.add(i) = *cp.add(i) + acc[j][i];
+                    acc[j][i] = *cp.add(i) + acc[j][i];
+                }
+            }
+        }
+    }
+    if col_sums.is_null() {
+        // Plain store of the valid window.
+        for j in 0..n_eff {
+            // SAFETY: column j of the tile spans m_eff valid elements.
+            unsafe {
+                let cp = c.add(j * ldc);
+                for i in 0..m_eff {
+                    *cp.add(i) = acc[j][i];
                 }
             }
         }
@@ -100,7 +115,7 @@ pub unsafe fn kernel_mn<T: Scalar, const MRK: usize, const NRK: usize>(
             unsafe {
                 let cp = c.add(j * ldc);
                 for i in 0..m_eff {
-                    let v = *cp.add(i) + acc[j][i];
+                    let v = acc[j][i];
                     *cp.add(i) = v;
                     csum += v;
                     *row_sums.add(i) += v;
@@ -128,7 +143,7 @@ mod tests {
         let mut row = vec![0.0f64; MR];
         // SAFETY: zero-length panels are valid; C window is MRxNR.
         unsafe {
-            kernel::<f64>(
+            kernel::<f64, false>(
                 0,
                 a.as_ptr(),
                 b.as_ptr(),
@@ -158,7 +173,7 @@ mod tests {
         let mut c = vec![10.0f64; 1];
         // SAFETY: 1x1 window with ldc=1; panels zero-padded.
         unsafe {
-            kernel::<f64>(
+            kernel::<f64, false>(
                 k,
                 a.as_ptr(),
                 b.as_ptr(),
@@ -194,7 +209,7 @@ mod tests {
         let mut c = vec![0.0f64; ldc * N2];
         // SAFETY: full M2xN2 window over a contiguous buffer.
         unsafe {
-            kernel_mn::<f64, M2, N2>(
+            kernel_mn::<f64, M2, N2, false>(
                 k,
                 a.as_ptr(),
                 b.as_ptr(),

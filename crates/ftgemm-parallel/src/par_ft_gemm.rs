@@ -196,7 +196,8 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
             let nc_eff = p.nc.min(n - jc);
 
             // beta-scale + initial encode: rows are local, columns go via
-            // lanes and a reduction.
+            // lanes and a reduction. (At beta == 0 this only zeroes the
+            // checksums; the first panel below stores over C.)
             {
                 // SAFETY: each thread writes only its own lane pre-barrier.
                 let lane = unsafe { &mut enc_col_shards.lane_mut(tid)[..nc_eff] };
@@ -307,6 +308,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
                             b_packed,
                             &mut c_block,
                             Some((&mut ref_col_lane[..nc_eff], &mut *ref_row_slice)),
+                            beta == T::ZERO && pc == 0,
                         );
 
                         // An injected error reaches the reference sums as the

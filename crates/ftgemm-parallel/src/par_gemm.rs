@@ -68,8 +68,10 @@ pub fn par_gemm_with_ws<T: Scalar>(
         // requests a private memory buffer for A~").
         let mut atilde = ws.atilde[w.tid].lock();
 
-        // beta scaling of the thread's row slice.
-        if beta != T::ONE && mlen > 0 {
+        // beta scaling of the thread's row slice; at beta == 0 the first
+        // depth panel stores over it instead.
+        let store_first = beta == T::ZERO;
+        if !store_first && mlen > 0 {
             // SAFETY: row slices are disjoint across threads.
             let mut c_slice = unsafe { MatMut::<T>::from_raw_parts(c_ptr.0.add(ms), mlen, n, ldc) };
             ftgemm_core::gemm::scale_c(&mut c_slice, beta);
@@ -124,6 +126,7 @@ pub fn par_gemm_with_ws<T: Scalar>(
                             b_packed,
                             &mut c_block,
                             None,
+                            store_first && pc == 0,
                         );
                         ic += p.mc;
                     }
