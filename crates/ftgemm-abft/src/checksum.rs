@@ -18,7 +18,7 @@ use ftgemm_core::{MatMut, MatRef, Scalar};
 /// is left of this pass is zeroing `enc_row` / `enc_col` (and `base`).
 ///
 /// `base`, when given (length = rows * cols), receives the scaled block
-/// column-packed — the serial driver's rollback point. Each column is copied
+/// column-packed — the loop nest's rollback point. Each column is copied
 /// right after it was scaled and summed, while it is still in cache, so the
 /// save adds one write stream to this pass and no second read of `C`.
 pub fn scale_encode_c<T: Scalar>(

@@ -55,7 +55,9 @@ pub enum CorrectionOutcome {
     },
 }
 
-/// Scans `enc` vs `reference` and returns significant discrepancies.
+/// Scans `enc` vs `reference` and returns significant discrepancies. A
+/// non-finite difference is one whatever the threshold: a NaN compares
+/// greater than nothing, and a reference sum over `+inf` and `-inf` is NaN.
 pub fn find_discrepancies<T: Scalar>(
     enc: &[T],
     reference: &[T],
@@ -65,7 +67,7 @@ pub fn find_discrepancies<T: Scalar>(
     let mut out = Vec::new();
     for (idx, (&e, &r)) in enc.iter().zip(reference.iter()).enumerate() {
         let delta = r - e;
-        if delta.abs() > threshold {
+        if delta.abs() > threshold || !delta.is_finite() {
             out.push(Discrepancy { idx, delta });
         }
     }
@@ -83,6 +85,19 @@ pub fn correct_block<T: Scalar>(
 ) -> CorrectionOutcome {
     if row_diffs.is_empty() && col_diffs.is_empty() {
         return CorrectionOutcome::Clean;
+    }
+    // An overflowed element cannot be repaired by subtraction (`inf - inf`),
+    // and to the delta matching below infinities of opposite sign are within
+    // any relative tolerance of each other: pairing them would "correct" two
+    // clean elements and report success.
+    if row_diffs
+        .iter()
+        .chain(col_diffs)
+        .any(|d| !d.delta.is_finite())
+    {
+        return CorrectionOutcome::Unrecoverable {
+            detail: "non-finite discrepancy: an element overflowed".into(),
+        };
     }
     // Matching tolerance: each measured delta is a difference of large
     // sums and carries roundoff proportional to the *error magnitude*
@@ -314,6 +329,29 @@ mod tests {
             matches!(out, CorrectionOutcome::Unrecoverable { .. }),
             "got {out:?}"
         );
+    }
+
+    #[test]
+    fn overflowed_elements_are_unrecoverable_whatever_their_signs() {
+        // `+inf` and `-inf` in distinct rows and columns: each row delta is
+        // "close" to the *other* element's column delta under a relative
+        // tolerance, and pairing them once passed for two corrections.
+        for errors in [
+            &[(2, 3, f64::INFINITY)][..],
+            &[(2, 3, f64::INFINITY), (9, 8, f64::NEG_INFINITY)],
+            &[(2, 3, f64::INFINITY), (9, 8, f64::INFINITY)],
+            // Sums to NaN in column 3, which no threshold calls large.
+            &[(2, 3, f64::INFINITY), (9, 3, f64::NEG_INFINITY)],
+        ] {
+            let out = corrupt_and_correct(errors);
+            assert!(
+                matches!(&out, CorrectionOutcome::Unrecoverable { detail } if detail.contains("non-finite")),
+                "{errors:?}: {out:?}"
+            );
+        }
+        // All four sums NaN: still a discrepancy, on both axes.
+        let nan = [f64::NAN];
+        assert_eq!(find_discrepancies(&[1.0], &nan, 1e-9).len(), 1);
     }
 
     #[test]

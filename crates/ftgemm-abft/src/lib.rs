@@ -40,13 +40,19 @@
 //! `overhead_table` and `ablation_fusion` views of `ftgemm-bench`'s `paper`
 //! binary; see "How this follows the paper" in `docs/ARCHITECTURE.md`).
 //!
-//! ## One ABFT step
+//! ## One loop nest, one ABFT step
 //!
-//! The operations above — base encode, the two fused packs, the injection
-//! site of §3.2 and the per-panel verify-and-correct — are the functions of
-//! [`panel`], written once and called by both fault-tolerant drivers (the
-//! serial one here, the matrix-parallel one in `ftgemm-parallel`), so a
-//! verdict is the same arithmetic on every execution path.
+//! The paper draws FT-GEMM as one GotoBLAS loop nest with the
+//! fault-tolerance operations printed in red inside it (Fig. 1), and its
+//! threaded algorithm (§2.3) as that same nest with an M-partition, a shared
+//! `B~` and barriers. [`nest`] is that figure as one function, generic over
+//! a [`Team`] and a `const PROTECT: bool`: the operations above — base
+//! encode, the two fused packs, the injection site of §3.2 and the per-panel
+//! verify-and-correct, the functions of [`panel`] — sit under `if PROTECT`,
+//! and serial / parallel × plain / protected are its four instantiations
+//! ([`ft_gemm_with_ctx`] and [`gemm`] here on [`Solo`], the matrix-parallel
+//! pair in `ftgemm-parallel` on a pool region). A verdict, a rollback and
+//! an injected pattern are therefore the same code on every execution path.
 //!
 //! ## The ambiguity fail-stop contract
 //!
@@ -64,16 +70,17 @@
 //! reports such patterns as [`CorrectionOutcome::Unrecoverable`] (the
 //! equal-magnitude case is pinned by
 //! `corrector::tests::equal_delta_errors_distinct_positions`), and the
-//! driver then applies the caller's [`Recovery`] policy — under
+//! nest then applies the caller's [`Recovery`] policy — under
 //! [`Recovery::RetryPanel`] (the default policy, `DetectCorrect`) the
-//! serial driver rolls the affected **column block** back to its base state
+//! team rolls the affected **column block** back to its base state
 //! (`beta * C0` and its checksums) and recomputes that block's panels up to
 //! and including the failing one, through the same loop, so a recovered
-//! result is bit-identical to a clean run. The rollback costs nothing until
-//! it happens: at `beta == 0` the base state is all zeros and nothing is
-//! held in memory; at `beta != 0` the beta pass writes the scaled block to
-//! an `m x NC` buffer as it goes, once per column block. The matrix-parallel
-//! driver has no recovery point and stays fail-stop.
+//! result is bit-identical to a clean run on the same team. The rollback
+//! costs nothing until it happens: at `beta == 0` the base state is all
+//! zeros and nothing is held in memory; at `beta != 0` the beta pass writes
+//! the scaled block to an `m x NC` buffer as it goes, once per column block.
+//! An overflowed element (a non-finite discrepancy) is unrecoverable too:
+//! subtraction cannot repair it.
 //! Equal magnitudes sharing a single row or column are *not* ambiguous
 //! (the shared-axis sum rule resolves them) and are still corrected. The
 //! paper verifies every `KC`-depth panel, so the exposure window for a
@@ -86,12 +93,14 @@
 pub mod checksum;
 pub mod corrector;
 pub mod ft_gemm;
+pub mod nest;
 pub mod panel;
 pub mod policy;
 pub mod tolerance;
 
 pub use corrector::{CorrectionOutcome, Discrepancy};
-pub use ft_gemm::{ft_gemm_with_ctx, run_serial, FtGemmContext};
+pub use ft_gemm::{ft_gemm_with_ctx, gemm, gemm_with_params, run_serial, FtGemmContext};
+pub use nest::{Solo, Team};
 pub use policy::FtPolicy;
 pub use tolerance::Tolerance;
 
@@ -116,8 +125,8 @@ pub struct FtConfig {
 ///
 /// Row+column checksums cannot locate errors that form a cycle across
 /// shared rows *and* columns within one verification interval, nor repair
-/// an element that overflowed. The serial driver can then roll the column
-/// block of `C` back to its base state and recompute it.
+/// an element that overflowed. The loop nest can then roll the column
+/// block of `C` back to its base state and recompute it, on every team.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
     /// Return [`FtError::Unrecoverable`]; the caller decides.
@@ -131,11 +140,7 @@ pub enum Recovery {
     /// is copied on the path that does not fail: at `beta == 0` the base
     /// state is zero and is recomputed, so no memory is held; at `beta != 0`
     /// the beta pass also writes the scaled block to an `m x NC` buffer
-    /// (plus `O(m + NC)` checksums), once per column block.
-    ///
-    /// Serial and batched drivers only. The matrix-parallel driver
-    /// (`ftgemm_parallel::par_ft_gemm_with_ws`) has no recovery point and
-    /// behaves as [`ReportOnly`](Recovery::ReportOnly).
+    /// once per column block (each team member its own rows of it).
     RetryPanel {
         /// Rollbacks per column block before reporting failure.
         max_retries: u32,
@@ -183,10 +188,8 @@ pub struct FusionConfig {
     /// Fuse `enc_row` encoding with `A~` packing.
     pub fuse_a_pack: bool,
     /// Accumulate `ref_*` at register level in the micro-kernel (vs a
-    /// separate read-back pass over the updated `C` block). Serial and
-    /// batched drivers only: the matrix-parallel driver always takes them
-    /// at register level, so `FtConfig::unfused()` is packing-unfused only
-    /// there.
+    /// separate read-back pass over the updated `C` block, on thread 0 in
+    /// the verification epoch).
     pub fuse_kernel_refs: bool,
 }
 

@@ -1,9 +1,8 @@
 //! The ABFT step: the paper's "red" operations (Fig. 1), written once.
 //!
-//! A fault-tolerant driver is the plain GEMM loop nest with five operations
-//! threaded through it, and both drivers — serial [`ft_gemm_with_ctx`] and
-//! matrix-parallel `ftgemm_parallel::par_ft_gemm_with_ws` — call the same
-//! five functions for them:
+//! Fault-tolerant GEMM is the plain GEMM loop nest with five operations
+//! threaded through it, and the nest ([`crate::nest`]) — whichever team runs
+//! it — calls these five functions for them, under `if PROTECT`:
 //!
 //! * [`encode_base`] — `C *= beta` with the initial `enc_*` encode (§2.2);
 //! * [`pack_b`] — `B~` with `B_c` and the `enc_col` update;
@@ -14,12 +13,10 @@
 //! The three encode/pack functions are the only place a [`FusionConfig`]
 //! switch is read for its pass, and [`verify`] is the only caller of the
 //! corrector, so a verdict is the same arithmetic in the same order on
-//! every execution path. What a driver owns is what differs between them:
-//! which slice of the block a thread works on, how partial sums are reduced,
-//! and what happens after `verify` returns `Err` (rollback budget in the
-//! serial driver, a verdict published across workers in the parallel one).
-//!
-//! [`ft_gemm_with_ctx`]: crate::ft_gemm_with_ctx
+//! every execution path. What the nest owns is the rest: which slice of the
+//! block a team member works on, how partial sums are reduced, and what
+//! happens after `verify` returns `Err` (a rollback within the budget, or an
+//! abort, decided on thread 0 and published to the team).
 
 use crate::checksum;
 use crate::corrector::{correct_block, find_discrepancies, CorrectionOutcome};
@@ -93,7 +90,7 @@ pub fn pack_a<T: Scalar>(
 /// tile a macro-kernel call just computed, exactly as a faulty FMA would.
 /// The event's lane picks the victim, `(lane % rows, (lane / rows) % cols)`.
 ///
-/// Returns the victim's position within `c_block` and `new - old`. A driver
+/// Returns the victim's position within `c_block` and `new - old`. A nest
 /// that takes reference checksums at register level adds that delta to its
 /// `ref_row` / `ref_col` entries (the kernel would have summed the corrupted
 /// value); the encoded checksums never see it.
@@ -112,14 +109,14 @@ pub fn inject<T: Scalar>(event: &ErrorEvent, c_block: &mut MatMut<'_, T>) -> (us
 /// and repairs what differs in `c_block`. Counts into `report` and into the
 /// attached injector's stats.
 ///
-/// `correction_scale` is the driver's per-column-block memory of the largest
+/// `correction_scale` is the nest's per-column-block memory of the largest
 /// correction applied so far (zero at the block's base state): correcting an
 /// error of magnitude `d` leaves an `O(eps * d)` roundoff residual at the
 /// repaired element, which later verifications of the block must treat as
 /// noise.
 ///
 /// `Err(detail)` is a pattern the corrector cannot resolve: `c_block` is
-/// still wrong and the driver applies its recovery policy.
+/// still wrong and the nest applies the recovery policy.
 pub fn verify<T: Scalar>(
     cfg: &FtConfig,
     k_done: usize,

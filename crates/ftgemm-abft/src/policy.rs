@@ -4,7 +4,7 @@
 //! protection a GEMM buys, shared by every surface of the workspace: the
 //! one-shot entry points, the `GemmOp`/`GemmPlan` builder API in the facade
 //! crate, and the serving layer's per-request configuration. Internally each
-//! driver resolves the policy into a full [`FtConfig`] (tolerance model,
+//! entry resolves the policy into a full [`FtConfig`] (tolerance model,
 //! fusion switches, recovery budget).
 
 use crate::{FtConfig, Recovery};
@@ -25,9 +25,7 @@ use ftgemm_faults::FaultInjector;
 ///   block back to `beta * C0` and recomputes it, a bounded number of times
 ///   ([`Recovery::RetryPanel`]), before the call is failed. On a clean run
 ///   this costs nothing at `beta == 0` and one extra write of the scaled
-///   block per column block otherwise. The matrix-parallel driver has no
-///   recovery point, so on `Exec::Parallel` plans and on `GemmService`'s
-///   large path this behaves as [`Detect`](FtPolicy::Detect).
+///   block per column block otherwise — on every execution path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FtPolicy {
     /// No fault tolerance: the plain high-performance driver.
@@ -35,9 +33,7 @@ pub enum FtPolicy {
     /// Verify + in-place correction; unresolvable patterns fail the call.
     Detect,
     /// Verify + correction + column-block rollback and recompute of
-    /// unresolvable patterns (the rollback on serial and batched execution
-    /// only; matrix-parallel execution fails the call as
-    /// [`Detect`](FtPolicy::Detect) does).
+    /// unresolvable patterns.
     #[default]
     DetectCorrect,
 }

@@ -1,6 +1,7 @@
 //! The library stand-ins: packed/blocked GEMMs pinned to distinct ISA tiers.
 
-use ftgemm_core::{gemm, GemmContext, IsaLevel, MatMut, MatRef, Result, Scalar};
+use ftgemm_abft::gemm;
+use ftgemm_core::{GemmContext, IsaLevel, MatMut, MatRef, Result, Scalar};
 use ftgemm_parallel::{par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
 
 /// Which comparator library a stand-in represents.

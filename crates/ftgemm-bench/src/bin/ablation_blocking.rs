@@ -12,8 +12,9 @@
 //! Usage: `cargo run -p ftgemm-bench --release --bin ablation_blocking
 //!         [--sizes N] [--reps N] [--smoke]`
 
+use ftgemm_abft::gemm_with_params;
 use ftgemm_bench::{gflops, percentile, write_bench_json, Args, JsonValue, Table};
-use ftgemm_core::{gemm_with_params, BlockingParams, CacheInfo, IsaLevel, Matrix};
+use ftgemm_core::{BlockingParams, CacheInfo, IsaLevel, Matrix};
 
 fn main() {
     let args = Args::parse();

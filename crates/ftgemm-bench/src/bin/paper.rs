@@ -224,8 +224,6 @@ fn main() {
     );
     emit(&parallel.figure(&title, INJECTED), &args, "fig2d");
 
-    // The matrix-parallel driver always takes its reference sums at register
-    // level, so its unfused configuration is packing-unfused only.
     let mut overhead = Table::new(
         "T1/T2 — ABFT overhead vs 'FT-GEMM: Ori' (paper: fused 1.2-3.6% serial / 1.8% parallel; unfused ~15%)",
         &[
@@ -237,7 +235,7 @@ fn main() {
             "serial fused ovh (beta=0)",
             "par Ori GF",
             "par fused ovh",
-            "par unfused (packing only)",
+            "par unfused ovh",
         ],
     );
     let mut sizes = [serial.sizes.clone(), parallel.sizes.clone()].concat();

@@ -6,9 +6,9 @@
 //! partially fused, injected) through [`GemmRunner::ft_serial`] and
 //! [`GemmRunner::par`].
 
-use ftgemm_abft::{ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext, FtPolicy};
+use ftgemm_abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtGemmContext, FtPolicy};
 use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
-use ftgemm_core::{gemm, GemmContext, MatMut, MatRef};
+use ftgemm_core::{GemmContext, MatMut, MatRef};
 use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 
 /// Which implementation a runner wraps.

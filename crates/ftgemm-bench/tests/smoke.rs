@@ -17,7 +17,7 @@ const PAPER_CSVS: [(&str, &str); 7] = [
     ("fig2d", INJECTED_FIGURE),
     (
         "overhead_table",
-        "size,serial Ori GF,serial fused ovh,serial unfused ovh,serial Ori GF (beta=0),serial fused ovh (beta=0),par Ori GF,par fused ovh,par unfused (packing only)",
+        "size,serial Ori GF,serial fused ovh,serial unfused ovh,serial Ori GF (beta=0),serial fused ovh (beta=0),par Ori GF,par fused ovh,par unfused ovh",
     ),
     ("speedup_table", "mode,vs MKL*,vs OpenBLAS*,vs BLIS*,vs Ori"),
     (

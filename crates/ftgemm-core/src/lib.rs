@@ -4,8 +4,8 @@
 //! reproduction (Wu et al., *FT-GEMM: A Fault Tolerant High Performance GEMM
 //! Implementation on x86 CPUs*, HPDC '23).
 //!
-//! This crate implements the paper's **baseline** high-performance GEMM
-//! ("FT-GEMM: Ori"): a GotoBLAS-style algorithm with
+//! This crate implements the pieces of the paper's **baseline**
+//! high-performance GEMM ("FT-GEMM: Ori"), a GotoBLAS-style algorithm:
 //!
 //! * packing of `A` into MR-row micro-panels and `B` into NR-column
 //!   micro-panels ([`pack`]),
@@ -23,17 +23,28 @@
 //!
 //! ## Quick start
 //!
-//! ```
-//! use ftgemm_core::{Matrix, gemm, GemmContext};
+//! The loop nest that drives these pieces lives one crate up
+//! (`ftgemm_abft::nest`); `ftgemm_abft::gemm` — `ftgemm::gemm` through the
+//! facade — is its plain serial entry on a [`GemmContext`]:
 //!
-//! let m = 64;
-//! let a = Matrix::<f64>::from_fn(m, m, |i, j| (i + j) as f64);
-//! let b = Matrix::<f64>::identity(m);
-//! let mut c = Matrix::<f64>::zeros(m, m);
+//! ```text
+//! let mut ctx = GemmContext::<f64>::new();
+//! gemm(&mut ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut())?;
+//! ```
+//!
+//! What this crate does on its own is a step of that nest, e.g. packing a
+//! block of `A` into the context's scratch:
+//!
+//! ```
+//! use ftgemm_core::{pack, GemmContext, Matrix};
 //!
 //! let mut ctx = GemmContext::<f64>::new();
-//! gemm(&mut ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut());
-//! assert_eq!(c.get(3, 5), a.get(3, 5));
+//! let p = ctx.params;
+//! let a = Matrix::<f64>::from_fn(p.mr, 4, |i, j| (i + 10 * j) as f64);
+//! let (a_buf, _b_buf) = ctx.pack_buffers(p.packed_a_len(), p.packed_b_len()).unwrap();
+//! pack::pack_a(&a.as_ref(), 1.0, p.mr, a_buf);
+//! // An MR-row micro-panel is stored one column of the block after another.
+//! assert_eq!(a_buf[p.mr + 2], a.get(2, 1));
 //! ```
 
 #![warn(missing_docs)]
@@ -54,7 +65,7 @@ pub mod scalar;
 pub use aligned::AlignedVec;
 pub use cpu::{CacheInfo, IsaLevel};
 pub use error::{CoreError, Result};
-pub use gemm::{gemm, gemm_with_params, GemmContext};
+pub use gemm::GemmContext;
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use microkernel::{select_kernel, Kernel};
 pub use params::BlockingParams;

@@ -15,7 +15,7 @@
 //! idle behind one long item.
 
 use crate::ctx::ParGemmContext;
-use crate::shared::SendPtr;
+use ftgemm_abft::nest::Shared;
 use ftgemm_abft::{run_serial, FtConfig, FtGemmContext, FtReport, FtResult};
 use ftgemm_core::{GemmContext, MatMut, MatRef, Scalar};
 use parking_lot::Mutex;
@@ -145,19 +145,12 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
         ctx.nthreads()
     );
 
-    let items_ptr = SendPtr(items.as_mut_ptr());
-    let results_ptr = SendPtr(results.as_mut_ptr());
+    let (items, outs) = (Shared::new(items), Shared::new(&mut results));
     let cursor = AtomicUsize::new(0);
     let busy_ns: Vec<AtomicU64> = (0..ctx.nthreads()).map(|_| AtomicU64::new(0)).collect();
 
     let region_start = Instant::now();
     ctx.pool().run(|w| {
-        // Capture the SendPtr wrappers themselves, not their raw fields
-        // (auto-capture of `.0` would capture the non-Send raw pointers).
-        #[allow(clippy::redundant_locals)]
-        let items_ptr = items_ptr;
-        #[allow(clippy::redundant_locals)]
-        let results_ptr = results_ptr;
         let thread_start = Instant::now();
         let mut slot = ws.slots[w.tid].lock();
         loop {
@@ -168,8 +161,8 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
             // SAFETY: the atomic cursor hands out each index exactly once,
             // so item/result accesses are disjoint across threads, and the
             // region barrier in `run` orders them against the caller.
-            let item = unsafe { &mut *items_ptr.0.add(i) };
-            let out = unsafe { &mut *results_ptr.0.add(i) };
+            let item = unsafe { &mut items.slice_mut(i..i + 1)[0] };
+            let out = unsafe { &mut outs.slice_mut(i..i + 1)[0] };
             *out = run_serial(
                 &mut slot,
                 item.cfg,

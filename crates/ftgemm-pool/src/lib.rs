@@ -15,8 +15,6 @@
 //! * [`WorkerCtx::barrier`] — sense-reversing barrier across the region;
 //! * [`partition_aligned`] — static loop partitioning with alignment (the
 //!   `M`-dimension split must respect the micro-tile height `MR`);
-//! * [`ShardedBuffer`] — per-thread output lanes with a safe reduce step
-//!   (the paper's cross-thread reduction of the `B_c` checksum);
 //! * [`topology`] — memory-domain awareness: [`Topology`] (detected from
 //!   sysfs or built synthetically for deterministic tests) and
 //!   [`PoolPartition`], which pins contiguous worker subsets per NUMA node
@@ -32,11 +30,9 @@
 mod barrier;
 mod partition;
 mod pool;
-mod shard;
 pub mod topology;
 
 pub use barrier::SenseBarrier;
 pub use partition::{partition_aligned, partition_even};
 pub use pool::{PoolStats, ThreadPool, WorkerCtx};
-pub use shard::ShardedBuffer;
 pub use topology::{NodeSpec, PoolPartition, Topology};

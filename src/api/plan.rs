@@ -11,10 +11,10 @@ use std::sync::{Arc, OnceLock};
 /// Where a planned GEMM executes.
 #[derive(Debug, Clone, Copy)]
 pub enum Exec<'p, T: Scalar> {
-    /// One thread, the serial fused-ABFT driver (best for small problems —
-    /// no region overhead, no checksum reductions).
+    /// The loop nest on the calling thread (best for small problems — no
+    /// region, nobody to wait for at a barrier).
     Serial,
-    /// The matrix-parallel driver on the caller's pool. The context is
+    /// The same nest on the caller's pool, matrix-parallel. The context is
     /// `Arc`-backed, so the plan clones it cheaply and shares the workers.
     Parallel(&'p ParGemmContext<T>),
     /// Route by problem size through the *seed* flops cutoff
@@ -68,7 +68,7 @@ impl<T: Scalar> std::fmt::Debug for Backend<T> {
 ///
 /// Built by [`GemmOp::plan`]. The plan owns everything the hot path needs —
 /// blocking parameters, packing scratch, checksum work vectors, the
-/// `m x NC` rollback snapshot a serial `DetectCorrect` plan keeps when
+/// `m x NC` rollback snapshot a `DetectCorrect` plan keeps when
 /// `beta != 0` (none at `beta == 0`), and (for parallel plans) the shared
 /// reduction workspace and the `Arc` of the thread pool — so repeated
 /// [`run`](GemmPlan::run) calls perform **zero heap allocation** (pinned by
@@ -98,7 +98,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
 
         let backend = match exec {
             Exec::Serial => Self::serial_backend(&cfg, m, n, k, op.beta)?,
-            Exec::Parallel(ctx) => Self::parallel_backend(ctx.clone(), &cfg, m, n, k)?,
+            Exec::Parallel(ctx) => Self::parallel_backend(ctx.clone(), &cfg, m, n, k, op.beta)?,
             Exec::Auto | Exec::AutoAt(_) => {
                 let cutoff = match exec {
                     Exec::AutoAt(cutoff) => cutoff,
@@ -107,7 +107,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
                 if op.flops() <= cutoff {
                     Self::serial_backend(&cfg, m, n, k, op.beta)?
                 } else {
-                    Self::parallel_backend(auto_parallel_ctx::<T>(), &cfg, m, n, k)?
+                    Self::parallel_backend(auto_parallel_ctx::<T>(), &cfg, m, n, k, op.beta)?
                 }
             }
         };
@@ -143,14 +143,18 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
         m: usize,
         n: usize,
         k: usize,
+        beta: T,
     ) -> FtResult<Backend<T>> {
         ctx.params.validate().map_err(FtError::Core)?;
         // Unprotected plans only need the packed B~ / per-thread A~ slots;
         // the checksum vectors and reduction lanes stay zero-capacity.
-        let ws = Box::new(if cfg.is_some() {
-            ParFtWorkspace::for_problem(&ctx, m, n, k)
-        } else {
-            ParFtWorkspace::for_plain(&ctx)
+        let ws = Box::new(match cfg {
+            Some(cfg) => {
+                let mut ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
+                ws.reserve_base(cfg, beta);
+                ws
+            }
+            None => ParFtWorkspace::for_plain(&ctx),
         });
         Ok(Backend::Parallel { ctx, ws })
     }

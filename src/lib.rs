@@ -2,9 +2,9 @@
 //!
 //! Re-exports the full FT-GEMM workspace behind one dependency:
 //!
-//! * [`core`] — matrices, packing, micro-kernels, serial GEMM
-//! * [`abft`] — fused ABFT checksums, serial FT-GEMM, the shared
-//!   [`FtPolicy`]
+//! * [`core`] — matrices, packing, micro-kernels, blocking
+//! * [`abft`] — fused ABFT checksums, the GEMM loop nest and its serial
+//!   entries, the shared [`FtPolicy`]
 //! * [`pool`] — persistent worker pool (OpenMP-style regions)
 //! * [`parallel`] — multithreaded and batched (FT-)GEMM
 //! * [`serve`] — batched GEMM serving: request queue, sharded dispatch,
@@ -37,9 +37,10 @@
 //! Underneath, a plan runs one of two execute paths:
 //! [`abft::run_serial`] on a held [`abft::FtGemmContext`], or
 //! [`parallel::run_parallel`] on a held [`ParFtWorkspace`] — the same two
-//! functions [`GemmBatch`] items and [`GemmService`] dispatchers call.
-//! [`gemm`](fn@gemm) is the unprotected serial driver on a bare
-//! [`GemmContext`].
+//! functions [`GemmBatch`] items and [`GemmService`] dispatchers call —
+//! and under both, one loop nest ([`abft::nest`]), so `DetectCorrect` rolls
+//! back and recomputes on every path. [`gemm`](fn@gemm) is that nest's
+//! unprotected serial entry on a bare [`GemmContext`].
 //!
 //! ## Serving many requests
 //!
@@ -77,8 +78,8 @@ pub use ftgemm_serve as serve;
 pub mod api;
 
 pub use api::{AsMatRef, Exec, GemmBatch, GemmOp, GemmPlan};
-pub use ftgemm_abft::{FtConfig, FtPolicy, FtReport, FtResult};
-pub use ftgemm_core::{gemm, GemmContext, MatMut, MatRef, Matrix};
+pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult};
+pub use ftgemm_core::{GemmContext, MatMut, MatRef, Matrix};
 pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};

@@ -2,10 +2,10 @@
 //! agrees with the naive oracle over a grid of shapes, scalars, and ISA
 //! tiers, including through the public facade.
 
-use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtGemmContext};
 use ftgemm::baselines::{BlockedGemm, NaiveGemm, ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm::core::reference::naive_gemm;
-use ftgemm::core::{gemm, GemmContext, IsaLevel, Matrix};
+use ftgemm::core::{GemmContext, IsaLevel, Matrix};
 use ftgemm::parallel::{run_parallel, ParGemmContext};
 use ftgemm::{FtConfig, ParFtWorkspace};
 

@@ -1,15 +1,14 @@
-//! `beta == 0` writes `C` once: the first depth panel of every loop nest runs
+//! `beta == 0` writes `C` once: the first depth panel of the loop nest runs
 //! the micro-kernel in store mode and nothing zero-fills `C` in front of it.
-//! All four drivers, thread counts 1 to 3, blocks small enough that `jc`,
+//! All four entries, thread counts 1 to 3, blocks small enough that `jc`,
 //! `pc` and `ic` all iterate.
 //!
 //! Its own test binary, not part of `integration_ft.rs`: every
 //! `par_ft_gemm_with_ws` call draws from one process-wide injection nonce, and
 //! `integration_ft.rs::parallel_campaign_many_seeds` asserts "all corrected"
 //! on error patterns that depend on how many calls came before its own. The
-//! clean calls below, run beside it, moved it onto a pattern the parallel
-//! driver fail-stops on in a quarter of release runs (at the parent commit
-//! too).
+//! clean calls below, run beside it, moved it onto another pattern in a
+//! quarter of release runs.
 
 use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext, FtReport};
 use ftgemm::core::{BlockingParams, GemmContext, Matrix};
@@ -30,12 +29,12 @@ fn small_block_ctx() -> FtGemmContext<f64> {
     FtGemmContext::from_core(core)
 }
 
-/// One loop nest: `C = alpha * A * B + beta * C` in place.
+/// One entry of the loop nest: `C = alpha * A * B + beta * C` in place.
 type Driver = Box<
     dyn FnMut(f64, &Matrix<f64>, &Matrix<f64>, f64, &mut Matrix<f64>) -> Result<FtReport, String>,
 >;
 
-/// The four loop nests — `gemm`, `ft_gemm_with_ctx`, and `par_gemm_with_ws` /
+/// The four entries — `gemm`, `ft_gemm_with_ctx`, and `par_gemm_with_ws` /
 /// `par_ft_gemm_with_ws` on 1, 2 and 3 threads — under `small_block_ctx`'s
 /// blocking (`mc = 2 mr`, `nc = 4 nr`, `kc = 16`), with workspaces for an
 /// `m x n x k` problem. `edit` is applied to each context's `params` field
@@ -63,7 +62,7 @@ fn every_driver(
             "gemm".into(),
             Box::new(move |alpha, a, b, beta, c| {
                 let (a, b) = (a.as_ref(), b.as_ref());
-                report(ftgemm::core::gemm(
+                report(ftgemm::gemm(
                     &mut plain,
                     alpha,
                     &a,
@@ -156,12 +155,18 @@ fn an_err_before_the_loop_nest_leaves_c_untouched() {
     let a = Matrix::<f64>::random(m, k, 11);
     let b = Matrix::<f64>::random(k, n, 12);
     let c0 = Matrix::<f64>::random(m, n, 13);
+    // The products that are `beta * C` alone take the same road: blocking is
+    // validated before the degenerate returns, on every entry.
+    let (a0, b0) = (Matrix::<f64>::zeros(m, 0), Matrix::<f64>::zeros(0, n));
     for (name, mut run) in every_driver((m, n, k), |p| p.mc = 0) {
-        for beta in [0.0, -0.5] {
-            let mut c = c0.clone();
-            let err = run(1.5, &a, &b, beta, &mut c).unwrap_err();
-            assert!(err.contains("mc"), "{name}: {err}");
-            assert_eq!(c.as_slice(), c0.as_slice(), "{name} beta {beta}");
+        for (alpha, a, b) in [(1.5, &a, &b), (1.5, &a0, &b0), (0.0, &a, &b)] {
+            for beta in [0.0, -0.5] {
+                let at = format!("{name}: alpha {alpha}, k {}, beta {beta}", a.ncols());
+                let mut c = c0.clone();
+                let err = run(alpha, a, b, beta, &mut c).unwrap_err();
+                assert!(err.contains("mc"), "{at}: {err}");
+                assert_eq!(c.as_slice(), c0.as_slice(), "{at}");
+            }
         }
     }
 }

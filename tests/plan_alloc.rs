@@ -1,14 +1,14 @@
 //! Pins the `GemmPlan` zero-allocation contract with a counting global
-//! allocator: once a plan exists, `plan.run` must not touch the heap —
-//! serial plans are measured allocation-by-allocation; parallel plans are
-//! additionally pinned by workspace-pointer stability (their worker threads
-//! park/unpark through the pool, which the counter would attribute to the
-//! region even though the GEMM hot path itself is allocation-free).
+//! allocator: once a plan exists, `plan.run` must not touch the heap.
+//! Serial plans are measured allocation-by-allocation; so is the calling
+//! thread of a parallel plan (thread 0 of its regions — everything the nest
+//! could grow, the base snapshot included, it would grow there, before the
+//! region), which is additionally pinned by workspace-pointer stability.
 //!
 //! The counter is per thread: the test harness runs sibling tests on other
 //! threads of this process, and their allocations are not the measured
 //! plan's. It also sums requested bytes, which pins what a `DetectCorrect`
-//! plan holds for rollback: nothing at `beta == 0`.
+//! plan holds for rollback: nothing at `beta == 0`, serial or parallel.
 
 use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,19 +99,20 @@ fn serial_protected_plan_runs_allocation_free() {
     }
 }
 
-#[test]
-fn detect_correct_at_beta_zero_holds_no_more_than_detect() {
+/// What a `DetectCorrect` plan on `exec` holds for rollback, in bytes
+/// requested to build the plan and run it once: nothing beyond a `Detect`
+/// plan at `beta == 0`, the `m x NC` base snapshot at `beta != 0`.
+fn holds_a_base_snapshot_only_at_nonzero_beta(exec: Exec<'_, f64>) {
     let (m, n, k) = (96, 80, 72);
     let a = Matrix::<f64>::random(m, k, 1);
     let b = Matrix::<f64>::random(k, n, 2);
-    // Bytes requested to build a serial plan and run it once.
     let plan_bytes = |policy, beta| {
         let mut c = Matrix::<f64>::zeros(m, n);
         let before = bytes_allocated();
         let mut plan = GemmOp::new(&a, &b)
             .beta(beta)
             .ft(policy)
-            .plan(Exec::Serial)
+            .plan(exec)
             .unwrap();
         plan.run(&mut c.as_mut()).unwrap();
         bytes_allocated() - before
@@ -130,6 +131,50 @@ fn detect_correct_at_beta_zero_holds_no_more_than_detect() {
         dc_scaled >= detect + snapshot,
         "DetectCorrect at beta != 0 requested {dc_scaled} bytes, Detect {detect}"
     );
+}
+
+#[test]
+fn detect_correct_at_beta_zero_holds_no_more_than_detect() {
+    holds_a_base_snapshot_only_at_nonzero_beta(Exec::Serial);
+}
+
+#[test]
+fn parallel_detect_correct_holds_no_base_snapshot_at_beta_zero() {
+    let ctx = ParGemmContext::<f64>::with_threads(2);
+    holds_a_base_snapshot_only_at_nonzero_beta(Exec::Parallel(&ctx));
+}
+
+#[test]
+fn parallel_protected_plan_runs_allocation_free() {
+    let ctx = ParGemmContext::<f64>::with_threads(3);
+    let a = Matrix::<f64>::random(120, 90, 5);
+    let b = Matrix::<f64>::random(90, 100, 6);
+    let mut c = Matrix::<f64>::zeros(120, 100);
+    let plan = |beta| {
+        GemmOp::new(&a, &b)
+            .beta(beta)
+            .ft(FtPolicy::DetectCorrect)
+            .plan(Exec::Parallel(&ctx))
+            .unwrap()
+    };
+    // Lazily initialized globals (CPU detection, metric registration) go to
+    // a plan of their own, so the measured one is counted from its first
+    // run: the base snapshot it restores from at beta != 0 was reserved at
+    // plan time, not grown by the first call.
+    plan(0.5).run(&mut c.as_mut()).unwrap();
+    for beta in [0.0, 0.5] {
+        let mut plan = plan(beta);
+        let before = allocations();
+        for _ in 0..5 {
+            let report = plan.run(&mut c.as_mut()).unwrap();
+            assert_eq!(report.detected, 0);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "parallel protected plan.run (beta {beta}) allocated"
+        );
+    }
 }
 
 #[test]

@@ -4,9 +4,9 @@
 
 use ftgemm::abft::checksum;
 use ftgemm::abft::corrector::{correct_block, find_discrepancies, CorrectionOutcome};
-use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtConfig, FtGemmContext};
 use ftgemm::core::reference::naive_gemm;
-use ftgemm::core::{gemm, pack, GemmContext, Matrix};
+use ftgemm::core::{pack, GemmContext, Matrix};
 use ftgemm::pool::partition_aligned;
 use proptest::prelude::*;
 

@@ -2,12 +2,13 @@
 //! arbitrary shapes and thread counts must agree with the serial oracle,
 //! and fault-injection campaigns must preserve correctness.
 
+use ftgemm::abft::nest::Shared;
 use ftgemm::abft::FtConfig;
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::Matrix;
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 use ftgemm::parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
-use ftgemm::pool::{ShardedBuffer, ThreadPool};
+use ftgemm::pool::ThreadPool;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,23 +76,26 @@ proptest! {
         prop_assert_eq!(counter.load(Ordering::Relaxed), len);
     }
 
-    /// Sharded reduction equals a serial sum for arbitrary lane counts.
+    /// The nest's lane reduction (the paper's cross-thread reduction of the
+    /// `B_c` checksum) equals a serial sum for arbitrary lane counts.
     #[test]
     fn sharded_reduce_matches_serial(
         lanes in 1usize..9, len in 0usize..256, seed in 0u64..100
     ) {
-        let buf = ShardedBuffer::<f64>::new(lanes, len);
+        let mut data = vec![0.0; lanes * len];
+        let buf = Shared::new(&mut data);
         let mut expected = vec![0.0; len];
         for t in 0..lanes {
             // SAFETY: sequential exclusive access in the test.
-            let lane = unsafe { buf.lane_mut(t) };
+            let lane = unsafe { buf.lane_mut(t, lanes) };
             for (i, v) in lane.iter_mut().enumerate() {
                 *v = ((seed as usize + t * 31 + i * 7) % 23) as f64 - 11.0;
                 expected[i] += *v;
             }
         }
         let mut out = vec![0.0; len];
-        buf.reduce_into(&mut out, |x, y| x + y);
+        // SAFETY: no lane borrow is live.
+        unsafe { buf.reduce_lanes(lanes, &mut out) };
         for i in 0..len {
             prop_assert!((out[i] - expected[i]).abs() < 1e-12);
         }

@@ -179,11 +179,16 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
     assert_eq!(snap.failed, 0);
 }
 
-/// A rollback is the serial driver's own business, so every serial path
-/// shows the same one: a pattern correction cannot repair, through a serial
-/// plan, a `GemmBatch` item and the service's small path, gives the
-/// bit-identical `C` and the same `FtReport` (fresh contexts everywhere, so
-/// all three open the injector's first stream).
+/// A rollback is the loop nest's own business, so every path shows the same
+/// one: a pattern correction cannot repair, through a serial plan, a
+/// `GemmBatch` item and the service's small path, gives the bit-identical `C`
+/// and the same `FtReport` (fresh contexts everywhere, so all three open the
+/// injector's first stream). The service's large path and an `Exec::Parallel`
+/// plan roll back too; they draw their streams from a process-wide nonce, so
+/// the two see different patterns and what they share is the result — the
+/// clean run's `C` at that thread count. (One overflow per thread there: two
+/// failing panels at most, inside `DetectCorrect`'s budget of two rollbacks
+/// per column block wherever the nonce puts them.)
 #[test]
 fn rollback_is_identical_across_serial_paths() {
     // At least three KC panels under any derived blocking (kc <= 512), and
@@ -194,12 +199,13 @@ fn rollback_is_identical_across_serial_paths() {
     let b = Matrix::<f64>::random(k, n, 8);
     let c0 = Matrix::<f64>::random(m, n, 9);
     // An overflowed element: subtraction cannot repair it, rollback can.
-    let overflow = || {
+    let overflows = |per_stream| {
         let model = ErrorModel::Additive {
             magnitude: f64::INFINITY,
         };
-        FaultInjector::new(13, model, Rate::Count(2))
+        FaultInjector::new(13, model, Rate::Count(per_stream))
     };
+    let overflow = || overflows(2);
 
     let mut c_plan = c0.clone();
     let planned = GemmOp::new(&a, &b)
@@ -245,4 +251,52 @@ fn rollback_is_identical_across_serial_paths() {
     assert!(resp.batched, "left the small path");
     assert_eq!(resp.report, planned);
     assert_eq!(resp.c.as_slice(), c_plan.as_slice());
+
+    let large = GemmService::<f64>::new(ServiceConfig {
+        threads: 2,
+        topology: Some(Topology::single(2)),
+        routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
+        ..ServiceConfig::default()
+    });
+    let on_plan = |injector: Option<FaultInjector>| {
+        let mut c = c0.clone();
+        let op = GemmOp::new(&a, &b).beta(beta).ft(FtPolicy::DetectCorrect);
+        let op = match injector {
+            Some(injector) => op.injector(injector),
+            None => op,
+        };
+        let report = op
+            .plan(Exec::Parallel(&ctx))
+            .unwrap()
+            .run(&mut c.as_mut())
+            .unwrap();
+        (c, report)
+    };
+    let (c_clean, clean) = on_plan(None);
+    assert_eq!(clean.retried_panels, 0, "{clean:?}");
+    let (c_par, par) = on_plan(Some(overflows(1)));
+    let resp = large
+        .run(
+            GemmRequest::new(a.clone(), b.clone())
+                .with_c(beta, c0.clone())
+                .with_policy(FtPolicy::DetectCorrect)
+                .with_injector(overflows(1)),
+        )
+        .unwrap();
+    assert!(!resp.batched, "left the matrix-parallel path");
+    for (path, c, report) in [
+        ("plan", c_par.as_slice(), par),
+        ("service", resp.c.as_slice(), resp.report),
+    ] {
+        assert!(
+            report.injected > 0 && report.retried_panels > 0,
+            "{path}: {report:?}"
+        );
+        assert_eq!(
+            report.verifications,
+            clean.verifications + report.retried_panels,
+            "{path}: {report:?}"
+        );
+        assert_eq!(c, c_clean.as_slice(), "{path}");
+    }
 }
