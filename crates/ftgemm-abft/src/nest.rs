@@ -185,6 +185,20 @@ pub struct Buffers<'a, T> {
     pub base: Shared<'a, T>,
 }
 
+/// Elements of the packed `A~` of one member and of the shared packed `B~`
+/// that a [`nest`] over `m x n x k` touches under `p`: one `mc x kc` block and
+/// one `kc x nc` panel, each clamped to the problem and padded to whole
+/// micro-panels. Every owner of packing buffers — the serial contexts and the
+/// matrix-parallel workspace — sizes them with this, so what a small problem
+/// allocates follows the problem and [`BlockingParams::packed_a_len`] /
+/// [`packed_b_len`](BlockingParams::packed_b_len) are only the ceiling.
+pub fn packed_lens(p: &BlockingParams, m: usize, n: usize, k: usize) -> (usize, usize) {
+    let kc = p.kc.min(k);
+    let a_rows = p.mc.min(m).next_multiple_of(p.mr);
+    let b_cols = p.nc.min(n).next_multiple_of(p.nr);
+    (a_rows * kc, kc * b_cols)
+}
+
 /// The checksum state of a protected [`nest`], as its owner holds it: the
 /// buffers behind every field of [`Buffers`] but `btilde`, and the one list
 /// of their sizes — shared by `FtGemmContext` (a team of one) and the
@@ -236,6 +250,22 @@ impl<T: Scalar> Checks<T> {
         if keeps_base(cfg, beta) && self.base.len() < len {
             self.base = AlignedVec::zeroed_or_panic(len);
         }
+    }
+
+    /// Hands the base snapshot back to the allocator — the one O(`m * nc`)
+    /// piece of this state; everything else is O(`m + nc + k`). A long-lived
+    /// owner calls this after a call that reserved one; no-op otherwise.
+    pub fn release_base(&mut self) {
+        if !self.base.is_empty() {
+            self.base = AlignedVec::zeroed_or_panic(0);
+        }
+    }
+
+    /// Elements this state holds, base snapshot included.
+    pub fn elements(&self) -> usize {
+        let vectors: usize = self.vectors.iter().map(|v| v.len()).sum();
+        let lanes: usize = self.lanes.iter().map(Vec::len).sum();
+        vectors + lanes + self.base.len()
     }
 
     /// The nest's view of this state and of the packed-`B~` buffer.
@@ -389,8 +419,8 @@ unsafe fn reduce<T: Scalar>(
 /// # Safety
 /// Every member of `team` — and nothing else — runs this on `job`, once,
 /// concurrently, each under its own `tid`, and `team.barrier()` holds all of
-/// them. `job.bufs` fit the problem: `btilde` one packed panel; under
-/// `PROTECT` the rest as [`Checks::new`] sizes it for this team, with the
+/// them. `job.bufs` fit the problem: `btilde` and `atilde` hold what
+/// [`packed_lens`] says; under `PROTECT` the rest as [`Checks::new`] sizes it for this team, with the
 /// base snapshot reserved where [`keeps_base`] holds.
 pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
     team: &Tm,
@@ -516,7 +546,7 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
                 // Own rows: pack A~ and run the macro kernel, block by block.
                 // SAFETY: read-only epoch for btilde and bc; own lane of
                 // ref_col; own rows of enc_row / ref_row / C.
-                let b_packed = unsafe { btilde.slice(0..p.packed_b_len()) };
+                let b_packed = unsafe { btilde.slice(0..nc_eff.div_ceil(p.nr) * p.nr * kc_eff) };
                 let ref_col_lane = unsafe { ref_col_lanes.lane_mut(tid, nthreads) };
                 for ic in rows.clone().step_by(p.mc) {
                     let mc_eff = p.mc.min(rows.end - ic);

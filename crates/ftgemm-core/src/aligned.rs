@@ -4,6 +4,20 @@
 //! cache-line (64 B) alignment avoids split loads on every x86-64
 //! micro-architecture the paper targets (Cascade Lake). `Vec<T>` makes no
 //! alignment promise beyond `align_of::<T>()`, so we own the allocation.
+//!
+//! Small buffers come from the global allocator. A buffer of 256 KiB or more
+//! (Linux) is its own anonymous mapping, unmapped when it is dropped: zero
+//! pages that nobody has touched yet, so each is faulted in by the thread
+//! that first writes it — the pool thread that packs into it or computes on
+//! it, not the thread that asked for it — and what the buffer costs is a
+//! property of its size. Through `malloc` it is not: glibc serves such a
+//! size from a fresh mapping or from recycled heap depending on a threshold
+//! that slides with what the process freed before (and an aligned
+//! `alloc_zeroed` then `memset`s it on the allocating thread either way), so
+//! a service handing out one result matrix per request runs 20% faster or
+//! slower by which of the two a process happens to settle into. The floor
+//! sits above every buffer of the batched small-request path (a 128 x 128
+//! `f64` result is 128 KiB), which keeps `malloc`'s recycling.
 
 use crate::error::{CoreError, Result};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
@@ -12,6 +26,90 @@ use std::ptr::NonNull;
 
 /// Cache-line alignment (bytes) used for every buffer in the workspace.
 pub const ALIGN: usize = 64;
+
+/// Buffers mapped from the OS so far, process-wide: what a counting global
+/// allocator cannot see. Zero where buffers are never mapped.
+pub fn mapped_buffers() -> u64 {
+    pages::MAPPED.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// Anonymous zero-filled mappings, for the buffers `malloc` would place by
+/// its history rather than by their size.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod pages {
+    use std::ffi::{c_int, c_void};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Smallest buffer that is mapped, in bytes.
+    pub const MIN_BYTES: usize = 256 * 1024;
+    pub static MAPPED: AtomicU64 = AtomicU64::new(0);
+
+    // <sys/mman.h> on Linux, x86-64 and aarch64.
+    const PROT_READ_WRITE: c_int = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// `bytes` of zeroed, page-aligned memory, no page of it resident yet; or
+    /// null.
+    pub fn map(bytes: usize) -> *mut u8 {
+        // SAFETY: a fresh private anonymous mapping aliases nothing.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                bytes,
+                PROT_READ_WRITE,
+                MAP_PRIVATE_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        // MAP_FAILED is `(void *) -1`.
+        if p as isize == -1 {
+            return std::ptr::null_mut();
+        }
+        MAPPED.fetch_add(1, Ordering::Relaxed);
+        p.cast()
+    }
+
+    /// # Safety
+    /// `ptr` came from [`map`]`(bytes)` and is not used again.
+    pub unsafe fn unmap(ptr: *mut u8, bytes: usize) {
+        // SAFETY: the caller's contract; unmapping a whole mapping cannot fail.
+        unsafe { munmap(ptr.cast(), bytes) };
+    }
+}
+
+/// Nothing is mapped on other targets: every buffer is the allocator's.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod pages {
+    pub const MIN_BYTES: usize = usize::MAX;
+    pub static MAPPED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    pub fn map(_bytes: usize) -> *mut u8 {
+        std::ptr::null_mut()
+    }
+
+    /// # Safety
+    /// Never called: no length reaches `MIN_BYTES`.
+    pub unsafe fn unmap(_ptr: *mut u8, _bytes: usize) {}
+}
 
 /// A fixed-length, 64-byte aligned, zero-initialized heap buffer.
 ///
@@ -52,7 +150,12 @@ impl<T: Copy> AlignedVec<T> {
         if bytes == 0 {
             return Err(CoreError::AllocationFailed { bytes });
         }
-        let raw = unsafe { alloc_zeroed(layout) };
+        let raw = if bytes >= pages::MIN_BYTES {
+            pages::map(bytes)
+        } else {
+            // SAFETY: `layout` has non-zero size, checked above.
+            unsafe { alloc_zeroed(layout) }
+        };
         let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
             handle_alloc_error(layout);
         };
@@ -126,6 +229,11 @@ impl<T: Copy> Drop for AlignedVec<T> {
         let bytes = self.len * std::mem::size_of::<T>();
         let layout =
             Layout::from_size_align(bytes, ALIGN.max(std::mem::align_of::<T>())).expect("layout");
+        if bytes >= pages::MIN_BYTES {
+            // SAFETY: mapped with the identical length in `zeroed`.
+            unsafe { pages::unmap(self.ptr.as_ptr().cast(), bytes) };
+            return;
+        }
         // SAFETY: allocated with the identical layout in `zeroed`.
         unsafe { dealloc(self.ptr.as_ptr().cast(), layout) };
     }
@@ -164,7 +272,7 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for AlignedVec<T> {
 /// A reusable, growable aligned scratch buffer.
 ///
 /// GEMM drivers reuse packing buffers across calls; this wrapper grows (never
-/// shrinks) an [`AlignedVec`] on demand and hands out zero-initialized space.
+/// shrinks) an [`AlignedVec`] to the largest length asked for.
 #[derive(Debug)]
 pub struct Scratch<T: Copy> {
     buf: AlignedVec<T>,
@@ -184,10 +292,11 @@ impl<T: Copy> Scratch<T> {
     /// overwrite the region they use.
     pub fn get(&mut self, len: usize) -> Result<&mut [T]> {
         if self.buf.len() < len {
-            // Grow geometrically so repeated GEMMs of increasing size do not
-            // reallocate per call.
-            let new_len = len.max(self.buf.len().saturating_mul(2));
-            self.buf = AlignedVec::zeroed(new_len)?;
+            // To what was asked, not past it: drivers size their requests by
+            // the problem under a ceiling the blocking sets, so a scratch
+            // holds the largest request it has served and stays under that
+            // ceiling.
+            self.buf = AlignedVec::zeroed(len)?;
         }
         Ok(&mut self.buf.as_mut_slice()[..len])
     }
@@ -214,6 +323,26 @@ mod tests {
         assert_eq!(v.len(), 1000);
         assert!(v.iter().all(|&x| x == 0.0));
         assert_eq!(v.as_ptr() as usize % ALIGN, 0);
+    }
+
+    /// A buffer past the mapping floor keeps the whole contract — zeroed,
+    /// aligned, writable to its last element — and is the only kind counted.
+    #[test]
+    fn a_large_buffer_is_zeroed_aligned_and_counted() {
+        let before = mapped_buffers();
+        let small = AlignedVec::<f64>::zeroed(128 * 128).unwrap();
+        assert_eq!(mapped_buffers(), before, "128 KiB stays with malloc");
+        let mut v = AlignedVec::<f64>::zeroed(512 * 512 + 3).unwrap();
+        if pages::MIN_BYTES != usize::MAX {
+            assert!(mapped_buffers() > before);
+        }
+        assert!(v.iter().all(|&x| x == 0.0));
+        assert_eq!(v.as_ptr() as usize % ALIGN, 0);
+        let last = v.len() - 1;
+        v[last] = 7.0;
+        let w = v.clone();
+        drop(v);
+        assert_eq!((w[last], w[0], small[0]), (7.0, 0.0, 0.0));
     }
 
     #[test]

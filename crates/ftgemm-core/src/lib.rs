@@ -41,7 +41,7 @@
 //! let mut ctx = GemmContext::<f64>::new();
 //! let p = ctx.params;
 //! let a = Matrix::<f64>::from_fn(p.mr, 4, |i, j| (i + 10 * j) as f64);
-//! let (a_buf, _b_buf) = ctx.pack_buffers(p.packed_a_len(), p.packed_b_len()).unwrap();
+//! let (a_buf, _b_buf) = ctx.pack_buffers(p.mr * 4, 0).unwrap();
 //! pack::pack_a(&a.as_ref(), 1.0, p.mr, a_buf);
 //! // An MR-row micro-panel is stored one column of the block after another.
 //! assert_eq!(a_buf[p.mr + 2], a.get(2, 1));

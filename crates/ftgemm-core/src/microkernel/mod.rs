@@ -105,9 +105,7 @@ impl<T: Scalar> std::fmt::Debug for Kernel<T> {
 impl<T: Scalar> Kernel<T> {
     /// The store-mode entry of this kernel (`C_tile = A~ * B~`, see the
     /// [module docs](self)): same body, geometry and sums hook as
-    /// [`Self::func`]. Looked up from `(T, isa)` rather than carried as a
-    /// field, so `Kernel` stays the size the contexts embedding it were laid
-    /// out for.
+    /// [`Self::func`], looked up from `(T, isa)`.
     pub fn store(&self) -> MicroKernelFn<T> {
         table::<T>(self.isa).1
     }

@@ -20,14 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 /// A read cell's closure: the value is computed when the registry renders.
 ///
-/// Boxed, so that [`Handle`] stays one thin pointer wide and a registration
-/// allocates what it always did. That is not tidiness: `ftgemm-abft`
-/// registers its global counters lazily from a service's dispatcher thread,
-/// and what those few small blocks leave in that thread's malloc arena
-/// decides whether the `serve_large` benchmark's per-request 24 MiB
-/// workspaces stay resident (measured in CHANGES.md, PR 20: a fat
-/// `Arc<dyn Fn>` here left 6 MB more mapped at peak, shared `Arc<str>`
-/// family names moved its rate 4x).
+/// Boxed, so that [`Handle`] stays one thin pointer wide.
 struct ReadCell(Box<dyn Fn() -> f64 + Send + Sync>);
 
 /// One registered handle.

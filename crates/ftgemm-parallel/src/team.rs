@@ -75,9 +75,10 @@ fn run_team<'a, T: Scalar, const PROTECT: bool>(
 /// (reporting [`FtReport::default`]) under `None`.
 ///
 /// `ws` is grown with [`ParFtWorkspace::ensure`] when the problem does not
-/// fit and reused otherwise, so a caller that keeps one workspace alive —
-/// a `GemmPlan`, a service dispatcher — allocates only when a larger shape
-/// first arrives. Every matrix-parallel caller that carries an optional
+/// fit — only the buffers that are too small, so plain and protected calls
+/// can share one workspace without undoing each other's growth — and reused
+/// otherwise, so a caller that keeps one workspace alive — a `GemmPlan`, a
+/// service dispatcher — allocates only when a larger shape first arrives. Every matrix-parallel caller that carries an optional
 /// configuration goes through here, so the protected-vs-plain choice is
 /// made in one place.
 pub fn run_parallel<T: Scalar>(
@@ -100,9 +101,7 @@ pub fn run_parallel<T: Scalar>(
         }
         None => {
             // The plain nest touches only B~ and the A~ slots.
-            if !ws.fits_plain(ctx) {
-                *ws = ParFtWorkspace::for_plain(ctx);
-            }
+            ws.ensure_plain(ctx, m, n, k);
             run_team::<T, false>(ctx, ws, &FtConfig::default(), alpha, a, b, beta, c);
             Ok(FtReport::default())
         }
@@ -153,8 +152,8 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
 /// touched); the hot path performs no heap allocation.
 ///
 /// # Panics
-/// If `ws` was built for different blocking parameters or a different
-/// thread count (see [`ParFtWorkspace::fits_plain`]; a slim
+/// If `ws` holds packed buffers too small for this problem or was built for
+/// a different thread count (see [`ParFtWorkspace::fits_plain`]; a slim
 /// [`ParFtWorkspace::for_plain`] workspace suffices here).
 pub fn par_gemm_with_ws<T: Scalar>(
     ctx: &ParGemmContext<T>,
@@ -165,12 +164,12 @@ pub fn par_gemm_with_ws<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> ftgemm_core::Result<()> {
-    if prologue(&ctx.params, alpha, a, b, beta, c)?.is_none() {
+    let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
         return Ok(());
-    }
+    };
     assert!(
-        ws.fits_plain(ctx),
-        "workspace built for other blocking or not {} threads",
+        ws.fits_plain(ctx, m, n, k),
+        "workspace too small for {m}x{n}x{k} on {} threads",
         ctx.nthreads()
     );
     run_team::<T, false>(ctx, ws, &FtConfig::default(), alpha, a, b, beta, c);

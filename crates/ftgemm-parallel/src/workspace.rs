@@ -4,17 +4,29 @@
 //! each thread's private `A~` once and reuses them. [`ParFtWorkspace`] is
 //! that state — plus the checksum vectors and per-thread reduction lanes
 //! of the protected nest — as a value the caller owns: build it once
-//! ([`ParFtWorkspace::for_problem`], or [`ParFtWorkspace::for_plain`] and
-//! let [`run_parallel`](crate::run_parallel) grow it), then hand it to
+//! ([`ParFtWorkspace::for_problem`], or an empty [`ParFtWorkspace::new`]
+//! that [`run_parallel`](crate::run_parallel) grows), then hand it to
 //! [`par_ft_gemm_with_ws`](crate::par_ft_gemm_with_ws) /
 //! [`par_gemm_with_ws`](crate::par_gemm_with_ws) any number of times —
-//! those calls perform **zero heap allocation**. The nest rewrites every
-//! region of the workspace it reads (packing covers whole padded slabs,
-//! checksum vectors are overwritten per column block, reduction lanes are
+//! those calls perform **zero heap allocation**.
+//!
+//! Every buffer follows the largest problem served, never the blocking
+//! alone: `B~` holds one `kc x nc` panel and an `A~` slot one `mc x kc`
+//! block *clamped to the problem* (`ftgemm_abft::nest::packed_lens`), so a
+//! workspace that has only seen 512³ holds 1.5 MiB of `B~`, not the 24 MiB a
+//! full `kc x nc` panel takes, and the blocking is the ceiling: at most
+//! `kc·nc + T·mc·kc` packed elements plus O(m + n + k) of checksum state per
+//! thread, whatever is served. Growth keeps what already fits — a larger
+//! plain problem regrows `B~` / `A~` and leaves the checksum state alone —
+//! and nothing shrinks, except the one O(m·nc) piece, the base snapshot of a
+//! `beta != 0` rollback, which a long-lived owner hands back
+//! ([`ParFtWorkspace::release_base`]). The nest rewrites every region of
+//! the workspace it reads (packing covers whole padded slabs, checksum
+//! vectors are overwritten per column block, reduction lanes are
 //! zero-filled per panel), so no cross-call re-zeroing is needed.
 
 use crate::ctx::ParGemmContext;
-use ftgemm_abft::nest::Checks;
+use ftgemm_abft::nest::{packed_lens, Checks};
 use ftgemm_abft::FtConfig;
 use ftgemm_core::{AlignedVec, Scalar};
 use parking_lot::Mutex;
@@ -26,8 +38,9 @@ use parking_lot::Mutex;
 /// extents on the *same* thread count (see [`Self::fits`]).
 #[derive(Debug)]
 pub struct ParFtWorkspace<T: Scalar> {
+    /// Elements in each `A~` slot.
     a_len: usize,
-    /// The shared packed `B~`, sized by the blocking, not the problem.
+    /// The shared packed `B~`: the largest panel served so far.
     pub(crate) btilde: AlignedVec<T>,
     /// Checksum vectors and one reduction lane per pool thread.
     pub(crate) checks: Checks<T>,
@@ -43,6 +56,22 @@ fn needs<T: Scalar>(ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) -> [u
 }
 
 impl<T: Scalar> ParFtWorkspace<T> {
+    /// An empty workspace for `ctx`'s thread count: it fits no problem and
+    /// holds no buffer until [`ensure`](Self::ensure) — which
+    /// [`run_parallel`](crate::run_parallel) calls — grows it. What a
+    /// long-lived owner that does not know its shapes yet starts from.
+    pub fn new(ctx: &ParGemmContext<T>) -> Self {
+        let nthreads = ctx.nthreads();
+        ParFtWorkspace {
+            a_len: 0,
+            btilde: AlignedVec::zeroed_or_panic(0),
+            checks: Checks::new(nthreads, [0; 4]),
+            atilde: (0..nthreads)
+                .map(|_| Mutex::new(AlignedVec::zeroed_or_panic(0)))
+                .collect(),
+        }
+    }
+
     /// Workspace sized for one `m x n x k` problem under `ctx`'s blocking
     /// parameters and thread count.
     ///
@@ -50,30 +79,24 @@ impl<T: Scalar> ParFtWorkspace<T> {
     /// If `ctx.params` fail validation (contexts built through the public
     /// constructors always validate).
     pub fn for_problem(ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) -> Self {
-        Self::with_capacities(ctx, needs(ctx, m, n, k))
-    }
-
-    /// Workspace for the *unprotected* entry only: packed `B~` plus
-    /// per-thread `A~` buffers, with zero-capacity checksum state.
-    /// Satisfies [`fits_plain`](Self::fits_plain) for any problem on
-    /// `ctx`'s thread count, but not [`fits`](Self::fits) — handing it to
-    /// the protected entry panics rather than computing garbage.
-    pub fn for_plain(ctx: &ParGemmContext<T>) -> Self {
-        Self::with_capacities(ctx, [0; 4])
-    }
-
-    fn with_capacities(ctx: &ParGemmContext<T>, caps: [usize; 4]) -> Self {
         ctx.params.validate().expect("valid blocking params");
-        let a_len = ctx.params.packed_a_len();
-        let zeroed = AlignedVec::zeroed_or_panic;
-        ParFtWorkspace {
-            a_len,
-            btilde: zeroed(ctx.params.packed_b_len()),
-            checks: Checks::new(ctx.nthreads(), caps),
-            atilde: (0..ctx.nthreads())
-                .map(|_| Mutex::new(zeroed(a_len)))
-                .collect(),
-        }
+        let mut ws = Self::new(ctx);
+        ws.ensure(ctx, m, n, k);
+        ws
+    }
+
+    /// Workspace for the *unprotected* entry only, for callers with no shape
+    /// to size by: a full `kc x nc` packed `B~` and `mc x kc` per-thread `A~`
+    /// buffers, with zero-capacity checksum state. Satisfies
+    /// [`fits_plain`](Self::fits_plain) for any problem on `ctx`'s thread
+    /// count, but not [`fits`](Self::fits) — handing it to the protected
+    /// entry panics rather than computing garbage.
+    pub fn for_plain(ctx: &ParGemmContext<T>) -> Self {
+        ctx.params.validate().expect("valid blocking params");
+        let mut ws = Self::new(ctx);
+        // The unbounded problem: every extent clamps to its block.
+        ws.ensure_plain(ctx, usize::MAX, usize::MAX, usize::MAX);
+        ws
     }
 
     /// True when this workspace can serve an `m x n x k` problem under
@@ -81,27 +104,43 @@ impl<T: Scalar> ParFtWorkspace<T> {
     /// the exact thread count it was built for (reduction lanes are
     /// reduced across *all* lanes).
     pub fn fits(&self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) -> bool {
-        self.fits_plain(ctx) && self.checks.fits(needs(ctx, m, n, k))
+        self.fits_plain(ctx, m, n, k) && self.checks.fits(needs(ctx, m, n, k))
     }
 
-    /// True when this workspace can serve the *unprotected* entry under
-    /// `ctx` (only the packed `B~` and per-thread `A~` buffers are
-    /// touched, whose sizes depend on blocking parameters, not the
-    /// problem).
-    pub fn fits_plain(&self, ctx: &ParGemmContext<T>) -> bool {
-        let p = ctx.params;
-        self.atilde.len() == ctx.nthreads()
-            && self.a_len >= p.packed_a_len()
-            && self.btilde.len() >= p.packed_b_len()
+    /// True when this workspace can serve an `m x n x k` problem under `ctx`
+    /// with the *unprotected* entry: only the packed `B~` and the per-thread
+    /// `A~` buffers are touched.
+    pub fn fits_plain(&self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) -> bool {
+        let (a_len, b_len) = packed_lens(&ctx.params, m, n, k);
+        self.atilde.len() == ctx.nthreads() && self.a_len >= a_len && self.btilde.len() >= b_len
     }
 
-    /// Grows the workspace (reallocating) if `m x n x k` under `ctx` does
-    /// not fit; no-op otherwise. Capacities never shrink.
+    /// Grows the workspace (reallocating what is too small, keeping the
+    /// rest) if `m x n x k` under `ctx` does not fit the protected entry;
+    /// no-op otherwise. Capacities never shrink.
     pub fn ensure(&mut self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) {
-        if !self.fits_plain(ctx) {
-            *self = Self::for_plain(ctx);
-        }
+        self.ensure_plain(ctx, m, n, k);
         self.checks.ensure(ctx.nthreads(), needs(ctx, m, n, k));
+    }
+
+    /// [`ensure`](Self::ensure) for the unprotected entry: the packed buffers
+    /// only, so plain traffic on a shared workspace never touches — let alone
+    /// drops — the checksum state protected traffic grew.
+    pub(crate) fn ensure_plain(&mut self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) {
+        if self.atilde.len() != ctx.nthreads() {
+            // Another team: lanes and slots are per thread.
+            *self = Self::new(ctx);
+        }
+        let (a_len, b_len) = packed_lens(&ctx.params, m, n, k);
+        if self.btilde.len() < b_len {
+            self.btilde = AlignedVec::zeroed_or_panic(b_len);
+        }
+        if self.a_len < a_len {
+            for slot in &mut self.atilde {
+                *slot.get_mut() = AlignedVec::zeroed_or_panic(a_len);
+            }
+            self.a_len = a_len;
+        }
     }
 
     /// Grows the base snapshot a rollback restores from where `cfg` and
@@ -110,6 +149,20 @@ impl<T: Scalar> ParFtWorkspace<T> {
     /// reserved shape allocate nothing.
     pub fn reserve_base(&mut self, cfg: &FtConfig, beta: T) {
         self.checks.reserve_base(cfg, beta);
+    }
+
+    /// Frees the base snapshot, the only O(m·nc) buffer here, so what a
+    /// long-lived workspace retains stays bounded by the blocking; the next
+    /// call that needs one reserves it again. No-op when none is held (every
+    /// `beta == 0` call).
+    pub fn release_base(&mut self) {
+        self.checks.release_base();
+    }
+
+    /// Bytes of heap this workspace holds right now.
+    pub fn retained_bytes(&self) -> usize {
+        let packs = self.btilde.len() + self.atilde.len() * self.a_len;
+        (packs + self.checks.elements()) * std::mem::size_of::<T>()
     }
 
     /// Stable address of the workspace's packed-`B~` buffer.
@@ -125,6 +178,8 @@ impl<T: Scalar> ParFtWorkspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_parallel;
+    use ftgemm_core::Matrix;
 
     #[test]
     fn fits_and_ensure() {
@@ -132,6 +187,7 @@ mod tests {
         let mut ws = ParFtWorkspace::for_problem(&ctx, 64, 64, 64);
         assert!(ws.fits(&ctx, 64, 64, 64));
         assert!(ws.fits(&ctx, 32, 64, 16));
+        assert!(!ws.fits_plain(&ctx, 64, 128, 64), "B~ follows the problem");
         let addr = ws.base_addr();
         ws.ensure(&ctx, 64, 64, 64);
         assert_eq!(ws.base_addr(), addr, "no-op ensure must not reallocate");
@@ -141,10 +197,66 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_workspace_holds_nothing_and_a_full_one_the_blocking() {
+        let ctx = ParGemmContext::<f64>::with_threads(2);
+        let empty = ParFtWorkspace::new(&ctx);
+        assert_eq!(empty.retained_bytes(), 0);
+        assert!(!empty.fits_plain(&ctx, 1, 1, 1));
+        // However large the problem, the packed buffers stop at one
+        // `kc x nc` panel and one `mc x kc` block per thread.
+        let (p, huge) = (ctx.params, 1 << 20);
+        let full = ParFtWorkspace::for_plain(&ctx);
+        assert!(full.fits_plain(&ctx, huge, huge, huge));
+        let packed = p.packed_b_len() + 2 * p.packed_a_len();
+        assert_eq!(full.retained_bytes(), packed * std::mem::size_of::<f64>());
+    }
+
+    #[test]
     fn wrong_thread_count_does_not_fit() {
         let ctx2 = ParGemmContext::<f64>::with_threads(2);
         let ctx3 = ParGemmContext::<f64>::with_threads(3);
         let ws = ParFtWorkspace::for_problem(&ctx2, 32, 32, 32);
         assert!(!ws.fits(&ctx3, 32, 32, 32));
+    }
+
+    /// Plain and protected traffic of different shapes on one long-lived
+    /// workspace: once each has been seen, nothing is reallocated — a larger
+    /// plain problem grows the packed buffers and leaves the checksum state
+    /// the protected one grew where it is.
+    #[test]
+    fn mixed_traffic_does_not_ping_pong_the_allocations() {
+        let ctx = ParGemmContext::<f64>::with_threads(2);
+        let cfg = FtConfig::default();
+        let mut ws = ParFtWorkspace::new(&ctx);
+        let run = |ws: &mut ParFtWorkspace<f64>, dim: usize, cfg: Option<&FtConfig>| {
+            let a = Matrix::<f64>::random(dim, dim, 1);
+            let b = Matrix::<f64>::random(dim, dim, 2);
+            let mut c = Matrix::<f64>::zeros(dim, dim);
+            run_parallel(
+                &ctx,
+                ws,
+                cfg,
+                1.0,
+                &a.as_ref(),
+                &b.as_ref(),
+                0.0,
+                &mut c.as_mut(),
+            )
+            .unwrap();
+            let vectors = ws.checks.view(&mut ws.btilde).vectors;
+            // SAFETY: an empty range borrows no element.
+            let vectors = vectors.map(|v| unsafe { v.slice(0..0) }.as_ptr() as usize);
+            (ws.base_addr(), vectors)
+        };
+        run(&mut ws, 512, None);
+        let warm = run(&mut ws, 256, Some(&cfg));
+        for round in 0..3 {
+            assert_eq!(run(&mut ws, 512, None), warm, "plain, round {round}");
+            assert_eq!(
+                run(&mut ws, 256, Some(&cfg)),
+                warm,
+                "protected, round {round}"
+            );
+        }
     }
 }

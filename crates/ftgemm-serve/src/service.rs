@@ -842,16 +842,19 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
 }
 
 /// What one dispatcher computes with: its node's context (pool, kernel,
-/// blocking) and the batched path's workspace, reused across every batch
-/// the dispatcher ever runs. Only this node's pool ever touches it, so it
-/// stays on the memory domain that computes with it.
-///
-/// The matrix-parallel path has no field here: `run_large` builds its
-/// workspace per request until ROADMAP open item 1 lands the per-node one.
+/// blocking) and the workspaces of both paths, reused across everything the
+/// dispatcher ever runs. Only this node's pool ever touches them, so they
+/// stay on the memory domain that computes with them, and the dispatcher
+/// owns them outright: no lock, no sharing.
 struct NodeCompute<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
     /// Per-pool-thread serial FT contexts for the batched path.
     batch: BatchWorkspace<T>,
+    /// The matrix-parallel path's shared `B~`, per-thread `A~` and checksum
+    /// state (paper §2.3: requested once, reused). Built by the node's first
+    /// large request — a node that never sees one holds nothing — and grown
+    /// by `run_parallel` to the largest shape served.
+    large: Option<ParFtWorkspace<T>>,
 }
 
 impl<'a, T: Scalar> NodeCompute<'a, T> {
@@ -859,6 +862,7 @@ impl<'a, T: Scalar> NodeCompute<'a, T> {
         NodeCompute {
             ctx,
             batch: BatchWorkspace::new(ctx),
+            large: None,
         }
     }
 }
@@ -866,15 +870,10 @@ impl<'a, T: Scalar> NodeCompute<'a, T> {
 /// One node's dispatcher: drains its own shard group onto its own
 /// node-scoped pool, so every node computes concurrently with its peers.
 fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
-    let compute = NodeCompute::new(&inner.nodes[node].ctx);
+    let mut compute = NodeCompute::new(&inner.nodes[node].ctx);
     let nnodes = inner.nodes.len();
     // One sweep buffer for the dispatcher's life: `dispatch` drains it, the
-    // next pop refills it. It is also the one long-lived block this thread
-    // allocates after its workspaces, which matters while `run_large`
-    // builds a workspace per request: with a fresh vector per sweep
-    // instead, `serve_large` on the repo benchmark ended 7 of 26 runs with
-    // one more 48 MB allocator heap mapped (peak RSS 204 MB against 156);
-    // with this buffer, 0 of 26.
+    // next pop refills it.
     let mut sweep = Vec::new();
     loop {
         if inner.abort.load(Ordering::Acquire) {
@@ -898,7 +897,7 @@ fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
             .pop_node_into(node, 4 * inner.config.max_batch, &mut sweep)
             > 0
         {
-            dispatch(inner, node, &compute, &mut sweep);
+            dispatch(inner, node, &mut compute, &mut sweep);
             continue;
         }
 
@@ -920,7 +919,7 @@ fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
                 if let Some(c) = inner.stats.stolen.get(node) {
                     c.add(stolen as u64);
                 }
-                dispatch(inner, node, &compute, &mut sweep);
+                dispatch(inner, node, &mut compute, &mut sweep);
             }
             continue;
         }
@@ -958,7 +957,7 @@ fn shed_expired<T: Scalar>(inner: &Inner<T>, envelopes: &mut Vec<Envelope<T>>) {
 fn dispatch<T: Scalar>(
     inner: &Inner<T>,
     node: usize,
-    compute: &NodeCompute<'_, T>,
+    compute: &mut NodeCompute<'_, T>,
     envelopes: &mut Vec<Envelope<T>>,
 ) {
     // Shed already-expired requests before spending any compute on the
@@ -1026,7 +1025,7 @@ fn effective_policy<T: Scalar>(
 fn run_large<T: Scalar>(
     inner: &Inner<T>,
     node: usize,
-    compute: &NodeCompute<'_, T>,
+    compute: &mut NodeCompute<'_, T>,
     mut env: Envelope<T>,
 ) {
     // Counted here — at execution — rather than per popped sweep, so
@@ -1047,30 +1046,27 @@ fn run_large<T: Scalar>(
     let req = &mut env.req;
     let cfg = effective_policy(inner, node, req.policy).to_config(req.injector.clone());
     let started = Instant::now();
-    // A workspace per request (slim for a plain one, full for a protected
-    // one). One kept per node lifts `serve_large` about sevenfold, which
-    // the repo benchmark's spread check cannot resolve on a shared host, so
-    // it waits for its own PR (ROADMAP, open item 1);
-    // `run_parallel` takes the workspace by `&mut` and grows it, so that
-    // PR is a field on `NodeCompute`.
     let ctx = compute.ctx;
-    let (a, b) = (req.a.as_ref(), req.b.as_ref());
-    let mut ws = match cfg {
-        Some(_) => ParFtWorkspace::for_problem(ctx, a.nrows(), b.ncols(), a.ncols()),
-        None => ParFtWorkspace::for_plain(ctx),
-    };
+    let ws = compute
+        .large
+        .get_or_insert_with(|| ParFtWorkspace::new(ctx));
     let result = run_parallel(
         ctx,
-        &mut ws,
+        ws,
         cfg.as_ref(),
         req.alpha,
-        &a,
-        &b,
+        &req.a.as_ref(),
+        &req.b.as_ref(),
         req.beta,
         &mut req.c.as_mut(),
     );
-    // Released before the hand-over, not after it.
-    drop(ws);
+    // The `m x nc` base snapshot of a `beta != 0` rollback is the one piece
+    // that scales with the request's area; everything kept is bounded by
+    // the blocking.
+    ws.release_base();
+    if let Some(bytes) = inner.stats.large_workspace_bytes.get(node) {
+        bytes.set(ws.retained_bytes() as f64);
+    }
     inner.route.observe(
         RoutePath::Parallel,
         env.flops,
@@ -1296,6 +1292,20 @@ mod tests {
         }
     }
 
+    /// `req` as the queue would hand it to a dispatcher, completing to `sink`.
+    fn envelope(sink: &CompletionSink<f64>, id: u64, req: GemmRequest<f64>) -> Envelope<f64> {
+        sink.register();
+        Envelope {
+            flops: req.flops(),
+            req,
+            slot: ResponseSlot::forwarding(id, sink.clone()),
+            id,
+            affinity: 0,
+            submitted: Instant::now(),
+            deadline: None,
+        }
+    }
+
     /// Head-of-line regression: a drained sweep must run its coalesced
     /// small batches before the large loop. Drives `dispatch` directly (no
     /// dispatcher thread) so the sweep's composition — four large requests
@@ -1310,7 +1320,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let inner = test_inner(config);
-        let compute = NodeCompute::new(&inner.nodes[0].ctx);
+        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
         let (sink, mut completions) = completion_channel::<f64>();
 
         let mk = |id: u64, dim: usize| {
@@ -1318,22 +1328,12 @@ mod tests {
                 Matrix::<f64>::random(dim, dim, id),
                 Matrix::<f64>::random(dim, dim, id + 100),
             );
-            sink.register();
-            let flops = req.flops();
-            Envelope {
-                req,
-                slot: ResponseSlot::forwarding(id, sink.clone()),
-                id,
-                affinity: 0,
-                submitted: Instant::now(),
-                deadline: None,
-                flops,
-            }
+            envelope(&sink, id, req)
         };
         // Ids 0..4: large (64^3 > the pinned cutoff); id 4: small (16^3).
         let mut envelopes: Vec<_> = (0..4u64).map(|id| mk(id, 64)).collect();
         envelopes.push(mk(4, 16));
-        dispatch(&inner, 0, &compute, &mut envelopes);
+        dispatch(&inner, 0, &mut compute, &mut envelopes);
         drop(sink);
 
         let mut order = Vec::new();
@@ -1349,6 +1349,105 @@ mod tests {
         assert_eq!(inner.stats.direct_large.get(), 4);
         assert_eq!(inner.stats.batched_requests.get(), 1);
         assert_eq!(inner.stats.dispatched[0].get(), 5);
+    }
+
+    /// One request through `dispatch` on `compute`, as a large one; returns
+    /// the node workspace's `B~` address afterwards.
+    fn run_one_large(
+        inner: &Inner<f64>,
+        compute: &mut NodeCompute<'_, f64>,
+        id: u64,
+        req: GemmRequest<f64>,
+    ) -> usize {
+        let (sink, mut completions) = completion_channel::<f64>();
+        dispatch(inner, 0, compute, &mut vec![envelope(&sink, id, req)]);
+        let done = completions.recv().expect("one completion");
+        done.result.expect("request succeeds");
+        compute.large.as_ref().expect("built by now").base_addr()
+    }
+
+    fn everything_is_large() -> Inner<f64> {
+        test_inner(ServiceConfig {
+            threads: 2,
+            routing: RoutingPolicy::Fixed(0),
+            ..ServiceConfig::default()
+        })
+    }
+
+    /// The node's first large request builds its workspace — nothing is held
+    /// before it — and from the second request of a warmed shape on the
+    /// packed `B~` never moves, while shapes shrink and policies alternate;
+    /// only a larger shape may move it. The gauge reports what is held.
+    #[test]
+    fn large_requests_reuse_the_node_workspace() {
+        let inner = everything_is_large();
+        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
+        assert!(
+            compute.large.is_none(),
+            "no workspace before a large request"
+        );
+        assert_eq!(inner.stats.large_workspace_bytes[0].get(), 0.0);
+
+        let policies = [
+            crate::FtPolicy::Off,
+            crate::FtPolicy::Detect,
+            crate::FtPolicy::DetectCorrect,
+        ];
+        let mut run = |id: u64, dim: usize, policy| {
+            let req = GemmRequest::new(
+                Matrix::<f64>::random(dim, dim, id),
+                Matrix::<f64>::random(dim, dim, id + 100),
+            );
+            run_one_large(&inner, &mut compute, id, req.with_policy(policy))
+        };
+        let warm = run(0, 96, crate::FtPolicy::DetectCorrect);
+        for (i, dim) in [96usize, 48, 96, 64, 96, 96].into_iter().enumerate() {
+            let addr = run(1 + i as u64, dim, policies[i % 3]);
+            assert_eq!(addr, warm, "request {i} ({dim}^3) reallocated B~");
+        }
+        // Growth is the one event that may move it.
+        run(50, 128, crate::FtPolicy::Detect);
+        let large = compute.large.as_ref().unwrap();
+        assert!(large.fits(compute.ctx, 128, 128, 128));
+        assert_eq!(inner.stats.direct_large.get(), 8);
+        assert_eq!(
+            inner.stats.large_workspace_bytes[0].get(),
+            large.retained_bytes() as f64
+        );
+    }
+
+    /// The base snapshot of a `beta != 0` `DetectCorrect` request — the only
+    /// O(m·n) piece of the workspace — goes back after the request: the node
+    /// keeps what a `beta == 0` request of that shape keeps, which the
+    /// blocking bounds.
+    #[test]
+    fn the_base_snapshot_does_not_outlive_its_request() {
+        let inner = everything_is_large();
+        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
+        let (m, n, k) = (512, 512, 48);
+        let req = |id: u64, beta: f64| {
+            GemmRequest::new(
+                Matrix::<f64>::random(m, k, id),
+                Matrix::<f64>::random(k, n, id + 100),
+            )
+            .with_c(beta, Matrix::<f64>::random(m, n, id + 200))
+            .with_policy(crate::FtPolicy::DetectCorrect)
+        };
+        run_one_large(&inner, &mut compute, 0, req(0, 0.5));
+        run_one_large(&inner, &mut compute, 1, req(1, 0.0));
+        // A node that never saw `beta != 0`.
+        let mut other = NodeCompute::new(&inner.nodes[0].ctx);
+        run_one_large(&inner, &mut other, 2, req(2, 0.0));
+
+        let ctx = compute.ctx;
+        let held = compute.large.as_ref().unwrap().retained_bytes();
+        let without_base = other.large.as_ref().unwrap().retained_bytes();
+        assert_eq!(held, without_base, "the {m}x{n} snapshot was kept");
+        let p = ctx.params;
+        let packed = p.packed_b_len() + ctx.nthreads() * p.packed_a_len();
+        let checks = (2 + 3 * ctx.nthreads()) * (m + n + k);
+        assert!(held <= (packed + checks) * std::mem::size_of::<f64>());
+        assert_eq!(inner.stats.large_workspace_bytes[0].get(), held as f64);
     }
 
     /// A traced service with **no dispatcher**: whatever a submit pushes

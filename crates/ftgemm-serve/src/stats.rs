@@ -108,6 +108,9 @@ pub(crate) struct ServiceStats {
     /// Requests a node executed after stealing them off another node's
     /// shard group.
     pub stolen: Vec<Arc<Counter>>,
+    /// Bytes each node's matrix-parallel workspace holds (0 until the node's
+    /// first large request builds it).
+    pub large_workspace_bytes: Vec<Arc<Gauge>>,
     /// Per-tenant QoS tallies, keyed by tenant id and registered on the
     /// tenant's first touch. A `BTreeMap` so the snapshot's per-tenant rows
     /// come out in stable id order; the lock is uncontended off the hot
@@ -289,6 +292,15 @@ impl ServiceStats {
                 "ftgemm_node_stolen_total",
                 "Requests each node executed after stealing them off another node's shard group.",
             ),
+            large_workspace_bytes: ids(node_threads.len())
+                .map(|node| {
+                    registry.gauge_with(
+                        "ftgemm_node_large_workspace_bytes",
+                        "Heap held by each node's matrix-parallel workspace (packed B~, per-thread A~, checksum state); bounded by the blocking, 0 until the node's first large request.",
+                        &[("node", node.as_str())],
+                    )
+                })
+                .collect(),
             tenants: Mutex::new(BTreeMap::new()),
             registry,
         }
@@ -478,6 +490,10 @@ impl ServiceStats {
                 stolen: self.stolen[node].get(),
                 batch_wall: self.node_batch_wall(node),
                 batch_busy: self.node_batch_busy(node),
+                large_workspace_bytes: self
+                    .large_workspace_bytes
+                    .get(node)
+                    .map_or(0, |bytes| bytes.get() as u64),
                 // The fault-policy monitor lives beside the stats (it
                 // needs the topology and a lock, not atomics); the
                 // service overlays its values after this call. Zeroed
@@ -596,6 +612,10 @@ pub struct NodeStats {
     /// Summed busy time of this node's threads inside those regions (its
     /// slice of [`StatsSnapshot::batch_busy_per_thread`]).
     pub batch_busy: Duration,
+    /// Bytes this node's matrix-parallel workspace holds: `0` until the
+    /// node's first large request, then at most what the blocking allows
+    /// (`kc·nc + threads·mc·kc` elements plus O(m + n + k) checksum state).
+    pub large_workspace_bytes: u64,
     /// The fault-policy floor the error-aware monitor currently enforces
     /// on this node: `0` = Off (no floor), `1` = Detect, `2` =
     /// DetectCorrect. Always `0` on services without

@@ -244,6 +244,10 @@ fn scraped_counters_match_in_process_snapshot() {
         node("ftgemm_node_dispatched_total", n.dispatched as f64);
         node("ftgemm_node_stolen_total", n.stolen as f64);
         node(
+            "ftgemm_node_large_workspace_bytes",
+            n.large_workspace_bytes as f64,
+        );
+        node(
             "ftgemm_node_batch_wall_seconds_total",
             n.batch_wall.as_secs_f64(),
         );
@@ -324,7 +328,7 @@ fn scraped_counters_match_in_process_snapshot() {
 /// touched, so no family is missing for want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 50] = [
+    const GOLDEN: [(&str, &str); 51] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -343,6 +347,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_node_batch_busy_seconds_total", "counter"),
         ("ftgemm_node_batch_wall_seconds_total", "counter"),
         ("ftgemm_node_dispatched_total", "counter"),
+        ("ftgemm_node_large_workspace_bytes", "gauge"),
         ("ftgemm_node_queue_depth", "gauge"),
         ("ftgemm_node_stolen_total", "counter"),
         ("ftgemm_node_threads", "gauge"),

@@ -103,12 +103,14 @@ proptest! {
     }
 }
 
-/// Large path: one node serves matrix-parallel requests through shapes
-/// that grow and shrink and policies that alternate, and every result is
-/// bit-identical to the `par_*_with_ws` driver run directly on a *fresh*
-/// workspace with the same thread count (same partitioning, same
-/// per-element accumulation order) — whatever workspace the dispatcher
-/// runs them on, built per request today or kept per node later.
+/// Large path: one node serves matrix-parallel requests on the workspace it
+/// keeps, through shapes that grow and shrink — square ones, and ragged ones
+/// deeper than one `kc` panel whose `n` is no multiple of any kernel's `nr` —
+/// and policies that alternate, and every result is bit-identical to the
+/// `par_*_with_ws` driver run directly on a *fresh* workspace with the same
+/// thread count (same partitioning, same per-element accumulation order).
+/// The last request rolls back on the reused workspace, and its report
+/// matches too.
 #[test]
 fn large_path_is_bit_identical_to_fresh_workspaces() {
     const THREADS: usize = 2;
@@ -119,44 +121,39 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
         ..ServiceConfig::default()
     });
     let ctx = ParGemmContext::<f64>::with_threads(THREADS);
-    let policies = [FtPolicy::Off, FtPolicy::Detect, FtPolicy::DetectCorrect];
-    let dims = [256usize, 128, 384, 256];
+    // One request through the service and through the driver on a fresh
+    // workspace; both `C`s, both reports.
+    let both_ways = |step: usize, (m, n, k): (usize, usize, usize), policy: FtPolicy, injector| {
+        let seed = 1_000 + step as u64;
+        let a = Matrix::<f64>::random(m, k, seed);
+        let b = Matrix::<f64>::random(k, n, seed + 1);
+        let c0 = Matrix::<f64>::random(m, n, seed + 2);
 
-    for round in 0..2 {
-        for (i, &dim) in dims.iter().enumerate() {
-            let step = round * dims.len() + i;
-            let policy = policies[step % policies.len()];
-            let seed = 1_000 + step as u64;
-            let a = Matrix::<f64>::random(dim, dim, seed);
-            let b = Matrix::<f64>::random(dim, dim, seed + 1);
-            let c0 = Matrix::<f64>::random(dim, dim, seed + 2);
+        let mut req = GemmRequest::new(a.clone(), b.clone())
+            .with_alpha(1.5)
+            .with_c(0.5, c0.clone())
+            .with_policy(policy);
+        if let Some(injector) = &injector {
+            req = req.with_injector(FaultInjector::clone(injector));
+        }
+        let resp = service.run(req).unwrap();
+        assert!(!resp.batched, "step {step} left the matrix-parallel path");
 
-            let resp = service
-                .run(
-                    GemmRequest::new(a.clone(), b.clone())
-                        .with_alpha(1.5)
-                        .with_c(0.5, c0.clone())
-                        .with_policy(policy),
-                )
-                .unwrap();
-            assert!(!resp.batched, "step {step} left the matrix-parallel path");
-
-            let mut expected = c0;
-            match policy.to_config(None) {
-                Some(cfg) => {
-                    par_ft_gemm_with_ws(
-                        &ctx,
-                        &mut ParFtWorkspace::for_problem(&ctx, dim, dim, dim),
-                        &cfg,
-                        1.5,
-                        &a.as_ref(),
-                        &b.as_ref(),
-                        0.5,
-                        &mut expected.as_mut(),
-                    )
-                    .unwrap();
-                }
-                None => par_gemm_with_ws(
+        let mut expected = c0;
+        let report = match policy.to_config(injector) {
+            Some(cfg) => par_ft_gemm_with_ws(
+                &ctx,
+                &mut ParFtWorkspace::for_problem(&ctx, m, n, k),
+                &cfg,
+                1.5,
+                &a.as_ref(),
+                &b.as_ref(),
+                0.5,
+                &mut expected.as_mut(),
+            )
+            .unwrap(),
+            None => {
+                par_gemm_with_ws(
                     &ctx,
                     &mut ParFtWorkspace::for_plain(&ctx),
                     1.5,
@@ -165,17 +162,58 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
                     0.5,
                     &mut expected.as_mut(),
                 )
-                .unwrap(),
+                .unwrap();
+                Default::default()
             }
-            assert_eq!(
-                resp.c.as_slice(),
-                expected.as_slice(),
-                "step {step}: {dim}^3 under {policy:?} differs from a fresh workspace"
-            );
+        };
+        assert_eq!(
+            resp.c.as_slice(),
+            expected.as_slice(),
+            "step {step}: {m}x{n}x{k} under {policy:?} differs from a fresh workspace"
+        );
+        (resp.report, report)
+    };
+
+    let policies = [FtPolicy::Off, FtPolicy::Detect, FtPolicy::DetectCorrect];
+    let shapes = [
+        (256, 256, 256),
+        (128, 128, 128),
+        (520, 134, 700),
+        (300, 526, 530),
+        (384, 384, 384),
+        (256, 256, 256),
+    ];
+    let mut step = 0;
+    for _round in 0..2 {
+        for shape in shapes {
+            let (served, direct) = both_ways(step, shape, policies[step % policies.len()], None);
+            assert_eq!(served, direct, "step {step}");
+            step += 1;
         }
     }
+
+    // A rollback on the reused workspace. The two calls draw their injection
+    // streams from a process-wide nonce, so the pattern must not depend on
+    // the stream: one macro-kernel call per member (no extent exceeds its
+    // block) leaves each stream a single site, and an infinite error there is
+    // one no correction resolves, wherever it lands.
+    let p = ctx.params;
+    let rows_each = p.mr * (p.mc / p.mr).min(4);
+    let shape = (
+        THREADS * rows_each - 3,
+        (5 * p.nr + 3).min(p.nc),
+        200.min(p.kc),
+    );
+    let model = ErrorModel::Additive {
+        magnitude: f64::INFINITY,
+    };
+    let injector = FaultInjector::new(77, model, Rate::Count(1));
+    let (served, direct) = both_ways(step, shape, FtPolicy::DetectCorrect, Some(injector));
+    assert_eq!(served, direct);
+    assert_eq!((served.injected, served.retried_panels), (THREADS, 1));
+
     let snap = service.shutdown();
-    assert_eq!(snap.direct_large, 8);
+    assert_eq!(snap.direct_large, step as u64 + 1);
     assert_eq!(snap.failed, 0);
 }
 
