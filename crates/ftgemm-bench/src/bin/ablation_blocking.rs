@@ -1,9 +1,9 @@
-//! Ablation A2: blocking-parameter and ISA-tier sensitivity (the design
-//! choices of paper §2.1 — "the step sizes of these three for loops ...
-//! \[are\] determined by the size of each layer of the cache").
-//!
-//! Part 1: GFLOPS per ISA tier at a fixed size (value of AVX-512 kernels).
-//! Part 2: GFLOPS over an (MC, KC) grid around the cache-derived defaults.
+//! Ablation A2: blocking-parameter sensitivity (the design choices of paper
+//! §2.1 — "the step sizes of these three for loops ... \[are\] determined by
+//! the size of each layer of the cache"): GFLOPS over an (MC, KC) grid
+//! around the cache-derived defaults, at the best ISA tier. The tiers
+//! themselves are the repo benchmark's `core.ukr_f64_{avx2,portable}_eff`,
+//! measured with a spread.
 //!
 //! Besides the console tables / CSVs, the full sweep (per-point throughput
 //! plus p50/p99 of the per-repetition times) is written as machine-readable
@@ -26,47 +26,6 @@ fn main() {
     let a = Matrix::<f64>::random(s, s, 1);
     let b = Matrix::<f64>::random(s, s, 2);
 
-    // Part 1: ISA tiers.
-    let mut tier_table = Table::new(
-        &format!("A2.1 — micro-kernel ISA tier at {s}^3 (serial)"),
-        &["tier", "MRxNR", "GFLOPS"],
-    );
-    let mut json_tiers = JsonValue::arr();
-    for isa in IsaLevel::available() {
-        let kernel = ftgemm_core::select_kernel::<f64>(isa);
-        let params = BlockingParams::derive::<f64>(&CacheInfo::detect(), kernel.mr, kernel.nr);
-        let mut c = Matrix::<f64>::zeros(s, s);
-        let times = ftgemm_bench::measure_times(args.warmup, args.reps, || {
-            gemm_with_params(
-                isa,
-                params,
-                1.0,
-                &a.as_ref(),
-                &b.as_ref(),
-                1.0,
-                &mut c.as_mut(),
-            )
-            .unwrap();
-        });
-        let avg = times.iter().sum::<f64>() / times.len() as f64;
-        tier_table.row(vec![
-            isa.to_string(),
-            format!("{}x{}", kernel.mr, kernel.nr),
-            format!("{:.2}", gflops(s, s, s, avg)),
-        ]);
-        json_tiers = json_tiers.push(
-            JsonValue::obj()
-                .field("tier", isa.to_string())
-                .field("micro_tile", format!("{}x{}", kernel.mr, kernel.nr))
-                .field("gflops", gflops(s, s, s, avg))
-                .field("p50_latency_us", percentile(&times, 50.0) * 1e6)
-                .field("p99_latency_us", percentile(&times, 99.0) * 1e6),
-        );
-        eprintln!("tier {isa} done");
-    }
-    tier_table.print();
-
-    // Part 2: (MC, KC) grid at the best tier.
     let isa = IsaLevel::detect();
     let kernel = ftgemm_core::select_kernel::<f64>(isa);
     let base = BlockingParams::derive::<f64>(&CacheInfo::detect(), kernel.mr, kernel.nr);
@@ -81,7 +40,7 @@ fn main() {
     let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     let mut grid_table = Table::new(
         &format!(
-            "A2.2 — GFLOPS over (MC, KC) grid at {s}^3 (cache-derived default: MC={}, KC={})",
+            "A2 — GFLOPS over (MC, KC) grid at {s}^3 (cache-derived default: MC={}, KC={})",
             base.mc, base.kc
         ),
         &headers_ref,
@@ -120,7 +79,6 @@ fn main() {
     }
     grid_table.print();
 
-    let _ = tier_table.write_csv(&args.out_dir, "ablation_isa");
     match grid_table.write_csv(&args.out_dir, "ablation_blocking") {
         Ok(p) => println!("\nCSV written to {}", p.display()),
         Err(e) => eprintln!("CSV write failed: {e}"),
@@ -132,7 +90,6 @@ fn main() {
         .field("reps", args.reps.max(1))
         .field("default_mc", base.mc)
         .field("default_kc", base.kc)
-        .field("isa_tiers", json_tiers)
         .field(
             "blocking_grid",
             JsonValue::obj()

@@ -66,4 +66,7 @@ fn ablation_blocking_writes_its_json() {
     run_smoke(env!("CARGO_BIN_EXE_ablation_blocking"), &out);
     let json = std::fs::read_to_string(out.join("BENCH_ablation_blocking.json")).unwrap();
     assert!(json.contains("\"blocking_grid\""), "{json}");
+    // The ISA-tier table had no spread; the repo benchmark measures the tiers.
+    assert!(!json.contains("isa_tiers"), "{json}");
+    assert!(!out.join("ablation_isa.csv").exists());
 }

@@ -18,11 +18,20 @@
 //! slower by which of the two a process happens to settle into. The floor
 //! sits above every buffer of the batched small-request path (a 128 x 128
 //! `f64` result is 128 KiB), which keeps `malloc`'s recycling.
+//!
+//! A buffer of 2 MiB or more (x86-64) starts on a 2 MiB boundary and is
+//! advised onto transparent huge pages, so each whole 2 MiB extent of it is
+//! one fault and one TLB entry instead of 512 of each — GotoBLAS sizes its
+//! blocks by TLB reach as well as by cache. Its length is not rounded up: the
+//! partial extent at its end stays on 4 KiB pages, so what it makes resident
+//! is what is written. Where the kernel refuses the advice the buffer keeps
+//! 4 KiB pages and is otherwise the same.
 
 use crate::error::{CoreError, Result};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
+use std::sync::atomic::Ordering;
 
 /// Cache-line alignment (bytes) used for every buffer in the workspace.
 pub const ALIGN: usize = 64;
@@ -30,7 +39,13 @@ pub const ALIGN: usize = 64;
 /// Buffers mapped from the OS so far, process-wide: what a counting global
 /// allocator cannot see. Zero where buffers are never mapped.
 pub fn mapped_buffers() -> u64 {
-    pages::MAPPED.load(std::sync::atomic::Ordering::Relaxed)
+    pages::MAPPED.load(Ordering::Relaxed)
+}
+
+/// Of [`mapped_buffers`], those placed on a 2 MiB boundary and accepted onto
+/// huge pages by the kernel. Zero where huge pages are never asked for.
+pub fn huge_buffers() -> u64 {
+    pages::ADVISED.load(Ordering::Relaxed)
 }
 
 /// Anonymous zero-filled mappings, for the buffers `malloc` would place by
@@ -41,15 +56,27 @@ pub fn mapped_buffers() -> u64 {
 ))]
 mod pages {
     use std::ffi::{c_int, c_void};
+    use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Smallest buffer that is mapped, in bytes.
     pub const MIN_BYTES: usize = 256 * 1024;
+    /// Smallest buffer placed on huge pages, in bytes: one x86-64 huge page.
+    /// aarch64 kernels run 4, 16 or 64 KiB base pages (and huge pages to
+    /// match), so the trim below is only done where the base page is known.
+    pub const HUGE_BYTES: usize = if cfg!(target_arch = "x86_64") {
+        2 << 20
+    } else {
+        usize::MAX
+    };
+    const PAGE: usize = 4096;
     pub static MAPPED: AtomicU64 = AtomicU64::new(0);
+    pub static ADVISED: AtomicU64 = AtomicU64::new(0);
 
     // <sys/mman.h> on Linux, x86-64 and aarch64.
     const PROT_READ_WRITE: c_int = 0x1 | 0x2;
     const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
+    const MADV_HUGEPAGE: c_int = 14;
 
     extern "C" {
         fn mmap(
@@ -61,16 +88,35 @@ mod pages {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+
+    /// How much is mapped for a huge buffer of `bytes`: its pages plus one
+    /// huge page of slack, so that a 2 MiB boundary falls inside.
+    pub fn span(bytes: usize) -> usize {
+        bytes.next_multiple_of(PAGE) + HUGE_BYTES
+    }
+
+    /// Splits the [`span`] mapped at `start` into the head before the first
+    /// 2 MiB boundary, the buffer's pages from that boundary on, and the tail
+    /// after them. All three are page-aligned, as `munmap` requires: given an
+    /// unaligned start it fails with `EINVAL` and the range stays mapped.
+    pub fn trim(start: usize, bytes: usize) -> [Range<usize>; 3] {
+        let kept = start.next_multiple_of(HUGE_BYTES);
+        let end = kept + bytes.next_multiple_of(PAGE);
+        [start..kept, kept..end, end..start + span(bytes)]
     }
 
     /// `bytes` of zeroed, page-aligned memory, no page of it resident yet; or
-    /// null.
+    /// null. From [`HUGE_BYTES`] on, 2 MiB-aligned and advised onto huge
+    /// pages.
     pub fn map(bytes: usize) -> *mut u8 {
+        let huge = bytes >= HUGE_BYTES;
         // SAFETY: a fresh private anonymous mapping aliases nothing.
         let p = unsafe {
             mmap(
                 std::ptr::null_mut(),
-                bytes,
+                if huge { span(bytes) } else { bytes },
                 PROT_READ_WRITE,
                 MAP_PRIVATE_ANONYMOUS,
                 -1,
@@ -82,13 +128,31 @@ mod pages {
             return std::ptr::null_mut();
         }
         MAPPED.fetch_add(1, Ordering::Relaxed);
-        p.cast()
+        if !huge {
+            return p.cast();
+        }
+        let [head, kept, tail] = trim(p as usize, bytes);
+        let at = p.cast::<u8>().wrapping_add(head.len());
+        // SAFETY: head, buffer and tail are page-aligned pieces of the
+        // mapping just made, which nothing else has seen; the tail is never
+        // empty.
+        unsafe {
+            if !head.is_empty() {
+                munmap(p, head.len());
+            }
+            munmap(at.wrapping_add(kept.len()).cast(), tail.len());
+            if madvise(at.cast(), kept.len(), MADV_HUGEPAGE) == 0 {
+                ADVISED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        at
     }
 
     /// # Safety
     /// `ptr` came from [`map`]`(bytes)` and is not used again.
     pub unsafe fn unmap(ptr: *mut u8, bytes: usize) {
-        // SAFETY: the caller's contract; unmapping a whole mapping cannot fail.
+        // SAFETY: the caller's contract; `map` left exactly the pages of
+        // `ptr..ptr + bytes` mapped, so unmapping them cannot fail.
         unsafe { munmap(ptr.cast(), bytes) };
     }
 }
@@ -99,8 +163,11 @@ mod pages {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod pages {
+    use std::sync::atomic::AtomicU64;
+
     pub const MIN_BYTES: usize = usize::MAX;
-    pub static MAPPED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    pub static MAPPED: AtomicU64 = AtomicU64::new(0);
+    pub static ADVISED: AtomicU64 = AtomicU64::new(0);
 
     pub fn map(_bytes: usize) -> *mut u8 {
         std::ptr::null_mut()
@@ -325,24 +392,68 @@ mod tests {
         assert_eq!(v.as_ptr() as usize % ALIGN, 0);
     }
 
-    /// A buffer past the mapping floor keeps the whole contract — zeroed,
-    /// aligned, writable to its last element — and is the only kind counted.
+    /// Buffers on either side of the huge-page floor keep the whole contract
+    /// — zeroed, aligned, writable to their last element — each is one
+    /// mapping, and only those of 2 MiB or more start on a 2 MiB boundary.
+    /// The only test in this binary that maps, so the counts are exact.
     #[test]
-    fn a_large_buffer_is_zeroed_aligned_and_counted() {
+    fn buffers_at_the_huge_page_floor_are_mapped_once_and_placed() {
+        const MIB2: usize = 2 << 20;
+        let mapping = pages::MIN_BYTES != usize::MAX;
+        let huge = cfg!(target_arch = "x86_64") && mapping;
         let before = mapped_buffers();
         let small = AlignedVec::<f64>::zeroed(128 * 128).unwrap();
         assert_eq!(mapped_buffers(), before, "128 KiB stays with malloc");
-        let mut v = AlignedVec::<f64>::zeroed(512 * 512 + 3).unwrap();
-        if pages::MIN_BYTES != usize::MAX {
-            assert!(mapped_buffers() > before);
+        let (mapped, advised) = (mapped_buffers(), huge_buffers());
+        let mut kept = Vec::new();
+        for bytes in [MIB2 - 8, MIB2, MIB2 + 24] {
+            let mut v = AlignedVec::<f64>::zeroed(bytes / 8).unwrap();
+            let made = u64::from(mapping) * (kept.len() as u64 + 1);
+            assert_eq!(mapped_buffers() - mapped, made, "{bytes} B is one mapping");
+            let start = v.as_ptr() as usize;
+            assert_eq!(start % if mapping { 4096 } else { ALIGN }, 0, "{bytes} B");
+            if huge && bytes >= MIB2 {
+                assert_eq!(start % MIB2, 0, "{bytes} B is not on a 2 MiB boundary");
+            }
+            assert!(v.iter().all(|&x| x == 0.0), "{bytes} B");
+            let last = v.len() - 1;
+            v[last] = 7.0;
+            assert_eq!((v[0], v[last]), (0.0, 7.0));
+            kept.push(v);
         }
-        assert!(v.iter().all(|&x| x == 0.0));
-        assert_eq!(v.as_ptr() as usize % ALIGN, 0);
-        let last = v.len() - 1;
-        v[last] = 7.0;
-        let w = v.clone();
-        drop(v);
-        assert_eq!((w[last], w[0], small[0]), (7.0, 0.0, 0.0));
+        let w = kept[2].clone();
+        drop(kept);
+        assert_eq!((w[w.len() - 1], w[0], small[0]), (7.0, 0.0, 0.0));
+        // The clone is a fourth buffer of 2 MiB + 24 B. Whether the kernel
+        // takes the advice is its choice: where it has no huge pages at all
+        // it refuses every time, and the buffers are only placed.
+        assert_eq!(mapped_buffers() - mapped, u64::from(mapping) * 4);
+        let took = huge_buffers() - advised;
+        assert!(took == 0 || (huge && took == 3), "{took} advised of 3");
+    }
+
+    /// Head, buffer and tail are page-aligned, cover the mapping exactly, and
+    /// the buffer starts on the first 2 MiB boundary inside it — for every
+    /// page offset of the mapping within a huge page, and lengths on either
+    /// side of a page and of a huge page.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn the_trim_tiles_the_mapping_and_aligns_the_buffer() {
+        const MIB2: usize = 2 << 20;
+        for bytes in [MIB2, MIB2 + 8, MIB2 + 4096, 3 * MIB2 - 8, 1280 * 1280 * 8] {
+            for start in (0..MIB2).step_by(4096).map(|off| (7 << 30) + off) {
+                let [head, kept, tail] = pages::trim(start, bytes);
+                for r in [&head, &kept, &tail] {
+                    assert_eq!((r.start % 4096, r.end % 4096), (0, 0), "{r:?}");
+                }
+                assert_eq!(head.start, start);
+                assert_eq!((head.end, kept.end), (kept.start, tail.start));
+                assert_eq!(tail.end, start + pages::span(bytes));
+                assert_eq!((kept.start % MIB2, head.len() < MIB2), (0, true));
+                assert!(kept.len() >= bytes && kept.len() - bytes < 4096);
+                assert!(!tail.is_empty());
+            }
+        }
     }
 
     #[test]

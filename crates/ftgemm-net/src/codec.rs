@@ -93,22 +93,19 @@ impl<'a> Rd<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadValue("non-UTF-8 string"))
     }
 
-    /// `rows * cols` f64s; the element count is validated against the
-    /// remaining payload *before* allocating, so a forged huge shape
-    /// cannot trigger a large allocation.
+    /// `rows * cols` f64s, converted in one pass; the byte count is
+    /// validated against the remaining payload *before* allocating, so a
+    /// forged huge shape cannot trigger a large allocation.
     fn f64_mat(&mut self, rows: u32, cols: u32) -> Result<Vec<f64>, WireError> {
         let n = (rows as u64)
             .checked_mul(cols as u64)
             .ok_or(WireError::BadValue("operand shape overflows"))?;
-        if n.checked_mul(8).ok_or(WireError::Truncated)? > self.remaining() as u64 {
-            return Err(WireError::Truncated);
-        }
-        let n = n as usize;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
+        let len = n
+            .checked_mul(8)
+            .and_then(|b| usize::try_from(b).ok())
+            .ok_or(WireError::Truncated)?;
+        let (words, _) = self.bytes(len)?.as_chunks::<8>();
+        Ok(words.iter().copied().map(f64::from_le_bytes).collect())
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -119,15 +116,17 @@ impl<'a> Rd<'a> {
     }
 }
 
+/// Bytes that the prefix, verb and fixed-width fields of any frame fit in (a
+/// by-handle submit, the largest, takes 55): a frame without a matrix or a
+/// long message is one allocation, and one with a matrix is not moved again
+/// by the fields after it (a completion's five counters).
+const FIXED_BYTES: usize = 64;
+
 struct Wr {
     buf: Vec<u8>,
 }
 
 impl Wr {
-    fn new() -> Self {
-        Wr { buf: Vec::new() }
-    }
-
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -153,10 +152,15 @@ impl Wr {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// One resize and one conversion pass for the whole matrix, with room
+    /// for the fields after it.
     fn f64_slice(&mut self, data: &[f64]) {
-        self.buf.reserve(data.len() * 8);
-        for &v in data {
-            self.f64(v);
+        let at = self.buf.len();
+        self.buf.reserve(8 * data.len() + FIXED_BYTES);
+        self.buf.resize(at + 8 * data.len(), 0);
+        let (words, _) = self.buf.split_at_mut(at).1.as_chunks_mut::<8>();
+        for (word, v) in words.iter_mut().zip(data) {
+            *word = v.to_le_bytes();
         }
     }
 }
@@ -193,9 +197,35 @@ fn get_operand_ref(r: &mut Rd<'_>) -> Result<OperandRef, WireError> {
     }
 }
 
+/// The length prefix of a frame whose verb and payload are `body` bytes, or
+/// `InvalidInput` past what a `u32` states: a truncated prefix would have
+/// the receiver read the wrong number of bytes and lose the stream.
+fn frame_len(body: usize) -> io::Result<u32> {
+    u32::try_from(body).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {body}-byte frame does not fit a u32 length prefix"),
+        )
+    })
+}
+
 /// Encodes a frame into a complete wire message: `[len u32][verb][payload]`.
+///
+/// # Panics
+/// If the frame is over `u32::MAX` bytes (4 GiB), which no length prefix
+/// can state; [`write_frame`] returns an error instead.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut w = Wr::new();
+    // analyze::allow(panic, "documented: only a frame over 4 GiB, which write_frame refuses")
+    try_encode(frame).expect("frame over 4 GiB")
+}
+
+/// The frame's bytes in one buffer: prefix and verb first, the payload after
+/// them, then the prefix patched to the length.
+fn try_encode(frame: &Frame) -> io::Result<Vec<u8>> {
+    let mut w = Wr {
+        buf: Vec::with_capacity(FIXED_BYTES),
+    };
+    w.buf.extend_from_slice(&[0, 0, 0, 0, frame.verb()]);
     match frame {
         Frame::Hello { version, features } => {
             w.u16(*version);
@@ -279,12 +309,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.string(message);
         }
     }
-    let payload = w.buf;
-    let mut out = Vec::with_capacity(5 + payload.len());
-    out.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
-    out.push(frame.verb());
-    out.extend_from_slice(&payload);
-    out
+    let len = frame_len(w.buf.len() - 4)?;
+    if let Some(prefix) = w.buf.first_chunk_mut::<4>() {
+        *prefix = len.to_le_bytes();
+    }
+    Ok(w.buf)
 }
 
 /// Decodes a frame payload given its verb byte. Total: every input maps to
@@ -450,9 +479,10 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> io::Result<(ReadEvent, u
     Ok((event, 4 + len as u64))
 }
 
-/// Writes one frame; returns the bytes written.
+/// Writes one frame; returns the bytes written. A frame over 4 GiB is
+/// `InvalidInput` and nothing of it is written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
-    let bytes = encode_frame(frame);
+    let bytes = try_encode(frame)?;
     w.write_all(&bytes)?;
     Ok(bytes.len() as u64)
 }
@@ -509,6 +539,212 @@ mod tests {
         assert_eq!(n, 104);
         let (ev, _) = read_frame(&mut cur, 64).unwrap();
         assert!(matches!(ev, ReadEvent::Frame(Frame::Goodbye)));
+    }
+
+    /// The encoder as it was before matrices were converted in bulk, for the
+    /// three frames that carry them: one append per element, the payload
+    /// built apart and copied behind the length prefix and verb.
+    fn per_element_encoder(frame: &Frame) -> Vec<u8> {
+        fn mat(p: &mut Vec<u8>, rows: u32, cols: u32, data: &[f64]) {
+            p.extend_from_slice(&rows.to_le_bytes());
+            p.extend_from_slice(&cols.to_le_bytes());
+            for &v in data {
+                p.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        fn operand(p: &mut Vec<u8>, op: &OperandRef) {
+            match op {
+                OperandRef::Inline { rows, cols, data } => {
+                    p.push(0);
+                    mat(p, *rows, *cols, data);
+                }
+                OperandRef::Handle(h) => {
+                    p.push(1);
+                    p.extend_from_slice(&h.to_le_bytes());
+                }
+            }
+        }
+        let mut p = Vec::new();
+        match frame {
+            Frame::UploadOperand { rows, cols, data } => mat(&mut p, *rows, *cols, data),
+            Frame::Submit(s) => {
+                p.extend_from_slice(&[s.hold as u8, s.policy, s.priority]);
+                p.extend_from_slice(&s.tenant.to_le_bytes());
+                p.extend_from_slice(&s.deadline_ns.to_le_bytes());
+                p.extend_from_slice(&s.alpha.to_bits().to_le_bytes());
+                p.extend_from_slice(&s.beta.to_bits().to_le_bytes());
+                operand(&mut p, &s.a);
+                operand(&mut p, &s.b);
+                match &s.c {
+                    None => p.push(0),
+                    Some((rows, cols, data)) => {
+                        p.push(1);
+                        mat(&mut p, *rows, *cols, data);
+                    }
+                }
+            }
+            Frame::Completion(c) => {
+                let ok = c.result.as_ref().expect("a completion with a result");
+                p.extend_from_slice(&c.id.to_le_bytes());
+                p.push(0);
+                mat(&mut p, ok.rows, ok.cols, &ok.data);
+                for n in [
+                    ok.verifications,
+                    ok.detected,
+                    ok.corrected,
+                    ok.injected,
+                    ok.retried_panels,
+                ] {
+                    p.extend_from_slice(&n.to_le_bytes());
+                }
+            }
+            other => unreachable!("no matrix in {other:?}"),
+        }
+        let mut out = Vec::with_capacity(5 + p.len());
+        out.extend_from_slice(&(1 + p.len() as u32).to_le_bytes());
+        out.push(frame.verb());
+        out.extend_from_slice(&p);
+        out
+    }
+
+    /// `n` values cycling through two NaN payloads, both zeros, subnormals,
+    /// infinities and ordinary numbers.
+    fn awkward(n: usize, seed: u64) -> Vec<f64> {
+        let special = [
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            f64::NEG_INFINITY,
+        ];
+        (0..n)
+            .map(|i| match i % 9 {
+                j if j < special.len() => special[j],
+                _ => (i as f64 + seed as f64) * 0.37,
+            })
+            .collect()
+    }
+
+    /// Every `f64` a frame carries, as bits: `PartialEq` cannot tell NaN
+    /// payloads apart, and `Debug` prints every NaN alike.
+    fn float_bits(frame: &Frame) -> Vec<u64> {
+        let mut all = Vec::new();
+        let mut add = |d: &[f64]| all.extend(d.iter().map(|v| v.to_bits()));
+        match frame {
+            Frame::UploadOperand { data, .. } => add(data),
+            Frame::Submit(s) => {
+                add(&[s.alpha, s.beta]);
+                for op in [&s.a, &s.b] {
+                    if let OperandRef::Inline { data, .. } = op {
+                        add(data);
+                    }
+                }
+                if let Some((_, _, data)) = &s.c {
+                    add(data);
+                }
+            }
+            Frame::Completion(c) => add(&c.result.as_ref().unwrap().data),
+            _ => {}
+        }
+        all
+    }
+
+    /// The three matrix-carrying frames at `n` elements per matrix, each
+    /// with the payload offset of its first matrix's shape.
+    fn matrix_frames(n: usize) -> [(Frame, usize); 3] {
+        let (rows, cols) = match n {
+            0 => (0, 4),
+            4097 => (17, 241),
+            _ => (1, n as u32),
+        };
+        let inline = |seed| OperandRef::Inline {
+            rows,
+            cols,
+            data: awkward(n, seed),
+        };
+        [
+            (
+                Frame::Submit(SubmitFrame {
+                    hold: false,
+                    policy: 1,
+                    priority: 2,
+                    tenant: 3,
+                    deadline_ns: 4,
+                    alpha: f64::from_bits(0x7ff8_0000_0000_0042),
+                    beta: -0.0,
+                    a: inline(1),
+                    b: inline(2),
+                    c: Some((rows, cols, awkward(n, 3))),
+                }),
+                // hold, policy, priority, tenant, deadline, alpha, beta, tag
+                32,
+            ),
+            (
+                Frame::UploadOperand {
+                    rows,
+                    cols,
+                    data: awkward(n, 4),
+                },
+                0,
+            ),
+            (
+                Frame::Completion(CompletionFrame {
+                    id: 77,
+                    result: Ok(CompletionOk {
+                        rows,
+                        cols,
+                        data: awkward(n, 5),
+                        verifications: 1,
+                        detected: 2,
+                        corrected: 3,
+                        injected: 4,
+                        retried_panels: 5,
+                    }),
+                }),
+                // id, tag
+                9,
+            ),
+        ]
+    }
+
+    #[test]
+    fn bulk_encoding_is_byte_identical_and_round_trips_bit_for_bit() {
+        for n in [0, 1, 7, 4097] {
+            for (frame, _) in matrix_frames(n) {
+                let bytes = encode_frame(&frame);
+                assert_eq!(bytes, per_element_encoder(&frame), "{n} elements");
+                let back = decode_frame(bytes[4], &bytes[5..]).unwrap();
+                assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+                assert_eq!(float_bits(&back), float_bits(&frame), "{n} elements");
+            }
+        }
+    }
+
+    /// A payload cut inside a matrix is `Truncated`, and found so before the
+    /// matrix is allocated: with its shape forged to 2^48 elements, decoding
+    /// that allocated first would abort the process instead.
+    #[test]
+    fn a_payload_cut_inside_a_matrix_is_truncated_before_allocating() {
+        for (frame, shape_at) in matrix_frames(4097) {
+            let bytes = encode_frame(&frame);
+            let mut payload = bytes[5..bytes.len() / 2].to_vec();
+            assert_eq!(decode_frame(bytes[4], &payload), Err(WireError::Truncated));
+            payload[shape_at..shape_at + 8]
+                .copy_from_slice(&[0xff, 0xff, 0xff, 0, 0xff, 0xff, 0xff, 0]);
+            assert_eq!(decode_frame(bytes[4], &payload), Err(WireError::Truncated));
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_length_prefix_states_up_to_u32_max_and_refuses_past_it() {
+        let max = u32::MAX as usize;
+        assert_eq!(frame_len(max - 1).unwrap(), u32::MAX - 1);
+        assert_eq!(frame_len(max).unwrap(), u32::MAX);
+        let err = frame_len(max + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

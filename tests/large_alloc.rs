@@ -15,7 +15,7 @@
 //! too.
 
 use ftgemm::abft::nest::packed_lens;
-use ftgemm::core::aligned::mapped_buffers;
+use ftgemm::core::aligned::{huge_buffers, mapped_buffers};
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
 use ftgemm::{GemmContext, Matrix, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,15 +96,24 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
     let held = service.stats().per_node[0].large_workspace_bytes;
     assert!(held > 0, "the node keeps its workspace");
 
-    // What a request maps by itself: `A`, `B` and the result.
+    // What a request maps by itself: `A`, `B` and the result. Of those, only
+    // a 512^2 request's are 2 MiB and go on huge pages (when the kernel
+    // takes the advice at all).
     let own = {
         let before = mapped_buffers();
         let _abc = [(); 3].map(|()| Matrix::<f64>::zeros(256, 256));
         mapped_buffers() - before
     };
-    let (before, mapped_before) = (
+    let own_huge = {
+        let before = huge_buffers();
+        let _abc = [(); 3].map(|()| Matrix::<f64>::zeros(512, 512));
+        huge_buffers() - before
+    };
+    assert!(own_huge == 0 || own_huge == 3, "{own_huge} of 3");
+    let (before, mapped_before, huge_before) = (
         LARGE_OFF_SUBMITTER.load(Ordering::Relaxed),
         mapped_buffers(),
+        huge_buffers(),
     );
     for step in 0..12u64 {
         let dim = [512, 256, 384][step as usize % 3];
@@ -121,6 +130,14 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
         mapped,
         12 * own,
         "steady-state large requests mapped more than their own matrices"
+    );
+    // Four of the twelve are 512^2; 256^2 and 384^2 matrices, and the warm
+    // workspace, advise nothing.
+    let huge = huge_buffers() - huge_before;
+    assert_eq!(
+        huge,
+        4 * own_huge,
+        "huge-page buffers beyond the 512^2 matrices"
     );
 
     // What the node holds did not move, and it is the largest shape served:
