@@ -10,18 +10,18 @@
 //! and never shrunk, so a reused context allocates only when a larger shape
 //! first arrives.
 
-use crate::nest::{nest, packed_lens, prologue, Checks, Job, Solo};
+use crate::nest::{checks_need, nest, packed_lens, prologue, Checks, Job, Solo};
 use crate::{FtConfig, FtReport, FtResult};
 use ftgemm_core::{BlockingParams, GemmContext, IsaLevel, MatMut, MatRef, Scalar};
 
 /// Reusable state for repeated fault-tolerant GEMM calls: the plain GEMM
-/// context plus the checksum state of a team of one.
+/// context plus the checksum state of a team of one, which counts the
+/// protected calls the injection streams derive from.
 #[derive(Debug)]
 pub struct FtGemmContext<T: Scalar> {
     /// Underlying GEMM context (kernel, blocking parameters, pack buffers).
     pub core: GemmContext<T>,
     checks: Checks<T>,
-    call_counter: u64,
 }
 
 impl<T: Scalar> FtGemmContext<T> {
@@ -35,7 +35,6 @@ impl<T: Scalar> FtGemmContext<T> {
         FtGemmContext {
             core,
             checks: Checks::new(1, [0; 4]),
-            call_counter: 0,
         }
     }
 
@@ -58,7 +57,7 @@ impl<T: Scalar> FtGemmContext<T> {
         let p = self.core.params;
         p.validate()?;
         if let Some(cfg) = cfg {
-            self.checks.ensure(1, [m, k, p.nc.min(n), p.kc]);
+            self.checks.ensure(1, checks_need(&p, m, n, k));
             self.checks.reserve_base(cfg, beta);
         }
         let (a_len, b_len) = packed_lens(&p, m, n, k);
@@ -112,15 +111,12 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     };
     // The one sizing shared with plan-time preallocation.
     ctx.reserve(Some(cfg), m, n, k, beta)?;
-    // Injection stream: one per protected call on this context.
-    ctx.call_counter += 1;
 
     let (kernel, p) = (ctx.core.kernel, ctx.core.params);
     let (a_len, b_len) = packed_lens(&p, m, n, k);
     let (a_buf, b_buf) = ctx.core.pack_buffers(a_len, b_len)?;
-    let bufs = ctx.checks.view(b_buf);
-    let id = ctx.call_counter;
-    let job = Job::new(kernel, p, cfg, id, alpha, a, b, beta, c, bufs);
+    let bufs = ctx.checks.view(b_buf, true);
+    let job = Job::new(kernel, p, cfg, alpha, a, b, beta, c, bufs);
     // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
     // team, and `reserve` sized every buffer for this problem.
     unsafe { nest::<T, Solo, true>(&Solo, &job, a_buf) };
@@ -148,9 +144,9 @@ pub fn gemm<T: Scalar>(
     let (a_buf, b_buf) = ctx.pack_buffers(a_len, b_len)?;
     // An unprotected nest reads neither checksum state nor configuration.
     let mut no_checks = Checks::new(1, [0; 4]);
-    let bufs = no_checks.view(b_buf);
+    let bufs = no_checks.view(b_buf, false);
     let unread = FtConfig::default();
-    let job = Job::new(kernel, p, &unread, 0, alpha, a, b, beta, c, bufs);
+    let job = Job::new(kernel, p, &unread, alpha, a, b, beta, c, bufs);
     // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
     // team, and an unprotected nest touches `btilde` only.
     unsafe { nest::<T, Solo, false>(&Solo, &job, a_buf) };
@@ -450,6 +446,26 @@ mod tests {
         let (again, after_again) = run(&mut ctx, (128, 128, 128));
         assert_eq!((after_small, after_again), (grown, grown));
         assert_eq!(again.as_slice(), first.as_slice());
+    }
+
+    /// The call count lives in the checksum state: a regrowth between two
+    /// protected calls keeps it, and plan-time `reserve` and plain calls do
+    /// not add to it.
+    #[test]
+    fn protected_calls_are_counted_across_growth() {
+        let cfg = FtConfig::default();
+        let mut ctx = FtGemmContext::<f64>::new();
+        let run = |ctx: &mut FtGemmContext<f64>, cfg: Option<&FtConfig>, dim: usize| {
+            let a = Matrix::<f64>::random(dim, dim, 1);
+            let mut c = Matrix::<f64>::zeros(dim, dim);
+            let (a, c) = (a.as_ref(), &mut c.as_mut());
+            run_serial(ctx, cfg, 1.0, &a, &a, 0.0, c).unwrap();
+        };
+        run(&mut ctx, Some(&cfg), 16);
+        ctx.reserve(Some(&cfg), 96, 96, 96, 1.0).unwrap();
+        run(&mut ctx, None, 160);
+        run(&mut ctx, Some(&cfg), 200);
+        assert_eq!(ctx.checks.view(&mut [], false).call, 2);
     }
 
     #[test]

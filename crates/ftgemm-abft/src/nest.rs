@@ -166,10 +166,13 @@ impl<T: Scalar> Shared<'_, T> {
 }
 
 /// What a [`nest`] works in besides `C` and each member's private `A~`: one
-/// borrowed view of its owner's buffers. An unprotected nest touches
-/// `btilde` only.
+/// borrowed view of its owner's buffers, and which of the owner's protected
+/// calls it serves. An unprotected nest touches `btilde` only.
 #[derive(Debug)]
 pub struct Buffers<'a, T> {
+    /// The call's id on its owner ([`Checks::view`]): member `tid` draws its
+    /// injection sites from stream `call ^ tid << 32`.
+    pub call: u64,
     /// Packed `B~` of one depth panel, packed cooperatively, read by all.
     pub btilde: Shared<'a, T>,
     /// `[ar, bc, enc_row, ref_row, enc_col, ref_col]`: `alpha * e^T A`
@@ -199,15 +202,27 @@ pub fn packed_lens(p: &BlockingParams, m: usize, n: usize, k: usize) -> (usize, 
     (a_rows * kc, kc * b_cols)
 }
 
+/// What [`Checks`] must hold for a [`nest`] over `m x n x k` under `p`, in
+/// [`Checks::new`]'s order: one column block and one depth panel, each
+/// clamped to the problem. Every owner of checksum state sizes it with this.
+pub fn checks_need(p: &BlockingParams, m: usize, n: usize, k: usize) -> [usize; 4] {
+    [m, k, p.nc.min(n), p.kc.min(k)]
+}
+
 /// The checksum state of a protected [`nest`], as its owner holds it: the
-/// buffers behind every field of [`Buffers`] but `btilde`, and the one list
-/// of their sizes — shared by `FtGemmContext` (a team of one) and the
+/// buffers behind every field of [`Buffers`] but `btilde`, the one list of
+/// their sizes, and the count of protected calls that identifies each call's
+/// injection streams — shared by `FtGemmContext` (a team of one) and the
 /// matrix-parallel workspace. The nest overwrites what it slices before
 /// reading it, so a reused state is neither shrunk nor re-zeroed.
 #[derive(Debug)]
 pub struct Checks<T: Scalar> {
+    /// The team the lanes are cut for.
+    nthreads: usize,
     /// Capacities: rows, depth, column-block width, depth-panel length.
     caps: [usize; 4],
+    /// Protected calls viewed so far ([`view`](Self::view)).
+    calls: u64,
     vectors: [AlignedVec<T>; 6],
     lanes: [Vec<T>; 3],
     base: AlignedVec<T>,
@@ -219,25 +234,28 @@ impl<T: Scalar> Checks<T> {
     /// long. No base snapshot yet ([`reserve_base`](Self::reserve_base)).
     pub fn new(nthreads: usize, [m, k, nc, kc]: [usize; 4]) -> Self {
         Checks {
+            nthreads,
             caps: [m, k, nc, kc],
+            calls: 0,
             vectors: [k, kc, m, m, nc, nc].map(AlignedVec::zeroed_or_panic),
             lanes: [nc, kc, nc].map(|lane| vec![T::ZERO; nthreads * lane]),
             base: AlignedVec::zeroed_or_panic(0),
         }
     }
 
-    /// True when this state serves `[m, k, nc, kc]` (see [`new`](Self::new))
-    /// on the team it was built for.
-    pub fn fits(&self, need: [usize; 4]) -> bool {
-        self.caps.iter().zip(need).all(|(&cap, need)| cap >= need)
+    /// True when this state serves `need` ([`checks_need`]) on a team of
+    /// `nthreads`.
+    pub fn fits(&self, nthreads: usize, need: [usize; 4]) -> bool {
+        self.nthreads == nthreads && self.caps.iter().zip(need).all(|(&cap, need)| cap >= need)
     }
 
     /// Rebuilds the state, for a team of `nthreads`, with every capacity
-    /// raised to `need` if it does not fit; no-op otherwise.
+    /// raised to `need` if it does not fit; no-op otherwise. The call count
+    /// belongs to the owner and carries over.
     pub fn ensure(&mut self, nthreads: usize, need: [usize; 4]) {
-        if !self.fits(need) {
+        if !self.fits(nthreads, need) {
             let caps = std::array::from_fn(|i| self.caps[i].max(need[i]));
-            *self = Checks::new(nthreads, caps);
+            self.calls = std::mem::replace(self, Checks::new(nthreads, caps)).calls;
         }
     }
 
@@ -268,9 +286,18 @@ impl<T: Scalar> Checks<T> {
         vectors + lanes + self.base.len()
     }
 
-    /// The nest's view of this state and of the packed-`B~` buffer.
-    pub fn view<'a>(&'a mut self, btilde: &'a mut [T]) -> Buffers<'a, T> {
+    /// The nest's view of this state and of the packed-`B~` buffer, for a
+    /// protected call when `protect` holds. A protected view counts the call,
+    /// and its [`Buffers::call`] — where the call's injection streams come
+    /// from — is the count: 1 on a fresh owner, whatever else the process
+    /// ran. Plain views, [`ensure`](Self::ensure) and
+    /// [`reserve_base`](Self::reserve_base) do not count, so a plain view
+    /// reads the count as is. The one site that makes a call id, for serial
+    /// and pool entries alike.
+    pub fn view<'a>(&'a mut self, btilde: &'a mut [T], protect: bool) -> Buffers<'a, T> {
+        self.calls += u64::from(protect);
         Buffers {
+            call: self.calls,
             btilde: Shared::new(btilde),
             vectors: self.vectors.each_mut().map(|v| Shared::new(v)),
             lanes: self.lanes.each_mut().map(|v| Shared::new(v)),
@@ -287,7 +314,6 @@ pub struct Job<'a, T: Scalar> {
     kernel: Kernel<T>,
     params: BlockingParams,
     cfg: &'a FtConfig,
-    stream_id: u64,
     alpha: T,
     a: MatRef<'a, T>,
     b: MatRef<'a, T>,
@@ -312,13 +338,12 @@ const ABORT: u8 = 2;
 
 impl<'a, T: Scalar> Job<'a, T> {
     /// A job over operands that passed [`prologue`] with `params`. `cfg` is
-    /// read by a protected nest only. Member `tid` draws its injection sites
-    /// from stream `stream_id ^ tid << 32`.
+    /// read by a protected nest only, which draws its injection sites from
+    /// the streams of `bufs.call`.
     pub fn new(
         kernel: Kernel<T>,
         params: BlockingParams,
         cfg: &'a FtConfig,
-        stream_id: u64,
         alpha: T,
         a: &MatRef<'a, T>,
         b: &MatRef<'a, T>,
@@ -330,7 +355,6 @@ impl<'a, T: Scalar> Job<'a, T> {
             kernel,
             params,
             cfg,
-            stream_id,
             alpha,
             a: *a,
             b: *b,
@@ -420,8 +444,9 @@ unsafe fn reduce<T: Scalar>(
 /// Every member of `team` — and nothing else — runs this on `job`, once,
 /// concurrently, each under its own `tid`, and `team.barrier()` holds all of
 /// them. `job.bufs` fit the problem: `btilde` and `atilde` hold what
-/// [`packed_lens`] says; under `PROTECT` the rest as [`Checks::new`] sizes it for this team, with the
-/// base snapshot reserved where [`keeps_base`] holds.
+/// [`packed_lens`] says; under `PROTECT` the rest as [`checks_need`] sizes it
+/// for this team, with the base snapshot reserved where [`keeps_base`] holds,
+/// and viewed with `protect` set.
 pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
     team: &Tm,
     job: &Job<'_, T>,
@@ -453,7 +478,7 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
         stream = cfg
             .injector
             .as_ref()
-            .map(|inj| inj.stream(job.stream_id ^ (tid as u64) << 32, sites));
+            .map(|inj| inj.stream(job.bufs.call ^ (tid as u64) << 32, sites));
         // A_r = alpha * e^T A — the one O(mk) encode pass (§2.3 runs it
         // before the main loops), partitioned along K: disjoint writes.
         let cols = team.partition(k, 1);
@@ -791,17 +816,16 @@ mod tests {
         .unwrap();
 
         for nthreads in [2, 3] {
-            let mut checks = Checks::new(nthreads, [m, k, p.nc, p.kc]);
+            let mut checks = Checks::new(nthreads, checks_need(&p, m, n, k));
             checks.reserve_base(&cfg, -0.5);
             let mut btilde = vec![f64::NAN; p.packed_b_len()];
-            let bufs = checks.view(&mut btilde);
+            let bufs = checks.view(&mut btilde, true);
             let mut c = c0.clone();
             let mut c_view = c.as_mut();
             let job = Job::new(
                 kernel,
                 p,
                 &cfg,
-                0,
                 1.5,
                 &a_ref,
                 &b_ref,

@@ -73,9 +73,11 @@ impl FaultInjector {
 
     /// Opens a site stream.
     ///
-    /// * `stream_id` — disambiguates parallel streams (thread index) and
-    ///   repeated calls (call counter); determinism is per `(seed,
-    ///   stream_id)` pair.
+    /// * `stream_id` — disambiguates repeated calls and the threads of one
+    ///   call; determinism is per `(seed, stream_id)` pair. The loop nest
+    ///   passes `call ^ tid << 32`, where `call` counts the protected calls
+    ///   on the context or workspace it runs in (1 on a fresh one), so a
+    ///   call's pattern replays on a fresh owner.
     /// * `expected_sites` — how many sites the driver will visit on this
     ///   stream; used by [`Rate::Count`] to spread the errors uniformly.
     pub fn stream(&self, stream_id: u64, expected_sites: usize) -> SiteStream {

@@ -13,6 +13,11 @@
 //! Scheduling is dynamic (an atomic cursor over the item array, OpenMP
 //! `schedule(dynamic)` style) so heterogeneous batches do not leave threads
 //! idle behind one long item.
+//!
+//! What stays non-replayable: an item's injection streams derive from the
+//! protected-call count of the slot that ran it, so under an injector a
+//! batch's fault pattern depends on which thread took which item, and the
+//! cursor makes that a race.
 
 use crate::ctx::ParGemmContext;
 use ftgemm_abft::nest::Shared;

@@ -16,7 +16,6 @@ use ftgemm_abft::{FtConfig, FtReport, FtResult};
 use ftgemm_core::{MatMut, MatRef, Scalar};
 use ftgemm_pool::WorkerCtx;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A pool region as the nest's team.
 struct Member<'a, 'p>(&'a WorkerCtx<'p>);
@@ -38,7 +37,8 @@ impl Team for Member<'_, '_> {
 
 /// One nest on `ctx`'s pool over operands that passed [`prologue`], in a
 /// workspace that fits them; a protected caller [`Job::finish`]es what comes
-/// back. `cfg` is read under `PROTECT` only.
+/// back. `cfg` is read under `PROTECT` only, where the call is counted on
+/// `ws`, whose count its injection streams derive from.
 fn run_team<'a, T: Scalar, const PROTECT: bool>(
     ctx: &ParGemmContext<T>,
     ws: &'a mut ParFtWorkspace<T>,
@@ -49,17 +49,12 @@ fn run_team<'a, T: Scalar, const PROTECT: bool>(
     beta: T,
     c: &'a mut MatMut<'_, T>,
 ) -> Job<'a, T> {
-    let mut nonce = 0;
     if PROTECT {
         ws.checks.reserve_base(cfg, beta);
-        // Per-call separation of the injection streams (not security RNG):
-        // thread `tid` draws from stream `nonce ^ tid << 32`.
-        static CALLS: AtomicU64 = AtomicU64::new(0x5EED);
-        nonce = CALLS.fetch_add(0x9E37_79B9, Ordering::Relaxed);
     }
-    let bufs = ws.checks.view(&mut ws.btilde);
+    let bufs = ws.checks.view(&mut ws.btilde, PROTECT);
     let (kernel, p, atilde) = (ctx.kernel, ctx.params, &ws.atilde);
-    let job = Job::new(kernel, p, cfg, nonce, alpha, a, b, beta, c, bufs);
+    let job = Job::new(kernel, p, cfg, alpha, a, b, beta, c, bufs);
     ctx.pool().run(|w| {
         // Slot `tid` is only ever locked by thread `tid` of a region.
         let mut atilde = atilde[w.tid].lock();
@@ -75,10 +70,11 @@ fn run_team<'a, T: Scalar, const PROTECT: bool>(
 /// (reporting [`FtReport::default`]) under `None`.
 ///
 /// `ws` is grown with [`ParFtWorkspace::ensure`] when the problem does not
-/// fit — only the buffers that are too small, so plain and protected calls
-/// can share one workspace without undoing each other's growth — and reused
-/// otherwise, so a caller that keeps one workspace alive — a `GemmPlan`, a
-/// service dispatcher — allocates only when a larger shape first arrives. Every matrix-parallel caller that carries an optional
+/// fit, and reused otherwise. Growth replaces only the buffers that are too
+/// small, so plain and protected calls can share one workspace without
+/// undoing each other's growth. A caller that keeps one workspace alive (a
+/// `GemmPlan`, a service dispatcher) allocates only when a larger shape
+/// first arrives. Every matrix-parallel caller that carries an optional
 /// configuration goes through here, so the protected-vs-plain choice is
 /// made in one place.
 pub fn run_parallel<T: Scalar>(

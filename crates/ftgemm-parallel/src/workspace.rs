@@ -24,9 +24,14 @@
 //! the workspace it reads (packing covers whole padded slabs, checksum
 //! vectors are overwritten per column block, reduction lanes are
 //! zero-filled per panel), so no cross-call re-zeroing is needed.
+//!
+//! The workspace also counts the protected calls it has served, and a call's
+//! injection streams derive from that count, as a serial `FtGemmContext`'s
+//! do from its own: a fault pattern replays on a fresh workspace, whatever
+//! else the process ran.
 
 use crate::ctx::ParGemmContext;
-use ftgemm_abft::nest::{packed_lens, Checks};
+use ftgemm_abft::nest::{checks_need, packed_lens, Checks};
 use ftgemm_abft::FtConfig;
 use ftgemm_core::{AlignedVec, Scalar};
 use parking_lot::Mutex;
@@ -42,17 +47,13 @@ pub struct ParFtWorkspace<T: Scalar> {
     a_len: usize,
     /// The shared packed `B~`: the largest panel served so far.
     pub(crate) btilde: AlignedVec<T>,
-    /// Checksum vectors and one reduction lane per pool thread.
+    /// Checksum vectors, one reduction lane per pool thread, and the count
+    /// of protected calls on this workspace.
     pub(crate) checks: Checks<T>,
     /// Per-thread private packed `A~` buffers. Slot `t` is locked only by
     /// pool thread `t` inside a region, so the mutexes are uncontended;
     /// they exist to keep the type `Sync`.
     pub(crate) atilde: Vec<Mutex<AlignedVec<T>>>,
-}
-
-/// What [`Checks`] must hold for an `m x n x k` problem under `ctx`.
-fn needs<T: Scalar>(ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) -> [usize; 4] {
-    [m, k, ctx.params.nc.min(n), ctx.params.kc.min(k)]
 }
 
 impl<T: Scalar> ParFtWorkspace<T> {
@@ -104,7 +105,8 @@ impl<T: Scalar> ParFtWorkspace<T> {
     /// the exact thread count it was built for (reduction lanes are
     /// reduced across *all* lanes).
     pub fn fits(&self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) -> bool {
-        self.fits_plain(ctx, m, n, k) && self.checks.fits(needs(ctx, m, n, k))
+        let need = checks_need(&ctx.params, m, n, k);
+        self.fits_plain(ctx, m, n, k) && self.checks.fits(ctx.nthreads(), need)
     }
 
     /// True when this workspace can serve an `m x n x k` problem under `ctx`
@@ -117,10 +119,12 @@ impl<T: Scalar> ParFtWorkspace<T> {
 
     /// Grows the workspace (reallocating what is too small, keeping the
     /// rest) if `m x n x k` under `ctx` does not fit the protected entry;
-    /// no-op otherwise. Capacities never shrink.
+    /// no-op otherwise. Capacities never shrink, and the count of protected
+    /// calls carries over.
     pub fn ensure(&mut self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) {
         self.ensure_plain(ctx, m, n, k);
-        self.checks.ensure(ctx.nthreads(), needs(ctx, m, n, k));
+        self.checks
+            .ensure(ctx.nthreads(), checks_need(&ctx.params, m, n, k));
     }
 
     /// [`ensure`](Self::ensure) for the unprotected entry: the packed buffers
@@ -128,8 +132,10 @@ impl<T: Scalar> ParFtWorkspace<T> {
     /// drops — the checksum state protected traffic grew.
     pub(crate) fn ensure_plain(&mut self, ctx: &ParGemmContext<T>, m: usize, n: usize, k: usize) {
         if self.atilde.len() != ctx.nthreads() {
-            // Another team: lanes and slots are per thread.
-            *self = Self::new(ctx);
+            // Another team: the slots are per thread. So are the checksum
+            // lanes, which `Checks::ensure` recuts for the team it is given.
+            self.atilde = Self::new(ctx).atilde;
+            self.a_len = 0;
         }
         let (a_len, b_len) = packed_lens(&ctx.params, m, n, k);
         if self.btilde.len() < b_len {
@@ -219,6 +225,35 @@ mod tests {
         assert!(!ws.fits(&ctx3, 32, 32, 32));
     }
 
+    /// The injection streams of a protected call derive from the count this
+    /// workspace keeps: growing the checksum state or recutting it for
+    /// another team between two protected calls keeps it, and plain calls
+    /// and plan-time `reserve_base` do not add to it.
+    #[test]
+    fn call_ids_continue_across_growth() {
+        let (ctx2, ctx3) = (
+            ParGemmContext::with_threads(2),
+            ParGemmContext::with_threads(3),
+        );
+        let cfg = FtConfig::default();
+        let mut ws = ParFtWorkspace::new(&ctx2);
+        let run = |ctx: &ParGemmContext<f64>, ws: &mut _, cfg: Option<&FtConfig>, dim| {
+            let a = Matrix::<f64>::random(dim, dim, 1);
+            let mut c = Matrix::<f64>::zeros(dim, dim);
+            let (a, c) = (a.as_ref(), &mut c.as_mut());
+            run_parallel(ctx, ws, cfg, 1.0, &a, &a, 0.0, c).unwrap();
+        };
+        run(&ctx2, &mut ws, Some(&cfg), 16);
+        run(&ctx2, &mut ws, None, 160);
+        ws.reserve_base(&cfg, 1.0);
+        run(&ctx2, &mut ws, Some(&cfg), 200);
+        // A plain call recuts the slots only: the lanes still need `ensure`.
+        run(&ctx3, &mut ws, None, 40);
+        assert!(!ws.fits(&ctx3, 40, 40, 40));
+        run(&ctx3, &mut ws, Some(&cfg), 40);
+        assert_eq!(ws.checks.view(&mut [], false).call, 3);
+    }
+
     /// Plain and protected traffic of different shapes on one long-lived
     /// workspace: once each has been seen, nothing is reallocated — a larger
     /// plain problem grows the packed buffers and leaves the checksum state
@@ -243,7 +278,7 @@ mod tests {
                 &mut c.as_mut(),
             )
             .unwrap();
-            let vectors = ws.checks.view(&mut ws.btilde).vectors;
+            let vectors = ws.checks.view(&mut ws.btilde, false).vectors;
             // SAFETY: an empty range borrows no element.
             let vectors = vectors.map(|v| unsafe { v.slice(0..0) }.as_ptr() as usize);
             (ws.base_addr(), vectors)

@@ -1,18 +1,14 @@
-//! Team-wide rollback on the pool entries: an unresolvable pattern on 2 and 4
-//! threads is rolled back and recomputed bit-identically to a clean run at
-//! that thread count, within the budget, and is fail-stop beyond it.
-//!
-//! Its own test binary, and no hunt-then-replay: every protected pool call
-//! draws its injection streams from one process-wide nonce, so a seed hunted
-//! in one call shows another pattern in the next (and
-//! `integration_ft.rs::parallel_campaign_many_seeds` depends on how many
-//! calls its process made before it). Every assertion below holds per run,
-//! whatever pattern the run drew; a seed range stands in for the hunt.
+//! Team-wide rollback on the pool entries, hunted and then replayed. On 2
+//! and 4 threads a seed range yields a pattern that one rollback budget
+//! covers and one that it does not. Each replays bit for bit on a fresh
+//! workspace, after the other calls of the hunt. A covered pattern is
+//! recomputed bit-identically to a clean run at that thread count, and a
+//! pattern past the budget, or under `ReportOnly`, is fail-stop.
 
 use ftgemm::abft::{FtConfig, FtError, FtReport, Recovery};
 use ftgemm::core::{BlockingParams, Matrix};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{par_ft_gemm_with_ws, ParFtWorkspace, ParGemmContext};
+use ftgemm::parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
 
 /// A pool context with tiny blocks (`mc = 2 mr`, `nc = 4 nr`, `kc = 16`) and
 /// a problem of two column blocks by four panels on it, every thread owning
@@ -46,66 +42,95 @@ fn overflow(seed: u64, rate: Rate, recovery: Recovery) -> (FaultInjector, FtConf
     (injector, cfg)
 }
 
-/// `run(cfg, beta)` on one reused workspace: `C` and the entry's result.
-type Run<'a> = Box<dyn FnMut(&FtConfig, f64) -> (Matrix<f64>, Result<FtReport, FtError>) + 'a>;
+/// One call's outcome: the bits of `C` and the entry's result.
+type Outcome = (Vec<u64>, Result<FtReport, FtError>);
 
-fn runner(ctx: &ParGemmContext<f64>, (m, n, k): (usize, usize, usize)) -> Run<'_> {
+/// `run(cfg, beta)` on a fresh workspace, so the call is the workspace's
+/// first and its injection streams depend on `cfg`'s seed alone.
+fn runner(
+    ctx: &ParGemmContext<f64>,
+    (m, n, k): (usize, usize, usize),
+) -> impl Fn(&FtConfig, f64) -> Outcome + '_ {
     let a = Matrix::<f64>::random(m, k, 42);
     let b = Matrix::<f64>::random(k, n, 43);
     let c0 = Matrix::<f64>::random(m, n, 44);
-    let mut ws = ParFtWorkspace::for_problem(ctx, m, n, k);
-    Box::new(move |cfg, beta| {
+    move |cfg, beta| {
         let mut c = c0.clone();
-        let (a, b) = (a.as_ref(), b.as_ref());
-        let res = par_ft_gemm_with_ws(ctx, &mut ws, cfg, 1.0, &a, &b, beta, &mut c.as_mut());
-        (c, res)
-    })
+        let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut ParFtWorkspace::new(ctx));
+        let res = run_parallel(ctx, ws, Some(cfg), 1.0, &a, &b, beta, &mut c.as_mut());
+        (c.as_slice().iter().map(|v| v.to_bits()).collect(), res)
+    }
 }
 
 #[test]
-fn pool_rollback_recomputes_bit_identically_whatever_the_pattern() {
+fn hunted_pool_rollbacks_replay_bit_identically() {
     for threads in [2, 4] {
         let (ctx, dims) = small_blocks(threads);
-        let mut run = runner(&ctx, dims);
-        // Two overflows per thread, each in a panel of its own at worst.
-        let retry = Recovery::RetryPanel {
+        let run = runner(&ctx, dims);
+        // Two overflows per thread, each failing a panel of its own at worst:
+        // `enough` covers any pattern, `tight` some but not all.
+        let enough = Recovery::RetryPanel {
             max_retries: 2 * threads as u32,
         };
+        let tight = Recovery::RetryPanel {
+            max_retries: threads as u32 + 1,
+        };
+        let count = |seed, recovery| overflow(seed, Rate::Count(2), recovery).1;
         for beta in [0.0, 1.0, -0.5] {
+            let at = format!("{threads} threads, beta {beta}");
             let clean_cfg = FtConfig {
-                recovery: retry,
+                recovery: enough,
                 ..Default::default()
             };
             let (c_clean, clean) = run(&clean_cfg, beta);
             let clean = clean.unwrap();
             assert_eq!((clean.verifications, clean.retried_panels), (8, 0));
 
-            let (mut rolled_back, mut failed_stop) = (0, 0);
+            // Any pattern within `enough` is recomputed bit-identically; the
+            // same pattern without a budget stops, or is right.
+            let mut stopped = 0;
             for seed in 0..12u64 {
-                let at = format!("{threads} threads, beta {beta}, seed {seed}");
-                let (c, rep) = run(&overflow(seed, Rate::Count(2), retry).1, beta);
-                let rep = rep.unwrap_or_else(|e| panic!("{at}: {e}"));
-                assert_eq!(c.as_slice(), c_clean.as_slice(), "{at}: {rep:?}");
+                let (c, rep) = run(&count(seed, enough), beta);
+                let rep = rep.unwrap_or_else(|e| panic!("{at}, seed {seed}: {e}"));
+                assert!(rep.retried_panels > 0, "{at}, seed {seed}: {rep:?}");
+                assert_eq!(c, c_clean, "{at}, seed {seed}: {rep:?}");
                 assert_eq!(
                     rep.verifications,
                     clean.verifications + rep.retried_panels,
-                    "{at}: {rep:?}"
+                    "{at}, seed {seed}: {rep:?}"
                 );
-                rolled_back += usize::from(rep.retried_panels > 0);
-
-                // The same injector without a budget: stop, or be right.
-                let report_only = overflow(seed, Rate::Count(2), Recovery::ReportOnly).1;
-                match run(&report_only, beta) {
+                match run(&count(seed, Recovery::ReportOnly), beta) {
                     (c, Ok(rep)) => {
-                        assert_eq!(c.as_slice(), c_clean.as_slice(), "{at}: {rep:?}");
-                        assert_eq!(rep.retried_panels, 0, "{at}");
+                        assert_eq!(c, c_clean, "{at}, seed {seed}: {rep:?}");
+                        assert_eq!(rep.retried_panels, 0, "{at}, seed {seed}");
                     }
-                    (_, Err(FtError::Unrecoverable { .. })) => failed_stop += 1,
-                    (_, Err(e)) => panic!("{at}: {e}"),
+                    (_, Err(FtError::Unrecoverable { .. })) => stopped += 1,
+                    (_, Err(e)) => panic!("{at}, seed {seed}: {e}"),
                 }
             }
-            assert!(rolled_back > 0, "{threads} threads, beta {beta}");
-            assert!(failed_stop > 0, "{threads} threads, beta {beta}");
+            assert!(stopped > 0, "{at}: no pattern stopped without a budget");
+
+            // Under `tight` every seed is rolled back to the clean `C` or is
+            // fail-stop; the first of each kind replays.
+            let (mut covered, mut failed) = (None, None);
+            for seed in 0..32u64 {
+                let outcome = run(&count(seed, tight), beta);
+                match &outcome {
+                    (c, Ok(rep)) => {
+                        assert_eq!(*c, c_clean, "{at}, seed {seed}: {rep:?}");
+                        covered.get_or_insert((seed, outcome));
+                    }
+                    (_, Err(FtError::Unrecoverable { .. })) => {
+                        failed.get_or_insert((seed, outcome));
+                    }
+                    (_, Err(e)) => panic!("{at}, seed {seed}: {e}"),
+                }
+            }
+            for (kind, hunted) in [("covered", covered), ("fail-stop", failed)] {
+                let (seed, hunted) =
+                    hunted.unwrap_or_else(|| panic!("{at}: no {kind} seed in 0..32"));
+                assert_eq!(run(&count(seed, tight), beta), hunted, "{at}, seed {seed}");
+            }
         }
     }
 }
@@ -113,26 +138,33 @@ fn pool_rollback_recomputes_bit_identically_whatever_the_pattern() {
 #[test]
 fn a_fault_during_the_replay_with_the_budget_spent_is_fail_stop() {
     let (ctx, dims) = small_blocks(2);
-    let mut run = runner(&ctx, dims);
+    let run = runner(&ctx, dims);
     let once = Recovery::RetryPanel { max_retries: 1 };
     for beta in [0.0, -0.5] {
         let (c_clean, clean) = run(&overflow(0, Rate::Count(0), once).1, beta);
         clean.unwrap();
-        let mut spent = 0;
-        for seed in 0..12u64 {
-            // An overflow at every other site, replays included.
+        // An overflow at every other site, replays included; what the
+        // injector counted as unrecoverable comes with the outcome.
+        let spend = |seed| {
             let (injector, cfg) = overflow(seed, Rate::PerSite(0.5), once);
-            match run(&cfg, beta) {
-                (c, Ok(rep)) => assert_eq!(c.as_slice(), c_clean.as_slice(), "{seed}: {rep:?}"),
-                (_, Err(FtError::Unrecoverable { .. })) => {
-                    // One failed verification was rolled back; the replay
-                    // (or a later panel of that block) failed another.
-                    assert_eq!(injector.stats().unrecoverable(), 2, "seed {seed}");
-                    spent += 1;
+            let outcome = run(&cfg, beta);
+            (outcome, injector.stats().unrecoverable())
+        };
+        let mut spent = None;
+        for seed in 0..12u64 {
+            let ((c, res), unrecoverable) = spend(seed);
+            match res {
+                Ok(rep) => assert_eq!(c, c_clean, "seed {seed}: {rep:?}"),
+                // One failed verification was rolled back; the replay (or a
+                // later panel of that block) failed another.
+                Err(FtError::Unrecoverable { .. }) => {
+                    assert_eq!(unrecoverable, 2, "beta {beta}, seed {seed}");
+                    spent.get_or_insert((seed, ((c, res), unrecoverable)));
                 }
-                (_, Err(e)) => panic!("seed {seed}: {e}"),
+                Err(e) => panic!("seed {seed}: {e}"),
             }
         }
-        assert!(spent > 0, "beta {beta}: no run spent its budget");
+        let (seed, spent) = spent.unwrap_or_else(|| panic!("beta {beta}: no run spent its budget"));
+        assert_eq!(spend(seed), spent, "beta {beta}, seed {seed}");
     }
 }

@@ -110,7 +110,8 @@ proptest! {
 /// `par_*_with_ws` driver run directly on a *fresh* workspace with the same
 /// thread count (same partitioning, same per-element accumulation order).
 /// The last request rolls back on the reused workspace, and its report
-/// matches too.
+/// matches too: the direct side's fresh workspace first counts as many
+/// protected calls as the node has served, so both draw the same pattern.
 #[test]
 fn large_path_is_bit_identical_to_fresh_workspaces() {
     const THREADS: usize = 2;
@@ -121,9 +122,11 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
         ..ServiceConfig::default()
     });
     let ctx = ParGemmContext::<f64>::with_threads(THREADS);
+    let (one, clean) = (Matrix::<f64>::filled(1, 1, 1.0), FtConfig::default());
+    let mut protected_calls = 0;
     // One request through the service and through the driver on a fresh
     // workspace; both `C`s, both reports.
-    let both_ways = |step: usize, (m, n, k): (usize, usize, usize), policy: FtPolicy, injector| {
+    let mut both_ways = |step: usize, (m, n, k), policy: FtPolicy, injector| {
         let seed = 1_000 + step as u64;
         let a = Matrix::<f64>::random(m, k, seed);
         let b = Matrix::<f64>::random(k, n, seed + 1);
@@ -141,17 +144,26 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
 
         let mut expected = c0;
         let report = match policy.to_config(injector) {
-            Some(cfg) => par_ft_gemm_with_ws(
-                &ctx,
-                &mut ParFtWorkspace::for_problem(&ctx, m, n, k),
-                &cfg,
-                1.5,
-                &a.as_ref(),
-                &b.as_ref(),
-                0.5,
-                &mut expected.as_mut(),
-            )
-            .unwrap(),
+            Some(cfg) => {
+                let mut ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
+                for _ in 0..protected_calls {
+                    let (o, mut c) = (one.as_ref(), one.clone());
+                    par_ft_gemm_with_ws(&ctx, &mut ws, &clean, 1.0, &o, &o, 0.0, &mut c.as_mut())
+                        .unwrap();
+                }
+                protected_calls += 1;
+                par_ft_gemm_with_ws(
+                    &ctx,
+                    &mut ws,
+                    &cfg,
+                    1.5,
+                    &a.as_ref(),
+                    &b.as_ref(),
+                    0.5,
+                    &mut expected.as_mut(),
+                )
+                .unwrap()
+            }
             None => {
                 par_gemm_with_ws(
                     &ctx,
@@ -192,25 +204,19 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
         }
     }
 
-    // A rollback on the reused workspace. The two calls draw their injection
-    // streams from a process-wide nonce, so the pattern must not depend on
-    // the stream: one macro-kernel call per member (no extent exceeds its
-    // block) leaves each stream a single site, and an infinite error there is
-    // one no correction resolves, wherever it lands.
-    let p = ctx.params;
-    let rows_each = p.mr * (p.mc / p.mr).min(4);
-    let shape = (
-        THREADS * rows_each - 3,
-        (5 * p.nr + 3).min(p.nc),
-        200.min(p.kc),
-    );
+    // A rollback on the reused workspace: an overflow per thread. The shape
+    // is one depth panel (`kc >= 64` under any derived blocking) of one
+    // column block, so one rollback of that panel covers both overflows.
     let model = ErrorModel::Additive {
         magnitude: f64::INFINITY,
     };
     let injector = FaultInjector::new(77, model, Rate::Count(1));
+    let shape = (520, 100, 64);
     let (served, direct) = both_ways(step, shape, FtPolicy::DetectCorrect, Some(injector));
     assert_eq!(served, direct);
-    assert_eq!((served.injected, served.retried_panels), (THREADS, 1));
+    let want = (2, THREADS, 1);
+    let got = (served.verifications, served.injected, served.retried_panels);
+    assert_eq!(got, want, "{served:?}");
 
     let snap = service.shutdown();
     assert_eq!(snap.direct_large, step as u64 + 1);
@@ -220,13 +226,11 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
 /// A rollback is the loop nest's own business, so every path shows the same
 /// one: a pattern correction cannot repair, through a serial plan, a
 /// `GemmBatch` item and the service's small path, gives the bit-identical `C`
-/// and the same `FtReport` (fresh contexts everywhere, so all three open the
+/// and the same `FtReport` (fresh owners everywhere, so all three open the
 /// injector's first stream). The service's large path and an `Exec::Parallel`
-/// plan roll back too; they draw their streams from a process-wide nonce, so
-/// the two see different patterns and what they share is the result — the
-/// clean run's `C` at that thread count. (One overflow per thread there: two
-/// failing panels at most, inside `DetectCorrect`'s budget of two rollbacks
-/// per column block wherever the nonce puts them.)
+/// plan roll back too, on fresh two-thread workspaces: the two draw the same
+/// pattern, so they share the report, and their `C` is the clean run's at
+/// that thread count.
 #[test]
 fn rollback_is_identical_across_serial_paths() {
     // At least three KC panels under any derived blocking (kc <= 512), and
@@ -236,14 +240,30 @@ fn rollback_is_identical_across_serial_paths() {
     let a = Matrix::<f64>::random(m, k, 7);
     let b = Matrix::<f64>::random(k, n, 8);
     let c0 = Matrix::<f64>::random(m, n, 9);
-    // An overflowed element: subtraction cannot repair it, rollback can.
-    let overflows = |per_stream| {
-        let model = ErrorModel::Additive {
-            magnitude: f64::INFINITY,
+    let ctx = ParGemmContext::<f64>::with_threads(2);
+    let on_plan = |injector: Option<FaultInjector>| {
+        let mut c = c0.clone();
+        let op = GemmOp::new(&a, &b).beta(beta).ft(FtPolicy::DetectCorrect);
+        let op = match injector {
+            Some(injector) => op.injector(injector),
+            None => op,
         };
-        FaultInjector::new(13, model, Rate::Count(per_stream))
+        let report = op.plan(Exec::Parallel(&ctx)).unwrap().run(&mut c.as_mut());
+        (c, report)
     };
-    let overflow = || overflows(2);
+    // An overflowed element: subtraction cannot repair it, rollback can. Two
+    // per stream make four on the pool, so hunt a seed whose pattern there
+    // fits `DetectCorrect`'s two rollbacks per column block.
+    let model = ErrorModel::Additive {
+        magnitude: f64::INFINITY,
+    };
+    let seed = (0..64u64)
+        .find(|&seed| {
+            let injector = FaultInjector::new(seed, model, Rate::Count(2));
+            on_plan(Some(injector)).1.is_ok()
+        })
+        .expect("no seed in 0..64 fits the budget on two threads");
+    let overflow = || FaultInjector::new(seed, model, Rate::Count(2));
 
     let mut c_plan = c0.clone();
     let planned = GemmOp::new(&a, &b)
@@ -259,7 +279,6 @@ fn rollback_is_identical_across_serial_paths() {
         "{planned:?}"
     );
 
-    let ctx = ParGemmContext::<f64>::with_threads(2);
     let cfg = FtPolicy::DetectCorrect.to_config(Some(overflow()));
     let mut c_batch = c0.clone();
     let mut items = [BatchItem {
@@ -296,32 +315,21 @@ fn rollback_is_identical_across_serial_paths() {
         routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
         ..ServiceConfig::default()
     });
-    let on_plan = |injector: Option<FaultInjector>| {
-        let mut c = c0.clone();
-        let op = GemmOp::new(&a, &b).beta(beta).ft(FtPolicy::DetectCorrect);
-        let op = match injector {
-            Some(injector) => op.injector(injector),
-            None => op,
-        };
-        let report = op
-            .plan(Exec::Parallel(&ctx))
-            .unwrap()
-            .run(&mut c.as_mut())
-            .unwrap();
-        (c, report)
-    };
     let (c_clean, clean) = on_plan(None);
+    let clean = clean.unwrap();
     assert_eq!(clean.retried_panels, 0, "{clean:?}");
-    let (c_par, par) = on_plan(Some(overflows(1)));
+    let (c_par, par) = on_plan(Some(overflow()));
+    let par = par.unwrap();
     let resp = large
         .run(
             GemmRequest::new(a.clone(), b.clone())
                 .with_c(beta, c0.clone())
                 .with_policy(FtPolicy::DetectCorrect)
-                .with_injector(overflows(1)),
+                .with_injector(overflow()),
         )
         .unwrap();
     assert!(!resp.batched, "left the matrix-parallel path");
+    assert_eq!(resp.report, par);
     for (path, c, report) in [
         ("plan", c_par.as_slice(), par),
         ("service", resp.c.as_slice(), resp.report),
