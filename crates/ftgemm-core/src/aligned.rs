@@ -6,18 +6,28 @@
 //! alignment promise beyond `align_of::<T>()`, so we own the allocation.
 //!
 //! Small buffers come from the global allocator. A buffer of 256 KiB or more
-//! (Linux) is its own anonymous mapping, unmapped when it is dropped: zero
-//! pages that nobody has touched yet, so each is faulted in by the thread
-//! that first writes it — the pool thread that packs into it or computes on
-//! it, not the thread that asked for it — and what the buffer costs is a
-//! property of its size. Through `malloc` it is not: glibc serves such a
-//! size from a fresh mapping or from recycled heap depending on a threshold
-//! that slides with what the process freed before (and an aligned
-//! `alloc_zeroed` then `memset`s it on the allocating thread either way), so
-//! a service handing out one result matrix per request runs 20% faster or
-//! slower by which of the two a process happens to settle into. The floor
-//! sits above every buffer of the batched small-request path (a 128 x 128
-//! `f64` result is 128 KiB), which keeps `malloc`'s recycling.
+//! (Linux) is its own anonymous mapping: zero pages that nobody has touched
+//! yet, so each is faulted in by the thread that first writes it — the pool
+//! thread that packs into it or computes on it, not the thread that asked for
+//! it — and what the buffer costs is a property of its size. Through `malloc`
+//! it is not: glibc serves such a size from a fresh mapping or from recycled
+//! heap depending on a threshold that slides with what the process freed
+//! before (and an aligned `alloc_zeroed` then `memset`s it on the allocating
+//! thread either way), so a service handing out one result matrix per request
+//! runs 20% faster or slower by which of the two a process happens to settle
+//! into. The floor sits above every buffer of the batched small-request path
+//! (a 128 x 128 `f64` result is 128 KiB), which keeps `malloc`'s recycling.
+//!
+//! A dropped mapping of at most 8 MiB is not unmapped but kept, whole, on a
+//! process-wide first-in first-out list of spares, at most 4 of them and
+//! 8 MiB together; whatever does not fit is unmapped, oldest first. The next
+//! buffer of exactly the same page-rounded length takes the oldest such
+//! spare, zeroed by the thread that asks for it, instead of mapping and then
+//! faulting in every page again: a service that hands out one result per
+//! request pays that result's page faults once per process, not once per
+//! request (size-class caches such as Hoard's, ASPLOS 2000). Reuse depends on
+//! the length alone, never on what was freed before, so the cost is still a
+//! property of the size. A buffer of a length no spare has is mapped fresh.
 //!
 //! A buffer of 2 MiB or more (x86-64) starts on a 2 MiB boundary and is
 //! advised onto transparent huge pages, so each whole 2 MiB extent of it is
@@ -25,7 +35,8 @@
 //! blocks by TLB reach as well as by cache. Its length is not rounded up: the
 //! partial extent at its end stays on 4 KiB pages, so what it makes resident
 //! is what is written. Where the kernel refuses the advice the buffer keeps
-//! 4 KiB pages and is otherwise the same.
+//! 4 KiB pages and is otherwise the same. A spare keeps its placement and its
+//! advice, and only a buffer that wants huge pages takes one that has them.
 
 use crate::error::{CoreError, Result};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
@@ -48,6 +59,17 @@ pub fn huge_buffers() -> u64 {
     pages::ADVISED.load(Ordering::Relaxed)
 }
 
+/// Buffers served from a dropped mapping of the same length instead of a
+/// fresh one, process-wide. Zero where buffers are never mapped.
+pub fn recycled_buffers() -> u64 {
+    pages::RECYCLED.load(Ordering::Relaxed)
+}
+
+/// Bytes of dropped mappings held for reuse right now: at most 8 MiB.
+pub fn spare_bytes() -> usize {
+    pages::spare_bytes()
+}
+
 /// Anonymous zero-filled mappings, for the buffers `malloc` would place by
 /// its history rather than by their size.
 #[cfg(all(
@@ -55,12 +77,18 @@ pub fn huge_buffers() -> u64 {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod pages {
+    use std::collections::VecDeque;
     use std::ffi::{c_int, c_void};
     use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// Smallest buffer that is mapped, in bytes.
     pub const MIN_BYTES: usize = 256 * 1024;
+    /// Most dropped mappings kept for reuse.
+    const SPARE_BUFFERS: usize = 4;
+    /// Most bytes kept among them; a longer buffer is never kept.
+    const SPARE_BYTES: usize = 8 << 20;
     /// Smallest buffer placed on huge pages, in bytes: one x86-64 huge page.
     /// aarch64 kernels run 4, 16 or 64 KiB base pages (and huge pages to
     /// match), so the trim below is only done where the base page is known.
@@ -72,6 +100,41 @@ mod pages {
     const PAGE: usize = 4096;
     pub static MAPPED: AtomicU64 = AtomicU64::new(0);
     pub static ADVISED: AtomicU64 = AtomicU64::new(0);
+    pub static RECYCLED: AtomicU64 = AtomicU64::new(0);
+
+    /// A dropped mapping: where its pages start, how many bytes of them, and
+    /// whether they were placed for huge pages. A buffer of `bytes` may take
+    /// it when [`key`]`(bytes)` is `(len, huge)`.
+    struct Spare {
+        at: usize,
+        len: usize,
+        huge: bool,
+    }
+
+    /// Dropped mappings, oldest first. A leaf lock: nothing else is taken,
+    /// and no mapping is made, zeroed or unmapped, while it is held.
+    static SPARES: Mutex<VecDeque<Spare>> = Mutex::new(VecDeque::new());
+
+    fn spares() -> MutexGuard<'static, VecDeque<Spare>> {
+        // Nothing panics while the list is held; were something to, the
+        // list is still a set of whole, unused mappings.
+        SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What a buffer of `bytes` is kept and found by: its page-rounded
+    /// length, and whether it lies on huge pages (a 2 MiB buffer and one a
+    /// few bytes short of it round to the same length, placed differently).
+    fn key(bytes: usize) -> (usize, bool) {
+        (bytes.next_multiple_of(PAGE), bytes >= HUGE_BYTES)
+    }
+
+    fn held(spares: &VecDeque<Spare>) -> usize {
+        spares.iter().map(|s| s.len).sum()
+    }
+
+    pub fn spare_bytes() -> usize {
+        held(&spares())
+    }
 
     // <sys/mman.h> on Linux, x86-64 and aarch64.
     const PROT_READ_WRITE: c_int = 0x1 | 0x2;
@@ -107,11 +170,25 @@ mod pages {
         [start..kept, kept..end, end..start + span(bytes)]
     }
 
-    /// `bytes` of zeroed, page-aligned memory, no page of it resident yet; or
-    /// null. From [`HUGE_BYTES`] on, 2 MiB-aligned and advised onto huge
-    /// pages.
+    /// `bytes` of zeroed, page-aligned memory, or null. From [`HUGE_BYTES`]
+    /// on, 2 MiB-aligned and advised onto huge pages. The oldest spare of
+    /// the same [`key`] if there is one, zeroed here; else a fresh mapping,
+    /// no page of it resident yet.
     pub fn map(bytes: usize) -> *mut u8 {
-        let huge = bytes >= HUGE_BYTES;
+        let (len, huge) = key(bytes);
+        let spare = {
+            let mut spares = spares();
+            let found = spares.iter().position(|s| (s.len, s.huge) == (len, huge));
+            found.and_then(|i| spares.remove(i))
+        };
+        if let Some(spare) = spare {
+            RECYCLED.fetch_add(1, Ordering::Relaxed);
+            let at = spare.at as *mut u8;
+            // SAFETY: a spare's `len >= bytes` bytes are mapped and, once off
+            // the list, nobody's but this caller's.
+            unsafe { at.write_bytes(0, bytes) };
+            return at;
+        }
         // SAFETY: a fresh private anonymous mapping aliases nothing.
         let p = unsafe {
             mmap(
@@ -148,12 +225,38 @@ mod pages {
         at
     }
 
+    /// Puts the buffer at the back of the spares, then unmaps the oldest
+    /// spares until at most [`SPARE_BUFFERS`] of at most [`SPARE_BYTES`]
+    /// remain; a buffer longer than that is unmapped at once.
+    ///
     /// # Safety
     /// `ptr` came from [`map`]`(bytes)` and is not used again.
-    pub unsafe fn unmap(ptr: *mut u8, bytes: usize) {
+    pub unsafe fn release(ptr: *mut u8, bytes: usize) {
+        let (at, (len, huge)) = (ptr as usize, key(bytes));
+        if len > SPARE_BYTES {
+            // SAFETY: the caller's contract.
+            unsafe { unmap(at, len) };
+            return;
+        }
+        spares().push_back(Spare { at, len, huge });
+        let evict = || {
+            let mut spares = spares();
+            let over = spares.len() > SPARE_BUFFERS || held(&spares) > SPARE_BYTES;
+            over.then(|| spares.pop_front()).flatten()
+        };
+        while let Some(old) = evict() {
+            // SAFETY: off the list, a spare is nobody's.
+            unsafe { unmap(old.at, old.len) };
+        }
+    }
+
+    /// # Safety
+    /// `at` came from [`map`] for a buffer of `len` page-rounded bytes and is
+    /// not used again.
+    unsafe fn unmap(at: usize, len: usize) {
         // SAFETY: the caller's contract; `map` left exactly the pages of
-        // `ptr..ptr + bytes` mapped, so unmapping them cannot fail.
-        unsafe { munmap(ptr.cast(), bytes) };
+        // `at..at + len` mapped, so unmapping them cannot fail.
+        unsafe { munmap(at as *mut c_void, len) };
     }
 }
 
@@ -168,6 +271,11 @@ mod pages {
     pub const MIN_BYTES: usize = usize::MAX;
     pub static MAPPED: AtomicU64 = AtomicU64::new(0);
     pub static ADVISED: AtomicU64 = AtomicU64::new(0);
+    pub static RECYCLED: AtomicU64 = AtomicU64::new(0);
+
+    pub fn spare_bytes() -> usize {
+        0
+    }
 
     pub fn map(_bytes: usize) -> *mut u8 {
         std::ptr::null_mut()
@@ -175,7 +283,7 @@ mod pages {
 
     /// # Safety
     /// Never called: no length reaches `MIN_BYTES`.
-    pub unsafe fn unmap(_ptr: *mut u8, _bytes: usize) {}
+    pub unsafe fn release(_ptr: *mut u8, _bytes: usize) {}
 }
 
 /// A fixed-length, 64-byte aligned, zero-initialized heap buffer.
@@ -298,7 +406,7 @@ impl<T: Copy> Drop for AlignedVec<T> {
             Layout::from_size_align(bytes, ALIGN.max(std::mem::align_of::<T>())).expect("layout");
         if bytes >= pages::MIN_BYTES {
             // SAFETY: mapped with the identical length in `zeroed`.
-            unsafe { pages::unmap(self.ptr.as_ptr().cast(), bytes) };
+            unsafe { pages::release(self.ptr.as_ptr().cast(), bytes) };
             return;
         }
         // SAFETY: allocated with the identical layout in `zeroed`.

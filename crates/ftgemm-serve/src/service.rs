@@ -17,7 +17,7 @@ use crate::routing::{RoutePath, RouteState, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::CompletionSink;
 use ftgemm_abft::{FtReport, FtResult};
-use ftgemm_core::Scalar;
+use ftgemm_core::{aligned, Scalar};
 use ftgemm_obs::{
     Counter, Exposition, Histogram, MetricKind, ObsRoutes, ObsServer, Registry, TraceEvent,
     TracePath, Tracelog,
@@ -681,9 +681,10 @@ fn render_metrics_of<T: Scalar>(inner: &Inner<T>) -> String {
 
 /// Registers the live half of the service's families in its registry:
 /// values whose truth is state the service keeps anyway (queue depths, the
-/// routing learner, the fault-policy monitor, the pools) or a formula over
-/// the counted cells of [`ServiceStats`], read at scrape time. Each cell
-/// holds a `Weak`, since `inner` owns the registry.
+/// routing learner, the fault-policy monitor, the pools, the process's
+/// mapped and recycled buffers) or a formula over the counted cells of
+/// [`ServiceStats`], read at scrape time. Each cell holds a `Weak`, since
+/// `inner` owns the registry.
 fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
     use MetricKind::{Counter, Gauge};
     let registry = &inner.stats.registry;
@@ -785,6 +786,24 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
         Counter,
         "Barrier crossings across this service's node pools.",
         |i| pool_stats(i).barrier_crossings as f64,
+    );
+    live(
+        "ftgemm_mapped_buffers_total",
+        Counter,
+        "Buffers of 256 KiB or more mapped fresh from the OS, process-wide.",
+        |_| aligned::mapped_buffers() as f64,
+    );
+    live(
+        "ftgemm_recycled_buffers_total",
+        Counter,
+        "Buffers of 256 KiB or more taken back from a dropped mapping of the same length, process-wide.",
+        |_| aligned::recycled_buffers() as f64,
+    );
+    live(
+        "ftgemm_spare_buffer_bytes",
+        Gauge,
+        "Bytes of dropped mappings held for reuse, process-wide (at most 8 MiB).",
+        |_| aligned::spare_bytes() as f64,
     );
     per_node(
         "ftgemm_node_queue_depth",

@@ -10,17 +10,18 @@
 //! pool; the submitter builds operand and result matrices, which are the
 //! request, not the service. Buffers large enough to be mapped from the OS
 //! never reach a global allocator (`ftgemm::core::aligned`), so those are
-//! counted process-wide and held to the request's own three matrices. Its own
-//! binary, with one test: a sibling test's service threads would be counted
-//! too.
+//! counted process-wide, mapped fresh or taken back from the spares dropped
+//! mappings leave, and held to the request's own result. Its own binary,
+//! with one test: a sibling test's service threads would be counted too.
 
 use ftgemm::abft::nest::packed_lens;
-use ftgemm::core::aligned::{huge_buffers, mapped_buffers};
+use ftgemm::core::aligned::{huge_buffers, mapped_buffers, recycled_buffers};
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
 use ftgemm::{GemmContext, Matrix, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const LARGE: usize = 64 * 1024;
 
@@ -71,73 +72,88 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn a_warm_node_serves_large_requests_without_large_allocations() {
     const THREADS: usize = 2;
     SUBMITTING.with(|s| s.set(true));
+
+    // What a request maps by itself is its result, which `GemmRequest::new`
+    // makes and the client drops; the operands are shared, as a served
+    // client's uploaded operands are. Measured before anything of that size
+    // was dropped, so on fresh mappings: one buffer, and at 512^2 one on
+    // huge pages when the kernel takes the advice at all.
+    let own = {
+        let before = mapped_buffers();
+        let _c = Matrix::<f64>::zeros(256, 256);
+        mapped_buffers() - before
+    };
+    let own_huge = {
+        let before = huge_buffers();
+        let _c = Matrix::<f64>::zeros(512, 512);
+        huge_buffers() - before
+    };
+    assert!(own_huge <= own, "{own_huge} advised of {own}");
+
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: THREADS,
         topology: Some(Topology::single(THREADS)),
         routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
         ..ServiceConfig::default()
     });
-    let run = |step: u64, dim: usize, policy: FtPolicy| {
-        let a = Matrix::<f64>::random(dim, dim, step);
-        let b = Matrix::<f64>::random(dim, dim, step + 100);
+    let operands = [256, 384, 512].map(|dim| {
+        let a = Matrix::<f64>::random(dim, dim, dim as u64);
+        let b = Matrix::<f64>::random(dim, dim, dim as u64 + 100);
+        (dim, Arc::new(a), Arc::new(b))
+    });
+    let run = |step: usize, policy: FtPolicy| {
+        let (dim, a, b) = &operands[step % 3];
         let resp = service
             .run(GemmRequest::new(a, b).with_policy(policy))
             .unwrap();
         assert!(
             !resp.batched,
-            "request {step} left the matrix-parallel path"
+            "request {step} ({dim}^3) left the matrix-parallel path"
         );
     };
     assert_eq!(service.stats().per_node[0].large_workspace_bytes, 0);
 
-    for (step, dim) in [256, 384, 512].into_iter().enumerate() {
-        run(step as u64, dim, FtPolicy::DetectCorrect);
+    for step in 0..3 {
+        run(step, FtPolicy::DetectCorrect);
     }
     let held = service.stats().per_node[0].large_workspace_bytes;
     assert!(held > 0, "the node keeps its workspace");
 
-    // What a request maps by itself: `A`, `B` and the result. Of those, only
-    // a 512^2 request's are 2 MiB and go on huge pages (when the kernel
-    // takes the advice at all).
-    let own = {
-        let before = mapped_buffers();
-        let _abc = [(); 3].map(|()| Matrix::<f64>::zeros(256, 256));
-        mapped_buffers() - before
-    };
-    let own_huge = {
-        let before = huge_buffers();
-        let _abc = [(); 3].map(|()| Matrix::<f64>::zeros(512, 512));
-        huge_buffers() - before
-    };
-    assert!(own_huge == 0 || own_huge == 3, "{own_huge} of 3");
-    let (before, mapped_before, huge_before) = (
+    let (before, mapped_before, recycled_before, huge_before) = (
         LARGE_OFF_SUBMITTER.load(Ordering::Relaxed),
         mapped_buffers(),
+        recycled_buffers(),
         huge_buffers(),
     );
-    for step in 0..12u64 {
-        let dim = [512, 256, 384][step as usize % 3];
-        let policy = [FtPolicy::Off, FtPolicy::DetectCorrect][step as usize % 2];
-        run(10 + step, dim, policy);
+    for step in 0..12 {
+        let policy = [FtPolicy::Off, FtPolicy::DetectCorrect][step % 2];
+        run(step, policy);
     }
     let made = LARGE_OFF_SUBMITTER.load(Ordering::Relaxed) - before;
     assert_eq!(
         made, 0,
         "steady-state large requests allocated {made} times"
     );
+    // Each result is a fresh mapping or the spare a dropped result left.
     let mapped = mapped_buffers() - mapped_before;
+    let recycled = recycled_buffers() - recycled_before;
     assert_eq!(
-        mapped,
+        mapped + recycled,
         12 * own,
-        "steady-state large requests mapped more than their own matrices"
+        "steady-state large requests took more buffers than their results"
     );
-    // Four of the twelve are 512^2; 256^2 and 384^2 matrices, and the warm
-    // workspace, advise nothing.
-    let huge = huge_buffers() - huge_before;
     assert_eq!(
-        huge,
-        4 * own_huge,
-        "huge-page buffers beyond the 512^2 matrices"
+        recycled > 0,
+        own > 0,
+        "no result of a warm node came from a spare ({mapped} mapped)"
+    );
+    // Four of the twelve results are 512^2, and only those of them mapped
+    // fresh advise; 256^2 and 384^2 results, and the warm workspace, advise
+    // nothing.
+    let huge = huge_buffers() - huge_before;
+    assert!(
+        huge <= 4 * own_huge,
+        "{huge} huge-page buffers beyond the 512^2 results"
     );
 
     // What the node holds did not move, and it is the largest shape served:

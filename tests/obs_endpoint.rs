@@ -4,6 +4,7 @@
 //! service is quiesced — every service-scoped counter in the scrape equals
 //! the in-process [`StatsSnapshot`] the service reports.
 
+use ftgemm::core::aligned;
 use ftgemm::obs::Registry;
 use ftgemm::serve::exec::block_on;
 use ftgemm::serve::{
@@ -156,7 +157,10 @@ fn scraped_counters_match_in_process_snapshot() {
     let snap = service.stats();
     assert_eq!(snap.completed, 24);
 
+    let buffers = || (aligned::mapped_buffers(), aligned::recycled_buffers());
+    let before = buffers();
     let (status, body) = http_get(addr, "/metrics");
+    let after = buffers();
     assert_eq!(status, 200);
     let samples = parse_exposition(&body);
 
@@ -312,6 +316,20 @@ fn scraped_counters_match_in_process_snapshot() {
     assert!(samples["ftgemm_pool_regions_total"] > 0.0);
     assert!(samples["ftgemm_obs_scrapes_total"] >= 1.0);
 
+    // So did the allocator's counts, read at scrape time: sibling tests
+    // move them, but only upward, so the scrape lies between two reads.
+    let scraped = (
+        samples["ftgemm_mapped_buffers_total"] as u64,
+        samples["ftgemm_recycled_buffers_total"] as u64,
+    );
+    assert!(before.0 <= scraped.0 && scraped.0 <= after.0, "{scraped:?}");
+    assert!(before.1 <= scraped.1 && scraped.1 <= after.1, "{scraped:?}");
+    let spare = samples["ftgemm_spare_buffer_bytes"];
+    assert!(
+        spare <= (8 << 20) as f64 && spare % 4096.0 == 0.0,
+        "{spare}"
+    );
+
     // The scrape body is exactly what the in-process renderer produces for
     // the same quiesced state, minus time-derived gauges which move between
     // the two renders.
@@ -328,7 +346,7 @@ fn scraped_counters_match_in_process_snapshot() {
 /// touched, so no family is missing for want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 51] = [
+    const GOLDEN: [(&str, &str); 54] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -344,6 +362,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_ftpolicy_error_rate_per_flop", "gauge"),
         ("ftgemm_ftpolicy_escalations_total", "counter"),
         ("ftgemm_ftpolicy_node_floor", "gauge"),
+        ("ftgemm_mapped_buffers_total", "counter"),
         ("ftgemm_node_batch_busy_seconds_total", "counter"),
         ("ftgemm_node_batch_wall_seconds_total", "counter"),
         ("ftgemm_node_dispatched_total", "counter"),
@@ -352,6 +371,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_node_stolen_total", "counter"),
         ("ftgemm_node_threads", "gauge"),
         ("ftgemm_queue_depth", "gauge"),
+        ("ftgemm_recycled_buffers_total", "counter"),
         ("ftgemm_request_turnaround_seconds", "histogram"),
         ("ftgemm_request_turnaround_seconds_mean", "gauge"),
         ("ftgemm_requests_completed_total", "counter"),
@@ -370,6 +390,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_routing_parallel_observations_total", "counter"),
         ("ftgemm_service_pool_barrier_crossings_total", "counter"),
         ("ftgemm_service_pool_regions_total", "counter"),
+        ("ftgemm_spare_buffer_bytes", "gauge"),
         ("ftgemm_steal_wakeups_total", "counter"),
         ("ftgemm_tenant_admitted_total", "counter"),
         ("ftgemm_tenant_completed_total", "counter"),
