@@ -19,15 +19,20 @@
 //! (a 128 x 128 `f64` result is 128 KiB), which keeps `malloc`'s recycling.
 //!
 //! A dropped mapping of at most 8 MiB is not unmapped but kept, whole, on a
-//! process-wide first-in first-out list of spares, at most 4 of them and
-//! 8 MiB together; whatever does not fit is unmapped, oldest first. The next
+//! process-wide first-in first-out list of spares, as many as fit in 8 MiB
+//! together; whatever does not fit is unmapped, oldest first. The next
 //! buffer of exactly the same page-rounded length takes the oldest such
-//! spare, zeroed by the thread that asks for it, instead of mapping and then
-//! faulting in every page again: a service that hands out one result per
-//! request pays that result's page faults once per process, not once per
-//! request (size-class caches such as Hoard's, ASPLOS 2000). Reuse depends on
-//! the length alone, never on what was freed before, so the cost is still a
+//! spare instead of mapping and then faulting in every page again: a service
+//! that hands out one result per request pays that result's page faults once
+//! per process, not once per request, and a burst of results fits whole
+//! (size-class caches such as Hoard's, ASPLOS 2000). Reuse depends on the
+//! length alone, never on what was freed before, so the cost is still a
 //! property of the size. A buffer of a length no spare has is mapped fresh.
+//!
+//! [`AlignedVec::zeroed`] zeroes a spare on the thread that asks for it.
+//! [`AlignedVec::for_overwrite`] does not: it is for a buffer whose every
+//! element is stored before any is read (a `beta == 0` output, a packing
+//! buffer), and hands a spare back holding what its last owner wrote.
 //!
 //! A buffer of 2 MiB or more (x86-64) starts on a 2 MiB boundary and is
 //! advised onto transparent huge pages, so each whole 2 MiB extent of it is
@@ -39,6 +44,7 @@
 //! advice, and only a buffer that wants huge pages takes one that has them.
 
 use crate::error::{CoreError, Result};
+use crate::scalar::Scalar;
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
@@ -85,9 +91,8 @@ mod pages {
 
     /// Smallest buffer that is mapped, in bytes.
     pub const MIN_BYTES: usize = 256 * 1024;
-    /// Most dropped mappings kept for reuse.
-    const SPARE_BUFFERS: usize = 4;
-    /// Most bytes kept among them; a longer buffer is never kept.
+    /// Most bytes of dropped mappings kept for reuse; a longer buffer is
+    /// never kept.
     const SPARE_BYTES: usize = 8 << 20;
     /// Smallest buffer placed on huge pages, in bytes: one x86-64 huge page.
     /// aarch64 kernels run 4, 16 or 64 KiB base pages (and huge pages to
@@ -170,11 +175,12 @@ mod pages {
         [start..kept, kept..end, end..start + span(bytes)]
     }
 
-    /// `bytes` of zeroed, page-aligned memory, or null. From [`HUGE_BYTES`]
-    /// on, 2 MiB-aligned and advised onto huge pages. The oldest spare of
-    /// the same [`key`] if there is one, zeroed here; else a fresh mapping,
-    /// no page of it resident yet.
-    pub fn map(bytes: usize) -> *mut u8 {
+    /// `bytes` of page-aligned memory, or null. From [`HUGE_BYTES`] on,
+    /// 2 MiB-aligned and advised onto huge pages. The oldest spare of the
+    /// same [`key`] if there is one, zeroed here if `zero` and as its last
+    /// owner left it if not; else a fresh mapping of zero pages, none of
+    /// them resident yet.
+    pub fn map(bytes: usize, zero: bool) -> *mut u8 {
         let (len, huge) = key(bytes);
         let spare = {
             let mut spares = spares();
@@ -184,9 +190,11 @@ mod pages {
         if let Some(spare) = spare {
             RECYCLED.fetch_add(1, Ordering::Relaxed);
             let at = spare.at as *mut u8;
-            // SAFETY: a spare's `len >= bytes` bytes are mapped and, once off
-            // the list, nobody's but this caller's.
-            unsafe { at.write_bytes(0, bytes) };
+            if zero {
+                // SAFETY: a spare's `len >= bytes` bytes are mapped and, once
+                // off the list, nobody's but this caller's.
+                unsafe { at.write_bytes(0, bytes) };
+            }
             return at;
         }
         // SAFETY: a fresh private anonymous mapping aliases nothing.
@@ -226,11 +234,12 @@ mod pages {
     }
 
     /// Puts the buffer at the back of the spares, then unmaps the oldest
-    /// spares until at most [`SPARE_BUFFERS`] of at most [`SPARE_BYTES`]
-    /// remain; a buffer longer than that is unmapped at once.
+    /// spares while they hold more than [`SPARE_BYTES`]; a buffer longer
+    /// than that is unmapped at once. How many spares there are is no bound:
+    /// a burst's results, one mapping each, come back whole.
     ///
     /// # Safety
-    /// `ptr` came from [`map`]`(bytes)` and is not used again.
+    /// `ptr` came from [`map`]`(bytes, _)` and is not used again.
     pub unsafe fn release(ptr: *mut u8, bytes: usize) {
         let (at, (len, huge)) = (ptr as usize, key(bytes));
         if len > SPARE_BYTES {
@@ -241,8 +250,9 @@ mod pages {
         spares().push_back(Spare { at, len, huge });
         let evict = || {
             let mut spares = spares();
-            let over = spares.len() > SPARE_BUFFERS || held(&spares) > SPARE_BYTES;
-            over.then(|| spares.pop_front()).flatten()
+            (held(&spares) > SPARE_BYTES)
+                .then(|| spares.pop_front())
+                .flatten()
         };
         while let Some(old) = evict() {
             // SAFETY: off the list, a spare is nobody's.
@@ -277,7 +287,7 @@ mod pages {
         0
     }
 
-    pub fn map(_bytes: usize) -> *mut u8 {
+    pub fn map(_bytes: usize, _zero: bool) -> *mut u8 {
         std::ptr::null_mut()
     }
 
@@ -308,6 +318,12 @@ impl<T: Copy> AlignedVec<T> {
     /// invalid; aborts (via `handle_alloc_error`) if the allocator itself
     /// fails, matching `Vec` behaviour.
     pub fn zeroed(len: usize) -> Result<Self> {
+        Self::alloc(len, true)
+    }
+
+    /// A buffer of `len` elements from `malloc` (zeroed) below 256 KiB, else
+    /// from [`pages::map`], which zeroes a spare only if `zero`.
+    fn alloc(len: usize, zero: bool) -> Result<Self> {
         if len == 0 {
             return Ok(Self {
                 ptr: NonNull::dangling(),
@@ -326,7 +342,7 @@ impl<T: Copy> AlignedVec<T> {
             return Err(CoreError::AllocationFailed { bytes });
         }
         let raw = if bytes >= pages::MIN_BYTES {
-            pages::map(bytes)
+            pages::map(bytes, zero)
         } else {
             // SAFETY: `layout` has non-zero size, checked above.
             unsafe { alloc_zeroed(layout) }
@@ -396,6 +412,19 @@ impl<T: Copy> AlignedVec<T> {
     }
 }
 
+impl<T: Scalar> AlignedVec<T> {
+    /// [`zeroed`](Self::zeroed) for a caller that stores every element
+    /// before it reads any: the same, except that a recycled spare mapping
+    /// comes back as its last owner left it, holding values some buffer of
+    /// this process wrote, where `zeroed` would spend a pass zeroing it. A
+    /// fresh mapping is still zero pages and a buffer under 256 KiB still
+    /// comes zeroed from the allocator, so nothing uninitialized is ever
+    /// read. `T: Scalar` because every bit pattern is an `f32` / `f64`.
+    pub fn for_overwrite(len: usize) -> Result<Self> {
+        Self::alloc(len, false)
+    }
+}
+
 impl<T: Copy> Drop for AlignedVec<T> {
     fn drop(&mut self) {
         if self.len == 0 {
@@ -405,11 +434,11 @@ impl<T: Copy> Drop for AlignedVec<T> {
         let layout =
             Layout::from_size_align(bytes, ALIGN.max(std::mem::align_of::<T>())).expect("layout");
         if bytes >= pages::MIN_BYTES {
-            // SAFETY: mapped with the identical length in `zeroed`.
+            // SAFETY: mapped with the identical length in `alloc`.
             unsafe { pages::release(self.ptr.as_ptr().cast(), bytes) };
             return;
         }
-        // SAFETY: allocated with the identical layout in `zeroed`.
+        // SAFETY: allocated with the identical layout in `alloc`.
         unsafe { dealloc(self.ptr.as_ptr().cast(), layout) };
     }
 }
@@ -453,7 +482,7 @@ pub struct Scratch<T: Copy> {
     buf: AlignedVec<T>,
 }
 
-impl<T: Copy> Scratch<T> {
+impl<T: Scalar> Scratch<T> {
     /// New empty scratch.
     pub fn new() -> Self {
         Self {
@@ -463,15 +492,15 @@ impl<T: Copy> Scratch<T> {
 
     /// Ensures capacity for `len` elements and returns the mutable slice.
     ///
-    /// Contents are unspecified (previous data may remain); packing routines
-    /// overwrite the region they use.
+    /// Contents are unspecified (previous data, or a recycled mapping's, may
+    /// remain); packing routines overwrite the region they use.
     pub fn get(&mut self, len: usize) -> Result<&mut [T]> {
         if self.buf.len() < len {
             // To what was asked, not past it: drivers size their requests by
             // the problem under a ceiling the blocking sets, so a scratch
             // holds the largest request it has served and stays under that
             // ceiling.
-            self.buf = AlignedVec::zeroed(len)?;
+            self.buf = AlignedVec::for_overwrite(len)?;
         }
         Ok(&mut self.buf.as_mut_slice()[..len])
     }
@@ -482,7 +511,7 @@ impl<T: Copy> Scratch<T> {
     }
 }
 
-impl<T: Copy> Default for Scratch<T> {
+impl<T: Scalar> Default for Scratch<T> {
     fn default() -> Self {
         Self::new()
     }

@@ -29,6 +29,16 @@ impl<T: Scalar> Matrix<T> {
         Self { data, nrows, ncols }
     }
 
+    /// `m x n` matrix for a caller that stores every element before reading
+    /// any — the output of a `beta == 0` product: like [`zeros`](Self::zeros),
+    /// but a recycled mapping keeps the values it held
+    /// ([`AlignedVec::for_overwrite`]).
+    pub fn for_overwrite(nrows: usize, ncols: usize) -> Self {
+        let len = nrows.checked_mul(ncols).expect("matrix size overflow");
+        let data = AlignedVec::for_overwrite(len).expect("matrix allocation failed");
+        Self { data, nrows, ncols }
+    }
+
     /// `m x n` matrix with every element `value`.
     pub fn filled(nrows: usize, ncols: usize, value: T) -> Self {
         let mut m = Self::zeros(nrows, ncols);

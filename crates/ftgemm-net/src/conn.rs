@@ -181,10 +181,15 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
     };
     let a = resolve(s.a)?;
     let b = resolve(s.b)?;
-    let c = match s.c {
-        Some((rows, cols, data)) => Matrix::from_col_major(rows as usize, cols as usize, &data)
-            .map_err(|e| (error_code::MALFORMED_FRAME, e.to_string()))?,
-        None => Matrix::zeros(a.nrows(), b.ncols()),
+    // Without a `C` the submit is `C = alpha*A*B`: `beta` is taken as 0, so
+    // the output need not be zeroed and no stale value is ever scaled in.
+    let (beta, c) = match s.c {
+        Some((rows, cols, data)) => (
+            s.beta,
+            Matrix::from_col_major(rows as usize, cols as usize, &data)
+                .map_err(|e| (error_code::MALFORMED_FRAME, e.to_string()))?,
+        ),
+        None => (0.0, Matrix::for_overwrite(a.nrows(), b.ncols())),
     };
     // Discriminants are codec-validated (<= 2), so these matches are total.
     let policy = match s.policy {
@@ -201,7 +206,7 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
         alpha: s.alpha,
         a,
         b,
-        beta: s.beta,
+        beta,
         c,
         policy,
         injector: None,

@@ -161,8 +161,8 @@ pub struct SubmitFrame {
     pub a: OperandRef,
     /// Right operand (`k x n`).
     pub b: OperandRef,
-    /// Optional input/output `C` (`m x n`, column-major); absent means a
-    /// zeroed output.
+    /// Optional input/output `C` (`m x n`, column-major); absent means
+    /// `C = alpha*A*B`, with `beta` ignored (taken as 0).
     pub c: Option<(u32, u32, Vec<f64>)>,
 }
 

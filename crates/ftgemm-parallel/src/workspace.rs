@@ -23,7 +23,8 @@
 //! ([`ParFtWorkspace::release_base`]). The nest rewrites every region of
 //! the workspace it reads (packing covers whole padded slabs, checksum
 //! vectors are overwritten per column block, reduction lanes are
-//! zero-filled per panel), so no cross-call re-zeroing is needed.
+//! zero-filled per panel), so no cross-call re-zeroing is needed, and the
+//! packed buffers are allocated unzeroed (`AlignedVec::for_overwrite`).
 //!
 //! The workspace also counts the protected calls it has served, and a call's
 //! injection streams derive from that count, as a serial `FtGemmContext`'s
@@ -137,13 +138,16 @@ impl<T: Scalar> ParFtWorkspace<T> {
             self.atilde = Self::new(ctx).atilde;
             self.a_len = 0;
         }
+        // Packing writes every element it hands the kernel, padding
+        // included, so the buffers need not come zeroed.
+        let packing = |len| AlignedVec::for_overwrite(len).expect("aligned allocation failed");
         let (a_len, b_len) = packed_lens(&ctx.params, m, n, k);
         if self.btilde.len() < b_len {
-            self.btilde = AlignedVec::zeroed_or_panic(b_len);
+            self.btilde = packing(b_len);
         }
         if self.a_len < a_len {
             for slot in &mut self.atilde {
-                *slot.get_mut() = AlignedVec::zeroed_or_panic(a_len);
+                *slot.get_mut() = packing(a_len);
             }
             self.a_len = a_len;
         }

@@ -117,16 +117,22 @@ pub struct GemmRequest<T: Scalar> {
 }
 
 impl<T: Scalar> GemmRequest<T> {
-    /// `C = A*B` with a zeroed output and the default policy
+    /// `C = A*B` (`beta = 0`) with the default policy
     /// ([`FtPolicy::DetectCorrect`]).
     ///
     /// The output is shaped `a.nrows() x b.ncols()` *without* checking the
     /// inner dimensions agree; a `k` mismatch is only reported when the
     /// request is submitted. Prefer [`GemmRequest::builder`], which
     /// surfaces the shape error at build time.
+    ///
+    /// The product overwrites every element of the output, so it is not
+    /// zeroed ([`Matrix::for_overwrite`]): it may hold a dropped buffer's
+    /// values until the request completes. To accumulate (`beta != 0`),
+    /// supply `C` with [`with_c`](Self::with_c); setting `beta` alone scales
+    /// those values.
     pub fn new(a: impl Into<Operand<T>>, b: impl Into<Operand<T>>) -> Self {
         let (a, b) = (a.into(), b.into());
-        let c = Matrix::zeros(a.nrows(), b.ncols());
+        let c = Matrix::for_overwrite(a.nrows(), b.ncols());
         GemmRequest {
             alpha: T::ONE,
             a,
@@ -271,8 +277,9 @@ impl<T: Scalar> GemmRequestBuilder<T> {
         self
     }
 
-    /// Supplies the output operand and its scale (enables `beta != 0`
-    /// accumulation). Without this, the output is zeroed and `beta = 0`.
+    /// Supplies the output operand and its scale; accumulating (`beta !=
+    /// 0`) needs it. Without this, `beta = 0` and the output is one the
+    /// product overwrites, not zeroed ([`GemmRequest::new`]).
     #[must_use]
     pub fn c(mut self, beta: T, c: Matrix<T>) -> Self {
         self.beta = beta;
@@ -344,7 +351,7 @@ impl<T: Scalar> GemmRequestBuilder<T> {
                 }
                 c
             }
-            None => Matrix::zeros(m, n),
+            None => Matrix::for_overwrite(m, n),
         };
         Ok(GemmRequest {
             alpha: self.alpha,

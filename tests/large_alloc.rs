@@ -11,15 +11,19 @@
 //! request, not the service. Buffers large enough to be mapped from the OS
 //! never reach a global allocator (`ftgemm::core::aligned`), so those are
 //! counted process-wide, mapped fresh or taken back from the spares dropped
-//! mappings leave, and held to the request's own result. Its own binary,
+//! mappings leave, and held to the request's own result; a repeated burst
+//! of results maps nothing at all. Its own binary,
 //! with one test: a sibling test's service threads would be counted too.
 
 use ftgemm::abft::nest::packed_lens;
 use ftgemm::core::aligned::{huge_buffers, mapped_buffers, recycled_buffers};
-use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
+use ftgemm::serve::{
+    FtPolicy, GemmRequest, GemmService, RequestHandle, RoutingPolicy, ServiceConfig,
+};
 use ftgemm::{GemmContext, Matrix, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -155,6 +159,29 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
         huge <= 4 * own_huge,
         "{huge} huge-page buffers beyond the 512^2 results"
     );
+
+    // A window-4 burst of `serve_large`'s six results (two of each size,
+    // 7.4 MiB) ends with all six dropped, and the spare list keeps them
+    // whole: from the second burst on every result is a spare, and nothing
+    // is mapped.
+    let burst = || {
+        let mut window: VecDeque<RequestHandle<f64>> = VecDeque::new();
+        for step in 0..6 {
+            if window.len() == 4 {
+                window.pop_front().unwrap().wait().unwrap();
+            }
+            let (_, a, b) = &operands[step % 3];
+            window.push_back(service.submit(GemmRequest::new(a, b)).unwrap());
+        }
+        for handle in window {
+            handle.wait().unwrap();
+        }
+    };
+    burst();
+    let (mapped, recycled) = (mapped_buffers(), recycled_buffers());
+    burst();
+    assert_eq!(mapped_buffers(), mapped, "a repeated burst mapped results");
+    assert_eq!(recycled_buffers() - recycled, 6 * own);
 
     // What the node holds did not move, and it is the largest shape served:
     // one `kc x nc` panel and one `mc x kc` block per thread, each clamped to

@@ -10,7 +10,12 @@ use ftgemm::serve::{
     ServeError, ServiceConfig, Topology,
 };
 use ftgemm::Matrix;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The order of the requests that keep both nodes busy: on a 2-vCPU host
+/// they compute for about 30 ms in release builds and 0.8 s in debug ones,
+/// against 0.5 and 1.5 ms to submit the backlog.
+const BIG: usize = if cfg!(debug_assertions) { 512 } else { 1024 };
 
 fn sharded_service() -> GemmService<f64> {
     GemmService::new(ServiceConfig {
@@ -31,19 +36,32 @@ fn sharded_service() -> GemmService<f64> {
 fn shutdown_now_fails_parked_requests_instead_of_hanging() {
     let service = sharded_service();
 
-    // Occupy the scheduler: one large matrix-parallel request (hundreds of
-    // ms even in release builds) so everything submitted after it is still
-    // parked on its shard group when shutdown_now lands.
-    let big = {
-        let a = Matrix::<f64>::random(384, 384, 1);
-        let b = Matrix::<f64>::random(384, 384, 2);
-        service
-            .submit(GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect))
-            .unwrap()
-    };
-    // Give the scheduler time to pop the big request and enter its
-    // parallel region before the backlog arrives.
-    std::thread::sleep(Duration::from_millis(30));
+    // Occupy both nodes: one large matrix-parallel request each (round-robin
+    // placement), so everything submitted after them is still parked on its
+    // shard group when shutdown_now lands.
+    let big: Vec<_> = (0..2u64)
+        .map(|i| {
+            let a = Matrix::<f64>::random(BIG, BIG, 1 + i);
+            let b = Matrix::<f64>::random(BIG, BIG, 3 + i);
+            let req = GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect);
+            service.submit(req).unwrap()
+        })
+        .collect();
+    // Wait until each node's dispatcher has started its big request (counted
+    // at execution) and neither has finished it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = service.stats();
+        assert_eq!(
+            stats.completed, 0,
+            "a big request finished before the backlog"
+        );
+        if stats.per_node.iter().all(|n| n.dispatched == 1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the big requests never started");
+        std::thread::yield_now();
+    }
 
     let parked: Vec<_> = (0..24u64)
         .map(|i| {
@@ -66,12 +84,14 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
 
     let stats = service.shutdown_now();
 
-    // The request that was mid-compute still completed normally.
-    let big_resp = big
-        .wait_timeout(Duration::from_secs(60))
-        .expect("big request hung across shutdown_now")
-        .expect("in-flight request must complete normally");
-    assert_eq!(big_resp.c.nrows(), 384);
+    // The requests that were mid-compute still completed normally.
+    for handle in big {
+        let big_resp = handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("big request hung across shutdown_now")
+            .expect("in-flight request must complete normally");
+        assert_eq!(big_resp.c.nrows(), BIG);
+    }
 
     // Every parked handle resolves (bounded wait — the regression is a
     // hang) and resolves to the shutdown error, not a silent drop.
@@ -88,7 +108,7 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
     }
     assert!(
         parked_failed > 0,
-        "a 24-deep backlog behind a 384^3 request must leave parked work to fail"
+        "a 24-deep backlog behind busy nodes must leave parked work to fail"
     );
 
     // The completion channel observes the full drain: one completion per
@@ -110,7 +130,7 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
 
     // Counters balance: everything submitted either completed or failed,
     // and both shard groups are empty.
-    assert_eq!(stats.submitted, 1 + 24 + 16);
+    assert_eq!(stats.submitted, 2 + 24 + 16);
     assert_eq!(stats.completed + stats.failed, stats.submitted);
     assert!(stats.failed as usize >= parked_failed);
     assert!(stats.per_node.iter().all(|n| n.queue_depth == 0));

@@ -1,9 +1,10 @@
 //! Pins the spare list of `ftgemm::core::aligned`: a dropped mapping of at
-//! most 8 MiB is kept, at most 4 of them and 8 MiB together, and the next
-//! buffer of exactly its page-rounded length (and placement) takes it back
-//! zeroed instead of mapping and faulting in fresh pages. Its own binary,
-//! with one test: the counts and the list are process-wide, and a sibling
-//! test's buffers would move them.
+//! most 8 MiB is kept, as many as fit in 8 MiB together, and the next buffer
+//! of exactly its page-rounded length (and placement) takes it back instead
+//! of mapping and faulting in fresh pages — zeroed for `AlignedVec::zeroed`,
+//! as it was for `AlignedVec::for_overwrite`. Its own binary, with one test:
+//! the counts and the list are process-wide, and a sibling test's buffers
+//! would move them.
 #![cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -72,30 +73,56 @@ fn dropped_mappings_come_back_zeroed_for_the_same_length() {
     let short = take(2 * MIB - 8, !huge);
     drop((h, short));
 
-    // A fifth spare evicts the oldest; so does one past 8 MiB together.
-    let lens = [256 * KIB, 512 * KIB, 768 * KIB, MIB, 1280 * KIB];
-    for bytes in lens {
-        drop(dirty(bytes));
-    }
-    assert_eq!(spare_bytes(), lens[1..].iter().sum::<usize>());
-    let oldest = take(lens[0], false);
-    let next = take(lens[1], true);
-    drop((oldest, next));
-    let threes = [3 * MIB, 3 * MIB + 4 * KIB, 3 * MIB + 8 * KIB];
-    for bytes in threes {
-        drop(dirty(bytes));
-        assert!(spare_bytes() <= 8 * MIB, "{} B held", spare_bytes());
-    }
-    assert_eq!(spare_bytes(), threes[1] + threes[2]);
-    drop(take(threes[0], false));
-
-    // 8 MiB is kept, alone; a longer buffer is never a spare.
+    // 8 MiB is kept, alone: it evicts every older spare. A longer buffer is
+    // never a spare.
     drop(dirty(8 * MIB));
     assert_eq!(spare_bytes(), 8 * MIB);
     drop(dirty(8 * MIB + 4 * KIB));
     assert_eq!(spare_bytes(), 8 * MIB);
     drop(take(8 * MIB + 4 * KIB, false));
     drop(take(8 * MIB, true));
+
+    // Bytes are the only bound: any number of spares is kept while they hold
+    // at most 8 MiB together — here six, as many as a window-4 burst of
+    // results leaves (the first evicts the 8 MiB one) — and one past it
+    // evicts the oldest, only as many as it takes.
+    let lens = [256 * KIB, 512 * KIB, 768 * KIB, MIB, 1280 * KIB, 1536 * KIB];
+    for bytes in lens {
+        drop(dirty(bytes));
+    }
+    assert_eq!(spare_bytes(), lens.iter().sum::<usize>());
+    drop(dirty(3 * MIB));
+    assert_eq!(spare_bytes(), 8 * MIB);
+    let oldest = take(lens[0], false);
+    let next = take(lens[1], true);
+    drop((oldest, next));
+
+    // `for_overwrite` hands a spare back as it was dropped; a fresh mapping
+    // and a buffer `malloc` serves read zeros all the same.
+    let v = dirty(MIB);
+    let at = v.as_ptr();
+    drop(v);
+    let (mapped, reused) = (mapped_buffers(), recycled_buffers());
+    let v = AlignedVec::<f64>::for_overwrite(MIB / 8).unwrap();
+    assert_eq!((mapped_buffers(), recycled_buffers()), (mapped, reused + 1));
+    assert_eq!(v.as_ptr(), at);
+    assert!(v.iter().all(|&x| x == 7.0), "the spare came back changed");
+    let fresh = AlignedVec::<f64>::for_overwrite((MIB + 8 * KIB) / 8).unwrap();
+    assert_eq!(
+        (mapped_buffers(), recycled_buffers()),
+        (mapped + 1, reused + 1)
+    );
+    assert!(
+        fresh.iter().all(|&x| x == 0.0),
+        "a fresh mapping is zero pages"
+    );
+    drop((v, fresh));
+    for _ in 0..2 {
+        drop(dirty(128 * KIB));
+        let small = AlignedVec::<f64>::for_overwrite(128 * KIB / 8).unwrap();
+        assert!(small.iter().all(|&x| x == 0.0), "under 256 KiB is zeroed");
+    }
+    assert_eq!(mapped_buffers(), mapped + 1, "128 KiB stays with malloc");
 
     // A buffer dropped on one thread is taken on another.
     let v = dirty(640 * KIB);
