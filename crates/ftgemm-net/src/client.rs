@@ -1,14 +1,28 @@
 //! `NetClient`: a blocking client for the wire protocol, used by the
 //! tests, the example, and the repo benchmark's `wire_small` workload.
 //!
-//! One TCP connection, synchronous transactions: each call sends a frame
-//! and reads until its response arrives. Stream-delivery completions can
-//! arrive at any point (the server pushes them as requests finish), so
-//! the read loop stashes any [`Frame::Completion`] that is not the
-//! response being awaited; [`NetClient::wait`] and
-//! [`NetClient::next_completion`] consume the stash first.
+//! One TCP connection, pipelined submits. [`NetClient::submit`] writes and
+//! flushes its frame and returns at once, with an id the client assigns
+//! itself; it does not wait for the server's answer. The server answers a
+//! connection's frames strictly in order, each `Submit` with one
+//! `SubmitAck` or one `Error`, and an ack always before its own
+//! completion. So whichever call reads next takes those answers off the
+//! front of a FIFO of unanswered submits as it meets them: an ack maps the
+//! server's id to the client's, and an `Error` becomes that id's
+//! completion, `Err((code, message))`, the same shape as a request that
+//! failed in the service.
+//!
+//! Every id this client hands out or takes is its own: from `submit`, in
+//! completions, and to [`NetClient::poll`] / [`NetClient::wait`], which on
+//! a held id first read until its server id is known. `upload`, `release`
+//! and `shutdown_server` send one frame and read until its answer, taking
+//! in the submit answers queued ahead of it. Stream-delivery completions
+//! arrive whenever requests finish; the read loop stashes them, and
+//! [`NetClient::wait`] and [`NetClient::next_completion`] consume the stash
+//! first. An id never issued, or already handed out, answers
+//! [`UNKNOWN_REQUEST`](crate::proto::error_code::UNKNOWN_REQUEST).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -17,9 +31,10 @@ use ftgemm_abft::FtPolicy;
 use ftgemm_core::Matrix;
 use ftgemm_serve::{Priority, TenantId, DEFAULT_TENANT};
 
-use crate::codec::{read_frame, write_frame, ReadEvent};
+use crate::codec::{read_frame_into, write_frame, ReadEvent};
 use crate::proto::{
-    CompletionFrame, Frame, OperandRef, SubmitFrame, DEFAULT_MAX_FRAME, FEATURES, PROTO_VERSION,
+    error_code, CompletionFrame, Frame, OperandRef, SubmitFrame, DEFAULT_MAX_FRAME, FEATURES,
+    PROTO_VERSION,
 };
 
 /// Client-side failure.
@@ -27,7 +42,9 @@ use crate::proto::{
 pub enum ClientError {
     /// Transport failure (connect, read, write, unexpected EOF).
     Io(io::Error),
-    /// The server answered with an error frame.
+    /// The server answered the call's own frame with an error frame (a
+    /// refused submit is a failed completion instead). `poll` / `wait` on
+    /// an id that is not outstanding give `UNKNOWN_REQUEST` without asking.
     Server { id: u64, code: u16, message: String },
     /// The server violated the protocol (malformed frame, oversized
     /// frame, or a response of the wrong type).
@@ -174,34 +191,52 @@ impl From<u64> for OperandRef {
     }
 }
 
+/// What the server answered a submit: the id it admitted the request
+/// under, or its refusal as the submit's completion.
+type Answer = Result<u64, CompletionFrame>;
+
 /// Blocking wire-protocol client. See the module docs.
 pub struct NetClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The buffer every frame's body is read into.
+    body: Vec<u8>,
     max_frame: u32,
     features: u32,
-    /// Stream-delivery completions that arrived while awaiting another
-    /// response.
+    /// The id the next submit gets.
+    next_id: u64,
+    /// Submits whose answer has not been read, oldest first: id and hold
+    /// flag.
+    unanswered: VecDeque<(u64, bool)>,
+    /// Admitted stream-delivery submits still running: server id -> id.
+    streams: HashMap<u64, u64>,
+    /// Hold-delivery submits not yet redeemed: id -> answer, once read.
+    held: HashMap<u64, Option<Answer>>,
+    /// Finished stream-delivery submits not yet handed out, in arrival
+    /// order.
     stash: VecDeque<CompletionFrame>,
-    /// Ids submitted with hold delivery (wait must ask, not drain).
-    held: HashSet<u64>,
 }
 
 impl NetClient {
     /// Connects and performs the Hello / ServerHello handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        // Small request/ack frames must not sit in Nagle's buffer behind
-        // an unacked segment — every submit is a round trip.
+        // Each submit is flushed on its own: without this, a submit written
+        // while its predecessor's segment is unacknowledged would wait in
+        // Nagle's buffer for that acknowledgement.
         stream.set_nodelay(true)?;
         let writer = BufWriter::new(stream.try_clone()?);
         let mut client = NetClient {
             reader: BufReader::new(stream),
             writer,
+            body: Vec::new(),
             max_frame: DEFAULT_MAX_FRAME,
             features: 0,
+            next_id: 0,
+            unanswered: VecDeque::new(),
+            streams: HashMap::new(),
+            held: HashMap::new(),
             stash: VecDeque::new(),
-            held: HashSet::new(),
         };
         client.send(&Frame::Hello {
             version: PROTO_VERSION,
@@ -228,77 +263,86 @@ impl NetClient {
             cols: m.ncols() as u32,
             data: m.as_slice().to_vec(),
         })?;
-        match self.read_transaction()? {
+        match self.reply()? {
             Frame::OperandHandle { handle, .. } => Ok(handle),
             other => Err(unexpected("OperandHandle", &other)),
         }
     }
 
-    /// Submits one GEMM; returns the server-assigned request id.
+    /// Submits one GEMM and returns at once, without reading its answer;
+    /// the id is this client's own. A refused submit is not an error here:
+    /// its refusal is the id's completion, `Err((code, message))`.
     pub fn submit(&mut self, submit: NetSubmit) -> Result<u64, ClientError> {
         let hold = submit.hold;
         self.send(&Frame::Submit(submit.into_frame()))?;
-        match self.read_transaction()? {
-            Frame::SubmitAck { id } => {
-                if hold {
-                    self.held.insert(id);
-                }
-                Ok(id)
-            }
-            other => Err(unexpected("SubmitAck", &other)),
+        let id = self.next_id;
+        self.next_id += 1;
+        self.unanswered.push_back((id, hold));
+        if hold {
+            self.held.insert(id, None);
         }
+        Ok(id)
     }
 
     /// Blocks until request `id` finishes. Hold-delivery ids are waited
     /// server-side; stream-delivery ids are drained off the connection
     /// (completions for other requests are stashed).
     pub fn wait(&mut self, id: u64) -> Result<CompletionFrame, ClientError> {
-        if let Some(pos) = self.stash.iter().position(|c| c.id == id) {
-            return Ok(self.stash.remove(pos).unwrap());
-        }
-        if self.held.remove(&id) {
-            self.send(&Frame::Wait { id })?;
+        if self.held.contains_key(&id) {
+            let server = match self.held_answer(id)? {
+                Ok(server) => server,
+                Err(refused) => return Ok(refused),
+            };
+            self.send(&Frame::Wait { id: server })?;
+            return match self.reply()? {
+                Frame::Completion(c) if c.id == server => Ok(CompletionFrame { id, ..c }),
+                other => Err(unexpected("Completion", &other)),
+            };
         }
         loop {
-            match self.read_response()? {
-                Frame::Completion(c) if c.id == id => return Ok(c),
-                Frame::Completion(c) => self.stash.push_back(c),
-                other => return Err(unexpected("Completion", &other)),
+            if let Some(pos) = self.stash.iter().position(|c| c.id == id) {
+                return Ok(self.stash.remove(pos).unwrap());
             }
+            let running = self.unanswered.iter().any(|&(c, _)| c == id)
+                || self.streams.values().any(|&c| c == id);
+            if !running {
+                return Err(unknown_request(id));
+            }
+            self.take_in()?;
         }
     }
 
     /// Non-blocking check of a hold-delivery request.
     pub fn poll(&mut self, id: u64) -> Result<Option<CompletionFrame>, ClientError> {
-        self.send(&Frame::Poll { id })?;
-        loop {
-            match self.read_response()? {
-                Frame::Pending { id: got } if got == id => return Ok(None),
-                Frame::Completion(c) if c.id == id => {
-                    self.held.remove(&id);
-                    return Ok(Some(c));
-                }
-                Frame::Completion(c) => self.stash.push_back(c),
-                other => return Err(unexpected("Pending/Completion", &other)),
+        let server = match self.held_answer(id)? {
+            Ok(server) => server,
+            Err(refused) => return Ok(Some(refused)),
+        };
+        self.send(&Frame::Poll { id: server })?;
+        match self.reply()? {
+            Frame::Pending { id: got } if got == server => {
+                self.held.insert(id, Some(Ok(server)));
+                Ok(None)
             }
+            Frame::Completion(c) if c.id == server => Ok(Some(CompletionFrame { id, ..c })),
+            other => Err(unexpected("Pending/Completion", &other)),
         }
     }
 
     /// The next stream-delivery completion, in arrival order.
     pub fn next_completion(&mut self) -> Result<CompletionFrame, ClientError> {
-        if let Some(c) = self.stash.pop_front() {
-            return Ok(c);
-        }
-        match self.read_response()? {
-            Frame::Completion(c) => Ok(c),
-            other => Err(unexpected("Completion", &other)),
+        loop {
+            if let Some(c) = self.stash.pop_front() {
+                return Ok(c);
+            }
+            self.take_in()?;
         }
     }
 
     /// Releases a server-resident operand handle.
     pub fn release(&mut self, handle: u64) -> Result<(), ClientError> {
         self.send(&Frame::ReleaseHandle { handle })?;
-        match self.read_transaction()? {
+        match self.reply()? {
             Frame::Released { handle: got } if got == handle => Ok(()),
             other => Err(unexpected("Released", &other)),
         }
@@ -308,17 +352,16 @@ impl NetClient {
     /// consumes the client.
     pub fn shutdown_server(mut self) -> Result<(), ClientError> {
         self.send(&Frame::Shutdown)?;
-        loop {
-            match self.read_response()? {
-                Frame::Goodbye => return Ok(()),
-                Frame::Completion(_) => continue,
-                other => return Err(unexpected("Goodbye", &other)),
-            }
+        match self.reply()? {
+            Frame::Goodbye => Ok(()),
+            other => Err(unexpected("Goodbye", &other)),
         }
     }
 
     /// Sends a raw frame without awaiting a response. Public for protocol
     /// robustness tests; pair with [`read_response`](Self::read_response).
+    /// Neither keeps the submit bookkeeping: a raw `Submit` is not this
+    /// client's, and its answer must be read raw too.
     pub fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
         write_frame(&mut self.writer, frame)?;
         self.writer.flush()?;
@@ -332,27 +375,95 @@ impl NetClient {
         Ok(())
     }
 
-    /// Reads the next transactional response, stashing stream-delivery
-    /// completions that the server pushed while this request was on the
-    /// wire (pipelined submits see their predecessors' completions
-    /// interleave with the ack they are awaiting).
-    fn read_transaction(&mut self) -> Result<Frame, ClientError> {
+    /// Takes in answers until held submit `id` has its own, and takes the
+    /// id out: it is redeemed unless the caller puts it back.
+    fn held_answer(&mut self, id: u64) -> Result<Answer, ClientError> {
         loop {
-            match self.read_response()? {
-                Frame::Completion(c) => self.stash.push_back(c),
-                other => return Ok(other),
+            match self.held.remove(&id) {
+                None => return Err(unknown_request(id)),
+                Some(Some(answer)) => return Ok(answer),
+                Some(None) => {
+                    self.held.insert(id, None);
+                    self.take_in()?;
+                }
             }
         }
+    }
+
+    /// Reads one frame that must be a submit's answer or a stream
+    /// completion, and files it.
+    fn take_in(&mut self) -> Result<(), ClientError> {
+        match self.read_answer()? {
+            None => Ok(()),
+            Some(other) => Err(unexpected("SubmitAck/Error/Completion", &other)),
+        }
+    }
+
+    /// Reads until the answer to the caller's own request arrives.
+    fn reply(&mut self) -> Result<Frame, ClientError> {
+        loop {
+            if let Some(frame) = self.read_answer()? {
+                return Ok(frame);
+            }
+        }
+    }
+
+    /// Reads one frame. The server answers a connection's frames in order,
+    /// so while submits are unanswered an ack or an error frame answers the
+    /// oldest of them: an ack maps the server's id to the submit's, and an
+    /// error becomes the submit's completion. Those, and stream completions,
+    /// are filed under this client's ids and give `None`. Anything else is
+    /// the answer to the caller's own request; an error frame as
+    /// [`ClientError::Server`].
+    fn read_answer(&mut self) -> Result<Option<Frame>, ClientError> {
+        let answer = match self.read_frame()? {
+            Frame::SubmitAck { id } => Ok(id),
+            Frame::Error { id, code, message } => Err((id, code, message)),
+            Frame::Completion(c) => {
+                let Some(id) = self.streams.remove(&c.id) else {
+                    return Ok(Some(Frame::Completion(c)));
+                };
+                self.stash.push_back(CompletionFrame { id, ..c });
+                return Ok(None);
+            }
+            other => return Ok(Some(other)),
+        };
+        let Some((id, hold)) = self.unanswered.pop_front() else {
+            return Err(match answer {
+                Ok(server) => {
+                    ClientError::Protocol(format!("SubmitAck {server} with no submit unanswered"))
+                }
+                Err((id, code, message)) => ClientError::Server { id, code, message },
+            });
+        };
+        let answer = answer.map_err(|(_, code, message)| CompletionFrame {
+            id,
+            result: Err((code, message)),
+        });
+        match answer {
+            Ok(server) if !hold => {
+                self.streams.insert(server, id);
+            }
+            Err(refused) if !hold => self.stash.push_back(refused),
+            answer => {
+                self.held.insert(id, Some(answer));
+            }
+        }
+        Ok(None)
     }
 
     /// Reads the next frame, turning server error frames into
     /// [`ClientError::Server`]. Public counterpart of [`send`](Self::send).
     pub fn read_response(&mut self) -> Result<Frame, ClientError> {
-        let (event, _) = read_frame(&mut self.reader, self.max_frame)?;
+        match self.read_frame()? {
+            Frame::Error { id, code, message } => Err(ClientError::Server { id, code, message }),
+            other => Ok(other),
+        }
+    }
+
+    fn read_frame(&mut self) -> Result<Frame, ClientError> {
+        let (event, _) = read_frame_into(&mut self.reader, self.max_frame, &mut self.body)?;
         match event {
-            ReadEvent::Frame(Frame::Error { id, code, message }) => {
-                Err(ClientError::Server { id, code, message })
-            }
             ReadEvent::Frame(f) => Ok(f),
             ReadEvent::Eof => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -363,6 +474,17 @@ impl NetClient {
             ))),
             ReadEvent::Malformed(e) => Err(ClientError::Protocol(e.to_string())),
         }
+    }
+}
+
+/// The answer to a `poll` or `wait` on an id this client never issued, or
+/// has already handed out: the code the server gives a `Poll` it cannot
+/// place, without asking it.
+fn unknown_request(id: u64) -> ClientError {
+    ClientError::Server {
+        id,
+        code: error_code::UNKNOWN_REQUEST,
+        message: format!("request {id} is not outstanding on this connection"),
     }
 }
 

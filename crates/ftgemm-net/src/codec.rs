@@ -10,6 +10,8 @@
 
 use std::io::{self, Read, Write};
 
+use ftgemm_abft::FtReport;
+
 use crate::proto::{verb, CompletionFrame, CompletionOk, Frame, OperandRef, SubmitFrame};
 
 /// Typed decode failure; mapped to [`error_code`](crate::proto::error_code)
@@ -122,11 +124,11 @@ impl<'a> Rd<'a> {
 /// by the fields after it (a completion's five counters).
 const FIXED_BYTES: usize = 64;
 
-struct Wr {
-    buf: Vec<u8>,
+struct Wr<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Wr {
+impl Wr<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -169,7 +171,7 @@ impl Wr {
 // Frame payload codec
 // ---------------------------------------------------------------------------
 
-fn put_operand_ref(w: &mut Wr, op: &OperandRef) {
+fn put_operand_ref(w: &mut Wr<'_>, op: &OperandRef) {
     match op {
         OperandRef::Inline { rows, cols, data } => {
             w.u8(0);
@@ -209,6 +211,38 @@ fn frame_len(body: usize) -> io::Result<u32> {
     })
 }
 
+/// A completion's result as the encoder reads it: the output matrix's shape
+/// and column-major data as a slice (of a [`CompletionOk`], or of the
+/// service's result matrix itself) and the request's report, or the
+/// failure's code and message.
+pub(crate) type CompletionFields<'a> = Result<(u32, u32, &'a [f64], FtReport), (u16, &'a str)>;
+
+fn put_completion(w: &mut Wr<'_>, id: u64, result: CompletionFields<'_>) {
+    w.u64(id);
+    match result {
+        Ok((rows, cols, data, r)) => {
+            w.u8(0);
+            w.u32(rows);
+            w.u32(cols);
+            w.f64_slice(data);
+            for n in [
+                r.verifications,
+                r.detected,
+                r.corrected,
+                r.injected,
+                r.retried_panels,
+            ] {
+                w.u64(n as u64);
+            }
+        }
+        Err((code, message)) => {
+            w.u8(1);
+            w.u16(code);
+            w.string(message);
+        }
+    }
+}
+
 /// Encodes a frame into a complete wire message: `[len u32][verb][payload]`.
 ///
 /// # Panics
@@ -219,13 +253,50 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     try_encode(frame).expect("frame over 4 GiB")
 }
 
-/// The frame's bytes in one buffer: prefix and verb first, the payload after
-/// them, then the prefix patched to the length.
 fn try_encode(frame: &Frame) -> io::Result<Vec<u8>> {
-    let mut w = Wr {
-        buf: Vec::with_capacity(FIXED_BYTES),
-    };
-    w.buf.extend_from_slice(&[0, 0, 0, 0, frame.verb()]);
+    let mut buf = Vec::with_capacity(FIXED_BYTES);
+    encode_into(&mut buf, frame)?;
+    Ok(buf)
+}
+
+/// Appends one frame to `buf`: prefix and verb first, the payload `put`
+/// writes after them, then the prefix patched to the length. A frame over
+/// 4 GiB is `InvalidInput` and leaves `buf` as it was.
+fn append_frame(buf: &mut Vec<u8>, verb: u8, put: impl FnOnce(&mut Wr<'_>)) -> io::Result<()> {
+    let at = buf.len();
+    buf.reserve(FIXED_BYTES);
+    buf.extend_from_slice(&[0, 0, 0, 0, verb]);
+    put(&mut Wr { buf: &mut *buf });
+    match frame_len(buf.len() - at - 4) {
+        Ok(len) => {
+            if let Some(prefix) = buf.get_mut(at..).and_then(<[u8]>::first_chunk_mut::<4>) {
+                *prefix = len.to_le_bytes();
+            }
+            Ok(())
+        }
+        Err(e) => {
+            buf.truncate(at);
+            Err(e)
+        }
+    }
+}
+
+/// Appends a completion to `buf`, its matrix read in place: the server
+/// encodes the service's result without copying it into a [`CompletionOk`].
+pub(crate) fn encode_completion_into(
+    buf: &mut Vec<u8>,
+    id: u64,
+    result: CompletionFields<'_>,
+) -> io::Result<()> {
+    append_frame(buf, verb::COMPLETION, |w| put_completion(w, id, result))
+}
+
+/// Appends one frame to `buf`; see [`append_frame`].
+pub(crate) fn encode_into(buf: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
+    append_frame(buf, frame.verb(), |w| put_payload(w, frame))
+}
+
+fn put_payload(w: &mut Wr<'_>, frame: &Frame) {
     match frame {
         Frame::Hello { version, features } => {
             w.u16(*version);
@@ -260,8 +331,8 @@ fn try_encode(frame: &Frame) -> io::Result<Vec<u8>> {
             w.u64(s.deadline_ns);
             w.f64(s.alpha);
             w.f64(s.beta);
-            put_operand_ref(&mut w, &s.a);
-            put_operand_ref(&mut w, &s.b);
+            put_operand_ref(w, &s.a);
+            put_operand_ref(w, &s.b);
             match &s.c {
                 None => w.u8(0),
                 Some((rows, cols, data)) => {
@@ -279,25 +350,11 @@ fn try_encode(frame: &Frame) -> io::Result<Vec<u8>> {
             w.u64(*id);
         }
         Frame::Completion(c) => {
-            w.u64(c.id);
-            match &c.result {
-                Ok(ok) => {
-                    w.u8(0);
-                    w.u32(ok.rows);
-                    w.u32(ok.cols);
-                    w.f64_slice(&ok.data);
-                    w.u64(ok.verifications);
-                    w.u64(ok.detected);
-                    w.u64(ok.corrected);
-                    w.u64(ok.injected);
-                    w.u64(ok.retried_panels);
-                }
-                Err((code, message)) => {
-                    w.u8(1);
-                    w.u16(*code);
-                    w.string(message);
-                }
-            }
+            let result = match &c.result {
+                Ok(ok) => Ok((ok.rows, ok.cols, ok.data.as_slice(), ok.report())),
+                Err((code, message)) => Err((*code, message.as_str())),
+            };
+            put_completion(w, c.id, result);
         }
         Frame::ReleaseHandle { handle } | Frame::Released { handle } => {
             w.u64(*handle);
@@ -309,11 +366,6 @@ fn try_encode(frame: &Frame) -> io::Result<Vec<u8>> {
             w.string(message);
         }
     }
-    let len = frame_len(w.buf.len() - 4)?;
-    if let Some(prefix) = w.buf.first_chunk_mut::<4>() {
-        *prefix = len.to_le_bytes();
-    }
-    Ok(w.buf)
 }
 
 /// Decodes a frame payload given its verb byte. Total: every input maps to
@@ -444,12 +496,30 @@ pub enum ReadEvent {
     Eof,
 }
 
+/// A body buffer past this capacity is let go after its frame is decoded
+/// rather than kept for the next one: one large upload does not pin its
+/// size for the rest of the connection.
+const KEPT_BODY_BYTES: usize = 1 << 20;
+
 /// Reads one length-prefixed frame. `max_frame` bounds the length prefix;
 /// larger frames are drained in 64 KiB chunks and reported as
 /// [`ReadEvent::TooLarge`] so a single oversized frame cannot desync or
 /// kill the connection. Returns the total bytes consumed alongside the
-/// event (for byte-level metrics).
+/// event (for byte-level metrics). For a stream of frames, prefer
+/// [`read_frame_into`] with one body buffer kept across calls.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> io::Result<(ReadEvent, u64)> {
+    read_frame_into(r, max_frame, &mut Vec::new())
+}
+
+/// [`read_frame`], with the frame's body read into `body`, which the caller
+/// keeps and passes again: the body is read straight into its spare
+/// capacity, never zero-filled first, and a buffer that has held a frame of
+/// this size before is not allocated again.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_frame: u32,
+    body: &mut Vec<u8>,
+) -> io::Result<(ReadEvent, u64)> {
     let mut len_buf = [0u8; 4];
     // EOF before any length byte is a clean close; EOF mid-prefix is not.
     match r.read(&mut len_buf[..1])? {
@@ -470,12 +540,21 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> io::Result<(ReadEvent, u
         }
         return Ok((ReadEvent::TooLarge { len }, 4 + len as u64));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let event = match decode_frame(body[0], &body[1..]) {
-        Ok(f) => ReadEvent::Frame(f),
-        Err(e) => ReadEvent::Malformed(e),
+    body.clear();
+    body.reserve(len as usize);
+    if (&mut *r).take(len as u64).read_to_end(body)? < len as usize {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    let event = match body.split_first() {
+        Some((&verb, payload)) => match decode_frame(verb, payload) {
+            Ok(f) => ReadEvent::Frame(f),
+            Err(e) => ReadEvent::Malformed(e),
+        },
+        None => ReadEvent::Malformed(WireError::Truncated),
     };
+    if body.capacity() > KEPT_BODY_BYTES {
+        *body = Vec::new();
+    }
     Ok((event, 4 + len as u64))
 }
 

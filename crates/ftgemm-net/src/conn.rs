@@ -12,8 +12,10 @@
 //! connection is two threads and not one.
 //!
 //! The outbound thread is the one socket-write site: it owns the write
-//! half, takes the whole outbox each turn, writes it, and parks when a
-//! turn had nothing to do.
+//! half, takes the whole outbox each turn, encodes it into one buffer it
+//! keeps, writes that buffer once, and parks when a turn had nothing to do.
+//! A finished request stays the service's [`Completion`] until then, so its
+//! result matrix is encoded where the service left it, not copied first.
 //!
 //! Finished requests are taken off the connection's [`Completions`]
 //! stream by [`ConnState::route_finished`], under the connection lock:
@@ -34,7 +36,7 @@
 //! baseline.
 
 use std::collections::{HashMap, HashSet};
-use std::io::BufReader;
+use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
@@ -51,12 +53,9 @@ use ftgemm_serve::{
     ServeError,
 };
 
-use crate::codec::{read_frame, write_frame, ReadEvent, WireError};
+use crate::codec::{encode_completion_into, encode_into, read_frame_into, ReadEvent, WireError};
 use crate::metrics;
-use crate::proto::{
-    error_code, CompletionFrame, CompletionOk, Frame, OperandRef, SubmitFrame, FEATURES,
-    PROTO_VERSION,
-};
+use crate::proto::{error_code, Frame, OperandRef, SubmitFrame, FEATURES, PROTO_VERSION};
 use crate::store::{OperandStore, StoreGetError};
 
 /// Everything a connection needs from its server.
@@ -69,16 +68,43 @@ pub(crate) struct ConnContext {
     pub stop: StopHandle,
 }
 
+/// One frame in the outbox.
+enum Outgoing {
+    Frame(Frame),
+    /// A finished request, encoded straight from its result matrix.
+    Completion(Completion<f64>),
+}
+
+impl Outgoing {
+    /// Appends the frame's bytes to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
+        match self {
+            Outgoing::Frame(frame) => encode_into(buf, frame),
+            Outgoing::Completion(Completion {
+                id,
+                result: Ok(resp),
+            }) => {
+                let (rows, cols) = (resp.c.nrows() as u32, resp.c.ncols() as u32);
+                let result = Ok((rows, cols, resp.c.as_slice(), resp.report));
+                encode_completion_into(buf, *id, result)
+            }
+            Outgoing::Completion(Completion { id, result: Err(e) }) => {
+                encode_completion_into(buf, *id, Err((e.wire_code(), &e.to_string())))
+            }
+        }
+    }
+}
+
 /// State shared between the reader and the outbound thread, under one
 /// lock.
 struct ConnState {
     /// Frames to write, in order: the reader's answers and stream-delivery
     /// completions.
-    outbox: Vec<Frame>,
+    outbox: Vec<Outgoing>,
     /// Hold-delivery requests: id -> parked completion (None until it
     /// finishes). Ids are inserted under the lock *before* submit returns,
     /// so a completion can never be routed past its registration.
-    held: HashMap<u64, Option<CompletionFrame>>,
+    held: HashMap<u64, Option<Completion<f64>>>,
     /// Finished requests arrive here; see [`ConnState::route_finished`].
     completions: Completions<f64>,
     /// Submitted and not yet routed, against [`ConnContext::max_in_flight`].
@@ -98,10 +124,9 @@ impl ConnState {
             match self.completions.poll_next(cx) {
                 Poll::Ready(Some(c)) => {
                     self.in_flight -= 1;
-                    let frame = completion_to_frame(c);
-                    match self.held.get_mut(&frame.id) {
-                        Some(slot) => *slot = Some(frame),
-                        None => self.outbox.push(Frame::Completion(frame)),
+                    match self.held.get_mut(&c.id) {
+                        Some(slot) => *slot = Some(c),
+                        None => self.outbox.push(Outgoing::Completion(c)),
                     }
                 }
                 Poll::Ready(None) => return true,
@@ -131,23 +156,6 @@ fn serve_error_frame(id: u64, e: &ServeError) -> Frame {
         code: e.wire_code(),
         message: e.to_string(),
     }
-}
-
-fn completion_to_frame(c: Completion<f64>) -> CompletionFrame {
-    let result = match c.result {
-        Ok(resp) => Ok(CompletionOk {
-            rows: resp.c.nrows() as u32,
-            cols: resp.c.ncols() as u32,
-            data: resp.c.as_slice().to_vec(),
-            verifications: resp.report.verifications as u64,
-            detected: resp.report.detected as u64,
-            corrected: resp.report.corrected as u64,
-            injected: resp.report.injected as u64,
-            retried_panels: resp.report.retried_panels as u64,
-        }),
-        Err(e) => Err((e.wire_code(), e.to_string())),
-    };
-    CompletionFrame { id: c.id, result }
 }
 
 /// Turns a wire submit into a service request. Handle misses surface as
@@ -217,35 +225,65 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
     })
 }
 
+/// Encoded bytes past which a turn writes what it has before encoding more,
+/// like a buffered writer's capacity: the buffer stays within this plus one
+/// frame, and a long turn's first frames do not wait for its last.
+const TURN_BYTES: usize = 256 * 1024;
+
+/// The outbound thread's write buffer: frames encoded back to back, written
+/// with one `write_all`.
+#[derive(Default)]
+struct Turn {
+    buf: Vec<u8>,
+    frames: u64,
+}
+
+impl Turn {
+    /// Writes and empties the buffer; false if the write failed.
+    fn write_to(&mut self, out: &mut impl Write) -> bool {
+        let written = self.buf.is_empty() || out.write_all(&self.buf).is_ok();
+        if written {
+            metrics::frames_out_total().add(self.frames);
+            metrics::bytes_out_total().add(self.buf.len() as u64);
+        }
+        self.buf.clear();
+        self.frames = 0;
+        written
+    }
+}
+
 /// The outbound thread: the connection's one socket-write site. Each turn
 /// routes what has finished and takes the whole outbox under one hold of
-/// the connection lock, writes it, and parks when there was nothing to
-/// write. Ends once the reader has closed and the stream is drained: no
-/// submit follows `closing`, so that state is final. A failed write stops
-/// the writing but not the draining, so the connection still leaves with
-/// its in-flight work accounted for.
+/// the connection lock, encodes it into the [`Turn`] buffer, writes that
+/// once, and parks when there was nothing to write. Ends once the reader
+/// has closed and the stream is drained: no submit follows `closing`, so
+/// that state is final. A failed write (or a frame too large to encode)
+/// stops the writing but not the draining, so the connection still leaves
+/// with its in-flight work accounted for.
 fn outbound_loop(mut out: TcpStream, state: &Mutex<ConnState>, waker: &Waker) {
     let mut cx = Context::from_waker(waker);
+    let mut turn = Turn::default();
+    let mut frames = Vec::new();
     let mut writable = true;
     loop {
-        let (frames, done) = {
+        let done = {
             let mut st = state.lock();
             let drained = st.route_finished(&mut cx);
-            (std::mem::take(&mut st.outbox), st.closing && drained)
+            std::mem::swap(&mut st.outbox, &mut frames);
+            st.closing && drained
         };
         let idle = frames.is_empty();
-        for frame in frames {
+        for frame in frames.drain(..) {
             if !writable {
                 break;
             }
-            match write_frame(&mut out, &frame) {
-                Ok(n) => {
-                    metrics::frames_out_total().inc();
-                    metrics::bytes_out_total().add(n);
-                }
-                Err(_) => writable = false,
+            let encoded = frame.encode_into(&mut turn.buf).is_ok();
+            turn.frames += u64::from(encoded);
+            if !encoded || turn.buf.len() >= TURN_BYTES {
+                writable = turn.write_to(&mut out) && encoded;
             }
         }
+        writable = writable && turn.write_to(&mut out);
         if done {
             break;
         }
@@ -289,16 +327,17 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     let mut hello_done = false;
     let mut stop_server = false;
     let mut reader = BufReader::new(stream);
+    let mut body = Vec::new();
 
     {
         // The reader's only way to answer: queue the frame and wake the
         // outbound thread. Never a socket write.
-        let reply = |mut st: MutexGuard<'_, ConnState>, frame: Frame| {
+        let reply = |mut st: MutexGuard<'_, ConnState>, frame: Outgoing| {
             st.outbox.push(frame);
             drop(st);
             outbound.thread().unpark();
         };
-        let send = |frame: Frame| reply(shared.lock(), frame);
+        let send = |frame: Frame| reply(shared.lock(), Outgoing::Frame(frame));
         let protocol_error = |id: u64, code: u16, message: String| {
             metrics::protocol_errors_total().inc();
             send(Frame::Error { id, code, message });
@@ -311,7 +350,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
             );
         };
 
-        while let Ok((event, n)) = read_frame(&mut reader, ctx.max_frame) {
+        while let Ok((event, n)) = read_frame_into(&mut reader, ctx.max_frame, &mut body) {
             metrics::bytes_in_total().add(n);
             let frame = match event {
                 ReadEvent::Eof => break,
@@ -437,7 +476,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                         }
                         Err(e) => serve_error_frame(0, &e),
                     };
-                    reply(st, answer);
+                    reply(st, Outgoing::Frame(answer));
                 }
                 Frame::Poll { id } => {
                     let mut st = shared.lock();
@@ -449,9 +488,9 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                         }
                         Some(Some(c)) => {
                             st.held.remove(&id);
-                            reply(st, Frame::Completion(c));
+                            reply(st, Outgoing::Completion(c));
                         }
-                        Some(None) => reply(st, Frame::Pending { id }),
+                        Some(None) => reply(st, Outgoing::Frame(Frame::Pending { id })),
                     }
                 }
                 Frame::Wait { id } => {
@@ -470,7 +509,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                         st = shared.lock();
                     };
                     match held {
-                        Some(c) => reply(st, Frame::Completion(c)),
+                        Some(c) => reply(st, Outgoing::Completion(c)),
                         None => {
                             drop(st);
                             not_held(id);

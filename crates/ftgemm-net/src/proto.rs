@@ -18,7 +18,10 @@
 //! The protocol is strictly client-initiates / server-responds, with one
 //! exception: completions for stream-delivery submits are pushed by the
 //! server whenever they finish, so a client may see [`Frame::Completion`]
-//! frames interleaved with the response it is waiting for.
+//! frames interleaved with the response it is waiting for. A connection's
+//! frames get one answer each, in the order they were sent, and a submit's
+//! ack always comes before its own completion: a client may pipeline
+//! submits and pair their answers up first-in, first-out.
 
 use ftgemm_abft::FtReport;
 use ftgemm_core::Matrix;
@@ -206,7 +209,10 @@ impl CompletionOk {
 /// deadline that expired while queued).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletionFrame {
-    /// Service-assigned request id (from [`Frame::SubmitAck`]).
+    /// On the wire, the service-assigned request id (from
+    /// [`Frame::SubmitAck`]). [`NetClient`](crate::NetClient) hands a
+    /// completion out under its own id for the request, the one its
+    /// `submit` returned.
     pub id: u64,
     pub result: Result<CompletionOk, (u16, String)>,
 }

@@ -4,8 +4,9 @@
 //! and hold delivery, and handle release.
 //!
 //! The server is plain `std::net` (no async runtime): one accept loop,
-//! one reader/writer/pump thread trio per connection, bridging frames
-//! onto the same `GemmService` the in-process examples use. Uploaded
+//! a reader and an outbound thread per connection, bridging frames onto
+//! the same `GemmService` the in-process examples use. The client
+//! pipelines: a submit returns without waiting for the server's ack. Uploaded
 //! operands stay server-resident behind ref-counted handles, so a client
 //! that re-fires against the same matrices ships 16 bytes per submit
 //! instead of two full operands.

@@ -15,7 +15,7 @@
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::faults::{ErrorModel, Rate};
 use ftgemm::net::proto::error_code;
-use ftgemm::net::{ClientError, NetClient, NetServer, NetServerConfig, NetSubmit};
+use ftgemm::net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 use ftgemm::serve::{
     FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, PlacementPolicy, RoutingPolicy,
     ServiceConfig, Topology,
@@ -222,14 +222,15 @@ fn scrubber_quarantines_corrupted_operand_before_reuse() {
     // Quarantine evicted the bytes: only B remains resident.
     assert_eq!(server.store().handle_count(), 1);
 
-    // A reusing submit gets the typed quarantine error instead of wrong
-    // bits; the untouched operand still resolves.
-    match client.submit(NetSubmit::new(ha, hb)) {
-        Err(ClientError::Server { code, message, .. }) => {
+    // A reusing submit completes with the typed quarantine error instead
+    // of wrong bits; the untouched operand still resolves.
+    let id = client.submit(NetSubmit::new(ha, hb)).unwrap();
+    match client.wait(id).unwrap().result {
+        Err((code, message)) => {
             assert_eq!(code, error_code::OPERAND_QUARANTINED);
             assert!(message.contains("quarantined"), "{message}");
         }
-        other => panic!("expected OPERAND_QUARANTINED wire error, got {other:?}"),
+        Ok(_) => panic!("expected OPERAND_QUARANTINED wire error, got a result"),
     }
 
     // Releasing the poisoned handle clears the quarantine marker, and a

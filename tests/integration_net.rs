@@ -7,13 +7,16 @@
 
 use ftgemm::core::Matrix;
 use ftgemm::net::codec::{read_frame, write_frame, ReadEvent};
-use ftgemm::net::proto::{error_code, Frame, OperandRef, SubmitFrame, PROTO_VERSION};
+use ftgemm::net::proto::{
+    error_code, CompletionFrame, Frame, OperandRef, SubmitFrame, DEFAULT_MAX_FRAME, FEATURES,
+    PROTO_VERSION,
+};
 use ftgemm::net::{ClientError, NetClient, NetServer, NetServerConfig, NetSubmit};
 use ftgemm::serve::{
     FtPolicy, GemmRequest, GemmService, Priority, RoutePath, ServiceConfig, Topology,
 };
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -177,7 +180,7 @@ fn hold_delivery_poll_and_wait() {
 }
 
 /// A deadline the admission model deems infeasible surfaces as wire error
-/// code DEADLINE_EXCEEDED on the submitting connection.
+/// code DEADLINE_EXCEEDED, as the refused submit's own completion.
 #[test]
 fn infeasible_deadline_is_a_wire_error() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
@@ -197,12 +200,15 @@ fn infeasible_deadline_is_a_wire_error() {
 
     let a = Matrix::<f64>::random(64, 64, 6);
     let b = Matrix::<f64>::random(64, 64, 7);
-    match client.submit(NetSubmit::new(&a, &b).with_deadline(Duration::from_millis(50))) {
-        Err(ClientError::Server { code, message, .. }) => {
+    let id = client
+        .submit(NetSubmit::new(&a, &b).with_deadline(Duration::from_millis(50)))
+        .unwrap();
+    match client.wait(id).unwrap().result {
+        Err((code, message)) => {
             assert_eq!(code, error_code::DEADLINE_EXCEEDED);
             assert!(message.contains("infeasible"), "{message}");
         }
-        other => panic!("expected DEADLINE_EXCEEDED wire error, got {other:?}"),
+        Ok(_) => panic!("expected DEADLINE_EXCEEDED wire error, got a result"),
     }
     // The connection survives the rejection.
     let id = client.submit(NetSubmit::new(&a, &b)).unwrap();
@@ -236,8 +242,8 @@ fn killed_client_leaks_no_handles() {
 }
 
 /// Byte-budget eviction over the wire: the oldest handle is evicted, a
-/// submit against it answers UNKNOWN_HANDLE, an operand larger than the
-/// whole budget answers OPERAND_BUDGET.
+/// submit against it completes with UNKNOWN_HANDLE, an operand larger than
+/// the whole budget answers OPERAND_BUDGET.
 #[test]
 fn operand_budget_evicts_lru() {
     let svc = service();
@@ -258,9 +264,10 @@ fn operand_budget_evicts_lru() {
     assert_eq!(server.store().evictions(), 1);
     assert_eq!(server.store().handle_count(), 2);
 
-    match client.submit(NetSubmit::new(h1, h1)) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::UNKNOWN_HANDLE),
-        other => panic!("expected UNKNOWN_HANDLE, got {other:?}"),
+    let id = client.submit(NetSubmit::new(h1, h1)).unwrap();
+    match client.wait(id).unwrap().result {
+        Err((code, _)) => assert_eq!(code, error_code::UNKNOWN_HANDLE),
+        Ok(_) => panic!("expected UNKNOWN_HANDLE, got a result"),
     }
 
     let huge = Matrix::<f64>::zeros(64, 64); // 32 KiB > 16 KiB budget
@@ -375,7 +382,8 @@ fn protocol_errors_keep_connection_alive() {
     assert!(fresh.wait(id).unwrap().result.is_ok());
 }
 
-/// The per-connection in-flight cap is enforced with a typed error.
+/// The per-connection in-flight cap is enforced with a typed error, as the
+/// refused submit's completion.
 #[test]
 fn in_flight_cap_is_a_typed_error() {
     let svc = service();
@@ -388,9 +396,193 @@ fn in_flight_cap_is_a_typed_error() {
     );
     let mut client = NetClient::connect(server.addr()).unwrap();
     let a = Matrix::<f64>::random(8, 8, 21);
-    match client.submit(NetSubmit::new(&a, &a)) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::TOO_MANY_IN_FLIGHT),
+    let id = client.submit(NetSubmit::new(&a, &a)).unwrap();
+    match client.next_completion().unwrap() {
+        CompletionFrame {
+            id: got,
+            result: Err((code, _)),
+        } => {
+            assert_eq!(got, id);
+            assert_eq!(code, error_code::TOO_MANY_IN_FLIGHT);
+        }
         other => panic!("expected TOO_MANY_IN_FLIGHT, got {other:?}"),
+    }
+}
+
+/// A submit does not wait for its answer: against a fake server that
+/// answers the Hello and then reads without answering anything, 256
+/// submits return before a watchdog fires, and the server reads all 256.
+#[test]
+fn submits_do_not_wait_for_their_acks() {
+    const SUBMITS: usize = 256;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let (event, _) = read_frame(&mut sock, DEFAULT_MAX_FRAME).unwrap();
+        assert!(
+            matches!(event, ReadEvent::Frame(Frame::Hello { .. })),
+            "{event:?}"
+        );
+        let hello = Frame::ServerHello {
+            version: PROTO_VERSION,
+            features: FEATURES,
+            max_frame: DEFAULT_MAX_FRAME,
+        };
+        write_frame(&mut sock, &hello).unwrap();
+        let mut submits = 0;
+        while let Ok((ReadEvent::Frame(Frame::Submit(_)), _)) =
+            read_frame(&mut sock, DEFAULT_MAX_FRAME)
+        {
+            submits += 1;
+        }
+        submits
+    });
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).unwrap();
+        let ids: Vec<u64> = (0..SUBMITS)
+            .map(|_| client.submit(NetSubmit::new(1, 2)).unwrap())
+            .collect();
+        done_tx.send(ids).unwrap();
+        // Dropping the client closes the connection and ends the server.
+    });
+    let ids = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a submit waited for an answer the server never sends");
+    client.join().unwrap();
+    let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
+    assert_eq!(distinct.len(), SUBMITS, "ids must be distinct: {ids:?}");
+    assert_eq!(server.join().unwrap(), SUBMITS);
+}
+
+/// What one pipelined submit must resolve to.
+enum Want {
+    /// Bit for bit what `a * b` (DetectCorrect) gives in process.
+    Product(Matrix<f64>, Matrix<f64>),
+    /// A failed completion with this code and a message containing this.
+    Refused(u16, String),
+}
+
+/// One client pipelines stream and held submits, submits the server
+/// refuses (a handle no longer resident, a deadline the admission model
+/// finds infeasible), uploads and releases, without reading a single answer
+/// or completion in between: every submit's answer is still unread when
+/// the next frame goes out, except where an upload or release reads its
+/// own. Afterwards every id resolves exactly once, the products are
+/// bit-identical to in-process, and each refusal is its own id's failed
+/// completion with the code and message a synchronous refusal carried.
+#[test]
+fn pipelined_mix_resolves_every_id_once() {
+    let svc = service();
+    // Same deterministic setup as `infeasible_deadline_is_a_wire_error`: a
+    // 64^3 problem predicts ~52s, hopeless against 50ms.
+    let flops = 2 * 64u64.pow(3);
+    for _ in 0..4 {
+        svc.seed_routing(RoutePath::Batched, flops, flops * 100_000);
+    }
+    let server = start(&svc, NetServerConfig::default());
+    let mut client = NetClient::connect(server.addr()).unwrap();
+
+    let a = Matrix::<f64>::random(64, 64, 60);
+    let b = Matrix::<f64>::random(64, 64, 61);
+    let ha = client.upload(&a).unwrap();
+    let gone = client.upload(&b).unwrap();
+    client.release(gone).unwrap();
+
+    let mut want = std::collections::HashMap::new();
+    let (mut held, mut streamed) = (Vec::new(), Vec::new());
+    for i in 0..20u64 {
+        let x = Matrix::<f64>::random(64, 64, 100 + i);
+        // Each kind of refusal alternates between stream and hold delivery.
+        let odd_round = i / 5 % 2 == 1;
+        let (submit, hold, wanted) = match i % 5 {
+            0 => (NetSubmit::new(ha, &x), false, Want::Product(a.clone(), x)),
+            1 => (NetSubmit::new(&x, &b), true, Want::Product(x, b.clone())),
+            2 => (
+                NetSubmit::new(gone, &x),
+                odd_round,
+                Want::Refused(
+                    error_code::UNKNOWN_HANDLE,
+                    format!("operand handle {gone} is not resident"),
+                ),
+            ),
+            3 => (
+                NetSubmit::new(&x, &b).with_deadline(Duration::from_millis(50)),
+                !odd_round,
+                Want::Refused(error_code::DEADLINE_EXCEEDED, "infeasible".into()),
+            ),
+            _ => {
+                // An upload and a release read their own answers past the
+                // submit answers queued ahead of them.
+                let hx = client.upload(&x).unwrap();
+                let submit = NetSubmit::new(hx, ha);
+                let id = client
+                    .submit(submit.with_policy(FtPolicy::DetectCorrect))
+                    .unwrap();
+                client.release(hx).unwrap();
+                assert!(want.insert(id, Want::Product(x, a.clone())).is_none());
+                streamed.push(id);
+                continue;
+            }
+        };
+        let submit = submit.with_policy(FtPolicy::DetectCorrect);
+        let id = client
+            .submit(if hold { submit.held() } else { submit })
+            .unwrap();
+        assert!(want.insert(id, wanted).is_none(), "id {id} issued twice");
+        if hold {
+            held.push(id);
+        } else {
+            streamed.push(id);
+        }
+    }
+
+    let mut resolved = std::collections::HashMap::new();
+    // Held ids first, in reverse: answers and completions read on the way
+    // are stashed for the stream half.
+    for &id in held.iter().rev() {
+        let done = client.wait(id).unwrap();
+        assert_eq!(done.id, id);
+        assert!(resolved.insert(id, done.result).is_none(), "id {id} twice");
+    }
+    for _ in 0..streamed.len() {
+        let done = client.next_completion().unwrap();
+        assert!(!held.contains(&done.id), "held id {} streamed", done.id);
+        assert!(
+            resolved.insert(done.id, done.result).is_none(),
+            "id {} twice",
+            done.id
+        );
+    }
+    assert_eq!(resolved.len(), want.len());
+    for (id, wanted) in want {
+        let result = resolved
+            .remove(&id)
+            .unwrap_or_else(|| panic!("id {id} never resolved"));
+        match (wanted, result) {
+            (Want::Product(x, y), Ok(ok)) => {
+                let expected = svc
+                    .run(GemmRequest::new(x, y).with_policy(FtPolicy::DetectCorrect))
+                    .unwrap();
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ok.data), bits(expected.c.as_slice()), "request {id}");
+            }
+            (Want::Refused(code, text), Err((got, message))) => {
+                assert_eq!(got, code, "request {id}: {message}");
+                assert!(message.contains(&text), "request {id}: {message}");
+            }
+            (Want::Product(..), Err(e)) => panic!("request {id} failed: {e:?}"),
+            (Want::Refused(code, _), Ok(_)) => panic!("request {id} ran; wanted code {code}"),
+        }
+    }
+    // Redeemed ids are gone, client-side as they were server-side.
+    for id in [held[0], streamed[0]] {
+        match client.wait(id) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::UNKNOWN_REQUEST),
+            other => panic!("expected UNKNOWN_REQUEST for {id}, got {other:?}"),
+        }
     }
 }
 
@@ -626,7 +818,7 @@ fn net_metric_families_scrape() {
     let h = client.upload(&a).unwrap();
     let id = client.submit(NetSubmit::new(h, h)).unwrap();
     client.wait(id).unwrap().result.unwrap();
-    let _ = client.poll(99_999).unwrap_err(); // protocol error counter
+    let _ = client.release(99_999).unwrap_err(); // protocol error counter
     client.release(h).unwrap();
 
     let obs = svc.obs_addr().expect("obs endpoint bound");
