@@ -1,104 +1,83 @@
 //! The serial entries of the loop nest ([`crate::nest`]): the paper's
 //! FT-DGEMM (§2.2) and its "Ori" baseline, type-generic, on the team of one.
 //!
-//! Both hand [`nest`] one borrowed view of a caller-held context's buffers —
-//! [`ft_gemm_with_ctx`] an [`FtGemmContext`] with `PROTECT` on, [`gemm`] a
-//! bare [`GemmContext`] with it off — so what they compute, verify and roll
-//! back is what the matrix-parallel entries do on a larger team. A context's
-//! packing buffers hold the largest problem it has served
-//! ([`packed_lens`]: one block each, clamped to the problem), grown on demand
-//! and never shrunk, so a reused context allocates only when a larger shape
-//! first arrives.
+//! [`run_serial`] and [`ft_gemm_with_ctx`] run the nest on a caller-held
+//! [`Workspace`] as a team of one — slot 0, its kernel and blocking — so what
+//! they compute, verify and roll back is what the matrix-parallel entries do
+//! on a larger team in the same workspace type. [`gemm`] runs the unprotected
+//! nest on a bare [`GemmContext`]'s scratch. Buffers hold the largest problem
+//! served ([`packed_lens`]: one block each, clamped to the problem), grown on
+//! demand and never shrunk, so a reused owner allocates only when a larger
+//! shape first arrives.
 
-use crate::nest::{checks_need, nest, packed_lens, prologue, Checks, Job, Solo};
+use crate::nest::{nest, packed_lens, prologue, Checks, Job, Solo};
+use crate::workspace::{Setup, Workspace};
 use crate::{FtConfig, FtReport, FtResult};
 use ftgemm_core::{BlockingParams, GemmContext, IsaLevel, MatMut, MatRef, Scalar};
 
-/// Reusable state for repeated fault-tolerant GEMM calls: the plain GEMM
-/// context plus the checksum state of a team of one, which counts the
-/// protected calls the injection streams derive from.
-#[derive(Debug)]
-pub struct FtGemmContext<T: Scalar> {
-    /// Underlying GEMM context (kernel, blocking parameters, pack buffers).
-    pub core: GemmContext<T>,
-    checks: Checks<T>,
-}
+/// The serial owner's old name, kept for the benchmark, which still calls
+/// `FtGemmContext::new()`; the alias goes when the benchmark moves to
+/// [`Workspace`].
+pub type FtGemmContext<T> = Workspace<T>;
 
-impl<T: Scalar> FtGemmContext<T> {
-    /// Context with auto-detected kernel and blocking parameters.
-    pub fn new() -> Self {
-        Self::from_core(GemmContext::new())
-    }
-
-    /// Context wrapping an explicitly configured core context.
-    pub fn from_core(core: GemmContext<T>) -> Self {
-        FtGemmContext {
-            core,
-            checks: Checks::new(1, [0; 4]),
-        }
-    }
-
-    /// Pre-sizes the packing scratch and — under `Some(cfg)` — the checksum
-    /// state for an `m x n x k` problem, so a subsequent [`run_serial`] call
-    /// of that shape, configuration and `beta` performs **no heap
-    /// allocation**. The facade's `GemmPlan` calls this at plan time, and
-    /// re-reserving the same shape is free. The `m x NC` base snapshot exists
-    /// only where a rollback needs it:
-    /// [`Recovery::RetryPanel`](crate::Recovery::RetryPanel) **and**
-    /// `beta != 0`.
-    pub fn reserve(
-        &mut self,
-        cfg: Option<&FtConfig>,
-        m: usize,
-        n: usize,
-        k: usize,
-        beta: T,
-    ) -> FtResult<()> {
-        let p = self.core.params;
-        p.validate()?;
-        if let Some(cfg) = cfg {
-            self.checks.ensure(1, checks_need(&p, m, n, k));
-            self.checks.reserve_base(cfg, beta);
-        }
-        let (a_len, b_len) = packed_lens(&p, m, n, k);
-        self.core.pack_buffers(a_len, b_len)?;
-        Ok(())
-    }
-}
-
-impl<T: Scalar> Default for FtGemmContext<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The serial execute path: `C = alpha*A*B + beta*C` on a caller-held
-/// context, through [`ft_gemm_with_ctx`] under `Some(cfg)` and through
-/// [`gemm`] on `ctx.core` (reporting [`FtReport::default`]) under `None`.
-/// Every serial caller that carries an optional configuration — planned
-/// one-shots, batch items — goes through here, so the protected-vs-plain
-/// choice is made in one place.
+/// The serial execute path: `C = alpha*A*B + beta*C` on `ws` as a team of
+/// one, protected under `Some(cfg)` and plain (reporting
+/// [`FtReport::default`]) under `None`. Every serial caller that carries an
+/// optional configuration — planned one-shots, batch items — goes through
+/// here, so the protected-vs-plain choice is made in one place.
+///
+/// `call` is the id a batch gave a protected item ([`Workspace::job`]);
+/// `None` counts the call on `ws`. `ws` is grown to fit the problem
+/// ([`Workspace::ensure`]) and reused otherwise.
 pub fn run_serial<T: Scalar>(
-    ctx: &mut FtGemmContext<T>,
+    ws: &mut Workspace<T>,
     cfg: Option<&FtConfig>,
+    call: Option<u64>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
+    let Some((m, n, k)) = prologue(&ws.params, alpha, a, b, beta, c)? else {
+        return Ok(FtReport::default());
+    };
+    let solo = Setup::from(&*ws);
+    ws.ensure(solo, [m, n, k], cfg.is_some());
     match cfg {
-        Some(cfg) => ft_gemm_with_ctx(ctx, cfg, alpha, a, b, beta, c),
+        Some(cfg) => solo_nest::<T, true>(ws, cfg, call, alpha, a, b, beta, c).finish(),
         None => {
-            gemm(&mut ctx.core, alpha, a, b, beta, c)?;
+            solo_nest::<T, false>(ws, &FtConfig::default(), None, alpha, a, b, beta, c);
             Ok(FtReport::default())
         }
     }
 }
 
-/// Fault-tolerant `C = alpha*A*B + beta*C` on a caller-held context.
+/// The nest on `ws` as a team of one, over operands that passed
+/// [`prologue`] and fit `ws`; a protected caller [`Job::finish`]es what
+/// comes back.
+fn solo_nest<'a, T: Scalar, const PROTECT: bool>(
+    ws: &'a mut Workspace<T>,
+    cfg: &'a FtConfig,
+    call: Option<u64>,
+    alpha: T,
+    a: &MatRef<'a, T>,
+    b: &MatRef<'a, T>,
+    beta: T,
+    c: &'a mut MatMut<'_, T>,
+) -> Job<'a, T> {
+    let (kernel, p) = (ws.kernel, ws.params);
+    let (job, slots) = ws.job::<PROTECT>(kernel, p, cfg, call, alpha, a, b, beta, c);
+    // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
+    // team, and `run_serial` grew the workspace to fit the problem.
+    unsafe { nest::<T, Solo, PROTECT>(&Solo, &job, slots[0].get_mut().as_mut_slice()) };
+    job
+}
+
+/// Fault-tolerant `C = alpha*A*B + beta*C` on a caller-held workspace:
+/// [`run_serial`] under `Some(cfg)`, counted on `ws`.
 pub fn ft_gemm_with_ctx<T: Scalar>(
-    ctx: &mut FtGemmContext<T>,
+    ws: &mut Workspace<T>,
     cfg: &FtConfig,
     alpha: T,
     a: &MatRef<'_, T>,
@@ -106,21 +85,7 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
-    let Some((m, n, k)) = prologue(&ctx.core.params, alpha, a, b, beta, c)? else {
-        return Ok(FtReport::default());
-    };
-    // The one sizing shared with plan-time preallocation.
-    ctx.reserve(Some(cfg), m, n, k, beta)?;
-
-    let (kernel, p) = (ctx.core.kernel, ctx.core.params);
-    let (a_len, b_len) = packed_lens(&p, m, n, k);
-    let (a_buf, b_buf) = ctx.core.pack_buffers(a_len, b_len)?;
-    let bufs = ctx.checks.view(b_buf, true);
-    let job = Job::new(kernel, p, cfg, alpha, a, b, beta, c, bufs);
-    // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
-    // team, and `reserve` sized every buffer for this problem.
-    unsafe { nest::<T, Solo, true>(&Solo, &job, a_buf) };
-    job.finish()
+    run_serial(ws, Some(cfg), None, alpha, a, b, beta, c)
 }
 
 /// Serial `C = alpha * A * B + beta * C` with context-held buffers — the
@@ -189,7 +154,7 @@ mod tests {
         let mut c = Matrix::<f64>::random(m, n, 73);
         let mut c_ref = c.clone();
         let report = ft_gemm_with_ctx(
-            &mut FtGemmContext::new(),
+            &mut Workspace::new(),
             cfg,
             alpha,
             &a.as_ref(),
@@ -310,7 +275,7 @@ mod tests {
             kc: 16,
         })
         .unwrap();
-        let mut ctx = FtGemmContext::from_core(core);
+        let mut ctx = Workspace::for_problem(&core, 0, 0, 0);
         let inj = FaultInjector::new(11, ErrorModel::Additive { magnitude: 3e7 }, Rate::Count(20));
         let cfg = FtConfig::with_injector(inj);
         let (m, n, k) = (150, 140, 96);
@@ -346,7 +311,7 @@ mod tests {
             kc: 8,
         })
         .unwrap();
-        let mut ctx = FtGemmContext::from_core(core);
+        let mut ctx = Workspace::for_problem(&core, 0, 0, 0);
         let cfg = FtConfig::default();
         let (m, n, k) = (kern.mr * 3 + 1, kern.nr * 3 + 1, 20);
         let a = Matrix::<f64>::random(m, k, 1);
@@ -376,7 +341,7 @@ mod tests {
         let mut c = Matrix::<f32>::zeros(40, 20);
         let mut c_ref = c.clone();
         let report = ft_gemm_with_ctx(
-            &mut FtGemmContext::new(),
+            &mut Workspace::new(),
             &cfg,
             1.0f32,
             &a.as_ref(),
@@ -397,7 +362,7 @@ mod tests {
         let b = Matrix::<f64>::zeros(3, 4);
         let mut c = Matrix::<f64>::zeros(0, 4);
         ft_gemm_with_ctx(
-            &mut FtGemmContext::new(),
+            &mut Workspace::new(),
             &cfg,
             1.0,
             &a.as_ref(),
@@ -411,7 +376,7 @@ mod tests {
         let b = Matrix::<f64>::zeros(0, 2);
         let mut c = Matrix::<f64>::filled(2, 2, 4.0);
         ft_gemm_with_ctx(
-            &mut FtGemmContext::new(),
+            &mut Workspace::new(),
             &cfg,
             1.0,
             &a.as_ref(),
@@ -423,56 +388,11 @@ mod tests {
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
     }
 
-    /// Packing buffers follow the problem and only grow: a context that went
-    /// on to a smaller shape serves the first one again from the same
-    /// buffers, bit for bit.
-    #[test]
-    fn a_reused_context_never_regrows_and_repeats_itself() {
-        let cfg = FtConfig::default();
-        let mut ctx = FtGemmContext::<f64>::new();
-        let run = |ctx: &mut FtGemmContext<f64>, (m, n, k): (usize, usize, usize)| {
-            let a = Matrix::<f64>::random(m, k, 7);
-            let b = Matrix::<f64>::random(k, n, 8);
-            let mut c = Matrix::<f64>::random(m, n, 9);
-            let (a, b) = (a.as_ref(), b.as_ref());
-            ft_gemm_with_ctx(ctx, &cfg, 1.0, &a, &b, 0.5, &mut c.as_mut()).unwrap();
-            (c, ctx.core.pack_capacity())
-        };
-        let (first, grown) = run(&mut ctx, (128, 128, 128));
-        let p = ctx.core.params;
-        assert!(grown.1 < p.packed_b_len(), "B~ sized by the blocking");
-        assert_eq!(grown, packed_lens(&p, 128, 128, 128));
-        let (_, after_small) = run(&mut ctx, (32, 48, 64));
-        let (again, after_again) = run(&mut ctx, (128, 128, 128));
-        assert_eq!((after_small, after_again), (grown, grown));
-        assert_eq!(again.as_slice(), first.as_slice());
-    }
-
-    /// The call count lives in the checksum state: a regrowth between two
-    /// protected calls keeps it, and plan-time `reserve` and plain calls do
-    /// not add to it.
-    #[test]
-    fn protected_calls_are_counted_across_growth() {
-        let cfg = FtConfig::default();
-        let mut ctx = FtGemmContext::<f64>::new();
-        let run = |ctx: &mut FtGemmContext<f64>, cfg: Option<&FtConfig>, dim: usize| {
-            let a = Matrix::<f64>::random(dim, dim, 1);
-            let mut c = Matrix::<f64>::zeros(dim, dim);
-            let (a, c) = (a.as_ref(), &mut c.as_mut());
-            run_serial(ctx, cfg, 1.0, &a, &a, 0.0, c).unwrap();
-        };
-        run(&mut ctx, Some(&cfg), 16);
-        ctx.reserve(Some(&cfg), 96, 96, 96, 1.0).unwrap();
-        run(&mut ctx, None, 160);
-        run(&mut ctx, Some(&cfg), 200);
-        assert_eq!(ctx.checks.view(&mut [], false).call, 2);
-    }
-
     #[test]
     fn context_reuse_with_injection_is_deterministic_per_call() {
         let inj = FaultInjector::new(13, ErrorModel::Additive { magnitude: 1e6 }, Rate::Count(2));
         let cfg = FtConfig::with_injector(inj);
-        let mut ctx = FtGemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         let a = Matrix::<f64>::random(50, 50, 4);
         let b = Matrix::<f64>::random(50, 50, 5);
         for _ in 0..3 {

@@ -53,6 +53,8 @@
 //! ([`ft_gemm_with_ctx`] and [`gemm`] here on [`Solo`], the matrix-parallel
 //! pair in `ftgemm-parallel` on a pool region). A verdict, a rollback and
 //! an injected pattern are therefore the same code on every execution path.
+//! What the nest works in is one type for every team, [`Workspace`]: a
+//! serial call runs in it as a team of one, a pool call as the pool.
 //!
 //! ## The ambiguity fail-stop contract
 //!
@@ -97,12 +99,14 @@ pub mod nest;
 pub mod panel;
 pub mod policy;
 pub mod tolerance;
+pub mod workspace;
 
 pub use corrector::{CorrectionOutcome, Discrepancy};
 pub use ft_gemm::{ft_gemm_with_ctx, gemm, gemm_with_params, run_serial, FtGemmContext};
 pub use nest::{Solo, Team};
 pub use policy::FtPolicy;
 pub use tolerance::Tolerance;
+pub use workspace::{Setup, Workspace};
 
 use ftgemm_core::CoreError;
 

@@ -191,8 +191,8 @@ pub struct Buffers<'a, T> {
 /// Elements of the packed `A~` of one member and of the shared packed `B~`
 /// that a [`nest`] over `m x n x k` touches under `p`: one `mc x kc` block and
 /// one `kc x nc` panel, each clamped to the problem and padded to whole
-/// micro-panels. Every owner of packing buffers — the serial contexts and the
-/// matrix-parallel workspace — sizes them with this, so what a small problem
+/// micro-panels. Every owner of packing buffers — a `GemmContext`'s scratch
+/// and a [`Workspace`](crate::Workspace) — sizes them with this, so what a small problem
 /// allocates follows the problem and [`BlockingParams::packed_a_len`] /
 /// [`packed_b_len`](BlockingParams::packed_b_len) are only the ceiling.
 pub fn packed_lens(p: &BlockingParams, m: usize, n: usize, k: usize) -> (usize, usize) {
@@ -209,12 +209,14 @@ pub fn checks_need(p: &BlockingParams, m: usize, n: usize, k: usize) -> [usize; 
     [m, k, p.nc.min(n), p.kc.min(k)]
 }
 
-/// The checksum state of a protected [`nest`], as its owner holds it: the
-/// buffers behind every field of [`Buffers`] but `btilde`, the one list of
-/// their sizes, and the count of protected calls that identifies each call's
-/// injection streams — shared by `FtGemmContext` (a team of one) and the
-/// matrix-parallel workspace. The nest overwrites what it slices before
-/// reading it, so a reused state is neither shrunk nor re-zeroed.
+/// The checksum state of a protected [`nest`], as a
+/// [`Workspace`](crate::Workspace) holds it for every team that runs in it:
+/// the buffers behind every field of [`Buffers`] but `btilde`, the one list
+/// of their sizes, and the count of protected calls that identifies each
+/// call's injection streams (a batch item's id comes from its batch
+/// instead, [`Workspace::job`](crate::Workspace::job)). Lanes cut for a team
+/// serve any smaller one. The nest overwrites what it slices before reading
+/// it, so a reused state is neither shrunk nor re-zeroed.
 #[derive(Debug)]
 pub struct Checks<T: Scalar> {
     /// The team the lanes are cut for.
@@ -679,15 +681,15 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{ft_gemm_with_ctx, FtGemmContext};
+    use crate::{ft_gemm_with_ctx, Workspace};
     use ftgemm_core::{GemmContext, Matrix};
     use std::sync::Barrier;
 
     /// A team of scoped std threads: this crate's own proof that the nest
     /// needs nothing of a team beyond the four methods.
-    struct Threads<'a> {
+    pub(crate) struct Threads<'a> {
         tid: usize,
         barrier: &'a Barrier,
         nthreads: usize,
@@ -710,7 +712,7 @@ mod tests {
     }
 
     /// Runs `f` as every member of a `nthreads`-strong [`Threads`] team.
-    fn as_team(nthreads: usize, f: impl Fn(&Threads<'_>) + Sync) {
+    pub(crate) fn as_team(nthreads: usize, f: impl Fn(&Threads<'_>) + Sync) {
         let barrier = Barrier::new(nthreads);
         std::thread::scope(|s| {
             for tid in 0..nthreads {
@@ -805,7 +807,7 @@ mod tests {
         let mut solo = c0.clone();
         let (a_ref, b_ref) = (a.as_ref(), b.as_ref());
         let want = ft_gemm_with_ctx(
-            &mut FtGemmContext::from_core(core),
+            &mut Workspace::for_problem(&core, 0, 0, 0),
             &cfg,
             1.5,
             &a_ref,

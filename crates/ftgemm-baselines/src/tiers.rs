@@ -1,8 +1,8 @@
 //! The library stand-ins: packed/blocked GEMMs pinned to distinct ISA tiers.
 
-use ftgemm_abft::gemm;
+use ftgemm_abft::{gemm, FtResult, Workspace};
 use ftgemm_core::{GemmContext, IsaLevel, MatMut, MatRef, Result, Scalar};
-use ftgemm_parallel::{par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
+use ftgemm_parallel::{run_parallel, ParGemmContext};
 
 /// Which comparator library a stand-in represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,14 +91,14 @@ pub struct ReferenceParGemm<T: Scalar> {
     /// The tier this instance represents.
     pub tier: Tier,
     ctx: ParGemmContext<T>,
-    ws: ParFtWorkspace<T>,
+    ws: Workspace<T>,
 }
 
 impl<T: Scalar> ReferenceParGemm<T> {
     /// Stand-in for `tier` with `threads` workers.
     pub fn new(tier: Tier, threads: usize) -> Self {
         let ctx = ParGemmContext::with_threads_and_isa(threads, tier.isa());
-        let ws = ParFtWorkspace::for_plain(&ctx);
+        let ws = Workspace::new();
         ReferenceParGemm { tier, ctx, ws }
     }
 
@@ -107,7 +107,8 @@ impl<T: Scalar> ReferenceParGemm<T> {
         self.tier.name()
     }
 
-    /// `C = alpha*A*B + beta*C`, parallel.
+    /// `C = alpha*A*B + beta*C`, parallel: the plain execute path, on a
+    /// workspace grown to the largest problem served.
     pub fn run(
         &mut self,
         alpha: T,
@@ -115,8 +116,8 @@ impl<T: Scalar> ReferenceParGemm<T> {
         b: &MatRef<'_, T>,
         beta: T,
         c: &mut MatMut<'_, T>,
-    ) -> Result<()> {
-        par_gemm_with_ws(&self.ctx, &mut self.ws, alpha, a, b, beta, c)
+    ) -> FtResult<()> {
+        run_parallel(&self.ctx, &mut self.ws, None, alpha, a, b, beta, c).map(drop)
     }
 }
 

@@ -7,11 +7,11 @@
 //! Usage: `cargo run -p ftgemm-bench --release --bin reliability
 //! [--duration 30] [--threads N]`
 
-use ftgemm_abft::FtConfig;
+use ftgemm_abft::{FtConfig, Workspace};
 use ftgemm_bench::Args;
 use ftgemm_core::Matrix;
 use ftgemm_faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
-use ftgemm_parallel::{par_ft_gemm_with_ws, ParFtWorkspace, ParGemmContext};
+use ftgemm_parallel::{par_ft_gemm_with_ws, ParGemmContext};
 use std::time::Duration;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         Rate::PerSecond(20.0),
     );
     let ctx = ParGemmContext::<f64>::with_threads(args.threads);
-    let mut ws = ParFtWorkspace::for_problem(&ctx, s, s, s);
+    let mut ws = Workspace::for_problem(&ctx, s, s, s);
 
     let a = Matrix::<f64>::random(s, s, 1);
     let b = Matrix::<f64>::random(s, s, 2);

@@ -6,10 +6,10 @@
 //! partially fused, injected) through [`GemmRunner::ft_serial`] and
 //! [`GemmRunner::par`].
 
-use ftgemm_abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtGemmContext, FtPolicy};
+use ftgemm_abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtPolicy, Workspace};
 use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm_core::{GemmContext, MatMut, MatRef};
-use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
+use ftgemm_parallel::{run_parallel, ParGemmContext};
 
 /// Which implementation a runner wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,29 +46,24 @@ pub enum GemmRunner {
     /// Serial FT-GEMM: Ori.
     OriSerial(GemmContext<f64>),
     /// Serial FT-GEMM: FT (fused or unfused per config).
-    FtSerial(Box<FtGemmContext<f64>>, FtConfig),
+    FtSerial(Box<Workspace<f64>>, FtConfig),
     /// Parallel library stand-in.
     RefPar(RunnerKind, Box<ReferenceParGemm<f64>>),
     /// Parallel FT-GEMM on a held workspace: Ori (`None`) or FT (`Some`).
-    Par(
-        ParGemmContext<f64>,
-        Box<ParFtWorkspace<f64>>,
-        Option<FtConfig>,
-    ),
+    Par(ParGemmContext<f64>, Box<Workspace<f64>>, Option<FtConfig>),
 }
 
 impl GemmRunner {
     /// Serial FT-GEMM under `cfg`, on its own context.
     pub fn ft_serial(cfg: FtConfig) -> Self {
-        GemmRunner::FtSerial(Box::new(FtGemmContext::new()), cfg)
+        GemmRunner::FtSerial(Box::new(Workspace::new()), cfg)
     }
 
     /// Parallel FT-GEMM on its own pool and workspace: Ori (`None`) or FT
     /// under `cfg`.
     pub fn par(threads: usize, cfg: Option<FtConfig>) -> Self {
         let ctx = ParGemmContext::with_threads(threads);
-        let ws = Box::new(ParFtWorkspace::for_plain(&ctx));
-        GemmRunner::Par(ctx, ws, cfg)
+        GemmRunner::Par(ctx, Box::new(Workspace::new()), cfg)
     }
 
     /// Display name for tables.

@@ -15,11 +15,14 @@ use crate::microkernel::{select_kernel, Kernel};
 use crate::params::BlockingParams;
 use crate::scalar::Scalar;
 
-/// Reusable state for repeated GEMM calls: the selected micro-kernel,
-/// blocking parameters, and the packing scratch buffers.
+/// Reusable state for repeated plain serial GEMM calls: the selected
+/// micro-kernel, blocking parameters, and the packing scratch buffers.
 ///
-/// Creating a context is cheap but allocating packing buffers is not;
-/// reuse one context across calls of similar size (as the benchmarks do).
+/// The scratch serves `ftgemm_abft::gemm`, the nest's plain serial entry,
+/// alone; every other entry runs in an `ftgemm_abft::Workspace`, which
+/// takes its kernel and blocking from a context like this one. Creating a
+/// context is cheap but allocating packing buffers is not; reuse one
+/// context across calls of similar size (as the benchmarks do).
 #[derive(Debug)]
 pub struct GemmContext<T: Scalar> {
     /// Selected micro-kernel.
@@ -66,15 +69,7 @@ impl<T: Scalar> GemmContext<T> {
 
     /// Overrides the blocking parameters (validated).
     pub fn set_params(&mut self, params: BlockingParams) -> Result<()> {
-        if params.mr != self.kernel.mr || params.nr != self.kernel.nr {
-            return Err(CoreError::InvalidBlocking {
-                context: format!(
-                    "micro-tile {}x{} does not match kernel {}x{}",
-                    params.mr, params.nr, self.kernel.mr, self.kernel.nr
-                ),
-            });
-        }
-        params.validate()?;
+        params.validate_for(&self.kernel)?;
         self.params = params;
         Ok(())
     }

@@ -13,6 +13,7 @@
 
 use crate::cpu::CacheInfo;
 use crate::error::{CoreError, Result};
+use crate::microkernel::Kernel;
 use crate::scalar::Scalar;
 
 /// Blocking configuration for one GEMM invocation.
@@ -78,6 +79,20 @@ impl BlockingParams {
             });
         }
         Ok(())
+    }
+
+    /// [`validate`](Self::validate), and that the micro-tile is `kernel`'s:
+    /// the one check of a blocking against the kernel that runs it.
+    pub fn validate_for<T: Scalar>(&self, kernel: &Kernel<T>) -> Result<()> {
+        if (self.mr, self.nr) != (kernel.mr, kernel.nr) {
+            return Err(CoreError::InvalidBlocking {
+                context: format!(
+                    "micro-tile {}x{} does not match kernel {}x{}",
+                    self.mr, self.nr, kernel.mr, kernel.nr
+                ),
+            });
+        }
+        self.validate()
     }
 
     /// Packed-`A~` buffer length in elements (one `MC x KC` block, zero-padded

@@ -7,22 +7,19 @@
 //! own. [`par_batch_ft_gemm_timed`] flips the partitioning axis: the
 //! **batch** is distributed over the pool's threads, and every item runs
 //! the *serial* execute path on its owning thread, reusing that thread's
-//! packed-buffer workspace across items (and across batches, via
-//! [`BatchWorkspace`]).
+//! [`Workspace`] across items (and across batches, via [`BatchWorkspace`]).
 //!
 //! Scheduling is dynamic (an atomic cursor over the item array, OpenMP
 //! `schedule(dynamic)` style) so heterogeneous batches do not leave threads
-//! idle behind one long item.
-//!
-//! What stays non-replayable: an item's injection streams derive from the
-//! protected-call count of the slot that ran it, so under an injector a
-//! batch's fault pattern depends on which thread took which item, and the
-//! cursor makes that a race.
+//! idle behind one long item. Which thread takes which item is therefore a
+//! race, and nothing an item computes depends on it: its injection streams
+//! derive from the batch's count of protected items, not from the slot that
+//! ran it, so a batch's fault pattern replays on any pool.
 
 use crate::ctx::ParGemmContext;
 use ftgemm_abft::nest::Shared;
-use ftgemm_abft::{run_serial, FtConfig, FtGemmContext, FtReport, FtResult};
-use ftgemm_core::{GemmContext, MatMut, MatRef, Scalar};
+use ftgemm_abft::{run_serial, FtConfig, FtReport, FtResult, Setup, Workspace};
+use ftgemm_core::{MatMut, MatRef, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -47,31 +44,36 @@ pub struct BatchItem<'a, T: Scalar> {
     pub cfg: Option<&'a FtConfig>,
 }
 
-/// Per-pool-thread serial FT-GEMM contexts, reused across batches so packed
+/// One serial [`Workspace`] per pool thread, reused across batches so packed
 /// `A~`/`B~` buffers and checksum vectors are allocated once per thread
-/// rather than once per request.
+/// rather than once per request, and the count of protected items the
+/// batches run on it have drawn their ids from.
 ///
 /// Slot `t` is only ever locked by pool thread `t` during a batch region, so
 /// the mutexes are uncontended; they exist to keep the type `Sync` and to
 /// allow the owner to be dropped independently of the pool.
 pub struct BatchWorkspace<T: Scalar> {
-    slots: Vec<Mutex<FtGemmContext<T>>>,
+    slots: Vec<Mutex<Workspace<T>>>,
+    /// Protected items run so far: the `r`-th protected item of a batch
+    /// (from 1) draws from call `calls + r`, `calls` read at batch start.
+    calls: AtomicU64,
 }
 
 impl<T: Scalar> BatchWorkspace<T> {
-    /// One workspace slot per pool thread, configured with the context's
+    /// One empty workspace slot per pool thread, running the context's
     /// kernel and blocking parameters.
     pub fn new(ctx: &ParGemmContext<T>) -> Self {
+        let solo = Setup {
+            nthreads: 1,
+            ..Setup::from(ctx)
+        };
         let slots = (0..ctx.nthreads())
-            .map(|_| {
-                let mut core = GemmContext::<T>::with_isa(ctx.kernel.isa);
-                // The probe in ParGemmContext::set_params validated these
-                // params against the same kernel tile; apply cannot fail.
-                core.set_params(ctx.params).expect("params match kernel");
-                Mutex::new(FtGemmContext::from_core(core))
-            })
+            .map(|_| Mutex::new(Workspace::for_problem(solo, 0, 0, 0)))
             .collect();
-        BatchWorkspace { slots }
+        BatchWorkspace {
+            slots,
+            calls: AtomicU64::new(0),
+        }
     }
 
     /// Number of per-thread slots.
@@ -150,6 +152,20 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
         ctx.nthreads()
     );
 
+    // Ids by rank among the protected items, taken from the count at once,
+    // so they do not depend on the thread that runs an item.
+    let protected = items.iter().filter(|item| item.cfg.is_some()).count();
+    let mut next = ws.calls.fetch_add(protected as u64, Ordering::Relaxed);
+    let calls: Vec<Option<u64>> = items
+        .iter()
+        .map(|item| {
+            item.cfg.map(|_| {
+                next += 1;
+                next
+            })
+        })
+        .collect();
+
     let (items, outs) = (Shared::new(items), Shared::new(&mut results));
     let cursor = AtomicUsize::new(0);
     let busy_ns: Vec<AtomicU64> = (0..ctx.nthreads()).map(|_| AtomicU64::new(0)).collect();
@@ -171,6 +187,7 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
             *out = run_serial(
                 &mut slot,
                 item.cfg,
+                calls[i],
                 item.alpha,
                 &item.a,
                 &item.b,
@@ -238,7 +255,7 @@ mod tests {
         let mut expected: Vec<Matrix<f64>> = problems.iter().map(|(_, _, c)| c.clone()).collect();
         for ((a, b, _), c_exp) in problems.iter().zip(expected.iter_mut()) {
             ft_gemm_with_ctx(
-                &mut FtGemmContext::new(),
+                &mut Workspace::new(),
                 &cfg,
                 1.5,
                 &a.as_ref(),

@@ -1,6 +1,7 @@
 //! Parallel GEMM context: the pool plus kernel/blocking configuration.
 
-use ftgemm_core::{BlockingParams, CacheInfo, GemmContext, IsaLevel, Kernel, Scalar};
+use ftgemm_abft::Setup;
+use ftgemm_core::{BlockingParams, CacheInfo, IsaLevel, Kernel, Scalar};
 use ftgemm_pool::{ThreadPool, Topology};
 use std::sync::Arc;
 
@@ -67,14 +68,7 @@ impl<T: Scalar> ParGemmContext<T> {
 
     /// Context with explicit thread count and ISA tier.
     pub fn with_threads_and_isa(nthreads: usize, isa: IsaLevel) -> Self {
-        let kernel = ftgemm_core::select_kernel::<T>(isa);
-        let params = BlockingParams::derive::<T>(&CacheInfo::detect(), kernel.mr, kernel.nr);
-        ParGemmContext {
-            pool: Arc::new(ThreadPool::new(nthreads)),
-            kernel,
-            params,
-            node: None,
-        }
+        Self::with_pool(Arc::new(ThreadPool::new(nthreads)), isa)
     }
 
     /// Context sharing an existing pool.
@@ -107,9 +101,7 @@ impl<T: Scalar> ParGemmContext<T> {
 
     /// Overrides blocking parameters (validated against the kernel tile).
     pub fn set_params(&mut self, params: BlockingParams) -> ftgemm_core::Result<()> {
-        // Reuse the serial context validation logic.
-        let mut probe = GemmContext::<T>::with_isa(self.kernel.isa);
-        probe.set_params(params)?;
+        params.validate_for(&self.kernel)?;
         self.params = params;
         Ok(())
     }
@@ -118,6 +110,18 @@ impl<T: Scalar> ParGemmContext<T> {
 impl<T: Scalar> Default for ParGemmContext<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A pool context's team: its kernel, its blocking and every pool thread —
+/// what a [`Workspace`](ftgemm_abft::Workspace) is sized for and run with.
+impl<T: Scalar> From<&ParGemmContext<T>> for Setup<T> {
+    fn from(ctx: &ParGemmContext<T>) -> Self {
+        Setup {
+            kernel: ctx.kernel,
+            params: ctx.params,
+            nthreads: ctx.nthreads(),
+        }
     }
 }
 

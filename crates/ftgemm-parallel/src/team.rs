@@ -6,16 +6,21 @@
 //! and a private packed `A~`), packs the shared `B~` cooperatively along N,
 //! reduces the column checksums across per-thread lanes, and verifies — and
 //! decides continue / roll back / abort — on thread 0; what this module adds
-//! is the team ([`WorkerCtx`] behind the [`Team`] trait), the view of a
-//! [`ParFtWorkspace`] the nest works in, and the three entries.
+//! is the team ([`WorkerCtx`] behind the [`Team`] trait) and the three
+//! entries, which run it in a caller-held [`Workspace`] with the pool
+//! context's kernel and blocking.
 
 use crate::ctx::ParGemmContext;
-use crate::workspace::ParFtWorkspace;
 use ftgemm_abft::nest::{nest, prologue, Job, Team};
-use ftgemm_abft::{FtConfig, FtReport, FtResult};
+use ftgemm_abft::{FtConfig, FtReport, FtResult, Workspace};
 use ftgemm_core::{MatMut, MatRef, Scalar};
 use ftgemm_pool::WorkerCtx;
 use std::ops::Range;
+
+/// The matrix-parallel owner's old name, kept for the benchmark, which
+/// still calls `ParFtWorkspace::for_problem`; the alias goes when the
+/// benchmark moves to [`Workspace`].
+pub type ParFtWorkspace<T> = Workspace<T>;
 
 /// A pool region as the nest's team.
 struct Member<'a, 'p>(&'a WorkerCtx<'p>);
@@ -41,7 +46,7 @@ impl Team for Member<'_, '_> {
 /// `ws`, whose count its injection streams derive from.
 fn run_team<'a, T: Scalar, const PROTECT: bool>(
     ctx: &ParGemmContext<T>,
-    ws: &'a mut ParFtWorkspace<T>,
+    ws: &'a mut Workspace<T>,
     cfg: &'a FtConfig,
     alpha: T,
     a: &MatRef<'a, T>,
@@ -49,15 +54,12 @@ fn run_team<'a, T: Scalar, const PROTECT: bool>(
     beta: T,
     c: &'a mut MatMut<'_, T>,
 ) -> Job<'a, T> {
-    if PROTECT {
-        ws.checks.reserve_base(cfg, beta);
-    }
-    let bufs = ws.checks.view(&mut ws.btilde, PROTECT);
-    let (kernel, p, atilde) = (ctx.kernel, ctx.params, &ws.atilde);
-    let job = Job::new(kernel, p, cfg, alpha, a, b, beta, c, bufs);
+    let (kernel, p) = (ctx.kernel, ctx.params);
+    let (job, slots) = ws.job::<PROTECT>(kernel, p, cfg, None, alpha, a, b, beta, c);
+    let slots = &*slots;
     ctx.pool().run(|w| {
         // Slot `tid` is only ever locked by thread `tid` of a region.
-        let mut atilde = atilde[w.tid].lock();
+        let mut atilde = slots[w.tid].lock();
         // SAFETY: the region runs this closure once on every thread of the
         // pool, the region barrier holds them all, and the workspace fits.
         unsafe { nest::<T, _, PROTECT>(&Member(w), &job, atilde.as_mut_slice()) };
@@ -69,17 +71,18 @@ fn run_team<'a, T: Scalar, const PROTECT: bool>(
 /// pool with a caller-owned workspace, protected under `Some(cfg)` and plain
 /// (reporting [`FtReport::default`]) under `None`.
 ///
-/// `ws` is grown with [`ParFtWorkspace::ensure`] when the problem does not
-/// fit, and reused otherwise. Growth replaces only the buffers that are too
-/// small, so plain and protected calls can share one workspace without
-/// undoing each other's growth. A caller that keeps one workspace alive (a
-/// `GemmPlan`, a service dispatcher) allocates only when a larger shape
-/// first arrives. Every matrix-parallel caller that carries an optional
-/// configuration goes through here, so the protected-vs-plain choice is
-/// made in one place.
+/// `ws` is grown with [`Workspace::ensure`] when the problem does not fit,
+/// and reused otherwise; an empty [`Workspace::new`] is where a caller with
+/// no shape to size by starts. Growth replaces only the buffers that are too
+/// small, so plain and protected calls — and serial ones — can share one
+/// workspace without undoing each other's growth. A caller that keeps one
+/// workspace alive (a `GemmPlan`, a service dispatcher) allocates only when
+/// a larger shape first arrives. Every matrix-parallel caller that carries
+/// an optional configuration goes through here, so the protected-vs-plain
+/// choice is made in one place.
 pub fn run_parallel<T: Scalar>(
     ctx: &ParGemmContext<T>,
-    ws: &mut ParFtWorkspace<T>,
+    ws: &mut Workspace<T>,
     cfg: Option<&FtConfig>,
     alpha: T,
     a: &MatRef<'_, T>,
@@ -90,28 +93,24 @@ pub fn run_parallel<T: Scalar>(
     let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
         return Ok(FtReport::default());
     };
+    ws.ensure(ctx, [m, n, k], cfg.is_some());
     match cfg {
-        Some(cfg) => {
-            ws.ensure(ctx, m, n, k);
-            run_team::<T, true>(ctx, ws, cfg, alpha, a, b, beta, c).finish()
-        }
+        Some(cfg) => run_team::<T, true>(ctx, ws, cfg, alpha, a, b, beta, c).finish(),
         None => {
-            // The plain nest touches only B~ and the A~ slots.
-            ws.ensure_plain(ctx, m, n, k);
             run_team::<T, false>(ctx, ws, &FtConfig::default(), alpha, a, b, beta, c);
             Ok(FtReport::default())
         }
     }
 }
 
-/// Parallel fault-tolerant GEMM reusing a caller-held [`ParFtWorkspace`].
+/// Parallel fault-tolerant GEMM reusing a caller-held [`Workspace`].
 ///
 /// The hot path performs no heap allocation: every shared vector, reduction
 /// lane, and per-thread packed buffer lives in `ws` (the base snapshot of
 /// [`Recovery::RetryPanel`](ftgemm_abft::Recovery::RetryPanel) at
 /// `beta != 0` is grown on the first such call and kept). Callers that
-/// replay one problem shape (the facade's `GemmPlan`, serving layers) build
-/// the workspace once and amortize it across calls.
+/// replay one problem shape build the workspace once
+/// ([`Workspace::for_problem`]) and amortize it across calls.
 ///
 /// The workspace is taken `&mut`: the region shares one borrowed view of it
 /// across the pool's threads, and the exclusive borrow is what makes it
@@ -119,11 +118,11 @@ pub fn run_parallel<T: Scalar>(
 /// alias one workspace from safe code.
 ///
 /// # Panics
-/// If `ws` was built for a smaller problem or a different thread count
-/// (see [`ParFtWorkspace::fits`]).
+/// If `ws` does not [`fit`](Workspace::fits) this protected problem on
+/// `ctx`'s pool.
 pub fn par_ft_gemm_with_ws<T: Scalar>(
     ctx: &ParGemmContext<T>,
-    ws: &mut ParFtWorkspace<T>,
+    ws: &mut Workspace<T>,
     cfg: &FtConfig,
     alpha: T,
     a: &MatRef<'_, T>,
@@ -135,7 +134,7 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
         return Ok(FtReport::default());
     };
     assert!(
-        ws.fits(ctx, m, n, k),
+        ws.fits(ctx, [m, n, k], true),
         "workspace too small for {m}x{n}x{k} on {} threads",
         ctx.nthreads()
     );
@@ -144,16 +143,15 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
 
 /// Parallel plain `C = alpha*A*B + beta*C` — the paper's threaded baseline
 /// ("FT-GEMM: Ori", parallel curves of Fig. 2b) — on a caller-held
-/// [`ParFtWorkspace`] (only the packed `B~` and per-thread `A~` slots are
+/// [`Workspace`] (only the packed `B~` and per-thread `A~` slots are
 /// touched); the hot path performs no heap allocation.
 ///
 /// # Panics
-/// If `ws` holds packed buffers too small for this problem or was built for
-/// a different thread count (see [`ParFtWorkspace::fits_plain`]; a slim
-/// [`ParFtWorkspace::for_plain`] workspace suffices here).
+/// If `ws` does not [`fit`](Workspace::fits) this plain problem on `ctx`'s
+/// pool.
 pub fn par_gemm_with_ws<T: Scalar>(
     ctx: &ParGemmContext<T>,
-    ws: &mut ParFtWorkspace<T>,
+    ws: &mut Workspace<T>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
@@ -164,7 +162,7 @@ pub fn par_gemm_with_ws<T: Scalar>(
         return Ok(());
     };
     assert!(
-        ws.fits_plain(ctx, m, n, k),
+        ws.fits(ctx, [m, n, k], false),
         "workspace too small for {m}x{n}x{k} on {} threads",
         ctx.nthreads()
     );
@@ -189,7 +187,7 @@ mod tests {
         let mut c_ref = c.clone();
         let rep = run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             alpha,
             &a.as_ref(),
@@ -229,7 +227,7 @@ mod tests {
         let mut c_ref = c.clone();
         let rep = run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             1.0,
             &a.as_ref(),
@@ -258,7 +256,7 @@ mod tests {
             let mut want = c.clone();
             let rep = run_parallel(
                 &ctx,
-                &mut ParFtWorkspace::for_plain(&ctx),
+                &mut Workspace::new(),
                 Some(&cfg),
                 1.0,
                 &a.as_ref(),
@@ -285,7 +283,7 @@ mod tests {
         let mut c_ref = Matrix::<f64>::zeros(128, 112);
         let rep = run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             1.0,
             &a.as_ref(),
@@ -321,7 +319,7 @@ mod tests {
         let mut c_ref = Matrix::<f64>::zeros(150, 100);
         let rep = run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             1.0,
             &a.as_ref(),
@@ -353,7 +351,7 @@ mod tests {
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
         match run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             1.0,
             &a.as_ref(),
@@ -385,7 +383,7 @@ mod tests {
         let mut c_ref = Matrix::<f32>::zeros(64, 56);
         let rep = run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             1.0f32,
             &a.as_ref(),
@@ -401,12 +399,12 @@ mod tests {
 
     #[test]
     fn workspace_reuse_bitmatches_fresh() {
-        // Replaying one shape through a shared ParFtWorkspace must produce
+        // Replaying one shape through a shared Workspace must produce
         // bit-identical results to per-call fresh workspaces (same compute
         // order), without the workspace buffers moving.
         let ctx = ParGemmContext::<f64>::with_threads(4);
         let cfg = FtConfig::default();
-        let mut ws = ParFtWorkspace::for_problem(&ctx, 96, 80, 64);
+        let mut ws = Workspace::for_problem(&ctx, 96, 80, 64);
         let addr = ws.base_addr();
         for seed in 0..3u64 {
             let a = Matrix::<f64>::random(96, 64, seed);
@@ -426,7 +424,7 @@ mod tests {
             .unwrap();
             run_parallel(
                 &ctx,
-                &mut ParFtWorkspace::for_plain(&ctx),
+                &mut Workspace::new(),
                 Some(&cfg),
                 1.0,
                 &a.as_ref(),
@@ -452,7 +450,7 @@ mod tests {
             let mut c_ref = Matrix::<f64>::zeros(s, s);
             run_parallel(
                 &ctx,
-                &mut ParFtWorkspace::for_plain(&ctx),
+                &mut Workspace::new(),
                 Some(&cfg),
                 1.0,
                 &a.as_ref(),
@@ -475,7 +473,7 @@ mod tests {
         let mut c = Matrix::<f64>::filled(2, 2, 8.0);
         run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&cfg),
             1.0,
             &a.as_ref(),
@@ -507,7 +505,7 @@ mod tests {
         let a = Matrix::<f64>::random(m, k, 1);
         let b = Matrix::<f64>::random(k, n, 2);
         let mut c = Matrix::<f64>::zeros(m, n);
-        let mut ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
+        let mut ws = Workspace::for_problem(&ctx, m, n, k);
         let crossings = |ctx: &ParGemmContext<f64>| ctx.pool().stats().barrier_crossings;
 
         let before = crossings(&ctx);
@@ -541,7 +539,7 @@ mod tests {
         let mut c_ref = c.clone();
         par_gemm_with_ws(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::for_problem(&ctx, m, n, k),
             alpha,
             &a.as_ref(),
             &b.as_ref(),
@@ -583,7 +581,7 @@ mod tests {
         let mut c = Matrix::<f64>::filled(4, 4, 2.0);
         par_gemm_with_ws(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::for_problem(&ctx, 4, 4, 0),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -603,7 +601,7 @@ mod tests {
         let mut c_ref = c.clone();
         par_gemm_with_ws(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::for_problem(&ctx, 96, 80, 64),
             1.0f32,
             &a.as_ref(),
             &b.as_ref(),
@@ -624,7 +622,7 @@ mod tests {
         let mut c_ref = c.clone();
         par_gemm_with_ws(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::for_problem(&ctx, 70, 50, 60),
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -646,7 +644,7 @@ mod tests {
             let mut c_ref = Matrix::<f64>::zeros(s, s);
             par_gemm_with_ws(
                 &ctx,
-                &mut ParFtWorkspace::for_plain(&ctx),
+                &mut Workspace::for_problem(&ctx, s, s, s),
                 1.0,
                 &a.as_ref(),
                 &b.as_ref(),

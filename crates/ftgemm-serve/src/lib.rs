@@ -35,10 +35,10 @@
 //! * **Batching.** Small GEMMs cannot amortize a parallel region each; the
 //!   scheduler coalesces up to `max_batch` of them and distributes the
 //!   *batch* across the pool ([`ftgemm_parallel::par_batch_ft_gemm_timed`]),
-//!   each item running the serial execute path with that pool thread's
-//!   reused packed-buffer workspace. Large GEMMs run
-//!   [`ftgemm_parallel::run_parallel`] on a workspace built for the
-//!   request. Coalesced batches run before the
+//!   each item running the serial execute path in that pool thread's
+//!   reused [`ftgemm_abft::Workspace`]. Large GEMMs run
+//!   [`ftgemm_parallel::run_parallel`] on the node's one workspace, grown to
+//!   the largest request served. Coalesced batches run before the
 //!   sweep's large requests so a small request never queues behind a long
 //!   matrix-parallel run it arrived with.
 //! * **Learned routing.** The small/large boundary is a [`RoutingPolicy`]:

@@ -16,15 +16,14 @@ use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{RoutePath, RouteState, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::CompletionSink;
-use ftgemm_abft::{FtReport, FtResult};
+use ftgemm_abft::{FtReport, FtResult, Workspace};
 use ftgemm_core::{aligned, Scalar};
 use ftgemm_obs::{
     Counter, Exposition, Histogram, MetricKind, ObsRoutes, ObsServer, Registry, TraceEvent,
     TracePath, Tracelog,
 };
 use ftgemm_parallel::{
-    par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParFtWorkspace,
-    ParGemmContext,
+    par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParGemmContext,
 };
 use ftgemm_pool::{PoolStats, Topology};
 use std::net::SocketAddr;
@@ -861,19 +860,21 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
 }
 
 /// What one dispatcher computes with: its node's context (pool, kernel,
-/// blocking) and the workspaces of both paths, reused across everything the
-/// dispatcher ever runs. Only this node's pool ever touches them, so they
-/// stay on the memory domain that computes with them, and the dispatcher
-/// owns them outright: no lock, no sharing.
+/// blocking) and the [`Workspace`]s of both paths, reused across everything
+/// the dispatcher ever runs; the paths differ only in the team. Only this
+/// node's pool ever touches them, so they stay on the memory domain that
+/// computes with them, and the dispatcher owns them outright: no lock, no
+/// sharing.
 struct NodeCompute<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
-    /// Per-pool-thread serial FT contexts for the batched path.
+    /// The batched path: one workspace per pool thread, each a team of one.
     batch: BatchWorkspace<T>,
-    /// The matrix-parallel path's shared `B~`, per-thread `A~` and checksum
-    /// state (paper §2.3: requested once, reused). Built by the node's first
-    /// large request — a node that never sees one holds nothing — and grown
-    /// by `run_parallel` to the largest shape served.
-    large: Option<ParFtWorkspace<T>>,
+    /// The matrix-parallel path: one workspace, the pool as its team — the
+    /// shared `B~`, per-thread `A~` and checksum state (paper §2.3:
+    /// requested once, reused). Built by the node's first large request — a
+    /// node that never sees one holds nothing — and grown by `run_parallel`
+    /// to the largest shape served.
+    large: Option<Workspace<T>>,
 }
 
 impl<'a, T: Scalar> NodeCompute<'a, T> {
@@ -1066,9 +1067,7 @@ fn run_large<T: Scalar>(
     let cfg = effective_policy(inner, node, req.policy).to_config(req.injector.clone());
     let started = Instant::now();
     let ctx = compute.ctx;
-    let ws = compute
-        .large
-        .get_or_insert_with(|| ParFtWorkspace::new(ctx));
+    let ws = compute.large.get_or_insert_with(Workspace::new);
     let result = run_parallel(
         ctx,
         ws,
@@ -1427,7 +1426,7 @@ mod tests {
         // Growth is the one event that may move it.
         run(50, 128, crate::FtPolicy::Detect);
         let large = compute.large.as_ref().unwrap();
-        assert!(large.fits(compute.ctx, 128, 128, 128));
+        assert!(large.fits(compute.ctx, [128; 3], true));
         assert_eq!(inner.stats.direct_large.get(), 8);
         assert_eq!(
             inner.stats.large_workspace_bytes[0].get(),

@@ -6,7 +6,7 @@
 //! cargo run --release --example error_injection
 //! ```
 
-use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, Workspace};
 use ftgemm::core::{reference::naive_gemm, Matrix};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 
@@ -28,7 +28,7 @@ fn main() {
         let injector = FaultInjector::new(2024, model, Rate::Count(8));
         let cfg = FtConfig::with_injector(injector.clone());
         let mut c = Matrix::<f64>::zeros(n, n);
-        let mut ctx = FtGemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         let report = ft_gemm_with_ctx(
             &mut ctx,
             &cfg,

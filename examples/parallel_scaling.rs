@@ -7,7 +7,8 @@
 
 use ftgemm::abft::FtConfig;
 use ftgemm::core::Matrix;
-use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParFtWorkspace, ParGemmContext};
+use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParGemmContext};
+use ftgemm::Workspace;
 use std::time::Instant;
 
 fn time(mut f: impl FnMut()) -> f64 {
@@ -37,7 +38,7 @@ fn main() {
         let ctx = ParGemmContext::<f64>::with_threads(t);
         let cfg = FtConfig::default();
         // Requested once per thread count and reused by every call below.
-        let mut ws = ParFtWorkspace::for_problem(&ctx, n, n, n);
+        let mut ws = Workspace::for_problem(&ctx, n, n, n);
 
         let mut c = Matrix::<f64>::zeros(n, n);
         let t_ori = time(|| {

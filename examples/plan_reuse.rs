@@ -1,12 +1,12 @@
 //! Plan-once / execute-many: what holding a `GemmPlan` buys over building
-//! a fresh `FtGemmContext` (packing scratch, checksum workspaces) for every
+//! a fresh `Workspace` (packing scratch, checksum workspaces) for every
 //! call in a loop, at a serving-sized problem.
 //!
 //! ```sh
 //! cargo run --release --example plan_reuse
 //! ```
 
-use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, Workspace};
 use ftgemm::{Exec, FtConfig, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::time::Instant;
 
@@ -18,11 +18,11 @@ fn main() {
     let b = Matrix::<f64>::random(n, n, 2);
     let cfg = FtConfig::default();
 
-    // Baseline: every call builds a fresh FtGemmContext (packing scratch +
+    // Baseline: every call builds a fresh Workspace (packing scratch +
     // checksum vectors) and drops it.
     let mut c1 = Matrix::<f64>::zeros(n, n);
     let fresh_call = |c: &mut Matrix<f64>| {
-        let mut ctx = FtGemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         ft_gemm_with_ctx(
             &mut ctx,
             &cfg,
@@ -64,7 +64,7 @@ fn main() {
     let per_fresh = fresh.as_secs_f64() / ROUNDS as f64 * 1e3;
     let per_planned = planned.as_secs_f64() / ROUNDS as f64 * 1e3;
     println!("serial FT-GEMM {n}x{n}x{n}, {ROUNDS} rounds:");
-    println!("  fresh FtGemmContext   : {per_fresh:8.3} ms/call");
+    println!("  fresh Workspace       : {per_fresh:8.3} ms/call");
     println!("  reused GemmPlan       : {per_planned:8.3} ms/call");
     println!("  speedup               : {:8.2}x", per_fresh / per_planned);
 

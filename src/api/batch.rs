@@ -8,8 +8,11 @@ use ftgemm_parallel::{
 
 /// A reusable batched-GEMM executor: many small problems distributed over
 /// one parallel region, each item running the serial execute path
-/// ([`run_serial`](ftgemm_abft::run_serial)) on its owning thread with that
-/// thread's persistent packed-buffer workspace.
+/// ([`run_serial`](ftgemm_abft::run_serial)) on whichever thread takes it,
+/// in that thread's persistent [`Workspace`](ftgemm_abft::Workspace). A
+/// protected item's fault pattern follows its rank among the protected
+/// items this executor has run, not the thread, so a batch replays on a
+/// fresh executor of any pool size.
 ///
 /// This is the plan-style wrapper over
 /// [`par_batch_ft_gemm_timed`]: build once (the per-thread workspaces are

@@ -1,9 +1,9 @@
 //! [`Exec`] targets and the reusable [`GemmPlan`].
 
 use crate::api::op::GemmOp;
-use ftgemm_abft::{run_serial, FtConfig, FtError, FtGemmContext, FtReport, FtResult};
+use ftgemm_abft::{run_serial, FtConfig, FtError, FtReport, FtResult, Setup, Workspace};
 use ftgemm_core::{CoreError, IsaLevel, MatMut, MatRef, Scalar};
-use ftgemm_parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
+use ftgemm_parallel::{run_parallel, ParGemmContext};
 use ftgemm_pool::ThreadPool;
 use ftgemm_serve::DEFAULT_SMALL_FLOPS_CUTOFF;
 use std::sync::{Arc, OnceLock};
@@ -43,34 +43,13 @@ fn auto_parallel_ctx<T: Scalar>() -> ParGemmContext<T> {
     ParGemmContext::with_pool(pool, IsaLevel::detect())
 }
 
-/// How a [`GemmPlan`] executes — the resolved form of [`Exec`], workspace
-/// included.
-enum Backend<T: Scalar> {
-    Serial(Box<FtGemmContext<T>>),
-    Parallel {
-        ctx: ParGemmContext<T>,
-        ws: Box<ParFtWorkspace<T>>,
-    },
-}
-
-impl<T: Scalar> std::fmt::Debug for Backend<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Serial(_) => f.write_str("Serial"),
-            Backend::Parallel { ctx, .. } => {
-                write!(f, "Parallel({} threads)", ctx.nthreads())
-            }
-        }
-    }
-}
-
 /// A validated, preallocated GEMM ready to execute many times.
 ///
 /// Built by [`GemmOp::plan`]. The plan owns everything the hot path needs —
-/// blocking parameters, packing scratch, checksum work vectors, the
-/// `m x NC` rollback snapshot a `DetectCorrect` plan keeps when
-/// `beta != 0` (none at `beta == 0`), and (for parallel plans) the shared
-/// reduction workspace and the `Arc` of the thread pool — so repeated
+/// one [`Workspace`] (blocking parameters, packed buffers, checksum work
+/// vectors, the `m x NC` rollback snapshot a `DetectCorrect` plan keeps when
+/// `beta != 0`, none at `beta == 0`) and, for parallel plans, the `Arc` of
+/// the thread pool it runs on as a team — so repeated
 /// [`run`](GemmPlan::run) calls perform **zero heap allocation** (pinned by
 /// `tests/plan_alloc.rs`).
 ///
@@ -86,32 +65,33 @@ pub struct GemmPlan<'a, T: Scalar> {
     alpha: T,
     beta: T,
     cfg: Option<FtConfig>,
-    backend: Backend<T>,
+    /// Packed buffers and checksum state, sized at plan time.
+    ws: Workspace<T>,
+    /// The pool the workspace runs on as a team; `None`: the calling
+    /// thread, a team of one.
+    pool: Option<ParGemmContext<T>>,
 }
 
 impl<'a, T: Scalar> GemmPlan<'a, T> {
-    /// Resolves `exec`, preallocates workspaces. Shape consistency of
-    /// `A`/`B` was checked by [`GemmOp::plan`] before calling this.
+    /// Resolves `exec` to a team and sizes the workspace for it. Shape
+    /// consistency of `A`/`B` was checked by [`GemmOp::plan`] before calling
+    /// this.
     pub(crate) fn build(op: GemmOp<'a, T>, exec: Exec<'_, T>) -> FtResult<Self> {
         let (m, n, k) = op.dims();
         let cfg = op.resolve_config();
-
-        let backend = match exec {
-            Exec::Serial => Self::serial_backend(&cfg, m, n, k, op.beta)?,
-            Exec::Parallel(ctx) => Self::parallel_backend(ctx.clone(), &cfg, m, n, k, op.beta)?,
-            Exec::Auto | Exec::AutoAt(_) => {
-                let cutoff = match exec {
-                    Exec::AutoAt(cutoff) => cutoff,
-                    _ => DEFAULT_SMALL_FLOPS_CUTOFF,
-                };
-                if op.flops() <= cutoff {
-                    Self::serial_backend(&cfg, m, n, k, op.beta)?
-                } else {
-                    Self::parallel_backend(auto_parallel_ctx::<T>(), &cfg, m, n, k, op.beta)?
-                }
-            }
+        let pool = match exec {
+            Exec::Serial => None,
+            Exec::Parallel(ctx) => Some(ctx.clone()),
+            Exec::Auto => (op.flops() > DEFAULT_SMALL_FLOPS_CUTOFF).then(auto_parallel_ctx::<T>),
+            Exec::AutoAt(cutoff) => (op.flops() > cutoff).then(auto_parallel_ctx::<T>),
         };
-
+        let mut ws = Workspace::new();
+        let team = pool.as_ref().map_or(Setup::from(&ws), Setup::from);
+        team.params.validate_for(&team.kernel)?;
+        ws.ensure(team, [m, n, k], cfg.is_some());
+        if let Some(cfg) = &cfg {
+            ws.reserve_base(cfg, op.beta);
+        }
         Ok(GemmPlan {
             a: op.a,
             b: op.b,
@@ -121,42 +101,9 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
             alpha: op.alpha,
             beta: op.beta,
             cfg,
-            backend,
+            ws,
+            pool,
         })
-    }
-
-    fn serial_backend(
-        cfg: &Option<FtConfig>,
-        m: usize,
-        n: usize,
-        k: usize,
-        beta: T,
-    ) -> FtResult<Backend<T>> {
-        let mut ctx = FtGemmContext::<T>::new();
-        ctx.reserve(cfg.as_ref(), m, n, k, beta)?;
-        Ok(Backend::Serial(Box::new(ctx)))
-    }
-
-    fn parallel_backend(
-        ctx: ParGemmContext<T>,
-        cfg: &Option<FtConfig>,
-        m: usize,
-        n: usize,
-        k: usize,
-        beta: T,
-    ) -> FtResult<Backend<T>> {
-        ctx.params.validate().map_err(FtError::Core)?;
-        // Unprotected plans only need the packed B~ / per-thread A~ slots;
-        // the checksum vectors and reduction lanes stay zero-capacity.
-        let ws = Box::new(match cfg {
-            Some(cfg) => {
-                let mut ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
-                ws.reserve_base(cfg, beta);
-                ws
-            }
-            None => ParFtWorkspace::for_plain(&ctx),
-        });
-        Ok(Backend::Parallel { ctx, ws })
     }
 
     /// Executes the planned GEMM into `c` using the operands the plan was
@@ -211,11 +158,10 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
             }));
         }
         let cfg = self.cfg.as_ref();
-        match &mut self.backend {
-            Backend::Serial(ctx) => run_serial(ctx, cfg, self.alpha, a, b, self.beta, c),
-            Backend::Parallel { ctx, ws } => {
-                run_parallel(ctx, ws, cfg, self.alpha, a, b, self.beta, c)
-            }
+        let (alpha, beta, ws) = (self.alpha, self.beta, &mut self.ws);
+        match &self.pool {
+            None => run_serial(ws, cfg, None, alpha, a, b, beta, c),
+            Some(ctx) => run_parallel(ctx, ws, cfg, alpha, a, b, beta, c),
         }
     }
 
@@ -226,7 +172,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
 
     /// True when the plan executes on a worker pool (matrix-parallel).
     pub fn is_parallel(&self) -> bool {
-        matches!(self.backend, Backend::Parallel { .. })
+        self.pool.is_some()
     }
 
     /// True when the plan runs the fused-ABFT driver.
@@ -236,13 +182,11 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
 
     /// Threads the plan executes on (1 for serial plans).
     pub fn nthreads(&self) -> usize {
-        match &self.backend {
-            Backend::Serial(_) => 1,
-            Backend::Parallel { ctx, .. } => ctx.nthreads(),
-        }
+        self.pool.as_ref().map_or(1, ParGemmContext::nthreads)
     }
 
-    /// Stable address of the parallel workspace (`None` for serial plans).
+    /// Stable address of a parallel plan's workspace (`None` for serial
+    /// plans).
     ///
     /// Diagnostics hook: the address not changing across [`run`] calls
     /// proves the hot path reuses — rather than reallocates — its buffers
@@ -250,9 +194,6 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
     ///
     /// [`run`]: GemmPlan::run
     pub fn workspace_addr(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Serial(_) => None,
-            Backend::Parallel { ws, .. } => Some(ws.base_addr()),
-        }
+        self.pool.as_ref().map(|_| self.ws.base_addr())
     }
 }

@@ -34,13 +34,14 @@
 //! assert_eq!(report.detected, 0);
 //! ```
 //!
-//! Underneath, a plan runs one of two execute paths:
-//! [`abft::run_serial`] on a held [`abft::FtGemmContext`], or
-//! [`parallel::run_parallel`] on a held [`ParFtWorkspace`] — the same two
-//! functions [`GemmBatch`] items and [`GemmService`] dispatchers call —
-//! and under both, one loop nest ([`abft::nest`]), so `DetectCorrect` rolls
-//! back and recomputes on every path. [`gemm`](fn@gemm) is that nest's
-//! unprotected serial entry on a bare [`GemmContext`].
+//! Underneath, a plan holds one [`Workspace`] and runs one of two execute
+//! paths on it: [`abft::run_serial`] (a team of one) or
+//! [`parallel::run_parallel`] (a team of the pool's size) — the same two
+//! functions [`GemmBatch`] items and [`GemmService`] dispatchers call, on
+//! the same workspace type — and under both, one loop nest
+//! ([`abft::nest`]), so `DetectCorrect` rolls back and recomputes on every
+//! path. [`gemm`](fn@gemm) is that nest's unprotected serial entry on a bare
+//! [`GemmContext`].
 //!
 //! ## Serving many requests
 //!
@@ -78,7 +79,7 @@ pub use ftgemm_serve as serve;
 pub mod api;
 
 pub use api::{AsMatRef, Exec, GemmBatch, GemmOp, GemmPlan};
-pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult};
+pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult, Workspace};
 pub use ftgemm_core::{GemmContext, MatMut, MatRef, Matrix};
 pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};

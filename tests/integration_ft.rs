@@ -4,15 +4,11 @@
 //! across owners and calls; and `beta == 0`'s store mode on every entry of
 //! the loop nest.
 
-use ftgemm::abft::{
-    ft_gemm_with_ctx, FtConfig, FtError, FtGemmContext, FtReport, FtResult, Recovery,
-};
+use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtError, FtReport, FtResult, Recovery, Workspace};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{BlockingParams, GemmContext, Matrix, Scalar};
 use ftgemm::faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{
-    par_ft_gemm_with_ws, par_gemm_with_ws, run_parallel, ParFtWorkspace, ParGemmContext,
-};
+use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, run_parallel, ParGemmContext};
 use std::time::Duration;
 
 fn clean_reference(m: usize, n: usize, k: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
@@ -25,7 +21,7 @@ fn clean_reference(m: usize, n: usize, k: usize) -> (Matrix<f64>, Matrix<f64>, M
 
 /// A context with tiny blocks so even small problems have many injection
 /// sites and verification intervals.
-fn small_block_ctx() -> FtGemmContext<f64> {
+fn small_block_ctx() -> Workspace<f64> {
     let mut core = GemmContext::<f64>::new();
     let kern = core.kernel;
     core.set_params(BlockingParams {
@@ -36,7 +32,7 @@ fn small_block_ctx() -> FtGemmContext<f64> {
         kc: 16,
     })
     .unwrap();
-    FtGemmContext::from_core(core)
+    Workspace::for_problem(&core, 0, 0, 0)
 }
 
 /// Two overflows per stream: an overflowed element is what subtraction
@@ -56,7 +52,7 @@ fn overflow(seed: u64, recovery: Recovery) -> FtConfig {
 
 /// `C = alpha * A * B + beta * C` through `ft_gemm_with_ctx` on `ctx`.
 fn serial<T: Scalar>(
-    ctx: &mut FtGemmContext<T>,
+    ctx: &mut Workspace<T>,
     cfg: &FtConfig,
     alpha: T,
     a: &Matrix<T>,
@@ -85,7 +81,7 @@ fn pool<T: Scalar>(
     beta: T,
     c: &mut Matrix<T>,
 ) -> FtResult<FtReport> {
-    let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut ParFtWorkspace::new(ctx));
+    let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut Workspace::new());
     run_parallel(ctx, ws, Some(cfg), alpha, &a, &b, beta, &mut c.as_mut())
 }
 
@@ -167,7 +163,7 @@ fn ft_without_errors_is_bit_identical_to_plain() {
     )
     .unwrap();
     let cfg = FtConfig::default();
-    serial(&mut FtGemmContext::new(), &cfg, 1.0, &a, &b, 1.0, &mut c_ft).unwrap();
+    serial(&mut Workspace::new(), &cfg, 1.0, &a, &b, 1.0, &mut c_ft).unwrap();
 
     assert_eq!(
         c_plain.as_slice(),
@@ -335,7 +331,7 @@ fn retry_panel_recovers_colliding_patterns() {
 #[test]
 fn rollback_recomputes_the_column_block_bit_identically() {
     // One column block, four KC panels, three injection sites per panel.
-    let p = small_block_ctx().core.params;
+    let p = small_block_ctx().params;
     let (m, n, k) = (p.mc * 3, p.nc, p.kc * 4);
     let a = Matrix::<f64>::random(m, k, 42);
     let b = Matrix::<f64>::random(k, n, 43);
@@ -406,7 +402,7 @@ fn retry_panel_is_inert_on_clean_runs() {
         ..Default::default()
     };
     let mut c = Matrix::<f64>::zeros(m, n);
-    let rep = serial(&mut FtGemmContext::new(), &cfg, 1.0, &a, &b, 0.0, &mut c).unwrap();
+    let rep = serial(&mut Workspace::new(), &cfg, 1.0, &a, &b, 0.0, &mut c).unwrap();
     assert_eq!(rep.retried_panels, 0);
     assert!(truth.rel_max_diff(&c) < 1e-10);
 }
@@ -426,7 +422,7 @@ fn serial_and_matrix_parallel_clean_runs_agree_bitwise() {
         let c0 = Matrix::<f64>::random(m, n, 3);
         for beta in [0.0, 1.0, -0.5] {
             let mut c_serial = c0.clone();
-            let ctx = &mut FtGemmContext::new();
+            let ctx = &mut Workspace::new();
             let want = serial(ctx, &cfg, 1.5, &a, &b, beta, &mut c_serial).unwrap();
             for threads in 1..=3 {
                 let ctx = ParGemmContext::<f64>::with_threads(threads);
@@ -453,7 +449,7 @@ fn reordered_sums_verify_clean_and_catch_errors<T: Scalar>((m, n, k): (usize, us
 
     let mut c = Matrix::<T>::zeros(m, n);
     let rep = serial(
-        &mut FtGemmContext::new(),
+        &mut Workspace::new(),
         &clean,
         T::ONE,
         &a,
@@ -476,7 +472,7 @@ fn reordered_sums_verify_clean_and_catch_errors<T: Scalar>((m, n, k): (usize, us
     let cfg = FtPolicy::DetectCorrect.to_config(Some(inj)).unwrap();
     let mut c_inj = Matrix::<T>::zeros(m, n);
     let rep = serial(
-        &mut FtGemmContext::new(),
+        &mut Workspace::new(),
         &cfg,
         T::ONE,
         &a,
@@ -509,7 +505,7 @@ fn reordered_sums_keep_deep_clean_runs_clean_f32() {
 /// The replay tests' problem: `small_block_ctx`'s blocking, two column
 /// blocks by four depth panels, three `mc` blocks of rows.
 fn replay_problem() -> (BlockingParams, [Matrix<f64>; 3]) {
-    let p = small_block_ctx().core.params;
+    let p = small_block_ctx().params;
     let (m, n, k) = (p.mc * 3, p.nc * 2, p.kc * 4);
     let operands = [(m, k, 1), (k, n, 2), (m, n, 3)];
     (p, operands.map(|(r, c, seed)| Matrix::random(r, c, seed)))
@@ -584,12 +580,13 @@ fn every_driver(
     let cfg = ftgemm::abft::FtPolicy::DetectCorrect
         .to_config(None)
         .unwrap();
-    let small = small_block_ctx().core.params;
+    let small = small_block_ctx().params;
 
-    let mut plain = small_block_ctx().core;
+    let mut plain = GemmContext::<f64>::new();
+    plain.params = small;
     edit(&mut plain.params);
     let mut protected = small_block_ctx();
-    edit(&mut protected.core.params);
+    edit(&mut protected.params);
     let serial_cfg = cfg.clone();
     let mut drivers: Vec<(String, Driver)> = vec![
         (
@@ -617,8 +614,8 @@ fn every_driver(
     for threads in 1..=3 {
         let mut ctx = ParGemmContext::<f64>::with_threads(threads);
         ctx.set_params(small).unwrap();
-        let mut ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
-        let mut ft_ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
+        let mut ws = Workspace::for_problem(&ctx, m, n, k);
+        let mut ft_ws = Workspace::for_problem(&ctx, m, n, k);
         edit(&mut ctx.params);
         let (ft_ctx, cfg) = (ctx.clone(), cfg.clone());
         drivers.push((
@@ -644,7 +641,7 @@ fn every_driver(
 /// shape — on three threads too, where each owns four `mr` slabs of rows —
 /// and leaves a ragged edge in every direction.
 fn ragged_problem() -> (usize, usize, usize) {
-    let p = small_block_ctx().core.params;
+    let p = small_block_ctx().params;
     (11 * p.mr + 3, 9 * p.nr + 1, 37)
 }
 

@@ -2,12 +2,12 @@
 //! agrees with the naive oracle over a grid of shapes, scalars, and ISA
 //! tiers, including through the public facade.
 
-use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, gemm, Workspace};
 use ftgemm::baselines::{BlockedGemm, NaiveGemm, ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{GemmContext, IsaLevel, Matrix};
 use ftgemm::parallel::{run_parallel, ParGemmContext};
-use ftgemm::{FtConfig, ParFtWorkspace};
+use ftgemm::FtConfig;
 
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
@@ -67,7 +67,7 @@ fn ft_gemm_grid() {
         let (a, b, (c0, c_exp)) = oracle(m, n, k, 1.0, 1.0);
         let mut c = c0.clone();
         let rep = ft_gemm_with_ctx(
-            &mut FtGemmContext::new(),
+            &mut Workspace::new(),
             &FtConfig::default(),
             1.0,
             &a.as_ref(),
@@ -90,7 +90,7 @@ fn parallel_gemm_grid() {
             let mut c = c0.clone();
             run_parallel(
                 &ctx,
-                &mut ParFtWorkspace::for_plain(&ctx),
+                &mut Workspace::new(),
                 None,
                 1.0,
                 &a.as_ref(),
@@ -115,7 +115,7 @@ fn parallel_ft_gemm_grid() {
         let mut c = c0.clone();
         let rep = run_parallel(
             &ctx,
-            &mut ParFtWorkspace::for_plain(&ctx),
+            &mut Workspace::new(),
             Some(&FtConfig::default()),
             1.0,
             &a.as_ref(),
@@ -210,7 +210,7 @@ fn serial_and_parallel_bitwise_consistent_structure() {
     let par = ParGemmContext::<f64>::with_threads(6);
     run_parallel(
         &par,
-        &mut ParFtWorkspace::for_plain(&par),
+        &mut Workspace::new(),
         None,
         1.0,
         &a.as_ref(),

@@ -3,12 +3,14 @@
 //! covers and one that it does not. Each replays bit for bit on a fresh
 //! workspace, after the other calls of the hunt. A covered pattern is
 //! recomputed bit-identically to a clean run at that thread count, and a
-//! pattern past the budget, or under `ReportOnly`, is fail-stop.
+//! pattern past the budget, or under `ReportOnly`, is fail-stop. A batch's
+//! pattern replays too, on a fresh batch of any pool size.
 
-use ftgemm::abft::{FtConfig, FtError, FtReport, Recovery};
+use ftgemm::abft::{FtConfig, FtError, FtPolicy, FtReport, Recovery};
 use ftgemm::core::{BlockingParams, Matrix};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{run_parallel, ParFtWorkspace, ParGemmContext};
+use ftgemm::parallel::{run_parallel, BatchItem, ParGemmContext};
+use ftgemm::{GemmBatch, Workspace};
 
 /// A pool context with tiny blocks (`mc = 2 mr`, `nc = 4 nr`, `kc = 16`) and
 /// a problem of two column blocks by four panels on it, every thread owning
@@ -56,7 +58,7 @@ fn runner(
     let c0 = Matrix::<f64>::random(m, n, 44);
     move |cfg, beta| {
         let mut c = c0.clone();
-        let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut ParFtWorkspace::new(ctx));
+        let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut Workspace::new());
         let res = run_parallel(ctx, ws, Some(cfg), 1.0, &a, &b, beta, &mut c.as_mut());
         (c.as_slice().iter().map(|v| v.to_bits()).collect(), res)
     }
@@ -166,5 +168,57 @@ fn a_fault_during_the_replay_with_the_budget_spent_is_fail_stop() {
         }
         let (seed, spent) = spent.unwrap_or_else(|| panic!("beta {beta}: no run spent its budget"));
         assert_eq!(spend(seed), spent, "beta {beta}, seed {seed}");
+    }
+}
+
+/// A batched item draws its injection streams from its rank among the
+/// batch's protected items, not from the pool thread that took it: a seed
+/// hunted on a two-thread batch, whose items the threads race for, replays
+/// item for item on fresh batches of one and of two threads.
+#[test]
+fn a_batch_replays_whatever_thread_runs_its_items() {
+    let items = 6;
+    let (_, (m, n, k)) = small_blocks(1);
+    let a: Vec<_> = (0..items).map(|i| Matrix::<f64>::random(m, k, i)).collect();
+    let b: Vec<_> = (0..items)
+        .map(|i| Matrix::<f64>::random(k, n, 100 + i))
+        .collect();
+    let batch = |threads: usize, seed: u64| -> Vec<Outcome> {
+        let (ctx, _) = small_blocks(threads);
+        let model = ErrorModel::Additive { magnitude: 1e6 };
+        let injector = FaultInjector::new(seed, model, Rate::PerSite(0.05));
+        let cfg = FtPolicy::DetectCorrect.to_config(Some(injector)).unwrap();
+        let mut c: Vec<_> = (0..items).map(|_| Matrix::<f64>::zeros(m, n)).collect();
+        let mut batch_items: Vec<_> = a
+            .iter()
+            .zip(&b)
+            .zip(&mut c)
+            .map(|((a, b), c)| BatchItem {
+                alpha: 1.0,
+                a: a.as_ref(),
+                b: b.as_ref(),
+                beta: 0.0,
+                c: c.as_mut(),
+                cfg: Some(&cfg),
+            })
+            .collect();
+        let results = GemmBatch::new(&ctx).run(&mut batch_items);
+        drop(batch_items);
+        let bits = |c: &Matrix<f64>| c.as_slice().iter().map(|v| v.to_bits()).collect();
+        c.iter().map(bits).zip(results).collect()
+    };
+    let acted = |(_, res): &Outcome| {
+        res.as_ref()
+            .is_ok_and(|rep| rep.corrected > 0 || rep.retried_panels > 0)
+    };
+    let (seed, hunted) = (0..32u64)
+        .map(|seed| (seed, batch(2, seed)))
+        .find(|(_, outcomes)| outcomes[1..].iter().any(acted))
+        .expect("no seed in 0..32 corrects an item after the first");
+    for threads in [1, 2] {
+        let replayed = batch(threads, seed);
+        for (i, (got, want)) in replayed.iter().zip(&hunted).enumerate() {
+            assert_eq!(got, want, "seed {seed}, item {i}, {threads} threads");
+        }
     }
 }

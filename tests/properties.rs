@@ -4,7 +4,7 @@
 
 use ftgemm::abft::checksum;
 use ftgemm::abft::corrector::{correct_block, find_discrepancies, CorrectionOutcome};
-use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtConfig, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtConfig, Workspace};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{pack, GemmContext, Matrix};
 use ftgemm::pool::partition_aligned;
@@ -170,7 +170,7 @@ proptest! {
         let b = mat(k, n, seed + 1);
         let mut c = mat(m, n, seed + 2);
         let mut c_ref = c.clone();
-        let rep = ft_gemm_with_ctx(&mut FtGemmContext::new(), &FtConfig::default(), 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
+        let rep = ft_gemm_with_ctx(&mut Workspace::new(), &FtConfig::default(), 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c_ref.as_mut());
         prop_assert_eq!(rep.detected, 0);
         prop_assert!(c.rel_max_diff(&c_ref) < 1e-10);

@@ -5,10 +5,9 @@
 //! order ⇒ identical bits) and (b) agree with the naive
 //! reference GEMM up to roundoff.
 
-use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, Workspace};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws};
-use ftgemm::ParFtWorkspace;
 use ftgemm::{Exec, FtConfig, FtPolicy, GemmContext, GemmOp, GemmRequest, Matrix, ParGemmContext};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -62,7 +61,7 @@ proptest! {
 
         let mut c_legacy = c0.clone();
         ft_gemm_with_ctx(
-            &mut FtGemmContext::new(), &cfg,
+            &mut Workspace::new(), &cfg,
             alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut(),
         )
         .unwrap();
@@ -95,7 +94,7 @@ proptest! {
 
         let mut c_legacy = c0.clone();
         par_ft_gemm_with_ws(
-            ctx, &mut ParFtWorkspace::for_problem(ctx, m, n, k), &cfg,
+            ctx, &mut Workspace::for_problem(ctx, m, n, k), &cfg,
             alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut(),
         )
         .unwrap();
@@ -171,7 +170,7 @@ proptest! {
             .unwrap();
         let mut c_par_legacy = c0.clone();
         par_gemm_with_ws(
-            par_ctx(), &mut ParFtWorkspace::for_plain(par_ctx()),
+            par_ctx(), &mut Workspace::for_problem(par_ctx(), m, n, k),
             alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_par_legacy.as_mut(),
         )
         .unwrap();
@@ -196,7 +195,7 @@ proptest! {
             plan.run_with(&a2.as_ref(), &b2.as_ref(), &mut c_plan.as_mut()).unwrap();
             let mut c_legacy = Matrix::<f64>::zeros(m, n);
             ft_gemm_with_ctx(
-                &mut FtGemmContext::new(), &cfg,
+                &mut Workspace::new(), &cfg,
                 1.0, &a2.as_ref(), &b2.as_ref(), 0.0, &mut c_legacy.as_mut(),
             )
             .unwrap();

@@ -3,13 +3,13 @@
 //! `ft_gemm_with_ctx` loop, and the service must agree with the oracle for arbitrary
 //! shapes, policies, and batch geometry.
 
-use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, Workspace};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::Matrix;
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 use ftgemm::parallel::{
     par_batch_ft_gemm_timed, par_ft_gemm_with_ws, par_gemm_with_ws, BatchItem, BatchWorkspace,
-    ParFtWorkspace, ParGemmContext,
+    ParGemmContext,
 };
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
 use ftgemm::{Exec, GemmBatch, GemmOp, Topology};
@@ -41,7 +41,7 @@ proptest! {
         }
         let mut expected: Vec<Matrix<f64>> = problems.iter().map(|(_, _, c)| c.clone()).collect();
         for ((a, b, _), c_exp) in problems.iter().zip(expected.iter_mut()) {
-            ft_gemm_with_ctx(&mut FtGemmContext::new(), &cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_exp.as_mut()).unwrap();
+            ft_gemm_with_ctx(&mut Workspace::new(), &cfg, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_exp.as_mut()).unwrap();
         }
 
         let mut items: Vec<BatchItem<'_, f64>> = problems
@@ -145,7 +145,7 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
         let mut expected = c0;
         let report = match policy.to_config(injector) {
             Some(cfg) => {
-                let mut ws = ParFtWorkspace::for_problem(&ctx, m, n, k);
+                let mut ws = Workspace::for_problem(&ctx, m, n, k);
                 for _ in 0..protected_calls {
                     let (o, mut c) = (one.as_ref(), one.clone());
                     par_ft_gemm_with_ws(&ctx, &mut ws, &clean, 1.0, &o, &o, 0.0, &mut c.as_mut())
@@ -167,7 +167,7 @@ fn large_path_is_bit_identical_to_fresh_workspaces() {
             None => {
                 par_gemm_with_ws(
                     &ctx,
-                    &mut ParFtWorkspace::for_plain(&ctx),
+                    &mut Workspace::for_problem(&ctx, m, n, k),
                     1.5,
                     &a.as_ref(),
                     &b.as_ref(),
