@@ -37,8 +37,7 @@
 //! the same loop — so a recovered `C` is bit-identical to a clean run on the
 //! same team.
 
-// analyze::policy(publish: decision)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
+// Concurrency contract (checked by `scripts/orderings.sh`):
 // `decision` publishes thread 0's verdict on a panel to the team — Release
 // store after `panel::verify`, Acquire load after the barrier that follows.
 

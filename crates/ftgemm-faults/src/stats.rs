@@ -1,7 +1,6 @@
 //! Cross-thread injection/detection/correction counters.
 
-// analyze::policy(atomics: relaxed)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
+// Concurrency contract (checked by `scripts/orderings.sh`):
 // injection tallies only — Relaxed, never a synchronization point.
 
 use std::sync::atomic::{AtomicU64, Ordering};

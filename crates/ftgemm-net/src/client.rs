@@ -301,6 +301,7 @@ impl NetClient {
         }
         loop {
             if let Some(pos) = self.stash.iter().position(|c| c.id == id) {
+                #[expect(clippy::unwrap_used, reason = "position found pos in the stash")]
                 return Ok(self.stash.remove(pos).unwrap());
             }
             let running = self.unanswered.iter().any(|&(c, _)| c == id)

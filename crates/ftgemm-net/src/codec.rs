@@ -64,24 +64,29 @@ impl<'a> Rd<'a> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
+        #[expect(clippy::indexing_slicing, reason = "remaining() >= n, checked above")]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
+        #[expect(clippy::indexing_slicing, reason = "bytes(1) returns one byte")]
         Ok(self.bytes(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
+        #[expect(clippy::unwrap_used, reason = "bytes(2) returns 2 bytes")]
         Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
+        #[expect(clippy::unwrap_used, reason = "bytes(4) returns 4 bytes")]
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
+        #[expect(clippy::unwrap_used, reason = "bytes(8) returns 8 bytes")]
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
@@ -249,7 +254,7 @@ fn put_completion(w: &mut Wr<'_>, id: u64, result: CompletionFields<'_>) {
 /// If the frame is over `u32::MAX` bytes (4 GiB), which no length prefix
 /// can state; [`write_frame`] returns an error instead.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    // analyze::allow(panic, "documented: only a frame over 4 GiB, which write_frame refuses")
+    #[expect(clippy::expect_used, reason = "documented: only a frame over 4 GiB")]
     try_encode(frame).expect("frame over 4 GiB")
 }
 
@@ -535,6 +540,7 @@ pub fn read_frame_into(
         let mut chunk = [0u8; 64 * 1024];
         while left > 0 {
             let take = left.min(chunk.len() as u64) as usize;
+            #[expect(clippy::indexing_slicing, reason = "take <= chunk.len()")]
             r.read_exact(&mut chunk[..take])?;
             left -= take as u64;
         }

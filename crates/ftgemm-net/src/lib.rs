@@ -31,6 +31,16 @@
 //! - [`server`] / [`client`]: the two endpoints.
 //! - `metrics`: the `ftgemm_net_*` metric families (documented there).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod client;
 pub mod codec;
 mod conn;

@@ -188,6 +188,7 @@ impl CompletionOk {
     /// Reassembles the output matrix (panics only if rows/cols/data are
     /// inconsistent, which the codec rejects at decode time).
     pub fn to_matrix(&self) -> Matrix<f64> {
+        #[expect(clippy::expect_used, reason = "decode rejects inconsistent shapes")]
         Matrix::from_col_major(self.rows as usize, self.cols as usize, &self.data)
             .expect("codec-validated completion shape")
     }
@@ -288,6 +289,147 @@ impl Frame {
             Frame::Shutdown => verb::SHUTDOWN,
             Frame::Goodbye => verb::GOODBYE,
             Frame::Error { .. } => verb::ERROR,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ftgemm_abft::FtError;
+    use ftgemm_serve::ServeError;
+
+    /// The pinned wire vocabulary, in declaration order. Renumbering or
+    /// renaming an entry breaks deployed clients: append, never edit.
+    const VERBS: [(&str, u16); 15] = [
+        ("HELLO", 1),
+        ("SERVER_HELLO", 2),
+        ("UPLOAD_OPERAND", 3),
+        ("OPERAND_HANDLE", 4),
+        ("SUBMIT", 5),
+        ("SUBMIT_ACK", 6),
+        ("POLL", 7),
+        ("PENDING", 8),
+        ("WAIT", 9),
+        ("COMPLETION", 10),
+        ("RELEASE_HANDLE", 11),
+        ("RELEASED", 12),
+        ("SHUTDOWN", 13),
+        ("GOODBYE", 14),
+        ("ERROR", 15),
+    ];
+    const ERROR_CODES: [(&str, u16); 15] = [
+        ("SHAPE", 1),
+        ("FT", 2),
+        ("CLOSED", 3),
+        ("OVERLOADED", 4),
+        ("DEADLINE_EXCEEDED", 5),
+        ("UNSUPPORTED_VERSION", 100),
+        ("MALFORMED_FRAME", 101),
+        ("FRAME_TOO_LARGE", 102),
+        ("UNKNOWN_HANDLE", 103),
+        ("OPERAND_BUDGET", 104),
+        ("UNKNOWN_VERB", 105),
+        ("TOO_MANY_IN_FLIGHT", 106),
+        ("UNKNOWN_REQUEST", 107),
+        ("EXPECTED_HELLO", 108),
+        ("OPERAND_QUARANTINED", 109),
+    ];
+
+    /// `(name, value)` of every `pub const` in `pub mod {module}` of this
+    /// file, so a constant added without a pin fails as surely as one
+    /// renumbered.
+    fn declared(module: &str) -> Vec<(&'static str, u16)> {
+        let src = include_str!("proto.rs");
+        let start = src.find(&format!("pub mod {module} {{")).unwrap();
+        let body = &src[start..];
+        body[..body.find("\n}").unwrap()]
+            .lines()
+            .filter_map(|line| {
+                let (name, rest) = line.trim().strip_prefix("pub const ")?.split_once(':')?;
+                let value = rest.split_once('=')?.1.trim().trim_end_matches(';');
+                Some((name, value.parse().unwrap()))
+            })
+            .collect()
+    }
+
+    /// Lowercase alphanumerics only: `SERVER_HELLO` == `ServerHello`.
+    fn normalize(s: &str) -> String {
+        s.chars()
+            .filter(char::is_ascii_alphanumeric)
+            .collect::<String>()
+            .to_ascii_lowercase()
+    }
+
+    #[test]
+    fn verbs_and_error_codes_are_pinned() {
+        assert_eq!(declared("verb"), VERBS);
+        assert_eq!(declared("error_code"), ERROR_CODES);
+    }
+
+    /// Codes `1..=99` are exactly `ServeError::wire_code` of every variant,
+    /// under the variant's name; `100+` belong to the transport alone.
+    #[test]
+    fn request_band_mirrors_serve_error() {
+        let ft = FtError::Unrecoverable {
+            jc: 0,
+            pc: 0,
+            detail: String::new(),
+        };
+        let variants = [
+            ServeError::Shape(String::new()),
+            ServeError::Ft(ft),
+            ServeError::Closed,
+            ServeError::Overloaded,
+            ServeError::DeadlineExceeded(String::new()),
+        ];
+        let serve: Vec<(String, u16)> = variants
+            .iter()
+            .map(|e| {
+                // Exhaustive: a new variant fails to compile until listed.
+                let name = match e {
+                    ServeError::Shape(_) => "Shape",
+                    ServeError::Ft(_) => "Ft",
+                    ServeError::Closed => "Closed",
+                    ServeError::Overloaded => "Overloaded",
+                    ServeError::DeadlineExceeded(_) => "DeadlineExceeded",
+                };
+                (normalize(name), e.wire_code())
+            })
+            .collect();
+        let band: Vec<(String, u16)> = declared("error_code")
+            .into_iter()
+            .filter(|&(_, v)| v < 100)
+            .map(|(n, v)| (normalize(n), v))
+            .collect();
+        assert_eq!(band, serve);
+        assert!(serve.iter().all(|&(_, v)| (1..=99).contains(&v)));
+    }
+
+    /// Every verb and every request-level code sits in
+    /// `docs/ARCHITECTURE.md` on a line holding both its name (compared as
+    /// [`normalize`]d) and its number.
+    #[test]
+    fn architecture_doc_states_every_verb_and_wire_code() {
+        let doc = include_str!("../../../docs/ARCHITECTURE.md");
+        let lines: Vec<(String, Vec<u16>)> = doc
+            .lines()
+            .map(|l| {
+                let numbers = l
+                    .split(|c: char| !c.is_ascii_alphanumeric())
+                    .filter_map(|w| w.parse().ok())
+                    .collect();
+                (normalize(l), numbers)
+            })
+            .collect();
+        let codes = declared("error_code").into_iter().filter(|&(_, v)| v < 100);
+        for (name, value) in declared("verb").into_iter().chain(codes) {
+            let name_n = normalize(name);
+            assert!(
+                lines
+                    .iter()
+                    .any(|(l, numbers)| l.contains(&name_n) && numbers.contains(&value)),
+                "docs/ARCHITECTURE.md has no line naming `{name}` with {value}"
+            );
         }
     }
 }

@@ -35,8 +35,7 @@
 //! sum vectors bit-for-bit — compensating multi-element corruptions —
 //! which is the same algebraic blind spot row+column ABFT itself has.
 
-// analyze::policy(atomics: relaxed)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): the
+// Concurrency contract (checked by `scripts/orderings.sh`): the
 // byte/handle gauges, scrub tallies, and scrub cursor are advisory
 // accounting read by metrics and the admission check; the authoritative
 // state lives under `inner`'s lock.

@@ -10,8 +10,7 @@
 //! end the server (a wire `Shutdown` frame, say) do exactly that without
 //! owning it.
 
-// analyze::policy(publish: stop as accept_stop)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): `stop`
+// Concurrency contract (checked by `scripts/orderings.sh`): `stop`
 // is the one shutdown publication cell of every server built on this
 // module — Release store in `StopHandle::stop`, Acquire loads in the accept
 // loop and in `StopHandle::is_stopped`, so a thread that observes the flag

@@ -2,8 +2,7 @@
 //! histograms. Every hot-path operation is a handful of relaxed atomic
 //! read-modify-writes — no locks, no allocation.
 
-// analyze::policy(atomics: relaxed)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): every
+// Concurrency contract (checked by `scripts/orderings.sh`): every
 // atomic here is a monotonic counter or gauge scraped asynchronously —
 // Relaxed only; none of them may become a synchronization point.
 
@@ -143,6 +142,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
+        #[expect(clippy::indexing_slicing, reason = "bucket_index clamps into range")]
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -160,6 +160,7 @@ impl Histogram {
 
     /// Per-bucket counts (index `i` = values of bit length `i`).
     pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+        #[expect(clippy::indexing_slicing, reason = "i < HISTOGRAM_BUCKETS")]
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 

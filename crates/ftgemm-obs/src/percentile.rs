@@ -26,6 +26,7 @@ pub fn percentile(samples: &[f64], pct: f64) -> f64 {
     }
     let mut sorted = samples.to_vec();
     sorted.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
+    #[expect(clippy::indexing_slicing, reason = "nearest_rank(_, n) < n, n > 0")]
     sorted[nearest_rank(pct, sorted.len())]
 }
 

@@ -86,6 +86,7 @@ impl Registry {
                 instances: Vec::new(),
             });
         }
+        #[expect(clippy::expect_used, reason = "found or pushed just above")]
         let family = families
             .iter_mut()
             .find(|f| f.name == name)
@@ -123,6 +124,7 @@ impl Registry {
             Handle::Counter(Arc::new(Counter::new()))
         }) {
             Handle::Counter(c) => c,
+            #[expect(clippy::panic, reason = "a name reused for another kind is a bug")]
             _ => panic!("metric {name:?} is not a counter"),
         }
     }
@@ -138,6 +140,7 @@ impl Registry {
             Handle::Gauge(Arc::new(Gauge::new()))
         }) {
             Handle::Gauge(g) => g,
+            #[expect(clippy::panic, reason = "a name reused for another kind is a bug")]
             _ => panic!("metric {name:?} is not a gauge"),
         }
     }
@@ -148,6 +151,7 @@ impl Registry {
             Handle::Histogram(Arc::new(Histogram::new()))
         }) {
             Handle::Histogram(h) => h,
+            #[expect(clippy::panic, reason = "a name reused for another kind is a bug")]
             _ => panic!("metric {name:?} is not a histogram"),
         }
     }

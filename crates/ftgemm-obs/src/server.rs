@@ -89,6 +89,7 @@ fn handle_connection(mut stream: TcpStream, routes: &ObsRoutes) -> std::io::Resu
         if n == 0 {
             return Ok(()); // client went away
         }
+        #[expect(clippy::indexing_slicing, reason = "read returns n <= chunk.len()")]
         buf.extend_from_slice(&chunk[..n]);
     }
 

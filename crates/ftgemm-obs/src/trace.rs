@@ -139,6 +139,7 @@ impl Tracelog {
     pub fn record(&self, node: usize, id: u64, event: TraceEvent) {
         let t_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let node = node.min(self.rings.len() - 1);
+        #[expect(clippy::indexing_slicing, reason = "node is clamped just above")]
         let mut ring = self.rings[node].lock();
         if ring.len() == self.capacity {
             ring.pop_front();

@@ -13,8 +13,7 @@
 //! kernel sweep), so wake-up latency is irrelevant but burning a core is
 //! not acceptable when the machine is oversubscribed.
 
-// analyze::policy(publish: epoch)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): the
+// Concurrency contract (checked by `scripts/orderings.sh`): the
 // barrier publishes phase completion through `epoch` (Release store by
 // the last arriver, Acquire loads by spinners). `count` is deliberately
 // not a publication cell: its AcqRel fetch_add orders arrivals, and the

@@ -24,6 +24,10 @@ struct JobRef {
 unsafe impl Send for JobRef {}
 unsafe impl Sync for JobRef {}
 
+/// Lock order: `region`, then `job`. [`ThreadPool::run`] is the one function
+/// in the workspace that holds two guards at once (it publishes the job
+/// while it holds the region); workers take `job` alone, and nothing takes
+/// `region` while it holds `job`.
 struct Shared {
     /// Held by the caller of `run` for a whole multi-thread region: the job
     /// slot and `done_barrier` below serve exactly one region at a time.

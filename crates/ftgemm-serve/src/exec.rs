@@ -12,8 +12,7 @@
 //! `examples/async_serving.rs` hand-rolls the same ~40 lines to show there
 //! is no magic in here.
 
-// analyze::policy(publish: notified)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
+// Concurrency contract (checked by `scripts/orderings.sh`):
 // `notified` carries waker hand-off — Release store by the completing
 // thread, Acquire swap by the polling thread.
 

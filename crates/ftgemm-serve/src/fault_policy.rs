@@ -17,8 +17,7 @@
 //! steps back down one level (full de-escalation from `DetectCorrect` to
 //! `Off` takes two quiet periods).
 
-// analyze::policy(atomics: relaxed)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
+// Concurrency contract (checked by `scripts/orderings.sh`):
 // the per-node floor and escalation counters are advisory values read at
 // dispatch time — Relaxed everywhere, never a synchronization point. A
 // dispatch racing an escalation may run one request under the old floor;

@@ -81,8 +81,8 @@
 //!   [`ServiceConfig::obs_addr`] additionally serves the same numbers as
 //!   Prometheus text exposition at `GET /metrics` (a render of the
 //!   service's one [`ftgemm_obs::Registry`], whose cells the snapshot
-//!   reads too: family names are pinned in `analyze/pins.toml`
-//!   `[metrics]`, and a family's meaning is its `# HELP` line), records
+//!   reads too: family names and kinds are pinned by the `obs_endpoint`
+//!   test, and a family's meaning is its `# HELP` line), records
 //!   each request's lifecycle (`admitted → queued → dispatched → computed
 //!   → verified/corrected → completed|failed`) into bounded per-node
 //!   trace rings dumped at `/trace`, and answers `/healthz` — all from
@@ -136,6 +136,15 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod exec;
 mod fault_policy;

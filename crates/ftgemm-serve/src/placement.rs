@@ -84,6 +84,7 @@ impl Placer {
                     )
                 }) % nodes
             }
+            #[expect(clippy::expect_used, reason = "nodes >= 1, so the range is not empty")]
             PlacementPolicy::LeastLoaded => (0..nodes)
                 .min_by_key(|&n| (node_load(n), n))
                 .expect("nodes >= 1"),

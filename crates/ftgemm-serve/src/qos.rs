@@ -168,6 +168,7 @@ impl TenantTable {
         }
         let mut ids: Vec<TenantId> = self.tenants.iter().map(|(t, _)| *t).collect();
         ids.sort_unstable();
+        #[expect(clippy::indexing_slicing, reason = "windows(2) yields pairs")]
         if ids.windows(2).any(|w| w[0] == w[1]) {
             return Err("tenant table contains duplicate tenant ids".into());
         }
@@ -301,6 +302,7 @@ impl<P> DrrScheduler<P> {
 
     /// Current deficit of `tenant`'s lane, if the lane exists.
     pub fn deficit_of(&self, tenant: TenantId) -> Option<i64> {
+        #[expect(clippy::indexing_slicing, reason = "index only names existing lanes")]
         self.index.get(&tenant).map(|&i| self.lanes[i].deficit)
     }
 
@@ -310,6 +312,7 @@ impl<P> DrrScheduler<P> {
     pub fn set_weight(&mut self, tenant: TenantId, weight: u64) {
         assert!(weight >= 1, "tenant weight must be >= 1");
         self.table = std::mem::take(&mut self.table).tenant(tenant, weight);
+        #[expect(clippy::indexing_slicing, reason = "index only names existing lanes")]
         if let Some(&i) = self.index.get(&tenant) {
             self.lanes[i].weight = weight;
         }
@@ -340,8 +343,10 @@ impl<P> DrrScheduler<P> {
         payload: P,
     ) {
         let li = self.lane_of(tenant);
+        #[expect(clippy::indexing_slicing, reason = "lane_of returns a lane index")]
         let lane = &mut self.lanes[li];
         let was_idle = lane.pending == 0;
+        #[expect(clippy::indexing_slicing, reason = "Priority::index is < CLASSES")]
         lane.classes[class.index()].push(Reverse(Item {
             deadline_ns,
             seq,
@@ -368,6 +373,7 @@ impl<P> DrrScheduler<P> {
                 Some(li) => li,
                 None => {
                     let li = self.active.pop_front()?;
+                    #[expect(clippy::indexing_slicing, reason = "active holds lane indices")]
                     let lane = &mut self.lanes[li];
                     let credit = lane.weight.saturating_mul(self.table.quantum());
                     let credit = i64::try_from(credit).unwrap_or(i64::MAX);
@@ -376,6 +382,7 @@ impl<P> DrrScheduler<P> {
                     li
                 }
             };
+            #[expect(clippy::indexing_slicing, reason = "current holds a lane index")]
             let lane = &mut self.lanes[li];
             match lane.head() {
                 None => {
@@ -387,6 +394,8 @@ impl<P> DrrScheduler<P> {
                 Some((ci, cost)) if i64::try_from(cost).unwrap_or(i64::MAX) <= lane.deficit => {
                     lane.deficit -= i64::try_from(cost).unwrap_or(i64::MAX);
                     debug_assert!(lane.deficit >= 0);
+                    #[expect(clippy::expect_used, reason = "head() found a non-empty class")]
+                    #[expect(clippy::indexing_slicing, reason = "head() returns ci < CLASSES")]
                     let Reverse(item) = lane.classes[ci].pop().expect("head exists");
                     lane.pending -= 1;
                     self.pending -= 1;
@@ -399,6 +408,7 @@ impl<P> DrrScheduler<P> {
                     }
                     return Some(Scheduled {
                         tenant,
+                        #[expect(clippy::indexing_slicing, reason = "ci < CLASSES")]
                         class: Priority::all()[ci],
                         deadline_ns: item.deadline_ns,
                         cost_flops: item.cost_flops,

@@ -42,8 +42,7 @@
 //! ([`node_pending_flops`](ShardedQueue::node_pending_flops)) — the load
 //! measure flops-aware placement and deadline admission control consume.
 
-// analyze::policy(publish: closed, depth, pending_flops)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): these
+// Concurrency contract (checked by `scripts/orderings.sh`): these
 // cells publish queue state to threads that do not hold a group's lock —
 // `closed` gates submission against shutdown, `depth`/`pending_flops`
 // feed placement and steal decisions. Release on write, Acquire on read,
@@ -190,6 +189,7 @@ impl<T: Scalar> ShardedQueue<T> {
     /// the critical section the dispatcher contends on.
     fn insert(&self, env: Envelope<T>, admitted: &dyn Fn()) {
         let node = env.affinity % self.groups.len();
+        #[expect(clippy::indexing_slicing, reason = "node = affinity % groups.len()")]
         let group = &self.groups[node];
         let deadline_ns = env
             .deadline
@@ -285,6 +285,7 @@ impl<T: Scalar> ShardedQueue<T> {
         max: usize,
         out: &mut Vec<Envelope<T>>,
     ) -> usize {
+        #[expect(clippy::indexing_slicing, reason = "node < groups.len()")]
         let group = &self.groups[node];
         let mut popped = 0;
         {
@@ -331,6 +332,7 @@ impl<T: Scalar> ShardedQueue<T> {
 
     /// Current depth of one node's group (approximate under concurrency).
     pub(crate) fn node_depth(&self, node: usize) -> usize {
+        #[expect(clippy::indexing_slicing, reason = "nodes index groups")]
         self.groups[node].depth.load(Ordering::Acquire)
     }
 
@@ -339,6 +341,7 @@ impl<T: Scalar> ShardedQueue<T> {
     /// costs, not "1" — this is the load measure flops-aware placement and
     /// deadline admission control read.
     pub(crate) fn node_pending_flops(&self, node: usize) -> u64 {
+        #[expect(clippy::indexing_slicing, reason = "nodes index groups")]
         self.groups[node].pending_flops.load(Ordering::Acquire)
     }
 
@@ -348,6 +351,7 @@ impl<T: Scalar> ShardedQueue<T> {
     /// drain. Returns `false` exactly when the queue is closed *and*
     /// globally empty (the dispatcher should exit).
     pub(crate) fn wait_node(&self, node: usize) -> bool {
+        #[expect(clippy::indexing_slicing, reason = "node < groups.len()")]
         let group = &self.groups[node];
         let mut guard = group.wake_lock.lock();
         loop {
@@ -355,6 +359,7 @@ impl<T: Scalar> ShardedQueue<T> {
                 return true;
             }
             let gate = self.steal_gate();
+            #[expect(clippy::indexing_slicing, reason = "j ranges over the groups")]
             if (0..self.groups.len())
                 .any(|j| j != node && self.groups[j].depth.load(Ordering::Acquire) > gate)
             {

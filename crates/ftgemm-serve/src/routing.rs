@@ -35,9 +35,7 @@
 //! violently, pin the boundary with
 //! [`RoutingPolicy::Fixed`] or re-seed via [`AdaptiveConfig::seed_cutoff`].
 
-// analyze::policy(atomics: relaxed)
-// analyze::policy(publish: cutoff)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`): the
+// Concurrency contract (checked by `scripts/orderings.sh`): the
 // observation counters are plain Relaxed tallies, but `cutoff` is a
 // publication cell — the learner Release-stores it under the model lock
 // and the scheduler Acquire-loads it lock-free, so a reader that routes by
@@ -227,7 +225,9 @@ impl CutoffLearner {
         let ns_per_flop = elapsed_ns as f64 / flops as f64;
         let mut state = self.state.lock();
         let cell = match path {
+            #[expect(clippy::indexing_slicing, reason = "bucket_of is < 64 = BUCKETS")]
             RoutePath::Batched => &mut state.batched[bucket],
+            #[expect(clippy::indexing_slicing, reason = "bucket_of is < 64 = BUCKETS")]
             RoutePath::Parallel => &mut state.parallel[bucket],
         };
         cell.ewma_ns_per_flop = if cell.count == 0 {
@@ -341,11 +341,15 @@ fn bucket_of(flops: u64) -> usize {
 /// at least one eligible bucket exists.
 fn nearest_estimate(cells: &[PathCell; BUCKETS], min_obs: u64, b: usize) -> f64 {
     for d in 0..BUCKETS {
+        #[expect(clippy::indexing_slicing, reason = "b - d <= b < BUCKETS")]
         if b >= d && cells[b - d].count >= min_obs {
+            #[expect(clippy::indexing_slicing, reason = "b - d <= b < BUCKETS")]
             return cells[b - d].ewma_ns_per_flop;
         }
         let up = b + d;
+        #[expect(clippy::indexing_slicing, reason = "up < BUCKETS is checked first")]
         if up < BUCKETS && cells[up].count >= min_obs {
+            #[expect(clippy::indexing_slicing, reason = "up < BUCKETS")]
             return cells[up].ewma_ns_per_flop;
         }
     }

@@ -1,8 +1,7 @@
 //! The service: per-node dispatcher threads, placement, routing, batching,
 //! stealing, and lifecycle.
 
-// analyze::policy(publish: abort as serve_abort)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
+// Concurrency contract (checked by `scripts/orderings.sh`):
 // `abort` publishes service shutdown to the dispatcher and region
 // threads — Release store in abort(), Acquire loads at the dispatch and
 // batch boundaries.
@@ -245,6 +244,7 @@ impl<T: Scalar> GemmService<T> {
     /// Service with explicit configuration.
     pub fn new(config: ServiceConfig) -> Self {
         assert!(config.max_batch >= 1, "need max_batch >= 1");
+        #[expect(clippy::panic, reason = "invalid tenants are a configuration error")]
         if let Err(e) = config.tenants.validate() {
             panic!("invalid ServiceConfig::tenants: {e}");
         }
@@ -343,6 +343,7 @@ impl<T: Scalar> GemmService<T> {
                     None => "# ftgemm service shut down\n".to_string(),
                 }),
             };
+            #[expect(clippy::panic, reason = "an unbindable obs_addr is a config error")]
             ObsServer::bind(addr, routes)
                 .unwrap_or_else(|e| panic!("failed to bind ServiceConfig::obs_addr {addr}: {e}"))
         });
@@ -890,6 +891,7 @@ impl<'a, T: Scalar> NodeCompute<'a, T> {
 /// One node's dispatcher: drains its own shard group onto its own
 /// node-scoped pool, so every node computes concurrently with its peers.
 fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
+    #[expect(clippy::indexing_slicing, reason = "one dispatcher per node")]
     let mut compute = NodeCompute::new(&inner.nodes[node].ctx);
     let nnodes = inner.nodes.len();
     // One sweep buffer for the dispatcher's life: `dispatch` drains it, the

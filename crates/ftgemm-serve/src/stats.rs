@@ -7,8 +7,7 @@
 //! live state or a formula over cells are registered by `service.rs` as
 //! read cells over the methods below, so each formula exists once.
 
-// analyze::policy(atomics: relaxed)
-// Concurrency contract (checked by `cargo run -p ftgemm-analyze`):
+// Concurrency contract (checked by `scripts/orderings.sh`):
 // snapshot counters only — Relaxed, never a synchronization point.
 
 use crate::qos::TenantId;
@@ -375,6 +374,7 @@ impl ServiceStats {
     /// `node`'s slice of the global per-thread busy cells.
     fn node_busy_cells(&self, node: usize) -> &[Arc<Counter>] {
         let start: usize = self.node_threads.iter().take(node).sum();
+        #[expect(clippy::indexing_slicing, reason = "node_threads splits batch_busy_ns")]
         &self.batch_busy_ns[start..start + self.node_threads[node]]
     }
 
@@ -382,6 +382,7 @@ impl ServiceStats {
     /// accumulated batch-path load metrics. `node` maps the region's local
     /// thread ids onto the service-global busy-time slots.
     pub(crate) fn absorb_batch_timing(&self, node: usize, timing: &BatchTiming) {
+        #[expect(clippy::indexing_slicing, reason = "one cell per node")]
         self.batch_wall_ns[node].add(nanos(timing.wall));
         for (slot, busy) in self.node_busy_cells(node).iter().zip(&timing.thread_busy) {
             slot.add(nanos(*busy));
@@ -432,6 +433,7 @@ impl ServiceStats {
 
     /// Summed wall time of the batched regions `node` executed.
     fn node_batch_wall(&self, node: usize) -> Duration {
+        #[expect(clippy::indexing_slicing, reason = "one cell per node")]
         Duration::from_nanos(self.batch_wall_ns[node].get())
     }
 
@@ -484,9 +486,12 @@ impl ServiceStats {
         let per_node: Vec<NodeStats> = (0..self.node_threads.len())
             .map(|node| NodeStats {
                 node,
+                #[expect(clippy::indexing_slicing, reason = "node ranges over node_threads")]
                 threads: self.node_threads[node],
                 queue_depth: node_queue_depths.get(node).copied().unwrap_or(0),
+                #[expect(clippy::indexing_slicing, reason = "one cell per node")]
                 dispatched: self.dispatched[node].get(),
+                #[expect(clippy::indexing_slicing, reason = "one cell per node")]
                 stolen: self.stolen[node].get(),
                 batch_wall: self.node_batch_wall(node),
                 batch_busy: self.node_batch_busy(node),

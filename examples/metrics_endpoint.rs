@@ -55,7 +55,7 @@ fn main() {
 
     // The scrape, filtered to the headline families (the full body carries
     // every StatsSnapshot field; each family explains itself in its # HELP
-    // line, and the names are pinned in analyze/pins.toml [metrics]).
+    // line, and the names are pinned by GOLDEN in tests/obs_endpoint.rs).
     let metrics = get(addr, "/metrics");
     println!("\n-- selected /metrics families --");
     for line in metrics.lines() {

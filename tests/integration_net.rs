@@ -15,6 +15,7 @@ use ftgemm::net::{ClientError, NetClient, NetServer, NetServerConfig, NetSubmit}
 use ftgemm::serve::{
     FtPolicy, GemmRequest, GemmService, Priority, RoutePath, ServiceConfig, Topology,
 };
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -798,9 +799,11 @@ fn shutdown_verb_stops_server() {
     server.stop();
 }
 
-/// `ftgemm_net_*` families show up in a real `/metrics` scrape once the
-/// wire frontend has seen traffic (the obs endpoint renders the global
-/// registry into every exposition).
+/// The wire frontend's `(family, kind)` set in a real `/metrics` scrape is
+/// a dashboard contract, like the service's `GOLDEN` in `obs_endpoint.rs`:
+/// every `ftgemm_net_*` and `ftgemm_scrub_*` family the scrape holds once
+/// the frontend has seen traffic must be exactly this list (the obs
+/// endpoint renders the global registry into every exposition).
 #[test]
 fn net_metric_families_scrape() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
@@ -828,21 +831,28 @@ fn net_metric_families_scrape() {
     use std::io::Read;
     stream.read_to_string(&mut body).unwrap();
 
-    for family in [
-        "ftgemm_net_connections",
-        "ftgemm_net_connections_total",
-        "ftgemm_net_frames_in_total",
-        "ftgemm_net_frames_out_total",
-        "ftgemm_net_bytes_in_total",
-        "ftgemm_net_bytes_out_total",
-        "ftgemm_net_protocol_errors_total",
-        "ftgemm_net_resident_operand_bytes",
-        "ftgemm_net_operand_handles",
-        "ftgemm_net_operand_evictions_total",
-    ] {
-        assert!(
-            body.contains(&format!("# TYPE {family}")),
-            "family {family} missing from /metrics scrape"
-        );
-    }
+    const GOLDEN: [(&str, &str); 14] = [
+        ("ftgemm_net_bytes_in_total", "counter"),
+        ("ftgemm_net_bytes_out_total", "counter"),
+        ("ftgemm_net_connections", "gauge"),
+        ("ftgemm_net_connections_total", "counter"),
+        ("ftgemm_net_frames_in_total", "counter"),
+        ("ftgemm_net_frames_out_total", "counter"),
+        ("ftgemm_net_operand_evictions_total", "counter"),
+        ("ftgemm_net_operand_handles", "gauge"),
+        ("ftgemm_net_protocol_errors_total", "counter"),
+        ("ftgemm_net_resident_operand_bytes", "gauge"),
+        ("ftgemm_scrub_corrupted_total", "counter"),
+        ("ftgemm_scrub_operands_verified_total", "counter"),
+        ("ftgemm_scrub_passes_total", "counter"),
+        ("ftgemm_scrub_quarantined", "gauge"),
+    ];
+    let scraped: BTreeSet<(&str, &str)> = body
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split_once(' '))
+        .filter(|(family, _)| {
+            family.starts_with("ftgemm_net_") || family.starts_with("ftgemm_scrub_")
+        })
+        .collect();
+    assert_eq!(scraped, BTreeSet::from(GOLDEN));
 }

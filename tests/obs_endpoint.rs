@@ -340,7 +340,7 @@ fn scraped_counters_match_in_process_snapshot() {
 }
 
 /// The `(family, kind)` set a service scrapes under is a dashboard
-/// contract. Names are also pinned in `analyze/pins.toml`; kinds only here.
+/// contract, pinned here (the net families are pinned in `integration_net`).
 /// Everything the scrape holds beyond the process-wide registry's families
 /// must be exactly this list — with obs, a fault policy and one tenant
 /// touched, so no family is missing for want of a sample.
