@@ -1,6 +1,6 @@
-//! Naive reference implementations used as test oracles.
+//! The naive reference GEMM, the test oracle.
 //!
-//! Deliberately simple (ijp loops, no blocking, no SIMD) so they are "obviously
+//! Deliberately simple (ijp loops, no blocking, no SIMD) so it is "obviously
 //! correct"; every optimized path in the workspace is validated against these.
 
 use crate::matrix::{MatMut, MatRef};
@@ -33,31 +33,6 @@ pub fn naive_gemm<T: Scalar>(
     }
 }
 
-/// Naive `y = alpha*A*x + beta*y`.
-pub fn naive_gemv<T: Scalar>(alpha: T, a: &MatRef<'_, T>, x: &[T], beta: T, y: &mut [T]) {
-    let m = a.nrows();
-    let n = a.ncols();
-    assert_eq!(x.len(), n, "naive_gemv: x length");
-    assert_eq!(y.len(), m, "naive_gemv: y length");
-    for i in 0..m {
-        let mut acc = T::ZERO;
-        for j in 0..n {
-            acc += a.get(i, j) * x[j];
-        }
-        y[i] = alpha * acc + beta * y[i];
-    }
-}
-
-/// Naive dot product.
-pub fn naive_dot<T: Scalar>(x: &[T], y: &[T]) -> T {
-    assert_eq!(x.len(), y.len(), "naive_dot: length mismatch");
-    let mut acc = T::ZERO;
-    for i in 0..x.len() {
-        acc += x[i] * y[i];
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,21 +50,5 @@ mod tests {
         assert_eq!(c.get(0, 1), 22.0);
         assert_eq!(c.get(1, 0), 43.0);
         assert_eq!(c.get(1, 1), 60.0);
-    }
-
-    #[test]
-    fn gemv_by_hand() {
-        let a = Matrix::from_col_major(2, 3, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]).unwrap();
-        let x = [1.0, 1.0, 1.0];
-        let mut y = [100.0, 200.0];
-        naive_gemv(2.0, &a.as_ref(), &x, 0.5, &mut y);
-        // A*x = [6, 15]; y = 2*[6,15] + 0.5*[100,200] = [62, 130]
-        assert_eq!(y, [62.0, 130.0]);
-    }
-
-    #[test]
-    fn dot_by_hand() {
-        assert_eq!(naive_dot(&[1.0, 2.0, 3.0], &[4.0f64, 5.0, 6.0]), 32.0);
-        assert_eq!(naive_dot::<f64>(&[], &[]), 0.0);
     }
 }

@@ -1,84 +1,32 @@
-//! The caller-side futures: blocking, async, and forwarding completion.
+//! The caller-side handles: blocking and async.
 //!
-//! Every request is backed by one [`ResponseSlot`], the single rendezvous
-//! point between the scheduler (producer) and the caller (consumer). The
-//! slot supports three redemption surfaces over the same state:
+//! `submit` and `submit_async` each give their request a completion channel
+//! of its own (see [`completion_channel`](crate::completion_channel)), the
+//! one rendezvous every admitted request completes into; a handle is that
+//! channel's consumer end with the request's id:
 //!
-//! * [`RequestHandle`] — synchronous: `wait` parks the calling thread on a
-//!   condvar; `try_wait`/`wait_timeout` poll or bound the park.
-//! * [`AsyncRequestHandle`] — a [`Future`]: `poll` registers the task's
-//!   [`Waker`] in the slot and the scheduler's fulfill path fires it, so no
-//!   thread is parked per in-flight request.
-//! * forwarding — the slot carries a [`CompletionSink`] and fulfill pushes
-//!   the result straight into a completion channel (see
-//!   [`completion_channel`](crate::completion_channel)); there is no
-//!   per-request handle at all.
+//! * [`RequestHandle`] — synchronous: `wait` parks the calling thread in
+//!   [`Completions::recv`]; `try_wait`/`wait_timeout` poll or bound the park.
+//! * [`AsyncRequestHandle`] — a [`Future`]: `poll` is
+//!   [`Completions::poll_next`], which stores the task's
+//!   [`Waker`](std::task::Waker) for the delivery to fire, so no thread is
+//!   parked per in-flight request.
 
 use crate::request::{GemmResponse, ServeError};
-use crate::stream::CompletionSink;
+use crate::stream::{Completion, Completions};
 use ftgemm_core::Scalar;
 use ftgemm_obs::Gauge;
-use parking_lot::{Condvar, Mutex};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::task::{Context, Poll};
+use std::time::Duration;
 
-/// Mutable rendezvous state: the result once produced, and the waker of the
-/// async task (if any) to fire when it is.
-struct SlotState<T: Scalar> {
-    result: Option<Result<GemmResponse<T>, ServeError>>,
-    waker: Option<Waker>,
-}
-
-/// One-shot rendezvous between the scheduler (producer) and the caller.
-pub(crate) struct ResponseSlot<T: Scalar> {
-    state: Mutex<SlotState<T>>,
-    ready: Condvar,
-    /// When set, fulfill bypasses the slot state entirely and forwards the
-    /// result (tagged with the request id) into a completion channel.
-    forward: Option<(CompletionSink<T>, u64)>,
-}
-
-impl<T: Scalar> ResponseSlot<T> {
-    fn new(forward: Option<(CompletionSink<T>, u64)>) -> Arc<Self> {
-        Arc::new(ResponseSlot {
-            state: Mutex::new(SlotState {
-                result: None,
-                waker: None,
-            }),
-            ready: Condvar::new(),
-            forward,
-        })
-    }
-
-    /// Slot that forwards its result into a completion channel instead of
-    /// storing it for a per-request handle.
-    pub(crate) fn forwarding(id: u64, sink: CompletionSink<T>) -> Arc<Self> {
-        Self::new(Some((sink, id)))
-    }
-
-    /// Delivers the result: wakes the blocking waiter and/or the registered
-    /// async waker, or forwards into the completion channel.
-    pub(crate) fn fulfill(&self, result: Result<GemmResponse<T>, ServeError>) {
-        if let Some((sink, id)) = &self.forward {
-            sink.deliver(*id, result);
-            return;
-        }
-        let waker = {
-            let mut state = self.state.lock();
-            debug_assert!(state.result.is_none(), "response slot fulfilled twice");
-            state.result = Some(result);
-            self.ready.notify_all();
-            state.waker.take()
-        };
-        // Fire the waker outside the lock: wake() may run arbitrary executor
-        // code (or poll the future inline on some executors).
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
+/// A one-request channel's completion as that request's result. A handle's
+/// request stays in flight until delivered, so the channel cannot end
+/// empty; if it did, the request is reported closed.
+fn result_of<T: Scalar>(completion: Option<Completion<T>>) -> Result<GemmResponse<T>, ServeError> {
+    completion.map_or(Err(ServeError::Closed), |c| c.result)
 }
 
 /// Handle returned by [`GemmService::submit`](crate::GemmService::submit);
@@ -88,21 +36,14 @@ impl<T: Scalar> ResponseSlot<T> {
 /// (and its effects show up in the service stats); the response is simply
 /// discarded.
 pub struct RequestHandle<T: Scalar> {
-    slot: Arc<ResponseSlot<T>>,
+    rx: Completions<T>,
     id: u64,
 }
 
 impl<T: Scalar> RequestHandle<T> {
-    /// Creates a connected (handle, slot) pair.
-    pub(crate) fn pair(id: u64) -> (Self, Arc<ResponseSlot<T>>) {
-        let slot = ResponseSlot::new(None);
-        (
-            RequestHandle {
-                slot: Arc::clone(&slot),
-                id,
-            },
-            slot,
-        )
+    /// The handle of request `id`, which completes into `rx`'s channel.
+    pub(crate) fn new(id: u64, rx: Completions<T>) -> Self {
+        RequestHandle { rx, id }
     }
 
     /// Service-assigned request id (submission order).
@@ -111,25 +52,13 @@ impl<T: Scalar> RequestHandle<T> {
     }
 
     /// Blocks until the request completes and returns its result.
-    pub fn wait(self) -> Result<GemmResponse<T>, ServeError> {
-        let mut state = self.slot.state.lock();
-        loop {
-            if let Some(result) = state.result.take() {
-                return result;
-            }
-            self.slot.ready.wait(&mut state);
-        }
+    pub fn wait(mut self) -> Result<GemmResponse<T>, ServeError> {
+        result_of(self.rx.recv())
     }
 
     /// Non-blocking probe: the result if the request already completed.
-    pub fn try_wait(self) -> Result<Result<GemmResponse<T>, ServeError>, Self> {
-        {
-            let mut state = self.slot.state.lock();
-            if let Some(result) = state.result.take() {
-                return Ok(result);
-            }
-        }
-        Err(self)
+    pub fn try_wait(mut self) -> Result<Result<GemmResponse<T>, ServeError>, Self> {
+        self.rx.try_next().map(|c| c.result).ok_or(self)
     }
 
     /// Blocks for at most `timeout`; hands the handle back if the request is
@@ -137,26 +66,10 @@ impl<T: Scalar> RequestHandle<T> {
     /// A timeout too large to represent as a deadline (e.g. `Duration::MAX`)
     /// degrades to an untimed [`wait`](RequestHandle::wait).
     pub fn wait_timeout(
-        self,
+        mut self,
         timeout: Duration,
     ) -> Result<Result<GemmResponse<T>, ServeError>, Self> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Ok(self.wait());
-        };
-        {
-            let mut state = self.slot.state.lock();
-            loop {
-                if let Some(result) = state.result.take() {
-                    return Ok(result);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                self.slot.ready.wait_for(&mut state, deadline - now);
-            }
-        }
-        Err(self)
+        self.rx.recv_timeout(timeout).map(|c| c.result).ok_or(self)
     }
 }
 
@@ -172,15 +85,16 @@ impl<T: Scalar> std::fmt::Debug for RequestHandle<T> {
 /// [`GemmService::submit_async`](crate::GemmService::submit_async): a
 /// [`Future`] resolving to the request's result without parking any thread.
 ///
-/// The future is executor-agnostic — `poll` stores the task's [`Waker`] in
-/// the response slot and the scheduler fires it on fulfill, so it runs under
-/// any executor (including a hand-rolled `block_on`; see
-/// `examples/async_serving.rs`). It resolves exactly once; polling after
-/// completion panics, like most one-shot futures. Dropping it mid-flight is
+/// The future is executor-agnostic — `poll` stores the task's
+/// [`Waker`](std::task::Waker) in the request's completion channel and the
+/// delivery fires it, so it runs under any executor (including a
+/// hand-rolled `block_on`; see `examples/async_serving.rs`). It resolves
+/// exactly once; polling after completion panics, like most one-shot
+/// futures. Dropping it mid-flight is
 /// allowed — the request still runs, the response is discarded, and the
 /// service's in-flight gauge is released.
 pub struct AsyncRequestHandle<T: Scalar> {
-    slot: Arc<ResponseSlot<T>>,
+    rx: Completions<T>,
     id: u64,
     /// Service-level gauge of live async futures; decremented exactly once,
     /// on resolution or drop.
@@ -189,19 +103,16 @@ pub struct AsyncRequestHandle<T: Scalar> {
 }
 
 impl<T: Scalar> AsyncRequestHandle<T> {
-    /// Creates a connected (future, slot) pair and bumps the in-flight gauge.
-    pub(crate) fn pair(id: u64, in_flight: Arc<Gauge>) -> (Self, Arc<ResponseSlot<T>>) {
-        let slot = ResponseSlot::new(None);
+    /// The future of request `id`, which completes into `rx`'s channel;
+    /// bumps the in-flight gauge.
+    pub(crate) fn new(id: u64, rx: Completions<T>, in_flight: Arc<Gauge>) -> Self {
         in_flight.add(1.0);
-        (
-            AsyncRequestHandle {
-                slot: Arc::clone(&slot),
-                id,
-                in_flight,
-                done: false,
-            },
-            slot,
-        )
+        AsyncRequestHandle {
+            rx,
+            id,
+            in_flight,
+            done: false,
+        }
     }
 
     /// Service-assigned request id (submission order).
@@ -232,19 +143,9 @@ impl<T: Scalar> Future for AsyncRequestHandle<T> {
             !this.done,
             "AsyncRequestHandle polled after it already resolved"
         );
-        let mut state = this.slot.state.lock();
-        if let Some(result) = state.result.take() {
-            drop(state);
-            this.release_gauge();
-            return Poll::Ready(result);
-        }
-        // Register (or refresh) the waker. `will_wake` skips the clone when
-        // the executor re-polls with the same task.
-        match &mut state.waker {
-            Some(existing) if existing.will_wake(cx.waker()) => {}
-            slot_waker => *slot_waker = Some(cx.waker().clone()),
-        }
-        Poll::Pending
+        let completion = std::task::ready!(this.rx.poll_next(cx));
+        this.release_gauge();
+        Poll::Ready(result_of(completion))
     }
 }
 
@@ -266,10 +167,11 @@ impl<T: Scalar> std::fmt::Debug for AsyncRequestHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{completion_channel, CompletionSink};
     use ftgemm_abft::FtReport;
     use ftgemm_core::Matrix;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::task::Wake;
+    use std::task::{Wake, Waker};
 
     fn ok_response(v: f64) -> Result<GemmResponse<f64>, ServeError> {
         Ok(GemmResponse {
@@ -279,6 +181,14 @@ mod tests {
             affinity_node: 0,
             executed_node: 0,
         })
+    }
+
+    /// A registered request's channel, as `submit` makes it: the sink the
+    /// service delivers into and the consumer end a handle wraps.
+    fn channel() -> (CompletionSink<f64>, Completions<f64>) {
+        let (sink, rx) = completion_channel();
+        sink.register();
+        (sink, rx)
     }
 
     /// Waker that counts its wake() calls.
@@ -297,11 +207,12 @@ mod tests {
 
     #[test]
     fn wait_blocks_until_fulfilled() {
-        let (handle, slot) = RequestHandle::<f64>::pair(7);
+        let (sink, rx) = channel();
+        let handle = RequestHandle::new(7, rx);
         assert_eq!(handle.id(), 7);
         let producer = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            slot.fulfill(ok_response(3.0));
+            sink.deliver(7, ok_response(3.0));
         });
         let resp = handle.wait().unwrap();
         assert_eq!(resp.c.get(0, 0), 3.0);
@@ -311,9 +222,10 @@ mod tests {
 
     #[test]
     fn try_wait_before_and_after() {
-        let (handle, slot) = RequestHandle::<f64>::pair(0);
+        let (sink, rx) = channel();
+        let handle = RequestHandle::new(0, rx);
         let handle = handle.try_wait().unwrap_err(); // not ready yet
-        slot.fulfill(Err(ServeError::Closed));
+        sink.deliver(0, Err(ServeError::Closed));
         match handle.try_wait() {
             Ok(Err(ServeError::Closed)) => {}
             other => panic!("unexpected: {other:?}"),
@@ -322,11 +234,12 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_then_succeeds() {
-        let (handle, slot) = RequestHandle::<f64>::pair(1);
+        let (sink, rx) = channel();
+        let handle = RequestHandle::new(1, rx);
         let handle = handle.wait_timeout(Duration::from_millis(10)).unwrap_err(); // nothing produced yet
         let producer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(15));
-            slot.fulfill(ok_response(4.0));
+            sink.deliver(1, ok_response(4.0));
         });
         let resp = handle
             .wait_timeout(Duration::from_secs(5))
@@ -339,7 +252,8 @@ mod tests {
     #[test]
     fn async_poll_before_fulfill_fires_waker() {
         let gauge = Arc::new(Gauge::new());
-        let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(3, Arc::clone(&gauge));
+        let (sink, rx) = channel();
+        let mut fut = AsyncRequestHandle::new(3, rx, Arc::clone(&gauge));
         assert_eq!(gauge.get(), 1.0);
 
         let (counter, waker) = counting_waker();
@@ -347,8 +261,8 @@ mod tests {
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
 
-        slot.fulfill(ok_response(9.0));
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "fulfill fires waker");
+        sink.deliver(3, ok_response(9.0));
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "delivery fires waker");
 
         match Pin::new(&mut fut).poll(&mut cx) {
             Poll::Ready(Ok(resp)) => assert_eq!(resp.c.get(0, 0), 9.0),
@@ -360,8 +274,9 @@ mod tests {
     #[test]
     fn async_fulfill_before_poll_resolves_immediately() {
         let gauge = Arc::new(Gauge::new());
-        let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(4, Arc::clone(&gauge));
-        slot.fulfill(ok_response(2.5));
+        let (sink, rx) = channel();
+        let mut fut = AsyncRequestHandle::new(4, rx, Arc::clone(&gauge));
+        sink.deliver(4, ok_response(2.5));
 
         let (counter, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
@@ -378,8 +293,9 @@ mod tests {
     #[should_panic(expected = "polled after it already resolved")]
     fn async_resolves_exactly_once() {
         let gauge = Arc::new(Gauge::new());
-        let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(5, gauge);
-        slot.fulfill(ok_response(1.0));
+        let (sink, rx) = channel();
+        let mut fut = AsyncRequestHandle::new(5, rx, gauge);
+        sink.deliver(5, ok_response(1.0));
         let (_c, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_ready());
@@ -387,26 +303,38 @@ mod tests {
     }
 
     #[test]
-    fn dropped_future_releases_gauge_and_slot() {
+    fn dropped_future_releases_gauge_and_accepts_its_delivery() {
         let gauge = Arc::new(Gauge::new());
-        let (fut, slot) = AsyncRequestHandle::<f64>::pair(6, Arc::clone(&gauge));
+        let (sink, rx) = channel();
+        let mut fut = AsyncRequestHandle::new(6, rx, Arc::clone(&gauge));
+        let (counter, waker) = counting_waker();
+        assert!(Pin::new(&mut fut)
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
         drop(fut);
         assert_eq!(gauge.get(), 0.0, "drop releases the gauge");
-        // Fulfilling a dropped future's slot must not panic or wake anything.
-        slot.fulfill(ok_response(0.0));
-        // The scheduler-side Arc is the only one left: no slot leak.
-        assert_eq!(Arc::strong_count(&slot), 1);
+        assert_eq!(
+            Arc::strong_count(&gauge),
+            1,
+            "nothing of the future is left"
+        );
+        // Delivering to a dropped future's channel must not panic, must not
+        // touch the gauge again, and wakes only the task that polled it.
+        sink.deliver(6, ok_response(0.0));
+        assert_eq!(gauge.get(), 0.0);
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn repolls_with_same_waker_do_not_reclone() {
         let gauge = Arc::new(Gauge::new());
-        let (mut fut, slot) = AsyncRequestHandle::<f64>::pair(8, gauge);
+        let (sink, rx) = channel();
+        let mut fut = AsyncRequestHandle::new(8, rx, gauge);
         let (counter, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
-        slot.fulfill(ok_response(1.0));
+        sink.deliver(8, ok_response(1.0));
         // Exactly one wake even after repeated polls with the same waker.
         assert_eq!(counter.0.load(Ordering::SeqCst), 1);
         assert!(Pin::new(&mut fut).poll(&mut cx).is_ready());

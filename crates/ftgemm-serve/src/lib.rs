@@ -25,8 +25,9 @@
 //!                 │  packed workspaces) ││
 //!                 └─────────────────────┘│   one persistent pool per node
 //!                                        ▼
-//!                       finish (the one completion site) → fulfill:
-//!                               store + condvar + fire waker
+//!                       finish (the one completion site) → deliver
+//!                       into the request's completion channel:
+//!                       queue + condvar + fire waker
 //!                                 │            │            │
 //!                    RequestHandle::wait   .await on     Completions
 //!                       (blocking)      AsyncRequestHandle  stream
@@ -47,12 +48,13 @@
 //!   paths' observed ns/flop and converges the cutoff to this machine's
 //!   real batched-vs-matrix-parallel break-even
 //!   ([`GemmService::current_cutoff`] exposes the live value).
-//! * **Three redemption surfaces, one scheduler.** `submit` returns a
-//!   blocking [`RequestHandle`] (condvar; `wait`/`try_wait`/`wait_timeout`),
-//!   `submit_async` returns an [`AsyncRequestHandle`] future (the fulfill
-//!   path fires the task's waker — zero parked threads per request, any
-//!   executor), and `submit_streamed` forwards results into a
-//!   [`completion_channel`] drained blocking or async.
+//! * **Three redemption surfaces, one rendezvous.** Every admitted request
+//!   completes into a [`completion_channel`]. `submit_streamed` takes the
+//!   caller's channel, drained blocking or async; `submit` and
+//!   `submit_async` build a one-request channel and wrap its end in a
+//!   blocking [`RequestHandle`] (`wait`/`try_wait`/`wait_timeout`) or an
+//!   [`AsyncRequestHandle`] future (the delivery fires the task's waker —
+//!   zero parked threads per request, any executor).
 //! * **NUMA-aware sharding.** The service shards itself around a
 //!   [`Topology`] (detected, or [`Topology::synthetic`] for deterministic
 //!   tests / `ServiceConfig::topology`): one queue shard group and one
@@ -171,7 +173,7 @@ pub use fault_policy::FaultPolicyConfig;
 pub use handle::{AsyncRequestHandle, RequestHandle};
 pub use placement::PlacementPolicy;
 pub use qos::{Priority, SchedSim, TenantId, TenantTable, DEFAULT_TENANT};
-pub use request::{GemmRequest, GemmRequestBuilder, GemmResponse, Operand, ServeError};
+pub use request::{GemmRequest, GemmResponse, Operand, ServeError};
 pub use routing::{AdaptiveConfig, CutoffLearner, RoutePath, RoutingPolicy, RoutingSnapshot};
 pub use service::{GemmService, ServiceConfig, DEFAULT_SMALL_FLOPS_CUTOFF};
 pub use stats::{NodeStats, StatsSnapshot, TenantStats};

@@ -49,19 +49,20 @@
 // so a reader acting on a depth also sees the envelope that produced it.
 // `next_id`/`steal_wakeups` are plain Relaxed counters.
 
-use crate::handle::ResponseSlot;
 use crate::qos::{DrrScheduler, TenantTable, NO_DEADLINE};
 use crate::request::GemmRequest;
+use crate::stream::CompletionSink;
 use ftgemm_core::Scalar;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// A queued request with its response slot and submission metadata.
+/// A queued request with the completion channel it completes into and its
+/// submission metadata.
 pub(crate) struct Envelope<T: Scalar> {
     pub req: GemmRequest<T>,
-    pub slot: Arc<ResponseSlot<T>>,
+    /// The channel the request is registered in; `finish` delivers to it.
+    pub sink: CompletionSink<T>,
     /// Submission-order id; mirrors the handle's id for tracing/tests.
     /// Doubles as the scheduler's FIFO tie-break key.
     pub id: u64,
@@ -78,8 +79,9 @@ pub(crate) struct Envelope<T: Scalar> {
     pub flops: u64,
 }
 
-/// Why a push was rejected (the envelope is dropped — its response slot
-/// never fulfills, and the submit path reports the error synchronously).
+/// Why a push was rejected (the envelope is dropped — the submit path
+/// unregisters the request from its channel and reports the error
+/// synchronously).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushError {
     /// The queue no longer accepts work (service shutting down).
@@ -401,9 +403,10 @@ impl<T: Scalar> ShardedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::RequestHandle;
     use crate::qos::Priority;
+    use crate::stream::completion_channel;
     use ftgemm_core::Matrix;
+    use std::sync::Arc;
 
     fn envelope_for(
         q: &ShardedQueue<f64>,
@@ -411,13 +414,13 @@ mod tests {
         req: GemmRequest<f64>,
     ) -> Envelope<f64> {
         let id = q.next_id();
-        let (_h, slot) = RequestHandle::pair(id);
+        let (sink, _) = completion_channel();
         let submitted = Instant::now();
         let deadline = req.deadline.map(|d| submitted + d);
         let flops = req.flops();
         Envelope {
             req,
-            slot,
+            sink,
             id,
             affinity,
             submitted,

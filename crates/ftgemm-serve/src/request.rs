@@ -121,9 +121,8 @@ impl<T: Scalar> GemmRequest<T> {
     /// ([`FtPolicy::DetectCorrect`]).
     ///
     /// The output is shaped `a.nrows() x b.ncols()` *without* checking the
-    /// inner dimensions agree; a `k` mismatch is only reported when the
-    /// request is submitted. Prefer [`GemmRequest::builder`], which
-    /// surfaces the shape error at build time.
+    /// inner dimensions agree; a `k` mismatch is reported when the request
+    /// is submitted, or earlier by [`validate`](Self::validate).
     ///
     /// The product overwrites every element of the output, so it is not
     /// zeroed ([`Matrix::for_overwrite`]): it may hold a dropped buffer's
@@ -139,26 +138,6 @@ impl<T: Scalar> GemmRequest<T> {
             b,
             beta: T::ZERO,
             c,
-            policy: FtPolicy::default(),
-            injector: None,
-            home: None,
-            tenant: DEFAULT_TENANT,
-            priority: Priority::default(),
-            deadline: None,
-        }
-    }
-
-    /// Validating builder for a request: `GemmRequest::builder(a, b)
-    /// .alpha(..).ft(..).build()?`. Shares its vocabulary with the facade's
-    /// `GemmOp` builder; [`GemmRequestBuilder::build`] rejects inconsistent
-    /// operand shapes instead of deferring the error to submit time.
-    pub fn builder(a: impl Into<Operand<T>>, b: impl Into<Operand<T>>) -> GemmRequestBuilder<T> {
-        GemmRequestBuilder {
-            alpha: T::ONE,
-            a: a.into(),
-            b: b.into(),
-            beta: T::ZERO,
-            c: None,
             policy: FtPolicy::default(),
             injector: None,
             home: None,
@@ -244,128 +223,6 @@ impl<T: Scalar> GemmRequest<T> {
     /// path.
     pub fn flops(&self) -> u64 {
         2 * self.a.nrows() as u64 * self.b.ncols() as u64 * self.a.ncols() as u64
-    }
-}
-
-/// Validating builder for a [`GemmRequest`], created by
-/// [`GemmRequest::builder`].
-///
-/// Mirrors the facade's `GemmOp` vocabulary (`alpha` / `beta` / `ft` /
-/// `injector`); [`build`](Self::build) checks operand consistency
-/// (`a.ncols() == b.nrows()`, and the output shape when one is supplied)
-/// so a malformed request fails where it was constructed, not at submit.
-#[derive(Debug, Clone)]
-pub struct GemmRequestBuilder<T: Scalar> {
-    alpha: T,
-    a: Operand<T>,
-    b: Operand<T>,
-    beta: T,
-    c: Option<Matrix<T>>,
-    policy: FtPolicy,
-    injector: Option<FaultInjector>,
-    home: Option<usize>,
-    tenant: TenantId,
-    priority: Priority,
-    deadline: Option<Duration>,
-}
-
-impl<T: Scalar> GemmRequestBuilder<T> {
-    /// Sets `alpha` (default `1`).
-    #[must_use]
-    pub fn alpha(mut self, alpha: T) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Supplies the output operand and its scale; accumulating (`beta !=
-    /// 0`) needs it. Without this, `beta = 0` and the output is one the
-    /// product overwrites, not zeroed ([`GemmRequest::new`]).
-    #[must_use]
-    pub fn c(mut self, beta: T, c: Matrix<T>) -> Self {
-        self.beta = beta;
-        self.c = Some(c);
-        self
-    }
-
-    /// Sets the fault-tolerance policy (default
-    /// [`FtPolicy::DetectCorrect`]).
-    #[must_use]
-    pub fn ft(mut self, policy: FtPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attaches a fault injector (campaigns/tests).
-    #[must_use]
-    pub fn injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Pins the operand-home node consulted by
-    /// [`PlacementPolicy::OperandHome`](crate::PlacementPolicy).
-    #[must_use]
-    pub fn home(mut self, node: usize) -> Self {
-        self.home = Some(node);
-        self
-    }
-
-    /// Tags the request with its owning tenant (default
-    /// [`DEFAULT_TENANT`]).
-    #[must_use]
-    pub fn tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Sets the priority class within the tenant's lane (default
-    /// [`Priority::Normal`]).
-    #[must_use]
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets a completion deadline relative to submission time.
-    #[must_use]
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Finishes the request, validating operand shapes.
-    pub fn build(self) -> Result<GemmRequest<T>, ServeError> {
-        let (m, k) = (self.a.nrows(), self.a.ncols());
-        let (kb, n) = (self.b.nrows(), self.b.ncols());
-        if k != kb {
-            return Err(ServeError::Shape(format!("A is {m}x{k} but B is {kb}x{n}")));
-        }
-        let c = match self.c {
-            Some(c) => {
-                if c.nrows() != m || c.ncols() != n {
-                    return Err(ServeError::Shape(format!(
-                        "C is {}x{} but A*B is {m}x{n}",
-                        c.nrows(),
-                        c.ncols()
-                    )));
-                }
-                c
-            }
-            None => Matrix::for_overwrite(m, n),
-        };
-        Ok(GemmRequest {
-            alpha: self.alpha,
-            a: self.a,
-            b: self.b,
-            beta: self.beta,
-            c,
-            policy: self.policy,
-            injector: self.injector,
-            home: self.home,
-            tenant: self.tenant,
-            priority: self.priority,
-            deadline: self.deadline,
-        })
     }
 }
 
@@ -476,61 +333,23 @@ mod tests {
         assert_eq!(r.c.nrows(), 3);
         assert_eq!(r.c.ncols(), 5);
         assert_eq!(r.policy, FtPolicy::DetectCorrect);
+        assert_eq!(r.home, None);
         assert_eq!(r.flops(), 2 * 3 * 5 * 4);
     }
 
     #[test]
     fn validate_rejects_mismatch() {
-        let r = GemmRequest {
-            alpha: 1.0f64,
-            a: Matrix::zeros(3, 4).into(),
-            b: Matrix::zeros(5, 6).into(), // k mismatch
-            beta: 0.0,
-            c: Matrix::zeros(3, 6),
-            policy: FtPolicy::Off,
-            injector: None,
-            home: None,
-            tenant: DEFAULT_TENANT,
-            priority: Priority::Normal,
-            deadline: None,
-        };
+        // Inner dimensions disagree.
+        let r = GemmRequest::new(Matrix::<f64>::zeros(3, 4), Matrix::<f64>::zeros(5, 6));
+        assert!(matches!(r.validate(), Err(ServeError::Shape(_))));
+        // The supplied output is not `m x n`.
+        let r = GemmRequest::new(Matrix::<f64>::zeros(3, 4), Matrix::<f64>::zeros(4, 6))
+            .with_c(1.0, Matrix::zeros(3, 5));
         assert!(matches!(r.validate(), Err(ServeError::Shape(_))));
     }
 
     #[test]
-    fn builder_validates_inner_dim_at_build_time() {
-        let err = GemmRequest::builder(Matrix::<f64>::zeros(3, 4), Matrix::<f64>::zeros(5, 6))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Shape(_)), "{err}");
-    }
-
-    #[test]
-    fn builder_validates_output_shape() {
-        let err = GemmRequest::builder(Matrix::<f64>::zeros(3, 4), Matrix::<f64>::zeros(4, 6))
-            .c(1.0, Matrix::zeros(3, 5))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Shape(_)), "{err}");
-    }
-
-    #[test]
-    fn builder_builds_valid_request() {
-        let req = GemmRequest::builder(Matrix::<f64>::zeros(3, 4), Matrix::<f64>::zeros(4, 5))
-            .alpha(2.0)
-            .ft(FtPolicy::Detect)
-            .build()
-            .unwrap();
-        assert_eq!(req.validate().unwrap(), (3, 5, 4));
-        assert_eq!(req.alpha, 2.0);
-        assert_eq!(req.beta, 0.0);
-        assert_eq!(req.policy, FtPolicy::Detect);
-        assert_eq!(req.c.nrows(), 3);
-        assert_eq!(req.c.ncols(), 5);
-    }
-
-    #[test]
-    fn builder_methods() {
+    fn setters() {
         let r = GemmRequest::new(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2))
             .with_alpha(2.0)
             .with_c(0.5, Matrix::filled(2, 2, 1.0))
@@ -543,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn qos_fields_default_and_thread_through_both_builders() {
+    fn qos_fields_default_and_thread_through_setters() {
         let r = GemmRequest::new(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2));
         assert_eq!(r.tenant, DEFAULT_TENANT);
         assert_eq!(r.priority, Priority::Normal);
@@ -556,16 +375,6 @@ mod tests {
         assert_eq!(r.tenant, 7);
         assert_eq!(r.priority, Priority::High);
         assert_eq!(r.deadline, Some(Duration::from_millis(5)));
-
-        let r = GemmRequest::builder(Matrix::<f64>::zeros(2, 3), Matrix::<f64>::zeros(3, 2))
-            .tenant(9)
-            .priority(Priority::Low)
-            .deadline(Duration::from_micros(250))
-            .build()
-            .unwrap();
-        assert_eq!(r.tenant, 9);
-        assert_eq!(r.priority, Priority::Low);
-        assert_eq!(r.deadline, Some(Duration::from_micros(250)));
     }
 
     #[test]
@@ -606,11 +415,8 @@ mod tests {
         drop(cloned);
         drop(reqs);
         assert_eq!(Arc::strong_count(&a), 1);
+        assert!(GemmRequest::<f64>::new(&a, &b).a.shared().is_some());
 
-        // The builder path shares too.
-        let built = GemmRequest::builder(&a, &b).build().unwrap();
-        assert!(std::ptr::eq(built.a.as_slice().as_ptr(), a_ptr));
-        assert!(built.a.shared().is_some());
         // Owned operands still deep-copy on clone (the historical shape).
         let owned = GemmRequest::new(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2));
         assert!(owned.a.shared().is_none());
@@ -640,16 +446,5 @@ mod tests {
         for (err, code) in all {
             assert_eq!(err.wire_code(), code, "renumbered: {err}");
         }
-    }
-
-    #[test]
-    fn home_hint_defaults_to_none_and_threads_through_builder() {
-        let r = GemmRequest::new(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2));
-        assert_eq!(r.home, None);
-        let r = GemmRequest::builder(Matrix::<f64>::zeros(2, 3), Matrix::<f64>::zeros(3, 2))
-            .home(2)
-            .build()
-            .unwrap();
-        assert_eq!(r.home, Some(2));
     }
 }

@@ -7,14 +7,14 @@
 // batch boundaries.
 
 use crate::fault_policy::{FaultPolicyConfig, FaultPolicyMonitor};
-use crate::handle::{AsyncRequestHandle, RequestHandle, ResponseSlot};
+use crate::handle::{AsyncRequestHandle, RequestHandle};
 use crate::placement::{PlacementPolicy, Placer};
 use crate::qos::TenantTable;
 use crate::queue::{Envelope, PushError, ShardedQueue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{RoutePath, RouteState, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use crate::stream::CompletionSink;
+use crate::stream::{completion_channel, CompletionSink};
 use ftgemm_abft::{FtReport, FtResult, Workspace};
 use ftgemm_core::{aligned, Scalar};
 use ftgemm_obs::{
@@ -403,22 +403,21 @@ impl<T: Scalar> GemmService<T> {
     }
 
     /// The one submit path every surface goes through: validate → place →
-    /// deadline admission → envelope → trace → push, which counts the
-    /// admission from inside the enqueue — a push the queue turns away is
-    /// counted only as a rejection. The surfaces differ only in
-    /// `make_slot` (how the response slot and the caller's return value
-    /// are made), `surface` (which per-surface counter is bumped) and
-    /// `push` (parking [`ShardedQueue::push`] or fail-fast
-    /// [`ShardedQueue::try_push`]). On rejection the `R` made by
-    /// `make_slot` is dropped here, which is what releases an async
-    /// handle's in-flight gauge.
-    fn submit_with<R>(
+    /// deadline admission → register in `sink` → envelope → trace → push,
+    /// which counts the admission from inside the enqueue — a push the
+    /// queue turns away is counted only as a rejection, and unregistered
+    /// from `sink` here. The surfaces differ only in `sink` (the caller's
+    /// channel, or a one-request channel behind a handle), `surface` (which
+    /// per-surface counter is bumped) and `push` (parking
+    /// [`ShardedQueue::push`] or fail-fast [`ShardedQueue::try_push`]).
+    /// Returns the request id.
+    fn submit_with(
         &self,
         req: GemmRequest<T>,
         surface: &Counter,
         push: PushFn<T>,
-        make_slot: impl FnOnce(u64) -> (R, Arc<ResponseSlot<T>>),
-    ) -> Result<R, ServeError> {
+        sink: &CompletionSink<T>,
+    ) -> Result<u64, ServeError> {
         req.validate()?;
         let id = self.inner.queue.next_id();
         let affinity = self.place(&req);
@@ -428,13 +427,14 @@ impl<T: Scalar> GemmService<T> {
         // and its tenant's row record it).
         self.check_deadline(&req, affinity)?;
         let tenant = req.tenant;
-        let (ret, slot) = make_slot(id);
+        // The sink counts the request before it can possibly complete.
+        sink.register();
         let submitted = Instant::now();
         let env = Envelope {
             deadline: req.deadline.map(|d| submitted + d),
             flops: req.flops(),
             req,
-            slot,
+            sink: sink.clone(),
             id,
             affinity,
             submitted,
@@ -450,6 +450,7 @@ impl<T: Scalar> GemmService<T> {
             obs.trace.record(affinity, id, TraceEvent::Queued);
         }
         push(&self.inner.queue, env, &|| stats.admit(surface, tenant)).map_err(|e| {
+            sink.unregister();
             if let Some(obs) = &self.inner.obs {
                 obs.trace.record(affinity, id, TraceEvent::Failed);
             }
@@ -464,7 +465,7 @@ impl<T: Scalar> GemmService<T> {
                 }
             }
         })?;
-        Ok(ret)
+        Ok(id)
     }
 
     /// Submits a request; returns a handle redeemable for the result.
@@ -476,13 +477,15 @@ impl<T: Scalar> GemmService<T> {
     /// [`submit_streamed`](GemmService::submit_streamed) for surfaces that
     /// never block.
     pub fn submit(&self, req: GemmRequest<T>) -> Result<RequestHandle<T>, ServeError> {
+        let (sink, rx) = completion_channel();
         let surface = &self.inner.stats.submitted_sync;
-        self.submit_with(req, surface, ShardedQueue::push, RequestHandle::pair)
+        let id = self.submit_with(req, surface, ShardedQueue::push, &sink)?;
+        Ok(RequestHandle::new(id, rx))
     }
 
     /// Submits a request and returns a [`Future`](std::future::Future)
     /// resolving to its result — no thread is parked per in-flight request
-    /// (the scheduler's fulfill path fires the task's waker directly).
+    /// (the completion site fires the task's waker directly).
     ///
     /// Never blocks: with a bounded queue
     /// ([`ServiceConfig::queue_capacity`]) a full queue is reported
@@ -494,10 +497,14 @@ impl<T: Scalar> GemmService<T> {
     /// `examples/async_serving.rs` for a hand-rolled `block_on` driving
     /// hundreds of these concurrently from one thread.
     pub fn submit_async(&self, req: GemmRequest<T>) -> Result<AsyncRequestHandle<T>, ServeError> {
+        let (sink, rx) = completion_channel();
         let stats = &self.inner.stats;
-        self.submit_with(req, &stats.submitted_async, ShardedQueue::try_push, |id| {
-            AsyncRequestHandle::pair(id, Arc::clone(&stats.in_flight_async))
-        })
+        let id = self.submit_with(req, &stats.submitted_async, ShardedQueue::try_push, &sink)?;
+        Ok(AsyncRequestHandle::new(
+            id,
+            rx,
+            Arc::clone(&stats.in_flight_async),
+        ))
     }
 
     /// Submits a request whose result is delivered into a completion
@@ -515,20 +522,8 @@ impl<T: Scalar> GemmService<T> {
         req: GemmRequest<T>,
         sink: &CompletionSink<T>,
     ) -> Result<u64, ServeError> {
-        // The sink must count the request before it can possibly complete;
-        // a push rejected after that un-counts it.
-        let mut registered = false;
         let surface = &self.inner.stats.submitted_streamed;
-        self.submit_with(req, surface, ShardedQueue::try_push, |id| {
-            sink.register();
-            registered = true;
-            (id, ResponseSlot::forwarding(id, sink.clone()))
-        })
-        .inspect_err(|_| {
-            if registered {
-                sink.unregister();
-            }
-        })
+        self.submit_with(req, surface, ShardedQueue::try_push, sink)
     }
 
     /// Convenience: submit and block for the result.
@@ -1193,11 +1188,11 @@ enum Ending {
 /// whatever the ending. Accounts the turnaround, `completed` or `failed`
 /// (so `completed + failed <= submitted` holds — shed and closed requests
 /// *were* admitted), the tenant's tallies and the terminal trace event,
-/// then resolves the handle / future / channel.
+/// then delivers the outcome into the request's completion channel.
 fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
     let Envelope {
         req,
-        slot,
+        sink,
         id,
         affinity,
         submitted,
@@ -1275,7 +1270,7 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
     if let Some(obs) = &inner.obs {
         obs.trace.record(trace_node, id, terminal);
     }
-    slot.fulfill(outcome);
+    sink.deliver(id, outcome);
 }
 
 #[cfg(test)]
@@ -1283,7 +1278,6 @@ mod tests {
     use super::*;
     use crate::qos::TenantId;
     use crate::routing::RouteState;
-    use crate::stream::completion_channel;
     use ftgemm_core::Matrix;
 
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
@@ -1318,7 +1312,7 @@ mod tests {
         Envelope {
             flops: req.flops(),
             req,
-            slot: ResponseSlot::forwarding(id, sink.clone()),
+            sink: sink.clone(),
             id,
             affinity: 0,
             submitted: Instant::now(),
@@ -1779,7 +1773,7 @@ mod tests {
     }
 
     /// Every ending is [`finish`], whatever surface the request came in
-    /// by: the slot resolves exactly once with the ending's result,
+    /// by: the request's channel receives exactly one result, the ending's,
     /// `completed + failed` rises by exactly one, the turnaround sum grows,
     /// and the tenant row and the terminal trace event say which ending it
     /// was. No dispatcher runs, so `finish` is called by the test alone.

@@ -1,10 +1,12 @@
-//! Executor-agnostic completion channel: drain many requests as a stream.
+//! Executor-agnostic completion channel: the one rendezvous every admitted
+//! request completes into.
 //!
 //! [`completion_channel`] builds a `(sink, stream)` pair. The sink is handed
 //! to [`GemmService::submit_streamed`](crate::GemmService::submit_streamed)
-//! at submit time; the scheduler's fulfill path pushes each finished
-//! request's result (tagged with its id) straight into the channel instead
-//! of a per-request slot. The [`Completions`] end is both a blocking
+//! at submit time (`submit` and `submit_async` build a one-request channel
+//! of their own and wrap its stream in their handle); the service's one
+//! completion site pushes each finished request's result (tagged with its
+//! id) into the channel. The [`Completions`] end is both a blocking
 //! iterator ([`recv`](Completions::recv)) and an async stream
 //! ([`poll_next`](Completions::poll_next) / [`next`](Completions::next)), so
 //! the same frontend code works under a sync drain loop or any executor.
@@ -21,6 +23,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::time::{Duration, Instant};
 
 /// One finished request delivered through a completion channel.
 #[derive(Debug)]
@@ -45,7 +48,7 @@ struct Channel<T: Scalar> {
 }
 
 /// Producer end of a completion channel; cloned into each submitted
-/// request's response slot.
+/// request's queue envelope.
 ///
 /// Created by [`completion_channel`]; its only user-facing role is being
 /// passed to [`GemmService::submit_streamed`](crate::GemmService::submit_streamed).
@@ -140,6 +143,17 @@ impl<T: Scalar> Completions<T> {
     /// Blocks for the next completion; `None` when the queue is empty and
     /// nothing is in flight.
     pub fn recv(&mut self) -> Option<Completion<T>> {
+        self.recv_until(None)
+    }
+
+    /// [`recv`](Self::recv) for at most `timeout`: also `None` when it
+    /// passes first. A timeout too large to represent as a deadline (e.g.
+    /// `Duration::MAX`) degrades to an untimed `recv`.
+    pub(crate) fn recv_timeout(&mut self, timeout: Duration) -> Option<Completion<T>> {
+        self.recv_until(Instant::now().checked_add(timeout))
+    }
+
+    fn recv_until(&mut self, deadline: Option<Instant>) -> Option<Completion<T>> {
         let mut state = self.chan.state.lock();
         loop {
             if let Some(c) = state.queue.pop_front() {
@@ -148,7 +162,16 @@ impl<T: Scalar> Completions<T> {
             if state.in_flight == 0 {
                 return None;
             }
-            self.chan.ready.wait(&mut state);
+            match deadline {
+                None => self.chan.ready.wait(&mut state),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.chan.ready.wait_for(&mut state, left);
+                }
+            }
         }
     }
 

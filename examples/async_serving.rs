@@ -3,7 +3,7 @@
 //!
 //! The point of `GemmService::submit_async` is that a web-style frontend no
 //! longer needs one parked thread per outstanding request: each submission
-//! returns a plain `Future`, the scheduler's fulfill path fires the task's
+//! returns a plain `Future`, the service's completion site fires the task's
 //! waker, and any executor — including the ~40-line hand-rolled `block_on`
 //! below — can multiplex all of them on one thread. (The library ships the
 //! same loop as `ftgemm_serve::exec::block_on_all`; it is hand-rolled here
@@ -66,7 +66,7 @@ fn block_on_all<F: Future + Unpin>(futures: Vec<F>) -> Vec<F::Output> {
             }
         }
         if remaining > 0 {
-            // Sleep until a fulfill-side wake arrives; if one landed while
+            // Sleep until a completion's wake arrives; if one landed while
             // we were polling, the swap short-circuits and we re-poll.
             while !parker.notified.swap(false, Ordering::Acquire) {
                 std::thread::park();

@@ -4,7 +4,7 @@ use crate::api::plan::{Exec, GemmPlan};
 use ftgemm_abft::{FtConfig, FtError, FtPolicy, FtResult};
 use ftgemm_core::{CoreError, MatRef, Matrix, Scalar};
 use ftgemm_faults::FaultInjector;
-use ftgemm_serve::{GemmRequest, GemmRequestBuilder, Priority, TenantId};
+use ftgemm_serve::{GemmRequest, Priority, TenantId};
 use std::time::Duration;
 
 /// Anything that can lend a [`MatRef`] view: owned matrices and existing
@@ -178,12 +178,12 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
         GemmPlan::build(self, exec)
     }
 
-    /// Copies the operands into an owned, shape-validated serving-layer
-    /// request builder carrying this op's `alpha`, policy, and injector.
-    /// A request owns its output, so `beta`/`C` are attached on the builder
-    /// ([`GemmRequestBuilder::c`]) rather than inherited from the op.
-    /// Finish with [`GemmRequestBuilder::build`] and submit the result to a
-    /// [`GemmService`](crate::GemmService).
+    /// Copies the operands into an owned serving-layer request carrying
+    /// this op's `alpha`, policy, QoS fields and injector, ready to submit
+    /// to a [`GemmService`](crate::GemmService). A request owns its output,
+    /// so `beta`/`C` are attached with [`GemmRequest::with_c`] rather than
+    /// inherited from the op. Shapes are checked at submit, or earlier by
+    /// [`GemmRequest::validate`].
     ///
     /// # Panics
     /// If [`ft_config`](GemmOp::ft_config) was used: a served request
@@ -191,23 +191,20 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
     /// cannot be expressed — dropping it silently would run the request
     /// under different semantics than the op described. Use
     /// [`ft`](GemmOp::ft) for ops that become requests.
-    pub fn to_request(&self) -> GemmRequestBuilder<T> {
+    pub fn to_request(&self) -> GemmRequest<T> {
         assert!(
             self.cfg_override.is_none(),
             "GemmOp::to_request cannot carry an ft_config override: served \
              requests are configured by FtPolicy only (use GemmOp::ft)"
         );
-        let mut builder = GemmRequest::builder(self.a.to_owned(), self.b.to_owned())
-            .alpha(self.alpha)
-            .ft(self.policy)
-            .tenant(self.tenant)
-            .priority(self.priority);
-        if let Some(deadline) = self.deadline {
-            builder = builder.deadline(deadline);
+        GemmRequest {
+            alpha: self.alpha,
+            policy: self.policy,
+            injector: self.injector.clone(),
+            tenant: self.tenant,
+            priority: self.priority,
+            deadline: self.deadline,
+            ..GemmRequest::new(self.a.to_owned(), self.b.to_owned())
         }
-        if let Some(inj) = &self.injector {
-            builder = builder.injector(inj.clone());
-        }
-        builder
     }
 }

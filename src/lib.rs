@@ -48,8 +48,8 @@
 //! [`GemmService`] accepts concurrent [`GemmRequest`]s, coalesces small
 //! problems into batched parallel regions, routes large ones to the
 //! matrix-parallel driver, and applies the same per-request [`FtPolicy`]
-//! the one-shot API uses. Build requests with the validating
-//! [`GemmRequest::builder`] (or [`GemmOp::to_request`]). Three submit
+//! the one-shot API uses. Build requests with [`GemmRequest::new`] and its
+//! `with_*` setters (or [`GemmOp::to_request`]). Three submit
 //! surfaces feed per-node dispatchers: blocking handles
 //! ([`submit`](serve::GemmService::submit)), waker-based futures
 //! ([`submit_async`](serve::GemmService::submit_async) — no parked thread
@@ -86,9 +86,9 @@ pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_pool::{NodeSpec, PoolPartition, Topology};
 pub use ftgemm_serve::{
-    AdaptiveConfig, CutoffLearner, GemmRequest, GemmRequestBuilder, GemmResponse, GemmService,
-    NodeStats, PlacementPolicy, Priority, RoutePath, RoutingPolicy, RoutingSnapshot, ServiceConfig,
-    TenantId, TenantTable,
+    AdaptiveConfig, CutoffLearner, GemmRequest, GemmResponse, GemmService, NodeStats,
+    PlacementPolicy, Priority, RoutePath, RoutingPolicy, RoutingSnapshot, ServiceConfig, TenantId,
+    TenantTable,
 };
 
 #[cfg(test)]

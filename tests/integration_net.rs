@@ -87,9 +87,7 @@ fn wire_results_bit_identical_to_in_process_submit() {
 
         let in_process = svc
             .submit(
-                GemmRequest::builder(a.clone(), b.clone())
-                    .build()
-                    .unwrap()
+                GemmRequest::new(a.clone(), b.clone())
                     .with_alpha(alpha)
                     .with_policy(policy)
                     .with_tenant(tenant)
@@ -135,13 +133,7 @@ fn inline_submit_with_accumulation() {
     let wire = client.wait(id).unwrap().result.unwrap().to_matrix();
 
     let in_process = svc
-        .submit(
-            GemmRequest::builder(a, b)
-                .build()
-                .unwrap()
-                .with_alpha(2.0)
-                .with_c(-1.5, c0),
-        )
+        .submit(GemmRequest::new(a, b).with_alpha(2.0).with_c(-1.5, c0))
         .unwrap()
         .wait()
         .unwrap();

@@ -10,6 +10,7 @@ use ftgemm::serve::{
 };
 use ftgemm::{FaultInjector, Matrix};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn service(threads: usize, max_batch: usize) -> GemmService<f64> {
     GemmService::new(ServiceConfig {
@@ -481,7 +482,9 @@ fn snapshot_invariant_holds_under_concurrent_submit() {
 
 /// Satellite regression (counter rollback): submissions rejected by a full
 /// bounded queue must not inflate `submitted` — the admission count is
-/// rolled back, so accepted == completed == submitted once drained.
+/// rolled back, so accepted == completed == submitted once drained. A
+/// streamed submit the queue turns away leaves its sink too: the sink
+/// counts exactly the accepted ones, and its stream ends after their ids.
 #[test]
 fn rejected_submissions_do_not_inflate_counters() {
     let service = GemmService::<f64>::new(ServiceConfig {
@@ -513,6 +516,53 @@ fn rejected_submissions_do_not_inflate_counters() {
     );
     assert_eq!(snap.submitted_async, accepted_count);
     assert_eq!(snap.completed, accepted_count);
+
+    // Occupy the one dispatcher with a large request, so nothing streamed
+    // below completes before the sink's count is read.
+    let n = if cfg!(debug_assertions) { 384 } else { 1024 };
+    let blocker = service
+        .submit(GemmRequest::new(
+            Matrix::<f64>::random(n, n, 1),
+            Matrix::<f64>::random(n, n, 2),
+        ))
+        .unwrap();
+    let dispatched = |s: &ftgemm::serve::StatsSnapshot| -> u64 {
+        s.per_node.iter().map(|node| node.dispatched).sum()
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while dispatched(&service.stats()) < accepted_count + 1 {
+        assert!(Instant::now() < deadline, "the blocker never started");
+        std::thread::yield_now();
+    }
+    let (sink, mut completions) = completion_channel::<f64>();
+    let mut streamed = Vec::new();
+    let mut streamed_rejected = 0u64;
+    for i in 0..16u64 {
+        let a = Matrix::<f64>::random(32, 32, 100 + i);
+        let b = Matrix::<f64>::random(32, 32, 200 + i);
+        match service.submit_streamed(GemmRequest::new(a, b), &sink) {
+            Ok(id) => streamed.push(id),
+            Err(ftgemm::serve::ServeError::Overloaded) => streamed_rejected += 1,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert!(streamed_rejected > 0, "16 submits must overflow 2 slots");
+    assert_eq!(completions.in_flight(), streamed.len());
+    assert_eq!(
+        service.stats().completed,
+        accepted_count,
+        "the blocker finished before the sink was read"
+    );
+    drop(sink);
+    blocker.wait().unwrap();
+    let mut seen = Vec::new();
+    while let Some(c) = completions.recv() {
+        c.result.unwrap();
+        seen.push(c.id);
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, streamed, "one completion per accepted id");
+    assert_eq!(service.stats().submitted_streamed, streamed.len() as u64);
 }
 
 /// Handles outstanding at shutdown still resolve (drain-on-drop), and the

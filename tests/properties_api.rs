@@ -203,7 +203,7 @@ proptest! {
         }
     }
 
-    /// The request builder and the op->request bridge agree with the plan
+    /// A request and the op->request bridge agree with the plan
     /// result (the serving layer and the one-shot API are one surface).
     #[test]
     fn request_builder_matches_plan(
@@ -217,9 +217,9 @@ proptest! {
             .run(&mut c_plan.as_mut())
             .unwrap();
 
-        let req = GemmOp::new(&a, &b).to_request().build().unwrap();
+        let req = GemmOp::new(&a, &b).to_request();
         prop_assert_eq!(req.validate().unwrap(), (m, n, k));
-        let req2 = GemmRequest::builder(a.clone(), b.clone()).build().unwrap();
+        let req2 = GemmRequest::new(a.clone(), b.clone());
         prop_assert_eq!(req.flops(), req2.flops());
 
         let mut c_ref = Matrix::<f64>::zeros(m, n);

@@ -10,6 +10,9 @@ use ftgemm::serve::{
     ServeError, ServiceConfig, Topology,
 };
 use ftgemm::Matrix;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// The order of the requests that keep both nodes busy: on a 2-vCPU host
@@ -30,7 +33,8 @@ fn sharded_service() -> GemmService<f64> {
 
 /// `shutdown_now` with requests parked across both node shard groups: the
 /// in-flight request completes, every parked request fails with `Closed`
-/// (not a hang — every wait below is bounded), the completion channel
+/// (not a hang — every wait below is bounded), every parked future is
+/// resolved by the time `shutdown_now` returns, the completion channel
 /// observes the whole drain and then ends, and the counters balance.
 #[test]
 fn shutdown_now_fails_parked_requests_instead_of_hanging() {
@@ -81,8 +85,30 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
         })
         .collect();
     drop(sink);
+    let mut futures: Vec<_> = (0..8u64)
+        .map(|i| {
+            let a = Matrix::<f64>::random(24, 24, 200 + i);
+            let b = Matrix::<f64>::random(24, 24, 240 + i);
+            service.submit_async(GemmRequest::new(a, b)).unwrap()
+        })
+        .collect();
 
     let stats = service.shutdown_now();
+
+    // The dispatchers are joined, so every future has its result: one poll
+    // each resolves it, with no executor and no waker ever firing. Until
+    // then the service's gauge counts them all; each resolution releases
+    // its share.
+    assert_eq!(stats.in_flight_async, 8, "unpolled futures are in flight");
+    let mut cx = Context::from_waker(Waker::noop());
+    for (i, fut) in futures.iter_mut().enumerate() {
+        match Pin::new(&mut *fut).poll(&mut cx) {
+            Poll::Ready(Ok(_) | Err(ServeError::Closed)) => {}
+            Poll::Ready(Err(e)) => panic!("parked future {i}: unexpected error {e}"),
+            Poll::Pending => panic!("parked future {i} unresolved after shutdown_now"),
+        }
+        assert!(fut.is_resolved(), "future {i} kept its in-flight share");
+    }
 
     // The requests that were mid-compute still completed normally.
     for handle in big {
@@ -130,7 +156,7 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
 
     // Counters balance: everything submitted either completed or failed,
     // and both shard groups are empty.
-    assert_eq!(stats.submitted, 2 + 24 + 16);
+    assert_eq!(stats.submitted, 2 + 24 + 16 + 8);
     assert_eq!(stats.completed + stats.failed, stats.submitted);
     assert!(stats.failed as usize >= parked_failed);
     assert!(stats.per_node.iter().all(|n| n.queue_depth == 0));
