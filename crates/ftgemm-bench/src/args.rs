@@ -20,7 +20,7 @@ pub struct Args {
     /// Campaign duration in seconds for the reliability experiment.
     pub duration_secs: u64,
     /// CI smoke mode: two tiny sizes, one repetition, no warm-up, a handful
-    /// of injected errors — just enough to prove the binary and its CSV/JSON
+    /// of injected errors — just enough to prove the binary and its CSV
     /// emitters still work.
     pub smoke: bool,
 }

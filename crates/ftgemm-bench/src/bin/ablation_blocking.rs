@@ -5,18 +5,19 @@
 //! themselves are the repo benchmark's `core.ukr_f64_{avx2,portable}_eff`,
 //! measured with a spread.
 //!
-//! Besides the console tables / CSVs, the full sweep (per-point throughput
-//! plus p50/p99 of the per-repetition times) is written as machine-readable
-//! `bench_results/BENCH_ablation_blocking.json` for cross-PR tracking.
+//! Prints the grid as a console table and writes every point, one row each,
+//! to `bench_results/ablation_blocking.csv`: `mc,kc,gflops,p50_us,p99_us`
+//! (the median and p99 of the per-repetition times).
 //!
 //! Usage: `cargo run -p ftgemm-bench --release --bin ablation_blocking
 //!         [--sizes N] [--reps N] [--smoke]`
 
 use ftgemm_abft::gemm_with_params;
-use ftgemm_bench::{gflops, percentile, write_bench_json, Args, JsonValue, Table};
+use ftgemm_bench::{gflops, Args, CsvWriter, Table};
 use ftgemm_core::{BlockingParams, CacheInfo, IsaLevel, Matrix};
+use ftgemm_obs::percentile;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args = Args::parse();
     let s = args
         .sizes
@@ -33,7 +34,10 @@ fn main() {
         .iter()
         .map(|&v| v.max(kernel.mr) / kernel.mr * kernel.mr)
         .collect();
-    let kc_grid: Vec<usize> = vec![base.kc / 4, base.kc / 2, base.kc, base.kc * 2];
+    let kc_grid: Vec<usize> = [base.kc / 4, base.kc / 2, base.kc, base.kc * 2]
+        .iter()
+        .map(|&v| v.max(1))
+        .collect();
 
     let mut headers: Vec<String> = vec!["MC \\ KC".to_string()];
     headers.extend(kc_grid.iter().map(|k| k.to_string()));
@@ -45,11 +49,12 @@ fn main() {
         ),
         &headers_ref,
     );
-    let mut json_grid = JsonValue::arr();
+    let mut csv = CsvWriter::create(&args.out_dir, "ablation_blocking")?;
+    csv.row(&["mc", "kc", "gflops", "p50_us", "p99_us"])?;
     for &mc in &mc_grid {
         let mut row = vec![mc.to_string()];
         for &kc in &kc_grid {
-            let params = base.with_blocks(mc, base.nc, kc.max(1));
+            let params = base.with_blocks(mc, base.nc, kc);
             let mut c = Matrix::<f64>::zeros(s, s);
             let times = ftgemm_bench::measure_times(args.warmup, args.reps, || {
                 gemm_with_params(
@@ -64,40 +69,20 @@ fn main() {
                 .unwrap();
             });
             let avg = times.iter().sum::<f64>() / times.len() as f64;
-            row.push(format!("{:.2}", gflops(s, s, s, avg)));
-            json_grid = json_grid.push(
-                JsonValue::obj()
-                    .field("mc", mc)
-                    .field("kc", kc.max(1))
-                    .field("gflops", gflops(s, s, s, avg))
-                    .field("p50_latency_us", percentile(&times, 50.0) * 1e6)
-                    .field("p99_latency_us", percentile(&times, 99.0) * 1e6),
-            );
+            let gf = gflops(s, s, s, avg);
+            row.push(format!("{gf:.2}"));
+            csv.row(&[
+                &mc.to_string(),
+                &kc.to_string(),
+                &format!("{gf:.3}"),
+                &format!("{:.1}", percentile(&times, 50.0) * 1e6),
+                &format!("{:.1}", percentile(&times, 99.0) * 1e6),
+            ])?;
         }
         grid_table.row(row);
         eprintln!("mc {mc} done");
     }
     grid_table.print();
-
-    match grid_table.write_csv(&args.out_dir, "ablation_blocking") {
-        Ok(p) => println!("\nCSV written to {}", p.display()),
-        Err(e) => eprintln!("CSV write failed: {e}"),
-    }
-
-    let json = JsonValue::obj()
-        .field("bench", "ablation_blocking")
-        .field("size", s)
-        .field("reps", args.reps.max(1))
-        .field("default_mc", base.mc)
-        .field("default_kc", base.kc)
-        .field(
-            "blocking_grid",
-            JsonValue::obj()
-                .field("tier", isa.to_string())
-                .field("points", json_grid),
-        );
-    match write_bench_json(&args.out_dir, "ablation_blocking", &json) {
-        Ok(p) => println!("JSON written to {}", p.display()),
-        Err(e) => eprintln!("JSON write failed: {e}"),
-    }
+    println!("\nCSV written to {}", csv.path.display());
+    Ok(())
 }

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | `paper` | one sweep, seven views: Fig. 2(a)–(d) (`fig2a..d.csv`), T1/T2 fused vs unfused ABFT overhead (`overhead_table.csv`), T3 FT-GEMM speed vs the library stand-ins (`speedup_table.csv`), A1 per-fusion-point overhead (`ablation_fusion.csv`) |
 //! | `reliability` | T4: sustained errors-per-minute campaign with validation |
-//! | `ablation_blocking` | A2: blocking-parameter sensitivity, the (MC, KC) grid (`BENCH_ablation_blocking.json`) |
+//! | `ablation_blocking` | A2: blocking-parameter sensitivity, the (MC, KC) grid (`ablation_blocking.csv`: one row per point) |
 //!
 //! Every binary prints paper-style tables; `paper` and `ablation_blocking`
 //! write CSV under `bench_results/`. Default sweeps are scaled down
@@ -18,13 +18,11 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod json;
 pub mod report;
 pub mod runners;
 pub mod timing;
 
 pub use args::Args;
-pub use json::{percentile, write_bench_json, JsonValue};
 pub use report::{CsvWriter, Table};
 pub use runners::{GemmRunner, RunnerKind};
 pub use timing::{gflops, measure, measure_times, Measurement};

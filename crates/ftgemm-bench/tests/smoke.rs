@@ -61,12 +61,19 @@ fn paper_writes_the_seven_csvs_with_the_parent_headers() {
 }
 
 #[test]
-fn ablation_blocking_writes_its_json() {
+fn ablation_blocking_writes_its_csv() {
     let out = out_dir("ablation-blocking-smoke");
     run_smoke(env!("CARGO_BIN_EXE_ablation_blocking"), &out);
-    let json = std::fs::read_to_string(out.join("BENCH_ablation_blocking.json")).unwrap();
-    assert!(json.contains("\"blocking_grid\""), "{json}");
+    let csv = std::fs::read_to_string(out.join("ablation_blocking.csv")).unwrap();
+    let mut lines = csv.lines();
+    let header = "mc,kc,gflops,p50_us,p99_us";
+    assert_eq!(lines.next(), Some(header));
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), 16, "one row per point of the 4 x 4 grid: {csv}");
+    for row in rows {
+        assert_eq!(row.split(',').count(), 5, "row {row:?}");
+    }
     // The ISA-tier table had no spread; the repo benchmark measures the tiers.
-    assert!(!json.contains("isa_tiers"), "{json}");
+    assert!(!csv.contains("tier") && !csv.contains("isa"), "{csv}");
     assert!(!out.join("ablation_isa.csv").exists());
 }

@@ -61,12 +61,6 @@ impl<T: Scalar> GemmContext<T> {
         Ok((a, b))
     }
 
-    /// Elements the `A~` and `B~` scratch buffers hold right now: the largest
-    /// [`pack_buffers`](Self::pack_buffers) request so far, or more.
-    pub fn pack_capacity(&self) -> (usize, usize) {
-        (self.a_scratch.capacity(), self.b_scratch.capacity())
-    }
-
     /// Overrides the blocking parameters (validated).
     pub fn set_params(&mut self, params: BlockingParams) -> Result<()> {
         params.validate_for(&self.kernel)?;

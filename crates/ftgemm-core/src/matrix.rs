@@ -406,18 +406,6 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         }
     }
 
-    /// Mutable re-borrow (shortens the lifetime).
-    #[inline]
-    pub fn rb_mut(&mut self) -> MatMut<'_, T> {
-        MatMut {
-            ptr: self.ptr,
-            nrows: self.nrows,
-            ncols: self.ncols,
-            ld: self.ld,
-            _marker: PhantomData,
-        }
-    }
-
     /// Zero-copy mutable submatrix `rows x cols` starting at `(i, j)`.
     #[inline]
     pub fn submatrix_mut(&mut self, i: usize, j: usize, rows: usize, cols: usize) -> MatMut<'_, T> {

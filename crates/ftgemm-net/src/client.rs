@@ -369,13 +369,6 @@ impl NetClient {
         Ok(())
     }
 
-    /// Sends pre-encoded bytes verbatim (for malformed-frame tests).
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        self.writer.write_all(bytes)?;
-        self.writer.flush()?;
-        Ok(())
-    }
-
     /// Takes in answers until held submit `id` has its own, and takes the
     /// id out: it is redeemed unless the caller puts it back.
     fn held_answer(&mut self, id: u64) -> Result<Answer, ClientError> {

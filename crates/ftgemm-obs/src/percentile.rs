@@ -51,6 +51,44 @@ mod tests {
         let samples: Vec<f64> = (0..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&samples, 50.0), 50.0);
         assert_eq!(percentile(&samples, 99.0), 99.0);
+        assert_eq!(percentile(&samples, 0.0), 0.0);
+        assert_eq!(percentile(&samples, 100.0), 100.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn percentile_single_sample_is_that_sample_at_any_pct() {
+        for pct in [0.0, 1.0, 50.0, 99.0, 100.0] {
+            assert_eq!(percentile(&[7.5], pct), 7.5, "pct {pct}");
+        }
+    }
+
+    #[test]
+    fn percentile_two_samples_split_at_the_midpoint() {
+        // Nearest-rank over [1, 9]: the fractional rank pct/100 rounds to
+        // index 0 below 50% and to index 1 from 50% up (f64::round is
+        // half-away-from-zero, so exactly 0.5 lands on the upper sample).
+        let two = [1.0, 9.0];
+        assert_eq!(percentile(&two, 0.0), 1.0);
+        assert_eq!(percentile(&two, 49.0), 1.0);
+        assert_eq!(percentile(&two, 50.0), 9.0);
+        assert_eq!(percentile(&two, 100.0), 9.0);
+    }
+
+    #[test]
+    fn percentile_sorts_its_input_copy() {
+        // Unsorted input must give the same answers as sorted input, and
+        // must not be reordered in place.
+        let unsorted = [30.0, 10.0, 50.0, 20.0, 40.0];
+        assert_eq!(percentile(&unsorted, 0.0), 10.0);
+        assert_eq!(percentile(&unsorted, 50.0), 30.0);
+        assert_eq!(percentile(&unsorted, 100.0), 50.0);
+        assert_eq!(unsorted, [30.0, 10.0, 50.0, 20.0, 40.0]);
+    }
+
+    #[test]
+    fn percentile_clamps_out_of_range_pct() {
+        let samples = [1.0, 2.0, 3.0];
+        assert_eq!(percentile(&samples, 150.0), 3.0, "pct > 100 clamps to max");
     }
 }

@@ -14,12 +14,11 @@
 //!   simultaneously (the parallel region); returns when all threads finish;
 //! * [`WorkerCtx::barrier`] — sense-reversing barrier across the region;
 //! * [`partition_aligned`] — static loop partitioning with alignment (the
-//!   `M`-dimension split must respect the micro-tile height `MR`);
-//! * [`topology`] — memory-domain awareness: [`Topology`] (detected from
-//!   sysfs or built synthetically for deterministic tests) and
-//!   [`PoolPartition`], which pins contiguous worker subsets per NUMA node
-//!   ([`ThreadPool::with_topology`], [`WorkerCtx::node`] /
-//!   [`WorkerCtx::node_partition`]).
+//!   `M`-dimension split must respect the micro-tile height `MR`).
+//!
+//! That is all of the paper's threaded runtime, and all this crate holds: a
+//! pool knows nothing of memory domains. A NUMA-sharded caller (the serving
+//! layer) builds one pool per node; no worker is pinned to a CPU.
 //!
 //! Workers park on a condvar between regions, so an idle pool costs nothing;
 //! inside a region, barriers spin briefly and then yield.
@@ -30,9 +29,7 @@
 mod barrier;
 mod partition;
 mod pool;
-pub mod topology;
 
 pub use barrier::SenseBarrier;
 pub use partition::{partition_aligned, partition_even};
 pub use pool::{PoolStats, ThreadPool, WorkerCtx};
-pub use topology::{NodeSpec, PoolPartition, Topology};

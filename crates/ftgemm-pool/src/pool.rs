@@ -1,7 +1,6 @@
 //! The persistent worker pool and its parallel regions.
 
 use crate::barrier::SenseBarrier;
-use crate::topology::{PoolPartition, Topology};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,10 +44,6 @@ struct Shared {
     /// instrumenting every call site.
     regions: AtomicU64,
     barrier_crossings: AtomicU64,
-    /// How thread ids split across the topology's memory domains; every
-    /// worker subset is contiguous, so node-scoped work inside a region is
-    /// an index-range check away.
-    partition: PoolPartition,
 }
 
 /// Snapshot of a pool's lifetime activity counters.
@@ -87,25 +82,6 @@ impl WorkerCtx<'_> {
     pub fn partition(&self, len: usize, align: usize) -> Range<usize> {
         crate::partition::partition_aligned(len, self.nthreads, self.tid, align)
     }
-
-    /// The memory domain this thread is pinned to.
-    pub fn node(&self) -> usize {
-        self.shared.partition.node_of(self.tid)
-    }
-
-    /// The contiguous thread-id range sharing this thread's node.
-    pub fn node_workers(&self) -> Range<usize> {
-        self.shared.partition.workers(self.node())
-    }
-
-    /// This thread's aligned chunk of a *node-local* `0..len`: the length is
-    /// partitioned across only the threads of this thread's node, so each
-    /// node can sweep its own node-resident data without touching its
-    /// neighbours' (the locality contract NUMA-aware packing wants).
-    pub fn node_partition(&self, len: usize, align: usize) -> Range<usize> {
-        let workers = self.node_workers();
-        crate::partition::partition_aligned(len, workers.len(), self.tid - workers.start, align)
-    }
 }
 
 /// A pool of `nthreads - 1` persistent workers; the thread calling
@@ -125,32 +101,9 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 impl ThreadPool {
-    /// Pool with `nthreads` total region participants (`>= 1`), all on one
-    /// memory domain (the UMA case every pre-topology call site means).
+    /// Pool with `nthreads` total region participants (`>= 1`).
     pub fn new(nthreads: usize) -> Self {
-        Self::with_partition(nthreads, PoolPartition::single(nthreads))
-    }
-
-    /// Pool with one thread per core of `topology`, worker subsets pinned
-    /// per node: node `i`'s threads are the contiguous id range
-    /// `partition().workers(i)`, and each worker knows its domain through
-    /// [`WorkerCtx::node`]. Pinning is logical — thread→node bookkeeping the
-    /// schedulers key off; OS-level affinity is a deployment concern layered
-    /// outside this crate.
-    pub fn with_topology(topology: &Topology) -> Self {
-        let nthreads = topology.total_cores().max(1);
-        Self::with_partition(nthreads, PoolPartition::new(topology, nthreads))
-    }
-
-    /// Pool with an explicit thread-to-node partition (`partition` must
-    /// cover exactly `nthreads`).
-    pub fn with_partition(nthreads: usize, partition: PoolPartition) -> Self {
         assert!(nthreads >= 1, "pool needs at least one thread");
-        assert_eq!(
-            partition.nthreads(),
-            nthreads,
-            "partition must cover the pool's threads"
-        );
         let shared = Arc::new(Shared {
             region: Mutex::new(()),
             job: Mutex::new((0, None)),
@@ -160,15 +113,13 @@ impl ThreadPool {
             generation: AtomicU64::new(0),
             regions: AtomicU64::new(0),
             barrier_crossings: AtomicU64::new(0),
-            partition,
         });
         let mut handles = Vec::new();
         for tid in 1..nthreads {
             let shared = Arc::clone(&shared);
-            let node = shared.partition.node_of(tid);
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("ftgemm-n{node}-worker-{tid}"))
+                    .name(format!("ftgemm-worker-{tid}"))
                     .spawn(move || worker_loop(shared, tid))
                     .expect("failed to spawn pool worker"),
             );
@@ -181,28 +132,9 @@ impl ThreadPool {
         }
     }
 
-    /// Pool sized to the machine (one thread per available CPU).
-    pub fn with_all_cores() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
     /// Number of threads participating in each region.
     pub fn nthreads(&self) -> usize {
         self.nthreads
-    }
-
-    /// The thread-to-node partition the pool was built with (a single
-    /// node covering every thread for [`ThreadPool::new`]).
-    pub fn partition(&self) -> &PoolPartition {
-        &self.shared.partition
-    }
-
-    /// Memory domains the pool spans.
-    pub fn num_nodes(&self) -> usize {
-        self.shared.partition.num_nodes()
     }
 
     /// Lifetime activity counters (regions run, barrier crossings).
@@ -446,44 +378,6 @@ mod tests {
         let pool = ThreadPool::new(4);
         pool.run(|_| {});
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn topology_pool_reports_nodes_and_partitions() {
-        use crate::topology::Topology;
-        let pool = ThreadPool::with_topology(&Topology::synthetic(2, 3));
-        assert_eq!(pool.nthreads(), 6);
-        assert_eq!(pool.num_nodes(), 2);
-        assert_eq!(pool.partition().workers(1), 3..6);
-
-        let node_mask = AtomicUsize::new(0);
-        let local_sum = AtomicUsize::new(0);
-        pool.run(|ctx| {
-            let expected_node = usize::from(ctx.tid >= 3);
-            assert_eq!(ctx.node(), expected_node);
-            assert_eq!(
-                ctx.node_workers(),
-                if expected_node == 0 { 0..3 } else { 3..6 }
-            );
-            node_mask.fetch_or(1 << ctx.node(), Ordering::Relaxed);
-            // Node-local partition: each node's 3 threads cover 0..30
-            // exactly once, so the two nodes together cover it twice.
-            local_sum.fetch_add(ctx.node_partition(30, 1).len(), Ordering::Relaxed);
-        });
-        assert_eq!(node_mask.load(Ordering::Relaxed), 0b11);
-        assert_eq!(local_sum.load(Ordering::Relaxed), 60);
-    }
-
-    #[test]
-    fn flat_pool_is_single_node() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.num_nodes(), 1);
-        pool.run(|ctx| {
-            assert_eq!(ctx.node(), 0);
-            assert_eq!(ctx.node_workers(), 0..3);
-            // node_partition degenerates to partition on one node.
-            assert_eq!(ctx.node_partition(9, 1), ctx.partition(9, 1));
-        });
     }
 
     /// `callers` threads hammer one shared `workers`-thread pool with

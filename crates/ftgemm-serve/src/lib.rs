@@ -55,10 +55,12 @@
 //!   blocking [`RequestHandle`] (`wait`/`try_wait`/`wait_timeout`) or an
 //!   [`AsyncRequestHandle`] future (the delivery fires the task's waker —
 //!   zero parked threads per request, any executor).
-//! * **NUMA-aware sharding.** The service shards itself around a
-//!   [`Topology`] (detected, or [`Topology::synthetic`] for deterministic
-//!   tests / `ServiceConfig::topology`): one queue shard group and one
-//!   pinned node-scoped worker pool per memory domain. A
+//! * **NUMA sharding.** The service shards itself around a [`Topology`]
+//!   (detected, or [`Topology::synthetic`] for deterministic tests /
+//!   `ServiceConfig::topology`): one queue shard group, one dispatcher and
+//!   one worker pool per node, sized by
+//!   [`Topology::threads_per_node`]. It is scheduling structure only — no
+//!   thread is pinned and no page is bound. A
 //!   [`PlacementPolicy`] stamps each request's node affinity at submit
 //!   time (`RoundRobin` / `OperandHome` / `LeastLoaded`); work leaves its
 //!   affinity node only when a dry node steals off the deepest backlog
@@ -159,15 +161,12 @@ pub mod routing;
 mod service;
 mod stats;
 mod stream;
+mod topology;
 
 /// The workspace-wide fault-tolerance policy (defined in
 /// [`ftgemm_abft::policy`] so the one-shot drivers, the facade's
 /// `GemmOp`/`GemmPlan` builder, and this serving layer all share one type).
 pub use ftgemm_abft::FtPolicy;
-/// The memory-domain layout the service shards itself around (defined in
-/// [`ftgemm_pool::topology`]; [`Topology::synthetic`] makes every placement
-/// decision deterministic for tests).
-pub use ftgemm_pool::{NodeSpec, Topology};
 
 pub use fault_policy::FaultPolicyConfig;
 pub use handle::{AsyncRequestHandle, RequestHandle};
@@ -178,6 +177,7 @@ pub use routing::{AdaptiveConfig, CutoffLearner, RoutePath, RoutingPolicy, Routi
 pub use service::{GemmService, ServiceConfig, DEFAULT_SMALL_FLOPS_CUTOFF};
 pub use stats::{NodeStats, StatsSnapshot, TenantStats};
 pub use stream::{completion_channel, Completion, CompletionSink, Completions, Next};
+pub use topology::Topology;
 
 #[cfg(test)]
 mod tests {

@@ -1,16 +1,14 @@
-//! Request → node placement: which memory domain a request is queued on.
+//! Request → node placement: which node's shard group a request is queued on.
 //!
-//! The scheduler keeps a GEMM's compute on the node that owns its operands
-//! (the paper's serving results depend on exactly that locality). Placement
-//! is decided **once, at submit time** — the chosen node is stamped on the
-//! envelope as its *node affinity* and selects the node's shard group in the
-//! [`ShardedQueue`](crate::queue::ShardedQueue). A request leaves its
-//! affinity node only through explicit work stealing, when that node's
-//! shard group runs dry while another node has backlog.
+//! Placement is decided **once, at submit time** — the chosen node is
+//! stamped on the envelope as its *node affinity* and selects the node's
+//! shard group in the [`ShardedQueue`](crate::queue::ShardedQueue). A request
+//! leaves its affinity node only through explicit work stealing, when that
+//! node's shard group runs dry while another node has backlog.
 //!
 //! Every decision path here is a pure function of the request and the
 //! current queue depths — no wall clock, no RNG — so placement is
-//! reproducible under [`Topology::synthetic`](ftgemm_pool::Topology):
+//! reproducible under [`Topology::synthetic`](crate::Topology::synthetic):
 //! identical submission sequences give identical affinities.
 
 use crate::request::GemmRequest;
@@ -24,12 +22,10 @@ pub enum PlacementPolicy {
     /// balanced-load baseline and for tests that want a known placement
     /// sequence.
     RoundRobin,
-    /// The node that owns the request's operands (the default). An explicit
-    /// [`GemmRequest::home`](crate::GemmRequest) hint wins; without one the
-    /// home is derived deterministically from the operand buffer addresses
-    /// — a stand-in for a first-touch page lookup (`move_pages(2)`) that
-    /// keeps the decision cheap and reproducible on machines where real
-    /// NUMA introspection is unavailable.
+    /// The request's [`home`](crate::GemmRequest::home) hint when it has one
+    /// (the default). Without one, a deterministic hash of the operand
+    /// buffer addresses that spreads requests over the nodes — not a page
+    /// lookup: no memory is asked where it lives.
     #[default]
     OperandHome,
     /// The node whose shard group currently holds the fewest *planned
@@ -92,7 +88,7 @@ impl Placer {
     }
 }
 
-/// Deterministic operand-home model: mixes the page-granular operand
+/// Deterministic operand-address hash: mixes the page-granular operand
 /// addresses through a Fibonacci-hash step so adjacent allocations spread
 /// over nodes instead of aliasing onto one. The math is done in `u64` so
 /// the constant and the high-half extraction are well-defined on 32-bit

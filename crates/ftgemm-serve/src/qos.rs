@@ -427,13 +427,12 @@ impl<P> DrrScheduler<P> {
     }
 }
 
-/// Deterministic scheduler simulator: a [`DrrScheduler`] plus a synthetic
-/// nanosecond clock and per-tenant service tallies. Drives the exact decision
-/// functions the serving queue uses, with no threads, sleeps, or real time —
-/// fairness properties checked against it are exact.
+/// Deterministic scheduler simulator: a [`DrrScheduler`] plus per-tenant
+/// service tallies. Drives the exact decision functions the serving queue
+/// uses, with no threads, sleeps, or clock — fairness properties checked
+/// against it are exact.
 pub struct SchedSim {
     sched: DrrScheduler<()>,
-    now_ns: u64,
     next_seq: u64,
     served: BTreeMap<TenantId, Tally>,
 }
@@ -455,12 +454,8 @@ pub struct SimServed {
     pub seq: u64,
     /// Planned cost in flops.
     pub cost_flops: u64,
-    /// Absolute deadline key; [`NO_DEADLINE`] if none was set.
+    /// Deadline key; [`NO_DEADLINE`] if none was set.
     pub deadline_ns: u64,
-    /// Simulated clock at service time.
-    pub served_at_ns: u64,
-    /// True when the deadline had already passed at service time.
-    pub expired: bool,
 }
 
 impl SchedSim {
@@ -468,36 +463,23 @@ impl SchedSim {
     pub fn new(table: TenantTable) -> Self {
         SchedSim {
             sched: DrrScheduler::new(table),
-            now_ns: 0,
             next_seq: 0,
             served: BTreeMap::new(),
         }
     }
 
-    /// Current synthetic time.
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
-    /// Advances the synthetic clock.
-    pub fn advance(&mut self, ns: u64) {
-        self.now_ns = self.now_ns.saturating_add(ns);
-    }
-
-    /// Enqueues a request arriving now. `deadline_rel_ns` is relative to the
-    /// current synthetic time. Returns the admission sequence number.
+    /// Enqueues a request with deadline key `deadline_ns` (earlier keys
+    /// pop first within a class). Returns the admission sequence number.
     pub fn arrive(
         &mut self,
         tenant: TenantId,
         class: Priority,
-        deadline_rel_ns: Option<u64>,
+        deadline_ns: Option<u64>,
         cost_flops: u64,
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let deadline_ns = deadline_rel_ns
-            .map(|rel| self.now_ns.saturating_add(rel))
-            .unwrap_or(NO_DEADLINE);
+        let deadline_ns = deadline_ns.unwrap_or(NO_DEADLINE);
         self.sched
             .push(tenant, class, deadline_ns, cost_flops, seq, ());
         seq
@@ -515,17 +497,7 @@ impl SchedSim {
             seq: s.seq,
             cost_flops: s.cost_flops,
             deadline_ns: s.deadline_ns,
-            served_at_ns: self.now_ns,
-            expired: s.deadline_ns != NO_DEADLINE && self.now_ns > s.deadline_ns,
         })
-    }
-
-    /// Pops and simulates service time at `ns_per_flop`, advancing the clock.
-    pub fn pop_and_run(&mut self, ns_per_flop: f64) -> Option<SimServed> {
-        let served = self.pop()?;
-        let dur = (served.cost_flops as f64 * ns_per_flop).ceil() as u64;
-        self.advance(dur);
-        Some(served)
     }
 
     /// Total flops served for `tenant` so far.

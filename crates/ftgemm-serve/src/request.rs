@@ -93,11 +93,11 @@ pub struct GemmRequest<T: Scalar> {
     pub policy: FtPolicy,
     /// Optional per-request fault injector (campaigns/tests).
     pub injector: Option<FaultInjector>,
-    /// Optional operand-home hint: the NUMA node this request's operands
-    /// live on. Consulted by
+    /// Optional operand-home hint: the node this request should be queued
+    /// on. Consulted by
     /// [`PlacementPolicy::OperandHome`](crate::PlacementPolicy) (values
-    /// beyond the node count wrap); `None` lets the service derive a home
-    /// from the operand addresses.
+    /// beyond the node count wrap); `None` lets the service hash the
+    /// operand addresses instead.
     pub home: Option<usize>,
     /// Owning tenant for QoS scheduling ([`DEFAULT_TENANT`] when unset).
     /// The tenant's weight in
@@ -176,7 +176,7 @@ impl<T: Scalar> GemmRequest<T> {
         self
     }
 
-    /// Pins the operand-home node consulted by
+    /// Sets the operand-home node consulted by
     /// [`PlacementPolicy::OperandHome`](crate::PlacementPolicy).
     #[must_use]
     pub fn with_home(mut self, node: usize) -> Self {
@@ -239,7 +239,7 @@ pub struct GemmResponse<T: Scalar> {
     pub batched: bool,
     /// The node affinity the placement policy stamped at submit time.
     pub affinity_node: usize,
-    /// The node whose worker subset actually executed the request; differs
+    /// The node whose pool actually executed the request; differs
     /// from [`affinity_node`](Self::affinity_node) only when the request
     /// was stolen by a dry node.
     pub executed_node: usize,

@@ -15,6 +15,7 @@ use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{RoutePath, RouteState, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::{completion_channel, CompletionSink};
+use crate::topology::Topology;
 use ftgemm_abft::{FtReport, FtResult, Workspace};
 use ftgemm_core::{aligned, Scalar};
 use ftgemm_obs::{
@@ -24,7 +25,7 @@ use ftgemm_obs::{
 use ftgemm_parallel::{
     par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParGemmContext,
 };
-use ftgemm_pool::{PoolStats, Topology};
+use ftgemm_pool::PoolStats;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,10 +65,12 @@ pub struct ServiceConfig {
     /// soft under concurrency (overshoot ≤ concurrent submitters).
     pub queue_capacity: usize,
     /// The memory-domain layout the service shards itself around: one
-    /// queue shard group and one pinned worker subset per node. `None`
-    /// (the default) detects the machine's topology;
-    /// [`Topology::synthetic`] forces any layout — every placement
-    /// decision is deterministic under a synthetic topology.
+    /// queue shard group, one dispatcher and one pool per node, the pool
+    /// sized by [`Topology::threads_per_node`]. Scheduling structure only:
+    /// no thread is pinned and no page is bound. `None` (the default)
+    /// detects the machine's topology; [`Topology::synthetic`] forces any
+    /// layout — every placement decision is deterministic under a
+    /// synthetic topology.
     pub topology: Option<Topology>,
     /// How requests are assigned a node affinity at submit time.
     pub placement: PlacementPolicy,
@@ -156,12 +159,6 @@ impl ServiceObs {
     }
 }
 
-/// One node's compute runtime: a node-scoped context whose pool is that
-/// node's pinned worker subset.
-struct NodeRuntime<T: Scalar> {
-    ctx: ParGemmContext<T>,
-}
-
 struct Inner<T: Scalar> {
     queue: ShardedQueue<T>,
     stats: ServiceStats,
@@ -169,7 +166,9 @@ struct Inner<T: Scalar> {
     route: RouteState,
     placer: Placer,
     topology: Topology,
-    nodes: Vec<NodeRuntime<T>>,
+    /// One context per node; `nodes[i]`'s pool is entered only by
+    /// dispatcher `i`.
+    nodes: Vec<ParGemmContext<T>>,
     /// When set, dispatchers stop computing queued work and fail it with
     /// [`ServeError::Closed`] instead
     /// ([`shutdown_now`](GemmService::shutdown_now)).
@@ -196,14 +195,15 @@ impl<T: Scalar> Inner<T> {
 /// [`FtPolicy`](crate::FtPolicy).
 ///
 /// The service is **NUMA-sharded**: its [`Topology`] (detected, or forced
-/// via [`ServiceConfig::topology`]) gives every memory domain its own queue
-/// shard group and its own pinned worker subset, and each request is
-/// stamped with a node affinity at submit time by the configured
-/// [`PlacementPolicy`] — by default the node that owns its operands. A
-/// request runs on its affinity node's workers unless that node's shard
-/// group ran dry and it was explicitly stolen (visible per request via
+/// via [`ServiceConfig::topology`]) gives every node its own queue shard
+/// group, dispatcher and worker pool, and each request is stamped with a
+/// node affinity at submit time by the configured [`PlacementPolicy`]. A
+/// request runs on its affinity node's pool unless that node's shard group
+/// ran dry and it was explicitly stolen (visible per request via
 /// [`GemmResponse::stolen`] and per node via
-/// [`StatsSnapshot::per_node`]).
+/// [`StatsSnapshot::per_node`]). The sharding is scheduling structure: no
+/// pool thread is pinned to its node's CPUs and no page is bound to its
+/// memory.
 ///
 /// Three submit surfaces feed the same dispatchers:
 /// [`submit`](GemmService::submit) (blocking condvar handle),
@@ -223,8 +223,8 @@ impl<T: Scalar> Inner<T> {
 pub struct GemmService<T: Scalar> {
     inner: Arc<Inner<T>>,
     /// One dispatcher thread per node, each draining its own shard group
-    /// onto its own node-scoped pool — so on a multi-node machine the
-    /// nodes genuinely compute concurrently.
+    /// onto its own pool — so on a multi-node machine the nodes genuinely
+    /// compute concurrently.
     dispatchers: Vec<JoinHandle<()>>,
     /// The `/metrics` endpoint thread ([`ServiceConfig::obs_addr`]);
     /// stopped and joined by shutdown/drop.
@@ -236,11 +236,6 @@ pub struct GemmService<T: Scalar> {
 type PushFn<T> = fn(&ShardedQueue<T>, Envelope<T>, &dyn Fn()) -> Result<(), PushError>;
 
 impl<T: Scalar> GemmService<T> {
-    /// Service with default configuration (all cores, detected topology).
-    pub fn with_defaults() -> Self {
-        Self::new(ServiceConfig::default())
-    }
-
     /// Service with explicit configuration.
     pub fn new(config: ServiceConfig) -> Self {
         assert!(config.max_batch >= 1, "need max_batch >= 1");
@@ -250,24 +245,10 @@ impl<T: Scalar> GemmService<T> {
         }
         let topology = config.topology.clone().unwrap_or_else(Topology::detect);
         let nnodes = topology.num_nodes();
-        // Per-node worker subsets: `threads == 0` sizes each subset to its
-        // node's cores; otherwise the requested total is split by core
-        // share (PoolPartition's proportional split, so a 6+2-core
-        // topology gets a 3:1 thread ratio, not an even one) with a floor
-        // of one thread per node (every node must be able to execute its
-        // own shard group).
-        let node_threads: Vec<usize> = if config.threads == 0 {
-            topology.nodes().iter().map(|n| n.cores).collect()
-        } else {
-            let split = ftgemm_pool::PoolPartition::new(&topology, config.threads);
-            (0..nnodes).map(|i| split.threads_on(i).max(1)).collect()
-        };
-        let nodes: Vec<NodeRuntime<T>> = node_threads
+        let node_threads = topology.threads_per_node(config.threads);
+        let nodes: Vec<ParGemmContext<T>> = node_threads
             .iter()
-            .enumerate()
-            .map(|(node, &threads)| NodeRuntime {
-                ctx: ParGemmContext::<T>::for_node_threads(node, threads),
-            })
+            .map(|&threads| ParGemmContext::with_threads(threads))
             .collect();
         let stats = ServiceStats::new(&node_threads);
         let inner = Arc::new(Inner {
@@ -585,7 +566,7 @@ impl<T: Scalar> GemmService<T> {
 
     /// Threads across every node's compute pool.
     pub fn nthreads(&self) -> usize {
-        self.inner.nodes.iter().map(|n| n.ctx.nthreads()).sum()
+        self.inner.nodes.iter().map(ParGemmContext::nthreads).sum()
     }
 
     /// The memory-domain layout the service sharded itself around.
@@ -657,7 +638,7 @@ fn snapshot_of<T: Scalar>(inner: &Inner<T>) -> StatsSnapshot {
 /// Worker-pool activity summed across every node's pool.
 fn pool_stats<T: Scalar>(inner: &Inner<T>) -> PoolStats {
     inner.nodes.iter().fold(PoolStats::default(), |acc, n| {
-        let s = n.ctx.pool().stats();
+        let s = n.pool().stats();
         PoolStats {
             regions: acc.regions + s.regions,
             barrier_crossings: acc.barrier_crossings + s.barrier_crossings,
@@ -858,9 +839,8 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
 /// What one dispatcher computes with: its node's context (pool, kernel,
 /// blocking) and the [`Workspace`]s of both paths, reused across everything
 /// the dispatcher ever runs; the paths differ only in the team. Only this
-/// node's pool ever touches them, so they stay on the memory domain that
-/// computes with them, and the dispatcher owns them outright: no lock, no
-/// sharing.
+/// node's pool ever touches them, so the dispatcher owns them outright: no
+/// lock, no sharing.
 struct NodeCompute<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
     /// The batched path: one workspace per pool thread, each a team of one.
@@ -883,11 +863,11 @@ impl<'a, T: Scalar> NodeCompute<'a, T> {
     }
 }
 
-/// One node's dispatcher: drains its own shard group onto its own
-/// node-scoped pool, so every node computes concurrently with its peers.
+/// One node's dispatcher: drains its own shard group onto its own pool, so
+/// every node computes concurrently with its peers.
 fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
     #[expect(clippy::indexing_slicing, reason = "one dispatcher per node")]
-    let mut compute = NodeCompute::new(&inner.nodes[node].ctx);
+    let mut compute = NodeCompute::new(&inner.nodes[node]);
     let nnodes = inner.nodes.len();
     // One sweep buffer for the dispatcher's life: `dispatch` drains it, the
     // next pop refills it.
@@ -964,7 +944,7 @@ fn shed_expired<T: Scalar>(inner: &Inner<T>, envelopes: &mut Vec<Envelope<T>>) {
 
 /// Routes one node's drained sweep by the live cutoff: small requests
 /// coalesced into batched regions, large ones one-at-a-time through the
-/// matrix-parallel driver — all on `node`'s worker subset.
+/// matrix-parallel driver — all on `node`'s pool.
 ///
 /// The batched regions run *first*: a sweep can hold 100+ large requests,
 /// and an early-arriving small request parked behind that loop would see
@@ -1293,9 +1273,7 @@ mod tests {
             route: RouteState::new(config.routing),
             placer: Placer::new(config.placement),
             topology: Topology::single(threads),
-            nodes: vec![NodeRuntime {
-                ctx: ParGemmContext::<f64>::for_node_threads(0, threads),
-            }],
+            nodes: vec![ParGemmContext::with_threads(threads)],
             abort: AtomicBool::new(false),
             obs: None,
             monitor: config
@@ -1334,7 +1312,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let inner = test_inner(config);
-        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
+        let mut compute = NodeCompute::new(&inner.nodes[0]);
         let (sink, mut completions) = completion_channel::<f64>();
 
         let mk = |id: u64, dim: usize| {
@@ -1395,7 +1373,7 @@ mod tests {
     #[test]
     fn large_requests_reuse_the_node_workspace() {
         let inner = everything_is_large();
-        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
+        let mut compute = NodeCompute::new(&inner.nodes[0]);
         assert!(
             compute.large.is_none(),
             "no workspace before a large request"
@@ -1437,7 +1415,7 @@ mod tests {
     #[test]
     fn the_base_snapshot_does_not_outlive_its_request() {
         let inner = everything_is_large();
-        let mut compute = NodeCompute::new(&inner.nodes[0].ctx);
+        let mut compute = NodeCompute::new(&inner.nodes[0]);
         let (m, n, k) = (512, 512, 48);
         let req = |id: u64, beta: f64| {
             GemmRequest::new(
@@ -1450,7 +1428,7 @@ mod tests {
         run_one_large(&inner, &mut compute, 0, req(0, 0.5));
         run_one_large(&inner, &mut compute, 1, req(1, 0.0));
         // A node that never saw `beta != 0`.
-        let mut other = NodeCompute::new(&inner.nodes[0].ctx);
+        let mut other = NodeCompute::new(&inner.nodes[0]);
         run_one_large(&inner, &mut other, 2, req(2, 0.0));
 
         let ctx = compute.ctx;
@@ -1930,5 +1908,19 @@ mod tests {
         assert_eq!(snap.per_node.len(), 4);
         assert!(snap.per_node.iter().all(|n| n.threads >= 1));
         assert!(service.nthreads() >= 4);
+    }
+
+    /// An explicit thread budget splits by core share, not evenly: a
+    /// 6+2-core topology gets a 3:1 split of four threads.
+    #[test]
+    fn uneven_nodes_split_threads_by_core_share() {
+        let service = GemmService::<f64>::new(ServiceConfig {
+            threads: 4,
+            topology: Some(Topology::from_core_counts(&[6, 2])),
+            ..ServiceConfig::default()
+        });
+        let threads: Vec<usize> = service.stats().per_node.iter().map(|n| n.threads).collect();
+        assert_eq!(threads, [3, 1]);
+        assert_eq!(service.nthreads(), 4);
     }
 }

@@ -101,7 +101,7 @@ pub(crate) struct ServiceStats {
     batch_busy_ns: Vec<Arc<Counter>>,
     /// Threads per node, indexed by node id.
     node_threads: Vec<usize>,
-    /// Requests dispatched on each node's worker subset (stolen requests
+    /// Requests dispatched on each node's pool (stolen requests
     /// count on the node that *executed* them).
     pub dispatched: Vec<Arc<Counter>>,
     /// Requests a node executed after stealing them off another node's
@@ -167,7 +167,7 @@ impl TenantCells {
 }
 
 impl ServiceStats {
-    /// `node_threads[i]` is node `i`'s worker-subset size.
+    /// `node_threads[i]` is node `i`'s pool size.
     pub(crate) fn new(node_threads: &[usize]) -> Self {
         let registry = Registry::new();
         let counter = |name, help| registry.counter(name, help);
@@ -200,7 +200,7 @@ impl ServiceStats {
             registry
                 .gauge_with(
                     "ftgemm_node_threads",
-                    "Worker threads pinned to each node.",
+                    "Worker threads in each node's pool.",
                     &[("node", node.as_str())],
                 )
                 .set(threads as f64);
@@ -285,7 +285,7 @@ impl ServiceStats {
             node_threads: node_threads.to_vec(),
             dispatched: per_node(
                 "ftgemm_node_dispatched_total",
-                "Requests executed on each node's worker subset (including stolen ones).",
+                "Requests executed on each node's pool (including stolen ones).",
             ),
             stolen: per_node(
                 "ftgemm_node_stolen_total",
@@ -451,7 +451,7 @@ impl ServiceStats {
 
     /// Mean fraction of batched-region time each thread spent busy. Each
     /// node's batched regions run concurrently with its peers' and only
-    /// ever occupy that node's worker subset, so the available thread-time
+    /// ever occupy that node's pool, so the available thread-time
     /// is Σ(node wall × node threads) — not pooled wall × total threads,
     /// which would report a fully busy multi-node service as 1/num_nodes
     /// occupied.
@@ -601,12 +601,11 @@ pub struct TenantStats {
 pub struct NodeStats {
     /// Node id.
     pub node: usize,
-    /// Worker threads pinned to this node.
+    /// Worker threads in this node's pool.
     pub threads: usize,
     /// Envelopes waiting in this node's shard group right now.
     pub queue_depth: usize,
-    /// Requests executed on this node's worker subset (including stolen
-    /// ones).
+    /// Requests executed on this node's pool (including stolen ones).
     pub dispatched: u64,
     /// Requests migrated to this node off another node's shard group
     /// because this node was dry (counted at migration); `0` everywhere

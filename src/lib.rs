@@ -58,10 +58,11 @@
 //! `examples/serving_throughput.rs` and `examples/async_serving.rs`.
 //!
 //! The service is NUMA-sharded: a [`Topology`] (detected, or
-//! [`Topology::synthetic`] for deterministic tests) gives every memory
-//! domain its own queue shard group and pinned worker subset, and a
-//! [`PlacementPolicy`] stamps each request's node affinity at submit time
-//! (`ServiceConfig { topology, placement, .. }`).
+//! [`Topology::synthetic`] for deterministic tests) gives every node its own
+//! queue shard group, dispatcher and worker pool, and a [`PlacementPolicy`]
+//! stamps each request's node affinity at submit time
+//! (`ServiceConfig { topology, placement, .. }`). The sharding is
+//! scheduling structure: no thread is pinned and no page is bound.
 //!
 //! For the crate-by-crate map and the request lifecycle, read
 //! `docs/ARCHITECTURE.md`.
@@ -84,11 +85,10 @@ pub use ftgemm_core::{GemmContext, MatMut, MatRef, Matrix};
 pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
-pub use ftgemm_pool::{NodeSpec, PoolPartition, Topology};
 pub use ftgemm_serve::{
     AdaptiveConfig, CutoffLearner, GemmRequest, GemmResponse, GemmService, NodeStats,
     PlacementPolicy, Priority, RoutePath, RoutingPolicy, RoutingSnapshot, ServiceConfig, TenantId,
-    TenantTable,
+    TenantTable, Topology,
 };
 
 #[cfg(test)]
