@@ -42,12 +42,12 @@
 //!   the largest request served. Coalesced batches run before the
 //!   sweep's large requests so a small request never queues behind a long
 //!   matrix-parallel run it arrived with.
-//! * **Learned routing.** The small/large boundary is a [`RoutingPolicy`]:
-//!   pinned ([`RoutingPolicy::Fixed`]) or — the default — learned online
-//!   ([`RoutingPolicy::Adaptive`]) by a [`CutoffLearner`] that watches both
-//!   paths' observed ns/flop and converges the cutoff to this machine's
-//!   real batched-vs-matrix-parallel break-even
-//!   ([`GemmService::current_cutoff`] exposes the live value).
+//! * **One routing rule.** A request of at most the cutoff's multiply-adds
+//!   takes the batched path, a larger one the matrix-parallel path. The
+//!   cutoff is one constant fixed at construction ([`RoutingPolicy::Fixed`],
+//!   default [`DEFAULT_SMALL_FLOPS_CUTOFF`]). Each path sums the nanoseconds
+//!   and flops it serves; deadline admission control predicts a request's
+//!   completion from its own path's `Σns/Σflops`.
 //! * **Three redemption surfaces, one rendezvous.** Every admitted request
 //!   completes into a [`completion_channel`]. `submit_streamed` takes the
 //!   caller's channel, drained blocking or async; `submit` and
@@ -173,7 +173,7 @@ pub use handle::{AsyncRequestHandle, RequestHandle};
 pub use placement::PlacementPolicy;
 pub use qos::{Priority, SchedSim, TenantId, TenantTable, DEFAULT_TENANT};
 pub use request::{GemmRequest, GemmResponse, Operand, ServeError};
-pub use routing::{AdaptiveConfig, CutoffLearner, RoutePath, RoutingPolicy, RoutingSnapshot};
+pub use routing::{RoutePath, RoutingPolicy};
 pub use service::{GemmService, ServiceConfig, DEFAULT_SMALL_FLOPS_CUTOFF};
 pub use stats::{NodeStats, StatsSnapshot, TenantStats};
 pub use stream::{completion_channel, Completion, CompletionSink, Completions, Next};

@@ -110,7 +110,7 @@ pub struct GemmRequest<T: Scalar> {
     pub priority: Priority,
     /// Optional deadline, relative to submission time. Admission control
     /// rejects the request up front ([`ServeError::DeadlineExceeded`]) when
-    /// the learned ns/flop model says the backlog makes it infeasible, and
+    /// its path's measured ns/flop says the backlog makes it infeasible, and
     /// the dispatcher sheds it with the same error if it expires while
     /// queued.
     pub deadline: Option<Duration>,
@@ -271,7 +271,7 @@ pub enum ServeError {
     /// block (async submit surface). Shed load or retry later.
     Overloaded,
     /// The request's deadline cannot (or could not) be met. Returned at
-    /// submit time when admission control's learned ns/flop model says the
+    /// submit time when admission control's measured ns/flop model says the
     /// queued backlog makes the deadline infeasible, and at dispatch time
     /// when a queued request's deadline expired before it reached a worker
     /// (load shedding). The string describes which case fired and the

@@ -12,7 +12,7 @@ use crate::placement::{PlacementPolicy, Placer};
 use crate::qos::TenantTable;
 use crate::queue::{Envelope, PushError, ShardedQueue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
-use crate::routing::{RoutePath, RouteState, RoutingPolicy};
+use crate::routing::{Route, RoutePath, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::{completion_channel, CompletionSink};
 use crate::topology::Topology;
@@ -48,12 +48,10 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Maximum small requests coalesced into one batched parallel region.
     pub max_batch: usize,
-    /// Where the batched-vs-matrix-parallel boundary comes from: requests
-    /// with at most the cutoff's multiply-adds (`2*m*n*k`) take the batched
-    /// path, larger ones run matrix-parallel via `run_parallel`. The default
-    /// learns the boundary online from observed region times, seeded at
-    /// [`DEFAULT_SMALL_FLOPS_CUTOFF`]; pin it with
-    /// [`RoutingPolicy::Fixed`] for deterministic routing.
+    /// The batched-vs-matrix-parallel boundary: requests with at most the
+    /// cutoff's multiply-adds (`2*m*n*k`) take the batched path, larger
+    /// ones run matrix-parallel via `run_parallel`. Fixed for the service's
+    /// life; the default is [`DEFAULT_SMALL_FLOPS_CUTOFF`].
     pub routing: RoutingPolicy,
     /// Submission-queue depth bound across all shard groups (`0` =
     /// unbounded, the default). When set, blocking
@@ -163,7 +161,7 @@ struct Inner<T: Scalar> {
     queue: ShardedQueue<T>,
     stats: ServiceStats,
     config: ServiceConfig,
-    route: RouteState,
+    route: Route,
     placer: Placer,
     topology: Topology,
     /// One context per node; `nodes[i]`'s pool is entered only by
@@ -264,7 +262,7 @@ impl<T: Scalar> GemmService<T> {
                 .obs_addr
                 .map(|_| ServiceObs::new(nnodes, &stats.registry)),
             stats,
-            route: RouteState::new(config.routing),
+            route: Route::new(config.routing),
             placer: Placer::new(config.placement),
             topology,
             nodes,
@@ -348,23 +346,25 @@ impl<T: Scalar> GemmService<T> {
     }
 
     /// Deadline admission control: predicts the request's completion time
-    /// from the routing learner's ns/flop model and the affinity node's
-    /// flops backlog, and rejects the submit with
-    /// [`ServeError::DeadlineExceeded`] when the deadline is infeasible —
+    /// as `(backlog + flops) × Σns/Σflops` — the affinity node's flops
+    /// backlog plus the request's own flops, at the measured ns/flop of the
+    /// path the cutoff sends the request to — and rejects the submit with
+    /// [`ServeError::DeadlineExceeded`] when the deadline is infeasible,
     /// before the request is admitted or consumes queue capacity.
     ///
-    /// No deadline, no model (fixed routing), or no evidence yet all admit:
-    /// the check only turns requests away when it has a basis to predict
-    /// they cannot make it. The estimate deliberately ignores tenant
-    /// weights — it is the *node's* total backlog ahead of the request,
-    /// which upper-bounds the wait for any tenant — so it errs toward
-    /// rejecting only clearly-infeasible work.
+    /// No deadline, or no evidence yet on the request's path, admits: the
+    /// check only turns requests away when it has a basis to predict they
+    /// cannot make it. The estimate deliberately ignores tenant weights —
+    /// it is the *node's* total backlog ahead of the request, which
+    /// upper-bounds the wait for any tenant — so it errs toward rejecting
+    /// only clearly-infeasible work.
     fn check_deadline(&self, req: &GemmRequest<T>, affinity: usize) -> Result<(), ServeError> {
         let Some(deadline) = req.deadline else {
             return Ok(());
         };
         let flops = req.flops().max(1);
-        let Some(ns_per_flop) = self.inner.route.estimate_ns_per_flop(flops) else {
+        let route = &self.inner.route;
+        let Some(ns_per_flop) = route.ns_per_flop(route.path(flops)) else {
             return Ok(());
         };
         let backlog = self.inner.queue.node_pending_flops(affinity);
@@ -374,7 +374,7 @@ impl<T: Scalar> GemmService<T> {
             self.inner.stats.reject_deadline(req.tenant);
             return Err(ServeError::DeadlineExceeded(format!(
                 "infeasible at admission: node {affinity} holds {backlog} backlog flops, \
-                 and at the learned {ns_per_flop:.3} ns/flop this {flops}-flop request \
+                 and at the measured {ns_per_flop:.3} ns/flop this {flops}-flop request \
                  would finish ~{:.0}us after submit, past its {:.0}us deadline",
                 eta_ns / 1e3,
                 deadline_ns / 1e3,
@@ -539,27 +539,16 @@ impl<T: Scalar> GemmService<T> {
         }
     }
 
-    /// The flops cutoff the scheduler is routing by right now: the pinned
-    /// constant under [`RoutingPolicy::Fixed`], the live learned estimate
-    /// under [`RoutingPolicy::Adaptive`]. Callers planning one-shot calls
-    /// (`Exec::Auto` is seeded by [`DEFAULT_SMALL_FLOPS_CUTOFF`]) can read
-    /// this to seed their own routing with the value this machine actually
-    /// converged to.
-    pub fn current_cutoff(&self) -> u64 {
-        self.inner.route.cutoff()
-    }
-
-    /// Feeds one timing observation straight to the routing learner, as if
-    /// a region of `flops` multiply-adds on `path` had just completed in
-    /// `elapsed_ns` — exactly what the dispatchers report after real
-    /// regions. A no-op under [`RoutingPolicy::Fixed`].
+    /// Adds one timing observation to `path`'s totals, as if a region of
+    /// `flops` multiply-adds on `path` had just completed in `elapsed_ns` —
+    /// exactly what the dispatchers report after real regions.
     ///
     /// This exists to *warm* a service's completion-time model: deadline
-    /// admission control admits everything until the learner has evidence,
-    /// so a frontend that already knows this machine's ns/flop (a previous
-    /// run, a calibration loop) can seed it instead of letting the first
-    /// wave of infeasible requests through. Tests use it to pin admission
-    /// decisions without wall-clock dependence.
+    /// admission control admits everything on a path until that path has
+    /// evidence, so a frontend that already knows this machine's ns/flop (a
+    /// previous run, a calibration loop) can seed it instead of letting the
+    /// first wave of infeasible requests through. Tests use it to pin
+    /// admission decisions without wall-clock dependence.
     pub fn seed_routing(&self, path: RoutePath, flops: u64, elapsed_ns: u64) {
         self.inner.route.observe(path, flops, elapsed_ns);
     }
@@ -626,7 +615,7 @@ fn snapshot_of<T: Scalar>(inner: &Inner<T>) -> StatsSnapshot {
     let mut snap = inner.stats.snapshot(
         &depths,
         pool_stats(inner),
-        inner.route.snapshot(),
+        inner.route.cutoff(),
         inner.queue.steal_wakeups(),
     );
     if let Some(monitor) = &inner.monitor {
@@ -657,7 +646,7 @@ fn render_metrics_of<T: Scalar>(inner: &Inner<T>) -> String {
 
 /// Registers the live half of the service's families in its registry:
 /// values whose truth is state the service keeps anyway (queue depths, the
-/// routing learner, the fault-policy monitor, the pools, the process's
+/// routing cutoff, the fault-policy monitor, the pools, the process's
 /// mapped and recycled buffers) or a formula over the counted cells of
 /// [`ServiceStats`], read at scrape time. Each cell holds a `Weak`, since
 /// `inner` owns the registry.
@@ -702,24 +691,6 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
         Gauge,
         "The flops cutoff the scheduler is routing by right now.",
         |i| i.route.cutoff() as f64,
-    );
-    live(
-        "ftgemm_routing_batched_observations_total",
-        Counter,
-        "Timing observations the routing learner absorbed from the batched path.",
-        |i| i.route.snapshot().batched_observations as f64,
-    );
-    live(
-        "ftgemm_routing_parallel_observations_total",
-        Counter,
-        "Timing observations the routing learner absorbed from the matrix-parallel path.",
-        |i| i.route.snapshot().parallel_observations as f64,
-    );
-    live(
-        "ftgemm_routing_cutoff_updates_total",
-        Counter,
-        "Times the published routing cutoff actually changed.",
-        |i| i.route.snapshot().cutoff_updates as f64,
     );
     live(
         "ftgemm_batch_occupancy_mean",
@@ -942,7 +913,7 @@ fn shed_expired<T: Scalar>(inner: &Inner<T>, envelopes: &mut Vec<Envelope<T>>) {
     }
 }
 
-/// Routes one node's drained sweep by the live cutoff: small requests
+/// Routes one node's drained sweep by the cutoff: small requests
 /// coalesced into batched regions, large ones one-at-a-time through the
 /// matrix-parallel driver — all on `node`'s pool.
 ///
@@ -961,10 +932,9 @@ fn dispatch<T: Scalar>(
     // sweep; re-checked per region below, since earlier regions of the same
     // sweep can out-wait a later request's deadline.
     shed_expired(inner, envelopes);
-    let cutoff = inner.route.cutoff();
     let (small, large): (Vec<_>, Vec<_>) = envelopes
         .drain(..)
-        .partition(|env| env.req.flops() <= cutoff);
+        .partition(|env| inner.route.path(env.flops) == RoutePath::Batched);
 
     let mut small = small;
     let mut large = large;
@@ -1125,20 +1095,12 @@ fn run_batch<T: Scalar>(
     drop(items);
     inner.stats.absorb_batch_timing(node, &timing);
 
-    // Feed the routing learner: the region's wall time, attributed to each
-    // item in proportion to its flops (the whole region shares one ns/flop,
-    // but each item lands in its own log2(flops) bucket).
-    let total_flops: u64 = envs.iter().map(|env| env.req.flops()).sum();
-    if total_flops > 0 {
-        let wall_ns = timing.wall.as_nanos().min(u64::MAX as u128) as f64;
-        for env in &envs {
-            let flops = env.req.flops();
-            let share_ns = wall_ns * flops as f64 / total_flops as f64;
-            inner
-                .route
-                .observe(RoutePath::Batched, flops, share_ns as u64);
-        }
-    }
+    // One observation per region: its wall time and its items' flops.
+    inner.route.observe(
+        RoutePath::Batched,
+        envs.iter().map(|env| env.flops).sum(),
+        timing.wall.as_nanos().min(u64::MAX as u128) as u64,
+    );
 
     for (env, result) in envs.into_iter().zip(results) {
         let ending = Ending::Served {
@@ -1257,7 +1219,6 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
 mod tests {
     use super::*;
     use crate::qos::TenantId;
-    use crate::routing::RouteState;
     use ftgemm_core::Matrix;
 
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
@@ -1270,7 +1231,7 @@ mod tests {
                 config.tenants.clone(),
             ),
             stats: ServiceStats::new(&[threads]),
-            route: RouteState::new(config.routing),
+            route: Route::new(config.routing),
             placer: Placer::new(config.placement),
             topology: Topology::single(threads),
             nodes: vec![ParGemmContext::with_threads(threads)],

@@ -11,7 +11,6 @@
 // snapshot counters only — Relaxed, never a synchronization point.
 
 use crate::qos::TenantId;
-use crate::routing::RoutingSnapshot;
 use ftgemm_abft::FtReport;
 use ftgemm_obs::{Counter, Gauge, MetricKind, Registry};
 use ftgemm_parallel::BatchTiming;
@@ -474,7 +473,7 @@ impl ServiceStats {
         &self,
         node_queue_depths: &[usize],
         pool: PoolStats,
-        routing: RoutingSnapshot,
+        current_cutoff: u64,
         steal_wakeups: u64,
     ) -> StatsSnapshot {
         // Loaded before the submitted cells: a request is counted as
@@ -546,10 +545,7 @@ impl ServiceStats {
             queue_depth: node_queue_depths.iter().sum(),
             uptime,
             requests_per_sec: self.requests_per_sec(uptime),
-            current_cutoff: routing.current_cutoff,
-            routing_batched_observations: routing.batched_observations,
-            routing_parallel_observations: routing.parallel_observations,
-            cutoff_updates: routing.cutoff_updates,
+            current_cutoff,
             mean_batch_occupancy: self.mean_batch_occupancy(),
             mean_turnaround: self.mean_turnaround(),
             batch_wall: self.batch_wall(),
@@ -661,9 +657,10 @@ pub struct StatsSnapshot {
     pub rejected_closed: u64,
     /// Submits rejected with
     /// [`ServeError::DeadlineExceeded`](crate::ServeError) by admission
-    /// control: the learner's completion-time estimate said the deadline
-    /// was infeasible given the target node's flops backlog. Not counted
-    /// in [`submitted`](Self::submitted).
+    /// control: the node's flops backlog plus the request's flops, at the
+    /// measured ns/flop of the path the cutoff sends the request to, would
+    /// finish past the deadline. Not counted in
+    /// [`submitted`](Self::submitted).
     pub rejected_deadline: u64,
     /// Admitted requests shed at dispatch because their deadline expired
     /// while queued. Each is also counted in [`failed`](Self::failed).
@@ -694,20 +691,10 @@ pub struct StatsSnapshot {
     /// an idle-then-busy service is not diluted toward zero by its warm-up
     /// gap. `0.0` before any request has been submitted.
     pub requests_per_sec: f64,
-    /// The flops cutoff the scheduler is routing by right now: the pinned
-    /// value under [`RoutingPolicy::Fixed`](crate::RoutingPolicy), the
-    /// live learned estimate under
-    /// [`RoutingPolicy::Adaptive`](crate::RoutingPolicy).
+    /// The flops cutoff the scheduler routes by: the service's
+    /// [`RoutingPolicy::Fixed`](crate::RoutingPolicy) value, constant for
+    /// its life.
     pub current_cutoff: u64,
-    /// Timing observations the routing learner absorbed from the batched
-    /// path (always `0` under a fixed policy).
-    pub routing_batched_observations: u64,
-    /// Timing observations the routing learner absorbed from the
-    /// matrix-parallel path (always `0` under a fixed policy).
-    pub routing_parallel_observations: u64,
-    /// Times the published routing cutoff actually changed (always `0`
-    /// under a fixed policy).
-    pub cutoff_updates: u64,
     /// Mean requests coalesced per batched region.
     pub mean_batch_occupancy: f64,
     /// Mean submit→completion latency.
@@ -755,12 +742,7 @@ impl StatsSnapshot {
         for slot in node_threads.iter_mut().take(threads_total % nodes) {
             *slot += 1;
         }
-        ServiceStats::new(&node_threads).snapshot(
-            &vec![0; nodes],
-            PoolStats::default(),
-            RoutingSnapshot::default(),
-            0,
-        )
+        ServiceStats::new(&node_threads).snapshot(&vec![0; nodes], PoolStats::default(), 0, 0)
     }
 }
 
@@ -781,7 +763,7 @@ mod tests {
         // Snapshots are taken strictly after the first admission, so the
         // serving window is non-empty and the rate is positive.
         std::thread::sleep(Duration::from_millis(2));
-        let snap = s.snapshot(&[3], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[3], PoolStats::default(), 0, 0);
         assert_eq!(snap.submitted, 10);
         assert_eq!(snap.submitted_sync, 10);
         assert_eq!(snap.queue_depth, 3);
@@ -796,7 +778,7 @@ mod tests {
         let s = ServiceStats::new(&[1]);
         // Before any submission: no serving window, rate pinned to zero
         // (previously this divided completed work by construction uptime).
-        let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
         assert_eq!(snap.requests_per_sec, 0.0);
 
         // An idle gap before the first submission must not dilute the
@@ -809,7 +791,7 @@ mod tests {
         s.admit(&s.submitted_sync, 0);
         s.completed.add(1);
         std::thread::sleep(Duration::from_millis(2));
-        let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
         let construction_anchored = snap.completed as f64 / snap.uptime.as_secs_f64();
         assert!(
             snap.requests_per_sec > construction_anchored,
@@ -829,7 +811,7 @@ mod tests {
         s.tenant_complete(7, 500, None);
         s.tenant_shed(7);
         s.reject_deadline(9);
-        let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
         assert_eq!(snap.shed_deadline, 1);
         assert_eq!(snap.rejected_deadline, 1);
         // BTreeMap ordering: tenants 3, 7, 9.
@@ -859,7 +841,7 @@ mod tests {
             retried_panels: 1,
         });
         s.absorb_report(&FtReport::default());
-        let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
         assert_eq!(snap.detected, 2);
         assert_eq!(snap.corrected, 2);
         assert_eq!(snap.injected, 3);
@@ -883,7 +865,7 @@ mod tests {
                 thread_busy: vec![Duration::from_millis(10), Duration::from_millis(6)],
             },
         );
-        let snap = s.snapshot(&[0], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
         assert_eq!(snap.batch_wall, Duration::from_millis(20));
         assert_eq!(
             snap.batch_busy_per_thread,
@@ -912,7 +894,7 @@ mod tests {
                 thread_busy: vec![Duration::from_millis(5), Duration::from_millis(1)],
             },
         );
-        let snap = s.snapshot(&[2, 5], PoolStats::default(), RoutingSnapshot::default(), 0);
+        let snap = s.snapshot(&[2, 5], PoolStats::default(), 0, 0);
         assert_eq!(
             snap.batch_busy_per_thread,
             vec![
@@ -936,12 +918,7 @@ mod tests {
         s.dispatched[0].add(7);
         s.dispatched[2].add(3);
         s.stolen[2].add(3);
-        let snap = s.snapshot(
-            &[0, 0, 0],
-            PoolStats::default(),
-            RoutingSnapshot::default(),
-            0,
-        );
+        let snap = s.snapshot(&[0, 0, 0], PoolStats::default(), 0, 0);
         assert_eq!(snap.per_node[0].dispatched, 7);
         assert_eq!(snap.per_node[0].stolen, 0);
         assert_eq!(snap.per_node[1].dispatched, 0);

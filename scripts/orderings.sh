@@ -38,7 +38,6 @@ crates/ftgemm-obs/src/accept.rs stop
 crates/ftgemm-pool/src/barrier.rs epoch
 crates/ftgemm-serve/src/exec.rs notified
 crates/ftgemm-serve/src/queue.rs closed depth pending_flops
-crates/ftgemm-serve/src/routing.rs cutoff
 crates/ftgemm-serve/src/service.rs abort
 '
 

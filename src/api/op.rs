@@ -86,7 +86,7 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
 
     /// Attaches a relative completion deadline: served requests built from
     /// this op are EDF-ordered within their class, admission-checked
-    /// against the learned completion-time model, and shed if the deadline
+    /// against the measured completion-time model, and shed if the deadline
     /// expires in queue. Only the serving layer reads this.
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Self {

@@ -17,19 +17,12 @@ pub enum Exec<'p, T: Scalar> {
     /// The same nest on the caller's pool, matrix-parallel. The context is
     /// `Arc`-backed, so the plan clones it cheaply and shares the workers.
     Parallel(&'p ParGemmContext<T>),
-    /// Route by problem size through the *seed* flops cutoff
-    /// [`GemmService`](crate::GemmService) starts from
+    /// Route by problem size through the flops cutoff a default
+    /// [`GemmService`](crate::GemmService) routes by
     /// ([`DEFAULT_SMALL_FLOPS_CUTOFF`]): small problems plan serial, large
     /// ones plan onto a process-wide shared worker pool (created on first
     /// use, one per process — repeated `Auto` plans reuse it).
     Auto,
-    /// [`Exec::Auto`] with a caller-supplied cutoff instead of the default
-    /// seed — the hook for carrying a served workload's *learned* crossover
-    /// into planned one-shots:
-    /// `op.plan(Exec::AutoAt(service.current_cutoff()))` routes this plan
-    /// by the value an adaptive
-    /// [`GemmService`](crate::GemmService) converged to on this machine.
-    AutoAt(u64),
 }
 
 /// The process-wide pool backing [`Exec::Auto`] for large problems. Shared
@@ -83,7 +76,6 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
             Exec::Serial => None,
             Exec::Parallel(ctx) => Some(ctx.clone()),
             Exec::Auto => (op.flops() > DEFAULT_SMALL_FLOPS_CUTOFF).then(auto_parallel_ctx::<T>),
-            Exec::AutoAt(cutoff) => (op.flops() > cutoff).then(auto_parallel_ctx::<T>),
         };
         let mut ws = Workspace::new();
         let team = pool.as_ref().map_or(Setup::from(&ws), Setup::from);

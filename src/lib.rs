@@ -86,9 +86,8 @@ pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_serve::{
-    AdaptiveConfig, CutoffLearner, GemmRequest, GemmResponse, GemmService, NodeStats,
-    PlacementPolicy, Priority, RoutePath, RoutingPolicy, RoutingSnapshot, ServiceConfig, TenantId,
-    TenantTable, Topology,
+    GemmRequest, GemmResponse, GemmService, NodeStats, PlacementPolicy, Priority, RoutePath,
+    RoutingPolicy, ServiceConfig, TenantId, TenantTable, Topology,
 };
 
 #[cfg(test)]

@@ -181,7 +181,7 @@ fn infeasible_deadline_is_a_wire_error() {
         topology: Some(Topology::single(1)),
         ..ServiceConfig::default()
     }));
-    // Seed the routing learner at 100k ns/flop: a 64^3 problem predicts
+    // Seed the batched path at 100k ns/flop: a 64^3 problem predicts
     // ~52s, hopeless against 50ms (same deterministic setup as the QoS
     // integration tests).
     let flops = 2 * 64u64.pow(3);

@@ -1,5 +1,5 @@
 //! Integration coverage for deadline QoS: model-driven admission control
-//! (reusing the routing learner's ns/flop estimates), feasible deadlines
+//! (each routing path's measured ns/flop), feasible deadlines
 //! completing on a multi-node topology, and load-shedding of
 //! expired-while-queued requests across every submit surface.
 
@@ -18,9 +18,9 @@ fn problem(seed: u64, dim: usize) -> GemmRequest<f64> {
     )
 }
 
-/// Admission control is the routing learner's completion-time model:
-/// identical services whose learners are seeded with a slow vs fast
-/// ns/flop estimate flip the *same* submit from rejected to admitted. The
+/// Admission control is each path's measured ns/flop: identical services
+/// whose batched totals are seeded with a slow vs fast ns/flop flip the
+/// *same* submit from rejected to admitted. The
 /// decision reads only seeded evidence — no wall clock, no warm-up
 /// requests — so the flip is deterministic.
 #[test]
@@ -33,8 +33,8 @@ fn admission_decision_flips_with_seeded_ns_per_flop() {
             topology: Some(Topology::single(1)),
             ..ServiceConfig::default()
         });
-        // AdaptiveConfig::min_observations (default 4) identical samples
-        // make the bucket's EWMA exactly `ns_per_flop`.
+        // Identical samples keep the batched path's Σns/Σflops exactly
+        // `ns_per_flop`.
         for _ in 0..4 {
             service.seed_routing(RoutePath::Batched, flops, flops * ns_per_flop);
         }
@@ -76,6 +76,61 @@ fn admission_decision_flips_with_seeded_ns_per_flop() {
     assert_eq!(snap.submitted, 1);
     assert_eq!(snap.completed, 1);
     assert_eq!(snap.rejected_deadline, 0);
+}
+
+/// Under an explicit fixed cutoff too, admission reads the measured ns/flop
+/// of the path the cutoff sends the request to, and only that path's:
+/// seeded slow on the batched path, a batched-size request with an
+/// infeasible deadline is rejected; seeded slow on the matrix-parallel path
+/// only, the same request is admitted and served, while a parallel-size one
+/// is rejected.
+#[test]
+fn fixed_cutoff_admission_reads_only_the_routed_paths_evidence() {
+    let cutoff = 2 * 96 * 96 * 96;
+    let (small, large) = (64usize, 128usize);
+    let flops = |dim: usize| 2 * (dim as u64).pow(3);
+    assert!(flops(small) <= cutoff && flops(large) > cutoff);
+    let service_seeded_slow = |path: RoutePath, dim: usize| {
+        let service = GemmService::<f64>::new(ServiceConfig {
+            threads: 1,
+            routing: RoutingPolicy::Fixed(cutoff),
+            topology: Some(Topology::single(1)),
+            ..ServiceConfig::default()
+        });
+        service.seed_routing(path, flops(dim), flops(dim) * 100_000);
+        service
+    };
+    // Slow evidence predicts ~52s for the small request and ~7min for the
+    // large one; an admitted request has ample time to reach a worker.
+    let deadline = Duration::from_secs(10);
+    let rejected = |service: &GemmService<f64>, dim: usize| match service
+        .submit(problem(1, dim).with_deadline(deadline))
+        .unwrap_err()
+    {
+        ServeError::DeadlineExceeded(detail) => {
+            assert!(detail.contains("infeasible at admission"), "{detail}");
+        }
+        other => panic!("expected DeadlineExceeded, got {other}"),
+    };
+
+    let slow_batched = service_seeded_slow(RoutePath::Batched, small);
+    rejected(&slow_batched, small);
+    let snap = slow_batched.shutdown();
+    assert_eq!(snap.submitted, 0);
+    assert_eq!(snap.rejected_deadline, 1);
+
+    let slow_parallel = service_seeded_slow(RoutePath::Parallel, large);
+    let resp = slow_parallel
+        .submit(problem(1, small).with_deadline(deadline))
+        .expect("parallel evidence must not judge a batched-size request")
+        .wait()
+        .unwrap();
+    assert!(resp.batched);
+    rejected(&slow_parallel, large);
+    let snap = slow_parallel.shutdown();
+    assert_eq!(snap.submitted, 1);
+    assert_eq!(snap.completed, 1);
+    assert_eq!(snap.rejected_deadline, 1);
 }
 
 /// A feasible deadline on a 2x2 synthetic topology is admitted, completes
@@ -123,8 +178,9 @@ fn feasible_deadline_completes_on_synthetic_topology() {
 /// and the completion channel all resolve (nothing hangs), the shed
 /// requests roll into `failed` (so `completed + failed == submitted`
 /// still balances), and the tenant's shed counter matches. Routing is
-/// pinned — a fixed policy has no ns/flop model, so admission control
-/// waves everything through and the *dispatch-time* check is what fires.
+/// pinned, and the service has served nothing yet, so no path has an
+/// ns/flop model: admission control waves everything through and the
+/// *dispatch-time* check is what fires.
 #[test]
 fn expired_requests_shed_at_dispatch_on_every_surface() {
     let service = GemmService::<f64>::new(ServiceConfig {
@@ -138,12 +194,13 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
 
     // A 1ns deadline is always expired by the time the dispatcher pops the
     // envelope — deterministically shed, no sleeps needed. Admission lets
-    // it through because Fixed routing carries no completion-time model.
+    // it through because a shed request adds no timing evidence, so the
+    // batched path never gets a completion-time model.
     let dead = Duration::from_nanos(1);
 
     let handle = service
         .submit(problem(1, 24).with_tenant(3).with_deadline(dead))
-        .expect("fixed routing has no model: admission must wave this through");
+        .expect("no path has evidence yet: admission must wave this through");
     let future = service
         .submit_async(problem(2, 24).with_tenant(3).with_deadline(dead))
         .unwrap();

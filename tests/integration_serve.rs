@@ -5,8 +5,7 @@
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::serve::exec::block_on_all;
 use ftgemm::serve::{
-    completion_channel, AdaptiveConfig, FtPolicy, GemmRequest, GemmService, RoutingPolicy,
-    ServiceConfig,
+    completion_channel, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
 };
 use ftgemm::{FaultInjector, Matrix};
 use std::sync::Arc;
@@ -257,100 +256,8 @@ fn batch_load_metrics_populated() {
     assert!(snap.batch_thread_occupancy <= 1.0 + 1e-6);
 }
 
-/// (g) Adaptive routing converges away from the seed under a mixed
-/// workload of real traffic. Which *direction* the machine's timings imply
-/// is itself machine- and load-dependent (that is the point of learning
-/// it), and the learner's direction rule is pinned deterministically with
-/// synthetic timings in `ftgemm_serve::routing`'s unit tests
-/// (`parallel_slower_everywhere_pushes_cutoff_up` and its dual); what this
-/// end-to-end test asserts is the deterministic part of the contract:
-/// both paths feed observations, the first eligible re-estimate always
-/// moves the published cutoff off the seed (every reachable target
-/// differs from it), and the scheduler's routing coherently follows the
-/// moved value.
-#[test]
-fn adaptive_cutoff_moves_off_seed_and_routing_follows() {
-    const SMALL: usize = 96; // routed batched by the seed below
-    const LARGE: usize = 160; // routed matrix-parallel by the seed below
-    let small_flops = 2 * (SMALL as u64).pow(3);
-    let large_flops = 2 * (LARGE as u64).pow(3);
-
-    let seed = 2 * 128 * 128 * 128;
-    assert!(
-        small_flops < seed && seed < large_flops,
-        "workload must straddle the seed"
-    );
-    let service = GemmService::<f64>::new(ServiceConfig {
-        threads: 4,
-        max_batch: 4,
-        routing: RoutingPolicy::Adaptive(AdaptiveConfig {
-            seed_cutoff: seed,
-            min_observations: 2,
-            update_interval: 8,
-            ..AdaptiveConfig::default()
-        }),
-        ..ServiceConfig::default()
-    });
-    assert_eq!(service.current_cutoff(), seed, "learner not seeded");
-
-    // Sequential mixed traffic: every run() completes before the next is
-    // submitted, so each size lands squarely on the path the live cutoff
-    // dictates and both paths produce clean per-request timings.
-    for i in 0..48u64 {
-        let dim = if i % 2 == 0 { SMALL } else { LARGE };
-        let a = Matrix::<f64>::random(dim, dim, i);
-        let b = Matrix::<f64>::random(dim, dim, i + 4_000);
-        service.run(GemmRequest::new(a, b)).unwrap();
-    }
-
-    let snap = service.stats();
-    assert!(
-        snap.routing_batched_observations > 0,
-        "batched path never observed: {snap:?}"
-    );
-    assert!(
-        snap.routing_parallel_observations > 0,
-        "parallel path never observed: {snap:?}"
-    );
-    // By observation 8 both paths have >= min_observations, and no
-    // reachable re-estimate target equals the power-of-two seed (targets
-    // are the clamps or `2^b - 1`), so the cutoff must have updated.
-    assert!(snap.cutoff_updates >= 1, "cutoff never updated: {snap:?}");
-    // "Moved away from the seed": either it sits off the seed now, or it
-    // moved and noise walked it back (which still takes >= 2 updates).
-    assert!(
-        snap.current_cutoff != seed || snap.cutoff_updates >= 2,
-        "cutoff never left the seed: {snap:?}"
-    );
-    assert_eq!(service.current_cutoff(), snap.current_cutoff);
-
-    // Routing must follow the learned value. Asserting on the *past*
-    // traffic's path counts is racy — the cutoff may cross the
-    // [small, large] bracket on its very last update, after the request
-    // that could have proven it — so probe with fresh requests instead:
-    // with no other traffic in flight, the cutoff read here is exactly the
-    // one the scheduler dispatches the next sequential request by (updates
-    // only happen on observation boundaries, i.e. between these runs).
-    assert_eq!(snap.batched_requests + snap.direct_large, 48);
-    for probe in 0..4u64 {
-        let dim = if probe % 2 == 0 { SMALL } else { LARGE };
-        let flops = 2 * (dim as u64).pow(3);
-        let live_cutoff = service.current_cutoff();
-        let a = Matrix::<f64>::random(dim, dim, 90_000 + probe);
-        let b = Matrix::<f64>::random(dim, dim, 91_000 + probe);
-        let resp = service.run(GemmRequest::new(a, b)).unwrap();
-        assert_eq!(
-            resp.batched,
-            flops <= live_cutoff,
-            "probe {probe}: {dim}^3 ({flops} flops) did not follow the live \
-             cutoff {live_cutoff}"
-        );
-    }
-}
-
 /// (h) Routing choice never changes numerical results: the same problems
-/// through an all-batched service, an all-parallel service, and an
-/// adaptive service (whose cutoff is free to move mid-run) produce
+/// through an all-batched service and an all-parallel service produce
 /// bit-identical outputs. Both execution paths preserve each element's
 /// accumulation order, so this is exact equality on the bits, not a
 /// tolerance check.
@@ -366,12 +273,6 @@ fn routing_choice_never_changes_results() {
     };
     let all_batched = mk_service(RoutingPolicy::Fixed(u64::MAX));
     let all_parallel = mk_service(RoutingPolicy::Fixed(0));
-    let adaptive = mk_service(RoutingPolicy::Adaptive(AdaptiveConfig {
-        seed_cutoff: 2 * 64 * 64 * 64,
-        min_observations: 1,
-        update_interval: 4,
-        ..AdaptiveConfig::default()
-    }));
 
     let shapes = [(48usize, 40usize, 32usize), (96, 80, 64), (130, 110, 70)];
     for round in 0..4u64 {
@@ -393,7 +294,6 @@ fn routing_choice_never_changes_results() {
             };
             let batched = all_batched.run(req()).unwrap();
             let parallel = all_parallel.run(req()).unwrap();
-            let learned = adaptive.run(req()).unwrap();
             assert!(batched.batched, "forced-batched service took large path");
             assert!(!parallel.batched, "forced-parallel service batched");
 
@@ -405,18 +305,8 @@ fn routing_choice_never_changes_results() {
                 bits(&parallel.c),
                 "paths disagree at {m}x{n}x{k} round {round}"
             );
-            assert_eq!(
-                bits(&learned.c),
-                bits(&batched.c),
-                "adaptive routing changed bits at {m}x{n}x{k} round {round}"
-            );
         }
     }
-    // The adaptive service genuinely saw traffic (and possibly moved its
-    // cutoff) during the comparison.
-    let snap = adaptive.stats();
-    assert_eq!(snap.completed, 12);
-    assert!(snap.routing_batched_observations + snap.routing_parallel_observations > 0);
 }
 
 /// Satellite regression (counter race): `submitted` is counted at

@@ -201,21 +201,12 @@ fn scraped_counters_match_in_process_snapshot() {
         ("ftgemm_ft_retried_panels_total", snap.retried_panels),
         ("ftgemm_queue_depth", snap.queue_depth as u64),
         ("ftgemm_routing_cutoff_flops", snap.current_cutoff),
-        ("ftgemm_routing_cutoff_updates_total", snap.cutoff_updates),
         ("ftgemm_service_pool_regions_total", snap.pool.regions),
         (
             "ftgemm_service_pool_barrier_crossings_total",
             snap.pool.barrier_crossings,
         ),
         ("ftgemm_steal_wakeups_total", snap.steal_wakeups),
-        (
-            "ftgemm_routing_batched_observations_total",
-            snap.routing_batched_observations,
-        ),
-        (
-            "ftgemm_routing_parallel_observations_total",
-            snap.routing_parallel_observations,
-        ),
     ];
     for (family, value) in expect {
         assert_eq!(
@@ -346,7 +337,7 @@ fn scraped_counters_match_in_process_snapshot() {
 /// touched, so no family is missing for want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 54] = [
+    const GOLDEN: [(&str, &str); 51] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -384,10 +375,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_requests_submitted_streamed_total", "counter"),
         ("ftgemm_requests_submitted_sync_total", "counter"),
         ("ftgemm_requests_submitted_total", "counter"),
-        ("ftgemm_routing_batched_observations_total", "counter"),
         ("ftgemm_routing_cutoff_flops", "gauge"),
-        ("ftgemm_routing_cutoff_updates_total", "counter"),
-        ("ftgemm_routing_parallel_observations_total", "counter"),
         ("ftgemm_service_pool_barrier_crossings_total", "counter"),
         ("ftgemm_service_pool_regions_total", "counter"),
         ("ftgemm_spare_buffer_bytes", "gauge"),

@@ -8,6 +8,7 @@
 use ftgemm::abft::{ft_gemm_with_ctx, Workspace};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws};
+use ftgemm::serve::DEFAULT_SMALL_FLOPS_CUTOFF;
 use ftgemm::{Exec, FtConfig, FtPolicy, GemmContext, GemmOp, GemmRequest, Matrix, ParGemmContext};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -272,23 +273,23 @@ fn run_with_rejects_wrong_operand_shape() {
 }
 
 #[test]
-fn auto_at_routes_by_the_supplied_cutoff() {
-    // The same op plans serial or parallel depending on the caller-supplied
-    // cutoff — the hook for seeding one-shots with a served workload's
-    // learned crossover (`GemmService::current_cutoff()`).
-    let a = Matrix::<f64>::random(64, 64, 1);
-    let b = Matrix::<f64>::random(64, 64, 2);
-    let flops = 2u64 * 64 * 64 * 64;
-
-    let plan = GemmOp::new(&a, &b).plan(Exec::AutoAt(flops)).unwrap();
+fn auto_splits_exactly_at_the_default_cutoff() {
+    // `Exec::Auto` routes by the service's default cutoff, 2*192^3 flops:
+    // a problem of exactly that size plans serial, one a column past it
+    // plans parallel.
+    assert_eq!(DEFAULT_SMALL_FLOPS_CUTOFF, 2 * 192 * 192 * 192);
+    let a = Matrix::<f64>::random(192, 192, 1);
+    let b = Matrix::<f64>::random(192, 192, 2);
+    let plan = GemmOp::new(&a, &b).plan(Exec::Auto).unwrap();
     assert!(!plan.is_parallel(), "at the cutoff must stay serial");
-    let mut plan = GemmOp::new(&a, &b).plan(Exec::AutoAt(flops - 1)).unwrap();
+    let b = Matrix::<f64>::random(192, 193, 2);
+    let mut plan = GemmOp::new(&a, &b).plan(Exec::Auto).unwrap();
     assert!(plan.is_parallel(), "above the cutoff must plan parallel");
 
     // And the routed plan still computes the right thing.
-    let mut c = Matrix::<f64>::zeros(64, 64);
+    let mut c = Matrix::<f64>::zeros(192, 193);
     plan.run(&mut c.as_mut()).unwrap();
-    let mut c_ref = Matrix::<f64>::zeros(64, 64);
+    let mut c_ref = Matrix::<f64>::zeros(192, 193);
     naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
     assert!(c.rel_max_diff(&c_ref) < 1e-10);
 }
