@@ -9,6 +9,21 @@
 //! instantiations of one function, and [`Solo`] differs from a pool only
 //! through its [`Team`] methods.
 //!
+//! Before the loops, `[P]` computes `A_r = alpha * e^T A` (§2.3), the one
+//! encoding no pack carries. It is computed once per value of `A`, not once
+//! per call. A view from [`Matrix::as_ref`](ftgemm_core::Matrix::as_ref)
+//! carries the matrix's memo of its unscaled column sums
+//! ([`MatRef::col_sums`]). A filled memo gives `A_r` in O(k) with no pass
+//! over `A`. Otherwise the members sum their share of `A`'s columns,
+//! unscaled, into [`Buffers::sums`] (the O(mk) pass, split along K), and
+//! either way each scales its share into `A_r`. Both leave the same bits,
+//! because `alpha * (1 * s) == alpha * s`. A call that summed `A` and
+//! verified leaves its sums in the memo, where the view carries an empty
+//! one. A memo that went stale after its fill (a flipped bit, or a fault in
+//! the pass that filled it) shows as a discrepancy no correction explains:
+//! before thread 0 rolls back or gives up, it sums `A` once more, and if the
+//! memo disagrees it rejects the memo and puts the fresh `A_r` in place.
+//!
 //! Per depth panel (`pc`), `[P]` marking what `PROTECT` adds:
 //!
 //! ```text
@@ -179,6 +194,9 @@ pub struct Buffers<'a, T> {
     /// and reference row checksums (`m`; members own their rows); encoded and
     /// reference column checksums of the column block (`nc`).
     pub vectors: [Shared<'a, T>; 6],
+    /// `e^T A` unscaled (length `k`), where the call sums `A`: what a
+    /// verified call leaves in `A`'s memo ([`MatRef::fill_col_sums`]).
+    pub sums: Shared<'a, T>,
     /// `[enc_col, bc, ref_col]` partials, one lane per team member each: what
     /// the cross-thread reductions sum into the vectors of those names.
     pub lanes: [Shared<'a, T>; 3],
@@ -225,6 +243,7 @@ pub struct Checks<T: Scalar> {
     /// Protected calls viewed so far ([`view`](Self::view)).
     calls: u64,
     vectors: [AlignedVec<T>; 6],
+    sums: AlignedVec<T>,
     lanes: [Vec<T>; 3],
     base: AlignedVec<T>,
 }
@@ -239,6 +258,7 @@ impl<T: Scalar> Checks<T> {
             caps: [m, k, nc, kc],
             calls: 0,
             vectors: [k, kc, m, m, nc, nc].map(AlignedVec::zeroed_or_panic),
+            sums: AlignedVec::zeroed_or_panic(k),
             lanes: [nc, kc, nc].map(|lane| vec![T::ZERO; nthreads * lane]),
             base: AlignedVec::zeroed_or_panic(0),
         }
@@ -284,7 +304,7 @@ impl<T: Scalar> Checks<T> {
     pub fn elements(&self) -> usize {
         let vectors: usize = self.vectors.iter().map(|v| v.len()).sum();
         let lanes: usize = self.lanes.iter().map(Vec::len).sum();
-        vectors + lanes + self.base.len()
+        vectors + self.sums.len() + lanes + self.base.len()
     }
 
     /// The nest's view of this state and of the packed-`B~` buffer, for a
@@ -301,6 +321,7 @@ impl<T: Scalar> Checks<T> {
             call: self.calls,
             btilde: Shared::new(btilde),
             vectors: self.vectors.each_mut().map(|v| Shared::new(v)),
+            sums: Shared::new(&mut self.sums),
             lanes: self.lanes.each_mut().map(|v| Shared::new(v)),
             base: Shared::new(&mut self.base),
         }
@@ -317,6 +338,9 @@ pub struct Job<'a, T: Scalar> {
     cfg: &'a FtConfig,
     alpha: T,
     a: MatRef<'a, T>,
+    /// `A`'s memo of `e^T A` as the job found it ([`MatRef::col_sums`]):
+    /// read once, so every member takes the same branch of the prelude.
+    a_sums: Option<&'a [T]>,
     b: MatRef<'a, T>,
     beta: T,
     c: *mut T,
@@ -358,6 +382,7 @@ impl<'a, T: Scalar> Job<'a, T> {
             cfg,
             alpha,
             a: *a,
+            a_sums: a.col_sums(),
             b: *b,
             beta,
             ldc: c.ld(),
@@ -415,6 +440,22 @@ pub fn prologue<T: Scalar>(
 /// must restore a saved one. At `beta == 0` the base is all zeros.
 pub fn keeps_base<T: Scalar>(cfg: &FtConfig, beta: T) -> bool {
     matches!(cfg.recovery, Recovery::RetryPanel { .. }) && beta != T::ZERO
+}
+
+/// The unscaled sums of `a`'s columns `cols` into `sums`: the O(mk) encode
+/// pass a filled memo saves.
+fn sum_columns<T: Scalar>(a: &MatRef<'_, T>, cols: Range<usize>, sums: &mut [T]) {
+    if !cols.is_empty() {
+        let a_cols = a.submatrix(0, cols.start, a.nrows(), cols.len());
+        pack::col_sums_scaled(&a_cols, T::ONE, sums);
+    }
+}
+
+/// `ar = alpha * sums`, element by element.
+fn scale_into<T: Scalar>(alpha: T, sums: &[T], ar: &mut [T]) {
+    for (ar, &sum) in ar.iter_mut().zip(sums) {
+        *ar = alpha * sum;
+    }
 }
 
 /// The cross-thread reduction (§2.3): thread 0 sums the team's `lanes` into
@@ -480,16 +521,30 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
             .injector
             .as_ref()
             .map(|inj| inj.stream(job.bufs.call ^ (tid as u64) << 32, sites));
-        // A_r = alpha * e^T A — the one O(mk) encode pass (§2.3 runs it
-        // before the main loops), partitioned along K: disjoint writes.
+        // A_r = alpha * e^T A (§2.3 computes it before the main loops),
+        // partitioned along K: disjoint writes. From A's memo in O(k), or
+        // from the one O(mk) encode pass.
         let cols = team.partition(k, 1);
-        if !cols.is_empty() {
-            let a_cols = a.submatrix(0, cols.start, m, cols.len());
-            // SAFETY: disjoint k-ranges across members.
-            pack::col_sums_scaled(&a_cols, alpha, unsafe { ar.slice_mut(cols) });
-        }
+        // SAFETY: disjoint k-ranges across members.
+        let (ar, sums) = unsafe {
+            (
+                ar.slice_mut(cols.clone()),
+                job.bufs.sums.slice_mut(cols.clone()),
+            )
+        };
+        let sums = match job.a_sums {
+            Some(memo) => &memo[cols],
+            None => {
+                sum_columns(a, cols, sums);
+                sums
+            }
+        };
+        scale_into(alpha, sums, ar);
     }
     team.barrier();
+    // Whether thread 0 has summed `A` again to check its memo (see the
+    // module docs); once per call.
+    let mut resummed = false;
 
     'nest: for jc in (0..n).step_by(p.nc) {
         let nc_eff = p.nc.min(n - jc);
@@ -643,16 +698,33 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
                             &mut report,
                         ) {
                             Ok(()) => CONTINUE,
-                            // Back to the base state; every panel up to and
-                            // including this one is recomputed (A and B are
-                            // untouched by construction).
-                            Err(_) if rollbacks < max_rollbacks => {
-                                report.retried_panels += pc / p.kc + 1;
-                                ROLL_BACK
-                            }
                             Err(detail) => {
-                                verdict = Some(FtError::Unrecoverable { jc, pc, detail });
-                                ABORT
+                                // What failed may be a stale memo (see the
+                                // module docs): check it, once per call.
+                                if let (Some(memo), false) = (job.a_sums, resummed) {
+                                    resummed = true;
+                                    // SAFETY: exclusive verification epoch.
+                                    let (sums, ar) = unsafe {
+                                        (job.bufs.sums.slice_mut(0..k), ar.slice_mut(0..k))
+                                    };
+                                    sum_columns(a, 0..k, sums);
+                                    let bits = |s: &T| s.to_f64().to_bits();
+                                    if !memo.iter().map(bits).eq(sums.iter().map(bits)) {
+                                        a.reject_col_sums();
+                                        scale_into(alpha, sums, ar);
+                                    }
+                                }
+                                if rollbacks < max_rollbacks {
+                                    // Back to the base state; every panel up
+                                    // to and including this one is
+                                    // recomputed (A and B are untouched by
+                                    // construction).
+                                    report.retried_panels += pc / p.kc + 1;
+                                    ROLL_BACK
+                                } else {
+                                    verdict = Some(FtError::Unrecoverable { jc, pc, detail });
+                                    ABORT
+                                }
                             }
                         };
                         job.decision.store(decision, Ordering::Release);
@@ -673,6 +745,13 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
     }
 
     if PROTECT {
+        // A call that summed `A` and verified fills its memo, where the view
+        // carries an empty one. Verdicts are thread 0's alone.
+        if let (0, None, None) = (tid, &verdict, job.a_sums) {
+            // SAFETY: the members' writes to `sums` ended at the prelude's
+            // barrier.
+            a.fill_col_sums(unsafe { job.bufs.sums.slice(0..k) });
+        }
         let mut outcome = job.outcome.lock();
         outcome.0 += report;
         outcome.1 = outcome.1.take().or(verdict);

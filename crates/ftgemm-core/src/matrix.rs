@@ -4,6 +4,15 @@
 //! leading dimension `ld >= m` lives at linear offset `i + j * ld`. Views
 //! ([`MatRef`], [`MatMut`]) carry an arbitrary leading dimension so
 //! submatrices (the blocks the GEMM loops walk) are zero-copy.
+//!
+//! An owned [`Matrix`] also memoizes its unscaled column sums `eᵀA`: a
+//! protected product computes them once per value of the matrix instead of
+//! once per call, and only the view [`Matrix::as_ref`] hands out carries
+//! them ([`MatRef::col_sums`]).
+
+// Concurrency contract (checked by `scripts/orderings.sh`): `filled`
+// publishes a memo's sums — Release on the fill that wins, Acquire on every
+// read — so a reader on any thread sees the sums written before the pointer.
 
 use crate::aligned::AlignedVec;
 use crate::error::{CoreError, Result};
@@ -12,6 +21,8 @@ use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::marker::PhantomData;
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Owned, contiguous (ld == nrows), 64-byte aligned column-major matrix.
 #[derive(Clone, Debug)]
@@ -19,6 +30,119 @@ pub struct Matrix<T: Scalar> {
     data: AlignedVec<T>,
     nrows: usize,
     ncols: usize,
+    sums: ColSums<T>,
+}
+
+// One word over the data and the shape: the memo. Growing `Matrix` changes
+// what the service's allocator sees per request: padding it by 24 bytes with
+// no memo at all moved `serve_small`'s injected arm into glibc's heap-trim
+// mode (`inj_cost_ratio` 1.21–1.33 → 1.28–1.32 over 4 alternated pairs on a
+// 2-vCPU AVX-512 host); 8 bytes did not.
+const _: () = assert!(std::mem::size_of::<Matrix<f64>>() == 5 * std::mem::size_of::<usize>());
+
+impl<T: Scalar> Drop for Matrix<T> {
+    fn drop(&mut self) {
+        self.sums.clear(self.ncols);
+    }
+}
+
+/// The memo of a [`Matrix`]'s unscaled column sums `eᵀA` — the one ABFT
+/// encoding the paper computes before the loops rather than inside a pack
+/// (§2.3) — filled by the first protected product that reads the matrix as
+/// its `A` and verifies, and read by every later one in O(k).
+///
+/// It lives and dies with the matrix value: every `&mut` access to the
+/// elements ([`Matrix::set`], [`Matrix::as_mut_slice`], [`Matrix::as_mut`])
+/// clears it, a clone starts without one, and drop frees it. Filling and
+/// rejecting need only `&self`, so views of a shared matrix do both from any
+/// thread.
+#[derive(Debug)]
+struct ColSums<T: Scalar> {
+    /// Null, or the first of the matrix's `ncols` sums in a heap block that
+    /// is never written again, with the address's low bit set once the memo
+    /// is rejected. Any thread may read or free it: `Scalar` is `Send +
+    /// Sync`.
+    filled: AtomicPtr<T>,
+}
+
+/// The low address bit of a rejected memo: every `Scalar` is aligned to 4.
+const REJECTED: usize = 1;
+
+impl<T: Scalar> ColSums<T> {
+    const fn empty() -> Self {
+        ColSums {
+            filled: AtomicPtr::new(ptr::null_mut()),
+        }
+    }
+
+    /// The `len` sums, filled and not rejected.
+    ///
+    /// # Safety
+    /// `len` is the matrix's `ncols`.
+    unsafe fn get(&self, len: usize) -> Option<&[T]> {
+        let sums = self.filled.load(Ordering::Acquire);
+        // SAFETY: an untagged non-null pointer came from `fill` with `len`
+        // sums, and stays valid and unwritten until `clear`, which takes
+        // `&mut self`.
+        (!sums.is_null() && sums.addr() & REJECTED == 0)
+            .then(|| unsafe { std::slice::from_raw_parts(sums, len) })
+    }
+
+    /// Publishes a copy of `sums` unless the memo is filled or rejected;
+    /// of concurrent fills the first wins and the others free their copies.
+    fn fill(&self, sums: &[T]) {
+        const { assert!(std::mem::align_of::<T>() > REJECTED) };
+        if !self.filled.load(Ordering::Acquire).is_null() {
+            return;
+        }
+        let copy = Box::into_raw(Box::<[T]>::from(sums)).cast::<T>();
+        let won = self.filled.compare_exchange(
+            ptr::null_mut(),
+            copy,
+            Ordering::Release,
+            Ordering::Acquire,
+        );
+        if won.is_err() {
+            // SAFETY: `copy` holds `sums.len()` elements and was never
+            // published.
+            drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(copy, sums.len())) });
+        }
+    }
+
+    /// Stops every later read. The sums stay allocated until `clear`: a
+    /// reader may still hold them.
+    fn reject(&self) {
+        let sums = self.filled.load(Ordering::Acquire);
+        if !sums.is_null() {
+            // Failing means another thread rejected it first.
+            let _ = self.filled.compare_exchange(
+                sums,
+                sums.map_addr(|addr| addr | REJECTED),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+        }
+    }
+
+    /// Forgets the `len` sums: the elements are about to change, or the
+    /// matrix drops.
+    #[inline]
+    fn clear(&mut self, len: usize) {
+        let sums = std::mem::replace(self.filled.get_mut(), ptr::null_mut());
+        if !sums.is_null() {
+            let sums = sums.map_addr(|addr| addr & !REJECTED);
+            // SAFETY: published by `fill` with `len` sums, and `&mut self`
+            // proves no reader.
+            drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(sums, len)) });
+        }
+    }
+}
+
+impl<T: Scalar> Clone for ColSums<T> {
+    /// A clone fills a memo of its own.
+    fn clone(&self) -> Self {
+        Self::empty()
+    }
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -26,7 +150,16 @@ impl<T: Scalar> Matrix<T> {
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         let data = AlignedVec::zeroed(nrows.checked_mul(ncols).expect("matrix size overflow"))
             .expect("matrix allocation failed");
-        Self { data, nrows, ncols }
+        Self::from_data(data, nrows, ncols)
+    }
+
+    fn from_data(data: AlignedVec<T>, nrows: usize, ncols: usize) -> Self {
+        Self {
+            data,
+            nrows,
+            ncols,
+            sums: ColSums::empty(),
+        }
     }
 
     /// `m x n` matrix for a caller that stores every element before reading
@@ -36,7 +169,7 @@ impl<T: Scalar> Matrix<T> {
     pub fn for_overwrite(nrows: usize, ncols: usize) -> Self {
         let len = nrows.checked_mul(ncols).expect("matrix size overflow");
         let data = AlignedVec::for_overwrite(len).expect("matrix allocation failed");
-        Self { data, nrows, ncols }
+        Self::from_data(data, nrows, ncols)
     }
 
     /// `m x n` matrix with every element `value`.
@@ -70,11 +203,7 @@ impl<T: Scalar> Matrix<T> {
                 ),
             });
         }
-        Ok(Self {
-            data: AlignedVec::from_slice(data)?,
-            nrows,
-            ncols,
-        })
+        Ok(Self::from_data(AlignedVec::from_slice(data)?, nrows, ncols))
     }
 
     /// Identity matrix (square).
@@ -124,6 +253,7 @@ impl<T: Scalar> Matrix<T> {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
         assert!(i < self.nrows && j < self.ncols, "index out of bounds");
+        self.sums.clear(self.ncols);
         self.data[i + j * self.nrows] = v;
     }
 
@@ -136,10 +266,12 @@ impl<T: Scalar> Matrix<T> {
     /// Mutable column-major backing slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
+        self.sums.clear(self.ncols);
         self.data.as_mut_slice()
     }
 
-    /// Immutable view of the whole matrix.
+    /// Immutable view of the whole matrix — the one view that carries the
+    /// matrix's memo of its column sums ([`MatRef::col_sums`]).
     #[inline]
     pub fn as_ref(&self) -> MatRef<'_, T> {
         MatRef {
@@ -147,6 +279,7 @@ impl<T: Scalar> Matrix<T> {
             nrows: self.nrows,
             ncols: self.ncols,
             ld: self.nrows,
+            sums: Some(&self.sums),
             _marker: PhantomData,
         }
     }
@@ -154,6 +287,7 @@ impl<T: Scalar> Matrix<T> {
     /// Mutable view of the whole matrix.
     #[inline]
     pub fn as_mut(&mut self) -> MatMut<'_, T> {
+        self.sums.clear(self.ncols);
         MatMut {
             ptr: self.data.as_mut_ptr(),
             nrows: self.nrows,
@@ -212,6 +346,8 @@ pub struct MatRef<'a, T: Scalar> {
     nrows: usize,
     ncols: usize,
     ld: usize,
+    /// The viewed matrix's memo, on a view of a whole [`Matrix`] only.
+    sums: Option<&'a ColSums<T>>,
     _marker: PhantomData<&'a [T]>,
 }
 
@@ -230,6 +366,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
             nrows,
             ncols,
             ld,
+            sums: None,
             _marker: PhantomData,
         })
     }
@@ -247,6 +384,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
             nrows,
             ncols,
             ld,
+            sums: None,
             _marker: PhantomData,
         }
     }
@@ -272,6 +410,37 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         self.ptr
     }
 
+    /// The viewed matrix's unscaled column sums `eᵀA`, where the view is of
+    /// a whole [`Matrix`] ([`Matrix::as_ref`]) whose memo is filled and not
+    /// rejected; `None` on every other view.
+    #[inline]
+    pub fn col_sums(&self) -> Option<&'a [T]> {
+        // SAFETY: only `Matrix::as_ref` gives a view a memo, with the
+        // matrix's `ncols`.
+        self.sums.and_then(|memo| unsafe { memo.get(self.ncols) })
+    }
+
+    /// Fills the viewed matrix's memo with `sums` — its column sums as
+    /// `pack::col_sums_scaled(.., ONE, ..)` computes them — where the view
+    /// carries one that is neither filled nor rejected; else does nothing.
+    ///
+    /// # Panics
+    /// If `sums` does not hold one sum per column.
+    pub fn fill_col_sums(&self, sums: &[T]) {
+        assert_eq!(sums.len(), self.ncols, "one sum per column");
+        if let Some(memo) = self.sums {
+            memo.fill(sums);
+        }
+    }
+
+    /// Rejects the viewed matrix's memo, found stale: no view reads it and
+    /// nothing fills it again until the matrix is mutated.
+    pub fn reject_col_sums(&self) {
+        if let Some(memo) = self.sums {
+            memo.reject();
+        }
+    }
+
     /// Element at `(i, j)`, bounds-checked.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> T {
@@ -293,6 +462,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
             nrows: rows,
             ncols: cols,
             ld: self.ld,
+            sums: None,
             _marker: PhantomData,
         }
     }
@@ -402,6 +572,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
             nrows: self.nrows,
             ncols: self.ncols,
             ld: self.ld,
+            sums: None,
             _marker: PhantomData,
         }
     }

@@ -239,13 +239,13 @@ struct Turn {
 }
 
 impl Turn {
-    /// Writes and empties the buffer; false if the write failed.
+    /// Writes and empties the buffer; false if the write failed. Counted
+    /// before the write, so a client never reads a frame the counters do
+    /// not hold yet.
     fn write_to(&mut self, out: &mut impl Write) -> bool {
+        metrics::frames_out_total().add(self.frames);
+        metrics::bytes_out_total().add(self.buf.len() as u64);
         let written = self.buf.is_empty() || out.write_all(&self.buf).is_ok();
-        if written {
-            metrics::frames_out_total().add(self.frames);
-            metrics::bytes_out_total().add(self.buf.len() as u64);
-        }
         self.buf.clear();
         self.frames = 0;
         written
@@ -558,10 +558,11 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     shared.lock().closing = true;
     outbound.thread().unpark();
     let _ = outbound.join();
+    // Un-counted before its handles go, which a reader can see.
+    metrics::connections().add(-1.0);
     for handle in owned {
         ctx.store.release(handle);
     }
-    metrics::connections().add(-1.0);
 
     if stop_server {
         ctx.stop.stop();

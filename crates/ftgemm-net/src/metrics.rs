@@ -8,9 +8,9 @@
 //! | `ftgemm_net_connections` | gauge | currently open client connections |
 //! | `ftgemm_net_connections_total` | counter | connections accepted since start |
 //! | `ftgemm_net_frames_in_total` | counter | well-formed frames received |
-//! | `ftgemm_net_frames_out_total` | counter | frames sent |
+//! | `ftgemm_net_frames_out_total` | counter | frames sent (counted as handed to the socket) |
 //! | `ftgemm_net_bytes_in_total` | counter | wire bytes received (incl. discarded oversize frames) |
-//! | `ftgemm_net_bytes_out_total` | counter | wire bytes sent |
+//! | `ftgemm_net_bytes_out_total` | counter | wire bytes sent (counted as handed to the socket) |
 //! | `ftgemm_net_protocol_errors_total` | counter | error frames sent for protocol-level failures (malformed, oversize, unknown verb/handle, bad version, ...) |
 //! | `ftgemm_net_resident_operand_bytes` | gauge | bytes held by server-resident operands |
 //! | `ftgemm_net_operand_handles` | gauge | live operand handles |

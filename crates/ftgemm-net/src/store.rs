@@ -38,7 +38,10 @@
 // Concurrency contract (checked by `scripts/orderings.sh`): the
 // byte/handle gauges, scrub tallies, and scrub cursor are advisory
 // accounting read by metrics and the admission check; the authoritative
-// state lives under `inner`'s lock.
+// state lives under `inner`'s lock. A change is counted before it can be
+// observed: its adds come before the `inner` release that publishes it (an
+// insert, eviction, release or quarantine), so a reader that sees the
+// change through the lock sees its count too.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -198,6 +201,12 @@ impl OperandStore {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             metrics::operand_evictions_total().inc();
         }
+        // Counted before the handle resolves, as a removal is counted
+        // before its lock is released.
+        let resident = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.handles.fetch_add(1, Ordering::Relaxed);
+        metrics::resident_operand_bytes().add(bytes as f64);
+        metrics::operand_handles().add(1.0);
         map.entries.insert(
             handle,
             Entry {
@@ -208,10 +217,6 @@ impl OperandStore {
                 col_sums,
             },
         );
-        let resident = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.handles.fetch_add(1, Ordering::Relaxed);
-        metrics::resident_operand_bytes().add(bytes as f64);
-        metrics::operand_handles().add(1.0);
         Ok((handle, resident))
     }
 
@@ -271,6 +276,12 @@ impl OperandStore {
     /// ([`NetServerConfig::scrub_interval`](crate::NetServerConfig)), but
     /// safe to call from anywhere, concurrently with everything.
     pub fn scrub(&self, max_entries: usize) -> ScrubReport {
+        self.scrub_then(max_entries, || {})
+    }
+
+    /// [`scrub`](Self::scrub), calling `counted` after the pass is counted
+    /// and before it quarantines anything: a test pauses there.
+    fn scrub_then(&self, max_entries: usize, counted: impl FnOnce()) -> ScrubReport {
         struct ScrubItem {
             handle: u64,
             m: Arc<Matrix<f64>>,
@@ -313,6 +324,16 @@ impl OperandStore {
         if let Some(h) = last_visited {
             self.scrub_cursor.store(h, Ordering::Relaxed);
         }
+        // Counted before anything is quarantined: the lock below orders
+        // these adds before every reader that can see a quarantine.
+        self.scrub_passes.fetch_add(1, Ordering::Relaxed);
+        self.scrub_verified.fetch_add(verified, Ordering::Relaxed);
+        self.scrub_corrupted
+            .fetch_add(corrupted.len() as u64, Ordering::Relaxed);
+        metrics::scrub_passes_total().inc();
+        metrics::scrub_operands_verified_total().add(verified);
+        metrics::scrub_corrupted_total().add(corrupted.len() as u64);
+        counted();
         let mut quarantined = 0u64;
         if !corrupted.is_empty() {
             let mut map = self.inner.lock();
@@ -328,13 +349,6 @@ impl OperandStore {
                 }
             }
         }
-        self.scrub_passes.fetch_add(1, Ordering::Relaxed);
-        self.scrub_verified.fetch_add(verified, Ordering::Relaxed);
-        self.scrub_corrupted
-            .fetch_add(corrupted.len() as u64, Ordering::Relaxed);
-        metrics::scrub_passes_total().inc();
-        metrics::scrub_operands_verified_total().add(verified);
-        metrics::scrub_corrupted_total().add(corrupted.len() as u64);
         ScrubReport {
             verified,
             corrupted: corrupted.len() as u64,
@@ -510,6 +524,28 @@ mod tests {
         assert!(!s.release(bad));
         assert_eq!(s.quarantined_count(), 0);
         assert_eq!(s.try_get(bad).err(), Some(StoreGetError::Unknown));
+    }
+
+    /// A reader that sees a quarantine sees its corruption counted: the
+    /// pass is paused between its two steps, where the count must already
+    /// hold what the quarantine is about to show.
+    #[test]
+    fn corruption_is_counted_before_its_quarantine_is_visible() {
+        let s = OperandStore::new(1 << 20);
+        let (_clean, _) = s.insert(mat(4)).unwrap();
+        let (bad, _) = s.insert(mat(4)).unwrap();
+        assert!(s.corrupt_resident_for_test(bad));
+        let mut paused = false;
+        let report = s.scrub_then(16, || {
+            paused = true;
+            assert!(s.scrub_corrupted() >= s.quarantined_count());
+            assert_eq!((s.scrub_passes(), s.scrub_verified()), (1, 1));
+            assert_eq!(s.scrub_corrupted(), 1);
+        });
+        assert!(paused);
+        assert_eq!(report.quarantined, 1);
+        assert!(s.scrub_corrupted() >= s.quarantined_count());
+        assert_eq!(s.quarantined_count(), 1);
     }
 
     #[test]

@@ -34,6 +34,7 @@ crates/ftgemm-serve/src/stats.rs
 # Publication cells: file, then the cells it publishes through.
 cells='
 crates/ftgemm-abft/src/nest.rs decision
+crates/ftgemm-core/src/matrix.rs filled
 crates/ftgemm-obs/src/accept.rs stop
 crates/ftgemm-pool/src/barrier.rs epoch
 crates/ftgemm-serve/src/exec.rs notified
