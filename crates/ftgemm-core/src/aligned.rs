@@ -1,38 +1,50 @@
-//! 64-byte aligned heap buffers for packed panels and matrices.
+//! 64-byte aligned heap buffers for packed panels and matrices, and the one
+//! place in the workspace that allocates, maps, frees and unmaps memory.
 //!
 //! SIMD micro-kernels issue aligned vector loads against packed panels, and
 //! cache-line (64 B) alignment avoids split loads on every x86-64
 //! micro-architecture the paper targets (Cascade Lake). `Vec<T>` makes no
 //! alignment promise beyond `align_of::<T>()`, so we own the allocation.
 //!
-//! Small buffers come from the global allocator. A buffer of 256 KiB or more
-//! (Linux) is its own anonymous mapping: zero pages that nobody has touched
-//! yet, so each is faulted in by the thread that first writes it — the pool
-//! thread that packs into it or computes on it, not the thread that asked for
-//! it — and what the buffer costs is a property of its size. Through `malloc`
-//! it is not: glibc serves such a size from a fresh mapping or from recycled
-//! heap depending on a threshold that slides with what the process freed
-//! before (and an aligned `alloc_zeroed` then `memset`s it on the allocating
-//! thread either way), so a service handing out one result matrix per request
-//! runs 20% faster or slower by which of the two a process happens to settle
-//! into. The floor sits above every buffer of the batched small-request path
-//! (a 128 x 128 `f64` result is 128 KiB), which keeps `malloc`'s recycling.
+//! Where a buffer's memory comes from is a property of its size. Under one
+//! page it is the global allocator's. From 256 KiB on (Linux) it is its own
+//! anonymous mapping: zero pages that nobody has touched yet, so each is
+//! faulted in by the thread that first writes it — the pool thread that
+//! packs into it or computes on it, not the thread that asked for it.
+//! Through `malloc` such a size was a fresh mapping or recycled heap by a
+//! threshold that slides with what the process freed before, so a service
+//! handing out one result matrix per request ran 20% faster or slower by
+//! which of the two a process happened to settle into. In between, from one
+//! page to 256 KiB, it is a heap block of the page-rounded length.
 //!
-//! A dropped mapping of at most 8 MiB is not unmapped but kept, whole, on a
-//! process-wide first-in first-out list of spares, as many as fit in 8 MiB
-//! together; whatever does not fit is unmapped, oldest first. The next
-//! buffer of exactly the same page-rounded length takes the oldest such
-//! spare instead of mapping and then faulting in every page again: a service
-//! that hands out one result per request pays that result's page faults once
-//! per process, not once per request, and a burst of results fits whole
-//! (size-class caches such as Hoard's, ASPLOS 2000). Reuse depends on the
-//! length alone, never on what was freed before, so the cost is still a
-//! property of the size. A buffer of a length no spare has is mapped fresh.
+//! A dropped buffer of one page to 8 MiB is neither freed nor unmapped but
+//! kept, whole, on one process-wide list of spares, and the next buffer of
+//! exactly the same page-rounded length and placement (heap, mapping, or
+//! mapping on huge pages) takes the most recently dropped such spare — the
+//! one likeliest still in cache — instead of faulting in fresh pages: a
+//! service that hands out one result per request pays that result's page
+//! faults once per process, not once per request (size-class caches such as
+//! Hoard's, ASPLOS 2000). Between requests `malloc` would have trimmed the
+//! heap a kept burst of small results leaves, and faulted it in again for
+//! the next burst. A buffer of a length no spare has is made fresh.
+//!
+//! The list holds at most `max(8 MiB, high-water - live)` bytes, where live
+//! is what listed buffers hold right now and high-water the most they ever
+//! held at once; the oldest spares are freed or unmapped past it, on every
+//! drop and every fresh buffer. So a kept burst of any size comes back
+//! whole, and live buffers and spares together never hold more than the
+//! process already held at once or 8 MiB past what is live: the list adds
+//! nothing to the peak. Nor does it give anything back after a spike: what
+//! a spike held stays, as spares, up to the high-water mark. Each take and
+//! each drop is O(1) amortized, and nothing is zeroed, mapped, freed or
+//! unmapped under the list's lock.
 //!
 //! [`AlignedVec::zeroed`] zeroes a spare on the thread that asks for it.
-//! [`AlignedVec::for_overwrite`] does not: it is for a buffer whose every
-//! element is stored before any is read (a `beta == 0` output, a packing
-//! buffer), and hands a spare back holding what its last owner wrote.
+//! [`AlignedVec::for_overwrite`] does not zero a mapped one: it is for a
+//! buffer whose every element is stored before any is read (a `beta == 0`
+//! output, a packing buffer), and hands a mapped spare back holding what its
+//! last owner wrote. A heap spare it zeroes all the same, as a buffer under
+//! 256 KiB has always come, on pages the spare keeps resident.
 //!
 //! A buffer of 2 MiB or more (x86-64) starts on a 2 MiB boundary and is
 //! advised onto transparent huge pages, so each whole 2 MiB extent of it is
@@ -46,12 +58,17 @@
 use crate::error::{CoreError, Result};
 use crate::scalar::Scalar;
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 
 /// Cache-line alignment (bytes) used for every buffer in the workspace.
 pub const ALIGN: usize = 64;
+
+/// The unit lengths are rounded to, and the shortest buffer the spare list
+/// holds.
+const PAGE: usize = 4096;
 
 /// Buffers mapped from the OS so far, process-wide: what a counting global
 /// allocator cannot see. Zero where buffers are never mapped.
@@ -65,15 +82,245 @@ pub fn huge_buffers() -> u64 {
     pages::ADVISED.load(Ordering::Relaxed)
 }
 
-/// Buffers served from a dropped mapping of the same length instead of a
-/// fresh one, process-wide. Zero where buffers are never mapped.
+/// Buffers of one page to 8 MiB served from a dropped buffer of the same
+/// length and placement instead of fresh memory, process-wide.
 pub fn recycled_buffers() -> u64 {
-    pages::RECYCLED.load(Ordering::Relaxed)
+    spares::RECYCLED.load(Ordering::Relaxed)
 }
 
-/// Bytes of dropped mappings held for reuse right now: at most 8 MiB.
+/// Bytes of dropped buffers held for reuse right now: whole pages, at most
+/// `max(8 MiB, high-water - live)` bytes of listed buffers.
 pub fn spare_bytes() -> usize {
-    pages::spare_bytes()
+    spares::held()
+}
+
+/// Spares the calling thread has taken back so far, and their page-rounded
+/// bytes: the requests a counting global allocator does not see.
+pub fn spares_taken_here() -> (u64, usize) {
+    spares::TAKEN.with(Cell::get)
+}
+
+/// Where a listed buffer's memory comes from; a spare keeps it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Place {
+    /// A heap block of the page-rounded length, at [`ALIGN`].
+    Heap,
+    /// Its own mapping.
+    Mapped,
+    /// Its own mapping, on a 2 MiB boundary and advised onto huge pages.
+    Huge,
+}
+
+/// What a listed buffer is kept and found by: its page-rounded length, and
+/// its placement (a 2 MiB buffer and one a few bytes short of it round to
+/// the same length, placed differently).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Key {
+    len: usize,
+    place: Place,
+}
+
+impl Key {
+    /// The key of a buffer of `bytes`, when [`listed`] holds.
+    fn of(bytes: usize) -> Self {
+        let place = if bytes >= pages::HUGE_BYTES {
+            Place::Huge
+        } else if bytes >= pages::MIN_BYTES {
+            Place::Mapped
+        } else {
+            Place::Heap
+        };
+        Self {
+            len: bytes.next_multiple_of(PAGE),
+            place,
+        }
+    }
+
+    /// Fresh zeroed memory for a buffer of `bytes` of this key, or null.
+    fn fresh(self, bytes: usize) -> *mut u8 {
+        match self.place {
+            // SAFETY: a listed length is at least a page, so non-zero.
+            Place::Heap => unsafe { alloc_zeroed(heap_layout(self.len)) },
+            Place::Mapped | Place::Huge => pages::map(bytes),
+        }
+    }
+
+    /// Frees or unmaps a spare of this key.
+    ///
+    /// # Safety
+    /// `at` came from [`Key::fresh`] for this key and is not used again.
+    unsafe fn free(self, at: usize) {
+        match self.place {
+            // SAFETY: the caller's contract.
+            Place::Heap => unsafe { dealloc(at as *mut u8, heap_layout(self.len)) },
+            // SAFETY: the caller's contract; `map` left exactly the
+            // page-rounded length mapped.
+            Place::Mapped | Place::Huge => unsafe { pages::unmap(at, self.len) },
+        }
+    }
+}
+
+/// The layout of a heap spare of `len` bytes.
+fn heap_layout(len: usize) -> Layout {
+    Layout::from_size_align(len, ALIGN).expect("a listed length is at most 8 MiB")
+}
+
+/// Whether a buffer of `bytes` at `align` is on the spare list: one page to
+/// 8 MiB, at the cache-line alignment every numeric type gets.
+fn listed(bytes: usize, align: usize) -> bool {
+    (PAGE..=spares::MAX_BYTES).contains(&bytes) && align == ALIGN
+}
+
+/// The process-wide list of spares.
+mod spares {
+    use super::Key;
+    use std::cell::Cell;
+    use std::collections::{HashMap, VecDeque};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
+
+    /// The longest buffer kept, and the least the list may hold.
+    pub const MAX_BYTES: usize = 8 << 20;
+    pub static RECYCLED: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        /// Spares this thread took, and their bytes. `const` and without a
+        /// destructor, so a take during thread teardown still counts.
+        pub static TAKEN: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    #[derive(Default)]
+    struct List {
+        /// Each key's spares, oldest first, with the number of the drop
+        /// that left each: taken from the back, evicted from the front.
+        stacks: HashMap<Key, VecDeque<(u64, usize)>>,
+        /// The number and key of every drop, oldest first, the spares since
+        /// taken included until [`List::compact`] drops them.
+        drops: VecDeque<(u64, Key)>,
+        /// Drops so far.
+        dropped: u64,
+        /// Spares held, and their bytes.
+        count: usize,
+        held: usize,
+        /// Bytes of listed buffers in use, and the most there ever were.
+        live: usize,
+        high: usize,
+    }
+
+    impl List {
+        fn pop_newest(&mut self, key: Key) -> Option<usize> {
+            let (_, at) = self.stacks.get_mut(&key)?.pop_back()?;
+            self.count -= 1;
+            self.held -= key.len;
+            Some(at)
+        }
+
+        fn push(&mut self, key: Key, at: usize) {
+            self.dropped += 1;
+            let stack = self.stacks.entry(key).or_default();
+            stack.push_back((self.dropped, at));
+            self.drops.push_back((self.dropped, key));
+            self.count += 1;
+            self.held += key.len;
+            if self.drops.len() > 2 * self.count + 64 {
+                self.compact();
+            }
+        }
+
+        /// The oldest spare, off the list, while the list holds more than
+        /// its bound.
+        fn pop_excess(&mut self) -> Option<(Key, usize)> {
+            while self.held > MAX_BYTES.max(self.high - self.live) {
+                let (n, key) = self.drops.pop_front()?;
+                let stack = self.stacks.get_mut(&key)?;
+                // Every older drop of this key is gone from both ends, so
+                // the front of its stack is this drop's spare unless that
+                // spare was taken.
+                if stack.front().is_some_and(|&(d, _)| d == n) {
+                    let (_, at) = stack.pop_front()?;
+                    self.count -= 1;
+                    self.held -= key.len;
+                    return Some((key, at));
+                }
+            }
+            None
+        }
+
+        /// Forgets the drops whose spares were taken. Both `drops` and each
+        /// stack are in drop order, so one pass with a cursor per key finds
+        /// them: O(drops), at most once per `count + 64` drops.
+        fn compact(&mut self) {
+            let stacks = &self.stacks;
+            let mut next: HashMap<Key, usize> = HashMap::new();
+            self.drops.retain(|&(n, key)| {
+                let i = next.entry(key).or_default();
+                let held = stacks[&key].get(*i).is_some_and(|&(d, _)| d == n);
+                *i += usize::from(held);
+                held
+            });
+        }
+    }
+
+    /// A leaf lock: nothing else is taken, and no buffer is zeroed, mapped,
+    /// freed or unmapped, while it is held.
+    static LIST: LazyLock<Mutex<List>> = LazyLock::new(Mutex::default);
+
+    fn list() -> MutexGuard<'static, List> {
+        // Nothing panics while the list is held; were something to, the
+        // list is still a set of whole, unused buffers.
+        LIST.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub fn held() -> usize {
+        list().held
+    }
+
+    /// Counts a buffer of `key` live and hands back its most recently
+    /// dropped spare, if there is one. If not, the caller makes one fresh,
+    /// which may lower the bound.
+    pub fn take(key: Key) -> Option<usize> {
+        let at = {
+            let mut list = list();
+            list.live += key.len;
+            list.high = list.high.max(list.live);
+            list.pop_newest(key)
+        };
+        if at.is_some() {
+            RECYCLED.fetch_add(1, Ordering::Relaxed);
+            TAKEN.with(|t| {
+                let (n, bytes) = t.get();
+                t.set((n + 1, bytes + key.len));
+            });
+        } else {
+            evict();
+        }
+        at
+    }
+
+    /// Keeps a dropped buffer as the newest spare of `key`.
+    ///
+    /// # Safety
+    /// `at` came from [`Key::fresh`] for `key`, was counted live by
+    /// [`take`], and is not used again.
+    pub unsafe fn put(key: Key, at: usize) {
+        {
+            let mut list = list();
+            list.live -= key.len;
+            list.push(key, at);
+        }
+        evict();
+    }
+
+    /// Frees or unmaps the oldest spares while the list holds more than its
+    /// bound, one at a time and outside the lock.
+    fn evict() {
+        loop {
+            let excess = list().pop_excess();
+            let Some((key, at)) = excess else { return };
+            // SAFETY: off the list, a spare is nobody's.
+            unsafe { key.free(at) };
+        }
+    }
 }
 
 /// Anonymous zero-filled mappings, for the buffers `malloc` would place by
@@ -83,17 +330,13 @@ pub fn spare_bytes() -> usize {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod pages {
-    use std::collections::VecDeque;
+    use super::PAGE;
     use std::ffi::{c_int, c_void};
     use std::ops::Range;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// Smallest buffer that is mapped, in bytes.
     pub const MIN_BYTES: usize = 256 * 1024;
-    /// Most bytes of dropped mappings kept for reuse; a longer buffer is
-    /// never kept.
-    const SPARE_BYTES: usize = 8 << 20;
     /// Smallest buffer placed on huge pages, in bytes: one x86-64 huge page.
     /// aarch64 kernels run 4, 16 or 64 KiB base pages (and huge pages to
     /// match), so the trim below is only done where the base page is known.
@@ -102,44 +345,8 @@ mod pages {
     } else {
         usize::MAX
     };
-    const PAGE: usize = 4096;
     pub static MAPPED: AtomicU64 = AtomicU64::new(0);
     pub static ADVISED: AtomicU64 = AtomicU64::new(0);
-    pub static RECYCLED: AtomicU64 = AtomicU64::new(0);
-
-    /// A dropped mapping: where its pages start, how many bytes of them, and
-    /// whether they were placed for huge pages. A buffer of `bytes` may take
-    /// it when [`key`]`(bytes)` is `(len, huge)`.
-    struct Spare {
-        at: usize,
-        len: usize,
-        huge: bool,
-    }
-
-    /// Dropped mappings, oldest first. A leaf lock: nothing else is taken,
-    /// and no mapping is made, zeroed or unmapped, while it is held.
-    static SPARES: Mutex<VecDeque<Spare>> = Mutex::new(VecDeque::new());
-
-    fn spares() -> MutexGuard<'static, VecDeque<Spare>> {
-        // Nothing panics while the list is held; were something to, the
-        // list is still a set of whole, unused mappings.
-        SPARES.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// What a buffer of `bytes` is kept and found by: its page-rounded
-    /// length, and whether it lies on huge pages (a 2 MiB buffer and one a
-    /// few bytes short of it round to the same length, placed differently).
-    fn key(bytes: usize) -> (usize, bool) {
-        (bytes.next_multiple_of(PAGE), bytes >= HUGE_BYTES)
-    }
-
-    fn held(spares: &VecDeque<Spare>) -> usize {
-        spares.iter().map(|s| s.len).sum()
-    }
-
-    pub fn spare_bytes() -> usize {
-        held(&spares())
-    }
 
     // <sys/mman.h> on Linux, x86-64 and aarch64.
     const PROT_READ_WRITE: c_int = 0x1 | 0x2;
@@ -175,28 +382,11 @@ mod pages {
         [start..kept, kept..end, end..start + span(bytes)]
     }
 
-    /// `bytes` of page-aligned memory, or null. From [`HUGE_BYTES`] on,
-    /// 2 MiB-aligned and advised onto huge pages. The oldest spare of the
-    /// same [`key`] if there is one, zeroed here if `zero` and as its last
-    /// owner left it if not; else a fresh mapping of zero pages, none of
-    /// them resident yet.
-    pub fn map(bytes: usize, zero: bool) -> *mut u8 {
-        let (len, huge) = key(bytes);
-        let spare = {
-            let mut spares = spares();
-            let found = spares.iter().position(|s| (s.len, s.huge) == (len, huge));
-            found.and_then(|i| spares.remove(i))
-        };
-        if let Some(spare) = spare {
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
-            let at = spare.at as *mut u8;
-            if zero {
-                // SAFETY: a spare's `len >= bytes` bytes are mapped and, once
-                // off the list, nobody's but this caller's.
-                unsafe { at.write_bytes(0, bytes) };
-            }
-            return at;
-        }
+    /// A fresh mapping of zero pages for `bytes`, none of them resident yet,
+    /// or null. From [`HUGE_BYTES`] on, 2 MiB-aligned and advised onto huge
+    /// pages. Exactly the page-rounded length stays mapped.
+    pub fn map(bytes: usize) -> *mut u8 {
+        let huge = bytes >= HUGE_BYTES;
         // SAFETY: a fresh private anonymous mapping aliases nothing.
         let p = unsafe {
             mmap(
@@ -233,44 +423,18 @@ mod pages {
         at
     }
 
-    /// Puts the buffer at the back of the spares, then unmaps the oldest
-    /// spares while they hold more than [`SPARE_BYTES`]; a buffer longer
-    /// than that is unmapped at once. How many spares there are is no bound:
-    /// a burst's results, one mapping each, come back whole.
-    ///
-    /// # Safety
-    /// `ptr` came from [`map`]`(bytes, _)` and is not used again.
-    pub unsafe fn release(ptr: *mut u8, bytes: usize) {
-        let (at, (len, huge)) = (ptr as usize, key(bytes));
-        if len > SPARE_BYTES {
-            // SAFETY: the caller's contract.
-            unsafe { unmap(at, len) };
-            return;
-        }
-        spares().push_back(Spare { at, len, huge });
-        let evict = || {
-            let mut spares = spares();
-            (held(&spares) > SPARE_BYTES)
-                .then(|| spares.pop_front())
-                .flatten()
-        };
-        while let Some(old) = evict() {
-            // SAFETY: off the list, a spare is nobody's.
-            unsafe { unmap(old.at, old.len) };
-        }
-    }
-
     /// # Safety
     /// `at` came from [`map`] for a buffer of `len` page-rounded bytes and is
     /// not used again.
-    unsafe fn unmap(at: usize, len: usize) {
+    pub unsafe fn unmap(at: usize, len: usize) {
         // SAFETY: the caller's contract; `map` left exactly the pages of
         // `at..at + len` mapped, so unmapping them cannot fail.
         unsafe { munmap(at as *mut c_void, len) };
     }
 }
 
-/// Nothing is mapped on other targets: every buffer is the allocator's.
+/// Nothing is mapped on other targets: every buffer is the allocator's, and
+/// every spare a heap block.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -279,21 +443,17 @@ mod pages {
     use std::sync::atomic::AtomicU64;
 
     pub const MIN_BYTES: usize = usize::MAX;
+    pub const HUGE_BYTES: usize = usize::MAX;
     pub static MAPPED: AtomicU64 = AtomicU64::new(0);
     pub static ADVISED: AtomicU64 = AtomicU64::new(0);
-    pub static RECYCLED: AtomicU64 = AtomicU64::new(0);
 
-    pub fn spare_bytes() -> usize {
-        0
-    }
-
-    pub fn map(_bytes: usize, _zero: bool) -> *mut u8 {
+    pub fn map(_bytes: usize) -> *mut u8 {
         std::ptr::null_mut()
     }
 
     /// # Safety
     /// Never called: no length reaches `MIN_BYTES`.
-    pub unsafe fn release(_ptr: *mut u8, _bytes: usize) {}
+    pub unsafe fn unmap(_at: usize, _len: usize) {}
 }
 
 /// A fixed-length, 64-byte aligned, zero-initialized heap buffer.
@@ -321,8 +481,8 @@ impl<T: Copy> AlignedVec<T> {
         Self::alloc(len, true)
     }
 
-    /// A buffer of `len` elements from `malloc` (zeroed) below 256 KiB, else
-    /// from [`pages::map`], which zeroes a spare only if `zero`.
+    /// A buffer of `len` elements: a spare of its [`Key`] if the list holds
+    /// one, zeroed if `zero` or on the heap; else fresh zeroed memory.
     fn alloc(len: usize, zero: bool) -> Result<Self> {
         if len == 0 {
             return Ok(Self {
@@ -341,8 +501,22 @@ impl<T: Copy> AlignedVec<T> {
         if bytes == 0 {
             return Err(CoreError::AllocationFailed { bytes });
         }
-        let raw = if bytes >= pages::MIN_BYTES {
-            pages::map(bytes, zero)
+        let raw = if listed(bytes, layout.align()) {
+            let key = Key::of(bytes);
+            match spares::take(key) {
+                Some(at) => {
+                    let at = at as *mut u8;
+                    if zero || key.place == Place::Heap {
+                        // SAFETY: a spare's `key.len >= bytes` bytes are
+                        // nobody's but this caller's once off the list.
+                        unsafe { at.write_bytes(0, bytes) };
+                    }
+                    at
+                }
+                None => key.fresh(bytes),
+            }
+        } else if bytes >= pages::MIN_BYTES {
+            pages::map(bytes)
         } else {
             // SAFETY: `layout` has non-zero size, checked above.
             unsafe { alloc_zeroed(layout) }
@@ -417,9 +591,9 @@ impl<T: Scalar> AlignedVec<T> {
     /// before it reads any: the same, except that a recycled spare mapping
     /// comes back as its last owner left it, holding values some buffer of
     /// this process wrote, where `zeroed` would spend a pass zeroing it. A
-    /// fresh mapping is still zero pages and a buffer under 256 KiB still
-    /// comes zeroed from the allocator, so nothing uninitialized is ever
-    /// read. `T: Scalar` because every bit pattern is an `f32` / `f64`.
+    /// fresh mapping is still zero pages and a buffer under 256 KiB, spare
+    /// or fresh, still comes zeroed, so nothing uninitialized is ever read.
+    /// `T: Scalar` because every bit pattern is an `f32` / `f64`.
     pub fn for_overwrite(len: usize) -> Result<Self> {
         Self::alloc(len, false)
     }
@@ -433,13 +607,17 @@ impl<T: Copy> Drop for AlignedVec<T> {
         let bytes = self.len * std::mem::size_of::<T>();
         let layout =
             Layout::from_size_align(bytes, ALIGN.max(std::mem::align_of::<T>())).expect("layout");
-        if bytes >= pages::MIN_BYTES {
-            // SAFETY: mapped with the identical length in `alloc`.
-            unsafe { pages::release(self.ptr.as_ptr().cast(), bytes) };
-            return;
+        let at = self.ptr.as_ptr().cast::<u8>();
+        if listed(bytes, layout.align()) {
+            // SAFETY: taken or made for the identical key in `alloc`.
+            unsafe { spares::put(Key::of(bytes), at as usize) };
+        } else if bytes >= pages::MIN_BYTES {
+            // SAFETY: mapped for the identical length in `alloc`.
+            unsafe { pages::unmap(at as usize, bytes.next_multiple_of(PAGE)) };
+        } else {
+            // SAFETY: allocated with the identical layout in `alloc`.
+            unsafe { dealloc(at, layout) };
         }
-        // SAFETY: allocated with the identical layout in `alloc`.
-        unsafe { dealloc(self.ptr.as_ptr().cast(), layout) };
     }
 }
 
@@ -492,7 +670,7 @@ impl<T: Scalar> Scratch<T> {
 
     /// Ensures capacity for `len` elements and returns the mutable slice.
     ///
-    /// Contents are unspecified (previous data, or a recycled mapping's, may
+    /// Contents are unspecified (previous data, or a recycled spare's, may
     /// remain); packing routines overwrite the region they use.
     pub fn get(&mut self, len: usize) -> Result<&mut [T]> {
         if self.buf.len() < len {

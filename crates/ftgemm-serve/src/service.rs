@@ -737,19 +737,19 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
     live(
         "ftgemm_mapped_buffers_total",
         Counter,
-        "Buffers of 256 KiB or more mapped fresh from the OS, process-wide.",
+        "Buffers of 256 KiB or more mapped fresh from the OS, process-wide (spares taken back are not counted).",
         |_| aligned::mapped_buffers() as f64,
     );
     live(
         "ftgemm_recycled_buffers_total",
         Counter,
-        "Buffers of 256 KiB or more taken back from a dropped mapping of the same length, process-wide.",
+        "Buffers of one page to 8 MiB, heap or mapped, taken back from a dropped buffer of the same length and placement, process-wide.",
         |_| aligned::recycled_buffers() as f64,
     );
     live(
         "ftgemm_spare_buffer_bytes",
         Gauge,
-        "Bytes of dropped mappings held for reuse, process-wide (at most 8 MiB).",
+        "Bytes of dropped buffers of one page to 8 MiB held for reuse, process-wide (at most max(8 MiB, high-water minus live bytes of such buffers)).",
         |_| aligned::spare_bytes() as f64,
     );
     per_node(

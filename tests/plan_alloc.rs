@@ -9,7 +9,11 @@
 //! threads of this process, and their allocations are not the measured
 //! plan's. It also sums requested bytes, which pins what a `DetectCorrect`
 //! plan holds for rollback: nothing at `beta == 0`, serial or parallel.
+//! A buffer `ftgemm::core::aligned` serves from a dropped one of its length
+//! never reaches the allocator, so the thread's spares taken back count as
+//! allocations too, with their bytes.
 
+use ftgemm::core::aligned::spares_taken_here;
 use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,14 +59,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations made so far by the calling thread.
+/// Allocations made so far by the calling thread, spares taken included.
 fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
+    ALLOCATIONS.with(Cell::get) + spares_taken_here().0
 }
 
-/// Bytes requested so far by the calling thread.
+/// Bytes requested so far by the calling thread, spares taken included.
 fn bytes_allocated() -> u64 {
-    BYTES.with(Cell::get)
+    BYTES.with(Cell::get) + spares_taken_here().1 as u64
 }
 
 #[test]

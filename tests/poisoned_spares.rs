@@ -6,14 +6,17 @@
 //! direct run on a zeroed `C` — on the matrix-parallel and the batched path,
 //! under `Off`, `DetectCorrect`, and a `DetectCorrect` rollback. `alpha = 0`
 //! and `k = 0` return exact zeros, and a wire submit without `C` ignores its
-//! `beta`. Its own binary, with one test: the spare list is process-wide,
-//! and a sibling test's buffers would take the poisoned spares.
+//! `beta`. Batched results under 256 KiB are heap spares, poisoned the same
+//! way and taken back by the request: those come back zeroed, and the
+//! result is bit-identical all the same. Its own binary, with one test: the
+//! spare list is process-wide, and a sibling test's buffers would take the
+//! poisoned spares.
 #![cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 
-use ftgemm::core::aligned::recycled_buffers;
+use ftgemm::core::aligned::{recycled_buffers, AlignedVec};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 use ftgemm::net::proto::{Frame, OperandRef, SubmitFrame};
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
@@ -163,4 +166,50 @@ fn beta_zero_outputs_never_show_a_spares_values() {
     let got = done.result.unwrap().data;
     let diff = first_difference(&got, &direct(Exec::Parallel(&ctx), a, b));
     assert_eq!(diff, None, "the wire scaled what its output held");
+
+    // Batched results of 24 KiB and 96 KiB are heap blocks, and their spares
+    // are poisoned and taken back the same way.
+    let batched = &paths[1].2;
+    for (m, n, k) in [(48, 64, 32), (96, 128, 64)] {
+        let a = Arc::new(Matrix::<f64>::random(m, k, (m * k) as u64));
+        let b = Arc::new(Matrix::<f64>::random(k, n, (k * n) as u64));
+        let want = direct(Exec::Serial, &a, &b);
+        let runs = [
+            ("Off", FtPolicy::Off, None),
+            ("DetectCorrect", FtPolicy::DetectCorrect, None),
+            ("a rollback", FtPolicy::DetectCorrect, Some(overflow())),
+        ];
+        for (label, policy, injector) in runs {
+            poison(m, n);
+            let recycled = recycled_buffers();
+            let mut req = GemmRequest::new(&a, &b).with_policy(policy);
+            assert_eq!(
+                recycled_buffers() - recycled,
+                1,
+                "{m}x{n}: the output was no spare"
+            );
+            if let Some(injector) = injector {
+                req = req.with_injector(injector);
+            }
+            let resp = batched.run(req).unwrap();
+            assert!(resp.batched, "{m}x{n} under {label} left the batched path");
+            if label == "a rollback" {
+                let report = resp.report;
+                assert!(
+                    report.injected > 0 && report.retried_panels > 0,
+                    "{report:?}"
+                );
+            }
+            let diff = first_difference(resp.c.as_slice(), &want);
+            assert_eq!(diff, None, "batched {m}x{n} under {label}");
+        }
+    }
+    poison(48, 64);
+    let recycled = recycled_buffers();
+    let zeroed = AlignedVec::<f64>::zeroed(48 * 64).unwrap();
+    assert_eq!(recycled_buffers() - recycled, 1, "the buffer was no spare");
+    assert!(
+        zeroed.iter().all(|&x| x.to_bits() == 0),
+        "a zeroed heap spare"
+    );
 }
