@@ -68,11 +68,10 @@ impl FtPolicy {
     /// Composes the policy with a *floor*: the stronger of the two.
     ///
     /// This is how the serving layer's error-aware monitor escalates a
-    /// node — the node's floor is applied on top of each request's own
-    /// policy and can only ever *raise* protection
-    /// (`Off < Detect < DetectCorrect`), never lower it: a request that
-    /// asked for `DetectCorrect` keeps it on a clean node whose floor is
-    /// `Off`.
+    /// service — its floor is applied on top of each request's own policy
+    /// and can only ever *raise* protection (`Off < Detect <
+    /// DetectCorrect`), never lower it: a request that asked for
+    /// `DetectCorrect` keeps it on a clean service whose floor is `Off`.
     #[must_use]
     pub fn at_least(self, floor: FtPolicy) -> FtPolicy {
         if floor.strength() > self.strength() {

@@ -85,7 +85,7 @@ impl InjectionStats {
 /// a small one.
 ///
 /// Plain (non-atomic) state: callers that share one across threads put it
-/// behind a lock; the serving monitor keeps one per node.
+/// behind a lock, as the serving monitor does.
 #[derive(Debug, Clone)]
 pub struct ErrorRateEwma {
     /// Decay volume: one `tau_flops` of observations carries ~63% weight.

@@ -218,7 +218,6 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
         c,
         policy,
         injector: None,
-        home: None,
         tenant: s.tenant,
         priority,
         deadline: (s.deadline_ns > 0).then(|| Duration::from_nanos(s.deadline_ns)),

@@ -1,8 +1,8 @@
 //! TCP wire frontend for the FT-GEMM service: "serving" over a socket.
 //!
 //! The rest of the workspace is a deep in-process serving stack —
-//! [`GemmService`](ftgemm_serve::GemmService) with async submission, NUMA
-//! sharding, QoS, and a `/metrics` endpoint. This crate puts that stack
+//! [`GemmService`](ftgemm_serve::GemmService) with async submission,
+//! batching, QoS, and a `/metrics` endpoint. This crate puts that stack
 //! on the network: [`NetServer`] accepts TCP connections speaking a
 //! small, versioned, length-prefixed binary protocol (no external
 //! dependencies; `std::net` all the way down, like `ftgemm-obs`'s

@@ -191,7 +191,7 @@ fn reap_finished(table: &mut Vec<(TcpStream, JoinHandle<()>)>) {
 mod tests {
     use super::*;
     use crate::NetClient;
-    use ftgemm_serve::{ServiceConfig, Topology};
+    use ftgemm_serve::ServiceConfig;
     use std::time::Instant;
 
     /// Connection churn must not grow the server: a finished connection
@@ -201,7 +201,6 @@ mod tests {
     fn finished_connections_are_reaped_under_churn() {
         let service = Arc::new(GemmService::new(ServiceConfig {
             threads: 1,
-            topology: Some(Topology::single(1)),
             ..ServiceConfig::default()
         }));
         let server = NetServer::start(service, "127.0.0.1:0", NetServerConfig::default())

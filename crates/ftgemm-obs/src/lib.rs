@@ -19,8 +19,8 @@
 //!   `/trace`. It sits on [`AcceptLoop`], the bind / accept-thread /
 //!   stop-and-wake skeleton the wire server in `ftgemm-net` shares.
 //!
-//! Request lifecycles are traced into per-node ring buffers
-//! ([`Tracelog`]): `admitted → queued → dispatched(node, path) → computed
+//! Request lifecycles are traced into one ring buffer per service
+//! ([`Tracelog`]): `admitted → queued → dispatched(path) → computed
 //! → verified/corrected → completed | failed`, each stamped with
 //! monotonic nanoseconds and dumpable at `/trace`.
 //!

@@ -1,18 +1,18 @@
-//! Request-lifecycle tracing: fixed-capacity per-node ring buffers of span
+//! Request-lifecycle tracing: one fixed-capacity ring buffer of span
 //! events, stamped with monotonic nanoseconds.
 //!
 //! The lifecycle a served request walks is
 //!
 //! ```text
-//! admitted → queued → dispatched(node, path) → computed
+//! admitted → queued → dispatched(path) → computed
 //!          → verified / corrected → completed | failed
 //! ```
 //!
-//! Each transition is one [`TraceRecord`] pushed into the ring of the node
-//! it happened on. Rings are bounded (oldest records overwritten, the
-//! overwrite count kept), so tracing cost and memory are constant no
-//! matter how long the service runs. [`Tracelog::recent`] merges the rings
-//! into a time-ordered tail for the `/trace` endpoint.
+//! Each transition is one [`TraceRecord`] pushed into the ring. The ring is
+//! bounded (oldest records overwritten, the overwrite count kept), so
+//! tracing cost and memory are constant no matter how long the service
+//! runs. [`Tracelog::recent`] reads its time-ordered tail for the `/trace`
+//! endpoint.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -43,11 +43,9 @@ impl TracePath {
 pub enum TraceEvent {
     /// Accepted by a submit surface (pre-queue).
     Admitted,
-    /// Parked in its affinity node's shard group.
+    /// Parked in the submission queue.
     Queued,
-    /// Popped by a dispatcher and routed (the record's node is the
-    /// *executing* node, which differs from the affinity node when
-    /// stolen).
+    /// Popped by the dispatcher and routed.
     Dispatched {
         /// The execution path the router chose.
         path: TracePath,
@@ -88,108 +86,84 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// One traced transition: request id, node, monotonic timestamp, event.
+/// One traced transition: request id, monotonic timestamp, event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The service-assigned request id.
     pub id: u64,
-    /// Node whose ring holds the record (affinity node for
-    /// admitted/queued, executing node from dispatch onward).
-    pub node: usize,
     /// Nanoseconds since the tracelog's epoch (its construction instant).
     pub t_ns: u64,
     /// The lifecycle transition.
     pub event: TraceEvent,
 }
 
-/// Per-node bounded ring buffers of [`TraceRecord`]s.
+/// A bounded ring buffer of [`TraceRecord`]s.
 #[derive(Debug)]
 pub struct Tracelog {
     epoch: Instant,
-    rings: Vec<Mutex<VecDeque<TraceRecord>>>,
+    ring: Mutex<VecDeque<TraceRecord>>,
     capacity: usize,
     dropped: AtomicU64,
 }
 
 impl Tracelog {
-    /// A tracelog with `nodes` rings of `capacity_per_node` records each.
-    pub fn new(nodes: usize, capacity_per_node: usize) -> Self {
-        let nodes = nodes.max(1);
-        let capacity = capacity_per_node.max(1);
+    /// A tracelog holding the last `capacity` records.
+    pub fn new(capacity: usize) -> Self {
         Tracelog {
             epoch: Instant::now(),
-            rings: (0..nodes).map(|_| Mutex::new(VecDeque::new())).collect(),
-            capacity,
+            ring: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Number of per-node rings.
-    pub fn nodes(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Ring capacity per node.
+    /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Records `event` for request `id` on `node` (indices beyond the ring
-    /// count clamp to the last ring), stamped now.
-    pub fn record(&self, node: usize, id: u64, event: TraceEvent) {
+    /// Records `event` for request `id`, stamped now. The stamp is taken
+    /// under the ring's lock, so the ring is in timestamp order.
+    pub fn record(&self, id: u64, event: TraceEvent) {
+        let mut ring = self.ring.lock();
         let t_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let node = node.min(self.rings.len() - 1);
-        #[expect(clippy::indexing_slicing, reason = "node is clamped just above")]
-        let mut ring = self.rings[node].lock();
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(TraceRecord {
-            id,
-            node,
-            t_ns,
-            event,
-        });
+        ring.push_back(TraceRecord { id, t_ns, event });
     }
 
-    /// Records overwritten because their ring was full.
+    /// Records overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// The most recent `n` records across every node's ring, merged and
-    /// sorted by timestamp (oldest of the `n` first).
+    /// The most recent `n` records, oldest of the `n` first.
     pub fn recent(&self, n: usize) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::new();
-        for ring in &self.rings {
-            all.extend(ring.lock().iter().copied());
-        }
-        all.sort_by_key(|r| r.t_ns);
-        if all.len() > n {
-            all.drain(..all.len() - n);
-        }
-        all
+        let ring = self.ring.lock();
+        ring.iter()
+            .skip(ring.len().saturating_sub(n))
+            .copied()
+            .collect()
     }
 
     /// Plaintext dump of [`recent`](Self::recent)`(n)` for the `/trace`
-    /// endpoint: one `t_us=... req=... node=... <event>` line per record.
+    /// endpoint: one `t_us=... req=... <event>` line per record.
     pub fn render_text(&self, n: usize) -> String {
         let records = self.recent(n);
         let mut out = String::with_capacity(records.len() * 48 + 64);
         out.push_str(&format!(
-            "# tracelog: {} recent of capacity {}x{} (dropped {})\n",
+            "# tracelog: {} recent of capacity {} (dropped {})\n",
             records.len(),
-            self.rings.len(),
             self.capacity,
             self.dropped()
         ));
         for r in records {
             out.push_str(&format!(
-                "t_us={} req={} node={} {}\n",
+                "t_us={} req={} {}\n",
                 r.t_ns / 1_000,
                 r.id,
-                r.node,
                 r.event
             ));
         }
@@ -202,22 +176,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_merges_in_time_order() {
-        let log = Tracelog::new(2, 8);
-        log.record(0, 1, TraceEvent::Admitted);
-        log.record(1, 2, TraceEvent::Admitted);
-        log.record(0, 1, TraceEvent::Completed);
+    fn records_in_time_order() {
+        let log = Tracelog::new(8);
+        log.record(1, TraceEvent::Admitted);
+        log.record(2, TraceEvent::Admitted);
+        log.record(1, TraceEvent::Completed);
         let recent = log.recent(10);
         assert_eq!(recent.len(), 3);
         assert!(recent.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         assert_eq!(recent[0].event, TraceEvent::Admitted);
+        assert_eq!(recent[2].event, TraceEvent::Completed);
     }
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let log = Tracelog::new(1, 4);
+        let log = Tracelog::new(4);
         for id in 0..10u64 {
-            log.record(0, id, TraceEvent::Queued);
+            log.record(id, TraceEvent::Queued);
         }
         assert_eq!(log.dropped(), 6);
         let recent = log.recent(100);
@@ -228,9 +203,9 @@ mod tests {
 
     #[test]
     fn recent_truncates_to_n_keeping_newest() {
-        let log = Tracelog::new(2, 16);
+        let log = Tracelog::new(16);
         for id in 0..8u64 {
-            log.record((id % 2) as usize, id, TraceEvent::Queued);
+            log.record(id, TraceEvent::Queued);
         }
         let recent = log.recent(3);
         assert_eq!(recent.len(), 3);
@@ -238,24 +213,16 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_node_clamps() {
-        let log = Tracelog::new(2, 4);
-        log.record(99, 1, TraceEvent::Failed);
-        assert_eq!(log.recent(1)[0].node, 1);
-    }
-
-    #[test]
     fn render_text_lines() {
-        let log = Tracelog::new(1, 4);
+        let log = Tracelog::new(4);
         log.record(
-            0,
             7,
             TraceEvent::Dispatched {
                 path: TracePath::Batched,
             },
         );
         let s = log.render_text(4);
-        assert!(s.contains("req=7 node=0 dispatched(path=batched)"), "{s}");
+        assert!(s.contains("req=7 dispatched(path=batched)"), "{s}");
         assert!(s.starts_with("# tracelog:"));
     }
 }

@@ -9,9 +9,8 @@ use std::sync::Arc;
 ///
 /// The pool is `Arc`-shared so one set of workers serves both the plain and
 /// fault-tolerant entry points across many calls (threads are persistent,
-/// like an OpenMP runtime). A NUMA-sharded service builds one context per
-/// node, each sized to that node's share of threads; a context itself knows
-/// no node.
+/// like an OpenMP runtime). A serving layer builds one context and runs
+/// every request on it.
 #[derive(Debug, Clone)]
 pub struct ParGemmContext<T: Scalar> {
     pool: Arc<ThreadPool>,

@@ -39,7 +39,7 @@
 //! protected item's call id is the batches' count of protected items at its
 //! batch's start plus its rank among the batch's protected items, so a batch
 //! replays on a fresh [`BatchWorkspace`] of any pool size. A served
-//! request's id still depends on how its node batched it: replay by request
+//! request's id still depends on how the service batched it: replay by request
 //! id needs a `BatchItem` that carries one.
 
 #![warn(missing_docs)]

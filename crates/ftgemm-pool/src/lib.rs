@@ -17,8 +17,7 @@
 //!   `M`-dimension split must respect the micro-tile height `MR`).
 //!
 //! That is all of the paper's threaded runtime, and all this crate holds: a
-//! pool knows nothing of memory domains. A NUMA-sharded caller (the serving
-//! layer) builds one pool per node; no worker is pinned to a CPU.
+//! pool knows nothing of memory domains, and no worker is pinned to a CPU.
 //!
 //! Workers park on a condvar between regions, so an idle pool costs nothing;
 //! inside a region, barriers spin briefly and then yield.

@@ -178,8 +178,6 @@ mod tests {
             c: Matrix::filled(1, 1, v),
             report: FtReport::default(),
             batched: true,
-            affinity_node: 0,
-            executed_node: 0,
         })
     }
 

@@ -8,12 +8,12 @@
 //!
 //! ```text
 //! submit() / submit_async() / submit_streamed()  x N threads
-//!     │  three wrappers over one submit path (validate, place, admit,
-//!     │  trace, push); the push counts the request and lands it in the
-//!     │  affinity node's scheduler; bounded queue: sync parks, async
-//!     │  gets Overloaded back
+//!     │  three wrappers over one submit path (validate, admit, trace,
+//!     │  push); the push counts the request and lands it in the one
+//!     │  DRR scheduler; bounded queue: sync parks, async gets
+//!     │  Overloaded back
 //!     ▼
-//! ShardedQueue ──► per-node dispatcher ──► route by problem size
+//! Queue ──► the dispatcher thread ──► route by problem size
 //!                                        │
 //!                      small (≤ cutoff)  │  large (> cutoff)
 //!                 ┌─────────────────────┐│┌──────────────────────┐
@@ -23,7 +23,7 @@
 //!                 │  parallel, per-     │││  per request)        │
 //!                 │  thread reused      ││└──────────────────────┘
 //!                 │  packed workspaces) ││
-//!                 └─────────────────────┘│   one persistent pool per node
+//!                 └─────────────────────┘│   one persistent pool
 //!                                        ▼
 //!                       finish (the one completion site) → deliver
 //!                       into the request's completion channel:
@@ -38,7 +38,7 @@
 //!   *batch* across the pool ([`ftgemm_parallel::par_batch_ft_gemm_timed`]),
 //!   each item running the serial execute path in that pool thread's
 //!   reused [`ftgemm_abft::Workspace`]. Large GEMMs run
-//!   [`ftgemm_parallel::run_parallel`] on the node's one workspace, grown to
+//!   [`ftgemm_parallel::run_parallel`] on the service's one workspace, grown to
 //!   the largest request served. Coalesced batches run before the
 //!   sweep's large requests so a small request never queues behind a long
 //!   matrix-parallel run it arrived with.
@@ -55,27 +55,22 @@
 //!   blocking [`RequestHandle`] (`wait`/`try_wait`/`wait_timeout`) or an
 //!   [`AsyncRequestHandle`] future (the delivery fires the task's waker —
 //!   zero parked threads per request, any executor).
-//! * **NUMA sharding.** The service shards itself around a [`Topology`]
-//!   (detected, or [`Topology::synthetic`] for deterministic tests /
-//!   `ServiceConfig::topology`): one queue shard group, one dispatcher and
-//!   one worker pool per node, sized by
-//!   [`Topology::threads_per_node`]. It is scheduling structure only — no
-//!   thread is pinned and no page is bound. A
-//!   [`PlacementPolicy`] stamps each request's node affinity at submit
-//!   time (`RoundRobin` / `OperandHome` / `LeastLoaded`); work leaves its
-//!   affinity node only when a dry node steals off the deepest backlog
-//!   ([`GemmResponse::stolen`], [`StatsSnapshot::per_node`]).
+//! * **One queue, one dispatcher, one pool.** Every request lands in one
+//!   DRR scheduler; one dispatcher thread drains it onto one persistent
+//!   worker pool of [`ServiceConfig::threads`] threads (`0` =
+//!   [`std::thread::available_parallelism`]), the paper's §2.3 shape. No
+//!   thread is pinned and no page is bound.
 //! * **Per-request fault tolerance.** Every request carries an [`FtPolicy`]
 //!   (`Off` / `Detect` / `DetectCorrect`) mapped onto the paper's
 //!   [`FtConfig`](ftgemm_abft::FtConfig); each response carries its own
 //!   [`FtReport`](ftgemm_abft::FtReport).
 //! * **Error-aware escalation.** With [`ServiceConfig::fault_policy`] set,
-//!   a monitor tracks each node's detected errors per flop (an EWMA fed by
-//!   every completed request's report) and raises that node's *policy
+//!   a monitor tracks the service's detected errors per flop (an EWMA fed
+//!   by every completed request's report) and raises the service's *policy
 //!   floor* (`Off → Detect → DetectCorrect`) when the rate crosses the
 //!   configured thresholds — applied on top of each request's own policy
 //!   via [`FtPolicy::at_least`], never below it — then steps it back down
-//!   after a configured quiet volume of clean flops. Clean nodes keep
+//!   after a configured quiet volume of clean flops. A clean service keeps
 //!   serving `Off` requests at the unprotected driver's cost.
 //! * **Observability.** [`GemmService::stats`] reports throughput, queue
 //!   depth, batch occupancy, per-surface submission counts, live async
@@ -88,8 +83,8 @@
 //!   reads too: family names and kinds are pinned by the `obs_endpoint`
 //!   test, and a family's meaning is its `# HELP` line), records
 //!   each request's lifecycle (`admitted → queued → dispatched → computed
-//!   → verified/corrected → completed|failed`) into bounded per-node
-//!   trace rings dumped at `/trace`, and answers `/healthz` — all from
+//!   → verified/corrected → completed|failed`) into one bounded trace
+//!   ring dumped at `/trace`, and answers `/healthz` — all from
 //!   one `std::net` endpoint
 //!   thread, with zero recording cost when the address is unset.
 //!
@@ -153,7 +148,6 @@
 pub mod exec;
 mod fault_policy;
 mod handle;
-mod placement;
 pub mod qos;
 mod queue;
 mod request;
@@ -161,7 +155,6 @@ pub mod routing;
 mod service;
 mod stats;
 mod stream;
-mod topology;
 
 /// The workspace-wide fault-tolerance policy (defined in
 /// [`ftgemm_abft::policy`] so the one-shot drivers, the facade's
@@ -170,14 +163,12 @@ pub use ftgemm_abft::FtPolicy;
 
 pub use fault_policy::FaultPolicyConfig;
 pub use handle::{AsyncRequestHandle, RequestHandle};
-pub use placement::PlacementPolicy;
 pub use qos::{Priority, SchedSim, TenantId, TenantTable, DEFAULT_TENANT};
 pub use request::{GemmRequest, GemmResponse, Operand, ServeError};
 pub use routing::{RoutePath, RoutingPolicy};
 pub use service::{GemmService, ServiceConfig, DEFAULT_SMALL_FLOPS_CUTOFF};
-pub use stats::{NodeStats, StatsSnapshot, TenantStats};
+pub use stats::{StatsSnapshot, TenantStats};
 pub use stream::{completion_channel, Completion, CompletionSink, Completions, Next};
-pub use topology::Topology;
 
 #[cfg(test)]
 mod tests {
@@ -219,7 +210,6 @@ mod tests {
             c: Matrix::<f64>::zeros(4, 4),
             policy: FtPolicy::Off,
             injector: None,
-            home: None,
             tenant: DEFAULT_TENANT,
             priority: Priority::Normal,
             deadline: None,
@@ -381,7 +371,6 @@ mod tests {
             c: Matrix::zeros(4, 4),
             policy: FtPolicy::Off,
             injector: None,
-            home: None,
             tenant: DEFAULT_TENANT,
             priority: Priority::Normal,
             deadline: None,

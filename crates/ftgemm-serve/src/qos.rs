@@ -1,6 +1,6 @@
 //! Multi-tenant quality-of-service primitives: tenant weights, priority
 //! classes, and the flops-weighted deficit-round-robin (DRR) scheduler that
-//! orders work inside each node group.
+//! orders the service's queue.
 //!
 //! # Scheduling model
 //!
@@ -84,7 +84,7 @@ impl Priority {
     }
 }
 
-/// Per-tenant scheduling weights, shared by every node group's scheduler.
+/// Per-tenant scheduling weights the service's scheduler orders by.
 ///
 /// Weights are relative: a tenant with weight 4 receives four times the
 /// flops-share of a tenant with weight 1 while both are backlogged. Tenants

@@ -93,12 +93,6 @@ pub struct GemmRequest<T: Scalar> {
     pub policy: FtPolicy,
     /// Optional per-request fault injector (campaigns/tests).
     pub injector: Option<FaultInjector>,
-    /// Optional operand-home hint: the node this request should be queued
-    /// on. Consulted by
-    /// [`PlacementPolicy::OperandHome`](crate::PlacementPolicy) (values
-    /// beyond the node count wrap); `None` lets the service hash the
-    /// operand addresses instead.
-    pub home: Option<usize>,
     /// Owning tenant for QoS scheduling ([`DEFAULT_TENANT`] when unset).
     /// The tenant's weight in
     /// [`ServiceConfig::tenants`](crate::ServiceConfig) fixes its
@@ -140,7 +134,6 @@ impl<T: Scalar> GemmRequest<T> {
             c,
             policy: FtPolicy::default(),
             injector: None,
-            home: None,
             tenant: DEFAULT_TENANT,
             priority: Priority::default(),
             deadline: None,
@@ -173,14 +166,6 @@ impl<T: Scalar> GemmRequest<T> {
     #[must_use]
     pub fn with_injector(mut self, injector: FaultInjector) -> Self {
         self.injector = Some(injector);
-        self
-    }
-
-    /// Sets the operand-home node consulted by
-    /// [`PlacementPolicy::OperandHome`](crate::PlacementPolicy).
-    #[must_use]
-    pub fn with_home(mut self, node: usize) -> Self {
-        self.home = Some(node);
         self
     }
 
@@ -237,20 +222,6 @@ pub struct GemmResponse<T: Scalar> {
     /// True when the request ran on the batched path (coalesced with other
     /// small requests); false when it ran matrix-parallel.
     pub batched: bool,
-    /// The node affinity the placement policy stamped at submit time.
-    pub affinity_node: usize,
-    /// The node whose pool actually executed the request; differs
-    /// from [`affinity_node`](Self::affinity_node) only when the request
-    /// was stolen by a dry node.
-    pub executed_node: usize,
-}
-
-impl<T: Scalar> GemmResponse<T> {
-    /// True when a dry node stole this request off its affinity node's
-    /// shard group.
-    pub fn stolen(&self) -> bool {
-        self.affinity_node != self.executed_node
-    }
 }
 
 /// Errors a request can fail with.
@@ -262,8 +233,8 @@ pub enum ServeError {
     /// after the policy's retry budget, or an internal driver error).
     Ft(FtError),
     /// The service is shutting down: either a submission arrived after
-    /// intake closed, or the request was still parked on a node's shard
-    /// group when [`shutdown_now`](crate::GemmService::shutdown_now)
+    /// intake closed, or the request was still queued when
+    /// [`shutdown_now`](crate::GemmService::shutdown_now)
     /// aborted the drain — parked requests are *failed* with this error
     /// rather than left to hang their handles.
     Closed,
@@ -333,7 +304,6 @@ mod tests {
         assert_eq!(r.c.nrows(), 3);
         assert_eq!(r.c.ncols(), 5);
         assert_eq!(r.policy, FtPolicy::DetectCorrect);
-        assert_eq!(r.home, None);
         assert_eq!(r.flops(), 2 * 3 * 5 * 4);
     }
 
@@ -353,12 +323,10 @@ mod tests {
         let r = GemmRequest::new(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2))
             .with_alpha(2.0)
             .with_c(0.5, Matrix::filled(2, 2, 1.0))
-            .with_policy(FtPolicy::Detect)
-            .with_home(1);
+            .with_policy(FtPolicy::Detect);
         assert_eq!(r.alpha, 2.0);
         assert_eq!(r.beta, 0.5);
         assert_eq!(r.policy, FtPolicy::Detect);
-        assert_eq!(r.home, Some(1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The service: per-node dispatcher threads, placement, routing, batching,
-//! stealing, and lifecycle.
+//! The service: the submit path, the dispatcher thread, routing, batching,
+//! and lifecycle.
 
 // Concurrency contract (checked by `scripts/orderings.sh`):
 // `abort` publishes service shutdown to the dispatcher and region
@@ -8,14 +8,12 @@
 
 use crate::fault_policy::{FaultPolicyConfig, FaultPolicyMonitor};
 use crate::handle::{AsyncRequestHandle, RequestHandle};
-use crate::placement::{PlacementPolicy, Placer};
 use crate::qos::TenantTable;
-use crate::queue::{Envelope, PushError, ShardedQueue};
+use crate::queue::{Envelope, PushError, Queue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{Route, RoutePath, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::{completion_channel, CompletionSink};
-use crate::topology::Topology;
 use ftgemm_abft::{FtReport, FtResult, Workspace};
 use ftgemm_core::{aligned, Scalar};
 use ftgemm_obs::{
@@ -25,7 +23,6 @@ use ftgemm_obs::{
 use ftgemm_parallel::{
     par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParGemmContext,
 };
-use ftgemm_pool::PoolStats;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,9 +39,8 @@ pub const DEFAULT_SMALL_FLOPS_CUTOFF: u64 = 2 * 192 * 192 * 192;
 /// Tuning knobs for a [`GemmService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads in the compute pools, summed across nodes (`0` = one
-    /// per core of every node). With a multi-node topology the threads are
-    /// split across nodes by core share, every node keeping at least one.
+    /// Worker threads in the compute pool (`0` =
+    /// [`std::thread::available_parallelism`]).
     pub threads: usize,
     /// Maximum small requests coalesced into one batched parallel region.
     pub max_batch: usize,
@@ -53,7 +49,7 @@ pub struct ServiceConfig {
     /// ones run matrix-parallel via `run_parallel`. Fixed for the service's
     /// life; the default is [`DEFAULT_SMALL_FLOPS_CUTOFF`].
     pub routing: RoutingPolicy,
-    /// Submission-queue depth bound across all shard groups (`0` =
+    /// Submission-queue depth bound (`0` =
     /// unbounded, the default). When set, blocking
     /// [`submit`](GemmService::submit) calls park until the scheduler
     /// drains space, while the non-blocking async surfaces
@@ -62,18 +58,8 @@ pub struct ServiceConfig {
     /// [`ServeError::Overloaded`] so frontends can shed load. The bound is
     /// soft under concurrency (overshoot ≤ concurrent submitters).
     pub queue_capacity: usize,
-    /// The memory-domain layout the service shards itself around: one
-    /// queue shard group, one dispatcher and one pool per node, the pool
-    /// sized by [`Topology::threads_per_node`]. Scheduling structure only:
-    /// no thread is pinned and no page is bound. `None` (the default)
-    /// detects the machine's topology; [`Topology::synthetic`] forces any
-    /// layout — every placement decision is deterministic under a
-    /// synthetic topology.
-    pub topology: Option<Topology>,
-    /// How requests are assigned a node affinity at submit time.
-    pub placement: PlacementPolicy,
-    /// Per-tenant weighted-fair-share configuration: every node's shard
-    /// group schedules across tenants by flops-weighted deficit round-robin
+    /// Per-tenant weighted-fair-share configuration: the queue schedules
+    /// across tenants by flops-weighted deficit round-robin
     /// using these weights (strict priority classes and
     /// earliest-deadline-first apply *within* a tenant's lane). The default
     /// table gives every tenant weight 1 — plain fair share.
@@ -92,9 +78,9 @@ pub struct ServiceConfig {
     /// config error worth failing loudly at construction, not at first
     /// scrape).
     pub obs_addr: Option<SocketAddr>,
-    /// When set, an error-aware monitor watches each node's detected
+    /// When set, an error-aware monitor watches the service's detected
     /// errors per flop (an EWMA fed by every completed request's
-    /// [`FtReport`]) and escalates that node's *policy floor*
+    /// [`FtReport`]) and escalates the service's *policy floor*
     /// (`Off → Detect → DetectCorrect`) when the rate crosses the
     /// configured thresholds. The floor composes with each request's own
     /// [`FtPolicy`](crate::FtPolicy) via
@@ -113,8 +99,6 @@ impl Default for ServiceConfig {
             max_batch: 32,
             routing: RoutingPolicy::default(),
             queue_capacity: 0,
-            topology: None,
-            placement: PlacementPolicy::default(),
             tenants: TenantTable::default(),
             obs_addr: None,
             fault_policy: None,
@@ -133,16 +117,16 @@ struct ServiceObs {
 }
 
 impl ServiceObs {
-    /// Trace-ring capacity per node: enough to hold the full lifecycle of
-    /// a few hundred requests without the rings dominating memory.
-    const TRACE_CAPACITY_PER_NODE: usize = 2048;
+    /// Trace-ring capacity: enough to hold the full lifecycle of a few
+    /// hundred requests without the ring dominating memory.
+    const TRACE_CAPACITY: usize = 2048;
 
-    fn new(nodes: usize, registry: &Registry) -> Self {
-        let trace = Arc::new(Tracelog::new(nodes, Self::TRACE_CAPACITY_PER_NODE));
+    fn new(registry: &Registry) -> Self {
+        let trace = Arc::new(Tracelog::new(Self::TRACE_CAPACITY));
         registry.read_weak(
             "ftgemm_trace_dropped_total",
             MetricKind::Counter,
-            "Trace records overwritten because their ring was full.",
+            "Trace records overwritten because the ring was full.",
             &[],
             &trace,
             |trace| trace.dropped() as f64,
@@ -158,15 +142,13 @@ impl ServiceObs {
 }
 
 struct Inner<T: Scalar> {
-    queue: ShardedQueue<T>,
+    queue: Queue<T>,
     stats: ServiceStats,
     config: ServiceConfig,
     route: Route,
-    placer: Placer,
-    topology: Topology,
-    /// One context per node; `nodes[i]`'s pool is entered only by
-    /// dispatcher `i`.
-    nodes: Vec<ParGemmContext<T>>,
+    /// The pool, kernel and blocking every request runs on; its pool is
+    /// entered only by the dispatcher.
+    ctx: ParGemmContext<T>,
     /// When set, dispatchers stop computing queued work and fail it with
     /// [`ServeError::Closed`] instead
     /// ([`shutdown_now`](GemmService::shutdown_now)).
@@ -175,7 +157,7 @@ struct Inner<T: Scalar> {
     /// [`ServiceConfig::obs_addr`] is set (obs-disabled services skip all
     /// recording).
     obs: Option<ServiceObs>,
-    /// Error-aware per-node policy floors, present only when
+    /// The error-aware policy floor, present only when
     /// [`ServiceConfig::fault_policy`] is set.
     monitor: Option<FaultPolicyMonitor>,
 }
@@ -192,46 +174,32 @@ impl<T: Scalar> Inner<T> {
 /// the matrix-parallel fused-ABFT driver, and honors a per-request
 /// [`FtPolicy`](crate::FtPolicy).
 ///
-/// The service is **NUMA-sharded**: its [`Topology`] (detected, or forced
-/// via [`ServiceConfig::topology`]) gives every node its own queue shard
-/// group, dispatcher and worker pool, and each request is stamped with a
-/// node affinity at submit time by the configured [`PlacementPolicy`]. A
-/// request runs on its affinity node's pool unless that node's shard group
-/// ran dry and it was explicitly stolen (visible per request via
-/// [`GemmResponse::stolen`] and per node via
-/// [`StatsSnapshot::per_node`]). The sharding is scheduling structure: no
-/// pool thread is pinned to its node's CPUs and no page is bound to its
-/// memory.
-///
-/// Three submit surfaces feed the same dispatchers:
+/// Three submit surfaces feed one queue:
 /// [`submit`](GemmService::submit) (blocking condvar handle),
 /// [`submit_async`](GemmService::submit_async) (waker-based future — no
 /// parked thread per request), and
 /// [`submit_streamed`](GemmService::submit_streamed) (results forwarded
 /// into a [`completion_channel`](crate::completion_channel)).
 ///
-/// One dispatcher thread per node drains that node's shard group onto
-/// that node's persistent worker pool, so on a multi-node machine the
-/// domains compute concurrently. Dropping the service (or calling
-/// [`shutdown`](GemmService::shutdown)) stops intake, drains every queued
-/// request, and joins the dispatchers — outstanding handles always
-/// resolve. [`shutdown_now`](GemmService::shutdown_now) instead *fails*
-/// still-queued requests with [`ServeError::Closed`] so a frontend can
-/// stop without paying for the backlog.
+/// One dispatcher thread drains the queue onto one persistent worker pool.
+/// Dropping the service (or calling [`shutdown`](GemmService::shutdown))
+/// stops intake, drains every queued request, and joins the dispatcher —
+/// outstanding handles always resolve.
+/// [`shutdown_now`](GemmService::shutdown_now) instead *fails* still-queued
+/// requests with [`ServeError::Closed`] so a frontend can stop without
+/// paying for the backlog.
 pub struct GemmService<T: Scalar> {
     inner: Arc<Inner<T>>,
-    /// One dispatcher thread per node, each draining its own shard group
-    /// onto its own pool — so on a multi-node machine the nodes genuinely
-    /// compute concurrently.
-    dispatchers: Vec<JoinHandle<()>>,
+    /// The dispatcher thread; taken and joined by shutdown/drop.
+    dispatcher: Option<JoinHandle<()>>,
     /// The `/metrics` endpoint thread ([`ServiceConfig::obs_addr`]);
     /// stopped and joined by shutdown/drop.
     obs_server: Option<ObsServer>,
 }
 
-/// [`ShardedQueue::push`] or [`ShardedQueue::try_push`]; the last argument
-/// is the admission accounting the queue runs once the push is certain.
-type PushFn<T> = fn(&ShardedQueue<T>, Envelope<T>, &dyn Fn()) -> Result<(), PushError>;
+/// [`Queue::push`] or [`Queue::try_push`]; the last argument is the
+/// admission accounting the queue runs once the push is certain.
+type PushFn<T> = fn(&Queue<T>, Envelope<T>, &dyn Fn()) -> Result<(), PushError>;
 
 impl<T: Scalar> GemmService<T> {
     /// Service with explicit configuration.
@@ -241,69 +209,37 @@ impl<T: Scalar> GemmService<T> {
         if let Err(e) = config.tenants.validate() {
             panic!("invalid ServiceConfig::tenants: {e}");
         }
-        let topology = config.topology.clone().unwrap_or_else(Topology::detect);
-        let nnodes = topology.num_nodes();
-        let node_threads = topology.threads_per_node(config.threads);
-        let nodes: Vec<ParGemmContext<T>> = node_threads
-            .iter()
-            .map(|&threads| ParGemmContext::with_threads(threads))
-            .collect();
-        let stats = ServiceStats::new(&node_threads);
+        let threads = match config.threads {
+            0 => ftgemm_core::cpu::num_cpus(),
+            n => n,
+        };
+        let stats = ServiceStats::new(threads);
         let inner = Arc::new(Inner {
-            // A group deeper than one full batch is steal-eligible (a dry
-            // node migrating less than a batch would thrash).
-            queue: ShardedQueue::new(
-                nnodes,
-                config.queue_capacity,
-                config.max_batch,
-                config.tenants.clone(),
-            ),
-            obs: config
-                .obs_addr
-                .map(|_| ServiceObs::new(nnodes, &stats.registry)),
+            queue: Queue::new(config.queue_capacity, config.tenants.clone()),
+            obs: config.obs_addr.map(|_| ServiceObs::new(&stats.registry)),
             stats,
             route: Route::new(config.routing),
-            placer: Placer::new(config.placement),
-            topology,
-            nodes,
+            ctx: ParGemmContext::with_threads(threads),
             abort: AtomicBool::new(false),
-            monitor: config
-                .fault_policy
-                .clone()
-                .map(|cfg| FaultPolicyMonitor::new(cfg, nnodes)),
+            monitor: config.fault_policy.clone().map(FaultPolicyMonitor::new),
             config,
         });
         register_live(&inner);
-        // Exactly one dispatcher per node, and node `i`'s pool is entered
-        // only by dispatcher `i` (stolen work runs on the *stealing* node's
-        // pool; submit surfaces and the metrics endpoint never enter a
-        // region). So no two threads ever call `ThreadPool::run` on the
-        // same pool, the pool's one-region-at-a-time lock is never
-        // contended here, and each dispatcher can own its workspaces
-        // outright (`NodeCompute`) without sharing or locking them.
-        let dispatchers: Vec<_> = (0..nnodes)
-            .filter_map(|node| {
-                let inner = Arc::clone(&inner);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("ftgemm-serve-dispatch-{node}"))
-                    .spawn(move || dispatcher_loop(&inner, node));
-                match spawned {
-                    Ok(h) => Some(h),
-                    Err(e) => {
-                        // Degraded but alive: work placed on this node is
-                        // drained by the other dispatchers' steal path.
-                        eprintln!("ftgemm-serve: dispatcher {node} failed to spawn: {e}");
-                        None
-                    }
-                }
-            })
-            .collect();
-        // With zero dispatchers nothing would ever drain the queue; that
-        // environment cannot serve and must fail construction loudly.
-        assert!(
-            !dispatchers.is_empty(),
-            "failed to spawn any dispatcher thread"
-        );
+        // The dispatcher is the one thread that enters the pool (submit
+        // surfaces and the metrics endpoint never run a region), so the
+        // pool's one-region-at-a-time lock is never contended here and the
+        // dispatcher owns its workspaces outright (`Compute`) without
+        // sharing or locking them. Without it nothing would ever drain the
+        // queue, so a failed spawn fails construction loudly.
+        let dispatcher_inner = Arc::clone(&inner);
+        #[expect(
+            clippy::panic,
+            reason = "a service without its dispatcher cannot serve"
+        )]
+        let dispatcher = std::thread::Builder::new()
+            .name("ftgemm-serve-dispatch".to_string())
+            .spawn(move || dispatcher_loop(&dispatcher_inner))
+            .unwrap_or_else(|e| panic!("failed to spawn the dispatcher thread: {e}"));
         // The endpoint holds only a Weak ref: a scrape racing teardown
         // renders a tombstone instead of keeping the service alive.
         let obs_server = inner.config.obs_addr.map(|addr| {
@@ -328,26 +264,14 @@ impl<T: Scalar> GemmService<T> {
         });
         GemmService {
             inner,
-            dispatchers,
+            dispatcher: Some(dispatcher),
             obs_server,
         }
     }
 
-    /// Stamps `req`'s node affinity (placement runs once, at submit).
-    /// `LeastLoaded` reads each group's backlog in *planned flops*, not
-    /// request count, so one huge queued GEMM is not mistaken for the same
-    /// load as one tiny one.
-    fn place(&self, req: &GemmRequest<T>) -> usize {
-        self.inner
-            .placer
-            .place(req, self.inner.topology.num_nodes(), |n| {
-                self.inner.queue.node_pending_flops(n)
-            })
-    }
-
     /// Deadline admission control: predicts the request's completion time
-    /// as `(backlog + flops) × Σns/Σflops` — the affinity node's flops
-    /// backlog plus the request's own flops, at the measured ns/flop of the
+    /// as `(backlog + flops) × Σns/Σflops` — the queue's flops backlog plus
+    /// the request's own flops, at the measured ns/flop of the
     /// path the cutoff sends the request to — and rejects the submit with
     /// [`ServeError::DeadlineExceeded`] when the deadline is infeasible,
     /// before the request is admitted or consumes queue capacity.
@@ -355,10 +279,10 @@ impl<T: Scalar> GemmService<T> {
     /// No deadline, or no evidence yet on the request's path, admits: the
     /// check only turns requests away when it has a basis to predict they
     /// cannot make it. The estimate deliberately ignores tenant weights —
-    /// it is the *node's* total backlog ahead of the request, which
+    /// it is the queue's total backlog ahead of the request, which
     /// upper-bounds the wait for any tenant — so it errs toward rejecting
     /// only clearly-infeasible work.
-    fn check_deadline(&self, req: &GemmRequest<T>, affinity: usize) -> Result<(), ServeError> {
+    fn check_deadline(&self, req: &GemmRequest<T>) -> Result<(), ServeError> {
         let Some(deadline) = req.deadline else {
             return Ok(());
         };
@@ -367,13 +291,13 @@ impl<T: Scalar> GemmService<T> {
         let Some(ns_per_flop) = route.ns_per_flop(route.path(flops)) else {
             return Ok(());
         };
-        let backlog = self.inner.queue.node_pending_flops(affinity);
+        let backlog = self.inner.queue.pending_flops();
         let eta_ns = backlog.saturating_add(flops) as f64 * ns_per_flop;
         let deadline_ns = deadline.as_nanos().min(u64::MAX as u128) as f64;
         if eta_ns > deadline_ns {
             self.inner.stats.reject_deadline(req.tenant);
             return Err(ServeError::DeadlineExceeded(format!(
-                "infeasible at admission: node {affinity} holds {backlog} backlog flops, \
+                "infeasible at admission: the queue holds {backlog} backlog flops, \
                  and at the measured {ns_per_flop:.3} ns/flop this {flops}-flop request \
                  would finish ~{:.0}us after submit, past its {:.0}us deadline",
                 eta_ns / 1e3,
@@ -383,14 +307,14 @@ impl<T: Scalar> GemmService<T> {
         Ok(())
     }
 
-    /// The one submit path every surface goes through: validate → place →
+    /// The one submit path every surface goes through: validate →
     /// deadline admission → register in `sink` → envelope → trace → push,
     /// which counts the admission from inside the enqueue — a push the
     /// queue turns away is counted only as a rejection, and unregistered
     /// from `sink` here. The surfaces differ only in `sink` (the caller's
     /// channel, or a one-request channel behind a handle), `surface` (which
     /// per-surface counter is bumped) and `push` (parking
-    /// [`ShardedQueue::push`] or fail-fast [`ShardedQueue::try_push`]).
+    /// [`Queue::push`] or fail-fast [`Queue::try_push`]).
     /// Returns the request id.
     fn submit_with(
         &self,
@@ -401,12 +325,11 @@ impl<T: Scalar> GemmService<T> {
     ) -> Result<u64, ServeError> {
         req.validate()?;
         let id = self.inner.queue.next_id();
-        let affinity = self.place(&req);
         // Admission control runs before the request is counted or traced:
         // a deadline-infeasible submit never existed as far as `submitted`
         // and the lifecycle trace are concerned (only `rejected_deadline`
         // and its tenant's row record it).
-        self.check_deadline(&req, affinity)?;
+        self.check_deadline(&req)?;
         let tenant = req.tenant;
         // The sink counts the request before it can possibly complete.
         sink.register();
@@ -417,7 +340,6 @@ impl<T: Scalar> GemmService<T> {
             req,
             sink: sink.clone(),
             id,
-            affinity,
             submitted,
         };
         // Traced before the push: once the envelope is in the queue the
@@ -427,13 +349,13 @@ impl<T: Scalar> GemmService<T> {
         // never sees `completed > submitted`.
         let stats = &self.inner.stats;
         if let Some(obs) = &self.inner.obs {
-            obs.trace.record(affinity, id, TraceEvent::Admitted);
-            obs.trace.record(affinity, id, TraceEvent::Queued);
+            obs.trace.record(id, TraceEvent::Admitted);
+            obs.trace.record(id, TraceEvent::Queued);
         }
         push(&self.inner.queue, env, &|| stats.admit(surface, tenant)).map_err(|e| {
             sink.unregister();
             if let Some(obs) = &self.inner.obs {
-                obs.trace.record(affinity, id, TraceEvent::Failed);
+                obs.trace.record(id, TraceEvent::Failed);
             }
             match e {
                 PushError::Full => {
@@ -460,7 +382,7 @@ impl<T: Scalar> GemmService<T> {
     pub fn submit(&self, req: GemmRequest<T>) -> Result<RequestHandle<T>, ServeError> {
         let (sink, rx) = completion_channel();
         let surface = &self.inner.stats.submitted_sync;
-        let id = self.submit_with(req, surface, ShardedQueue::push, &sink)?;
+        let id = self.submit_with(req, surface, Queue::push, &sink)?;
         Ok(RequestHandle::new(id, rx))
     }
 
@@ -480,7 +402,7 @@ impl<T: Scalar> GemmService<T> {
     pub fn submit_async(&self, req: GemmRequest<T>) -> Result<AsyncRequestHandle<T>, ServeError> {
         let (sink, rx) = completion_channel();
         let stats = &self.inner.stats;
-        let id = self.submit_with(req, &stats.submitted_async, ShardedQueue::try_push, &sink)?;
+        let id = self.submit_with(req, &stats.submitted_async, Queue::try_push, &sink)?;
         Ok(AsyncRequestHandle::new(
             id,
             rx,
@@ -504,7 +426,7 @@ impl<T: Scalar> GemmService<T> {
         sink: &CompletionSink<T>,
     ) -> Result<u64, ServeError> {
         let surface = &self.inner.stats.submitted_streamed;
-        self.submit_with(req, surface, ShardedQueue::try_push, sink)
+        self.submit_with(req, surface, Queue::try_push, sink)
     }
 
     /// Convenience: submit and block for the result.
@@ -541,7 +463,7 @@ impl<T: Scalar> GemmService<T> {
 
     /// Adds one timing observation to `path`'s totals, as if a region of
     /// `flops` multiply-adds on `path` had just completed in `elapsed_ns` —
-    /// exactly what the dispatchers report after real regions.
+    /// exactly what the dispatcher reports after real regions.
     ///
     /// This exists to *warm* a service's completion-time model: deadline
     /// admission control admits everything on a path until that path has
@@ -553,33 +475,23 @@ impl<T: Scalar> GemmService<T> {
         self.inner.route.observe(path, flops, elapsed_ns);
     }
 
-    /// Threads across every node's compute pool.
+    /// Threads in the compute pool.
     pub fn nthreads(&self) -> usize {
-        self.inner.nodes.iter().map(ParGemmContext::nthreads).sum()
-    }
-
-    /// The memory-domain layout the service sharded itself around.
-    pub fn topology(&self) -> &Topology {
-        &self.inner.topology
-    }
-
-    /// The placement policy stamping node affinities at submit time.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.inner.placer.policy()
+        self.inner.ctx.nthreads()
     }
 
     /// Stops intake, drains queued requests (computing each one), joins
-    /// every dispatcher, and returns the final metrics.
+    /// the dispatcher, and returns the final metrics.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.close_and_join();
         self.stats()
     }
 
-    /// Stops intake and **fails** every request still parked on a shard
-    /// group with [`ServeError::Closed`] instead of computing it — their
-    /// handles, futures, and completion channels all resolve (nothing
-    /// hangs), they just carry the shutdown error. Only regions already
-    /// *computing* finish normally: dispatchers re-check the abort flag
+    /// Stops intake and **fails** every request still queued with
+    /// [`ServeError::Closed`] instead of computing it — their handles,
+    /// futures, and completion channels all resolve (nothing hangs), they
+    /// just carry the shutdown error. Only regions already *computing*
+    /// finish normally: the dispatcher re-checks the abort flag
     /// between batched regions and between large requests, so even an
     /// already-popped sweep is failed rather than paid for. Returns the
     /// final metrics.
@@ -597,7 +509,7 @@ impl<T: Scalar> GemmService<T> {
             server.shutdown();
         }
         self.inner.queue.close();
-        for handle in self.dispatchers.drain(..) {
+        if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
     }
@@ -609,30 +521,15 @@ const TRACE_DUMP_RECORDS: usize = 512;
 /// Point-in-time metrics from the shared service state (callable from the
 /// endpoint thread, which holds only a `Weak<Inner>`).
 fn snapshot_of<T: Scalar>(inner: &Inner<T>) -> StatsSnapshot {
-    let depths: Vec<usize> = (0..inner.topology.num_nodes())
-        .map(|n| inner.queue.node_depth(n))
-        .collect();
     let mut snap = inner.stats.snapshot(
-        &depths,
-        pool_stats(inner),
+        inner.queue.depth(),
+        inner.ctx.pool().stats(),
         inner.route.cutoff(),
-        inner.queue.steal_wakeups(),
     );
     if let Some(monitor) = &inner.monitor {
         monitor.overlay(&mut snap);
     }
     snap
-}
-
-/// Worker-pool activity summed across every node's pool.
-fn pool_stats<T: Scalar>(inner: &Inner<T>) -> PoolStats {
-    inner.nodes.iter().fold(PoolStats::default(), |acc, n| {
-        let s = n.pool().stats();
-        PoolStats {
-            regions: acc.regions + s.regions,
-            barrier_crossings: acc.barrier_crossings + s.barrier_crossings,
-        }
-    })
 }
 
 /// One service's complete `/metrics` body: its own registry, then the
@@ -645,8 +542,8 @@ fn render_metrics_of<T: Scalar>(inner: &Inner<T>) -> String {
 }
 
 /// Registers the live half of the service's families in its registry:
-/// values whose truth is state the service keeps anyway (queue depths, the
-/// routing cutoff, the fault-policy monitor, the pools, the process's
+/// values whose truth is state the service keeps anyway (queue depth, the
+/// routing cutoff, the fault-policy monitor, the pool, the process's
 /// mapped and recycled buffers) or a formula over the counted cells of
 /// [`ServiceStats`], read at scrape time. Each cell holds a `Weak`, since
 /// `inner` owns the registry.
@@ -655,12 +552,6 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
     let registry = &inner.stats.registry;
     let live = |name, kind, help, read: fn(&Inner<T>) -> f64| {
         registry.read_weak(name, kind, help, &[], inner, read);
-    };
-    let per_node = |name, kind, help, read: fn(&Inner<T>, usize) -> f64| {
-        for node in 0..inner.nodes.len() {
-            let labels = [("node", &*node.to_string())];
-            registry.read_weak(name, kind, help, &labels, inner, move |i| read(i, node));
-        }
     };
     live(
         "ftgemm_requests_submitted_total",
@@ -705,34 +596,22 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
         |i| i.stats.mean_turnaround().as_secs_f64(),
     );
     live(
-        "ftgemm_batch_wall_seconds_total",
-        Counter,
-        "Summed wall time of batched parallel regions across every node.",
-        |i| i.stats.batch_wall().as_secs_f64(),
-    );
-    live(
         "ftgemm_batch_thread_occupancy",
         Gauge,
         "Mean fraction of batched-region time each thread spent busy.",
         |i| i.stats.batch_thread_occupancy(),
     );
     live(
-        "ftgemm_steal_wakeups_total",
-        Counter,
-        "Cross-node dispatcher wakeups fired by pushes crossing the steal threshold.",
-        |i| i.queue.steal_wakeups() as f64,
-    );
-    live(
         "ftgemm_service_pool_regions_total",
         Counter,
-        "Parallel regions executed across this service's node pools.",
-        |i| pool_stats(i).regions as f64,
+        "Parallel regions executed on this service's pool.",
+        |i| i.ctx.pool().stats().regions as f64,
     );
     live(
         "ftgemm_service_pool_barrier_crossings_total",
         Counter,
-        "Barrier crossings across this service's node pools.",
-        |i| pool_stats(i).barrier_crossings as f64,
+        "Barrier crossings on this service's pool.",
+        |i| i.ctx.pool().stats().barrier_crossings as f64,
     );
     live(
         "ftgemm_mapped_buffers_total",
@@ -752,41 +631,29 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
         "Bytes of dropped buffers of one page to 8 MiB held for reuse, process-wide (at most max(8 MiB, high-water minus live bytes of such buffers)).",
         |_| aligned::spare_bytes() as f64,
     );
-    per_node(
-        "ftgemm_node_queue_depth",
+    live(
+        "ftgemm_ftpolicy_floor",
         Gauge,
-        "Envelopes waiting in each node's shard group right now.",
-        |i, node| i.queue.node_depth(node) as f64,
+        "Fault-policy floor the error-aware monitor enforces (0=Off, 1=Detect, 2=DetectCorrect).",
+        |i| i.monitored(|m| m.level() as f64),
     );
-    per_node(
-        "ftgemm_node_batch_busy_seconds_total",
-        Counter,
-        "Summed busy time of each node's threads inside its batched regions.",
-        |i, node| i.stats.node_batch_busy(node).as_secs_f64(),
-    );
-    per_node(
-        "ftgemm_ftpolicy_node_floor",
-        Gauge,
-        "Fault-policy floor the error-aware monitor enforces per node (0=Off, 1=Detect, 2=DetectCorrect).",
-        |i, node| i.monitored(|m| m.level(node) as f64),
-    );
-    per_node(
+    live(
         "ftgemm_ftpolicy_escalations_total",
         Counter,
-        "Times the error-aware monitor raised each node's policy floor.",
-        |i, node| i.monitored(|m| m.escalations(node) as f64),
+        "Times the error-aware monitor raised the policy floor.",
+        |i| i.monitored(|m| m.escalations() as f64),
     );
-    per_node(
+    live(
         "ftgemm_ftpolicy_deescalations_total",
         Counter,
-        "Times the error-aware monitor stepped each node's policy floor back down.",
-        |i, node| i.monitored(|m| m.deescalations(node) as f64),
+        "Times the error-aware monitor stepped the policy floor back down.",
+        |i| i.monitored(|m| m.deescalations() as f64),
     );
-    per_node(
+    live(
         "ftgemm_ftpolicy_error_rate_per_flop",
         Gauge,
-        "Detected-errors-per-flop EWMA the error-aware monitor tracks per node.",
-        |i, node| i.monitored(|m| m.error_rate(node)),
+        "Detected-errors-per-flop EWMA the error-aware monitor tracks.",
+        |i| i.monitored(FaultPolicyMonitor::error_rate),
     );
 }
 
@@ -800,33 +667,32 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GemmService")
             .field("nthreads", &self.nthreads())
-            .field("nodes", &self.inner.topology.num_nodes())
             .field("config", &self.inner.config)
             .field("queue_depth", &self.inner.queue.depth())
             .finish()
     }
 }
 
-/// What one dispatcher computes with: its node's context (pool, kernel,
+/// What the dispatcher computes with: the service's context (pool, kernel,
 /// blocking) and the [`Workspace`]s of both paths, reused across everything
-/// the dispatcher ever runs; the paths differ only in the team. Only this
-/// node's pool ever touches them, so the dispatcher owns them outright: no
-/// lock, no sharing.
-struct NodeCompute<'a, T: Scalar> {
+/// the dispatcher ever runs; the paths differ only in the team. Only the
+/// dispatcher ever touches them, so it owns them outright: no lock, no
+/// sharing.
+struct Compute<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
     /// The batched path: one workspace per pool thread, each a team of one.
     batch: BatchWorkspace<T>,
     /// The matrix-parallel path: one workspace, the pool as its team — the
     /// shared `B~`, per-thread `A~` and checksum state (paper §2.3:
-    /// requested once, reused). Built by the node's first large request — a
-    /// node that never sees one holds nothing — and grown by `run_parallel`
-    /// to the largest shape served.
+    /// requested once, reused). Built by the first large request — a service
+    /// that never sees one holds nothing — and grown by `run_parallel` to
+    /// the largest shape served.
     large: Option<Workspace<T>>,
 }
 
-impl<'a, T: Scalar> NodeCompute<'a, T> {
+impl<'a, T: Scalar> Compute<'a, T> {
     fn new(ctx: &'a ParGemmContext<T>) -> Self {
-        NodeCompute {
+        Compute {
             ctx,
             batch: BatchWorkspace::new(ctx),
             large: None,
@@ -834,65 +700,29 @@ impl<'a, T: Scalar> NodeCompute<'a, T> {
     }
 }
 
-/// One node's dispatcher: drains its own shard group onto its own pool, so
-/// every node computes concurrently with its peers.
-fn dispatcher_loop<T: Scalar>(inner: &Inner<T>, node: usize) {
-    #[expect(clippy::indexing_slicing, reason = "one dispatcher per node")]
-    let mut compute = NodeCompute::new(&inner.nodes[node]);
-    let nnodes = inner.nodes.len();
+/// The dispatcher: drains the queue onto the pool until the queue is closed
+/// and empty.
+fn dispatcher_loop<T: Scalar>(inner: &Inner<T>) {
+    let mut compute = Compute::new(&inner.ctx);
     // One sweep buffer for the dispatcher's life: `dispatch` drains it, the
     // next pop refills it.
     let mut sweep = Vec::new();
     loop {
         if inner.abort.load(Ordering::Acquire) {
             // Fast shutdown: fail everything still queued instead of
-            // computing it (dispatchers race over pop_batch; each envelope
-            // is popped exactly once).
-            for env in inner.queue.pop_batch(usize::MAX) {
+            // computing it.
+            inner.queue.pop_into(usize::MAX, &mut sweep);
+            for env in sweep.drain(..) {
                 finish(inner, env, Ending::Closed);
             }
-            if !inner.queue.wait_node(node) {
-                return;
-            }
+        } else if inner.queue.pop_into(4 * inner.config.max_batch, &mut sweep) > 0 {
+            // Taking several batches' worth per sweep lets one sweep split
+            // into large/small once instead of re-locking the queue per
+            // region.
+            dispatch(inner, &mut compute, &mut sweep);
             continue;
         }
-
-        // Drain this node's shard group. Taking several batches' worth per
-        // sweep lets one sweep split into large/small once instead of
-        // re-locking the group per region.
-        if inner
-            .queue
-            .pop_node_into(node, 4 * inner.config.max_batch, &mut sweep)
-            > 0
-        {
-            dispatch(inner, node, &mut compute, &mut sweep);
-            continue;
-        }
-
-        // Dry node: steal one batch off the deepest group past the steal
-        // gate (one full batch while open; anything once closed, so
-        // shutdown drains stragglers). Ties break to the lowest node id,
-        // and the choice reads queue depths only — never the wall clock.
-        // Below the gate a dry dispatcher just parks: balanced load steals
-        // nothing.
-        let gate = inner.queue.steal_gate();
-        let victim = (0..nnodes)
-            .filter(|&n| n != node && inner.queue.node_depth(n) > gate)
-            .max_by_key(|&n| (inner.queue.node_depth(n), usize::MAX - n));
-        if let Some(victim) = victim {
-            let stolen = inner
-                .queue
-                .pop_node_into(victim, inner.config.max_batch, &mut sweep);
-            if stolen > 0 {
-                if let Some(c) = inner.stats.stolen.get(node) {
-                    c.add(stolen as u64);
-                }
-                dispatch(inner, node, &mut compute, &mut sweep);
-            }
-            continue;
-        }
-
-        if !inner.queue.wait_node(node) {
+        if !inner.queue.wait() {
             return; // closed and fully drained
         }
     }
@@ -913,9 +743,9 @@ fn shed_expired<T: Scalar>(inner: &Inner<T>, envelopes: &mut Vec<Envelope<T>>) {
     }
 }
 
-/// Routes one node's drained sweep by the cutoff: small requests
-/// coalesced into batched regions, large ones one-at-a-time through the
-/// matrix-parallel driver — all on `node`'s pool.
+/// Routes one drained sweep by the cutoff: small requests coalesced into
+/// batched regions, large ones one-at-a-time through the matrix-parallel
+/// driver.
 ///
 /// The batched regions run *first*: a sweep can hold 100+ large requests,
 /// and an early-arriving small request parked behind that loop would see
@@ -924,8 +754,7 @@ fn shed_expired<T: Scalar>(inner: &Inner<T>, envelopes: &mut Vec<Envelope<T>>) {
 /// `small_batches_complete_before_large_requests`.
 fn dispatch<T: Scalar>(
     inner: &Inner<T>,
-    node: usize,
-    compute: &mut NodeCompute<'_, T>,
+    compute: &mut Compute<'_, T>,
     envelopes: &mut Vec<Envelope<T>>,
 ) {
     // Shed already-expired requests before spending any compute on the
@@ -952,7 +781,7 @@ fn dispatch<T: Scalar>(
         let mut chunk: Vec<Envelope<T>> = small.drain(..take).collect();
         shed_expired(inner, &mut chunk);
         if !chunk.is_empty() {
-            run_batch(inner, node, compute, chunk);
+            run_batch(inner, compute, chunk);
         }
     }
 
@@ -970,40 +799,24 @@ fn dispatch<T: Scalar>(
             continue;
         }
         inner.stats.direct_large.inc();
-        run_large(inner, node, compute, env);
+        run_large(inner, compute, env);
     }
 }
 
-/// The policy a request actually runs under on `node`: its own policy,
-/// raised to the node's error-aware floor when the monitor is enabled.
-/// Read at execution time (not submit), so a request queued before an
-/// escalation still gets the protection the escalation demanded.
-fn effective_policy<T: Scalar>(
-    inner: &Inner<T>,
-    node: usize,
-    requested: crate::FtPolicy,
-) -> crate::FtPolicy {
+/// The policy a request actually runs under: its own policy, raised to the
+/// service's error-aware floor when the monitor is enabled. Read at
+/// execution time (not submit), so a request queued before an escalation
+/// still gets the protection the escalation demanded.
+fn effective_policy<T: Scalar>(inner: &Inner<T>, requested: crate::FtPolicy) -> crate::FtPolicy {
     match &inner.monitor {
-        Some(monitor) => requested.at_least(monitor.floor(node)),
+        Some(monitor) => requested.at_least(monitor.floor()),
         None => requested,
     }
 }
 
-fn run_large<T: Scalar>(
-    inner: &Inner<T>,
-    node: usize,
-    compute: &mut NodeCompute<'_, T>,
-    mut env: Envelope<T>,
-) {
-    // Counted here — at execution — rather than per popped sweep, so
-    // requests a shutdown_now abort fails mid-sweep never inflate the
-    // per-node "executed" counters.
-    if let Some(c) = inner.stats.dispatched.get(node) {
-        c.inc();
-    }
+fn run_large<T: Scalar>(inner: &Inner<T>, compute: &mut Compute<'_, T>, mut env: Envelope<T>) {
     if let Some(obs) = &inner.obs {
         obs.trace.record(
-            node,
             env.id,
             TraceEvent::Dispatched {
                 path: TracePath::Parallel,
@@ -1011,7 +824,7 @@ fn run_large<T: Scalar>(
         );
     }
     let req = &mut env.req;
-    let cfg = effective_policy(inner, node, req.policy).to_config(req.injector.clone());
+    let cfg = effective_policy(inner, req.policy).to_config(req.injector.clone());
     let started = Instant::now();
     let ctx = compute.ctx;
     let ws = compute.large.get_or_insert_with(Workspace::new);
@@ -1029,38 +842,28 @@ fn run_large<T: Scalar>(
     // that scales with the request's area; everything kept is bounded by
     // the blocking.
     ws.release_base();
-    if let Some(bytes) = inner.stats.large_workspace_bytes.get(node) {
-        bytes.set(ws.retained_bytes() as f64);
-    }
+    inner
+        .stats
+        .large_workspace_bytes
+        .set(ws.retained_bytes() as f64);
     inner.route.observe(
         RoutePath::Parallel,
         env.flops,
         started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
     );
     let ending = Ending::Served {
-        node,
         batched: false,
         result,
     };
     finish(inner, env, ending);
 }
 
-fn run_batch<T: Scalar>(
-    inner: &Inner<T>,
-    node: usize,
-    compute: &NodeCompute<'_, T>,
-    mut envs: Vec<Envelope<T>>,
-) {
+fn run_batch<T: Scalar>(inner: &Inner<T>, compute: &Compute<'_, T>, mut envs: Vec<Envelope<T>>) {
     inner.stats.batches.inc();
     inner.stats.batched_requests.add(envs.len() as u64);
-    // At-execution counting, same as run_large.
-    if let Some(c) = inner.stats.dispatched.get(node) {
-        c.add(envs.len() as u64);
-    }
     if let Some(obs) = &inner.obs {
         for env in &envs {
             obs.trace.record(
-                node,
                 env.id,
                 TraceEvent::Dispatched {
                     path: TracePath::Batched,
@@ -1072,9 +875,7 @@ fn run_batch<T: Scalar>(
     // Per-request configs must outlive the borrowed batch items.
     let cfgs: Vec<_> = envs
         .iter()
-        .map(|env| {
-            effective_policy(inner, node, env.req.policy).to_config(env.req.injector.clone())
-        })
+        .map(|env| effective_policy(inner, env.req.policy).to_config(env.req.injector.clone()))
         .collect();
     let mut items: Vec<BatchItem<'_, T>> = envs
         .iter_mut()
@@ -1093,7 +894,7 @@ fn run_batch<T: Scalar>(
         .collect();
     let (results, timing) = par_batch_ft_gemm_timed(compute.ctx, &compute.batch, &mut items);
     drop(items);
-    inner.stats.absorb_batch_timing(node, &timing);
+    inner.stats.absorb_batch_timing(&timing);
 
     // One observation per region: its wall time and its items' flops.
     inner.route.observe(
@@ -1104,7 +905,6 @@ fn run_batch<T: Scalar>(
 
     for (env, result) in envs.into_iter().zip(results) {
         let ending = Ending::Served {
-            node,
             batched: true,
             result,
         };
@@ -1114,9 +914,8 @@ fn run_batch<T: Scalar>(
 
 /// How a request's life ended.
 enum Ending {
-    /// It ran on `node`; `result` is the driver's verdict.
+    /// It ran; `result` is the driver's verdict.
     Served {
-        node: usize,
         batched: bool,
         result: FtResult<FtReport>,
     },
@@ -1136,7 +935,6 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         req,
         sink,
         id,
-        affinity,
         submitted,
         deadline,
         flops,
@@ -1149,55 +947,41 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         .min(u64::MAX as u128) as u64;
     stats.turnaround_ns.add(turnaround_ns);
     // Counted before the tenant's tallies, so no snapshot shows a tenant
-    // ahead of the service totals. Unserved requests are traced on the
-    // node they were queued for.
-    let (counter, terminal, trace_node) = match ending {
-        Ending::Served {
-            node,
-            result: Ok(_),
-            ..
-        } => (&stats.completed, TraceEvent::Completed, node),
-        Ending::Served { node, .. } => (&stats.failed, TraceEvent::Failed, node),
-        Ending::Shed | Ending::Closed => (&stats.failed, TraceEvent::Failed, affinity),
+    // ahead of the service totals.
+    let (counter, terminal) = match ending {
+        Ending::Served { result: Ok(_), .. } => (&stats.completed, TraceEvent::Completed),
+        Ending::Served { .. } | Ending::Shed | Ending::Closed => {
+            (&stats.failed, TraceEvent::Failed)
+        }
     };
     counter.inc();
     let outcome = match ending {
-        Ending::Served {
-            node,
-            batched,
-            result,
-        } => {
+        Ending::Served { batched, result } => {
             if let Some(obs) = &inner.obs {
                 obs.turnaround.record(turnaround_ns);
-                obs.trace.record(node, id, TraceEvent::Computed);
+                obs.trace.record(id, TraceEvent::Computed);
             }
             result.map_err(ServeError::Ft).map(|report| {
                 if let Some(obs) = &inner.obs {
                     if report.verifications > 0 {
                         let verifications = report.verifications as u64;
-                        obs.trace
-                            .record(node, id, TraceEvent::Verified { verifications });
+                        obs.trace.record(id, TraceEvent::Verified { verifications });
                     }
                     if report.corrected > 0 {
                         let corrected = report.corrected as u64;
-                        obs.trace
-                            .record(node, id, TraceEvent::Corrected { corrected });
+                        obs.trace.record(id, TraceEvent::Corrected { corrected });
                     }
                 }
                 stats.tenant_complete(req.tenant, flops, deadline.map(|d| finished <= d));
                 stats.absorb_report(&report);
-                // One rate observation per completed request, attributed to
-                // the node that *executed* it (stolen requests are evidence
-                // about the stealing node's hardware).
+                // One rate observation per completed request.
                 if let Some(monitor) = &inner.monitor {
-                    monitor.observe(node, report.detected as u64, flops);
+                    monitor.observe(report.detected as u64, flops);
                 }
                 GemmResponse {
                     c: req.c,
                     report,
                     batched,
-                    affinity_node: affinity,
-                    executed_node: node,
                 }
             })
         }
@@ -1210,7 +994,7 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         Ending::Closed => Err(ServeError::Closed),
     };
     if let Some(obs) = &inner.obs {
-        obs.trace.record(trace_node, id, terminal);
+        obs.trace.record(id, terminal);
     }
     sink.deliver(id, outcome);
 }
@@ -1224,23 +1008,13 @@ mod tests {
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
         let threads = config.threads.max(1);
         Inner {
-            queue: ShardedQueue::new(
-                1,
-                config.queue_capacity,
-                config.max_batch,
-                config.tenants.clone(),
-            ),
-            stats: ServiceStats::new(&[threads]),
+            queue: Queue::new(config.queue_capacity, config.tenants.clone()),
+            stats: ServiceStats::new(threads),
             route: Route::new(config.routing),
-            placer: Placer::new(config.placement),
-            topology: Topology::single(threads),
-            nodes: vec![ParGemmContext::with_threads(threads)],
+            ctx: ParGemmContext::with_threads(threads),
             abort: AtomicBool::new(false),
             obs: None,
-            monitor: config
-                .fault_policy
-                .clone()
-                .map(|cfg| FaultPolicyMonitor::new(cfg, 1)),
+            monitor: config.fault_policy.clone().map(FaultPolicyMonitor::new),
             config,
         }
     }
@@ -1253,7 +1027,6 @@ mod tests {
             req,
             sink: sink.clone(),
             id,
-            affinity: 0,
             submitted: Instant::now(),
             deadline: None,
         }
@@ -1273,7 +1046,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let inner = test_inner(config);
-        let mut compute = NodeCompute::new(&inner.nodes[0]);
+        let mut compute = Compute::new(&inner.ctx);
         let (sink, mut completions) = completion_channel::<f64>();
 
         let mk = |id: u64, dim: usize| {
@@ -1286,7 +1059,7 @@ mod tests {
         // Ids 0..4: large (64^3 > the pinned cutoff); id 4: small (16^3).
         let mut envelopes: Vec<_> = (0..4u64).map(|id| mk(id, 64)).collect();
         envelopes.push(mk(4, 16));
-        dispatch(&inner, 0, &mut compute, &mut envelopes);
+        dispatch(&inner, &mut compute, &mut envelopes);
         drop(sink);
 
         let mut order = Vec::new();
@@ -1301,19 +1074,18 @@ mod tests {
         );
         assert_eq!(inner.stats.direct_large.get(), 4);
         assert_eq!(inner.stats.batched_requests.get(), 1);
-        assert_eq!(inner.stats.dispatched[0].get(), 5);
     }
 
     /// One request through `dispatch` on `compute`, as a large one; returns
-    /// the node workspace's `B~` address afterwards.
+    /// the large workspace's `B~` address afterwards.
     fn run_one_large(
         inner: &Inner<f64>,
-        compute: &mut NodeCompute<'_, f64>,
+        compute: &mut Compute<'_, f64>,
         id: u64,
         req: GemmRequest<f64>,
     ) -> usize {
         let (sink, mut completions) = completion_channel::<f64>();
-        dispatch(inner, 0, compute, &mut vec![envelope(&sink, id, req)]);
+        dispatch(inner, compute, &mut vec![envelope(&sink, id, req)]);
         let done = completions.recv().expect("one completion");
         done.result.expect("request succeeds");
         compute.large.as_ref().expect("built by now").base_addr()
@@ -1327,19 +1099,19 @@ mod tests {
         })
     }
 
-    /// The node's first large request builds its workspace — nothing is held
+    /// The first large request builds the workspace — nothing is held
     /// before it — and from the second request of a warmed shape on the
     /// packed `B~` never moves, while shapes shrink and policies alternate;
     /// only a larger shape may move it. The gauge reports what is held.
     #[test]
-    fn large_requests_reuse_the_node_workspace() {
+    fn large_requests_reuse_the_large_workspace() {
         let inner = everything_is_large();
-        let mut compute = NodeCompute::new(&inner.nodes[0]);
+        let mut compute = Compute::new(&inner.ctx);
         assert!(
             compute.large.is_none(),
             "no workspace before a large request"
         );
-        assert_eq!(inner.stats.large_workspace_bytes[0].get(), 0.0);
+        assert_eq!(inner.stats.large_workspace_bytes.get(), 0.0);
 
         let policies = [
             crate::FtPolicy::Off,
@@ -1364,19 +1136,19 @@ mod tests {
         assert!(large.fits(compute.ctx, [128; 3], true));
         assert_eq!(inner.stats.direct_large.get(), 8);
         assert_eq!(
-            inner.stats.large_workspace_bytes[0].get(),
+            inner.stats.large_workspace_bytes.get(),
             large.retained_bytes() as f64
         );
     }
 
     /// The base snapshot of a `beta != 0` `DetectCorrect` request — the only
-    /// O(m·n) piece of the workspace — goes back after the request: the node
-    /// keeps what a `beta == 0` request of that shape keeps, which the
+    /// O(m·n) piece of the workspace — goes back after the request: the
+    /// service keeps what a `beta == 0` request of that shape keeps, which the
     /// blocking bounds.
     #[test]
     fn the_base_snapshot_does_not_outlive_its_request() {
         let inner = everything_is_large();
-        let mut compute = NodeCompute::new(&inner.nodes[0]);
+        let mut compute = Compute::new(&inner.ctx);
         let (m, n, k) = (512, 512, 48);
         let req = |id: u64, beta: f64| {
             GemmRequest::new(
@@ -1388,8 +1160,8 @@ mod tests {
         };
         run_one_large(&inner, &mut compute, 0, req(0, 0.5));
         run_one_large(&inner, &mut compute, 1, req(1, 0.0));
-        // A node that never saw `beta != 0`.
-        let mut other = NodeCompute::new(&inner.nodes[0]);
+        // A workspace that never saw `beta != 0`.
+        let mut other = Compute::new(&inner.ctx);
         run_one_large(&inner, &mut other, 2, req(2, 0.0));
 
         let ctx = compute.ctx;
@@ -1400,7 +1172,7 @@ mod tests {
         let packed = p.packed_b_len() + ctx.nthreads() * p.packed_a_len();
         let checks = (2 + 3 * ctx.nthreads()) * (m + n + k);
         assert!(held <= (packed + checks) * std::mem::size_of::<f64>());
-        assert_eq!(inner.stats.large_workspace_bytes[0].get(), held as f64);
+        assert_eq!(inner.stats.large_workspace_bytes.get(), held as f64);
     }
 
     /// A traced service with **no dispatcher**: whatever a submit pushes
@@ -1413,10 +1185,10 @@ mod tests {
             queue_capacity,
             ..ServiceConfig::default()
         });
-        inner.obs = Some(ServiceObs::new(1, &inner.stats.registry));
+        inner.obs = Some(ServiceObs::new(&inner.stats.registry));
         GemmService {
             inner: Arc::new(inner),
-            dispatchers: Vec::new(),
+            dispatcher: None,
             obs_server: None,
         }
     }
@@ -1631,7 +1403,6 @@ mod tests {
         let service = GemmService::<f64>::new(ServiceConfig {
             threads: 1,
             queue_capacity: 1,
-            topology: Some(Topology::single(1)),
             ..ServiceConfig::default()
         });
         let start = std::sync::Barrier::new(3);
@@ -1738,7 +1509,7 @@ mod tests {
                     Surface::Async => future = Some(service.submit_async(req).unwrap()),
                     Surface::Streamed => drop(service.submit_streamed(req, &sink).unwrap()),
                 }
-                let mut popped = service.inner.queue.pop_node(0, usize::MAX);
+                let mut popped = service.inner.queue.pop(usize::MAX);
                 assert_eq!(popped.len(), 1, "{case}");
                 let env = popped.remove(0);
                 let id = env.id;
@@ -1747,7 +1518,6 @@ mod tests {
                 let turnaround_before = service.inner.stats.turnaround_ns.get();
                 let trace_before = service.render_trace(64).lines().count();
                 let served = |result| Ending::Served {
-                    node: 0,
                     batched: true,
                     result,
                 };
@@ -1789,7 +1559,7 @@ mod tests {
                 };
                 match (end, &result) {
                     (End::ServedOk, Ok(resp)) => {
-                        assert!(resp.batched && resp.executed_node == 0, "{case}");
+                        assert!(resp.batched, "{case}");
                         assert_eq!(resp.report.verifications, 2, "{case}");
                     }
                     (End::FtError, Err(ServeError::Ft(_)))
@@ -1836,52 +1606,19 @@ mod tests {
         }
     }
 
-    /// The service shards itself around a forced synthetic topology: one
-    /// runtime per node, the configured thread total spread with a floor
-    /// of one per node, and per-node stats sized to match.
+    /// `threads: 0` is one pool thread per available core, and `threads: n`
+    /// is exactly `n` — never more, whatever `n` is.
     #[test]
-    fn synthetic_topology_shapes_the_service() {
-        let service = GemmService::<f64>::new(ServiceConfig {
-            threads: 0, // one per synthetic core
-            topology: Some(Topology::synthetic(3, 2)),
-            placement: PlacementPolicy::RoundRobin,
-            ..ServiceConfig::default()
-        });
-        assert_eq!(service.topology().num_nodes(), 3);
-        assert_eq!(service.nthreads(), 6);
-        assert_eq!(service.placement(), PlacementPolicy::RoundRobin);
-        let snap = service.stats();
-        assert_eq!(snap.per_node.len(), 3);
-        assert!(snap.per_node.iter().all(|n| n.threads == 2));
-        assert_eq!(snap.batch_busy_per_thread.len(), 6);
-    }
-
-    /// An explicit thread budget smaller than the node count still gives
-    /// every node a worker (it must be able to run its own shard group).
-    #[test]
-    fn every_node_keeps_at_least_one_thread() {
-        let service = GemmService::<f64>::new(ServiceConfig {
-            threads: 2,
-            topology: Some(Topology::synthetic(4, 1)),
-            ..ServiceConfig::default()
-        });
-        let snap = service.stats();
-        assert_eq!(snap.per_node.len(), 4);
-        assert!(snap.per_node.iter().all(|n| n.threads >= 1));
-        assert!(service.nthreads() >= 4);
-    }
-
-    /// An explicit thread budget splits by core share, not evenly: a
-    /// 6+2-core topology gets a 3:1 split of four threads.
-    #[test]
-    fn uneven_nodes_split_threads_by_core_share() {
-        let service = GemmService::<f64>::new(ServiceConfig {
-            threads: 4,
-            topology: Some(Topology::from_core_counts(&[6, 2])),
-            ..ServiceConfig::default()
-        });
-        let threads: Vec<usize> = service.stats().per_node.iter().map(|n| n.threads).collect();
-        assert_eq!(threads, [3, 1]);
-        assert_eq!(service.nthreads(), 4);
+    fn threads_is_a_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (threads, expected) in [(0, cores), (1, 1), (2, 2), (3, 3)] {
+            let service = GemmService::<f64>::new(ServiceConfig {
+                threads,
+                ..ServiceConfig::default()
+            });
+            assert_eq!(service.nthreads(), expected, "threads: {threads}");
+            let snap = service.stats();
+            assert_eq!(snap.batch_busy_per_thread.len(), expected);
+        }
     }
 }

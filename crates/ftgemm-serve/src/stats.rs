@@ -89,26 +89,15 @@ pub(crate) struct ServiceStats {
     /// Summed submit→completion latency, nanoseconds (no family of its
     /// own: it surfaces as the mean).
     pub turnaround_ns: Counter,
-    /// Summed wall time of batched parallel regions, nanoseconds, per
-    /// executing node. Regions on different nodes run concurrently, so
-    /// occupancy math must weight each node's wall by that node's thread
-    /// count rather than pooling the walls.
-    batch_wall_ns: Vec<Arc<Counter>>,
+    /// Summed wall time of batched parallel regions, nanoseconds.
+    batch_wall_ns: Arc<Counter>,
     /// Summed per-pool-thread busy time inside batched regions, indexed by
-    /// *global* thread id (node thread ranges concatenated in node order).
-    /// The spread across threads is the batch-path occupancy imbalance.
+    /// pool thread id. The spread across threads is the batch-path
+    /// occupancy imbalance.
     batch_busy_ns: Vec<Arc<Counter>>,
-    /// Threads per node, indexed by node id.
-    node_threads: Vec<usize>,
-    /// Requests dispatched on each node's pool (stolen requests
-    /// count on the node that *executed* them).
-    pub dispatched: Vec<Arc<Counter>>,
-    /// Requests a node executed after stealing them off another node's
-    /// shard group.
-    pub stolen: Vec<Arc<Counter>>,
-    /// Bytes each node's matrix-parallel workspace holds (0 until the node's
-    /// first large request builds it).
-    pub large_workspace_bytes: Vec<Arc<Gauge>>,
+    /// Bytes the matrix-parallel workspace holds (0 until the first large
+    /// request builds it).
+    pub large_workspace_bytes: Arc<Gauge>,
     /// Per-tenant QoS tallies, keyed by tenant id and registered on the
     /// tenant's first touch. A `BTreeMap` so the snapshot's per-tenant rows
     /// come out in stable id order; the lock is uncontended off the hot
@@ -166,8 +155,8 @@ impl TenantCells {
 }
 
 impl ServiceStats {
-    /// `node_threads[i]` is node `i`'s pool size.
-    pub(crate) fn new(node_threads: &[usize]) -> Self {
+    /// `threads` is the pool's size.
+    pub(crate) fn new(threads: usize) -> Self {
         let registry = Registry::new();
         let counter = |name, help| registry.counter(name, help);
         let rejected = |reason| {
@@ -176,12 +165,6 @@ impl ServiceStats {
                 "Requests rejected at submit, by reason.",
                 &[("reason", reason)],
             )
-        };
-        let ids = |n: usize| (0..n).map(|i| i.to_string());
-        let per_node = |name, help| {
-            ids(node_threads.len())
-                .map(|node| registry.counter_with(name, help, &[("node", node.as_str())]))
-                .collect()
         };
         // `completed` and `failed` come first: a render reads cells in
         // registration order, so a scrape — like a snapshot — loads them
@@ -195,15 +178,9 @@ impl ServiceStats {
             "ftgemm_requests_failed_total",
             "Requests completed with an error.",
         );
-        for (node, &threads) in ids(node_threads.len()).zip(node_threads) {
-            registry
-                .gauge_with(
-                    "ftgemm_node_threads",
-                    "Worker threads in each node's pool.",
-                    &[("node", node.as_str())],
-                )
-                .set(threads as f64);
-        }
+        registry
+            .gauge("ftgemm_threads", "Worker threads in the service's pool.")
+            .set(threads as f64);
         ServiceStats {
             started: Instant::now(),
             first_submit_ns: AtomicU64::new(NO_SUBMIT),
@@ -261,44 +238,26 @@ impl ServiceStats {
                 "Panels recomputed under DetectCorrect, service-wide.",
             ),
             turnaround_ns: Counter::new(),
-            batch_wall_ns: ids(node_threads.len())
-                .map(|node| {
-                    seconds_counter(
-                        &registry,
-                        "ftgemm_node_batch_wall_seconds_total",
-                        "Summed wall time of the batched regions each node executed.",
-                        &[("node", node.as_str())],
-                    )
-                })
-                .collect(),
-            batch_busy_ns: ids(node_threads.iter().sum())
+            batch_wall_ns: seconds_counter(
+                &registry,
+                "ftgemm_batch_wall_seconds_total",
+                "Summed wall time of batched parallel regions.",
+                &[],
+            ),
+            batch_busy_ns: (0..threads)
                 .map(|thread| {
                     seconds_counter(
                         &registry,
                         "ftgemm_batch_thread_busy_seconds_total",
-                        "Summed busy time per pool thread inside batched regions (global thread id).",
-                        &[("thread", thread.as_str())],
+                        "Summed busy time per pool thread inside batched regions.",
+                        &[("thread", thread.to_string().as_str())],
                     )
                 })
                 .collect(),
-            node_threads: node_threads.to_vec(),
-            dispatched: per_node(
-                "ftgemm_node_dispatched_total",
-                "Requests executed on each node's pool (including stolen ones).",
+            large_workspace_bytes: registry.gauge(
+                "ftgemm_large_workspace_bytes",
+                "Heap held by the matrix-parallel workspace (packed B~, per-thread A~, checksum state); bounded by the blocking, 0 until the first large request.",
             ),
-            stolen: per_node(
-                "ftgemm_node_stolen_total",
-                "Requests each node executed after stealing them off another node's shard group.",
-            ),
-            large_workspace_bytes: ids(node_threads.len())
-                .map(|node| {
-                    registry.gauge_with(
-                        "ftgemm_node_large_workspace_bytes",
-                        "Heap held by each node's matrix-parallel workspace (packed B~, per-thread A~, checksum state); bounded by the blocking, 0 until the node's first large request.",
-                        &[("node", node.as_str())],
-                    )
-                })
-                .collect(),
             tenants: Mutex::new(BTreeMap::new()),
             registry,
         }
@@ -313,7 +272,7 @@ impl ServiceStats {
     }
 
     /// Counts an admission on `surface` and on `tenant`'s row, and stamps
-    /// the first-submission instant. [`ShardedQueue`](crate::queue) calls
+    /// the first-submission instant. [`Queue`](crate::queue) calls
     /// this from inside its enqueue, so a push the queue turns away is
     /// never counted and no `_total` is ever rolled back.
     pub(crate) fn admit(&self, surface: &Counter, tenant: TenantId) {
@@ -370,20 +329,11 @@ impl ServiceStats {
         self.retried_panels.add(report.retried_panels as u64);
     }
 
-    /// `node`'s slice of the global per-thread busy cells.
-    fn node_busy_cells(&self, node: usize) -> &[Arc<Counter>] {
-        let start: usize = self.node_threads.iter().take(node).sum();
-        #[expect(clippy::indexing_slicing, reason = "node_threads splits batch_busy_ns")]
-        &self.batch_busy_ns[start..start + self.node_threads[node]]
-    }
-
     /// Folds one batched region's occupancy measurements into the
-    /// accumulated batch-path load metrics. `node` maps the region's local
-    /// thread ids onto the service-global busy-time slots.
-    pub(crate) fn absorb_batch_timing(&self, node: usize, timing: &BatchTiming) {
-        #[expect(clippy::indexing_slicing, reason = "one cell per node")]
-        self.batch_wall_ns[node].add(nanos(timing.wall));
-        for (slot, busy) in self.node_busy_cells(node).iter().zip(&timing.thread_busy) {
+    /// accumulated batch-path load metrics.
+    pub(crate) fn absorb_batch_timing(&self, timing: &BatchTiming) {
+        self.batch_wall_ns.add(nanos(timing.wall));
+        for (slot, busy) in self.batch_busy_ns.iter().zip(&timing.thread_busy) {
             slot.add(nanos(*busy));
         }
     }
@@ -430,38 +380,16 @@ impl ServiceStats {
             .map_or(Duration::ZERO, Duration::from_nanos)
     }
 
-    /// Summed wall time of the batched regions `node` executed.
-    fn node_batch_wall(&self, node: usize) -> Duration {
-        #[expect(clippy::indexing_slicing, reason = "one cell per node")]
-        Duration::from_nanos(self.batch_wall_ns[node].get())
+    /// Summed wall time of batched regions.
+    fn batch_wall(&self) -> Duration {
+        Duration::from_nanos(self.batch_wall_ns.get())
     }
 
-    /// Summed busy time of `node`'s threads inside its batched regions.
-    pub(crate) fn node_batch_busy(&self, node: usize) -> Duration {
-        Duration::from_nanos(self.node_busy_cells(node).iter().map(|ns| ns.get()).sum())
-    }
-
-    /// Summed wall time of batched regions across every node.
-    pub(crate) fn batch_wall(&self) -> Duration {
-        (0..self.node_threads.len())
-            .map(|node| self.node_batch_wall(node))
-            .sum()
-    }
-
-    /// Mean fraction of batched-region time each thread spent busy. Each
-    /// node's batched regions run concurrently with its peers' and only
-    /// ever occupy that node's pool, so the available thread-time
-    /// is Σ(node wall × node threads) — not pooled wall × total threads,
-    /// which would report a fully busy multi-node service as 1/num_nodes
-    /// occupied.
+    /// Mean fraction of batched-region time each thread spent busy: summed
+    /// busy time over wall × threads.
     pub(crate) fn batch_thread_occupancy(&self) -> f64 {
         let busy: u64 = self.batch_busy_ns.iter().map(|ns| ns.get()).sum();
-        let available: f64 = self
-            .node_threads
-            .iter()
-            .enumerate()
-            .map(|(node, &threads)| self.node_batch_wall(node).as_secs_f64() * threads as f64)
-            .sum();
+        let available = self.batch_wall().as_secs_f64() * self.batch_busy_ns.len() as f64;
         if available <= 0.0 {
             0.0
         } else {
@@ -471,10 +399,9 @@ impl ServiceStats {
 
     pub(crate) fn snapshot(
         &self,
-        node_queue_depths: &[usize],
+        queue_depth: usize,
         pool: PoolStats,
         current_cutoff: u64,
-        steal_wakeups: u64,
     ) -> StatsSnapshot {
         // Loaded before the submitted cells: a request is counted as
         // submitted before it can be popped, so reading in this order never
@@ -482,31 +409,6 @@ impl ServiceStats {
         let completed = self.completed.get();
         let failed = self.failed.get();
         let uptime = self.uptime();
-        let per_node: Vec<NodeStats> = (0..self.node_threads.len())
-            .map(|node| NodeStats {
-                node,
-                #[expect(clippy::indexing_slicing, reason = "node ranges over node_threads")]
-                threads: self.node_threads[node],
-                queue_depth: node_queue_depths.get(node).copied().unwrap_or(0),
-                #[expect(clippy::indexing_slicing, reason = "one cell per node")]
-                dispatched: self.dispatched[node].get(),
-                #[expect(clippy::indexing_slicing, reason = "one cell per node")]
-                stolen: self.stolen[node].get(),
-                batch_wall: self.node_batch_wall(node),
-                batch_busy: self.node_batch_busy(node),
-                large_workspace_bytes: self
-                    .large_workspace_bytes
-                    .get(node)
-                    .map_or(0, |bytes| bytes.get() as u64),
-                // The fault-policy monitor lives beside the stats (it
-                // needs the topology and a lock, not atomics); the
-                // service overlays its values after this call. Zeroed
-                // here so monitor-less services report all-clear.
-                ft_floor: 0,
-                ft_escalations: 0,
-                ft_deescalations: 0,
-            })
-            .collect();
         let per_tenant: Vec<TenantStats> = self
             .tenants
             .lock()
@@ -542,7 +444,7 @@ impl ServiceStats {
             corrected: self.corrected.get(),
             injected: self.injected.get(),
             retried_panels: self.retried_panels.get(),
-            queue_depth: node_queue_depths.iter().sum(),
+            queue_depth,
             uptime,
             requests_per_sec: self.requests_per_sec(uptime),
             current_cutoff,
@@ -555,9 +457,15 @@ impl ServiceStats {
                 .map(|ns| Duration::from_nanos(ns.get()))
                 .collect(),
             batch_thread_occupancy: self.batch_thread_occupancy(),
-            steal_wakeups,
-            ft_error_rate_per_node: vec![0.0; self.node_threads.len()],
-            per_node,
+            large_workspace_bytes: self.large_workspace_bytes.get() as u64,
+            // The fault-policy monitor lives beside the stats (it needs a
+            // lock, not atomics); the service overlays its values after
+            // this call. Zeroed here so monitor-less services report
+            // all-clear.
+            ft_floor: 0,
+            ft_escalations: 0,
+            ft_deescalations: 0,
+            ft_error_rate: 0.0,
             pool,
         }
     }
@@ -592,42 +500,6 @@ pub struct TenantStats {
     pub served_flops: u64,
 }
 
-/// One node's slice of the serving activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Node id.
-    pub node: usize,
-    /// Worker threads in this node's pool.
-    pub threads: usize,
-    /// Envelopes waiting in this node's shard group right now.
-    pub queue_depth: usize,
-    /// Requests executed on this node's pool (including stolen ones).
-    pub dispatched: u64,
-    /// Requests migrated to this node off another node's shard group
-    /// because this node was dry (counted at migration); `0` everywhere
-    /// under balanced load.
-    pub stolen: u64,
-    /// Summed wall time of the batched regions this node executed.
-    pub batch_wall: Duration,
-    /// Summed busy time of this node's threads inside those regions (its
-    /// slice of [`StatsSnapshot::batch_busy_per_thread`]).
-    pub batch_busy: Duration,
-    /// Bytes this node's matrix-parallel workspace holds: `0` until the
-    /// node's first large request, then at most what the blocking allows
-    /// (`kc·nc + threads·mc·kc` elements plus O(m + n + k) checksum state).
-    pub large_workspace_bytes: u64,
-    /// The fault-policy floor the error-aware monitor currently enforces
-    /// on this node: `0` = Off (no floor), `1` = Detect, `2` =
-    /// DetectCorrect. Always `0` on services without
-    /// [`ServiceConfig::fault_policy`](crate::ServiceConfig::fault_policy).
-    pub ft_floor: u8,
-    /// Times the monitor raised this node's floor.
-    pub ft_escalations: u64,
-    /// Times the monitor stepped this node's floor back down after a quiet
-    /// period of clean flops.
-    pub ft_deescalations: u64,
-}
-
 /// Point-in-time view of a service's activity.
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
@@ -657,7 +529,7 @@ pub struct StatsSnapshot {
     pub rejected_closed: u64,
     /// Submits rejected with
     /// [`ServeError::DeadlineExceeded`](crate::ServeError) by admission
-    /// control: the node's flops backlog plus the request's flops, at the
+    /// control: the queue's flops backlog plus the request's flops, at the
     /// measured ns/flop of the path the cutoff sends the request to, would
     /// finish past the deadline. Not counted in
     /// [`submitted`](Self::submitted).
@@ -699,51 +571,35 @@ pub struct StatsSnapshot {
     pub mean_batch_occupancy: f64,
     /// Mean submit→completion latency.
     pub mean_turnaround: Duration,
-    /// Summed wall time of all batched parallel regions across every node
-    /// (per-node breakdown in [`per_node`](Self::per_node); nodes execute
-    /// regions concurrently, so this can exceed elapsed serving time).
+    /// Summed wall time of all batched parallel regions.
     pub batch_wall: Duration,
     /// Summed busy time per pool thread inside batched regions, indexed by
-    /// *global* thread id (node thread ranges concatenated in node order).
-    /// A wide spread within one node's range means the dynamic item cursor
-    /// is leaving threads idle behind long items.
+    /// pool thread id (one entry per thread). A wide spread means the
+    /// dynamic item cursor is leaving threads idle behind long items.
     pub batch_busy_per_thread: Vec<Duration>,
     /// Mean fraction of batched-region time each thread spent busy:
-    /// `sum(batch_busy_per_thread) / Σ_nodes(node wall × node threads)`,
-    /// in `[0, 1]` up to timer noise; `0.0` before any batch has run. The
-    /// per-node weighting keeps the figure honest on multi-node
-    /// topologies, where regions run concurrently on disjoint worker
-    /// subsets.
+    /// `sum(batch_busy_per_thread) / (batch_wall × threads)`, in `[0, 1]`
+    /// up to timer noise; `0.0` before any batch has run.
     pub batch_thread_occupancy: f64,
-    /// Cross-node dispatcher wakeups fired by pushes that lifted a shard
-    /// group past the steal threshold; `0` under balanced load (below the
-    /// threshold no cross-node wakeup ever fires).
-    pub steal_wakeups: u64,
-    /// The error-aware monitor's detected-errors-per-flop EWMA per node,
-    /// indexed by node id; all zeros on services without
+    /// Bytes the matrix-parallel workspace holds: `0` until the first large
+    /// request, then at most what the blocking allows (`kc·nc +
+    /// threads·mc·kc` elements plus O(m + n + k) checksum state).
+    pub large_workspace_bytes: u64,
+    /// The fault-policy floor the error-aware monitor currently enforces:
+    /// `0` = Off (no floor), `1` = Detect, `2` = DetectCorrect. Always `0`
+    /// on services without
     /// [`ServiceConfig::fault_policy`](crate::ServiceConfig::fault_policy).
-    pub ft_error_rate_per_node: Vec<f64>,
-    /// Per-node serving activity, indexed by node id: shard-group depth,
-    /// dispatch counts, steal counts, and batched wall/busy time (one
-    /// entry per topology node).
-    pub per_node: Vec<NodeStats>,
-    /// Worker-pool activity (regions, barrier crossings), summed across
-    /// every node's worker pool.
+    pub ft_floor: u8,
+    /// Times the monitor raised the floor.
+    pub ft_escalations: u64,
+    /// Times the monitor stepped the floor back down after a quiet period
+    /// of clean flops.
+    pub ft_deescalations: u64,
+    /// The monitor's detected-errors-per-flop EWMA; `0.0` on services
+    /// without a monitor.
+    pub ft_error_rate: f64,
+    /// Worker-pool activity (regions, barrier crossings).
     pub pool: PoolStats,
-}
-
-#[cfg(test)]
-impl StatsSnapshot {
-    /// An all-zero snapshot shaped like a `nodes`-node service with
-    /// `threads_total` worker threads (fault-policy overlay tests).
-    pub(crate) fn empty_for_test(nodes: usize, threads_total: usize) -> Self {
-        let nodes = nodes.max(1);
-        let mut node_threads = vec![threads_total / nodes; nodes];
-        for slot in node_threads.iter_mut().take(threads_total % nodes) {
-            *slot += 1;
-        }
-        ServiceStats::new(&node_threads).snapshot(&vec![0; nodes], PoolStats::default(), 0, 0)
-    }
 }
 
 #[cfg(test)]
@@ -752,7 +608,7 @@ mod tests {
 
     #[test]
     fn snapshot_derives_rates() {
-        let s = ServiceStats::new(&[2]);
+        let s = ServiceStats::new(2);
         for _ in 0..10 {
             s.admit(&s.submitted_sync, 0);
         }
@@ -763,7 +619,7 @@ mod tests {
         // Snapshots are taken strictly after the first admission, so the
         // serving window is non-empty and the rate is positive.
         std::thread::sleep(Duration::from_millis(2));
-        let snap = s.snapshot(&[3], PoolStats::default(), 0, 0);
+        let snap = s.snapshot(3, PoolStats::default(), 0);
         assert_eq!(snap.submitted, 10);
         assert_eq!(snap.submitted_sync, 10);
         assert_eq!(snap.queue_depth, 3);
@@ -775,10 +631,10 @@ mod tests {
 
     #[test]
     fn requests_per_sec_measured_from_first_submission() {
-        let s = ServiceStats::new(&[1]);
+        let s = ServiceStats::new(1);
         // Before any submission: no serving window, rate pinned to zero
         // (previously this divided completed work by construction uptime).
-        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
+        let snap = s.snapshot(0, PoolStats::default(), 0);
         assert_eq!(snap.requests_per_sec, 0.0);
 
         // An idle gap before the first submission must not dilute the
@@ -791,7 +647,7 @@ mod tests {
         s.admit(&s.submitted_sync, 0);
         s.completed.add(1);
         std::thread::sleep(Duration::from_millis(2));
-        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
+        let snap = s.snapshot(0, PoolStats::default(), 0);
         let construction_anchored = snap.completed as f64 / snap.uptime.as_secs_f64();
         assert!(
             snap.requests_per_sec > construction_anchored,
@@ -803,7 +659,7 @@ mod tests {
 
     #[test]
     fn tenant_counters_tally_and_roll_back() {
-        let s = ServiceStats::new(&[1]);
+        let s = ServiceStats::new(1);
         s.admit(&s.submitted_sync, 7);
         s.admit(&s.submitted_sync, 7);
         s.admit(&s.submitted_sync, 3);
@@ -811,7 +667,7 @@ mod tests {
         s.tenant_complete(7, 500, None);
         s.tenant_shed(7);
         s.reject_deadline(9);
-        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
+        let snap = s.snapshot(0, PoolStats::default(), 0);
         assert_eq!(snap.shed_deadline, 1);
         assert_eq!(snap.rejected_deadline, 1);
         // BTreeMap ordering: tenants 3, 7, 9.
@@ -832,7 +688,7 @@ mod tests {
 
     #[test]
     fn absorb_report_accumulates() {
-        let s = ServiceStats::new(&[1]);
+        let s = ServiceStats::new(1);
         s.absorb_report(&FtReport {
             verifications: 4,
             detected: 2,
@@ -841,7 +697,7 @@ mod tests {
             retried_panels: 1,
         });
         s.absorb_report(&FtReport::default());
-        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
+        let snap = s.snapshot(0, PoolStats::default(), 0);
         assert_eq!(snap.detected, 2);
         assert_eq!(snap.corrected, 2);
         assert_eq!(snap.injected, 3);
@@ -850,22 +706,16 @@ mod tests {
 
     #[test]
     fn absorb_batch_timing_accumulates_per_thread() {
-        let s = ServiceStats::new(&[2]);
-        s.absorb_batch_timing(
-            0,
-            &BatchTiming {
-                wall: Duration::from_millis(10),
-                thread_busy: vec![Duration::from_millis(9), Duration::from_millis(7)],
-            },
-        );
-        s.absorb_batch_timing(
-            0,
-            &BatchTiming {
-                wall: Duration::from_millis(10),
-                thread_busy: vec![Duration::from_millis(10), Duration::from_millis(6)],
-            },
-        );
-        let snap = s.snapshot(&[0], PoolStats::default(), 0, 0);
+        let s = ServiceStats::new(2);
+        s.absorb_batch_timing(&BatchTiming {
+            wall: Duration::from_millis(10),
+            thread_busy: vec![Duration::from_millis(9), Duration::from_millis(7)],
+        });
+        s.absorb_batch_timing(&BatchTiming {
+            wall: Duration::from_millis(10),
+            thread_busy: vec![Duration::from_millis(10), Duration::from_millis(6)],
+        });
+        let snap = s.snapshot(0, PoolStats::default(), 0);
         assert_eq!(snap.batch_wall, Duration::from_millis(20));
         assert_eq!(
             snap.batch_busy_per_thread,
@@ -873,56 +723,5 @@ mod tests {
         );
         // 32ms busy over 20ms * 2 threads = 0.8 occupancy.
         assert!((snap.batch_thread_occupancy - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_timing_maps_nodes_onto_global_thread_slots() {
-        // Two nodes of 2 and 1 threads: node 1's region-local thread 0 must
-        // land in global slot 2, not slot 0.
-        let s = ServiceStats::new(&[2, 1]);
-        s.absorb_batch_timing(
-            1,
-            &BatchTiming {
-                wall: Duration::from_millis(4),
-                thread_busy: vec![Duration::from_millis(3)],
-            },
-        );
-        s.absorb_batch_timing(
-            0,
-            &BatchTiming {
-                wall: Duration::from_millis(6),
-                thread_busy: vec![Duration::from_millis(5), Duration::from_millis(1)],
-            },
-        );
-        let snap = s.snapshot(&[2, 5], PoolStats::default(), 0, 0);
-        assert_eq!(
-            snap.batch_busy_per_thread,
-            vec![
-                Duration::from_millis(5),
-                Duration::from_millis(1),
-                Duration::from_millis(3)
-            ]
-        );
-        // Per-node snapshot rows carry the node-indexed queue depths.
-        assert_eq!(snap.queue_depth, 7);
-        assert_eq!(snap.per_node.len(), 2);
-        assert_eq!(snap.per_node[0].threads, 2);
-        assert_eq!(snap.per_node[1].threads, 1);
-        assert_eq!(snap.per_node[0].queue_depth, 2);
-        assert_eq!(snap.per_node[1].queue_depth, 5);
-    }
-
-    #[test]
-    fn dispatch_and_steal_counters_surface_per_node() {
-        let s = ServiceStats::new(&[1, 1, 1]);
-        s.dispatched[0].add(7);
-        s.dispatched[2].add(3);
-        s.stolen[2].add(3);
-        let snap = s.snapshot(&[0, 0, 0], PoolStats::default(), 0, 0);
-        assert_eq!(snap.per_node[0].dispatched, 7);
-        assert_eq!(snap.per_node[0].stolen, 0);
-        assert_eq!(snap.per_node[1].dispatched, 0);
-        assert_eq!(snap.per_node[2].dispatched, 3);
-        assert_eq!(snap.per_node[2].stolen, 3);
     }
 }

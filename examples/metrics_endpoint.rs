@@ -69,7 +69,7 @@ fn main() {
     }
 
     // The last few lifecycle trace records: admitted → queued →
-    // dispatched(path) → computed → completed, per request, per node.
+    // dispatched(path) → computed → completed, per request.
     println!("\n-- tail of /trace --");
     let trace = get(addr, "/trace");
     for line in trace.lines().rev().take(8).collect::<Vec<_>>().iter().rev() {

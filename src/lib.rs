@@ -7,7 +7,7 @@
 //!   entries, the shared [`FtPolicy`]
 //! * [`pool`] — persistent worker pool (OpenMP-style regions)
 //! * [`parallel`] — multithreaded and batched (FT-)GEMM
-//! * [`serve`] — batched GEMM serving: request queue, sharded dispatch,
+//! * [`serve`] — batched GEMM serving: one request queue and dispatcher,
 //!   per-request fault-tolerance policy
 //! * [`net`] — TCP wire frontend: versioned binary protocol,
 //!   server-resident operand handles, [`NetServer`]/[`NetClient`]
@@ -50,19 +50,16 @@
 //! matrix-parallel driver, and applies the same per-request [`FtPolicy`]
 //! the one-shot API uses. Build requests with [`GemmRequest::new`] and its
 //! `with_*` setters (or [`GemmOp::to_request`]). Three submit
-//! surfaces feed per-node dispatchers: blocking handles
+//! surfaces feed one queue and one dispatcher: blocking handles
 //! ([`submit`](serve::GemmService::submit)), waker-based futures
 //! ([`submit_async`](serve::GemmService::submit_async) — no parked thread
 //! per request), and a completion-channel stream
 //! ([`submit_streamed`](serve::GemmService::submit_streamed)). See
 //! `examples/serving_throughput.rs` and `examples/async_serving.rs`.
 //!
-//! The service is NUMA-sharded: a [`Topology`] (detected, or
-//! [`Topology::synthetic`] for deterministic tests) gives every node its own
-//! queue shard group, dispatcher and worker pool, and a [`PlacementPolicy`]
-//! stamps each request's node affinity at submit time
-//! (`ServiceConfig { topology, placement, .. }`). The sharding is
-//! scheduling structure: no thread is pinned and no page is bound.
+//! The dispatcher runs every request on one worker pool of
+//! `ServiceConfig::threads` threads (`0` = one per available core), the
+//! paper's one-pool shape: no thread is pinned and no page is bound.
 //!
 //! For the crate-by-crate map and the request lifecycle, read
 //! `docs/ARCHITECTURE.md`.
@@ -86,8 +83,8 @@ pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_serve::{
-    GemmRequest, GemmResponse, GemmService, NodeStats, PlacementPolicy, Priority, RoutePath,
-    RoutingPolicy, ServiceConfig, TenantId, TenantTable, Topology,
+    GemmRequest, GemmResponse, GemmService, Priority, RoutePath, RoutingPolicy, ServiceConfig,
+    TenantId, TenantTable,
 };
 
 #[cfg(test)]

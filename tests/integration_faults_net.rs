@@ -7,8 +7,8 @@
 //! trusted in-process surface, not a client capability). So the campaign
 //! here drives injector-attached submits *in process* against the same
 //! `Arc<GemmService>` a `NetServer` is serving, while wire clients work
-//! the same service over TCP: escalation state must be node-local, wire
-//! results must stay correct, and the `ftgemm_ftpolicy_*` /
+//! the same service over TCP: the escalated floor must reach wire
+//! requests, wire results must stay correct, and the `ftgemm_ftpolicy_*` /
 //! `ftgemm_scrub_*` families must show up (with the escalated floor's
 //! value) in a real `/metrics` scrape over TCP.
 
@@ -17,8 +17,7 @@ use ftgemm::faults::{ErrorModel, Rate};
 use ftgemm::net::proto::error_code;
 use ftgemm::net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 use ftgemm::serve::{
-    FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, PlacementPolicy, RoutingPolicy,
-    ServiceConfig, Topology,
+    FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
 };
 use ftgemm::{FaultInjector, Matrix};
 use std::io::{Read, Write};
@@ -48,19 +47,19 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// An in-process injection campaign at node 0 escalates that node's floor
-/// while a wire client keeps getting correct answers from the same
-/// service — and the whole policy state is visible in a TCP `/metrics`
-/// scrape: per-node `ftgemm_ftpolicy_node_floor` shows the faulty node at
-/// 2 (DetectCorrect) and the clean node at 0.
+/// An in-process injection campaign escalates the service's floor to 2
+/// (DetectCorrect) while a wire client keeps getting correct answers from
+/// the same service, and an `Off` wire submit then runs verified; quiet
+/// in-process traffic steps the floor 2 → 1 → 0. The whole policy state is
+/// visible in TCP `/metrics` scrapes: the unlabelled
+/// `ftgemm_ftpolicy_floor` reads 2 after the campaign and 0 after the
+/// quiet traffic.
 #[test]
 fn wire_campaign_escalates_node_and_exports_policy_metrics() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
-        threads: 0,
+        threads: 2,
         max_batch: 4,
         routing: RoutingPolicy::Fixed(CUTOFF),
-        topology: Some(Topology::synthetic(2, 2)),
-        placement: PlacementPolicy::OperandHome,
         obs_addr: Some("127.0.0.1:0".parse().unwrap()),
         // Same tuning as the in-process escalation test: one detected
         // error per 96^3 request reads ≈3.3e-7 errors/flop after one
@@ -76,9 +75,13 @@ fn wire_campaign_escalates_node_and_exports_policy_metrics() {
     let server = NetServer::start(Arc::clone(&svc), "127.0.0.1:0", NetServerConfig::default())
         .expect("bind wire frontend");
     let mut client = NetClient::connect(server.addr()).unwrap();
+    let obs = svc.obs_addr().expect("obs endpoint bound");
+    assert!(
+        scrape(obs).contains("\nftgemm_ftpolicy_floor 0\n"),
+        "a clean service must export no floor"
+    );
 
-    // In-process campaign pinned at node 0: serial submit-and-wait keeps
-    // the queues under the steal gate, so the home hint holds.
+    // In-process campaign, serial submit-and-wait.
     let mut campaign_detected = 0u64;
     let mut campaign_injected = 0u64;
     let mut campaign_corrected = 0u64;
@@ -94,13 +97,11 @@ fn wire_campaign_escalates_node_and_exports_policy_metrics() {
             .submit(
                 GemmRequest::new(a, b)
                     .with_policy(FtPolicy::DetectCorrect)
-                    .with_injector(inj.clone())
-                    .with_home(0),
+                    .with_injector(inj.clone()),
             )
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(resp.executed_node, 0, "campaign request stolen off node 0");
         assert!(resp.report.detected > 0);
         // Cross-layer agreement request by request: report vs injector.
         assert_eq!(resp.report.injected as u64, inj.stats().injected());
@@ -110,9 +111,10 @@ fn wire_campaign_escalates_node_and_exports_policy_metrics() {
         campaign_corrected += resp.report.corrected as u64;
     }
 
-    // Wire traffic on the same service stays correct while node 0 is
+    // Wire traffic on the same service stays correct while the service is
     // floored (small requests: their clean flops stay far below the quiet
-    // volume, so they cannot de-escalate node 0 mid-test).
+    // volume, so they cannot de-escalate the floor mid-test), and an `Off`
+    // wire submit runs under the floor: verified.
     let a = Matrix::<f64>::random(32, 32, 42_000);
     let b = Matrix::<f64>::random(32, 32, 42_001);
     let ha = client.upload(&a).unwrap();
@@ -128,28 +130,29 @@ fn wire_campaign_escalates_node_and_exports_policy_metrics() {
             ok.to_matrix().rel_max_diff(&expected) < 1e-12,
             "wire result wrong under escalation ({policy:?})"
         );
+        assert!(
+            ok.verifications > 0,
+            "{policy:?} wire submit on the escalated service must run verified"
+        );
     }
 
-    // Node-local escalation state, service-wide counter agreement.
+    // Escalation state, service-wide counter agreement.
     let snap = svc.stats();
-    let floor = |node: usize| {
-        snap.per_node
-            .iter()
-            .find(|n| n.node == node)
-            .unwrap_or_else(|| panic!("no stats for node {node}"))
-    };
-    assert_eq!(floor(0).ft_floor, 2, "faulty node floored at DetectCorrect");
-    assert!(floor(0).ft_escalations >= 1);
-    assert_eq!(floor(1).ft_floor, 0, "clean node keeps no floor");
-    assert_eq!(floor(1).ft_escalations, 0);
+    assert_eq!(
+        snap.ft_floor, 2,
+        "the campaign floors the service at DetectCorrect"
+    );
+    assert!(snap.ft_escalations >= 1);
+    assert_eq!(snap.ft_deescalations, 0);
+    assert!(snap.ft_error_rate > 0.0);
     assert_eq!(snap.detected, campaign_detected);
     assert_eq!(snap.injected, campaign_injected);
     assert_eq!(snap.corrected, campaign_corrected);
 
     // The whole policy surface is scrapeable over TCP.
-    let body = scrape(svc.obs_addr().expect("obs endpoint bound"));
+    let body = scrape(obs);
     for family in [
-        "ftgemm_ftpolicy_node_floor",
+        "ftgemm_ftpolicy_floor",
         "ftgemm_ftpolicy_escalations_total",
         "ftgemm_ftpolicy_deescalations_total",
         "ftgemm_ftpolicy_error_rate_per_flop",
@@ -164,12 +167,33 @@ fn wire_campaign_escalates_node_and_exports_policy_metrics() {
         );
     }
     assert!(
-        body.contains("ftgemm_ftpolicy_node_floor{node=\"0\"} 2\n"),
+        body.contains("\nftgemm_ftpolicy_floor 2\n"),
         "escalated floor not exported"
     );
+
+    // Quiet in-process traffic steps the floor down one level per quiet
+    // volume — DetectCorrect(2) -> Detect(1) -> Off(0).
+    let mut saw_detect_step = false;
+    for i in 0..30u64 {
+        let floor = svc.stats().ft_floor;
+        if floor == 0 {
+            break;
+        }
+        saw_detect_step |= floor == 1;
+        let a = Matrix::<f64>::random(96, 96, 44_000 + 2 * i);
+        let b = Matrix::<f64>::random(96, 96, 44_001 + 2 * i);
+        svc.run(GemmRequest::new(a, b).with_policy(FtPolicy::Off))
+            .unwrap();
+    }
+    assert!(saw_detect_step, "floor must step down through Detect");
+    let body = scrape(obs);
     assert!(
-        body.contains("ftgemm_ftpolicy_node_floor{node=\"1\"} 0\n"),
-        "clean floor not exported"
+        body.contains("\nftgemm_ftpolicy_floor 0\n"),
+        "de-escalated floor not exported"
+    );
+    assert!(
+        body.contains("\nftgemm_ftpolicy_deescalations_total 2\n"),
+        "two quiet steps not exported"
     );
 }
 
@@ -181,7 +205,6 @@ fn wire_campaign_escalates_node_and_exports_policy_metrics() {
 fn scrubber_quarantines_corrupted_operand_before_reuse() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
         threads: 2,
-        topology: Some(Topology::single(2)),
         ..ServiceConfig::default()
     }));
     let server = NetServer::start(

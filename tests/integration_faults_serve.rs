@@ -1,5 +1,5 @@
 //! End-to-end fault-injection coverage of the serving path: `ftgemm-faults`
-//! wired through a NUMA-sharded `GemmService` for the first time.
+//! wired through a `GemmService` for the first time.
 //!
 //! A seeded campaign submits a batch of requests whose injectors corrupt
 //! macro-kernel tiles mid-GEMM, under `FtPolicy::DetectCorrect`, and pins
@@ -24,8 +24,8 @@
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::faults::{ErrorModel, Rate};
 use ftgemm::serve::{
-    FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, PlacementPolicy, RoutingPolicy,
-    ServiceConfig, Topology,
+    FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
+    StatsSnapshot,
 };
 use ftgemm::{FaultInjector, Matrix};
 
@@ -35,11 +35,9 @@ const CUTOFF: u64 = 2 * 96 * 96 * 96;
 
 fn faulted_service() -> GemmService<f64> {
     GemmService::new(ServiceConfig {
-        threads: 0, // one worker per synthetic core
+        threads: 2,
         max_batch: 4,
         routing: RoutingPolicy::Fixed(CUTOFF),
-        topology: Some(Topology::synthetic(2, 2)),
-        placement: PlacementPolicy::RoundRobin,
         ..ServiceConfig::default()
     })
 }
@@ -236,12 +234,13 @@ fn off_policy_control_keeps_detection_at_zero() {
     assert_eq!(snap.completed, 8);
 }
 
-/// The error-aware fault-policy lifecycle, end to end on a two-node
-/// synthetic topology: an injection campaign at node 0 escalates **only**
-/// node 0's policy floor to `DetectCorrect` (an `Off` request pinned there
-/// runs verified; the same request at clean node 1 keeps the plain
-/// driver's zero-verification cost), and a quiet volume of clean traffic
-/// steps the floor back down to `Off` one level at a time.
+/// The error-aware fault-policy lifecycle, end to end on one service:
+/// before any fault an `Off` request keeps the plain driver's
+/// zero-verification cost; an injection campaign escalates the service's
+/// policy floor to `DetectCorrect`, after which an `Off` request runs
+/// verified; and a quiet volume of clean traffic steps the floor back down
+/// to `Off` one level at a time (2 → 1 → 0), after which `Off` is plain
+/// again.
 #[test]
 fn node_local_escalation_floors_requests_and_deescalates_when_quiet() {
     // One 96^3 request is 2*96^3 ≈ 1.77e6 flops, and each campaign request
@@ -251,11 +250,9 @@ fn node_local_escalation_floors_requests_and_deescalates_when_quiet() {
     // the second observation; `quiet_flops` is ~3 clean requests per
     // de-escalation step.
     let service = GemmService::<f64>::new(ServiceConfig {
-        threads: 0,
+        threads: 2,
         max_batch: 4,
         routing: RoutingPolicy::Fixed(CUTOFF),
-        topology: Some(Topology::synthetic(2, 2)),
-        placement: PlacementPolicy::OperandHome,
         fault_policy: Some(FaultPolicyConfig {
             tau_flops: 2.0e6,
             detect_threshold: 1.0e-7,
@@ -264,97 +261,85 @@ fn node_local_escalation_floors_requests_and_deescalates_when_quiet() {
         }),
         ..ServiceConfig::default()
     });
-    let node_floor = |node: usize| {
-        let snap = service.stats();
-        let ns = snap
-            .per_node
-            .iter()
-            .find(|n| n.node == node)
-            .cloned()
-            .unwrap_or_else(|| panic!("no per-node stats for node {node}"));
-        ns
-    };
-    // Serial submit-and-wait keeps every queue shallower than the steal
-    // gate, so the home hint fully determines the executing node.
-    let run = |node: usize, policy: FtPolicy, injector: Option<FaultInjector>, seed: u64| {
+    let stats = || -> StatsSnapshot { service.stats() };
+    let run = |policy: FtPolicy, injector: Option<FaultInjector>, seed: u64| {
         let a = Matrix::<f64>::random(96, 96, seed);
         let b = Matrix::<f64>::random(96, 96, seed + 1);
-        let mut req = GemmRequest::new(a, b).with_policy(policy).with_home(node);
+        let mut req = GemmRequest::new(a, b).with_policy(policy);
         if let Some(inj) = injector {
             req = req.with_injector(inj);
         }
-        let resp = service.submit(req).unwrap().wait().unwrap();
-        assert_eq!(resp.executed_node, node, "request was stolen off its home");
-        resp
+        service.submit(req).unwrap().wait().unwrap()
     };
 
-    // Phase A: an injection campaign at node 0 (DetectCorrect traffic with
-    // seeded injectors) drives its detected-errors-per-flop EWMA over the
-    // correct threshold.
+    // Before any fault: no floor, and an Off request with an armed
+    // injector keeps the plain driver — no injection sites, no
+    // verifications, all-zero report.
+    let inj_clean = FaultInjector::counted(33_000, 4);
+    let plain = run(FtPolicy::Off, Some(inj_clean.clone()), 33_001);
+    assert_eq!(plain.report, Default::default());
+    assert_eq!(inj_clean.stats().injected(), 0);
+    let clean = stats();
+    assert_eq!(clean.ft_floor, 0, "a clean service must keep no floor");
+    assert_eq!(clean.ft_escalations, 0);
+    assert_eq!(clean.ft_error_rate, 0.0);
+
+    // Phase A: an injection campaign (DetectCorrect traffic with seeded
+    // injectors) drives the detected-errors-per-flop EWMA over the correct
+    // threshold.
     for i in 0..3u64 {
         let inj = FaultInjector::new(
             31_000 + i,
             ErrorModel::Additive { magnitude: 1.0e6 },
             Rate::Count(4),
         );
-        let resp = run(0, FtPolicy::DetectCorrect, Some(inj), 30_000 + 2 * i);
+        let resp = run(FtPolicy::DetectCorrect, Some(inj), 30_000 + 2 * i);
         assert!(
             resp.report.detected > 0,
             "campaign request {i} saw no faults"
         );
     }
-    let n0 = node_floor(0);
-    let n1 = node_floor(1);
+    let escalated = stats();
     assert_eq!(
-        n0.ft_floor, 2,
-        "faulty node must be floored at DetectCorrect"
+        escalated.ft_floor, 2,
+        "the campaign must floor the service at DetectCorrect"
     );
-    assert!(n0.ft_escalations >= 1);
-    assert_eq!(n1.ft_floor, 0, "clean node must keep no floor");
-    assert_eq!(n1.ft_escalations, 0);
-    let snap = service.stats();
-    assert!(snap.ft_error_rate_per_node[0] > 0.0);
-    assert_eq!(snap.ft_error_rate_per_node[1], 0.0);
+    assert!(escalated.ft_escalations >= 1);
+    assert_eq!(escalated.ft_deescalations, 0);
+    assert!(escalated.ft_error_rate > 0.0);
 
-    // Phase B: the floor overrides the *request's* policy on the faulty
-    // node only. An Off request with an armed injector runs the verified
-    // path at node 0 (faults detected and corrected)...
+    // Phase B: the floor overrides the *request's* policy. An Off request
+    // with an armed injector runs the verified path (faults detected and
+    // corrected).
     let inj = FaultInjector::counted(32_000, 4);
-    let floored = run(0, FtPolicy::Off, Some(inj.clone()), 32_001);
+    let floored = run(FtPolicy::Off, Some(inj.clone()), 32_001);
     assert!(
         floored.report.verifications > 0,
-        "Off request at the escalated node must run verified"
+        "Off request on the escalated service must run verified"
     );
     assert_eq!(floored.report.detected, floored.report.injected);
     assert_eq!(floored.report.corrected, floored.report.injected);
     assert!(inj.stats().injected() > 0);
-    // ...while the identical request at the clean node keeps the plain
-    // driver: no injection sites, no verifications, all-zero report.
-    let inj_clean = FaultInjector::counted(33_000, 4);
-    let plain = run(1, FtPolicy::Off, Some(inj_clean.clone()), 33_001);
-    assert_eq!(plain.report, Default::default());
-    assert_eq!(inj_clean.stats().injected(), 0);
 
-    // Phase C: clean traffic at node 0 de-escalates one level per quiet
-    // volume — DetectCorrect(2) -> Detect(1) -> Off(0).
+    // Phase C: clean traffic de-escalates one level per quiet volume —
+    // DetectCorrect(2) -> Detect(1) -> Off(0).
     let mut saw_detect_step = false;
     for i in 0..30u64 {
-        if node_floor(0).ft_floor == 0 {
+        if stats().ft_floor == 0 {
             break;
         }
-        saw_detect_step |= node_floor(0).ft_floor == 1;
-        run(0, FtPolicy::Off, None, 34_000 + 2 * i);
+        saw_detect_step |= stats().ft_floor == 1;
+        run(FtPolicy::Off, None, 34_000 + 2 * i);
     }
-    let n0 = node_floor(0);
-    assert_eq!(n0.ft_floor, 0, "clean traffic never de-escalated node 0");
+    let quiet = stats();
+    assert_eq!(quiet.ft_floor, 0, "clean traffic never de-escalated");
     assert!(saw_detect_step, "floor must step down through Detect");
-    assert!(n0.ft_deescalations >= 2);
-    assert_eq!(node_floor(1).ft_deescalations, 0);
+    assert!(quiet.ft_deescalations >= 2);
 
-    // Fully de-escalated: Off requests at node 0 are back on the plain
-    // driver's cost (and its zero injection sites).
+    // Fully de-escalated: Off requests are back on the plain driver's cost
+    // (and its zero injection sites).
     let inj_after = FaultInjector::counted(35_000, 4);
-    let resp = run(0, FtPolicy::Off, Some(inj_after.clone()), 35_001);
+    let resp = run(FtPolicy::Off, Some(inj_after.clone()), 35_001);
     assert_eq!(resp.report, Default::default());
     assert_eq!(inj_after.stats().injected(), 0);
 }

@@ -12,9 +12,7 @@ use ftgemm::net::proto::{
     PROTO_VERSION,
 };
 use ftgemm::net::{ClientError, NetClient, NetServer, NetServerConfig, NetSubmit};
-use ftgemm::serve::{
-    FtPolicy, GemmRequest, GemmService, Priority, RoutePath, ServiceConfig, Topology,
-};
+use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, Priority, RoutePath, ServiceConfig};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -24,7 +22,6 @@ use std::time::{Duration, Instant};
 fn service() -> Arc<GemmService<f64>> {
     Arc::new(GemmService::new(ServiceConfig {
         threads: 2,
-        topology: Some(Topology::single(2)),
         ..ServiceConfig::default()
     }))
 }
@@ -178,7 +175,6 @@ fn hold_delivery_poll_and_wait() {
 fn infeasible_deadline_is_a_wire_error() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
         threads: 1,
-        topology: Some(Topology::single(1)),
         ..ServiceConfig::default()
     }));
     // Seed the batched path at 100k ns/flop: a 64^3 problem predicts
@@ -800,7 +796,6 @@ fn shutdown_verb_stops_server() {
 fn net_metric_families_scrape() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
         threads: 2,
-        topology: Some(Topology::single(2)),
         obs_addr: Some("127.0.0.1:0".parse().unwrap()),
         ..ServiceConfig::default()
     }));

@@ -1,13 +1,13 @@
 //! Integration coverage for deadline QoS: model-driven admission control
 //! (each routing path's measured ns/flop), feasible deadlines
-//! completing on a multi-node topology, and load-shedding of
+//! completing on a default service, and load-shedding of
 //! expired-while-queued requests across every submit surface.
 
 use ftgemm::core::Matrix;
 use ftgemm::serve::exec::block_on_all;
 use ftgemm::serve::{
-    completion_channel, GemmRequest, GemmService, PlacementPolicy, RoutePath, RoutingPolicy,
-    ServeError, ServiceConfig, TenantTable, Topology,
+    completion_channel, GemmRequest, GemmService, RoutePath, RoutingPolicy, ServeError,
+    ServiceConfig, TenantTable,
 };
 use std::time::Duration;
 
@@ -30,7 +30,6 @@ fn admission_decision_flips_with_seeded_ns_per_flop() {
     let service_seeded = |ns_per_flop: u64| {
         let service = GemmService::<f64>::new(ServiceConfig {
             threads: 1,
-            topology: Some(Topology::single(1)),
             ..ServiceConfig::default()
         });
         // Identical samples keep the batched path's Σns/Σflops exactly
@@ -94,7 +93,6 @@ fn fixed_cutoff_admission_reads_only_the_routed_paths_evidence() {
         let service = GemmService::<f64>::new(ServiceConfig {
             threads: 1,
             routing: RoutingPolicy::Fixed(cutoff),
-            topology: Some(Topology::single(1)),
             ..ServiceConfig::default()
         });
         service.seed_routing(path, flops(dim), flops(dim) * 100_000);
@@ -133,15 +131,14 @@ fn fixed_cutoff_admission_reads_only_the_routed_paths_evidence() {
     assert_eq!(snap.rejected_deadline, 1);
 }
 
-/// A feasible deadline on a 2x2 synthetic topology is admitted, completes
+/// A feasible deadline on a default service (one pool thread per core) is
+/// admitted, completes
 /// before its deadline, and lands in the tenant's deadline-met tally; the
 /// per-tenant served-flops ledger matches the work actually done.
 #[test]
 fn feasible_deadline_completes_on_synthetic_topology() {
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: 0,
-        topology: Some(Topology::synthetic(2, 2)),
-        placement: PlacementPolicy::RoundRobin,
         tenants: TenantTable::new().tenant(7, 4),
         ..ServiceConfig::default()
     });
@@ -187,7 +184,6 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
         threads: 1,
         max_batch: 4,
         routing: RoutingPolicy::Fixed(2 * 96 * 96 * 96),
-        topology: Some(Topology::single(1)),
         tenants: TenantTable::new().tenant(3, 2),
         ..ServiceConfig::default()
     });

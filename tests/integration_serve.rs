@@ -8,6 +8,7 @@ use ftgemm::serve::{
     completion_channel, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
 };
 use ftgemm::{FaultInjector, Matrix};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -416,9 +417,8 @@ fn rejected_submissions_do_not_inflate_counters() {
             Matrix::<f64>::random(n, n, 2),
         ))
         .unwrap();
-    let dispatched = |s: &ftgemm::serve::StatsSnapshot| -> u64 {
-        s.per_node.iter().map(|node| node.dispatched).sum()
-    };
+    let dispatched =
+        |s: &ftgemm::serve::StatsSnapshot| -> u64 { s.batched_requests + s.direct_large };
     let deadline = Instant::now() + Duration::from_secs(60);
     while dispatched(&service.stats()) < accepted_count + 1 {
         assert!(Instant::now() < deadline, "the blocker never started");
@@ -474,8 +474,8 @@ fn shutdown_drains_outstanding_requests() {
     }
 }
 
-/// (i) Two services share nothing — each has its own per-node pools, one
-/// dispatcher per pool — so they run matrix-parallel regions at the same
+/// (i) Two services share nothing — each has its own pool and its own
+/// dispatcher — so they run matrix-parallel regions at the same
 /// time without queueing on each other. Both are driven from their own
 /// thread through a start barrier; a bounded wait turns a cross-service
 /// deadlock into a failure instead of a hang.
@@ -527,4 +527,58 @@ fn two_services_sharing_nothing_run_concurrently() {
     for d in drivers {
         d.join().unwrap();
     }
+}
+
+/// Hammer: four frontend threads blast streamed requests into one default
+/// service at once; no request is lost and none is delivered or
+/// dispatched twice.
+#[test]
+fn hammer_no_request_lost_or_double_executed() {
+    let service = Arc::new(GemmService::<f64>::new(ServiceConfig::default()));
+    let (sink, mut completions) = completion_channel::<f64>();
+
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 50;
+    let submitters: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            let sink = sink.clone();
+            std::thread::spawn(move || {
+                (0..PER_THREAD)
+                    .map(|i| {
+                        let seed = t * 10_000 + i;
+                        let a = Matrix::<f64>::random(16, 16, seed);
+                        let b = Matrix::<f64>::random(16, 16, seed + 1);
+                        service
+                            .submit_streamed(GemmRequest::new(a, b), &sink)
+                            .unwrap()
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+    let mut expected_ids = Vec::new();
+    for s in submitters {
+        expected_ids.extend(s.join().unwrap());
+    }
+    drop(sink);
+
+    let mut seen = HashSet::new();
+    while let Some(c) = completions.recv() {
+        c.result.unwrap();
+        assert!(seen.insert(c.id), "request {} delivered twice", c.id);
+    }
+    let expected: HashSet<u64> = expected_ids.iter().copied().collect();
+    assert_eq!(expected.len(), (THREADS * PER_THREAD) as usize);
+    assert_eq!(seen, expected, "every submitted request completes once");
+
+    let snap = service.stats();
+    assert_eq!(snap.submitted, THREADS * PER_THREAD);
+    assert_eq!(snap.completed, THREADS * PER_THREAD);
+    assert_eq!(snap.failed, 0);
+    assert_eq!(
+        snap.batched_requests + snap.direct_large,
+        THREADS * PER_THREAD,
+        "each request dispatched exactly once: {snap:?}"
+    );
 }

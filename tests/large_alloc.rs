@@ -1,9 +1,9 @@
 //! Pins what `GemmService`'s large path costs in memory once it is warm:
-//! nothing. A node keeps one matrix-parallel workspace (paper §2.3: the
-//! shared `B~` and each thread's `A~` are requested once and reused), so
-//! after the shapes a node serves have been seen, a large request makes no
+//! nothing. The service keeps one matrix-parallel workspace (paper §2.3:
+//! the shared `B~` and each thread's `A~` are requested once and reused),
+//! so after the shapes it serves have been seen, a large request makes no
 //! allocation of packing-buffer size on any service thread, and what the
-//! node holds stays under the bound its blocking sets.
+//! service holds stays under the bound its blocking sets.
 //!
 //! A counting global allocator tallies allocations of at least 64 KiB made
 //! by every thread *except* the submitting one — the dispatcher and its
@@ -20,7 +20,7 @@ use ftgemm::core::aligned::{huge_buffers, mapped_buffers, recycled_buffers};
 use ftgemm::serve::{
     FtPolicy, GemmRequest, GemmService, RequestHandle, RoutingPolicy, ServiceConfig,
 };
-use ftgemm::{GemmContext, Matrix, Topology};
+use ftgemm::{GemmContext, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -96,7 +96,6 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
 
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: THREADS,
-        topology: Some(Topology::single(THREADS)),
         routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
         ..ServiceConfig::default()
     });
@@ -115,13 +114,13 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
             "request {step} ({dim}^3) left the matrix-parallel path"
         );
     };
-    assert_eq!(service.stats().per_node[0].large_workspace_bytes, 0);
+    assert_eq!(service.stats().large_workspace_bytes, 0);
 
     for step in 0..3 {
         run(step, FtPolicy::DetectCorrect);
     }
-    let held = service.stats().per_node[0].large_workspace_bytes;
-    assert!(held > 0, "the node keeps its workspace");
+    let held = service.stats().large_workspace_bytes;
+    assert!(held > 0, "the service keeps its workspace");
 
     let (before, mapped_before, recycled_before, huge_before) = (
         LARGE_OFF_SUBMITTER.load(Ordering::Relaxed),
@@ -149,7 +148,7 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
     assert_eq!(
         recycled > 0,
         own > 0,
-        "no result of a warm node came from a spare ({mapped} mapped)"
+        "no result of a warm service came from a spare ({mapped} mapped)"
     );
     // Four of the twelve results are 512^2, and only those of them mapped
     // fresh advise; 256^2 and 384^2 results, and the warm workspace, advise
@@ -183,10 +182,10 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
     assert_eq!(mapped_buffers(), mapped, "a repeated burst mapped results");
     assert_eq!(recycled_buffers() - recycled, 6 * own);
 
-    // What the node holds did not move, and it is the largest shape served:
+    // What the service holds did not move, and it is the largest shape served:
     // one `kc x nc` panel and one `mc x kc` block per thread, each clamped to
     // 512^3 — so under the ceiling the blocking sets — plus O(m + n + k) sums.
-    assert_eq!(service.stats().per_node[0].large_workspace_bytes, held);
+    assert_eq!(service.stats().large_workspace_bytes, held);
     let (a_len, b_len) = packed_lens(&GemmContext::<f64>::new().params, 512, 512, 512);
     let sums = (2 + 2 * THREADS) * 3 * 512;
     let bound = (b_len + THREADS * a_len + sums) * std::mem::size_of::<f64>();

@@ -4,7 +4,7 @@
 #![cfg(target_os = "linux")]
 
 use ftgemm::net::{NetClient, NetServer, NetServerConfig};
-use ftgemm::serve::{GemmService, ServiceConfig, Topology};
+use ftgemm::serve::{GemmService, ServiceConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +19,6 @@ fn a_connection_costs_two_threads_and_returns_them() {
     const CONNECTIONS: usize = 8;
     let service = Arc::new(GemmService::new(ServiceConfig {
         threads: 2,
-        topology: Some(Topology::single(2)),
         ..ServiceConfig::default()
     }));
     let server = NetServer::start(service, "127.0.0.1:0", NetServerConfig::default())

@@ -8,8 +8,8 @@ use ftgemm::core::aligned;
 use ftgemm::obs::Registry;
 use ftgemm::serve::exec::block_on;
 use ftgemm::serve::{
-    completion_channel, FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, PlacementPolicy,
-    RoutingPolicy, ServiceConfig, Topology,
+    completion_channel, FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, RoutingPolicy,
+    ServiceConfig,
 };
 use ftgemm::{FaultInjector, Matrix};
 use std::collections::{BTreeSet, HashMap};
@@ -18,10 +18,8 @@ use std::net::{SocketAddr, TcpStream};
 
 fn obs_service() -> GemmService<f64> {
     GemmService::new(ServiceConfig {
-        threads: 4,
+        threads: 2,
         max_batch: 4,
-        topology: Some(Topology::synthetic(2, 2)),
-        placement: PlacementPolicy::RoundRobin,
         // Pinned cutoff so the small/large mix deterministically exercises
         // both routing paths.
         routing: RoutingPolicy::Fixed(2 * 96 * 96 * 96),
@@ -108,7 +106,7 @@ fn parse_exposition(body: &str) -> HashMap<String, f64> {
 }
 
 /// The flagship end-to-end check: mixed traffic (both routing paths, some
-/// requests with fault injectors) through a 2x2 synthetic-topology service,
+/// requests with fault injectors) through a two-thread service,
 /// then a real TCP scrape whose counters must equal `service.stats()`.
 #[test]
 fn scraped_counters_match_in_process_snapshot() {
@@ -206,7 +204,11 @@ fn scraped_counters_match_in_process_snapshot() {
             "ftgemm_service_pool_barrier_crossings_total",
             snap.pool.barrier_crossings,
         ),
-        ("ftgemm_steal_wakeups_total", snap.steal_wakeups),
+        ("ftgemm_threads", snap.batch_busy_per_thread.len() as u64),
+        ("ftgemm_large_workspace_bytes", snap.large_workspace_bytes),
+        ("ftgemm_ftpolicy_floor", u64::from(snap.ft_floor)),
+        ("ftgemm_ftpolicy_escalations_total", snap.ft_escalations),
+        ("ftgemm_ftpolicy_deescalations_total", snap.ft_deescalations),
     ];
     for (family, value) in expect {
         assert_eq!(
@@ -227,40 +229,18 @@ fn scraped_counters_match_in_process_snapshot() {
         (12, 6, 6)
     );
 
-    // Every per-node and per-tenant row of the snapshot is a labeled sample
-    // of the scrape with the same value.
-    let mut labeled: Vec<(String, f64)> = Vec::new();
-    for n in &snap.per_node {
-        let mut node = |family: &str, value: f64| {
-            labeled.push((format!("{family}{{node=\"{}\"}}", n.node), value));
-        };
-        node("ftgemm_node_threads", n.threads as f64);
-        node("ftgemm_node_queue_depth", n.queue_depth as f64);
-        node("ftgemm_node_dispatched_total", n.dispatched as f64);
-        node("ftgemm_node_stolen_total", n.stolen as f64);
-        node(
-            "ftgemm_node_large_workspace_bytes",
-            n.large_workspace_bytes as f64,
-        );
-        node(
-            "ftgemm_node_batch_wall_seconds_total",
-            n.batch_wall.as_secs_f64(),
-        );
-        node(
-            "ftgemm_node_batch_busy_seconds_total",
-            n.batch_busy.as_secs_f64(),
-        );
-        node("ftgemm_ftpolicy_node_floor", n.ft_floor as f64);
-        node("ftgemm_ftpolicy_escalations_total", n.ft_escalations as f64);
-        node(
-            "ftgemm_ftpolicy_deescalations_total",
-            n.ft_deescalations as f64,
-        );
-        node(
-            "ftgemm_ftpolicy_error_rate_per_flop",
-            snap.ft_error_rate_per_node[n.node],
-        );
-    }
+    // The snapshot's seconds and rates, and every per-tenant and
+    // per-thread row, are samples of the scrape with the same value.
+    let mut labeled: Vec<(String, f64)> = vec![
+        (
+            "ftgemm_batch_wall_seconds_total".to_string(),
+            snap.batch_wall.as_secs_f64(),
+        ),
+        (
+            "ftgemm_ftpolicy_error_rate_per_flop".to_string(),
+            snap.ft_error_rate,
+        ),
+    ];
     assert_eq!(snap.per_tenant.len(), 2, "{:?}", snap.per_tenant);
     for t in &snap.per_tenant {
         assert_eq!((t.admitted, t.completed), (12, 12), "{t:?}");
@@ -284,16 +264,14 @@ fn scraped_counters_match_in_process_snapshot() {
         assert_eq!(samples.get(&key).copied(), Some(value), "{key}");
     }
 
-    // Per-node families carry one labeled sample per topology node, and the
-    // dispatched counters sum to the total that executed.
-    let mut dispatched_sum = 0.0;
-    for node in 0..2 {
-        let key = format!("ftgemm_node_dispatched_total{{node=\"{node}\"}}");
-        dispatched_sum += samples[&key];
-        let threads = format!("ftgemm_node_threads{{node=\"{node}\"}}");
-        assert_eq!(samples[&threads], 2.0, "2 cores per synthetic node");
-    }
-    assert_eq!(dispatched_sum, 24.0);
+    // The pool is the configured size, the two paths' counters sum to the
+    // total that executed, and the large path kept its workspace.
+    assert_eq!(samples["ftgemm_threads"], 2.0);
+    assert_eq!(
+        samples["ftgemm_batched_requests_total"] + samples["ftgemm_direct_large_total"],
+        24.0
+    );
+    assert!(samples["ftgemm_large_workspace_bytes"] > 0.0);
 
     // The turnaround histogram saw every completion, and its bucket series
     // is present and cumulative.
@@ -337,7 +315,7 @@ fn scraped_counters_match_in_process_snapshot() {
 /// touched, so no family is missing for want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 51] = [
+    const GOLDEN: [(&str, &str); 45] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -352,15 +330,9 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_ftpolicy_deescalations_total", "counter"),
         ("ftgemm_ftpolicy_error_rate_per_flop", "gauge"),
         ("ftgemm_ftpolicy_escalations_total", "counter"),
-        ("ftgemm_ftpolicy_node_floor", "gauge"),
+        ("ftgemm_ftpolicy_floor", "gauge"),
+        ("ftgemm_large_workspace_bytes", "gauge"),
         ("ftgemm_mapped_buffers_total", "counter"),
-        ("ftgemm_node_batch_busy_seconds_total", "counter"),
-        ("ftgemm_node_batch_wall_seconds_total", "counter"),
-        ("ftgemm_node_dispatched_total", "counter"),
-        ("ftgemm_node_large_workspace_bytes", "gauge"),
-        ("ftgemm_node_queue_depth", "gauge"),
-        ("ftgemm_node_stolen_total", "counter"),
-        ("ftgemm_node_threads", "gauge"),
         ("ftgemm_queue_depth", "gauge"),
         ("ftgemm_recycled_buffers_total", "counter"),
         ("ftgemm_request_turnaround_seconds", "histogram"),
@@ -379,7 +351,6 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_service_pool_barrier_crossings_total", "counter"),
         ("ftgemm_service_pool_regions_total", "counter"),
         ("ftgemm_spare_buffer_bytes", "gauge"),
-        ("ftgemm_steal_wakeups_total", "counter"),
         ("ftgemm_tenant_admitted_total", "counter"),
         ("ftgemm_tenant_completed_total", "counter"),
         ("ftgemm_tenant_deadline_met_total", "counter"),
@@ -387,12 +358,12 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_tenant_rejected_deadline_total", "counter"),
         ("ftgemm_tenant_served_flops_total", "counter"),
         ("ftgemm_tenant_shed_total", "counter"),
+        ("ftgemm_threads", "gauge"),
         ("ftgemm_trace_dropped_total", "counter"),
         ("ftgemm_uptime_seconds", "gauge"),
     ];
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: 2,
-        topology: Some(Topology::synthetic(2, 1)),
         obs_addr: Some("127.0.0.1:0".parse().unwrap()),
         fault_policy: Some(FaultPolicyConfig::default()),
         ..ServiceConfig::default()

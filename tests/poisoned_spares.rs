@@ -20,9 +20,7 @@ use ftgemm::core::aligned::{recycled_buffers, AlignedVec};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
 use ftgemm::net::proto::{Frame, OperandRef, SubmitFrame};
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
-use ftgemm::{
-    Exec, GemmOp, Matrix, NetClient, NetServer, NetServerConfig, ParGemmContext, Topology,
-};
+use ftgemm::{Exec, GemmOp, Matrix, NetClient, NetServer, NetServerConfig, ParGemmContext};
 use std::sync::Arc;
 
 const THREADS: usize = 2;
@@ -71,7 +69,6 @@ fn first_difference(got: &[f64], want: &Matrix<f64>) -> Option<usize> {
 fn service(cutoff: u64) -> Arc<GemmService<f64>> {
     Arc::new(GemmService::new(ServiceConfig {
         threads: THREADS,
-        topology: Some(Topology::single(THREADS)),
         routing: RoutingPolicy::Fixed(cutoff),
         ..ServiceConfig::default()
     }))

@@ -11,7 +11,6 @@
 use ftgemm::core::Matrix;
 use ftgemm::serve::{
     GemmRequest, GemmService, Priority, RoutingPolicy, SchedSim, ServiceConfig, TenantTable,
-    Topology,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -164,7 +163,6 @@ fn results_bit_identical_across_qos_permutations() {
             threads: 2,
             max_batch: 4,
             routing: RoutingPolicy::Fixed(2 * 48 * 48 * 48),
-            topology: Some(Topology::synthetic(1, 2)),
             tenants: TenantTable::new().tenant(FG, 8).tenant(BG, 1),
             ..ServiceConfig::default()
         })

@@ -12,7 +12,7 @@ use ftgemm::parallel::{
     ParGemmContext,
 };
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
-use ftgemm::{Exec, GemmBatch, GemmOp, Topology};
+use ftgemm::{Exec, GemmBatch, GemmOp};
 use proptest::prelude::*;
 
 proptest! {
@@ -103,7 +103,7 @@ proptest! {
     }
 }
 
-/// Large path: one node serves matrix-parallel requests on the workspace it
+/// Large path: the service serves matrix-parallel requests on the workspace it
 /// keeps, through shapes that grow and shrink — square ones, and ragged ones
 /// deeper than one `kc` panel whose `n` is no multiple of any kernel's `nr` —
 /// and policies that alternate, and every result is bit-identical to the
@@ -111,13 +111,12 @@ proptest! {
 /// thread count (same partitioning, same per-element accumulation order).
 /// The last request rolls back on the reused workspace, and its report
 /// matches too: the direct side's fresh workspace first counts as many
-/// protected calls as the node has served, so both draw the same pattern.
+/// protected calls as the service has served, so both draw the same pattern.
 #[test]
 fn large_path_is_bit_identical_to_fresh_workspaces() {
     const THREADS: usize = 2;
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: THREADS,
-        topology: Some(Topology::single(THREADS)),
         routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
         ..ServiceConfig::default()
     });
@@ -311,7 +310,6 @@ fn rollback_is_identical_across_serial_paths() {
 
     let large = GemmService::<f64>::new(ServiceConfig {
         threads: 2,
-        topology: Some(Topology::single(2)),
         routing: RoutingPolicy::Fixed(0), // everything runs matrix-parallel
         ..ServiceConfig::default()
     });

@@ -1,13 +1,13 @@
 //! Queue drop/shutdown regression coverage: a service going away with
-//! requests still parked on a non-empty node shard group must *resolve*
-//! every outstanding handle, future, and completion-channel receiver — by
-//! computing the backlog (graceful [`shutdown`]) or failing it with
-//! [`ServeError::Closed`] ([`shutdown_now`]) — never by leaving a waiter
-//! hung on an envelope that silently vanished with a shard group.
+//! requests still parked in its queue behind a busy dispatcher must
+//! *resolve* every outstanding handle, future, and completion-channel
+//! receiver — by computing the backlog (graceful [`shutdown`]) or failing
+//! it with [`ServeError::Closed`] ([`shutdown_now`]) — never by leaving a
+//! waiter hung on an envelope that silently vanished with the queue.
 
 use ftgemm::serve::{
-    completion_channel, FtPolicy, GemmRequest, GemmService, PlacementPolicy, RoutingPolicy,
-    ServeError, ServiceConfig, Topology,
+    completion_channel, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServeError,
+    ServiceConfig,
 };
 use ftgemm::Matrix;
 use std::future::Future;
@@ -15,55 +15,51 @@ use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
-/// The order of the requests that keep both nodes busy: on a 2-vCPU host
-/// they compute for about 30 ms in release builds and 0.8 s in debug ones,
-/// against 0.5 and 1.5 ms to submit the backlog.
+/// The order of the request that keeps the dispatcher busy: on a 2-vCPU
+/// host it computes for about 30 ms in release builds and 0.8 s in debug
+/// ones, against 0.5 and 1.5 ms to submit the backlog.
 const BIG: usize = if cfg!(debug_assertions) { 512 } else { 1024 };
 
-fn sharded_service() -> GemmService<f64> {
+fn two_thread_service() -> GemmService<f64> {
     GemmService::new(ServiceConfig {
-        threads: 0,
+        threads: 2,
         max_batch: 4,
         routing: RoutingPolicy::Fixed(2 * 96 * 96 * 96),
-        topology: Some(Topology::synthetic(2, 1)),
-        placement: PlacementPolicy::RoundRobin,
         ..ServiceConfig::default()
     })
 }
 
-/// `shutdown_now` with requests parked across both node shard groups: the
+/// `shutdown_now` with requests parked behind the busy dispatcher: the
 /// in-flight request completes, every parked request fails with `Closed`
 /// (not a hang — every wait below is bounded), every parked future is
 /// resolved by the time `shutdown_now` returns, the completion channel
 /// observes the whole drain and then ends, and the counters balance.
 #[test]
 fn shutdown_now_fails_parked_requests_instead_of_hanging() {
-    let service = sharded_service();
+    let service = two_thread_service();
 
-    // Occupy both nodes: one large matrix-parallel request each (round-robin
-    // placement), so everything submitted after them is still parked on its
-    // shard group when shutdown_now lands.
-    let big: Vec<_> = (0..2u64)
-        .map(|i| {
-            let a = Matrix::<f64>::random(BIG, BIG, 1 + i);
-            let b = Matrix::<f64>::random(BIG, BIG, 3 + i);
-            let req = GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect);
-            service.submit(req).unwrap()
-        })
-        .collect();
-    // Wait until each node's dispatcher has started its big request (counted
-    // at execution) and neither has finished it.
+    // Occupy the dispatcher with one large matrix-parallel request, so
+    // everything submitted after it is still queued when shutdown_now
+    // lands.
+    let big = {
+        let a = Matrix::<f64>::random(BIG, BIG, 1);
+        let b = Matrix::<f64>::random(BIG, BIG, 3);
+        let req = GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect);
+        service.submit(req).unwrap()
+    };
+    // Wait until the dispatcher has started the big request (counted at
+    // execution) and not finished it.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let stats = service.stats();
         assert_eq!(
             stats.completed, 0,
-            "a big request finished before the backlog"
+            "the big request finished before the backlog"
         );
-        if stats.per_node.iter().all(|n| n.dispatched == 1) {
+        if stats.direct_large == 1 {
             break;
         }
-        assert!(Instant::now() < deadline, "the big requests never started");
+        assert!(Instant::now() < deadline, "the big request never started");
         std::thread::yield_now();
     }
 
@@ -95,7 +91,7 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
 
     let stats = service.shutdown_now();
 
-    // The dispatchers are joined, so every future has its result: one poll
+    // The dispatcher is joined, so every future has its result: one poll
     // each resolves it, with no executor and no waker ever firing. Until
     // then the service's gauge counts them all; each resolution releases
     // its share.
@@ -110,14 +106,12 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
         assert!(fut.is_resolved(), "future {i} kept its in-flight share");
     }
 
-    // The requests that were mid-compute still completed normally.
-    for handle in big {
-        let big_resp = handle
-            .wait_timeout(Duration::from_secs(60))
-            .expect("big request hung across shutdown_now")
-            .expect("in-flight request must complete normally");
-        assert_eq!(big_resp.c.nrows(), BIG);
-    }
+    // The request that was mid-compute still completed normally.
+    let big_resp = big
+        .wait_timeout(Duration::from_secs(60))
+        .expect("big request hung across shutdown_now")
+        .expect("in-flight request must complete normally");
+    assert_eq!(big_resp.c.nrows(), BIG);
 
     // Every parked handle resolves (bounded wait — the regression is a
     // hang) and resolves to the shutdown error, not a silent drop.
@@ -134,7 +128,7 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
     }
     assert!(
         parked_failed > 0,
-        "a 24-deep backlog behind busy nodes must leave parked work to fail"
+        "a 24-deep backlog behind a busy dispatcher must leave parked work to fail"
     );
 
     // The completion channel observes the full drain: one completion per
@@ -155,11 +149,11 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
     );
 
     // Counters balance: everything submitted either completed or failed,
-    // and both shard groups are empty.
-    assert_eq!(stats.submitted, 2 + 24 + 16 + 8);
+    // and the queue is empty.
+    assert_eq!(stats.submitted, 1 + 24 + 16 + 8);
     assert_eq!(stats.completed + stats.failed, stats.submitted);
     assert!(stats.failed as usize >= parked_failed);
-    assert!(stats.per_node.iter().all(|n| n.queue_depth == 0));
+    assert_eq!(stats.queue_depth, 0);
 }
 
 /// Graceful `shutdown` is the dual: the same parked-backlog shape drains
@@ -167,7 +161,7 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
 /// handles redeem after the service object is gone.
 #[test]
 fn graceful_shutdown_computes_the_backlog() {
-    let service = sharded_service();
+    let service = two_thread_service();
     let (sink, mut completions) = completion_channel::<f64>();
     let mut handles = Vec::new();
     for i in 0..20u64 {
