@@ -1,24 +1,26 @@
 //! The serial entries of the loop nest ([`crate::nest`]): the paper's
 //! FT-DGEMM (§2.2) and its "Ori" baseline, type-generic, on the team of one.
 //!
-//! [`run_serial`] and [`ft_gemm_with_ctx`] run the nest on a caller-held
-//! [`Workspace`] as a team of one — slot 0, its kernel and blocking — so what
-//! they compute, verify and roll back is what the matrix-parallel entries do
-//! on a larger team in the same workspace type. [`gemm`] runs the unprotected
-//! nest on a bare [`GemmContext`]'s scratch. Buffers hold the largest problem
-//! served ([`packed_lens`]: one block each, clamped to the problem), grown on
-//! demand and never shrunk, so a reused owner allocates only when a larger
-//! shape first arrives.
+//! [`run_serial`] runs the nest on a caller-held [`Workspace`] as a team of
+//! one — slot 0, its kernel and blocking — so what it computes, verifies and
+//! rolls back is what the matrix-parallel entries do on a larger team in the
+//! same workspace type; [`ft_gemm_with_ctx`] (protected) and [`gemm`]
+//! (plain) are its two fixed-policy forms. Buffers hold the largest problem
+//! served ([`packed_lens`](crate::nest::packed_lens): one block each, clamped
+//! to the problem), grown on demand and never shrunk, so a reused workspace
+//! allocates only when a larger shape first arrives.
 
-use crate::nest::{nest, packed_lens, prologue, Checks, Job, Solo};
+use crate::nest::{nest, prologue, Job, Solo};
 use crate::workspace::{Setup, Workspace};
 use crate::{FtConfig, FtReport, FtResult};
-use ftgemm_core::{BlockingParams, GemmContext, IsaLevel, MatMut, MatRef, Scalar};
+use ftgemm_core::{MatMut, MatRef, Scalar};
 
-/// The serial owner's old name, kept for the benchmark, which still calls
-/// `FtGemmContext::new()`; the alias goes when the benchmark moves to
-/// [`Workspace`].
+/// The serial owners' old names, kept for the benchmark, which still calls
+/// `FtGemmContext::new()` and `GemmContext::new()`; the aliases go when the
+/// benchmark moves to [`Workspace`].
 pub type FtGemmContext<T> = Workspace<T>;
+/// See [`FtGemmContext`].
+pub type GemmContext<T> = Workspace<T>;
 
 /// The serial execute path: `C = alpha*A*B + beta*C` on `ws` as a team of
 /// one, protected under `Some(cfg)` and plain (reporting
@@ -88,49 +90,18 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     run_serial(ws, Some(cfg), None, alpha, a, b, beta, c)
 }
 
-/// Serial `C = alpha * A * B + beta * C` with context-held buffers — the
-/// paper's "FT-GEMM: Ori" code path: the nest with no fault-tolerance work
-/// compiled in.
+/// Serial `C = alpha * A * B + beta * C` on a caller-held workspace — the
+/// paper's "FT-GEMM: Ori" code path: [`run_serial`] under `None`, the nest
+/// with no fault-tolerance work compiled in.
 pub fn gemm<T: Scalar>(
-    ctx: &mut GemmContext<T>,
+    ws: &mut Workspace<T>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
     beta: T,
     c: &mut MatMut<'_, T>,
-) -> ftgemm_core::Result<()> {
-    let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
-        return Ok(());
-    };
-    let (kernel, p) = (ctx.kernel, ctx.params);
-    // One packed block each, as large as this problem makes them; the
-    // context keeps the largest it has served.
-    let (a_len, b_len) = packed_lens(&p, m, n, k);
-    let (a_buf, b_buf) = ctx.pack_buffers(a_len, b_len)?;
-    // An unprotected nest reads neither checksum state nor configuration.
-    let mut no_checks = Checks::new(1, [0; 4]);
-    let bufs = no_checks.view(b_buf, false);
-    let unread = FtConfig::default();
-    let job = Job::new(kernel, p, &unread, alpha, a, b, beta, c, bufs);
-    // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
-    // team, and an unprotected nest touches `btilde` only.
-    unsafe { nest::<T, Solo, false>(&Solo, &job, a_buf) };
-    Ok(())
-}
-
-/// Serial GEMM with explicit blocking parameters (ablation entry point).
-pub fn gemm_with_params<T: Scalar>(
-    isa: IsaLevel,
-    params: BlockingParams,
-    alpha: T,
-    a: &MatRef<'_, T>,
-    b: &MatRef<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-) -> ftgemm_core::Result<()> {
-    let mut ctx = GemmContext::<T>::with_isa(isa);
-    ctx.set_params(params)?;
-    gemm(&mut ctx, alpha, a, b, beta, c)
+) -> FtResult<()> {
+    run_serial(ws, None, None, alpha, a, b, beta, c).map(drop)
 }
 
 #[cfg(test)]
@@ -265,9 +236,9 @@ mod tests {
     fn many_errors_across_panels() {
         // Small blocks create many injection sites and many verification
         // intervals, each correcting its own batch (the paper's 20-error runs).
-        let mut core = GemmContext::<f64>::new();
-        let kern = core.kernel;
-        core.set_params(ftgemm_core::BlockingParams {
+        let mut ctx = Workspace::<f64>::new();
+        let kern = ctx.kernel;
+        ctx.set_params(ftgemm_core::BlockingParams {
             mr: kern.mr,
             nr: kern.nr,
             mc: kern.mr * 2,
@@ -275,7 +246,6 @@ mod tests {
             kc: 16,
         })
         .unwrap();
-        let mut ctx = Workspace::for_problem(&core, 0, 0, 0);
         let inj = FaultInjector::new(11, ErrorModel::Additive { magnitude: 3e7 }, Rate::Count(20));
         let cfg = FtConfig::with_injector(inj);
         let (m, n, k) = (150, 140, 96);
@@ -301,9 +271,9 @@ mod tests {
 
     #[test]
     fn small_blocking_many_verifications() {
-        let mut core = GemmContext::<f64>::with_isa(IsaLevel::detect());
-        let kern = core.kernel;
-        core.set_params(ftgemm_core::BlockingParams {
+        let mut ctx = Workspace::<f64>::with_isa(IsaLevel::detect());
+        let kern = ctx.kernel;
+        ctx.set_params(ftgemm_core::BlockingParams {
             mr: kern.mr,
             nr: kern.nr,
             mc: kern.mr,
@@ -311,7 +281,6 @@ mod tests {
             kc: 8,
         })
         .unwrap();
-        let mut ctx = Workspace::for_problem(&core, 0, 0, 0);
         let cfg = FtConfig::default();
         let (m, n, k) = (kern.mr * 3 + 1, kern.nr * 3 + 1, 20);
         let a = Matrix::<f64>::random(m, k, 1);
@@ -415,8 +384,9 @@ mod tests {
 #[cfg(test)]
 mod plain_tests {
     use super::*;
+    use crate::FtError;
     use ftgemm_core::reference::naive_gemm;
-    use ftgemm_core::{select_kernel, CoreError, Matrix};
+    use ftgemm_core::{select_kernel, BlockingParams, CoreError, IsaLevel, Matrix};
 
     fn check_case<T: Scalar>(
         isa: IsaLevel,
@@ -435,7 +405,7 @@ mod plain_tests {
         let mut c = Matrix::<T>::random(m, n, 23);
         let mut c_ref = c.clone();
 
-        let mut ctx = GemmContext::<T>::with_isa(isa);
+        let mut ctx = Workspace::<T>::with_isa(isa);
         gemm(
             &mut ctx,
             T::from_f64(alpha),
@@ -500,9 +470,10 @@ mod plain_tests {
         let mut c = Matrix::<f64>::random(m, n, 33);
         let mut c_ref = c.clone();
 
-        gemm_with_params(
-            IsaLevel::detect(),
-            params,
+        let mut ctx = Workspace::<f64>::with_isa(IsaLevel::detect());
+        ctx.set_params(params).unwrap();
+        gemm(
+            &mut ctx,
             1.0,
             &a.as_ref(),
             &b.as_ref(),
@@ -527,7 +498,7 @@ mod plain_tests {
         let a = Matrix::<f64>::random(n, n, 44);
         let id = Matrix::<f64>::identity(n);
         let mut c = Matrix::<f64>::zeros(n, n);
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         gemm(
             &mut ctx,
             1.0,
@@ -545,7 +516,7 @@ mod plain_tests {
         let a = Matrix::<f64>::zeros(3, 4);
         let b = Matrix::<f64>::zeros(5, 6);
         let mut c = Matrix::<f64>::zeros(3, 6);
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         let r = gemm(
             &mut ctx,
             1.0,
@@ -554,7 +525,10 @@ mod plain_tests {
             0.0,
             &mut c.as_mut(),
         );
-        assert!(matches!(r, Err(CoreError::ShapeMismatch { .. })));
+        assert!(matches!(
+            r,
+            Err(FtError::Core(CoreError::ShapeMismatch { .. }))
+        ));
     }
 
     #[test]
@@ -562,7 +536,7 @@ mod plain_tests {
         let a = Matrix::<f64>::zeros(3, 4);
         let b = Matrix::<f64>::zeros(4, 6);
         let mut c = Matrix::<f64>::zeros(3, 5);
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         assert!(gemm(
             &mut ctx,
             1.0,
@@ -579,7 +553,7 @@ mod plain_tests {
         let a = Matrix::<f64>::zeros(0, 4);
         let b = Matrix::<f64>::zeros(4, 6);
         let mut c = Matrix::<f64>::zeros(0, 6);
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         gemm(
             &mut ctx,
             1.0,
@@ -608,7 +582,7 @@ mod plain_tests {
 
     #[test]
     fn context_reuse_many_sizes() {
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         for &s in &[5usize, 64, 17, 130, 3] {
             let a = Matrix::<f64>::random(s, s, s as u64);
             let b = Matrix::<f64>::random(s, s, s as u64 + 1);
@@ -638,7 +612,7 @@ mod plain_tests {
         {
             let mut cview = big.as_mut();
             let mut sub = cview.submatrix_mut(3, 2, m, n);
-            let mut ctx = GemmContext::<f64>::new();
+            let mut ctx = Workspace::<f64>::new();
             gemm(&mut ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut sub).unwrap();
         }
         // Border untouched.

@@ -102,7 +102,7 @@ pub mod tolerance;
 pub mod workspace;
 
 pub use corrector::{CorrectionOutcome, Discrepancy};
-pub use ft_gemm::{ft_gemm_with_ctx, gemm, gemm_with_params, run_serial, FtGemmContext};
+pub use ft_gemm::{ft_gemm_with_ctx, gemm, run_serial, FtGemmContext, GemmContext};
 pub use nest::{Solo, Team};
 pub use policy::FtPolicy;
 pub use tolerance::Tolerance;

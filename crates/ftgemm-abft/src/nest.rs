@@ -184,8 +184,8 @@ impl<T: Scalar> Shared<'_, T> {
 /// calls it serves. An unprotected nest touches `btilde` only.
 #[derive(Debug)]
 pub struct Buffers<'a, T> {
-    /// The call's id on its owner ([`Checks::view`]): member `tid` draws its
-    /// injection sites from stream `call ^ tid << 32`.
+    /// The call's id on its owner ([`Workspace::job`](crate::Workspace::job)):
+    /// member `tid` draws its injection sites from stream `call ^ tid << 32`.
     pub call: u64,
     /// Packed `B~` of one depth panel, packed cooperatively, read by all.
     pub btilde: Shared<'a, T>,
@@ -208,10 +208,10 @@ pub struct Buffers<'a, T> {
 /// Elements of the packed `A~` of one member and of the shared packed `B~`
 /// that a [`nest`] over `m x n x k` touches under `p`: one `mc x kc` block and
 /// one `kc x nc` panel, each clamped to the problem and padded to whole
-/// micro-panels. Every owner of packing buffers — a `GemmContext`'s scratch
-/// and a [`Workspace`](crate::Workspace) — sizes them with this, so what a small problem
-/// allocates follows the problem and [`BlockingParams::packed_a_len`] /
-/// [`packed_b_len`](BlockingParams::packed_b_len) are only the ceiling.
+/// micro-panels. The one owner of packing buffers, a
+/// [`Workspace`](crate::Workspace), sizes them with this, so what a small
+/// problem allocates follows the problem and [`BlockingParams::packed_a_len`]
+/// / [`packed_b_len`](BlockingParams::packed_b_len) are only the ceiling.
 pub fn packed_lens(p: &BlockingParams, m: usize, n: usize, k: usize) -> (usize, usize) {
     let kc = p.kc.min(k);
     let a_rows = p.mc.min(m).next_multiple_of(p.mr);
@@ -222,7 +222,7 @@ pub fn packed_lens(p: &BlockingParams, m: usize, n: usize, k: usize) -> (usize, 
 /// What [`Checks`] must hold for a [`nest`] over `m x n x k` under `p`, in
 /// [`Checks::new`]'s order: one column block and one depth panel, each
 /// clamped to the problem. Every owner of checksum state sizes it with this.
-pub fn checks_need(p: &BlockingParams, m: usize, n: usize, k: usize) -> [usize; 4] {
+pub(crate) fn checks_need(p: &BlockingParams, m: usize, n: usize, k: usize) -> [usize; 4] {
     [m, k, p.nc.min(n), p.kc.min(k)]
 }
 
@@ -235,7 +235,7 @@ pub fn checks_need(p: &BlockingParams, m: usize, n: usize, k: usize) -> [usize; 
 /// serve any smaller one. The nest overwrites what it slices before reading
 /// it, so a reused state is neither shrunk nor re-zeroed.
 #[derive(Debug)]
-pub struct Checks<T: Scalar> {
+pub(crate) struct Checks<T: Scalar> {
     /// The team the lanes are cut for.
     nthreads: usize,
     /// Capacities: rows, depth, column-block width, depth-panel length.
@@ -365,7 +365,7 @@ impl<'a, T: Scalar> Job<'a, T> {
     /// A job over operands that passed [`prologue`] with `params`. `cfg` is
     /// read by a protected nest only, which draws its injection sites from
     /// the streams of `bufs.call`.
-    pub fn new(
+    pub(crate) fn new(
         kernel: Kernel<T>,
         params: BlockingParams,
         cfg: &'a FtConfig,
@@ -486,7 +486,7 @@ unsafe fn reduce<T: Scalar>(
 /// Every member of `team` — and nothing else — runs this on `job`, once,
 /// concurrently, each under its own `tid`, and `team.barrier()` holds all of
 /// them. `job.bufs` fit the problem: `btilde` and `atilde` hold what
-/// [`packed_lens`] says; under `PROTECT` the rest as [`checks_need`] sizes it
+/// [`packed_lens`] says; under `PROTECT` the rest as `checks_need` sizes it
 /// for this team, with the base snapshot reserved where [`keeps_base`] holds,
 /// and viewed with `protect` set.
 pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
@@ -762,7 +762,7 @@ pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
 pub(crate) mod tests {
     use super::*;
     use crate::{ft_gemm_with_ctx, Workspace};
-    use ftgemm_core::{GemmContext, Matrix};
+    use ftgemm_core::Matrix;
     use std::sync::Barrier;
 
     /// A team of scoped std threads: this crate's own proof that the nest
@@ -862,7 +862,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_team_of_plain_threads_matches_solo_bit_for_bit() {
-        let mut core = GemmContext::<f64>::new();
+        let mut core = Workspace::<f64>::new();
         let (mr, nr) = (core.kernel.mr, core.kernel.nr);
         let p = BlockingParams {
             mr,

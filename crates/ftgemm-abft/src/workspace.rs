@@ -31,12 +31,15 @@
 
 use crate::nest::{checks_need, packed_lens, Checks, Job};
 use crate::FtConfig;
-use ftgemm_core::{AlignedVec, BlockingParams, GemmContext, Kernel, MatMut, MatRef, Scalar};
+use ftgemm_core::{
+    select_kernel, AlignedVec, BlockingParams, CacheInfo, IsaLevel, Kernel, MatMut, MatRef, Scalar,
+};
 use parking_lot::Mutex;
 
 /// What a [`Workspace`] is sized and run for: the micro-kernel, its blocking
 /// and the team size. A `ParGemmContext` converts into one (its pool's
-/// size), and so do a [`GemmContext`] and a [`Workspace`] (a team of one).
+/// size), and so does a [`Workspace`] (a team of one); both derive theirs
+/// with [`Setup::for_isa`].
 #[derive(Debug, Clone, Copy)]
 pub struct Setup<T: Scalar> {
     /// Micro-kernel the team runs.
@@ -47,12 +50,16 @@ pub struct Setup<T: Scalar> {
     pub nthreads: usize,
 }
 
-impl<T: Scalar> From<&GemmContext<T>> for Setup<T> {
-    fn from(ctx: &GemmContext<T>) -> Self {
+impl<T: Scalar> Setup<T> {
+    /// A team of `nthreads` running `isa`'s micro-kernel (which the CPU must
+    /// support) under the blocking derived from the detected caches.
+    pub fn for_isa(isa: IsaLevel, nthreads: usize) -> Self {
+        let kernel = select_kernel::<T>(isa);
+        let params = BlockingParams::derive::<T>(&CacheInfo::detect(), kernel.mr, kernel.nr);
         Setup {
-            kernel: ctx.kernel,
-            params: ctx.params,
-            nthreads: 1,
+            kernel,
+            params,
+            nthreads,
         }
     }
 }
@@ -94,7 +101,22 @@ impl<T: Scalar> Workspace<T> {
     /// blocking for serial calls: it fits no problem and holds no buffer
     /// until [`ensure`](Self::ensure) — which every entry calls — grows it.
     pub fn new() -> Self {
-        Self::for_problem(&GemmContext::new(), 0, 0, 0)
+        Self::with_isa(IsaLevel::detect())
+    }
+
+    /// An empty workspace whose serial calls run `isa`'s micro-kernel (which
+    /// the CPU must support; the baseline stand-ins and the blocking
+    /// ablation pin one) under cache-derived blocking.
+    pub fn with_isa(isa: IsaLevel) -> Self {
+        Self::for_problem(Setup::for_isa(isa, 1), 0, 0, 0)
+    }
+
+    /// Overrides the blocking of this workspace's serial calls (validated
+    /// against its kernel); the next call grows what the new blocking needs.
+    pub fn set_params(&mut self, params: BlockingParams) -> ftgemm_core::Result<()> {
+        params.validate_for(&self.kernel)?;
+        self.params = params;
+        Ok(())
     }
 
     /// Workspace sized for one protected `m x n x k` problem on `setup`'s
@@ -196,7 +218,7 @@ impl<T: Scalar> Workspace<T> {
     ///
     /// The one place a call gets its id ([`Buffers::call`]), for every
     /// entry: a protected call is counted on this workspace
-    /// ([`Checks::view`]: 1 on a fresh one) unless it comes with the id its
+    /// (`Checks::view`: 1 on a fresh one) unless it comes with the id its
     /// batch gave it (`call`), which leaves the count alone. Member `tid`
     /// draws its injection sites from stream `id ^ tid << 32`.
     ///
@@ -448,7 +470,7 @@ mod tests {
     /// have run, nothing moves.
     #[test]
     fn serial_and_team_calls_share_one_workspace_and_one_count() {
-        let mut core = GemmContext::<f64>::new();
+        let mut core = Workspace::<f64>::new();
         let (mr, nr) = (core.kernel.mr, core.kernel.nr);
         let p = BlockingParams {
             mr,

@@ -1,7 +1,7 @@
 //! The library stand-ins: packed/blocked GEMMs pinned to distinct ISA tiers.
 
 use ftgemm_abft::{gemm, FtResult, Workspace};
-use ftgemm_core::{GemmContext, IsaLevel, MatMut, MatRef, Result, Scalar};
+use ftgemm_core::{IsaLevel, MatMut, MatRef, Scalar};
 use ftgemm_parallel::{run_parallel, ParGemmContext};
 
 /// Which comparator library a stand-in represents.
@@ -42,7 +42,7 @@ impl Tier {
 pub struct ReferenceGemm<T: Scalar> {
     /// The tier this instance represents.
     pub tier: Tier,
-    ctx: GemmContext<T>,
+    ws: Workspace<T>,
 }
 
 impl<T: Scalar> ReferenceGemm<T> {
@@ -50,7 +50,7 @@ impl<T: Scalar> ReferenceGemm<T> {
     pub fn new(tier: Tier) -> Self {
         ReferenceGemm {
             tier,
-            ctx: GemmContext::with_isa(tier.isa()),
+            ws: Workspace::with_isa(tier.isa()),
         }
     }
 
@@ -80,8 +80,8 @@ impl<T: Scalar> ReferenceGemm<T> {
         b: &MatRef<'_, T>,
         beta: T,
         c: &mut MatMut<'_, T>,
-    ) -> Result<()> {
-        gemm(&mut self.ctx, alpha, a, b, beta, c)
+    ) -> FtResult<()> {
+        gemm(&mut self.ws, alpha, a, b, beta, c)
     }
 }
 

@@ -7,14 +7,16 @@
 //!
 //! Prints the grid as a console table and writes every point, one row each,
 //! to `bench_results/ablation_blocking.csv`: `mc,kc,gflops,p50_us,p99_us`
-//! (the median and p99 of the per-repetition times).
+//! (the median and p99 of the per-repetition times). Each point runs on one
+//! workspace with its blocking, grown to the problem before the clock
+//! starts, so the times are the product's alone, never an allocation.
 //!
 //! Usage: `cargo run -p ftgemm-bench --release --bin ablation_blocking
 //!         [--sizes N] [--reps N] [--smoke]`
 
-use ftgemm_abft::gemm_with_params;
+use ftgemm_abft::{gemm, Setup, Workspace};
 use ftgemm_bench::{gflops, Args, CsvWriter, Table};
-use ftgemm_core::{BlockingParams, CacheInfo, IsaLevel, Matrix};
+use ftgemm_core::{IsaLevel, Matrix};
 use ftgemm_obs::percentile;
 
 fn main() -> std::io::Result<()> {
@@ -28,8 +30,8 @@ fn main() -> std::io::Result<()> {
     let b = Matrix::<f64>::random(s, s, 2);
 
     let isa = IsaLevel::detect();
-    let kernel = ftgemm_core::select_kernel::<f64>(isa);
-    let base = BlockingParams::derive::<f64>(&CacheInfo::detect(), kernel.mr, kernel.nr);
+    let setup = Setup::<f64>::for_isa(isa, 1);
+    let (kernel, base) = (setup.kernel, setup.params);
     let mc_grid: Vec<usize> = [base.mc / 4, base.mc / 2, base.mc, base.mc * 2]
         .iter()
         .map(|&v| v.max(kernel.mr) / kernel.mr * kernel.mr)
@@ -54,19 +56,13 @@ fn main() -> std::io::Result<()> {
     for &mc in &mc_grid {
         let mut row = vec![mc.to_string()];
         for &kc in &kc_grid {
-            let params = base.with_blocks(mc, base.nc, kc);
+            let mut ws = Workspace::with_isa(isa);
+            ws.set_params(base.with_blocks(mc, base.nc, kc)).unwrap();
+            let solo = Setup::from(&ws);
+            ws.ensure(solo, [s, s, s], false);
             let mut c = Matrix::<f64>::zeros(s, s);
             let times = ftgemm_bench::measure_times(args.warmup, args.reps, || {
-                gemm_with_params(
-                    isa,
-                    params,
-                    1.0,
-                    &a.as_ref(),
-                    &b.as_ref(),
-                    1.0,
-                    &mut c.as_mut(),
-                )
-                .unwrap();
+                gemm(&mut ws, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
             });
             let avg = times.iter().sum::<f64>() / times.len() as f64;
             let gf = gflops(s, s, s, avg);

@@ -30,7 +30,7 @@
 use ftgemm_abft::{FtConfig, FusionConfig};
 use ftgemm_bench::runners::{ft_config, parallel_suite, serial_suite, GemmRunner, RunnerKind};
 use ftgemm_bench::{measure, Args, Measurement, Table};
-use ftgemm_core::{GemmContext, Matrix};
+use ftgemm_core::Matrix;
 use ftgemm_faults::FaultInjector;
 use std::collections::HashMap;
 
@@ -189,7 +189,7 @@ fn main() {
         };
         (label, 1.0, GemmRunner::ft_serial(cfg))
     }));
-    runners.push((ORI_BETA0, 0.0, GemmRunner::OriSerial(GemmContext::new())));
+    runners.push((ORI_BETA0, 0.0, GemmRunner::OriSerial(Box::default())));
     runners.push((FT_BETA0, 0.0, GemmRunner::ft_serial(ft_config())));
     let injected = |injector: &FaultInjector| FtConfig {
         injector: Some(injector.clone()),

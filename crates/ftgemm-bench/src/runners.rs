@@ -8,7 +8,7 @@
 
 use ftgemm_abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtPolicy, Workspace};
 use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
-use ftgemm_core::{GemmContext, MatMut, MatRef};
+use ftgemm_core::{MatMut, MatRef};
 use ftgemm_parallel::{run_parallel, ParGemmContext};
 
 /// Which implementation a runner wraps.
@@ -42,9 +42,9 @@ impl RunnerKind {
 /// A ready-to-time GEMM implementation (DGEMM, as in the paper).
 pub enum GemmRunner {
     /// Serial library stand-in.
-    RefSerial(RunnerKind, ReferenceGemm<f64>),
+    RefSerial(RunnerKind, Box<ReferenceGemm<f64>>),
     /// Serial FT-GEMM: Ori.
-    OriSerial(GemmContext<f64>),
+    OriSerial(Box<Workspace<f64>>),
     /// Serial FT-GEMM: FT (fused or unfused per config).
     FtSerial(Box<Workspace<f64>>, FtConfig),
     /// Parallel library stand-in.
@@ -122,10 +122,10 @@ pub fn ft_config() -> FtConfig {
 /// The five serial curves of Fig. 2(a), clean.
 pub fn serial_suite() -> Vec<GemmRunner> {
     vec![
-        GemmRunner::RefSerial(RunnerKind::Mkl, ReferenceGemm::mkl()),
-        GemmRunner::RefSerial(RunnerKind::OpenBlas, ReferenceGemm::openblas()),
-        GemmRunner::RefSerial(RunnerKind::Blis, ReferenceGemm::blis()),
-        GemmRunner::OriSerial(GemmContext::new()),
+        GemmRunner::RefSerial(RunnerKind::Mkl, Box::new(ReferenceGemm::mkl())),
+        GemmRunner::RefSerial(RunnerKind::OpenBlas, Box::new(ReferenceGemm::openblas())),
+        GemmRunner::RefSerial(RunnerKind::Blis, Box::new(ReferenceGemm::blis())),
+        GemmRunner::OriSerial(Box::default()),
         GemmRunner::ft_serial(ft_config()),
     ]
 }

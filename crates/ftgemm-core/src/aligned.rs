@@ -651,50 +651,6 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for AlignedVec<T> {
     }
 }
 
-/// A reusable, growable aligned scratch buffer.
-///
-/// GEMM drivers reuse packing buffers across calls; this wrapper grows (never
-/// shrinks) an [`AlignedVec`] to the largest length asked for.
-#[derive(Debug)]
-pub struct Scratch<T: Copy> {
-    buf: AlignedVec<T>,
-}
-
-impl<T: Scalar> Scratch<T> {
-    /// New empty scratch.
-    pub fn new() -> Self {
-        Self {
-            buf: AlignedVec::zeroed(0).expect("zero-length allocation cannot fail"),
-        }
-    }
-
-    /// Ensures capacity for `len` elements and returns the mutable slice.
-    ///
-    /// Contents are unspecified (previous data, or a recycled spare's, may
-    /// remain); packing routines overwrite the region they use.
-    pub fn get(&mut self, len: usize) -> Result<&mut [T]> {
-        if self.buf.len() < len {
-            // To what was asked, not past it: drivers size their requests by
-            // the problem under a ceiling the blocking sets, so a scratch
-            // holds the largest request it has served and stays under that
-            // ceiling.
-            self.buf = AlignedVec::for_overwrite(len)?;
-        }
-        Ok(&mut self.buf.as_mut_slice()[..len])
-    }
-
-    /// Current capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-impl<T: Scalar> Default for Scratch<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,6 +661,8 @@ mod tests {
         assert_eq!(v.len(), 1000);
         assert!(v.iter().all(|&x| x == 0.0));
         assert_eq!(v.as_ptr() as usize % ALIGN, 0);
+        let w = AlignedVec::<f32>::for_overwrite(16).unwrap();
+        assert_eq!(w.as_ptr() as usize % ALIGN, 0);
     }
 
     /// Buffers on either side of the huge-page floor keep the whole contract
@@ -810,39 +768,8 @@ mod tests {
     }
 
     #[test]
-    fn scratch_grows_and_reuses() {
-        let mut s = Scratch::<f64>::new();
-        assert_eq!(s.capacity(), 0);
-        {
-            let sl = s.get(100).unwrap();
-            assert_eq!(sl.len(), 100);
-            sl[99] = 7.0;
-        }
-        let cap_after_100 = s.capacity();
-        assert!(cap_after_100 >= 100);
-        {
-            let sl = s.get(50).unwrap();
-            assert_eq!(sl.len(), 50);
-        }
-        assert_eq!(s.capacity(), cap_after_100, "no shrink");
-        {
-            let sl = s.get(1000).unwrap();
-            assert_eq!(sl.len(), 1000);
-        }
-        assert!(s.capacity() >= 1000);
-    }
-
-    #[test]
-    fn scratch_alignment() {
-        let mut s = Scratch::<f32>::new();
-        let sl = s.get(16).unwrap();
-        assert_eq!(sl.as_ptr() as usize % ALIGN, 0);
-    }
-
-    #[test]
     fn send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AlignedVec<f64>>();
-        assert_send_sync::<Scratch<f32>>();
     }
 }

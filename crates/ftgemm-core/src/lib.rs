@@ -24,27 +24,27 @@
 //! ## Quick start
 //!
 //! The loop nest that drives these pieces lives one crate up
-//! (`ftgemm_abft::nest`); `ftgemm_abft::gemm` — `ftgemm::gemm` through the
-//! facade — is its plain serial entry on a [`GemmContext`]:
+//! (`ftgemm_abft::nest`), and so does the one owner of its packing buffers,
+//! `ftgemm_abft::Workspace`; `ftgemm_abft::gemm` — `ftgemm::gemm` through
+//! the facade — is its plain serial entry on one:
 //!
 //! ```text
-//! let mut ctx = GemmContext::<f64>::new();
-//! gemm(&mut ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut())?;
+//! let mut ws = Workspace::<f64>::new();
+//! gemm(&mut ws, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut())?;
 //! ```
 //!
 //! What this crate does on its own is a step of that nest, e.g. packing a
-//! block of `A` into the context's scratch:
+//! block of `A` into an `A~` buffer:
 //!
 //! ```
-//! use ftgemm_core::{pack, GemmContext, Matrix};
+//! use ftgemm_core::{pack, select_kernel, IsaLevel, Matrix};
 //!
-//! let mut ctx = GemmContext::<f64>::new();
-//! let p = ctx.params;
-//! let a = Matrix::<f64>::from_fn(p.mr, 4, |i, j| (i + 10 * j) as f64);
-//! let (a_buf, _b_buf) = ctx.pack_buffers(p.mr * 4, 0).unwrap();
-//! pack::pack_a(&a.as_ref(), 1.0, p.mr, a_buf);
+//! let mr = select_kernel::<f64>(IsaLevel::detect()).mr;
+//! let a = Matrix::<f64>::from_fn(mr, 4, |i, j| (i + 10 * j) as f64);
+//! let mut a_buf = vec![0.0; mr * 4];
+//! pack::pack_a(&a.as_ref(), 1.0, mr, &mut a_buf);
 //! // An MR-row micro-panel is stored one column of the block after another.
-//! assert_eq!(a_buf[p.mr + 2], a.get(2, 1));
+//! assert_eq!(a_buf[mr + 2], a.get(2, 1));
 //! ```
 
 #![warn(missing_docs)]
@@ -65,7 +65,6 @@ pub mod scalar;
 pub use aligned::AlignedVec;
 pub use cpu::{CacheInfo, IsaLevel};
 pub use error::{CoreError, Result};
-pub use gemm::GemmContext;
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use microkernel::{select_kernel, Kernel};
 pub use params::BlockingParams;

@@ -1,7 +1,7 @@
 //! Parallel GEMM context: the pool plus kernel/blocking configuration.
 
 use ftgemm_abft::Setup;
-use ftgemm_core::{BlockingParams, CacheInfo, IsaLevel, Kernel, Scalar};
+use ftgemm_core::{BlockingParams, IsaLevel, Kernel, Scalar};
 use ftgemm_pool::ThreadPool;
 use std::sync::Arc;
 
@@ -38,8 +38,7 @@ impl<T: Scalar> ParGemmContext<T> {
 
     /// Context sharing an existing pool.
     pub fn with_pool(pool: Arc<ThreadPool>, isa: IsaLevel) -> Self {
-        let kernel = ftgemm_core::select_kernel::<T>(isa);
-        let params = BlockingParams::derive::<T>(&CacheInfo::detect(), kernel.mr, kernel.nr);
+        let Setup { kernel, params, .. } = Setup::for_isa(isa, pool.nthreads());
         ParGemmContext {
             pool,
             kernel,

@@ -40,8 +40,8 @@
 //! functions [`GemmBatch`] items and [`GemmService`] dispatchers call, on
 //! the same workspace type — and under both, one loop nest
 //! ([`abft::nest`]), so `DetectCorrect` rolls back and recomputes on every
-//! path. [`gemm`](fn@gemm) is that nest's unprotected serial entry on a bare
-//! [`GemmContext`].
+//! path. [`gemm`](fn@gemm) is that nest's unprotected serial entry, on a
+//! [`Workspace`] too: every packing buffer has that one owner.
 //!
 //! ## Serving many requests
 //!
@@ -77,8 +77,8 @@ pub use ftgemm_serve as serve;
 pub mod api;
 
 pub use api::{AsMatRef, Exec, GemmBatch, GemmOp, GemmPlan};
-pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult, Workspace};
-pub use ftgemm_core::{GemmContext, MatMut, MatRef, Matrix};
+pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult, GemmContext, Workspace};
+pub use ftgemm_core::{MatMut, MatRef, Matrix};
 pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};

@@ -6,7 +6,7 @@
 
 use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtError, FtReport, FtResult, Recovery, Workspace};
 use ftgemm::core::reference::naive_gemm;
-use ftgemm::core::{BlockingParams, GemmContext, Matrix, Scalar};
+use ftgemm::core::{BlockingParams, Matrix, Scalar};
 use ftgemm::faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
 use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, run_parallel, ParGemmContext};
 use std::time::Duration;
@@ -22,9 +22,9 @@ fn clean_reference(m: usize, n: usize, k: usize) -> (Matrix<f64>, Matrix<f64>, M
 /// A context with tiny blocks so even small problems have many injection
 /// sites and verification intervals.
 fn small_block_ctx() -> Workspace<f64> {
-    let mut core = GemmContext::<f64>::new();
-    let kern = core.kernel;
-    core.set_params(BlockingParams {
+    let mut ws = Workspace::<f64>::new();
+    let kern = ws.kernel;
+    ws.set_params(BlockingParams {
         mr: kern.mr,
         nr: kern.nr,
         mc: kern.mr * 2,
@@ -32,7 +32,7 @@ fn small_block_ctx() -> Workspace<f64> {
         kc: 16,
     })
     .unwrap();
-    Workspace::for_problem(&core, 0, 0, 0)
+    ws
 }
 
 /// Two overflows per stream: an overflowed element is what subtraction
@@ -152,7 +152,7 @@ fn ft_without_errors_is_bit_identical_to_plain() {
     let mut c_plain = Matrix::<f64>::random(m, n, 11);
     let mut c_ft = c_plain.clone();
 
-    let mut ctx = GemmContext::<f64>::new();
+    let mut ctx = Workspace::<f64>::new();
     ftgemm::gemm(
         &mut ctx,
         1.0,
@@ -582,7 +582,7 @@ fn every_driver(
         .unwrap();
     let small = small_block_ctx().params;
 
-    let mut plain = GemmContext::<f64>::new();
+    let mut plain = Workspace::<f64>::new();
     plain.params = small;
     edit(&mut plain.params);
     let mut protected = small_block_ctx();

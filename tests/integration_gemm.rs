@@ -5,7 +5,7 @@
 use ftgemm::abft::{ft_gemm_with_ctx, gemm, Workspace};
 use ftgemm::baselines::{BlockedGemm, NaiveGemm, ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm::core::reference::naive_gemm;
-use ftgemm::core::{GemmContext, IsaLevel, Matrix};
+use ftgemm::core::{IsaLevel, Matrix};
 use ftgemm::parallel::{run_parallel, ParGemmContext};
 use ftgemm::FtConfig;
 
@@ -42,7 +42,7 @@ fn serial_gemm_grid() {
     for &(m, n, k) in SHAPES {
         for &(alpha, beta) in &[(1.0, 1.0), (0.5, -1.0), (1.0, 0.0)] {
             let (a, b, (c0, c_exp)) = oracle(m, n, k, alpha, beta);
-            let mut ctx = GemmContext::<f64>::new();
+            let mut ctx = Workspace::<f64>::new();
             let mut c = c0.clone();
             gemm(
                 &mut ctx,
@@ -169,7 +169,7 @@ fn all_isa_tiers_agree_with_each_other() {
     let b = Matrix::<f64>::random(k, n, 6);
     let mut results = Vec::new();
     for isa in IsaLevel::available() {
-        let mut ctx = GemmContext::<f64>::with_isa(isa);
+        let mut ctx = Workspace::<f64>::with_isa(isa);
         let mut c = Matrix::<f64>::zeros(m, n);
         gemm(
             &mut ctx,
@@ -197,7 +197,7 @@ fn serial_and_parallel_bitwise_consistent_structure() {
     let b = Matrix::<f64>::random(k, n, 8);
     let mut c1 = Matrix::<f64>::zeros(m, n);
     let mut c2 = Matrix::<f64>::zeros(m, n);
-    let mut ctx = GemmContext::<f64>::new();
+    let mut ctx = Workspace::<f64>::new();
     gemm(
         &mut ctx,
         1.0,
@@ -228,7 +228,7 @@ fn facade_reexports_work() {
     let a = ftgemm::Matrix::<f64>::identity(8);
     let b = ftgemm::Matrix::<f64>::identity(8);
     let mut c = ftgemm::Matrix::<f64>::zeros(8, 8);
-    let mut ctx = ftgemm::GemmContext::<f64>::new();
+    let mut ctx = ftgemm::Workspace::<f64>::new();
     ftgemm::gemm(
         &mut ctx,
         1.0,

@@ -20,7 +20,7 @@ use ftgemm::core::aligned::{huge_buffers, mapped_buffers, recycled_buffers};
 use ftgemm::serve::{
     FtPolicy, GemmRequest, GemmService, RequestHandle, RoutingPolicy, ServiceConfig,
 };
-use ftgemm::{GemmContext, Matrix};
+use ftgemm::{Matrix, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -186,7 +186,7 @@ fn a_warm_node_serves_large_requests_without_large_allocations() {
     // one `kc x nc` panel and one `mc x kc` block per thread, each clamped to
     // 512^3 — so under the ceiling the blocking sets — plus O(m + n + k) sums.
     assert_eq!(service.stats().large_workspace_bytes, held);
-    let (a_len, b_len) = packed_lens(&GemmContext::<f64>::new().params, 512, 512, 512);
+    let (a_len, b_len) = packed_lens(&Workspace::<f64>::new().params, 512, 512, 512);
     let sums = (2 + 2 * THREADS) * 3 * 512;
     let bound = (b_len + THREADS * a_len + sums) * std::mem::size_of::<f64>();
     assert!(held as usize <= bound, "{held} bytes held, bound {bound}");

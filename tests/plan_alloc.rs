@@ -14,7 +14,7 @@
 //! allocations too, with their bytes.
 
 use ftgemm::core::aligned::spares_taken_here;
-use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext};
+use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -198,6 +198,17 @@ fn serial_plain_plan_runs_allocation_free() {
         plan.run(&mut c.as_mut()).unwrap();
     }
     assert_eq!(allocations() - before, 0);
+
+    // The plain serial entry runs the same nest on a caller-held workspace:
+    // warm, it allocates nothing either.
+    let mut ws = Workspace::<f64>::new();
+    let (a, b) = (a.as_ref(), b.as_ref());
+    ftgemm::gemm(&mut ws, 1.0, &a, &b, 0.0, &mut c.as_mut()).unwrap();
+    let before = allocations();
+    for _ in 0..5 {
+        ftgemm::gemm(&mut ws, 1.0, &a, &b, 0.0, &mut c.as_mut()).unwrap();
+    }
+    assert_eq!(allocations() - before, 0, "warm ftgemm::gemm allocated");
 }
 
 #[test]

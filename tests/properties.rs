@@ -6,7 +6,7 @@ use ftgemm::abft::checksum;
 use ftgemm::abft::corrector::{correct_block, find_discrepancies, CorrectionOutcome};
 use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtConfig, Workspace};
 use ftgemm::core::reference::naive_gemm;
-use ftgemm::core::{pack, GemmContext, Matrix};
+use ftgemm::core::{pack, Matrix};
 use ftgemm::pool::partition_aligned;
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ proptest! {
         let b = mat(k, n, seed + 1);
         let mut c = mat(m, n, seed + 2);
         let mut c_ref = c.clone();
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         gemm(&mut ctx, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c.as_mut()).unwrap();
         naive_gemm(alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_ref.as_mut());
         prop_assert!(c.rel_max_diff(&c_ref) < 1e-10);
@@ -47,7 +47,7 @@ proptest! {
         let b = mat(k, n, seed + 13);
         let a_sum = Matrix::from_fn(m, k, |i, j| a1.get(i, j) + a2.get(i, j));
 
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         let mut c_sum = Matrix::<f64>::zeros(m, n);
         gemm(&mut ctx, 1.0, &a_sum.as_ref(), &b.as_ref(), 0.0, &mut c_sum.as_mut()).unwrap();
 
@@ -67,7 +67,7 @@ proptest! {
         let a = mat(m, k, seed);
         let b = mat(k, n, seed + 3);
         let mut c = Matrix::<f64>::zeros(m, n);
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         gemm(&mut ctx, 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()).unwrap();
 
         // encoded prediction

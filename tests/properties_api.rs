@@ -9,7 +9,7 @@ use ftgemm::abft::{ft_gemm_with_ctx, Workspace};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws};
 use ftgemm::serve::DEFAULT_SMALL_FLOPS_CUTOFF;
-use ftgemm::{Exec, FtConfig, FtPolicy, GemmContext, GemmOp, GemmRequest, Matrix, ParGemmContext};
+use ftgemm::{Exec, FtConfig, FtPolicy, GemmOp, GemmRequest, Matrix, ParGemmContext};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -155,7 +155,7 @@ proptest! {
             .run(&mut c_plan.as_mut())
             .unwrap();
         let mut c_legacy = c0.clone();
-        let mut ctx = GemmContext::<f64>::new();
+        let mut ctx = Workspace::<f64>::new();
         ftgemm::gemm(&mut ctx, alpha, &a.as_ref(), &b.as_ref(), beta, &mut c_legacy.as_mut())
             .unwrap();
         prop_assert_eq!(c_plan.as_slice(), c_legacy.as_slice());
