@@ -12,6 +12,11 @@ use ftgemm_faults::FaultInjector;
 
 /// How much ABFT protection one GEMM (or one serving request) buys.
 ///
+/// The policy is the caller's choice and the one a call runs: no layer
+/// raises or lowers it. [`DetectCorrect`](FtPolicy::DetectCorrect) is the
+/// default because fused checksums cost the paper only 1–4% over the plain
+/// driver, so protection can stay on.
+///
 /// The policy is resolved to an [`FtConfig`] at dispatch time (cloning a
 /// config is cheap — the only non-trivial member, the injector, is
 /// `Arc`-backed):
@@ -64,31 +69,6 @@ impl FtPolicy {
     pub fn is_protected(self) -> bool {
         !matches!(self, FtPolicy::Off)
     }
-
-    /// Composes the policy with a *floor*: the stronger of the two.
-    ///
-    /// This is how the serving layer's error-aware monitor escalates a
-    /// service — its floor is applied on top of each request's own policy
-    /// and can only ever *raise* protection (`Off < Detect <
-    /// DetectCorrect`), never lower it: a request that asked for
-    /// `DetectCorrect` keeps it on a clean service whose floor is `Off`.
-    #[must_use]
-    pub fn at_least(self, floor: FtPolicy) -> FtPolicy {
-        if floor.strength() > self.strength() {
-            floor
-        } else {
-            self
-        }
-    }
-
-    /// Total order of protection strength used by [`FtPolicy::at_least`].
-    fn strength(self) -> u8 {
-        match self {
-            FtPolicy::Off => 0,
-            FtPolicy::Detect => 1,
-            FtPolicy::DetectCorrect => 2,
-        }
-    }
 }
 
 /// The configuration the fused-ABFT driver runs under *if* the policy is
@@ -139,23 +119,6 @@ mod tests {
     #[test]
     fn default_is_detect_correct() {
         assert_eq!(FtPolicy::default(), FtPolicy::DetectCorrect);
-    }
-
-    #[test]
-    fn at_least_takes_the_stronger_policy() {
-        use FtPolicy::{Detect, DetectCorrect, Off};
-        // The floor raises weaker policies...
-        assert_eq!(Off.at_least(Detect), Detect);
-        assert_eq!(Off.at_least(DetectCorrect), DetectCorrect);
-        assert_eq!(Detect.at_least(DetectCorrect), DetectCorrect);
-        // ...and never lowers stronger ones.
-        assert_eq!(DetectCorrect.at_least(Off), DetectCorrect);
-        assert_eq!(DetectCorrect.at_least(Detect), DetectCorrect);
-        assert_eq!(Detect.at_least(Off), Detect);
-        // Identity on equal strength.
-        for p in [Off, Detect, DetectCorrect] {
-            assert_eq!(p.at_least(p), p);
-        }
     }
 
     #[test]

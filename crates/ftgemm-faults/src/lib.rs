@@ -35,4 +35,4 @@ mod stats;
 pub use campaign::{Campaign, CampaignOutcome, CampaignReport};
 pub use injector::{FaultInjector, SiteStream};
 pub use model::{ErrorEvent, ErrorModel, Rate};
-pub use stats::{ErrorRateEwma, InjectionStats};
+pub use stats::InjectionStats;

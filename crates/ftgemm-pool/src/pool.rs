@@ -1,5 +1,10 @@
 //! The persistent worker pool and its parallel regions.
 
+// Concurrency contract (checked by `scripts/orderings.sh`): `run` and
+// `Drop` publish each job through `generation` (Release increment under the
+// `job` lock), and workers wait for a generation they have not run (Acquire
+// loads). `regions` and `barrier_crossings` are Relaxed tallies.
+
 use crate::barrier::SenseBarrier;
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
@@ -31,13 +36,15 @@ struct Shared {
     /// Held by the caller of `run` for a whole multi-thread region: the job
     /// slot and `done_barrier` below serve exactly one region at a time.
     region: Mutex<()>,
-    /// Latest published job and its generation.
-    job: Mutex<(u64, Option<JobRef>)>,
+    /// Latest published job; `None` tells workers to exit.
+    job: Mutex<Option<JobRef>>,
     wake: Condvar,
     /// Barrier used by `WorkerCtx::barrier` inside regions.
     region_barrier: SenseBarrier,
     /// Barrier marking the end of a region (main thread participates).
     done_barrier: SenseBarrier,
+    /// Jobs published so far. Bumped only while `job` is held, so a worker
+    /// holding `job` that sees a generation it has not run reads its job.
     generation: AtomicU64,
     /// Lifetime counters, readable while regions run (relaxed loads); the
     /// hook a serving layer uses to report pool utilization without
@@ -106,7 +113,7 @@ impl ThreadPool {
         assert!(nthreads >= 1, "pool needs at least one thread");
         let shared = Arc::new(Shared {
             region: Mutex::new(()),
-            job: Mutex::new((0, None)),
+            job: Mutex::new(None),
             wake: Condvar::new(),
             region_barrier: SenseBarrier::new(nthreads),
             done_barrier: SenseBarrier::new(nthreads),
@@ -194,8 +201,8 @@ impl ThreadPool {
         // Publish the job and wake workers.
         {
             let mut slot = self.shared.job.lock();
-            let gen = self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1;
-            *slot = (gen, Some(job));
+            *slot = Some(job);
+            self.shared.generation.fetch_add(1, Ordering::Release);
             self.shared.wake.notify_all();
         }
 
@@ -217,8 +224,8 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
             let mut slot = self.shared.job.lock();
-            let gen = self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1;
-            *slot = (gen, None); // None = shutdown signal
+            *slot = None; // shutdown signal
+            self.shared.generation.fetch_add(1, Ordering::Release);
             self.shared.wake.notify_all();
         }
         let joined = self.handles.len();
@@ -243,11 +250,12 @@ fn worker_loop(shared: Arc<Shared>, tid: usize) {
     loop {
         let job = {
             let mut slot = shared.job.lock();
-            while slot.0 == seen_gen {
+            while shared.generation.load(Ordering::Acquire) == seen_gen {
                 shared.wake.wait(&mut slot);
             }
-            seen_gen = slot.0;
-            slot.1
+            // Still under `job`, so this is the generation of `*slot`.
+            seen_gen = shared.generation.load(Ordering::Acquire);
+            *slot
         };
         let Some(job) = job else {
             return; // shutdown

@@ -63,15 +63,9 @@
 //! * **Per-request fault tolerance.** Every request carries an [`FtPolicy`]
 //!   (`Off` / `Detect` / `DetectCorrect`) mapped onto the paper's
 //!   [`FtConfig`](ftgemm_abft::FtConfig); each response carries its own
-//!   [`FtReport`](ftgemm_abft::FtReport).
-//! * **Error-aware escalation.** With [`ServiceConfig::fault_policy`] set,
-//!   a monitor tracks the service's detected errors per flop (an EWMA fed
-//!   by every completed request's report) and raises the service's *policy
-//!   floor* (`Off → Detect → DetectCorrect`) when the rate crosses the
-//!   configured thresholds — applied on top of each request's own policy
-//!   via [`FtPolicy::at_least`], never below it — then steps it back down
-//!   after a configured quiet volume of clean flops. A clean service keeps
-//!   serving `Off` requests at the unprotected driver's cost.
+//!   [`FtReport`](ftgemm_abft::FtReport). A request runs exactly the
+//!   policy it asked for: the service never raises or lowers it, and an
+//!   `Off` request verifies nothing and reports all zeros.
 //! * **Observability.** [`GemmService::stats`] reports throughput, queue
 //!   depth, batch occupancy, per-surface submission counts, live async
 //!   futures, per-thread batch busy time (occupancy imbalance),
@@ -146,7 +140,6 @@
 )]
 
 pub mod exec;
-mod fault_policy;
 mod handle;
 pub mod qos;
 mod queue;
@@ -161,7 +154,6 @@ mod stream;
 /// `GemmOp`/`GemmPlan` builder, and this serving layer all share one type).
 pub use ftgemm_abft::FtPolicy;
 
-pub use fault_policy::FaultPolicyConfig;
 pub use handle::{AsyncRequestHandle, RequestHandle};
 pub use qos::{Priority, SchedSim, TenantId, TenantTable, DEFAULT_TENANT};
 pub use request::{GemmRequest, GemmResponse, Operand, ServeError};

@@ -6,7 +6,6 @@
 // threads — Release store in abort(), Acquire loads at the dispatch and
 // batch boundaries.
 
-use crate::fault_policy::{FaultPolicyConfig, FaultPolicyMonitor};
 use crate::handle::{AsyncRequestHandle, RequestHandle};
 use crate::qos::TenantTable;
 use crate::queue::{Envelope, PushError, Queue};
@@ -78,18 +77,6 @@ pub struct ServiceConfig {
     /// config error worth failing loudly at construction, not at first
     /// scrape).
     pub obs_addr: Option<SocketAddr>,
-    /// When set, an error-aware monitor watches the service's detected
-    /// errors per flop (an EWMA fed by every completed request's
-    /// [`FtReport`]) and escalates the service's *policy floor*
-    /// (`Off → Detect → DetectCorrect`) when the rate crosses the
-    /// configured thresholds. The floor composes with each request's own
-    /// [`FtPolicy`](crate::FtPolicy) via
-    /// [`FtPolicy::at_least`](crate::FtPolicy::at_least) — it only ever
-    /// raises protection — and steps back down after
-    /// [`FaultPolicyConfig::quiet_flops`] of clean traffic. `None` (the
-    /// default) disables the monitor entirely: requests run exactly the
-    /// policy they asked for.
-    pub fault_policy: Option<FaultPolicyConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -101,7 +88,6 @@ impl Default for ServiceConfig {
             queue_capacity: 0,
             tenants: TenantTable::default(),
             obs_addr: None,
-            fault_policy: None,
         }
     }
 }
@@ -157,16 +143,6 @@ struct Inner<T: Scalar> {
     /// [`ServiceConfig::obs_addr`] is set (obs-disabled services skip all
     /// recording).
     obs: Option<ServiceObs>,
-    /// The error-aware policy floor, present only when
-    /// [`ServiceConfig::fault_policy`] is set.
-    monitor: Option<FaultPolicyMonitor>,
-}
-
-impl<T: Scalar> Inner<T> {
-    /// A reading of the fault-policy monitor; all-clear (`0`) without one.
-    fn monitored(&self, read: impl FnOnce(&FaultPolicyMonitor) -> f64) -> f64 {
-        self.monitor.as_ref().map_or(0.0, read)
-    }
 }
 
 /// A batched GEMM server: accepts concurrent [`GemmRequest`]s, coalesces
@@ -221,7 +197,6 @@ impl<T: Scalar> GemmService<T> {
             route: Route::new(config.routing),
             ctx: ParGemmContext::with_threads(threads),
             abort: AtomicBool::new(false),
-            monitor: config.fault_policy.clone().map(FaultPolicyMonitor::new),
             config,
         });
         register_live(&inner);
@@ -521,15 +496,11 @@ const TRACE_DUMP_RECORDS: usize = 512;
 /// Point-in-time metrics from the shared service state (callable from the
 /// endpoint thread, which holds only a `Weak<Inner>`).
 fn snapshot_of<T: Scalar>(inner: &Inner<T>) -> StatsSnapshot {
-    let mut snap = inner.stats.snapshot(
+    inner.stats.snapshot(
         inner.queue.depth(),
         inner.ctx.pool().stats(),
         inner.route.cutoff(),
-    );
-    if let Some(monitor) = &inner.monitor {
-        monitor.overlay(&mut snap);
-    }
-    snap
+    )
 }
 
 /// One service's complete `/metrics` body: its own registry, then the
@@ -543,9 +514,9 @@ fn render_metrics_of<T: Scalar>(inner: &Inner<T>) -> String {
 
 /// Registers the live half of the service's families in its registry:
 /// values whose truth is state the service keeps anyway (queue depth, the
-/// routing cutoff, the fault-policy monitor, the pool, the process's
-/// mapped and recycled buffers) or a formula over the counted cells of
-/// [`ServiceStats`], read at scrape time. Each cell holds a `Weak`, since
+/// routing cutoff, the pool, the process's mapped and recycled buffers) or
+/// a formula over the counted cells of [`ServiceStats`], read at scrape
+/// time. Each cell holds a `Weak`, since
 /// `inner` owns the registry.
 fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
     use MetricKind::{Counter, Gauge};
@@ -630,30 +601,6 @@ fn register_live<T: Scalar>(inner: &Arc<Inner<T>>) {
         Gauge,
         "Bytes of dropped buffers of one page to 8 MiB held for reuse, process-wide (at most max(8 MiB, high-water minus live bytes of such buffers)).",
         |_| aligned::spare_bytes() as f64,
-    );
-    live(
-        "ftgemm_ftpolicy_floor",
-        Gauge,
-        "Fault-policy floor the error-aware monitor enforces (0=Off, 1=Detect, 2=DetectCorrect).",
-        |i| i.monitored(|m| m.level() as f64),
-    );
-    live(
-        "ftgemm_ftpolicy_escalations_total",
-        Counter,
-        "Times the error-aware monitor raised the policy floor.",
-        |i| i.monitored(|m| m.escalations() as f64),
-    );
-    live(
-        "ftgemm_ftpolicy_deescalations_total",
-        Counter,
-        "Times the error-aware monitor stepped the policy floor back down.",
-        |i| i.monitored(|m| m.deescalations() as f64),
-    );
-    live(
-        "ftgemm_ftpolicy_error_rate_per_flop",
-        Gauge,
-        "Detected-errors-per-flop EWMA the error-aware monitor tracks.",
-        |i| i.monitored(FaultPolicyMonitor::error_rate),
     );
 }
 
@@ -803,17 +750,6 @@ fn dispatch<T: Scalar>(
     }
 }
 
-/// The policy a request actually runs under: its own policy, raised to the
-/// service's error-aware floor when the monitor is enabled. Read at
-/// execution time (not submit), so a request queued before an escalation
-/// still gets the protection the escalation demanded.
-fn effective_policy<T: Scalar>(inner: &Inner<T>, requested: crate::FtPolicy) -> crate::FtPolicy {
-    match &inner.monitor {
-        Some(monitor) => requested.at_least(monitor.floor()),
-        None => requested,
-    }
-}
-
 fn run_large<T: Scalar>(inner: &Inner<T>, compute: &mut Compute<'_, T>, mut env: Envelope<T>) {
     if let Some(obs) = &inner.obs {
         obs.trace.record(
@@ -824,7 +760,7 @@ fn run_large<T: Scalar>(inner: &Inner<T>, compute: &mut Compute<'_, T>, mut env:
         );
     }
     let req = &mut env.req;
-    let cfg = effective_policy(inner, req.policy).to_config(req.injector.clone());
+    let cfg = req.policy.to_config(req.injector.clone());
     let started = Instant::now();
     let ctx = compute.ctx;
     let ws = compute.large.get_or_insert_with(Workspace::new);
@@ -875,7 +811,7 @@ fn run_batch<T: Scalar>(inner: &Inner<T>, compute: &Compute<'_, T>, mut envs: Ve
     // Per-request configs must outlive the borrowed batch items.
     let cfgs: Vec<_> = envs
         .iter()
-        .map(|env| effective_policy(inner, env.req.policy).to_config(env.req.injector.clone()))
+        .map(|env| env.req.policy.to_config(env.req.injector.clone()))
         .collect();
     let mut items: Vec<BatchItem<'_, T>> = envs
         .iter_mut()
@@ -974,10 +910,6 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
                 }
                 stats.tenant_complete(req.tenant, flops, deadline.map(|d| finished <= d));
                 stats.absorb_report(&report);
-                // One rate observation per completed request.
-                if let Some(monitor) = &inner.monitor {
-                    monitor.observe(report.detected as u64, flops);
-                }
                 GemmResponse {
                     c: req.c,
                     report,
@@ -1014,7 +946,6 @@ mod tests {
             ctx: ParGemmContext::with_threads(threads),
             abort: AtomicBool::new(false),
             obs: None,
-            monitor: config.fault_policy.clone().map(FaultPolicyMonitor::new),
             config,
         }
     }

@@ -458,14 +458,6 @@ impl ServiceStats {
                 .collect(),
             batch_thread_occupancy: self.batch_thread_occupancy(),
             large_workspace_bytes: self.large_workspace_bytes.get() as u64,
-            // The fault-policy monitor lives beside the stats (it needs a
-            // lock, not atomics); the service overlays its values after
-            // this call. Zeroed here so monitor-less services report
-            // all-clear.
-            ft_floor: 0,
-            ft_escalations: 0,
-            ft_deescalations: 0,
-            ft_error_rate: 0.0,
             pool,
         }
     }
@@ -585,19 +577,6 @@ pub struct StatsSnapshot {
     /// request, then at most what the blocking allows (`kc·nc +
     /// threads·mc·kc` elements plus O(m + n + k) checksum state).
     pub large_workspace_bytes: u64,
-    /// The fault-policy floor the error-aware monitor currently enforces:
-    /// `0` = Off (no floor), `1` = Detect, `2` = DetectCorrect. Always `0`
-    /// on services without
-    /// [`ServiceConfig::fault_policy`](crate::ServiceConfig::fault_policy).
-    pub ft_floor: u8,
-    /// Times the monitor raised the floor.
-    pub ft_escalations: u64,
-    /// Times the monitor stepped the floor back down after a quiet period
-    /// of clean flops.
-    pub ft_deescalations: u64,
-    /// The monitor's detected-errors-per-flop EWMA; `0.0` on services
-    /// without a monitor.
-    pub ft_error_rate: f64,
     /// Worker-pool activity (regions, barrier crossings).
     pub pool: PoolStats,
 }

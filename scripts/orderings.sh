@@ -26,7 +26,6 @@ relaxed='
 crates/ftgemm-faults/src/stats.rs
 crates/ftgemm-net/src/store.rs
 crates/ftgemm-obs/src/metrics.rs
-crates/ftgemm-serve/src/fault_policy.rs
 crates/ftgemm-serve/src/routing.rs
 crates/ftgemm-serve/src/stats.rs
 '
@@ -37,6 +36,7 @@ crates/ftgemm-abft/src/nest.rs decision
 crates/ftgemm-core/src/matrix.rs filled
 crates/ftgemm-obs/src/accept.rs stop
 crates/ftgemm-pool/src/barrier.rs epoch
+crates/ftgemm-pool/src/pool.rs generation
 crates/ftgemm-serve/src/exec.rs notified
 crates/ftgemm-serve/src/queue.rs closed depth pending_flops
 crates/ftgemm-serve/src/service.rs abort

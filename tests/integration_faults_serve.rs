@@ -23,10 +23,7 @@
 
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::faults::{ErrorModel, Rate};
-use ftgemm::serve::{
-    FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
-    StatsSnapshot,
-};
+use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
 use ftgemm::{FaultInjector, Matrix};
 
 /// Routing pinned so the campaign's size mix deterministically exercises
@@ -232,114 +229,4 @@ fn off_policy_control_keeps_detection_at_zero() {
     assert_eq!(snap.detected, 0);
     assert_eq!(snap.corrected, 0);
     assert_eq!(snap.completed, 8);
-}
-
-/// The error-aware fault-policy lifecycle, end to end on one service:
-/// before any fault an `Off` request keeps the plain driver's
-/// zero-verification cost; an injection campaign escalates the service's
-/// policy floor to `DetectCorrect`, after which an `Off` request runs
-/// verified; and a quiet volume of clean traffic steps the floor back down
-/// to `Off` one level at a time (2 → 1 → 0), after which `Off` is plain
-/// again.
-#[test]
-fn node_local_escalation_floors_requests_and_deescalates_when_quiet() {
-    // One 96^3 request is 2*96^3 ≈ 1.77e6 flops, and each campaign request
-    // lands one detected error (sample rate ≈ 5.7e-7 per flop). With
-    // tau = 2e6 the EWMA reads ≈3.3e-7 after one faulted request and
-    // ≈4.7e-7 after two, so `detect` trips immediately and `correct` on
-    // the second observation; `quiet_flops` is ~3 clean requests per
-    // de-escalation step.
-    let service = GemmService::<f64>::new(ServiceConfig {
-        threads: 2,
-        max_batch: 4,
-        routing: RoutingPolicy::Fixed(CUTOFF),
-        fault_policy: Some(FaultPolicyConfig {
-            tau_flops: 2.0e6,
-            detect_threshold: 1.0e-7,
-            correct_threshold: 4.0e-7,
-            quiet_flops: 5_000_000,
-        }),
-        ..ServiceConfig::default()
-    });
-    let stats = || -> StatsSnapshot { service.stats() };
-    let run = |policy: FtPolicy, injector: Option<FaultInjector>, seed: u64| {
-        let a = Matrix::<f64>::random(96, 96, seed);
-        let b = Matrix::<f64>::random(96, 96, seed + 1);
-        let mut req = GemmRequest::new(a, b).with_policy(policy);
-        if let Some(inj) = injector {
-            req = req.with_injector(inj);
-        }
-        service.submit(req).unwrap().wait().unwrap()
-    };
-
-    // Before any fault: no floor, and an Off request with an armed
-    // injector keeps the plain driver — no injection sites, no
-    // verifications, all-zero report.
-    let inj_clean = FaultInjector::counted(33_000, 4);
-    let plain = run(FtPolicy::Off, Some(inj_clean.clone()), 33_001);
-    assert_eq!(plain.report, Default::default());
-    assert_eq!(inj_clean.stats().injected(), 0);
-    let clean = stats();
-    assert_eq!(clean.ft_floor, 0, "a clean service must keep no floor");
-    assert_eq!(clean.ft_escalations, 0);
-    assert_eq!(clean.ft_error_rate, 0.0);
-
-    // Phase A: an injection campaign (DetectCorrect traffic with seeded
-    // injectors) drives the detected-errors-per-flop EWMA over the correct
-    // threshold.
-    for i in 0..3u64 {
-        let inj = FaultInjector::new(
-            31_000 + i,
-            ErrorModel::Additive { magnitude: 1.0e6 },
-            Rate::Count(4),
-        );
-        let resp = run(FtPolicy::DetectCorrect, Some(inj), 30_000 + 2 * i);
-        assert!(
-            resp.report.detected > 0,
-            "campaign request {i} saw no faults"
-        );
-    }
-    let escalated = stats();
-    assert_eq!(
-        escalated.ft_floor, 2,
-        "the campaign must floor the service at DetectCorrect"
-    );
-    assert!(escalated.ft_escalations >= 1);
-    assert_eq!(escalated.ft_deescalations, 0);
-    assert!(escalated.ft_error_rate > 0.0);
-
-    // Phase B: the floor overrides the *request's* policy. An Off request
-    // with an armed injector runs the verified path (faults detected and
-    // corrected).
-    let inj = FaultInjector::counted(32_000, 4);
-    let floored = run(FtPolicy::Off, Some(inj.clone()), 32_001);
-    assert!(
-        floored.report.verifications > 0,
-        "Off request on the escalated service must run verified"
-    );
-    assert_eq!(floored.report.detected, floored.report.injected);
-    assert_eq!(floored.report.corrected, floored.report.injected);
-    assert!(inj.stats().injected() > 0);
-
-    // Phase C: clean traffic de-escalates one level per quiet volume —
-    // DetectCorrect(2) -> Detect(1) -> Off(0).
-    let mut saw_detect_step = false;
-    for i in 0..30u64 {
-        if stats().ft_floor == 0 {
-            break;
-        }
-        saw_detect_step |= stats().ft_floor == 1;
-        run(FtPolicy::Off, None, 34_000 + 2 * i);
-    }
-    let quiet = stats();
-    assert_eq!(quiet.ft_floor, 0, "clean traffic never de-escalated");
-    assert!(saw_detect_step, "floor must step down through Detect");
-    assert!(quiet.ft_deescalations >= 2);
-
-    // Fully de-escalated: Off requests are back on the plain driver's cost
-    // (and its zero injection sites).
-    let inj_after = FaultInjector::counted(35_000, 4);
-    let resp = run(FtPolicy::Off, Some(inj_after.clone()), 35_001);
-    assert_eq!(resp.report, Default::default());
-    assert_eq!(inj_after.stats().injected(), 0);
 }

@@ -8,8 +8,7 @@ use ftgemm::core::aligned;
 use ftgemm::obs::Registry;
 use ftgemm::serve::exec::block_on;
 use ftgemm::serve::{
-    completion_channel, FaultPolicyConfig, FtPolicy, GemmRequest, GemmService, RoutingPolicy,
-    ServiceConfig,
+    completion_channel, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
 };
 use ftgemm::{FaultInjector, Matrix};
 use std::collections::{BTreeSet, HashMap};
@@ -206,9 +205,6 @@ fn scraped_counters_match_in_process_snapshot() {
         ),
         ("ftgemm_threads", snap.batch_busy_per_thread.len() as u64),
         ("ftgemm_large_workspace_bytes", snap.large_workspace_bytes),
-        ("ftgemm_ftpolicy_floor", u64::from(snap.ft_floor)),
-        ("ftgemm_ftpolicy_escalations_total", snap.ft_escalations),
-        ("ftgemm_ftpolicy_deescalations_total", snap.ft_deescalations),
     ];
     for (family, value) in expect {
         assert_eq!(
@@ -231,16 +227,10 @@ fn scraped_counters_match_in_process_snapshot() {
 
     // The snapshot's seconds and rates, and every per-tenant and
     // per-thread row, are samples of the scrape with the same value.
-    let mut labeled: Vec<(String, f64)> = vec![
-        (
-            "ftgemm_batch_wall_seconds_total".to_string(),
-            snap.batch_wall.as_secs_f64(),
-        ),
-        (
-            "ftgemm_ftpolicy_error_rate_per_flop".to_string(),
-            snap.ft_error_rate,
-        ),
-    ];
+    let mut labeled: Vec<(String, f64)> = vec![(
+        "ftgemm_batch_wall_seconds_total".to_string(),
+        snap.batch_wall.as_secs_f64(),
+    )];
     assert_eq!(snap.per_tenant.len(), 2, "{:?}", snap.per_tenant);
     for t in &snap.per_tenant {
         assert_eq!((t.admitted, t.completed), (12, 12), "{t:?}");
@@ -311,11 +301,11 @@ fn scraped_counters_match_in_process_snapshot() {
 /// The `(family, kind)` set a service scrapes under is a dashboard
 /// contract, pinned here (the net families are pinned in `integration_net`).
 /// Everything the scrape holds beyond the process-wide registry's families
-/// must be exactly this list — with obs, a fault policy and one tenant
-/// touched, so no family is missing for want of a sample.
+/// must be exactly this list — with obs and one tenant touched, so no
+/// family is missing for want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 45] = [
+    const GOLDEN: [(&str, &str); 41] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -327,10 +317,6 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_ft_detected_total", "counter"),
         ("ftgemm_ft_injected_total", "counter"),
         ("ftgemm_ft_retried_panels_total", "counter"),
-        ("ftgemm_ftpolicy_deescalations_total", "counter"),
-        ("ftgemm_ftpolicy_error_rate_per_flop", "gauge"),
-        ("ftgemm_ftpolicy_escalations_total", "counter"),
-        ("ftgemm_ftpolicy_floor", "gauge"),
         ("ftgemm_large_workspace_bytes", "gauge"),
         ("ftgemm_mapped_buffers_total", "counter"),
         ("ftgemm_queue_depth", "gauge"),
@@ -365,7 +351,6 @@ fn every_serve_family_keeps_its_name_and_kind() {
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: 2,
         obs_addr: Some("127.0.0.1:0".parse().unwrap()),
-        fault_policy: Some(FaultPolicyConfig::default()),
         ..ServiceConfig::default()
     });
     let req = GemmRequest::new(
