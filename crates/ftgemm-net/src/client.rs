@@ -1,14 +1,25 @@
 //! `NetClient`: a blocking client for the wire protocol, used by the
 //! tests, the example, and the repo benchmark's `wire_small` workload.
 //!
-//! One TCP connection, pipelined submits. [`NetClient::submit`] writes and
-//! flushes its frame and returns at once, with an id the client assigns
-//! itself; it does not wait for the server's answer. The server answers a
-//! connection's frames strictly in order, each `Submit` with one
-//! `SubmitAck` or one `Error`, and an ack always before its own
-//! completion. So whichever call reads next takes those answers off the
-//! front of a FIFO of unanswered submits as it meets them: an ack maps the
-//! server's id to the client's, and an `Error` becomes that id's
+//! One TCP connection, pipelined both ways. [`NetClient::submit`] appends
+//! its frame to the connection's write buffer and returns at once, with an
+//! id the client assigns itself; it neither writes nor waits for the
+//! server's answer. The buffer leaves in one write when the client must
+//! wait for the server: before a read that may block (the read buffer does
+//! not hold a whole frame), in every call that sends a frame of its own
+//! (`upload`, `poll`, `wait` on a held id, `release`, `shutdown_server`,
+//! `send`), in [`NetClient::flush`], and on drop. It also leaves once it
+//! holds a server turn's worth of bytes, so it stays bounded. A closed loop
+//! that refills its window as completions arrive thus makes one write per
+//! burst of submits, not one per request. Reads take in up to one server
+//! turn at a time, and a frame that arrived whole is decoded where it
+//! landed.
+//!
+//! The server answers a connection's frames strictly in order, each
+//! `Submit` with one `SubmitAck` or one `Error`, and an ack always before
+//! its own completion. So whichever call reads next takes those answers
+//! off the front of a FIFO of unanswered submits as it meets them: an ack
+//! maps the server's id to the client's, and an `Error` becomes that id's
 //! completion, `Err((code, message))`, the same shape as a request that
 //! failed in the service.
 //!
@@ -23,7 +34,7 @@
 //! [`UNKNOWN_REQUEST`](crate::proto::error_code::UNKNOWN_REQUEST).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -31,7 +42,9 @@ use ftgemm_abft::FtPolicy;
 use ftgemm_core::Matrix;
 use ftgemm_serve::{Priority, TenantId, DEFAULT_TENANT};
 
-use crate::codec::{read_frame_into, write_frame, ReadEvent};
+use crate::codec::{
+    encode_into, encode_upload_into, take_frame, whole_frame, ReadEvent, TURN_BYTES,
+};
 use crate::proto::{
     error_code, CompletionFrame, Frame, OperandRef, SubmitFrame, DEFAULT_MAX_FRAME, FEATURES,
     PROTO_VERSION,
@@ -191,15 +204,23 @@ impl From<u64> for OperandRef {
     }
 }
 
+/// Write-buffer capacity kept from one write to the next: room for about a
+/// thousand by-handle submits. A buffer an upload or inline operands grew
+/// past it is let go once written, so it does not stay resident.
+const KEPT_OUT_BYTES: usize = 64 * 1024;
+
 /// What the server answered a submit: the id it admitted the request
 /// under, or its refusal as the submit's completion.
 type Answer = Result<u64, CompletionFrame>;
 
 /// Blocking wire-protocol client. See the module docs.
 pub struct NetClient {
+    /// The connection, read through a buffer of one server turn; written
+    /// through `&TcpStream`.
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    /// The buffer every frame's body is read into.
+    /// Frames encoded back to back and not written yet.
+    out: Vec<u8>,
+    /// The buffer a frame's body is read into when it did not arrive whole.
     body: Vec<u8>,
     max_frame: u32,
     features: u32,
@@ -221,14 +242,14 @@ impl NetClient {
     /// Connects and performs the Hello / ServerHello handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        // Each submit is flushed on its own: without this, a submit written
-        // while its predecessor's segment is unacknowledged would wait in
-        // Nagle's buffer for that acknowledgement.
+        // The client coalesces its frames itself and writes only when it
+        // must wait for an answer: a burst written while the previous
+        // burst's segment is unacknowledged must not then wait in Nagle's
+        // buffer for that acknowledgement too.
         stream.set_nodelay(true)?;
-        let writer = BufWriter::new(stream.try_clone()?);
         let mut client = NetClient {
-            reader: BufReader::new(stream),
-            writer,
+            reader: BufReader::with_capacity(TURN_BYTES, stream),
+            out: Vec::new(),
             body: Vec::new(),
             max_frame: DEFAULT_MAX_FRAME,
             features: 0,
@@ -256,13 +277,12 @@ impl NetClient {
         self.features
     }
 
-    /// Uploads a matrix; returns its server-resident handle.
+    /// Uploads a matrix; returns its server-resident handle. The frame is
+    /// encoded from `m` itself, not from a copy of it.
     pub fn upload(&mut self, m: &Matrix<f64>) -> Result<u64, ClientError> {
-        self.send(&Frame::UploadOperand {
-            rows: m.nrows() as u32,
-            cols: m.ncols() as u32,
-            data: m.as_slice().to_vec(),
-        })?;
+        let (rows, cols) = (m.nrows() as u32, m.ncols() as u32);
+        encode_upload_into(&mut self.out, rows, cols, m.as_slice())?;
+        self.flush()?;
         match self.reply()? {
             Frame::OperandHandle { handle, .. } => Ok(handle),
             other => Err(unexpected("OperandHandle", &other)),
@@ -270,11 +290,16 @@ impl NetClient {
     }
 
     /// Submits one GEMM and returns at once, without reading its answer;
-    /// the id is this client's own. A refused submit is not an error here:
-    /// its refusal is the id's completion, `Err((code, message))`.
+    /// the id is this client's own. The frame waits in the write buffer
+    /// until the client must wait (see the module docs) or
+    /// [`flush`](Self::flush) is called. A refused submit is not an error
+    /// here: its refusal is the id's completion, `Err((code, message))`.
     pub fn submit(&mut self, submit: NetSubmit) -> Result<u64, ClientError> {
+        if self.out.len() >= TURN_BYTES {
+            self.flush()?;
+        }
         let hold = submit.hold;
-        self.send(&Frame::Submit(submit.into_frame()))?;
+        encode_into(&mut self.out, &Frame::Submit(submit.into_frame()))?;
         let id = self.next_id;
         self.next_id += 1;
         self.unanswered.push_back((id, hold));
@@ -359,14 +384,30 @@ impl NetClient {
         }
     }
 
-    /// Sends a raw frame without awaiting a response. Public for protocol
-    /// robustness tests; pair with [`read_response`](Self::read_response).
-    /// Neither keeps the submit bookkeeping: a raw `Submit` is not this
-    /// client's, and its answer must be read raw too.
+    /// Sends a raw frame, after whatever the write buffer holds, without
+    /// awaiting a response. Public for protocol robustness tests; pair with
+    /// [`read_response`](Self::read_response). Neither keeps the submit
+    /// bookkeeping: a raw `Submit` is not this client's, and its answer
+    /// must be read raw too.
     pub fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, frame)?;
-        self.writer.flush()?;
-        Ok(())
+        encode_into(&mut self.out, frame)?;
+        self.flush()
+    }
+
+    /// Writes every buffered frame to the socket in one piece. The client
+    /// does this itself whenever it must wait for the server, so a caller
+    /// needs it only to get submits on their way while it does something
+    /// else.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.reader.get_ref().write_all(&self.out);
+        self.out.clear();
+        if self.out.capacity() > KEPT_OUT_BYTES {
+            self.out = Vec::new();
+        }
+        Ok(written?)
     }
 
     /// Takes in answers until held submit `id` has its own, and takes the
@@ -455,8 +496,14 @@ impl NetClient {
         }
     }
 
+    /// Reads the next frame, writing the buffered frames first unless that
+    /// frame is whole in the read buffer already: a read that may block
+    /// must not wait for an answer to frames the server has not been sent.
     fn read_frame(&mut self) -> Result<Frame, ClientError> {
-        let (event, _) = read_frame_into(&mut self.reader, self.max_frame, &mut self.body)?;
+        if whole_frame(self.reader.buffer()).is_none() {
+            self.flush()?;
+        }
+        let (event, _) = take_frame(&mut self.reader, self.max_frame, &mut self.body)?;
         match event {
             ReadEvent::Frame(f) => Ok(f),
             ReadEvent::Eof => Err(ClientError::Io(io::Error::new(
@@ -468,6 +515,14 @@ impl NetClient {
             ))),
             ReadEvent::Malformed(e) => Err(ClientError::Protocol(e.to_string())),
         }
+    }
+}
+
+impl Drop for NetClient {
+    /// Writes what the buffer still holds, so a dropped client's submits
+    /// reach the server; a write that fails is the connection's end anyway.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 

@@ -6,9 +6,10 @@
 //! (so framing stays in sync) and reported as [`ReadEvent::TooLarge`]
 //! rather than torn down, and a malformed payload is surfaced as
 //! [`ReadEvent::Malformed`] with the stream already positioned at the next
-//! frame boundary.
+//! frame boundary. [`take_frame`] reads the same stream through a
+//! [`BufRead`], decoding a frame that is whole in the buffer where it lies.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use ftgemm_abft::FtReport;
 
@@ -159,6 +160,13 @@ impl Wr<'_> {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// A matrix: its shape, then its column-major data.
+    fn matrix(&mut self, rows: u32, cols: u32, data: &[f64]) {
+        self.u32(rows);
+        self.u32(cols);
+        self.f64_slice(data);
+    }
+
     /// One resize and one conversion pass for the whole matrix, with room
     /// for the fields after it.
     fn f64_slice(&mut self, data: &[f64]) {
@@ -180,9 +188,7 @@ fn put_operand_ref(w: &mut Wr<'_>, op: &OperandRef) {
     match op {
         OperandRef::Inline { rows, cols, data } => {
             w.u8(0);
-            w.u32(*rows);
-            w.u32(*cols);
-            w.f64_slice(data);
+            w.matrix(*rows, *cols, data);
         }
         OperandRef::Handle(h) => {
             w.u8(1);
@@ -227,9 +233,7 @@ fn put_completion(w: &mut Wr<'_>, id: u64, result: CompletionFields<'_>) {
     match result {
         Ok((rows, cols, data, r)) => {
             w.u8(0);
-            w.u32(rows);
-            w.u32(cols);
-            w.f64_slice(data);
+            w.matrix(rows, cols, data);
             for n in [
                 r.verifications,
                 r.detected,
@@ -296,6 +300,17 @@ pub(crate) fn encode_completion_into(
     append_frame(buf, verb::COMPLETION, |w| put_completion(w, id, result))
 }
 
+/// Appends an `UploadOperand` to `buf`, its matrix read in place: the
+/// client encodes the caller's matrix without copying it into the frame.
+pub(crate) fn encode_upload_into(
+    buf: &mut Vec<u8>,
+    rows: u32,
+    cols: u32,
+    data: &[f64],
+) -> io::Result<()> {
+    append_frame(buf, verb::UPLOAD_OPERAND, |w| w.matrix(rows, cols, data))
+}
+
 /// Appends one frame to `buf`; see [`append_frame`].
 pub(crate) fn encode_into(buf: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
     append_frame(buf, frame.verb(), |w| put_payload(w, frame))
@@ -316,11 +331,7 @@ fn put_payload(w: &mut Wr<'_>, frame: &Frame) {
             w.u32(*features);
             w.u32(*max_frame);
         }
-        Frame::UploadOperand { rows, cols, data } => {
-            w.u32(*rows);
-            w.u32(*cols);
-            w.f64_slice(data);
-        }
+        Frame::UploadOperand { rows, cols, data } => w.matrix(*rows, *cols, data),
         Frame::OperandHandle {
             handle,
             resident_bytes,
@@ -342,9 +353,7 @@ fn put_payload(w: &mut Wr<'_>, frame: &Frame) {
                 None => w.u8(0),
                 Some((rows, cols, data)) => {
                     w.u8(1);
-                    w.u32(*rows);
-                    w.u32(*cols);
-                    w.f64_slice(data);
+                    w.matrix(*rows, *cols, data);
                 }
             }
         }
@@ -488,7 +497,7 @@ pub fn decode_frame(verb_byte: u8, payload: &[u8]) -> Result<Frame, WireError> {
 
 /// Outcome of [`read_frame`]: the stream survives everything but I/O
 /// failure, so protocol-level problems are events, not errors.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum ReadEvent {
     /// A well-formed frame.
     Frame(Frame),
@@ -505,6 +514,12 @@ pub enum ReadEvent {
 /// rather than kept for the next one: one large upload does not pin its
 /// size for the rest of the connection.
 const KEPT_BODY_BYTES: usize = 1 << 20;
+
+/// The bytes one side of a connection moves per system call: the server's
+/// outbound thread writes what it has once its turn has encoded this much,
+/// and [`NetClient`](crate::NetClient) reads into a buffer of this size, so
+/// one read can take in a whole turn.
+pub(crate) const TURN_BYTES: usize = 256 * 1024;
 
 /// Reads one length-prefixed frame. `max_frame` bounds the length prefix;
 /// larger frames are drained in 64 KiB chunks and reported as
@@ -551,17 +566,54 @@ pub fn read_frame_into(
     if (&mut *r).take(len as u64).read_to_end(body)? < len as usize {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    let event = match body.split_first() {
+    let event = decode_body(body);
+    if body.capacity() > KEPT_BODY_BYTES {
+        *body = Vec::new();
+    }
+    Ok((event, 4 + len as u64))
+}
+
+/// A frame's verb and payload, decoded.
+fn decode_body(body: &[u8]) -> ReadEvent {
+    match body.split_first() {
         Some((&verb, payload)) => match decode_frame(verb, payload) {
             Ok(f) => ReadEvent::Frame(f),
             Err(e) => ReadEvent::Malformed(e),
         },
         None => ReadEvent::Malformed(WireError::Truncated),
-    };
-    if body.capacity() > KEPT_BODY_BYTES {
-        *body = Vec::new();
     }
-    Ok((event, 4 + len as u64))
+}
+
+/// The length prefix of the frame at the front of `buf`, if all of that
+/// frame's bytes are there.
+pub(crate) fn whole_frame(buf: &[u8]) -> Option<u32> {
+    let len = u32::from_le_bytes(*buf.first_chunk::<4>()?);
+    (buf.len() - 4 >= len as usize).then_some(len)
+}
+
+/// [`read_frame_into`] through a buffered reader: a frame whose bytes are
+/// all in `r`'s buffer already is decoded there, without being copied into
+/// `body` first. A frame the buffer holds only part of, or one over
+/// `max_frame`, goes through [`read_frame_into`]; so on the same bytes the
+/// events and byte counts are that function's, a zero length and a
+/// malformed payload included. Blocks only when the buffer is empty or
+/// holds part of a frame.
+pub fn take_frame(
+    r: &mut impl BufRead,
+    max_frame: u32,
+    body: &mut Vec<u8>,
+) -> io::Result<(ReadEvent, u64)> {
+    let buf = r.fill_buf()?;
+    let Some(frame) = whole_frame(buf)
+        .filter(|&len| len <= max_frame)
+        .and_then(|len| buf.get(4..4 + len as usize))
+    else {
+        return read_frame_into(r, max_frame, body);
+    };
+    let event = decode_body(frame);
+    let n = 4 + frame.len();
+    r.consume(n);
+    Ok((event, n as u64))
 }
 
 /// Writes one frame; returns the bytes written. A frame over 4 GiB is

@@ -53,7 +53,9 @@ use ftgemm_serve::{
     ServeError,
 };
 
-use crate::codec::{encode_completion_into, encode_into, read_frame_into, ReadEvent, WireError};
+use crate::codec::{
+    encode_completion_into, encode_into, take_frame, ReadEvent, WireError, TURN_BYTES,
+};
 use crate::metrics;
 use crate::proto::{error_code, Frame, OperandRef, SubmitFrame, FEATURES, PROTO_VERSION};
 use crate::store::{OperandStore, StoreGetError};
@@ -224,13 +226,11 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
     })
 }
 
-/// Encoded bytes past which a turn writes what it has before encoding more,
-/// like a buffered writer's capacity: the buffer stays within this plus one
-/// frame, and a long turn's first frames do not wait for its last.
-const TURN_BYTES: usize = 256 * 1024;
-
 /// The outbound thread's write buffer: frames encoded back to back, written
-/// with one `write_all`.
+/// with one `write_all`. Past [`TURN_BYTES`] a turn writes what it has
+/// before encoding more, like a buffered writer's capacity: the buffer
+/// stays within that plus one frame, and a long turn's first frames do not
+/// wait for its last.
 #[derive(Default)]
 struct Turn {
     buf: Vec<u8>,
@@ -349,7 +349,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
             );
         };
 
-        while let Ok((event, n)) = read_frame_into(&mut reader, ctx.max_frame, &mut body) {
+        while let Ok((event, n)) = take_frame(&mut reader, ctx.max_frame, &mut body) {
             metrics::bytes_in_total().add(n);
             let frame = match event {
                 ReadEvent::Eof => break,

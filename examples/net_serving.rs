@@ -6,7 +6,11 @@
 //! The server is plain `std::net` (no async runtime): one accept loop,
 //! a reader and an outbound thread per connection, bridging frames onto
 //! the same `GemmService` the in-process examples use. The client
-//! pipelines: a submit returns without waiting for the server's ack. Uploaded
+//! pipelines: a submit returns without waiting for the server's ack, and
+//! its frame waits in the client's write buffer until the client must wait
+//! for the server (a read that would block, or a call that sends a frame of
+//! its own, such as `upload` or `poll`) or `flush` is called; a burst of
+//! submits leaves in one write. Uploaded
 //! operands stay server-resident behind ref-counted handles, so a client
 //! that re-fires against the same matrices ships 16 bytes per submit
 //! instead of two full operands.

@@ -446,6 +446,121 @@ fn submits_do_not_wait_for_their_acks() {
     assert_eq!(server.join().unwrap(), SUBMITS);
 }
 
+/// Submits wait in the client's write buffer until the client must wait.
+/// Against a fake server: after the hello, `K` submits put no byte on the
+/// socket (a 100 ms read times out); `flush` then delivers exactly `K`
+/// `Submit` frames, in submit order; and one more submit followed by
+/// `next_completion` reaches the server with no `flush`, because the client
+/// writes its buffer before a read that would block. The fake server
+/// answers only once it has read that submit, so a client that read first
+/// would wait forever; a watchdog turns that into a failure.
+#[test]
+fn submits_leave_when_the_client_must_wait() {
+    use std::io::{ErrorKind, Read};
+    use std::sync::mpsc;
+    const K: u32 = 5;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (to_server, server_rx) = mpsc::channel::<()>();
+    let (to_client, client_rx) = mpsc::channel::<()>();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let patient = Some(Duration::from_secs(10));
+        sock.set_read_timeout(patient).unwrap();
+        let next = |sock: &mut TcpStream| read_frame(sock, DEFAULT_MAX_FRAME).unwrap().0;
+        let hello = next(&mut sock);
+        assert!(
+            matches!(hello, ReadEvent::Frame(Frame::Hello { .. })),
+            "{hello:?}"
+        );
+        let server_hello = Frame::ServerHello {
+            version: PROTO_VERSION,
+            features: FEATURES,
+            max_frame: DEFAULT_MAX_FRAME,
+        };
+        write_frame(&mut sock, &server_hello).unwrap();
+        let nothing_more = |sock: &mut TcpStream, what: &str| {
+            sock.set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            match sock.read(&mut [0u8; 1]) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                other => panic!("{what}: the socket read {other:?}"),
+            }
+            sock.set_read_timeout(patient).unwrap();
+        };
+
+        // K submits made, none flushed.
+        server_rx.recv().unwrap();
+        nothing_more(&mut sock, "a submit left before the client had to wait");
+        to_client.send(()).unwrap();
+
+        // The flush: exactly K submits, in order.
+        let tenants: Vec<u32> = (0..K)
+            .map(|_| match next(&mut sock) {
+                ReadEvent::Frame(Frame::Submit(s)) => s.tenant,
+                other => panic!("expected a Submit, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(tenants, (0..K).collect::<Vec<_>>());
+        nothing_more(&mut sock, "flush wrote more than the K submits");
+        to_client.send(()).unwrap();
+
+        // One more submit, then next_completion: it must arrive unflushed.
+        match next(&mut sock) {
+            ReadEvent::Frame(Frame::Submit(s)) => assert_eq!(s.tenant, K),
+            other => panic!("expected the last Submit, got {other:?}"),
+        }
+        let mut answers = Vec::new();
+        for server_id in 0..=u64::from(K) {
+            write_frame(
+                &mut answers,
+                &Frame::SubmitAck {
+                    id: 100 + server_id,
+                },
+            )
+            .unwrap();
+        }
+        let completion = Frame::Completion(CompletionFrame {
+            id: 100 + u64::from(K),
+            result: Err((error_code::UNKNOWN_HANDLE, "fake".into())),
+        });
+        write_frame(&mut answers, &completion).unwrap();
+        sock.write_all(&answers).unwrap();
+        // Hold the socket open until the client hangs up.
+        while let Ok((ReadEvent::Frame(_), _)) = read_frame(&mut sock, DEFAULT_MAX_FRAME) {}
+    });
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).unwrap();
+        for tenant in 0..K {
+            client
+                .submit(NetSubmit::new(1, 2).with_tenant(tenant))
+                .unwrap();
+        }
+        to_server.send(()).unwrap();
+        client_rx.recv().unwrap();
+        client.flush().unwrap();
+        client_rx.recv().unwrap();
+        let last = client.submit(NetSubmit::new(1, 2).with_tenant(K)).unwrap();
+        let done = client.next_completion().unwrap();
+        done_tx.send((last, done)).unwrap();
+    });
+    let Ok((last, done)) = done_rx.recv_timeout(Duration::from_secs(10)) else {
+        if server.is_finished() {
+            server.join().unwrap();
+        }
+        panic!("next_completion read before it wrote the buffered submit");
+    };
+    assert_eq!(done.id, last);
+    assert!(
+        matches!(done.result, Err((error_code::UNKNOWN_HANDLE, _))),
+        "{done:?}"
+    );
+    client.join().unwrap();
+    server.join().unwrap();
+}
+
 /// What one pipelined submit must resolve to.
 enum Want {
     /// Bit for bit what `a * b` (DetectCorrect) gives in process.

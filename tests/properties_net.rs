@@ -6,9 +6,10 @@
 //! while the connection survives) live in `integration_net.rs`.
 
 use ftgemm::core::Matrix;
-use ftgemm::net::codec::{decode_frame, encode_frame, read_frame, ReadEvent};
+use ftgemm::net::codec::{decode_frame, encode_frame, read_frame, take_frame, ReadEvent};
 use ftgemm::net::proto::{CompletionFrame, CompletionOk, Frame, OperandRef, SubmitFrame};
 use proptest::prelude::*;
+use std::io::{BufReader, Cursor};
 
 fn col_major(rows: u32, cols: u32, seed: u64) -> Vec<f64> {
     Matrix::<f64>::random(rows as usize, cols as usize, seed)
@@ -150,6 +151,50 @@ proptest! {
             let mut payload = encode_frame(&frame)[5..].to_vec();
             payload.push((seed & 0xFF) as u8);
             prop_assert!(decode_frame(frame.verb(), &payload).is_err());
+        }
+    }
+
+    /// `take_frame` through a buffer gives the events `read_frame` gives
+    /// on the same bytes, and consumes as many, frame for frame: every
+    /// frame type back to back, then an oversize length, a zero length and
+    /// an unknown verb. Small buffers leave frames straddling the buffer
+    /// (the `read_frame_into` fallback); large ones hold them whole (decoded
+    /// in place).
+    #[test]
+    fn buffered_taking_matches_the_stream_reader(
+        rows in 1u32..8, cols in 1u32..8,
+        id in 0u64..u64::MAX, seed in 0u64..1_000_000,
+    ) {
+        const MAX: u32 = 4096;
+        let text = format!("err-{seed}");
+        let mut wire = Vec::new();
+        for frame in all_frames(rows, cols, id, 7, seed, &text) {
+            wire.extend_from_slice(&encode_frame(&frame));
+        }
+        wire.extend_from_slice(&(MAX + 1).to_le_bytes());
+        wire.extend_from_slice(&vec![0xAB; MAX as usize + 1]);
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        wire.extend_from_slice(&1u32.to_le_bytes());
+        wire.push(200);
+
+        let mut cur = Cursor::new(&wire);
+        let mut want = Vec::new();
+        loop {
+            let (event, n) = read_frame(&mut cur, MAX).unwrap();
+            let eof = event == ReadEvent::Eof;
+            want.push((event, n));
+            if eof {
+                break;
+            }
+        }
+        prop_assert_eq!(want.len(), 20);
+        for cap in [1, 3, 5, 64, 700, 4096, 1 << 16] {
+            let mut r = BufReader::with_capacity(cap, Cursor::new(&wire));
+            let mut body = Vec::new();
+            for (i, w) in want.iter().enumerate() {
+                let got = take_frame(&mut r, MAX, &mut body).unwrap();
+                prop_assert_eq!(&got, w, "frame {} at capacity {}", i, cap);
+            }
         }
     }
 
