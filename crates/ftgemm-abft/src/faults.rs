@@ -1,12 +1,11 @@
-//! # ftgemm-faults
-//!
 //! Deterministic, source-level soft-error injection for the FT-GEMM
 //! reproduction.
 //!
 //! The paper (§3.2) validates fault tolerance by injecting computing errors
 //! *at the source-code level* into the GEMM kernels — external injection
-//! tools slow the native program too much. This crate reproduces that
-//! methodology:
+//! tools slow the native program too much. This module reproduces that
+//! methodology, beside the one site that applies it ([`crate::panel::inject`],
+//! called by the loop nest):
 //!
 //! * an [`ErrorModel`] describes how a value is corrupted (bit flip,
 //!   additive offset, scaling) — the fail-continue "soft errors" of §1;
@@ -23,9 +22,6 @@
 //! Everything is deterministic given the seed and the site visit order (for
 //! count/probability rates), so fault-tolerance tests can assert *exact*
 //! correction.
-
-#![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 mod campaign;
 mod injector;

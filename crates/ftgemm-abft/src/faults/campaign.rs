@@ -6,7 +6,7 @@
 //! under a shared [`FaultInjector`], for a wall-clock budget, and reports
 //! validated/mismatched runs together with the achieved error rate.
 
-use crate::injector::FaultInjector;
+use super::injector::FaultInjector;
 use std::time::{Duration, Instant};
 
 /// Outcome of one campaign iteration, as judged by the caller.

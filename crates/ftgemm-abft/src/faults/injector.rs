@@ -1,7 +1,7 @@
 //! The injector and its per-call/per-thread site streams.
 
-use crate::model::{ErrorEvent, ErrorModel, Rate};
-use crate::stats::InjectionStats;
+use super::model::{ErrorEvent, ErrorModel, Rate};
+use super::stats::InjectionStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,7 +178,8 @@ impl SiteStream {
     }
 
     /// Number of sites visited so far.
-    pub fn visited(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn visited(&self) -> usize {
         self.visited
     }
 }

@@ -59,7 +59,7 @@ impl ErrorModel {
 /// When errors fire, expressed over a stream of injection sites.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rate {
-    /// Exactly `count` errors per [`SiteStream`](crate::SiteStream),
+    /// Exactly `count` errors per [`SiteStream`](super::SiteStream),
     /// uniformly spread over the expected number of sites. This is the
     /// paper's "20 injected errors" per run mode.
     Count(usize),
@@ -70,7 +70,7 @@ pub enum Rate {
     PerSecond(f64),
 }
 
-/// One concrete injection event produced by a [`SiteStream`](crate::SiteStream).
+/// One concrete injection event produced by a [`SiteStream`](super::SiteStream).
 #[derive(Debug, Clone, Copy)]
 pub struct ErrorEvent {
     /// Uniform random draw used to select the victim element within the

@@ -7,10 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomic counters describing the life cycle of injected errors.
 ///
-/// `injected` is bumped by [`SiteStream`](crate::SiteStream); the detection
-/// and correction counters are bumped by the fault-tolerant drivers
-/// (`ftgemm-abft` / `ftgemm-parallel`) when their verification passes flag
-/// and repair discrepancies.
+/// `injected` is bumped by [`SiteStream`](super::SiteStream); the detection
+/// and correction counters are bumped by the loop nest's one verifier
+/// ([`crate::panel::verify`]) when it flags and repairs discrepancies.
 #[derive(Debug, Default)]
 pub struct InjectionStats {
     injected: AtomicU64,
@@ -21,19 +20,19 @@ pub struct InjectionStats {
 
 impl InjectionStats {
     /// Records one injected error.
-    pub fn record_injected(&self) {
+    pub(crate) fn record_injected(&self) {
         self.injected.fetch_add(1, Ordering::Relaxed);
     }
     /// Records one detected checksum discrepancy.
-    pub fn record_detected(&self) {
+    pub(crate) fn record_detected(&self) {
         self.detected.fetch_add(1, Ordering::Relaxed);
     }
     /// Records one corrected element.
-    pub fn record_corrected(&self) {
+    pub(crate) fn record_corrected(&self) {
         self.corrected.fetch_add(1, Ordering::Relaxed);
     }
     /// Records one unrecoverable verification failure.
-    pub fn record_unrecoverable(&self) {
+    pub(crate) fn record_unrecoverable(&self) {
         self.unrecoverable.fetch_add(1, Ordering::Relaxed);
     }
 

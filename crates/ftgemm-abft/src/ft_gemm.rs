@@ -107,10 +107,10 @@ pub fn gemm<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{ErrorModel, FaultInjector, Rate};
     use crate::FusionConfig;
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::{IsaLevel, Matrix};
-    use ftgemm_faults::{ErrorModel, FaultInjector, Rate};
 
     fn run_case(
         cfg: &FtConfig,

@@ -94,6 +94,7 @@
 
 pub mod checksum;
 pub mod corrector;
+pub mod faults;
 pub mod ft_gemm;
 pub mod nest;
 pub mod panel;
@@ -119,7 +120,7 @@ pub struct FtConfig {
     /// the paper's FT-GEMM; all-off is the traditional ABFT baseline.
     pub fusion: FusionConfig,
     /// Optional fault injector (reproduces §3.2's source-level injection).
-    pub injector: Option<ftgemm_faults::FaultInjector>,
+    pub injector: Option<faults::FaultInjector>,
     /// What to do when a verification interval's discrepancy pattern cannot
     /// be resolved by checksum correction.
     pub recovery: Recovery,
@@ -164,7 +165,7 @@ impl Default for FtConfig {
 
 impl FtConfig {
     /// Paper configuration with a fault injector attached.
-    pub fn with_injector(injector: ftgemm_faults::FaultInjector) -> Self {
+    pub fn with_injector(injector: faults::FaultInjector) -> Self {
         FtConfig {
             injector: Some(injector),
             ..Default::default()
@@ -413,7 +414,7 @@ mod tests {
     fn config_clone_shares_injector_state() {
         // The serving layer clones FtConfig per request; the injector inside
         // is Arc-backed, so clones must observe the same stats counters.
-        let inj = ftgemm_faults::FaultInjector::counted(1, 1);
+        let inj = faults::FaultInjector::counted(1, 1);
         let cfg = FtConfig::with_injector(inj.clone());
         let cloned = cfg.clone();
         let mut s = cloned.injector.as_ref().unwrap().stream(0, 1);

@@ -56,11 +56,11 @@
 // `decision` publishes thread 0's verdict on a panel to the team — Release
 // store after `panel::verify`, Acquire load after the barrier that follows.
 
+use crate::faults::SiteStream;
 use crate::{checksum, panel, FtConfig, FtError, FtReport, FtResult, Recovery};
 use ftgemm_core::gemm::{scale_c, validate_shapes};
 use ftgemm_core::macro_kernel::macro_kernel;
 use ftgemm_core::{pack, AlignedVec, BlockingParams, Kernel, MatMut, MatRef, Scalar};
-use ftgemm_faults::SiteStream;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::ops::Range;

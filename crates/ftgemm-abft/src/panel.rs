@@ -20,9 +20,9 @@
 
 use crate::checksum;
 use crate::corrector::{correct_block, find_discrepancies, CorrectionOutcome};
+use crate::faults::ErrorEvent;
 use crate::{FtConfig, FtReport, FusionConfig};
 use ftgemm_core::{pack, MatMut, MatRef, Scalar};
-use ftgemm_faults::ErrorEvent;
 
 /// Base state of a (slice of a) column block: scales `c` by `beta` and
 /// overwrites `enc_row` / `enc_col` with the scaled block's checksums. `base`
@@ -170,8 +170,8 @@ pub fn verify<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{ErrorModel, FaultInjector, Rate};
     use ftgemm_core::Matrix;
-    use ftgemm_faults::{ErrorModel, FaultInjector, Rate};
 
     /// A clean 16 x 12 block, a copy with `errors` added, and one `verify`
     /// of the copy (encoded sums from the clean block, reference sums from

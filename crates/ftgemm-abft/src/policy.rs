@@ -7,8 +7,8 @@
 //! entry resolves the policy into a full [`FtConfig`] (tolerance model,
 //! fusion switches, recovery budget).
 
+use crate::faults::FaultInjector;
 use crate::{FtConfig, Recovery};
-use ftgemm_faults::FaultInjector;
 
 /// How much ABFT protection one GEMM (or one serving request) buys.
 ///

@@ -256,11 +256,11 @@ impl<T: Scalar> Default for Workspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{ErrorModel, FaultInjector, Rate};
     use crate::nest::tests::as_team;
     use crate::nest::{nest, prologue, Team};
     use crate::{ft_gemm_with_ctx, run_serial, FtReport, FtResult, Recovery};
     use ftgemm_core::Matrix;
-    use ftgemm_faults::{ErrorModel, FaultInjector, Rate};
 
     /// A team of `nthreads` with the detected kernel and blocking.
     fn team(nthreads: usize) -> Setup<f64> {

@@ -32,7 +32,7 @@ impl Default for Args {
             sizes: None,
             reps: 3,
             warmup: 1,
-            threads: ftgemm_core::cpu::num_cpus(),
+            threads: ftgemm::core::cpu::num_cpus(),
             out_dir: "bench_results".to_string(),
             errors: 20,
             duration_secs: 10,

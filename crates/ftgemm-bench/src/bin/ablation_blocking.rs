@@ -14,10 +14,10 @@
 //! Usage: `cargo run -p ftgemm-bench --release --bin ablation_blocking
 //!         [--sizes N] [--reps N] [--smoke]`
 
-use ftgemm_abft::{gemm, Setup, Workspace};
+use ftgemm::abft::{gemm, Setup, Workspace};
+use ftgemm::core::{IsaLevel, Matrix};
+use ftgemm::obs::percentile;
 use ftgemm_bench::{gflops, Args, CsvWriter, Table};
-use ftgemm_core::{IsaLevel, Matrix};
-use ftgemm_obs::percentile;
 
 fn main() -> std::io::Result<()> {
     let args = Args::parse();

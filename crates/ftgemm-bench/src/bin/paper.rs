@@ -27,11 +27,11 @@
 //! Usage: `cargo run -p ftgemm-bench --release --bin paper [--paper-sizes]
 //! [--sizes a,b,c] [--reps N] [--threads N] [--errors N] [--smoke]`
 
-use ftgemm_abft::{FtConfig, FusionConfig};
+use ftgemm::abft::{FtConfig, FusionConfig};
+use ftgemm::core::Matrix;
+use ftgemm::faults::FaultInjector;
 use ftgemm_bench::runners::{ft_config, parallel_suite, serial_suite, GemmRunner, RunnerKind};
 use ftgemm_bench::{measure, Args, Measurement, Table};
-use ftgemm_core::Matrix;
-use ftgemm_faults::FaultInjector;
 use std::collections::HashMap;
 
 const MKL: &str = RunnerKind::Mkl.name();

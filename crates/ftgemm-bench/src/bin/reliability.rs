@@ -7,11 +7,11 @@
 //! Usage: `cargo run -p ftgemm-bench --release --bin reliability
 //! [--duration 30] [--threads N]`
 
-use ftgemm_abft::{FtConfig, Workspace};
+use ftgemm::abft::{FtConfig, Workspace};
+use ftgemm::core::Matrix;
+use ftgemm::faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
+use ftgemm::parallel::{par_ft_gemm_with_ws, ParGemmContext};
 use ftgemm_bench::Args;
-use ftgemm_core::Matrix;
-use ftgemm_faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
-use ftgemm_parallel::{par_ft_gemm_with_ws, ParGemmContext};
 use std::time::Duration;
 
 fn main() {

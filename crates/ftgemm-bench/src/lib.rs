@@ -4,6 +4,7 @@
 //! the paper's size sweeps (§3), its sustained-injection campaign and the
 //! blocking grid. Serving, wire, observability and per-layer numbers come
 //! from `benchmark/` only. The paper mapping is in `docs/ARCHITECTURE.md`.
+//! Like `benchmark/`, this crate links the `ftgemm` facade alone.
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -6,10 +6,10 @@
 //! partially fused, injected) through [`GemmRunner::ft_serial`] and
 //! [`GemmRunner::par`].
 
-use ftgemm_abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtPolicy, Workspace};
-use ftgemm_baselines::{ReferenceGemm, ReferenceParGemm, Tier};
-use ftgemm_core::{MatMut, MatRef};
-use ftgemm_parallel::{run_parallel, ParGemmContext};
+use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtPolicy, Workspace};
+use ftgemm::baselines::{ReferenceGemm, ReferenceParGemm, Tier};
+use ftgemm::core::{MatMut, MatRef};
+use ftgemm::parallel::{run_parallel, ParGemmContext};
 
 /// Which implementation a runner wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,8 +146,8 @@ pub fn parallel_suite(threads: usize) -> Vec<GemmRunner> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftgemm_core::reference::naive_gemm;
-    use ftgemm_core::Matrix;
+    use ftgemm::core::reference::naive_gemm;
+    use ftgemm::core::Matrix;
 
     #[test]
     fn serial_suite_all_correct() {

@@ -215,10 +215,10 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftgemm_abft::faults::{ErrorModel, FaultInjector, Rate};
     use ftgemm_abft::ft_gemm_with_ctx;
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::Matrix;
-    use ftgemm_faults::{ErrorModel, FaultInjector, Rate};
 
     fn random_problem(
         m: usize,

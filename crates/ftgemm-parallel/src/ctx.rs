@@ -1,8 +1,8 @@
 //! Parallel GEMM context: the pool plus kernel/blocking configuration.
 
+use crate::pool::ThreadPool;
 use ftgemm_abft::Setup;
 use ftgemm_core::{BlockingParams, IsaLevel, Kernel, Scalar};
-use ftgemm_pool::ThreadPool;
 use std::sync::Arc;
 
 /// Reusable parallel GEMM state: the worker pool and kernel selection.

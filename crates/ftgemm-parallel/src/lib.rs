@@ -7,9 +7,11 @@
 //! The loop nest is `ftgemm_abft::nest` — the one the serial entries run on
 //! a team of one — and the state it works in is an
 //! [`ftgemm_abft::Workspace`], the one the serial entries use too. This
-//! crate runs the nest on a pool region (`team.rs`: the region's worker
-//! handle behind the nest's `Team` trait), as a team of the pool's size with
-//! the pool context's kernel and blocking, which gives the paper's scheme:
+//! crate runs the nest on a region of its own persistent worker pool
+//! ([`pool`], the OpenMP-style runtime of the paper's threaded algorithm;
+//! `team.rs`: the region's worker handle behind the nest's `Team` trait),
+//! as a team of the pool's size with the pool context's kernel and
+//! blocking, which gives the paper's scheme:
 //!
 //! * The `C` and `A` work is partitioned along the **M** dimension in
 //!   `MR`-aligned static chunks; each thread owns its row slice for the
@@ -47,6 +49,7 @@
 
 mod batch;
 mod ctx;
+pub mod pool;
 mod team;
 
 pub use batch::{par_batch_ft_gemm_timed, BatchItem, BatchTiming, BatchWorkspace};

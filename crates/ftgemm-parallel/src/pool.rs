@@ -1,11 +1,36 @@
-//! The persistent worker pool and its parallel regions.
+//! The persistent worker pool and its OpenMP-style **parallel regions**,
+//! the runtime the paper's threaded FT-GEMM (§2.3 / Fig. 1) runs on.
+//!
+//! The paper's threaded algorithm is structured as one `#pragma omp
+//! parallel` region containing cooperative packing, barriers, and per-thread
+//! private buffers. Rayon-style fork-join does not map cleanly onto that
+//! (threads must meet at barriers *inside* one long-lived region, keeping
+//! thread-private state across phases), so this module provides the runtime
+//! the C code gets from OpenMP:
+//!
+//! * [`ThreadPool::run`] — execute a closure on every thread of the pool
+//!   simultaneously (the parallel region); returns when all threads finish;
+//! * [`WorkerCtx::barrier`] — epoch barrier across the region;
+//! * [`partition_aligned`] — static loop partitioning with alignment (the
+//!   `M`-dimension split must respect the micro-tile height `MR`).
+//!
+//! That is all of the paper's threaded runtime, and all this module holds: a
+//! pool knows nothing of memory domains, and no worker is pinned to a CPU.
+//!
+//! Workers park on a condvar between regions, so an idle pool costs nothing;
+//! inside a region, barriers spin briefly and then yield.
 
 // Concurrency contract (checked by `scripts/orderings.sh`): `run` and
 // `Drop` publish each job through `generation` (Release increment under the
 // `job` lock), and workers wait for a generation they have not run (Acquire
 // loads). `regions` and `barrier_crossings` are Relaxed tallies.
 
-use crate::barrier::SenseBarrier;
+mod barrier;
+mod partition;
+
+pub use partition::partition_aligned;
+
+use barrier::SenseBarrier;
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +112,7 @@ impl WorkerCtx<'_> {
 
     /// This thread's aligned chunk of `0..len` (paper's M/N partitioning).
     pub fn partition(&self, len: usize, align: usize) -> Range<usize> {
-        crate::partition::partition_aligned(len, self.nthreads, self.tid, align)
+        partition_aligned(len, self.nthreads, self.tid, align)
     }
 }
 

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A reusable barrier for a fixed set of `n` participants.
 #[derive(Debug)]
-pub struct SenseBarrier {
+pub(crate) struct SenseBarrier {
     count: AtomicUsize,
     epoch: AtomicUsize,
     n: usize,
@@ -32,7 +32,7 @@ pub struct SenseBarrier {
 
 impl SenseBarrier {
     /// Barrier for `n` participants (`n >= 1`).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n >= 1, "barrier needs at least one participant");
         SenseBarrier {
             count: AtomicUsize::new(0),
@@ -42,12 +42,12 @@ impl SenseBarrier {
     }
 
     /// Number of participants.
-    pub fn participants(&self) -> usize {
+    pub(crate) fn participants(&self) -> usize {
         self.n
     }
 
     /// Blocks until all `n` participants have arrived at this epoch.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         let epoch = self.epoch.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) == self.n - 1 {
             // Last arrival: reset the count for the next epoch, then release.

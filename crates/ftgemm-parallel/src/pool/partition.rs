@@ -28,11 +28,6 @@ pub fn partition_aligned(len: usize, nparts: usize, part: usize, align: usize) -
     start..end
 }
 
-/// Even (alignment-1) partitioning.
-pub fn partition_even(len: usize, nparts: usize, part: usize) -> Range<usize> {
-    partition_aligned(len, nparts, part, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,9 +82,9 @@ mod tests {
 
     #[test]
     fn even_partition() {
-        assert_eq!(partition_even(10, 3, 0), 0..4);
-        assert_eq!(partition_even(10, 3, 1), 4..7);
-        assert_eq!(partition_even(10, 3, 2), 7..10);
+        assert_eq!(partition_aligned(10, 3, 0, 1), 0..4);
+        assert_eq!(partition_aligned(10, 3, 1, 1), 4..7);
+        assert_eq!(partition_aligned(10, 3, 2, 1), 7..10);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! context's kernel and blocking.
 
 use crate::ctx::ParGemmContext;
+use crate::pool::WorkerCtx;
 use ftgemm_abft::nest::{nest, prologue, Job, Team};
 use ftgemm_abft::{FtConfig, FtReport, FtResult, Workspace};
 use ftgemm_core::{MatMut, MatRef, Scalar};
-use ftgemm_pool::WorkerCtx;
 use std::ops::Range;
 
 /// The matrix-parallel owner's old name, kept for the benchmark, which
@@ -173,10 +173,10 @@ pub fn par_gemm_with_ws<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftgemm_abft::faults::{ErrorModel, FaultInjector, Rate};
     use ftgemm_abft::FtError;
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::{IsaLevel, Matrix};
-    use ftgemm_faults::{ErrorModel, FaultInjector, Rate};
 
     fn check_clean(threads: usize, m: usize, n: usize, k: usize, alpha: f64, beta: f64) {
         let ctx = ParGemmContext::<f64>::with_threads(threads);

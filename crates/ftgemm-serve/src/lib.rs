@@ -70,7 +70,7 @@
 //!   depth, batch occupancy, per-surface submission counts, live async
 //!   futures, per-thread batch busy time (occupancy imbalance),
 //!   corrected-error counters, and worker-pool activity
-//!   ([`ftgemm_pool::PoolStats`]). Setting
+//!   ([`ftgemm_parallel::pool::PoolStats`]). Setting
 //!   [`ServiceConfig::obs_addr`] additionally serves the same numbers as
 //!   Prometheus text exposition at `GET /metrics` (a render of the
 //!   service's one [`ftgemm_obs::Registry`], whose cells the snapshot

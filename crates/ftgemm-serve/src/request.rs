@@ -4,9 +4,9 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ftgemm_abft::faults::FaultInjector;
 use ftgemm_abft::{FtError, FtPolicy, FtReport};
 use ftgemm_core::{Matrix, Scalar};
-use ftgemm_faults::FaultInjector;
 
 use crate::qos::{Priority, TenantId, DEFAULT_TENANT};
 

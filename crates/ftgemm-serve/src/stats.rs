@@ -13,8 +13,8 @@
 use crate::qos::TenantId;
 use ftgemm_abft::FtReport;
 use ftgemm_obs::{Counter, Gauge, MetricKind, Registry};
+use ftgemm_parallel::pool::PoolStats;
 use ftgemm_parallel::BatchTiming;
-use ftgemm_pool::PoolStats;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -23,7 +23,7 @@ set -eu
 
 # Counter modules: Relaxed only.
 relaxed='
-crates/ftgemm-faults/src/stats.rs
+crates/ftgemm-abft/src/faults/stats.rs
 crates/ftgemm-net/src/store.rs
 crates/ftgemm-obs/src/metrics.rs
 crates/ftgemm-serve/src/routing.rs
@@ -35,8 +35,8 @@ cells='
 crates/ftgemm-abft/src/nest.rs decision
 crates/ftgemm-core/src/matrix.rs filled
 crates/ftgemm-obs/src/accept.rs stop
-crates/ftgemm-pool/src/barrier.rs epoch
-crates/ftgemm-pool/src/pool.rs generation
+crates/ftgemm-parallel/src/pool/barrier.rs epoch
+crates/ftgemm-parallel/src/pool.rs generation
 crates/ftgemm-serve/src/exec.rs notified
 crates/ftgemm-serve/src/queue.rs closed depth pending_flops
 crates/ftgemm-serve/src/service.rs abort

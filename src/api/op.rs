@@ -1,9 +1,9 @@
 //! The [`GemmOp`] problem builder.
 
 use crate::api::plan::{Exec, GemmPlan};
+use ftgemm_abft::faults::FaultInjector;
 use ftgemm_abft::{FtConfig, FtError, FtPolicy, FtResult};
 use ftgemm_core::{CoreError, MatRef, Matrix, Scalar};
-use ftgemm_faults::FaultInjector;
 use ftgemm_serve::{GemmRequest, Priority, TenantId};
 use std::time::Duration;
 

@@ -3,8 +3,8 @@
 use crate::api::op::GemmOp;
 use ftgemm_abft::{run_serial, FtConfig, FtError, FtReport, FtResult, Setup, Workspace};
 use ftgemm_core::{CoreError, IsaLevel, MatMut, MatRef, Scalar};
+use ftgemm_parallel::pool::ThreadPool;
 use ftgemm_parallel::{run_parallel, ParGemmContext};
-use ftgemm_pool::ThreadPool;
 use ftgemm_serve::DEFAULT_SMALL_FLOPS_CUTOFF;
 use std::sync::{Arc, OnceLock};
 

@@ -1,8 +1,35 @@
-//! The library stand-ins: packed/blocked GEMMs pinned to distinct ISA tiers.
+//! Comparator GEMM implementations for the paper's evaluation.
+//!
+//! The paper benchmarks against Intel MKL 2020.2, OpenBLAS 0.3.13 and BLIS
+//! 0.8.0. Those libraries are not linkable here (closed-source / external C
+//! toolchains), so each is stood in by this workspace's own packed/blocked
+//! GEMM pinned to a distinct optimization tier, preserving the *relative*
+//! structure of the comparison (the paper mapping in `docs/ARCHITECTURE.md`,
+//! "How this follows the paper", points here):
+//!
+//! | paper library | stand-in | tier |
+//! |---|---|---|
+//! | BLIS (slowest of the three in the paper) | [`ReferenceGemm::blis`] | packed + blocked, portable auto-vectorized micro-kernel |
+//! | OpenBLAS | [`ReferenceGemm::openblas`] | packed + blocked, AVX2+FMA micro-kernel |
+//! | MKL (strongest comparator) | [`ReferenceGemm::mkl`] | packed + blocked, best SIMD tier (AVX-512 when available) |
+//!
+//! Names carry a `*` suffix in reports to mark them as stand-ins.
+//!
+//! Also here, from [`ftgemm_core::reference`]:
+//! * [`NaiveGemm`] — the triple-loop oracle (sanity floor);
+//! * [`BlockedGemm`] — cache-blocked but unpacked/unvectorized (shows why
+//!   packing matters).
+//!
+//! The "traditional" unfused-ABFT baseline of §2.2 is not a separate
+//! implementation: it is the FT driver under `FusionConfig::UNFUSED`
+//! (`ftgemm_abft::FtConfig::unfused()`), which is what `ftgemm-bench`'s
+//! `paper` sweep runs.
 
 use ftgemm_abft::{gemm, FtResult, Workspace};
 use ftgemm_core::{IsaLevel, MatMut, MatRef, Scalar};
 use ftgemm_parallel::{run_parallel, ParGemmContext};
+
+pub use ftgemm_core::reference::{BlockedGemm, NaiveGemm};
 
 /// Which comparator library a stand-in represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +54,7 @@ impl Tier {
         want.min(best)
     }
 
-    /// Report name (the `*` marks a stand-in, see the crate docs).
+    /// Report name (the `*` marks a stand-in, see the module docs).
     pub fn name(self) -> &'static str {
         match self {
             Tier::Blis => "BLIS*",

@@ -5,14 +5,15 @@
 //! * [`core`] — matrices, packing, micro-kernels, blocking
 //! * [`abft`] — fused ABFT checksums, the GEMM loop nest and its serial
 //!   entries, the shared [`FtPolicy`]
-//! * [`pool`] — persistent worker pool (OpenMP-style regions)
-//! * [`parallel`] — multithreaded and batched (FT-)GEMM
+//! * [`parallel`] — multithreaded and batched (FT-)GEMM, and [`pool`], the
+//!   persistent worker pool (OpenMP-style regions) they run on
 //! * [`serve`] — batched GEMM serving: one request queue and dispatcher,
 //!   per-request fault-tolerance policy
 //! * [`net`] — TCP wire frontend: versioned binary protocol,
 //!   server-resident operand handles, [`NetServer`]/[`NetClient`]
-//! * [`faults`] — deterministic soft-error injection
-//! * [`baselines`] — comparator GEMMs
+//! * [`faults`] — deterministic soft-error injection (`abft::faults`)
+//! * [`baselines`] — comparator GEMMs: the library stand-in tiers (this
+//!   crate's own module) beside `core::reference`'s oracles
 //!
 //! ## One-shot and planned calls — the [`api`] module
 //!
@@ -65,21 +66,21 @@
 //! `docs/ARCHITECTURE.md`.
 
 pub use ftgemm_abft as abft;
-pub use ftgemm_baselines as baselines;
+pub use ftgemm_abft::faults;
 pub use ftgemm_core as core;
-pub use ftgemm_faults as faults;
 pub use ftgemm_net as net;
 pub use ftgemm_obs as obs;
 pub use ftgemm_parallel as parallel;
-pub use ftgemm_pool as pool;
+pub use ftgemm_parallel::pool;
 pub use ftgemm_serve as serve;
 
 pub mod api;
+pub mod baselines;
 
 pub use api::{AsMatRef, Exec, GemmBatch, GemmOp, GemmPlan};
+pub use ftgemm_abft::faults::FaultInjector;
 pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult, GemmContext, Workspace};
 pub use ftgemm_core::{MatMut, MatRef, Matrix};
-pub use ftgemm_faults::FaultInjector;
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_serve::{

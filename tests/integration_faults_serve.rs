@@ -1,4 +1,4 @@
-//! End-to-end fault-injection coverage of the serving path: `ftgemm-faults`
+//! End-to-end fault-injection coverage of the serving path: `ftgemm::faults`
 //! wired through a `GemmService` for the first time.
 //!
 //! A seeded campaign submits a batch of requests whose injectors corrupt
@@ -11,7 +11,7 @@
 //! On result fidelity: checksum correction subtracts the *measured* delta,
 //! which carries the roundoff of the checksum sums — it repairs an error of
 //! magnitude `d` up to `O(eps * d)` (an inherent property of ABFT; see
-//! `ErrorModel::BitFlip`'s docs in `ftgemm-faults`). The campaign therefore
+//! `ErrorModel::BitFlip`'s docs in `ftgemm::faults`). The campaign therefore
 //! asserts bit-level fidelity at the strength the scheme actually
 //! guarantees: bit-flip corruptions (`d` within a few binades of the value)
 //! must be restored to within a few ulps of the uncorrupted run of the

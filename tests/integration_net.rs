@@ -871,6 +871,53 @@ fn foreign_handle_release_is_refused() {
     assert!(owner.wait(id).unwrap().result.is_ok());
 }
 
+/// Answers no completion follows — the hello, an operand handle, an error,
+/// a release — leave before the reader blocks on its next read. Nothing
+/// else wakes the outbound thread for them: a reader that woke it only
+/// after its next read returned would leave a client that waits for its
+/// answer waiting for ever. The 512² upload takes the server a while to
+/// answer (decode, copy, sum), so a wake sent when the frame was read
+/// cannot pass for one sent after the answer was queued. A read timeout
+/// turns a wedged answer into a failure.
+#[test]
+fn answers_leave_before_the_reader_blocks() {
+    let svc = service();
+    let server = start(&svc, NetServerConfig::default());
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut ask = |frame: Frame| {
+        write_frame(&mut raw, &frame).unwrap();
+        match read_frame(&mut raw, DEFAULT_MAX_FRAME) {
+            Ok((ReadEvent::Frame(answer), _)) => answer,
+            other => panic!(
+                "no answer to {} before the reader blocked: {other:?}",
+                frame.verb()
+            ),
+        }
+    };
+
+    let hello = ask(Frame::Hello {
+        version: PROTO_VERSION,
+        features: FEATURES,
+    });
+    assert!(matches!(hello, Frame::ServerHello { .. }), "{hello:?}");
+    let m = Matrix::<f64>::random(512, 512, 23);
+    let handle = match ask(Frame::UploadOperand {
+        rows: 512,
+        cols: 512,
+        data: m.as_slice().to_vec(),
+    }) {
+        Frame::OperandHandle { handle, .. } => handle,
+        other => panic!("expected OperandHandle, got {other:?}"),
+    };
+    match ask(Frame::Poll { id: 1 << 40 }) {
+        Frame::Error { code, .. } => assert_eq!(code, error_code::UNKNOWN_REQUEST),
+        other => panic!("expected UNKNOWN_REQUEST, got {other:?}"),
+    }
+    let released = ask(Frame::ReleaseHandle { handle });
+    assert_eq!(released, Frame::Released { handle });
+}
+
 /// The Shutdown verb stops the whole server: Goodbye to the requester,
 /// accept loop exits, `stop()` joins without hanging.
 #[test]
