@@ -61,11 +61,6 @@ impl FaultInjector {
         self.model
     }
 
-    /// The configured rate.
-    pub fn rate(&self) -> Rate {
-        self.rate
-    }
-
     /// Shared statistics (injected/detected/corrected counters).
     pub fn stats(&self) -> &InjectionStats {
         &self.stats

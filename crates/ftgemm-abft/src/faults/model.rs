@@ -123,30 +123,6 @@ impl ErrorEvent {
             ErrorModel::Scale { factor } => v * factor,
         }
     }
-
-    /// Applies the error to an `f32` value.
-    pub fn apply_f32(&self, v: f32) -> f32 {
-        match self.model {
-            ErrorModel::BitFlip { bit } => {
-                // f32: high mantissa + lowest exponent bit, [18, 24].
-                let b = bit.unwrap_or(18 + (self.payload % 7) as u32);
-                let flipped = f32::from_bits(v.to_bits() ^ (1u32 << (b % 32)));
-                if flipped.is_finite() {
-                    flipped
-                } else {
-                    // Same relative fallback as `apply_f64`: `v + 1e6`
-                    // was absorbed for |v| ≳ 1e30.
-                    v * 0.5
-                }
-            }
-            ErrorModel::Additive { magnitude } => {
-                let sign = if self.payload & 1 == 0 { 1.0f32 } else { -1.0 };
-                let u = 0.5 + ((self.payload >> 16) & 0xFFFF) as f32 / 65536.0;
-                v + sign * (magnitude as f32) * u
-            }
-            ErrorModel::Scale { factor } => v * factor as f32,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,23 +178,12 @@ mod tests {
     fn scale_multiplies() {
         let e = event(ErrorModel::Scale { factor: 3.0 }, 4);
         assert_eq!(e.apply_f64(2.0), 6.0);
-        assert_eq!(e.apply_f32(2.0), 6.0);
     }
 
     #[test]
     fn apply_is_deterministic() {
         let e = event(ErrorModel::BitFlip { bit: None }, 9);
         assert_eq!(e.apply_f64(3.5), e.apply_f64(3.5));
-    }
-
-    #[test]
-    fn f32_bitflip_finite() {
-        for seed in 0..50 {
-            let e = event(ErrorModel::BitFlip { bit: None }, seed);
-            let c = e.apply_f32(0.75);
-            assert!(c.is_finite());
-            assert_ne!(c, 0.75);
-        }
     }
 
     #[test]
@@ -240,23 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn f32_infinity_fallback() {
-        // f32 analogue at 1e38: flipping exponent bit 1 (bit index 24)
-        // lands on exponent 255 = inf, so the fallback fires; the old
-        // `v + 1e6` fallback was absorbed at this magnitude.
-        let e = event(ErrorModel::BitFlip { bit: Some(24) }, 5);
-        assert!(!f32::from_bits(1.0e38_f32.to_bits() ^ (1 << 24)).is_finite());
-        let c = e.apply_f32(1.0e38);
-        assert!(c.is_finite());
-        assert_ne!(c, 1.0e38, "fallback corruption was absorbed");
-    }
-
-    #[test]
     fn scale_is_noop_on_zero() {
         // Documented blind spot: a Scale event on an exactly-zero value
         // changes nothing (0 * factor == 0). See the ErrorModel docs.
         let e = event(ErrorModel::Scale { factor: 100.0 }, 6);
         assert_eq!(e.apply_f64(0.0), 0.0);
-        assert_eq!(e.apply_f32(0.0), 0.0);
     }
 }

@@ -40,7 +40,6 @@ use std::time::Duration;
 
 use ftgemm_abft::FtPolicy;
 use ftgemm_core::Matrix;
-use ftgemm_serve::{Priority, TenantId, DEFAULT_TENANT};
 
 use crate::codec::{
     encode_into, encode_upload_into, take_frame, whole_frame, ReadEvent, TURN_BYTES,
@@ -93,15 +92,13 @@ pub struct NetSubmit {
     alpha: f64,
     beta: f64,
     policy: FtPolicy,
-    priority: Priority,
-    tenant: TenantId,
     deadline: Option<Duration>,
     hold: bool,
 }
 
 impl NetSubmit {
     /// `C = A*B` against two operands (inline matrices or uploaded
-    /// handles), stream delivery, default policy/QoS.
+    /// handles), stream delivery, default policy, no deadline.
     pub fn new(a: impl Into<OperandRef>, b: impl Into<OperandRef>) -> Self {
         NetSubmit {
             a: a.into(),
@@ -110,8 +107,6 @@ impl NetSubmit {
             alpha: 1.0,
             beta: 0.0,
             policy: FtPolicy::default(),
-            priority: Priority::default(),
-            tenant: DEFAULT_TENANT,
             deadline: None,
             hold: false,
         }
@@ -139,20 +134,6 @@ impl NetSubmit {
         self
     }
 
-    /// Tags the owning tenant.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Sets the priority class.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// Sets a relative completion deadline.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
@@ -176,12 +157,9 @@ impl NetSubmit {
                 FtPolicy::Detect => 1,
                 FtPolicy::DetectCorrect => 2,
             },
-            priority: match self.priority {
-                Priority::High => 0,
-                Priority::Normal => 1,
-                Priority::Low => 2,
-            },
-            tenant: self.tenant,
+            // Reserved fields: the service keeps one FIFO queue.
+            priority: 1,
+            tenant: 0,
             deadline_ns: self.deadline.map_or(0, |d| d.as_nanos() as u64),
             alpha: self.alpha,
             beta: self.beta,

@@ -49,8 +49,7 @@ use ftgemm_abft::FtPolicy;
 use ftgemm_core::Matrix;
 use ftgemm_obs::StopHandle;
 use ftgemm_serve::{
-    completion_channel, Completion, Completions, GemmRequest, GemmService, Operand, Priority,
-    ServeError,
+    completion_channel, Completion, Completions, GemmRequest, GemmService, Operand, ServeError,
 };
 
 use crate::codec::{
@@ -207,11 +206,6 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
         1 => FtPolicy::Detect,
         _ => FtPolicy::DetectCorrect,
     };
-    let priority = match s.priority {
-        0 => Priority::High,
-        1 => Priority::Normal,
-        _ => Priority::Low,
-    };
     Ok(GemmRequest {
         alpha: s.alpha,
         a,
@@ -220,8 +214,6 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
         c,
         policy,
         injector: None,
-        tenant: s.tenant,
-        priority,
         deadline: (s.deadline_ns > 0).then(|| Duration::from_nanos(s.deadline_ns)),
     })
 }

@@ -2,7 +2,7 @@
 //!
 //! The rest of the workspace is a deep in-process serving stack —
 //! [`GemmService`](ftgemm_serve::GemmService) with async submission,
-//! batching, QoS, and a `/metrics` endpoint. This crate puts that stack
+//! batching, deadlines, and a `/metrics` endpoint. This crate puts that stack
 //! on the network: [`NetServer`] accepts TCP connections speaking a
 //! small, versioned, length-prefixed binary protocol (no external
 //! dependencies; `std::net` all the way down, like `ftgemm-obs`'s
@@ -15,8 +15,9 @@
 //! matrices, and the server builds requests against shared
 //! (`Arc`-backed, zero-copy) operands. The full
 //! [`GemmRequest`](ftgemm_serve::GemmRequest) surface rides in the submit
-//! header: FT policy, tenant, priority, and deadline, so QoS admission
-//! control and deadline rejection are first-class wire errors.
+//! header: FT policy and deadline, so deadline admission control and
+//! shedding are first-class wire errors (two reserved header fields,
+//! `priority` and `tenant`, are decoded and ignored).
 //!
 //! Module map:
 //! - [`proto`]: frame vocabulary, version/feature constants, pinned verb

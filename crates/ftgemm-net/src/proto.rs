@@ -140,8 +140,8 @@ impl OperandRef {
 }
 
 /// Payload of [`Frame::Submit`] — the full `GemmRequest` surface on the
-/// wire: operands (by handle or inline), scalars, FT policy, QoS fields,
-/// and the delivery mode for the eventual completion.
+/// wire: operands (by handle or inline), scalars, FT policy, deadline, two
+/// reserved fields, and the delivery mode for the eventual completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitFrame {
     /// Delivery mode: `false` = stream (the server pushes the completion
@@ -150,9 +150,12 @@ pub struct SubmitFrame {
     pub hold: bool,
     /// `FtPolicy` discriminant: 0 = Off, 1 = Detect, 2 = DetectCorrect.
     pub policy: u8,
-    /// `Priority` discriminant: 0 = High, 1 = Normal, 2 = Low.
+    /// Reserved: decoded (and range-checked, `<= 2`) but ignored by the
+    /// server, which keeps one FIFO queue. [`NetClient`](crate::NetClient)
+    /// writes 1.
     pub priority: u8,
-    /// Owning tenant for QoS scheduling.
+    /// Reserved: decoded but ignored by the server.
+    /// [`NetClient`](crate::NetClient) writes 0.
     pub tenant: u32,
     /// Relative deadline in nanoseconds; 0 = none.
     pub deadline_ns: u64,

@@ -30,7 +30,7 @@ mod partition;
 
 pub use partition::partition_aligned;
 
-use barrier::SenseBarrier;
+use barrier::EpochBarrier;
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,9 +65,9 @@ struct Shared {
     job: Mutex<Option<JobRef>>,
     wake: Condvar,
     /// Barrier used by `WorkerCtx::barrier` inside regions.
-    region_barrier: SenseBarrier,
+    region_barrier: EpochBarrier,
     /// Barrier marking the end of a region (main thread participates).
-    done_barrier: SenseBarrier,
+    done_barrier: EpochBarrier,
     /// Jobs published so far. Bumped only while `job` is held, so a worker
     /// holding `job` that sees a generation it has not run reads its job.
     generation: AtomicU64,
@@ -140,8 +140,8 @@ impl ThreadPool {
             region: Mutex::new(()),
             job: Mutex::new(None),
             wake: Condvar::new(),
-            region_barrier: SenseBarrier::new(nthreads),
-            done_barrier: SenseBarrier::new(nthreads),
+            region_barrier: EpochBarrier::new(nthreads),
+            done_barrier: EpochBarrier::new(nthreads),
             generation: AtomicU64::new(0),
             regions: AtomicU64::new(0),
             barrier_crossings: AtomicU64::new(0),
@@ -422,7 +422,7 @@ mod tests {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let pool = ThreadPool::new(workers);
-            let start = SenseBarrier::new(callers);
+            let start = EpochBarrier::new(callers);
             std::thread::scope(|s| {
                 for caller in 0..callers {
                     let (pool, start) = (&pool, &start);

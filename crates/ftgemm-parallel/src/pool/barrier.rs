@@ -24,17 +24,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A reusable barrier for a fixed set of `n` participants.
 #[derive(Debug)]
-pub(crate) struct SenseBarrier {
+pub(crate) struct EpochBarrier {
     count: AtomicUsize,
     epoch: AtomicUsize,
     n: usize,
 }
 
-impl SenseBarrier {
+impl EpochBarrier {
     /// Barrier for `n` participants (`n >= 1`).
     pub(crate) fn new(n: usize) -> Self {
         assert!(n >= 1, "barrier needs at least one participant");
-        SenseBarrier {
+        EpochBarrier {
             count: AtomicUsize::new(0),
             epoch: AtomicUsize::new(0),
             n,
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn single_participant_never_blocks() {
-        let b = SenseBarrier::new(1);
+        let b = EpochBarrier::new(1);
         for _ in 0..100 {
             b.wait();
         }
@@ -87,7 +87,7 @@ mod tests {
         // barrier all participants must observe every increment.
         const T: usize = 8;
         const PHASES: usize = 200;
-        let barrier = Arc::new(SenseBarrier::new(T));
+        let barrier = Arc::new(EpochBarrier::new(T));
         let counter = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..T {
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn reusable_across_many_epochs() {
         const T: usize = 4;
-        let barrier = Arc::new(SenseBarrier::new(T));
+        let barrier = Arc::new(EpochBarrier::new(T));
         let mut handles = Vec::new();
         for _ in 0..T {
             let barrier = Arc::clone(&barrier);
@@ -132,7 +132,7 @@ mod tests {
         // The pool's exact pattern: a "main" participant that is a fresh
         // logical context each region, plus persistent workers.
         const REGIONS: usize = 500;
-        let barrier = Arc::new(SenseBarrier::new(2));
+        let barrier = Arc::new(EpochBarrier::new(2));
         let worker = {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
@@ -151,6 +151,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one participant")]
     fn zero_participants_rejected() {
-        let _ = SenseBarrier::new(0);
+        let _ = EpochBarrier::new(0);
     }
 }

@@ -9,8 +9,8 @@
 //! ```text
 //! submit() / submit_async() / submit_streamed()  x N threads
 //!     │  three wrappers over one submit path (validate, admit, trace,
-//!     │  push); the push counts the request and lands it in the one
-//!     │  DRR scheduler; bounded queue: sync parks, async gets
+//!     │  push); the push counts the request and appends it to the
+//!     │  one FIFO; bounded queue: sync parks, async gets
 //!     │  Overloaded back
 //!     ▼
 //! Queue ──► the dispatcher thread ──► route by problem size
@@ -56,7 +56,7 @@
 //!   [`AsyncRequestHandle`] future (the delivery fires the task's waker —
 //!   zero parked threads per request, any executor).
 //! * **One queue, one dispatcher, one pool.** Every request lands in one
-//!   DRR scheduler; one dispatcher thread drains it onto one persistent
+//!   FIFO queue; one dispatcher thread drains it onto one persistent
 //!   worker pool of [`ServiceConfig::threads`] threads (`0` =
 //!   [`std::thread::available_parallelism`]), the paper's §2.3 shape. No
 //!   thread is pinned and no page is bound.
@@ -66,6 +66,12 @@
 //!   [`FtReport`](ftgemm_abft::FtReport). A request runs exactly the
 //!   policy it asked for: the service never raises or lowers it, and an
 //!   `Off` request verifies nothing and reports all zeros.
+//! * **Deadlines.** A request may carry a relative deadline
+//!   ([`GemmRequest::with_deadline`]). Admission predicts its completion
+//!   from the queue's flops backlog at its path's measured ns/flop and
+//!   turns an infeasible one away with [`ServeError::DeadlineExceeded`];
+//!   the dispatcher sheds one that expires while queued with the same
+//!   error. Deadlines never reorder the queue.
 //! * **Observability.** [`GemmService::stats`] reports throughput, queue
 //!   depth, batch occupancy, per-surface submission counts, live async
 //!   futures, per-thread batch busy time (occupancy imbalance),
@@ -141,7 +147,6 @@
 
 pub mod exec;
 mod handle;
-pub mod qos;
 mod queue;
 mod request;
 pub mod routing;
@@ -155,11 +160,10 @@ mod stream;
 pub use ftgemm_abft::FtPolicy;
 
 pub use handle::{AsyncRequestHandle, RequestHandle};
-pub use qos::{Priority, SchedSim, TenantId, TenantTable, DEFAULT_TENANT};
 pub use request::{GemmRequest, GemmResponse, Operand, ServeError};
 pub use routing::{RoutePath, RoutingPolicy};
 pub use service::{GemmService, ServiceConfig, DEFAULT_SMALL_FLOPS_CUTOFF};
-pub use stats::{StatsSnapshot, TenantStats};
+pub use stats::StatsSnapshot;
 pub use stream::{completion_channel, Completion, CompletionSink, Completions, Next};
 
 #[cfg(test)]
@@ -202,8 +206,6 @@ mod tests {
             c: Matrix::<f64>::zeros(4, 4),
             policy: FtPolicy::Off,
             injector: None,
-            tenant: DEFAULT_TENANT,
-            priority: Priority::Normal,
             deadline: None,
         };
         assert!(matches!(service.submit(req), Err(ServeError::Shape(_))));
@@ -363,8 +365,6 @@ mod tests {
             c: Matrix::zeros(4, 4),
             policy: FtPolicy::Off,
             injector: None,
-            tenant: DEFAULT_TENANT,
-            priority: Priority::Normal,
             deadline: None,
         };
         assert!(matches!(

@@ -1,16 +1,16 @@
-//! The service's one MPMC submission queue: one scheduler behind one lock,
-//! one dispatcher wakeup, optional bounded capacity.
+//! The service's one MPMC submission queue: one FIFO behind one lock, one
+//! dispatcher wakeup, optional bounded capacity.
 //!
-//! A push takes the scheduler's lock and lands the envelope in the
-//! [`DrrScheduler`](crate::qos::DrrScheduler); the dispatcher thread pops
-//! under the same lock ([`pop_into`](Queue::pop_into)) and parks on the
-//! queue's condvar ([`wait`](Queue::wait)). One enqueue site (`insert`),
-//! one dequeue site (`pop_into`).
+//! A push takes the FIFO's lock and appends the envelope; the dispatcher
+//! thread pops from the front under the same lock
+//! ([`pop_into`](Queue::pop_into)) and parks on the queue's condvar
+//! ([`wait`](Queue::wait)). One enqueue site (`insert`), one dequeue site
+//! (`pop_into`).
 //!
 //! The dispatcher's park has a mutex of its own (`wake_lock`), taken by a
 //! push only on the queue's empty→non-empty transition and never together
-//! with the scheduler's, so a woken dispatcher and the submitter's next
-//! push do not meet on one lock.
+//! with the FIFO's, so a woken dispatcher and the submitter's next push do
+//! not meet on one lock.
 //!
 //! Backpressure: when constructed with a capacity, the queue exposes both
 //! park-on-full ([`push`](Queue::push), for synchronous submitters that may
@@ -21,25 +21,23 @@
 //! together may overshoot it by at most the number of in-flight `push`
 //! calls.
 //!
-//! **QoS ordering.** The queue pops in flops-weighted deficit-round-robin
-//! order across tenants (priority-then-EDF within each tenant's lane);
-//! FIFO tie-breaks use the submission id. The queue also integrates its
+//! Envelopes pop in submission order. The queue also integrates its
 //! backlog in *flops* ([`pending_flops`](Queue::pending_flops)) — the load
 //! measure deadline admission control reads.
 
 // Concurrency contract (checked by `scripts/orderings.sh`): these
-// cells publish queue state to threads that do not hold the scheduler's
+// cells publish queue state to threads that do not hold the FIFO's
 // lock — `closed` gates submission against shutdown, `depth` gates the
 // dispatcher's park and the capacity check, `pending_flops` feeds deadline
 // admission. Release on write, Acquire on read, so a reader acting on a
 // depth also sees the envelope that produced it. `next_id` is a plain
 // Relaxed counter.
 
-use crate::qos::{DrrScheduler, TenantTable, NO_DEADLINE};
 use crate::request::GemmRequest;
 use crate::stream::CompletionSink;
 use ftgemm_core::Scalar;
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -50,15 +48,13 @@ pub(crate) struct Envelope<T: Scalar> {
     /// The channel the request is registered in; `finish` delivers to it.
     pub sink: CompletionSink<T>,
     /// Submission-order id; mirrors the handle's id for tracing/tests.
-    /// Doubles as the scheduler's FIFO tie-break key.
     pub id: u64,
     pub submitted: Instant,
     /// Absolute deadline (`submitted + req.deadline`), if the request set
-    /// one. Orders EDF within the priority class; the dispatcher sheds the
-    /// request once this passes.
+    /// one; the dispatcher sheds the request once this passes.
     pub deadline: Option<Instant>,
-    /// Planned flops, cached at submit: the DRR cost and the unit of the
-    /// queue's backlog integral.
+    /// Planned flops, cached at submit: the unit of the queue's backlog
+    /// integral and of the routing decision.
     pub flops: u64,
 }
 
@@ -74,9 +70,9 @@ pub(crate) enum PushError {
 }
 
 pub(crate) struct Queue<T: Scalar> {
-    /// Everything queued, in DRR/EDF order: the one lock a push and a pop
-    /// each take.
-    sched: Mutex<DrrScheduler<Envelope<T>>>,
+    /// Everything queued, in submission order: the one lock a push and a
+    /// pop each take.
+    fifo: Mutex<VecDeque<Envelope<T>>>,
     /// Queued envelopes (read without the lock by the capacity check and
     /// the dispatcher's wait predicate).
     depth: AtomicUsize,
@@ -93,17 +89,13 @@ pub(crate) struct Queue<T: Scalar> {
     /// Wakeup for producers parked on a full queue.
     space_lock: Mutex<()>,
     space: Condvar,
-    /// Reference instant for converting absolute deadlines into the
-    /// scheduler's monotone u64 key space.
-    epoch: Instant,
 }
 
 impl<T: Scalar> Queue<T> {
-    /// `capacity == 0` means unbounded. `tenants` configures the DRR
-    /// weights the scheduler orders by.
-    pub(crate) fn new(capacity: usize, tenants: TenantTable) -> Self {
+    /// `capacity == 0` means unbounded.
+    pub(crate) fn new(capacity: usize) -> Self {
         Queue {
-            sched: Mutex::new(DrrScheduler::new(tenants)),
+            fifo: Mutex::new(VecDeque::new()),
             depth: AtomicUsize::new(0),
             pending_flops: AtomicU64::new(0),
             capacity: if capacity == 0 { usize::MAX } else { capacity },
@@ -113,7 +105,6 @@ impl<T: Scalar> Queue<T> {
             wake: Condvar::new(),
             space_lock: Mutex::new(()),
             space: Condvar::new(),
-            epoch: Instant::now(),
         }
     }
 
@@ -122,30 +113,26 @@ impl<T: Scalar> Queue<T> {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The one enqueue site: puts the envelope into the scheduler and wakes
-    /// the dispatcher if the queue was empty. Callers have already passed
+    /// The one enqueue site: appends the envelope to the FIFO and wakes the
+    /// dispatcher if the queue was empty. Callers have already passed
     /// the closed/capacity admission checks.
     ///
     /// `admitted` is the submit path's accounting. It runs here because
     /// this is where a push has become certain — one turned away never
     /// gets this far, so no count is ever taken back — and before the
-    /// scheduler's lock is taken, so it orders before any pop of the
+    /// FIFO's lock is taken, so it orders before any pop of the
     /// envelope (no request can finish before it was counted) without
     /// lengthening the critical section the dispatcher contends on.
     fn insert(&self, env: Envelope<T>, admitted: &dyn Fn()) {
-        let deadline_ns = env
-            .deadline
-            .map(|d| d.saturating_duration_since(self.epoch).as_nanos() as u64)
-            .unwrap_or(NO_DEADLINE);
-        let (tenant, class, cost, seq) = (env.req.tenant, env.req.priority, env.flops, env.id);
+        let flops = env.flops;
         admitted();
         let prev_depth = {
             // Counters rise while the lock is held and only fall after a pop
             // has taken an envelope out under the same lock, so none can
             // transiently underflow.
-            let mut sched = self.sched.lock();
-            sched.push(tenant, class, deadline_ns, cost, seq, env);
-            self.pending_flops.fetch_add(cost, Ordering::Release);
+            let mut fifo = self.fifo.lock();
+            fifo.push_back(env);
+            self.pending_flops.fetch_add(flops, Ordering::Release);
             self.depth.fetch_add(1, Ordering::Release)
         };
         // Wake the dispatcher on the empty→non-empty transition.
@@ -195,20 +182,18 @@ impl<T: Scalar> Queue<T> {
         Ok(())
     }
 
-    /// The one dequeue site: pops up to `max` envelopes in QoS order (per
-    /// tenant weight / priority class / deadline) onto the end of `out`,
-    /// and returns how many. The dispatcher passes the same buffer every
-    /// time, so a sweep allocates nothing.
+    /// The one dequeue site: pops up to `max` envelopes in submission order
+    /// onto the end of `out`, and returns how many. The dispatcher passes
+    /// the same buffer every time, so a sweep allocates nothing.
     pub(crate) fn pop_into(&self, max: usize, out: &mut Vec<Envelope<T>>) -> usize {
         let mut popped = 0;
         {
-            let mut sched = self.sched.lock();
+            let mut fifo = self.fifo.lock();
             while popped < max {
-                let Some(s) = sched.pop() else { break };
+                let Some(env) = fifo.pop_front() else { break };
                 self.depth.fetch_sub(1, Ordering::Release);
-                self.pending_flops
-                    .fetch_sub(s.cost_flops, Ordering::Release);
-                out.push(s.payload);
+                self.pending_flops.fetch_sub(env.flops, Ordering::Release);
+                out.push(env);
                 popped += 1;
             }
         }
@@ -281,36 +266,25 @@ impl<T: Scalar> Queue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qos::Priority;
     use crate::stream::completion_channel;
     use ftgemm_core::Matrix;
     use std::sync::Arc;
 
-    fn envelope_for(q: &Queue<f64>, req: GemmRequest<f64>) -> Envelope<f64> {
-        let id = q.next_id();
+    fn env(q: &Queue<f64>) -> Envelope<f64> {
+        let req = GemmRequest::new(Matrix::zeros(2, 2), Matrix::zeros(2, 2));
         let (sink, _) = completion_channel();
-        let submitted = Instant::now();
-        let deadline = req.deadline.map(|d| submitted + d);
-        let flops = req.flops();
         Envelope {
+            flops: req.flops(),
             req,
             sink,
-            id,
-            submitted,
-            deadline,
-            flops,
+            id: q.next_id(),
+            submitted: Instant::now(),
+            deadline: None,
         }
     }
 
-    fn env(q: &Queue<f64>) -> Envelope<f64> {
-        envelope_for(
-            q,
-            GemmRequest::new(Matrix::zeros(2, 2), Matrix::zeros(2, 2)),
-        )
-    }
-
     fn queue(capacity: usize) -> Queue<f64> {
-        Queue::new(capacity, TenantTable::default())
+        Queue::new(capacity)
     }
 
     #[test]
@@ -411,77 +385,17 @@ mod tests {
     }
 
     #[test]
-    fn pop_orders_by_tenant_weight_and_priority() {
-        // Weighted tenants: 3:1 over equal-cost requests, and within one
-        // tenant's lane High precedes Normal regardless of arrival order.
-        let table = TenantTable::default()
-            .tenant(1, 3)
-            .tenant(2, 1)
-            .quantum_flops(16);
-        let q = Queue::<f64>::new(0, table);
-        let mk = |tenant, priority| {
-            envelope_for(
-                &q,
-                GemmRequest::new(Matrix::zeros(2, 2), Matrix::zeros(2, 2))
-                    .with_tenant(tenant)
-                    .with_priority(priority),
-            )
-        };
-        // Tenant 1: normal, normal, high (arrives last); tenant 2: 4x normal.
-        q.push(mk(1, Priority::Normal), &|| ())
-            .map_err(|_| ())
-            .unwrap();
-        q.push(mk(1, Priority::Normal), &|| ())
-            .map_err(|_| ())
-            .unwrap();
-        for _ in 0..4 {
-            q.push(mk(2, Priority::Normal), &|| ())
-                .map_err(|_| ())
-                .unwrap();
-        }
-        q.push(mk(1, Priority::High), &|| ())
-            .map_err(|_| ())
-            .unwrap();
-        let order: Vec<(u32, Priority)> = q
-            .pop(usize::MAX)
-            .into_iter()
-            .map(|e| (e.req.tenant, e.req.priority))
-            .collect();
-        // Round 1: tenant 1 gets 3 quanta (High first, then the two
-        // Normals FIFO), tenant 2 gets 1; then tenant 2 drains alone.
-        assert_eq!(
-            order,
-            vec![
-                (1, Priority::High),
-                (1, Priority::Normal),
-                (1, Priority::Normal),
-                (2, Priority::Normal),
-                (2, Priority::Normal),
-                (2, Priority::Normal),
-                (2, Priority::Normal),
-            ]
-        );
-    }
-
-    #[test]
-    fn pop_orders_edf_within_class() {
-        // Deadline-bearing requests pop earliest-first, whatever order
-        // they were pushed in.
+    fn deadlines_do_not_reorder_the_queue() {
         let q = queue(0);
-        let mk = |deadline_ms| {
-            envelope_for(
-                &q,
-                GemmRequest::new(Matrix::zeros(2, 2), Matrix::zeros(2, 2))
-                    .with_deadline(std::time::Duration::from_millis(deadline_ms)),
-            )
-        };
-        let (far, near, mid) = (mk(500), mk(5), mk(50));
-        let (far_id, near_id, mid_id) = (far.id, near.id, mid.id);
-        q.push(far, &|| ()).map_err(|_| ()).unwrap();
-        q.push(near, &|| ()).map_err(|_| ()).unwrap();
-        q.push(mid, &|| ()).map_err(|_| ()).unwrap();
+        let mut ids = Vec::new();
+        for ms in [500, 5, 50] {
+            let mut e = env(&q);
+            e.deadline = Some(e.submitted + std::time::Duration::from_millis(ms));
+            ids.push(e.id);
+            q.push(e, &|| ()).map_err(|_| ()).unwrap();
+        }
         let order: Vec<u64> = q.pop(usize::MAX).into_iter().map(|e| e.id).collect();
-        assert_eq!(order, vec![near_id, mid_id, far_id]);
+        assert_eq!(order, ids);
     }
 
     #[test]

@@ -8,8 +8,6 @@ use ftgemm_abft::faults::FaultInjector;
 use ftgemm_abft::{FtError, FtPolicy, FtReport};
 use ftgemm_core::{Matrix, Scalar};
 
-use crate::qos::{Priority, TenantId, DEFAULT_TENANT};
-
 /// An input operand of a [`GemmRequest`]: either owned outright by the
 /// request, or a shared reference to a server-resident matrix.
 ///
@@ -93,15 +91,6 @@ pub struct GemmRequest<T: Scalar> {
     pub policy: FtPolicy,
     /// Optional per-request fault injector (campaigns/tests).
     pub injector: Option<FaultInjector>,
-    /// Owning tenant for QoS scheduling ([`DEFAULT_TENANT`] when unset).
-    /// The tenant's weight in
-    /// [`ServiceConfig::tenants`](crate::ServiceConfig) fixes its
-    /// cross-tenant flops share under the deficit-round-robin scheduler.
-    pub tenant: TenantId,
-    /// Priority class within the tenant's lane
-    /// ([`Priority::Normal`] when unset). Orders this tenant's own work;
-    /// does not change its cross-tenant share.
-    pub priority: Priority,
     /// Optional deadline, relative to submission time. Admission control
     /// rejects the request up front ([`ServeError::DeadlineExceeded`]) when
     /// its path's measured ns/flop says the backlog makes it infeasible, and
@@ -134,8 +123,6 @@ impl<T: Scalar> GemmRequest<T> {
             c,
             policy: FtPolicy::default(),
             injector: None,
-            tenant: DEFAULT_TENANT,
-            priority: Priority::default(),
             deadline: None,
         }
     }
@@ -166,20 +153,6 @@ impl<T: Scalar> GemmRequest<T> {
     #[must_use]
     pub fn with_injector(mut self, injector: FaultInjector) -> Self {
         self.injector = Some(injector);
-        self
-    }
-
-    /// Tags the request with its owning tenant.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Sets the priority class within the tenant's lane.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
         self
     }
 
@@ -327,21 +300,8 @@ mod tests {
         assert_eq!(r.alpha, 2.0);
         assert_eq!(r.beta, 0.5);
         assert_eq!(r.policy, FtPolicy::Detect);
-    }
-
-    #[test]
-    fn qos_fields_default_and_thread_through_setters() {
-        let r = GemmRequest::new(Matrix::<f64>::zeros(2, 2), Matrix::<f64>::zeros(2, 2));
-        assert_eq!(r.tenant, DEFAULT_TENANT);
-        assert_eq!(r.priority, Priority::Normal);
         assert_eq!(r.deadline, None);
-
-        let r = r
-            .with_tenant(7)
-            .with_priority(Priority::High)
-            .with_deadline(Duration::from_millis(5));
-        assert_eq!(r.tenant, 7);
-        assert_eq!(r.priority, Priority::High);
+        let r = r.with_deadline(Duration::from_millis(5));
         assert_eq!(r.deadline, Some(Duration::from_millis(5)));
     }
 

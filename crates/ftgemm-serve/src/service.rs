@@ -7,7 +7,6 @@
 // batch boundaries.
 
 use crate::handle::{AsyncRequestHandle, RequestHandle};
-use crate::qos::TenantTable;
 use crate::queue::{Envelope, PushError, Queue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{Route, RoutePath, RoutingPolicy};
@@ -50,21 +49,13 @@ pub struct ServiceConfig {
     pub routing: RoutingPolicy,
     /// Submission-queue depth bound (`0` =
     /// unbounded, the default). When set, blocking
-    /// [`submit`](GemmService::submit) calls park until the scheduler
+    /// [`submit`](GemmService::submit) calls park until the dispatcher
     /// drains space, while the non-blocking async surfaces
     /// ([`submit_async`](GemmService::submit_async),
     /// [`submit_streamed`](GemmService::submit_streamed)) fail fast with
     /// [`ServeError::Overloaded`] so frontends can shed load. The bound is
     /// soft under concurrency (overshoot ≤ concurrent submitters).
     pub queue_capacity: usize,
-    /// Per-tenant weighted-fair-share configuration: the queue schedules
-    /// across tenants by flops-weighted deficit round-robin
-    /// using these weights (strict priority classes and
-    /// earliest-deadline-first apply *within* a tenant's lane). The default
-    /// table gives every tenant weight 1 — plain fair share.
-    /// [`GemmService::new`] panics on an invalid table (zero weight, zero
-    /// quantum, duplicate ids).
-    pub tenants: TenantTable,
     /// When set, the service records request-lifecycle traces and serves
     /// `GET /metrics` (Prometheus text exposition), `/healthz`, and
     /// `/trace` on this address from a dedicated endpoint thread (bind to
@@ -86,7 +77,6 @@ impl Default for ServiceConfig {
             max_batch: 32,
             routing: RoutingPolicy::default(),
             queue_capacity: 0,
-            tenants: TenantTable::default(),
             obs_addr: None,
         }
     }
@@ -181,17 +171,13 @@ impl<T: Scalar> GemmService<T> {
     /// Service with explicit configuration.
     pub fn new(config: ServiceConfig) -> Self {
         assert!(config.max_batch >= 1, "need max_batch >= 1");
-        #[expect(clippy::panic, reason = "invalid tenants are a configuration error")]
-        if let Err(e) = config.tenants.validate() {
-            panic!("invalid ServiceConfig::tenants: {e}");
-        }
         let threads = match config.threads {
             0 => ftgemm_core::cpu::num_cpus(),
             n => n,
         };
         let stats = ServiceStats::new(threads);
         let inner = Arc::new(Inner {
-            queue: Queue::new(config.queue_capacity, config.tenants.clone()),
+            queue: Queue::new(config.queue_capacity),
             obs: config.obs_addr.map(|_| ServiceObs::new(&stats.registry)),
             stats,
             route: Route::new(config.routing),
@@ -253,10 +239,8 @@ impl<T: Scalar> GemmService<T> {
     ///
     /// No deadline, or no evidence yet on the request's path, admits: the
     /// check only turns requests away when it has a basis to predict they
-    /// cannot make it. The estimate deliberately ignores tenant weights —
-    /// it is the queue's total backlog ahead of the request, which
-    /// upper-bounds the wait for any tenant — so it errs toward rejecting
-    /// only clearly-infeasible work.
+    /// cannot make it. The queue is FIFO, so the backlog it counts is
+    /// exactly the work ahead of the request.
     fn check_deadline(&self, req: &GemmRequest<T>) -> Result<(), ServeError> {
         let Some(deadline) = req.deadline else {
             return Ok(());
@@ -270,7 +254,7 @@ impl<T: Scalar> GemmService<T> {
         let eta_ns = backlog.saturating_add(flops) as f64 * ns_per_flop;
         let deadline_ns = deadline.as_nanos().min(u64::MAX as u128) as f64;
         if eta_ns > deadline_ns {
-            self.inner.stats.reject_deadline(req.tenant);
+            self.inner.stats.rejected_deadline.inc();
             return Err(ServeError::DeadlineExceeded(format!(
                 "infeasible at admission: the queue holds {backlog} backlog flops, \
                  and at the measured {ns_per_flop:.3} ns/flop this {flops}-flop request \
@@ -303,9 +287,8 @@ impl<T: Scalar> GemmService<T> {
         // Admission control runs before the request is counted or traced:
         // a deadline-infeasible submit never existed as far as `submitted`
         // and the lifecycle trace are concerned (only `rejected_deadline`
-        // and its tenant's row record it).
+        // records it).
         self.check_deadline(&req)?;
-        let tenant = req.tenant;
         // The sink counts the request before it can possibly complete.
         sink.register();
         let submitted = Instant::now();
@@ -318,7 +301,7 @@ impl<T: Scalar> GemmService<T> {
             submitted,
         };
         // Traced before the push: once the envelope is in the queue the
-        // scheduler may complete it at any moment, and a request's
+        // dispatcher may complete it at any moment, and a request's
         // `admitted` must never land after its `dispatched`. The counts
         // follow the same rule from inside the enqueue, so a snapshot
         // never sees `completed > submitted`.
@@ -327,7 +310,7 @@ impl<T: Scalar> GemmService<T> {
             obs.trace.record(id, TraceEvent::Admitted);
             obs.trace.record(id, TraceEvent::Queued);
         }
-        push(&self.inner.queue, env, &|| stats.admit(surface, tenant)).map_err(|e| {
+        push(&self.inner.queue, env, &|| stats.admit(surface)).map_err(|e| {
             sink.unregister();
             if let Some(obs) = &self.inner.obs {
                 obs.trace.record(id, TraceEvent::Failed);
@@ -864,7 +847,7 @@ enum Ending {
 /// The one completion site: every admitted request ends here exactly once,
 /// whatever the ending. Accounts the turnaround, `completed` or `failed`
 /// (so `completed + failed <= submitted` holds — shed and closed requests
-/// *were* admitted), the tenant's tallies and the terminal trace event,
+/// *were* admitted), the deadline tallies and the terminal trace event,
 /// then delivers the outcome into the request's completion channel.
 fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
     let Envelope {
@@ -873,7 +856,7 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         id,
         submitted,
         deadline,
-        flops,
+        ..
     } = env;
     let stats = &inner.stats;
     let finished = Instant::now();
@@ -882,8 +865,6 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
         .as_nanos()
         .min(u64::MAX as u128) as u64;
     stats.turnaround_ns.add(turnaround_ns);
-    // Counted before the tenant's tallies, so no snapshot shows a tenant
-    // ahead of the service totals.
     let (counter, terminal) = match ending {
         Ending::Served { result: Ok(_), .. } => (&stats.completed, TraceEvent::Completed),
         Ending::Served { .. } | Ending::Shed | Ending::Closed => {
@@ -908,7 +889,11 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
                         obs.trace.record(id, TraceEvent::Corrected { corrected });
                     }
                 }
-                stats.tenant_complete(req.tenant, flops, deadline.map(|d| finished <= d));
+                match deadline {
+                    Some(d) if finished <= d => stats.deadline_met.inc(),
+                    Some(_) => stats.deadline_missed.inc(),
+                    None => {}
+                }
                 stats.absorb_report(&report);
                 GemmResponse {
                     c: req.c,
@@ -918,7 +903,7 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
             })
         }
         Ending::Shed => {
-            stats.tenant_shed(req.tenant);
+            stats.shed_deadline.inc();
             Err(ServeError::DeadlineExceeded(format!(
                 "expired while queued: request {id} missed its deadline before dispatch"
             )))
@@ -934,13 +919,12 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qos::TenantId;
     use ftgemm_core::Matrix;
 
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
         let threads = config.threads.max(1);
         Inner {
-            queue: Queue::new(config.queue_capacity, config.tenants.clone()),
+            queue: Queue::new(config.queue_capacity),
             stats: ServiceStats::new(threads),
             route: Route::new(config.routing),
             ctx: ParGemmContext::with_threads(threads),
@@ -1151,8 +1135,6 @@ mod tests {
         rejected_overloaded: u64,
         rejected_closed: u64,
         rejected_deadline: u64,
-        tenant_admitted: u64,
-        tenant_rejected_deadline: u64,
         trace: Vec<String>,
         /// The async in-flight gauge or the sink's registration count,
         /// whichever the surface owns (always 0 for `Sync`).
@@ -1166,7 +1148,6 @@ mod tests {
     /// row covers the two try-push surfaces).
     #[test]
     fn submit_surfaces_agree_on_every_outcome() {
-        const TENANT: TenantId = 7;
         let probe = |surface: Surface, outcome: Outcome| -> Effect {
             let service = undrained_service(usize::from(outcome == Outcome::Overloaded));
             let dim = 16usize;
@@ -1174,8 +1155,7 @@ mod tests {
             let mut req = GemmRequest::new(
                 Matrix::<f64>::random(dim, dim, 1),
                 Matrix::<f64>::random(dim, dim, 2),
-            )
-            .with_tenant(TENANT);
+            );
             match outcome {
                 Outcome::Accepted => {}
                 Outcome::Shape => req.b = Matrix::<f64>::zeros(dim + 1, dim).into(),
@@ -1214,13 +1194,6 @@ mod tests {
                 };
             let after = service.stats();
 
-            let tenant_row = |snap: &StatsSnapshot| {
-                snap.per_tenant
-                    .iter()
-                    .find(|t| t.tenant == TENANT)
-                    .copied()
-                    .unwrap_or_default()
-            };
             let surfaces = |snap: &StatsSnapshot| {
                 [
                     snap.submitted_sync,
@@ -1245,9 +1218,6 @@ mod tests {
                 rejected_overloaded: after.rejected_overloaded - before.rejected_overloaded,
                 rejected_closed: after.rejected_closed - before.rejected_closed,
                 rejected_deadline: after.rejected_deadline - before.rejected_deadline,
-                tenant_admitted: tenant_row(&after).admitted - tenant_row(&before).admitted,
-                tenant_rejected_deadline: tenant_row(&after).rejected_deadline
-                    - tenant_row(&before).rejected_deadline,
                 trace: service
                     .render_trace(64)
                     .lines()
@@ -1270,8 +1240,6 @@ mod tests {
             rejected_overloaded: u64::from(outcome == Outcome::Overloaded),
             rejected_closed: u64::from(outcome == Outcome::Closed),
             rejected_deadline: u64::from(outcome == Outcome::DeadlineInfeasible),
-            tenant_admitted: 0,
-            tenant_rejected_deadline: u64::from(outcome == Outcome::DeadlineInfeasible),
             trace: trace.iter().map(|e| e.to_string()).collect(),
             in_flight: 0,
         };
@@ -1305,8 +1273,6 @@ mod tests {
                     rejected_overloaded: 0,
                     rejected_closed: 0,
                     rejected_deadline: 0,
-                    tenant_admitted: 1,
-                    tenant_rejected_deadline: 0,
                     trace: vec!["admitted".to_string(), "queued".to_string()],
                     in_flight: u64::from(surface != Surface::Sync),
                 },
@@ -1354,23 +1320,15 @@ mod tests {
                     .all(|(b, a)| *b <= a),
                 "a submitted count fell: {before:?} -> {after:?}"
             );
-            for was in &before.per_tenant {
-                let now = after.per_tenant.iter().find(|t| t.tenant == was.tenant);
-                assert!(
-                    now.is_some_and(|now| now.admitted >= was.admitted),
-                    "tenant {}'s admitted fell: {was:?} -> {now:?}",
-                    was.tenant
-                );
-            }
         };
         std::thread::scope(|scope| {
-            for tenant in [1, 2] {
+            for _ in 0..2 {
                 let (service, start, hammering) = (&service, &start, &hammering);
                 scope.spawn(move || {
                     start.wait();
                     for _ in 0..ATTEMPTS_PER_THREAD {
                         let req = GemmRequest::new(Matrix::zeros(4, 4), Matrix::zeros(4, 4));
-                        match service.submit_async(req.with_tenant(tenant)) {
+                        match service.submit_async(req) {
                             Ok(_) | Err(ServeError::Overloaded) => {}
                             Err(other) => panic!("unexpected submit error: {other}"),
                         }
@@ -1396,8 +1354,6 @@ mod tests {
             2 * ATTEMPTS_PER_THREAD
         );
         assert_eq!(end.completed + end.failed, end.submitted);
-        let admitted: u64 = end.per_tenant.iter().map(|t| t.admitted).sum();
-        assert_eq!(admitted, end.submitted);
         assert!(
             end.rejected_overloaded > 0,
             "the queue never bounced a push"
@@ -1416,13 +1372,11 @@ mod tests {
     /// Every ending is [`finish`], whatever surface the request came in
     /// by: the request's channel receives exactly one result, the ending's,
     /// `completed + failed` rises by exactly one, the turnaround sum grows,
-    /// and the tenant row and the terminal trace event say which ending it
-    /// was. No dispatcher runs, so `finish` is called by the test alone.
+    /// and the deadline tallies and the terminal trace event say which
+    /// ending it was. No dispatcher runs, so `finish` is called by the test alone.
     #[test]
     fn every_ending_resolves_once_and_accounts_once() {
-        const TENANT: TenantId = 7;
         let dim = 16usize;
-        let flops = 2 * (dim as u64).pow(3);
         for surface in [Surface::Sync, Surface::Async, Surface::Streamed] {
             for end in [End::ServedOk, End::FtError, End::Shed, End::Closed] {
                 let case = format!("{surface:?} / {end:?}");
@@ -1431,7 +1385,6 @@ mod tests {
                     Matrix::<f64>::random(dim, dim, 1),
                     Matrix::<f64>::random(dim, dim, 2),
                 )
-                .with_tenant(TENANT)
                 .with_deadline(std::time::Duration::from_secs(3600));
                 let (sink, mut completions) = completion_channel::<f64>();
                 let (mut handle, mut future) = (None, None);
@@ -1506,15 +1459,8 @@ mod tests {
                     service.inner.stats.turnaround_ns.get() > turnaround_before,
                     "{case}: turnaround not accumulated"
                 );
-                let row = |snap: &StatsSnapshot| {
-                    let t = snap.per_tenant.iter().find(|t| t.tenant == TENANT);
-                    t.copied().unwrap_or_default()
-                };
-                let (b, a) = (row(&before), row(&after));
-                assert_eq!(a.completed - b.completed, ok, "{case}");
-                assert_eq!(a.served_flops - b.served_flops, ok * flops, "{case}");
-                assert_eq!(a.deadline_met - b.deadline_met, ok, "{case}");
-                assert_eq!(a.shed - b.shed, u64::from(end == End::Shed), "{case}");
+                assert_eq!(after.deadline_met - before.deadline_met, ok, "{case}");
+                assert_eq!(after.deadline_missed, before.deadline_missed, "{case}");
                 assert_eq!(
                     after.shed_deadline - before.shed_deadline,
                     u64::from(end == End::Shed),

@@ -10,13 +10,10 @@
 // Concurrency contract (checked by `scripts/orderings.sh`):
 // snapshot counters only — Relaxed, never a synchronization point.
 
-use crate::qos::TenantId;
 use ftgemm_abft::FtReport;
 use ftgemm_obs::{Counter, Gauge, MetricKind, Registry};
 use ftgemm_parallel::pool::PoolStats;
 use ftgemm_parallel::BatchTiming;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,7 +41,7 @@ fn seconds_counter(
 }
 
 /// The service's counted events, each a cell of [`registry`](Self::registry)
-/// updated by the submit path and the scheduler.
+/// updated by the submit path and the dispatcher.
 #[derive(Debug)]
 pub(crate) struct ServiceStats {
     /// The service-scoped registry `/metrics` renders.
@@ -70,12 +67,16 @@ pub(crate) struct ServiceStats {
     /// Submits rejected because the service was shutting down.
     pub rejected_closed: Arc<Counter>,
     /// Submits rejected by deadline admission control (infeasible before
-    /// they reached the queue).
-    rejected_deadline: Arc<Counter>,
+    /// they reached the queue, so never counted on a surface).
+    pub rejected_deadline: Arc<Counter>,
     /// Admitted requests load-shed at dispatch because their deadline
     /// expired while queued (each one also counts in `failed`, preserving
     /// `completed + failed <= submitted`).
-    shed_deadline: Arc<Counter>,
+    pub shed_deadline: Arc<Counter>,
+    /// Completed requests that carried a deadline and finished in time.
+    pub deadline_met: Arc<Counter>,
+    /// Completed requests that carried a deadline and finished late.
+    pub deadline_missed: Arc<Counter>,
     /// Coalesced parallel regions executed on the batched path.
     pub batches: Arc<Counter>,
     /// Requests that went through the batched path.
@@ -98,60 +99,6 @@ pub(crate) struct ServiceStats {
     /// Bytes the matrix-parallel workspace holds (0 until the first large
     /// request builds it).
     pub large_workspace_bytes: Arc<Gauge>,
-    /// Per-tenant QoS tallies, keyed by tenant id and registered on the
-    /// tenant's first touch. A `BTreeMap` so the snapshot's per-tenant rows
-    /// come out in stable id order; the lock is uncontended off the hot
-    /// path (one brief touch per request event).
-    tenants: Mutex<BTreeMap<TenantId, TenantCells>>,
-}
-
-/// One tenant's cells behind [`ServiceStats::tenants`].
-#[derive(Debug)]
-struct TenantCells {
-    admitted: Arc<Counter>,
-    completed: Arc<Counter>,
-    shed: Arc<Counter>,
-    rejected_deadline: Arc<Counter>,
-    deadline_met: Arc<Counter>,
-    deadline_missed: Arc<Counter>,
-    served_flops: Arc<Counter>,
-}
-
-impl TenantCells {
-    fn register(registry: &Registry, tenant: TenantId) -> Self {
-        let id = tenant.to_string();
-        let cell = |name, help| registry.counter_with(name, help, &[("tenant", id.as_str())]);
-        TenantCells {
-            admitted: cell(
-                "ftgemm_tenant_admitted_total",
-                "Requests admitted per tenant (past validation and admission control).",
-            ),
-            completed: cell(
-                "ftgemm_tenant_completed_total",
-                "Requests served to completion per tenant.",
-            ),
-            shed: cell(
-                "ftgemm_tenant_shed_total",
-                "Requests load-shed at dispatch per tenant (deadline expired while queued).",
-            ),
-            rejected_deadline: cell(
-                "ftgemm_tenant_rejected_deadline_total",
-                "Submits turned away by deadline admission control per tenant.",
-            ),
-            deadline_met: cell(
-                "ftgemm_tenant_deadline_met_total",
-                "Completed requests that carried a deadline and finished in time, per tenant.",
-            ),
-            deadline_missed: cell(
-                "ftgemm_tenant_deadline_missed_total",
-                "Completed requests that carried a deadline and finished late, per tenant.",
-            ),
-            served_flops: cell(
-                "ftgemm_tenant_served_flops_total",
-                "Planned multiply-adds of completed requests per tenant (the weighted-fair share unit).",
-            ),
-        }
-    }
 }
 
 impl ServiceStats {
@@ -209,6 +156,14 @@ impl ServiceStats {
                 "ftgemm_requests_shed_deadline_total",
                 "Admitted requests load-shed at dispatch after their deadline expired in queue.",
             ),
+            deadline_met: counter(
+                "ftgemm_requests_deadline_met_total",
+                "Completed requests that carried a deadline and finished in time.",
+            ),
+            deadline_missed: counter(
+                "ftgemm_requests_deadline_missed_total",
+                "Completed requests that carried a deadline and finished late.",
+            ),
             batches: counter(
                 "ftgemm_batches_total",
                 "Coalesced parallel regions executed on the batched path.",
@@ -258,24 +213,15 @@ impl ServiceStats {
                 "ftgemm_large_workspace_bytes",
                 "Heap held by the matrix-parallel workspace (packed B~, per-thread A~, checksum state); bounded by the blocking, 0 until the first large request.",
             ),
-            tenants: Mutex::new(BTreeMap::new()),
             registry,
         }
     }
 
-    /// Runs `f` on `tenant`'s cells, registering them on its first touch.
-    fn tenant(&self, tenant: TenantId, f: impl FnOnce(&TenantCells)) {
-        let mut tenants = self.tenants.lock();
-        f(tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantCells::register(&self.registry, tenant)));
-    }
-
-    /// Counts an admission on `surface` and on `tenant`'s row, and stamps
-    /// the first-submission instant. [`Queue`](crate::queue) calls
+    /// Counts an admission on `surface` and stamps the first-submission
+    /// instant. [`Queue`](crate::queue) calls
     /// this from inside its enqueue, so a push the queue turns away is
     /// never counted and no `_total` is ever rolled back.
-    pub(crate) fn admit(&self, surface: &Counter, tenant: TenantId) {
+    pub(crate) fn admit(&self, surface: &Counter) {
         // Stamped once: after that, one relaxed load and no clock read.
         if self.first_submit_ns.load(Ordering::Relaxed) == NO_SUBMIT {
             let ns = nanos(self.started.elapsed()).min(NO_SUBMIT - 1);
@@ -288,37 +234,6 @@ impl ServiceStats {
             );
         }
         surface.inc();
-        self.tenant(tenant, |t| t.admitted.inc());
-    }
-
-    /// Counts a submit that deadline admission control turned away before
-    /// it was admitted: the request never touched the per-surface counters.
-    pub(crate) fn reject_deadline(&self, tenant: TenantId) {
-        self.rejected_deadline.inc();
-        self.tenant(tenant, |t| t.rejected_deadline.inc());
-    }
-
-    /// Counts an admitted request shed at dispatch because its deadline
-    /// expired while queued. The caller also bumps `failed` (a shed request
-    /// is a failed request), so `completed + failed <= submitted` holds.
-    pub(crate) fn tenant_shed(&self, tenant: TenantId) {
-        self.shed_deadline.inc();
-        self.tenant(tenant, |t| t.shed.inc());
-    }
-
-    /// Folds one served request into its tenant's tallies. `deadline_met`
-    /// is `None` for requests submitted without a deadline (they count in
-    /// neither met nor missed).
-    pub(crate) fn tenant_complete(&self, tenant: TenantId, flops: u64, deadline_met: Option<bool>) {
-        self.tenant(tenant, |t| {
-            t.completed.inc();
-            t.served_flops.add(flops);
-            match deadline_met {
-                Some(true) => t.deadline_met.inc(),
-                Some(false) => t.deadline_missed.inc(),
-                None => {}
-            }
-        });
     }
 
     /// Folds one request's FT report into the service counters.
@@ -409,21 +324,6 @@ impl ServiceStats {
         let completed = self.completed.get();
         let failed = self.failed.get();
         let uptime = self.uptime();
-        let per_tenant: Vec<TenantStats> = self
-            .tenants
-            .lock()
-            .iter()
-            .map(|(&tenant, c)| TenantStats {
-                tenant,
-                admitted: c.admitted.get(),
-                completed: c.completed.get(),
-                shed: c.shed.get(),
-                rejected_deadline: c.rejected_deadline.get(),
-                deadline_met: c.deadline_met.get(),
-                deadline_missed: c.deadline_missed.get(),
-                served_flops: c.served_flops.get(),
-            })
-            .collect();
         StatsSnapshot {
             submitted: self.submitted(),
             submitted_sync: self.submitted_sync.get(),
@@ -436,7 +336,8 @@ impl ServiceStats {
             rejected_closed: self.rejected_closed.get(),
             rejected_deadline: self.rejected_deadline.get(),
             shed_deadline: self.shed_deadline.get(),
-            per_tenant,
+            deadline_met: self.deadline_met.get(),
+            deadline_missed: self.deadline_missed.get(),
             batches: self.batches.get(),
             batched_requests: self.batched_requests.get(),
             direct_large: self.direct_large.get(),
@@ -461,35 +362,6 @@ impl ServiceStats {
             pool,
         }
     }
-}
-
-/// One tenant's slice of the serving activity (a row of
-/// [`StatsSnapshot::per_tenant`]). A tenant appears once it has touched
-/// the service — submitted, been rejected, or been shed — and rows are
-/// ordered by tenant id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Tenant id.
-    pub tenant: TenantId,
-    /// Requests admitted past validation and admission control (whether or
-    /// not they have finished yet).
-    pub admitted: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Admitted requests load-shed at dispatch after their deadline
-    /// expired in the queue (also counted in the service-wide `failed`).
-    pub shed: u64,
-    /// Submits turned away by deadline admission control before admission
-    /// (never counted in `admitted`).
-    pub rejected_deadline: u64,
-    /// Completed requests that carried a deadline and finished in time.
-    pub deadline_met: u64,
-    /// Completed requests that carried a deadline and finished late.
-    pub deadline_missed: u64,
-    /// Planned multiply-adds of this tenant's completed requests — the
-    /// quantity the weighted-fair scheduler shares out, so ratios between
-    /// tenants' `served_flops` are what the QoS property tests bound.
-    pub served_flops: u64,
 }
 
 /// Point-in-time view of a service's activity.
@@ -529,9 +401,10 @@ pub struct StatsSnapshot {
     /// Admitted requests shed at dispatch because their deadline expired
     /// while queued. Each is also counted in [`failed`](Self::failed).
     pub shed_deadline: u64,
-    /// Per-tenant QoS tallies, ordered by tenant id (one row per tenant
-    /// that has touched the service).
-    pub per_tenant: Vec<TenantStats>,
+    /// Completed requests that carried a deadline and finished in time.
+    pub deadline_met: u64,
+    /// Completed requests that carried a deadline and finished late.
+    pub deadline_missed: u64,
     /// Coalesced parallel regions executed on the batched path.
     pub batches: u64,
     /// Requests served via the batched path.
@@ -589,7 +462,7 @@ mod tests {
     fn snapshot_derives_rates() {
         let s = ServiceStats::new(2);
         for _ in 0..10 {
-            s.admit(&s.submitted_sync, 0);
+            s.admit(&s.submitted_sync);
         }
         s.completed.add(8);
         s.batches.add(2);
@@ -623,7 +496,7 @@ mod tests {
         // against that formula instead of a fixed rate keeps the test
         // immune to descheduling between admit and snapshot.
         std::thread::sleep(Duration::from_millis(30));
-        s.admit(&s.submitted_sync, 0);
+        s.admit(&s.submitted_sync);
         s.completed.add(1);
         std::thread::sleep(Duration::from_millis(2));
         let snap = s.snapshot(0, PoolStats::default(), 0);
@@ -634,35 +507,6 @@ mod tests {
             snap.requests_per_sec
         );
         assert!(snap.uptime >= Duration::from_millis(30), "uptime unchanged");
-    }
-
-    #[test]
-    fn tenant_counters_tally_and_roll_back() {
-        let s = ServiceStats::new(1);
-        s.admit(&s.submitted_sync, 7);
-        s.admit(&s.submitted_sync, 7);
-        s.admit(&s.submitted_sync, 3);
-        s.tenant_complete(7, 1000, Some(true));
-        s.tenant_complete(7, 500, None);
-        s.tenant_shed(7);
-        s.reject_deadline(9);
-        let snap = s.snapshot(0, PoolStats::default(), 0);
-        assert_eq!(snap.shed_deadline, 1);
-        assert_eq!(snap.rejected_deadline, 1);
-        // BTreeMap ordering: tenants 3, 7, 9.
-        let rows: Vec<TenantId> = snap.per_tenant.iter().map(|t| t.tenant).collect();
-        assert_eq!(rows, vec![3, 7, 9]);
-        let t7 = &snap.per_tenant[1];
-        assert_eq!(t7.admitted, 2);
-        assert_eq!(t7.completed, 2);
-        assert_eq!(t7.served_flops, 1500);
-        assert_eq!(t7.deadline_met, 1);
-        assert_eq!(t7.deadline_missed, 0, "no-deadline completion is neutral");
-        assert_eq!(t7.shed, 1);
-        // Nothing is ever rolled back: a push the queue turns away is not
-        // counted in the first place (`admission_counters_never_decrease`).
-        assert_eq!(snap.per_tenant[0].admitted, 1);
-        assert_eq!(snap.per_tenant[2].rejected_deadline, 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::api::plan::{Exec, GemmPlan};
 use ftgemm_abft::faults::FaultInjector;
 use ftgemm_abft::{FtConfig, FtError, FtPolicy, FtResult};
 use ftgemm_core::{CoreError, MatRef, Matrix, Scalar};
-use ftgemm_serve::{GemmRequest, Priority, TenantId};
+use ftgemm_serve::GemmRequest;
 use std::time::Duration;
 
 /// Anything that can lend a [`MatRef`] view: owned matrices and existing
@@ -42,8 +42,6 @@ pub struct GemmOp<'a, T: Scalar> {
     pub(crate) policy: FtPolicy,
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) cfg_override: Option<FtConfig>,
-    pub(crate) tenant: TenantId,
-    pub(crate) priority: Priority,
     pub(crate) deadline: Option<Duration>,
 }
 
@@ -60,34 +58,14 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
             policy: FtPolicy::default(),
             injector: None,
             cfg_override: None,
-            tenant: ftgemm_serve::DEFAULT_TENANT,
-            priority: Priority::default(),
             deadline: None,
         }
     }
 
-    /// Tags the op with the submitting tenant (default tenant `0`): served
-    /// requests built from it compete under that tenant's weighted-fair
-    /// share ([`ServiceConfig::tenants`](crate::ServiceConfig)). Only the
-    /// serving layer reads this; one-shot plans ignore it.
-    #[must_use]
-    pub fn tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Sets the scheduling class within the tenant's lane (default
-    /// [`Priority::Normal`]). Only the serving layer reads this.
-    #[must_use]
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// Attaches a relative completion deadline: served requests built from
-    /// this op are EDF-ordered within their class, admission-checked
-    /// against the measured completion-time model, and shed if the deadline
-    /// expires in queue. Only the serving layer reads this.
+    /// this op are admission-checked against the measured completion-time
+    /// model and shed if the deadline expires in queue. Only the serving
+    /// layer reads this; one-shot plans ignore it.
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -179,7 +157,7 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
     }
 
     /// Copies the operands into an owned serving-layer request carrying
-    /// this op's `alpha`, policy, QoS fields and injector, ready to submit
+    /// this op's `alpha`, policy, deadline and injector, ready to submit
     /// to a [`GemmService`](crate::GemmService). A request owns its output,
     /// so `beta`/`C` are attached with [`GemmRequest::with_c`] rather than
     /// inherited from the op. Shapes are checked at submit, or earlier by
@@ -201,8 +179,6 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
             alpha: self.alpha,
             policy: self.policy,
             injector: self.injector.clone(),
-            tenant: self.tenant,
-            priority: self.priority,
             deadline: self.deadline,
             ..GemmRequest::new(self.a.to_owned(), self.b.to_owned())
         }

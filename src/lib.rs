@@ -84,8 +84,7 @@ pub use ftgemm_core::{MatMut, MatRef, Matrix};
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_serve::{
-    GemmRequest, GemmResponse, GemmService, Priority, RoutePath, RoutingPolicy, ServiceConfig,
-    TenantId, TenantTable,
+    GemmRequest, GemmResponse, GemmService, RoutePath, RoutingPolicy, ServiceConfig,
 };
 
 #[cfg(test)]

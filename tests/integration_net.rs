@@ -12,7 +12,7 @@ use ftgemm::net::proto::{
     PROTO_VERSION,
 };
 use ftgemm::net::{ClientError, NetClient, NetServer, NetServerConfig, NetSubmit};
-use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, Priority, RoutePath, ServiceConfig};
+use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutePath, ServiceConfig};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -41,7 +41,7 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 /// The acceptance-criteria loopback flow: upload `A`/`B` once, fire N
-/// submits against the handles with mixed tenants/priorities/policies,
+/// submits against the handles with mixed policies and scales,
 /// and require every wire result bit-identical to the same request
 /// through in-process `submit` on the same service.
 #[test]
@@ -56,28 +56,22 @@ fn wire_results_bit_identical_to_in_process_submit() {
     let hb = client.upload(&b).unwrap();
     assert_eq!(server.store().handle_count(), 2);
 
-    let cases: &[(u32, Priority, FtPolicy, f64)] = &[
-        (0, Priority::Normal, FtPolicy::DetectCorrect, 1.0),
-        (7, Priority::High, FtPolicy::Detect, -2.5),
-        (7, Priority::Low, FtPolicy::Off, 0.125),
-        (3, Priority::Normal, FtPolicy::DetectCorrect, 3.0),
-        (0, Priority::High, FtPolicy::DetectCorrect, 1.0),
-        (3, Priority::Low, FtPolicy::Detect, -1.0),
+    let cases: &[(FtPolicy, f64)] = &[
+        (FtPolicy::DetectCorrect, 1.0),
+        (FtPolicy::Detect, -2.5),
+        (FtPolicy::Off, 0.125),
+        (FtPolicy::DetectCorrect, 3.0),
+        (FtPolicy::DetectCorrect, 1.0),
+        (FtPolicy::Detect, -1.0),
     ];
     let mut ids = Vec::new();
-    for &(tenant, priority, policy, alpha) in cases {
+    for &(policy, alpha) in cases {
         let id = client
-            .submit(
-                NetSubmit::new(ha, hb)
-                    .with_tenant(tenant)
-                    .with_priority(priority)
-                    .with_policy(policy)
-                    .with_alpha(alpha),
-            )
+            .submit(NetSubmit::new(ha, hb).with_policy(policy).with_alpha(alpha))
             .unwrap();
         ids.push(id);
     }
-    for (&id, &(tenant, priority, policy, alpha)) in ids.iter().zip(cases) {
+    for (&id, &(policy, alpha)) in ids.iter().zip(cases) {
         let completion = client.wait(id).unwrap();
         let ok = completion.result.expect("wire submit must succeed");
         let wire_c = ok.to_matrix();
@@ -86,9 +80,7 @@ fn wire_results_bit_identical_to_in_process_submit() {
             .submit(
                 GemmRequest::new(a.clone(), b.clone())
                     .with_alpha(alpha)
-                    .with_policy(policy)
-                    .with_tenant(tenant)
-                    .with_priority(priority),
+                    .with_policy(policy),
             )
             .unwrap()
             .wait()
@@ -495,19 +487,19 @@ fn submits_leave_when_the_client_must_wait() {
         to_client.send(()).unwrap();
 
         // The flush: exactly K submits, in order.
-        let tenants: Vec<u32> = (0..K)
+        let tags: Vec<f64> = (0..K)
             .map(|_| match next(&mut sock) {
-                ReadEvent::Frame(Frame::Submit(s)) => s.tenant,
+                ReadEvent::Frame(Frame::Submit(s)) => s.alpha,
                 other => panic!("expected a Submit, got {other:?}"),
             })
             .collect();
-        assert_eq!(tenants, (0..K).collect::<Vec<_>>());
+        assert_eq!(tags, (0..K).map(f64::from).collect::<Vec<_>>());
         nothing_more(&mut sock, "flush wrote more than the K submits");
         to_client.send(()).unwrap();
 
         // One more submit, then next_completion: it must arrive unflushed.
         match next(&mut sock) {
-            ReadEvent::Frame(Frame::Submit(s)) => assert_eq!(s.tenant, K),
+            ReadEvent::Frame(Frame::Submit(s)) => assert_eq!(s.alpha, f64::from(K)),
             other => panic!("expected the last Submit, got {other:?}"),
         }
         let mut answers = Vec::new();
@@ -533,16 +525,18 @@ fn submits_leave_when_the_client_must_wait() {
     let (done_tx, done_rx) = mpsc::channel();
     let client = std::thread::spawn(move || {
         let mut client = NetClient::connect(addr).unwrap();
-        for tenant in 0..K {
+        for i in 0..K {
             client
-                .submit(NetSubmit::new(1, 2).with_tenant(tenant))
+                .submit(NetSubmit::new(1, 2).with_alpha(i as f64))
                 .unwrap();
         }
         to_server.send(()).unwrap();
         client_rx.recv().unwrap();
         client.flush().unwrap();
         client_rx.recv().unwrap();
-        let last = client.submit(NetSubmit::new(1, 2).with_tenant(K)).unwrap();
+        let last = client
+            .submit(NetSubmit::new(1, 2).with_alpha(K as f64))
+            .unwrap();
         let done = client.next_completion().unwrap();
         done_tx.send((last, done)).unwrap();
     });
@@ -690,8 +684,9 @@ fn pipelined_mix_resolves_every_id_once() {
     }
 }
 
-/// A `Submit` frame carrying `a * b` inline (DetectCorrect, normal
-/// priority, tenant 0), for tests that drive the codec directly.
+/// A `Submit` frame carrying `a * b` inline (DetectCorrect, the reserved
+/// fields as `NetClient` writes them), for tests that drive the codec
+/// directly.
 fn inline_submit(a: &Matrix<f64>, b: &Matrix<f64>, hold: bool) -> Frame {
     let inline = |m: &Matrix<f64>| OperandRef::Inline {
         rows: m.nrows() as u32,

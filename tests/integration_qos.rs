@@ -1,4 +1,4 @@
-//! Integration coverage for deadline QoS: model-driven admission control
+//! Integration coverage for deadlines: model-driven admission control
 //! (each routing path's measured ns/flop), feasible deadlines
 //! completing on a default service, and load-shedding of
 //! expired-while-queued requests across every submit surface.
@@ -7,7 +7,7 @@ use ftgemm::core::Matrix;
 use ftgemm::serve::exec::block_on_all;
 use ftgemm::serve::{
     completion_channel, GemmRequest, GemmService, RoutePath, RoutingPolicy, ServeError,
-    ServiceConfig, TenantTable,
+    ServiceConfig,
 };
 use std::time::Duration;
 
@@ -54,13 +54,10 @@ fn admission_decision_flips_with_seeded_ns_per_flop() {
         other => panic!("expected DeadlineExceeded, got {other}"),
     }
     // Rejected before admission: never submitted, counted under the
-    // deadline reason, attributed to the (default) tenant.
+    // deadline reason.
     let snap = slow.shutdown();
     assert_eq!(snap.submitted, 0);
     assert_eq!(snap.rejected_deadline, 1);
-    assert_eq!(snap.per_tenant.len(), 1);
-    assert_eq!(snap.per_tenant[0].rejected_deadline, 1);
-    assert_eq!(snap.per_tenant[0].admitted, 0);
 
     // Seeded at 1 ns/flop the same submit predicts ~0.5ms — admitted, and
     // it really does finish inside the deadline.
@@ -132,23 +129,18 @@ fn fixed_cutoff_admission_reads_only_the_routed_paths_evidence() {
 }
 
 /// A feasible deadline on a default service (one pool thread per core) is
-/// admitted, completes
-/// before its deadline, and lands in the tenant's deadline-met tally; the
-/// per-tenant served-flops ledger matches the work actually done.
+/// admitted, completes before its deadline, and lands in the deadline-met
+/// tally.
 #[test]
 fn feasible_deadline_completes_on_synthetic_topology() {
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: 0,
-        tenants: TenantTable::new().tenant(7, 4),
         ..ServiceConfig::default()
     });
     let dim = 48usize;
-    let req_flops = 2 * (dim as u64).pow(3);
     let mut handles = Vec::new();
     for i in 0..6u64 {
-        let req = problem(i, dim)
-            .with_tenant(7)
-            .with_deadline(Duration::from_secs(120));
+        let req = problem(i, dim).with_deadline(Duration::from_secs(120));
         handles.push(service.submit(req).unwrap());
     }
     for h in handles {
@@ -158,23 +150,16 @@ fn feasible_deadline_completes_on_synthetic_topology() {
     assert_eq!(snap.completed, 6);
     assert_eq!(snap.failed, 0);
     assert_eq!(snap.shed_deadline, 0);
-    let t7 = snap
-        .per_tenant
-        .iter()
-        .find(|t| t.tenant == 7)
-        .expect("tenant 7 row");
-    assert_eq!(t7.admitted, 6);
-    assert_eq!(t7.completed, 6);
-    assert_eq!(t7.deadline_met, 6);
-    assert_eq!(t7.deadline_missed, 0);
-    assert_eq!(t7.served_flops, 6 * req_flops);
+    assert_eq!(snap.submitted, 6);
+    assert_eq!(snap.deadline_met, 6);
+    assert_eq!(snap.deadline_missed, 0);
 }
 
 /// Expired-while-queued requests are shed at dispatch with
 /// `DeadlineExceeded` on **every** submit surface: the handle, the future,
 /// and the completion channel all resolve (nothing hangs), the shed
 /// requests roll into `failed` (so `completed + failed == submitted`
-/// still balances), and the tenant's shed counter matches. Routing is
+/// still balances), and the shed counter matches. Routing is
 /// pinned, and the service has served nothing yet, so no path has an
 /// ns/flop model: admission control waves everything through and the
 /// *dispatch-time* check is what fires.
@@ -184,7 +169,6 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
         threads: 1,
         max_batch: 4,
         routing: RoutingPolicy::Fixed(2 * 96 * 96 * 96),
-        tenants: TenantTable::new().tenant(3, 2),
         ..ServiceConfig::default()
     });
 
@@ -195,14 +179,14 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
     let dead = Duration::from_nanos(1);
 
     let handle = service
-        .submit(problem(1, 24).with_tenant(3).with_deadline(dead))
+        .submit(problem(1, 24).with_deadline(dead))
         .expect("no path has evidence yet: admission must wave this through");
     let future = service
-        .submit_async(problem(2, 24).with_tenant(3).with_deadline(dead))
+        .submit_async(problem(2, 24).with_deadline(dead))
         .unwrap();
     let (sink, mut completions) = completion_channel::<f64>();
     let streamed_id = service
-        .submit_streamed(problem(3, 24).with_tenant(3).with_deadline(dead), &sink)
+        .submit_streamed(problem(3, 24).with_deadline(dead), &sink)
         .unwrap();
     drop(sink);
 
@@ -238,13 +222,5 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
     assert_eq!(snap.shed_deadline, 3);
     assert_eq!(snap.rejected_deadline, 0);
     assert_eq!(snap.completed + snap.failed, snap.submitted);
-    let t3 = snap
-        .per_tenant
-        .iter()
-        .find(|t| t.tenant == 3)
-        .expect("tenant 3 row");
-    assert_eq!(t3.admitted, 3);
-    assert_eq!(t3.shed, 3);
-    assert_eq!(t3.completed, 0);
-    assert_eq!(t3.served_flops, 0);
+    assert_eq!(snap.deadline_met + snap.deadline_missed, 0);
 }

@@ -14,6 +14,7 @@ use ftgemm::{FaultInjector, Matrix};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 fn obs_service() -> GemmService<f64> {
     GemmService::new(ServiceConfig {
@@ -113,8 +114,8 @@ fn scraped_counters_match_in_process_snapshot() {
     let addr = service.obs_addr().expect("endpoint bound");
     assert_ne!(addr.port(), 0, "port 0 should resolve to the bound port");
 
-    // Spread over the three submit surfaces and two tenants, so the
-    // per-surface and per-tenant cells all move.
+    // Spread over the three submit surfaces, half with a generous
+    // deadline, so the per-surface and deadline cells all move.
     let (sink, mut completions) = completion_channel::<f64>();
     let mut handles = Vec::new();
     let mut futures = Vec::new();
@@ -128,9 +129,10 @@ fn scraped_counters_match_in_process_snapshot() {
         };
         let a = Matrix::<f64>::random(m, k, 5_000 + i);
         let b = Matrix::<f64>::random(k, n, 6_000 + i);
-        let mut req = GemmRequest::new(a, b)
-            .with_policy(FtPolicy::DetectCorrect)
-            .with_tenant(1 + (i % 2) as u32);
+        let mut req = GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect);
+        if i % 2 == 0 {
+            req = req.with_deadline(Duration::from_secs(600));
+        }
         if i % 3 == 0 {
             req = req.with_injector(FaultInjector::counted(700 + i, 1));
         }
@@ -189,6 +191,11 @@ fn scraped_counters_match_in_process_snapshot() {
             snap.rejected_deadline,
         ),
         ("ftgemm_requests_shed_deadline_total", snap.shed_deadline),
+        ("ftgemm_requests_deadline_met_total", snap.deadline_met),
+        (
+            "ftgemm_requests_deadline_missed_total",
+            snap.deadline_missed,
+        ),
         ("ftgemm_batches_total", snap.batches),
         ("ftgemm_batched_requests_total", snap.batched_requests),
         ("ftgemm_direct_large_total", snap.direct_large),
@@ -225,27 +232,14 @@ fn scraped_counters_match_in_process_snapshot() {
         (12, 6, 6)
     );
 
-    // The snapshot's seconds and rates, and every per-tenant and
-    // per-thread row, are samples of the scrape with the same value.
+    assert_eq!(snap.deadline_met + snap.deadline_missed, 12);
+
+    // The snapshot's seconds and rates, and every per-thread row, are
+    // samples of the scrape with the same value.
     let mut labeled: Vec<(String, f64)> = vec![(
         "ftgemm_batch_wall_seconds_total".to_string(),
         snap.batch_wall.as_secs_f64(),
     )];
-    assert_eq!(snap.per_tenant.len(), 2, "{:?}", snap.per_tenant);
-    for t in &snap.per_tenant {
-        assert_eq!((t.admitted, t.completed), (12, 12), "{t:?}");
-        let mut tenant = |family: &str, value: u64| {
-            let key = format!("ftgemm_tenant_{family}_total{{tenant=\"{}\"}}", t.tenant);
-            labeled.push((key, value as f64));
-        };
-        tenant("admitted", t.admitted);
-        tenant("completed", t.completed);
-        tenant("shed", t.shed);
-        tenant("rejected_deadline", t.rejected_deadline);
-        tenant("deadline_met", t.deadline_met);
-        tenant("deadline_missed", t.deadline_missed);
-        tenant("served_flops", t.served_flops);
-    }
     for (thread, busy) in snap.batch_busy_per_thread.iter().enumerate() {
         let key = format!("ftgemm_batch_thread_busy_seconds_total{{thread=\"{thread}\"}}");
         labeled.push((key, busy.as_secs_f64()));
@@ -301,11 +295,11 @@ fn scraped_counters_match_in_process_snapshot() {
 /// The `(family, kind)` set a service scrapes under is a dashboard
 /// contract, pinned here (the net families are pinned in `integration_net`).
 /// Everything the scrape holds beyond the process-wide registry's families
-/// must be exactly this list — with obs and one tenant touched, so no
-/// family is missing for want of a sample.
+/// must be exactly this list — with obs on, so no family is missing for
+/// want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 41] = [
+    const GOLDEN: [(&str, &str); 36] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -324,6 +318,8 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_request_turnaround_seconds", "histogram"),
         ("ftgemm_request_turnaround_seconds_mean", "gauge"),
         ("ftgemm_requests_completed_total", "counter"),
+        ("ftgemm_requests_deadline_met_total", "counter"),
+        ("ftgemm_requests_deadline_missed_total", "counter"),
         ("ftgemm_requests_failed_total", "counter"),
         ("ftgemm_requests_in_flight_async", "gauge"),
         ("ftgemm_requests_per_second", "gauge"),
@@ -337,13 +333,6 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_service_pool_barrier_crossings_total", "counter"),
         ("ftgemm_service_pool_regions_total", "counter"),
         ("ftgemm_spare_buffer_bytes", "gauge"),
-        ("ftgemm_tenant_admitted_total", "counter"),
-        ("ftgemm_tenant_completed_total", "counter"),
-        ("ftgemm_tenant_deadline_met_total", "counter"),
-        ("ftgemm_tenant_deadline_missed_total", "counter"),
-        ("ftgemm_tenant_rejected_deadline_total", "counter"),
-        ("ftgemm_tenant_served_flops_total", "counter"),
-        ("ftgemm_tenant_shed_total", "counter"),
         ("ftgemm_threads", "gauge"),
         ("ftgemm_trace_dropped_total", "counter"),
         ("ftgemm_uptime_seconds", "gauge"),
@@ -357,7 +346,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         Matrix::<f64>::random(8, 8, 1),
         Matrix::<f64>::random(8, 8, 2),
     );
-    service.run(req.with_tenant(3)).unwrap();
+    service.run(req).unwrap();
 
     // Rendered before the global registry is listed: sibling tests register
     // process-wide families concurrently, and the list must cover every one
