@@ -13,19 +13,26 @@
 //!   delta equals the sum of the per-error deltas, and the other axis
 //!   resolves each error individually.
 //!
-//! Colliding patterns beyond that (errors forming a cycle across shared
-//! rows *and* columns), and **ambiguous** patterns — several errors of
-//! numerically equal magnitude in distinct rows and columns, where every
-//! pairing balances the checksums but only one restores the matrix — are
-//! reported as unrecoverable rather than guessed at; the caller's recovery
-//! policy (e.g. column-block rollback under
-//! [`Recovery::RetryPanel`](crate::Recovery::RetryPanel)) takes over. This
-//! fail-stop-on-ambiguity contract is pinned by the
-//! `tests::equal_delta_errors_distinct_positions` test below and written up
-//! in the crate-level docs ("The ambiguity fail-stop contract") and
-//! `docs/ARCHITECTURE.md`. It is the same limitation classic row+column
-//! ABFT has. The paper verifies every `KC` panel, so the exposure window
-//! for such collisions is one panel update.
+//! What holds: **every pattern of one or two errors** in one verification
+//! interval is either corrected exactly or reported as unrecoverable —
+//! including two errors of numerically equal magnitude in distinct rows and
+//! columns, where both pairings balance the checksums but only one restores
+//! the matrix. Then the caller's recovery policy (e.g. column-block
+//! rollback under [`Recovery::RetryPanel`](crate::Recovery::RetryPanel))
+//! takes over. `panel::tests::every_one_and_two_error_pattern_is_corrected_or_fails_stop`
+//! checks this exhaustively on small blocks, and
+//! `tests::equal_delta_errors_distinct_positions` pins the equal-magnitude
+//! case.
+//!
+//! What does not: **three or more errors** can produce the syndrome of
+//! fewer. Errors at three corners of a rectangle, `(0,0)`, `(0,1)` and
+//! `(1,0)` each `+d`, leave row deltas `(2d, d)` and column deltas
+//! `(2d, d)`, exactly what `+2d` at `(0,0)` and `+d` at `(1,1)` would: the
+//! corrector "repairs" `(1,1)` and reports success over a block that is
+//! still wrong. Such a pattern needs several errors in one `KC` panel and
+//! one column block, each landing on the rows and columns of the others.
+//! It is the same limitation classic row+column ABFT has. The paper
+//! verifies every `KC` panel, so the exposure window is one panel update.
 
 use ftgemm_core::{MatMut, Scalar};
 

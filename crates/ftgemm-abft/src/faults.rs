@@ -9,9 +9,9 @@
 //!
 //! * an [`ErrorModel`] describes how a value is corrupted (bit flip,
 //!   additive offset, scaling) — the fail-continue "soft errors" of §1;
-//! * a [`Rate`] describes when errors fire (fixed count per call,
-//!   probability per site, or errors-per-second wall-clock rates for the
-//!   "hundreds of errors injected per minute" experiments);
+//! * a [`Rate`] describes when errors fire (a fixed count per call, or a
+//!   probability per site); the "hundreds of errors injected per minute"
+//!   experiments inject a count per call and report the rate they reached;
 //! * a [`FaultInjector`] owns the model, a seed, and global statistics;
 //!   compute drivers open one [`SiteStream`] per call (or per thread) and
 //!   poll it once per injection site (one site = one macro-kernel tile
@@ -19,9 +19,9 @@
 //! * [`InjectionStats`] counts injected/detected/corrected/unrecoverable
 //!   events across threads.
 //!
-//! Everything is deterministic given the seed and the site visit order (for
-//! count/probability rates), so fault-tolerance tests can assert *exact*
-//! correction.
+//! Everything is deterministic given the seed and the site visit order, so
+//! fault-tolerance tests can assert *exact* correction and a failing
+//! campaign replays.
 
 mod campaign;
 mod injector;

@@ -4,9 +4,7 @@ use super::model::{ErrorEvent, ErrorModel, Rate};
 use super::stats::InjectionStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A configured fault injector, shared (by reference) with compute drivers.
 ///
@@ -19,16 +17,6 @@ pub struct FaultInjector {
     model: ErrorModel,
     rate: Rate,
     stats: Arc<InjectionStats>,
-    /// Wall-clock injection state, shared across all streams/calls so a
-    /// [`Rate::PerSecond`] budget accrues globally (a per-call clock would
-    /// reset before any error became due).
-    clock: Arc<ClockState>,
-}
-
-#[derive(Debug)]
-struct ClockState {
-    start: Instant,
-    fired: AtomicU64,
 }
 
 impl FaultInjector {
@@ -39,10 +27,6 @@ impl FaultInjector {
             model,
             rate,
             stats: Arc::new(InjectionStats::default()),
-            clock: Arc::new(ClockState {
-                start: Instant::now(),
-                fired: AtomicU64::new(0),
-            }),
         }
     }
 
@@ -89,7 +73,6 @@ impl FaultInjector {
                 Schedule::Sites(sites)
             }
             Rate::PerSite(p) => Schedule::Probability(p),
-            Rate::PerSecond(r) => Schedule::Clock { rate: r },
         };
         SiteStream {
             injector: self.clone(),
@@ -107,8 +90,6 @@ enum Schedule {
     Sites(Vec<usize>),
     /// Bernoulli per site.
     Probability(f64),
-    /// Wall-clock driven (state lives in the shared [`ClockState`]).
-    Clock { rate: f64 },
 }
 
 /// A per-call (or per-thread) stream of injection decisions.
@@ -140,29 +121,6 @@ impl SiteStream {
                 }
             }
             Schedule::Probability(p) => self.rng.gen_bool(p.clamp(0.0, 1.0)),
-            Schedule::Clock { rate } => {
-                let clock = &self.injector.clock;
-                let due = (clock.start.elapsed().as_secs_f64() * *rate) as u64;
-                // Claim one due error atomically (streams on many threads
-                // share the budget).
-                let mut claimed = false;
-                let mut fired = clock.fired.load(Ordering::Relaxed);
-                while fired < due {
-                    match clock.fired.compare_exchange_weak(
-                        fired,
-                        fired + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            claimed = true;
-                            break;
-                        }
-                        Err(cur) => fired = cur,
-                    }
-                }
-                claimed
-            }
         };
         if fire {
             self.injector.stats.record_injected();
@@ -228,20 +186,6 @@ mod tests {
         let mut s = inj.stream(0, 50);
         assert!((0..50).all(|_| s.poll().is_none()));
         assert_eq!(inj.stats().injected(), 0);
-    }
-
-    #[test]
-    fn clock_rate_fires_over_time() {
-        let inj = FaultInjector::new(
-            1,
-            ErrorModel::Additive { magnitude: 1.0 },
-            Rate::PerSecond(10_000.0),
-        );
-        let mut s = inj.stream(0, 0);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        // After 5ms at 10k/s, ~50 errors are due; polling a few sites fires.
-        let fired = (0..100).filter(|_| s.poll().is_some()).count();
-        assert!(fired > 0);
     }
 
     #[test]

@@ -65,9 +65,6 @@ pub enum Rate {
     Count(usize),
     /// Independent probability per site.
     PerSite(f64),
-    /// Wall-clock rate (errors per second); the "hundreds of errors per
-    /// minute" campaign mode.
-    PerSecond(f64),
 }
 
 /// One concrete injection event produced by a [`SiteStream`](super::SiteStream).

@@ -1,16 +1,22 @@
-//! The serial entries of the loop nest ([`crate::nest`]): the paper's
-//! FT-DGEMM (§2.2) and its "Ori" baseline, type-generic, on the team of one.
+//! The entry of the loop nest ([`crate::nest`]): the paper's FT-DGEMM
+//! (§2.2), its threaded form (§2.3) and its "Ori" baseline, type-generic.
 //!
-//! [`run_serial`] runs the nest on a caller-held [`Workspace`] as a team of
-//! one — slot 0, its kernel and blocking — so what it computes, verifies and
-//! rolls back is what the matrix-parallel entries do on a larger team in the
-//! same workspace type; [`ft_gemm_with_ctx`] (protected) and [`gemm`]
-//! (plain) are its two fixed-policy forms. Buffers hold the largest problem
-//! served ([`packed_lens`](crate::nest::packed_lens): one block each, clamped
-//! to the problem), grown on demand and never shrunk, so a reused workspace
+//! [`execute`] runs the nest on a caller-held [`Workspace`], either as a
+//! team of one — slot 0, the workspace's kernel and blocking — or as a
+//! region of a [`ParGemmContext`]'s pool with the context's, so what a call
+//! computes, verifies and rolls back is the same code on every team.
+//! [`ft_gemm_with_ctx`] (protected) and [`gemm`] (plain) are its serial
+//! fixed-policy forms, [`par_ft_gemm_with_ws`] and [`par_gemm_with_ws`]
+//! the pool's. Buffers hold the largest problem served
+//! ([`packed_lens`](crate::nest::packed_lens): one block each, clamped to
+//! the problem), grown on demand and never shrunk, so a reused workspace
 //! allocates only when a larger shape first arrives.
+//!
+//! [`par_ft_gemm_with_ws`]: crate::parallel::par_ft_gemm_with_ws
+//! [`par_gemm_with_ws`]: crate::parallel::par_gemm_with_ws
 
 use crate::nest::{nest, prologue, Job, Solo};
+use crate::parallel::{Member, ParGemmContext};
 use crate::workspace::{Setup, Workspace};
 use crate::{FtConfig, FtReport, FtResult};
 use ftgemm_core::{MatMut, MatRef, Scalar};
@@ -22,43 +28,81 @@ pub type FtGemmContext<T> = Workspace<T>;
 /// See [`FtGemmContext`].
 pub type GemmContext<T> = Workspace<T>;
 
-/// The serial execute path: `C = alpha*A*B + beta*C` on `ws` as a team of
-/// one, protected under `Some(cfg)` and plain (reporting
-/// [`FtReport::default`]) under `None`. Every serial caller that carries an
-/// optional configuration — planned one-shots, batch items — goes through
-/// here, so the protected-vs-plain choice is made in one place.
+/// The execute path: `C = alpha*A*B + beta*C` on `ws`, protected under
+/// `Some(cfg)` and plain (reporting [`FtReport::default`]) under `None`.
+/// `ctx: None` runs the calling thread as a team of one with `ws`'s kernel
+/// and blocking; `Some(ctx)` runs a region of `ctx`'s pool, a team of the
+/// pool's size with the context's. Every caller that carries an optional
+/// configuration goes through here, so the protected-vs-plain choice is made
+/// in one place.
 ///
-/// `call` is the id a batch gave a protected item ([`Workspace::job`]);
-/// `None` counts the call on `ws`. `ws` is grown to fit the problem
-/// ([`Workspace::ensure`]) and reused otherwise.
-pub fn run_serial<T: Scalar>(
+/// `ws` is grown with [`Workspace::ensure`] when the problem does not fit,
+/// and reused otherwise; an empty [`Workspace::new`] is where a caller with
+/// no shape to size by starts. Growth replaces only the buffers that are too
+/// small, so plain and protected calls — serial and pool — can share one
+/// workspace without undoing each other's growth. A caller that keeps one
+/// workspace alive (a `GemmPlan`, a service dispatcher) allocates only when
+/// a larger shape first arrives.
+pub fn execute<T: Scalar>(
+    ctx: Option<&ParGemmContext<T>>,
     ws: &mut Workspace<T>,
     cfg: Option<&FtConfig>,
-    call: Option<u64>,
     alpha: T,
     a: &MatRef<'_, T>,
     b: &MatRef<'_, T>,
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
-    let Some((m, n, k)) = prologue(&ws.params, alpha, a, b, beta, c)? else {
+    execute_call(ctx, ws, cfg, None, true, alpha, a, b, beta, c)
+}
+
+/// [`execute`] with the two choices its callers in this crate make.
+/// `call` is the id a batch gave a protected item ([`Workspace::job`]);
+/// `None` counts the call on `ws`. `grow: false` is for the entries that
+/// take a workspace sized in advance, and panics where `ws` does not
+/// [`fit`](Workspace::fits) the problem instead of growing it.
+pub(crate) fn execute_call<T: Scalar>(
+    ctx: Option<&ParGemmContext<T>>,
+    ws: &mut Workspace<T>,
+    cfg: Option<&FtConfig>,
+    call: Option<u64>,
+    grow: bool,
+    alpha: T,
+    a: &MatRef<'_, T>,
+    b: &MatRef<'_, T>,
+    beta: T,
+    c: &mut MatMut<'_, T>,
+) -> FtResult<FtReport> {
+    let team = ctx.map_or_else(|| Setup::from(&*ws), Setup::from);
+    let Some((m, n, k)) = prologue(&team.params, alpha, a, b, beta, c)? else {
         return Ok(FtReport::default());
     };
-    let solo = Setup::from(&*ws);
-    ws.ensure(solo, [m, n, k], cfg.is_some());
+    let protect = cfg.is_some();
+    if !ws.fits(team, [m, n, k], protect) {
+        assert!(
+            grow,
+            "workspace too small for {m}x{n}x{k} on {} threads",
+            team.nthreads
+        );
+        ws.ensure(team, [m, n, k], protect);
+    }
     match cfg {
-        Some(cfg) => solo_nest::<T, true>(ws, cfg, call, alpha, a, b, beta, c).finish(),
+        Some(cfg) => launch::<T, true>(ctx, team, ws, cfg, call, alpha, a, b, beta, c).finish(),
         None => {
-            solo_nest::<T, false>(ws, &FtConfig::default(), None, alpha, a, b, beta, c);
+            let plain = FtConfig::default();
+            launch::<T, false>(ctx, team, ws, &plain, None, alpha, a, b, beta, c);
             Ok(FtReport::default())
         }
     }
 }
 
-/// The nest on `ws` as a team of one, over operands that passed
-/// [`prologue`] and fit `ws`; a protected caller [`Job::finish`]es what
-/// comes back.
-fn solo_nest<'a, T: Scalar, const PROTECT: bool>(
+/// The nest on `team` — the calling thread alone under `ctx: None`, every
+/// thread of `ctx`'s pool otherwise — over operands that passed
+/// [`prologue`], in a workspace that fits them; a protected caller
+/// [`Job::finish`]es what comes back. `cfg` is read under `PROTECT` only.
+fn launch<'a, T: Scalar, const PROTECT: bool>(
+    ctx: Option<&ParGemmContext<T>>,
+    team: Setup<T>,
     ws: &'a mut Workspace<T>,
     cfg: &'a FtConfig,
     call: Option<u64>,
@@ -68,16 +112,29 @@ fn solo_nest<'a, T: Scalar, const PROTECT: bool>(
     beta: T,
     c: &'a mut MatMut<'_, T>,
 ) -> Job<'a, T> {
-    let (kernel, p) = (ws.kernel, ws.params);
+    let (kernel, p) = (team.kernel, team.params);
     let (job, slots) = ws.job::<PROTECT>(kernel, p, cfg, call, alpha, a, b, beta, c);
-    // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
-    // team, and `run_serial` grew the workspace to fit the problem.
-    unsafe { nest::<T, Solo, PROTECT>(&Solo, &job, slots[0].get_mut().as_mut_slice()) };
+    match ctx {
+        // SAFETY: `job` is a local no other thread sees, `Solo` is the whole
+        // team, and the workspace fits the problem.
+        None => unsafe { nest::<T, Solo, PROTECT>(&Solo, &job, slots[0].get_mut().as_mut_slice()) },
+        Some(ctx) => {
+            let slots = &*slots;
+            ctx.pool().run(|w| {
+                // Slot `tid` is only ever locked by thread `tid` of a region.
+                let mut atilde = slots[w.tid].lock();
+                // SAFETY: the region runs this closure once on every thread
+                // of the pool, the region barrier holds them all, and the
+                // workspace fits.
+                unsafe { nest::<T, _, PROTECT>(&Member(w), &job, atilde.as_mut_slice()) };
+            });
+        }
+    }
     job
 }
 
 /// Fault-tolerant `C = alpha*A*B + beta*C` on a caller-held workspace:
-/// [`run_serial`] under `Some(cfg)`, counted on `ws`.
+/// [`execute`] on a team of one under `Some(cfg)`, counted on `ws`.
 pub fn ft_gemm_with_ctx<T: Scalar>(
     ws: &mut Workspace<T>,
     cfg: &FtConfig,
@@ -87,12 +144,12 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
-    run_serial(ws, Some(cfg), None, alpha, a, b, beta, c)
+    execute(None, ws, Some(cfg), alpha, a, b, beta, c)
 }
 
 /// Serial `C = alpha * A * B + beta * C` on a caller-held workspace — the
-/// paper's "FT-GEMM: Ori" code path: [`run_serial`] under `None`, the nest
-/// with no fault-tolerance work compiled in.
+/// paper's "FT-GEMM: Ori" code path: [`execute`] on a team of one under
+/// `None`, the nest with no fault-tolerance work compiled in.
 pub fn gemm<T: Scalar>(
     ws: &mut Workspace<T>,
     alpha: T,
@@ -101,7 +158,7 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<()> {
-    run_serial(ws, None, None, alpha, a, b, beta, c).map(drop)
+    execute(None, ws, None, alpha, a, b, beta, c).map(drop)
 }
 
 #[cfg(test)]

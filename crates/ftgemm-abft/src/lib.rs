@@ -46,33 +46,37 @@
 //! fault-tolerance operations printed in red inside it (Fig. 1), and its
 //! threaded algorithm (§2.3) as that same nest with an M-partition, a shared
 //! `B~` and barriers. [`nest`] is that figure as one function, generic over
-//! a [`Team`] and a `const PROTECT: bool`: the operations above — base
-//! encode, the two fused packs, the injection site of §3.2 and the per-panel
+//! a team and a `const PROTECT: bool`: the operations above — base encode,
+//! the two fused packs, the injection site of §3.2 and the per-panel
 //! verify-and-correct, the functions of [`panel`] — sit under `if PROTECT`,
-//! and serial / parallel × plain / protected are its four instantiations
-//! ([`ft_gemm_with_ctx`] and [`gemm`] here on [`Solo`], the matrix-parallel
-//! pair in `ftgemm-parallel` on a pool region). A verdict, a rollback and
-//! an injected pattern are therefore the same code on every execution path.
-//! What the nest works in is one type for every team, [`Workspace`]: a
-//! serial call runs in it as a team of one, a pool call as the pool.
+//! and serial / parallel × plain / protected are its four instantiations,
+//! all made by one entry, [`execute`]: on the calling thread alone, or on a
+//! region of a [`parallel::ParGemmContext`]'s pool ([`parallel`]). A
+//! verdict, a rollback and an injected pattern are therefore the same code
+//! on every execution path. What the nest works in is one type for every
+//! team, [`Workspace`]: a serial call runs in it as a team of one, a pool
+//! call as the pool.
 //!
-//! ## The ambiguity fail-stop contract
+//! ## The fail-stop contract, and where it ends
 //!
 //! Row+column checksums carry enough information to locate and repair most
-//! error patterns, but not all. Two patterns are **information-theoretically
-//! unresolvable** within one verification interval:
+//! error patterns, but not all. Within one verification interval:
 //!
-//! * errors forming a cycle across shared rows *and* columns, and
-//! * **equal-magnitude concurrent errors in distinct rows and distinct
-//!   columns** — every pairing of row deltas with column deltas balances
-//!   the checksums, but only one pairing restores the matrix, so picking
-//!   one is a coin flip on silent corruption.
+//! * **every one- and two-error pattern is corrected or fails stop.** Two
+//!   equal-magnitude errors in distinct rows and distinct columns are
+//!   ambiguous — both pairings of row deltas with column deltas balance the
+//!   checksums, but only one restores the matrix — and the corrector
+//!   reports them as [`CorrectionOutcome::Unrecoverable`] rather than
+//!   guess (`corrector::tests::equal_delta_errors_distinct_positions`;
+//!   every pattern on small blocks:
+//!   `panel::tests::every_one_and_two_error_pattern_is_corrected_or_fails_stop`);
+//! * **three or more errors can alias a pattern of fewer** and be
+//!   "corrected" into a wrong block that verifies: `+d` at `(0,0)`, `(0,1)`
+//!   and `(1,0)` has the syndrome of `+2d` at `(0,0)` and `+d` at `(1,1)`.
+//!   That class is not guarded (see [`corrector`]).
 //!
-//! This crate's contract is **fail-stop, never guess**: the corrector
-//! reports such patterns as [`CorrectionOutcome::Unrecoverable`] (the
-//! equal-magnitude case is pinned by
-//! `corrector::tests::equal_delta_errors_distinct_positions`), and the
-//! nest then applies the caller's [`Recovery`] policy — under
+//! On an unrecoverable pattern the nest applies the caller's [`Recovery`]
+//! policy — under
 //! [`Recovery::RetryPanel`] (the default policy, `DetectCorrect`) the
 //! team rolls the affected **column block** back to its base state
 //! (`beta * C0` and its checksums) and recomputes that block's panels up to
@@ -86,7 +90,7 @@
 //! Equal magnitudes sharing a single row or column are *not* ambiguous
 //! (the shared-axis sum rule resolves them) and are still corrected. The
 //! paper verifies every `KC`-depth panel, so the exposure window for a
-//! colliding pattern is one panel update. See `docs/ARCHITECTURE.md` for
+//! colliding or aliasing pattern is one panel update. See `docs/ARCHITECTURE.md` for
 //! the system-level view.
 
 #![warn(missing_docs)]
@@ -98,13 +102,13 @@ pub mod faults;
 pub mod ft_gemm;
 pub mod nest;
 pub mod panel;
+pub mod parallel;
 pub mod policy;
 pub mod tolerance;
 pub mod workspace;
 
 pub use corrector::{CorrectionOutcome, Discrepancy};
-pub use ft_gemm::{ft_gemm_with_ctx, gemm, run_serial, FtGemmContext, GemmContext};
-pub use nest::{Solo, Team};
+pub use ft_gemm::{execute, ft_gemm_with_ctx, gemm, FtGemmContext, GemmContext};
 pub use policy::FtPolicy;
 pub use tolerance::Tolerance;
 pub use workspace::{Setup, Workspace};

@@ -1,13 +1,14 @@
 //! The loop nest — the paper's Fig. 1, written once.
 //!
-//! [`nest`] is the GotoBLAS `jc → pc → ic` nest around the macro kernel (the
+//! `nest` is the GotoBLAS `jc → pc → ic` nest around the macro kernel (the
 //! figure's black text) with the fault-tolerance operations (its red text:
 //! the five functions of [`crate::panel`], the lane reductions and their
-//! barriers) under `if PROTECT`. It is generic over a [`Team`] — §2.3's
+//! barriers) under `if PROTECT`. It is generic over a `Team` — §2.3's
 //! threaded algorithm is the same nest with an M-partition, a shared `B~`
 //! and barriers — so serial / parallel × plain / protected are four
-//! instantiations of one function, and [`Solo`] differs from a pool only
-//! through its [`Team`] methods.
+//! instantiations of one function, all made in one launcher behind
+//! [`crate::execute`], and `Solo` differs from a pool only through its
+//! `Team` methods.
 //!
 //! Before the loops, `[P]` computes `A_r = alpha * e^T A` (§2.3), the one
 //! encoding no pack carries. It is computed once per value of `A`, not once
@@ -15,7 +16,7 @@
 //! carries the matrix's memo of its unscaled column sums
 //! ([`MatRef::col_sums`]). A filled memo gives `A_r` in O(k) with no pass
 //! over `A`. Otherwise the members sum their share of `A`'s columns,
-//! unscaled, into [`Buffers::sums`] (the O(mk) pass, split along K), and
+//! unscaled, into `Buffers::sums` (the O(mk) pass, split along K), and
 //! either way each scales its share into `A_r`. Both leave the same bits,
 //! because `alpha * (1 * s) == alpha * s`. A call that summed `A` and
 //! verified leaves its sums in the memo, where the view carries an empty
@@ -67,7 +68,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The threads running one [`nest`] together (paper §2.3).
-pub trait Team {
+pub(crate) trait Team {
     /// This member's index in `0..nthreads`; member 0 reduces and verifies.
     fn tid(&self) -> usize;
     /// Members in the team.
@@ -81,7 +82,7 @@ pub trait Team {
 
 /// The team of one: the whole range, and a barrier nobody waits at.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Solo;
+pub(crate) struct Solo;
 
 impl Team for Solo {
     fn tid(&self) -> usize {
@@ -183,7 +184,7 @@ impl<T: Scalar> Shared<'_, T> {
 /// borrowed view of its owner's buffers, and which of the owner's protected
 /// calls it serves. An unprotected nest touches `btilde` only.
 #[derive(Debug)]
-pub struct Buffers<'a, T> {
+pub(crate) struct Buffers<'a, T> {
     /// The call's id on its owner ([`Workspace::job`](crate::Workspace::job)):
     /// member `tid` draws its injection sites from stream `call ^ tid << 32`.
     pub call: u64,
@@ -206,7 +207,7 @@ pub struct Buffers<'a, T> {
 }
 
 /// Elements of the packed `A~` of one member and of the shared packed `B~`
-/// that a [`nest`] over `m x n x k` touches under `p`: one `mc x kc` block and
+/// that a `nest` over `m x n x k` touches under `p`: one `mc x kc` block and
 /// one `kc x nc` panel, each clamped to the problem and padded to whole
 /// micro-panels. The one owner of packing buffers, a
 /// [`Workspace`](crate::Workspace), sizes them with this, so what a small
@@ -332,7 +333,7 @@ impl<T: Scalar> Checks<T> {
 /// the two cells members share — thread 0's per-panel decision and the
 /// team's merged outcome.
 #[derive(Debug)]
-pub struct Job<'a, T: Scalar> {
+pub(crate) struct Job<'a, T: Scalar> {
     kernel: Kernel<T>,
     params: BlockingParams,
     cfg: &'a FtConfig,
@@ -407,7 +408,7 @@ impl<'a, T: Scalar> Job<'a, T> {
 
     /// The protected team's merged report — published to the process-wide
     /// `ftgemm_abft_*_total` families, once — or the pattern it stopped at.
-    pub fn finish(self) -> FtResult<FtReport> {
+    pub(crate) fn finish(self) -> FtResult<FtReport> {
         let (report, verdict) = self.outcome.into_inner();
         report.publish_global();
         verdict.map_or(Ok(report), Err)
@@ -419,7 +420,7 @@ impl<'a, T: Scalar> Job<'a, T> {
 /// alpha == 0`: `C *= beta`, which on an empty `C` writes nothing).
 /// `Ok(None)` means `C` already holds the result; every `Err` leaves `C` as
 /// the caller passed it.
-pub fn prologue<T: Scalar>(
+pub(crate) fn prologue<T: Scalar>(
     params: &BlockingParams,
     alpha: T,
     a: &MatRef<'_, T>,
@@ -438,7 +439,7 @@ pub fn prologue<T: Scalar>(
 
 /// True when a rollback cannot recompute the column block's base state and
 /// must restore a saved one. At `beta == 0` the base is all zeros.
-pub fn keeps_base<T: Scalar>(cfg: &FtConfig, beta: T) -> bool {
+pub(crate) fn keeps_base<T: Scalar>(cfg: &FtConfig, beta: T) -> bool {
     matches!(cfg.recovery, Recovery::RetryPanel { .. }) && beta != T::ZERO
 }
 
@@ -489,7 +490,7 @@ unsafe fn reduce<T: Scalar>(
 /// [`packed_lens`] says; under `PROTECT` the rest as `checks_need` sizes it
 /// for this team, with the base snapshot reserved where [`keeps_base`] holds,
 /// and viewed with `protect` set.
-pub unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
+pub(crate) unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
     team: &Tm,
     job: &Job<'_, T>,
     atilde: &mut [T],

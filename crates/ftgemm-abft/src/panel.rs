@@ -235,6 +235,64 @@ mod tests {
         assert_eq!(scale, 1e12);
     }
 
+    /// The guarantee the corrector keeps: every pattern
+    /// of one or two errors in one verification is repaired or fails stop,
+    /// never `Ok` over a wrong block. Exhaustive over every position and
+    /// pair of positions of three small blocks, every ordered pair of
+    /// deltas, and three clean blocks per shape. Three errors can alias a
+    /// two-error syndrome, so no such claim is made for them.
+    #[test]
+    fn every_one_and_two_error_pattern_is_corrected_or_fails_stop() {
+        let deltas = [1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e3, -1e3];
+        let mut checked = 0;
+        for (rows, cols) in [(4, 4), (5, 3), (3, 5)] {
+            let cells: Vec<(usize, usize)> = (0..cols)
+                .flat_map(|j| (0..rows).map(move |i| (i, j)))
+                .collect();
+            let mut patterns: Vec<Vec<(usize, usize, f64)>> = Vec::new();
+            for (x, &(i, j)) in cells.iter().enumerate() {
+                patterns.extend(deltas.iter().map(|&d| vec![(i, j, d)]));
+                for &(i2, j2) in &cells[x + 1..] {
+                    for &d in &deltas {
+                        patterns.extend(deltas.iter().map(|&d2| vec![(i, j, d), (i2, j2, d2)]));
+                    }
+                }
+            }
+            for seed in 1..=3 {
+                let clean = Matrix::<f64>::random(rows, cols, seed);
+                let sums = |c: &Matrix<f64>| {
+                    let (mut row, mut col) = (vec![0.0; rows], vec![0.0; cols]);
+                    checksum::encode_c(&c.as_ref(), &mut row, &mut col);
+                    (row, col)
+                };
+                let (enc_row, enc_col) = sums(&clean);
+                for errors in &patterns {
+                    let mut dirty = clean.clone();
+                    for &(i, j, d) in errors {
+                        dirty.set(i, j, dirty.get(i, j) + d);
+                    }
+                    let (ref_row, ref_col) = sums(&dirty);
+                    let verdict = verify(
+                        &FtConfig::default(),
+                        64,
+                        (&enc_row, &ref_row),
+                        (&enc_col, &ref_col),
+                        &mut dirty.as_mut(),
+                        &mut 0.0,
+                        &mut FtReport::default(),
+                    );
+                    let off = clean.max_abs_diff(&dirty);
+                    assert!(
+                        verdict.is_err() || off <= 1e-9,
+                        "silent: {rows}x{cols} seed {seed} {errors:?} left an element {off} off"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 64_464);
+    }
+
     #[test]
     fn inject_maps_the_lane_onto_a_ragged_block() {
         let inj = FaultInjector::new(1, ErrorModel::Additive { magnitude: 8.0 }, Rate::Count(1));

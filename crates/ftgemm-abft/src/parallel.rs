@@ -1,16 +1,14 @@
-//! # ftgemm-parallel
-//!
 //! Cache-friendly multithreaded (FT-)GEMM — the paper's §2.3 / Fig. 1.
 //!
 //! ## Design (mirroring the paper on a persistent thread pool)
 //!
-//! The loop nest is `ftgemm_abft::nest` — the one the serial entries run on
-//! a team of one — and the state it works in is an
-//! [`ftgemm_abft::Workspace`], the one the serial entries use too. This
-//! crate runs the nest on a region of its own persistent worker pool
-//! ([`pool`], the OpenMP-style runtime of the paper's threaded algorithm;
-//! `team.rs`: the region's worker handle behind the nest's `Team` trait),
-//! as a team of the pool's size with the pool context's kernel and
+//! The loop nest is [`crate::nest`] — the one a serial call runs on a team
+//! of one — and the state it works in is a [`Workspace`](crate::Workspace),
+//! the one serial calls use too. Given a [`ParGemmContext`],
+//! [`execute`](crate::execute) runs the nest on a region of the context's
+//! persistent worker pool ([`pool`], the OpenMP-style runtime of the
+//! paper's threaded algorithm; `team.rs`: the region's worker handle as the
+//! nest's team), as a team of the pool's size with the context's kernel and
 //! blocking, which gives the paper's scheme:
 //!
 //! * The `C` and `A` work is partitioned along the **M** dimension in
@@ -25,7 +23,7 @@
 //!   the thread's row slice — fully local. Column checksums (the paper's
 //!   C_r) need all rows, so per-thread partials go through a cross-thread
 //!   **reduction** after a barrier, exactly like the paper's "extra stage of
-//!   reduction … to compute the final column checksum B_c" (which this crate
+//!   reduction … to compute the final column checksum B_c" (which the nest
 //!   also performs for `bc`).
 //! * After every depth panel all threads meet at a barrier and verification
 //!   runs ("p-loop: verify") on thread 0, which corrects in place and
@@ -44,9 +42,6 @@
 //! request's id still depends on how the service batched it: replay by request
 //! id needs a `BatchItem` that carries one.
 
-#![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
-
 mod batch;
 mod ctx;
 pub mod pool;
@@ -54,4 +49,5 @@ mod team;
 
 pub use batch::{par_batch_ft_gemm_timed, BatchItem, BatchTiming, BatchWorkspace};
 pub use ctx::ParGemmContext;
-pub use team::{par_ft_gemm_with_ws, par_gemm_with_ws, run_parallel, ParFtWorkspace};
+pub(crate) use team::Member;
+pub use team::{par_ft_gemm_with_ws, par_gemm_with_ws, ParFtWorkspace};

@@ -1,6 +1,6 @@
 //! Batched (FT-)GEMM: many small problems through one parallel region.
 //!
-//! [`par_ft_gemm_with_ws`](crate::par_ft_gemm_with_ws) parallelizes
+//! [`par_ft_gemm_with_ws`](crate::parallel::par_ft_gemm_with_ws) parallelizes
 //! *inside* one matrix — the right shape when a single GEMM is large enough
 //! to feed every core. A serving workload is the opposite: thousands of
 //! small GEMMs, each far too small to amortize a parallel region of its
@@ -16,9 +16,10 @@
 //! derive from the batch's count of protected items, not from the slot that
 //! ran it, so a batch's fault pattern replays on any pool.
 
-use crate::ctx::ParGemmContext;
-use ftgemm_abft::nest::Shared;
-use ftgemm_abft::{run_serial, FtConfig, FtReport, FtResult, Setup, Workspace};
+use crate::ft_gemm::execute_call;
+use crate::nest::Shared;
+use crate::parallel::ParGemmContext;
+use crate::{FtConfig, FtReport, FtResult, Setup, Workspace};
 use ftgemm_core::{MatMut, MatRef, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -74,11 +75,6 @@ impl<T: Scalar> BatchWorkspace<T> {
             slots,
             calls: AtomicU64::new(0),
         }
-    }
-
-    /// Number of per-thread slots.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -184,10 +180,12 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
             // region barrier in `run` orders them against the caller.
             let item = unsafe { &mut items.slice_mut(i..i + 1)[0] };
             let out = unsafe { &mut outs.slice_mut(i..i + 1)[0] };
-            *out = run_serial(
+            *out = execute_call(
+                None,
                 &mut slot,
                 item.cfg,
                 calls[i],
+                true,
                 item.alpha,
                 &item.a,
                 &item.b,
@@ -215,8 +213,8 @@ pub fn par_batch_ft_gemm_timed<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftgemm_abft::faults::{ErrorModel, FaultInjector, Rate};
-    use ftgemm_abft::ft_gemm_with_ctx;
+    use crate::faults::{ErrorModel, FaultInjector, Rate};
+    use crate::ft_gemm_with_ctx;
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::Matrix;
 

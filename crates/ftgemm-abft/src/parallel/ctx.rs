@@ -1,7 +1,7 @@
 //! Parallel GEMM context: the pool plus kernel/blocking configuration.
 
-use crate::pool::ThreadPool;
-use ftgemm_abft::Setup;
+use crate::parallel::pool::ThreadPool;
+use crate::Setup;
 use ftgemm_core::{BlockingParams, IsaLevel, Kernel, Scalar};
 use std::sync::Arc;
 
@@ -71,7 +71,7 @@ impl<T: Scalar> Default for ParGemmContext<T> {
 }
 
 /// A pool context's team: its kernel, its blocking and every pool thread —
-/// what a [`Workspace`](ftgemm_abft::Workspace) is sized for and run with.
+/// what a [`Workspace`](crate::Workspace) is sized for and run with.
 impl<T: Scalar> From<&ParGemmContext<T>> for Setup<T> {
     fn from(ctx: &ParGemmContext<T>) -> Self {
         Setup {

@@ -1,19 +1,19 @@
-//! The matrix-parallel entries of the loop nest — the paper's threaded
-//! algorithm (§2.3): `ftgemm_abft::nest` run by a pool region as its
-//! [`Team`].
+//! The matrix-parallel side of the loop nest — the paper's threaded
+//! algorithm (§2.3): `crate::nest` run by a pool region as its team.
 //!
 //! The nest partitions `C` and `A` along M (each thread owns its row slab
 //! and a private packed `A~`), packs the shared `B~` cooperatively along N,
 //! reduces the column checksums across per-thread lanes, and verifies — and
-//! decides continue / roll back / abort — on thread 0; what this module adds
-//! is the team ([`WorkerCtx`] behind the [`Team`] trait) and the three
-//! entries, which run it in a caller-held [`Workspace`] with the pool
-//! context's kernel and blocking.
+//! decides continue / roll back / abort — on thread 0. What this module adds
+//! is the team ([`Member`]: a [`WorkerCtx`] behind the nest's `Team` trait,
+//! which [`execute`](crate::execute) launches on every thread of a region)
+//! and the two entries that take a workspace sized in advance.
 
-use crate::ctx::ParGemmContext;
-use crate::pool::WorkerCtx;
-use ftgemm_abft::nest::{nest, prologue, Job, Team};
-use ftgemm_abft::{FtConfig, FtReport, FtResult, Workspace};
+use crate::ft_gemm::execute_call;
+use crate::nest::Team;
+use crate::parallel::pool::WorkerCtx;
+use crate::parallel::ParGemmContext;
+use crate::{FtConfig, FtError, FtReport, FtResult, Workspace};
 use ftgemm_core::{MatMut, MatRef, Scalar};
 use std::ops::Range;
 
@@ -23,7 +23,7 @@ use std::ops::Range;
 pub type ParFtWorkspace<T> = Workspace<T>;
 
 /// A pool region as the nest's team.
-struct Member<'a, 'p>(&'a WorkerCtx<'p>);
+pub(crate) struct Member<'a, 'p>(pub(crate) &'a WorkerCtx<'p>);
 
 impl Team for Member<'_, '_> {
     fn tid(&self) -> usize {
@@ -40,74 +40,13 @@ impl Team for Member<'_, '_> {
     }
 }
 
-/// One nest on `ctx`'s pool over operands that passed [`prologue`], in a
-/// workspace that fits them; a protected caller [`Job::finish`]es what comes
-/// back. `cfg` is read under `PROTECT` only, where the call is counted on
-/// `ws`, whose count its injection streams derive from.
-fn run_team<'a, T: Scalar, const PROTECT: bool>(
-    ctx: &ParGemmContext<T>,
-    ws: &'a mut Workspace<T>,
-    cfg: &'a FtConfig,
-    alpha: T,
-    a: &MatRef<'a, T>,
-    b: &MatRef<'a, T>,
-    beta: T,
-    c: &'a mut MatMut<'_, T>,
-) -> Job<'a, T> {
-    let (kernel, p) = (ctx.kernel, ctx.params);
-    let (job, slots) = ws.job::<PROTECT>(kernel, p, cfg, None, alpha, a, b, beta, c);
-    let slots = &*slots;
-    ctx.pool().run(|w| {
-        // Slot `tid` is only ever locked by thread `tid` of a region.
-        let mut atilde = slots[w.tid].lock();
-        // SAFETY: the region runs this closure once on every thread of the
-        // pool, the region barrier holds them all, and the workspace fits.
-        unsafe { nest::<T, _, PROTECT>(&Member(w), &job, atilde.as_mut_slice()) };
-    });
-    job
-}
-
-/// The matrix-parallel execute path: `C = alpha*A*B + beta*C` on `ctx`'s
-/// pool with a caller-owned workspace, protected under `Some(cfg)` and plain
-/// (reporting [`FtReport::default`]) under `None`.
-///
-/// `ws` is grown with [`Workspace::ensure`] when the problem does not fit,
-/// and reused otherwise; an empty [`Workspace::new`] is where a caller with
-/// no shape to size by starts. Growth replaces only the buffers that are too
-/// small, so plain and protected calls — and serial ones — can share one
-/// workspace without undoing each other's growth. A caller that keeps one
-/// workspace alive (a `GemmPlan`, a service dispatcher) allocates only when
-/// a larger shape first arrives. Every matrix-parallel caller that carries
-/// an optional configuration goes through here, so the protected-vs-plain
-/// choice is made in one place.
-pub fn run_parallel<T: Scalar>(
-    ctx: &ParGemmContext<T>,
-    ws: &mut Workspace<T>,
-    cfg: Option<&FtConfig>,
-    alpha: T,
-    a: &MatRef<'_, T>,
-    b: &MatRef<'_, T>,
-    beta: T,
-    c: &mut MatMut<'_, T>,
-) -> FtResult<FtReport> {
-    let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
-        return Ok(FtReport::default());
-    };
-    ws.ensure(ctx, [m, n, k], cfg.is_some());
-    match cfg {
-        Some(cfg) => run_team::<T, true>(ctx, ws, cfg, alpha, a, b, beta, c).finish(),
-        None => {
-            run_team::<T, false>(ctx, ws, &FtConfig::default(), alpha, a, b, beta, c);
-            Ok(FtReport::default())
-        }
-    }
-}
-
-/// Parallel fault-tolerant GEMM reusing a caller-held [`Workspace`].
+/// Parallel fault-tolerant GEMM reusing a caller-held [`Workspace`]:
+/// [`execute`](crate::execute) on `ctx`'s pool under `Some(cfg)`, without
+/// growing `ws`.
 ///
 /// The hot path performs no heap allocation: every shared vector, reduction
 /// lane, and per-thread packed buffer lives in `ws` (the base snapshot of
-/// [`Recovery::RetryPanel`](ftgemm_abft::Recovery::RetryPanel) at
+/// [`Recovery::RetryPanel`](crate::Recovery::RetryPanel) at
 /// `beta != 0` is grown on the first such call and kept). Callers that
 /// replay one problem shape build the workspace once
 /// ([`Workspace::for_problem`]) and amortize it across calls.
@@ -130,20 +69,13 @@ pub fn par_ft_gemm_with_ws<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> FtResult<FtReport> {
-    let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
-        return Ok(FtReport::default());
-    };
-    assert!(
-        ws.fits(ctx, [m, n, k], true),
-        "workspace too small for {m}x{n}x{k} on {} threads",
-        ctx.nthreads()
-    );
-    run_team::<T, true>(ctx, ws, cfg, alpha, a, b, beta, c).finish()
+    execute_call(Some(ctx), ws, Some(cfg), None, false, alpha, a, b, beta, c)
 }
 
 /// Parallel plain `C = alpha*A*B + beta*C` — the paper's threaded baseline
 /// ("FT-GEMM: Ori", parallel curves of Fig. 2b) — on a caller-held
-/// [`Workspace`] (only the packed `B~` and per-thread `A~` slots are
+/// [`Workspace`]: [`execute`](crate::execute) on `ctx`'s pool under `None`,
+/// without growing `ws` (only the packed `B~` and per-thread `A~` slots are
 /// touched); the hot path performs no heap allocation.
 ///
 /// # Panics
@@ -158,23 +90,18 @@ pub fn par_gemm_with_ws<T: Scalar>(
     beta: T,
     c: &mut MatMut<'_, T>,
 ) -> ftgemm_core::Result<()> {
-    let Some((m, n, k)) = prologue(&ctx.params, alpha, a, b, beta, c)? else {
-        return Ok(());
-    };
-    assert!(
-        ws.fits(ctx, [m, n, k], false),
-        "workspace too small for {m}x{n}x{k} on {} threads",
-        ctx.nthreads()
-    );
-    run_team::<T, false>(ctx, ws, &FtConfig::default(), alpha, a, b, beta, c);
-    Ok(())
+    match execute_call(Some(ctx), ws, None, None, false, alpha, a, b, beta, c) {
+        Ok(_) => Ok(()),
+        Err(FtError::Core(e)) => Err(e),
+        Err(e) => unreachable!("a plain call fails in its prologue only: {e}"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftgemm_abft::faults::{ErrorModel, FaultInjector, Rate};
-    use ftgemm_abft::FtError;
+    use crate::faults::{ErrorModel, FaultInjector, Rate};
+    use crate::{execute, FtError};
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::{IsaLevel, Matrix};
 
@@ -185,8 +112,8 @@ mod tests {
         let b = Matrix::<f64>::random(k, n, 92);
         let mut c = Matrix::<f64>::random(m, n, 93);
         let mut c_ref = c.clone();
-        let rep = run_parallel(
-            &ctx,
+        let rep = execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             alpha,
@@ -225,8 +152,8 @@ mod tests {
         let b = Matrix::<f64>::random(70, 60, 2);
         let mut c = Matrix::<f64>::random(90, 60, 3);
         let mut c_ref = c.clone();
-        let rep = run_parallel(
-            &ctx,
+        let rep = execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             1.0,
@@ -254,8 +181,8 @@ mod tests {
             let mut c = c_ref.clone();
             c.as_mut_slice().fill(0.5);
             let mut want = c.clone();
-            let rep = run_parallel(
-                &ctx,
+            let rep = execute(
+                Some(&ctx),
                 &mut Workspace::new(),
                 Some(&cfg),
                 1.0,
@@ -281,8 +208,8 @@ mod tests {
         let b = Matrix::<f64>::random(96, 112, 5);
         let mut c = Matrix::<f64>::zeros(128, 112);
         let mut c_ref = Matrix::<f64>::zeros(128, 112);
-        let rep = run_parallel(
-            &ctx,
+        let rep = execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             1.0,
@@ -317,8 +244,8 @@ mod tests {
         let b = Matrix::<f64>::random(90, 100, 7);
         let mut c = Matrix::<f64>::zeros(150, 100);
         let mut c_ref = Matrix::<f64>::zeros(150, 100);
-        let rep = run_parallel(
-            &ctx,
+        let rep = execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             1.0,
@@ -349,8 +276,8 @@ mod tests {
         let mut c = Matrix::<f64>::zeros(150, 100);
         let mut c_ref = Matrix::<f64>::zeros(150, 100);
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c_ref.as_mut());
-        match run_parallel(
-            &ctx,
+        match execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             1.0,
@@ -381,8 +308,8 @@ mod tests {
         let b = Matrix::<f32>::random(48, 56, 9);
         let mut c = Matrix::<f32>::zeros(64, 56);
         let mut c_ref = Matrix::<f32>::zeros(64, 56);
-        let rep = run_parallel(
-            &ctx,
+        let rep = execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             1.0f32,
@@ -422,8 +349,8 @@ mod tests {
                 &mut c.as_mut(),
             )
             .unwrap();
-            run_parallel(
-                &ctx,
+            execute(
+                Some(&ctx),
                 &mut Workspace::new(),
                 Some(&cfg),
                 1.0,
@@ -448,8 +375,8 @@ mod tests {
             let b = Matrix::<f64>::random(s, s, s as u64 + 1);
             let mut c = Matrix::<f64>::zeros(s, s);
             let mut c_ref = Matrix::<f64>::zeros(s, s);
-            run_parallel(
-                &ctx,
+            execute(
+                Some(&ctx),
                 &mut Workspace::new(),
                 Some(&cfg),
                 1.0,
@@ -471,8 +398,8 @@ mod tests {
         let a = Matrix::<f64>::zeros(2, 0);
         let b = Matrix::<f64>::zeros(0, 2);
         let mut c = Matrix::<f64>::filled(2, 2, 8.0);
-        run_parallel(
-            &ctx,
+        execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&cfg),
             1.0,

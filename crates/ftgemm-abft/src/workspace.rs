@@ -5,12 +5,12 @@
 //! the GotoBLAS packing discipline, with the buffers kept apart from the
 //! kernel and blocking that run in them. A [`Workspace`] is that state as a
 //! value the caller owns, for a team of any size up to the `A~` slots it
-//! holds: a serial entry ([`run_serial`](crate::run_serial)) runs on it as a
-//! team of one, with its own [`kernel`](Workspace::kernel) and
-//! [`params`](Workspace::params), and a pool entry
-//! (`ftgemm_parallel::run_parallel`) as a team of the pool's size, with the
-//! pool context's. A batch (`ftgemm_parallel::BatchWorkspace`) holds one per
-//! pool thread.
+//! holds: [`execute`](crate::execute) without a pool context runs on it as
+//! a team of one, with its own [`kernel`](Workspace::kernel) and
+//! [`params`](Workspace::params), and with one as a team of the pool's
+//! size, with the pool context's. A batch
+//! ([`BatchWorkspace`](crate::parallel::BatchWorkspace)) holds one per pool
+//! thread.
 //!
 //! Every buffer follows the largest problem served, never the blocking
 //! alone: `B~` holds one `kc x nc` panel and an `A~` slot one `mc x kc`
@@ -25,7 +25,7 @@
 //! the packed buffers are allocated unzeroed (`AlignedVec::for_overwrite`).
 //!
 //! A workspace also counts the protected calls it has served, and a call's
-//! injection streams derive from that count ([`Workspace::job`]): a fault
+//! injection streams derive from that count (`Workspace::job`): a fault
 //! pattern replays on a fresh workspace, serial or pool, whatever else the
 //! process ran.
 
@@ -223,7 +223,7 @@ impl<T: Scalar> Workspace<T> {
     /// draws its injection sites from stream `id ^ tid << 32`.
     ///
     /// [`Buffers::call`]: crate::nest::Buffers::call
-    pub fn job<'a, const PROTECT: bool>(
+    pub(crate) fn job<'a, const PROTECT: bool>(
         &'a mut self,
         kernel: Kernel<T>,
         params: BlockingParams,
@@ -259,7 +259,7 @@ mod tests {
     use crate::faults::{ErrorModel, FaultInjector, Rate};
     use crate::nest::tests::as_team;
     use crate::nest::{nest, prologue, Team};
-    use crate::{ft_gemm_with_ctx, run_serial, FtReport, FtResult, Recovery};
+    use crate::{execute, ft_gemm_with_ctx, FtReport, FtResult, Recovery};
     use ftgemm_core::Matrix;
 
     /// A team of `nthreads` with the detected kernel and blocking.
@@ -270,8 +270,8 @@ mod tests {
         }
     }
 
-    /// `C = A * B` on `ws`: `run_serial` on a team of one, and what
-    /// `run_parallel` does on a pool — grow, view, every member runs the
+    /// `C = A * B` on `ws`: `execute` on a team of one, and what it does
+    /// on a pool — grow, view, every member runs the
     /// nest — on a team of `nthreads` scoped threads, with `ws`'s kernel and
     /// blocking.
     fn run(
@@ -284,7 +284,7 @@ mod tests {
         let mut c = Matrix::<f64>::zeros(a.nrows(), b.ncols());
         let (a, b, c_view) = (a.as_ref(), b.as_ref(), &mut c.as_mut());
         if nthreads == 1 {
-            let res = run_serial(ws, cfg, None, 1.0, &a, &b, 0.0, c_view);
+            let res = execute(None, ws, cfg, 1.0, &a, &b, 0.0, c_view);
             return (c, res.unwrap());
         }
         let (m, n, k) = prologue(&ws.params, 1.0, &a, &b, 0.0, c_view)

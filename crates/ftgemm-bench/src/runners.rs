@@ -6,10 +6,10 @@
 //! partially fused, injected) through [`GemmRunner::ft_serial`] and
 //! [`GemmRunner::par`].
 
-use ftgemm::abft::{ft_gemm_with_ctx, gemm, FtConfig, FtError, FtPolicy, Workspace};
+use ftgemm::abft::{execute, ft_gemm_with_ctx, gemm, FtConfig, FtError, FtPolicy, Workspace};
 use ftgemm::baselines::{ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm::core::{MatMut, MatRef};
-use ftgemm::parallel::{run_parallel, ParGemmContext};
+use ftgemm::parallel::ParGemmContext;
 
 /// Which implementation a runner wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +101,7 @@ impl GemmRunner {
             }
             GemmRunner::RefPar(_, g) => g.run(1.0, a, b, beta, c).expect("gemm failed"),
             GemmRunner::Par(ctx, ws, cfg) => {
-                match run_parallel(ctx, ws, cfg.as_ref(), 1.0, a, b, beta, c) {
+                match execute(Some(ctx), ws, cfg.as_ref(), 1.0, a, b, beta, c) {
                     Ok(_) => {}
                     Err(FtError::Unrecoverable { .. }) => {}
                     Err(e) => panic!("parallel gemm failed: {e}"),

@@ -129,12 +129,24 @@ pub struct OperandStore {
 
 /// Row and column sums of `m` in a fixed deterministic order — recomputed
 /// identically at scrub time, so clean data compares bit-for-bit.
+///
+/// One stride-1 pass over the column-major data: each element is added to
+/// its column's sum (top to bottom) and to its row's sum (left to right),
+/// so both come out as a sequential `sum()` along the row or column would
+/// leave them. They start from `-0.0`, where `Iterator::sum` over floats
+/// starts.
 fn checksums(m: &Matrix<f64>) -> (Vec<f64>, Vec<f64>) {
-    let row_sums: Vec<f64> = (0..m.nrows())
-        .map(|i| (0..m.ncols()).map(|j| m.get(i, j)).sum())
-        .collect();
-    let col_sums: Vec<f64> = (0..m.ncols())
-        .map(|j| (0..m.nrows()).map(|i| m.get(i, j)).sum())
+    let view = m.as_ref();
+    let mut row_sums = vec![-0.0; m.nrows()];
+    let col_sums = (0..m.ncols())
+        .map(|j| {
+            let mut col_sum = -0.0;
+            for (row_sum, &x) in row_sums.iter_mut().zip(view.col(j)) {
+                *row_sum += x;
+                col_sum += x;
+            }
+            col_sum
+        })
         .collect();
     (row_sums, col_sums)
 }
@@ -430,6 +442,20 @@ mod tests {
 
     fn mat(n: usize) -> Matrix<f64> {
         Matrix::filled(n, n, 1.0)
+    }
+
+    #[test]
+    fn one_pass_sums_match_sequential_row_and_column_sums() {
+        let m = Matrix::<f64>::random(37, 53, 11);
+        let (rows, cols) = checksums(&m);
+        let want_rows: Vec<f64> = (0..m.nrows())
+            .map(|i| (0..m.ncols()).map(|j| m.get(i, j)).sum())
+            .collect();
+        let want_cols: Vec<f64> = (0..m.ncols())
+            .map(|j| (0..m.nrows()).map(|i| m.get(i, j)).sum())
+            .collect();
+        assert!(bits_eq(&rows, &want_rows), "row sums");
+        assert!(bits_eq(&cols, &want_cols), "column sums");
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!                                        │
 //!                      small (≤ cutoff)  │  large (> cutoff)
 //!                 ┌─────────────────────┐│┌──────────────────────┐
-//!                 │ coalesce ≤ max_batch│││ run_parallel         │
+//!                 │ coalesce ≤ max_batch│││ execute on the pool  │
 //!                 │ par_batch_ft_gemm_  │││ (matrix-parallel on  │
-//!                 │ timed (batch-       │││  a workspace built   │
-//!                 │  parallel, per-     │││  per request)        │
+//!                 │ timed (batch-       │││  the service's one   │
+//!                 │  parallel, per-     │││  workspace)          │
 //!                 │  thread reused      ││└──────────────────────┘
 //!                 │  packed workspaces) ││
 //!                 └─────────────────────┘│   one persistent pool
@@ -35,10 +35,11 @@
 //!
 //! * **Batching.** Small GEMMs cannot amortize a parallel region each; the
 //!   scheduler coalesces up to `max_batch` of them and distributes the
-//!   *batch* across the pool ([`ftgemm_parallel::par_batch_ft_gemm_timed`]),
-//!   each item running the serial execute path in that pool thread's
+//!   *batch* across the pool
+//!   ([`ftgemm_abft::parallel::par_batch_ft_gemm_timed`]), each item
+//!   running the serial execute path in that pool thread's
 //!   reused [`ftgemm_abft::Workspace`]. Large GEMMs run
-//!   [`ftgemm_parallel::run_parallel`] on the service's one workspace, grown to
+//!   [`ftgemm_abft::execute`] on the service's one workspace, grown to
 //!   the largest request served. Coalesced batches run before the
 //!   sweep's large requests so a small request never queues behind a long
 //!   matrix-parallel run it arrived with.
@@ -76,7 +77,7 @@
 //!   depth, batch occupancy, per-surface submission counts, live async
 //!   futures, per-thread batch busy time (occupancy imbalance),
 //!   corrected-error counters, and worker-pool activity
-//!   ([`ftgemm_parallel::pool::PoolStats`]). Setting
+//!   ([`ftgemm_abft::parallel::pool::PoolStats`]). Setting
 //!   [`ServiceConfig::obs_addr`] additionally serves the same numbers as
 //!   Prometheus text exposition at `GET /metrics` (a render of the
 //!   service's one [`ftgemm_obs::Registry`], whose cells the snapshot

@@ -12,14 +12,12 @@ use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{Route, RoutePath, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::stream::{completion_channel, CompletionSink};
-use ftgemm_abft::{FtReport, FtResult, Workspace};
+use ftgemm_abft::parallel::{par_batch_ft_gemm_timed, BatchItem, BatchWorkspace, ParGemmContext};
+use ftgemm_abft::{execute, FtReport, FtResult, Workspace};
 use ftgemm_core::{aligned, Scalar};
 use ftgemm_obs::{
     Counter, Exposition, Histogram, MetricKind, ObsRoutes, ObsServer, Registry, TraceEvent,
     TracePath, Tracelog,
-};
-use ftgemm_parallel::{
-    par_batch_ft_gemm_timed, run_parallel, BatchItem, BatchWorkspace, ParGemmContext,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,7 +42,7 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// The batched-vs-matrix-parallel boundary: requests with at most the
     /// cutoff's multiply-adds (`2*m*n*k`) take the batched path, larger
-    /// ones run matrix-parallel via `run_parallel`. Fixed for the service's
+    /// ones run matrix-parallel via `execute`. Fixed for the service's
     /// life; the default is [`DEFAULT_SMALL_FLOPS_CUTOFF`].
     pub routing: RoutingPolicy,
     /// Submission-queue depth bound (`0` =
@@ -615,7 +613,7 @@ struct Compute<'a, T: Scalar> {
     /// The matrix-parallel path: one workspace, the pool as its team — the
     /// shared `B~`, per-thread `A~` and checksum state (paper §2.3:
     /// requested once, reused). Built by the first large request — a service
-    /// that never sees one holds nothing — and grown by `run_parallel` to
+    /// that never sees one holds nothing — and grown by `execute` to
     /// the largest shape served.
     large: Option<Workspace<T>>,
 }
@@ -747,8 +745,8 @@ fn run_large<T: Scalar>(inner: &Inner<T>, compute: &mut Compute<'_, T>, mut env:
     let started = Instant::now();
     let ctx = compute.ctx;
     let ws = compute.large.get_or_insert_with(Workspace::new);
-    let result = run_parallel(
-        ctx,
+    let result = execute(
+        Some(ctx),
         ws,
         cfg.as_ref(),
         req.alpha,

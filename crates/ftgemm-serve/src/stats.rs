@@ -10,10 +10,10 @@
 // Concurrency contract (checked by `scripts/orderings.sh`):
 // snapshot counters only — Relaxed, never a synchronization point.
 
+use ftgemm_abft::parallel::pool::PoolStats;
+use ftgemm_abft::parallel::BatchTiming;
 use ftgemm_abft::FtReport;
 use ftgemm_obs::{Counter, Gauge, MetricKind, Registry};
-use ftgemm_parallel::pool::PoolStats;
-use ftgemm_parallel::BatchTiming;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -33,10 +33,10 @@ crates/ftgemm-serve/src/stats.rs
 # Publication cells: file, then the cells it publishes through.
 cells='
 crates/ftgemm-abft/src/nest.rs decision
+crates/ftgemm-abft/src/parallel/pool/barrier.rs epoch
+crates/ftgemm-abft/src/parallel/pool.rs generation
 crates/ftgemm-core/src/matrix.rs filled
 crates/ftgemm-obs/src/accept.rs stop
-crates/ftgemm-parallel/src/pool/barrier.rs epoch
-crates/ftgemm-parallel/src/pool.rs generation
 crates/ftgemm-serve/src/exec.rs notified
 crates/ftgemm-serve/src/queue.rs closed depth pending_flops
 crates/ftgemm-serve/src/service.rs abort

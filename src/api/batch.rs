@@ -1,14 +1,15 @@
 //! [`GemmBatch`]: the batched driver under the unified API roof.
 
-use ftgemm_abft::{FtReport, FtResult};
-use ftgemm_core::Scalar;
-use ftgemm_parallel::{
+use ftgemm_abft::parallel::{
     par_batch_ft_gemm_timed, BatchItem, BatchTiming, BatchWorkspace, ParGemmContext,
 };
+use ftgemm_abft::{FtReport, FtResult};
+use ftgemm_core::Scalar;
 
 /// A reusable batched-GEMM executor: many small problems distributed over
 /// one parallel region, each item running the serial execute path
-/// ([`run_serial`](ftgemm_abft::run_serial)) on whichever thread takes it,
+/// ([`execute`](ftgemm_abft::execute) on a team of one) on whichever
+/// thread takes it,
 /// in that thread's persistent [`Workspace`](ftgemm_abft::Workspace). A
 /// protected item's fault pattern follows its rank among the protected
 /// items this executor has run, not the thread, so a batch replays on a

@@ -1,10 +1,10 @@
 //! [`Exec`] targets and the reusable [`GemmPlan`].
 
 use crate::api::op::GemmOp;
-use ftgemm_abft::{run_serial, FtConfig, FtError, FtReport, FtResult, Setup, Workspace};
+use ftgemm_abft::parallel::pool::ThreadPool;
+use ftgemm_abft::parallel::ParGemmContext;
+use ftgemm_abft::{execute, FtConfig, FtError, FtReport, FtResult, Setup, Workspace};
 use ftgemm_core::{CoreError, IsaLevel, MatMut, MatRef, Scalar};
-use ftgemm_parallel::pool::ThreadPool;
-use ftgemm_parallel::{run_parallel, ParGemmContext};
 use ftgemm_serve::DEFAULT_SMALL_FLOPS_CUTOFF;
 use std::sync::{Arc, OnceLock};
 
@@ -151,10 +151,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
         }
         let cfg = self.cfg.as_ref();
         let (alpha, beta, ws) = (self.alpha, self.beta, &mut self.ws);
-        match &self.pool {
-            None => run_serial(ws, cfg, None, alpha, a, b, beta, c),
-            Some(ctx) => run_parallel(ctx, ws, cfg, alpha, a, b, beta, c),
-        }
+        execute(self.pool.as_ref(), ws, cfg, alpha, a, b, beta, c)
     }
 
     /// Problem dimensions `(m, n, k)` the plan is bound to.

@@ -25,9 +25,9 @@
 //! (`ftgemm_abft::FtConfig::unfused()`), which is what `ftgemm-bench`'s
 //! `paper` sweep runs.
 
-use ftgemm_abft::{gemm, FtResult, Workspace};
+use ftgemm_abft::parallel::ParGemmContext;
+use ftgemm_abft::{execute, gemm, FtResult, Workspace};
 use ftgemm_core::{IsaLevel, MatMut, MatRef, Scalar};
-use ftgemm_parallel::{run_parallel, ParGemmContext};
 
 pub use ftgemm_core::reference::{BlockedGemm, NaiveGemm};
 
@@ -144,7 +144,7 @@ impl<T: Scalar> ReferenceParGemm<T> {
         beta: T,
         c: &mut MatMut<'_, T>,
     ) -> FtResult<()> {
-        run_parallel(&self.ctx, &mut self.ws, None, alpha, a, b, beta, c).map(drop)
+        execute(Some(&self.ctx), &mut self.ws, None, alpha, a, b, beta, c).map(drop)
     }
 }
 

@@ -35,13 +35,12 @@
 //! assert_eq!(report.detected, 0);
 //! ```
 //!
-//! Underneath, a plan holds one [`Workspace`] and runs one of two execute
-//! paths on it: [`abft::run_serial`] (a team of one) or
-//! [`parallel::run_parallel`] (a team of the pool's size) — the same two
-//! functions [`GemmBatch`] items and [`GemmService`] dispatchers call, on
-//! the same workspace type — and under both, one loop nest
-//! ([`abft::nest`]), so `DetectCorrect` rolls back and recomputes on every
-//! path. [`gemm`](fn@gemm) is that nest's unprotected serial entry, on a
+//! Underneath, a plan holds one [`Workspace`] and runs the one execute
+//! path on it, [`abft::execute`], as a team of one or as a team of the
+//! pool's size — the same function [`GemmBatch`] items and
+//! [`GemmService`] dispatchers call, on the same workspace type — and under
+//! it one loop nest ([`abft::nest`]), so `DetectCorrect` rolls back and
+//! recomputes on every path. [`gemm`](fn@gemm) is that nest's unprotected serial entry, on a
 //! [`Workspace`] too: every packing buffer has that one owner.
 //!
 //! ## Serving many requests
@@ -67,11 +66,11 @@
 
 pub use ftgemm_abft as abft;
 pub use ftgemm_abft::faults;
+pub use ftgemm_abft::parallel;
+pub use ftgemm_abft::parallel::pool;
 pub use ftgemm_core as core;
 pub use ftgemm_net as net;
 pub use ftgemm_obs as obs;
-pub use ftgemm_parallel as parallel;
-pub use ftgemm_parallel::pool;
 pub use ftgemm_serve as serve;
 
 pub mod api;
@@ -79,10 +78,10 @@ pub mod baselines;
 
 pub use api::{AsMatRef, Exec, GemmBatch, GemmOp, GemmPlan};
 pub use ftgemm_abft::faults::FaultInjector;
+pub use ftgemm_abft::parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_abft::{gemm, FtConfig, FtPolicy, FtReport, FtResult, GemmContext, Workspace};
 pub use ftgemm_core::{MatMut, MatRef, Matrix};
 pub use ftgemm_net::{NetClient, NetServer, NetServerConfig, NetSubmit};
-pub use ftgemm_parallel::{BatchItem, BatchWorkspace, ParFtWorkspace, ParGemmContext};
 pub use ftgemm_serve::{
     GemmRequest, GemmResponse, GemmService, RoutePath, RoutingPolicy, ServiceConfig,
 };

@@ -4,11 +4,13 @@
 //! across owners and calls; and `beta == 0`'s store mode on every entry of
 //! the loop nest.
 
-use ftgemm::abft::{ft_gemm_with_ctx, FtConfig, FtError, FtReport, FtResult, Recovery, Workspace};
+use ftgemm::abft::{
+    execute, ft_gemm_with_ctx, FtConfig, FtError, FtReport, FtResult, Recovery, Workspace,
+};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{BlockingParams, Matrix, Scalar};
 use ftgemm::faults::{Campaign, CampaignOutcome, ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, run_parallel, ParGemmContext};
+use ftgemm::parallel::{par_ft_gemm_with_ws, par_gemm_with_ws, ParGemmContext};
 use std::time::Duration;
 
 fn clean_reference(m: usize, n: usize, k: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
@@ -71,7 +73,7 @@ fn serial<T: Scalar>(
     )
 }
 
-/// The same through `run_parallel` on a fresh workspace on `ctx`'s pool.
+/// The same through `execute` on a fresh workspace on `ctx`'s pool.
 fn pool<T: Scalar>(
     ctx: &ParGemmContext<T>,
     cfg: &FtConfig,
@@ -82,7 +84,16 @@ fn pool<T: Scalar>(
     c: &mut Matrix<T>,
 ) -> FtResult<FtReport> {
     let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut Workspace::new());
-    run_parallel(ctx, ws, Some(cfg), alpha, &a, &b, beta, &mut c.as_mut())
+    execute(
+        Some(ctx),
+        ws,
+        Some(cfg),
+        alpha,
+        &a,
+        &b,
+        beta,
+        &mut c.as_mut(),
+    )
 }
 
 /// `C`'s bits: equal even where `C` holds a NaN.
@@ -173,20 +184,21 @@ fn ft_without_errors_is_bit_identical_to_plain() {
 }
 
 #[test]
-fn wall_clock_rate_campaign_validates() {
-    // The paper's reliability claim in miniature: sustained injection at a
-    // wall-clock rate, every iteration validated.
+fn seeded_rate_campaign_validates() {
+    // The paper's reliability claim in miniature: sustained injection, every
+    // iteration validated. A seeded count per call over a fixed number of
+    // runs on one workspace, whose call count gives each run its own
+    // pattern: the whole campaign replays.
     let (m, n, k) = (96, 96, 64);
     let (a, b, truth) = clean_reference(m, n, k);
-    let inj = FaultInjector::new(
-        7,
-        ErrorModel::Additive { magnitude: 1e6 },
-        Rate::PerSecond(500.0),
-    );
-    let campaign = Campaign::new(Duration::from_millis(400), inj);
+    let inj = FaultInjector::new(7, ErrorModel::Additive { magnitude: 1e6 }, Rate::Count(4));
+    let campaign = Campaign {
+        max_runs: 100,
+        ..Campaign::new(Duration::from_secs(600), inj)
+    };
+    let mut ctx = small_block_ctx();
     let report = campaign.run(|inj| {
         let cfg = FtConfig::with_injector(inj.clone());
-        let mut ctx = small_block_ctx();
         let mut c = Matrix::<f64>::zeros(m, n);
         match serial(&mut ctx, &cfg, 1.0, &a, &b, 0.0, &mut c) {
             Ok(_) => {
@@ -199,9 +211,9 @@ fn wall_clock_rate_campaign_validates() {
             Err(_) => CampaignOutcome::Skipped, // flagged, not silent
         }
     });
-    assert!(report.runs > 0);
+    assert_eq!(report.runs, campaign.max_runs, "{report:?}");
     assert_eq!(report.mismatches, 0, "{report:?}");
-    assert!(report.injected > 0, "{report:?}");
+    assert!(report.injected >= 200, "{report:?}");
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! agrees with the naive oracle over a grid of shapes, scalars, and ISA
 //! tiers, including through the public facade.
 
-use ftgemm::abft::{ft_gemm_with_ctx, gemm, Workspace};
+use ftgemm::abft::{execute, ft_gemm_with_ctx, gemm, Workspace};
 use ftgemm::baselines::{BlockedGemm, NaiveGemm, ReferenceGemm, ReferenceParGemm, Tier};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::{IsaLevel, Matrix};
-use ftgemm::parallel::{run_parallel, ParGemmContext};
+use ftgemm::parallel::ParGemmContext;
 use ftgemm::FtConfig;
 
 const SHAPES: &[(usize, usize, usize)] = &[
@@ -88,8 +88,8 @@ fn parallel_gemm_grid() {
         for &(m, n, k) in SHAPES {
             let (a, b, (c0, c_exp)) = oracle(m, n, k, 1.0, 1.0);
             let mut c = c0.clone();
-            run_parallel(
-                &ctx,
+            execute(
+                Some(&ctx),
                 &mut Workspace::new(),
                 None,
                 1.0,
@@ -113,8 +113,8 @@ fn parallel_ft_gemm_grid() {
     for &(m, n, k) in SHAPES {
         let (a, b, (c0, c_exp)) = oracle(m, n, k, 1.0, 1.0);
         let mut c = c0.clone();
-        let rep = run_parallel(
-            &ctx,
+        let rep = execute(
+            Some(&ctx),
             &mut Workspace::new(),
             Some(&FtConfig::default()),
             1.0,
@@ -208,8 +208,8 @@ fn serial_and_parallel_bitwise_consistent_structure() {
     )
     .unwrap();
     let par = ParGemmContext::<f64>::with_threads(6);
-    run_parallel(
-        &par,
+    execute(
+        Some(&par),
         &mut Workspace::new(),
         None,
         1.0,

@@ -6,10 +6,10 @@
 //! pattern past the budget, or under `ReportOnly`, is fail-stop. A batch's
 //! pattern replays too, on a fresh batch of any pool size.
 
-use ftgemm::abft::{FtConfig, FtError, FtPolicy, FtReport, Recovery};
+use ftgemm::abft::{execute, FtConfig, FtError, FtPolicy, FtReport, Recovery};
 use ftgemm::core::{BlockingParams, Matrix};
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{run_parallel, BatchItem, ParGemmContext};
+use ftgemm::parallel::{BatchItem, ParGemmContext};
 use ftgemm::{GemmBatch, Workspace};
 
 /// A pool context with tiny blocks (`mc = 2 mr`, `nc = 4 nr`, `kc = 16`) and
@@ -59,7 +59,7 @@ fn runner(
     move |cfg, beta| {
         let mut c = c0.clone();
         let (a, b, ws) = (a.as_ref(), b.as_ref(), &mut Workspace::new());
-        let res = run_parallel(ctx, ws, Some(cfg), 1.0, &a, &b, beta, &mut c.as_mut());
+        let res = execute(Some(ctx), ws, Some(cfg), 1.0, &a, &b, beta, &mut c.as_mut());
         (c.as_slice().iter().map(|v| v.to_bits()).collect(), res)
     }
 }

@@ -3,11 +3,11 @@
 //! and fault-injection campaigns must preserve correctness.
 
 use ftgemm::abft::nest::Shared;
-use ftgemm::abft::FtConfig;
+use ftgemm::abft::{execute, FtConfig};
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::core::Matrix;
 use ftgemm::faults::{ErrorModel, FaultInjector, Rate};
-use ftgemm::parallel::{run_parallel, ParGemmContext};
+use ftgemm::parallel::ParGemmContext;
 use ftgemm::pool::ThreadPool;
 use ftgemm::Workspace;
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ proptest! {
         let b = Matrix::<f64>::random(k, n, seed + 1);
         let mut c = Matrix::<f64>::random(m, n, seed + 2);
         let mut c_ref = c.clone();
-        run_parallel(&ctx, &mut Workspace::new(), None, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
+        execute(Some(&ctx), &mut Workspace::new(), None, 1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c.as_mut()).unwrap();
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c_ref.as_mut());
         prop_assert!(c.rel_max_diff(&c_ref) < 1e-10);
     }
@@ -48,7 +48,7 @@ proptest! {
         let inj = FaultInjector::new(seed, ErrorModel::Additive { magnitude: 1e6 }, Rate::Count(errors));
         let cfg = FtConfig::with_injector(inj);
         let mut c = Matrix::<f64>::zeros(m, n);
-        match run_parallel(&ctx, &mut Workspace::new(), Some(&cfg), 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()) {
+        match execute(Some(&ctx), &mut Workspace::new(), Some(&cfg), 1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut c.as_mut()) {
             Ok(rep) => {
                 prop_assert!(
                     truth.rel_max_diff(&c) < 1e-9,
