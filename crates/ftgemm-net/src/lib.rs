@@ -1,7 +1,7 @@
 //! TCP wire frontend for the FT-GEMM service: "serving" over a socket.
 //!
 //! The rest of the workspace is a deep in-process serving stack —
-//! [`GemmService`](ftgemm_serve::GemmService) with async submission,
+//! [`GemmService`](ftgemm_serve::GemmService) with completion-channel submission,
 //! batching, deadlines, and a `/metrics` endpoint. This crate puts that stack
 //! on the network: [`NetServer`] accepts TCP connections speaking a
 //! small, versioned, length-prefixed binary protocol (no external

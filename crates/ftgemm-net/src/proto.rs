@@ -78,8 +78,9 @@ pub mod error_code {
     pub const FT: u16 = 2;
     /// `ServeError::Closed` — the service is shutting down.
     pub const CLOSED: u16 = 3;
-    /// `ServeError::Overloaded` — submission queue at capacity.
-    pub const OVERLOADED: u16 = 4;
+    // 4 is retired: it was `OVERLOADED`, the bounded submission queue's
+    // rejection, and that queue is gone. Never reuse it — a client built
+    // against it reads 4 as "shed load and retry".
     /// `ServeError::DeadlineExceeded` — infeasible or expired deadline.
     pub const DEADLINE_EXCEEDED: u16 = 5;
 
@@ -320,11 +321,10 @@ mod tests {
         ("GOODBYE", 14),
         ("ERROR", 15),
     ];
-    const ERROR_CODES: [(&str, u16); 15] = [
+    const ERROR_CODES: [(&str, u16); 14] = [
         ("SHAPE", 1),
         ("FT", 2),
         ("CLOSED", 3),
-        ("OVERLOADED", 4),
         ("DEADLINE_EXCEEDED", 5),
         ("UNSUPPORTED_VERSION", 100),
         ("MALFORMED_FRAME", 101),
@@ -382,7 +382,6 @@ mod tests {
             ServeError::Shape(String::new()),
             ServeError::Ft(ft),
             ServeError::Closed,
-            ServeError::Overloaded,
             ServeError::DeadlineExceeded(String::new()),
         ];
         let serve: Vec<(String, u16)> = variants
@@ -393,7 +392,6 @@ mod tests {
                     ServeError::Shape(_) => "Shape",
                     ServeError::Ft(_) => "Ft",
                     ServeError::Closed => "Closed",
-                    ServeError::Overloaded => "Overloaded",
                     ServeError::DeadlineExceeded(_) => "DeadlineExceeded",
                 };
                 (normalize(name), e.wire_code())

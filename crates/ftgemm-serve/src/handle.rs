@@ -1,33 +1,18 @@
-//! The caller-side handles: blocking and async.
+//! The caller-side handle of [`GemmService::submit`](crate::GemmService::submit).
 //!
-//! `submit` and `submit_async` each give their request a completion channel
-//! of its own (see [`completion_channel`](crate::completion_channel)), the
-//! one rendezvous every admitted request completes into; a handle is that
-//! channel's consumer end with the request's id:
-//!
-//! * [`RequestHandle`] — synchronous: `wait` parks the calling thread in
-//!   [`Completions::recv`]; `try_wait`/`wait_timeout` poll or bound the park.
-//! * [`AsyncRequestHandle`] — a [`Future`]: `poll` is
-//!   [`Completions::poll_next`], which stores the task's
-//!   [`Waker`](std::task::Waker) for the delivery to fire, so no thread is
-//!   parked per in-flight request.
+//! `submit` gives its request a completion channel of its own (see
+//! [`completion_channel`](crate::completion_channel)), the one rendezvous
+//! every admitted request completes into; a [`RequestHandle`] is that
+//! channel's consumer end with the request's id: `wait` parks the calling
+//! thread in [`Completions::recv`], and `try_wait`/`wait_timeout` poll or
+//! bound the park. To await a request from a task instead, submit it with
+//! [`submit_streamed`](crate::GemmService::submit_streamed) into a channel
+//! of your own and await [`Completions::next`].
 
 use crate::request::{GemmResponse, ServeError};
-use crate::stream::{Completion, Completions};
+use crate::stream::Completions;
 use ftgemm_core::Scalar;
-use ftgemm_obs::Gauge;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::time::Duration;
-
-/// A one-request channel's completion as that request's result. A handle's
-/// request stays in flight until delivered, so the channel cannot end
-/// empty; if it did, the request is reported closed.
-fn result_of<T: Scalar>(completion: Option<Completion<T>>) -> Result<GemmResponse<T>, ServeError> {
-    completion.map_or(Err(ServeError::Closed), |c| c.result)
-}
 
 /// Handle returned by [`GemmService::submit`](crate::GemmService::submit);
 /// redeem it with [`wait`](RequestHandle::wait) for the result.
@@ -51,9 +36,11 @@ impl<T: Scalar> RequestHandle<T> {
         self.id
     }
 
-    /// Blocks until the request completes and returns its result.
+    /// Blocks until the request completes and returns its result. The
+    /// request stays in flight until delivered, so its channel cannot end
+    /// empty; if it did, the request is reported closed.
     pub fn wait(mut self) -> Result<GemmResponse<T>, ServeError> {
-        result_of(self.rx.recv())
+        self.rx.recv().map_or(Err(ServeError::Closed), |c| c.result)
     }
 
     /// Non-blocking probe: the result if the request already completed.
@@ -81,97 +68,12 @@ impl<T: Scalar> std::fmt::Debug for RequestHandle<T> {
     }
 }
 
-/// Handle returned by
-/// [`GemmService::submit_async`](crate::GemmService::submit_async): a
-/// [`Future`] resolving to the request's result without parking any thread.
-///
-/// The future is executor-agnostic — `poll` stores the task's
-/// [`Waker`](std::task::Waker) in the request's completion channel and the
-/// delivery fires it, so it runs under any executor (including a
-/// hand-rolled `block_on`; see `examples/async_serving.rs`). It resolves
-/// exactly once; polling after completion panics, like most one-shot
-/// futures. Dropping it mid-flight is
-/// allowed — the request still runs, the response is discarded, and the
-/// service's in-flight gauge is released.
-pub struct AsyncRequestHandle<T: Scalar> {
-    rx: Completions<T>,
-    id: u64,
-    /// Service-level gauge of live async futures; decremented exactly once,
-    /// on resolution or drop.
-    in_flight: Arc<Gauge>,
-    done: bool,
-}
-
-impl<T: Scalar> AsyncRequestHandle<T> {
-    /// The future of request `id`, which completes into `rx`'s channel;
-    /// bumps the in-flight gauge.
-    pub(crate) fn new(id: u64, rx: Completions<T>, in_flight: Arc<Gauge>) -> Self {
-        in_flight.add(1.0);
-        AsyncRequestHandle {
-            rx,
-            id,
-            in_flight,
-            done: false,
-        }
-    }
-
-    /// Service-assigned request id (submission order).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// True once the future has resolved (after which polling panics).
-    pub fn is_resolved(&self) -> bool {
-        self.done
-    }
-
-    fn release_gauge(&mut self) {
-        if !self.done {
-            self.done = true;
-            self.in_flight.add(-1.0);
-        }
-    }
-}
-
-impl<T: Scalar> Future for AsyncRequestHandle<T> {
-    type Output = Result<GemmResponse<T>, ServeError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // All fields are Unpin, so projection through get_mut is safe.
-        let this = self.get_mut();
-        assert!(
-            !this.done,
-            "AsyncRequestHandle polled after it already resolved"
-        );
-        let completion = std::task::ready!(this.rx.poll_next(cx));
-        this.release_gauge();
-        Poll::Ready(result_of(completion))
-    }
-}
-
-impl<T: Scalar> Drop for AsyncRequestHandle<T> {
-    fn drop(&mut self) {
-        self.release_gauge();
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for AsyncRequestHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncRequestHandle")
-            .field("id", &self.id)
-            .field("resolved", &self.done)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::{completion_channel, CompletionSink};
     use ftgemm_abft::FtReport;
     use ftgemm_core::Matrix;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::task::{Wake, Waker};
 
     fn ok_response(v: f64) -> Result<GemmResponse<f64>, ServeError> {
         Ok(GemmResponse {
@@ -187,20 +89,6 @@ mod tests {
         let (sink, rx) = completion_channel();
         sink.register();
         (sink, rx)
-    }
-
-    /// Waker that counts its wake() calls.
-    struct CountingWaker(AtomicUsize);
-    impl Wake for CountingWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    fn counting_waker() -> (Arc<CountingWaker>, Waker) {
-        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&counter));
-        (counter, waker)
     }
 
     #[test]
@@ -245,96 +133,5 @@ mod tests {
             .unwrap();
         assert_eq!(resp.c.get(0, 0), 4.0);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn async_poll_before_fulfill_fires_waker() {
-        let gauge = Arc::new(Gauge::new());
-        let (sink, rx) = channel();
-        let mut fut = AsyncRequestHandle::new(3, rx, Arc::clone(&gauge));
-        assert_eq!(gauge.get(), 1.0);
-
-        let (counter, waker) = counting_waker();
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-
-        sink.deliver(3, ok_response(9.0));
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "delivery fires waker");
-
-        match Pin::new(&mut fut).poll(&mut cx) {
-            Poll::Ready(Ok(resp)) => assert_eq!(resp.c.get(0, 0), 9.0),
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert_eq!(gauge.get(), 0.0, "gauge released on resolve");
-    }
-
-    #[test]
-    fn async_fulfill_before_poll_resolves_immediately() {
-        let gauge = Arc::new(Gauge::new());
-        let (sink, rx) = channel();
-        let mut fut = AsyncRequestHandle::new(4, rx, Arc::clone(&gauge));
-        sink.deliver(4, ok_response(2.5));
-
-        let (counter, waker) = counting_waker();
-        let mut cx = Context::from_waker(&waker);
-        match Pin::new(&mut fut).poll(&mut cx) {
-            Poll::Ready(Ok(resp)) => assert_eq!(resp.c.get(0, 0), 2.5),
-            other => panic!("unexpected: {other:?}"),
-        }
-        // Result was already there: no waker registration, no wake call.
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        assert_eq!(gauge.get(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "polled after it already resolved")]
-    fn async_resolves_exactly_once() {
-        let gauge = Arc::new(Gauge::new());
-        let (sink, rx) = channel();
-        let mut fut = AsyncRequestHandle::new(5, rx, gauge);
-        sink.deliver(5, ok_response(1.0));
-        let (_c, waker) = counting_waker();
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_ready());
-        let _ = Pin::new(&mut fut).poll(&mut cx); // must panic
-    }
-
-    #[test]
-    fn dropped_future_releases_gauge_and_accepts_its_delivery() {
-        let gauge = Arc::new(Gauge::new());
-        let (sink, rx) = channel();
-        let mut fut = AsyncRequestHandle::new(6, rx, Arc::clone(&gauge));
-        let (counter, waker) = counting_waker();
-        assert!(Pin::new(&mut fut)
-            .poll(&mut Context::from_waker(&waker))
-            .is_pending());
-        drop(fut);
-        assert_eq!(gauge.get(), 0.0, "drop releases the gauge");
-        assert_eq!(
-            Arc::strong_count(&gauge),
-            1,
-            "nothing of the future is left"
-        );
-        // Delivering to a dropped future's channel must not panic, must not
-        // touch the gauge again, and wakes only the task that polled it.
-        sink.deliver(6, ok_response(0.0));
-        assert_eq!(gauge.get(), 0.0);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn repolls_with_same_waker_do_not_reclone() {
-        let gauge = Arc::new(Gauge::new());
-        let (sink, rx) = channel();
-        let mut fut = AsyncRequestHandle::new(8, rx, gauge);
-        let (counter, waker) = counting_waker();
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
-        sink.deliver(8, ok_response(1.0));
-        // Exactly one wake even after repeated polls with the same waker.
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_ready());
     }
 }

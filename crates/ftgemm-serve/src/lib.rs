@@ -7,11 +7,10 @@
 //! ## Architecture
 //!
 //! ```text
-//! submit() / submit_async() / submit_streamed()  x N threads
-//!     │  three wrappers over one submit path (validate, admit, trace,
-//!     │  push); the push counts the request and appends it to the
-//!     │  one FIFO; bounded queue: sync parks, async gets
-//!     │  Overloaded back
+//! submit() / submit_streamed()  x N threads
+//!     │  two wrappers over one submit path (validate, admit, trace,
+//!     │  push); the push never blocks: it counts the request and
+//!     │  appends it to the one unbounded FIFO, or fails once closed
 //!     ▼
 //! Queue ──► the dispatcher thread ──► route by problem size
 //!                                        │
@@ -28,9 +27,9 @@
 //!                       finish (the one completion site) → deliver
 //!                       into the request's completion channel:
 //!                       queue + condvar + fire waker
-//!                                 │            │            │
-//!                    RequestHandle::wait   .await on     Completions
-//!                       (blocking)      AsyncRequestHandle  stream
+//!                                 │                    │
+//!                    RequestHandle::wait     Completions::recv (blocking)
+//!                       (blocking)           or .next().await (any executor)
 //! ```
 //!
 //! * **Batching.** Small GEMMs cannot amortize a parallel region each; the
@@ -49,13 +48,14 @@
 //!   default [`DEFAULT_SMALL_FLOPS_CUTOFF`]). Each path sums the nanoseconds
 //!   and flops it serves; deadline admission control predicts a request's
 //!   completion from its own path's `Σns/Σflops`.
-//! * **Three redemption surfaces, one rendezvous.** Every admitted request
+//! * **Two submit surfaces, one rendezvous.** Every admitted request
 //!   completes into a [`completion_channel`]. `submit_streamed` takes the
-//!   caller's channel, drained blocking or async; `submit` and
-//!   `submit_async` build a one-request channel and wrap its end in a
-//!   blocking [`RequestHandle`] (`wait`/`try_wait`/`wait_timeout`) or an
-//!   [`AsyncRequestHandle`] future (the delivery fires the task's waker —
-//!   zero parked threads per request, any executor).
+//!   caller's channel, drained blocking ([`Completions::recv`]) or async
+//!   ([`Completions::next`]: the delivery fires the task's waker — zero
+//!   parked threads per request, any executor; a one-request channel's
+//!   `next()` is that request's future); `submit` builds a one-request
+//!   channel and wraps its end in a blocking [`RequestHandle`]
+//!   (`wait`/`try_wait`/`wait_timeout`), and `run` waits on it at once.
 //! * **One queue, one dispatcher, one pool.** Every request lands in one
 //!   FIFO queue; one dispatcher thread drains it onto one persistent
 //!   worker pool of [`ServiceConfig::threads`] threads (`0` =
@@ -74,8 +74,8 @@
 //!   the dispatcher sheds one that expires while queued with the same
 //!   error. Deadlines never reorder the queue.
 //! * **Observability.** [`GemmService::stats`] reports throughput, queue
-//!   depth, batch occupancy, per-surface submission counts, live async
-//!   futures, per-thread batch busy time (occupancy imbalance),
+//!   depth, batch occupancy, per-surface submission counts, per-thread
+//!   batch busy time (occupancy imbalance),
 //!   corrected-error counters, and worker-pool activity
 //!   ([`ftgemm_abft::parallel::pool::PoolStats`]). Setting
 //!   [`ServiceConfig::obs_addr`] additionally serves the same numbers as
@@ -146,7 +146,6 @@
     )
 )]
 
-pub mod exec;
 mod handle;
 mod queue;
 mod request;
@@ -160,7 +159,7 @@ mod stream;
 /// `GemmOp`/`GemmPlan` builder, and this serving layer all share one type).
 pub use ftgemm_abft::FtPolicy;
 
-pub use handle::{AsyncRequestHandle, RequestHandle};
+pub use handle::RequestHandle;
 pub use request::{GemmRequest, GemmResponse, Operand, ServeError};
 pub use routing::{RoutePath, RoutingPolicy};
 pub use service::{GemmService, ServiceConfig, DEFAULT_SMALL_FLOPS_CUTOFF};
@@ -170,7 +169,6 @@ pub use stream::{completion_channel, Completion, CompletionSink, Completions, Ne
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::block_on;
     use ftgemm_core::reference::naive_gemm;
     use ftgemm_core::Matrix;
 
@@ -272,50 +270,38 @@ mod tests {
     }
 
     #[test]
-    fn async_round_trip_matches_reference() {
+    fn one_request_channel_round_trip_matches_reference() {
         let service = tiny_service();
         let a = Matrix::<f64>::random(20, 12, 11);
         let b = Matrix::<f64>::random(12, 16, 12);
         let mut expected = Matrix::<f64>::zeros(20, 16);
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut expected.as_mut());
 
-        let fut = service.submit_async(GemmRequest::new(a, b)).unwrap();
-        let resp = block_on(fut).unwrap();
-        assert!(resp.c.rel_max_diff(&expected) < 1e-12);
+        let (sink, mut completions) = completion_channel::<f64>();
+        let id = service
+            .submit_streamed(GemmRequest::new(a, b), &sink)
+            .unwrap();
+        assert_eq!(completions.in_flight(), 1);
+        let done = completions.recv().unwrap();
+        assert_eq!(done.id, id);
+        assert!(done.result.unwrap().c.rel_max_diff(&expected) < 1e-12);
+        assert_eq!(completions.in_flight(), 0);
 
         let snap = service.stats();
-        assert_eq!(snap.submitted_async, 1);
+        assert_eq!(snap.submitted_streamed, 1);
         assert_eq!(snap.submitted_sync, 0);
-        assert_eq!(snap.in_flight_async, 0, "future resolved, gauge released");
     }
 
     #[test]
-    fn many_concurrent_async_requests_resolve() {
-        let service = tiny_service();
-        let mut futures = Vec::new();
-        for i in 0..24u64 {
-            let a = Matrix::<f64>::random(16, 16, i);
-            let b = Matrix::<f64>::random(16, 16, i + 500);
-            futures.push(service.submit_async(GemmRequest::new(a, b)).unwrap());
-        }
-        assert_eq!(service.stats().submitted_async, 24);
-        for fut in futures {
-            block_on(fut).unwrap();
-        }
-        let snap = service.stats();
-        assert_eq!(snap.completed, 24);
-        assert_eq!(snap.in_flight_async, 0);
-    }
-
-    #[test]
-    fn dropped_async_future_still_runs_request() {
+    fn dropped_channel_still_runs_request() {
         let service = tiny_service();
         let a = Matrix::<f64>::random(12, 12, 1);
         let b = Matrix::<f64>::random(12, 12, 2);
-        let fut = service.submit_async(GemmRequest::new(a, b)).unwrap();
-        assert_eq!(service.stats().in_flight_async, 1);
-        drop(fut);
-        assert_eq!(service.stats().in_flight_async, 0);
+        let (sink, completions) = completion_channel::<f64>();
+        service
+            .submit_streamed(GemmRequest::new(a, b), &sink)
+            .unwrap();
+        drop((sink, completions));
         let stats = service.shutdown(); // drains the still-queued request
         assert_eq!(stats.completed, 1);
     }
@@ -333,30 +319,22 @@ mod tests {
         let (a, b) = mk(1);
         let h = service.submit(GemmRequest::new(a, b)).unwrap();
         let (a, b) = mk(2);
-        let fut = service.submit_async(GemmRequest::new(a, b)).unwrap();
-        let (a, b) = mk(3);
         service
             .submit_streamed(GemmRequest::new(a, b), &sink)
             .unwrap();
 
         h.wait().unwrap();
-        block_on(fut).unwrap();
         assert!(completions.recv().unwrap().result.is_ok());
         assert!(completions.recv().is_none());
 
         let snap = service.stats();
-        assert_eq!(snap.submitted, 3);
+        assert_eq!(snap.submitted, 2);
         assert_eq!(snap.submitted_sync, 1);
-        assert_eq!(snap.submitted_async, 1);
         assert_eq!(snap.submitted_streamed, 1);
     }
 
     #[test]
-    fn async_submit_rejects_shape_error_without_leaking_gauge() {
-        // Shutdown consumes the service, so submit-after-close is not
-        // reachable from safe code (the Closed mapping is covered at the
-        // queue level); what *is* reachable synchronously is shape
-        // rejection, which must not leave the in-flight gauge bumped.
+    fn streamed_submit_rejects_shape_error_without_registering() {
         let service = tiny_service();
         let bad = GemmRequest {
             alpha: 1.0f64,
@@ -368,13 +346,13 @@ mod tests {
             injector: None,
             deadline: None,
         };
+        let (sink, completions) = completion_channel::<f64>();
         assert!(matches!(
-            service.submit_async(bad),
+            service.submit_streamed(bad, &sink),
             Err(ServeError::Shape(_))
         ));
-        let snap = service.stats();
-        assert_eq!(snap.submitted_async, 0);
-        assert_eq!(snap.in_flight_async, 0);
+        assert_eq!(completions.in_flight(), 0);
+        assert_eq!(service.stats().submitted_streamed, 0);
     }
 
     #[test]

@@ -1,25 +1,19 @@
 //! The service's one MPMC submission queue: one FIFO behind one lock, one
-//! dispatcher wakeup, optional bounded capacity.
+//! dispatcher wakeup, one enqueue.
 //!
 //! A push takes the FIFO's lock and appends the envelope; the dispatcher
 //! thread pops from the front under the same lock
 //! ([`pop_into`](Queue::pop_into)) and parks on the queue's condvar
-//! ([`wait`](Queue::wait)). One enqueue site (`insert`), one dequeue site
-//! (`pop_into`).
+//! ([`wait`](Queue::wait)). One enqueue site ([`push`](Queue::push)),
+//! one dequeue site (`pop_into`). A push never blocks and fails only once
+//! the queue is closed: the queue is unbounded, and a frontend bounds its
+//! own callers (the wire server caps each connection's requests in
+//! flight).
 //!
 //! The dispatcher's park has a mutex of its own (`wake_lock`), taken by a
 //! push only on the queue's empty→non-empty transition and never together
 //! with the FIFO's, so a woken dispatcher and the submitter's next push do
 //! not meet on one lock.
-//!
-//! Backpressure: when constructed with a capacity, the queue exposes both
-//! park-on-full ([`push`](Queue::push), for synchronous submitters that may
-//! block) and fail-fast ([`try_push`](Queue::try_push), for async
-//! submitters that must never block — a full queue comes back as
-//! [`PushError::Full`] so the frontend can shed or retry). The capacity is
-//! a *soft* bound: concurrent producers that pass the admission check
-//! together may overshoot it by at most the number of in-flight `push`
-//! calls.
 //!
 //! Envelopes pop in submission order. The queue also integrates its
 //! backlog in *flops* ([`pending_flops`](Queue::pending_flops)) — the load
@@ -28,10 +22,9 @@
 // Concurrency contract (checked by `scripts/orderings.sh`): these
 // cells publish queue state to threads that do not hold the FIFO's
 // lock — `closed` gates submission against shutdown, `depth` gates the
-// dispatcher's park and the capacity check, `pending_flops` feeds deadline
-// admission. Release on write, Acquire on read, so a reader acting on a
-// depth also sees the envelope that produced it. `next_id` is a plain
-// Relaxed counter.
+// dispatcher's park, `pending_flops` feeds deadline admission. Release on
+// write, Acquire on read, so a reader acting on a depth also sees the
+// envelope that produced it. `next_id` is a plain Relaxed counter.
 
 use crate::request::GemmRequest;
 use crate::stream::CompletionSink;
@@ -58,53 +51,40 @@ pub(crate) struct Envelope<T: Scalar> {
     pub flops: u64,
 }
 
-/// Why a push was rejected (the envelope is dropped — the submit path
+/// A push was rejected because the queue no longer accepts work (the
+/// service is shutting down). The envelope is dropped; the submit path
 /// unregisters the request from its channel and reports the error
-/// synchronously).
+/// synchronously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PushError {
-    /// The queue no longer accepts work (service shutting down).
-    Closed,
-    /// The queue is at capacity (only from [`Queue::try_push`]).
-    Full,
-}
+pub(crate) struct Closed;
 
 pub(crate) struct Queue<T: Scalar> {
     /// Everything queued, in submission order: the one lock a push and a
     /// pop each take.
     fifo: Mutex<VecDeque<Envelope<T>>>,
-    /// Queued envelopes (read without the lock by the capacity check and
-    /// the dispatcher's wait predicate).
+    /// Queued envelopes (read without the lock by the dispatcher's wait
+    /// predicate and the stats).
     depth: AtomicUsize,
     /// Queued *flops* (read by deadline admission control).
     pending_flops: AtomicU64,
-    /// Soft depth bound (`usize::MAX` = unbounded).
-    capacity: usize,
     /// Monotonic request id source.
     next_id: AtomicU64,
     closed: AtomicBool,
     /// Wakeup for the dispatcher thread.
     wake_lock: Mutex<()>,
     wake: Condvar,
-    /// Wakeup for producers parked on a full queue.
-    space_lock: Mutex<()>,
-    space: Condvar,
 }
 
 impl<T: Scalar> Queue<T> {
-    /// `capacity == 0` means unbounded.
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Queue {
             fifo: Mutex::new(VecDeque::new()),
             depth: AtomicUsize::new(0),
             pending_flops: AtomicU64::new(0),
-            capacity: if capacity == 0 { usize::MAX } else { capacity },
             next_id: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             wake_lock: Mutex::new(()),
             wake: Condvar::new(),
-            space_lock: Mutex::new(()),
-            space: Condvar::new(),
         }
     }
 
@@ -114,8 +94,8 @@ impl<T: Scalar> Queue<T> {
     }
 
     /// The one enqueue site: appends the envelope to the FIFO and wakes the
-    /// dispatcher if the queue was empty. Callers have already passed
-    /// the closed/capacity admission checks.
+    /// dispatcher if the queue was empty. Never blocks; fails only when the
+    /// queue is closed.
     ///
     /// `admitted` is the submit path's accounting. It runs here because
     /// this is where a push has become certain — one turned away never
@@ -123,7 +103,10 @@ impl<T: Scalar> Queue<T> {
     /// FIFO's lock is taken, so it orders before any pop of the
     /// envelope (no request can finish before it was counted) without
     /// lengthening the critical section the dispatcher contends on.
-    fn insert(&self, env: Envelope<T>, admitted: &dyn Fn()) {
+    pub(crate) fn push(&self, env: Envelope<T>, admitted: &dyn Fn()) -> Result<(), Closed> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(Closed);
+        }
         let flops = env.flops;
         admitted();
         let prev_depth = {
@@ -143,42 +126,6 @@ impl<T: Scalar> Queue<T> {
             let _g = self.wake_lock.lock();
             self.wake.notify_all();
         }
-    }
-
-    /// Enqueues an envelope, parking the caller while the queue is at
-    /// capacity (synchronous submit surface). Fails only when closed.
-    pub(crate) fn push(&self, env: Envelope<T>, admitted: &dyn Fn()) -> Result<(), PushError> {
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(PushError::Closed);
-            }
-            if self.depth.load(Ordering::Acquire) < self.capacity {
-                self.insert(env, admitted);
-                return Ok(());
-            }
-            // Park until the dispatcher drains something. Re-check the
-            // predicate under space_lock: the pop path notifies under the
-            // same lock after decrementing depth, so the wait cannot miss
-            // it.
-            let mut guard = self.space_lock.lock();
-            if self.depth.load(Ordering::Acquire) >= self.capacity
-                && !self.closed.load(Ordering::Acquire)
-            {
-                self.space.wait(&mut guard);
-            }
-        }
-    }
-
-    /// Non-blocking enqueue for async submitters: a full queue comes back
-    /// immediately as [`PushError::Full`] instead of parking the caller.
-    pub(crate) fn try_push(&self, env: Envelope<T>, admitted: &dyn Fn()) -> Result<(), PushError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(PushError::Closed);
-        }
-        if self.depth.load(Ordering::Acquire) >= self.capacity {
-            return Err(PushError::Full);
-        }
-        self.insert(env, admitted);
         Ok(())
     }
 
@@ -187,22 +134,13 @@ impl<T: Scalar> Queue<T> {
     /// the same buffer every time, so a sweep allocates nothing.
     pub(crate) fn pop_into(&self, max: usize, out: &mut Vec<Envelope<T>>) -> usize {
         let mut popped = 0;
-        {
-            let mut fifo = self.fifo.lock();
-            while popped < max {
-                let Some(env) = fifo.pop_front() else { break };
-                self.depth.fetch_sub(1, Ordering::Release);
-                self.pending_flops.fetch_sub(env.flops, Ordering::Release);
-                out.push(env);
-                popped += 1;
-            }
-        }
-        // Release producers parked on a full queue. (No dispatcher wakeup
-        // is needed here: only pushes and `close` change its wait
-        // predicate.)
-        if popped > 0 && self.capacity != usize::MAX {
-            let _g = self.space_lock.lock();
-            self.space.notify_all();
+        let mut fifo = self.fifo.lock();
+        while popped < max {
+            let Some(env) = fifo.pop_front() else { break };
+            self.depth.fetch_sub(1, Ordering::Release);
+            self.pending_flops.fetch_sub(env.flops, Ordering::Release);
+            out.push(env);
+            popped += 1;
         }
         popped
     }
@@ -236,17 +174,12 @@ impl<T: Scalar> Queue<T> {
         }
     }
 
-    /// Marks the queue closed and wakes the dispatcher plus any parked
-    /// producers. Envelopes already queued remain poppable so shutdown can
-    /// drain them.
+    /// Marks the queue closed and wakes the dispatcher. Envelopes already
+    /// queued remain poppable so shutdown can drain them.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        {
-            let _g = self.wake_lock.lock();
-            self.wake.notify_all();
-        }
-        let _g = self.space_lock.lock();
-        self.space.notify_all();
+        let _g = self.wake_lock.lock();
+        self.wake.notify_all();
     }
 
     /// [`pop_into`](Self::pop_into) a fresh vector.
@@ -283,15 +216,11 @@ mod tests {
         }
     }
 
-    fn queue(capacity: usize) -> Queue<f64> {
-        Queue::new(capacity)
-    }
-
     #[test]
     fn push_pop_preserves_count_and_order_ids() {
-        let q = queue(0);
+        let q = Queue::new();
         for _ in 0..10 {
-            q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
+            q.push(env(&q), &|| ()).unwrap();
         }
         assert_eq!(q.depth(), 10);
         let batch = q.pop(4);
@@ -307,15 +236,14 @@ mod tests {
 
     #[test]
     fn close_rejects_new_work_but_drains_old() {
-        let q = queue(0);
-        q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
+        let q = Queue::new();
+        q.push(env(&q), &|| ()).unwrap();
         q.close();
         assert!(q.is_closed());
-        assert!(matches!(q.push(env(&q), &|| ()), Err(PushError::Closed)));
-        assert!(matches!(
-            q.try_push(env(&q), &|| ()),
-            Err(PushError::Closed)
-        ));
+        // Turned away before the admission accounting runs.
+        let counted = std::cell::Cell::new(false);
+        assert_eq!(q.push(env(&q), &|| counted.set(true)), Err(Closed));
+        assert!(!counted.get(), "a closed push was counted");
         // Closed with a remainder: the dispatcher does not park, it drains.
         assert!(q.wait());
         assert_eq!(q.pop(8).len(), 1);
@@ -324,17 +252,17 @@ mod tests {
 
     #[test]
     fn wait_wakes_on_push() {
-        let q = Arc::new(queue(0));
+        let q = Arc::new(Queue::<f64>::new());
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.wait());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
+        q.push(env(&q), &|| ()).unwrap();
         assert!(waiter.join().unwrap());
     }
 
     #[test]
     fn wait_wakes_on_close() {
-        let q = Arc::new(queue(0));
+        let q = Arc::new(Queue::<f64>::new());
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.wait());
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -343,38 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn try_push_fails_fast_at_capacity() {
-        let q = queue(2);
-        q.try_push(env(&q), &|| ()).map_err(|_| ()).unwrap();
-        q.try_push(env(&q), &|| ()).map_err(|_| ()).unwrap();
-        assert!(matches!(q.try_push(env(&q), &|| ()), Err(PushError::Full)));
-        // Draining reopens admission.
-        assert_eq!(q.pop(1).len(), 1);
-        assert!(q.try_push(env(&q), &|| ()).is_ok());
-    }
-
-    #[test]
-    fn blocking_push_parks_until_drained() {
-        let q = Arc::new(queue(1));
-        q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            let e = env(&q2);
-            q2.push(e, &|| ()).map_err(|_| ()).unwrap(); // parks: queue is full
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.depth(), 1, "producer still parked");
-        assert_eq!(q.pop(1).len(), 1); // frees a slot, wakes producer
-        producer.join().unwrap();
-        assert_eq!(q.depth(), 1);
-    }
-
-    #[test]
     fn pending_flops_tracks_the_backlog() {
-        let q = queue(0);
+        let q = Queue::new();
         // 2x2x2 → 16 flops each.
         for _ in 0..3 {
-            q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
+            q.push(env(&q), &|| ()).unwrap();
         }
         assert_eq!(q.pending_flops(), 48);
         // Partial pop: one envelope leaves, the others still count.
@@ -386,29 +287,15 @@ mod tests {
 
     #[test]
     fn deadlines_do_not_reorder_the_queue() {
-        let q = queue(0);
+        let q = Queue::new();
         let mut ids = Vec::new();
         for ms in [500, 5, 50] {
             let mut e = env(&q);
             e.deadline = Some(e.submitted + std::time::Duration::from_millis(ms));
             ids.push(e.id);
-            q.push(e, &|| ()).map_err(|_| ()).unwrap();
+            q.push(e, &|| ()).unwrap();
         }
         let order: Vec<u64> = q.pop(usize::MAX).into_iter().map(|e| e.id).collect();
         assert_eq!(order, ids);
-    }
-
-    #[test]
-    fn close_unparks_blocked_producer() {
-        let q = Arc::new(queue(1));
-        q.push(env(&q), &|| ()).map_err(|_| ()).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            let e = env(&q2);
-            matches!(q2.push(e, &|| ()), Err(PushError::Closed))
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert!(producer.join().unwrap());
     }
 }

@@ -211,9 +211,6 @@ pub enum ServeError {
     /// aborted the drain — parked requests are *failed* with this error
     /// rather than left to hang their handles.
     Closed,
-    /// The submission queue is at capacity and the caller asked not to
-    /// block (async submit surface). Shed load or retry later.
-    Overloaded,
     /// The request's deadline cannot (or could not) be met. Returned at
     /// submit time when admission control's measured ns/flop model says the
     /// queued backlog makes the deadline infeasible, and at dispatch time
@@ -229,16 +226,16 @@ impl ServeError {
     ///
     /// These values are a compatibility contract: they must never be
     /// renumbered, and a new variant must take a new, previously unused
-    /// number. The match below is deliberately exhaustive (no `_` arm), so
-    /// adding a variant without choosing its code is a compile error
-    /// instead of a silent renumbering; `wire_codes_are_pinned` pins each
-    /// assignment.
+    /// number. Code 4 is retired (it was the bounded queue's `Overloaded`)
+    /// and must never be reused. The match below is deliberately exhaustive
+    /// (no `_` arm), so adding a variant without choosing its code is a
+    /// compile error instead of a silent renumbering;
+    /// `wire_codes_are_pinned` pins each assignment.
     pub fn wire_code(&self) -> u16 {
         match self {
             ServeError::Shape(_) => 1,
             ServeError::Ft(_) => 2,
             ServeError::Closed => 3,
-            ServeError::Overloaded => 4,
             ServeError::DeadlineExceeded(_) => 5,
         }
     }
@@ -250,7 +247,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Shape(detail) => write!(f, "shape mismatch: {detail}"),
             ServeError::Ft(e) => write!(f, "fault-tolerant driver error: {e}"),
             ServeError::Closed => write!(f, "service closed"),
-            ServeError::Overloaded => write!(f, "submission queue at capacity"),
             ServeError::DeadlineExceeded(detail) => {
                 write!(f, "deadline exceeded: {detail}")
             }
@@ -368,7 +364,6 @@ mod tests {
                 2,
             ),
             (ServeError::Closed, 3),
-            (ServeError::Overloaded, 4),
             (ServeError::DeadlineExceeded("x".into()), 5),
         ];
         for (err, code) in all {

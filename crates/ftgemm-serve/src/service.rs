@@ -6,8 +6,8 @@
 // threads — Release store in abort(), Acquire loads at the dispatch and
 // batch boundaries.
 
-use crate::handle::{AsyncRequestHandle, RequestHandle};
-use crate::queue::{Envelope, PushError, Queue};
+use crate::handle::RequestHandle;
+use crate::queue::{Envelope, Queue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{Route, RoutePath, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -45,15 +45,6 @@ pub struct ServiceConfig {
     /// ones run matrix-parallel via `execute`. Fixed for the service's
     /// life; the default is [`DEFAULT_SMALL_FLOPS_CUTOFF`].
     pub routing: RoutingPolicy,
-    /// Submission-queue depth bound (`0` =
-    /// unbounded, the default). When set, blocking
-    /// [`submit`](GemmService::submit) calls park until the dispatcher
-    /// drains space, while the non-blocking async surfaces
-    /// ([`submit_async`](GemmService::submit_async),
-    /// [`submit_streamed`](GemmService::submit_streamed)) fail fast with
-    /// [`ServeError::Overloaded`] so frontends can shed load. The bound is
-    /// soft under concurrency (overshoot ≤ concurrent submitters).
-    pub queue_capacity: usize,
     /// When set, the service records request-lifecycle traces and serves
     /// `GET /metrics` (Prometheus text exposition), `/healthz`, and
     /// `/trace` on this address from a dedicated endpoint thread (bind to
@@ -74,7 +65,6 @@ impl Default for ServiceConfig {
             threads: 0,
             max_batch: 32,
             routing: RoutingPolicy::default(),
-            queue_capacity: 0,
             obs_addr: None,
         }
     }
@@ -138,12 +128,12 @@ struct Inner<T: Scalar> {
 /// the matrix-parallel fused-ABFT driver, and honors a per-request
 /// [`FtPolicy`](crate::FtPolicy).
 ///
-/// Three submit surfaces feed one queue:
-/// [`submit`](GemmService::submit) (blocking condvar handle),
-/// [`submit_async`](GemmService::submit_async) (waker-based future — no
-/// parked thread per request), and
+/// Two submit surfaces feed one unbounded queue through one non-blocking
+/// enqueue: [`submit`](GemmService::submit) (a blocking handle; [`run`](GemmService::run)
+/// waits on it at once) and
 /// [`submit_streamed`](GemmService::submit_streamed) (results forwarded
-/// into a [`completion_channel`](crate::completion_channel)).
+/// into a [`completion_channel`](crate::completion_channel), drained
+/// blocking or awaited — no parked thread per request).
 ///
 /// One dispatcher thread drains the queue onto one persistent worker pool.
 /// Dropping the service (or calling [`shutdown`](GemmService::shutdown))
@@ -161,10 +151,6 @@ pub struct GemmService<T: Scalar> {
     obs_server: Option<ObsServer>,
 }
 
-/// [`Queue::push`] or [`Queue::try_push`]; the last argument is the
-/// admission accounting the queue runs once the push is certain.
-type PushFn<T> = fn(&Queue<T>, Envelope<T>, &dyn Fn()) -> Result<(), PushError>;
-
 impl<T: Scalar> GemmService<T> {
     /// Service with explicit configuration.
     pub fn new(config: ServiceConfig) -> Self {
@@ -175,7 +161,7 @@ impl<T: Scalar> GemmService<T> {
         };
         let stats = ServiceStats::new(threads);
         let inner = Arc::new(Inner {
-            queue: Queue::new(config.queue_capacity),
+            queue: Queue::new(),
             obs: config.obs_addr.map(|_| ServiceObs::new(&stats.registry)),
             stats,
             route: Route::new(config.routing),
@@ -233,7 +219,7 @@ impl<T: Scalar> GemmService<T> {
     /// the request's own flops, at the measured ns/flop of the
     /// path the cutoff sends the request to — and rejects the submit with
     /// [`ServeError::DeadlineExceeded`] when the deadline is infeasible,
-    /// before the request is admitted or consumes queue capacity.
+    /// before the request is admitted or queued.
     ///
     /// No deadline, or no evidence yet on the request's path, admits: the
     /// check only turns requests away when it has a basis to predict they
@@ -264,20 +250,18 @@ impl<T: Scalar> GemmService<T> {
         Ok(())
     }
 
-    /// The one submit path every surface goes through: validate →
-    /// deadline admission → register in `sink` → envelope → trace → push,
-    /// which counts the admission from inside the enqueue — a push the
-    /// queue turns away is counted only as a rejection, and unregistered
-    /// from `sink` here. The surfaces differ only in `sink` (the caller's
-    /// channel, or a one-request channel behind a handle), `surface` (which
-    /// per-surface counter is bumped) and `push` (parking
-    /// [`Queue::push`] or fail-fast [`Queue::try_push`]).
+    /// The one submit path both surfaces go through: validate →
+    /// deadline admission → register in `sink` → envelope → trace →
+    /// [`Queue::push`], which counts the admission from inside the enqueue —
+    /// a push the closed queue turns away is counted only as a rejection,
+    /// and unregistered from `sink` here. The surfaces differ only in
+    /// `sink` (the caller's channel, or a one-request channel behind a
+    /// handle) and `surface` (which per-surface counter is bumped).
     /// Returns the request id.
     fn submit_with(
         &self,
         req: GemmRequest<T>,
         surface: &Counter,
-        push: PushFn<T>,
         sink: &CompletionSink<T>,
     ) -> Result<u64, ServeError> {
         req.validate()?;
@@ -308,81 +292,45 @@ impl<T: Scalar> GemmService<T> {
             obs.trace.record(id, TraceEvent::Admitted);
             obs.trace.record(id, TraceEvent::Queued);
         }
-        push(&self.inner.queue, env, &|| stats.admit(surface)).map_err(|e| {
+        let admitted = || stats.admit(surface);
+        self.inner.queue.push(env, &admitted).map_err(|_| {
             sink.unregister();
             if let Some(obs) = &self.inner.obs {
                 obs.trace.record(id, TraceEvent::Failed);
             }
-            match e {
-                PushError::Full => {
-                    stats.rejected_overloaded.inc();
-                    ServeError::Overloaded
-                }
-                PushError::Closed => {
-                    stats.rejected_closed.inc();
-                    ServeError::Closed
-                }
-            }
+            stats.rejected_closed.inc();
+            ServeError::Closed
         })?;
         Ok(id)
     }
 
     /// Submits a request; returns a handle redeemable for the result.
     ///
-    /// Shape errors are rejected here, synchronously; everything else is
-    /// reported through the handle. With a bounded queue
-    /// ([`ServiceConfig::queue_capacity`]), this call parks until space
-    /// opens up — use [`submit_async`](GemmService::submit_async) or
-    /// [`submit_streamed`](GemmService::submit_streamed) for surfaces that
-    /// never block.
+    /// Never blocks: shape errors, infeasible deadlines and shutdown are
+    /// rejected here, synchronously; everything else is reported through
+    /// the handle.
     pub fn submit(&self, req: GemmRequest<T>) -> Result<RequestHandle<T>, ServeError> {
         let (sink, rx) = completion_channel();
-        let surface = &self.inner.stats.submitted_sync;
-        let id = self.submit_with(req, surface, Queue::push, &sink)?;
+        let id = self.submit_with(req, &self.inner.stats.submitted_sync, &sink)?;
         Ok(RequestHandle::new(id, rx))
-    }
-
-    /// Submits a request and returns a [`Future`](std::future::Future)
-    /// resolving to its result — no thread is parked per in-flight request
-    /// (the completion site fires the task's waker directly).
-    ///
-    /// Never blocks: with a bounded queue
-    /// ([`ServiceConfig::queue_capacity`]) a full queue is reported
-    /// immediately as [`ServeError::Overloaded`] instead of parking, so an
-    /// async frontend can shed load or retry on its own schedule. Shape
-    /// errors and shutdown are likewise rejected synchronously.
-    ///
-    /// The returned future is executor-agnostic; see
-    /// `examples/async_serving.rs` for a hand-rolled `block_on` driving
-    /// hundreds of these concurrently from one thread.
-    pub fn submit_async(&self, req: GemmRequest<T>) -> Result<AsyncRequestHandle<T>, ServeError> {
-        let (sink, rx) = completion_channel();
-        let stats = &self.inner.stats;
-        let id = self.submit_with(req, &stats.submitted_async, Queue::try_push, &sink)?;
-        Ok(AsyncRequestHandle::new(
-            id,
-            rx,
-            Arc::clone(&stats.in_flight_async),
-        ))
     }
 
     /// Submits a request whose result is delivered into a completion
     /// channel ([`completion_channel`](crate::completion_channel)) instead
     /// of a per-request handle; returns the request id used to tag the
-    /// completion. Like [`submit_async`](GemmService::submit_async) this
-    /// never blocks — a full bounded queue is [`ServeError::Overloaded`].
+    /// completion. Like [`submit`](GemmService::submit) this never blocks.
     ///
     /// One channel can absorb completions from any number of submissions
     /// (across threads and even across services), which makes it the
     /// cheapest way to drain a large burst: one drain loop, zero parked
-    /// threads per request.
+    /// threads per request. To await one request from a task, give it a
+    /// channel of its own and await [`Completions::next`](crate::Completions::next).
     pub fn submit_streamed(
         &self,
         req: GemmRequest<T>,
         sink: &CompletionSink<T>,
     ) -> Result<u64, ServeError> {
-        let surface = &self.inner.stats.submitted_streamed;
-        self.submit_with(req, surface, Queue::try_push, sink)
+        self.submit_with(req, &self.inner.stats.submitted_streamed, sink)
     }
 
     /// Convenience: submit and block for the result.
@@ -444,8 +392,8 @@ impl<T: Scalar> GemmService<T> {
     }
 
     /// Stops intake and **fails** every request still queued with
-    /// [`ServeError::Closed`] instead of computing it — their handles,
-    /// futures, and completion channels all resolve (nothing hangs), they
+    /// [`ServeError::Closed`] instead of computing it — their handles and
+    /// completion channels all resolve (nothing hangs), they
     /// just carry the shutdown error. Only regions already *computing*
     /// finish normally: the dispatcher re-checks the abort flag
     /// between batched regions and between large requests, so even an
@@ -918,11 +866,14 @@ fn finish<T: Scalar>(inner: &Inner<T>, env: Envelope<T>, ending: Ending) {
 mod tests {
     use super::*;
     use ftgemm_core::Matrix;
+    use std::future::Future;
+    use std::pin::pin;
+    use std::task::{Context, Poll, Waker};
 
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
         let threads = config.threads.max(1);
         Inner {
-            queue: Queue::new(config.queue_capacity),
+            queue: Queue::new(),
             stats: ServiceStats::new(threads),
             route: Route::new(config.routing),
             ctx: ParGemmContext::with_threads(threads),
@@ -1090,12 +1041,10 @@ mod tests {
 
     /// A traced service with **no dispatcher**: whatever a submit pushes
     /// stays queued, so every outcome below is decided by the submit path
-    /// alone — a bounded queue stays full, nothing completes behind the
-    /// test's back.
-    fn undrained_service(queue_capacity: usize) -> GemmService<f64> {
+    /// alone — nothing completes behind the test's back.
+    fn undrained_service() -> GemmService<f64> {
         let mut inner = test_inner(ServiceConfig {
             threads: 1,
-            queue_capacity,
             ..ServiceConfig::default()
         });
         inner.obs = Some(ServiceObs::new(&inner.stats.registry));
@@ -1109,7 +1058,6 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Surface {
         Sync,
-        Async,
         Streamed,
     }
 
@@ -1119,35 +1067,31 @@ mod tests {
         Shape,
         DeadlineInfeasible,
         Closed,
-        Overloaded,
     }
 
     /// Everything one submit changed, as deltas over the service's public
-    /// counters plus the trace events and gauges it left behind.
+    /// counters plus the trace events and registrations it left behind.
     #[derive(Debug, PartialEq)]
     struct Effect {
         outcome: Outcome,
         submitted: u64,
         on_own_surface: u64,
-        on_other_surfaces: u64,
-        rejected_overloaded: u64,
+        on_other_surface: u64,
         rejected_closed: u64,
         rejected_deadline: u64,
         trace: Vec<String>,
-        /// The async in-flight gauge or the sink's registration count,
-        /// whichever the surface owns (always 0 for `Sync`).
+        /// The caller's sink's registration count (always 0 for `Sync`,
+        /// which registers in a channel of its own).
         in_flight: u64,
     }
 
-    /// One submit surface must be indistinguishable from the others in
+    /// One submit surface must be indistinguishable from the other in
     /// what it counts, traces and releases: for each outcome a submit can
-    /// have, all three surfaces produce the same [`Effect`] (the
-    /// blocking surface never reports `Overloaded` — it parks — so that
-    /// row covers the two try-push surfaces).
+    /// have, both surfaces produce the same [`Effect`].
     #[test]
     fn submit_surfaces_agree_on_every_outcome() {
         let probe = |surface: Surface, outcome: Outcome| -> Effect {
-            let service = undrained_service(usize::from(outcome == Outcome::Overloaded));
+            let service = undrained_service();
             let dim = 16usize;
             let flops = 2 * (dim as u64).pow(3);
             let mut req = GemmRequest::new(
@@ -1164,41 +1108,22 @@ mod tests {
                     req = req.with_deadline(std::time::Duration::from_millis(1));
                 }
                 Outcome::Closed => service.inner.queue.close(),
-                Outcome::Overloaded => {
-                    // Fill the one-slot queue; nothing drains it.
-                    let filler = GemmRequest::new(
-                        Matrix::<f64>::random(dim, dim, 3),
-                        Matrix::<f64>::random(dim, dim, 4),
-                    );
-                    service.submit(filler).unwrap();
-                }
             }
 
             let before = service.stats();
             let trace_before = service.render_trace(64).lines().count();
             let (sink, completions) = completion_channel::<f64>();
-            // Keep an accepted handle alive until the gauges are read.
-            let (result, _held): (Result<(), ServeError>, Option<Box<dyn std::any::Any>>) =
-                match surface {
-                    Surface::Sync => match service.submit(req) {
-                        Ok(h) => (Ok(()), Some(Box::new(h))),
-                        Err(e) => (Err(e), None),
-                    },
-                    Surface::Async => match service.submit_async(req) {
-                        Ok(h) => (Ok(()), Some(Box::new(h))),
-                        Err(e) => (Err(e), None),
-                    },
-                    Surface::Streamed => (service.submit_streamed(req, &sink).map(|_| ()), None),
-                };
+            // Keep an accepted handle alive until the counts are read.
+            let (result, _held) = match surface {
+                Surface::Sync => match service.submit(req) {
+                    Ok(h) => (Ok(()), Some(h)),
+                    Err(e) => (Err(e), None),
+                },
+                Surface::Streamed => (service.submit_streamed(req, &sink).map(|_| ()), None),
+            };
             let after = service.stats();
 
-            let surfaces = |snap: &StatsSnapshot| {
-                [
-                    snap.submitted_sync,
-                    snap.submitted_async,
-                    snap.submitted_streamed,
-                ]
-            };
+            let surfaces = |snap: &StatsSnapshot| [snap.submitted_sync, snap.submitted_streamed];
             let own = surface as usize;
             let (b, a) = (surfaces(&before), surfaces(&after));
             Effect {
@@ -1207,13 +1132,11 @@ mod tests {
                     Err(ServeError::Shape(_)) => Outcome::Shape,
                     Err(ServeError::DeadlineExceeded(_)) => Outcome::DeadlineInfeasible,
                     Err(ServeError::Closed) => Outcome::Closed,
-                    Err(ServeError::Overloaded) => Outcome::Overloaded,
                     Err(other) => panic!("unexpected submit error: {other}"),
                 },
                 submitted: after.submitted - before.submitted,
                 on_own_surface: a[own] - b[own],
-                on_other_surfaces: (0..3).filter(|&i| i != own).map(|i| a[i] - b[i]).sum(),
-                rejected_overloaded: after.rejected_overloaded - before.rejected_overloaded,
+                on_other_surface: a[1 - own] - b[1 - own],
                 rejected_closed: after.rejected_closed - before.rejected_closed,
                 rejected_deadline: after.rejected_deadline - before.rejected_deadline,
                 trace: service
@@ -1222,11 +1145,7 @@ mod tests {
                     .skip(trace_before)
                     .map(|line| line.rsplit(' ').next().unwrap_or_default().to_string())
                     .collect(),
-                in_flight: match surface {
-                    Surface::Sync => 0,
-                    Surface::Async => after.in_flight_async,
-                    Surface::Streamed => completions.in_flight() as u64,
-                },
+                in_flight: completions.in_flight() as u64,
             }
         };
 
@@ -1234,16 +1153,14 @@ mod tests {
             outcome,
             submitted: 0,
             on_own_surface: 0,
-            on_other_surfaces: 0,
-            rejected_overloaded: u64::from(outcome == Outcome::Overloaded),
+            on_other_surface: 0,
             rejected_closed: u64::from(outcome == Outcome::Closed),
             rejected_deadline: u64::from(outcome == Outcome::DeadlineInfeasible),
             trace: trace.iter().map(|e| e.to_string()).collect(),
             in_flight: 0,
         };
-        // A push the queue turned away was traced but never counted as
-        // submitted; a submit turned away earlier left no trace at all.
-        let pushed_then_rejected = ["admitted", "queued", "failed"];
+        // A push the closed queue turned away was traced but never counted
+        // as submitted; a submit turned away earlier left no trace at all.
         let table = [
             (Outcome::Shape, rejected(Outcome::Shape, &[])),
             (
@@ -1252,14 +1169,10 @@ mod tests {
             ),
             (
                 Outcome::Closed,
-                rejected(Outcome::Closed, &pushed_then_rejected),
-            ),
-            (
-                Outcome::Overloaded,
-                rejected(Outcome::Overloaded, &pushed_then_rejected),
+                rejected(Outcome::Closed, &["admitted", "queued", "failed"]),
             ),
         ];
-        for surface in [Surface::Sync, Surface::Async, Surface::Streamed] {
+        for surface in [Surface::Sync, Surface::Streamed] {
             let accepted = probe(surface, Outcome::Accepted);
             assert_eq!(
                 accepted,
@@ -1267,48 +1180,48 @@ mod tests {
                     outcome: Outcome::Accepted,
                     submitted: 1,
                     on_own_surface: 1,
-                    on_other_surfaces: 0,
-                    rejected_overloaded: 0,
+                    on_other_surface: 0,
                     rejected_closed: 0,
                     rejected_deadline: 0,
                     trace: vec!["admitted".to_string(), "queued".to_string()],
-                    in_flight: u64::from(surface != Surface::Sync),
+                    in_flight: u64::from(surface == Surface::Streamed),
                 },
                 "{surface:?}"
             );
             for (outcome, expected) in &table {
-                if surface == Surface::Sync && *outcome == Outcome::Overloaded {
-                    continue; // the blocking surface parks instead
-                }
                 assert_eq!(&probe(surface, *outcome), expected, "{surface:?}");
             }
         }
     }
 
-    /// `_total` families only go up. Two threads hammer `submit_async`
-    /// against a one-slot queue — most pushes bounce — while a third
-    /// snapshots: no admission count ever falls between two snapshots (a
-    /// rejected push used to be counted and then taken back, which a
-    /// scraper reads as a counter reset), no snapshot shows more requests
-    /// finished than accepted, and in the end every attempt was counted
-    /// exactly once, as accepted or as rejected.
+    /// `_total` families only go up. Two threads hammer the two submit
+    /// surfaces — every other attempt carries a deadline admission
+    /// rejects, and halfway through the queue closes, so the rest of the
+    /// pushes bounce — while a third snapshots: no admission count ever
+    /// falls between two snapshots (a rejected push used to be counted and
+    /// then taken back, which a scraper reads as a counter reset), no
+    /// snapshot shows more requests finished than accepted, and in the end
+    /// every attempt was counted exactly once, as accepted or as rejected.
     #[test]
     fn admission_counters_never_decrease() {
         const ATTEMPTS_PER_THREAD: u64 = 3_000;
         let service = GemmService::<f64>::new(ServiceConfig {
             threads: 1,
-            queue_capacity: 1,
             ..ServiceConfig::default()
         });
+        // Evidence on the batched path: a 1 ns deadline is infeasible.
+        service.seed_routing(RoutePath::Batched, 128, 128_000);
         let start = std::sync::Barrier::new(3);
+        let halfway = std::sync::Barrier::new(3);
         let hammering = std::sync::atomic::AtomicUsize::new(2);
         let assert_none_fell = |before: &StatsSnapshot, after: &StatsSnapshot| {
             let totals = |s: &StatsSnapshot| {
                 [
                     s.submitted,
                     s.submitted_sync,
-                    s.submitted_async,
                     s.submitted_streamed,
+                    s.rejected_closed,
+                    s.rejected_deadline,
                 ]
             };
             assert!(
@@ -1316,27 +1229,44 @@ mod tests {
                     .iter()
                     .zip(totals(after))
                     .all(|(b, a)| *b <= a),
-                "a submitted count fell: {before:?} -> {after:?}"
+                "a submitted or rejected count fell: {before:?} -> {after:?}"
             );
         };
         std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let (service, start, hammering) = (&service, &start, &hammering);
+            for surface in [Surface::Sync, Surface::Streamed] {
+                let (service, start, halfway) = (&service, &start, &halfway);
+                let hammering = &hammering;
                 scope.spawn(move || {
+                    let (sink, _completions) = completion_channel::<f64>();
                     start.wait();
-                    for _ in 0..ATTEMPTS_PER_THREAD {
-                        let req = GemmRequest::new(Matrix::zeros(4, 4), Matrix::zeros(4, 4));
-                        match service.submit_async(req) {
-                            Ok(_) | Err(ServeError::Overloaded) => {}
+                    for attempt in 0..ATTEMPTS_PER_THREAD {
+                        if attempt == ATTEMPTS_PER_THREAD / 2 {
+                            halfway.wait();
+                        }
+                        let mut req = GemmRequest::new(Matrix::zeros(4, 4), Matrix::zeros(4, 4));
+                        if attempt % 2 == 1 {
+                            req = req.with_deadline(std::time::Duration::from_nanos(1));
+                        }
+                        let result = match surface {
+                            Surface::Sync => service.submit(req).map(drop),
+                            Surface::Streamed => service.submit_streamed(req, &sink).map(drop),
+                        };
+                        match result {
+                            Ok(()) | Err(ServeError::DeadlineExceeded(_) | ServeError::Closed) => {}
                             Err(other) => panic!("unexpected submit error: {other}"),
                         }
                     }
-                    hammering.fetch_sub(1, Ordering::SeqCst);
+                    hammering.fetch_sub(1, Ordering::Release);
                 });
             }
+            let (inner, halfway) = (&service.inner, &halfway);
+            scope.spawn(move || {
+                halfway.wait();
+                inner.queue.close();
+            });
             start.wait();
             let mut last = service.stats();
-            while hammering.load(Ordering::SeqCst) > 0 {
+            while hammering.load(Ordering::Acquire) > 0 {
                 let snap = service.stats();
                 assert!(
                     snap.completed + snap.failed <= snap.submitted,
@@ -1348,13 +1278,14 @@ mod tests {
         });
         let end = service.shutdown();
         assert_eq!(
-            end.submitted + end.rejected_overloaded,
+            end.submitted + end.rejected_closed + end.rejected_deadline,
             2 * ATTEMPTS_PER_THREAD
         );
         assert_eq!(end.completed + end.failed, end.submitted);
+        assert_eq!(end.rejected_deadline, ATTEMPTS_PER_THREAD);
         assert!(
-            end.rejected_overloaded > 0,
-            "the queue never bounced a push"
+            end.rejected_closed > 0,
+            "the closed queue never bounced a push"
         );
     }
 
@@ -1368,27 +1299,27 @@ mod tests {
     }
 
     /// Every ending is [`finish`], whatever surface the request came in
-    /// by: the request's channel receives exactly one result, the ending's,
+    /// by: the request's channel receives exactly one result, the ending's
+    /// (a streamed one awaited through [`Completions::next`](crate::Completions::next)),
     /// `completed + failed` rises by exactly one, the turnaround sum grows,
     /// and the deadline tallies and the terminal trace event say which
     /// ending it was. No dispatcher runs, so `finish` is called by the test alone.
     #[test]
     fn every_ending_resolves_once_and_accounts_once() {
         let dim = 16usize;
-        for surface in [Surface::Sync, Surface::Async, Surface::Streamed] {
+        for surface in [Surface::Sync, Surface::Streamed] {
             for end in [End::ServedOk, End::FtError, End::Shed, End::Closed] {
                 let case = format!("{surface:?} / {end:?}");
-                let service = undrained_service(0);
+                let service = undrained_service();
                 let req = GemmRequest::new(
                     Matrix::<f64>::random(dim, dim, 1),
                     Matrix::<f64>::random(dim, dim, 2),
                 )
                 .with_deadline(std::time::Duration::from_secs(3600));
                 let (sink, mut completions) = completion_channel::<f64>();
-                let (mut handle, mut future) = (None, None);
+                let mut handle = None;
                 match surface {
                     Surface::Sync => handle = Some(service.submit(req).unwrap()),
-                    Surface::Async => future = Some(service.submit_async(req).unwrap()),
                     Surface::Streamed => drop(service.submit_streamed(req, &sink).unwrap()),
                 }
                 let mut popped = service.inner.queue.pop(usize::MAX);
@@ -1426,16 +1357,16 @@ mod tests {
                 // and has nothing further in flight.
                 let result = match surface {
                     Surface::Sync => handle.take().unwrap().try_wait().expect("resolved"),
-                    Surface::Async => {
-                        let result = crate::exec::block_on(future.take().unwrap());
-                        assert_eq!(after.in_flight_async, 1, "{case}: gauge held until polled");
-                        assert_eq!(service.stats().in_flight_async, 0, "{case}");
-                        result
-                    }
                     Surface::Streamed => {
-                        let c = completions.try_next().expect("delivered");
+                        // Resolved already, so one poll of the awaited
+                        // future yields it without any waker firing.
+                        let mut cx = Context::from_waker(Waker::noop());
+                        let Poll::Ready(Some(c)) = pin!(completions.next()).poll(&mut cx) else {
+                            panic!("{case}: not delivered");
+                        };
                         assert_eq!(c.id, id, "{case}");
-                        assert!(completions.recv().is_none(), "{case}: delivered twice");
+                        let rest = completions.poll_next(&mut cx);
+                        assert!(matches!(rest, Poll::Ready(None)), "{case}: delivered twice");
                         c.result
                     }
                 };

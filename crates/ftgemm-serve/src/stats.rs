@@ -53,17 +53,10 @@ pub(crate) struct ServiceStats {
     first_submit_ns: AtomicU64,
     /// Requests accepted through the blocking `submit` surface.
     pub submitted_sync: Arc<Counter>,
-    /// Requests accepted through `submit_async` (waker-based futures).
-    pub submitted_async: Arc<Counter>,
     /// Requests accepted through `submit_streamed` (completion channel).
     pub submitted_streamed: Arc<Counter>,
-    /// Live `AsyncRequestHandle` futures; shared with every handle so
-    /// drops decrement it from anywhere.
-    pub in_flight_async: Arc<Gauge>,
     pub completed: Arc<Counter>,
     pub failed: Arc<Counter>,
-    /// Submits rejected because the bounded queue was full.
-    pub rejected_overloaded: Arc<Counter>,
     /// Submits rejected because the service was shutting down.
     pub rejected_closed: Arc<Counter>,
     /// Submits rejected by deadline admission control (infeasible before
@@ -135,21 +128,12 @@ impl ServiceStats {
                 "ftgemm_requests_submitted_sync_total",
                 "Requests accepted via the blocking submit surface.",
             ),
-            submitted_async: counter(
-                "ftgemm_requests_submitted_async_total",
-                "Requests accepted via submit_async.",
-            ),
             submitted_streamed: counter(
                 "ftgemm_requests_submitted_streamed_total",
                 "Requests accepted via submit_streamed.",
             ),
-            in_flight_async: registry.gauge(
-                "ftgemm_requests_in_flight_async",
-                "Async futures currently alive (neither resolved nor dropped).",
-            ),
             completed,
             failed,
-            rejected_overloaded: rejected("overloaded"),
             rejected_closed: rejected("closed"),
             rejected_deadline: rejected("deadline"),
             shed_deadline: counter(
@@ -255,7 +239,7 @@ impl ServiceStats {
 
     /// Requests accepted across all submit surfaces.
     pub(crate) fn submitted(&self) -> u64 {
-        self.submitted_sync.get() + self.submitted_async.get() + self.submitted_streamed.get()
+        self.submitted_sync.get() + self.submitted_streamed.get()
     }
 
     /// Time since the service started.
@@ -327,12 +311,9 @@ impl ServiceStats {
         StatsSnapshot {
             submitted: self.submitted(),
             submitted_sync: self.submitted_sync.get(),
-            submitted_async: self.submitted_async.get(),
             submitted_streamed: self.submitted_streamed.get(),
-            in_flight_async: self.in_flight_async.get() as u64,
             completed,
             failed,
-            rejected_overloaded: self.rejected_overloaded.get(),
             rejected_closed: self.rejected_closed.get(),
             rejected_deadline: self.rejected_deadline.get(),
             shed_deadline: self.shed_deadline.get(),
@@ -372,23 +353,14 @@ pub struct StatsSnapshot {
     /// Requests accepted via blocking [`submit`](crate::GemmService::submit).
     pub submitted_sync: u64,
     /// Requests accepted via
-    /// [`submit_async`](crate::GemmService::submit_async).
-    pub submitted_async: u64,
-    /// Requests accepted via
     /// [`submit_streamed`](crate::GemmService::submit_streamed).
     pub submitted_streamed: u64,
-    /// Async futures currently alive (neither resolved nor dropped).
-    pub in_flight_async: u64,
     /// Requests completed successfully.
     pub completed: u64,
     /// Requests completed with an error.
     pub failed: u64,
-    /// Submits rejected with [`ServeError::Overloaded`](crate::ServeError)
-    /// (bounded queue full; non-blocking surfaces only). Rejected requests
-    /// are **not** counted in [`submitted`](Self::submitted).
-    pub rejected_overloaded: u64,
     /// Submits rejected with [`ServeError::Closed`](crate::ServeError)
-    /// (service shutting down). Not counted in
+    /// (service shutting down). Rejected requests are **not** counted in
     /// [`submitted`](Self::submitted).
     pub rejected_closed: u64,
     /// Submits rejected with

@@ -3,13 +3,14 @@
 //!
 //! [`completion_channel`] builds a `(sink, stream)` pair. The sink is handed
 //! to [`GemmService::submit_streamed`](crate::GemmService::submit_streamed)
-//! at submit time (`submit` and `submit_async` build a one-request channel
-//! of their own and wrap its stream in their handle); the service's one
+//! at submit time (`submit` builds a one-request channel of its own and
+//! wraps its stream in a [`RequestHandle`](crate::RequestHandle)); the service's one
 //! completion site pushes each finished request's result (tagged with its
 //! id) into the channel. The [`Completions`] end is both a blocking
 //! iterator ([`recv`](Completions::recv)) and an async stream
 //! ([`poll_next`](Completions::poll_next) / [`next`](Completions::next)), so
-//! the same frontend code works under a sync drain loop or any executor.
+//! the same frontend code works under a sync drain loop or any executor;
+//! a one-request channel's `next()` is that request's future.
 //!
 //! End-of-stream is defined by in-flight accounting, not sender drops: the
 //! channel knows how many submissions are outstanding, and `recv`/`next`
@@ -326,7 +327,7 @@ mod tests {
         sink.register();
         let rejecter = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            sink.unregister(); // submission rejected (e.g. queue full)
+            sink.unregister(); // submission rejected (e.g. queue closed)
         });
         assert!(stream.recv().is_none(), "recv must unblock and end");
         rejecter.join().unwrap();
@@ -362,5 +363,37 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert!(matches!(stream.poll_next(&mut cx), Poll::Ready(None)));
+    }
+
+    /// A completion already queued resolves the first poll: no waker is
+    /// stored and none fires.
+    #[test]
+    fn a_delivery_before_the_poll_resolves_without_a_wake() {
+        let (sink, mut stream) = completion_channel::<f64>();
+        sink.register();
+        sink.deliver(4, ok_response(2.5));
+        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&counter));
+        match stream.poll_next(&mut Context::from_waker(&waker)) {
+            Poll::Ready(Some(c)) => assert_eq!(c.result.unwrap().c.get(0, 0), 2.5),
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+    }
+
+    /// Polling again with the same waker keeps the stored one: the delivery
+    /// wakes exactly once.
+    #[test]
+    fn repolls_with_same_waker_wake_once() {
+        let (sink, mut stream) = completion_channel::<f64>();
+        sink.register();
+        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&counter));
+        let mut cx = Context::from_waker(&waker);
+        assert!(stream.poll_next(&mut cx).is_pending());
+        assert!(stream.poll_next(&mut cx).is_pending());
+        sink.deliver(8, ok_response(1.0));
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
+        assert!(stream.poll_next(&mut cx).is_ready());
     }
 }

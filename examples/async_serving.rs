@@ -1,16 +1,16 @@
 //! Async serving walkthrough: drive hundreds of in-flight requests from a
-//! single thread, with **zero dedicated waiter threads**.
+//! single thread, with **zero dedicated waiter threads** and no async
+//! runtime.
 //!
-//! The point of `GemmService::submit_async` is that a web-style frontend no
-//! longer needs one parked thread per outstanding request: each submission
-//! returns a plain `Future`, the service's completion site fires the task's
-//! waker, and any executor — including the ~40-line hand-rolled `block_on`
-//! below — can multiplex all of them on one thread. (The library ships the
-//! same loop as `ftgemm_serve::exec::block_on_all`; it is hand-rolled here
-//! to show there is no magic in it.) The same demo also
-//! drains a second burst through the completion-channel bridge
-//! (`submit_streamed`), the surface to reach for when per-request futures
-//! are more structure than you need.
+//! A web-style frontend does not need one parked thread per outstanding
+//! request: `GemmService::submit_streamed` delivers each result into a
+//! completion channel, and `Completions::next()` is a plain `Future` whose
+//! waker the service's completion site fires. Give each request a channel
+//! of its own and `next()` is that request's future; any executor —
+//! including the ~40-line hand-rolled `block_on_all` below — can multiplex
+//! all of them on one thread. The same demo also drains a second burst
+//! through one shared channel with the blocking `recv`, the simpler shape
+//! when per-request futures are more structure than you need.
 //!
 //! ```sh
 //! cargo run --release --example async_serving
@@ -86,26 +86,35 @@ fn main() {
         service.nthreads()
     );
 
-    // ---- Burst 1: 128 concurrent async futures, one executor thread. ----
+    // ---- Burst 1: 128 concurrent futures, one executor thread. ----
+    // Each request gets a one-request completion channel; awaiting its
+    // `next()` is awaiting that request.
     let n_async = 128;
     let t0 = Instant::now();
-    let mut futures = Vec::with_capacity(n_async);
+    let mut channels = Vec::with_capacity(n_async);
     for i in 0..n_async as u64 {
         let a = Matrix::<f64>::random(64, 48, i);
         let b = Matrix::<f64>::random(48, 56, i + 1);
-        futures.push(
-            service
-                .submit_async(GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect))
-                .expect("submit_async"),
-        );
+        let (sink, completions) = completion_channel::<f64>();
+        service
+            .submit_streamed(
+                GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect),
+                &sink,
+            )
+            .expect("submit_streamed");
+        channels.push(completions);
     }
+    let in_flight: usize = channels.iter().map(|c| c.in_flight()).sum();
     println!(
-        "submitted {n_async} async requests in {:.2?}; {} futures in flight, 0 waiter threads",
+        "submitted {n_async} requests in {:.2?}; {in_flight} still in flight, 0 waiter threads",
         t0.elapsed(),
-        service.stats().in_flight_async
     );
 
-    let results = block_on_all(futures);
+    let futures = channels.iter_mut().map(|c| c.next()).collect();
+    let results: Vec<_> = block_on_all(futures)
+        .into_iter()
+        .map(|c| c.expect("an admitted request always completes").result)
+        .collect();
     let wall_async = t0.elapsed();
     assert_eq!(results.len(), n_async);
     for r in &results {
@@ -121,7 +130,7 @@ fn main() {
         "all {n_async} futures resolved in {wall_async:.2?} (spot-check vs naive: {diff:.1e})\n"
     );
 
-    // ---- Burst 2: completion-channel bridge, one drain loop. ----
+    // ---- Burst 2: one shared completion channel, one drain loop. ----
     let n_streamed = 128;
     let (sink, mut completions) = completion_channel::<f64>();
     let t1 = Instant::now();
@@ -146,11 +155,10 @@ fn main() {
     let stats = service.shutdown();
     println!("\nservice totals:");
     println!(
-        "  submitted            {} (sync {}, async {}, streamed {})",
-        stats.submitted, stats.submitted_sync, stats.submitted_async, stats.submitted_streamed
+        "  submitted            {} (sync {}, streamed {})",
+        stats.submitted, stats.submitted_sync, stats.submitted_streamed
     );
     println!("  completed            {}", stats.completed);
-    println!("  in-flight futures    {}", stats.in_flight_async);
     println!("  requests/sec         {:.0}", stats.requests_per_sec);
     println!("  batched regions      {}", stats.batches);
     println!("  mean batch occupancy {:.1}", stats.mean_batch_occupancy);

@@ -37,7 +37,6 @@ crates/ftgemm-abft/src/parallel/pool/barrier.rs epoch
 crates/ftgemm-abft/src/parallel/pool.rs generation
 crates/ftgemm-core/src/matrix.rs filled
 crates/ftgemm-obs/src/accept.rs stop
-crates/ftgemm-serve/src/exec.rs notified
 crates/ftgemm-serve/src/queue.rs closed depth pending_flops
 crates/ftgemm-serve/src/service.rs abort
 '

@@ -49,13 +49,13 @@
 //! problems into batched parallel regions, routes large ones to the
 //! matrix-parallel driver, and applies the same per-request [`FtPolicy`]
 //! the one-shot API uses. Build requests with [`GemmRequest::new`] and its
-//! `with_*` setters (or [`GemmOp::to_request`]). Three submit
+//! `with_*` setters (or [`GemmOp::to_request`]). Two submit
 //! surfaces feed one queue and one dispatcher: blocking handles
-//! ([`submit`](serve::GemmService::submit)), waker-based futures
-//! ([`submit_async`](serve::GemmService::submit_async) — no parked thread
-//! per request), and a completion-channel stream
-//! ([`submit_streamed`](serve::GemmService::submit_streamed)). See
-//! `examples/serving_throughput.rs` and `examples/async_serving.rs`.
+//! ([`submit`](serve::GemmService::submit)) and a completion-channel
+//! stream ([`submit_streamed`](serve::GemmService::submit_streamed)),
+//! drained blocking or awaited under any executor with no parked thread
+//! per request. See `examples/serving_throughput.rs` and
+//! `examples/async_serving.rs`.
 //!
 //! The dispatcher runs every request on one worker pool of
 //! `ServiceConfig::threads` threads (`0` = one per available core), the

@@ -60,7 +60,6 @@ fn wire_results_stay_correct_beside_an_in_process_campaign() {
         max_batch: 4,
         routing: RoutingPolicy::Fixed(CUTOFF),
         obs_addr: Some("127.0.0.1:0".parse().unwrap()),
-        ..ServiceConfig::default()
     }));
     let server = NetServer::start(Arc::clone(&svc), "127.0.0.1:0", NetServerConfig::default())
         .expect("bind wire frontend");

@@ -4,7 +4,6 @@
 //! expired-while-queued requests across every submit surface.
 
 use ftgemm::core::Matrix;
-use ftgemm::serve::exec::block_on_all;
 use ftgemm::serve::{
     completion_channel, GemmRequest, GemmService, RoutePath, RoutingPolicy, ServeError,
     ServiceConfig,
@@ -156,8 +155,9 @@ fn feasible_deadline_completes_on_synthetic_topology() {
 }
 
 /// Expired-while-queued requests are shed at dispatch with
-/// `DeadlineExceeded` on **every** submit surface: the handle, the future,
-/// and the completion channel all resolve (nothing hangs), the shed
+/// `DeadlineExceeded` on **every** submit surface: the handle, a
+/// one-request completion channel and a shared one all resolve (nothing
+/// hangs), the shed
 /// requests roll into `failed` (so `completed + failed == submitted`
 /// still balances), and the shed counter matches. Routing is
 /// pinned, and the service has served nothing yet, so no path has an
@@ -181,8 +181,9 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
     let handle = service
         .submit(problem(1, 24).with_deadline(dead))
         .expect("no path has evidence yet: admission must wave this through");
-    let future = service
-        .submit_async(problem(2, 24).with_deadline(dead))
+    let (one_sink, mut one) = completion_channel::<f64>();
+    let one_id = service
+        .submit_streamed(problem(2, 24).with_deadline(dead), &one_sink)
         .unwrap();
     let (sink, mut completions) = completion_channel::<f64>();
     let streamed_id = service
@@ -201,9 +202,13 @@ fn expired_requests_shed_at_dispatch_on_every_surface() {
         }
         other => panic!("handle: expected shed, got {other:?}"),
     }
-    match block_on_all(vec![future]).pop().unwrap() {
+    let completion = one
+        .recv()
+        .expect("one-request channel must observe the shed");
+    assert_eq!(completion.id, one_id);
+    match completion.result {
         Err(ServeError::DeadlineExceeded(_)) => {}
-        other => panic!("future: expected shed, got {other:?}"),
+        other => panic!("one-request channel: expected shed, got {other:?}"),
     }
     let completion = completions.recv().expect("channel must observe the shed");
     assert_eq!(completion.id, streamed_id);

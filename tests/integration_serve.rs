@@ -3,13 +3,16 @@
 //! faults under `DetectCorrect` must be corrected and surfaced.
 
 use ftgemm::core::reference::naive_gemm;
-use ftgemm::serve::exec::block_on_all;
 use ftgemm::serve::{
-    completion_channel, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
+    completion_channel, FtPolicy, GemmRequest, GemmService, RoutePath, RoutingPolicy, ServeError,
+    ServiceConfig,
 };
 use ftgemm::{FaultInjector, Matrix};
 use std::collections::HashSet;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 fn service(threads: usize, max_batch: usize) -> GemmService<f64> {
@@ -146,13 +149,42 @@ fn injected_errors_corrected_and_surfaced() {
     assert_eq!(snap.corrected, snap.injected);
 }
 
-/// (d) 96 concurrent async submissions across both routing paths, driven by
-/// one executor thread, each matching the serial reference; the in-flight
-/// gauge returns to zero and per-surface counters balance.
+/// Polls every future to completion on this thread, parking between
+/// rounds. The waker unparks the thread, and a wake that lands mid-round
+/// leaves its park token set, so the next park returns at once.
+fn block_on_all<F: Future + Unpin>(mut futures: Vec<F>) -> Vec<F::Output> {
+    struct Unpark(std::thread::Thread);
+    impl Wake for Unpark {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
+        }
+    }
+    let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    let mut outputs: Vec<Option<F::Output>> = futures.iter().map(|_| None).collect();
+    while outputs.iter().any(Option::is_none) {
+        for (future, out) in futures.iter_mut().zip(&mut outputs) {
+            if out.is_none() {
+                if let Poll::Ready(v) = Pin::new(future).poll(&mut cx) {
+                    *out = Some(v);
+                }
+            }
+        }
+        if outputs.iter().any(Option::is_none) {
+            std::thread::park();
+        }
+    }
+    outputs.into_iter().map(Option::unwrap).collect()
+}
+
+/// (d) 96 concurrent submissions across both routing paths, each into a
+/// one-request completion channel whose `next()` is its future, all
+/// driven by one executor thread; each matches the serial reference, every
+/// channel ends drained, and per-surface counters balance.
 #[test]
 fn concurrent_async_requests_match_serial_reference() {
     let service = service(3, 8);
-    let mut futures = Vec::new();
+    let mut channels = Vec::new();
     let mut references = Vec::new();
     for i in 0..96u64 {
         // Every 8th request is above the pinned cutoff → matrix-parallel.
@@ -165,23 +197,36 @@ fn concurrent_async_requests_match_serial_reference() {
         let b = Matrix::<f64>::random(k, n, 800 + i);
         let mut expected = Matrix::<f64>::zeros(m, n);
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut expected.as_mut());
-        futures.push(service.submit_async(GemmRequest::new(a, b)).unwrap());
+        let (sink, completions) = completion_channel::<f64>();
+        let id = service
+            .submit_streamed(GemmRequest::new(a, b), &sink)
+            .unwrap();
+        channels.push((id, completions));
         references.push(expected);
     }
-    assert_eq!(service.stats().in_flight_async, 96);
 
+    let futures = channels.iter_mut().map(|(_, c)| c.next()).collect();
     let results = block_on_all(futures);
-    for (i, (result, expected)) in results.iter().zip(&references).enumerate() {
-        let resp = result.as_ref().unwrap();
-        let d = resp.c.rel_max_diff(expected);
+    for (i, (done, expected)) in results.into_iter().zip(&references).enumerate() {
+        let done = done.expect("an admitted request always completes");
+        assert_eq!(
+            done.id, channels[i].0,
+            "request {i}: another request's result"
+        );
+        let d = done.result.unwrap().c.rel_max_diff(expected);
         assert!(d < 1e-10, "request {i}: diff {d}");
     }
+    assert!(
+        channels
+            .iter()
+            .all(|(_, c)| c.in_flight() == 0 && c.ready_len() == 0),
+        "a channel holds a second completion"
+    );
 
     let snap = service.stats();
-    assert_eq!(snap.submitted_async, 96);
+    assert_eq!(snap.submitted_streamed, 96);
     assert_eq!(snap.submitted_sync, 0);
     assert_eq!(snap.completed, 96);
-    assert_eq!(snap.in_flight_async, 0);
     assert!(snap.direct_large >= 12, "large path unused: {snap:?}");
     assert!(snap.batched_requests > 0, "batched path unused: {snap:?}");
 }
@@ -371,41 +416,53 @@ fn snapshot_invariant_holds_under_concurrent_submit() {
     assert_eq!(snap.completed + snap.failed, 256);
 }
 
-/// Satellite regression (counter rollback): submissions rejected by a full
-/// bounded queue must not inflate `submitted` — the admission count is
-/// rolled back, so accepted == completed == submitted once drained. A
-/// streamed submit the queue turns away leaves its sink too: the sink
-/// counts exactly the accepted ones, and its stream ends after their ids.
+/// Counter rollback: submissions rejected at admission must not inflate
+/// `submitted`, so accepted == completed == submitted once drained. A
+/// streamed submit that is turned away leaves its sink untouched too: the
+/// sink counts exactly the accepted ones, and its stream ends after their
+/// ids. Every other submit carries a deadline the seeded batched-path
+/// evidence makes infeasible.
 #[test]
 fn rejected_submissions_do_not_inflate_counters() {
     let service = GemmService::<f64>::new(ServiceConfig {
         threads: 1,
         max_batch: 1,
-        queue_capacity: 2,
         ..ServiceConfig::default()
     });
+    let flops = 2 * 32 * 32 * 32;
+    service.seed_routing(RoutePath::Batched, flops, flops * 1_000);
+    let request = |i: u64| {
+        let req = GemmRequest::new(
+            Matrix::<f64>::random(32, 32, i),
+            Matrix::<f64>::random(32, 32, i + 1),
+        );
+        if i % 2 == 1 {
+            req.with_deadline(Duration::from_nanos(1))
+        } else {
+            req
+        }
+    };
     let mut accepted = Vec::new();
     let mut rejected = 0u64;
     for i in 0..64u64 {
-        let a = Matrix::<f64>::random(32, 32, i);
-        let b = Matrix::<f64>::random(32, 32, i + 1);
-        match service.submit_async(GemmRequest::new(a, b)) {
-            Ok(fut) => accepted.push(fut),
-            Err(ftgemm::serve::ServeError::Overloaded) => rejected += 1,
+        match service.submit(request(i)) {
+            Ok(handle) => accepted.push(handle),
+            Err(ServeError::DeadlineExceeded(_)) => rejected += 1,
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
     let accepted_count = accepted.len() as u64;
-    for result in block_on_all(accepted) {
-        result.unwrap();
+    for handle in accepted {
+        handle.wait().unwrap();
     }
     let snap = service.stats();
-    assert_eq!(accepted_count + rejected, 64);
+    assert_eq!((accepted_count, rejected), (32, 32));
     assert_eq!(
         snap.submitted, accepted_count,
         "rejections leaked into submitted"
     );
-    assert_eq!(snap.submitted_async, accepted_count);
+    assert_eq!(snap.submitted_sync, accepted_count);
+    assert_eq!(snap.rejected_deadline, rejected);
     assert_eq!(snap.completed, accepted_count);
 
     // Occupy the one dispatcher with a large request, so nothing streamed
@@ -427,16 +484,14 @@ fn rejected_submissions_do_not_inflate_counters() {
     let (sink, mut completions) = completion_channel::<f64>();
     let mut streamed = Vec::new();
     let mut streamed_rejected = 0u64;
-    for i in 0..16u64 {
-        let a = Matrix::<f64>::random(32, 32, 100 + i);
-        let b = Matrix::<f64>::random(32, 32, 200 + i);
-        match service.submit_streamed(GemmRequest::new(a, b), &sink) {
+    for i in 100..116u64 {
+        match service.submit_streamed(request(i), &sink) {
             Ok(id) => streamed.push(id),
-            Err(ftgemm::serve::ServeError::Overloaded) => streamed_rejected += 1,
+            Err(ServeError::DeadlineExceeded(_)) => streamed_rejected += 1,
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert!(streamed_rejected > 0, "16 submits must overflow 2 slots");
+    assert_eq!(streamed_rejected, 8);
     assert_eq!(completions.in_flight(), streamed.len());
     assert_eq!(
         service.stats().completed,

@@ -6,7 +6,6 @@
 
 use ftgemm::core::aligned;
 use ftgemm::obs::Registry;
-use ftgemm::serve::exec::block_on;
 use ftgemm::serve::{
     completion_channel, FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig,
 };
@@ -24,7 +23,6 @@ fn obs_service() -> GemmService<f64> {
         // both routing paths.
         routing: RoutingPolicy::Fixed(2 * 96 * 96 * 96),
         obs_addr: Some("127.0.0.1:0".parse().unwrap()),
-        ..ServiceConfig::default()
     })
 }
 
@@ -114,11 +112,13 @@ fn scraped_counters_match_in_process_snapshot() {
     let addr = service.obs_addr().expect("endpoint bound");
     assert_ne!(addr.port(), 0, "port 0 should resolve to the bound port");
 
-    // Spread over the three submit surfaces, half with a generous
-    // deadline, so the per-surface and deadline cells all move.
+    // Spread over the two submit surfaces — a quarter into one shared
+    // completion channel, a quarter into one-request channels of their
+    // own — half with a generous deadline, so the per-surface and deadline
+    // cells all move.
     let (sink, mut completions) = completion_channel::<f64>();
     let mut handles = Vec::new();
-    let mut futures = Vec::new();
+    let mut own_channels = Vec::new();
     for i in 0..24u64 {
         // Every 6th request is above the pinned cutoff (matrix-parallel);
         // every 3rd carries an injector so the ft counters are nonzero.
@@ -137,7 +137,11 @@ fn scraped_counters_match_in_process_snapshot() {
             req = req.with_injector(FaultInjector::counted(700 + i, 1));
         }
         match i % 4 {
-            1 => futures.push(service.submit_async(req).unwrap()),
+            1 => {
+                let (own_sink, own) = completion_channel::<f64>();
+                service.submit_streamed(req, &own_sink).unwrap();
+                own_channels.push(own);
+            }
             3 => drop(service.submit_streamed(req, &sink).unwrap()),
             _ => handles.push(service.submit(req).unwrap()),
         }
@@ -145,8 +149,8 @@ fn scraped_counters_match_in_process_snapshot() {
     for h in handles {
         h.wait().unwrap();
     }
-    for f in futures {
-        block_on(f).unwrap();
+    for mut own in own_channels {
+        own.recv().unwrap().result.unwrap();
     }
     while let Some(c) = completions.recv() {
         c.result.unwrap();
@@ -168,20 +172,11 @@ fn scraped_counters_match_in_process_snapshot() {
         ("ftgemm_requests_submitted_total", snap.submitted),
         ("ftgemm_requests_submitted_sync_total", snap.submitted_sync),
         (
-            "ftgemm_requests_submitted_async_total",
-            snap.submitted_async,
-        ),
-        (
             "ftgemm_requests_submitted_streamed_total",
             snap.submitted_streamed,
         ),
-        ("ftgemm_requests_in_flight_async", snap.in_flight_async),
         ("ftgemm_requests_completed_total", snap.completed),
         ("ftgemm_requests_failed_total", snap.failed),
-        (
-            "ftgemm_requests_rejected_total{reason=\"overloaded\"}",
-            snap.rejected_overloaded,
-        ),
         (
             "ftgemm_requests_rejected_total{reason=\"closed\"}",
             snap.rejected_closed,
@@ -223,14 +218,7 @@ fn scraped_counters_match_in_process_snapshot() {
     }
     assert!(snap.injected > 0, "injectors never fired: {snap:?}");
     assert_eq!(samples["ftgemm_ft_corrected_total"], snap.injected as f64);
-    assert_eq!(
-        (
-            snap.submitted_sync,
-            snap.submitted_async,
-            snap.submitted_streamed
-        ),
-        (12, 6, 6)
-    );
+    assert_eq!((snap.submitted_sync, snap.submitted_streamed), (12, 12));
 
     assert_eq!(snap.deadline_met + snap.deadline_missed, 12);
 
@@ -299,7 +287,7 @@ fn scraped_counters_match_in_process_snapshot() {
 /// want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 36] = [
+    const GOLDEN: [(&str, &str); 34] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -321,11 +309,9 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_requests_deadline_met_total", "counter"),
         ("ftgemm_requests_deadline_missed_total", "counter"),
         ("ftgemm_requests_failed_total", "counter"),
-        ("ftgemm_requests_in_flight_async", "gauge"),
         ("ftgemm_requests_per_second", "gauge"),
         ("ftgemm_requests_rejected_total", "counter"),
         ("ftgemm_requests_shed_deadline_total", "counter"),
-        ("ftgemm_requests_submitted_async_total", "counter"),
         ("ftgemm_requests_submitted_streamed_total", "counter"),
         ("ftgemm_requests_submitted_sync_total", "counter"),
         ("ftgemm_requests_submitted_total", "counter"),

@@ -1,7 +1,7 @@
 //! Queue drop/shutdown regression coverage: a service going away with
 //! requests still parked in its queue behind a busy dispatcher must
-//! *resolve* every outstanding handle, future, and completion-channel
-//! receiver — by computing the backlog (graceful [`shutdown`]) or failing
+//! *resolve* every outstanding handle and completion-channel receiver
+//! (shared or one request's own) — by computing the backlog (graceful [`shutdown`]) or failing
 //! it with [`ServeError::Closed`] ([`shutdown_now`]) — never by leaving a
 //! waiter hung on an envelope that silently vanished with the queue.
 
@@ -31,8 +31,8 @@ fn two_thread_service() -> GemmService<f64> {
 
 /// `shutdown_now` with requests parked behind the busy dispatcher: the
 /// in-flight request completes, every parked request fails with `Closed`
-/// (not a hang — every wait below is bounded), every parked future is
-/// resolved by the time `shutdown_now` returns, the completion channel
+/// (not a hang — every wait below is bounded), every one-request channel's
+/// future is resolved by the time `shutdown_now` returns, the completion channel
 /// observes the whole drain and then ends, and the counters balance.
 #[test]
 fn shutdown_now_fails_parked_requests_instead_of_hanging() {
@@ -81,29 +81,34 @@ fn shutdown_now_fails_parked_requests_instead_of_hanging() {
         })
         .collect();
     drop(sink);
-    let mut futures: Vec<_> = (0..8u64)
+    let mut own_channels: Vec<_> = (0..8u64)
         .map(|i| {
             let a = Matrix::<f64>::random(24, 24, 200 + i);
             let b = Matrix::<f64>::random(24, 24, 240 + i);
-            service.submit_async(GemmRequest::new(a, b)).unwrap()
+            let (own_sink, own) = completion_channel::<f64>();
+            let id = service
+                .submit_streamed(GemmRequest::new(a, b), &own_sink)
+                .unwrap();
+            (id, own)
         })
         .collect();
 
     let stats = service.shutdown_now();
 
-    // The dispatcher is joined, so every future has its result: one poll
-    // each resolves it, with no executor and no waker ever firing. Until
-    // then the service's gauge counts them all; each resolution releases
-    // its share.
-    assert_eq!(stats.in_flight_async, 8, "unpolled futures are in flight");
+    // The dispatcher is joined, so every one-request channel has its
+    // result: one poll of its `next()` resolves it, with no executor and
+    // no waker ever firing, and leaves nothing in flight.
     let mut cx = Context::from_waker(Waker::noop());
-    for (i, fut) in futures.iter_mut().enumerate() {
-        match Pin::new(&mut *fut).poll(&mut cx) {
-            Poll::Ready(Ok(_) | Err(ServeError::Closed)) => {}
-            Poll::Ready(Err(e)) => panic!("parked future {i}: unexpected error {e}"),
+    for (i, (id, own)) in own_channels.iter_mut().enumerate() {
+        match Pin::new(&mut own.next()).poll(&mut cx) {
+            Poll::Ready(Some(c)) => match c.result {
+                Ok(_) | Err(ServeError::Closed) => assert_eq!(c.id, *id),
+                Err(e) => panic!("parked future {i}: unexpected error {e}"),
+            },
+            Poll::Ready(None) => panic!("parked future {i} ended without its result"),
             Poll::Pending => panic!("parked future {i} unresolved after shutdown_now"),
         }
-        assert!(fut.is_resolved(), "future {i} kept its in-flight share");
+        assert_eq!(own.in_flight(), 0, "future {i} kept its registration");
     }
 
     // The request that was mid-compute still completed normally.
