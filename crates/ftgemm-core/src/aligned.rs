@@ -40,11 +40,13 @@
 //! unmapped under the list's lock.
 //!
 //! [`AlignedVec::zeroed`] zeroes a spare on the thread that asks for it.
-//! [`AlignedVec::for_overwrite`] does not zero a mapped one: it is for a
-//! buffer whose every element is stored before any is read (a `beta == 0`
-//! output, a packing buffer), and hands a mapped spare back holding what its
-//! last owner wrote. A heap spare it zeroes all the same, as a buffer under
-//! 256 KiB has always come, on pages the spare keeps resident.
+//! [`AlignedVec::for_overwrite`] does not: it is for a buffer whose every
+//! element is stored before any is read (a `beta == 0` output, a packing
+//! buffer), and hands a spare back, heap block or mapping, holding what its
+//! last owner wrote — so the one pass over a result is the kernel's store,
+//! not a memset before it. [`AlignedVec::from_slice`] takes its buffer the
+//! same way, since it stores every element. Fresh memory is zero either way
+//! (`alloc_zeroed`, or zero pages), so nothing uninitialized is ever read.
 //!
 //! A buffer of 2 MiB or more (x86-64) starts on a 2 MiB boundary and is
 //! advised onto transparent huge pages, so each whole 2 MiB extent of it is
@@ -456,7 +458,8 @@ mod pages {
     pub unsafe fn unmap(_at: usize, _len: usize) {}
 }
 
-/// A fixed-length, 64-byte aligned, zero-initialized heap buffer.
+/// A fixed-length, 64-byte aligned heap buffer: zeroed, or for a caller
+/// that stores every element first, as a spare's last owner left it.
 ///
 /// Semantically a `Box<[T]>` with stronger alignment. The element type is
 /// restricted to `Copy` types without drop glue, which is all the numeric
@@ -482,7 +485,7 @@ impl<T: Copy> AlignedVec<T> {
     }
 
     /// A buffer of `len` elements: a spare of its [`Key`] if the list holds
-    /// one, zeroed if `zero` or on the heap; else fresh zeroed memory.
+    /// one, zeroed if `zero`; else fresh zeroed memory.
     fn alloc(len: usize, zero: bool) -> Result<Self> {
         if len == 0 {
             return Ok(Self {
@@ -506,7 +509,7 @@ impl<T: Copy> AlignedVec<T> {
             match spares::take(key) {
                 Some(at) => {
                     let at = at as *mut u8;
-                    if zero || key.place == Place::Heap {
+                    if zero {
                         // SAFETY: a spare's `key.len >= bytes` bytes are
                         // nobody's but this caller's once off the list.
                         unsafe { at.write_bytes(0, bytes) };
@@ -533,13 +536,6 @@ impl<T: Copy> AlignedVec<T> {
     /// not meaningfully recoverable.
     pub fn zeroed_or_panic(len: usize) -> Self {
         Self::zeroed(len).expect("aligned allocation failed")
-    }
-
-    /// Builds a buffer by copying from a slice.
-    pub fn from_slice(src: &[T]) -> Result<Self> {
-        let mut v = Self::zeroed(src.len())?;
-        v.as_mut_slice().copy_from_slice(src);
-        Ok(v)
     }
 
     /// Number of elements.
@@ -588,14 +584,22 @@ impl<T: Copy> AlignedVec<T> {
 
 impl<T: Scalar> AlignedVec<T> {
     /// [`zeroed`](Self::zeroed) for a caller that stores every element
-    /// before it reads any: the same, except that a recycled spare mapping
-    /// comes back as its last owner left it, holding values some buffer of
-    /// this process wrote, where `zeroed` would spend a pass zeroing it. A
-    /// fresh mapping is still zero pages and a buffer under 256 KiB, spare
-    /// or fresh, still comes zeroed, so nothing uninitialized is ever read.
-    /// `T: Scalar` because every bit pattern is an `f32` / `f64`.
+    /// before it reads any: the same, except that a recycled spare, heap
+    /// block or mapping, comes back as its last owner left it, holding
+    /// values some buffer of this process wrote, where `zeroed` would spend
+    /// a pass zeroing it. Fresh memory is still zero, so nothing
+    /// uninitialized is ever read. `T: Scalar` because every bit pattern is
+    /// an `f32` / `f64`.
     pub fn for_overwrite(len: usize) -> Result<Self> {
         Self::alloc(len, false)
+    }
+
+    /// Builds a buffer by copying from a slice: one pass, the copy, into a
+    /// buffer taken as [`for_overwrite`](Self::for_overwrite) takes it.
+    pub fn from_slice(src: &[T]) -> Result<Self> {
+        let mut v = Self::for_overwrite(src.len())?;
+        v.as_mut_slice().copy_from_slice(src);
+        Ok(v)
     }
 }
 
@@ -636,7 +640,7 @@ impl<T: Copy> DerefMut for AlignedVec<T> {
     }
 }
 
-impl<T: Copy> Clone for AlignedVec<T> {
+impl<T: Scalar> Clone for AlignedVec<T> {
     fn clone(&self) -> Self {
         Self::from_slice(self.as_slice()).expect("aligned allocation failed")
     }

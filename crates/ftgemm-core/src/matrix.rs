@@ -164,7 +164,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// `m x n` matrix for a caller that stores every element before reading
     /// any — the output of a `beta == 0` product: like [`zeros`](Self::zeros),
-    /// but a recycled mapping keeps the values it held
+    /// but a recycled buffer, heap block or mapping, keeps the values it held
     /// ([`AlignedVec::for_overwrite`]).
     pub fn for_overwrite(nrows: usize, ncols: usize) -> Self {
         let len = nrows.checked_mul(ncols).expect("matrix size overflow");
@@ -174,14 +174,14 @@ impl<T: Scalar> Matrix<T> {
 
     /// `m x n` matrix with every element `value`.
     pub fn filled(nrows: usize, ncols: usize, value: T) -> Self {
-        let mut m = Self::zeros(nrows, ncols);
+        let mut m = Self::for_overwrite(nrows, ncols);
         m.data.fill(value);
         m
     }
 
     /// Builds from a function of `(row, col)`.
     pub fn from_fn(nrows: usize, ncols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut m = Self::zeros(nrows, ncols);
+        let mut m = Self::for_overwrite(nrows, ncols);
         for j in 0..ncols {
             for i in 0..nrows {
                 m.set(i, j, f(i, j));
@@ -217,7 +217,7 @@ impl<T: Scalar> Matrix<T> {
     pub fn random(nrows: usize, ncols: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let dist = Uniform::new(-1.0f64, 1.0f64);
-        let mut m = Self::zeros(nrows, ncols);
+        let mut m = Self::for_overwrite(nrows, ncols);
         for v in m.data.as_mut_slice() {
             *v = T::from_f64(dist.sample(&mut rng));
         }

@@ -186,9 +186,33 @@ impl Scalar for f32 {
     const BITS: u32 = 32;
 }
 
+/// The bytes of `data` as they lie in memory, without a copy: on a
+/// little-endian target, each value's `to_le_bytes` back to back. A writer
+/// of little-endian `f64`s (the wire format) takes them in one copy, or
+/// none, instead of a conversion pass.
+pub fn f64_bytes(data: &[f64]) -> &[u8] {
+    // SAFETY: an `f64` is 8 initialized bytes without padding, `u8` needs no
+    // alignment, and the view is exactly `data`'s bytes, shared and for
+    // `data`'s lifetime, so nothing writes them while it lives.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn f64_bytes_are_the_values_in_memory_order() {
+        let data = [
+            1.5,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::MIN_POSITIVE,
+        ];
+        let want: Vec<u8> = data.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        assert_eq!(f64_bytes(&data), want.as_slice());
+        assert!(f64_bytes(&[]).is_empty());
+    }
 
     fn exercise<T: Scalar>() {
         assert_eq!(T::ZERO + T::ONE, T::ONE);

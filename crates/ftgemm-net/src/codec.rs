@@ -12,6 +12,7 @@
 use std::io::{self, BufRead, Read, Write};
 
 use ftgemm_abft::FtReport;
+use ftgemm_core::scalar::f64_bytes;
 
 use crate::proto::{verb, CompletionFrame, CompletionOk, Frame, OperandRef, SubmitFrame};
 
@@ -132,6 +133,9 @@ const FIXED_BYTES: usize = 64;
 
 struct Wr<'a> {
     buf: &'a mut Vec<u8>,
+    /// A matrix left out of `buf` ([`Wr::matrix_apart`]): the offset its
+    /// bytes belong at, and their count.
+    gap: Option<(usize, usize)>,
 }
 
 impl Wr<'_> {
@@ -167,16 +171,21 @@ impl Wr<'_> {
         self.f64_slice(data);
     }
 
-    /// One resize and one conversion pass for the whole matrix, with room
-    /// for the fields after it.
+    /// [`Wr::matrix`] without the data: its bytes are counted in the frame
+    /// and left for the writer to send from where they lie.
+    fn matrix_apart(&mut self, rows: u32, cols: u32, data: &[f64]) {
+        self.u32(rows);
+        self.u32(cols);
+        self.gap = Some((self.buf.len(), 8 * data.len()));
+    }
+
+    /// The whole matrix in one copy of its bytes, which on the little-endian
+    /// targets this crate builds for are already the wire's, with room for
+    /// the fields after it.
     fn f64_slice(&mut self, data: &[f64]) {
-        let at = self.buf.len();
-        self.buf.reserve(8 * data.len() + FIXED_BYTES);
-        self.buf.resize(at + 8 * data.len(), 0);
-        let (words, _) = self.buf.split_at_mut(at).1.as_chunks_mut::<8>();
-        for (word, v) in words.iter_mut().zip(data) {
-            *word = v.to_le_bytes();
-        }
+        let bytes = f64_bytes(data);
+        self.buf.reserve(bytes.len() + FIXED_BYTES);
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -228,12 +237,18 @@ fn frame_len(body: usize) -> io::Result<u32> {
 /// failure's code and message.
 pub(crate) type CompletionFields<'a> = Result<(u32, u32, &'a [f64], FtReport), (u16, &'a str)>;
 
-fn put_completion(w: &mut Wr<'_>, id: u64, result: CompletionFields<'_>) {
+/// A completion's payload; an `Ok` result's matrix is left out of the
+/// buffer if `apart`.
+fn put_completion(w: &mut Wr<'_>, id: u64, result: CompletionFields<'_>, apart: bool) {
     w.u64(id);
     match result {
         Ok((rows, cols, data, r)) => {
             w.u8(0);
-            w.matrix(rows, cols, data);
+            if apart {
+                w.matrix_apart(rows, cols, data);
+            } else {
+                w.matrix(rows, cols, data);
+            }
             for n in [
                 r.verifications,
                 r.detected,
@@ -269,19 +284,26 @@ fn try_encode(frame: &Frame) -> io::Result<Vec<u8>> {
 }
 
 /// Appends one frame to `buf`: prefix and verb first, the payload `put`
-/// writes after them, then the prefix patched to the length. A frame over
-/// 4 GiB is `InvalidInput` and leaves `buf` as it was.
-fn append_frame(buf: &mut Vec<u8>, verb: u8, put: impl FnOnce(&mut Wr<'_>)) -> io::Result<()> {
+/// writes after them, then the prefix patched to the length, which counts a
+/// matrix `put` left out. Returns the offset in `buf` that matrix's bytes
+/// belong at (the frame's end if none was). A frame over 4 GiB is
+/// `InvalidInput` and leaves `buf` as it was.
+fn append_frame(buf: &mut Vec<u8>, verb: u8, put: impl FnOnce(&mut Wr<'_>)) -> io::Result<usize> {
     let at = buf.len();
     buf.reserve(FIXED_BYTES);
     buf.extend_from_slice(&[0, 0, 0, 0, verb]);
-    put(&mut Wr { buf: &mut *buf });
-    match frame_len(buf.len() - at - 4) {
+    let mut w = Wr {
+        buf: &mut *buf,
+        gap: None,
+    };
+    put(&mut w);
+    let (gap, apart) = w.gap.unwrap_or((buf.len(), 0));
+    match frame_len(buf.len() + apart - at - 4) {
         Ok(len) => {
             if let Some(prefix) = buf.get_mut(at..).and_then(<[u8]>::first_chunk_mut::<4>) {
                 *prefix = len.to_le_bytes();
             }
-            Ok(())
+            Ok(gap)
         }
         Err(e) => {
             buf.truncate(at);
@@ -290,14 +312,20 @@ fn append_frame(buf: &mut Vec<u8>, verb: u8, put: impl FnOnce(&mut Wr<'_>)) -> i
     }
 }
 
-/// Appends a completion to `buf`, its matrix read in place: the server
-/// encodes the service's result without copying it into a [`CompletionOk`].
-pub(crate) fn encode_completion_into(
+/// Appends a completion to `buf` with an `Ok` result's matrix left out, and
+/// returns the offset in `buf` its bytes belong at ([`f64_bytes`]; the
+/// frame's end for a failure, which has none): sending
+/// `buf[..at]`, those bytes, then `buf[at..]` sends the completion's frame.
+/// The server sends the service's result from where it lies, without
+/// copying it into a [`CompletionOk`] or into `buf`.
+pub(crate) fn encode_completion_apart(
     buf: &mut Vec<u8>,
     id: u64,
     result: CompletionFields<'_>,
-) -> io::Result<()> {
-    append_frame(buf, verb::COMPLETION, |w| put_completion(w, id, result))
+) -> io::Result<usize> {
+    append_frame(buf, verb::COMPLETION, |w| {
+        put_completion(w, id, result, true)
+    })
 }
 
 /// Appends an `UploadOperand` to `buf`, its matrix read in place: the
@@ -308,12 +336,12 @@ pub(crate) fn encode_upload_into(
     cols: u32,
     data: &[f64],
 ) -> io::Result<()> {
-    append_frame(buf, verb::UPLOAD_OPERAND, |w| w.matrix(rows, cols, data))
+    append_frame(buf, verb::UPLOAD_OPERAND, |w| w.matrix(rows, cols, data)).map(drop)
 }
 
 /// Appends one frame to `buf`; see [`append_frame`].
 pub(crate) fn encode_into(buf: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
-    append_frame(buf, frame.verb(), |w| put_payload(w, frame))
+    append_frame(buf, frame.verb(), |w| put_payload(w, frame)).map(drop)
 }
 
 fn put_payload(w: &mut Wr<'_>, frame: &Frame) {
@@ -368,7 +396,7 @@ fn put_payload(w: &mut Wr<'_>, frame: &Frame) {
                 Ok(ok) => Ok((ok.rows, ok.cols, ok.data.as_slice(), ok.report())),
                 Err((code, message)) => Err((*code, message.as_str())),
             };
-            put_completion(w, c.id, result);
+            put_completion(w, c.id, result, false);
         }
         Frame::ReleaseHandle { handle } | Frame::Released { handle } => {
             w.u64(*handle);

@@ -13,9 +13,12 @@
 //!
 //! The outbound thread is the one socket-write site: it owns the write
 //! half, takes the whole outbox each turn, encodes it into one buffer it
-//! keeps, writes that buffer once, and parks when a turn had nothing to do.
-//! A finished request stays the service's [`Completion`] until then, so its
-//! result matrix is encoded where the service left it, not copied first.
+//! keeps, writes it through one `write_vectored` loop, and parks when a
+//! turn had nothing to do. A finished request stays the service's
+//! [`Completion`] until its turn is written, and its result matrix goes to
+//! the socket from where the service left it, between its frame's header
+//! and trailer bytes: the one copy of a result on the way out is the
+//! kernel's, into the socket.
 //!
 //! Finished requests are taken off the connection's [`Completions`]
 //! stream by [`ConnState::route_finished`], under the connection lock:
@@ -36,7 +39,7 @@
 //! baseline.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
@@ -46,6 +49,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, MutexGuard};
 
 use ftgemm_abft::FtPolicy;
+use ftgemm_core::scalar::f64_bytes;
 use ftgemm_core::Matrix;
 use ftgemm_obs::StopHandle;
 use ftgemm_serve::{
@@ -53,7 +57,7 @@ use ftgemm_serve::{
 };
 
 use crate::codec::{
-    encode_completion_into, encode_into, take_frame, ReadEvent, WireError, TURN_BYTES,
+    encode_completion_apart, encode_into, take_frame, ReadEvent, WireError, TURN_BYTES,
 };
 use crate::metrics;
 use crate::proto::{error_code, Frame, OperandRef, SubmitFrame, FEATURES, PROTO_VERSION};
@@ -72,28 +76,15 @@ pub(crate) struct ConnContext {
 /// One frame in the outbox.
 enum Outgoing {
     Frame(Frame),
-    /// A finished request, encoded straight from its result matrix.
+    /// A finished request, sent straight from its result matrix.
     Completion(Completion<f64>),
 }
 
-impl Outgoing {
-    /// Appends the frame's bytes to `buf`.
-    fn encode_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
-        match self {
-            Outgoing::Frame(frame) => encode_into(buf, frame),
-            Outgoing::Completion(Completion {
-                id,
-                result: Ok(resp),
-            }) => {
-                let (rows, cols) = (resp.c.nrows() as u32, resp.c.ncols() as u32);
-                let result = Ok((rows, cols, resp.c.as_slice(), resp.report));
-                encode_completion_into(buf, *id, result)
-            }
-            Outgoing::Completion(Completion { id, result: Err(e) }) => {
-                encode_completion_into(buf, *id, Err((e.wire_code(), &e.to_string())))
-            }
-        }
-    }
+/// The bytes of a completion's result matrix; none for a failure.
+fn result_bytes(c: &Completion<f64>) -> &[u8] {
+    c.result
+        .as_ref()
+        .map_or(&[], |resp| f64_bytes(resp.c.as_slice()))
 }
 
 /// State shared between the reader and the outbound thread, under one
@@ -218,35 +209,96 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
     })
 }
 
-/// The outbound thread's write buffer: frames encoded back to back, written
-/// with one `write_all`. Past [`TURN_BYTES`] a turn writes what it has
-/// before encoding more, like a buffered writer's capacity: the buffer
-/// stays within that plus one frame, and a long turn's first frames do not
-/// wait for its last.
+/// The outbound thread's write buffer: frames encoded back to back, except
+/// each completion's result matrix, which stays in its [`Completion`] until
+/// the turn is written. The turn goes out in one `write_vectored` loop: the
+/// buffer in pieces, each held matrix between the header and the trailer
+/// bytes of its frame. Past [`TURN_BYTES`], buffer and held matrices
+/// together, a turn writes what it has before encoding more, like a
+/// buffered writer's capacity: it stays within that plus one frame, and a
+/// long turn's first frames do not wait for its last.
 #[derive(Default)]
 struct Turn {
     buf: Vec<u8>,
+    /// Each completion in the turn, with the offset in `buf` its result's
+    /// bytes go at.
+    held: Vec<(usize, Completion<f64>)>,
+    /// The bytes of the held results.
+    held_bytes: usize,
     frames: u64,
 }
 
 impl Turn {
-    /// Writes and empties the buffer; false if the write failed. Counted
+    /// Adds a frame to the turn; false if it is too large to encode.
+    fn push(&mut self, frame: Outgoing) -> bool {
+        let encoded = match frame {
+            Outgoing::Frame(frame) => encode_into(&mut self.buf, &frame),
+            Outgoing::Completion(c) => {
+                let result = match &c.result {
+                    Ok(resp) => {
+                        let (rows, cols) = (resp.c.nrows() as u32, resp.c.ncols() as u32);
+                        Ok((rows, cols, resp.c.as_slice(), resp.report))
+                    }
+                    Err(e) => Err((e.wire_code(), &*e.to_string())),
+                };
+                encode_completion_apart(&mut self.buf, c.id, result).map(|at| {
+                    self.held_bytes += result_bytes(&c).len();
+                    self.held.push((at, c));
+                })
+            }
+        };
+        self.frames += u64::from(encoded.is_ok());
+        encoded.is_ok()
+    }
+
+    /// The turn's bytes so far.
+    fn len(&self) -> usize {
+        self.buf.len() + self.held_bytes
+    }
+
+    /// Writes and empties the turn; false if the write failed. Counted
     /// before the write, so a client never reads a frame the counters do
     /// not hold yet.
     fn write_to(&mut self, out: &mut impl Write) -> bool {
         metrics::frames_out_total().add(self.frames);
-        metrics::bytes_out_total().add(self.buf.len() as u64);
-        let written = self.buf.is_empty() || out.write_all(&self.buf).is_ok();
+        metrics::bytes_out_total().add(self.len() as u64);
+        let written = self.len() == 0 || self.write_all(out).is_ok();
         self.buf.clear();
+        self.held.clear();
+        self.held_bytes = 0;
         self.frames = 0;
         written
+    }
+
+    /// `buf` with every held result in its place, through as many
+    /// `write_vectored` calls as `out` needs to take it all.
+    fn write_all(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut slices = Vec::with_capacity(2 * self.held.len() + 1);
+        let mut from = 0;
+        for (at, c) in &self.held {
+            slices.push(IoSlice::new(self.buf.get(from..*at).unwrap_or_default()));
+            slices.push(IoSlice::new(result_bytes(c)));
+            from = *at;
+        }
+        slices.push(IoSlice::new(self.buf.get(from..).unwrap_or_default()));
+        let mut left = slices.as_mut_slice();
+        while !left.is_empty() {
+            match out.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
 /// The outbound thread: the connection's one socket-write site. Each turn
 /// routes what has finished and takes the whole outbox under one hold of
-/// the connection lock, encodes it into the [`Turn`] buffer, writes that
-/// once, and parks when there was nothing to write. Ends once the reader
+/// the connection lock, adds it to the [`Turn`], writes that through one
+/// `write_vectored` loop with each result matrix sent from where it lies,
+/// and parks when there was nothing to write. Ends once the reader
 /// has closed and the stream is drained: no submit follows `closing`, so
 /// that state is final. A failed write (or a frame too large to encode)
 /// stops the writing but not the draining, so the connection still leaves
@@ -268,9 +320,8 @@ fn outbound_loop(mut out: TcpStream, state: &Mutex<ConnState>, waker: &Waker) {
             if !writable {
                 break;
             }
-            let encoded = frame.encode_into(&mut turn.buf).is_ok();
-            turn.frames += u64::from(encoded);
-            if !encoded || turn.buf.len() >= TURN_BYTES {
+            let encoded = turn.push(frame);
+            if !encoded || turn.len() >= TURN_BYTES {
                 writable = turn.write_to(&mut out) && encoded;
             }
         }
@@ -557,5 +608,132 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
 
     if stop_server {
         ctx.stop.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::encode_frame;
+    use crate::proto::{CompletionFrame, CompletionOk};
+    use ftgemm_abft::FtReport;
+    use ftgemm_serve::GemmResponse;
+
+    /// A writer that takes at most `cap` bytes per call, across slices, and
+    /// fails its first call with `Interrupted` if `interrupt`.
+    struct Capped {
+        bytes: Vec<u8>,
+        cap: usize,
+        interrupt: bool,
+    }
+
+    impl Write for Capped {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.cap - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A successful completion of a `rows x cols` result, and its frame.
+    fn done(id: u64, rows: usize, cols: usize) -> (Outgoing, Frame) {
+        let c = Matrix::from_fn(rows, cols, |i, j| (i * 31 + j) as f64 * 0.37 - 1.0);
+        let report = FtReport {
+            verifications: 1 + id as usize,
+            detected: 2,
+            corrected: 3,
+            injected: 4,
+            retried_panels: 5,
+        };
+        let frame = Frame::Completion(CompletionFrame {
+            id,
+            result: Ok(CompletionOk {
+                rows: rows as u32,
+                cols: cols as u32,
+                data: c.as_slice().to_vec(),
+                verifications: report.verifications as u64,
+                detected: 2,
+                corrected: 3,
+                injected: 4,
+                retried_panels: 5,
+            }),
+        });
+        let resp = GemmResponse {
+            c,
+            report,
+            batched: true,
+        };
+        let result = Ok(resp);
+        (Outgoing::Completion(Completion { id, result }), frame)
+    }
+
+    /// One turn of every kind of frame, its results sent from where they lie,
+    /// is the bytes `encode_frame` gives its frames back to back — through
+    /// writers that take any number of bytes per call, or fail a call with
+    /// `Interrupted`.
+    #[test]
+    fn a_vectored_turn_is_the_encoded_frames_back_to_back() {
+        let late = ServeError::DeadlineExceeded("deadline passed in queue".into());
+        let writers = [(1, false), (7, false), (4096, false), (usize::MAX, false)];
+        for (cap, interrupt) in writers.into_iter().chain([(4096, true)]) {
+            let error = Frame::Error {
+                id: 0,
+                code: error_code::UNKNOWN_HANDLE,
+                message: "operand handle 9 is not resident".into(),
+            };
+            let failed = Frame::Completion(CompletionFrame {
+                id: 5,
+                result: Err((late.wire_code(), late.to_string())),
+            });
+            let (mut turn, mut want) = (Turn::default(), Vec::new());
+            for (out, frame) in [
+                (
+                    Outgoing::Frame(Frame::SubmitAck { id: 1 }),
+                    Frame::SubmitAck { id: 1 },
+                ),
+                done(1, 1, 1),
+                (Outgoing::Frame(error.clone()), error),
+                done(2, 48, 64),
+                (
+                    Outgoing::Completion(Completion {
+                        id: 5,
+                        result: Err(late.clone()),
+                    }),
+                    failed,
+                ),
+                (
+                    Outgoing::Frame(Frame::SubmitAck { id: 6 }),
+                    Frame::SubmitAck { id: 6 },
+                ),
+                done(6, 128, 128),
+            ] {
+                assert!(turn.push(out));
+                want.extend(encode_frame(&frame));
+            }
+            assert_eq!((turn.len(), turn.frames), (want.len(), 7));
+            let mut out = Capped {
+                bytes: Vec::new(),
+                cap,
+                interrupt,
+            };
+            assert!(turn.write_to(&mut out), "{cap} bytes per call");
+            assert!(out.bytes == want, "{cap} bytes per call");
+            assert_eq!((turn.len(), turn.held.len()), (0, 0));
+        }
     }
 }

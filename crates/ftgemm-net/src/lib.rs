@@ -31,7 +31,13 @@
 //!   `submit_streamed`.
 //! - [`server`] / [`client`]: the two endpoints.
 //! - `metrics`: the `ftgemm_net_*` metric families (documented there).
+//!
+//! No `unsafe` here: a matrix goes onto the wire as its in-memory bytes
+//! through `ftgemm_core::scalar::f64_bytes`, which are the wire's
+//! little-endian bytes only on a little-endian target — hence the one
+//! target requirement below.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
     deny(
@@ -41,6 +47,11 @@
         clippy::indexing_slicing
     )
 )]
+
+#[cfg(not(target_endian = "little"))]
+compile_error!(
+    "the wire format is little-endian, and frames carry matrices as their in-memory bytes"
+);
 
 pub mod client;
 pub mod codec;

@@ -135,7 +135,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
     deny(

@@ -6,11 +6,11 @@
 //! direct run on a zeroed `C` — on the matrix-parallel and the batched path,
 //! under `Off`, `DetectCorrect`, and a `DetectCorrect` rollback. `alpha = 0`
 //! and `k = 0` return exact zeros, and a wire submit without `C` ignores its
-//! `beta`. Batched results under 256 KiB are heap spares, poisoned the same
-//! way and taken back by the request: those come back zeroed, and the
-//! result is bit-identical all the same. Its own binary, with one test: the
-//! spare list is process-wide, and a sibling test's buffers would take the
-//! poisoned spares.
+//! `beta`, into a mapped output and into a heap-sized one. Batched results
+//! under 256 KiB are heap spares, poisoned the same way and checked NaN
+//! before the request runs. Its own binary, with one test: the spare list is
+//! process-wide, and a sibling test's buffers would take the poisoned
+//! spares.
 #![cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -132,40 +132,53 @@ fn beta_zero_outputs_never_show_a_spares_values() {
     }
 
     // On the wire, a submit without `C` is `beta = 0` whatever `beta` it
-    // carries: 2.5 times a poisoned spare would be NaN.
+    // carries: 2.5 times a poisoned spare would be NaN. Its output is a
+    // mapping (256x128) or a heap block (40x64); no later request here
+    // takes a heap spare of 40x64, which the server drops only once the
+    // completion is written.
     let server =
         NetServer::start(large.clone(), "127.0.0.1:0", NetServerConfig::default()).unwrap();
     let mut client = NetClient::connect(server.addr()).unwrap();
-    let (a, b) = &operands[0];
-    poison(a.nrows(), b.ncols());
-    let recycled = recycled_buffers();
-    let submit = SubmitFrame {
-        hold: false,
-        policy: 0,
-        priority: 1,
-        tenant: 0,
-        deadline_ns: 0,
-        alpha: 1.0,
-        beta: 2.5,
-        a: OperandRef::inline(a),
-        b: OperandRef::inline(b),
-        c: None,
-    };
-    client.send(&Frame::Submit(submit)).unwrap();
-    assert!(matches!(
-        client.read_response().unwrap(),
-        Frame::SubmitAck { .. }
-    ));
-    let Frame::Completion(done) = client.read_response().unwrap() else {
-        panic!("no completion");
-    };
-    assert_eq!(recycled_buffers() - recycled, 1, "the output was no spare");
-    let got = done.result.unwrap().data;
-    let diff = first_difference(&got, &direct(Exec::Parallel(&ctx), a, b));
-    assert_eq!(diff, None, "the wire scaled what its output held");
+    let heap = (
+        Arc::new(Matrix::<f64>::random(40, 32, 40)),
+        Arc::new(Matrix::<f64>::random(32, 64, 64)),
+    );
+    for (a, b) in [&operands[0], &heap] {
+        let (m, n) = (a.nrows(), b.ncols());
+        poison(m, n);
+        let recycled = recycled_buffers();
+        let submit = SubmitFrame {
+            hold: false,
+            policy: 0,
+            priority: 1,
+            tenant: 0,
+            deadline_ns: 0,
+            alpha: 1.0,
+            beta: 2.5,
+            a: OperandRef::inline(a),
+            b: OperandRef::inline(b),
+            c: None,
+        };
+        client.send(&Frame::Submit(submit)).unwrap();
+        assert!(matches!(
+            client.read_response().unwrap(),
+            Frame::SubmitAck { .. }
+        ));
+        let Frame::Completion(done) = client.read_response().unwrap() else {
+            panic!("no completion");
+        };
+        assert_eq!(
+            recycled_buffers() - recycled,
+            1,
+            "the {m}x{n} output was no spare"
+        );
+        let got = done.result.unwrap().data;
+        let diff = first_difference(&got, &direct(Exec::Parallel(&ctx), a, b));
+        assert_eq!(diff, None, "the wire scaled what its {m}x{n} output held");
+    }
 
     // Batched results of 24 KiB and 96 KiB are heap blocks, and their spares
-    // are poisoned and taken back the same way.
+    // are poisoned and taken back the same way, NaN until the product.
     let batched = &paths[1].2;
     for (m, n, k) in [(48, 64, 32), (96, 128, 64)] {
         let a = Arc::new(Matrix::<f64>::random(m, k, (m * k) as u64));
@@ -177,14 +190,7 @@ fn beta_zero_outputs_never_show_a_spares_values() {
             ("a rollback", FtPolicy::DetectCorrect, Some(overflow())),
         ];
         for (label, policy, injector) in runs {
-            poison(m, n);
-            let recycled = recycled_buffers();
-            let mut req = GemmRequest::new(&a, &b).with_policy(policy);
-            assert_eq!(
-                recycled_buffers() - recycled,
-                1,
-                "{m}x{n}: the output was no spare"
-            );
+            let mut req = poisoned(&a, &b).with_policy(policy);
             if let Some(injector) = injector {
                 req = req.with_injector(injector);
             }

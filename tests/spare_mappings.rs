@@ -98,7 +98,7 @@ fn dropped_mappings_come_back_zeroed_for_the_same_length() {
     drop((oldest, next));
 
     // `for_overwrite` hands a spare back as it was dropped; a fresh mapping
-    // and a buffer `malloc` serves read zeros all the same.
+    // reads zeros all the same.
     let v = dirty(MIB);
     let at = v.as_ptr();
     drop(v);
@@ -117,11 +117,22 @@ fn dropped_mappings_come_back_zeroed_for_the_same_length() {
         "a fresh mapping is zero pages"
     );
     drop((v, fresh));
-    for _ in 0..2 {
-        drop(dirty(128 * KIB));
-        let small = AlignedVec::<f64>::for_overwrite(128 * KIB / 8).unwrap();
-        assert!(small.iter().all(|&x| x == 0.0), "under 256 KiB is zeroed");
-    }
+    // A heap spare comes back the same ways: as it was dropped through
+    // `for_overwrite`, zeroed through `zeroed`.
+    let v = dirty(128 * KIB);
+    let at = v.as_ptr();
+    drop(v);
+    let small = AlignedVec::<f64>::for_overwrite(128 * KIB / 8).unwrap();
+    assert_eq!(small.as_ptr(), at);
+    assert!(
+        small.iter().all(|&x| x == 7.0),
+        "the heap spare came back changed"
+    );
+    drop(small);
+    let small = AlignedVec::<f64>::zeroed(128 * KIB / 8).unwrap();
+    assert_eq!(small.as_ptr(), at);
+    assert!(small.iter().all(|&x| x == 0.0), "a zeroed heap spare");
+    drop(small);
     assert_eq!(mapped_buffers(), mapped + 1, "128 KiB stays with malloc");
 
     // A buffer dropped on one thread is taken on another.
