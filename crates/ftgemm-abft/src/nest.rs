@@ -25,6 +25,18 @@
 //! before thread 0 rolls back or gives up, it sums `A` once more, and if the
 //! memo disagrees it rejects the memo and puts the fresh `A_r` in place.
 //!
+//! An operand whose owner pinned its sums on receipt
+//! ([`Matrix::pin_sums`](ftgemm_core::Matrix::pin_sums)) is checked where it
+//! is used, and there the data, not the memo, is the suspect. As `A`: when
+//! the re-sum above disagrees with a pinned `e^T A`, the call fails
+//! ([`FtError::Unrecoverable`]) instead of recovering. As `B`: thread 0 adds
+//! each panel's reduced `B_c` over the column blocks and, once the last
+//! block is in, compares it with the pinned `B·e` within the roundoff two
+//! sums of the same `n` numbers may differ by, `γ_2n · |B|·e` (Higham,
+//! *Accuracy and Stability of Numerical Algorithms*, ch. 3); a stray row
+//! fails the call. Either way the matrix is marked suspect
+//! ([`MatRef::reject_sums`]), so its owner stops serving it.
+//!
 //! Per depth panel (`pc`), `[P]` marking what `PROTECT` adds:
 //!
 //! ```text
@@ -190,11 +202,13 @@ pub(crate) struct Buffers<'a, T> {
     pub call: u64,
     /// Packed `B~` of one depth panel, packed cooperatively, read by all.
     pub btilde: Shared<'a, T>,
-    /// `[ar, bc, enc_row, ref_row, enc_col, ref_col]`: `alpha * e^T A`
-    /// (length `k`); the reduced `B_c` of the current panel (`kc`); encoded
-    /// and reference row checksums (`m`; members own their rows); encoded and
-    /// reference column checksums of the column block (`nc`).
-    pub vectors: [Shared<'a, T>; 6],
+    /// `[ar, bc, enc_row, ref_row, enc_col, ref_col, bc_total]`:
+    /// `alpha * e^T A` (length `k`); the reduced `B_c` of the current panel
+    /// (`kc`); encoded and reference row checksums (`m`; members own their
+    /// rows); encoded and reference column checksums of the column block
+    /// (`nc`); `B_c` summed over the column blocks so far (`k`, where `B`'s
+    /// sums are pinned).
+    pub vectors: [Shared<'a, T>; 7],
     /// `e^T A` unscaled (length `k`), where the call sums `A`: what a
     /// verified call leaves in `A`'s memo ([`MatRef::fill_col_sums`]).
     pub sums: Shared<'a, T>,
@@ -243,7 +257,7 @@ pub(crate) struct Checks<T: Scalar> {
     caps: [usize; 4],
     /// Protected calls viewed so far ([`view`](Self::view)).
     calls: u64,
-    vectors: [AlignedVec<T>; 6],
+    vectors: [AlignedVec<T>; 7],
     sums: AlignedVec<T>,
     lanes: [Vec<T>; 3],
     base: AlignedVec<T>,
@@ -258,7 +272,7 @@ impl<T: Scalar> Checks<T> {
             nthreads,
             caps: [m, k, nc, kc],
             calls: 0,
-            vectors: [k, kc, m, m, nc, nc].map(AlignedVec::zeroed_or_panic),
+            vectors: [k, kc, m, m, nc, nc, k].map(AlignedVec::zeroed_or_panic),
             sums: AlignedVec::zeroed_or_panic(k),
             lanes: [nc, kc, nc].map(|lane| vec![T::ZERO; nthreads * lane]),
             base: AlignedVec::zeroed_or_panic(0),
@@ -342,6 +356,10 @@ pub(crate) struct Job<'a, T: Scalar> {
     /// `A`'s memo of `e^T A` as the job found it ([`MatRef::col_sums`]):
     /// read once, so every member takes the same branch of the prelude.
     a_sums: Option<&'a [T]>,
+    /// Whether that memo is pinned: then a disagreement fails the call.
+    a_pinned: bool,
+    /// `B`'s pinned `B·e` and `|B|·e` ([`MatRef::pinned_row_sums`]).
+    b_rows: Option<(&'a [T], &'a [T])>,
     b: MatRef<'a, T>,
     beta: T,
     c: *mut T,
@@ -384,6 +402,8 @@ impl<'a, T: Scalar> Job<'a, T> {
             alpha,
             a: *a,
             a_sums: a.col_sums(),
+            a_pinned: a.pinned_row_sums().is_some(),
+            b_rows: b.pinned_row_sums(),
             b: *b,
             beta,
             ldc: c.ld(),
@@ -459,6 +479,68 @@ fn scale_into<T: Scalar>(alpha: T, sums: &[T], ar: &mut [T]) {
     }
 }
 
+/// Thread 0's check of `A`'s memo `memo` after a verification failed (see
+/// the module docs): sums `A` again and, where the memo disagrees, rejects
+/// it. A filled memo was the stale one, and the fresh `A_r` takes its place
+/// in `ar`; a pinned one was not, and the answer is that `A` changed.
+///
+/// # Safety
+/// Thread 0 alone, in an exclusive verification epoch.
+unsafe fn recheck_a<T: Scalar>(job: &Job<'_, T>, memo: &[T], ar: &Shared<'_, T>) -> bool {
+    let k = job.dims.2;
+    // SAFETY: forwarded contract.
+    let (sums, ar) = unsafe { (job.bufs.sums.slice_mut(0..k), ar.slice_mut(0..k)) };
+    sum_columns(&job.a, 0..k, sums);
+    let bits = |s: &T| s.to_f64().to_bits();
+    if memo.iter().map(bits).eq(sums.iter().map(bits)) {
+        return false;
+    }
+    job.a.reject_sums();
+    if !job.a_pinned {
+        scale_into(job.alpha, sums, ar);
+    }
+    job.a_pinned
+}
+
+/// Thread 0's check of `B` against its pinned sums, where it has them, at
+/// depth panel `pc..pc + kc` of column block `jc..jc + nc` (see the module
+/// docs): adds the panel's reduced `B_c` into `bc_total` unless a rollback
+/// replays a panel already added (`summed_to`), and once the last block is
+/// in, tells whether a row strays from the pinned `B·e` by more than
+/// `γ_2n · |B|·e`. A row whose pinned sum is not finite is not checked.
+///
+/// # Safety
+/// Thread 0 alone, in an exclusive verification epoch.
+unsafe fn recheck_b<T: Scalar>(
+    job: &Job<'_, T>,
+    (jc, nc): (usize, usize),
+    (pc, kc): (usize, usize),
+    summed_to: &mut usize,
+) -> bool {
+    let Some((rows, abs)) = job.b_rows.filter(|_| pc >= *summed_to) else {
+        return false;
+    };
+    let panel = pc..pc + kc;
+    *summed_to = panel.end;
+    let (n, [_, bc, .., bc_total]) = (job.dims.1, &job.bufs.vectors);
+    // SAFETY: forwarded contract.
+    let (bc, total) = unsafe { (bc.slice(0..kc), bc_total.slice_mut(panel.clone())) };
+    // `EPSILON` is twice the unit roundoff `u`, so this is `2n·u`.
+    let nu = n as f64 * T::EPSILON.to_f64();
+    let gamma = T::from_f64(nu / (1.0 - nu));
+    // One branch-free pass, so it vectorizes; the verdict counts only once
+    // the last block is in. A total that is not finite strays from a finite
+    // sum.
+    let mut strays = false;
+    let pinned = rows[panel.clone()].iter().zip(&abs[panel]);
+    for ((total, &bc), (&row, &abs)) in total.iter_mut().zip(bc).zip(pinned) {
+        *total = if jc == 0 { bc } else { *total + bc };
+        let diff = (*total - row).abs();
+        strays |= row.is_finite() & (!diff.is_finite() | (diff > gamma * abs));
+    }
+    jc + nc == n && strays
+}
+
 /// The cross-thread reduction (§2.3): thread 0 sums the team's `lanes` into
 /// `out[..len]`, between the barrier that ends the members' writes to their
 /// lanes and the one that opens `out` for reading.
@@ -496,7 +578,7 @@ pub(crate) unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
     atilde: &mut [T],
 ) {
     let (p, cfg, btilde, base) = (job.params, job.cfg, &job.bufs.btilde, &job.bufs.base);
-    let [ar, bc, enc_row, ref_row, enc_col, ref_col] = &job.bufs.vectors;
+    let [ar, bc, enc_row, ref_row, enc_col, ref_col, _] = &job.bufs.vectors;
     let [enc_col_lanes, bc_lanes, ref_col_lanes] = &job.bufs.lanes;
     let (alpha, beta, a, b) = (job.alpha, job.beta, &job.a, &job.b);
     let (m, n, k) = job.dims;
@@ -550,6 +632,10 @@ pub(crate) unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
     'nest: for jc in (0..n).step_by(p.nc) {
         let nc_eff = p.nc.min(n - jc);
         let mut rollbacks = 0u32;
+        // Where this block's `B_c` has been added to `bc_total` up to
+        // (thread 0's copy is the one read): a rollback replays panels it
+        // has added already.
+        let mut summed_to = 0;
         'block: loop {
             // Base state of this member's row slab of the column block. At
             // beta == 0 nothing touches C here: the first panel stores.
@@ -689,33 +775,42 @@ pub(crate) unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
                             // Traditional ABFT: a separate O(m*nc) read-back.
                             checksum::encode_c(&c_block.as_ref(), ref_row, ref_col);
                         }
-                        let decision = match panel::verify(
-                            cfg,
-                            pc + kc_eff,
-                            (enc_row, ref_row),
-                            (enc_col, ref_col),
-                            &mut c_block,
-                            &mut correction_scale,
-                            &mut report,
-                        ) {
+                        // SAFETY: exclusive verification epoch.
+                        let b_changed =
+                            unsafe { recheck_b(job, (jc, nc_eff), (pc, kc_eff), &mut summed_to) };
+                        let verified = if b_changed {
+                            b.reject_sums();
+                            Err("B changed since its sums were pinned".to_string())
+                        } else {
+                            panel::verify(
+                                cfg,
+                                pc + kc_eff,
+                                (enc_row, ref_row),
+                                (enc_col, ref_col),
+                                &mut c_block,
+                                &mut correction_scale,
+                                &mut report,
+                            )
+                        };
+                        let decision = match verified {
                             Ok(()) => CONTINUE,
-                            Err(detail) => {
-                                // What failed may be a stale memo (see the
-                                // module docs): check it, once per call.
-                                if let (Some(memo), false) = (job.a_sums, resummed) {
-                                    resummed = true;
-                                    // SAFETY: exclusive verification epoch.
-                                    let (sums, ar) = unsafe {
-                                        (job.bufs.sums.slice_mut(0..k), ar.slice_mut(0..k))
-                                    };
-                                    sum_columns(a, 0..k, sums);
-                                    let bits = |s: &T| s.to_f64().to_bits();
-                                    if !memo.iter().map(bits).eq(sums.iter().map(bits)) {
-                                        a.reject_col_sums();
-                                        scale_into(alpha, sums, ar);
+                            Err(mut detail) => {
+                                // What failed may be a stale memo of `A`, or
+                                // `A` changed under a pinned one: check the
+                                // memo, once per call.
+                                let a_changed = match (job.a_sums, resummed) {
+                                    (Some(memo), false) if !b_changed => {
+                                        resummed = true;
+                                        // SAFETY: exclusive verification epoch.
+                                        unsafe { recheck_a(job, memo, ar) }
                                     }
+                                    _ => false,
+                                };
+                                if a_changed {
+                                    detail =
+                                        format!("A changed since its sums were pinned ({detail})");
                                 }
-                                if rollbacks < max_rollbacks {
+                                if rollbacks < max_rollbacks && !(a_changed || b_changed) {
                                     // Back to the base state; every panel up
                                     // to and including this one is
                                     // recomputed (A and B are untouched by
@@ -762,6 +857,7 @@ pub(crate) unsafe fn nest<T: Scalar, Tm: Team, const PROTECT: bool>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::faults::{ErrorModel, FaultInjector, Rate};
     use crate::{ft_gemm_with_ctx, Workspace};
     use ftgemm_core::Matrix;
     use std::sync::Barrier;
@@ -922,6 +1018,147 @@ pub(crate) mod tests {
             });
             assert_eq!(job.finish().unwrap(), want, "{nthreads} threads");
             assert_eq!(c.as_slice(), solo.as_slice(), "{nthreads} threads");
+        }
+    }
+
+    /// Blocks of `mc = 2 mr`, `nc = 4 nr`, `kc = 16`, and a problem of three
+    /// column blocks and three depth panels under them.
+    fn small_blocks() -> (Kernel<f64>, BlockingParams, (usize, usize, usize)) {
+        let kernel = Workspace::<f64>::new().kernel;
+        let (mr, nr) = (kernel.mr, kernel.nr);
+        let p = BlockingParams {
+            mr,
+            nr,
+            mc: mr * 2,
+            nc: nr * 4,
+            kc: 16,
+        };
+        (kernel, p, (5 * mr + 3, 9 * nr + 1, 37))
+    }
+
+    /// `C = 1.5 * A * B` under `cfg` on a team of `nthreads` plain threads.
+    fn on_team(
+        nthreads: usize,
+        cfg: &FtConfig,
+        a: &Matrix<f64>,
+        b: &Matrix<f64>,
+    ) -> (FtResult<FtReport>, Matrix<f64>) {
+        let (kernel, p, _) = small_blocks();
+        let (m, n, k) = (a.nrows(), b.ncols(), a.ncols());
+        let mut checks = Checks::new(nthreads, checks_need(&p, m, n, k));
+        let mut btilde = vec![f64::NAN; p.packed_b_len()];
+        let mut c = Matrix::<f64>::for_overwrite(m, n);
+        let mut c_view = c.as_mut();
+        let (a, b) = (a.as_ref(), b.as_ref());
+        let bufs = checks.view(&mut btilde, true);
+        let job = Job::new(kernel, p, cfg, 1.5, &a, &b, 0.0, &mut c_view, bufs);
+        as_team(nthreads, |team| {
+            let mut atilde = vec![0.0; p.packed_a_len()];
+            // SAFETY: every member of the team runs it, once, with buffers
+            // sized by the list above.
+            unsafe { nest::<f64, _, true>(team, &job, &mut atilde) };
+        });
+        (job.finish(), c)
+    }
+
+    /// `rows x cols`, every row scaled by its own power of ten in
+    /// `1e-6..=1e6`.
+    fn rows_scaled(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
+        let (m, scale) = (
+            Matrix::<f64>::random(rows, cols, seed),
+            Matrix::<f64>::random(rows, 1, !seed),
+        );
+        Matrix::from_fn(rows, cols, |i, j| {
+            m.get(i, j) * 1e6f64.powf(scale.get(i, 0))
+        })
+    }
+
+    /// `Detect`, `DetectCorrect`, and `DetectCorrect` with two overflows per
+    /// stream: it rolls back, and replays panels whose `B_c` it has summed.
+    fn policies() -> [FtConfig; 3] {
+        let model = ErrorModel::Additive {
+            magnitude: f64::INFINITY,
+        };
+        let injector = FaultInjector::new(9, model, Rate::Count(2));
+        let [once, often] = [2, 6].map(|max_retries| Recovery::RetryPanel { max_retries });
+        [
+            (Recovery::ReportOnly, None),
+            (once, None),
+            (often, Some(injector)),
+        ]
+        .map(|(recovery, injector)| FtConfig {
+            recovery,
+            injector,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn pinned_operands_never_alarm_and_change_no_bit() {
+        let (_, _, (m, n, k)) = small_blocks();
+        for seed in 0..4 {
+            let (a, b) = (rows_scaled(m, k, 2 * seed), rows_scaled(k, n, 2 * seed + 1));
+            let (mut pa, mut pb) = (a.clone(), b.clone());
+            pa.pin_sums();
+            pb.pin_sums();
+            for cfg in policies() {
+                for nthreads in [1, 2, 3] {
+                    let (want, c_want) = on_team(nthreads, &cfg, &a, &b);
+                    let (got, c) = on_team(nthreads, &cfg, &pa, &pb);
+                    let what = format!("seed {seed}, {cfg:?}, {nthreads} threads");
+                    let (got, want) = (got.unwrap(), want.unwrap());
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(got.retried_panels > 0, cfg.injector.is_some(), "{what}");
+                    assert_eq!(c.as_slice(), c_want.as_slice(), "{what}");
+                    assert!(!pa.is_suspect() && !pb.is_suspect(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_changed_pinned_operand_fails_the_call_and_is_suspect() {
+        let (_, p, (m, n, k)) = small_blocks();
+        // B's last column block and last depth panel, where its `B_c` is
+        // compared only once every block is summed; A's first panel.
+        let changes = [(false, 0), (true, (k - 1) + (n - 1) * k)];
+        for (change_b, index) in changes {
+            for cfg in policies() {
+                for nthreads in [1, 2] {
+                    let (mut a, mut b) = (
+                        Matrix::<f64>::random(m, k, 5),
+                        Matrix::<f64>::random(k, n, 6),
+                    );
+                    a.pin_sums();
+                    b.pin_sums();
+                    let (a, b) = if change_b {
+                        (a, b.changed_keeping_sums(index, 0.5))
+                    } else {
+                        (a.changed_keeping_sums(index, 0.5), b)
+                    };
+                    let what = format!("B {change_b}, {cfg:?}, {nthreads} threads");
+                    match on_team(nthreads, &cfg, &a, &b).0 {
+                        Err(FtError::Unrecoverable { jc, pc, detail }) => {
+                            let who = if change_b { "B" } else { "A" };
+                            let want = format!("{who} changed since its sums were pinned");
+                            assert!(detail.starts_with(&want), "{what}: {detail}");
+                            if change_b {
+                                assert_eq!(
+                                    (jc, pc),
+                                    ((n - 1) / p.nc * p.nc, (k - 1) / 16 * 16),
+                                    "{what}"
+                                );
+                            }
+                        }
+                        other => panic!("{what}: {other:?}"),
+                    }
+                    assert_eq!(
+                        (a.is_suspect(), b.is_suspect()),
+                        (!change_b, change_b),
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 }

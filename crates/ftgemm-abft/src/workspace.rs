@@ -328,7 +328,7 @@ mod tests {
     }
 
     /// Where the packed `B~` and each checksum vector live.
-    fn addresses(ws: &mut Workspace<f64>) -> (usize, [usize; 6]) {
+    fn addresses(ws: &mut Workspace<f64>) -> (usize, [usize; 7]) {
         let vectors = ws.checks.view(&mut ws.btilde, false).vectors;
         // SAFETY: an empty range borrows no element.
         let vectors = vectors.map(|v| unsafe { v.slice(0..0) }.as_ptr() as usize);

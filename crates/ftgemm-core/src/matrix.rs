@@ -8,7 +8,9 @@
 //! An owned [`Matrix`] also memoizes its unscaled column sums `eᵀA`: a
 //! protected product computes them once per value of the matrix instead of
 //! once per call, and only the view [`Matrix::as_ref`] hands out carries
-//! them ([`MatRef::col_sums`]).
+//! them ([`MatRef::col_sums`]). An owner that keeps a matrix for many
+//! products pins its sums instead ([`Matrix::pin_sums`]), and the products
+//! check the data against them ([`MatRef::pinned_row_sums`]).
 
 // Concurrency contract (checked by `scripts/orderings.sh`): `filled`
 // publishes a memo's sums — Release on the fill that wins, Acquire on every
@@ -30,7 +32,7 @@ pub struct Matrix<T: Scalar> {
     data: AlignedVec<T>,
     nrows: usize,
     ncols: usize,
-    sums: ColSums<T>,
+    sums: Sums<T>,
 }
 
 // One word over the data and the shape: the memo. Growing `Matrix` changes
@@ -42,56 +44,90 @@ const _: () = assert!(std::mem::size_of::<Matrix<f64>>() == 5 * std::mem::size_o
 
 impl<T: Scalar> Drop for Matrix<T> {
     fn drop(&mut self) {
-        self.sums.clear(self.ncols);
+        self.sums.clear(self.ncols, self.nrows);
     }
 }
 
-/// The memo of a [`Matrix`]'s unscaled column sums `eᵀA` — the one ABFT
-/// encoding the paper computes before the loops rather than inside a pack
-/// (§2.3) — filled by the first protected product that reads the matrix as
-/// its `A` and verifies, and read by every later one in O(k).
+/// The memo of a [`Matrix`]'s checksums, in one of two kinds.
 ///
-/// It lives and dies with the matrix value: every `&mut` access to the
+/// - *Filled*: the unscaled column sums `eᵀA` — the one ABFT encoding the
+///   paper computes before the loops rather than inside a pack (§2.3) —
+///   left by the first protected product that reads the matrix as its `A`
+///   and verifies, and read by every later one in O(k). A filled memo that
+///   disagrees with the data is *rejected*: the memo is the stale one.
+/// - *Pinned* ([`Matrix::pin_sums`]): `eᵀA`, then the row sums `B·e` and
+///   `|B|·e`, taken by the matrix's owner when it received the data. A
+///   pinned memo speaks for the data as received, so a product that finds
+///   the data disagreeing with it fails and marks the matrix *suspect*
+///   ([`Matrix::is_suspect`]); the sums stay readable.
+///
+/// Either lives and dies with the matrix value: every `&mut` access to the
 /// elements ([`Matrix::set`], [`Matrix::as_mut_slice`], [`Matrix::as_mut`])
 /// clears it, a clone starts without one, and drop frees it. Filling and
 /// rejecting need only `&self`, so views of a shared matrix do both from any
 /// thread.
 #[derive(Debug)]
-struct ColSums<T: Scalar> {
-    /// Null, or the first of the matrix's `ncols` sums in a heap block that
-    /// is never written again, with the address's low bit set once the memo
-    /// is rejected. Any thread may read or free it: `Scalar` is `Send +
+struct Sums<T: Scalar> {
+    /// Null, or the first of the memo's sums — `ncols` of them, plus
+    /// `2 * nrows` when pinned — in a heap block that is never written
+    /// again, with the address's low bits tagging it [`PINNED`] and
+    /// [`REJECTED`]. Any thread may read or free it: `Scalar` is `Send +
     /// Sync`.
     filled: AtomicPtr<T>,
 }
 
-/// The low address bit of a rejected memo: every `Scalar` is aligned to 4.
+/// The address bit of a rejected memo (on a pinned one: a suspect matrix).
 const REJECTED: usize = 1;
+/// The address bit of a pinned memo.
+const PINNED: usize = 2;
+/// Both tag bits: every `Scalar` is aligned to 4, so both are free.
+const TAGS: usize = REJECTED | PINNED;
 
-impl<T: Scalar> ColSums<T> {
+/// A published pointer's block, untagged, and its tags.
+fn untag<T: Scalar>(sums: *mut T) -> (*mut T, usize) {
+    const { assert!(std::mem::align_of::<T>() > TAGS) };
+    (sums.map_addr(|addr| addr & !TAGS), sums.addr() & TAGS)
+}
+
+impl<T: Scalar> Sums<T> {
     const fn empty() -> Self {
-        ColSums {
+        Sums {
             filled: AtomicPtr::new(ptr::null_mut()),
         }
     }
 
-    /// The `len` sums, filled and not rejected.
-    ///
-    /// # Safety
-    /// `len` is the matrix's `ncols`.
-    unsafe fn get(&self, len: usize) -> Option<&[T]> {
-        let sums = self.filled.load(Ordering::Acquire);
-        // SAFETY: an untagged non-null pointer came from `fill` with `len`
-        // sums, and stays valid and unwritten until `clear`, which takes
-        // `&mut self`.
-        (!sums.is_null() && sums.addr() & REJECTED == 0)
-            .then(|| unsafe { std::slice::from_raw_parts(sums, len) })
+    /// The memo's block, untagged, and its tags, as published.
+    fn load(&self) -> (*mut T, usize) {
+        untag(self.filled.load(Ordering::Acquire))
     }
 
-    /// Publishes a copy of `sums` unless the memo is filled or rejected;
-    /// of concurrent fills the first wins and the others free their copies.
+    /// Elements in a block of `tags`' kind for an `nrows x ncols` matrix.
+    fn len(tags: usize, ncols: usize, nrows: usize) -> usize {
+        ncols + if tags & PINNED == 0 { 0 } else { 2 * nrows }
+    }
+
+    /// The block's first `len` sums, where it is pinned, or filled and not
+    /// rejected.
+    ///
+    /// # Safety
+    /// `len` is at most the block's length ([`Self::len`] of the matrix).
+    unsafe fn get(&self, len: usize, pinned_only: bool) -> Option<&[T]> {
+        let (sums, tags) = self.load();
+        let readable = if pinned_only {
+            tags & PINNED != 0
+        } else {
+            tags != REJECTED
+        };
+        // SAFETY: a non-null block came from `fill` or `install` with at
+        // least `len` sums, and stays valid and unwritten until `clear`, which
+        // takes `&mut self`.
+        (!sums.is_null() && readable).then(|| unsafe { std::slice::from_raw_parts(sums, len) })
+    }
+
+    /// Publishes a copy of `sums` unless the memo is filled, pinned or
+    /// rejected; of concurrent fills the first wins and the others free
+    /// their copies.
     fn fill(&self, sums: &[T]) {
-        const { assert!(std::mem::align_of::<T>() > REJECTED) };
         if !self.filled.load(Ordering::Acquire).is_null() {
             return;
         }
@@ -109,8 +145,17 @@ impl<T: Scalar> ColSums<T> {
         }
     }
 
-    /// Stops every later read. The sums stay allocated until `clear`: a
-    /// reader may still hold them.
+    /// Replaces the memo with the block `sums` of an `nrows x ncols` matrix,
+    /// tagged `tags`.
+    fn install(&mut self, ncols: usize, nrows: usize, sums: Box<[T]>, tags: usize) {
+        debug_assert_eq!(sums.len(), Self::len(tags, ncols, nrows));
+        self.clear(ncols, nrows);
+        *self.filled.get_mut() = Box::into_raw(sums).cast::<T>().map_addr(|addr| addr | tags);
+    }
+
+    /// Stops every later read of a filled memo, and marks a pinned one
+    /// suspect. The sums stay allocated until `clear`: a reader may still
+    /// hold them.
     fn reject(&self) {
         let sums = self.filled.load(Ordering::Acquire);
         if !sums.is_null() {
@@ -124,21 +169,21 @@ impl<T: Scalar> ColSums<T> {
         }
     }
 
-    /// Forgets the `len` sums: the elements are about to change, or the
-    /// matrix drops.
+    /// Forgets the sums of an `nrows x ncols` matrix: the elements are
+    /// about to change, or the matrix drops.
     #[inline]
-    fn clear(&mut self, len: usize) {
-        let sums = std::mem::replace(self.filled.get_mut(), ptr::null_mut());
+    fn clear(&mut self, ncols: usize, nrows: usize) {
+        let (sums, tags) = untag(std::mem::replace(self.filled.get_mut(), ptr::null_mut()));
         if !sums.is_null() {
-            let sums = sums.map_addr(|addr| addr & !REJECTED);
-            // SAFETY: published by `fill` with `len` sums, and `&mut self`
-            // proves no reader.
+            let len = Self::len(tags, ncols, nrows);
+            // SAFETY: published by `fill` or `install` with `len` sums, and
+            // `&mut self` proves no reader.
             drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(sums, len)) });
         }
     }
 }
 
-impl<T: Scalar> Clone for ColSums<T> {
+impl<T: Scalar> Clone for Sums<T> {
     /// A clone fills a memo of its own.
     fn clone(&self) -> Self {
         Self::empty()
@@ -158,7 +203,7 @@ impl<T: Scalar> Matrix<T> {
             data,
             nrows,
             ncols,
-            sums: ColSums::empty(),
+            sums: Sums::empty(),
         }
     }
 
@@ -253,7 +298,7 @@ impl<T: Scalar> Matrix<T> {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
         assert!(i < self.nrows && j < self.ncols, "index out of bounds");
-        self.sums.clear(self.ncols);
+        self.sums.clear(self.ncols, self.nrows);
         self.data[i + j * self.nrows] = v;
     }
 
@@ -266,12 +311,13 @@ impl<T: Scalar> Matrix<T> {
     /// Mutable column-major backing slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.sums.clear(self.ncols);
+        self.sums.clear(self.ncols, self.nrows);
         self.data.as_mut_slice()
     }
 
     /// Immutable view of the whole matrix — the one view that carries the
-    /// matrix's memo of its column sums ([`MatRef::col_sums`]).
+    /// matrix's memo of its sums ([`MatRef::col_sums`],
+    /// [`MatRef::pinned_row_sums`]).
     #[inline]
     pub fn as_ref(&self) -> MatRef<'_, T> {
         MatRef {
@@ -287,7 +333,7 @@ impl<T: Scalar> Matrix<T> {
     /// Mutable view of the whole matrix.
     #[inline]
     pub fn as_mut(&mut self) -> MatMut<'_, T> {
-        self.sums.clear(self.ncols);
+        self.sums.clear(self.ncols, self.nrows);
         MatMut {
             ptr: self.data.as_mut_ptr(),
             nrows: self.nrows,
@@ -295,6 +341,57 @@ impl<T: Scalar> Matrix<T> {
             ld: self.nrows,
             _marker: PhantomData,
         }
+    }
+
+    /// Pins the matrix's sums, as an owner that keeps the matrix for many
+    /// products takes them once on receipt: `eᵀA` as the loop nest sums a
+    /// matrix it reads as `A` (`pack::col_sums_scaled` at `alpha = 1`, so a
+    /// product that sums the matrix again reproduces the bits), then `B·e`
+    /// and `|B|·e`. Every protected product that reads the matrix, as `A` or
+    /// as `B`, then checks the data against them and fails over data that
+    /// changed since ([`is_suspect`](Self::is_suspect)). Replaces any memo;
+    /// the next `&mut` access to the elements clears it like any other.
+    pub fn pin_sums(&mut self) {
+        let (m, n) = (self.nrows, self.ncols);
+        let mut sums = vec![T::ZERO; n + 2 * m].into_boxed_slice();
+        let (cols, rows) = sums.split_at_mut(n);
+        let (rows, abs) = rows.split_at_mut(m);
+        let view = self.as_ref();
+        crate::pack::col_sums_scaled(&view, T::ONE, cols);
+        for j in 0..n {
+            for ((row, abs), &x) in rows.iter_mut().zip(abs.iter_mut()).zip(view.col(j)) {
+                *row += x;
+                *abs += x.abs();
+            }
+        }
+        self.sums.install(n, m, sums, PINNED);
+    }
+
+    /// True once a protected product found the data disagreeing with its
+    /// pinned sums ([`pin_sums`](Self::pin_sums)): the matrix changed after
+    /// its owner received it.
+    pub fn is_suspect(&self) -> bool {
+        self.sums.load().1 == TAGS
+    }
+
+    /// A copy of this matrix with element `index` (column-major) moved by
+    /// `delta`, carrying this matrix's memo as it is: what a soft error in
+    /// memory leaves beside sums pinned before it. For tests of that fault
+    /// class — a clone carries no memo, so it hides the change from every
+    /// check that reads one.
+    #[doc(hidden)]
+    pub fn changed_keeping_sums(&self, index: usize, delta: T) -> Self {
+        let mut copy = self.clone();
+        let x = &mut copy.as_mut_slice()[index];
+        *x += delta;
+        let (sums, tags) = self.sums.load();
+        if !sums.is_null() {
+            let len = Sums::<T>::len(tags, self.ncols, self.nrows);
+            // SAFETY: a published block holds `len` sums and outlives `&self`.
+            let block = Box::from(unsafe { std::slice::from_raw_parts(sums, len) });
+            copy.sums.install(self.ncols, self.nrows, block, tags);
+        }
+        copy
     }
 
     /// Out-of-place transpose.
@@ -347,7 +444,7 @@ pub struct MatRef<'a, T: Scalar> {
     ncols: usize,
     ld: usize,
     /// The viewed matrix's memo, on a view of a whole [`Matrix`] only.
-    sums: Option<&'a ColSums<T>>,
+    sums: Option<&'a Sums<T>>,
     _marker: PhantomData<&'a [T]>,
 }
 
@@ -411,18 +508,32 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     }
 
     /// The viewed matrix's unscaled column sums `eᵀA`, where the view is of
-    /// a whole [`Matrix`] ([`Matrix::as_ref`]) whose memo is filled and not
-    /// rejected; `None` on every other view.
+    /// a whole [`Matrix`] ([`Matrix::as_ref`]) whose memo is pinned, or
+    /// filled and not rejected; `None` on every other view.
     #[inline]
     pub fn col_sums(&self) -> Option<&'a [T]> {
         // SAFETY: only `Matrix::as_ref` gives a view a memo, with the
-        // matrix's `ncols`.
-        self.sums.and_then(|memo| unsafe { memo.get(self.ncols) })
+        // matrix's shape; every memo holds `ncols` sums first.
+        self.sums
+            .and_then(|memo| unsafe { memo.get(self.ncols, false) })
+    }
+
+    /// The viewed matrix's pinned row sums `B·e` and `|B|·e`
+    /// ([`Matrix::pin_sums`]), where the view is of a whole [`Matrix`] whose
+    /// memo is pinned; `None` on every other view.
+    #[inline]
+    pub fn pinned_row_sums(&self) -> Option<(&'a [T], &'a [T])> {
+        let (n, m) = (self.ncols, self.nrows);
+        // SAFETY: as in `col_sums`; a pinned memo holds `n + 2m` sums.
+        let sums = self
+            .sums
+            .and_then(|memo| unsafe { memo.get(n + 2 * m, true) })?;
+        Some(sums[n..].split_at(m))
     }
 
     /// Fills the viewed matrix's memo with `sums` — its column sums as
     /// `pack::col_sums_scaled(.., ONE, ..)` computes them — where the view
-    /// carries one that is neither filled nor rejected; else does nothing.
+    /// carries one that is empty; else does nothing.
     ///
     /// # Panics
     /// If `sums` does not hold one sum per column.
@@ -433,9 +544,11 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         }
     }
 
-    /// Rejects the viewed matrix's memo, found stale: no view reads it and
-    /// nothing fills it again until the matrix is mutated.
-    pub fn reject_col_sums(&self) {
+    /// Rejects the viewed matrix's memo, found disagreeing with the data. A
+    /// filled memo is the stale one: no view reads it, and nothing fills it
+    /// again until the matrix is mutated. A pinned one stays readable and
+    /// the data is the suspect ([`Matrix::is_suspect`]).
+    pub fn reject_sums(&self) {
         if let Some(memo) = self.sums {
             memo.reject();
         }

@@ -168,7 +168,7 @@ fn build_request(s: SubmitFrame, store: &OperandStore) -> Result<GemmRequest<f64
                         StoreGetError::Quarantined => (
                             error_code::OPERAND_QUARANTINED,
                             format!(
-                                "operand handle {h} was quarantined by the scrubber (resident bytes no longer match upload-time checksums); release and re-upload"
+                                "operand handle {h} is quarantined (a protected submit found its resident bytes changed since upload); release and re-upload"
                             ),
                         ),
                         StoreGetError::Unknown => (

@@ -25,8 +25,10 @@
 //! - [`codec`]: total encode/decode plus blocking frame I/O that survives
 //!   oversized and malformed frames.
 //! - [`store`]: [`OperandStore`] — ref-counted server-resident operands
-//!   with byte-budget LRU eviction and a checksum scrubber that
-//!   quarantines operands that rot after upload.
+//!   with byte-budget LRU eviction. Each operand's sums are pinned at
+//!   upload, every protected product that reads it checks the data against
+//!   them, and the store quarantines an operand a product found changed
+//!   (`Off` submits verify nothing, so they cannot see a change).
 //! - `conn`: per-connection reader and outbound threads bridging into
 //!   `submit_streamed`.
 //! - [`server`] / [`client`]: the two endpoints.
@@ -68,4 +70,4 @@ pub use proto::{
     PROTO_VERSION,
 };
 pub use server::{NetServer, NetServerConfig};
-pub use store::{BudgetExceeded, OperandStore, ScrubReport, StoreGetError};
+pub use store::{BudgetExceeded, OperandStore, StoreGetError};

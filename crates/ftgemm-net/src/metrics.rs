@@ -15,10 +15,6 @@
 //! | `ftgemm_net_resident_operand_bytes` | gauge | bytes held by server-resident operands |
 //! | `ftgemm_net_operand_handles` | gauge | live operand handles |
 //! | `ftgemm_net_operand_evictions_total` | counter | operands evicted by the byte budget |
-//! | `ftgemm_scrub_passes_total` | counter | scrub passes run over the operand store |
-//! | `ftgemm_scrub_operands_verified_total` | counter | resident operands whose checksums re-verified clean |
-//! | `ftgemm_scrub_corrupted_total` | counter | resident operands whose checksums mismatched |
-//! | `ftgemm_scrub_quarantined` | gauge | handles currently quarantined by the scrubber |
 //!
 //! The global registry is process-wide (shared across every server in the
 //! process and across tests), so tests that need exact numbers assert
@@ -42,10 +38,6 @@ pub(crate) fn register_all() {
     resident_operand_bytes();
     operand_handles();
     operand_evictions_total();
-    scrub_passes_total();
-    scrub_operands_verified_total();
-    scrub_corrupted_total();
-    scrub_quarantined();
 }
 
 pub(crate) fn connections() -> &'static Gauge {
@@ -109,33 +101,5 @@ pub(crate) fn operand_evictions_total() -> &'static Counter {
     global_counter!(
         "ftgemm_net_operand_evictions_total",
         "Server-resident operands evicted by the store's byte budget."
-    )
-}
-
-pub(crate) fn scrub_passes_total() -> &'static Counter {
-    global_counter!(
-        "ftgemm_scrub_passes_total",
-        "Background scrub passes run over the operand store."
-    )
-}
-
-pub(crate) fn scrub_operands_verified_total() -> &'static Counter {
-    global_counter!(
-        "ftgemm_scrub_operands_verified_total",
-        "Resident operands whose insert-time checksums re-verified clean."
-    )
-}
-
-pub(crate) fn scrub_corrupted_total() -> &'static Counter {
-    global_counter!(
-        "ftgemm_scrub_corrupted_total",
-        "Resident operands the scrubber found mismatching their insert-time checksums."
-    )
-}
-
-pub(crate) fn scrub_quarantined() -> &'static Gauge {
-    global_gauge!(
-        "ftgemm_scrub_quarantined",
-        "Operand handles currently quarantined by the scrubber (poisoned until released)."
     )
 }

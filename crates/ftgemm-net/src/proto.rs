@@ -107,9 +107,10 @@ pub mod error_code {
     pub const UNKNOWN_REQUEST: u16 = 107;
     /// The first frame on the connection was not Hello.
     pub const EXPECTED_HELLO: u16 = 108;
-    /// Submit referenced a handle the scrubber quarantined: the resident
-    /// operand's bytes no longer matched its upload-time checksums, so the
-    /// server refuses to compute on it. Release the handle and re-upload.
+    /// Submit referenced a quarantined handle: an earlier protected submit
+    /// found the resident operand's bytes changed since upload (they no
+    /// longer matched the sums pinned at upload) and failed, so the server
+    /// refuses to compute on it. Release the handle and re-upload.
     pub const OPERAND_QUARANTINED: u16 = 109;
 }
 

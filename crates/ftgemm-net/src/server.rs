@@ -18,7 +18,6 @@
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use std::thread::{self, JoinHandle};
@@ -46,14 +45,6 @@ pub struct NetServerConfig {
     /// Byte budget of the server-resident operand store (LRU eviction
     /// past it).
     pub operand_budget: u64,
-    /// How often the background scrubber re-verifies resident operands'
-    /// checksums ([`OperandStore::scrub`]). `None` (the default) disables
-    /// the scrub thread entirely.
-    pub scrub_interval: Option<Duration>,
-    /// Operands each scrub pass re-verifies at most (the pass resumes
-    /// from a rotating cursor, so bounded passes still cover the whole
-    /// store over time).
-    pub scrub_batch: usize,
 }
 
 impl Default for NetServerConfig {
@@ -62,8 +53,6 @@ impl Default for NetServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
             max_in_flight: 64,
             operand_budget: 256 * 1024 * 1024,
-            scrub_interval: None,
-            scrub_batch: 32,
         }
     }
 }
@@ -73,7 +62,6 @@ impl Default for NetServerConfig {
 pub struct NetServer {
     accept: AcceptLoop,
     store: Arc<OperandStore>,
-    scrub: Option<JoinHandle<()>>,
     conns: ConnTable,
 }
 
@@ -114,31 +102,9 @@ impl NetServer {
                 table.push((peer, handle));
             })?
         };
-        let stop = accept.stop_handle();
-
-        let scrub = config.scrub_interval.map(|interval| {
-            let store = Arc::clone(&store);
-            let batch = config.scrub_batch;
-            thread::spawn(move || {
-                // Sleep in short chunks so shutdown never waits out a long
-                // scrub interval.
-                const CHUNK: Duration = Duration::from_millis(10);
-                let mut since_scrub = Duration::ZERO;
-                while !stop.is_stopped() {
-                    thread::sleep(CHUNK.min(interval));
-                    since_scrub += CHUNK.min(interval);
-                    if since_scrub >= interval {
-                        since_scrub = Duration::ZERO;
-                        store.scrub(batch);
-                    }
-                }
-            })
-        });
-
         Ok(NetServer {
             accept,
             store,
-            scrub,
             conns,
         })
     }
@@ -162,9 +128,6 @@ impl NetServer {
 
     fn shutdown_inner(&mut self) {
         self.accept.shutdown();
-        if let Some(h) = self.scrub.take() {
-            let _ = h.join();
-        }
         let conns = std::mem::take(&mut *self.conns.lock());
         for (stream, handle) in conns {
             let _ = stream.shutdown(Shutdown::Both);
@@ -192,7 +155,7 @@ mod tests {
     use super::*;
     use crate::NetClient;
     use ftgemm_serve::ServiceConfig;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Connection churn must not grow the server: a finished connection
     /// leaves the table (its thread joined, the server's clone of its

@@ -1,6 +1,6 @@
 //! Server-resident operand store: ref-counted matrices behind `u64`
-//! handles, with a byte budget enforced by LRU eviction and an idle-cycle
-//! integrity scrubber.
+//! handles, with a byte budget enforced by LRU eviction, and a quarantine
+//! for operands that changed after upload.
 //!
 //! This is the server half of the clients-cache-operands-and-re-fire
 //! pattern: a client uploads `A`/`B` once, then fires any number of
@@ -15,33 +15,37 @@
 //! the handles it owns and releases them on disconnect, so a killed client
 //! cannot leak resident bytes.
 //!
-//! ## Scrubbing
+//! ## Operands that change after upload
 //!
 //! A resident operand can bit-rot *after* upload, and because submits
 //! reuse its handle, one corrupted cached matrix would poison every
-//! subsequent request — the per-request ABFT verification catches errors
-//! in the *computation*, not errors already baked into its inputs. So the
-//! store remembers each operand's row and column checksums from insert
-//! time and [`OperandStore::scrub`] re-verifies them (bit-exact — the
-//! sums are recomputed in the same deterministic order). A mismatching
-//! entry is **quarantined**: evicted immediately, and later `get`s of its
-//! handle fail with [`StoreGetError::Quarantined`] (surfaced on the wire
-//! as `OPERAND_QUARANTINED`) rather than a plain miss, so the client
-//! knows to re-upload rather than suspect its own bookkeeping. Scrub
-//! passes walk the handle space in ascending order from a rotating
-//! cursor, bounded per pass, so a background scrubber visits every
-//! resident operand without ever holding the store lock across checksum
-//! work. The known blind spot is a corruption that exactly preserves both
-//! sum vectors bit-for-bit — compensating multi-element corruptions —
-//! which is the same algebraic blind spot row+column ABFT itself has.
+//! subsequent request. So [`OperandStore::insert`] pins each operand's
+//! sums on the matrix itself ([`Matrix::pin_sums`]: `eᵀA`, `B·e` and
+//! `|B|·e`), and every protected product that reads it checks the data
+//! where it uses it: as `A` when a verification fails, as `B` on every
+//! depth panel. A product that finds the data changed fails stop
+//! (`Unrecoverable`, never `Ok`) and marks the matrix suspect. The next
+//! [`OperandStore::try_get`] of its handle **quarantines** it: the entry is
+//! evicted, and that and every later `get` fails with
+//! [`StoreGetError::Quarantined`] (on the wire, `OPERAND_QUARANTINED`)
+//! rather than a plain miss, so the client knows to re-upload rather than
+//! suspect its own bookkeeping. Releasing the handle clears the marker.
+//!
+//! `Off` requests verify nothing, so they cannot see a changed operand: an
+//! `Off` submit over one returns the product of the changed data. The
+//! check's blind spots are those of the checksums themselves: a change of
+//! `A` that the verification does not see (the GEMM's column checksums see
+//! every change of size above the verification threshold that meets a
+//! nonzero row of `B`), and a change of `B` that keeps every row sum
+//! within roundoff (compensating changes within one row).
 
 // Concurrency contract (checked by `scripts/orderings.sh`): the
-// byte/handle gauges, scrub tallies, and scrub cursor are advisory
-// accounting read by metrics and the admission check; the authoritative
-// state lives under `inner`'s lock. A change is counted before it can be
-// observed: its adds come before the `inner` release that publishes it (an
-// insert, eviction, release or quarantine), so a reader that sees the
-// change through the lock sees its count too.
+// byte/handle gauges are advisory accounting read by metrics and the
+// admission check; the authoritative state lives under `inner`'s lock. A
+// change is counted before it can be observed: its adds come before the
+// `inner` release that publishes it (an insert, eviction, release or
+// quarantine), so a reader that sees the change through the lock sees its
+// count too.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,23 +71,10 @@ pub struct BudgetExceeded {
 pub enum StoreGetError {
     /// Never minted, released, or evicted by the byte budget.
     Unknown,
-    /// Quarantined by the scrubber: the operand's resident bytes no
-    /// longer matched its insert-time checksums. The client must
-    /// re-upload; the handle stays poisoned until released.
+    /// Quarantined: a protected product found the operand's resident bytes
+    /// changed since upload. The client must re-upload; the handle stays
+    /// poisoned until released.
     Quarantined,
-}
-
-/// What one [`OperandStore::scrub`] pass found.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Operands whose checksums re-verified clean.
-    pub verified: u64,
-    /// Operands whose resident bytes mismatched their insert-time
-    /// checksums (each is also quarantined, unless it was released in the
-    /// window between verification and quarantine).
-    pub corrupted: u64,
-    /// Corrupted operands actually evicted and marked this pass.
-    pub quarantined: u64,
 }
 
 struct Entry {
@@ -91,23 +82,18 @@ struct Entry {
     bytes: u64,
     /// Monotonic use tick; smallest = least recently used.
     last_used: u64,
-    /// Insert-time per-row sums, in fixed recompute order (scrub compares
-    /// bit-for-bit).
-    row_sums: Vec<f64>,
-    /// Insert-time per-column sums.
-    col_sums: Vec<f64>,
 }
 
 /// Authoritative store state behind the lock.
 struct StoreMap {
     entries: HashMap<u64, Entry>,
-    /// Handles the scrubber evicted for checksum mismatch; `get`s fail
-    /// typed until the owner releases them.
+    /// Handles evicted for a changed operand; `get`s fail typed until the
+    /// owner releases them.
     quarantined: HashSet<u64>,
 }
 
 /// Ref-counted server-resident operand matrices with byte-budget LRU
-/// eviction and checksum scrubbing. See the module docs for semantics.
+/// eviction and a quarantine. See the module docs for semantics.
 pub struct OperandStore {
     inner: Mutex<StoreMap>,
     budget: u64,
@@ -119,41 +105,6 @@ pub struct OperandStore {
     resident: AtomicU64,
     handles: AtomicU64,
     evictions: AtomicU64,
-    /// Last handle a scrub pass visited; the next pass resumes above it
-    /// (wrapping), so bounded passes cover the whole store over time.
-    scrub_cursor: AtomicU64,
-    scrub_passes: AtomicU64,
-    scrub_verified: AtomicU64,
-    scrub_corrupted: AtomicU64,
-}
-
-/// Row and column sums of `m` in a fixed deterministic order — recomputed
-/// identically at scrub time, so clean data compares bit-for-bit.
-///
-/// One stride-1 pass over the column-major data: each element is added to
-/// its column's sum (top to bottom) and to its row's sum (left to right),
-/// so both come out as a sequential `sum()` along the row or column would
-/// leave them. They start from `-0.0`, where `Iterator::sum` over floats
-/// starts.
-fn checksums(m: &Matrix<f64>) -> (Vec<f64>, Vec<f64>) {
-    let view = m.as_ref();
-    let mut row_sums = vec![-0.0; m.nrows()];
-    let col_sums = (0..m.ncols())
-        .map(|j| {
-            let mut col_sum = -0.0;
-            for (row_sum, &x) in row_sums.iter_mut().zip(view.col(j)) {
-                *row_sum += x;
-                col_sum += x;
-            }
-            col_sum
-        })
-        .collect();
-    (row_sums, col_sums)
-}
-
-/// Bit-exact vector comparison (NaN-safe, unlike `==`).
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl OperandStore {
@@ -170,17 +121,14 @@ impl OperandStore {
             resident: AtomicU64::new(0),
             handles: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            scrub_cursor: AtomicU64::new(0),
-            scrub_passes: AtomicU64::new(0),
-            scrub_verified: AtomicU64::new(0),
-            scrub_corrupted: AtomicU64::new(0),
         }
     }
 
-    /// Inserts a matrix, evicting least-recently-used entries if the
-    /// budget requires it (never the matrix being inserted). Returns the
-    /// minted handle and the resident bytes after insertion.
-    pub fn insert(&self, m: Matrix<f64>) -> Result<(u64, u64), BudgetExceeded> {
+    /// Pins the matrix's sums ([`Matrix::pin_sums`]) and inserts it,
+    /// evicting least-recently-used entries if the budget requires it
+    /// (never the matrix being inserted). Returns the minted handle and the
+    /// resident bytes after insertion.
+    pub fn insert(&self, mut m: Matrix<f64>) -> Result<(u64, u64), BudgetExceeded> {
         let bytes = std::mem::size_of_val(m.as_slice()) as u64;
         if bytes > self.budget {
             return Err(BudgetExceeded {
@@ -188,9 +136,9 @@ impl OperandStore {
                 budget: self.budget,
             });
         }
-        // Checksums are computed outside the lock: uploads of large
-        // operands must not stall every concurrent submit's handle lookup.
-        let (row_sums, col_sums) = checksums(&m);
+        // Outside the lock: uploads of large operands must not stall every
+        // concurrent submit's handle lookup.
+        m.pin_sums();
         let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
         let mut map = self.inner.lock();
         // Evict until the newcomer fits.
@@ -225,29 +173,33 @@ impl OperandStore {
                 m: Arc::new(m),
                 bytes,
                 last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-                row_sums,
-                col_sums,
             },
         );
         Ok((handle, resident))
     }
 
     /// Resolves a handle to its shared matrix (bumping its LRU position),
-    /// with a typed miss: a handle the scrubber quarantined fails
-    /// [`StoreGetError::Quarantined`], anything else absent fails
+    /// with a typed miss: a quarantined handle, or one whose matrix a
+    /// product marked suspect ([`Matrix::is_suspect`], quarantined here),
+    /// fails [`StoreGetError::Quarantined`]; anything else absent fails
     /// [`StoreGetError::Unknown`].
     pub fn try_get(&self, handle: u64) -> Result<Arc<Matrix<f64>>, StoreGetError> {
         let mut map = self.inner.lock();
         if map.quarantined.contains(&handle) {
             return Err(StoreGetError::Quarantined);
         }
-        match map.entries.get_mut(&handle) {
-            Some(e) => {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                Ok(Arc::clone(&e.m))
-            }
-            None => Err(StoreGetError::Unknown),
+        let map = &mut *map;
+        let Some(e) = map.entries.get_mut(&handle) else {
+            return Err(StoreGetError::Unknown);
+        };
+        if e.m.is_suspect() {
+            self.account_removal(e.bytes);
+            map.entries.remove(&handle);
+            map.quarantined.insert(handle);
+            return Err(StoreGetError::Quarantined);
         }
+        e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::clone(&e.m))
     }
 
     /// Resolves a handle to its shared matrix (bumping its LRU position),
@@ -266,7 +218,6 @@ impl OperandStore {
     pub fn release(&self, handle: u64) -> bool {
         let mut map = self.inner.lock();
         if map.quarantined.remove(&handle) {
-            metrics::scrub_quarantined().add(-1.0);
             return false;
         }
         match map.entries.remove(&handle) {
@@ -278,111 +229,20 @@ impl OperandStore {
         }
     }
 
-    /// One bounded scrub pass: re-verifies the insert-time checksums of up
-    /// to `max_entries` resident operands (ascending handle order from the
-    /// rotating cursor, wrapping), quarantining every mismatch. Checksum
-    /// recomputation runs **outside** the store lock — concurrent submits
-    /// keep resolving handles while a pass works through its snapshot.
-    ///
-    /// Intended for idle cycles
-    /// ([`NetServerConfig::scrub_interval`](crate::NetServerConfig)), but
-    /// safe to call from anywhere, concurrently with everything.
-    pub fn scrub(&self, max_entries: usize) -> ScrubReport {
-        self.scrub_then(max_entries, || {})
-    }
-
-    /// [`scrub`](Self::scrub), calling `counted` after the pass is counted
-    /// and before it quarantines anything: a test pauses there.
-    fn scrub_then(&self, max_entries: usize, counted: impl FnOnce()) -> ScrubReport {
-        struct ScrubItem {
-            handle: u64,
-            m: Arc<Matrix<f64>>,
-            row_sums: Vec<f64>,
-            col_sums: Vec<f64>,
-        }
-        let cursor = self.scrub_cursor.load(Ordering::Relaxed);
-        // Snapshot the slice of the handle space this pass covers.
-        let snapshot: Vec<ScrubItem> = {
-            let map = self.inner.lock();
-            let mut handles: Vec<u64> = map.entries.keys().copied().collect();
-            handles.sort_unstable();
-            let split = handles.partition_point(|&h| h <= cursor);
-            handles.rotate_left(split);
-            handles.truncate(max_entries.max(1));
-            handles
-                .iter()
-                .filter_map(|h| {
-                    map.entries.get(h).map(|e| ScrubItem {
-                        handle: *h,
-                        m: Arc::clone(&e.m),
-                        row_sums: e.row_sums.clone(),
-                        col_sums: e.col_sums.clone(),
-                    })
-                })
-                .collect()
-        };
-        let mut verified = 0u64;
-        let mut corrupted: Vec<u64> = Vec::new();
-        let mut last_visited = None;
-        for item in &snapshot {
-            let (rows_now, cols_now) = checksums(&item.m);
-            if bits_eq(&rows_now, &item.row_sums) && bits_eq(&cols_now, &item.col_sums) {
-                verified += 1;
-            } else {
-                corrupted.push(item.handle);
-            }
-            last_visited = Some(item.handle);
-        }
-        if let Some(h) = last_visited {
-            self.scrub_cursor.store(h, Ordering::Relaxed);
-        }
-        // Counted before anything is quarantined: the lock below orders
-        // these adds before every reader that can see a quarantine.
-        self.scrub_passes.fetch_add(1, Ordering::Relaxed);
-        self.scrub_verified.fetch_add(verified, Ordering::Relaxed);
-        self.scrub_corrupted
-            .fetch_add(corrupted.len() as u64, Ordering::Relaxed);
-        metrics::scrub_passes_total().inc();
-        metrics::scrub_operands_verified_total().add(verified);
-        metrics::scrub_corrupted_total().add(corrupted.len() as u64);
-        counted();
-        let mut quarantined = 0u64;
-        if !corrupted.is_empty() {
-            let mut map = self.inner.lock();
-            for h in &corrupted {
-                // Handles are never reused, so presence means "still the
-                // entry we verified" — released-in-the-window handles just
-                // miss here and stay un-quarantined.
-                if let Some(e) = map.entries.remove(h) {
-                    self.account_removal(e.bytes);
-                    map.quarantined.insert(*h);
-                    quarantined += 1;
-                    metrics::scrub_quarantined().add(1.0);
-                }
-            }
-        }
-        ScrubReport {
-            verified,
-            corrupted: corrupted.len() as u64,
-            quarantined,
-        }
-    }
-
-    /// Flips one element of a resident operand *without* updating its
-    /// stored checksums — simulates post-upload bit rot for scrubber
-    /// tests. Returns whether the handle was resident.
+    /// Moves the first element of a resident operand by `+1.0` while its
+    /// pinned sums stay as they were uploaded ([`Matrix::changed_keeping_sums`])
+    /// — post-upload bit rot, for tests. Returns whether the handle was
+    /// resident.
     #[doc(hidden)]
     pub fn corrupt_resident_for_test(&self, handle: u64) -> bool {
         let mut map = self.inner.lock();
         let Some(e) = map.entries.get_mut(&handle) else {
             return false;
         };
-        let mut m = (*e.m).clone();
-        let Some(v) = m.as_mut_slice().first_mut() else {
+        if e.m.as_slice().is_empty() {
             return false;
-        };
-        *v += 1.0;
-        e.m = Arc::new(m);
+        }
+        e.m = Arc::new(e.m.changed_keeping_sums(0, 1.0));
         true
     }
 
@@ -410,21 +270,6 @@ impl OperandStore {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Scrub passes run against this store.
-    pub fn scrub_passes(&self) -> u64 {
-        self.scrub_passes.load(Ordering::Relaxed)
-    }
-
-    /// Operands whose checksums re-verified clean, summed over all passes.
-    pub fn scrub_verified(&self) -> u64 {
-        self.scrub_verified.load(Ordering::Relaxed)
-    }
-
-    /// Checksum mismatches found, summed over all passes.
-    pub fn scrub_corrupted(&self) -> u64 {
-        self.scrub_corrupted.load(Ordering::Relaxed)
-    }
-
     /// Handles currently quarantined (poisoned until released).
     pub fn quarantined_count(&self) -> u64 {
         self.inner.lock().quarantined.len() as u64
@@ -442,20 +287,6 @@ mod tests {
 
     fn mat(n: usize) -> Matrix<f64> {
         Matrix::filled(n, n, 1.0)
-    }
-
-    #[test]
-    fn one_pass_sums_match_sequential_row_and_column_sums() {
-        let m = Matrix::<f64>::random(37, 53, 11);
-        let (rows, cols) = checksums(&m);
-        let want_rows: Vec<f64> = (0..m.nrows())
-            .map(|i| (0..m.ncols()).map(|j| m.get(i, j)).sum())
-            .collect();
-        let want_cols: Vec<f64> = (0..m.ncols())
-            .map(|j| (0..m.nrows()).map(|i| m.get(i, j)).sum())
-            .collect();
-        assert!(bits_eq(&rows, &want_rows), "row sums");
-        assert!(bits_eq(&cols, &want_cols), "column sums");
     }
 
     #[test]
@@ -512,88 +343,52 @@ mod tests {
         assert_eq!(held.get(0, 0), 1.0);
     }
 
+    /// The hook changes the data and keeps the pinned sums, so the sums it
+    /// leaves disagree with the data: a hook that cloned would leave no
+    /// sums, and tests built on it would check nothing.
     #[test]
-    fn scrub_verifies_clean_operands() {
+    fn a_corrupted_operand_keeps_sums_that_disagree_with_it() {
         let s = OperandStore::new(1 << 20);
-        let (h1, _) = s.insert(mat(4)).unwrap();
-        let (h2, _) = s.insert(Matrix::random(6, 3, 42)).unwrap();
-        let report = s.scrub(16);
-        assert_eq!(report.verified, 2);
-        assert_eq!(report.corrupted, 0);
-        assert_eq!(report.quarantined, 0);
-        assert!(s.get(h1).is_some());
-        assert!(s.get(h2).is_some());
-        assert_eq!(s.scrub_passes(), 1);
-        assert_eq!(s.scrub_verified(), 2);
-        assert_eq!(s.quarantined_count(), 0);
+        let m = Matrix::<f64>::random(5, 3, 7);
+        let (h, _) = s.insert(m.clone()).unwrap();
+        let pinned = |m: &Matrix<f64>| {
+            let view = m.as_ref();
+            let (rows, _) = view.pinned_row_sums().expect("pinned at insert");
+            (view.col_sums().unwrap()[0], rows[0])
+        };
+        let clean = s.get(h).unwrap();
+        let sum = |v: &[f64]| v.iter().sum::<f64>();
+        let (col, row) = pinned(&clean);
+        assert!((col - sum(Matrix::as_ref(&clean).col(0))).abs() < 1e-12);
+        assert!(s.corrupt_resident_for_test(h));
+        let bad = s.get(h).unwrap();
+        assert_eq!(bad.get(0, 0), m.get(0, 0) + 1.0);
+        assert_eq!(pinned(&bad), (col, row), "the sums are the upload's");
+        assert!((col - sum(Matrix::as_ref(&bad).col(0)) + 1.0).abs() < 1e-12);
+        let row_now: f64 = (0..3).map(|j| bad.get(0, j)).sum();
+        assert!((row - row_now + 1.0).abs() < 1e-12);
+        assert!(!bad.is_suspect());
     }
 
+    /// A matrix a product marked suspect is quarantined by the next get:
+    /// evicted, typed, and cleared by release.
     #[test]
-    fn scrub_quarantines_corrupted_operand_and_poisons_its_handle() {
+    fn a_suspect_operand_is_quarantined_on_its_next_get() {
         let s = OperandStore::new(1 << 20);
         let (good, _) = s.insert(mat(4)).unwrap();
         let (bad, _) = s.insert(mat(4)).unwrap();
-        assert!(s.corrupt_resident_for_test(bad));
-        // Corruption is invisible until a scrub pass re-verifies.
-        assert!(s.get(bad).is_some());
-        let report = s.scrub(16);
-        assert_eq!(report.verified, 1);
-        assert_eq!(report.corrupted, 1);
-        assert_eq!(report.quarantined, 1);
-        // The poisoned handle now fails typed; the clean one still works.
+        let held = s.get(bad).unwrap();
+        Matrix::as_ref(&held).reject_sums();
+        assert!(held.is_suspect());
+        assert_eq!(s.try_get(bad).err(), Some(StoreGetError::Quarantined));
         assert_eq!(s.try_get(bad).err(), Some(StoreGetError::Quarantined));
         assert!(s.get(good).is_some());
         assert_eq!(s.quarantined_count(), 1);
-        assert_eq!(s.scrub_corrupted(), 1);
         // Bytes were returned at quarantine; release clears the marker.
         assert_eq!(s.resident_bytes(), 16 * 8);
+        assert_eq!(s.handle_count(), 1);
         assert!(!s.release(bad));
         assert_eq!(s.quarantined_count(), 0);
         assert_eq!(s.try_get(bad).err(), Some(StoreGetError::Unknown));
-    }
-
-    /// A reader that sees a quarantine sees its corruption counted: the
-    /// pass is paused between its two steps, where the count must already
-    /// hold what the quarantine is about to show.
-    #[test]
-    fn corruption_is_counted_before_its_quarantine_is_visible() {
-        let s = OperandStore::new(1 << 20);
-        let (_clean, _) = s.insert(mat(4)).unwrap();
-        let (bad, _) = s.insert(mat(4)).unwrap();
-        assert!(s.corrupt_resident_for_test(bad));
-        let mut paused = false;
-        let report = s.scrub_then(16, || {
-            paused = true;
-            assert!(s.scrub_corrupted() >= s.quarantined_count());
-            assert_eq!((s.scrub_passes(), s.scrub_verified()), (1, 1));
-            assert_eq!(s.scrub_corrupted(), 1);
-        });
-        assert!(paused);
-        assert_eq!(report.quarantined, 1);
-        assert!(s.scrub_corrupted() >= s.quarantined_count());
-        assert_eq!(s.quarantined_count(), 1);
-    }
-
-    #[test]
-    fn bounded_scrub_passes_cover_the_store_via_the_cursor() {
-        let s = OperandStore::new(1 << 20);
-        let mut handles = Vec::new();
-        for _ in 0..5 {
-            handles.push(s.insert(mat(2)).unwrap().0);
-        }
-        // Two-entry passes: three passes cover all five and wrap.
-        let r1 = s.scrub(2);
-        let r2 = s.scrub(2);
-        let r3 = s.scrub(2);
-        assert_eq!(r1.verified + r2.verified + r3.verified, 6, "5 + 1 wrap");
-        assert_eq!(s.scrub_passes(), 3);
-    }
-
-    #[test]
-    fn scrub_on_empty_store_is_a_clean_noop() {
-        let s = OperandStore::new(1 << 20);
-        let report = s.scrub(8);
-        assert_eq!(report, ScrubReport::default());
-        assert_eq!(s.scrub_passes(), 1);
     }
 }

@@ -92,11 +92,6 @@ impl AcceptLoop {
         self.stop.addr
     }
 
-    /// A handle that can stop this loop from elsewhere.
-    pub fn stop_handle(&self) -> StopHandle {
-        self.stop.clone()
-    }
-
     /// Stops the accept thread and joins it. Idempotent; also runs on
     /// drop.
     pub fn shutdown(&mut self) {

@@ -1,6 +1,6 @@
 //! Fault-injection coverage of the TCP wire frontend: a fault campaign
-//! beside wire traffic, and the operand-store scrubber, observed end to end
-//! through a live `NetServer`.
+//! beside wire traffic, and resident operands that change after upload,
+//! observed end to end through a live `NetServer`.
 //!
 //! Wire submits never carry an injector (`conn::build_request` builds
 //! every wire request with `injector: None` — fault campaigns are a
@@ -8,20 +8,19 @@
 //! here drives injector-attached submits *in process* against the same
 //! `Arc<GemmService>` a `NetServer` is serving, while wire clients work
 //! the same service over TCP: wire results must stay correct, each wire
-//! request must run exactly the policy it asked for, and the
-//! `ftgemm_scrub_*` families must show up in a real `/metrics` scrape over
-//! TCP.
+//! request must run exactly the policy it asked for, and the operand
+//! store's families must show up in a real `/metrics` scrape over TCP.
 
 use ftgemm::core::reference::naive_gemm;
 use ftgemm::faults::{ErrorModel, Rate};
 use ftgemm::net::proto::error_code;
 use ftgemm::net::{NetClient, NetServer, NetServerConfig, NetSubmit};
 use ftgemm::serve::{FtPolicy, GemmRequest, GemmService, RoutingPolicy, ServiceConfig};
-use ftgemm::{FaultInjector, FtReport, Matrix};
+use ftgemm::{FaultInjector, FtReport, Matrix, Workspace};
+use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Same pinned routing as the in-process fault campaign: 96^3 requests
 /// land on the batched path deterministically.
@@ -35,24 +34,14 @@ fn scrape(addr: std::net::SocketAddr) -> String {
     body
 }
 
-/// Spin until `cond` holds (the scrubber runs on a background server
-/// thread, so quarantine is eventually-consistent).
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// An in-process injection campaign on a service leaves wire clients of
 /// the same service with correct answers, and every request runs exactly
 /// the policy it asked for: after the campaign an `Off` wire submit runs
 /// unverified and `Detect` / `DetectCorrect` ones run verified, and an
 /// in-process `Off` request with an armed injector is the plain driver (no
 /// injection sites, an all-zero report). The campaign's counters agree
-/// request by request and service-wide, and the scrubber's families are in
-/// a TCP `/metrics` scrape.
+/// request by request and service-wide, and the operand store's families
+/// are in a TCP `/metrics` scrape.
 #[test]
 fn wire_results_stay_correct_beside_an_in_process_campaign() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
@@ -143,13 +132,12 @@ fn wire_results_stay_correct_beside_an_in_process_campaign() {
     assert_eq!(snap.injected, campaign_injected);
     assert_eq!(snap.corrected, campaign_corrected);
 
-    // The scrubber's families are scrapeable over TCP.
+    // The operand store's families are scrapeable over TCP.
     let body = scrape(obs);
     for family in [
-        "ftgemm_scrub_passes_total",
-        "ftgemm_scrub_operands_verified_total",
-        "ftgemm_scrub_corrupted_total",
-        "ftgemm_scrub_quarantined",
+        "ftgemm_net_resident_operand_bytes",
+        "ftgemm_net_operand_handles",
+        "ftgemm_net_operand_evictions_total",
     ] {
         assert!(
             body.contains(&format!("# TYPE {family}")),
@@ -158,72 +146,171 @@ fn wire_results_stay_correct_beside_an_in_process_campaign() {
     }
 }
 
-/// The background scrubber catches a resident operand that rots *after*
-/// upload — before a reusing submit can compute on the bad bits. The
-/// poisoned handle answers `OPERAND_QUARANTINED` (not a silent wrong
-/// result, not a plain `UNKNOWN_HANDLE`), and re-uploading recovers.
+/// What a submit over a changed resident operand must come back as: the
+/// failed completion of a call that found the data disagreeing with the
+/// sums pinned at upload.
+fn assert_fails_stop(result: Result<ftgemm::net::CompletionOk, (u16, String)>, what: &str) {
+    match result {
+        Err((code, message)) => {
+            assert_eq!(code, error_code::FT, "{what}: {message}");
+            assert!(
+                message.contains("changed since its sums were pinned"),
+                "{what}: {message}"
+            );
+        }
+        Ok(ok) => panic!(
+            "{what}: Ok over a changed operand (detected {}, verifications {})",
+            ok.detected, ok.verifications
+        ),
+    }
+}
+
+/// A resident operand changed after upload fails its next protected submit
+/// and is quarantined. Under the default server configuration, for `A` and
+/// for `B`, at 24² and 96² (the batched path) and 512² (the large path),
+/// changed before any request (then submitted under `Detect`) and after one
+/// verified request (under `DetectCorrect`, which would roll back): the
+/// submit over the changed operand fails stop (never `Ok`), the next one is
+/// refused with `OPERAND_QUARANTINED`, and after a release and a re-upload
+/// the same data serves correct results again.
 #[test]
-fn scrubber_quarantines_corrupted_operand_before_reuse() {
+fn a_changed_resident_operand_fails_its_next_protected_submit_and_is_quarantined() {
     let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
         threads: 2,
         ..ServiceConfig::default()
     }));
-    let server = NetServer::start(
-        Arc::clone(&svc),
-        "127.0.0.1:0",
-        NetServerConfig {
-            scrub_interval: Some(Duration::from_millis(10)),
-            scrub_batch: 16,
-            ..NetServerConfig::default()
-        },
-    )
-    .expect("bind wire frontend");
+    let server = NetServer::start(Arc::clone(&svc), "127.0.0.1:0", NetServerConfig::default())
+        .expect("bind wire frontend");
+    let store = Arc::clone(server.store());
     let mut client = NetClient::connect(server.addr()).unwrap();
+    let mut seed = 43_000;
+    for n in [24, 96, 512] {
+        for change_b in [false, true] {
+            for (after_a_request, policy) in
+                [(false, FtPolicy::Detect), (true, FtPolicy::DetectCorrect)]
+            {
+                let what = format!(
+                    "{n}², {} changed {}, {policy:?}",
+                    if change_b { "B" } else { "A" },
+                    if after_a_request {
+                        "after a verified request"
+                    } else {
+                        "before any request"
+                    },
+                );
+                seed += 2;
+                let a = Matrix::<f64>::random(n, n, seed);
+                let b = Matrix::<f64>::random(n, n, seed + 1);
+                let mut want = Matrix::<f64>::zeros(n, n);
+                naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut want.as_mut());
+                let (ha, hb) = (client.upload(&a).unwrap(), client.upload(&b).unwrap());
+                let submit = |client: &mut NetClient, ha, hb| {
+                    let id = client
+                        .submit(NetSubmit::new(ha, hb).with_policy(policy))
+                        .unwrap();
+                    client.wait(id).unwrap().result
+                };
+                if after_a_request {
+                    let ok = submit(&mut client, ha, hb).expect("clean submit");
+                    assert!(ok.verifications > 0 && ok.detected == 0, "{what}");
+                    assert!(ok.to_matrix().rel_max_diff(&want) < 1e-12, "{what}");
+                }
 
-    let a = Matrix::<f64>::random(24, 24, 43_000);
-    let b = Matrix::<f64>::random(24, 24, 43_001);
-    let ha = client.upload(&a).unwrap();
-    let hb = client.upload(&b).unwrap();
-    let mut expected = Matrix::<f64>::zeros(24, 24);
-    naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut expected.as_mut());
+                let bad = if change_b { hb } else { ha };
+                assert!(store.corrupt_resident_for_test(bad));
+                assert_fails_stop(submit(&mut client, ha, hb), &what);
+                match submit(&mut client, ha, hb) {
+                    Err((code, message)) => {
+                        assert_eq!(code, error_code::OPERAND_QUARANTINED, "{what}: {message}");
+                    }
+                    Ok(_) => panic!("{what}: the changed operand was served again"),
+                }
+                assert_eq!(store.quarantined_count(), 1, "{what}");
 
-    // Clean reuse works, and scrub passes verify the residents clean.
-    let id = client.submit(NetSubmit::new(ha, hb)).unwrap();
-    let ok = client.wait(id).unwrap().result.unwrap();
-    assert!(ok.to_matrix().rel_max_diff(&expected) < 1e-12);
-    wait_until("a clean scrub pass", || {
-        server.store().scrub_passes() >= 1 && server.store().scrub_verified() >= 2
-    });
-    assert_eq!(server.store().scrub_corrupted(), 0);
-
-    // Rot one element of the resident A *without* touching its stored
-    // checksums, then wait for the background scrubber to catch it.
-    assert!(server.store().corrupt_resident_for_test(ha));
-    wait_until("the scrubber to quarantine the rotten operand", || {
-        server.store().quarantined_count() == 1
-    });
-    assert!(server.store().scrub_corrupted() >= 1);
-    // Quarantine evicted the bytes: only B remains resident.
-    assert_eq!(server.store().handle_count(), 1);
-
-    // A reusing submit completes with the typed quarantine error instead
-    // of wrong bits; the untouched operand still resolves.
-    let id = client.submit(NetSubmit::new(ha, hb)).unwrap();
-    match client.wait(id).unwrap().result {
-        Err((code, message)) => {
-            assert_eq!(code, error_code::OPERAND_QUARANTINED);
-            assert!(message.contains("quarantined"), "{message}");
+                // Release and re-upload: the same data serves correct
+                // results again.
+                client.release(bad).unwrap();
+                assert_eq!(store.quarantined_count(), 0, "{what}");
+                let fresh = client.upload(if change_b { &b } else { &a }).unwrap();
+                let (ha, hb) = if change_b { (ha, fresh) } else { (fresh, hb) };
+                let ok = submit(&mut client, ha, hb).expect("re-uploaded submit");
+                assert_eq!(ok.detected, 0, "{what}");
+                assert!(ok.to_matrix().rel_max_diff(&want) < 1e-12, "{what}");
+                client.release(ha).unwrap();
+                client.release(hb).unwrap();
+                assert_eq!(store.handle_count(), 0, "{what}");
+            }
         }
-        Ok(_) => panic!("expected OPERAND_QUARANTINED wire error, got a result"),
     }
-
-    // Releasing the poisoned handle clears the quarantine marker, and a
-    // fresh upload of the same data serves correct results again.
-    client.release(ha).unwrap();
-    assert_eq!(server.store().quarantined_count(), 0);
-    let ha2 = client.upload(&a).unwrap();
-    let id = client.submit(NetSubmit::new(ha2, hb)).unwrap();
-    let ok = client.wait(id).unwrap().result.unwrap();
-    assert!(ok.to_matrix().rel_max_diff(&expected) < 1e-12);
     server.stop();
+}
+
+/// `n` x `cols` with every row scaled by its own power of ten in
+/// `1e-6..=1e6`.
+fn rows_scaled(n: usize, cols: usize, seed: u64) -> Matrix<f64> {
+    let scales = Matrix::<f64>::random(n, 1, seed ^ 0x5ca1e);
+    let m = Matrix::<f64>::random(n, cols, seed);
+    Matrix::from_fn(n, cols, |i, j| {
+        m.get(i, j) * 10f64.powf(6.0 * scales.get(i, 0))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Clean resident operands never trip the pinned-sum checks: random
+    /// shapes, some deeper than `KC` (several depth panels) and some with a
+    /// `B` wider than `NC` (several column blocks; both at once is
+    /// `nest.rs`'s test, on small blocks),
+    /// rows from 1e-6 to 1e6, under `Detect` and `DetectCorrect`, on the
+    /// batched and the large path, on 1 and 2 threads. Every wire result
+    /// detects nothing and is bit-identical to the same submit in process.
+    #[test]
+    fn clean_resident_operands_never_trip_the_pinned_sums(
+        m in 1usize..32,
+        k in 1usize..32,
+        n in 1usize..32,
+        shape in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let params = Workspace::<f64>::new().params;
+        let (k, n) = match shape {
+            0 => (k, n),
+            1 => (params.kc + k, n),
+            _ => (k, params.nc + n),
+        };
+        let a = rows_scaled(m, k, seed);
+        let b = rows_scaled(k, n, seed + 1);
+        for threads in [1, 2] {
+            // Cutoff 0 sends every request to the large path.
+            for cutoff in [u64::MAX, 0] {
+                let svc = Arc::new(GemmService::<f64>::new(ServiceConfig {
+                    threads,
+                    routing: RoutingPolicy::Fixed(cutoff),
+                    ..ServiceConfig::default()
+                }));
+                let server =
+                    NetServer::start(Arc::clone(&svc), "127.0.0.1:0", NetServerConfig::default())
+                        .expect("bind wire frontend");
+                let mut client = NetClient::connect(server.addr()).unwrap();
+                let (ha, hb) = (client.upload(&a).unwrap(), client.upload(&b).unwrap());
+                for policy in [FtPolicy::Detect, FtPolicy::DetectCorrect] {
+                    let what = format!("{m}x{n}x{k}, {threads} threads, cutoff {cutoff}, {policy:?}");
+                    let want = svc
+                        .run(GemmRequest::new(a.clone(), b.clone()).with_policy(policy))
+                        .unwrap();
+                    prop_assert_eq!(want.batched, cutoff > 0, "{}", what);
+                    let id = client.submit(NetSubmit::new(ha, hb).with_policy(policy)).unwrap();
+                    let got = client.wait(id).unwrap().result;
+                    let got = got.unwrap_or_else(|e| panic!("{what}: {e:?}"));
+                    prop_assert_eq!(got.detected, 0, "{}", what);
+                    prop_assert!(got.verifications > 0, "{}", what);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got.data), bits(want.c.as_slice()), "{}", what);
+                }
+                prop_assert_eq!(server.store().quarantined_count(), 0);
+                server.stop();
+            }
+        }
+    }
 }

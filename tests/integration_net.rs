@@ -946,7 +946,7 @@ fn shutdown_verb_stops_server() {
 
 /// The wire frontend's `(family, kind)` set in a real `/metrics` scrape is
 /// a dashboard contract, like the service's `GOLDEN` in `obs_endpoint.rs`:
-/// every `ftgemm_net_*` and `ftgemm_scrub_*` family the scrape holds once
+/// every `ftgemm_net_*` family the scrape holds once
 /// the frontend has seen traffic must be exactly this list (the obs
 /// endpoint renders the global registry into every exposition).
 #[test]
@@ -975,7 +975,7 @@ fn net_metric_families_scrape() {
     use std::io::Read;
     stream.read_to_string(&mut body).unwrap();
 
-    const GOLDEN: [(&str, &str); 14] = [
+    const GOLDEN: [(&str, &str); 10] = [
         ("ftgemm_net_bytes_in_total", "counter"),
         ("ftgemm_net_bytes_out_total", "counter"),
         ("ftgemm_net_connections", "gauge"),
@@ -986,17 +986,11 @@ fn net_metric_families_scrape() {
         ("ftgemm_net_operand_handles", "gauge"),
         ("ftgemm_net_protocol_errors_total", "counter"),
         ("ftgemm_net_resident_operand_bytes", "gauge"),
-        ("ftgemm_scrub_corrupted_total", "counter"),
-        ("ftgemm_scrub_operands_verified_total", "counter"),
-        ("ftgemm_scrub_passes_total", "counter"),
-        ("ftgemm_scrub_quarantined", "gauge"),
     ];
     let scraped: BTreeSet<(&str, &str)> = body
         .lines()
         .filter_map(|line| line.strip_prefix("# TYPE ")?.split_once(' '))
-        .filter(|(family, _)| {
-            family.starts_with("ftgemm_net_") || family.starts_with("ftgemm_scrub_")
-        })
+        .filter(|(family, _)| family.starts_with("ftgemm_net_"))
         .collect();
     assert_eq!(scraped, BTreeSet::from(GOLDEN));
 }
