@@ -98,16 +98,6 @@ impl CsvWriter {
     }
 }
 
-/// Formats a GFLOPS value for table cells.
-pub fn fmt_gflops(v: f64) -> String {
-    format!("{v:8.2}")
-}
-
-/// Formats a percentage for table cells.
-pub fn fmt_pct(v: f64) -> String {
-    format!("{v:+6.2}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,11 +119,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_pct(1.234), " +1.23%");
-        assert!(fmt_gflops(12.3456).contains("12.35"));
     }
 }

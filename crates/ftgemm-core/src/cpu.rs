@@ -46,15 +46,6 @@ impl IsaLevel {
         v.push(IsaLevel::Portable);
         v
     }
-
-    /// SIMD register width in bits for this tier.
-    pub fn vector_bits(self) -> usize {
-        match self {
-            IsaLevel::Portable => 128, // assume SSE2 baseline for x86-64
-            IsaLevel::Avx2Fma => 256,
-            IsaLevel::Avx512 => 512,
-        }
-    }
 }
 
 impl fmt::Display for IsaLevel {
@@ -153,12 +144,6 @@ mod tests {
         for w in tiers.windows(2) {
             assert!(w[0] > w[1]);
         }
-    }
-
-    #[test]
-    fn vector_bits_monotone() {
-        assert!(IsaLevel::Avx512.vector_bits() > IsaLevel::Avx2Fma.vector_bits());
-        assert!(IsaLevel::Avx2Fma.vector_bits() > 0);
     }
 
     #[test]

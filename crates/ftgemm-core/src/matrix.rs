@@ -394,20 +394,6 @@ impl<T: Scalar> Matrix<T> {
         copy
     }
 
-    /// Out-of-place transpose.
-    pub fn transpose(&self) -> Self {
-        Self::from_fn(self.ncols, self.nrows, |i, j| self.get(j, i))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> T {
-        let mut acc = T::ZERO;
-        for &v in self.data.as_slice() {
-            acc = v.mul_add(v, acc);
-        }
-        acc.sqrt()
-    }
-
     /// Largest absolute element.
     pub fn max_abs(&self) -> T {
         let mut acc = T::ZERO;
@@ -707,29 +693,6 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         }
     }
 
-    /// Splits into disjoint mutable row-slices at row `i` (for M-partitioned
-    /// parallel work). Both halves keep the full column range.
-    pub fn split_rows_mut(self, i: usize) -> (MatMut<'a, T>, MatMut<'a, T>) {
-        assert!(i <= self.nrows, "split row out of bounds");
-        let top = MatMut {
-            ptr: self.ptr,
-            nrows: i,
-            ncols: self.ncols,
-            ld: self.ld,
-            _marker: PhantomData,
-        };
-        let bot = MatMut {
-            // SAFETY: row offset i is within the view; the two views address
-            // disjoint row ranges of every column.
-            ptr: unsafe { self.ptr.add(i) },
-            nrows: self.nrows - i,
-            ncols: self.ncols,
-            ld: self.ld,
-            _marker: PhantomData,
-        };
-        (top, bot)
-    }
-
     /// Mutable column `j` as a slice.
     #[inline]
     pub fn col_mut(&mut self, j: usize) -> &mut [T] {
@@ -822,14 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::<f64>::random(4, 6, 1);
-        let att = a.transpose().transpose();
-        assert_eq!(a.as_slice(), att.as_slice());
-        assert_eq!(a.get(1, 3), a.transpose().get(3, 1));
-    }
-
-    #[test]
     fn submatrix_view() {
         let m = Matrix::<f64>::from_fn(6, 6, |i, j| (i * 10 + j) as f64);
         let v = m.as_ref().submatrix(2, 3, 3, 2);
@@ -858,18 +813,6 @@ mod tests {
     fn col_slices() {
         let m = Matrix::<f64>::from_fn(3, 2, |i, j| (i + 10 * j) as f64);
         assert_eq!(m.as_ref().col(1), &[10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn split_rows_disjoint() {
-        let mut m = Matrix::<f64>::zeros(6, 2);
-        let (mut top, mut bot) = m.as_mut().split_rows_mut(2);
-        assert_eq!(top.nrows(), 2);
-        assert_eq!(bot.nrows(), 4);
-        top.set(1, 1, 1.0);
-        bot.set(0, 1, 2.0);
-        assert_eq!(m.get(1, 1), 1.0);
-        assert_eq!(m.get(2, 1), 2.0);
     }
 
     #[test]
@@ -902,19 +845,9 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
-        let m = Matrix::<f64>::from_fn(2, 2, |i, j| {
-            if i == 0 && j == 0 {
-                3.0
-            } else {
-                4.0 * ((i + j) % 2) as f64
-            }
-        });
-        // entries: 3, 0 / 4? layout irrelevant; just check frobenius of known matrix
-        let m2 = Matrix::<f64>::from_col_major(2, 2, &[3.0, 4.0, 0.0, 0.0]).unwrap();
-        assert!((m2.frobenius_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(m2.max_abs(), 4.0);
-        let _ = m;
+    fn max_abs_reads_magnitudes() {
+        let m = Matrix::<f64>::from_col_major(2, 2, &[3.0, -4.0, 0.0, 0.0]).unwrap();
+        assert_eq!(m.max_abs(), 4.0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl<T: Scalar> Kernel<T> {
 ///
 /// Tiers above what the CPU supports must not be requested unless the caller
 /// guarantees support (the returned kernel executes illegal instructions
-/// otherwise) — use [`select_kernel_auto`] for the safe path.
+/// otherwise) — pass [`IsaLevel::detect`] for the safe path.
 pub fn select_kernel<T: Scalar>(level: IsaLevel) -> Kernel<T> {
     table::<T>(level).0
 }
@@ -209,11 +209,6 @@ fn table<T: Scalar>(level: IsaLevel) -> Row<T> {
         portable::kernel::<T, false>,
         portable::kernel::<T, true>,
     )
-}
-
-/// Selects the best kernel the executing CPU supports.
-pub fn select_kernel_auto<T: Scalar>() -> Kernel<T> {
-    select_kernel::<T>(IsaLevel::detect())
 }
 
 #[cfg(test)]
@@ -504,13 +499,6 @@ mod tests {
             check_sum_lanes(select_kernel::<f64>(tier));
             check_sum_lanes(select_kernel::<f32>(tier));
         }
-    }
-
-    #[test]
-    fn auto_select_geometry_consistent() {
-        let k = select_kernel_auto::<f64>();
-        assert!(k.mr > 0 && k.nr > 0);
-        assert!(k.isa <= IsaLevel::detect());
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub trait Scalar:
 
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Square root.
-    fn sqrt(self) -> Self;
     /// IEEE maximum (NaN-propagating is fine for our uses).
     fn max(self, other: Self) -> Self;
     /// IEEE minimum.
@@ -100,10 +98,6 @@ impl Scalar for f64 {
     #[inline(always)]
     fn abs(self) -> Self {
         f64::abs(self)
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        f64::sqrt(self)
     }
     #[inline(always)]
     fn max(self, other: Self) -> Self {
@@ -154,10 +148,6 @@ impl Scalar for f32 {
     #[inline(always)]
     fn abs(self) -> Self {
         f32::abs(self)
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        f32::sqrt(self)
     }
     #[inline(always)]
     fn max(self, other: Self) -> Self {
@@ -218,7 +208,6 @@ mod tests {
         assert_eq!(T::ZERO + T::ONE, T::ONE);
         assert_eq!(T::from_usize(7).to_f64(), 7.0);
         assert_eq!(T::from_f64(-2.0).abs(), T::from_f64(2.0));
-        assert_eq!(T::from_f64(9.0).sqrt(), T::from_f64(3.0));
         assert_eq!(T::from_f64(2.0).max(T::from_f64(3.0)), T::from_f64(3.0));
         assert_eq!(T::from_f64(2.0).min(T::from_f64(3.0)), T::from_f64(2.0));
         let fma = T::from_f64(2.0).mul_add(T::from_f64(3.0), T::from_f64(1.0));

@@ -7,8 +7,8 @@
 //! server's answer. The buffer leaves in one write when the client must
 //! wait for the server: before a read that may block (the read buffer does
 //! not hold a whole frame), in every call that sends a frame of its own
-//! (`upload`, `poll`, `wait` on a held id, `release`, `shutdown_server`,
-//! `send`), in [`NetClient::flush`], and on drop. It also leaves once it
+//! (`upload`, `release`, `shutdown_server`, `send`), in
+//! [`NetClient::flush`], and on drop. It also leaves once it
 //! holds a server turn's worth of bytes, so it stays bounded. A closed loop
 //! that refills its window as completions arrive thus makes one write per
 //! burst of submits, not one per request. Reads take in up to one server
@@ -24,14 +24,14 @@
 //! failed in the service.
 //!
 //! Every id this client hands out or takes is its own: from `submit`, in
-//! completions, and to [`NetClient::poll`] / [`NetClient::wait`], which on
-//! a held id first read until its server id is known. `upload`, `release`
-//! and `shutdown_server` send one frame and read until its answer, taking
-//! in the submit answers queued ahead of it. Stream-delivery completions
-//! arrive whenever requests finish; the read loop stashes them, and
-//! [`NetClient::wait`] and [`NetClient::next_completion`] consume the stash
-//! first. An id never issued, or already handed out, answers
-//! [`UNKNOWN_REQUEST`](crate::proto::error_code::UNKNOWN_REQUEST).
+//! completions, and to [`NetClient::wait`]. `upload`, `release` and
+//! `shutdown_server` send one frame and read until its answer, taking in
+//! the submit answers queued ahead of it. Completions arrive whenever
+//! requests finish; the read loop stashes them, and [`NetClient::wait`] and
+//! [`NetClient::next_completion`] consume the stash first. `wait` on an id
+//! never issued, or already handed out, answers
+//! [`UNKNOWN_REQUEST`](crate::proto::error_code::UNKNOWN_REQUEST) without
+//! asking the server.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -55,8 +55,8 @@ pub enum ClientError {
     /// Transport failure (connect, read, write, unexpected EOF).
     Io(io::Error),
     /// The server answered the call's own frame with an error frame (a
-    /// refused submit is a failed completion instead). `poll` / `wait` on
-    /// an id that is not outstanding give `UNKNOWN_REQUEST` without asking.
+    /// refused submit is a failed completion instead). `wait` on an id that
+    /// is not outstanding gives `UNKNOWN_REQUEST` without asking.
     Server { id: u64, code: u16, message: String },
     /// The server violated the protocol (malformed frame, oversized
     /// frame, or a response of the wrong type).
@@ -93,12 +93,11 @@ pub struct NetSubmit {
     beta: f64,
     policy: FtPolicy,
     deadline: Option<Duration>,
-    hold: bool,
 }
 
 impl NetSubmit {
     /// `C = A*B` against two operands (inline matrices or uploaded
-    /// handles), stream delivery, default policy, no deadline.
+    /// handles), default policy, no deadline.
     pub fn new(a: impl Into<OperandRef>, b: impl Into<OperandRef>) -> Self {
         NetSubmit {
             a: a.into(),
@@ -108,7 +107,6 @@ impl NetSubmit {
             beta: 0.0,
             policy: FtPolicy::default(),
             deadline: None,
-            hold: false,
         }
     }
 
@@ -141,17 +139,10 @@ impl NetSubmit {
         self
     }
 
-    /// Hold delivery: the server parks the completion for
-    /// [`NetClient::poll`] / [`NetClient::wait`] instead of pushing it.
-    #[must_use]
-    pub fn held(mut self) -> Self {
-        self.hold = true;
-        self
-    }
-
     fn into_frame(self) -> SubmitFrame {
         SubmitFrame {
-            hold: self.hold,
+            // Reserved; the server refuses any other value.
+            hold: false,
             policy: match self.policy {
                 FtPolicy::Off => 0,
                 FtPolicy::Detect => 1,
@@ -187,10 +178,6 @@ impl From<u64> for OperandRef {
 /// past it is let go once written, so it does not stay resident.
 const KEPT_OUT_BYTES: usize = 64 * 1024;
 
-/// What the server answered a submit: the id it admitted the request
-/// under, or its refusal as the submit's completion.
-type Answer = Result<u64, CompletionFrame>;
-
 /// Blocking wire-protocol client. See the module docs.
 pub struct NetClient {
     /// The connection, read through a buffer of one server turn; written
@@ -204,15 +191,11 @@ pub struct NetClient {
     features: u32,
     /// The id the next submit gets.
     next_id: u64,
-    /// Submits whose answer has not been read, oldest first: id and hold
-    /// flag.
-    unanswered: VecDeque<(u64, bool)>,
-    /// Admitted stream-delivery submits still running: server id -> id.
+    /// Submits whose answer has not been read, oldest first.
+    unanswered: VecDeque<u64>,
+    /// Admitted submits still running: server id -> id.
     streams: HashMap<u64, u64>,
-    /// Hold-delivery submits not yet redeemed: id -> answer, once read.
-    held: HashMap<u64, Option<Answer>>,
-    /// Finished stream-delivery submits not yet handed out, in arrival
-    /// order.
+    /// Finished submits not yet handed out, in arrival order.
     stash: VecDeque<CompletionFrame>,
 }
 
@@ -234,7 +217,6 @@ impl NetClient {
             next_id: 0,
             unanswered: VecDeque::new(),
             streams: HashMap::new(),
-            held: HashMap::new(),
             stash: VecDeque::new(),
         };
         client.send(&Frame::Hello {
@@ -276,39 +258,22 @@ impl NetClient {
         if self.out.len() >= TURN_BYTES {
             self.flush()?;
         }
-        let hold = submit.hold;
         encode_into(&mut self.out, &Frame::Submit(submit.into_frame()))?;
         let id = self.next_id;
         self.next_id += 1;
-        self.unanswered.push_back((id, hold));
-        if hold {
-            self.held.insert(id, None);
-        }
+        self.unanswered.push_back(id);
         Ok(id)
     }
 
-    /// Blocks until request `id` finishes. Hold-delivery ids are waited
-    /// server-side; stream-delivery ids are drained off the connection
+    /// Blocks until request `id` finishes, reading it off the connection
     /// (completions for other requests are stashed).
     pub fn wait(&mut self, id: u64) -> Result<CompletionFrame, ClientError> {
-        if self.held.contains_key(&id) {
-            let server = match self.held_answer(id)? {
-                Ok(server) => server,
-                Err(refused) => return Ok(refused),
-            };
-            self.send(&Frame::Wait { id: server })?;
-            return match self.reply()? {
-                Frame::Completion(c) if c.id == server => Ok(CompletionFrame { id, ..c }),
-                other => Err(unexpected("Completion", &other)),
-            };
-        }
         loop {
             if let Some(pos) = self.stash.iter().position(|c| c.id == id) {
                 #[expect(clippy::unwrap_used, reason = "position found pos in the stash")]
                 return Ok(self.stash.remove(pos).unwrap());
             }
-            let running = self.unanswered.iter().any(|&(c, _)| c == id)
-                || self.streams.values().any(|&c| c == id);
+            let running = self.unanswered.contains(&id) || self.streams.values().any(|&c| c == id);
             if !running {
                 return Err(unknown_request(id));
             }
@@ -316,24 +281,7 @@ impl NetClient {
         }
     }
 
-    /// Non-blocking check of a hold-delivery request.
-    pub fn poll(&mut self, id: u64) -> Result<Option<CompletionFrame>, ClientError> {
-        let server = match self.held_answer(id)? {
-            Ok(server) => server,
-            Err(refused) => return Ok(Some(refused)),
-        };
-        self.send(&Frame::Poll { id: server })?;
-        match self.reply()? {
-            Frame::Pending { id: got } if got == server => {
-                self.held.insert(id, Some(Ok(server)));
-                Ok(None)
-            }
-            Frame::Completion(c) if c.id == server => Ok(Some(CompletionFrame { id, ..c })),
-            other => Err(unexpected("Pending/Completion", &other)),
-        }
-    }
-
-    /// The next stream-delivery completion, in arrival order.
+    /// The next completion, in arrival order.
     pub fn next_completion(&mut self) -> Result<CompletionFrame, ClientError> {
         loop {
             if let Some(c) = self.stash.pop_front() {
@@ -388,23 +336,8 @@ impl NetClient {
         Ok(written?)
     }
 
-    /// Takes in answers until held submit `id` has its own, and takes the
-    /// id out: it is redeemed unless the caller puts it back.
-    fn held_answer(&mut self, id: u64) -> Result<Answer, ClientError> {
-        loop {
-            match self.held.remove(&id) {
-                None => return Err(unknown_request(id)),
-                Some(Some(answer)) => return Ok(answer),
-                Some(None) => {
-                    self.held.insert(id, None);
-                    self.take_in()?;
-                }
-            }
-        }
-    }
-
-    /// Reads one frame that must be a submit's answer or a stream
-    /// completion, and files it.
+    /// Reads one frame that must be a submit's answer or a completion, and
+    /// files it.
     fn take_in(&mut self) -> Result<(), ClientError> {
         match self.read_answer()? {
             None => Ok(()),
@@ -424,8 +357,8 @@ impl NetClient {
     /// Reads one frame. The server answers a connection's frames in order,
     /// so while submits are unanswered an ack or an error frame answers the
     /// oldest of them: an ack maps the server's id to the submit's, and an
-    /// error becomes the submit's completion. Those, and stream completions,
-    /// are filed under this client's ids and give `None`. Anything else is
+    /// error becomes the submit's completion. Those, and completions, are
+    /// filed under this client's ids and give `None`. Anything else is
     /// the answer to the caller's own request; an error frame as
     /// [`ClientError::Server`].
     fn read_answer(&mut self) -> Result<Option<Frame>, ClientError> {
@@ -441,7 +374,7 @@ impl NetClient {
             }
             other => return Ok(Some(other)),
         };
-        let Some((id, hold)) = self.unanswered.pop_front() else {
+        let Some(id) = self.unanswered.pop_front() else {
             return Err(match answer {
                 Ok(server) => {
                     ClientError::Protocol(format!("SubmitAck {server} with no submit unanswered"))
@@ -449,18 +382,14 @@ impl NetClient {
                 Err((id, code, message)) => ClientError::Server { id, code, message },
             });
         };
-        let answer = answer.map_err(|(_, code, message)| CompletionFrame {
-            id,
-            result: Err((code, message)),
-        });
         match answer {
-            Ok(server) if !hold => {
+            Ok(server) => {
                 self.streams.insert(server, id);
             }
-            Err(refused) if !hold => self.stash.push_back(refused),
-            answer => {
-                self.held.insert(id, Some(answer));
-            }
+            Err((_, code, message)) => self.stash.push_back(CompletionFrame {
+                id,
+                result: Err((code, message)),
+            }),
         }
         Ok(None)
     }
@@ -504,9 +433,8 @@ impl Drop for NetClient {
     }
 }
 
-/// The answer to a `poll` or `wait` on an id this client never issued, or
-/// has already handed out: the code the server gives a `Poll` it cannot
-/// place, without asking it.
+/// The answer to a `wait` on an id this client never issued, or has already
+/// handed out, given without asking the server.
 fn unknown_request(id: u64) -> ClientError {
     ClientError::Server {
         id,

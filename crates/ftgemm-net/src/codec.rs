@@ -385,12 +385,7 @@ fn put_payload(w: &mut Wr<'_>, frame: &Frame) {
                 }
             }
         }
-        Frame::SubmitAck { id }
-        | Frame::Poll { id }
-        | Frame::Pending { id }
-        | Frame::Wait { id } => {
-            w.u64(*id);
-        }
+        Frame::SubmitAck { id } => w.u64(*id),
         Frame::Completion(c) => {
             let result = match &c.result {
                 Ok(ok) => Ok((ok.rows, ok.cols, ok.data.as_slice(), ok.report())),
@@ -435,11 +430,10 @@ pub fn decode_frame(verb_byte: u8, payload: &[u8]) -> Result<Frame, WireError> {
             resident_bytes: r.u64()?,
         },
         verb::SUBMIT => {
-            let hold = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadValue("delivery mode")),
-            };
+            // Reserved: a submit is malformed unless it is 0.
+            if r.u8()? != 0 {
+                return Err(WireError::BadValue("reserved hold byte"));
+            }
             let policy = r.u8()?;
             if policy > 2 {
                 return Err(WireError::BadValue("ft policy"));
@@ -465,7 +459,7 @@ pub fn decode_frame(verb_byte: u8, payload: &[u8]) -> Result<Frame, WireError> {
                 _ => return Err(WireError::BadValue("output tag")),
             };
             Frame::Submit(SubmitFrame {
-                hold,
+                hold: false,
                 policy,
                 priority,
                 tenant,
@@ -478,9 +472,6 @@ pub fn decode_frame(verb_byte: u8, payload: &[u8]) -> Result<Frame, WireError> {
             })
         }
         verb::SUBMIT_ACK => Frame::SubmitAck { id: r.u64()? },
-        verb::POLL => Frame::Poll { id: r.u64()? },
-        verb::PENDING => Frame::Pending { id: r.u64()? },
-        verb::WAIT => Frame::Wait { id: r.u64()? },
         verb::COMPLETION => {
             let id = r.u64()?;
             let result = match r.u8()? {
@@ -658,8 +649,8 @@ mod tests {
 
     #[test]
     fn round_trips_a_submit() {
-        let f = Frame::Submit(SubmitFrame {
-            hold: true,
+        let mut s = SubmitFrame {
+            hold: false,
             policy: 2,
             priority: 0,
             tenant: 7,
@@ -673,10 +664,18 @@ mod tests {
                 data: vec![1.0, 2.0, 3.0, 4.0],
             },
             c: Some((2, 2, vec![0.0; 4])),
-        });
+        };
+        let f = Frame::Submit(s.clone());
         let bytes = encode_frame(&f);
         let got = decode_frame(bytes[4], &bytes[5..]).unwrap();
         assert_eq!(got, f);
+        // The retired hold byte must be 0.
+        s.hold = true;
+        let bytes = encode_frame(&Frame::Submit(s));
+        assert_eq!(
+            decode_frame(bytes[4], &bytes[5..]),
+            Err(WireError::BadValue("reserved hold byte"))
+        );
     }
 
     #[test]

@@ -21,24 +21,23 @@
 //! kernel's, into the socket.
 //!
 //! Finished requests are taken off the connection's [`Completions`]
-//! stream by [`ConnState::route_finished`], under the connection lock:
-//! a stream-delivery completion goes to the back of the outbox, a
-//! hold-delivery one into the held table for Poll/Wait. The outbound
-//! thread routes every turn; the reader routes where its answer depends
-//! on what has finished (Poll, Wait, a Submit at the in-flight cap), so
-//! none of those depends on the outbound thread getting out of a blocked
-//! write. The stream's waker unparks both threads; the reader unparks the
-//! outbound thread after every outbox push.
+//! stream by [`ConnState::route_finished`], under the connection lock, to
+//! the back of the outbox: a completion has one route, outbox → outbound
+//! turn → socket. The outbound thread routes every turn; the reader routes
+//! only for a Submit at the in-flight cap, so that answer does not depend
+//! on the outbound thread getting out of a blocked write. The reader never
+//! parks. The stream's waker unparks the outbound thread, and so does the
+//! reader after every outbox push.
 //!
 //! Every protocol-level failure (malformed frame, oversize frame, unknown
-//! verb/handle/request, unsupported version, in-flight cap) is answered
+//! verb/handle, unsupported version, in-flight cap) is answered
 //! with a typed [`Frame::Error`] and the connection stays alive; only I/O
 //! failure or an explicit Shutdown ends it. On exit — clean or not — the
 //! connection joins its outbound thread and releases every operand handle
 //! it owns, so a killed client returns the store's resident bytes to
 //! baseline.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -90,13 +89,8 @@ fn result_bytes(c: &Completion<f64>) -> &[u8] {
 /// State shared between the reader and the outbound thread, under one
 /// lock.
 struct ConnState {
-    /// Frames to write, in order: the reader's answers and stream-delivery
-    /// completions.
+    /// Frames to write, in order: the reader's answers and completions.
     outbox: Vec<Outgoing>,
-    /// Hold-delivery requests: id -> parked completion (None until it
-    /// finishes). Ids are inserted under the lock *before* submit returns,
-    /// so a completion can never be routed past its registration.
-    held: HashMap<u64, Option<Completion<f64>>>,
     /// Finished requests arrive here; see [`ConnState::route_finished`].
     completions: Completions<f64>,
     /// Submitted and not yet routed, against [`ConnContext::max_in_flight`].
@@ -107,19 +101,15 @@ struct ConnState {
 }
 
 impl ConnState {
-    /// Takes every finished request off the stream and routes it: into its
-    /// held slot, or to the back of the outbox. Leaves the waker registered
-    /// for the next one. True when the stream is drained (nothing queued,
-    /// nothing in flight).
+    /// Takes every finished request off the stream to the back of the
+    /// outbox. Leaves the waker registered for the next one. True when the
+    /// stream is drained (nothing queued, nothing in flight).
     fn route_finished(&mut self, cx: &mut Context<'_>) -> bool {
         loop {
             match self.completions.poll_next(cx) {
                 Poll::Ready(Some(c)) => {
                     self.in_flight -= 1;
-                    match self.held.get_mut(&c.id) {
-                        Some(slot) => *slot = Some(c),
-                        None => self.outbox.push(Outgoing::Completion(c)),
-                    }
+                    self.outbox.push(Outgoing::Completion(c));
                 }
                 Poll::Ready(None) => return true,
                 Poll::Pending => return false,
@@ -129,17 +119,13 @@ impl ConnState {
 }
 
 /// Waker for [`Completions::poll_next`]: unparks the outbound thread, which
-/// writes what finished, and the reader, which may be parked in Wait on it.
-struct Unpark([Thread; 2]);
+/// writes what finished.
+struct Unpark(Thread);
 
 impl Wake for Unpark {
     fn wake(self: Arc<Self>) {
-        self.0.iter().for_each(Thread::unpark);
+        self.0.unpark();
     }
-}
-
-fn unpark_both(reader: Thread, outbound: Thread) -> Waker {
-    Waker::from(Arc::new(Unpark([reader, outbound])))
 }
 
 fn serve_error_frame(id: u64, e: &ServeError) -> Frame {
@@ -344,25 +330,24 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
     let (sink, completions) = completion_channel::<f64>();
     let shared = Arc::new(Mutex::new(ConnState {
         outbox: Vec::new(),
-        held: HashMap::new(),
         completions,
         in_flight: 0,
         closing: false,
     }));
     let outbound = stream.try_clone().and_then(|out| {
         let shared = Arc::clone(&shared);
-        let reader = thread::current();
         thread::Builder::new()
             .name("ftgemm-net-outbound".to_string())
             .spawn(move || {
-                outbound_loop(out, &shared, &unpark_both(reader, thread::current()));
+                let waker = Waker::from(Arc::new(Unpark(thread::current())));
+                outbound_loop(out, &shared, &waker);
             })
     });
     let Ok(outbound) = outbound else {
         metrics::connections().add(-1.0);
         return;
     };
-    let waker = unpark_both(thread::current(), outbound.thread().clone());
+    let waker = Waker::from(Arc::new(Unpark(outbound.thread().clone())));
     let mut cx = Context::from_waker(&waker);
 
     let mut owned: HashSet<u64> = HashSet::new();
@@ -383,13 +368,6 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
         let protocol_error = |id: u64, code: u16, message: String| {
             metrics::protocol_errors_total().inc();
             send(Frame::Error { id, code, message });
-        };
-        let not_held = |id: u64| {
-            protocol_error(
-                id,
-                error_code::UNKNOWN_REQUEST,
-                format!("request {id} is not held on this connection"),
-            );
         };
 
         while let Ok((event, n)) = take_frame(&mut reader, ctx.max_frame, &mut body) {
@@ -495,7 +473,6 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                         );
                         continue;
                     }
-                    let hold = s.hold;
                     let req = match build_request(s, &ctx.store) {
                         Ok(r) => r,
                         Err((code, message)) => {
@@ -503,60 +480,18 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                             continue;
                         }
                     };
-                    // Hold the lock across submit so a hold-delivery id is
-                    // registered, and the ack queued, before anyone can
-                    // route the completion: an ack always precedes its
-                    // completion in the outbox.
+                    // Hold the lock across submit so the ack is queued
+                    // before anyone can route the completion: an ack always
+                    // precedes its completion in the outbox.
                     let mut st = shared.lock();
                     let answer = match ctx.service.submit_streamed(req, &sink) {
                         Ok(id) => {
                             st.in_flight += 1;
-                            if hold {
-                                st.held.insert(id, None);
-                            }
                             Frame::SubmitAck { id }
                         }
                         Err(e) => serve_error_frame(0, &e),
                     };
                     reply(st, Outgoing::Frame(answer));
-                }
-                Frame::Poll { id } => {
-                    let mut st = shared.lock();
-                    st.route_finished(&mut cx);
-                    match st.held.get_mut(&id).map(Option::take) {
-                        None => {
-                            drop(st);
-                            not_held(id);
-                        }
-                        Some(Some(c)) => {
-                            st.held.remove(&id);
-                            reply(st, Outgoing::Completion(c));
-                        }
-                        Some(None) => reply(st, Outgoing::Frame(Frame::Pending { id })),
-                    }
-                }
-                Frame::Wait { id } => {
-                    // The reader routes for itself while it waits, parked
-                    // between completions and never holding the lock, so
-                    // leaving Wait does not depend on the outbound thread.
-                    let mut st = shared.lock();
-                    let held = loop {
-                        st.route_finished(&mut cx);
-                        if !matches!(st.held.get(&id), Some(None)) {
-                            break st.held.remove(&id).flatten();
-                        }
-                        drop(st);
-                        outbound.thread().unpark();
-                        thread::park();
-                        st = shared.lock();
-                    };
-                    match held {
-                        Some(c) => reply(st, Outgoing::Completion(c)),
-                        None => {
-                            drop(st);
-                            not_held(id);
-                        }
-                    }
                 }
                 Frame::ReleaseHandle { handle } => {
                     if owned.remove(&handle) {
@@ -580,7 +515,6 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: ConnContext) {
                 Frame::ServerHello { .. }
                 | Frame::OperandHandle { .. }
                 | Frame::SubmitAck { .. }
-                | Frame::Pending { .. }
                 | Frame::Completion(_)
                 | Frame::Released { .. }
                 | Frame::Goodbye

@@ -16,8 +16,10 @@
 //! (`Arc`-backed, zero-copy) operands. The full
 //! [`GemmRequest`](ftgemm_serve::GemmRequest) surface rides in the submit
 //! header: FT policy and deadline, so deadline admission control and
-//! shedding are first-class wire errors (two reserved header fields,
-//! `priority` and `tenant`, are decoded and ignored).
+//! shedding are first-class wire errors (of three reserved header fields,
+//! `priority` and `tenant` are decoded and ignored, and the hold byte must
+//! be 0). Every completion is pushed to the client as its request
+//! finishes.
 //!
 //! Module map:
 //! - [`proto`]: frame vocabulary, version/feature constants, pinned verb

@@ -79,7 +79,7 @@ pub(crate) fn bytes_out_total() -> &'static Counter {
 pub(crate) fn protocol_errors_total() -> &'static Counter {
     global_counter!(
         "ftgemm_net_protocol_errors_total",
-        "Error frames sent for protocol-level failures (malformed frame, oversize frame, unknown verb/handle/request, unsupported version, in-flight cap)."
+        "Error frames sent for protocol-level failures (malformed frame, oversize frame, unknown verb/handle, unsupported version, in-flight cap)."
     )
 }
 

@@ -16,12 +16,12 @@
 //! contiguous with `ld == nrows`).
 //!
 //! The protocol is strictly client-initiates / server-responds, with one
-//! exception: completions for stream-delivery submits are pushed by the
-//! server whenever they finish, so a client may see [`Frame::Completion`]
-//! frames interleaved with the response it is waiting for. A connection's
-//! frames get one answer each, in the order they were sent, and a submit's
-//! ack always comes before its own completion: a client may pipeline
-//! submits and pair their answers up first-in, first-out.
+//! exception: completions are pushed by the server whenever their requests
+//! finish, so a client may see [`Frame::Completion`] frames interleaved
+//! with the response it is waiting for. A connection's frames get one
+//! answer each, in the order they were sent, and a submit's ack always
+//! comes before its own completion: a client may pipeline submits and pair
+//! their answers up first-in, first-out.
 
 use ftgemm_abft::FtReport;
 use ftgemm_core::Matrix;
@@ -36,8 +36,8 @@ pub const PROTO_VERSION: u16 = 1;
 /// handle-based submits ([`Frame::UploadOperand`] / [`OperandRef::Handle`]).
 pub const FEATURE_OPERAND_HANDLES: u32 = 1 << 0;
 
-/// Feature bit: the server pushes stream-delivery completions without
-/// polling ([`SubmitFrame::hold`] = false).
+/// Feature bit: the server pushes each completion as its request finishes
+/// ([`Frame::Completion`]), the one way a result is delivered.
 pub const FEATURE_STREAMING: u32 = 1 << 1;
 
 /// All features this implementation speaks.
@@ -54,9 +54,9 @@ pub mod verb {
     pub const OPERAND_HANDLE: u8 = 4;
     pub const SUBMIT: u8 = 5;
     pub const SUBMIT_ACK: u8 = 6;
-    pub const POLL: u8 = 7;
-    pub const PENDING: u8 = 8;
-    pub const WAIT: u8 = 9;
+    // 7, 8 and 9 are retired: they were hold delivery's `Poll`, `Pending`
+    // and `Wait`. Never reuse them — a client built against them would
+    // misread the answer. A server answers them as unknown verbs.
     pub const COMPLETION: u8 = 10;
     pub const RELEASE_HANDLE: u8 = 11;
     pub const RELEASED: u8 = 12;
@@ -102,8 +102,9 @@ pub mod error_code {
     pub const UNKNOWN_VERB: u16 = 105;
     /// Submit rejected: connection already has `max_in_flight` requests.
     pub const TOO_MANY_IN_FLIGHT: u16 = 106;
-    /// Poll/Wait for a request id this connection never submitted in hold
-    /// delivery (or already redeemed).
+    /// A request id that is not outstanding. The server never sends it;
+    /// [`NetClient::wait`](crate::NetClient::wait) gives it for an id the
+    /// client never issued or has already handed out.
     pub const UNKNOWN_REQUEST: u16 = 107;
     /// The first frame on the connection was not Hello.
     pub const EXPECTED_HELLO: u16 = 108;
@@ -142,13 +143,13 @@ impl OperandRef {
 }
 
 /// Payload of [`Frame::Submit`] — the full `GemmRequest` surface on the
-/// wire: operands (by handle or inline), scalars, FT policy, deadline, two
-/// reserved fields, and the delivery mode for the eventual completion.
+/// wire: operands (by handle or inline), scalars, FT policy, deadline and
+/// three reserved fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitFrame {
-    /// Delivery mode: `false` = stream (the server pushes the completion
-    /// as soon as it finishes), `true` = hold (the server parks the
-    /// completion for [`Frame::Poll`] / [`Frame::Wait`]).
+    /// Reserved byte, must be 0 (`false`): it selected hold delivery, which
+    /// is retired. A submit carrying 1 is refused as a malformed frame and
+    /// not admitted.
     pub hold: bool,
     /// `FtPolicy` discriminant: 0 = Off, 1 = Detect, 2 = DetectCorrect.
     pub policy: u8,
@@ -251,15 +252,8 @@ pub enum Frame {
     Submit(SubmitFrame),
     /// Server → client: the request was admitted under this id.
     SubmitAck { id: u64 },
-    /// Client → server: non-blocking check of a hold-delivery request.
-    Poll { id: u64 },
-    /// Server → client: the polled request has not finished yet.
-    Pending { id: u64 },
-    /// Client → server: block until the hold-delivery request finishes;
-    /// answered with its [`Frame::Completion`].
-    Wait { id: u64 },
-    /// Server → client: one finished request (pushed for stream delivery,
-    /// or the answer to Poll/Wait for hold delivery).
+    /// Server → client: one finished request, pushed as soon as it
+    /// finishes, always after its [`Frame::SubmitAck`].
     Completion(CompletionFrame),
     /// Client → server: drop a server-resident operand handle.
     ReleaseHandle { handle: u64 },
@@ -285,9 +279,6 @@ impl Frame {
             Frame::OperandHandle { .. } => verb::OPERAND_HANDLE,
             Frame::Submit(_) => verb::SUBMIT,
             Frame::SubmitAck { .. } => verb::SUBMIT_ACK,
-            Frame::Poll { .. } => verb::POLL,
-            Frame::Pending { .. } => verb::PENDING,
-            Frame::Wait { .. } => verb::WAIT,
             Frame::Completion(_) => verb::COMPLETION,
             Frame::ReleaseHandle { .. } => verb::RELEASE_HANDLE,
             Frame::Released { .. } => verb::RELEASED,
@@ -305,16 +296,13 @@ mod tests {
 
     /// The pinned wire vocabulary, in declaration order. Renumbering or
     /// renaming an entry breaks deployed clients: append, never edit.
-    const VERBS: [(&str, u16); 15] = [
+    const VERBS: [(&str, u16); 12] = [
         ("HELLO", 1),
         ("SERVER_HELLO", 2),
         ("UPLOAD_OPERAND", 3),
         ("OPERAND_HANDLE", 4),
         ("SUBMIT", 5),
         ("SUBMIT_ACK", 6),
-        ("POLL", 7),
-        ("PENDING", 8),
-        ("WAIT", 9),
         ("COMPLETION", 10),
         ("RELEASE_HANDLE", 11),
         ("RELEASED", 12),

@@ -25,11 +25,11 @@
 //! where it uses it: as `A` when a verification fails, as `B` on every
 //! depth panel. A product that finds the data changed fails stop
 //! (`Unrecoverable`, never `Ok`) and marks the matrix suspect. The next
-//! [`OperandStore::try_get`] of its handle **quarantines** it: the entry is
-//! evicted, and that and every later `get` fails with
-//! [`StoreGetError::Quarantined`] (on the wire, `OPERAND_QUARANTINED`)
-//! rather than a plain miss, so the client knows to re-upload rather than
-//! suspect its own bookkeeping. Releasing the handle clears the marker.
+//! [`OperandStore::try_get`] of its handle, or the byte budget if it needs
+//! the room first, **quarantines** it: the entry is evicted, and every
+//! later `get` fails with [`StoreGetError::Quarantined`] (on the wire,
+//! `OPERAND_QUARANTINED`) rather than a plain miss, so the client knows to
+//! re-upload rather than suspect its own bookkeeping. Releasing the handle clears the marker.
 //!
 //! `Off` requests verify nothing, so they cannot see a changed operand: an
 //! `Off` submit over one returns the product of the changed data. The
@@ -125,9 +125,10 @@ impl OperandStore {
     }
 
     /// Pins the matrix's sums ([`Matrix::pin_sums`]) and inserts it,
-    /// evicting least-recently-used entries if the budget requires it
-    /// (never the matrix being inserted). Returns the minted handle and the
-    /// resident bytes after insertion.
+    /// making room if the budget requires it (never by the matrix being
+    /// inserted): first by quarantining entries a product marked suspect,
+    /// then by evicting the least recently used. Returns the minted handle
+    /// and the resident bytes after insertion.
     pub fn insert(&self, mut m: Matrix<f64>) -> Result<(u64, u64), BudgetExceeded> {
         let bytes = std::mem::size_of_val(m.as_slice()) as u64;
         if bytes > self.budget {
@@ -145,11 +146,13 @@ impl OperandStore {
         while self.resident.load(Ordering::Relaxed) + bytes > self.budget {
             // Resident bytes over budget implies a resident entry; if the
             // gauge ever drifts from the map, stop evicting rather than
-            // panic the connection thread mid-upload.
+            // panic the connection thread mid-upload. A suspect entry goes
+            // first, and into quarantine, so its handle still answers
+            // `Quarantined` and its bytes do not crowd out healthy ones.
             let Some(victim) = map
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|(_, e)| (!e.m.is_suspect(), e.last_used))
                 .map(|(h, _)| *h)
             else {
                 break;
@@ -158,8 +161,12 @@ impl OperandStore {
                 break;
             };
             self.account_removal(gone.bytes);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            metrics::operand_evictions_total().inc();
+            if gone.m.is_suspect() {
+                map.quarantined.insert(victim);
+            } else {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                metrics::operand_evictions_total().inc();
+            }
         }
         // Counted before the handle resolves, as a removal is counted
         // before its lock is released.
@@ -265,7 +272,8 @@ impl OperandStore {
         self.handles.load(Ordering::Relaxed)
     }
 
-    /// Operands evicted by the byte budget since the store was created.
+    /// Healthy operands evicted by the byte budget since the store was
+    /// created (a suspect one it pushes out is quarantined instead).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -390,5 +398,27 @@ mod tests {
         assert!(!s.release(bad));
         assert_eq!(s.quarantined_count(), 0);
         assert_eq!(s.try_get(bad).err(), Some(StoreGetError::Unknown));
+    }
+
+    /// A suspect operand that the budget pushes out before any get is
+    /// quarantined, not evicted: its handle answers `Quarantined`, no
+    /// eviction is counted, and it goes before a healthy entry used less
+    /// recently than it.
+    #[test]
+    fn a_suspect_operand_is_quarantined_when_the_budget_pushes_it_out() {
+        // Budget fits exactly two 4x4 operands.
+        let s = OperandStore::new(2 * 16 * 8);
+        let suspect = |h| Matrix::as_ref(&s.get(h).unwrap()).reject_sums();
+        let (oldest, _) = s.insert(mat(4)).unwrap();
+        suspect(oldest);
+        let (healthy, _) = s.insert(mat(4)).unwrap();
+        let (newest, _) = s.insert(mat(4)).unwrap();
+        assert_eq!(s.try_get(oldest).err(), Some(StoreGetError::Quarantined));
+        suspect(newest);
+        s.insert(mat(4)).unwrap();
+        assert_eq!(s.try_get(newest).err(), Some(StoreGetError::Quarantined));
+        assert!(s.get(healthy).is_some());
+        assert_eq!((s.evictions(), s.quarantined_count()), (0, 2));
+        assert_eq!((s.resident_bytes(), s.handle_count()), (2 * 16 * 8, 2));
     }
 }

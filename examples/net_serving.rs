@@ -1,7 +1,7 @@
 //! Wire-frontend walkthrough: start a `NetServer` on a loopback port,
 //! connect a `NetClient`, and drive the whole protocol surface — operand
-//! upload with reuse handles, handle-based and inline submits, stream
-//! and hold delivery, and handle release.
+//! upload with reuse handles, handle-based and inline submits, completions
+//! taken as they arrive or waited for by id, and handle release.
 //!
 //! The server is plain `std::net` (no async runtime): one accept loop,
 //! a reader and an outbound thread per connection, bridging frames onto
@@ -9,7 +9,7 @@
 //! pipelines: a submit returns without waiting for the server's ack, and
 //! its frame waits in the client's write buffer until the client must wait
 //! for the server (a read that would block, or a call that sends a frame of
-//! its own, such as `upload` or `poll`) or `flush` is called; a burst of
+//! its own, such as `upload` or `release`) or `flush` is called; a burst of
 //! submits leaves in one write. Uploaded
 //! operands stay server-resident behind ref-counted handles, so a client
 //! that re-fires against the same matrices ships 16 bytes per submit
@@ -52,8 +52,8 @@ fn main() {
     let hb = client.upload(&b).expect("upload B");
     println!("uploaded operands: A -> handle {ha}, B -> handle {hb}");
 
-    // Stream delivery (the default): the server pushes completions as they
-    // finish; next_completion() drains them in arrival order.
+    // The server pushes each completion as its request finishes;
+    // next_completion() takes them in arrival order.
     let n = 8;
     for _ in 0..n {
         client
@@ -70,24 +70,31 @@ fn main() {
     }
     println!("{checked} handle-based submits completed over the wire");
 
-    // Hold delivery: the server parks the completion; poll is non-blocking,
-    // wait blocks server-side. Inline operands work too — no upload needed.
+    // wait(id) takes one request's completion, out of arrival order: the
+    // client stashes the others it reads on the way. Inline operands work
+    // too — no upload needed.
     let small_a = Matrix::<f64>::random(32, 32, 3);
     let small_b = Matrix::<f64>::random(32, 32, 4);
-    let id = client
-        .submit(
-            NetSubmit::new(&small_a, &small_b)
-                .held()
-                .with_deadline(Duration::from_secs(30)),
-        )
-        .expect("submit held");
-    let c = match client.poll(id).expect("poll") {
-        Some(c) => c, // already done
-        None => client.wait(id).expect("wait"),
-    };
-    let report = c.result.expect("request failed");
+    let first = client
+        .submit(NetSubmit::new(&small_a, &small_b).with_deadline(Duration::from_secs(30)))
+        .expect("submit inline");
+    let second = client.submit(NetSubmit::new(ha, hb)).expect("submit");
+    let report = client
+        .wait(second)
+        .expect("wait")
+        .result
+        .expect("request failed");
     println!(
-        "held inline submit {id} done (verifications: {})",
+        "submit {second} waited for first (verifications: {})",
+        report.report().verifications
+    );
+    let report = client
+        .wait(first)
+        .expect("wait")
+        .result
+        .expect("request failed");
+    println!(
+        "inline submit {first} done (verifications: {})",
         report.report().verifications
     );
 

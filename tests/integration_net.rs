@@ -131,36 +131,6 @@ fn inline_submit_with_accumulation() {
     }
 }
 
-/// Hold delivery: Poll answers Pending/Completion, Wait blocks
-/// server-side; unknown ids get a typed error.
-#[test]
-fn hold_delivery_poll_and_wait() {
-    let svc = service();
-    let server = start(&svc, NetServerConfig::default());
-    let mut client = NetClient::connect(server.addr()).unwrap();
-
-    let a = Matrix::<f64>::random(24, 24, 4);
-    let b = Matrix::<f64>::random(24, 24, 5);
-    let id = client.submit(NetSubmit::new(&a, &b).held()).unwrap();
-    // Poll until done (first polls may legitimately return Pending).
-    let completion = loop {
-        if let Some(c) = client.poll(id).unwrap() {
-            break c;
-        }
-    };
-    assert!(completion.result.is_ok());
-
-    // Wait on a second held submit exercises the blocking path.
-    let id2 = client.submit(NetSubmit::new(&a, &b).held()).unwrap();
-    assert!(client.wait(id2).unwrap().result.is_ok());
-
-    // A redeemed (or never-submitted) id is a typed error, not a hang.
-    match client.poll(id2) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::UNKNOWN_REQUEST),
-        other => panic!("expected UNKNOWN_REQUEST, got {other:?}"),
-    }
-}
-
 /// A deadline the admission model deems infeasible surfaces as wire error
 /// code DEADLINE_EXCEEDED, as the refused submit's own completion.
 #[test]
@@ -259,9 +229,11 @@ fn operand_budget_evicts_lru() {
 }
 
 /// Protocol robustness on a live connection: wrong version, missing
-/// Hello, unknown verb, malformed payload, and an oversized frame each
-/// get their typed error frame — and the same connection (and server)
-/// keeps working afterwards.
+/// Hello, unknown verbs (the retired hold-delivery verbs 7–9 among them),
+/// malformed payloads (a submit whose reserved hold byte is 1 among them,
+/// which is not admitted), and an oversized frame each get their typed
+/// error frame — and the same connection (and server) keeps working
+/// afterwards.
 #[test]
 fn protocol_errors_keep_connection_alive() {
     let svc = service();
@@ -284,7 +256,7 @@ fn protocol_errors_keep_connection_alive() {
     };
 
     // 1. First frame not Hello.
-    write_frame(&mut raw, &Frame::Poll { id: 1 }).unwrap();
+    write_frame(&mut raw, &Frame::ReleaseHandle { handle: 1 }).unwrap();
     expect_error(&mut raw, error_code::EXPECTED_HELLO);
 
     // 2. Unsupported version.
@@ -318,13 +290,34 @@ fn protocol_errors_keep_connection_alive() {
         .unwrap();
     expect_error(&mut raw, error_code::UNKNOWN_VERB);
 
-    // 5. Malformed payload (Poll frame with a truncated id).
+    // 4b. The retired hold-delivery verbs (Poll 7, Pending 8, Wait 9), each
+    // with the request id they carried, are unknown verbs too.
+    for verb in [7u8, 8, 9] {
+        let mut retired = 9u32.to_le_bytes().to_vec();
+        retired.push(verb);
+        retired.extend_from_slice(&1u64.to_le_bytes());
+        raw.write_all(&retired).unwrap();
+        expect_error(&mut raw, error_code::UNKNOWN_VERB);
+    }
+
+    // 5. Malformed payload (ReleaseHandle frame with a truncated handle).
     let mut bad = Vec::new();
     bad.extend_from_slice(&3u32.to_le_bytes());
-    bad.push(ftgemm::net::proto::verb::POLL);
+    bad.push(ftgemm::net::proto::verb::RELEASE_HANDLE);
     bad.extend_from_slice(&[0, 0]);
     raw.write_all(&bad).unwrap();
     expect_error(&mut raw, error_code::MALFORMED_FRAME);
+
+    // 5b. A submit whose reserved hold byte is 1 is malformed and not
+    // admitted.
+    let a = Matrix::<f64>::random(8, 8, 20);
+    let mut held = inline_submit(&a, &a);
+    if let Frame::Submit(s) = &mut held {
+        s.hold = true;
+    }
+    write_frame(&mut raw, &held).unwrap();
+    expect_error(&mut raw, error_code::MALFORMED_FRAME);
+    assert_eq!(svc.stats().submitted, 0, "a refused submit was admitted");
 
     // 6. Oversized frame: claims 1 MiB against a 64 KiB cap. Drained,
     // answered, framing stays in sync.
@@ -333,28 +326,18 @@ fn protocol_errors_keep_connection_alive() {
     raw.write_all(&vec![0u8; len as usize]).unwrap();
     expect_error(&mut raw, error_code::FRAME_TOO_LARGE);
 
-    // 7. After all that abuse, the same connection still serves GEMMs.
-    let a = Matrix::<f64>::random(8, 8, 20);
-    write_frame(
-        &mut raw,
-        &Frame::Submit(ftgemm::net::proto::SubmitFrame {
-            hold: false,
-            policy: 2,
-            priority: 1,
-            tenant: 0,
-            deadline_ns: 0,
-            alpha: 1.0,
-            beta: 0.0,
-            a: ftgemm::net::OperandRef::inline(&a),
-            b: ftgemm::net::OperandRef::inline(&a),
-            c: None,
-        }),
-    )
-    .unwrap();
+    // 7. After all that abuse, the same connection still serves GEMMs:
+    // the ack, then the pushed completion.
+    write_frame(&mut raw, &inline_submit(&a, &a)).unwrap();
     let (event, _) = read_frame(&mut raw, 64 * 1024).unwrap();
     assert!(
         matches!(event, ReadEvent::Frame(Frame::SubmitAck { .. })),
         "submit after protocol abuse must succeed, got {event:?}"
+    );
+    let (event, _) = read_frame(&mut raw, 64 * 1024).unwrap();
+    assert!(
+        matches!(&event, ReadEvent::Frame(Frame::Completion(c)) if c.result.is_ok()),
+        "submit after protocol abuse must complete, got {event:?}"
     );
 
     // 8. And the server still accepts fresh connections.
@@ -563,14 +546,15 @@ enum Want {
     Refused(u16, String),
 }
 
-/// One client pipelines stream and held submits, submits the server
-/// refuses (a handle no longer resident, a deadline the admission model
-/// finds infeasible), uploads and releases, without reading a single answer
-/// or completion in between: every submit's answer is still unread when
-/// the next frame goes out, except where an upload or release reads its
-/// own. Afterwards every id resolves exactly once, the products are
-/// bit-identical to in-process, and each refusal is its own id's failed
-/// completion with the code and message a synchronous refusal carried.
+/// One client pipelines submits, submits the server refuses (a handle no
+/// longer resident, a deadline the admission model finds infeasible),
+/// uploads and releases, without reading a single answer or completion in
+/// between: every submit's answer is still unread when the next frame goes
+/// out, except where an upload or release reads its own. Afterwards some
+/// ids are waited for by id, out of order, and the rest taken as they
+/// come: every id resolves exactly once, the products are bit-identical to
+/// in-process, and each refusal is its own id's failed completion with the
+/// code and message a synchronous refusal carried.
 #[test]
 fn pipelined_mix_resolves_every_id_once() {
     let svc = service();
@@ -590,12 +574,13 @@ fn pipelined_mix_resolves_every_id_once() {
     client.release(gone).unwrap();
 
     let mut want = std::collections::HashMap::new();
-    let (mut held, mut streamed) = (Vec::new(), Vec::new());
+    let (mut waited, mut streamed) = (Vec::new(), Vec::new());
     for i in 0..20u64 {
         let x = Matrix::<f64>::random(64, 64, 100 + i);
-        // Each kind of refusal alternates between stream and hold delivery.
+        // Each kind of refusal is waited for by id in one round and taken
+        // as it comes in the next.
         let odd_round = i / 5 % 2 == 1;
-        let (submit, hold, wanted) = match i % 5 {
+        let (submit, by_id, wanted) = match i % 5 {
             0 => (NetSubmit::new(ha, &x), false, Want::Product(a.clone(), x)),
             1 => (NetSubmit::new(&x, &b), true, Want::Product(x, b.clone())),
             2 => (
@@ -625,29 +610,28 @@ fn pipelined_mix_resolves_every_id_once() {
                 continue;
             }
         };
-        let submit = submit.with_policy(FtPolicy::DetectCorrect);
         let id = client
-            .submit(if hold { submit.held() } else { submit })
+            .submit(submit.with_policy(FtPolicy::DetectCorrect))
             .unwrap();
         assert!(want.insert(id, wanted).is_none(), "id {id} issued twice");
-        if hold {
-            held.push(id);
+        if by_id {
+            waited.push(id);
         } else {
             streamed.push(id);
         }
     }
 
     let mut resolved = std::collections::HashMap::new();
-    // Held ids first, in reverse: answers and completions read on the way
-    // are stashed for the stream half.
-    for &id in held.iter().rev() {
+    // Ids waited for first, in reverse: answers and completions read on the
+    // way are stashed for the rest.
+    for &id in waited.iter().rev() {
         let done = client.wait(id).unwrap();
         assert_eq!(done.id, id);
         assert!(resolved.insert(id, done.result).is_none(), "id {id} twice");
     }
     for _ in 0..streamed.len() {
         let done = client.next_completion().unwrap();
-        assert!(!held.contains(&done.id), "held id {} streamed", done.id);
+        assert!(!waited.contains(&done.id), "waited id {} again", done.id);
         assert!(
             resolved.insert(done.id, done.result).is_none(),
             "id {} twice",
@@ -675,8 +659,8 @@ fn pipelined_mix_resolves_every_id_once() {
             (Want::Refused(code, _), Ok(_)) => panic!("request {id} ran; wanted code {code}"),
         }
     }
-    // Redeemed ids are gone, client-side as they were server-side.
-    for id in [held[0], streamed[0]] {
+    // Handed-out ids are gone.
+    for id in [waited[0], streamed[0]] {
         match client.wait(id) {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::UNKNOWN_REQUEST),
             other => panic!("expected UNKNOWN_REQUEST for {id}, got {other:?}"),
@@ -687,14 +671,14 @@ fn pipelined_mix_resolves_every_id_once() {
 /// A `Submit` frame carrying `a * b` inline (DetectCorrect, the reserved
 /// fields as `NetClient` writes them), for tests that drive the codec
 /// directly.
-fn inline_submit(a: &Matrix<f64>, b: &Matrix<f64>, hold: bool) -> Frame {
+fn inline_submit(a: &Matrix<f64>, b: &Matrix<f64>) -> Frame {
     let inline = |m: &Matrix<f64>| OperandRef::Inline {
         rows: m.nrows() as u32,
         cols: m.ncols() as u32,
         data: m.as_slice().to_vec(),
     };
     Frame::Submit(SubmitFrame {
-        hold,
+        hold: false,
         policy: 2,
         priority: 1,
         tenant: 0,
@@ -733,7 +717,7 @@ fn in_flight_cap_ignores_completions_the_client_has_not_read() {
 
     for round in 1..=ROUNDS {
         for _ in 0..CAP {
-            quiet.send(&inline_submit(&a, &b, false)).unwrap();
+            quiet.send(&inline_submit(&a, &b)).unwrap();
         }
         // Submitted so far: this connection's rounds plus one probe per
         // earlier round.
@@ -761,14 +745,11 @@ fn in_flight_cap_ignores_completions_the_client_has_not_read() {
 /// A client that pipelines its whole workload before reading anything:
 /// `requests` inline `dim`^3 submits written back to back, far past the
 /// loopback socket buffers, and only then the acks and completions read.
-/// With `hold`, every submit is hold-delivery and followed at once by a
-/// `Wait` on its id, so the reader also has to get through `requests`
-/// waits while the outbound thread is blocked writing to a client that is
-/// not reading yet. The server can only take either if its reader never
-/// depends on a socket write — responses pile up on the outbound side
-/// while the reader keeps draining the receive side. A watchdog turns a
-/// wedged connection into a failure instead of a hung suite.
-fn pipeline_without_reading(requests: usize, dim: usize, hold: bool) {
+/// The server can only take it if its reader never depends on a socket
+/// write — responses pile up on the outbound side while the reader keeps
+/// draining the receive side. A watchdog turns a wedged connection into a
+/// failure instead of a hung suite.
+fn pipeline_without_reading(requests: usize, dim: usize) {
     let svc = service();
     let server = start(&svc, NetServerConfig::default());
     let addr = server.addr();
@@ -777,7 +758,7 @@ fn pipeline_without_reading(requests: usize, dim: usize, hold: bool) {
     let inputs: Vec<Matrix<f64>> = (0..requests)
         .map(|i| Matrix::<f64>::random(dim, dim, i as u64))
         .collect();
-    let submits: Vec<Frame> = inputs.iter().map(|a| inline_submit(a, &b, hold)).collect();
+    let submits: Vec<Frame> = inputs.iter().map(|a| inline_submit(a, &b)).collect();
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let client = std::thread::spawn(move || {
@@ -791,14 +772,8 @@ fn pipeline_without_reading(requests: usize, dim: usize, hold: bool) {
             },
         )
         .unwrap();
-        // This connection is the fresh service's only submitter, so its
-        // request ids are 0, 1, 2, … — which is how a `Wait` can name an
-        // id before the ack carrying it has been read.
-        for (id, frame) in submits.iter().enumerate() {
+        for frame in &submits {
             write_frame(&mut raw, frame).unwrap();
-            if hold {
-                write_frame(&mut raw, &Frame::Wait { id: id as u64 }).unwrap();
-            }
         }
         // Only now start reading: the hello, then acks (in submit order)
         // and completions in whatever interleaving the server chose.
@@ -835,15 +810,7 @@ fn pipeline_without_reading(requests: usize, dim: usize, hold: bool) {
 /// 64 stream-delivery 96^3 submits (about 9 MB) before the first read.
 #[test]
 fn pipelined_writer_that_reads_nothing_until_the_end() {
-    pipeline_without_reading(64, 96, false);
-}
-
-/// 60 hold-delivery 160^3 submits, each followed by its `Wait` (about
-/// 25 MB in, 12 MB out) before the first read: leaving `Wait` must not
-/// depend on the outbound thread, which by then is blocked in a write.
-#[test]
-fn pipelined_holds_and_waits_that_read_nothing_until_the_end() {
-    pipeline_without_reading(60, 160, true);
+    pipeline_without_reading(64, 96);
 }
 
 /// Releasing someone else's (or a made-up) handle is refused.
@@ -905,9 +872,9 @@ fn answers_leave_before_the_reader_blocks() {
         Frame::OperandHandle { handle, .. } => handle,
         other => panic!("expected OperandHandle, got {other:?}"),
     };
-    match ask(Frame::Poll { id: 1 << 40 }) {
-        Frame::Error { code, .. } => assert_eq!(code, error_code::UNKNOWN_REQUEST),
-        other => panic!("expected UNKNOWN_REQUEST, got {other:?}"),
+    match ask(Frame::ReleaseHandle { handle: 1 << 40 }) {
+        Frame::Error { code, .. } => assert_eq!(code, error_code::UNKNOWN_HANDLE),
+        other => panic!("expected UNKNOWN_HANDLE, got {other:?}"),
     }
     let released = ask(Frame::ReleaseHandle { handle });
     assert_eq!(released, Frame::Released { handle });
