@@ -23,6 +23,7 @@ use crate::{FtConfig, FtReport, FtResult, Setup, Workspace};
 use ftgemm_core::{MatMut, MatRef, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One GEMM problem inside a batch: `C = alpha*A*B + beta*C`.
@@ -55,15 +56,27 @@ pub struct BatchItem<'a, T: Scalar> {
 /// allow the owner to be dropped independently of the pool.
 pub struct BatchWorkspace<T: Scalar> {
     slots: Vec<Mutex<Workspace<T>>>,
-    /// Protected items run so far: the `r`-th protected item of a batch
-    /// (from 1) draws from call `calls + r`, `calls` read at batch start.
-    calls: AtomicU64,
+    /// Protected items run so far, by every workspace sharing the count:
+    /// the `r`-th protected item of a batch (from 1) draws from call
+    /// `calls + r`, `calls` read at batch start.
+    calls: Arc<AtomicU64>,
 }
 
 impl<T: Scalar> BatchWorkspace<T> {
     /// One empty workspace slot per pool thread, running the context's
-    /// kernel and blocking parameters.
+    /// kernel and blocking parameters, with a count of its own.
     pub fn new(ctx: &ParGemmContext<T>) -> Self {
+        Self::with_calls(ctx, Arc::default())
+    }
+
+    /// [`new`](Self::new) for `ctx`, drawing its protected items' ids from
+    /// this workspace's count: batches run on either never share an id, so
+    /// never an injection stream.
+    pub fn sharing_calls(&self, ctx: &ParGemmContext<T>) -> Self {
+        Self::with_calls(ctx, Arc::clone(&self.calls))
+    }
+
+    fn with_calls(ctx: &ParGemmContext<T>, calls: Arc<AtomicU64>) -> Self {
         let solo = Setup {
             nthreads: 1,
             ..Setup::from(ctx)
@@ -71,10 +84,7 @@ impl<T: Scalar> BatchWorkspace<T> {
         let slots = (0..ctx.nthreads())
             .map(|_| Mutex::new(Workspace::for_problem(solo, 0, 0, 0)))
             .collect();
-        BatchWorkspace {
-            slots,
-            calls: AtomicU64::new(0),
-        }
+        BatchWorkspace { slots, calls }
     }
 }
 

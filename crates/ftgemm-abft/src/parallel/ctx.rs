@@ -46,6 +46,17 @@ impl<T: Scalar> ParGemmContext<T> {
         }
     }
 
+    /// A one-thread context running this one's kernel and blocking: its
+    /// regions run inline on the calling thread, and building it spawns
+    /// no thread.
+    pub fn solo(&self) -> Self {
+        ParGemmContext {
+            pool: Arc::new(ThreadPool::new(1)),
+            kernel: self.kernel,
+            params: self.params,
+        }
+    }
+
     /// The worker pool.
     pub fn pool(&self) -> &ThreadPool {
         &self.pool

@@ -29,9 +29,8 @@
 //! the submit answers queued ahead of it. Completions arrive whenever
 //! requests finish; the read loop stashes them, and [`NetClient::wait`] and
 //! [`NetClient::next_completion`] consume the stash first. `wait` on an id
-//! never issued, or already handed out, answers
-//! [`UNKNOWN_REQUEST`](crate::proto::error_code::UNKNOWN_REQUEST) without
-//! asking the server.
+//! never issued, or already handed out, is
+//! [`ClientError::NotOutstanding`], answered without asking the server.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -45,8 +44,7 @@ use crate::codec::{
     encode_into, encode_upload_into, take_frame, whole_frame, ReadEvent, TURN_BYTES,
 };
 use crate::proto::{
-    error_code, CompletionFrame, Frame, OperandRef, SubmitFrame, DEFAULT_MAX_FRAME, FEATURES,
-    PROTO_VERSION,
+    CompletionFrame, Frame, OperandRef, SubmitFrame, DEFAULT_MAX_FRAME, FEATURES, PROTO_VERSION,
 };
 
 /// Client-side failure.
@@ -55,9 +53,11 @@ pub enum ClientError {
     /// Transport failure (connect, read, write, unexpected EOF).
     Io(io::Error),
     /// The server answered the call's own frame with an error frame (a
-    /// refused submit is a failed completion instead). `wait` on an id that
-    /// is not outstanding gives `UNKNOWN_REQUEST` without asking.
+    /// refused submit is a failed completion instead).
     Server { id: u64, code: u16, message: String },
+    /// [`NetClient::wait`] on an id this client never issued or has
+    /// already handed out; no frame was sent or read.
+    NotOutstanding(u64),
     /// The server violated the protocol (malformed frame, oversized
     /// frame, or a response of the wrong type).
     Protocol(String),
@@ -77,6 +77,9 @@ impl std::fmt::Display for ClientError {
                 write!(f, "server error {code} (request {id}): {message}")
             }
             ClientError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            ClientError::NotOutstanding(id) => {
+                write!(f, "request {id} is not outstanding on this client")
+            }
         }
     }
 }
@@ -275,7 +278,7 @@ impl NetClient {
             }
             let running = self.unanswered.contains(&id) || self.streams.values().any(|&c| c == id);
             if !running {
-                return Err(unknown_request(id));
+                return Err(ClientError::NotOutstanding(id));
             }
             self.take_in()?;
         }
@@ -430,16 +433,6 @@ impl Drop for NetClient {
     /// reach the server; a write that fails is the connection's end anyway.
     fn drop(&mut self) {
         let _ = self.flush();
-    }
-}
-
-/// The answer to a `wait` on an id this client never issued, or has already
-/// handed out, given without asking the server.
-fn unknown_request(id: u64) -> ClientError {
-    ClientError::Server {
-        id,
-        code: error_code::UNKNOWN_REQUEST,
-        message: format!("request {id} is not outstanding on this connection"),
     }
 }
 

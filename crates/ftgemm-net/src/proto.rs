@@ -102,9 +102,10 @@ pub mod error_code {
     pub const UNKNOWN_VERB: u16 = 105;
     /// Submit rejected: connection already has `max_in_flight` requests.
     pub const TOO_MANY_IN_FLIGHT: u16 = 106;
-    /// A request id that is not outstanding. The server never sends it;
-    /// [`NetClient::wait`](crate::NetClient::wait) gives it for an id the
-    /// client never issued or has already handed out.
+    /// A request id that is not outstanding. Reserved: neither end sends
+    /// it (a [`NetClient::wait`](crate::NetClient::wait) on such an id is
+    /// [`ClientError::NotOutstanding`](crate::ClientError::NotOutstanding),
+    /// answered without a frame).
     pub const UNKNOWN_REQUEST: u16 = 107;
     /// The first frame on the connection was not Hello.
     pub const EXPECTED_HELLO: u16 = 108;

@@ -3,9 +3,9 @@
 //! `submit` gives its request a completion channel of its own (see
 //! [`completion_channel`](crate::completion_channel)), the one rendezvous
 //! every admitted request completes into; a [`RequestHandle`] is that
-//! channel's consumer end with the request's id: `wait` parks the calling
-//! thread in [`Completions::recv`], and `try_wait`/`wait_timeout` poll or
-//! bound the park. To await a request from a task instead, submit it with
+//! channel's consumer end with the request's id: `wait` blocks the calling
+//! thread in [`Completions::recv`] (which runs queued small requests while
+//! it waits), and `try_wait`/`wait_timeout` poll or bound a plain park. To await a request from a task instead, submit it with
 //! [`submit_streamed`](crate::GemmService::submit_streamed) into a channel
 //! of your own and await [`Completions::next`].
 

@@ -61,6 +61,13 @@
 //!   worker pool of [`ServiceConfig::threads`] threads (`0` =
 //!   [`std::thread::available_parallelism`]), the paper's §2.3 shape. No
 //!   thread is pinned and no page is bound.
+//! * **Blocked callers compute.** A caller blocked in
+//!   [`Completions::recv`] (so [`RequestHandle::wait`] and
+//!   [`GemmService::run`]) while the dispatcher is busy runs the small
+//!   requests at the queue's front itself, one per turn, through the same
+//!   batch driver, on its own thread; it stops at the first large request,
+//!   so FIFO order holds. A caller whose result has arrived returns after
+//!   at most one such turn. The async form and the timed waits only park.
 //! * **Per-request fault tolerance.** Every request carries an [`FtPolicy`]
 //!   (`Off` / `Detect` / `DetectCorrect`) mapped onto the paper's
 //!   [`FtConfig`](ftgemm_abft::FtConfig); each response carries its own

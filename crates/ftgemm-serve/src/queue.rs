@@ -4,11 +4,12 @@
 //! A push takes the FIFO's lock and appends the envelope; the dispatcher
 //! thread pops from the front under the same lock
 //! ([`pop_into`](Queue::pop_into)) and parks on the queue's condvar
-//! ([`wait`](Queue::wait)). One enqueue site ([`push`](Queue::push)),
-//! one dequeue site (`pop_into`). A push never blocks and fails only once
-//! the queue is closed: the queue is unbounded, and a frontend bounds its
-//! own callers (the wire server caps each connection's requests in
-//! flight).
+//! ([`wait`](Queue::wait)), and a caller helping from `recv` pops small
+//! requests from the front the same way. One enqueue site
+//! ([`push`](Queue::push)), one dequeue site (`pop_into`). A push never
+//! blocks and fails only once the queue is closed: the queue is unbounded,
+//! and a frontend bounds its own callers (the wire server caps each
+//! connection's requests in flight).
 //!
 //! The dispatcher's park has a mutex of its own (`wake_lock`), taken by a
 //! push only on the queue's empty→non-empty transition and never together
@@ -130,13 +131,23 @@ impl<T: Scalar> Queue<T> {
     }
 
     /// The one dequeue site: pops up to `max` envelopes in submission order
-    /// onto the end of `out`, and returns how many. The dispatcher passes
-    /// the same buffer every time, so a sweep allocates nothing.
-    pub(crate) fn pop_into(&self, max: usize, out: &mut Vec<Envelope<T>>) -> usize {
+    /// onto the end of `out`, stopping at the first one `take` refuses, and
+    /// returns how many. The dispatcher takes everything and passes the
+    /// same buffer every time, so a sweep allocates nothing; a caller
+    /// helping in `recv` takes small requests only, so what it leaves at
+    /// the front stays there, in order, for the dispatcher.
+    pub(crate) fn pop_into(
+        &self,
+        max: usize,
+        take: impl Fn(&Envelope<T>) -> bool,
+        out: &mut Vec<Envelope<T>>,
+    ) -> usize {
         let mut popped = 0;
         let mut fifo = self.fifo.lock();
         while popped < max {
-            let Some(env) = fifo.pop_front() else { break };
+            let Some(env) = fifo.pop_front_if(|env| take(env)) else {
+                break;
+            };
             self.depth.fetch_sub(1, Ordering::Release);
             self.pending_flops.fetch_sub(env.flops, Ordering::Release);
             out.push(env);
@@ -155,6 +166,11 @@ impl<T: Scalar> Queue<T> {
     /// deadline admission control reads.
     pub(crate) fn pending_flops(&self) -> u64 {
         self.pending_flops.load(Ordering::Acquire)
+    }
+
+    /// Whether [`close`](Self::close) has run.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Parks the dispatcher until the queue holds something. Returns
@@ -186,13 +202,8 @@ impl<T: Scalar> Queue<T> {
     #[cfg(test)]
     pub(crate) fn pop(&self, max: usize) -> Vec<Envelope<T>> {
         let mut out = Vec::new();
-        self.pop_into(max, &mut out);
+        self.pop_into(max, |_| true, &mut out);
         out
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
     }
 }
 
@@ -297,5 +308,26 @@ mod tests {
         }
         let order: Vec<u64> = q.pop(usize::MAX).into_iter().map(|e| e.id).collect();
         assert_eq!(order, ids);
+    }
+
+    /// A pop that `take` refuses stops there: nothing behind the refused
+    /// envelope leaves before it, and the queue keeps its order.
+    #[test]
+    fn a_refused_envelope_ends_the_pop() {
+        let q = Queue::new();
+        let mut ids = Vec::new();
+        for dim in [2, 2, 8, 2] {
+            let mut e = env(&q);
+            e.flops = 2 * dim * dim * dim;
+            ids.push(e.id);
+            q.push(e, &|| ()).unwrap();
+        }
+        let mut out = Vec::new();
+        let small = |e: &Envelope<f64>| e.flops <= 16;
+        assert_eq!(q.pop_into(usize::MAX, small, &mut out), 2);
+        assert_eq!(q.pop_into(usize::MAX, small, &mut out), 0);
+        assert_eq!((q.depth(), q.pending_flops()), (2, 1024 + 16));
+        let rest: Vec<u64> = q.pop(usize::MAX).into_iter().map(|e| e.id).collect();
+        assert_eq!(rest, ids[2..]);
     }
 }

@@ -4,14 +4,15 @@
 // Concurrency contract (checked by `scripts/orderings.sh`):
 // `abort` publishes service shutdown to the dispatcher and region
 // threads — Release store in abort(), Acquire loads at the dispatch and
-// batch boundaries.
+// batch boundaries. `dispatching` is a Relaxed hint to helping callers:
+// a stale read costs one turn helped or one skipped, never a request.
 
 use crate::handle::RequestHandle;
 use crate::queue::{Envelope, Queue};
 use crate::request::{GemmRequest, GemmResponse, ServeError};
 use crate::routing::{Route, RoutePath, RoutingPolicy};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use crate::stream::{completion_channel, CompletionSink};
+use crate::stream::{completion_channel, CompletionSink, Lend};
 use ftgemm_abft::parallel::{par_batch_ft_gemm_timed, BatchItem, BatchWorkspace, ParGemmContext};
 use ftgemm_abft::{execute, FtReport, FtResult, Workspace};
 use ftgemm_core::{aligned, Scalar};
@@ -19,6 +20,7 @@ use ftgemm_obs::{
     Counter, Exposition, Histogram, MetricKind, ObsRoutes, ObsServer, Registry, TraceEvent,
     TracePath, Tracelog,
 };
+use parking_lot::{Condvar, Mutex};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,8 +37,17 @@ pub const DEFAULT_SMALL_FLOPS_CUTOFF: u64 = 2 * 192 * 192 * 192;
 /// Tuning knobs for a [`GemmService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads in the compute pool (`0` =
-    /// [`std::thread::available_parallelism`]).
+    /// Worker threads in the compute pool, the threads the service owns
+    /// (`0` = [`std::thread::available_parallelism`]).
+    ///
+    /// A caller blocked in [`Completions::recv`](crate::Completions::recv)
+    /// (so also [`RequestHandle::wait`] and [`GemmService::run`]) lends its
+    /// own thread besides: while none of its results has arrived and the
+    /// dispatcher is busy, it runs the small requests at the queue's front
+    /// itself, one request per turn, and a caller whose result has arrived
+    /// returns after at most one such turn. The async
+    /// [`Completions::next`](crate::Completions::next) and the timed waits
+    /// only park.
     pub threads: usize,
     /// Maximum small requests coalesced into one batched parallel region.
     pub max_batch: usize,
@@ -113,10 +124,24 @@ struct Inner<T: Scalar> {
     /// The pool, kernel and blocking every request runs on; its pool is
     /// entered only by the dispatcher.
     ctx: ParGemmContext<T>,
+    /// The dispatcher's batched path: one workspace per pool thread, each a
+    /// team of one. Its count of protected items is the service's one
+    /// source of injection ids, which every caller's [`Solo`] shares.
+    batch: BatchWorkspace<T>,
+    /// The compute states of callers helping from `recv`, and how many are
+    /// out (see `Inner`'s `Lend` impl).
+    lent: Mutex<Lent<T>>,
+    /// Signalled when the last state out comes back to a closed queue:
+    /// `shutdown` waits on it.
+    lent_back: Condvar,
     /// When set, dispatchers stop computing queued work and fail it with
     /// [`ServeError::Closed`] instead
     /// ([`shutdown_now`](GemmService::shutdown_now)).
     abort: AtomicBool,
+    /// Set while the dispatcher works through a sweep, clear while it
+    /// parks or has not started: callers help only then, since a parked
+    /// dispatcher is about to take the queue in whole batches.
+    dispatching: AtomicBool,
     /// Lifecycle tracing + latency histogram, present only when
     /// [`ServiceConfig::obs_addr`] is set (obs-disabled services skip all
     /// recording).
@@ -135,10 +160,12 @@ struct Inner<T: Scalar> {
 /// into a [`completion_channel`](crate::completion_channel), drained
 /// blocking or awaited — no parked thread per request).
 ///
-/// One dispatcher thread drains the queue onto one persistent worker pool.
-/// Dropping the service (or calling [`shutdown`](GemmService::shutdown))
-/// stops intake, drains every queued request, and joins the dispatcher —
-/// outstanding handles always resolve.
+/// One dispatcher thread drains the queue onto one persistent worker pool,
+/// and a caller blocked waiting for a result runs queued small requests on
+/// its own thread meanwhile ([`ServiceConfig::threads`]). Dropping the
+/// service (or calling [`shutdown`](GemmService::shutdown)) stops intake,
+/// drains every queued request, joins the dispatcher and waits for helping
+/// callers — outstanding handles always resolve.
 /// [`shutdown_now`](GemmService::shutdown_now) instead *fails* still-queued
 /// requests with [`ServeError::Closed`] so a frontend can stop without
 /// paying for the backlog.
@@ -160,13 +187,18 @@ impl<T: Scalar> GemmService<T> {
             n => n,
         };
         let stats = ServiceStats::new(threads);
+        let ctx = ParGemmContext::with_threads(threads);
         let inner = Arc::new(Inner {
             queue: Queue::new(),
             obs: config.obs_addr.map(|_| ServiceObs::new(&stats.registry)),
             stats,
             route: Route::new(config.routing),
-            ctx: ParGemmContext::with_threads(threads),
+            batch: BatchWorkspace::new(&ctx),
+            ctx,
+            lent: Mutex::new(Lent::default()),
+            lent_back: Condvar::new(),
             abort: AtomicBool::new(false),
+            dispatching: AtomicBool::new(false),
             config,
         });
         register_live(&inner);
@@ -272,7 +304,7 @@ impl<T: Scalar> GemmService<T> {
         // records it).
         self.check_deadline(&req)?;
         // The sink counts the request before it can possibly complete.
-        sink.register();
+        sink.register_for(&self.inner);
         let submitted = Instant::now();
         let env = Envelope {
             deadline: req.deadline.map(|d| submitted + d),
@@ -385,7 +417,8 @@ impl<T: Scalar> GemmService<T> {
     }
 
     /// Stops intake, drains queued requests (computing each one), joins
-    /// the dispatcher, and returns the final metrics.
+    /// the dispatcher, waits for callers still computing in `recv`, and
+    /// returns the final metrics.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.close_and_join();
         self.stats()
@@ -415,6 +448,13 @@ impl<T: Scalar> GemmService<T> {
         self.inner.queue.close();
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
+        }
+        // The queue is closed and empty now, but a caller may still be
+        // computing what it popped from `recv`: its results and counts
+        // belong to this service's final snapshot.
+        let mut lent = self.inner.lent.lock();
+        while lent.out > 0 {
+            self.inner.lent_back.wait(&mut lent);
         }
     }
 }
@@ -549,15 +589,13 @@ impl<T: Scalar> std::fmt::Debug for GemmService<T> {
     }
 }
 
-/// What the dispatcher computes with: the service's context (pool, kernel,
-/// blocking) and the [`Workspace`]s of both paths, reused across everything
-/// the dispatcher ever runs; the paths differ only in the team. Only the
-/// dispatcher ever touches them, so it owns them outright: no lock, no
-/// sharing.
+/// What the dispatcher computes large requests with: the service's context
+/// (pool, kernel, blocking) and the path's [`Workspace`], reused across
+/// everything the dispatcher ever runs. Only the dispatcher ever touches
+/// it, so it owns it outright: no lock, no sharing. (Its batched path runs
+/// on [`Inner::batch`].)
 struct Compute<'a, T: Scalar> {
     ctx: &'a ParGemmContext<T>,
-    /// The batched path: one workspace per pool thread, each a team of one.
-    batch: BatchWorkspace<T>,
     /// The matrix-parallel path: one workspace, the pool as its team — the
     /// shared `B~`, per-thread `A~` and checksum state (paper §2.3:
     /// requested once, reused). Built by the first large request — a service
@@ -568,11 +606,7 @@ struct Compute<'a, T: Scalar> {
 
 impl<'a, T: Scalar> Compute<'a, T> {
     fn new(ctx: &'a ParGemmContext<T>) -> Self {
-        Compute {
-            ctx,
-            batch: BatchWorkspace::new(ctx),
-            large: None,
-        }
+        Compute { ctx, large: None }
     }
 }
 
@@ -583,21 +617,24 @@ fn dispatcher_loop<T: Scalar>(inner: &Inner<T>) {
     // One sweep buffer for the dispatcher's life: `dispatch` drains it, the
     // next pop refills it.
     let mut sweep = Vec::new();
+    let sweep_len = 4 * inner.config.max_batch;
     loop {
         if inner.abort.load(Ordering::Acquire) {
             // Fast shutdown: fail everything still queued instead of
             // computing it.
-            inner.queue.pop_into(usize::MAX, &mut sweep);
+            inner.queue.pop_into(usize::MAX, |_| true, &mut sweep);
             for env in sweep.drain(..) {
                 finish(inner, env, Ending::Closed);
             }
-        } else if inner.queue.pop_into(4 * inner.config.max_batch, &mut sweep) > 0 {
+        } else if inner.queue.pop_into(sweep_len, |_| true, &mut sweep) > 0 {
             // Taking several batches' worth per sweep lets one sweep split
             // into large/small once instead of re-locking the queue per
             // region.
+            inner.dispatching.store(true, Ordering::Relaxed);
             dispatch(inner, &mut compute, &mut sweep);
             continue;
         }
+        inner.dispatching.store(false, Ordering::Relaxed);
         if !inner.queue.wait() {
             return; // closed and fully drained
         }
@@ -657,7 +694,7 @@ fn dispatch<T: Scalar>(
         let mut chunk: Vec<Envelope<T>> = small.drain(..take).collect();
         shed_expired(inner, &mut chunk);
         if !chunk.is_empty() {
-            run_batch(inner, compute, chunk);
+            run_batch(inner, Team::Pool, chunk);
         }
     }
 
@@ -723,7 +760,21 @@ fn run_large<T: Scalar>(inner: &Inner<T>, compute: &mut Compute<'_, T>, mut env:
     finish(inner, env, ending);
 }
 
-fn run_batch<T: Scalar>(inner: &Inner<T>, compute: &Compute<'_, T>, mut envs: Vec<Envelope<T>>) {
+/// Where a batch runs.
+#[derive(Clone, Copy)]
+enum Team<'a, T: Scalar> {
+    /// The dispatcher, on the service's pool.
+    Pool,
+    /// A caller blocked in `recv`, on its own thread.
+    Caller(&'a Solo<T>),
+}
+
+/// The one batch driver, for the dispatcher and for helping callers alike.
+fn run_batch<T: Scalar>(inner: &Inner<T>, team: Team<'_, T>, mut envs: Vec<Envelope<T>>) {
+    let (ctx, batch) = match team {
+        Team::Pool => (&inner.ctx, &inner.batch),
+        Team::Caller(solo) => (&solo.ctx, &solo.batch),
+    };
     inner.stats.batches.inc();
     inner.stats.batched_requests.add(envs.len() as u64);
     if let Some(obs) = &inner.obs {
@@ -757,9 +808,13 @@ fn run_batch<T: Scalar>(inner: &Inner<T>, compute: &Compute<'_, T>, mut envs: Ve
             }
         })
         .collect();
-    let (results, timing) = par_batch_ft_gemm_timed(compute.ctx, &compute.batch, &mut items);
+    let (results, timing) = par_batch_ft_gemm_timed(ctx, batch, &mut items);
     drop(items);
-    inner.stats.absorb_batch_timing(&timing);
+    // The occupancy families describe the pool's regions only.
+    match team {
+        Team::Pool => inner.stats.absorb_batch_timing(&timing),
+        Team::Caller(_) => inner.stats.helped_batches.inc(),
+    }
 
     // One observation per region: its wall time and its items' flops.
     inner.route.observe(
@@ -774,6 +829,87 @@ fn run_batch<T: Scalar>(inner: &Inner<T>, compute: &Compute<'_, T>, mut envs: Ve
             result,
         };
         finish(inner, env, ending);
+    }
+}
+
+/// Small requests a helping caller takes per turn: the bound on how long a
+/// caller whose own result has arrived keeps computing for others.
+const HELP_TURN: usize = 1;
+
+/// A helping caller's compute state: a one-thread context on the
+/// service's kernel and blocking, and its batch workspace, drawing
+/// injection ids from the service's one count.
+struct Solo<T: Scalar> {
+    ctx: ParGemmContext<T>,
+    batch: BatchWorkspace<T>,
+}
+
+/// The [`Solo`]s of helping callers: one built per caller helping at the
+/// same time, kept for the service's life and never built per request.
+#[derive(Default)]
+struct Lent<T: Scalar> {
+    idle: Vec<Solo<T>>,
+    /// States out with a caller right now.
+    out: usize,
+}
+
+/// A caller blocked in `recv` computes here while the dispatcher is busy
+/// with a sweep and more is queued: one turn takes up to [`HELP_TURN`]
+/// small requests from the queue's front, stopping at the first large one
+/// (those stay the dispatcher's, in order), and ends each as the
+/// dispatcher would — `Closed` once `shutdown_now` has set `abort`, shed
+/// past its deadline, or run through [`run_batch`].
+impl<T: Scalar> Lend for Inner<T> {
+    fn help(&self) -> bool {
+        if self.queue.depth() == 0 || !self.dispatching.load(Ordering::Relaxed) {
+            return false;
+        }
+        let solo = self.lend();
+        let mut envs = Vec::new();
+        let small = |env: &Envelope<T>| self.route.path(env.flops) == RoutePath::Batched;
+        let popped = self.queue.pop_into(HELP_TURN, small, &mut envs) > 0;
+        if self.abort.load(Ordering::Acquire) {
+            for env in envs {
+                finish(self, env, Ending::Closed);
+            }
+        } else {
+            shed_expired(self, &mut envs);
+            if !envs.is_empty() {
+                run_batch(self, Team::Caller(&solo), envs);
+            }
+        }
+        self.give_back(solo);
+        popped
+    }
+}
+
+impl<T: Scalar> Inner<T> {
+    /// An idle [`Solo`], or a new one when every one built is out; counted
+    /// out until [`give_back`](Self::give_back).
+    fn lend(&self) -> Solo<T> {
+        let idle = {
+            let mut lent = self.lent.lock();
+            lent.out += 1;
+            lent.idle.pop()
+        };
+        idle.unwrap_or_else(|| {
+            let ctx = self.ctx.solo();
+            Solo {
+                batch: self.batch.sharing_calls(&ctx),
+                ctx,
+            }
+        })
+    }
+
+    fn give_back(&self, solo: Solo<T>) {
+        let mut lent = self.lent.lock();
+        lent.idle.push(solo);
+        lent.out -= 1;
+        // Only `close_and_join` waits, after closing the queue: a wake-up
+        // before that would be a system call per turn for no one.
+        if lent.out == 0 && self.queue.is_closed() {
+            self.lent_back.notify_all();
+        }
     }
 }
 
@@ -872,12 +1008,17 @@ mod tests {
 
     fn test_inner(config: ServiceConfig) -> Inner<f64> {
         let threads = config.threads.max(1);
+        let ctx = ParGemmContext::with_threads(threads);
         Inner {
             queue: Queue::new(),
             stats: ServiceStats::new(threads),
             route: Route::new(config.routing),
-            ctx: ParGemmContext::with_threads(threads),
+            batch: BatchWorkspace::new(&ctx),
+            ctx,
+            lent: Mutex::new(Lent::default()),
+            lent_back: Condvar::new(),
             abort: AtomicBool::new(false),
+            dispatching: AtomicBool::new(false),
             obs: None,
             config,
         }
@@ -1426,5 +1567,182 @@ mod tests {
             let snap = service.stats();
             assert_eq!(snap.batch_busy_per_thread.len(), expected);
         }
+    }
+
+    /// A helping service: a test `Inner` whose dispatcher is (said to be)
+    /// busy with a sweep, so a caller's `help` takes queued work.
+    fn helped(config: ServiceConfig) -> Arc<Inner<f64>> {
+        let inner = test_inner(config);
+        inner.dispatching.store(true, Ordering::Relaxed);
+        Arc::new(inner)
+    }
+
+    fn small_request(seed: u64) -> GemmRequest<f64> {
+        GemmRequest::new(
+            Matrix::<f64>::random(16, 12, seed),
+            Matrix::<f64>::random(12, 8, seed + 1),
+        )
+    }
+
+    /// Dispatcher batches and helpers' batches draw injection ids from one
+    /// count: the same protected request, with the same injector, run as a
+    /// dispatcher batch and as the batches of two callers helping at once,
+    /// gets three different fault patterns. `Detect` leaves the injected
+    /// error in place, so each result shows where its pattern struck; a
+    /// per-workspace count would give all three id 1 and one result.
+    #[test]
+    fn dispatcher_and_helper_batches_never_share_an_injection_id() {
+        use ftgemm_abft::faults::{ErrorModel, FaultInjector, Rate};
+        let inner = helped(ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        });
+        let (sink, mut completions) = completion_channel::<f64>();
+        let injector =
+            FaultInjector::new(7, ErrorModel::Additive { magnitude: 1e3 }, Rate::Count(1));
+        let req = || {
+            GemmRequest::new(
+                Matrix::<f64>::random(32, 32, 1),
+                Matrix::<f64>::random(32, 32, 2),
+            )
+            .with_policy(crate::FtPolicy::Detect)
+            .with_injector(injector.clone())
+        };
+        // Two callers helping at once hold two states.
+        let (first, second) = (inner.lend(), inner.lend());
+        run_batch(&inner, Team::Pool, vec![envelope(&sink, 0, req())]);
+        run_batch(
+            &inner,
+            Team::Caller(&first),
+            vec![envelope(&sink, 1, req())],
+        );
+        run_batch(
+            &inner,
+            Team::Caller(&second),
+            vec![envelope(&sink, 2, req())],
+        );
+        inner.give_back(first);
+        inner.give_back(second);
+        drop(sink);
+
+        let mut results = Vec::new();
+        while let Some(done) = completions.recv() {
+            let resp = done.result.expect("Detect reports, it does not fail");
+            assert_eq!(resp.report.injected, 1, "request {}", done.id);
+            results.push(resp.c);
+        }
+        assert_eq!(results.len(), 3);
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            assert_ne!(
+                results[i].as_slice(),
+                results[j].as_slice(),
+                "batches {i} and {j} ran under one injection id"
+            );
+        }
+        assert_eq!(inner.stats.helped_batches.get(), 2);
+        assert_eq!(inner.stats.batches.get(), 3);
+    }
+
+    /// A turn takes small requests from the front only: a large request
+    /// there ends the turn before it starts, and the queue keeps both, in
+    /// order, for the dispatcher. A parked dispatcher gets no help either.
+    #[test]
+    fn helpers_leave_large_requests_and_parked_dispatchers_alone() {
+        let inner = helped(ServiceConfig {
+            threads: 1,
+            routing: RoutingPolicy::Fixed(2 * 32 * 32 * 32),
+            ..ServiceConfig::default()
+        });
+        let (sink, _completions) = completion_channel::<f64>();
+        let large = GemmRequest::new(Matrix::<f64>::zeros(64, 64), Matrix::<f64>::zeros(64, 64));
+        for (id, req) in [(0, large), (1, small_request(1))] {
+            inner.queue.push(envelope(&sink, id, req), &|| ()).unwrap();
+        }
+        assert!(
+            !inner.help(),
+            "a helper took work from behind a large request"
+        );
+        let order: Vec<u64> = inner
+            .queue
+            .pop(usize::MAX)
+            .into_iter()
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(order, [0, 1]);
+
+        inner
+            .queue
+            .push(envelope(&sink, 2, small_request(2)), &|| ())
+            .unwrap();
+        inner.dispatching.store(false, Ordering::Relaxed);
+        assert!(
+            !inner.help(),
+            "a helper ran work a parked dispatcher is about to take"
+        );
+        inner.dispatching.store(true, Ordering::Relaxed);
+        assert!(inner.help());
+        assert_eq!(inner.queue.depth(), 0);
+        assert_eq!(inner.stats.helped_batches.get(), 1);
+    }
+
+    /// A helper ends what it pops the way the dispatcher would: `Closed`
+    /// once `shutdown_now` has set `abort`, and shed once its deadline has
+    /// passed — neither one computed.
+    #[test]
+    fn helpers_fail_aborted_and_shed_expired_requests() {
+        let inner = helped(ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        });
+        let (sink, mut completions) = completion_channel::<f64>();
+
+        let mut expired = envelope(&sink, 0, small_request(0));
+        expired.deadline = Some(expired.submitted);
+        inner.queue.push(expired, &|| ()).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(inner.help());
+        let done = completions.recv().expect("shed, not lost");
+        assert!(matches!(done.result, Err(ServeError::DeadlineExceeded(_))));
+        assert_eq!(inner.stats.shed_deadline.get(), 1);
+
+        inner
+            .queue
+            .push(envelope(&sink, 1, small_request(1)), &|| ())
+            .unwrap();
+        inner.abort.store(true, Ordering::Release);
+        assert!(inner.help());
+        let done = completions.recv().expect("closed, not lost");
+        assert!(matches!(done.result, Err(ServeError::Closed)));
+
+        assert_eq!(inner.stats.failed.get(), 2);
+        assert_eq!(inner.stats.batches.get(), 0, "nothing was computed");
+    }
+
+    /// `shutdown` waits for a caller still computing what it popped: its
+    /// counts belong in the final snapshot.
+    #[test]
+    fn shutdown_waits_for_helping_callers() {
+        let service = undrained_service();
+        let solo = service.inner.lend();
+        let returned = Arc::new(AtomicBool::new(false));
+        let helper = {
+            let (inner, returned) = (Arc::clone(&service.inner), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                // Shutdown has begun once the queue is closed; the pause
+                // only gives a shutdown that does not wait time to return.
+                while !inner.queue.is_closed() {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                returned.store(true, Ordering::Release);
+                inner.give_back(solo);
+            })
+        };
+        service.shutdown();
+        assert!(
+            returned.load(Ordering::Acquire),
+            "shutdown returned while a caller was still computing"
+        );
+        helper.join().unwrap();
     }
 }

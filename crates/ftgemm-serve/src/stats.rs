@@ -72,6 +72,9 @@ pub(crate) struct ServiceStats {
     pub deadline_missed: Arc<Counter>,
     /// Coalesced parallel regions executed on the batched path.
     pub batches: Arc<Counter>,
+    /// Of `batches`, those a caller blocked in `recv` ran on its own
+    /// thread instead of the dispatcher on the pool.
+    pub helped_batches: Arc<Counter>,
     /// Requests that went through the batched path.
     pub batched_requests: Arc<Counter>,
     /// Requests routed straight to the matrix-parallel driver.
@@ -83,7 +86,8 @@ pub(crate) struct ServiceStats {
     /// Summed submit→completion latency, nanoseconds (no family of its
     /// own: it surfaces as the mean).
     pub turnaround_ns: Counter,
-    /// Summed wall time of batched parallel regions, nanoseconds.
+    /// Summed wall time of batched regions on the pool (not a helping
+    /// caller's), nanoseconds.
     batch_wall_ns: Arc<Counter>,
     /// Summed per-pool-thread busy time inside batched regions, indexed by
     /// pool thread id. The spread across threads is the batch-path
@@ -152,6 +156,10 @@ impl ServiceStats {
                 "ftgemm_batches_total",
                 "Coalesced parallel regions executed on the batched path.",
             ),
+            helped_batches: counter(
+                "ftgemm_serve_helped_batches_total",
+                "Of the batched regions, those run by a caller blocked in recv on its own thread instead of the dispatcher on the pool.",
+            ),
             batched_requests: counter(
                 "ftgemm_batched_requests_total",
                 "Requests served via the batched path.",
@@ -180,7 +188,7 @@ impl ServiceStats {
             batch_wall_ns: seconds_counter(
                 &registry,
                 "ftgemm_batch_wall_seconds_total",
-                "Summed wall time of batched parallel regions.",
+                "Summed wall time of batched regions on the pool (not those a helping caller ran).",
                 &[],
             ),
             batch_busy_ns: (0..threads)
@@ -320,6 +328,7 @@ impl ServiceStats {
             deadline_met: self.deadline_met.get(),
             deadline_missed: self.deadline_missed.get(),
             batches: self.batches.get(),
+            helped_batches: self.helped_batches.get(),
             batched_requests: self.batched_requests.get(),
             direct_large: self.direct_large.get(),
             detected: self.detected.get(),
@@ -379,6 +388,10 @@ pub struct StatsSnapshot {
     pub deadline_missed: u64,
     /// Coalesced parallel regions executed on the batched path.
     pub batches: u64,
+    /// Of [`batches`](Self::batches), those a caller blocked in
+    /// [`Completions::recv`](crate::Completions::recv) ran on its own
+    /// thread instead of the dispatcher on the pool.
+    pub helped_batches: u64,
     /// Requests served via the batched path.
     pub batched_requests: u64,
     /// Requests served via the matrix-parallel path.
@@ -408,7 +421,8 @@ pub struct StatsSnapshot {
     pub mean_batch_occupancy: f64,
     /// Mean submit→completion latency.
     pub mean_turnaround: Duration,
-    /// Summed wall time of all batched parallel regions.
+    /// Summed wall time of all batched regions on the pool (the batches
+    /// of [`helped_batches`](Self::helped_batches) add nothing here).
     pub batch_wall: Duration,
     /// Summed busy time per pool thread inside batched regions, indexed by
     /// pool thread id (one entry per thread). A wide spread means the

@@ -15,6 +15,12 @@
 //! End-of-stream is defined by in-flight accounting, not sender drops: the
 //! channel knows how many submissions are outstanding, and `recv`/`next`
 //! return `None` exactly when the queue is empty *and* nothing is in flight.
+//!
+//! A channel also remembers the service it last submitted to. A blocking
+//! [`recv`](Completions::recv) with nothing to return lends its thread to
+//! that service before it parks: it runs one turn of the service's queued
+//! small requests and looks again. The async form and the timed waits only
+//! park.
 
 use crate::request::{GemmResponse, ServeError};
 use ftgemm_core::Scalar;
@@ -22,7 +28,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
@@ -35,12 +41,22 @@ pub struct Completion<T: Scalar> {
     pub result: Result<GemmResponse<T>, ServeError>,
 }
 
+/// A service a caller blocked in [`Completions::recv`] can compute for.
+pub(crate) trait Lend: Send + Sync {
+    /// Runs one turn of the service's queued work on the calling thread;
+    /// `false` when there was none to take.
+    fn help(&self) -> bool;
+}
+
 struct ChannelState<T: Scalar> {
     queue: VecDeque<Completion<T>>,
     /// Submitted-but-not-yet-delivered count; defines end-of-stream.
     in_flight: usize,
     /// Waker of the async consumer blocked in `poll_next`, if any.
     waker: Option<Waker>,
+    /// The service the last submission went to; weak, so a channel never
+    /// keeps a shut-down service alive.
+    lender: Option<Weak<dyn Lend>>,
 }
 
 struct Channel<T: Scalar> {
@@ -66,9 +82,18 @@ impl<T: Scalar> Clone for CompletionSink<T> {
 }
 
 impl<T: Scalar> CompletionSink<T> {
-    /// Records one accepted submission (before it can possibly complete).
-    pub(crate) fn register(&self) {
-        self.chan.state.lock().in_flight += 1;
+    /// Records one accepted submission to `service` (before it can
+    /// possibly complete); a blocked `recv` helps `service` from now on.
+    pub(crate) fn register_for<S: Lend + 'static>(&self, service: &Arc<S>) {
+        let mut state = self.chan.state.lock();
+        state.in_flight += 1;
+        let known = state
+            .lender
+            .as_ref()
+            .is_some_and(|known| std::ptr::addr_eq(known.as_ptr(), Arc::as_ptr(service)));
+        if !known {
+            state.lender = Some(Arc::downgrade(service) as Weak<dyn Lend>);
+        }
     }
 
     /// Rolls back `register` when the submission is rejected after all.
@@ -143,8 +168,30 @@ impl<T: Scalar> Completions<T> {
 
     /// Blocks for the next completion; `None` when the queue is empty and
     /// nothing is in flight.
+    ///
+    /// While nothing has arrived, the calling thread computes: while the
+    /// dispatcher of the service this channel last submitted to is busy,
+    /// it runs the small requests at the front of that service's queue,
+    /// one turn at a time, through the same batch driver as the
+    /// dispatcher, and parks only when there is none to take. A turn is
+    /// one request, so a result that arrives meanwhile waits at most that
+    /// long to be returned.
     pub fn recv(&mut self) -> Option<Completion<T>> {
-        self.recv_until(None)
+        loop {
+            let lender = {
+                let mut state = self.chan.state.lock();
+                if let Some(c) = state.queue.pop_front() {
+                    return Some(c);
+                }
+                if state.in_flight == 0 {
+                    return None;
+                }
+                state.lender.as_ref().and_then(Weak::upgrade)
+            };
+            if !lender.is_some_and(|service| service.help()) {
+                return self.recv_until(None);
+            }
+        }
     }
 
     /// [`recv`](Self::recv) for at most `timeout`: also `None` when it
@@ -238,6 +285,7 @@ pub fn completion_channel<T: Scalar>() -> (CompletionSink<T>, Completions<T>) {
             queue: VecDeque::new(),
             in_flight: 0,
             waker: None,
+            lender: None,
         }),
         ready: Condvar::new(),
     });
@@ -247,6 +295,15 @@ pub fn completion_channel<T: Scalar>() -> (CompletionSink<T>, Completions<T>) {
         },
         Completions { chan },
     )
+}
+
+#[cfg(test)]
+impl<T: Scalar> CompletionSink<T> {
+    /// Records one accepted submission from no service: a `recv` on it
+    /// only parks.
+    pub(crate) fn register(&self) {
+        self.chan.state.lock().in_flight += 1;
+    }
 }
 
 #[cfg(test)]
@@ -395,5 +452,74 @@ mod tests {
         sink.deliver(8, ok_response(1.0));
         assert_eq!(counter.0.load(Ordering::SeqCst), 1);
         assert!(stream.poll_next(&mut cx).is_ready());
+    }
+
+    /// A service whose every turn of help is counted, and which delivers
+    /// the channel's one request on turn `deliver_on`.
+    struct Turns {
+        sink: CompletionSink<f64>,
+        turns: AtomicUsize,
+        deliver_on: usize,
+    }
+
+    impl Lend for Turns {
+        fn help(&self) -> bool {
+            let turn = self.turns.fetch_add(1, Ordering::SeqCst) + 1;
+            if turn == self.deliver_on {
+                self.sink.deliver(9, ok_response(9.0));
+            }
+            true
+        }
+    }
+
+    /// A blocked `recv` lends its thread, one turn at a time, until its
+    /// own result has arrived, and then returns it without another turn.
+    #[test]
+    fn recv_helps_until_its_own_result_arrives() {
+        let (sink, mut stream) = completion_channel::<f64>();
+        let service = Arc::new(Turns {
+            sink: sink.clone(),
+            turns: AtomicUsize::new(0),
+            deliver_on: 3,
+        });
+        sink.register_for(&service);
+        assert_eq!(stream.recv().unwrap().id, 9);
+        assert_eq!(service.turns.load(Ordering::SeqCst), 3);
+        assert!(stream.recv().is_none());
+        assert_eq!(
+            service.turns.load(Ordering::SeqCst),
+            3,
+            "helped with nothing in flight"
+        );
+    }
+
+    /// The timed wait and the async form never help, and a channel does
+    /// not keep its service alive.
+    #[test]
+    fn only_the_untimed_recv_helps() {
+        let (sink, mut stream) = completion_channel::<f64>();
+        let service = Arc::new(Turns {
+            sink: sink.clone(),
+            turns: AtomicUsize::new(0),
+            deliver_on: 1,
+        });
+        sink.register_for(&service);
+        assert!(stream
+            .recv_timeout(std::time::Duration::from_millis(5))
+            .is_none());
+        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
+        let waker = Waker::from(counter);
+        assert!(stream
+            .poll_next(&mut Context::from_waker(&waker))
+            .is_pending());
+        assert_eq!(service.turns.load(Ordering::SeqCst), 0);
+
+        drop(service);
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            sink.deliver(4, ok_response(4.0));
+        });
+        assert_eq!(stream.recv().unwrap().id, 4, "a dropped service parks recv");
+        producer.join().unwrap();
     }
 }

@@ -662,8 +662,8 @@ fn pipelined_mix_resolves_every_id_once() {
     // Handed-out ids are gone.
     for id in [waited[0], streamed[0]] {
         match client.wait(id) {
-            Err(ClientError::Server { code, .. }) => assert_eq!(code, error_code::UNKNOWN_REQUEST),
-            other => panic!("expected UNKNOWN_REQUEST for {id}, got {other:?}"),
+            Err(ClientError::NotOutstanding(got)) => assert_eq!(got, id),
+            other => panic!("expected NotOutstanding for {id}, got {other:?}"),
         }
     }
 }

@@ -637,3 +637,135 @@ fn hammer_no_request_lost_or_double_executed() {
         "each request dispatched exactly once: {snap:?}"
     );
 }
+
+/// A caller blocked in `recv` computes: a one-thread service's dispatcher
+/// is held by one large request, and the small requests queued behind it
+/// are run by the caller waiting for them, on its own thread, before the
+/// large one completes.
+#[test]
+fn a_blocked_caller_runs_the_small_requests_queued_behind_a_large_one() {
+    let service = GemmService::<f64>::new(ServiceConfig {
+        threads: 1,
+        routing: RoutingPolicy::Fixed(2 * 64 * 64 * 64),
+        ..ServiceConfig::default()
+    });
+    let n = 768;
+    let large = service
+        .submit(GemmRequest::new(
+            Matrix::<f64>::random(n, n, 1),
+            Matrix::<f64>::random(n, n, 2),
+        ))
+        .unwrap();
+    // The dispatcher has taken the large request once the queue is empty.
+    while service.stats().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+
+    let (sink, mut completions) = completion_channel::<f64>();
+    let mut small = Vec::new();
+    for i in 0..3u64 {
+        let a = Matrix::<f64>::random(16, 24, 10 + i);
+        let b = Matrix::<f64>::random(24, 8, 20 + i);
+        let mut expected = Matrix::<f64>::zeros(16, 8);
+        naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut expected.as_mut());
+        let id = service
+            .submit_streamed(GemmRequest::new(a, b), &sink)
+            .unwrap();
+        small.push((id, expected));
+    }
+    for (id, expected) in &small {
+        let done = completions.recv().expect("a small completion");
+        assert_eq!(done.id, *id, "completions leave in queue order");
+        let resp = done.result.unwrap();
+        assert!(resp.batched);
+        assert!(resp.c.rel_max_diff(expected) < 1e-12);
+    }
+    let snap = service.stats();
+    assert_eq!(
+        snap.completed, 3,
+        "the large request finished first: {snap:?}"
+    );
+    assert_eq!(snap.helped_batches, 3, "{snap:?}");
+    assert_eq!(snap.batches, 3, "{snap:?}");
+    assert_eq!(
+        snap.batch_wall,
+        Duration::ZERO,
+        "a small batch ran on the pool: {snap:?}"
+    );
+
+    large.wait().unwrap();
+    let end = service.shutdown();
+    assert_eq!(end.completed, 4);
+    assert_eq!(end.direct_large, 1);
+}
+
+/// Eight submitters on every surface at once, each of them helping while
+/// it waits: every id completes exactly once, bit-identical to a serial
+/// reference, and the service's books close (`completed + failed ==
+/// submitted`).
+#[test]
+fn eight_submitters_complete_every_id_exactly_once() {
+    const THREADS: u64 = 8;
+    const PER_THREAD: u64 = 24;
+    let service = Arc::new(GemmService::<f64>::new(ServiceConfig {
+        threads: 1,
+        max_batch: 4,
+        // 40^3 and up are large: both paths, and large requests at the
+        // queue's front that helpers must leave to the dispatcher.
+        routing: RoutingPolicy::Fixed(2 * 32 * 32 * 32),
+        ..ServiceConfig::default()
+    }));
+    let submitters: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let (sink, mut completions) = completion_channel::<f64>();
+                let mut ids = Vec::new();
+                let mut streamed = std::collections::HashMap::new();
+                for i in 0..PER_THREAD {
+                    let seed = t * 1_000 + i;
+                    let dim = [8, 16, 24, 40][(i % 4) as usize];
+                    let a = Matrix::<f64>::random(dim, dim, seed);
+                    let b = Matrix::<f64>::random(dim, dim, seed + 500);
+                    let mut expected = Matrix::<f64>::zeros(dim, dim);
+                    naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 0.0, &mut expected.as_mut());
+                    let req = GemmRequest::new(a, b).with_policy(FtPolicy::DetectCorrect);
+                    if i % 2 == 0 {
+                        let handle = service.submit(req).unwrap();
+                        ids.push(handle.id());
+                        let c = handle.wait().unwrap().c;
+                        assert!(c.rel_max_diff(&expected) < 1e-12, "request {seed}");
+                    } else {
+                        let id = service.submit_streamed(req, &sink).unwrap();
+                        ids.push(id);
+                        streamed.insert(id, expected);
+                    }
+                }
+                while let Some(done) = completions.recv() {
+                    let expected = streamed.remove(&done.id).expect("an id of ours, once");
+                    let c = done.result.unwrap().c;
+                    assert!(c.rel_max_diff(&expected) < 1e-12, "request {}", done.id);
+                }
+                assert!(streamed.is_empty(), "undelivered: {:?}", streamed.keys());
+                ids
+            })
+        })
+        .collect();
+    let mut seen = HashSet::new();
+    for s in submitters {
+        for id in s.join().unwrap() {
+            assert!(seen.insert(id), "id {id} handed out twice");
+        }
+    }
+    assert_eq!(seen.len(), (THREADS * PER_THREAD) as usize);
+    let service = Arc::into_inner(service).expect("submitters are done");
+    let end = service.shutdown();
+    assert_eq!(end.submitted, THREADS * PER_THREAD);
+    assert_eq!(end.completed + end.failed, end.submitted, "{end:?}");
+    assert_eq!(end.failed, 0);
+    assert_eq!(
+        end.batched_requests + end.direct_large,
+        end.submitted,
+        "each request ran exactly once: {end:?}"
+    );
+}

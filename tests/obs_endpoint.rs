@@ -287,7 +287,7 @@ fn scraped_counters_match_in_process_snapshot() {
 /// want of a sample.
 #[test]
 fn every_serve_family_keeps_its_name_and_kind() {
-    const GOLDEN: [(&str, &str); 34] = [
+    const GOLDEN: [(&str, &str); 35] = [
         ("ftgemm_batch_occupancy_mean", "gauge"),
         ("ftgemm_batch_thread_busy_seconds_total", "counter"),
         ("ftgemm_batch_thread_occupancy", "gauge"),
@@ -316,6 +316,7 @@ fn every_serve_family_keeps_its_name_and_kind() {
         ("ftgemm_requests_submitted_sync_total", "counter"),
         ("ftgemm_requests_submitted_total", "counter"),
         ("ftgemm_routing_cutoff_flops", "gauge"),
+        ("ftgemm_serve_helped_batches_total", "counter"),
         ("ftgemm_service_pool_barrier_crossings_total", "counter"),
         ("ftgemm_service_pool_regions_total", "counter"),
         ("ftgemm_spare_buffer_bytes", "gauge"),
